@@ -9,7 +9,11 @@
 // the tuner as a configuration choice afterwards.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+
+	"racesim/internal/recycle"
+)
 
 // Kind selects a direction predictor.
 type Kind string
@@ -123,12 +127,9 @@ type bimodal struct {
 	mask uint64
 }
 
-func newBimodal(entries int) *bimodal {
-	b := &bimodal{ctr: make([]uint8, entries), mask: uint64(entries - 1)}
-	for i := range b.ctr {
-		b.ctr[i] = 1 // weakly not-taken
-	}
-	return b
+func (b *bimodal) reset(entries int) {
+	b.ctr = recycle.Filled(b.ctr, entries, 1) // weakly not-taken
+	b.mask = uint64(entries - 1)
 }
 
 func (b *bimodal) idx(pc uint64) uint64 { return (pc >> 2) & b.mask }
@@ -153,16 +154,12 @@ type gshare struct {
 	histMax uint64
 }
 
-func newGShare(entries, histBits int) *gshare {
-	g := &gshare{
-		ctr:     make([]uint8, entries),
+func (g *gshare) reset(entries, histBits int) {
+	*g = gshare{
+		ctr:     recycle.Filled(g.ctr, entries, 1),
 		mask:    uint64(entries - 1),
 		histMax: 1<<histBits - 1,
 	}
-	for i := range g.ctr {
-		g.ctr[i] = 1
-	}
-	return g
 }
 
 func (g *gshare) idx(pc uint64) uint64 { return ((pc >> 2) ^ g.hist) & g.mask }
@@ -191,17 +188,11 @@ type tournament struct {
 	mask    uint64
 }
 
-func newTournament(c Config) *tournament {
-	t := &tournament{
-		bim:     newBimodal(c.BimodalEntries),
-		gsh:     newGShare(c.GShareEntries, c.HistoryBits),
-		chooser: make([]uint8, c.ChooserEntries),
-		mask:    uint64(c.ChooserEntries - 1),
-	}
-	for i := range t.chooser {
-		t.chooser[i] = 2 // weakly prefer gshare
-	}
-	return t
+// reset arbitrates between bim and gsh, which the caller has reset.
+func (t *tournament) reset(bim *bimodal, gsh *gshare, entries int) {
+	t.bim, t.gsh = bim, gsh
+	t.chooser = recycle.Filled(t.chooser, entries, 2) // weakly prefer gshare
+	t.mask = uint64(entries - 1)
 }
 
 func (t *tournament) Predict(pc uint64) bool {
@@ -224,17 +215,4 @@ func (t *tournament) Update(pc uint64, taken bool) {
 	}
 	t.bim.Update(pc, taken)
 	t.gsh.Update(pc, taken)
-}
-
-func newDirection(c Config) DirectionPredictor {
-	switch c.Kind {
-	case KindBimodal:
-		return newBimodal(c.BimodalEntries)
-	case KindGShare:
-		return newGShare(c.GShareEntries, c.HistoryBits)
-	case KindTournament:
-		return newTournament(c)
-	default:
-		return static{}
-	}
 }

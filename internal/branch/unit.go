@@ -2,6 +2,7 @@ package branch
 
 import (
 	"racesim/internal/isa"
+	"racesim/internal/recycle"
 )
 
 // btb is a set-associative branch target buffer with LRU replacement.
@@ -14,14 +15,14 @@ type btb struct {
 	lru   []uint8
 }
 
-func newBTB(entries, assoc int) *btb {
+func (b *btb) reset(entries, assoc int) {
 	sets := entries / assoc
-	b := &btb{
+	*b = btb{
 		sets:  sets,
 		assoc: assoc,
-		tags:  make([]uint64, entries),
-		tgts:  make([]uint64, entries),
-		lru:   make([]uint8, entries),
+		tags:  recycle.Zeroed(b.tags, entries),
+		tgts:  recycle.Slice(b.tgts, entries), // read only under a matching tag
+		lru:   recycle.Slice(b.lru, entries),
 	}
 	if sets&(sets-1) == 0 {
 		b.mask = uint64(sets - 1)
@@ -31,7 +32,6 @@ func newBTB(entries, assoc int) *btb {
 	for i := range b.lru {
 		b.lru[i] = uint8(i % assoc)
 	}
-	return b
 }
 
 func (b *btb) set(pc uint64) int {
@@ -92,10 +92,10 @@ type indirect struct {
 	bits int
 }
 
-func newIndirect(entries, histBits int) *indirect {
-	return &indirect{
-		tags: make([]uint64, entries),
-		tgts: make([]uint64, entries),
+func (p *indirect) reset(entries, histBits int) {
+	*p = indirect{
+		tags: recycle.Zeroed(p.tags, entries),
+		tgts: recycle.Slice(p.tgts, entries), // read only under a matching tag
 		mask: uint64(entries - 1),
 		bits: histBits,
 	}
@@ -130,7 +130,9 @@ type ras struct {
 	size  int
 }
 
-func newRAS(entries int) *ras { return &ras{stack: make([]uint64, max(entries, 1)), size: entries} }
+func (r *ras) reset(entries int) {
+	*r = ras{stack: recycle.Zeroed(r.stack, max(entries, 1)), size: entries}
+}
 
 func (r *ras) push(addr uint64) {
 	if r.size == 0 {
@@ -183,33 +185,65 @@ type Outcome struct {
 	TargetMiss bool
 }
 
-// Unit is a complete branch prediction unit.
+// Unit is a complete branch prediction unit. It owns the tables of every
+// direction-predictor kind so Reset can switch kinds without allocating;
+// dir is the configured one. A Unit must not be copied (dir, ind and the
+// tournament's components point into it).
 type Unit struct {
 	cfg       Config
 	dir       DirectionPredictor
 	dirStatic bool // dir is the static predictor (checked per branch otherwise)
-	btb       *btb
-	ind       *indirect
-	ras       *ras
+	bim       bimodal
+	gsh       gshare
+	tour      tournament
+	btb       btb
+	indirect  indirect
+	ind       *indirect // &indirect when cfg.IndirectEnabled, else nil
+	ras       ras
 	stats     Stats
 }
 
 // NewUnit builds a unit from cfg; cfg must be valid.
 func NewUnit(cfg Config) (*Unit, error) {
-	if err := cfg.Validate(); err != nil {
+	u := new(Unit)
+	if err := u.Reset(cfg); err != nil {
 		return nil, err
 	}
-	u := &Unit{
-		cfg: cfg,
-		dir: newDirection(cfg),
-		btb: newBTB(cfg.BTBEntries, cfg.BTBAssoc),
-		ras: newRAS(cfg.RASEntries),
-	}
-	_, u.dirStatic = u.dir.(static)
-	if cfg.IndirectEnabled {
-		u.ind = newIndirect(cfg.IndirectEntries, cfg.IndirectHistory)
-	}
 	return u, nil
+}
+
+// Reset makes u an untrained unit of cfg — the state NewUnit returns, and
+// the only definition of it — reusing the tables u already owns (they grow
+// to the largest geometry u has served).
+func (u *Unit) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	u.cfg, u.stats = cfg, Stats{}
+	u.dirStatic = false
+	switch cfg.Kind {
+	case KindBimodal:
+		u.bim.reset(cfg.BimodalEntries)
+		u.dir = &u.bim
+	case KindGShare:
+		u.gsh.reset(cfg.GShareEntries, cfg.HistoryBits)
+		u.dir = &u.gsh
+	case KindTournament:
+		u.bim.reset(cfg.BimodalEntries)
+		u.gsh.reset(cfg.GShareEntries, cfg.HistoryBits)
+		u.tour.reset(&u.bim, &u.gsh, cfg.ChooserEntries)
+		u.dir = &u.tour
+	default:
+		u.dir, u.dirStatic = static{}, true
+	}
+	u.btb.reset(cfg.BTBEntries, cfg.BTBAssoc)
+	u.ras.reset(cfg.RASEntries)
+	u.ind = nil
+	if cfg.IndirectEnabled {
+		u.indirect.reset(cfg.IndirectEntries, cfg.IndirectHistory)
+		u.ind = &u.indirect
+	}
+	return nil
 }
 
 // Stats returns accumulated statistics.

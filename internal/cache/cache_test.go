@@ -361,9 +361,11 @@ func TestFetchUsesICache(t *testing.T) {
 }
 
 // Property: any sequence of accesses keeps at most one copy of a block per
-// set and the recency stamps stay a strict order over the valid ways (LRU
-// invariant: every valid way carries a distinct nonzero stamp no newer
-// than the level's tick, and invalid ways are unstamped).
+// set, fills a set's ways in order (ways [0, fill) are valid, the rest
+// untouched — what lets Reset skip clearing the arrays) and keeps the
+// recency stamps a strict order over the valid ways (LRU invariant: every
+// valid way carries a distinct nonzero stamp no newer than the level's
+// tick).
 func TestLRUPermutationInvariant(t *testing.T) {
 	cfg := l1Config()
 	cfg.SizeKB = 1
@@ -376,7 +378,9 @@ func TestLRUPermutationInvariant(t *testing.T) {
 			seen := map[uint64]bool{}
 			for w := 0; w < l.assoc; w++ {
 				st := l.lru[set*l.assoc+w]
-				if !l.lines[set*l.assoc+w].valid() {
+				if valid := l.lines[set*l.assoc+w].valid(); valid != (w < int(l.fill[set])) {
+					return false
+				} else if !valid {
 					if st != 0 {
 						return false
 					}

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"racesim/internal/dram"
+	"racesim/internal/recycle"
 )
 
 // HierarchyConfig describes a two-level cache hierarchy with TLBs and main
@@ -56,25 +58,27 @@ func (c HierarchyConfig) Validate() error {
 	return nil
 }
 
-// tlb is a small fully-associative TLB with LRU replacement.
+// tlb is a small fully-associative TLB with LRU replacement. Entries are
+// never invalidated, so pages[:n] are the resident ones and a reset only
+// rewinds n. Recency is a per-TLB access stamp (as in Level): the LRU
+// entry is the minimum stamp, and a hit costs one store instead of aging
+// every other entry.
 type tlb struct {
 	pages  []uint64
-	lru    []uint8
+	stamp  []uint64
+	n      int
+	tick   uint64
 	last   uint64 // most recently accessed page (biased); 0 before first access
 	misses uint64
 	hits   uint64
 }
 
-func newTLB(entries int) *tlb {
-	t := &tlb{pages: make([]uint64, entries), lru: make([]uint8, entries)}
-	for i := range t.lru {
-		t.lru[i] = uint8(i)
-	}
-	return t
+func (t *tlb) reset(entries int) {
+	*t = tlb{pages: recycle.Slice(t.pages, entries), stamp: recycle.Slice(t.stamp, entries)}
 }
 
 func (t *tlb) access(page uint64) bool {
-	page++ // bias so page 0 is distinguishable from empty slots
+	page++ // bias so page 0 is distinguishable from "no access yet" in last
 	// Repeat access to the last page: it is resident (every access makes
 	// its page resident) and already MRU, so the scan and the LRU update
 	// are both no-ops.
@@ -83,40 +87,29 @@ func (t *tlb) access(page uint64) bool {
 		return true
 	}
 	t.last = page
-	for i := range t.pages {
-		if t.pages[i] == page {
-			t.touch(i)
+	t.tick++
+	for i, p := range t.pages[:t.n] {
+		if p == page {
+			t.stamp[i] = t.tick
 			t.hits++
 			return true
 		}
 	}
 	t.misses++
-	victim := 0
-	for i := range t.pages {
-		if t.pages[i] == 0 {
-			victim = i
-			break
-		}
-		if t.lru[i] > t.lru[victim] {
-			victim = i
+	victim := t.n
+	if t.n < len(t.pages) {
+		t.n++
+	} else {
+		victim = 0
+		for i, s := range t.stamp {
+			if s < t.stamp[victim] {
+				victim = i
+			}
 		}
 	}
 	t.pages[victim] = page
-	t.touch(victim)
+	t.stamp[victim] = t.tick
 	return false
-}
-
-func (t *tlb) touch(i int) {
-	old := t.lru[i]
-	if old == 0 {
-		return // already MRU
-	}
-	for j := range t.lru {
-		if t.lru[j] < old {
-			t.lru[j]++
-		}
-	}
-	t.lru[i] = 0
 }
 
 // dramBackend adapts the DRAM model to the Backend interface and applies
@@ -125,11 +118,11 @@ func (t *tlb) touch(i int) {
 // further cold reads without a memory round trip. Writing a page gives it
 // real contents and permanently disqualifies it.
 type dramBackend struct {
-	mem       *dram.DRAM
+	mem       dram.DRAM
 	cfg       *HierarchyConfig
 	pageShift uint
-	written   *pageSet
-	zeroSeen  *pageSet
+	written   pageSet
+	zeroSeen  pageSet
 	zeroFills uint64
 }
 
@@ -160,51 +153,58 @@ type HierarchyStats struct {
 	ZeroFills uint64
 }
 
-// Hierarchy is a complete memory subsystem for one core.
+// Hierarchy is a complete memory subsystem for one core. Its components
+// point at each other, so a Hierarchy must not be copied; use it through
+// the pointer NewHierarchy returns (or Reset a zero value in place).
 type Hierarchy struct {
 	cfg       HierarchyConfig
-	l1i       *Level
-	l1d       *Level
-	l2        *Level
-	mem       *dramBackend
-	itlb      *tlb
-	dtlb      *tlb
+	l1i       Level
+	l1d       Level
+	l2        Level
+	mem       dramBackend
+	itlb      tlb
+	dtlb      tlb
 	pageShift uint
 }
 
 // NewHierarchy builds the hierarchy; cfg must be valid.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if err := cfg.Validate(); err != nil {
+	h := new(Hierarchy)
+	if err := h.Reset(cfg); err != nil {
 		return nil, err
 	}
-	mem, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	shift := uint(0)
-	for 1<<shift < cfg.PageBytes {
-		shift++
-	}
-	h := &Hierarchy{cfg: cfg, pageShift: shift}
-	h.mem = &dramBackend{
-		mem: mem, cfg: &h.cfg, pageShift: shift,
-		written: newPageSet(), zeroSeen: newPageSet(),
-	}
-	h.l2, err = NewLevel(cfg.L2, 2, h.mem)
-	if err != nil {
-		return nil, err
-	}
-	h.l1d, err = NewLevel(cfg.L1D, 1, h.l2)
-	if err != nil {
-		return nil, err
-	}
-	h.l1i, err = NewLevel(cfg.L1I, 1, h.l2)
-	if err != nil {
-		return nil, err
-	}
-	h.itlb = newTLB(cfg.ITLBEntries)
-	h.dtlb = newTLB(cfg.DTLBEntries)
 	return h, nil
+}
+
+// Reset makes h an empty, idle hierarchy of cfg — the state NewHierarchy
+// returns, and the only definition of it — while keeping every array h
+// already owns (cache lines, TLBs, page sets, prefetcher tables), so a
+// recycled hierarchy allocates nothing once it has served its largest
+// geometry.
+func (h *Hierarchy) Reset(cfg HierarchyConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	h.cfg = cfg
+	h.pageShift = uint(bits.TrailingZeros(uint(cfg.PageBytes)))
+	if err := h.mem.mem.Reset(cfg.DRAM); err != nil {
+		return err
+	}
+	h.mem.cfg, h.mem.pageShift, h.mem.zeroFills = &h.cfg, h.pageShift, 0
+	h.mem.written.reset()
+	h.mem.zeroSeen.reset()
+	if err := h.l2.Reset(cfg.L2, 2, &h.mem); err != nil {
+		return err
+	}
+	if err := h.l1d.Reset(cfg.L1D, 1, &h.l2); err != nil {
+		return err
+	}
+	if err := h.l1i.Reset(cfg.L1I, 1, &h.l2); err != nil {
+		return err
+	}
+	h.itlb.reset(cfg.ITLBEntries)
+	h.dtlb.reset(cfg.DTLBEntries)
+	return nil
 }
 
 // Load services a data load at cycle now.
@@ -236,7 +236,7 @@ func (h *Hierarchy) Fetch(now uint64, pc uint64) AccessResult {
 }
 
 // L1D exposes the data cache level (for MSHR-aware core models).
-func (h *Hierarchy) L1D() *Level { return h.l1d }
+func (h *Hierarchy) L1D() *Level { return &h.l1d }
 
 // Stats returns aggregated statistics.
 func (h *Hierarchy) Stats() HierarchyStats {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"racesim/internal/prefetch"
+	"racesim/internal/recycle"
 )
 
 // AccessResult reports how an access was serviced.
@@ -113,15 +114,21 @@ type Level struct {
 	lastIdx   int32
 	lastSet   int32
 	lastWay   int32
-	lines    []line
-	lru      []uint64 // access stamp per way (max = MRU; see touch)
-	lruTick  uint64
-	fill     []uint16 // valid lines per set (monotone: lines never invalidate)
-	plru     []uint32
-	rng      uint64
+
+	// Main-array lines are never invalidated (only victim-buffer entries
+	// are), so a set fills its ways in order: ways [0, fill[set]) are
+	// valid and nothing reads the rest. Reset therefore clears fill and
+	// leaves the stale lines and stamps of the previous simulation alone.
+	lines   []line
+	lru     []uint64 // access stamp per valid way (max = MRU; see touch)
+	lruTick uint64
+	fill    []uint16 // valid lines per set
+	plru    []uint32
+	rng     uint64
 
 	victim     []line
 	victimLRU  []uint8
+	bank       *prefetch.Bank // every kind's state, recycled with the level
 	pf         prefetch.Prefetcher
 	pfNone     bool // disabled prefetcher: skip training entirely
 	next       Backend
@@ -134,44 +141,60 @@ type Level struct {
 // NewLevel builds a cache level; cfg must be valid. levelID is its depth
 // (1 = closest to the core).
 func NewLevel(cfg Config, levelID int, next Backend) (*Level, error) {
-	if err := cfg.Validate(); err != nil {
+	l := new(Level)
+	if err := l.Reset(cfg, levelID, next); err != nil {
 		return nil, err
+	}
+	return l, nil
+}
+
+// Reset makes l an empty level of cfg — the state NewLevel returns — and
+// keeps its arrays, which grow to the largest geometry l has served. The
+// cost is O(sets), not O(lines).
+func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if next == nil {
-		return nil, fmt.Errorf("cache %s: nil backend", cfg.Name)
+		return fmt.Errorf("cache %s: nil backend", cfg.Name)
 	}
-	pf, err := prefetch.New(cfg.Prefetch, cfg.LineSize)
+	bank := l.bank
+	if bank == nil {
+		bank = new(prefetch.Bank)
+	}
+	pf, err := bank.Reset(cfg.Prefetch, cfg.LineSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l := &Level{
-		cfg:      cfg,
-		levelID:  levelID,
-		sets:     cfg.Sets(),
-		setMask:  uint64(cfg.Sets() - 1),
-		assoc:    cfg.Assoc,
-		hitLat:   uint64(cfg.HitLatency),
-		lineBits: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		lines:    make([]line, cfg.Sets()*cfg.Assoc),
-		lru:      make([]uint64, cfg.Sets()*cfg.Assoc),
-		fill:     make([]uint16, cfg.Sets()),
-		plru:     make([]uint32, cfg.Sets()),
-		rng:      0x9E3779B97F4A7C15,
-		victim:   make([]line, cfg.VictimEntries),
-		pf:       pf,
-		pfNone:   cfg.Prefetch.Kind == prefetch.KindNone,
-		next:     next,
+	sets := cfg.Sets()
+	*l = Level{
+		cfg:       cfg,
+		levelID:   levelID,
+		sets:      sets,
+		setMask:   uint64(sets - 1),
+		assoc:     cfg.Assoc,
+		hitLat:    uint64(cfg.HitLatency),
+		lineBits:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		lastBlock: ^uint64(0), // matches no line: a block has 61 bits
+		lines:     recycle.Slice(l.lines, sets*cfg.Assoc),
+		lru:       recycle.Slice(l.lru, sets*cfg.Assoc),
+		fill:      recycle.Zeroed(l.fill, sets),
+		plru:      recycle.Zeroed(l.plru, sets),
+		rng:       0x9E3779B97F4A7C15,
+		victim:    recycle.Zeroed(l.victim, cfg.VictimEntries),
+		victimLRU: recycle.Slice(l.victimLRU, cfg.VictimEntries),
+		bank:      bank,
+		pf:        pf,
+		pfNone:    cfg.Prefetch.Kind == prefetch.KindNone,
+		next:      next,
 	}
 	if cfg.TagDataSerial {
 		l.hitLat++
 	}
-	if cfg.VictimEntries > 0 {
-		l.victimLRU = make([]uint8, cfg.VictimEntries)
-		for i := range l.victimLRU {
-			l.victimLRU[i] = uint8(i)
-		}
+	for i := range l.victimLRU {
+		l.victimLRU[i] = uint8(i)
 	}
-	return l, nil
+	return nil
 }
 
 // Stats returns accumulated counters.
@@ -240,14 +263,8 @@ func (l *Level) touch(set, way int) {
 
 func (l *Level) victimWay(set int) int {
 	base := set * l.assoc
-	// Main-array lines are never invalidated (only victim-buffer entries
-	// are), so sets fill monotonically: once full, skip the invalid scan.
-	if int(l.fill[set]) < l.assoc {
-		for w := 0; w < l.assoc; w++ {
-			if !l.lines[base+w].valid() {
-				return w
-			}
-		}
+	if n := int(l.fill[set]); n < l.assoc {
+		return n // the first unused way
 	}
 	switch l.cfg.Repl {
 	case ReplPLRU:
@@ -284,8 +301,8 @@ func (l *Level) lookup(block uint64) (set, way int, ok bool) {
 	}
 	set = l.index(block)
 	base := set * l.assoc
-	for w := 0; w < l.assoc; w++ {
-		if l.lines[base+w].matches(block) {
+	for w, ln := range l.lines[base : base+int(l.fill[set])] {
+		if ln.matches(block) {
 			l.lastBlock, l.lastIdx = block, int32(base+w)
 			l.lastSet, l.lastWay = int32(set), int32(w)
 			return set, w, true
@@ -353,8 +370,8 @@ func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bo
 	set := l.index(block)
 	way := l.victimWay(set)
 	base := set * l.assoc
-	old := l.lines[base+way]
-	if old.valid() {
+	if way < int(l.fill[set]) {
+		old := l.lines[base+way]
 		l.stats.Evictions++
 		if old.dirty() && l.cfg.WriteBack {
 			l.stats.Writebacks++
@@ -475,8 +492,10 @@ func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) {
 	if len(targets) == 0 {
 		return
 	}
+	// targets aliases the prefetcher's scratch array (see
+	// prefetch.Prefetcher); inPrefetch keeps the accesses below from
+	// reaching Observe again before the loop is done with it.
 	l.inPrefetch = true
-	defer func() { l.inPrefetch = false }()
 	for _, t := range targets {
 		tb := l.block(t)
 		if _, _, ok := l.lookup(tb); ok {
@@ -486,4 +505,5 @@ func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) {
 		l.next.BackAccess(now, pc, t, false, true)
 		l.insert(now, pc, tb, false, true)
 	}
+	l.inPrefetch = false
 }

@@ -16,10 +16,21 @@ type pageSet struct {
 	lastKey uint64
 	last    *pageSetChunk
 	chunks  map[uint64]*pageSetChunk
+	spare   []*pageSetChunk // zeroed chunks a reset took back, reused by Add
 }
 
-func newPageSet() *pageSet {
-	return &pageSet{lastKey: ^uint64(0), chunks: make(map[uint64]*pageSetChunk, 4)}
+// reset empties the set (and makes a zero pageSet usable), keeping its
+// chunks for the next lifetime.
+func (s *pageSet) reset() {
+	if s.chunks == nil {
+		s.chunks = make(map[uint64]*pageSetChunk, 4)
+	}
+	for _, c := range s.chunks {
+		*c = pageSetChunk{}
+		s.spare = append(s.spare, c)
+	}
+	clear(s.chunks)
+	s.lastKey, s.last = ^uint64(0), nil
 }
 
 // Contains reports whether page is in the set.
@@ -44,7 +55,11 @@ func (s *pageSet) Add(page uint64) {
 	if key != s.lastKey {
 		c = s.chunks[key]
 		if c == nil {
-			c = new(pageSetChunk)
+			if n := len(s.spare); n > 0 {
+				c, s.spare = s.spare[n-1], s.spare[:n-1]
+			} else {
+				c = new(pageSetChunk)
+			}
 			s.chunks[key] = c
 		}
 		s.lastKey, s.last = key, c

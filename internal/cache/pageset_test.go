@@ -3,7 +3,14 @@ package cache
 import "testing"
 
 func TestPageSet(t *testing.T) {
-	s := newPageSet()
+	var s pageSet
+	for round := 0; round < 3; round++ {
+		s.reset() // rounds after the first run on recycled chunks
+		testPageSet(t, &s)
+	}
+}
+
+func testPageSet(t *testing.T, s *pageSet) {
 	// Pages spanning several chunks, including chunk boundaries and page 0.
 	pages := []uint64{0, 1, 63, 64, pageSetChunkPages - 1, pageSetChunkPages,
 		3 * pageSetChunkPages, 1 << 40}

@@ -27,52 +27,33 @@ import (
 // being long enough that a lane's working set dominates its pass.
 const batchChunk = 4096
 
-// InOrderBatch replays one decoded trace through N in-order lanes in
-// lockstep. Lane state is a dense slice (struct-of-lanes) so the walk
-// touches contiguous memory when stepping the vector.
-type InOrderBatch struct {
-	st    []inOrderStatic
-	lanes []inOrderLane
-}
-
-// NewInOrderBatch builds one lane per config; every config must be valid.
-func NewInOrderBatch(cfgs []InOrderConfig) (*InOrderBatch, error) {
-	b := &InOrderBatch{
-		st:    make([]inOrderStatic, len(cfgs)),
-		lanes: make([]inOrderLane, len(cfgs)),
-	}
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
+// ReplayInOrder replays one decoded trace through one in-order lane per
+// configuration in a single chunked walk over d's columns and writes lane
+// i's Result to out[i] (len(out) must be len(cfgs)). Lanes come from the
+// process-wide free list and go back to it before the call returns.
+// behav must be the behavior table for d.Insts (nil: compiled here). Every
+// config must be valid and share d's decoder variant — a batch cannot mix
+// DepBug settings with its trace.
+func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, out []Result) error {
+	lanes := make([]*inOrderLane, 0, len(cfgs))
+	defer func() {
+		for _, ln := range lanes {
+			inOrderLanes.Put(ln)
 		}
-		lane, err := newInOrderLane(cfg)
-		if err != nil {
-			return nil, err
+	}()
+	for i := range cfgs {
+		if d.DepBug != cfgs[i].DecoderDepBug {
+			return fmt.Errorf("core: decoded trace uses DepBug=%v, lane %d configured with %v", d.DepBug, i, cfgs[i].DecoderDepBug)
 		}
-		b.st[i] = newInOrderStatic(cfg)
-		b.lanes[i] = lane
-	}
-	return b, nil
-}
-
-// Lanes returns the lane count.
-func (b *InOrderBatch) Lanes() int { return len(b.lanes) }
-
-// RunDecoded walks d's columns once, stepping every lane per event, and
-// returns one Result per lane (in constructor config order). behav must be
-// the behavior table for d.Insts (nil: compiled here). Every lane's config
-// must share d's decoder variant — a batch cannot mix DepBug settings with
-// its trace.
-func (b *InOrderBatch) RunDecoded(d *trace.Decoded, behav []Behavior) ([]Result, error) {
-	for i := range b.st {
-		if d.DepBug != b.st[i].depBug {
-			return nil, fmt.Errorf("core: decoded trace uses DepBug=%v, lane %d configured with %v", d.DepBug, i, b.st[i].depBug)
+		ln := inOrderLanes.Get().(*inOrderLane)
+		lanes = append(lanes, ln)
+		if err := ln.reset(cfgs[i]); err != nil {
+			return err
 		}
 	}
 	if behav == nil {
 		behav = CompileBehaviors(d.Insts)
 	}
-	st, lanes := b.st, b.lanes
 	ids, pcs, mems, tgts := d.IDs, d.PC, d.MemAddr, d.Target
 	for s := 0; s < len(ids); s += batchChunk {
 		e := min(s+batchChunk, len(ids))
@@ -82,101 +63,74 @@ func (b *InOrderBatch) RunDecoded(d *trace.Decoded, behav []Behavior) ([]Result,
 		// in the taken bitset and each lane pass can shift through whole
 		// words instead of re-extracting a bit per event.
 		tkC := d.TakenBits[s>>6:]
-		for l := range lanes {
-			ln, stl := &lanes[l], &st[l]
+		for _, ln := range lanes {
 			var tkWord uint64
 			for i := range idsC {
 				if i&63 == 0 {
 					tkWord = tkC[i>>6]
 				}
-				ln.stepLane(stl, &behav[idsC[i]], pcsC[i], memsC[i], tgtsC[i], tkWord&1 != 0)
+				ln.stepLane(&behav[idsC[i]], pcsC[i], memsC[i], tgtsC[i], tkWord&1 != 0)
 				tkWord >>= 1
 			}
 		}
 	}
 	if d.Err != nil {
-		return nil, fmt.Errorf("core: %w", d.Err)
+		return fmt.Errorf("core: %w", d.Err)
 	}
 	cc := classHistogram(ids, behav)
-	out := make([]Result, len(lanes))
-	for l := range lanes {
-		addCounts(&lanes[l].res, uint64(len(ids)), &cc)
-		out[l] = lanes[l].finish()
+	for l, ln := range lanes {
+		addCounts(&ln.res, uint64(len(ids)), &cc)
+		out[l] = ln.finish()
 	}
-	return out, nil
+	return nil
 }
 
-// OoOBatch replays one decoded trace through N out-of-order lanes; see
-// InOrderBatch.
-type OoOBatch struct {
-	st    []oooStatic
-	lanes []oooLane
-}
-
-// NewOoOBatch builds one lane per config; every config must be valid.
-func NewOoOBatch(cfgs []OoOConfig) (*OoOBatch, error) {
-	b := &OoOBatch{
-		st:    make([]oooStatic, len(cfgs)),
-		lanes: make([]oooLane, len(cfgs)),
-	}
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
+// ReplayOoO replays one decoded trace through one out-of-order lane per
+// configuration; see ReplayInOrder.
+func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, out []Result) error {
+	lanes := make([]*oooLane, 0, len(cfgs))
+	defer func() {
+		for _, ln := range lanes {
+			oooLanes.Put(ln)
 		}
-		lane, err := newOoOLane(cfg)
-		if err != nil {
-			return nil, err
+	}()
+	for i := range cfgs {
+		if d.DepBug != cfgs[i].DecoderDepBug {
+			return fmt.Errorf("core: decoded trace uses DepBug=%v, lane %d configured with %v", d.DepBug, i, cfgs[i].DecoderDepBug)
 		}
-		b.st[i] = newOoOStatic(cfg)
-		b.lanes[i] = lane
-	}
-	return b, nil
-}
-
-// Lanes returns the lane count.
-func (b *OoOBatch) Lanes() int { return len(b.lanes) }
-
-// RunDecoded walks d's columns once, stepping every lane per event; see
-// InOrderBatch.RunDecoded.
-func (b *OoOBatch) RunDecoded(d *trace.Decoded, behav []Behavior) ([]Result, error) {
-	for i := range b.st {
-		if d.DepBug != b.st[i].depBug {
-			return nil, fmt.Errorf("core: decoded trace uses DepBug=%v, lane %d configured with %v", d.DepBug, i, b.st[i].depBug)
+		ln := oooLanes.Get().(*oooLane)
+		lanes = append(lanes, ln)
+		if err := ln.reset(cfgs[i]); err != nil {
+			return err
 		}
 	}
 	if behav == nil {
 		behav = CompileBehaviors(d.Insts)
 	}
-	st, lanes := b.st, b.lanes
 	ids, pcs, mems, tgts := d.IDs, d.PC, d.MemAddr, d.Target
 	for s := 0; s < len(ids); s += batchChunk {
 		e := min(s+batchChunk, len(ids))
 		idsC, pcsC := ids[s:e], pcs[s:e]
 		memsC, tgtsC := mems[s:e], tgts[s:e]
-		// batchChunk is a multiple of 64, so chunk starts are word-aligned
-		// in the taken bitset and each lane pass can shift through whole
-		// words instead of re-extracting a bit per event.
-		tkC := d.TakenBits[s>>6:]
-		for l := range lanes {
-			ln, stl := &lanes[l], &st[l]
+		tkC := d.TakenBits[s>>6:] // word-aligned, as in ReplayInOrder
+		for _, ln := range lanes {
 			var tkWord uint64
 			for i := range idsC {
 				if i&63 == 0 {
 					tkWord = tkC[i>>6]
 				}
-				ln.stepLane(stl, &behav[idsC[i]], pcsC[i], memsC[i], tgtsC[i], tkWord&1 != 0)
+				ln.stepLane(&behav[idsC[i]], pcsC[i], memsC[i], tgtsC[i], tkWord&1 != 0)
 				tkWord >>= 1
 			}
 		}
 	}
 	if d.Err != nil {
-		return nil, fmt.Errorf("core: %w", d.Err)
+		return fmt.Errorf("core: %w", d.Err)
 	}
 	cc := classHistogram(ids, behav)
-	out := make([]Result, len(lanes))
-	for l := range lanes {
-		addCounts(&lanes[l].res, uint64(len(ids)), &cc)
-		out[l] = lanes[l].finish()
+	for l, ln := range lanes {
+		addCounts(&ln.res, uint64(len(ids)), &cc)
+		out[l] = ln.finish()
 	}
-	return out, nil
+	return nil
 }

@@ -91,6 +91,9 @@ type PipesConfig struct {
 	Branch int // branch resolution pipes
 }
 
+// maxPipes bounds the pipes of one class group.
+const maxPipes = 8
+
 // Validate reports configuration errors.
 func (c PipesConfig) Validate() error {
 	for _, v := range []struct {
@@ -101,8 +104,8 @@ func (c PipesConfig) Validate() error {
 		{"FP", c.FP}, {"FPDiv", c.FPDiv},
 		{"Load", c.Load}, {"Store", c.Store}, {"Branch", c.Branch},
 	} {
-		if v.val <= 0 || v.val > 8 {
-			return fmt.Errorf("core: pipes %s = %d out of [1,8]", v.name, v.val)
+		if v.val <= 0 || v.val > maxPipes {
+			return fmt.Errorf("core: pipes %s = %d out of [1,%d]", v.name, v.val, maxPipes)
 		}
 	}
 	return nil

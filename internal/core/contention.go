@@ -8,22 +8,25 @@ import "racesim/internal/isa"
 // class's initiation interval. The class-to-group mapping is resolved into
 // per-class tables at construction so the hot path indexes instead of
 // switching; classes outside every group (nop) get a nil pipe slice.
-//
-// contention is a value type embedded in per-lane state; its pipe slices
-// are owned by exactly one lane and must not be shared by copying a lane
-// after construction.
+// The pipe slices point into the contention's own slots array, so a
+// contention must not be copied once reset: lanes own one each and are
+// only ever handled by pointer.
 type contention struct {
 	pipes [isa.NumClasses][]uint64
 	ii    [isa.NumClasses]uint64
+	slots [8 * maxPipes]uint64 // backing store: eight groups of up to maxPipes
 
 	// stalls counts cycles lost waiting for a structural resource.
 	stalls uint64
 }
 
-func newContention(p PipesConfig, lat LatencyConfig) contention {
-	var c contention
+// reset frees every pipe and maps the classes to pipe groups per p and lat.
+func (c *contention) reset(p PipesConfig, lat LatencyConfig) {
+	*c = contention{}
+	used := 0
 	group := func(n int, ii int, classes ...isa.Class) {
-		pipes := make([]uint64, n)
+		pipes := c.slots[used : used+n : used+n]
+		used += n
 		for _, cls := range classes {
 			c.pipes[cls] = pipes
 			c.ii[cls] = uint64(ii)
@@ -37,7 +40,6 @@ func newContention(p PipesConfig, lat LatencyConfig) contention {
 	group(p.Load, 1, isa.ClassLoad)
 	group(p.Store, 1, isa.ClassStore)
 	group(p.Branch, 1, isa.ClassBranch, isa.ClassBranchInd, isa.ClassCall, isa.ClassRet)
-	return c
 }
 
 func bestPipe(pipes []uint64) int {

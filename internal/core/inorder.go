@@ -3,18 +3,19 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
 	"racesim/internal/isa"
+	"racesim/internal/recycle"
 	"racesim/internal/trace"
 )
 
 // inOrderStatic is the config-derived state of the in-order model that is
 // never written during replay: issue rules, penalties and the by-class
-// latency table. One value serves any number of replays of its config;
-// lanes of a batch each carry their own (configs differ per lane) while
-// sharing the decoded columns and behavior table.
+// latency table. Lanes of a batch each carry their own (configs differ per
+// lane) while sharing the decoded columns and behavior table.
 type inOrderStatic struct {
 	width       int
 	dualIssueLS bool
@@ -49,10 +50,18 @@ func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
 	}
 }
 
-// inOrderLane is the per-config mutable state of one in-order replay: the
-// scoreboard, pipeline occupancy, cache hierarchy, branch unit and queue
-// rings. A batch holds a dense slice of lanes and steps them in lockstep.
+// inOrderLane is one in-order replay: the config-derived static state plus
+// everything a replay mutates — the scoreboard, pipeline occupancy, cache
+// hierarchy, branch unit and queue rings. Lanes are handled by pointer only
+// (the contention model and the hierarchy point into themselves).
+//
+// Lifecycle on the production path (ReplayInOrder): acquire from the
+// inOrderLanes free list, reset to the configuration, replay, read the
+// Result with finish, release. reset is the one definition of a fresh
+// lane: a lane that has served any number of other configurations, of any
+// geometry, is indistinguishable from a newly allocated one after it.
 type inOrderLane struct {
+	st   inOrderStatic
 	hier *cache.Hierarchy
 	bu   *branch.Unit
 	cont contention
@@ -74,32 +83,55 @@ type inOrderLane struct {
 	res      Result
 }
 
-func newInOrderLane(cfg InOrderConfig) (inOrderLane, error) {
-	hier, err := cache.NewHierarchy(cfg.Mem)
-	if err != nil {
-		return inOrderLane{}, err
+// inOrderLanes is the process-wide free list of in-order lanes. A
+// sync.Pool is bounded by the garbage collector (idle lanes are dropped
+// over two collections), so recycling never holds more memory than the
+// replays in flight recently needed.
+var inOrderLanes = sync.Pool{New: func() any { return new(inOrderLane) }}
+
+// resetUncore resets the cache hierarchy and branch unit a lane of either
+// kind carries from one configuration to the next (nil on a new lane).
+func resetUncore(hier *cache.Hierarchy, bu *branch.Unit, mem cache.HierarchyConfig, br branch.Config) (*cache.Hierarchy, *branch.Unit, error) {
+	if hier == nil {
+		hier, bu = new(cache.Hierarchy), new(branch.Unit)
 	}
-	bu, err := branch.NewUnit(cfg.Branch)
-	if err != nil {
-		return inOrderLane{}, err
+	if err := hier.Reset(mem); err != nil {
+		return nil, nil, err
 	}
-	return inOrderLane{
+	if err := bu.Reset(br); err != nil {
+		return nil, nil, err
+	}
+	return hier, bu, nil
+}
+
+// reset makes ln a fresh lane of cfg, keeping the arrays it owns.
+func (ln *inOrderLane) reset(cfg InOrderConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch)
+	if err != nil {
+		return err
+	}
+	*ln = inOrderLane{
+		st:            newInOrderStatic(cfg),
 		hier:          hier,
 		bu:            bu,
-		cont:          newContention(cfg.Pipes, cfg.Lat),
-		mshr:          newSeqRing(cfg.MSHRs),
-		sb:            newSeqRing(cfg.StoreBufferEntries),
+		mshr:          ln.mshr.reset(cfg.MSHRs),
+		sb:            ln.sb.reset(cfg.StoreBufferEntries),
 		lastFetchLine: ^uint64(0),
-	}, nil
+	}
+	ln.cont.reset(cfg.Pipes, cfg.Lat)
+	return nil
 }
 
 // InOrder is the in-order core timing model (Cortex-A53 class): dual-issue
 // with pairing rules, a register scoreboard, blocking-limited hit-under-miss
 // data accesses, a draining store buffer, and a front-end redirected by the
-// branch unit.
+// branch unit. A model owns a private lane that never enters the free
+// list: it is the reference the recycled production path is tested against.
 type InOrder struct {
-	st   inOrderStatic
-	lane inOrderLane
+	lane *inOrderLane
 	dc   *decodeCache
 }
 
@@ -113,7 +145,12 @@ type seqRing struct {
 	full bool // count of allocations has reached capacity
 }
 
-func newSeqRing(capacity int) seqRing { return seqRing{done: make([]uint64, capacity)} }
+// reset returns an empty ring of the given capacity over r's array. Stale
+// entries are harmless: wait reads a slot only after note has wrapped,
+// that is after every slot was rewritten.
+func (r seqRing) reset(capacity int) seqRing {
+	return seqRing{done: recycle.Slice(r.done, capacity)}
+}
 
 // wait returns how long an allocation at cycle t must stall for a slot.
 func (r *seqRing) wait(t uint64) uint64 {
@@ -138,18 +175,11 @@ func (r *seqRing) note(done uint64) {
 
 // NewInOrder builds the model; cfg must be valid.
 func NewInOrder(cfg InOrderConfig) (*InOrder, error) {
-	if err := cfg.Validate(); err != nil {
+	lane := new(inOrderLane)
+	if err := lane.reset(cfg); err != nil {
 		return nil, err
 	}
-	lane, err := newInOrderLane(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &InOrder{
-		st:   newInOrderStatic(cfg),
-		lane: lane,
-		dc:   newDecodeCache(cfg.DecoderDepBug),
-	}, nil
+	return &InOrder{lane: lane, dc: newDecodeCache(cfg.DecoderDepBug)}, nil
 }
 
 func (ln *inOrderLane) advanceCycle(to uint64) {
@@ -164,7 +194,8 @@ func (ln *inOrderLane) advanceCycle(to uint64) {
 // slotFor finds the earliest cycle >= t with a free issue slot compatible
 // with the instruction's class, honouring width and pairing rules, and
 // consumes the slot.
-func (ln *inOrderLane) slotFor(st *inOrderStatic, b *Behavior, t uint64) uint64 {
+func (ln *inOrderLane) slotFor(b *Behavior, t uint64) uint64 {
+	st := &ln.st
 	isMem := b.kind == stepLoad || b.kind == stepStore
 	isBr := b.kind == stepBranch
 	for {
@@ -229,29 +260,20 @@ func (m *InOrder) Run(src trace.Source) (Result, error) {
 		}
 		m.lane.res.Instructions++
 		m.lane.res.ClassCounts[b.Cls]++
-		m.lane.stepLane(&m.st, b, ev.PC, ev.MemAddr, ev.Target, ev.Taken)
+		m.lane.stepLane(b, ev.PC, ev.MemAddr, ev.Target, ev.Taken)
 	}
 	return m.lane.finish(), nil
 }
 
 // RunDecoded implements Model.
 func (m *InOrder) RunDecoded(d *trace.Decoded) (Result, error) {
-	return m.RunDecodedBehaviors(d, nil)
-}
-
-// RunDecodedBehaviors is RunDecoded with a pre-compiled behavior table for
-// d.Insts (nil: compiled here). Batch callers pass the memoized table so a
-// single-lane run shares the batch path's compilation work.
-func (m *InOrder) RunDecodedBehaviors(d *trace.Decoded, behav []Behavior) (Result, error) {
-	if d.DepBug != m.st.depBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.st.depBug)
+	if d.DepBug != m.lane.st.depBug {
+		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.lane.st.depBug)
 	}
-	if behav == nil {
-		behav = CompileBehaviors(d.Insts)
-	}
+	behav := CompileBehaviors(d.Insts)
 	pcs, mems, tgts := d.PC, d.MemAddr, d.Target
 	for i, id := range d.IDs {
-		m.lane.stepLane(&m.st, &behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
+		m.lane.stepLane(&behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
 	}
 	if d.Err != nil {
 		return Result{}, fmt.Errorf("core: %w", d.Err)
@@ -272,15 +294,16 @@ func (ln *inOrderLane) finish() Result {
 	return ln.res
 }
 
-// stepLane advances one lane by one dynamic instruction: st and b are the
-// lane's config-derived static state and the instruction's shared behavior
-// (both never mutated), the remaining arguments are the event's dynamic
-// fields. It is the single step kernel: sequential replay, the per-event
-// oracle and the batched walk all funnel through it, so their results are
-// identical by construction. Instruction and class counts are NOT updated
+// stepLane advances the lane by one dynamic instruction: b is the
+// instruction's shared behavior (never mutated, like the lane's static
+// state st), the remaining arguments are the event's dynamic fields. It is
+// the single step kernel: sequential replay, the per-event oracle and the
+// batched walk all funnel through it, so their results are identical by
+// construction. Instruction and class counts are NOT updated
 // here — they are lane-invariant over a trace, so callers add them in bulk
-// (see countEvents) instead of paying two read-modify-writes per step.
-func (ln *inOrderLane) stepLane(st *inOrderStatic, b *Behavior, pc, memAddr, target uint64, taken bool) {
+// (see addCounts) instead of paying two read-modify-writes per step.
+func (ln *inOrderLane) stepLane(b *Behavior, pc, memAddr, target uint64, taken bool) {
+	st := &ln.st
 	earliest := ln.fetchAvail
 	if ln.cycle > earliest {
 		earliest = ln.cycle
@@ -310,7 +333,7 @@ func (ln *inOrderLane) stepLane(st *inOrderStatic, b *Behavior, pc, memAddr, tar
 		ln.res.StallData += ready - earliest
 	}
 
-	issueAt := ln.slotFor(st, b, ready)
+	issueAt := ln.slotFor(b, ready)
 
 	switch b.kind {
 	case stepLoad:

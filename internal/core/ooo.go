@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
 	"racesim/internal/isa"
+	"racesim/internal/recycle"
 	"racesim/internal/trace"
 )
 
@@ -42,8 +44,9 @@ func newOoOStatic(cfg OoOConfig) oooStatic {
 	}
 }
 
-// oooLane is the per-config mutable state of one out-of-order replay.
+// oooLane is one out-of-order replay; see inOrderLane for the lifecycle.
 type oooLane struct {
+	st   oooStatic
 	hier *cache.Hierarchy
 	bu   *branch.Unit
 	cont contention
@@ -56,6 +59,9 @@ type oooLane struct {
 	fetchAvail    uint64
 	lastFetchLine uint64
 
+	// Window rings, indexed by sequence number mod capacity. A slot is
+	// read only once the sequence number has wrapped, that is after it was
+	// written, so reset leaves stale entries in place.
 	rob    []uint64 // retire cycle by sequence number mod ROBEntries
 	iq     []uint64 // issue cycle by sequence number mod IQEntries
 	lq     []uint64
@@ -74,26 +80,32 @@ type oooLane struct {
 	res      Result
 }
 
-func newOoOLane(cfg OoOConfig) (oooLane, error) {
-	hier, err := cache.NewHierarchy(cfg.Mem)
-	if err != nil {
-		return oooLane{}, err
+// oooLanes is the process-wide free list of out-of-order lanes; see
+// inOrderLanes.
+var oooLanes = sync.Pool{New: func() any { return new(oooLane) }}
+
+// reset makes ln a fresh lane of cfg, keeping the arrays it owns.
+func (ln *oooLane) reset(cfg OoOConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	bu, err := branch.NewUnit(cfg.Branch)
+	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch)
 	if err != nil {
-		return oooLane{}, err
+		return err
 	}
-	return oooLane{
+	*ln = oooLane{
+		st:            newOoOStatic(cfg),
 		hier:          hier,
 		bu:            bu,
-		cont:          newContention(cfg.Pipes, cfg.Lat),
-		rob:           make([]uint64, cfg.ROBEntries),
-		iq:            make([]uint64, cfg.IQEntries),
-		lq:            make([]uint64, cfg.LQEntries),
-		sq:            make([]uint64, cfg.SQEntries),
-		mshr:          newSeqRing(cfg.MSHRs),
+		rob:           recycle.Slice(ln.rob, cfg.ROBEntries),
+		iq:            recycle.Slice(ln.iq, cfg.IQEntries),
+		lq:            recycle.Slice(ln.lq, cfg.LQEntries),
+		sq:            recycle.Slice(ln.sq, cfg.SQEntries),
+		mshr:          ln.mshr.reset(cfg.MSHRs),
 		lastFetchLine: ^uint64(0),
-	}, nil
+	}
+	ln.cont.reset(cfg.Pipes, cfg.Lat)
+	return nil
 }
 
 // OoO is the out-of-order core timing model (Cortex-A72 class): wide
@@ -101,26 +113,19 @@ func newOoOLane(cfg OoOConfig) (oooLane, error) {
 // contention model, bounded issue queue, load/store queues, MSHR-limited
 // memory-level parallelism, and in-order retirement. It is a one-pass
 // window model in the spirit of Sniper's instruction-window-centric core.
+// Like InOrder, a model owns a private lane that is never recycled.
 type OoO struct {
-	st   oooStatic
-	lane oooLane
+	lane *oooLane
 	dc   *decodeCache
 }
 
 // NewOoO builds the model; cfg must be valid.
 func NewOoO(cfg OoOConfig) (*OoO, error) {
-	if err := cfg.Validate(); err != nil {
+	lane := new(oooLane)
+	if err := lane.reset(cfg); err != nil {
 		return nil, err
 	}
-	lane, err := newOoOLane(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &OoO{
-		st:   newOoOStatic(cfg),
-		lane: lane,
-		dc:   newDecodeCache(cfg.DecoderDepBug),
-	}, nil
+	return &OoO{lane: lane, dc: newDecodeCache(cfg.DecoderDepBug)}, nil
 }
 
 // Run implements Model.
@@ -136,28 +141,20 @@ func (m *OoO) Run(src trace.Source) (Result, error) {
 		}
 		m.lane.res.Instructions++
 		m.lane.res.ClassCounts[b.Cls]++
-		m.lane.stepLane(&m.st, b, ev.PC, ev.MemAddr, ev.Target, ev.Taken)
+		m.lane.stepLane(b, ev.PC, ev.MemAddr, ev.Target, ev.Taken)
 	}
 	return m.lane.finish(), nil
 }
 
 // RunDecoded implements Model.
 func (m *OoO) RunDecoded(d *trace.Decoded) (Result, error) {
-	return m.RunDecodedBehaviors(d, nil)
-}
-
-// RunDecodedBehaviors is RunDecoded with a pre-compiled behavior table for
-// d.Insts (nil: compiled here).
-func (m *OoO) RunDecodedBehaviors(d *trace.Decoded, behav []Behavior) (Result, error) {
-	if d.DepBug != m.st.depBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.st.depBug)
+	if d.DepBug != m.lane.st.depBug {
+		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.lane.st.depBug)
 	}
-	if behav == nil {
-		behav = CompileBehaviors(d.Insts)
-	}
+	behav := CompileBehaviors(d.Insts)
 	pcs, mems, tgts := d.PC, d.MemAddr, d.Target
 	for i, id := range d.IDs {
-		m.lane.stepLane(&m.st, &behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
+		m.lane.stepLane(&behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
 	}
 	if d.Err != nil {
 		return Result{}, fmt.Errorf("core: %w", d.Err)
@@ -180,7 +177,8 @@ func (ln *oooLane) finish() Result {
 
 // retireSlot assigns an in-order retirement cycle with RetireWidth slots
 // per cycle.
-func (ln *oooLane) retireSlot(st *oooStatic, complete uint64) uint64 {
+func (ln *oooLane) retireSlot(complete uint64) uint64 {
+	st := &ln.st
 	t := complete + 1
 	if t < ln.lastRetire {
 		t = ln.lastRetire
@@ -201,7 +199,8 @@ func (ln *oooLane) retireSlot(st *oooStatic, complete uint64) uint64 {
 
 // stepLane advances one lane by one dynamic instruction; see the in-order
 // stepLane for the kernel contract.
-func (ln *oooLane) stepLane(st *oooStatic, b *Behavior, pc, memAddr, target uint64, taken bool) {
+func (ln *oooLane) stepLane(b *Behavior, pc, memAddr, target uint64, taken bool) {
+	st := &ln.st
 	seq := ln.seq
 	ln.seq++
 
@@ -326,5 +325,5 @@ func (ln *oooLane) stepLane(st *oooStatic, b *Behavior, pc, memAddr, target uint
 	for i := uint8(0); i < b.nDst; i++ {
 		ln.regReady[b.dst[i]] = complete
 	}
-	ln.rob[seq%uint64(len(ln.rob))] = ln.retireSlot(st, complete)
+	ln.rob[seq%uint64(len(ln.rob))] = ln.retireSlot(complete)
 }

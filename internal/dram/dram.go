@@ -53,10 +53,20 @@ type DRAM struct {
 
 // New builds a DRAM model; cfg must be valid.
 func New(cfg Config) (*DRAM, error) {
-	if err := cfg.Validate(); err != nil {
+	d := new(DRAM)
+	if err := d.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &DRAM{cfg: cfg}, nil
+	return d, nil
+}
+
+// Reset returns d to the idle, zero-traffic state of a new model of cfg.
+func (d *DRAM) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	*d = DRAM{cfg: cfg}
+	return nil
 }
 
 // Access services one line request issued at cycle now and returns its

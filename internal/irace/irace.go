@@ -337,10 +337,12 @@ func (t *Tuner) evalBatch(cands []*candidate, instances []int) {
 	}
 	t.used += len(jobs)
 
-	// A batch-capable evaluator gets one call per instance with every
-	// candidate that still needs that instance, so it can replay them in
-	// shared column walks. Costs land in the same slots as the
-	// per-pair path would fill.
+	// A batch-capable evaluator gets every candidate that still needs an
+	// instance in one call, so it can replay them in shared column walks —
+	// unless that would leave workers idle. A race step has one instance,
+	// hence one group: with fewer groups than workers, each group's
+	// candidates are split into enough equal sub-batches to occupy them
+	// all. Costs land in the same slots as the per-pair path would fill.
 	if be, ok := t.eval.(BatchEvaluator); ok {
 		instOrder := make([]int, 0, len(instances))
 		byInst := make(map[int][]job)
@@ -350,24 +352,29 @@ func (t *Tuner) evalBatch(cands []*candidate, instances []int) {
 			}
 			byInst[jb.inst] = append(byInst[jb.inst], jb)
 		}
+		parts := (t.opt.Parallelism + len(instOrder) - 1) / len(instOrder)
 		sem := make(chan struct{}, t.opt.Parallelism)
 		var wg sync.WaitGroup
 		for _, inst := range instOrder {
 			group := byInst[inst]
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(inst int, group []job) {
-				defer wg.Done()
-				cfgs := make([]Assignment, len(group))
-				for j, jb := range group {
-					cfgs[j] = jb.c.cfg
-				}
-				costs := be.CostBatch(cfgs, inst)
-				for j, jb := range group {
-					jb.c.costs[inst] = costs[j]
-				}
-				<-sem
-			}(inst, group)
+			size := (len(group) + parts - 1) / parts
+			for lo := 0; lo < len(group); lo += size {
+				sub := group[lo:min(lo+size, len(group))]
+				wg.Add(1)
+				sem <- struct{}{}
+				go func(inst int, sub []job) {
+					defer wg.Done()
+					cfgs := make([]Assignment, len(sub))
+					for j, jb := range sub {
+						cfgs[j] = jb.c.cfg
+					}
+					costs := be.CostBatch(cfgs, inst)
+					for j, jb := range sub {
+						jb.c.costs[inst] = costs[j]
+					}
+					<-sem
+				}(inst, sub)
+			}
 		}
 		wg.Wait()
 		return

@@ -3,6 +3,7 @@ package irace
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -390,5 +391,48 @@ func TestBatchEvaluatorMatchesPerPair(t *testing.T) {
 	}
 	if got, want := batch.calls.Load(), int64(b.Evaluations); got != want {
 		t.Errorf("cost evaluations %d, want exactly %d (one per charged evaluation)", got, want)
+	}
+}
+
+// TestSplitEvalBatchMatchesUnsplit is the contract of splitting a race
+// step across workers: with Parallelism 1 every instance group is one
+// CostBatch call; with 2 and 8 workers a group's candidates are split into
+// concurrent sub-batches. The tuner's whole Result — best configuration,
+// every candidate's costs as summarised per iteration, the race trace and
+// the evaluations charged — must not depend on which of the two happened,
+// and the budget must hold either way.
+func TestSplitEvalBatchMatchesUnsplit(t *testing.T) {
+	const budget = 500
+	for _, seed := range []int64{1, 7, 42} {
+		var ref *Result
+		var refCalls int64
+		for _, par := range []int{1, 2, 8} {
+			space, fresh := testSpace(t, 5, 6)
+			eval := &batchQuadEval{quadEval: quadEval{space: fresh.space, optimum: fresh.optimum, instances: fresh.instances}}
+			tuner, err := New(space, eval, Options{Budget: budget, Seed: seed, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tuner.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Evaluations > budget {
+				t.Errorf("seed %d parallelism %d: %d evaluations exceed budget %d", seed, par, res.Evaluations, budget)
+			}
+			if got := eval.calls.Load(); got != int64(res.Evaluations) {
+				t.Errorf("seed %d parallelism %d: evaluator scored %d pairs, tuner charged %d", seed, par, got, res.Evaluations)
+			}
+			if ref == nil {
+				ref, refCalls = res, eval.batchCalls.Load()
+				continue
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Errorf("seed %d parallelism %d: result differs from unsplit run:\n split   %+v\n unsplit %+v", seed, par, res, ref)
+			}
+			if calls := eval.batchCalls.Load(); calls <= refCalls {
+				t.Errorf("seed %d parallelism %d: %d CostBatch calls, unsplit made %d — race steps were not split", seed, par, calls, refCalls)
+			}
+		}
 	}
 }

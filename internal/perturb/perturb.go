@@ -60,26 +60,60 @@ type Result struct {
 	Deviations int
 }
 
-// meanError evaluates a configuration against all workloads, in parallel
-// up to o.Parallelism, memoizing through o.Cache when set.
-func meanError(cfg sim.Config, ws []Workload, o Options) ([]float64, float64, error) {
-	errs := make([]float64, len(ws))
-	err := par.ForEach(len(ws), o.Parallelism, func(i int) error {
-		res, err := o.Cache.Run(cfg, ws[i].Trace)
+// evaluation is one configuration's score against the workloads: the
+// per-workload errors, their mean, and the first simulation failure (the
+// other fields are then meaningless).
+type evaluation struct {
+	errs []float64
+	mean float64
+	err  error
+}
+
+// meanErrors evaluates every configuration against all workloads as one
+// batch of len(cfgs)*len(ws) simulations, in parallel up to o.Parallelism,
+// memoizing through o.Cache when set. Each configuration is fingerprinted
+// once, not once per workload. out[i] belongs to cfgs[i]; a failed
+// simulation fails only its own configuration.
+func meanErrors(cfgs []sim.Config, ws []Workload, o Options) []evaluation {
+	out := make([]evaluation, len(cfgs))
+	fps := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i].errs = make([]float64, len(ws))
+		fps[i] = cfg.Fingerprint()
+	}
+	failed := make([]error, len(cfgs)*len(ws))
+	// The callback records failures instead of returning them, so one bad
+	// configuration does not stop the dispatch of the others.
+	_ = par.ForEach(len(failed), o.Parallelism, func(k int) error {
+		i, w := k/len(ws), ws[k%len(ws)]
+		res, err := o.Cache.RunKeyed(simcache.JoinKey(fps[i], w.Trace), cfgs[i], w.Trace)
 		if err != nil {
-			return err
+			failed[k] = err
+			return nil
 		}
-		errs[i] = math.Abs(res.CPI()-ws[i].Counters.CPI) / ws[i].Counters.CPI
+		out[i].errs[k%len(ws)] = math.Abs(res.CPI()-w.Counters.CPI) / w.Counters.CPI
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
+	for i := range out {
+		total := 0.0
+		for j, e := range out[i].errs {
+			if err := failed[i*len(ws)+j]; err != nil && out[i].err == nil {
+				out[i].err = err
+			}
+			total += e
+		}
+		out[i].mean = total / float64(len(ws))
 	}
-	total := 0.0
-	for _, e := range errs {
-		total += e
+	return out
+}
+
+// meanError evaluates one configuration against all workloads.
+func meanError(cfg sim.Config, ws []Workload, o Options) ([]float64, float64, error) {
+	ev := meanErrors([]sim.Config{cfg}, ws, o)[0]
+	if ev.err != nil {
+		return nil, 0, ev.err
 	}
-	return errs, total / float64(len(ws)), nil
+	return ev.errs, ev.mean, nil
 }
 
 // neighbors returns the value strings one step away for an ordered
@@ -176,17 +210,28 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 				// Candidate values: optimum value and its one-step
 				// neighbours (the current value is among them).
 				cands := append([]string{optimum[d.Name]}, neighbors(d, optimum[d.Name])...)
-				bestVal := cur[d.Name]
+				// The trials differ from cur in this parameter only and do
+				// not depend on each other, so they are simulated as one
+				// parallel batch; the ascent rule then reads them in
+				// candidate order, exactly as if evaluated one by one.
+				var vals []string
+				var cfgs []sim.Config
 				for _, v := range cands {
 					if v == cur[d.Name] {
 						continue
 					}
 					trial := cur.Clone()
 					trial[d.Name] = v
-					e, ok := evaluate(trial)
-					if ok && e > curErr {
-						curErr = e
-						bestVal = v
+					if cfg, ok := apply(trial); ok {
+						vals = append(vals, v)
+						cfgs = append(cfgs, cfg)
+					}
+				}
+				bestVal := cur[d.Name]
+				for i, ev := range meanErrors(cfgs, ws, o) {
+					if ev.err == nil && ev.mean > curErr {
+						curErr = ev.mean
+						bestVal = vals[i]
 						improved = true
 					}
 				}

@@ -6,7 +6,11 @@
 // the paper's remaining out-of-order model error (povray/x264 outliers).
 package prefetch
 
-import "fmt"
+import (
+	"fmt"
+
+	"racesim/internal/recycle"
+)
 
 // Kind selects a prefetcher implementation.
 type Kind string
@@ -39,6 +43,10 @@ func DefaultConfig() Config {
 	return Config{Kind: KindNone, Degree: 1, Distance: 1, TableEntries: 64, GHBEntries: 256}
 }
 
+// maxDegree bounds Degree; it sizes the per-prefetcher scratch arrays
+// Observe returns slices of.
+const maxDegree = 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch c.Kind {
@@ -48,8 +56,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("prefetch: unknown kind %q", c.Kind)
 	}
-	if c.Degree < 1 || c.Degree > 16 {
-		return fmt.Errorf("prefetch: degree %d out of [1,16]", c.Degree)
+	if c.Degree < 1 || c.Degree > maxDegree {
+		return fmt.Errorf("prefetch: degree %d out of [1,%d]", c.Degree, maxDegree)
 	}
 	if c.Distance < 1 || c.Distance > 64 {
 		return fmt.Errorf("prefetch: distance %d out of [1,64]", c.Distance)
@@ -70,12 +78,27 @@ func (c Config) Validate() error {
 type Prefetcher interface {
 	// Observe is called for each demand access with the line-aligned
 	// address, the PC of the load/store, and whether the access missed.
-	// It returns line addresses to prefetch (possibly none).
+	// It returns line addresses to prefetch (possibly none). The slice
+	// aliases a scratch array owned by the prefetcher: it is valid only
+	// until the next Observe on the same prefetcher, so callers consume
+	// it at once and never retain it.
 	Observe(pc, lineAddr uint64, miss bool) []uint64
 }
 
-// New builds a prefetcher; cfg must be valid. lineSize is in bytes.
-func New(cfg Config, lineSize int) (Prefetcher, error) {
+// Bank owns the state of one prefetcher of every kind, so a recycled cache
+// level can switch kinds and table geometries without allocating: tables
+// grow to the largest geometry seen and are re-sliced. Only the prefetcher
+// returned by the latest Reset is live.
+type Bank struct {
+	next    nextLine
+	stride  stride
+	ghb     ghb
+	spatial spatial
+}
+
+// Reset validates cfg and returns the bank's prefetcher of cfg.Kind in its
+// initial (untrained) state. lineSize is in bytes.
+func (b *Bank) Reset(cfg Config, lineSize int) (Prefetcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,15 +107,24 @@ func New(cfg Config, lineSize int) (Prefetcher, error) {
 	case KindNone:
 		return nonePf{}, nil
 	case KindNextLine:
-		return &nextLine{cfg: cfg, line: ls}, nil
+		b.next.cfg, b.next.line = cfg, ls
+		return &b.next, nil
 	case KindStride:
-		return newStride(cfg, ls), nil
+		b.stride.reset(cfg, ls)
+		return &b.stride, nil
 	case KindGHB:
-		return newGHB(cfg, ls), nil
+		b.ghb.reset(cfg, ls)
+		return &b.ghb, nil
 	case KindSpatial:
-		return newSpatial(cfg, ls), nil
+		b.spatial.reset(cfg, ls)
+		return &b.spatial, nil
 	}
 	return nil, fmt.Errorf("prefetch: unreachable kind %q", cfg.Kind)
+}
+
+// New builds a prefetcher; cfg must be valid. lineSize is in bytes.
+func New(cfg Config, lineSize int) (Prefetcher, error) {
+	return new(Bank).Reset(cfg, lineSize)
 }
 
 type nonePf struct{}
@@ -103,13 +135,14 @@ func (nonePf) Observe(_, _ uint64, _ bool) []uint64 { return nil }
 type nextLine struct {
 	cfg  Config
 	line uint64
+	out  [maxDegree]uint64
 }
 
 func (p *nextLine) Observe(_, lineAddr uint64, miss bool) []uint64 {
 	if !miss && !p.cfg.OnHit {
 		return nil
 	}
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	for d := 1; d <= p.cfg.Degree; d++ {
 		out = append(out, lineAddr+uint64(p.cfg.Distance+d-1)*p.line)
 	}
@@ -126,15 +159,14 @@ type stride struct {
 	last []uint64
 	strd []int64
 	conf []uint8
+	out  [maxDegree]uint64
 }
 
-func newStride(cfg Config, line uint64) *stride {
+func (p *stride) reset(cfg Config, line uint64) {
 	n := cfg.TableEntries
-	return &stride{
-		cfg: cfg, line: line, mask: uint64(n - 1),
-		tags: make([]uint64, n), last: make([]uint64, n),
-		strd: make([]int64, n), conf: make([]uint8, n),
-	}
+	p.cfg, p.line, p.mask = cfg, line, uint64(n-1)
+	p.tags, p.last = recycle.Zeroed(p.tags, n), recycle.Zeroed(p.last, n)
+	p.strd, p.conf = recycle.Zeroed(p.strd, n), recycle.Zeroed(p.conf, n)
 }
 
 func (p *stride) Observe(pc, lineAddr uint64, miss bool) []uint64 {
@@ -168,7 +200,7 @@ func (p *stride) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	if p.conf[i] < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	for d := 0; d < p.cfg.Degree; d++ {
 		a := int64(lineAddr) + s*int64(p.cfg.Distance+d)
 		if a > 0 {
@@ -188,36 +220,28 @@ type ghb struct {
 	bufAddr []uint64
 	bufPrev []int // previous slot for same PC chain (-1 none)
 	head    int
-	filled  bool
+	hist    [3]uint64
+	out     [maxDegree]uint64
 }
 
-func newGHB(cfg Config, line uint64) *ghb {
-	g := &ghb{
-		cfg: cfg, line: line, mask: uint64(cfg.TableEntries - 1),
-		index:   make([]int, cfg.TableEntries),
-		bufAddr: make([]uint64, cfg.GHBEntries),
-		bufPrev: make([]int, cfg.GHBEntries),
-	}
-	for i := range g.index {
-		g.index[i] = -1
-	}
-	for i := range g.bufPrev {
-		g.bufPrev[i] = -1
-	}
-	return g
+func (g *ghb) reset(cfg Config, line uint64) {
+	g.cfg, g.line, g.mask, g.head = cfg, line, uint64(cfg.TableEntries-1), 0
+	g.index = recycle.Filled(g.index, cfg.TableEntries, -1)
+	g.bufPrev = recycle.Filled(g.bufPrev, cfg.GHBEntries, -1)
+	// Slots are written before any chain can reach them.
+	g.bufAddr = recycle.Slice(g.bufAddr, cfg.GHBEntries)
 }
 
-// chain walks the per-PC linked list through the GHB, newest first,
-// returning up to n line addresses.
-func (g *ghb) chain(slot, n int) []uint64 {
-	var out []uint64
-	age := 0
-	for slot >= 0 && len(out) < n && age < g.cfg.GHBEntries {
-		out = append(out, g.bufAddr[slot])
+// chain walks the per-PC linked list through the GHB, newest first, into
+// g.hist and returns how many line addresses it found (at most len(g.hist)).
+func (g *ghb) chain(slot int) int {
+	n := 0
+	for slot >= 0 && n < len(g.hist) && n < g.cfg.GHBEntries {
+		g.hist[n] = g.bufAddr[slot]
 		slot = g.bufPrev[slot]
-		age++
+		n++
 	}
-	return out
+	return n
 }
 
 func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
@@ -234,16 +258,15 @@ func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	g.bufPrev[slot] = prev
 	g.index[i] = slot
 
-	hist := g.chain(slot, 3)
-	if len(hist) < 3 {
+	if g.chain(slot) < len(g.hist) {
 		return nil
 	}
-	d1 := int64(hist[0]) - int64(hist[1])
-	d2 := int64(hist[1]) - int64(hist[2])
+	d1 := int64(g.hist[0]) - int64(g.hist[1])
+	d2 := int64(g.hist[1]) - int64(g.hist[2])
 	if d1 != d2 || d1 == 0 {
 		return nil
 	}
-	out := make([]uint64, 0, g.cfg.Degree)
+	out := g.out[:0]
 	for d := 0; d < g.cfg.Degree; d++ {
 		a := int64(lineAddr) + d1*int64(g.cfg.Distance+d)
 		if a > 0 {
@@ -261,10 +284,15 @@ type spatial struct {
 	cfg    Config
 	line   uint64
 	recent map[uint64]uint64 // region -> last line seen in region
+	out    [2 * maxDegree]uint64
 }
 
-func newSpatial(cfg Config, line uint64) *spatial {
-	return &spatial{cfg: cfg, line: line, recent: make(map[uint64]uint64)}
+func (p *spatial) reset(cfg Config, line uint64) {
+	p.cfg, p.line = cfg, line
+	if p.recent == nil {
+		p.recent = make(map[uint64]uint64)
+	}
+	clear(p.recent)
 }
 
 func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
@@ -289,7 +317,7 @@ func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
 	if lineAddr < last {
 		dir = -dir
 	}
-	out := make([]uint64, 0, p.cfg.Degree*2)
+	out := p.out[:0]
 	for d := 1; d <= p.cfg.Degree*2; d++ {
 		a := int64(lineAddr) + dir*int64(d)
 		if a > 0 && uint64(a)>>12 == region {

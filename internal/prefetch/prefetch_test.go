@@ -151,3 +151,73 @@ func TestPrefetcherNeverReturnsZeroAddress(t *testing.T) {
 		}
 	}
 }
+
+// trainingStream is a mix of constant-stride, delta-correlated and
+// same-region accesses that makes every prefetcher kind fire.
+func trainingStream(p Prefetcher, n int) (fired int) {
+	for i := 0; i < n; i++ {
+		pc := uint64(0x700 + 4*(i%3))
+		fired += len(p.Observe(pc, uint64(0x10000+i*128), i%2 == 0))
+	}
+	return fired
+}
+
+// TestObserveDoesNotAllocate: Observe returns a slice of the prefetcher's
+// own scratch array, so the cache hot path trains and triggers prefetchers
+// without touching the heap.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	for _, cfg := range []Config{
+		{Kind: KindNextLine, Degree: 16, Distance: 2, OnHit: true},
+		{Kind: KindStride, Degree: 16, Distance: 2, TableEntries: 64, OnHit: true},
+		{Kind: KindGHB, Degree: 16, Distance: 2, TableEntries: 64, GHBEntries: 128, OnHit: true},
+		{Kind: KindSpatial, Degree: 16, Distance: 1, OnHit: true},
+	} {
+		p := mk(t, cfg)
+		if trainingStream(p, 64) == 0 {
+			t.Fatalf("%s never fired on the training stream", cfg.Kind)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { trainingStream(p, 64) }); allocs != 0 {
+			t.Errorf("%s: Observe allocates (%.1f objects per 64 calls), want 0", cfg.Kind, allocs)
+		}
+	}
+}
+
+// TestBankResetMatchesNew: a bank that has served other kinds and larger
+// tables yields, after Reset, a prefetcher that proposes exactly what a
+// newly built one does.
+func TestBankResetMatchesNew(t *testing.T) {
+	cfgs := []Config{
+		{Kind: KindGHB, Degree: 4, Distance: 2, TableEntries: 256, GHBEntries: 300},
+		{Kind: KindStride, Degree: 2, Distance: 1, TableEntries: 128},
+		{Kind: KindSpatial, Degree: 8, Distance: 1},
+		{Kind: KindGHB, Degree: 1, Distance: 4, TableEntries: 16, GHBEntries: 16},
+		{Kind: KindStride, Degree: 4, Distance: 8, TableEntries: 16, OnHit: true},
+		{Kind: KindNextLine, Degree: 3, Distance: 1},
+		{Kind: KindNone},
+	}
+	var bank Bank
+	for round := 0; round < 2; round++ {
+		for _, cfg := range cfgs {
+			recycled, err := bank.Reset(cfg, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := mk(t, cfg)
+			for i := 0; i < 400; i++ {
+				pc := uint64(0x700 + 4*(i%5))
+				addr := uint64(0x20000 + (i%7)*64*(1+i%3) + i/50*4096)
+				miss := i%4 != 0
+				got := append([]uint64(nil), recycled.Observe(pc, addr, miss)...)
+				want := fresh.Observe(pc, addr, miss)
+				if len(got) != len(want) {
+					t.Fatalf("round %d, %s, access %d: recycled proposes %v, fresh %v", round, cfg.Kind, i, got, want)
+				}
+				for j := range got {
+					if got[j] != want[j] {
+						t.Fatalf("round %d, %s, access %d: recycled proposes %v, fresh %v", round, cfg.Kind, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}

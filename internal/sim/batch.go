@@ -2,28 +2,20 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"racesim/internal/core"
 	"racesim/internal/trace"
 )
 
-// behaviorTables memoizes the compiled behavior table per decoded trace.
-// A *trace.Decoded is immutable and itself memoized on its Trace (one
-// instance per decoder variant), so the pointer is a stable key; like the
-// decode it caches for, an entry lives as long as the process (traces are
-// few and long-lived in every racesim workload).
-var behaviorTables sync.Map // *trace.Decoded -> []core.Behavior
-
 // Behaviors returns the memoized behavior table for a decoded trace,
-// compiling it on first use. The table is immutable and share-safe.
+// compiling it on first use. The table is immutable and share-safe. It is
+// memoized on d itself (see trace.Decoded.Derived), so it is collected
+// together with the decode it was compiled from.
 func Behaviors(d *trace.Decoded) []core.Behavior {
-	if v, ok := behaviorTables.Load(d); ok {
-		return v.([]core.Behavior)
-	}
-	v, _ := behaviorTables.LoadOrStore(d, core.CompileBehaviors(d.Insts))
-	return v.([]core.Behavior)
+	return d.Derived(compileBehaviors).([]core.Behavior)
 }
+
+func compileBehaviors(d *trace.Decoded) any { return core.CompileBehaviors(d.Insts) }
 
 // RunBatch replays one decoded trace under every configuration in a
 // single walk over the columns, stepping a vector of per-config lanes in
@@ -37,54 +29,61 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 	if len(configs) == 0 {
 		return nil, nil
 	}
-	behav := Behaviors(d)
-	out := make([]core.Result, len(configs))
-
-	var inIdx, oooIdx []int
-	var inCfgs []core.InOrderConfig
-	var oooCfgs []core.OoOConfig
-	for i, c := range configs {
-		if d.WarmData {
-			c.Mem.ZeroFillOpt = false
-		}
+	nInOrder := 0
+	for _, c := range configs {
 		switch c.Kind {
 		case InOrder:
-			inIdx = append(inIdx, i)
-			inCfgs = append(inCfgs, c.inOrder())
+			nInOrder++
 		case OutOfOrder:
-			oooIdx = append(oooIdx, i)
-			oooCfgs = append(oooCfgs, c.ooo())
 		default:
 			return nil, fmt.Errorf("sim: unknown core kind %q", c.Kind)
 		}
 	}
-	if len(inCfgs) > 0 {
-		b, err := core.NewInOrderBatch(inCfgs)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := b.RunDecoded(d, behav)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range inIdx {
-			out[i] = rs[j]
-		}
+	behav := Behaviors(d)
+	out := make([]core.Result, len(configs))
+	if err := replayKind(InOrder, nInOrder, configs, Config.inOrder, core.ReplayInOrder, d, behav, out); err != nil {
+		return nil, err
 	}
-	if len(oooCfgs) > 0 {
-		b, err := core.NewOoOBatch(oooCfgs)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := b.RunDecoded(d, behav)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range oooIdx {
-			out[i] = rs[j]
-		}
+	if err := replayKind(OutOfOrder, len(configs)-nInOrder, configs, Config.ooo, core.ReplayOoO, d, behav, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// replayKind replays the n configurations of one core kind through that
+// kind's lanes (conv and replay are the kind's config conversion and core
+// entry point) and stores their results in their configs' slots of out.
+func replayKind[C any](kind CoreKind, n int, configs []Config, conv func(Config) C,
+	replay func([]C, *trace.Decoded, []core.Behavior, []core.Result) error,
+	d *trace.Decoded, behav []core.Behavior, out []core.Result) error {
+	if n == 0 {
+		return nil
+	}
+	cfgs := make([]C, 0, n)
+	for _, c := range configs {
+		if c.Kind != kind {
+			continue
+		}
+		if d.WarmData {
+			c.Mem.ZeroFillOpt = false
+		}
+		cfgs = append(cfgs, conv(c))
+	}
+	if n == len(configs) {
+		return replay(cfgs, d, behav, out)
+	}
+	res := make([]core.Result, n)
+	if err := replay(cfgs, d, behav, res); err != nil {
+		return err
+	}
+	j := 0
+	for i, c := range configs {
+		if c.Kind == kind {
+			out[i] = res[j]
+			j++
+		}
+	}
+	return nil
 }
 
 // RunBatchTrace is RunBatch over a raw trace: all configs must share a

@@ -48,15 +48,21 @@ func (c *Cache) RunBatch(cfgs []sim.Config, tr *trace.Trace, opt BatchOptions) (
 		return out, errs
 	}
 
+	// Keys are hashed before the lock is taken: at microseconds per
+	// fingerprint, a wide batch would otherwise stall every other worker's
+	// lookups for the length of its own hashing.
+	keys := make([]string, n)
+	for i, cfg := range cfgs {
+		keys[i] = Key(cfg, tr)
+	}
+
 	// Classify every slot under one lock pass: already stored, in flight
 	// elsewhere (including earlier duplicates in this very batch), or ours
 	// to resolve.
-	keys := make([]string, n)
 	flights := make([]*inflight, n)
 	var own, waits []int
 	c.mu.Lock()
-	for i, cfg := range cfgs {
-		keys[i] = Key(cfg, tr)
+	for i := range cfgs {
 		if ce, ok := c.entries[keys[i]]; ok {
 			c.hits++
 			c.touchLocked(ce)

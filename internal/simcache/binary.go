@@ -50,8 +50,8 @@ const (
 	recordMarker = byte('R')
 	indexMarker  = byte('I')
 
-	headerSize    = 16
-	footerSize    = 32
+	headerSize     = 16
+	footerSize     = 32
 	indexEntrySize = 20
 )
 

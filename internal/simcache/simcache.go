@@ -46,7 +46,15 @@ import (
 // Key identifies one simulation unit: a configuration fingerprint plus a
 // trace content digest.
 func Key(cfg sim.Config, tr *trace.Trace) string {
-	return cfg.Fingerprint() + ":" + tr.Digest()
+	return JoinKey(cfg.Fingerprint(), tr)
+}
+
+// JoinKey is Key for a configuration whose Fingerprint the caller already
+// holds. The fingerprint (a canonical-JSON marshal and a hash) is nearly
+// all of a key's cost, so a caller that runs one configuration on many
+// traces fingerprints it once and joins it with each trace's digest.
+func JoinKey(fingerprint string, tr *trace.Trace) string {
+	return fingerprint + ":" + tr.Digest()
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness. The JSON
@@ -246,7 +254,15 @@ func (c *Cache) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	if c == nil {
 		return cfg.Run(tr)
 	}
-	key := Key(cfg, tr)
+	return c.RunKeyed(Key(cfg, tr), cfg, tr)
+}
+
+// RunKeyed is Run for a caller that already holds key, which must be
+// Key(cfg, tr) (see JoinKey).
+func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Result, error) {
+	if c == nil {
+		return cfg.Run(tr)
+	}
 
 	c.mu.Lock()
 	if ce, ok := c.entries[key]; ok {

@@ -240,9 +240,13 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// register get-or-creates the family and sample slot for (name, labels),
-// panicking on a kind conflict — a programming error, not runtime input.
-func (r *Registry) register(name, help, kind string, labels []Label) *instrument {
+// register get-or-creates the family and sample slot for (name, labels)
+// and calls init on it, all under the registry lock: two goroutines
+// registering one sample for the first time must agree on one instrument,
+// so the instrument is created (and read back) inside init, never after
+// register returns. A kind conflict panics — a programming error, not
+// runtime input.
+func (r *Registry) register(name, help, kind string, labels []Label, init func(*instrument)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -254,65 +258,71 @@ func (r *Registry) register(name, help, kind string, labels []Label) *instrument
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s and %s", name, f.kind, kind))
 	}
 	sig := labelSig(labels)
-	if inst, ok := f.samples[sig]; ok {
-		return inst
+	inst, ok := f.samples[sig]
+	if !ok {
+		inst = &instrument{name: name, kind: kind, labels: append([]Label(nil), labels...), sig: sig}
+		f.samples[sig] = inst
 	}
-	inst := &instrument{name: name, kind: kind, labels: append([]Label(nil), labels...), sig: sig}
-	f.samples[sig] = inst
-	return inst
+	init(inst)
 }
 
 // Counter get-or-creates a counter sample. Calling again with the same
 // name and labels returns the same counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	inst := r.register(name, help, kindCounter, labels)
-	if inst.counter == nil && inst.readFunc == nil {
-		inst.counter = &Counter{}
-	}
-	return inst.counter
+	var c *Counter
+	r.register(name, help, kindCounter, labels, func(inst *instrument) {
+		if inst.counter == nil && inst.readFunc == nil {
+			inst.counter = &Counter{}
+		}
+		c = inst.counter
+	})
+	return c
 }
 
 // Gauge get-or-creates a gauge sample.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	inst := r.register(name, help, kindGauge, labels)
-	if inst.gauge == nil && inst.readFunc == nil {
-		inst.gauge = &Gauge{}
-	}
-	return inst.gauge
+	var g *Gauge
+	r.register(name, help, kindGauge, labels, func(inst *instrument) {
+		if inst.gauge == nil && inst.readFunc == nil {
+			inst.gauge = &Gauge{}
+		}
+		g = inst.gauge
+	})
+	return g
 }
 
 // Histogram get-or-creates a fixed-bucket histogram sample. bounds are
 // upper bounds in ascending order (+Inf is implicit); they must match
 // on repeated registration of the same sample.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	inst := r.register(name, help, kindHistogram, labels)
-	if inst.histogram == nil {
-		if len(bounds) == 0 {
-			panic(fmt.Sprintf("telemetry: histogram %q needs at least one bucket bound", name))
+	var h *Histogram
+	r.register(name, help, kindHistogram, labels, func(inst *instrument) {
+		if inst.histogram == nil {
+			if len(bounds) == 0 {
+				panic(fmt.Sprintf("telemetry: histogram %q needs at least one bucket bound", name))
+			}
+			if !sort.Float64sAreSorted(bounds) {
+				panic(fmt.Sprintf("telemetry: histogram %q bounds are not ascending", name))
+			}
+			inst.histogram = &Histogram{bounds: append([]float64(nil), bounds...)}
+			inst.histogram.buckets = make([]atomic.Uint64, len(bounds))
 		}
-		if !sort.Float64sAreSorted(bounds) {
-			panic(fmt.Sprintf("telemetry: histogram %q bounds are not ascending", name))
-		}
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.buckets = make([]atomic.Uint64, len(h.bounds))
-		inst.histogram = h
-	}
-	return inst.histogram
+		h = inst.histogram
+	})
+	return h
 }
 
 // CounterFunc registers a collector rendered as a counter: fn is read
 // at snapshot time. Use it to export an existing monotonic statistic
 // (cache hits, fired faults) without double-counting state.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	inst := r.register(name, help, kindCounter, labels)
-	inst.readFunc = fn
+	r.register(name, help, kindCounter, labels, func(inst *instrument) { inst.readFunc = fn })
 }
 
 // GaugeFunc registers a collector rendered as a gauge (queue depth,
 // occupancy) read at snapshot time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	inst := r.register(name, help, kindGauge, labels)
-	inst.readFunc = fn
+	r.register(name, help, kindGauge, labels, func(inst *instrument) { inst.readFunc = fn })
 }
 
 // formatValue renders a sample value the way Prometheus expects:
@@ -354,10 +364,21 @@ func renderLabels(labels []Label, extra ...Label) string {
 // name, samples by canonical label signature — equal registry contents
 // produce equal bytes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Snapshot the sample set under the lock (a concurrent registration
+	// writes the family's map and the instrument's fields); render, which
+	// calls collectors, outside it.
+	type famSnap struct {
+		*family
+		insts []instrument
+	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]famSnap, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		fs := famSnap{family: f, insts: make([]instrument, 0, len(f.samples))}
+		for _, inst := range f.samples {
+			fs.insts = append(fs.insts, *inst)
+		}
+		fams = append(fams, fs)
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
@@ -368,13 +389,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(f.help))
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		sigs := make([]string, 0, len(f.samples))
-		for sig := range f.samples {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			inst := f.samples[sig]
+		sort.Slice(f.insts, func(i, j int) bool { return f.insts[i].sig < f.insts[j].sig })
+		for i := range f.insts {
+			inst := &f.insts[i]
 			switch {
 			case inst.readFunc != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(inst.labels), formatValue(inst.readFunc()))

@@ -187,3 +187,48 @@ func TestSameInstrumentReturned(t *testing.T) {
 	}()
 	r.Gauge("x_total", "")
 }
+
+// TestConcurrentFirstRegistration races many goroutines on the first
+// registration of one counter and one gauge sample while another scrapes:
+// every goroutine must get the same instrument (an increment through a
+// losing duplicate would be lost) and -race must see no unsynchronized
+// access to the sample slot.
+func TestConcurrentFirstRegistration(t *testing.T) {
+	const workers = 16
+	for round := 0; round < 50; round++ {
+		r := NewRegistry()
+		counters := make([]*Counter, workers)
+		gauges := make([]*Gauge, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				counters[w] = r.Counter("fresh_total", "", L("k", "v"))
+				counters[w].Inc()
+				gauges[w] = r.Gauge("fresh", "", L("k", "v"))
+				gauges[w].Add(1)
+				if w == 0 {
+					if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
+						t.Error(err)
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if counters[w] != counters[0] || gauges[w] != gauges[0] {
+				t.Fatalf("round %d: goroutine %d got a different instrument for the same sample", round, w)
+			}
+		}
+		if got := counters[0].Value(); got != workers {
+			t.Fatalf("round %d: counter = %d, want %d", round, got, workers)
+		}
+		if got := gauges[0].Value(); got != workers {
+			t.Fatalf("round %d: gauge = %v, want %d", round, got, workers)
+		}
+	}
+}

@@ -2,11 +2,13 @@ package racesim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"racesim/internal/sim"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
+	"racesim/internal/workload"
 )
 
 // Replay micro-benchmarks: the lane-batched path (sim.RunBatch) and the
@@ -185,4 +187,46 @@ func BenchmarkSweepBatchedLanes(b *testing.B) {
 			b.SetBytes(int64(tr.Len() * len(configs)))
 		})
 	}
+}
+
+// BenchmarkReplayShortSpec is the micro-benchmark shaped like the cold
+// end-to-end run: the 11 Table II workloads at 2000 events under both
+// public models, one whole simulation per (model, trace) — model
+// construction, replay and result — as the perturbation search and the
+// tuner's races issue them by the thousand. At this trace length the
+// per-simulation fixed cost (building or recycling the model) is a large
+// share of a simulation, and the traces exercise the TLBs and the
+// prefetchers, none of which the MIP benchmarks above see. It reports
+// ns/sim and allocs/sim.
+func BenchmarkReplayShortSpec(b *testing.B) {
+	cfgs := []sim.Config{sim.PublicA53(), sim.PublicA72()}
+	var trs []*trace.Trace
+	for _, p := range workload.Profiles() {
+		tr, err := workload.Generate(p, workload.Options{Events: 2000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			sim.Behaviors(tr.Decoded(cfg.DecoderDepBug)) // decode and compile outside the measured region
+		}
+		trs = append(trs, tr)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			for _, tr := range trs {
+				if _, err := cfg.Run(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	sims := float64(b.N * len(cfgs) * len(trs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sims, "ns/sim")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/sims, "allocs/sim")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/sims/1024, "KB/sim")
 }
