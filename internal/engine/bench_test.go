@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"path/filepath"
 	"testing"
 
 	"racesim/internal/simcache"
@@ -60,4 +61,41 @@ func BenchmarkEngineExperimentsWarmCache(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// BenchmarkEngineExperimentsWarmAll is the warm journey with the
+// end-to-end shape: `experiments -scenario all` at the repository
+// benchmark's toy sizes (both pipelines, the tuner, the boards, the
+// perturbation study), answered from a fresh copy of the snapshot a cold
+// run wrote in set-up — what the benchmark's paper_warm workload times.
+// The table2 benchmark above has no suite, no tuner and no board, and
+// never saw what a warm run spent its time on. Reports ms/job, the traces
+// the job had to generate and the simulations it replayed (board
+// measurements included; 0 expected). Recorded in BENCH_engine.json.
+func BenchmarkEngineExperimentsWarmAll(b *testing.B) {
+	pristine := filepath.Join(b.TempDir(), "pristine.snap")
+	cold, err := Execute(toyAll(), Options{CachePath: pristine, Capture: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var generated, replayed uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		work, _ := agedCopy(b, pristine)
+		memo := tracememo.New(0, 0)
+		b.StartTimer()
+		res, err := Execute(toyAll(), Options{CachePath: work, TraceMemo: memo, Capture: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Artifact != cold.Artifact {
+			b.Fatal("warm artifact differs from the cold run's")
+		}
+		generated += memo.Stats().Misses
+		replayed += res.CacheStats.Misses
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/job")
+	b.ReportMetric(float64(generated)/float64(b.N), "traces-generated/job")
+	b.ReportMetric(float64(replayed)/float64(b.N), "replays/job")
 }

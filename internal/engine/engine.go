@@ -185,10 +185,14 @@ type Options struct {
 	// serve worker pool's warm cache). The engine then neither loads nor
 	// saves snapshots per job.
 	Cache *simcache.Cache
-	// TraceMemo, when non-nil, memoizes generated traces (and their
-	// decode-once forms) across jobs keyed by generation parameters —
-	// the serve worker pool shares one so repeated job shapes skip
-	// emulation and decode. Nil memoizes nothing.
+	// TraceMemo, when non-nil, is the memo every job kind fetches its
+	// generated inputs through (micro-benchmark, workload and lmbench
+	// traces with their digests and decode-once forms, keyed by
+	// generation parameters), shared across jobs: the serve worker pool
+	// passes its process-lifetime one, so repeated job shapes — and the
+	// units of one sweep, each a job of its own — skip emulation and
+	// decode. Nil gives the job a private memo that dies with it: each
+	// distinct input is still built once per job.
 	TraceMemo *tracememo.Memo
 	// CPUProfile/MemProfile write pprof profiles around the job.
 	CPUProfile, MemProfile string
@@ -265,7 +269,7 @@ type env struct {
 	par    int
 	lanes  int
 	cache  *simcache.Cache
-	memo   *tracememo.Memo // nil: no trace memoization
+	memo   *tracememo.Memo // the caller's, or private to this job
 	shared bool            // cache owned by the caller: skip snapshot load/save
 	path   string
 
@@ -419,6 +423,9 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 	}
 	if e.cache == nil {
 		e.cache = simcache.New()
+	}
+	if e.memo == nil {
+		e.memo = tracememo.New(0, 0)
 	}
 	e.out = tee(opts.Stdout, &e.outBuf, opts.Capture)
 	e.errw = tee(opts.Stderr, &e.errBuf, opts.Capture)

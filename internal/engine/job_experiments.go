@@ -134,6 +134,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 			Parallelism:    e.par,
 			Lanes:          e.lanes,
 			Cache:          e.cache,
+			TraceMemo:      e.memo,
 			Context:        e.ctx,
 			Log:            logf,
 		},

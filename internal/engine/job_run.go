@@ -33,10 +33,10 @@ func expand(arg string, all []string) []string {
 // gather resolves the job's trace selectors and generates the traces on
 // the worker pool: emulation dominates batch startup. Generated traces
 // (ubench emulation, workload synthesis) are deterministic in their
-// parameters and memoized through e.memo when one is attached — the
-// serve steady state re-runs the same job shapes, and a memo hit skips
-// both emulation and decode (the trace carries its decoded forms).
-// TracePath replays are not memoized: the file can change between jobs.
+// parameters and fetched through e.memo — the serve steady state re-runs
+// the same job shapes, and a memo hit skips both emulation and decode
+// (the trace carries its decoded forms). TracePath replays are not
+// memoized: the file can change between jobs.
 func (e *env) gather(j *RunJob, events int, scale float64) ([]*trace.Trace, error) {
 	var producers []func() (*trace.Trace, error)
 	if j.Ubench != "" {
@@ -49,11 +49,8 @@ func (e *env) gather(j *RunJob, events int, scale float64) ([]*trace.Trace, erro
 			if !ok {
 				return nil, fmt.Errorf("unknown micro-benchmark %q (see racesim ubench -list)", n)
 			}
-			key := fmt.Sprintf("ubench\x00%s\x00scale=%g", b.Name, scale)
 			producers = append(producers, func() (*trace.Trace, error) {
-				return e.memo.Get(key, func() (*trace.Trace, error) {
-					return b.Trace(ubench.Options{Scale: scale})
-				})
+				return e.memo.Ubench(b, ubench.Options{Scale: scale})
 			})
 		}
 	}
@@ -67,11 +64,8 @@ func (e *env) gather(j *RunJob, events int, scale float64) ([]*trace.Trace, erro
 			if !ok {
 				return nil, fmt.Errorf("unknown workload %q", n)
 			}
-			key := fmt.Sprintf("workload\x00%s\x00events=%d\x00seed=%d", p.Name, events, j.Seed)
 			producers = append(producers, func() (*trace.Trace, error) {
-				return e.memo.Get(key, func() (*trace.Trace, error) {
-					return workload.Generate(p, workload.Options{Events: events, Seed: j.Seed})
-				})
+				return e.memo.Workload(p, workload.Options{Events: events, Seed: j.Seed})
 			})
 		}
 	}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/isa"
 	"racesim/internal/par"
 	"racesim/internal/sim"
 	"racesim/internal/ubench"
+	"racesim/internal/validate"
 )
 
 func (e *env) ubenchJob(j *UbenchJob) error {
@@ -53,7 +55,7 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 		if !ok {
 			return fmt.Errorf("unknown benchmark %q", j.Dump)
 		}
-		tr, err := b.Trace(opts)
+		tr, err := e.memo.Ubench(b, opts)
 		if err != nil {
 			return err
 		}
@@ -64,21 +66,9 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 		return nil
 
 	case j.Compare != "":
-		plat, err := hw.Firefly()
+		board, cfg, err := e.board(j.Core)
 		if err != nil {
 			return err
-		}
-		board := plat.A53
-		cfg := sim.PublicA53()
-		switch j.Core {
-		case "", "a53":
-		case "a72":
-			board = plat.A72
-			cfg = sim.PublicA72()
-		default:
-			// The historical binary silently fell back to the A53 here; a
-			// typo'd core must not return plausible wrong-core numbers.
-			return fmt.Errorf("unknown core %q", j.Core)
 		}
 		if err := e.loadSnapshot("ubench", func(format string, args ...any) {
 			e.eprintf(format+"\n", args...)
@@ -100,75 +90,75 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 	return fmt.Errorf("one of list, dump, compare or disasm is required")
 }
 
+// compared is one benchmark's board measurement next to the model's run
+// of the same trace.
+type compared struct {
+	validate.Measurement
+	model core.Result
+}
+
+// errPct is the model's signed relative CPI error, in percent.
+func (c compared) errPct() float64 {
+	return (c.model.CPI() - c.Counters.CPI) / c.Counters.CPI * 100
+}
+
+// compare runs the model on every measurement's trace through the cache,
+// on the worker pool, in measurement order.
+func (e *env) compare(cfg sim.Config, ms []validate.Measurement) ([]compared, error) {
+	out := make([]compared, len(ms))
+	err := par.ForEach(len(ms), e.par, func(i int) error {
+		res, err := e.cache.Run(cfg, ms[i].Trace)
+		out[i] = compared{Measurement: ms[i], model: res}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func (e *env) compareOne(name string, board *hw.Board, cfg sim.Config, opts ubench.Options) error {
 	b, ok := ubench.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", name)
 	}
-	tr, err := b.Trace(opts)
+	m, err := validate.MeasureBench(board, b, opts, e.memo)
 	if err != nil {
 		return err
 	}
-	cnt, err := board.Measure(tr)
+	cs, err := e.compare(cfg, []validate.Measurement{m})
 	if err != nil {
 		return err
 	}
-	res, err := e.cache.Run(cfg, tr)
-	if err != nil {
-		return err
-	}
-	errPct := (res.CPI() - cnt.CPI) / cnt.CPI * 100
-	e.printf("benchmark:     %s (%d instructions)\n", b.Name, tr.Len())
-	e.printf("board CPI:     %.4f (%s)\n", cnt.CPI, board.Name)
-	e.printf("model CPI:     %.4f (%s)\n", res.CPI(), cfg.Name)
-	e.printf("CPI error:     %+.1f%%\n", errPct)
+	c := cs[0]
+	e.printf("benchmark:     %s (%d instructions)\n", b.Name, c.Trace.Len())
+	e.printf("board CPI:     %.4f (%s)\n", c.Counters.CPI, board.Name)
+	e.printf("model CPI:     %.4f (%s)\n", c.model.CPI(), cfg.Name)
+	e.printf("CPI error:     %+.1f%%\n", c.errPct())
 	e.printf("board brMPKI:  %.2f   model brMPKI: %.2f\n",
-		cnt.BranchMPKI, res.Branch.MPKI(res.Instructions))
+		c.Counters.BranchMPKI, c.model.Branch.MPKI(c.model.Instructions))
 	return nil
 }
 
-// compareSuite runs every benchmark through board and model on a bounded
-// worker pool. Rows are assembled in suite order, so the output is
-// identical for any parallelism and cache warmth.
+// compareSuite runs every benchmark through board and model. Rows are
+// assembled in suite order, so the output is identical for any
+// parallelism and cache warmth.
 func (e *env) compareSuite(board *hw.Board, cfg sim.Config, opts ubench.Options) error {
-	benches := ubench.Suite()
-	type row struct {
-		boardCPI, modelCPI, errPct float64
-		insns                      int
+	ms, err := validate.MeasureSuiteWith(board, opts, e.memo, e.par)
+	if err != nil {
+		return err
 	}
-	rows := make([]row, len(benches))
-	err := par.ForEach(len(benches), e.par, func(i int) error {
-		tr, err := benches[i].Trace(opts)
-		if err != nil {
-			return err
-		}
-		cnt, err := board.Measure(tr)
-		if err != nil {
-			return err
-		}
-		res, err := e.cache.Run(cfg, tr)
-		if err != nil {
-			return err
-		}
-		rows[i] = row{
-			boardCPI: cnt.CPI,
-			modelCPI: res.CPI(),
-			errPct:   (res.CPI() - cnt.CPI) / cnt.CPI * 100,
-			insns:    tr.Len(),
-		}
-		return nil
-	})
+	cs, err := e.compare(cfg, ms)
 	if err != nil {
 		return err
 	}
 	e.printf("%-14s %10s %10s %10s %8s\n", "bench", "insns", "board CPI", "model CPI", "error")
 	mean := 0.0
-	for i, b := range benches {
-		r := rows[i]
-		e.printf("%-14s %10d %10.4f %10.4f %+7.1f%%\n", b.Name, r.insns, r.boardCPI, r.modelCPI, r.errPct)
-		mean += math.Abs(r.errPct)
+	for _, c := range cs {
+		e.printf("%-14s %10d %10.4f %10.4f %+7.1f%%\n", c.Bench.Name, c.Trace.Len(), c.Counters.CPI, c.model.CPI(), c.errPct())
+		mean += math.Abs(c.errPct())
 	}
 	e.printf("\nmean |CPI error| over %d benchmarks: %.1f%% (%s vs %s)\n",
-		len(benches), mean/float64(len(benches)), board.Name, cfg.Name)
+		len(cs), mean/float64(len(cs)), board.Name, cfg.Name)
 	return nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -30,21 +31,9 @@ func (e *env) validateJob(j *ValidateJob) error {
 		scale = 0.01
 	}
 
-	plat, err := hw.Firefly()
+	board, public, err := e.board(j.Core)
 	if err != nil {
 		return err
-	}
-	board := plat.A53
-	public := sim.PublicA53()
-	coreName := "a53"
-	switch j.Core {
-	case "", "a53":
-	case "a72":
-		board = plat.A72
-		public = sim.PublicA72()
-		coreName = "a72"
-	default:
-		return fmt.Errorf("unknown core %q", j.Core)
 	}
 	// Resolve the accuracy budget up front so a bad budget file fails
 	// before hours of tuning, not after.
@@ -69,6 +58,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 		Seed:         j.Seed,
 		UbenchScale:  scale,
 		Cache:        e.cache,
+		TraceMemo:    e.memo,
 		Parallelism:  e.par,
 		Lanes:        e.lanes,
 		Context:      e.ctx,
@@ -124,7 +114,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 			if err := os.MkdirAll(j.ReportDir, 0o755); err != nil {
 				return err
 			}
-			path := filepath.Join(j.ReportDir, "validate-"+coreName+".json")
+			path := filepath.Join(j.ReportDir, "validate-"+cmp.Or(j.Core, "a53")+".json")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				return err
 			}
@@ -162,6 +152,25 @@ func (e *env) validateJob(j *ValidateJob) error {
 		}
 	}
 	return nil
+}
+
+// board resolves a job's core name ("" = "a53") to its reference board,
+// keeping its replays in the job's cache, and the core's public model.
+func (e *env) board(core string) (*hw.Board, sim.Config, error) {
+	plat, err := hw.Firefly()
+	if err != nil {
+		return nil, sim.Config{}, err
+	}
+	plat = plat.WithCache(e.cache)
+	switch core {
+	case "", "a53":
+		return plat.A53, sim.PublicA53(), nil
+	case "a72":
+		return plat.A72, sim.PublicA72(), nil
+	}
+	// The historical binaries silently fell back to the A53 here; a
+	// typo'd core must not return plausible wrong-core numbers.
+	return nil, sim.Config{}, fmt.Errorf("unknown core %q", core)
 }
 
 // resolveBudget picks the job's accuracy budget: inline JSON wins, then

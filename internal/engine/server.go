@@ -51,8 +51,11 @@ type ServerOptions struct {
 	// bounded buffer — so overlapping sweeps on different workers warm
 	// each other mid-run.
 	CacheUpstream string
-	// MemoryBudget, when > 0, bounds the in-memory result tier to roughly
-	// this many bytes via LRU eviction (see simcache.SetMemoryBudget).
+	// MemoryBudget, when > 0, bounds what the server holds in memory to
+	// roughly this many bytes, half for results (LRU eviction, see
+	// simcache.SetMemoryBudget) and half for the traces the memo keeps
+	// for run, validate, experiments and ubench jobs alike. Zero leaves
+	// both unbounded.
 	MemoryBudget int64
 	// KeepLog bounds the per-job progress ring (default 50 lines).
 	KeepLog int
@@ -212,9 +215,10 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		build:   buildInfo,
 	}
 	if !opts.CacheServer {
-		// One process-lifetime trace memo shared by every job: repeated
-		// job shapes skip emulation and decode. The cache-server role
-		// runs no jobs and needs none.
+		// One process-lifetime trace memo shared by every job of every
+		// kind: repeated job shapes — and the units of a sweep, each an
+		// experiments job of its own — skip emulation and decode. The
+		// cache-server role runs no jobs and needs none.
 		s.memo = tracememo.New(opts.MemoryBudget/2, 0)
 	}
 	if opts.MemoryBudget > 0 {

@@ -11,6 +11,7 @@ import (
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 	"racesim/internal/workload"
@@ -35,9 +36,15 @@ type Options struct {
 	// through shared column walks (see Runner.WithLanes). Results are
 	// identical to per-unit scheduling.
 	Lanes int
-	// Cache, when non-nil, memoizes simulation results across all
-	// experiments (and across processes via simcache LoadFile/SaveFile).
+	// Cache, when non-nil, memoizes simulation results — the boards'
+	// replays included — across all experiments (and across processes via
+	// simcache LoadFile/SaveFile).
 	Cache *simcache.Cache
+	// TraceMemo, when non-nil, is the memo every generated input is
+	// fetched through (a serve worker's process-lifetime one). Nil gives
+	// the context a private one, so each distinct input is still built
+	// once per context.
+	TraceMemo *tracememo.Memo
 	// Context, when non-nil, cancels experiment execution: the Runner
 	// checks it before dispatching each simulation unit and the tuning
 	// pipelines check it per race step, so a cancelled sweep stops within
@@ -65,21 +72,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Context caches the expensive artifacts (boards, tuned models, workload
-// measurements) across experiments and owns the Runner every experiment
-// submits its simulation units to.
+// Context caches the tuned models across experiments and owns what every
+// experiment shares: the boards, the Runner simulation units are submitted
+// to, and the trace memo inputs are fetched through. Inputs and board
+// measurements are not cached here — the memo builds each distinct trace
+// once and the boards keep their replays in the simulation cache, so an
+// experiment that asks again gets lookups.
 type Context struct {
 	opts   Options
 	plat   *hw.Platform
 	runner *Runner
+	memo   *tracememo.Memo
 
 	a53Stages []validate.StageResult
 	a72Stages []validate.StageResult
-
-	specA53 []perturb.Workload
-	specA72 []perturb.Workload
-
-	ms map[*hw.Board][]validate.Measurement
 }
 
 // NewContext builds a context over the reference platform.
@@ -89,10 +95,14 @@ func NewContext(opts Options) (*Context, error) {
 		return nil, err
 	}
 	o := opts.withDefaults()
+	memo := o.TraceMemo
+	if memo == nil {
+		memo = tracememo.New(0, 0)
+	}
 	return &Context{
-		opts: o, plat: plat,
+		opts: o, plat: plat.WithCache(o.Cache),
 		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context).WithLanes(o.Lanes),
-		ms:     map[*hw.Board][]validate.Measurement{},
+		memo:   memo,
 	}, nil
 }
 
@@ -107,21 +117,13 @@ func (c *Context) Runner() *Runner { return c.runner }
 // the same source of truth.
 func (c *Context) Options() Options { return c.opts }
 
-// Measurements lazily records and measures the micro-benchmark suite on a
-// board, memoized by board identity (so re-noised or otherwise rebuilt
-// boards never alias the reference ones): every consumer of the tuning
-// instances (Fig2, budget sweeps, ad-hoc tuning rounds) shares one
-// measurement pass per board.
+// Measurements measures the raw micro-benchmark suite on a board: the
+// tuning instances of Fig2, the budget and noise sweeps and ad-hoc tuning
+// rounds. The suite's traces are the memo's — shared with Table I and
+// both pipelines — and a board built over the context's cache replays
+// each of them once.
 func (c *Context) Measurements(board *hw.Board) ([]validate.Measurement, error) {
-	if ms, ok := c.ms[board]; ok {
-		return ms, nil
-	}
-	ms, err := validate.MeasureSuiteParallel(board, ubench.Options{Scale: c.opts.UbenchScale}, c.runner.Parallelism())
-	if err != nil {
-		return nil, err
-	}
-	c.ms[board] = ms
-	return ms, nil
+	return validate.MeasureSuiteWith(board, ubench.Options{Scale: c.opts.UbenchScale}, c.memo, c.runner.Parallelism())
 }
 
 // StagesA53 lazily runs the full validation pipeline for the in-order core.
@@ -135,6 +137,7 @@ func (c *Context) StagesA53() ([]validate.StageResult, error) {
 		Seed:         c.opts.Seed,
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
+		TraceMemo:    c.memo,
 		Parallelism:  c.runner.Parallelism(),
 		Lanes:        c.runner.Lanes(),
 		Context:      c.opts.Context,
@@ -158,6 +161,7 @@ func (c *Context) StagesA72() ([]validate.StageResult, error) {
 		Seed:         c.opts.Seed + 100,
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
+		TraceMemo:    c.memo,
 		Parallelism:  c.runner.Parallelism(),
 		Lanes:        c.runner.Lanes(),
 		Context:      c.opts.Context,
@@ -170,25 +174,23 @@ func (c *Context) StagesA72() ([]validate.StageResult, error) {
 	return st, nil
 }
 
-// Spec lazily generates and measures the Table II workloads on a board.
-func (c *Context) Spec(board *hw.Board) ([]perturb.Workload, error) {
-	cached := &c.specA53
-	if board == c.plat.A72 {
-		cached = &c.specA72
-	}
-	if *cached != nil {
-		return *cached, nil
-	}
+// workloads fetches the Table II traces, in profile order.
+func (c *Context) workloads() ([]*trace.Trace, error) {
 	profiles := workload.Profiles()
 	trs := make([]*trace.Trace, len(profiles))
-	err := c.runner.forEach(len(profiles), func(i int) error {
-		tr, err := workload.Generate(profiles[i], workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
-		if err != nil {
-			return err
-		}
-		trs[i] = tr
-		return nil
+	err := c.runner.forEach(len(profiles), func(i int) (err error) {
+		trs[i], err = c.memo.Workload(profiles[i], workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return trs, nil
+}
+
+// Spec measures the Table II workloads on a board.
+func (c *Context) Spec(board *hw.Board) ([]perturb.Workload, error) {
+	trs, err := c.workloads()
 	if err != nil {
 		return nil, err
 	}
@@ -196,11 +198,10 @@ func (c *Context) Spec(board *hw.Board) ([]perturb.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]perturb.Workload, len(profiles))
-	for i, p := range profiles {
-		out[i] = perturb.Workload{Name: p.Name, Trace: trs[i], Counters: counters[i]}
+	out := make([]perturb.Workload, len(trs))
+	for i, tr := range trs {
+		out[i] = perturb.Workload{Name: tr.Name, Trace: tr, Counters: counters[i]}
 	}
-	*cached = out
 	return out, nil
 }
 
@@ -223,10 +224,11 @@ func (c *Context) Table1() (Experiment, error) {
 			rows = append(rows, row{cat: cat, bench: b})
 		}
 	}
-	// Trace generation (emulation) dominates this table; fan it out and
-	// assemble rows in suite order.
+	// Trace generation (emulation) dominates this table when it is the
+	// first to ask for the suite; fan it out and assemble rows in suite
+	// order.
 	err := c.runner.forEach(len(rows), func(i int) error {
-		tr, err := rows[i].bench.Trace(opts)
+		tr, err := c.memo.Ubench(rows[i].bench, opts)
 		if err != nil {
 			return err
 		}
@@ -255,22 +257,13 @@ func (c *Context) Table2() (Experiment, error) {
 		Title:   "Table II: SPEC CPU2017 region workloads",
 		Headers: []string{"benchmark", "file", "line", "paper insns", "synthesized insns"},
 	}
-	profiles := workload.Profiles()
-	lens := make([]int, len(profiles))
-	err := c.runner.forEach(len(profiles), func(i int) error {
-		tr, err := workload.Generate(profiles[i], workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
-		if err != nil {
-			return err
-		}
-		lens[i] = tr.Len()
-		return nil
-	})
+	trs, err := c.workloads()
 	if err != nil {
 		return Experiment{}, err
 	}
-	for i, p := range profiles {
+	for i, p := range workload.Profiles() {
 		t.AddRow(p.Name, p.SourceFile, fmt.Sprintf("%d", p.Line),
-			fmt.Sprintf("%d", p.PaperInstructions), fmt.Sprintf("%d", lens[i]))
+			fmt.Sprintf("%d", p.PaperInstructions), fmt.Sprintf("%d", trs[i].Len()))
 	}
 	return Experiment{
 		ID:       "table2",

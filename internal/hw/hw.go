@@ -23,6 +23,7 @@ import (
 	"racesim/internal/dram"
 	"racesim/internal/prefetch"
 	"racesim/internal/sim"
+	"racesim/internal/simcache"
 	"racesim/internal/trace"
 )
 
@@ -44,7 +45,9 @@ type Board struct {
 	FreqGHz float64
 
 	cfg   sim.Config
+	fp    string  // cfg.Fingerprint(), the board's half of a cache key
 	noise float64 // relative measurement-noise amplitude
+	cache *simcache.Cache
 }
 
 // NewBoard wraps a configuration as a measurable board. noise is the
@@ -56,7 +59,21 @@ func NewBoard(name string, freqGHz float64, cfg sim.Config, noise float64) (*Boa
 	if noise < 0 || noise > 0.2 {
 		return nil, fmt.Errorf("hw: noise %v out of [0, 0.2]", noise)
 	}
-	return &Board{Name: name, FreqGHz: freqGHz, cfg: cfg, noise: noise}, nil
+	return &Board{Name: name, FreqGHz: freqGHz, cfg: cfg, fp: cfg.Fingerprint(), noise: noise}, nil
+}
+
+// WithCache returns a copy of the board that keeps its replays in cache,
+// so a trace is run on the hardware once — methodology step 4 — however
+// many experiments, jobs or processes ask for its counters: a replay is an
+// ordinary cache entry under the hidden configuration's fingerprint, it
+// persists in snapshots, and boards over one hidden configuration (the
+// noise-sweep rebuilds) share it. The pseudo-noise is applied after the
+// lookup, so the counters are those of an uncached board bit for bit. A
+// nil cache replays every measurement, as a board from NewBoard does.
+func (b *Board) WithCache(cache *simcache.Cache) *Board {
+	c := *b
+	c.cache = cache
+	return &c
 }
 
 // noiseFactor derives a deterministic factor in [1-noise, 1+noise] from
@@ -81,7 +98,7 @@ func (b *Board) noiseFactor(tr *trace.Trace) float64 {
 
 // Measure runs tr on the board and returns its performance counters.
 func (b *Board) Measure(tr *trace.Trace) (Counters, error) {
-	res, err := b.cfg.Run(tr)
+	res, err := b.replay(tr)
 	if err != nil {
 		return Counters{}, fmt.Errorf("hw: %s: %w", b.Name, err)
 	}
@@ -102,6 +119,15 @@ func (b *Board) Measure(tr *trace.Trace) (Counters, error) {
 		c.CPI = float64(cycles) / float64(res.Instructions)
 	}
 	return c, nil
+}
+
+// replay runs tr on the hidden configuration, through the board's cache
+// when it has one (without one the trace is not even digested).
+func (b *Board) replay(tr *trace.Trace) (core.Result, error) {
+	if b.cache == nil {
+		return b.cfg.Run(tr)
+	}
+	return b.cache.RunKeyed(simcache.JoinKey(b.fp, tr), b.cfg, tr)
 }
 
 // TrueConfig exposes the hidden configuration for post-hoc verification in
@@ -241,6 +267,12 @@ func TrueA72() sim.Config {
 type Platform struct {
 	A53 *Board
 	A72 *Board
+}
+
+// WithCache returns the platform with both boards keeping their replays
+// in cache (see Board.WithCache).
+func (p *Platform) WithCache(cache *simcache.Cache) *Platform {
+	return &Platform{A53: p.A53.WithCache(cache), A72: p.A72.WithCache(cache)}
 }
 
 // Firefly returns the reference platform with the paper's clock speeds and

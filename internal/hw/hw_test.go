@@ -5,6 +5,7 @@ import (
 
 	"racesim/internal/prefetch"
 	"racesim/internal/sim"
+	"racesim/internal/simcache"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
 )
@@ -187,5 +188,63 @@ func TestWarmDataDisablesZeroFillOnBoard(t *testing.T) {
 	}
 	if warmC.CPI <= cold.CPI {
 		t.Errorf("warm-data CPI %.2f should exceed zero-filled cold CPI %.2f", warmC.CPI, cold.CPI)
+	}
+}
+
+// TestBoardMeasuresOnceThroughCache: a board that keeps its replays in a
+// cache returns the counters of a plain board bit for bit — the noise is
+// applied after the lookup — replays a trace once however often it is
+// measured, files the replay under the ordinary key of its hidden
+// configuration, and shares it with a re-noised board over the same
+// configuration (and with nobody else: the other core replays for itself).
+func TestBoardMeasuresOnceThroughCache(t *testing.T) {
+	p, err := Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trs []*trace.Trace
+	for _, name := range []string{"ED1", "MD", "CS1"} {
+		b, _ := ubench.ByName(name)
+		tr, err := b.Trace(ubench.Options{Scale: 0.002})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	cache := simcache.New()
+	cached := p.WithCache(cache)
+	noisy, err := NewBoard("firefly-a53-noise-0.05", p.A53.FreqGHz, p.A53.TrueConfig(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*Board{
+		{p.A53, cached.A53}, {p.A53, cached.A53}, // second pass: hits
+		{p.A72, cached.A72},
+		{noisy, noisy.WithCache(cache)},
+	} {
+		for _, tr := range trs {
+			want, err := pair[0].Measure(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pair[1].Measure(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s on %s: counters through the cache %+v, direct %+v", pair[0].Name, tr.Name, got, want)
+			}
+		}
+	}
+	// 12 measurements: the A53 and the A72 replayed each trace once; the
+	// A53's second pass and its re-noised twin were lookups.
+	if st := cache.Stats(); st.Misses != 6 || st.Hits != 6 || st.Entries != 6 {
+		t.Errorf("cache: %+v, want 6 replays, 6 hits, 6 entries", st)
+	}
+	if _, ok := cache.Peek(simcache.Key(p.A72.TrueConfig(), trs[0])); !ok {
+		t.Error("the board's replay is not filed under the key of its configuration")
+	}
+	if p.A53.cache != nil || p.A72.cache != nil {
+		t.Error("WithCache changed the platform it was called on")
 	}
 }

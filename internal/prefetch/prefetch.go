@@ -284,8 +284,13 @@ type spatial struct {
 	cfg    Config
 	line   uint64
 	recent map[uint64]uint64 // region -> last line seen in region
+	order  []uint64          // tracked regions, oldest first
 	out    [2 * maxDegree]uint64
 }
+
+// spatialRegions bounds the regions a spatial prefetcher tracks; past it
+// the older half is forgotten.
+const spatialRegions = 1024
 
 func (p *spatial) reset(cfg Config, line uint64) {
 	p.cfg, p.line = cfg, line
@@ -293,6 +298,7 @@ func (p *spatial) reset(cfg Config, line uint64) {
 		p.recent = make(map[uint64]uint64)
 	}
 	clear(p.recent)
+	p.order = recycle.Slice(p.order, spatialRegions+1)[:0]
 }
 
 func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
@@ -302,12 +308,15 @@ func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
 	region := lineAddr >> 12
 	last, seen := p.recent[region]
 	p.recent[region] = lineAddr
-	if len(p.recent) > 1024 { // bound state
-		for k := range p.recent {
-			delete(p.recent, k)
-			if len(p.recent) <= 512 {
-				break
+	if !seen {
+		// Forget in first-seen order, never in map order: a replay must be
+		// a function of its configuration and trace alone.
+		p.order = append(p.order, region)
+		if len(p.order) > spatialRegions {
+			for _, r := range p.order[:spatialRegions/2] {
+				delete(p.recent, r)
 			}
+			p.order = p.order[:copy(p.order, p.order[spatialRegions/2:])]
 		}
 	}
 	if !seen || last == lineAddr {

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -219,5 +220,34 @@ func TestBankResetMatchesNew(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSpatialForgetsInOrder: a stream over more regions than the spatial
+// prefetcher tracks makes it forget, and what it forgets must not depend on
+// map iteration order — two instances fed one stream propose the same
+// lines. (It used to drop whichever half of the map a range visited first,
+// so the A72 board measured the lmbench memory chase differently every
+// time.)
+func TestSpatialForgetsInOrder(t *testing.T) {
+	cfg := Config{Kind: KindSpatial, Degree: 4, Distance: 1}
+	a, b := mk(t, cfg), mk(t, cfg)
+	fired := 0
+	x := uint64(1)
+	for i := 0; i < 8*spatialRegions; i++ {
+		// Random regions out of 1.5x what is tracked: about half of the
+		// revisits find their region forgotten.
+		x = x*6364136223846793005 + 1442695040888963407
+		region := (x >> 33) % (spatialRegions * 3 / 2)
+		addr := region<<12 + (x>>20)%64*64
+		got := append([]uint64(nil), a.Observe(0, addr, true)...)
+		want := b.Observe(0, addr, true)
+		fired += len(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("access %d: one instance proposes %v, the other %v", i, got, want)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the stream never revisited a tracked region")
 	}
 }

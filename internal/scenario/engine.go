@@ -17,16 +17,9 @@ import (
 )
 
 // Runtime is what a unit runs against: the shared experiment context
-// (tuned models, measurements, worker pool, simulation cache) plus
-// scenario-only state such as the re-noised boards of a noise sweep.
+// (tuned models, boards, worker pool, trace memo, simulation cache).
 type Runtime struct {
 	Ctx *expt.Context
-
-	noisy map[string]*hw.Board
-}
-
-func newRuntime(ctx *expt.Context) *Runtime {
-	return &Runtime{Ctx: ctx, noisy: map[string]*hw.Board{}}
 }
 
 // board returns the reference board for a validated core name.
@@ -54,26 +47,18 @@ func (rt *Runtime) stages(core string) ([]validate.StageResult, error) {
 }
 
 // noisyBoard rebuilds a core's board over the same hidden ground truth
-// with a different measurement-noise amplitude, memoized per (core,
-// level). The level is part of the board name, so its deterministic
-// pseudo-noise stream differs per level, as re-measuring on a different
-// physical board would.
+// with a different measurement-noise amplitude. The level is part of the
+// board name, so its deterministic pseudo-noise stream differs per level,
+// as re-measuring on a different physical board would. Same hidden
+// configuration, same cache: the re-noised board shares the reference
+// board's replays and only the noise differs.
 func (rt *Runtime) noisyBoard(core string, level float64) (*hw.Board, error) {
-	key := fmt.Sprintf("%s|%g", core, level)
-	if b, ok := rt.noisy[key]; ok {
-		return b, nil
-	}
 	base := rt.board(core)
-	truth := hw.TrueA53()
-	if core == "a72" {
-		truth = hw.TrueA72()
-	}
-	b, err := hw.NewBoard(fmt.Sprintf("%s-noise-%g", base.Name, level), base.FreqGHz, truth, level)
+	b, err := hw.NewBoard(fmt.Sprintf("%s-noise-%g", base.Name, level), base.FreqGHz, base.TrueConfig(), level)
 	if err != nil {
 		return nil, err
 	}
-	rt.noisy[key] = b
-	return b, nil
+	return b.WithCache(rt.Ctx.Runner().Cache()), nil
 }
 
 // RunOptions configures one sweep execution.
@@ -138,7 +123,7 @@ func Run(units []Unit, opts RunOptions) ([]UnitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := newRuntime(ctx)
+	rt := &Runtime{Ctx: ctx}
 	cache := ctx.Runner().Cache()
 
 	// Background checkpointing bounds how much simulation work a kill can

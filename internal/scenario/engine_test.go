@@ -1,12 +1,16 @@
 package scenario
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"racesim/internal/expt"
+	"racesim/internal/hw"
 	"racesim/internal/simcache"
+	"racesim/internal/tracememo"
+	"racesim/internal/ubench"
 )
 
 // tinyOpts keeps engine tests at seconds scale.
@@ -201,5 +205,71 @@ func TestExtraScenarioKinds(t *testing.T) {
 		if r.Experiment.Body == "" || r.Experiment.Measured == "" {
 			t.Errorf("unit %s rendered an empty experiment", units[i].ID)
 		}
+	}
+}
+
+// TestNoiseSweepMeasuresTheBoardOnce is the three-way differential for a
+// noise sweep: without a cache (every re-noised board replays the suite),
+// cold into a snapshot and warm from it, the sweep renders the same bytes.
+// Its three boards share one hidden configuration, so the suite is built
+// once and replayed once for all of them, and the warm sweep replays
+// nothing and leaves its snapshot alone.
+func TestNoiseSweepMeasuresTheBoardOnce(t *testing.T) {
+	units, err := Expand([]Spec{
+		{Name: "ns", Kind: KindNoiseSweep, Core: "a72", NoiseLevels: []float64{0, 0.02, 0.05}, Budget: 60},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(opts RunOptions) string {
+		t.Helper()
+		res, err := Run(units, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RenderAll(res)
+	}
+	direct := render(RunOptions{Expt: tinyOpts()})
+
+	snap := filepath.Join(t.TempDir(), "noise.snap")
+	coldOpts := tinyOpts()
+	coldOpts.Cache, coldOpts.TraceMemo = simcache.New(), tracememo.New(0, 0)
+	if cold := render(RunOptions{Expt: coldOpts, CachePath: snap}); cold != direct {
+		t.Errorf("cached noise sweep differs from the uncached one:\n--- uncached ---\n%s\n--- cached ---\n%s", direct, cold)
+	}
+	suite := uint64(len(ubench.Suite()))
+	if st := coldOpts.TraceMemo.Stats(); st.Misses != suite || st.Hits != 2*suite {
+		t.Errorf("memo: %+v, want the suite built once for three boards", st)
+	}
+	plat, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range ubench.Suite() {
+		tr, err := coldOpts.TraceMemo.Ubench(b, ubench.Options{Scale: coldOpts.UbenchScale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := coldOpts.Cache.Peek(simcache.Key(plat.A72.TrueConfig(), tr)); !ok {
+			t.Errorf("no board replay of %s in the cache", b.Name)
+		}
+	}
+	before, err := os.Stat(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warmOpts := tinyOpts()
+	warmOpts.Cache = simcache.New()
+	defer warmOpts.Cache.Close()
+	if warm := render(RunOptions{Expt: warmOpts, CachePath: snap}); warm != direct {
+		t.Error("warm noise sweep changed the rendered output")
+	}
+	cs, ws := coldOpts.Cache.Stats(), warmOpts.Cache.Stats()
+	if ws.Misses != 0 || ws.Hits+ws.Shared != cs.Hits+cs.Misses+cs.Shared {
+		t.Errorf("warm sweep: %+v; want no replay and the cold sweep's %d lookups", ws, cs.Hits+cs.Misses+cs.Shared)
+	}
+	if after, err := os.Stat(snap); err != nil || !os.SameFile(after, before) {
+		t.Errorf("the warm sweep rewrote a snapshot it added nothing to (stat error %v)", err)
 	}
 }

@@ -86,24 +86,19 @@ func (c *Cache) RunBatch(cfgs []sim.Config, tr *trace.Trace, opt BatchOptions) (
 	// Resolve owned slots through the cheaper tiers before burning lanes
 	// on them: the disk tier decodes one record per hit, the remote tier
 	// costs a round-trip. Only what every tier misses is simulated.
-	const (
-		kindMiss = iota // simulated (or failed)
-		kindDisk
-		kindRemote
-	)
-	kind := make([]int, n)
+	by := make([]resolution, n)
 	var toSim []int
 	for _, i := range own {
 		if disk.Has(keys[i]) {
 			if res, err := disk.Get(keys[i]); err == nil {
-				out[i], kind[i] = res, kindDisk
+				out[i], by[i] = res, byDisk
 				continue
 			}
 			c.countRejected()
 		}
 		if remote != nil {
 			if res, ok := remote.Lookup(keys[i]); ok {
-				out[i], kind[i] = res, kindRemote
+				out[i], by[i] = res, byRemote
 				continue
 			}
 		}
@@ -115,17 +110,7 @@ func (c *Cache) RunBatch(cfgs []sim.Config, tr *trace.Trace, opt BatchOptions) (
 	c.mu.Lock()
 	for _, i := range own {
 		flights[i].res, flights[i].err = out[i], errs[i]
-		switch kind[i] {
-		case kindDisk:
-			c.hits++
-		case kindRemote:
-			c.remoteHt++
-		default:
-			c.misses++
-		}
-		if errs[i] == nil {
-			c.insertLocked(keys[i], out[i])
-		}
+		c.settleLocked(keys[i], out[i], errs[i], by[i])
 		delete(c.running, keys[i])
 	}
 	c.mu.Unlock()

@@ -517,6 +517,13 @@ func (c *Cache) readBinaryStream(r io.Reader) (added, replaced int, err error) {
 
 func (c *Cache) countRejected() {
 	c.mu.Lock()
-	c.rejected++
+	c.rejectLocked()
 	c.mu.Unlock()
+}
+
+// rejectLocked counts one record dropped by its checksum. Caller holds
+// c.mu.
+func (c *Cache) rejectLocked() {
+	c.rejected++
+	c.dirty = true
 }

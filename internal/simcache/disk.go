@@ -140,6 +140,8 @@ func (c *Cache) loadBinaryFile(path string) (int, error) {
 				c.shadowed++
 			}
 		}
+		// What memory already holds the file may not.
+		c.dirty = len(c.entries) > 0
 		n := m.Count()
 		c.mu.Unlock()
 		return n, nil
@@ -189,7 +191,7 @@ func (c *Cache) loadJSONFile(path string) (int, error) {
 	for _, e := range f.Entries {
 		sum, err := checksum(e.Key, e.Result)
 		if err != nil || sum != e.Sum {
-			c.rejected++
+			c.rejectLocked()
 			continue
 		}
 		if _, ok := c.entries[e.Key]; !ok {
@@ -207,8 +209,15 @@ func (c *Cache) loadJSONFile(path string) (int, error) {
 // directory after it, so a machine crash at any point leaves either the
 // previous snapshot or the complete new one. Renaming over a currently
 // mapped snapshot is safe: the old inode stays mapped until Close.
+//
+// Saving back to the file the attached tier was opened from writes
+// nothing while that file already is the snapshot — it is still in place
+// and untouched, its index was intact (no salvage), and nothing has been
+// inserted, replaced or rejected since the load: a warm run that only
+// looked results up leaves its snapshot alone. Any other path is always
+// written.
 func (c *Cache) SaveFile(path string) error {
-	if c == nil {
+	if c == nil || c.savedAs(path) {
 		return nil
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".simcache-*")
@@ -234,6 +243,20 @@ func (c *Cache) SaveFile(path string) error {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+// savedAs reports whether the file at path is the one the attached disk
+// tier maps, unmodified, and already holds everything the cache does.
+func (c *Cache) savedAs(path string) bool {
+	c.mu.Lock()
+	disk, dirty := c.disk, c.dirty
+	c.mu.Unlock()
+	if disk == nil || dirty || disk.Salvaged() {
+		return false
+	}
+	now, err := os.Stat(path)
+	return err == nil && os.SameFile(now, disk.info) &&
+		now.Size() == disk.info.Size() && now.ModTime().Equal(disk.info.ModTime())
 }
 
 // SaveFileJSON writes the snapshot in the legacy checksummed-JSON

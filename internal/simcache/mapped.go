@@ -25,6 +25,7 @@ import (
 // safe: the old inode stays mapped until Close.
 type Mapped struct {
 	path    string
+	info    os.FileInfo // the file as opened: identity, size, mtime
 	data    []byte
 	mapped  bool // munmap needed on Close
 	version uint32
@@ -56,7 +57,7 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapped{path: path, data: data, mapped: mapped}
+	m := &Mapped{path: path, info: info, data: data, mapped: mapped}
 	if !IsBinarySnapshot(data) {
 		m.Close()
 		return nil, fmt.Errorf("simcache: %s: not a binary snapshot", path)

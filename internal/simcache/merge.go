@@ -126,7 +126,7 @@ func (c *Cache) LoadBytes(data []byte) (added, replaced int, err error) {
 	for _, e := range f.Entries {
 		sum, err := checksum(e.Key, e.Result)
 		if err != nil || sum != e.Sum {
-			c.rejected++
+			c.rejectLocked()
 			continue
 		}
 		if c.insertLocked(e.Key, e.Result) {

@@ -123,8 +123,13 @@ type Cache struct {
 	lru      *list.List // front = most recent
 	budget   int64      // max memory bytes; 0 = unlimited
 	memUsed  int64
-	disk     *Mapped  // attached binary snapshot, or nil
-	shadowed int      // memory keys that also exist on disk (for Entries)
+	disk     *Mapped // attached binary snapshot, or nil
+	shadowed int     // memory keys that also exist on disk (for Entries)
+	// dirty records that the cache and the attached tier's file may have
+	// parted ways — a result inserted or replaced, or a record rejected,
+	// since the attach — so SaveFile to that file has to write.
+	// Materializing the tier's own records leaves it clear.
+	dirty    bool
 	remote   Resolver // shared cluster tier, or nil
 	running  map[string]*inflight
 	hits     uint64
@@ -184,6 +189,14 @@ func (c *Cache) OnDisk(key string) bool {
 // insertLocked stores res under key (last-writer-wins) and applies the
 // memory budget. Caller holds c.mu.
 func (c *Cache) insertLocked(key string, res core.Result) (replaced bool) {
+	c.dirty = true
+	return c.materializeLocked(key, res)
+}
+
+// materializeLocked is insertLocked for a record just read from the
+// attached disk tier: memory gains a copy, the cache nothing it would
+// have to save. Caller holds c.mu.
+func (c *Cache) materializeLocked(key string, res core.Result) (replaced bool) {
 	if ce, ok := c.entries[key]; ok {
 		ce.res = res
 		c.lru.MoveToFront(ce.elem)
@@ -288,7 +301,7 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	// resolution whichever tier answers it.
 	if disk.Has(key) {
 		if res, err := disk.Get(key); err == nil {
-			c.finish(key, fl, res, nil, &c.hits)
+			c.finish(key, fl, res, nil, byDisk)
 			return res, nil
 		}
 		// The record is present but corrupt: reject it and fall through
@@ -297,31 +310,74 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	}
 	if remote != nil {
 		if res, ok := remote.Lookup(key); ok {
-			c.finish(key, fl, res, nil, &c.remoteHt)
+			c.finish(key, fl, res, nil, byRemote)
 			return res, nil
 		}
 	}
 
 	res, err := cfg.Run(tr)
-	c.finish(key, fl, res, err, &c.misses)
+	c.finish(key, fl, res, err, bySimulation)
 	if err == nil && remote != nil {
 		remote.Offer(key, res)
 	}
 	return res, err
 }
 
-// finish resolves an inflight claim: bump the tier's counter, store the
-// result, release waiters.
-func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, counter *uint64) {
-	fl.res, fl.err = res, err
-	c.mu.Lock()
-	*counter++
-	if err == nil {
+// resolution says which tier answered a lookup that memory could not.
+type resolution int
+
+const (
+	bySimulation resolution = iota // every tier cold: simulated (or failed)
+	byDisk                         // the attached disk tier
+	byRemote                       // the shared remote tier
+)
+
+// settleLocked counts one resolved lookup against its tier and stores the
+// result. Caller holds c.mu.
+func (c *Cache) settleLocked(key string, res core.Result, err error, by resolution) {
+	switch by {
+	case byDisk:
+		c.hits++
+	case byRemote:
+		c.remoteHt++
+	default:
+		c.misses++
+	}
+	if err != nil {
+		return
+	}
+	if by == byDisk {
+		c.materializeLocked(key, res)
+	} else {
 		c.insertLocked(key, res)
 	}
+}
+
+// finish resolves an inflight claim: settle the lookup, release waiters.
+func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, by resolution) {
+	fl.res, fl.err = res, err
+	c.mu.Lock()
+	c.settleLocked(key, res, err, by)
 	delete(c.running, key)
 	c.mu.Unlock()
 	close(fl.done)
+}
+
+// fromDisk materializes key's record from the attached tier, for the
+// lookups that neither simulate nor count (Get, Peek).
+func (c *Cache) fromDisk(disk *Mapped, key string) (core.Result, bool) {
+	if !disk.Has(key) {
+		return core.Result{}, false
+	}
+	res, err := disk.Get(key)
+	if err != nil {
+		c.countRejected()
+		return core.Result{}, false
+	}
+	c.mu.Lock()
+	c.materializeLocked(key, res)
+	c.mu.Unlock()
+	return res, true
 }
 
 // Get looks up a stored result without simulating or touching the
@@ -341,14 +397,7 @@ func (c *Cache) Get(cfg sim.Config, tr *trace.Trace) (core.Result, bool) {
 	}
 	disk := c.disk
 	c.mu.Unlock()
-	if disk.Has(key) {
-		if res, err := disk.Get(key); err == nil {
-			c.Store(key, res)
-			return res, true
-		}
-		c.countRejected()
-	}
-	return core.Result{}, false
+	return c.fromDisk(disk, key)
 }
 
 // Peek looks up key across the memory and disk tiers without touching
@@ -368,14 +417,7 @@ func (c *Cache) Peek(key string) (core.Result, bool) {
 	}
 	disk := c.disk
 	c.mu.Unlock()
-	if disk.Has(key) {
-		if res, err := disk.Get(key); err == nil {
-			c.Store(key, res)
-			return res, true
-		}
-		c.countRejected()
-	}
-	return core.Result{}, false
+	return c.fromDisk(disk, key)
 }
 
 // Stats snapshots the counters. Safe on a nil receiver.

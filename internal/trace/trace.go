@@ -112,19 +112,63 @@ func (c *Cursor) Reset() { c.pos = 0 }
 // Len implements Source.
 func (c *Cursor) Len() int { return len(c.t.Events) }
 
+// chunkEvents is the unit a recording in progress grows by.
+const chunkEvents = 1 << 13
+
+// recorder captures a recording whose length is only known once the
+// program has run. Growing the trace's own slice by doubling used to
+// allocate and copy several times the final size; a recorder grows by
+// whole chunks instead, which copies nothing, keeps its chunks for the
+// next recording, and hands out one exact-size copy at the end. In steady
+// state a recording therefore allocates its trace and nothing else.
+type recorder struct {
+	chunks [][]Event // each of capacity chunkEvents
+	used   int       // chunks[:used] hold the recording; all but the last are full
+}
+
+// recorders recycles recorders (with their chunks) across recordings.
+var recorders = sync.Pool{New: func() any { return new(recorder) }}
+
+func (r *recorder) add(ev Event) {
+	if r.used == 0 || len(r.chunks[r.used-1]) == chunkEvents {
+		if r.used == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]Event, 0, chunkEvents))
+		}
+		r.chunks[r.used] = r.chunks[r.used][:0]
+		r.used++
+	}
+	c := &r.chunks[r.used-1]
+	*c = append(*c, ev)
+}
+
+// take returns the recording as one exact-size slice and empties the
+// recorder.
+func (r *recorder) take() []Event {
+	n := 0
+	for _, c := range r.chunks[:r.used] {
+		n += len(c)
+	}
+	out := make([]Event, 0, n)
+	for _, c := range r.chunks[:r.used] {
+		out = append(out, c...)
+	}
+	r.used = 0
+	return out
+}
+
 // Record executes prog on the functional emulator for at most maxInst
 // instructions and returns the recorded trace. A program that exhausts the
 // budget (rather than halting) still yields a valid trace.
 func Record(name string, prog *isa.Program, maxInst uint64) (*Trace, error) {
 	m := emu.New(prog)
-	t := &Trace{Name: name, Events: make([]Event, 0, 1024)}
-	err := m.Run(maxInst, func(in isa.Inst) {
-		t.Events = append(t.Events, FromInst(in))
-	})
+	r := recorders.Get().(*recorder)
+	defer recorders.Put(r)
+	err := m.Run(maxInst, func(in isa.Inst) { r.add(FromInst(in)) })
+	events := r.take()
 	if err != nil && err != emu.ErrMaxInstructions {
 		return nil, err
 	}
-	return t, nil
+	return &Trace{Name: name, Events: events}, nil
 }
 
 // ClassMix counts dynamic instructions per timing class, using a correct

@@ -7,6 +7,7 @@ import (
 	"racesim/internal/hw"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 )
 
@@ -63,8 +64,14 @@ type PipelineOptions struct {
 	Seed         int64
 	UbenchScale  float64
 	// Cache, when non-nil, memoizes every simulation of the pipeline
-	// (tuning races and per-stage error evaluations).
+	// (tuning races and per-stage error evaluations). The board keeps its
+	// own replays wherever it was told to (hw.Board.WithCache).
 	Cache *simcache.Cache
+	// TraceMemo, when non-nil, is where the pipeline's inputs (both
+	// suites, the lmbench chases) are fetched from, so whoever shares the
+	// memo — the other core's pipeline, Table I, Fig. 2 — generates each
+	// of them once. Nil generates.
+	TraceMemo *tracememo.Memo
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
 	// Lanes caps how many candidate configurations a tuning round replays
@@ -118,7 +125,7 @@ func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageR
 	o := opt.withDefaults()
 
 	// Stage 1: untuned public model on raw (uninitialized-array) traces.
-	rawMs, err := MeasureSuiteParallel(board, ubench.Options{Scale: o.UbenchScale}, o.Parallelism)
+	rawMs, err := MeasureSuiteWith(board, ubench.Options{Scale: o.UbenchScale}, o.TraceMemo, o.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -170,11 +177,11 @@ func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageR
 	}
 	fixedBase := round1.Tuned
 	fixedBase.DecoderDepBug = false
-	fixedBase, err = SeedLatencies(fixedBase, board)
+	fixedBase, err = SeedLatencies(fixedBase, board, o.TraceMemo, o.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	initMs, err := MeasureSuiteParallel(board, ubench.Options{Scale: o.UbenchScale, InitArrays: true}, o.Parallelism)
+	initMs, err := MeasureSuiteWith(board, ubench.Options{Scale: o.UbenchScale, InitArrays: true}, o.TraceMemo, o.Parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ import (
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 )
 
@@ -30,35 +31,50 @@ type Measurement struct {
 	Counters hw.Counters
 }
 
-// MeasureSuite records every micro-benchmark once and measures it on the
-// board — the one-time data collection of methodology step 4.
-func MeasureSuite(board *hw.Board, opts ubench.Options) ([]Measurement, error) {
-	return MeasureSuiteParallel(board, opts, 1)
+// MeasureBench generates one micro-benchmark's trace — through memo, so a
+// trace some other consumer already asked for is not emulated again (nil:
+// generated) — and measures it on the board, which replays it at most
+// once when it keeps its replays in a cache (hw.Board.WithCache). It is
+// the one way to obtain a Measurement.
+func MeasureBench(board *hw.Board, b ubench.Bench, opts ubench.Options, memo *tracememo.Memo) (Measurement, error) {
+	tr, err := memo.Ubench(b, opts)
+	if err != nil {
+		return Measurement{}, err
+	}
+	c, err := board.Measure(tr)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return Measurement{Bench: b, Trace: tr, Counters: c}, nil
 }
 
-// MeasureSuiteParallel is MeasureSuite over a bounded worker pool. Trace
-// generation and board measurement are both deterministic per benchmark,
-// so the result is identical to the sequential path, in suite order.
-func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int) ([]Measurement, error) {
+// MeasureSuiteWith measures every micro-benchmark on the board — the
+// one-time data collection of methodology step 4 — with MeasureBench over
+// a bounded worker pool. Trace generation and board measurement are both
+// deterministic per benchmark, so the result is the same for any memo,
+// board cache and parallelism, in suite order.
+func MeasureSuiteWith(board *hw.Board, opts ubench.Options, memo *tracememo.Memo, parallelism int) ([]Measurement, error) {
 	benches := ubench.Suite()
 	out := make([]Measurement, len(benches))
-	err := par.ForEach(len(benches), parallelism, func(i int) error {
-		b := benches[i]
-		tr, err := b.Trace(opts)
-		if err != nil {
-			return err
-		}
-		c, err := board.Measure(tr)
-		if err != nil {
-			return err
-		}
-		out[i] = Measurement{Bench: b, Trace: tr, Counters: c}
-		return nil
+	err := par.ForEach(len(benches), parallelism, func(i int) (err error) {
+		out[i], err = MeasureBench(board, benches[i], opts, memo)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// MeasureSuite is MeasureSuiteWith for a caller with nothing to share:
+// every trace generated, one worker.
+func MeasureSuite(board *hw.Board, opts ubench.Options) ([]Measurement, error) {
+	return MeasureSuiteWith(board, opts, nil, 1)
+}
+
+// MeasureSuiteParallel is MeasureSuite over a bounded worker pool.
+func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int) ([]Measurement, error) {
+	return MeasureSuiteWith(board, opts, nil, parallelism)
 }
 
 // CPIError is the relative CPI prediction error of cfg on one measurement.
@@ -329,9 +345,10 @@ func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, erro
 }
 
 // SeedLatencies plugs lmbench estimates into a base configuration
-// (methodology step 2), snapping to the discrete candidate values.
-func SeedLatencies(base sim.Config, board *hw.Board) (sim.Config, error) {
-	est, err := lmbench.Estimate(board)
+// (methodology step 2), snapping to the discrete candidate values. memo
+// and parallelism are lmbench.Estimate's.
+func SeedLatencies(base sim.Config, board *hw.Board, memo *tracememo.Memo, parallelism int) (sim.Config, error) {
+	est, err := lmbench.Estimate(board, memo, parallelism)
 	if err != nil {
 		return sim.Config{}, err
 	}

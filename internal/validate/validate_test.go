@@ -7,6 +7,8 @@ import (
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/sim"
+	"racesim/internal/simcache"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 )
 
@@ -35,6 +37,56 @@ func TestMeasureSuiteCoversAllBenches(t *testing.T) {
 		if m.Trace.Len() == 0 {
 			t.Errorf("%s: empty trace", m.Bench.Name)
 		}
+	}
+}
+
+// TestMeasureSuiteSameForAnySources: the one measure path returns the same
+// counters over equal traces whether the traces are generated or the
+// memo's, the board replays or looks up, one worker or several; through a
+// shared memo and cache a second pass — and the initialized suite's 37
+// benchmarks whose traces the option does not change — replay nothing.
+func TestMeasureSuiteSameForAnySources(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ubench.Options{Scale: 0.002}
+	want := measurements(t, p.A53)
+	memo, cache := tracememo.New(0, 0), simcache.New()
+	board := p.A53.WithCache(cache)
+	for pass := 0; pass < 2; pass++ {
+		got, err := MeasureSuiteWith(board, opts, memo, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range got {
+			if m.Bench.Name != want[i].Bench.Name || m.Counters != want[i].Counters || m.Trace.Digest() != want[i].Trace.Digest() {
+				t.Errorf("pass %d, %s: measurement through memo and cache differs from the direct one", pass, want[i].Bench.Name)
+			}
+		}
+		one, err := MeasureBench(board, got[7].Bench, opts, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Trace != got[7].Trace || one.Counters != got[7].Counters {
+			t.Errorf("pass %d: MeasureBench and MeasureSuiteWith disagree on %s", pass, got[7].Bench.Name)
+		}
+	}
+	if st := memo.Stats(); st.Misses != 40 || st.Hits != 42 {
+		t.Errorf("memo: %+v, want the suite built once", st)
+	}
+	if st := cache.Stats(); st.Misses != 40 || st.Hits != 42 {
+		t.Errorf("cache: %+v, want the suite replayed once", st)
+	}
+	opts.InitArrays = true
+	if _, err := MeasureSuiteWith(board, opts, memo, 4); err != nil {
+		t.Fatal(err)
+	}
+	if st := memo.Stats(); st.Misses != 80 {
+		t.Errorf("memo: %+v, want the initialized suite built as 40 inputs of its own", st)
+	}
+	if st := cache.Stats(); st.Misses != 43 {
+		t.Errorf("cache: %+v, want 3 more replays (the benchmarks that read uninitialized memory)", st)
 	}
 }
 
@@ -154,7 +206,7 @@ func TestSeedLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := SeedLatencies(sim.PublicA53(), p.A53)
+	cfg, err := SeedLatencies(sim.PublicA53(), p.A53, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
