@@ -120,5 +120,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// HitCycles is the latency of a hit: HitLatency plus the TagDataSerial
+// extra cycle.
+func (c Config) HitCycles() uint64 {
+	if c.TagDataSerial {
+		return uint64(c.HitLatency) + 1
+	}
+	return uint64(c.HitLatency)
+}
+
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeKB * 1024 / c.LineSize / c.Assoc }

@@ -124,6 +124,7 @@ type dramBackend struct {
 	written   pageSet
 	zeroSeen  pageSet
 	zeroFills uint64
+	rec       *recorder // nil unless the hierarchy is recording a tape
 }
 
 func (b *dramBackend) BackAccess(now uint64, pc, addr uint64, write, pf bool) AccessResult {
@@ -132,12 +133,18 @@ func (b *dramBackend) BackAccess(now uint64, pc, addr uint64, write, pf bool) Ac
 		b.written.Add(page)
 		return AccessResult{Latency: b.mem.Access(now, true), Level: 3}
 	}
-	if b.cfg.ZeroFillOpt && !b.written.Contains(page) {
-		if b.zeroSeen.Contains(page) {
+	if b.cfg.ZeroFillOpt {
+		fill := false
+		if !b.written.Contains(page) {
+			if fill = b.zeroSeen.Contains(page); !fill {
+				b.zeroSeen.Add(page)
+			}
+		}
+		b.rec.put(fill)
+		if fill {
 			b.zeroFills++
 			return AccessResult{Latency: uint64(b.cfg.ZeroFillLatency), Level: 3}
 		}
-		b.zeroSeen.Add(page)
 	}
 	return AccessResult{Latency: b.mem.Access(now, false), Level: 3}
 }
@@ -165,6 +172,15 @@ type Hierarchy struct {
 	itlb      tlb
 	dtlb      tlb
 	pageShift uint
+
+	// Decision tape state (tape.go). mode is tapeOff on every hierarchy
+	// NewHierarchy or Reset made; Fetch, Load, Store and Probe test it once
+	// per call.
+	mode    tapeMode
+	rec     recorder // tapeRecording: the decisions so far
+	tape    *Tape    // tapeReplaying: the decisions to take,
+	pos     int      // how many of them have been,
+	overrun bool     // and whether more were asked for than it holds
 }
 
 // NewHierarchy builds the hierarchy; cfg must be valid.
@@ -180,12 +196,14 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // returns, and the only definition of it — while keeping every array h
 // already owns (cache lines, TLBs, page sets, prefetcher tables), so a
 // recycled hierarchy allocates nothing once it has served its largest
-// geometry.
+// geometry. The hierarchy Reset returns is live: it simulates every decision
+// and neither records nor replays a tape (see Record and Replay).
 func (h *Hierarchy) Reset(cfg HierarchyConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	h.cfg = cfg
+	h.mode, h.tape, h.mem.rec = tapeOff, nil, nil
 	h.pageShift = uint(bits.TrailingZeros(uint(cfg.PageBytes)))
 	if err := h.mem.mem.Reset(cfg.DRAM); err != nil {
 		return err
@@ -209,7 +227,10 @@ func (h *Hierarchy) Reset(cfg HierarchyConfig) error {
 
 // Load services a data load at cycle now.
 func (h *Hierarchy) Load(now uint64, pc, addr uint64) AccessResult {
-	res := h.l1d.Access(now, pc, addr, false)
+	if h.mode != tapeOff {
+		return h.tapedAccess(&h.l1d, &h.dtlb, now, pc, addr, false)
+	}
+	res, _ := h.l1d.accessLive(now, pc, addr, false, false)
 	if !h.dtlb.access(addr >> h.pageShift) {
 		res.Latency += uint64(h.cfg.TLBMissLatency)
 	}
@@ -219,7 +240,10 @@ func (h *Hierarchy) Load(now uint64, pc, addr uint64) AccessResult {
 // Store services a data store at cycle now. Store latency is the time to
 // own the line; commit happens through the store buffer in the core model.
 func (h *Hierarchy) Store(now uint64, pc, addr uint64) AccessResult {
-	res := h.l1d.Access(now, pc, addr, true)
+	if h.mode != tapeOff {
+		return h.tapedAccess(&h.l1d, &h.dtlb, now, pc, addr, true)
+	}
+	res, _ := h.l1d.accessLive(now, pc, addr, true, false)
 	if !h.dtlb.access(addr >> h.pageShift) {
 		res.Latency += uint64(h.cfg.TLBMissLatency)
 	}
@@ -228,18 +252,50 @@ func (h *Hierarchy) Store(now uint64, pc, addr uint64) AccessResult {
 
 // Fetch services an instruction fetch for the line containing pc.
 func (h *Hierarchy) Fetch(now uint64, pc uint64) AccessResult {
-	res := h.l1i.Access(now, pc, pc, false)
+	if h.mode != tapeOff {
+		return h.tapedAccess(&h.l1i, &h.itlb, now, pc, pc, false)
+	}
+	res, _ := h.l1i.accessLive(now, pc, pc, false, false)
 	if !h.itlb.access(pc >> h.pageShift) {
 		res.Latency += uint64(h.cfg.TLBMissLatency)
 	}
 	return res
 }
 
-// L1D exposes the data cache level (for MSHR-aware core models).
-func (h *Hierarchy) L1D() *Level { return &h.l1d }
+// Probe reports whether a data access to addr would be serviced by the L1D
+// (its victim buffer included) without changing any observable state: no
+// LRU update, no statistics; only the self-validating lookup hint may
+// move. The MSHR-aware core models ask before a load, to know whether it
+// needs a miss register.
+func (h *Hierarchy) Probe(addr uint64) bool {
+	if h.mode == tapeReplaying {
+		return h.next() != 0
+	}
+	l := &h.l1d
+	block := l.block(addr)
+	_, _, hit := l.lookup(block)
+	for i := 0; !hit && i < len(l.victim); i++ {
+		hit = l.victim[i].matches(block)
+	}
+	l.rec.put(hit)
+	return hit
+}
+
+// Config returns the configuration h was last reset to.
+func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // Stats returns aggregated statistics.
 func (h *Hierarchy) Stats() HierarchyStats {
+	if h.mode == tapeReplaying {
+		// The functional totals are the recorded run's; what depends on
+		// timing was computed by this one.
+		s := h.tape.stats
+		s.L1I.PortStalls = h.l1i.stats.PortStalls
+		s.L1D.PortStalls = h.l1d.stats.PortStalls
+		s.L2.PortStalls = h.l2.stats.PortStalls
+		s.DRAM = h.mem.mem.Stats()
+		return s
+	}
 	return HierarchyStats{
 		L1I:       h.l1i.Stats(),
 		L1D:       h.l1d.Stats(),

@@ -136,6 +136,10 @@ type Level struct {
 	portCycle  uint64
 	portsUsed  int
 	inPrefetch bool // reentrancy guard
+
+	// rec is the decision tape being recorded (see tape.go), nil on every
+	// level that is not part of a recording Hierarchy.
+	rec *recorder
 }
 
 // NewLevel builds a cache level; cfg must be valid. levelID is its depth
@@ -173,7 +177,7 @@ func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
 		sets:      sets,
 		setMask:   uint64(sets - 1),
 		assoc:     cfg.Assoc,
-		hitLat:    uint64(cfg.HitLatency),
+		hitLat:    cfg.HitCycles(),
 		lineBits:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		lastBlock: ^uint64(0), // matches no line: a block has 61 bits
 		lines:     recycle.Slice(l.lines, sets*cfg.Assoc),
@@ -187,9 +191,6 @@ func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
 		pf:        pf,
 		pfNone:    cfg.Prefetch.Kind == prefetch.KindNone,
 		next:      next,
-	}
-	if cfg.TagDataSerial {
-		l.hitLat++
 	}
 	for i := range l.victimLRU {
 		l.victimLRU[i] = uint8(i)
@@ -364,9 +365,11 @@ func (l *Level) portDelay(now uint64) uint64 {
 	return d
 }
 
-// insert places a block, evicting as needed, and returns eviction cost
-// bookkeeping (writebacks are counted, not charged to the demand access).
-func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bool) {
+// insert places a block, evicting as needed (writebacks are counted, not
+// charged to the demand access). It returns tapeEvictWB when the evicted
+// line was written back to the next level — the one decision of an insert
+// that has a timing consequence — and 0 otherwise.
+func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bool) (wb byte) {
 	set := l.index(block)
 	way := l.victimWay(set)
 	base := set * l.assoc
@@ -376,6 +379,7 @@ func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bo
 		if old.dirty() && l.cfg.WriteBack {
 			l.stats.Writebacks++
 			l.next.BackAccess(now, pc, old.tag()<<l.lineBits, true, true)
+			wb = tapeEvictWB
 		}
 		l.victimInsert(old)
 	} else {
@@ -385,35 +389,29 @@ func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bo
 	l.lastBlock, l.lastIdx = block, int32(base+way)
 	l.lastSet, l.lastWay = int32(set), int32(way)
 	l.touch(set, way)
-}
-
-// Probe reports whether addr would hit in this level (including its victim
-// buffer) without changing any observable state (no LRU update, no stats;
-// only the self-validating lookup hint may move).
-func (l *Level) Probe(addr uint64) bool {
-	block := l.block(addr)
-	if _, _, ok := l.lookup(block); ok {
-		return true
-	}
-	for i := range l.victim {
-		if l.victim[i].matches(block) {
-			return true
-		}
-	}
-	return false
+	return wb
 }
 
 // Access services a demand access and returns its latency and source level.
 func (l *Level) Access(now uint64, pc, addr uint64, write bool) AccessResult {
-	return l.access(now, pc, addr, write, false)
+	return l.BackAccess(now, pc, addr, write, false)
 }
 
 // BackAccess implements Backend so levels can stack.
 func (l *Level) BackAccess(now uint64, pc, addr uint64, write, pf bool) AccessResult {
-	return l.access(now, pc, addr, write, pf)
+	if l.rec != nil {
+		return l.accessRecorded(now, pc, addr, write, pf)
+	}
+	res, _ := l.accessLive(now, pc, addr, write, pf)
+	return res
 }
 
-func (l *Level) access(now uint64, pc, addr uint64, write, pf bool) AccessResult {
+// accessLive services one access. Its second result is the access's
+// decision-tape entry (see tape.go): which way the access went, whether the
+// line it displaced was written back and whether it issued prefetches. It
+// is assembled from values the access computes anyway and dropped by every
+// caller but accessRecorded.
+func (l *Level) accessLive(now uint64, pc, addr uint64, write, pf bool) (AccessResult, byte) {
 	block := l.block(addr)
 	l.stats.Accesses++
 	if write {
@@ -440,10 +438,11 @@ func (l *Level) access(now uint64, pc, addr uint64, write, pf bool) AccessResult
 			}
 		}
 		l.touch(set, way)
+		entry := byte(tapeHit)
 		if !pf {
-			l.runPrefetcher(now, pc, block, false)
+			entry |= l.runPrefetcher(now, pc, block, false)
 		}
-		return AccessResult{Latency: lat, Level: l.levelID}
+		return AccessResult{Latency: lat, Level: l.levelID}, entry
 	}
 
 	// Victim buffer probe.
@@ -458,11 +457,11 @@ func (l *Level) access(now uint64, pc, addr uint64, write, pf bool) AccessResult
 				l.next.BackAccess(now+lat, pc, addr, true, true)
 			}
 		}
-		l.insert(now, pc, block, dirty, false)
+		entry := tapeVictimHit | l.insert(now, pc, block, dirty, false)
 		if !pf {
-			l.runPrefetcher(now, pc, block, false)
+			entry |= l.runPrefetcher(now, pc, block, false)
 		}
-		return AccessResult{Latency: lat, Level: l.levelID}
+		return AccessResult{Latency: lat, Level: l.levelID}, entry
 	}
 
 	// Miss.
@@ -470,40 +469,54 @@ func (l *Level) access(now uint64, pc, addr uint64, write, pf bool) AccessResult
 	allocate := !write || l.cfg.WriteAllocate
 	res := l.next.BackAccess(now+lat, pc, addr, write && !allocate, pf)
 	total := lat + res.Latency
+	entry := byte(tapeMiss)
 	if allocate {
-		l.insert(now, pc, block, write && l.cfg.WriteBack, pf)
+		entry |= l.insert(now, pc, block, write && l.cfg.WriteBack, pf)
 		if write && !l.cfg.WriteBack {
 			l.next.BackAccess(now+total, pc, addr, true, true)
 		}
 	}
 	if !pf {
-		l.runPrefetcher(now, pc, block, true)
+		entry |= l.runPrefetcher(now, pc, block, true)
 	}
-	return AccessResult{Latency: total, Level: res.Level}
+	return AccessResult{Latency: total, Level: res.Level}, entry
 }
 
 // runPrefetcher trains the prefetcher on a demand access and issues any
-// requested prefetches into this level.
-func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) {
+// requested prefetches into this level. It returns tapePrefetched when it
+// issued at least one (0 otherwise), for the access's tape entry.
+func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) byte {
 	if l.pfNone || l.inPrefetch {
-		return
+		return 0
 	}
 	targets := l.pf.Observe(pc, block<<l.lineBits, miss)
 	if len(targets) == 0 {
-		return
+		return 0
 	}
 	// targets aliases the prefetcher's scratch array (see
 	// prefetch.Prefetcher); inPrefetch keeps the accesses below from
 	// reaching Observe again before the loop is done with it.
 	l.inPrefetch = true
+	issued, countSlot := byte(0), 0
 	for _, t := range targets {
 		tb := l.block(t)
 		if _, _, ok := l.lookup(tb); ok {
 			continue
 		}
 		l.stats.PrefetchIssued++
+		if issued == 0 {
+			countSlot = l.rec.reserve() // known only after the loop
+		}
+		issued++
 		l.next.BackAccess(now, pc, t, false, true)
-		l.insert(now, pc, tb, false, true)
+		// The write-back decision goes on the tape before the write-back.
+		wbSlot := l.rec.reserve()
+		l.rec.set(wbSlot, l.insert(now, pc, tb, false, true))
 	}
 	l.inPrefetch = false
+	if issued == 0 {
+		return 0
+	}
+	l.rec.set(countSlot, issued)
+	return tapePrefetched
 }

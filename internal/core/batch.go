@@ -31,10 +31,11 @@ const batchChunk = 4096
 // configuration in a single chunked walk over d's columns and writes lane
 // i's Result to out[i] (len(out) must be len(cfgs)). Lanes come from the
 // process-wide free list and go back to it before the call returns.
-// behav must be the behavior table for d.Insts (nil: compiled here). Every
-// config must be valid and share d's decoder variant — a batch cannot mix
-// DepBug settings with its trace.
-func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, out []Result) error {
+// behav must be the behavior table for d.Insts (nil: compiled here), tapes
+// d's own tape memo (nil: every lane simulates its memory hierarchy live).
+// Every config must be valid and share d's decoder variant — a batch cannot
+// mix DepBug settings with its trace.
+func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, tapes *TapeMemo, out []Result) error {
 	lanes := make([]*inOrderLane, 0, len(cfgs))
 	defer func() {
 		for _, ln := range lanes {
@@ -47,7 +48,7 @@ func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, out
 		}
 		ln := inOrderLanes.Get().(*inOrderLane)
 		lanes = append(lanes, ln)
-		if err := ln.reset(cfgs[i]); err != nil {
+		if err := ln.reset(cfgs[i], tapes); err != nil {
 			return err
 		}
 	}
@@ -79,6 +80,9 @@ func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, out
 	}
 	cc := classHistogram(ids, behav)
 	for l, ln := range lanes {
+		if err := tapes.done(ln.hier); err != nil {
+			return fmt.Errorf("core: lane %d: %w", l, err)
+		}
 		addCounts(&ln.res, uint64(len(ids)), &cc)
 		out[l] = ln.finish()
 	}
@@ -87,7 +91,7 @@ func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, out
 
 // ReplayOoO replays one decoded trace through one out-of-order lane per
 // configuration; see ReplayInOrder.
-func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, out []Result) error {
+func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, tapes *TapeMemo, out []Result) error {
 	lanes := make([]*oooLane, 0, len(cfgs))
 	defer func() {
 		for _, ln := range lanes {
@@ -100,7 +104,7 @@ func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, out []Resul
 		}
 		ln := oooLanes.Get().(*oooLane)
 		lanes = append(lanes, ln)
-		if err := ln.reset(cfgs[i]); err != nil {
+		if err := ln.reset(cfgs[i], tapes); err != nil {
 			return err
 		}
 	}
@@ -129,6 +133,9 @@ func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, out []Resul
 	}
 	cc := classHistogram(ids, behav)
 	for l, ln := range lanes {
+		if err := tapes.done(ln.hier); err != nil {
+			return fmt.Errorf("core: lane %d: %w", l, err)
+		}
 		addCounts(&ln.res, uint64(len(ids)), &cc)
 		out[l] = ln.finish()
 	}

@@ -32,17 +32,13 @@ type inOrderStatic struct {
 }
 
 func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
-	base := uint64(cfg.Mem.L1I.HitLatency)
-	if cfg.Mem.L1I.TagDataSerial {
-		base++
-	}
 	return inOrderStatic{
 		width:         cfg.Width,
 		dualIssueLS:   cfg.DualIssueLoadStore,
 		maxMem:        cfg.MaxMemPerCycle,
 		maxBr:         cfg.MaxBranchPerCycle,
 		fetchLineBits: uint(bits.TrailingZeros(uint(cfg.Mem.L1I.LineSize))),
-		fetchBase:     base,
+		fetchBase:     cfg.Mem.L1I.HitCycles(),
 		mispredictPen: uint64(cfg.FrontEnd.MispredictPenalty),
 		btbMissPen:    uint64(cfg.FrontEnd.BTBMissPenalty),
 		lat:           latencyTable(cfg.Lat),
@@ -91,11 +87,13 @@ var inOrderLanes = sync.Pool{New: func() any { return new(inOrderLane) }}
 
 // resetUncore resets the cache hierarchy and branch unit a lane of either
 // kind carries from one configuration to the next (nil on a new lane).
-func resetUncore(hier *cache.Hierarchy, bu *branch.Unit, mem cache.HierarchyConfig, br branch.Config) (*cache.Hierarchy, *branch.Unit, error) {
+// tapes decides whether the hierarchy simulates, records or replays its
+// decisions (nil: always simulates; see TapeMemo).
+func resetUncore(hier *cache.Hierarchy, bu *branch.Unit, mem cache.HierarchyConfig, br branch.Config, tapes *TapeMemo) (*cache.Hierarchy, *branch.Unit, error) {
 	if hier == nil {
 		hier, bu = new(cache.Hierarchy), new(branch.Unit)
 	}
-	if err := hier.Reset(mem); err != nil {
+	if err := tapes.reset(hier, mem); err != nil {
 		return nil, nil, err
 	}
 	if err := bu.Reset(br); err != nil {
@@ -105,11 +103,11 @@ func resetUncore(hier *cache.Hierarchy, bu *branch.Unit, mem cache.HierarchyConf
 }
 
 // reset makes ln a fresh lane of cfg, keeping the arrays it owns.
-func (ln *inOrderLane) reset(cfg InOrderConfig) error {
+func (ln *inOrderLane) reset(cfg InOrderConfig, tapes *TapeMemo) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch)
+	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch, tapes)
 	if err != nil {
 		return err
 	}
@@ -176,7 +174,7 @@ func (r *seqRing) note(done uint64) {
 // NewInOrder builds the model; cfg must be valid.
 func NewInOrder(cfg InOrderConfig) (*InOrder, error) {
 	lane := new(inOrderLane)
-	if err := lane.reset(cfg); err != nil {
+	if err := lane.reset(cfg, nil); err != nil {
 		return nil, err
 	}
 	return &InOrder{lane: lane, dc: newDecodeCache(cfg.DecoderDepBug)}, nil
@@ -337,7 +335,7 @@ func (ln *inOrderLane) stepLane(b *Behavior, pc, memAddr, target uint64, taken b
 
 	switch b.kind {
 	case stepLoad:
-		if !ln.hier.L1D().Probe(memAddr) {
+		if !ln.hier.Probe(memAddr) {
 			// A miss needs an MSHR; a full file stalls the pipeline
 			// (hit-under-miss is allowed, miss-under-full is not).
 			if d := ln.mshr.wait(issueAt); d > 0 {

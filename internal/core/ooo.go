@@ -28,15 +28,11 @@ type oooStatic struct {
 }
 
 func newOoOStatic(cfg OoOConfig) oooStatic {
-	base := uint64(cfg.Mem.L1I.HitLatency)
-	if cfg.Mem.L1I.TagDataSerial {
-		base++
-	}
 	return oooStatic{
 		dispatchWidth: cfg.DispatchWidth,
 		retireWidth:   cfg.RetireWidth,
 		fetchLineBits: uint(bits.TrailingZeros(uint(cfg.Mem.L1I.LineSize))),
-		fetchBase:     base,
+		fetchBase:     cfg.Mem.L1I.HitCycles(),
 		mispredictPen: uint64(cfg.FrontEnd.MispredictPenalty),
 		btbMissPen:    uint64(cfg.FrontEnd.BTBMissPenalty),
 		lat:           latencyTable(cfg.Lat),
@@ -85,11 +81,11 @@ type oooLane struct {
 var oooLanes = sync.Pool{New: func() any { return new(oooLane) }}
 
 // reset makes ln a fresh lane of cfg, keeping the arrays it owns.
-func (ln *oooLane) reset(cfg OoOConfig) error {
+func (ln *oooLane) reset(cfg OoOConfig, tapes *TapeMemo) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch)
+	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch, tapes)
 	if err != nil {
 		return err
 	}
@@ -122,7 +118,7 @@ type OoO struct {
 // NewOoO builds the model; cfg must be valid.
 func NewOoO(cfg OoOConfig) (*OoO, error) {
 	lane := new(oooLane)
-	if err := lane.reset(cfg); err != nil {
+	if err := lane.reset(cfg, nil); err != nil {
 		return nil, err
 	}
 	return &OoO{lane: lane, dc: newDecodeCache(cfg.DecoderDepBug)}, nil
@@ -270,7 +266,7 @@ func (ln *oooLane) stepLane(b *Behavior, pc, memAddr, target uint64, taken bool)
 	var complete uint64
 	switch b.kind {
 	case stepLoad:
-		if !ln.hier.L1D().Probe(memAddr) {
+		if !ln.hier.Probe(memAddr) {
 			// Misses need an MSHR: issue waits for a free one, which
 			// bounds memory-level parallelism.
 			if d := ln.mshr.wait(issueAt); d > 0 {

@@ -47,6 +47,10 @@ func DefaultConfig() Config {
 // Observe returns slices of.
 const maxDegree = 16
 
+// MaxTargets bounds the addresses one Observe call returns (the largest
+// scratch array, the spatial prefetcher's).
+const MaxTargets = 2 * maxDegree
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch c.Kind {
@@ -285,7 +289,7 @@ type spatial struct {
 	line   uint64
 	recent map[uint64]uint64 // region -> last line seen in region
 	order  []uint64          // tracked regions, oldest first
-	out    [2 * maxDegree]uint64
+	out    [MaxTargets]uint64
 }
 
 // spatialRegions bounds the regions a spatial prefetcher tracks; past it

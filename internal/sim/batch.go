@@ -7,15 +7,24 @@ import (
 	"racesim/internal/trace"
 )
 
-// Behaviors returns the memoized behavior table for a decoded trace,
-// compiling it on first use. The table is immutable and share-safe. It is
-// memoized on d itself (see trace.Decoded.Derived), so it is collected
-// together with the decode it was compiled from.
-func Behaviors(d *trace.Decoded) []core.Behavior {
-	return d.Derived(compileBehaviors).([]core.Behavior)
+// derived is what sim attaches to a decoded trace (trace.Decoded.Derived):
+// the behavior table compiled from it and the memo of the memory
+// hierarchy's decision tapes over it. Both live on the decode itself, so
+// they are shared by the same callers and collected together with it.
+type derived struct {
+	behav []core.Behavior
+	tapes core.TapeMemo
 }
 
-func compileBehaviors(d *trace.Decoded) any { return core.CompileBehaviors(d.Insts) }
+func deriveFrom(d *trace.Decoded) any {
+	return &derived{behav: core.CompileBehaviors(d.Insts)}
+}
+
+func derivedOf(d *trace.Decoded) *derived { return d.Derived(deriveFrom).(*derived) }
+
+// Behaviors returns the memoized behavior table for a decoded trace,
+// compiling it on first use. The table is immutable and share-safe.
+func Behaviors(d *trace.Decoded) []core.Behavior { return derivedOf(d).behav }
 
 // RunBatch replays one decoded trace under every configuration in a
 // single walk over the columns, stepping a vector of per-config lanes in
@@ -24,7 +33,10 @@ func compileBehaviors(d *trace.Decoded) any { return core.CompileBehaviors(d.Ins
 // — batching changes throughput, never results. Configs may mix core
 // kinds (each kind walks once); every config must share d's decoder
 // variant. Traces that declare WarmData disable the zero-fill page
-// optimization per lane, as in the sequential path.
+// optimization per lane, as in the sequential path. Each lane's memory
+// hierarchy simulates, records or replays its decisions as d's tape memo
+// finds best for the lane's effective configuration (core.TapeMemo); the
+// results are the same either way.
 func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 	if len(configs) == 0 {
 		return nil, nil
@@ -39,12 +51,12 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 			return nil, fmt.Errorf("sim: unknown core kind %q", c.Kind)
 		}
 	}
-	behav := Behaviors(d)
+	dv := derivedOf(d)
 	out := make([]core.Result, len(configs))
-	if err := replayKind(InOrder, nInOrder, configs, Config.inOrder, core.ReplayInOrder, d, behav, out); err != nil {
+	if err := replayKind(InOrder, nInOrder, configs, Config.inOrder, core.ReplayInOrder, d, dv, out); err != nil {
 		return nil, err
 	}
-	if err := replayKind(OutOfOrder, len(configs)-nInOrder, configs, Config.ooo, core.ReplayOoO, d, behav, out); err != nil {
+	if err := replayKind(OutOfOrder, len(configs)-nInOrder, configs, Config.ooo, core.ReplayOoO, d, dv, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -54,8 +66,8 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 // kind's lanes (conv and replay are the kind's config conversion and core
 // entry point) and stores their results in their configs' slots of out.
 func replayKind[C any](kind CoreKind, n int, configs []Config, conv func(Config) C,
-	replay func([]C, *trace.Decoded, []core.Behavior, []core.Result) error,
-	d *trace.Decoded, behav []core.Behavior, out []core.Result) error {
+	replay func([]C, *trace.Decoded, []core.Behavior, *core.TapeMemo, []core.Result) error,
+	d *trace.Decoded, dv *derived, out []core.Result) error {
 	if n == 0 {
 		return nil
 	}
@@ -70,10 +82,10 @@ func replayKind[C any](kind CoreKind, n int, configs []Config, conv func(Config)
 		cfgs = append(cfgs, conv(c))
 	}
 	if n == len(configs) {
-		return replay(cfgs, d, behav, out)
+		return replay(cfgs, d, dv.behav, &dv.tapes, out)
 	}
 	res := make([]core.Result, n)
-	if err := replay(cfgs, d, behav, res); err != nil {
+	if err := replay(cfgs, d, dv.behav, &dv.tapes, res); err != nil {
 		return err
 	}
 	j := 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
@@ -114,8 +115,24 @@ func cacheParams(prefix string, get func(*Config) *cache.Config, hitLats ...int)
 	}
 }
 
-// Params returns the tunable parameter definitions for a core kind.
+// The two parameter tables, each built on first use.
+var (
+	inOrderParams = sync.OnceValue(func() []ParamDef { return buildParams(InOrder) })
+	oooParams     = sync.OnceValue(func() []ParamDef { return buildParams(OutOfOrder) })
+)
+
+// Params returns the tunable parameter definitions for a core kind. The
+// table is built once per kind and shared by every caller — Apply runs per
+// (candidate, instance) in a race and per trial in the perturbation search
+// — so callers must not modify it: range over it, copy what you change.
 func Params(kind CoreKind) []ParamDef {
+	if kind == InOrder {
+		return inOrderParams()
+	}
+	return oooParams()
+}
+
+func buildParams(kind CoreKind) []ParamDef {
 	var defs []ParamDef
 	add := func(ps ...ParamDef) { defs = append(defs, ps...) }
 

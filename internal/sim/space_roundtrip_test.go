@@ -96,11 +96,15 @@ func TestExtractApplyRoundTripOverSpace(t *testing.T) {
 			}
 
 			// Extract of an untouched base must itself round-trip: applying
-			// it back is the identity on every tunable parameter.
+			// it back is the identity, on the whole configuration and on
+			// every tunable parameter.
 			base := Extract(tc.base)
 			cfg, err := Apply(tc.base, base)
 			if err != nil {
 				t.Fatalf("identity Apply: %v", err)
+			}
+			if cfg != tc.base {
+				t.Errorf("Apply(base, Extract(base)) != base:\n got  %+v\n want %+v", cfg, tc.base)
 			}
 			again := Extract(cfg)
 			for name, want := range base {

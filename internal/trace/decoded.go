@@ -46,18 +46,19 @@ type Decoded struct {
 	Err error
 
 	// derived memoizes one value a higher layer computes from the decode
-	// (sim's compiled behavior table); see Derived.
+	// (sim's compiled behavior table and tape memo); see Derived.
 	derivedOnce sync.Once
 	derived     any
 }
 
 // Derived returns the value build(d) returned the first time Derived was
 // called on d, computing it at most once even under concurrent callers.
-// The slot lets a layer above trace attach its own immutable compilation
-// of the decode to the decode itself, so the two are shared by the same
-// callers and garbage-collected together (a side table keyed by d would
-// pin every decode it ever saw). There is one slot: all callers must pass
-// the same build.
+// The slot lets a layer above trace attach what it compiles from the
+// decode, or memoizes about it, to the decode itself, so the two are shared
+// by the same callers and garbage-collected together (a side table keyed by
+// d would pin every decode it ever saw). The value must be safe for the
+// decode's concurrent users. There is one slot: all callers must pass the
+// same build.
 func (d *Decoded) Derived(build func(*Decoded) any) any {
 	d.derivedOnce.Do(func() { d.derived = build(d) })
 	return d.derived

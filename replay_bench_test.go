@@ -17,6 +17,17 @@ import (
 // and on the multi-config sweep that dominates tuning and perturbation
 // runs. MB/s numbers read as simulated instructions per microsecond
 // (1 "byte" = 1 instruction). Results are recorded in BENCH_replay.json.
+//
+// Which mode a benchmark measures. A decoded trace remembers the memory
+// hierarchy's decisions under the functional configurations replayed most
+// recently (core.TapeMemo, docs/performance.md), so a benchmark that
+// repeats one configuration on one decode — or varies only latencies, as
+// sweepConfigs does — measures taped replay after its second iteration:
+// that is repeat mode, the perturbation search's shape, and every benchmark
+// here without a suffix is one. The ...Unique variants rotate a functional
+// field so that no key comes back while the memo still holds it: every
+// iteration simulates the hierarchy live, a tuning race's shape, and they
+// are the ones that hold the live path to its cost before tapes existed.
 
 func benchTrace(b *testing.B) *trace.Trace {
 	b.Helper()
@@ -48,20 +59,41 @@ func sweepConfigs(base sim.Config) []sim.Config {
 	return out
 }
 
-// BenchmarkInOrderReplay measures single-trace decoded replay throughput
-// on the in-order model.
-func BenchmarkInOrderReplay(b *testing.B) {
+// unique returns cfg with a functional memory field rotated by i, so that
+// consecutive calls never share a tape key within the memo's horizon. The
+// field (the GHB depth of the instruction cache's next-line prefetcher) is
+// read by no model, so the simulation itself is the same work every time —
+// on this tree and on one without tapes.
+func unique(cfg sim.Config, i int) sim.Config {
+	cfg.Mem.L1I.Prefetch.GHBEntries = 1 + i%4000
+	return cfg
+}
+
+// benchReplay measures single-trace decoded replay throughput under cfg,
+// repeated as is (repeat mode) or made unique per iteration.
+func benchReplay(b *testing.B, cfg sim.Config, uniq bool) {
 	tr := benchTrace(b)
-	cfg := sim.PublicA53()
 	tr.Decoded(cfg.DecoderDepBug) // decode outside the measured region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Run(tr); err != nil {
+		c := cfg
+		if uniq {
+			c = unique(cfg, i)
+		}
+		if _, err := c.Run(tr); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(int64(tr.Len()))
 }
+
+// BenchmarkInOrderReplay measures single-trace decoded replay throughput
+// on the in-order model, repeat mode.
+func BenchmarkInOrderReplay(b *testing.B) { benchReplay(b, sim.PublicA53(), false) }
+
+// BenchmarkInOrderReplayUnique is BenchmarkInOrderReplay with the memory
+// hierarchy simulated live every iteration.
+func BenchmarkInOrderReplayUnique(b *testing.B) { benchReplay(b, sim.PublicA53(), true) }
 
 // BenchmarkInOrderReplayCursor is the legacy-path baseline for
 // BenchmarkInOrderReplay.
@@ -78,19 +110,12 @@ func BenchmarkInOrderReplayCursor(b *testing.B) {
 }
 
 // BenchmarkOOOReplay measures single-trace decoded replay throughput on
-// the out-of-order model.
-func BenchmarkOOOReplay(b *testing.B) {
-	tr := benchTrace(b)
-	cfg := sim.PublicA72()
-	tr.Decoded(cfg.DecoderDepBug)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(tr.Len()))
-}
+// the out-of-order model, repeat mode.
+func BenchmarkOOOReplay(b *testing.B) { benchReplay(b, sim.PublicA72(), false) }
+
+// BenchmarkOOOReplayUnique is BenchmarkOOOReplay with the memory hierarchy
+// simulated live every iteration.
+func BenchmarkOOOReplayUnique(b *testing.B) { benchReplay(b, sim.PublicA72(), true) }
 
 // BenchmarkOOOReplayCursor is the legacy-path baseline for
 // BenchmarkOOOReplay.
@@ -197,8 +222,16 @@ func BenchmarkSweepBatchedLanes(b *testing.B) {
 // per-simulation fixed cost (building or recycling the model) is a large
 // share of a simulation, and the traces exercise the TLBs and the
 // prefetchers, none of which the MIP benchmarks above see. It reports
-// ns/sim and allocs/sim.
-func BenchmarkReplayShortSpec(b *testing.B) {
+// ns/sim and allocs/sim. Repeat mode: from the third iteration on every
+// simulation replays its trace's tape, as most of a perturbation search
+// does.
+func BenchmarkReplayShortSpec(b *testing.B) { benchShortSpec(b, false) }
+
+// BenchmarkReplayShortSpecUnique is BenchmarkReplayShortSpec with the
+// memory hierarchy simulated live every time, as in a tuning race.
+func BenchmarkReplayShortSpecUnique(b *testing.B) { benchShortSpec(b, true) }
+
+func benchShortSpec(b *testing.B, uniq bool) {
 	cfgs := []sim.Config{sim.PublicA53(), sim.PublicA72()}
 	var trs []*trace.Trace
 	for _, p := range workload.Profiles() {
@@ -216,6 +249,9 @@ func BenchmarkReplayShortSpec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
+			if uniq {
+				cfg = unique(cfg, i)
+			}
 			for _, tr := range trs {
 				if _, err := cfg.Run(tr); err != nil {
 					b.Fatal(err)
