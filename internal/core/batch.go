@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 
+	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
 
@@ -31,11 +32,13 @@ const batchChunk = 4096
 // configuration in a single chunked walk over d's columns and writes lane
 // i's Result to out[i] (len(out) must be len(cfgs)). Lanes come from the
 // process-wide free list and go back to it before the call returns.
-// behav must be the behavior table for d.Insts (nil: compiled here), tapes
-// d's own tape memo (nil: every lane simulates its memory hierarchy live).
-// Every config must be valid and share d's decoder variant — a batch cannot
-// mix DepBug settings with its trace.
-func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, tapes *TapeMemo, out []Result) error {
+// behav must be the behavior table for d.Insts (nil: compiled here),
+// classes d's class histogram under it (ClassHistogram; nil: counted here),
+// tapes d's own tape memo (nil: every lane simulates its memory hierarchy
+// live). Every config must be valid and share d's decoder variant — a batch
+// cannot mix DepBug settings with its trace.
+func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
+	tapes *TapeMemo, out []Result) error {
 	lanes := make([]*inOrderLane, 0, len(cfgs))
 	defer func() {
 		for _, ln := range lanes {
@@ -78,12 +81,15 @@ func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, tap
 	if d.Err != nil {
 		return fmt.Errorf("core: %w", d.Err)
 	}
-	cc := classHistogram(ids, behav)
+	if classes == nil {
+		cc := ClassHistogram(ids, behav)
+		classes = &cc
+	}
 	for l, ln := range lanes {
 		if err := tapes.done(ln.hier); err != nil {
 			return fmt.Errorf("core: lane %d: %w", l, err)
 		}
-		addCounts(&ln.res, uint64(len(ids)), &cc)
+		addCounts(&ln.res, uint64(len(ids)), classes)
 		out[l] = ln.finish()
 	}
 	return nil
@@ -91,7 +97,8 @@ func ReplayInOrder(cfgs []InOrderConfig, d *trace.Decoded, behav []Behavior, tap
 
 // ReplayOoO replays one decoded trace through one out-of-order lane per
 // configuration; see ReplayInOrder.
-func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, tapes *TapeMemo, out []Result) error {
+func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
+	tapes *TapeMemo, out []Result) error {
 	lanes := make([]*oooLane, 0, len(cfgs))
 	defer func() {
 		for _, ln := range lanes {
@@ -131,12 +138,15 @@ func ReplayOoO(cfgs []OoOConfig, d *trace.Decoded, behav []Behavior, tapes *Tape
 	if d.Err != nil {
 		return fmt.Errorf("core: %w", d.Err)
 	}
-	cc := classHistogram(ids, behav)
+	if classes == nil {
+		cc := ClassHistogram(ids, behav)
+		classes = &cc
+	}
 	for l, ln := range lanes {
 		if err := tapes.done(ln.hier); err != nil {
 			return fmt.Errorf("core: lane %d: %w", l, err)
 		}
-		addCounts(&ln.res, uint64(len(ids)), &cc)
+		addCounts(&ln.res, uint64(len(ids)), classes)
 		out[l] = ln.finish()
 	}
 	return nil

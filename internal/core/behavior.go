@@ -67,11 +67,13 @@ func latencyTable(lat LatencyConfig) [isa.NumClasses]uint64 {
 	return t
 }
 
-// classHistogram counts the dynamic instructions per class of a decoded
-// walk. The counts depend only on the trace, never on the lane, so replay
-// paths add them to Results in bulk — every lane of a batch gets the same
-// histogram — instead of counting inside the step kernel.
-func classHistogram(ids []uint32, behav []Behavior) [isa.NumClasses]uint64 {
+// ClassHistogram counts the dynamic instructions per class of a decoded
+// walk. The counts depend only on the trace, never on the lane or the
+// configuration, so replay paths add them to Results in bulk — every lane
+// of a batch gets the same histogram — instead of counting inside the step
+// kernel, and a caller that replays one decode many times counts once
+// (ReplayInOrder's classes argument).
+func ClassHistogram(ids []uint32, behav []Behavior) [isa.NumClasses]uint64 {
 	var cc [isa.NumClasses]uint64
 	for _, id := range ids {
 		cc[behav[id].Cls]++

@@ -81,13 +81,23 @@ func record(t *testing.T, src string) *trace.Trace {
 	return tr
 }
 
+// cursor returns the per-event source over tr.
+func cursor(t *testing.T, tr *trace.Trace) *trace.Cursor {
+	t.Helper()
+	c, err := trace.NewCursor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func runInOrder(t *testing.T, cfg InOrderConfig, tr *trace.Trace) Result {
 	t.Helper()
 	m, err := NewInOrder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(trace.NewCursor(tr))
+	res, err := m.Run(cursor(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func runOoO(t *testing.T, cfg OoOConfig, tr *trace.Trace) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(trace.NewCursor(tr))
+	res, err := m.Run(cursor(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +374,7 @@ func TestDecoderDepBugSpeedsUpFPChains(t *testing.T) {
 	tr2 := record(t, src2)
 	goodRes = runInOrder(t, good, tr2)
 	m2, _ := NewInOrder(buggy)
-	buggyRes, _ = m2.Run(trace.NewCursor(tr2))
+	buggyRes, _ = m2.Run(cursor(t, tr2))
 	if buggyRes.CPI() >= goodRes.CPI() {
 		t.Errorf("dep-bug CPI %.3f should be (wrongly) below correct %.3f", buggyRes.CPI(), goodRes.CPI())
 	}

@@ -155,7 +155,7 @@ func (m *OoO) RunDecoded(d *trace.Decoded) (Result, error) {
 	if d.Err != nil {
 		return Result{}, fmt.Errorf("core: %w", d.Err)
 	}
-	cc := classHistogram(d.IDs, behav)
+	cc := ClassHistogram(d.IDs, behav)
 	addCounts(&m.lane.res, uint64(len(d.IDs)), &cc)
 	return m.lane.finish(), nil
 }

@@ -104,7 +104,7 @@ func TestModelsAcceptEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(trace.NewCursor(empty))
+	res, err := m.Run(cursor(t, empty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestModelsAcceptEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Run(trace.NewCursor(empty)); err != nil {
+	if _, err := o.Run(cursor(t, empty)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +126,7 @@ func TestInvalidWordInTraceFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(trace.NewCursor(bad)); err == nil {
+	if _, err := m.Run(cursor(t, bad)); err == nil {
 		t.Error("invalid word accepted by the timing model")
 	}
 }

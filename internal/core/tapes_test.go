@@ -95,10 +95,10 @@ func loadLoop(iters int) string {
 // production path with the given memos.
 func replayOne(ino InOrderConfig, ooo OoOConfig, d *trace.Decoded, inoTapes, oooTapes *TapeMemo) (Result, Result, error) {
 	var a, b [1]Result
-	if err := ReplayInOrder([]InOrderConfig{ino}, d, nil, inoTapes, a[:]); err != nil {
+	if err := ReplayInOrder([]InOrderConfig{ino}, d, nil, nil, inoTapes, a[:]); err != nil {
 		return Result{}, Result{}, err
 	}
-	err := ReplayOoO([]OoOConfig{ooo}, d, nil, oooTapes, b[:])
+	err := ReplayOoO([]OoOConfig{ooo}, d, nil, nil, oooTapes, b[:])
 	return a[0], b[0], err
 }
 
@@ -149,7 +149,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 	planted.sight(&wideKey)
 	planted.publish(&wideKey, tape)
 	var out [1]Result
-	if err := ReplayInOrder([]InOrderConfig{wide}, d, nil, &planted, out[:]); err == nil {
+	if err := ReplayInOrder([]InOrderConfig{wide}, d, nil, nil, &planted, out[:]); err == nil {
 		t.Error("a tape replayed under another L1I line size returned a result")
 	}
 }
@@ -167,7 +167,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	var tapes TapeMemo
 	var one [1]Result
 	for i := 0; i < 2; i++ { // note, then record
-		if err := ReplayInOrder([]InOrderConfig{cfg}, d, nil, &tapes, one[:]); err != nil {
+		if err := ReplayInOrder([]InOrderConfig{cfg}, d, nil, nil, &tapes, one[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 		cfgs = append(cfgs, other)
 	}
 	out := make([]Result, len(cfgs))
-	if err := ReplayInOrder(cfgs, d, nil, &tapes, out); err != nil {
+	if err := ReplayInOrder(cfgs, d, nil, nil, &tapes, out); err != nil {
 		t.Fatal(err)
 	}
 	st := tapes.Stats()

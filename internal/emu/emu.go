@@ -9,6 +9,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -33,9 +34,14 @@ type Machine struct {
 	vregs      [32]uint64 // V0..V31 as raw float64 bits
 	n, z, c, v bool       // NZCV flags
 	mem        map[uint64][]byte
-	pc         uint64
-	icount     uint64
-	dec        isa.Decoder
+	// hintBase and hintPage are the page of the last access that found or
+	// made one (hintPage nil: none yet): consecutive accesses mostly stay
+	// on a page, and then cost no map lookup.
+	hintBase uint64
+	hintPage []byte
+	pc       uint64
+	icount   uint64
+	dec      isa.Decoder
 }
 
 // New creates a machine loaded with prog: PC at the entry point, data
@@ -86,40 +92,79 @@ func (m *Machine) SetVReg(r isa.Reg, v float64) {
 	m.vregs[r-isa.V0] = math.Float64bits(v)
 }
 
-func (m *Machine) page(addr uint64) []byte {
-	base := addr >> pageBits
-	p, ok := m.mem[base]
-	if !ok {
-		p = make([]byte, pageSize)
-		m.mem[base] = p
+// mapped returns the page numbered base, or nil if nothing was ever stored
+// there (such memory reads as zero).
+func (m *Machine) mapped(base uint64) []byte {
+	if m.hintPage != nil && m.hintBase == base {
+		return m.hintPage
+	}
+	p := m.mem[base]
+	if p != nil {
+		m.hintBase, m.hintPage = base, p
 	}
 	return p
 }
 
-func (m *Machine) loadByte(addr uint64) byte {
-	if p, ok := m.mem[addr>>pageBits]; ok {
-		return p[addr&(pageSize-1)]
+// page returns the page holding addr, making it if need be.
+func (m *Machine) page(addr uint64) []byte {
+	base := addr >> pageBits
+	p := m.mapped(base)
+	if p == nil {
+		p = make([]byte, pageSize)
+		m.mem[base] = p
+		m.hintBase, m.hintPage = base, p
 	}
-	return 0
+	return p
 }
 
-func (m *Machine) storeByte(addr uint64, b byte) {
-	m.page(addr)[addr&(pageSize-1)] = b
-}
-
-// Load reads size bytes little-endian at addr.
+// Load reads size bytes little-endian at addr: one page lookup, unless the
+// access straddles a page and goes byte by byte.
 func (m *Machine) Load(addr uint64, size uint8) uint64 {
-	var v uint64
-	for i := uint8(0); i < size; i++ {
-		v |= uint64(m.loadByte(addr+uint64(i))) << (8 * i)
+	off := addr & (pageSize - 1)
+	if off+uint64(size) > pageSize {
+		var v uint64
+		for i := uint8(0); i < size; i++ {
+			v |= m.Load(addr+uint64(i), 1) << (8 * i)
+		}
+		return v
 	}
-	return v
+	p := m.mapped(addr >> pageBits)
+	if p == nil {
+		return 0
+	}
+	switch b := p[off : off+uint64(size)]; size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	default:
+		var v uint64
+		for i, x := range b {
+			v |= uint64(x) << (8 * i)
+		}
+		return v
+	}
 }
 
-// Store writes the low size bytes of v little-endian at addr.
+// Store writes the low size bytes of v little-endian at addr, with one
+// page lookup unless the access straddles a page.
 func (m *Machine) Store(addr uint64, size uint8, v uint64) {
-	for i := uint8(0); i < size; i++ {
-		m.storeByte(addr+uint64(i), byte(v>>(8*i)))
+	off := addr & (pageSize - 1)
+	if off+uint64(size) > pageSize {
+		for i := uint8(0); i < size; i++ {
+			m.Store(addr+uint64(i), 1, v>>(8*i))
+		}
+		return
+	}
+	switch b := m.page(addr)[off : off+uint64(size)]; size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
 	}
 }
 

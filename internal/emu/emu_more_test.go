@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math/rand"
 	"testing"
 
 	"racesim/internal/isa"
@@ -176,4 +177,43 @@ func itoa(v int64) string {
 		v /= 10
 	}
 	return string(digits)
+}
+
+// TestLoadStoreMatchByteWiseMemory drives Load and Store with random
+// accesses of every size — clustered on a few pages so the last-page hint
+// is hit, missed and replaced, and crossing page ends so the straddling
+// path runs — against a byte-per-address map, the memory model they
+// replaced. Loads of memory never stored to read zero and map no page.
+func TestLoadStoreMatchByteWiseMemory(t *testing.T) {
+	m := New(&isa.Program{})
+	ref := map[uint64]byte{}
+	rng := rand.New(rand.NewSource(1))
+	bases := []uint64{0x1000, 0x2000, 0x7000, 0xFFFF_FFFF_FFFF_F000, 0}
+	for i := 0; i < 20000; i++ {
+		size := []uint8{1, 4, 8}[rng.Intn(3)]
+		// Offsets reach 7 bytes short of the page end and past it.
+		addr := bases[rng.Intn(len(bases))] + pageSize - 12 + uint64(rng.Intn(24))
+		if rng.Intn(2) == 0 {
+			v := rng.Uint64()
+			m.Store(addr, size, v)
+			for b := uint8(0); b < size; b++ {
+				ref[addr+uint64(b)] = byte(v >> (8 * b))
+			}
+			continue
+		}
+		var want uint64
+		for b := uint8(0); b < size; b++ {
+			want |= uint64(ref[addr+uint64(b)]) << (8 * b)
+		}
+		if got := m.Load(addr, size); got != want {
+			t.Fatalf("access %d: Load(%#x, %d) = %#x, want %#x", i, addr, size, got, want)
+		}
+	}
+	pages := len(m.mem)
+	if got := m.Load(0x9000_0ffc, 8); got != 0 {
+		t.Errorf("load of untouched memory = %#x, want 0", got)
+	}
+	if len(m.mem) != pages {
+		t.Errorf("a load mapped %d pages", len(m.mem)-pages)
+	}
 }

@@ -44,8 +44,10 @@ func BenchmarkEngineJobsWarmCache(b *testing.B) {
 }
 
 // BenchmarkEngineExperimentsWarmCache times a warm single-scenario sweep
-// job (table2 — workload synthesis plus rendering, no tuner), the shape a
-// serve worker executes between cache refreshes.
+// job (table2 — the eleven workloads and rendering, no tuner), the shape a
+// serve worker executes between cache refreshes. Each job gets a private
+// memo over the shared cache, which remembers from the warm-up job what
+// the workloads are: the measured jobs synthesize nothing.
 func BenchmarkEngineExperimentsWarmCache(b *testing.B) {
 	cache := simcache.New()
 	job := Job{Kind: KindExperiments, Experiments: &ExperimentsJob{
@@ -70,7 +72,8 @@ func BenchmarkEngineExperimentsWarmCache(b *testing.B) {
 // run wrote in set-up — what the benchmark's paper_warm workload times.
 // The table2 benchmark above has no suite, no tuner and no board, and
 // never saw what a warm run spent its time on. Reports ms/job, the traces
-// the job had to generate and the simulations it replayed (board
+// the job had to generate (read off its stderr summary; 0 expected: the
+// snapshot says what they are) and the simulations it replayed (board
 // measurements included; 0 expected). Recorded in BENCH_engine.json.
 func BenchmarkEngineExperimentsWarmAll(b *testing.B) {
 	pristine := filepath.Join(b.TempDir(), "pristine.snap")
@@ -83,16 +86,16 @@ func BenchmarkEngineExperimentsWarmAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		work, _ := agedCopy(b, pristine)
-		memo := tracememo.New(0, 0)
 		b.StartTimer()
-		res, err := Execute(toyAll(), Options{CachePath: work, TraceMemo: memo, Capture: true})
+		res, err := Execute(toyAll(), Options{CachePath: work, Capture: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Artifact != cold.Artifact {
 			b.Fatal("warm artifact differs from the cold run's")
 		}
-		generated += memo.Stats().Misses
+		_, g := traceSummary(b, res.Log)
+		generated += uint64(g)
 		replayed += res.CacheStats.Misses
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/job")

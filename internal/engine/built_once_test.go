@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,7 +16,6 @@ import (
 	"racesim/internal/hw"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
-	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
@@ -56,43 +56,164 @@ func agedCopy(t testing.TB, src string) (string, os.FileInfo) {
 	return path, info
 }
 
-// TestExperimentsWarmJobOnlyLooksUp: an experiments job run cold into a
-// snapshot and warm from a copy of it render the same artifact, and the
-// warm job does only what cannot be avoided — it builds each distinct
-// input once (under the caller's memo as under the private one the cold
-// job got), looks up everything the cold job looked up, its board
-// measurements included, replays nothing, finds the boards' replays in the
-// snapshot, and leaves the snapshot file alone.
+// asBuild runs f as the build with the given ID: the scope of the trace
+// identities a job's memo keeps in its cache ("" is a build that cannot
+// name itself, which remembers nothing — every build before identities
+// existed, as far as a snapshot can tell).
+func asBuild(id string, f func()) {
+	real := buildID
+	buildID = func() string { return id }
+	defer func() { buildID = real }()
+	f()
+}
+
+// withoutIdentities writes the snapshot at src, less its trace identities,
+// to a new file and returns its path: the snapshot a build from before
+// identities existed (the parent commit's) writes for the same job.
+func withoutIdentities(t *testing.T, src string) string {
+	t.Helper()
+	snap := simcache.New()
+	if _, _, err := snap.LoadChecked(src); err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	data, err := snap.MarshalFiltered(func(key string) bool { return strings.HasPrefix(key, "trace-identity:") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// traceSummary reads the trace summary off a job's stderr: how many traces
+// the job asked its memo for and how many had to be generated.
+func traceSummary(t testing.TB, log string) (requested, generated int) {
+	t.Helper()
+	i := strings.Index(log, "traces: ")
+	if i < 0 {
+		t.Fatalf("no trace summary on stderr:\n%s", log)
+	}
+	if _, err := fmt.Sscanf(log[i:], "traces: %d requested, %d generated", &requested, &generated); err != nil {
+		t.Fatalf("trace summary %q: %v", log[i:], err)
+	}
+	return requested, generated
+}
+
+// warmFrom runs job from an aged copy of the snapshot at src and returns
+// the result, the copy's path and whether the job left the copy alone.
+func warmFrom(t *testing.T, job Job, src string) (res *Result, path string, untouched bool) {
+	t.Helper()
+	path, opened := agedCopy(t, src)
+	res, err := Execute(job, Options{CachePath: path, Capture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, path, os.SameFile(now, opened) && now.ModTime().Equal(opened.ModTime())
+}
+
+// sameFiles reports whether two files hold the same bytes.
+func sameFiles(t *testing.T, a, b string) bool {
+	t.Helper()
+	x, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(x, y)
+}
+
+// checkWarm checks a warm job against the cold one it should repeat: the
+// same artifact, everything the cold job looked up looked up again and
+// none of it simulated, and the job's stderr summary reporting the given
+// trace requests and generations.
+func checkWarm(t *testing.T, what string, cold, warm *Result, requested, generated uint64) {
+	t.Helper()
+	if warm.Artifact != cold.Artifact {
+		t.Errorf("%s: artifact differs from the cold run's:\n--- cold ---\n%s\n--- warm ---\n%s", what, cold.Artifact, warm.Artifact)
+	}
+	cs, ws := cold.CacheStats, warm.CacheStats
+	if ws.Misses != 0 || ws.Hits+ws.Shared != cs.Hits+cs.Misses+cs.Shared {
+		t.Errorf("%s: %+v; want no replay and the cold job's %d lookups", what, ws, cs.Hits+cs.Misses+cs.Shared)
+	}
+	if want := fmt.Sprintf("traces: %d requested, %d generated\n", requested, generated); !strings.Contains(warm.Log, want) {
+		t.Errorf("%s: want %q on stderr, got:\n%s", what, want, warm.Log)
+	}
+}
+
+// threeWay is the differential every job kind that generates inputs must
+// pass. A job run cold into a snapshot, by this build, generates each of
+// its distinct inputs once and writes what they were beside its results.
+// Warm from a copy of that snapshot the same build generates nothing and
+// leaves the file alone; another build believes none of the identities,
+// generates every input, finds every result still valid and adds exactly
+// its own identities; and from the snapshot the parent commit would have
+// written — the same results, no identities — this build does the same
+// once, ending with the cold run's snapshot byte for byte, and nothing the
+// second time. All render the cold run's artifact and simulate nothing.
+func threeWay(t *testing.T, job Job, requested, distinct uint64) (cold *Result, pristine string) {
+	t.Helper()
+	pristine = filepath.Join(t.TempDir(), "pristine.snap")
+	cold, err := Execute(job, Options{CachePath: pristine, Capture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("traces: %d requested, %d generated\n", requested, distinct); !strings.Contains(cold.Log, want) {
+		t.Errorf("cold job: want %q on stderr, got:\n%s", want, cold.Log)
+	}
+	entries := cold.CacheStats.Entries
+
+	same, _, untouched := warmFrom(t, job, pristine)
+	checkWarm(t, "same build", cold, same, requested, 0)
+	if !untouched || same.CacheStats.Entries != entries {
+		t.Errorf("same build: snapshot rewritten (untouched %v) or grown from %d to %d entries by a job that added nothing",
+			untouched, entries, same.CacheStats.Entries)
+	}
+
+	asBuild("some other build", func() {
+		other, path, untouched := warmFrom(t, job, pristine)
+		checkWarm(t, "other build", cold, other, requested, distinct)
+		if untouched || uint64(other.CacheStats.Entries) != uint64(entries)+distinct {
+			t.Errorf("other build: snapshot untouched (%v) or at %d entries; want the %d it opened and its own %d identities",
+				untouched, other.CacheStats.Entries, entries, distinct)
+		}
+		again, _, untouched := warmFrom(t, job, path)
+		checkWarm(t, "other build, second run", cold, again, requested, 0)
+		if !untouched {
+			t.Error("other build, second run: snapshot rewritten")
+		}
+	})
+
+	old := withoutIdentities(t, pristine)
+	first, upgraded, _ := warmFrom(t, job, old)
+	checkWarm(t, "snapshot without identities", cold, first, requested, distinct)
+	if uint64(first.CacheStats.Entries) != uint64(entries) {
+		t.Errorf("snapshot without identities: %d entries after first use, want the cold run's %d", first.CacheStats.Entries, entries)
+	}
+	if !sameFiles(t, upgraded, pristine) {
+		t.Error("snapshot without identities: first use did not end with the cold run's snapshot")
+	}
+	return cold, pristine
+}
+
+// TestExperimentsWarmJobOnlyLooksUp is the three-way differential for an
+// experiments job, `-scenario all` at toy sizes: 307 trace requests for 97
+// distinct inputs. The boards' replays are entries of its snapshot too.
 func TestExperimentsWarmJobOnlyLooksUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
-	pristine := filepath.Join(t.TempDir(), "pristine.snap")
-	cold, err := Execute(toyAll(), Options{CachePath: pristine, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	work, opened := agedCopy(t, pristine)
-	memo := tracememo.New(0, 0)
-	warm, err := Execute(toyAll(), Options{CachePath: work, TraceMemo: memo, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Artifact != cold.Artifact {
-		t.Errorf("warm artifact differs from the cold run's:\n--- cold ---\n%s\n--- warm ---\n%s", cold.Artifact, warm.Artifact)
-	}
-	cs, ws := cold.CacheStats, warm.CacheStats
-	if ws.Misses != 0 || ws.Hits+ws.Shared != cs.Hits+cs.Misses+cs.Shared {
-		t.Errorf("warm job: %+v; want no replay and the cold job's %d lookups", ws, cs.Hits+cs.Misses+cs.Shared)
-	}
-	if st := memo.Stats(); st.Misses != toyAllDistinctTraces || st.Hits == 0 {
-		t.Errorf("warm job's memo: %+v, want %d traces built and the repeats answered", st, toyAllDistinctTraces)
-	}
-	if now, err := os.Stat(work); err != nil || !os.SameFile(now, opened) || !now.ModTime().Equal(opened.ModTime()) {
-		t.Errorf("the warm job rewrote a snapshot it added nothing to (stat error %v)", err)
-	}
+	_, pristine := threeWay(t, toyAll(), 307, toyAllDistinctTraces)
 
-	// The boards' replays are ordinary entries of the snapshot.
 	snap := simcache.New()
 	if _, _, err := snap.LoadChecked(pristine); err != nil {
 		t.Fatal(err)
@@ -104,7 +225,7 @@ func TestExperimentsWarmJobOnlyLooksUp(t *testing.T) {
 	}
 	for _, name := range []string{"MD", "CS1", "STc"} {
 		b, _ := ubench.ByName(name)
-		tr, err := memo.Ubench(b, ubench.Options{Scale: toyAll().Experiments.Scale})
+		tr, err := b.Trace(ubench.Options{Scale: toyAll().Experiments.Scale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,32 +237,18 @@ func TestExperimentsWarmJobOnlyLooksUp(t *testing.T) {
 	}
 }
 
-// TestValidateJobThreeWay: a validate job run cold into a snapshot and warm
-// from it, and the pipeline called directly with neither memo nor cache on
-// boards that replay every measurement, tune the same configuration to the
-// same errors. The warm job replays nothing.
+// TestValidateJobThreeWay is the three-way differential for a validate job
+// (one pipeline: both suites and the lmbench traces, each asked for once),
+// and a fourth way: the pipeline called directly with neither memo nor
+// cache, on boards that replay every measurement, tunes the same
+// configuration to the same errors.
 func TestValidateJobThreeWay(t *testing.T) {
 	job := Job{Kind: KindValidate, Validate: &ValidateJob{Core: "a72", Budget1: 80, Budget2: 80, Scale: 0.001, Seed: 2, Quiet: true}}
-	snapshot := filepath.Join(t.TempDir(), "validate.snap")
-	cold, err := Execute(job, Options{CachePath: snapshot, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := tracememo.New(0, 0)
-	warm, err := Execute(job, Options{CachePath: snapshot, TraceMemo: memo, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Artifact != cold.Artifact || string(warm.TunedConfig) != string(cold.TunedConfig) {
-		t.Errorf("warm validate job differs from the cold one:\n--- cold ---\n%s\n--- warm ---\n%s", cold.Artifact, warm.Artifact)
-	}
-	cs, ws := cold.CacheStats, warm.CacheStats
-	if ws.Misses != 0 || ws.Hits+ws.Shared != cs.Hits+cs.Misses+cs.Shared {
-		t.Errorf("warm job: %+v; want no replay and the cold job's %d lookups", ws, cs.Hits+cs.Misses+cs.Shared)
-	}
-	// One pipeline: both suites and the lmbench traces, each asked for once.
-	if st, want := memo.Stats(), uint64(2*len(ubench.Suite())+6); st.Misses != want || st.Hits != 0 {
-		t.Errorf("warm job's memo: %+v, want %d traces built", st, want)
+	inputs := uint64(2*len(ubench.Suite()) + 6)
+	cold, pristine := threeWay(t, job, inputs, inputs)
+	warm, _, _ := warmFrom(t, job, pristine)
+	if string(warm.TunedConfig) != string(cold.TunedConfig) {
+		t.Errorf("warm validate job tuned another configuration:\n--- cold ---\n%s\n--- warm ---\n%s", cold.TunedConfig, warm.TunedConfig)
 	}
 
 	plat, err := hw.Firefly()
@@ -166,6 +273,41 @@ func TestValidateJobThreeWay(t *testing.T) {
 		if line := fmt.Sprintf("%-10s %-12s", s.Name, fmt.Sprintf("%.1f%%", s.MeanError*100)); !strings.Contains(cold.Artifact, line) {
 			t.Errorf("stage line %q of the direct pipeline is not in the job's artifact:\n%s", line, cold.Artifact)
 		}
+	}
+}
+
+// TestDeferredInputsMaterializeOnMiss is a warm run with a cold spot: a
+// validate job over the snapshot of the same job under another seed. The
+// snapshot says what every input is, so none is generated up front; the
+// boards' measurements are hits; but this seed's tuner asks for
+// configurations the snapshot has never seen, on every worker at once, and
+// the first miss on each input generates it. The job renders and tunes
+// what it does with no snapshot at all. Run under -race in CI.
+func TestDeferredInputsMaterializeOnMiss(t *testing.T) {
+	seeded := func(seed int64) Job {
+		return Job{Kind: KindValidate, Validate: &ValidateJob{Core: "a53", Budget1: 60, Budget2: 60, Scale: 0.001, Seed: seed, Quiet: true}}
+	}
+	snapshot := filepath.Join(t.TempDir(), "seed1.snap")
+	if _, err := Execute(seeded(1), Options{CachePath: snapshot, Capture: true}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Execute(seeded(2), Options{Capture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Execute(seeded(2), Options{CachePath: snapshot, Parallelism: 4, Capture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Artifact != want.Artifact || string(got.TunedConfig) != string(want.TunedConfig) {
+		t.Errorf("job over another seed's snapshot differs from the job alone:\n--- alone ---\n%s\n--- over the snapshot ---\n%s", want.Artifact, got.Artifact)
+	}
+	requested, generated := traceSummary(t, got.Log)
+	inputs := 2*len(ubench.Suite()) + 6
+	if got.CacheStats.Misses == 0 || got.CacheStats.Misses >= want.CacheStats.Misses ||
+		requested != inputs || generated == 0 || generated > inputs {
+		t.Errorf("%d simulations (alone: %d), %d traces requested, %d generated; want a partly warm run that generated some of its %d inputs, each at most once",
+			got.CacheStats.Misses, want.CacheStats.Misses, requested, generated, inputs)
 	}
 }
 
@@ -208,8 +350,8 @@ func TestConcurrentJobsShareMemoAndCache(t *testing.T) {
 		}
 	}
 	// One A53 pipeline plus Table II: 40 + 40 + 6 + 11 distinct inputs.
-	if st := srv.memo.Stats(); st.Misses != toyAllDistinctTraces {
-		t.Errorf("two concurrent jobs built %d traces, want each of the %d distinct ones once (%+v)", st.Misses, toyAllDistinctTraces, st)
+	if st := srv.memo.Stats(); st.Misses != toyAllDistinctTraces || st.Generated != toyAllDistinctTraces {
+		t.Errorf("two concurrent jobs built %d traces, want each of the %d distinct ones once (%+v)", st.Generated, toyAllDistinctTraces, st)
 	}
 	// Everything the single job simulated, simulated once between the two.
 	if got := srv.Cache().Stats().Misses; got != want.CacheStats.Misses {

@@ -33,6 +33,7 @@ import (
 	"racesim/internal/simcache"
 	"racesim/internal/telemetry"
 	"racesim/internal/tracememo"
+	"racesim/internal/version"
 )
 
 // Job kinds. Each selects exactly one of the Job's spec fields.
@@ -192,7 +193,10 @@ type Options struct {
 	// passes its process-lifetime one, so repeated job shapes — and the
 	// units of one sweep, each a job of its own — skip emulation and
 	// decode. Nil gives the job a private memo that dies with it: each
-	// distinct input is still built once per job.
+	// distinct input is still built once per job, and what it was is
+	// remembered in the job's cache (tracememo.WithIdentities), so a later
+	// job of the same build that finds its results in the cache's snapshot
+	// generates nothing.
 	TraceMemo *tracememo.Memo
 	// CPUProfile/MemProfile write pprof profiles around the job.
 	CPUProfile, MemProfile string
@@ -270,6 +274,7 @@ type env struct {
 	lanes  int
 	cache  *simcache.Cache
 	memo   *tracememo.Memo // the caller's, or private to this job
+	traces tracememo.Stats // memo's counters when the job started
 	shared bool            // cache owned by the caller: skip snapshot load/save
 	path   string
 
@@ -287,6 +292,20 @@ func (e *env) printf(format string, args ...any) {
 func (e *env) eprintf(format string, args ...any) {
 	fmt.Fprintf(e.errw, format, args...)
 }
+
+// traceSummary reports on stderr, beside the cache summary, how many input
+// traces the job asked its memo for and how many of them had to be
+// generated (under a memo shared with concurrent jobs, theirs included).
+func (e *env) traceSummary() {
+	st := e.memo.Stats()
+	e.eprintf("traces: %d requested, %d generated\n",
+		st.Hits+st.Misses-e.traces.Hits-e.traces.Misses, st.Generated-e.traces.Generated)
+}
+
+// buildID names the running build, the scope of the trace identities a
+// memo keeps in a cache. A variable so a test can run a job as another
+// build.
+var buildID = version.BuildID
 
 // tee resolves a job output stream: teed into buf when capturing,
 // discarded when there is neither a stream writer nor a capture.
@@ -425,8 +444,9 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 		e.cache = simcache.New()
 	}
 	if e.memo == nil {
-		e.memo = tracememo.New(0, 0)
+		e.memo = tracememo.New(0, 0).WithIdentities(e.cache.TraceIdentities(buildID()))
 	}
+	e.traces = e.memo.Stats()
 	e.out = tee(opts.Stdout, &e.outBuf, opts.Capture)
 	e.errw = tee(opts.Stderr, &e.errBuf, opts.Capture)
 

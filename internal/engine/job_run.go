@@ -134,11 +134,8 @@ func (e *env) runJob(j *RunJob) error {
 		return err
 	}
 
-	trs, err := e.gather(j, events, scale)
-	if err != nil {
-		return err
-	}
-
+	// The snapshot is opened before the traces are fetched: it may say what
+	// they are, and then a warm run generates none of them.
 	if !e.shared && e.path != "" {
 		if err := simcache.ValidatePath(e.path); err != nil {
 			return err
@@ -157,6 +154,10 @@ func (e *env) runJob(j *RunJob) error {
 		if rejected > 0 {
 			e.eprintf("racesim: %s: rejected %d corrupted cache entries\n", e.path, rejected)
 		}
+	}
+	trs, err := e.gather(j, events, scale)
+	if err != nil {
+		return err
 	}
 	runner := expt.NewRunner(e.cache, e.par).WithContext(e.ctx).WithLanes(e.lanes)
 	units := make([]expt.Unit, len(trs))
@@ -200,6 +201,7 @@ func (e *env) runJob(j *RunJob) error {
 		st := e.cache.Stats()
 		e.eprintf("cache: %d hits, %d misses (%.1f%% hit rate)\n",
 			st.Hits, st.Misses, st.HitRate()*100)
+		e.traceSummary()
 		if err := e.cache.SaveFile(e.path); err != nil {
 			return err
 		}

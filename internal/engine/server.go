@@ -217,9 +217,11 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if !opts.CacheServer {
 		// One process-lifetime trace memo shared by every job of every
 		// kind: repeated job shapes — and the units of a sweep, each an
-		// experiments job of its own — skip emulation and decode. The
-		// cache-server role runs no jobs and needs none.
-		s.memo = tracememo.New(opts.MemoryBudget/2, 0)
+		// experiments job of its own — skip emulation and decode, and what
+		// a pre-seeded or loaded snapshot says this build generated before
+		// is not generated again. The cache-server role runs no jobs and
+		// needs none.
+		s.memo = tracememo.New(opts.MemoryBudget/2, 0).WithIdentities(s.cache.TraceIdentities(buildID()))
 	}
 	if opts.MemoryBudget > 0 {
 		// Split the budget between the two byte-bounded tiers: results

@@ -14,6 +14,7 @@ import (
 	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
+	"racesim/internal/version"
 	"racesim/internal/workload"
 )
 
@@ -43,7 +44,8 @@ type Options struct {
 	// TraceMemo, when non-nil, is the memo every generated input is
 	// fetched through (a serve worker's process-lifetime one). Nil gives
 	// the context a private one, so each distinct input is still built
-	// once per context.
+	// once per context — and not at all when Cache remembers, from an
+	// earlier run of this build, what it was (tracememo.WithIdentities).
 	TraceMemo *tracememo.Memo
 	// Context, when non-nil, cancels experiment execution: the Runner
 	// checks it before dispatching each simulation unit and the tuning
@@ -97,7 +99,7 @@ func NewContext(opts Options) (*Context, error) {
 	o := opts.withDefaults()
 	memo := o.TraceMemo
 	if memo == nil {
-		memo = tracememo.New(0, 0)
+		memo = tracememo.New(0, 0).WithIdentities(o.Cache.TraceIdentities(version.BuildID()))
 	}
 	return &Context{
 		opts: o, plat: plat.WithCache(o.Cache),

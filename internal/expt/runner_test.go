@@ -11,6 +11,7 @@ import (
 	"racesim/internal/trace"
 	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
+	"racesim/internal/version"
 )
 
 func testUnits(t *testing.T) []Unit {
@@ -230,9 +231,11 @@ const (
 // request, every board measurement and simulation replayed — no memo, no
 // cache), a cold parallel run into a snapshot, and a warm run from that
 // snapshot render the same bytes. The cold run builds each distinct input
-// once and replays each distinct (board, trace) pair once; the warm run
-// builds the same inputs, looks up exactly what the cold run looked up —
-// its board measurements included — and replays nothing.
+// once, remembers in the cache what it was, and replays each distinct
+// (board, trace) pair once; the warm run asks for the same inputs, builds
+// none of them — the snapshot says what they are — looks up exactly what
+// the cold run looked up, its board measurements included, and replays
+// nothing.
 func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -244,14 +247,15 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 	direct.memo = nil // a context always has one; the direct path does not
 	seq := renderContext(t, direct)
 
-	coldCache, coldMemo := simcache.New(), tracememo.New(0, 0)
+	coldCache := simcache.New()
+	coldMemo := tracememo.New(0, 0).WithIdentities(coldCache.TraceIdentities(version.BuildID()))
 	opts := expOptions(8, coldCache)
 	opts.TraceMemo = coldMemo
 	cold := renderAll(t, opts)
 	if seq != cold {
 		t.Errorf("parallel cached output differs from the direct path's:\n--- direct ---\n%s\n--- parallel ---\n%s", seq, cold)
 	}
-	if st := coldMemo.Stats(); st.Misses != allDistinctTraces || st.Hits != allTraceRequests-allDistinctTraces {
+	if st := coldMemo.Stats(); st.Misses != allDistinctTraces || st.Generated != allDistinctTraces || st.Hits != allTraceRequests-allDistinctTraces {
 		t.Errorf("cold run: memo %+v, want %d traces built and %d requests answered", st, allDistinctTraces, allTraceRequests-allDistinctTraces)
 	}
 	snap := filepath.Join(t.TempDir(), "all.snap")
@@ -259,7 +263,8 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warmCache, warmMemo := simcache.New(), tracememo.New(0, 0)
+	warmCache := simcache.New()
+	warmMemo := tracememo.New(0, 0).WithIdentities(warmCache.TraceIdentities(version.BuildID()))
 	if _, _, err := warmCache.LoadChecked(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +279,8 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 		t.Errorf("warm run: %+v; want no replay and the cold run's %d lookups (a board measurement that bypassed the cache would be missing)",
 			ws, cs.Hits+cs.Misses+cs.Shared)
 	}
-	if st := warmMemo.Stats(); st.Misses != allDistinctTraces || st.Hits != allTraceRequests-allDistinctTraces {
-		t.Errorf("warm run: memo %+v, want %d traces built and %d requests answered", st, allDistinctTraces, allTraceRequests-allDistinctTraces)
+	if st := warmMemo.Stats(); st.Misses != allDistinctTraces || st.Generated != 0 || st.Hits != allTraceRequests-allDistinctTraces {
+		t.Errorf("warm run: memo %+v, want %d traces asked for %d times and none built", st, allDistinctTraces, allTraceRequests)
 	}
 
 	// The board's replays are entries of the snapshot, under the keys of
@@ -300,7 +305,8 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 
 	// Without the boards in the cache (the same run on boards that replay
 	// every measurement) the cache sees exactly allBoardMeasures fewer
-	// lookups and holds allBoardReplays fewer entries.
+	// lookups and holds allBoardReplays fewer entries (both caches hold the
+	// allDistinctTraces trace identities beside their results).
 	bare, err := NewContext(expOptions(8, simcache.New()))
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@ func (c chase) calibrationProgram() (*isa.Program, error) {
 // recorded returns the memo's trace under key, building the program and
 // recording it as name on first request.
 func recorded(memo *tracememo.Memo, key, name string, build func() (*isa.Program, error)) (*trace.Trace, error) {
-	return memo.Get(key, func() (*trace.Trace, error) {
+	return memo.Named(key, name, func() (*trace.Trace, error) {
 		prog, err := build()
 		if err != nil {
 			return nil, fmt.Errorf("lmbench: %w", err)

@@ -1,6 +1,7 @@
 package perturb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -61,59 +62,56 @@ type Result struct {
 }
 
 // evaluation is one configuration's score against the workloads: the
-// per-workload errors, their mean, and the first simulation failure (the
-// other fields are then meaningless).
+// per-workload errors and their mean.
 type evaluation struct {
 	errs []float64
 	mean float64
-	err  error
 }
 
 // meanErrors evaluates every configuration against all workloads as one
 // batch of len(cfgs)*len(ws) simulations, in parallel up to o.Parallelism,
 // memoizing through o.Cache when set. Each configuration is fingerprinted
-// once, not once per workload. out[i] belongs to cfgs[i]; a failed
-// simulation fails only its own configuration.
-func meanErrors(cfgs []sim.Config, ws []Workload, o Options) []evaluation {
+// once, not once per workload. out[i] belongs to cfgs[i]. Every
+// configuration here has passed sim.Apply's validation, so a simulation
+// that fails says the simulator or its input is broken (a tape replay that
+// desynchronized, a deferred trace that is not what was remembered), not
+// that the configuration is a bad neighbour: it fails the whole batch.
+func meanErrors(cfgs []sim.Config, ws []Workload, o Options) ([]evaluation, error) {
 	out := make([]evaluation, len(cfgs))
 	fps := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		out[i].errs = make([]float64, len(ws))
 		fps[i] = cfg.Fingerprint()
 	}
-	failed := make([]error, len(cfgs)*len(ws))
-	// The callback records failures instead of returning them, so one bad
-	// configuration does not stop the dispatch of the others.
-	_ = par.ForEach(len(failed), o.Parallelism, func(k int) error {
+	err := par.ForEach(len(cfgs)*len(ws), o.Parallelism, func(k int) error {
 		i, w := k/len(ws), ws[k%len(ws)]
 		res, err := o.Cache.RunKeyed(simcache.JoinKey(fps[i], w.Trace), cfgs[i], w.Trace)
 		if err != nil {
-			failed[k] = err
-			return nil
+			return fmt.Errorf("perturb: %s on %s: %w", cfgs[i].Name, w.Name, err)
 		}
 		out[i].errs[k%len(ws)] = math.Abs(res.CPI()-w.Counters.CPI) / w.Counters.CPI
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i := range out {
 		total := 0.0
-		for j, e := range out[i].errs {
-			if err := failed[i*len(ws)+j]; err != nil && out[i].err == nil {
-				out[i].err = err
-			}
+		for _, e := range out[i].errs {
 			total += e
 		}
 		out[i].mean = total / float64(len(ws))
 	}
-	return out
+	return out, nil
 }
 
 // meanError evaluates one configuration against all workloads.
 func meanError(cfg sim.Config, ws []Workload, o Options) ([]float64, float64, error) {
-	ev := meanErrors([]sim.Config{cfg}, ws, o)[0]
-	if ev.err != nil {
-		return nil, 0, ev.err
+	evs, err := meanErrors([]sim.Config{cfg}, ws, o)
+	if err != nil {
+		return nil, 0, err
 	}
-	return ev.errs, ev.mean, nil
+	return evs[0].errs, evs[0].mean, nil
 }
 
 // neighbors returns the value strings one step away for an ordered
@@ -144,7 +142,9 @@ func neighbors(d sim.ParamDef, current string) []string {
 }
 
 // WorstNearOptimum searches for the worst configuration within one step of
-// the tuned optimum, evaluated on the given workloads.
+// the tuned optimum, evaluated on the given workloads. A parameter
+// combination sim.Apply rejects is skipped; a simulation that fails aborts
+// the search with its error.
 func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, error) {
 	o := opt.withDefaults()
 	defs := sim.Params(tuned.Kind)
@@ -159,26 +159,25 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 		return cfg, true
 	}
 
-	evaluate := func(a irace.Assignment) (float64, bool) {
+	// evaluate scores a; ok is false when a is not a valid configuration.
+	evaluate := func(a irace.Assignment) (mean float64, ok bool, err error) {
 		cfg, ok := apply(a)
 		if !ok {
-			return 0, false
+			return 0, false, nil
 		}
 		_, m, err := meanError(cfg, ws, o)
-		if err != nil {
-			return 0, false
-		}
-		return m, true
+		return m, err == nil, err
 	}
 
 	best := optimum.Clone()
-	bestErr, ok := evaluate(best)
+	bestErr, ok, err := evaluate(best)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
-		_, m, err := meanError(tuned, ws, o)
-		if err != nil {
+		if _, bestErr, err = meanError(tuned, ws, o); err != nil {
 			return nil, err
 		}
-		bestErr = m
 	}
 
 	start := func(r int) irace.Assignment {
@@ -200,7 +199,10 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 
 	for r := 0; r <= o.Restarts; r++ {
 		cur := start(r)
-		curErr, ok := evaluate(cur)
+		curErr, ok, err := evaluate(cur)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			continue
 		}
@@ -228,8 +230,12 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 					}
 				}
 				bestVal := cur[d.Name]
-				for i, ev := range meanErrors(cfgs, ws, o) {
-					if ev.err == nil && ev.mean > curErr {
+				evs, err := meanErrors(cfgs, ws, o)
+				if err != nil {
+					return nil, err
+				}
+				for i, ev := range evs {
+					if ev.mean > curErr {
 						curErr = ev.mean
 						bestVal = vals[i]
 						improved = true

@@ -1,10 +1,13 @@
 package perturb
 
 import (
+	"errors"
 	"testing"
 
 	"racesim/internal/hw"
 	"racesim/internal/sim"
+	"racesim/internal/simcache"
+	"racesim/internal/trace"
 	"racesim/internal/workload"
 )
 
@@ -73,5 +76,35 @@ func TestNeighborsRespectBounds(t *testing.T) {
 				t.Errorf("%s: interior neighbors = %v", d.Name, ns)
 			}
 		}
+	}
+}
+
+// TestSimulationErrorAbortsSearch: the search used to treat a simulation
+// that failed like a parameter combination sim.Apply rejects and skip the
+// trial, so a broken simulator (a tape replay out of step, an input that is
+// not what it was remembered as) shrank the study silently. Here one
+// workload's trace is a deferred one whose generator fails, over a cache
+// that already holds the optimum's results: the optimum is scored from the
+// cache without reading an event, the first neighbour misses, and its
+// failure must end the search.
+func TestSimulationErrorAbortsSearch(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := p.A53.TrueConfig()
+	ws := workloads(t, p.A53, 2)
+	cache := simcache.New()
+	if _, _, err := meanError(tuned, ws, Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	ws[1].Trace = trace.Deferred(ws[1].Trace.Name, ws[1].Trace.Identity(), func() (*trace.Trace, error) { return nil, boom })
+	if _, _, err := meanError(tuned, ws, Options{Cache: cache}); err != nil {
+		t.Fatalf("the optimum is in the cache and should need no events: %v", err)
+	}
+	_, err = WorstNearOptimum(tuned, ws, Options{Restarts: 1, MaxPasses: 1, Seed: 1, Cache: cache})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WorstNearOptimum returned error %v, want the failed simulation's", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"racesim/internal/simcache"
 	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
+	"racesim/internal/version"
 )
 
 // tinyOpts keeps engine tests at seconds scale.
@@ -233,7 +234,8 @@ func TestNoiseSweepMeasuresTheBoardOnce(t *testing.T) {
 
 	snap := filepath.Join(t.TempDir(), "noise.snap")
 	coldOpts := tinyOpts()
-	coldOpts.Cache, coldOpts.TraceMemo = simcache.New(), tracememo.New(0, 0)
+	coldOpts.Cache = simcache.New()
+	coldOpts.TraceMemo = tracememo.New(0, 0).WithIdentities(coldOpts.Cache.TraceIdentities(version.BuildID()))
 	if cold := render(RunOptions{Expt: coldOpts, CachePath: snap}); cold != direct {
 		t.Errorf("cached noise sweep differs from the uncached one:\n--- uncached ---\n%s\n--- cached ---\n%s", direct, cold)
 	}

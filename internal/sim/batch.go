@@ -4,20 +4,24 @@ import (
 	"fmt"
 
 	"racesim/internal/core"
+	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
 
 // derived is what sim attaches to a decoded trace (trace.Decoded.Derived):
-// the behavior table compiled from it and the memo of the memory
-// hierarchy's decision tapes over it. Both live on the decode itself, so
-// they are shared by the same callers and collected together with it.
+// the behavior table compiled from it, its class histogram under that
+// table, and the memo of the memory hierarchy's decision tapes over it.
+// They live on the decode itself, so they are shared by the same callers
+// and collected together with it.
 type derived struct {
-	behav []core.Behavior
-	tapes core.TapeMemo
+	behav   []core.Behavior
+	classes [isa.NumClasses]uint64
+	tapes   core.TapeMemo
 }
 
 func deriveFrom(d *trace.Decoded) any {
-	return &derived{behav: core.CompileBehaviors(d.Insts)}
+	behav := core.CompileBehaviors(d.Insts)
+	return &derived{behav: behav, classes: core.ClassHistogram(d.IDs, behav)}
 }
 
 func derivedOf(d *trace.Decoded) *derived { return d.Derived(deriveFrom).(*derived) }
@@ -66,7 +70,7 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 // kind's lanes (conv and replay are the kind's config conversion and core
 // entry point) and stores their results in their configs' slots of out.
 func replayKind[C any](kind CoreKind, n int, configs []Config, conv func(Config) C,
-	replay func([]C, *trace.Decoded, []core.Behavior, *core.TapeMemo, []core.Result) error,
+	replay func([]C, *trace.Decoded, []core.Behavior, *[isa.NumClasses]uint64, *core.TapeMemo, []core.Result) error,
 	d *trace.Decoded, dv *derived, out []core.Result) error {
 	if n == 0 {
 		return nil
@@ -82,10 +86,10 @@ func replayKind[C any](kind CoreKind, n int, configs []Config, conv func(Config)
 		cfgs = append(cfgs, conv(c))
 	}
 	if n == len(configs) {
-		return replay(cfgs, d, dv.behav, &dv.tapes, out)
+		return replay(cfgs, d, dv.behav, &dv.classes, &dv.tapes, out)
 	}
 	res := make([]core.Result, n)
-	if err := replay(cfgs, d, dv.behav, &dv.tapes, res); err != nil {
+	if err := replay(cfgs, d, dv.behav, &dv.classes, &dv.tapes, res); err != nil {
 		return err
 	}
 	j := 0

@@ -22,6 +22,19 @@ func openedSnapshot(t *testing.T, damage func([]byte) []byte) (string, os.FileIn
 			t.Fatal(err)
 		}
 	}
+	info := aged(t, path)
+	c := New()
+	if _, _, err := c.LoadChecked(path); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return path, info, c
+}
+
+// aged moves path's mtime into the past, so that any rewrite shows, and
+// returns the file as it now is.
+func aged(t *testing.T, path string) os.FileInfo {
+	t.Helper()
 	old := time.Now().Add(-time.Hour).Truncate(time.Second)
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
@@ -30,12 +43,7 @@ func openedSnapshot(t *testing.T, damage func([]byte) []byte) (string, os.FileIn
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New()
-	if _, _, err := c.LoadChecked(path); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return path, info, c
+	return info
 }
 
 // untouched reports whether path still names the very file (same inode,

@@ -220,3 +220,25 @@ func TestPoisonedEntryRejectedByChecksum(t *testing.T) {
 		t.Error("re-simulated result differs from the original")
 	}
 }
+
+// TestDecodeEntryAllocations: decoding one record — what every snapshot
+// open, merge, pre-seed and delta does per entry — allocates the key string
+// and little else (it was 8 objects: the hex halves of the key, their
+// concatenation and a Result escaping through reflection). A process that
+// holds little else live pays for that garbage in GC cycles.
+func TestDecodeEntryAllocations(t *testing.T) {
+	tr := testTrace(t, "MD")
+	res, err := sim.PublicA53().Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := EncodeEntry(Key(sim.PublicA53(), tr), res)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, got, err := DecodeEntry(data); err != nil || got != res {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("DecodeEntry allocates %.0f objects per record, want <= 4", allocs)
+	}
+}

@@ -42,7 +42,9 @@ type Decoded struct {
 
 	// Err is the decode error of the first undecodable event, if any.
 	// The columns then cover only the events before it, matching the
-	// legacy path, which replays up to the failing event and stops.
+	// legacy path, which replays up to the failing event and stops. For a
+	// deferred trace that could not materialize (see Deferred) it is that
+	// error, and the columns are empty. Replay reports Err either way.
 	Err error
 
 	// derived memoizes one value a higher layer computes from the decode
@@ -77,10 +79,14 @@ func (d *Decoded) Taken(i int) bool {
 func (d *Decoded) Inst(i int) *isa.Inst { return &d.Insts[d.IDs[i]] }
 
 // decodeTrace builds the columnar form of t under the given decoder
-// variant.
+// variant, materializing t if it is deferred.
 func decodeTrace(t *Trace, depBug bool) *Decoded {
+	events, err := t.events()
+	if err != nil {
+		return &Decoded{Name: t.Name, WarmData: t.WarmData, DepBug: depBug, Err: err}
+	}
 	dec := isa.Decoder{DepBug: depBug}
-	n := len(t.Events)
+	n := len(events)
 	d := &Decoded{
 		Name:      t.Name,
 		WarmData:  t.WarmData,
@@ -92,8 +98,8 @@ func decodeTrace(t *Trace, depBug bool) *Decoded {
 		TakenBits: make([]uint64, (n+63)/64),
 	}
 	ids := make(map[uint32]uint32, 256)
-	for i := range t.Events {
-		ev := &t.Events[i]
+	for i := range events {
+		ev := &events[i]
 		id, ok := ids[ev.Word]
 		if !ok {
 			// PC 0 matches the legacy per-word decode cache, so error

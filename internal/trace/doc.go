@@ -17,4 +17,10 @@
 // fingerprint it keys the simulation cache (internal/simcache), so
 // identical replays are recognized no matter how the trace was produced
 // or what it was named.
+//
+// Name, length, WarmData and Digest are also all that a replay answered
+// from the cache ever asks of a trace. A Trace can therefore exist in a
+// deferred state (Deferred) that carries exactly that Identity, remembered
+// from an earlier generation, and generates its events only when a reader
+// needs them — a cache miss — checking that they are the remembered ones.
 package trace

@@ -43,8 +43,12 @@ type Writer struct {
 	buf     [2 * binary.MaxVarintLen64]byte
 }
 
-// WriteTo serialises t to w.
+// WriteTo serialises t to w, materializing t if it is deferred.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
+	events, err := t.events()
+	if err != nil {
+		return 0, err
+	}
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -72,16 +76,16 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	if _, err := bw.WriteString(t.Name); err != nil {
 		return cw.n, err
 	}
-	if err := put(uint64(len(t.Events))); err != nil {
+	if err := put(uint64(len(events))); err != nil {
 		return cw.n, err
 	}
 	wr := Writer{w: bw}
-	for _, ev := range t.Events {
+	for _, ev := range events {
 		if err := wr.writeEvent(ev); err != nil {
 			return cw.n, err
 		}
 	}
-	err := bw.Flush()
+	err = bw.Flush()
 	return cw.n, err
 }
 

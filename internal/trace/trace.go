@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"racesim/internal/emu"
 	"racesim/internal/isa"
@@ -25,9 +27,15 @@ func FromInst(in isa.Inst) Event {
 	return Event{PC: in.PC, Word: in.Word, MemAddr: in.MemAddr, Target: in.Target, Taken: in.Taken}
 }
 
-// Trace is an in-memory recording of a single-threaded execution.
+// Trace is an in-memory recording of a single-threaded execution. It is in
+// one of two states. An ordinary trace holds its Events. A deferred trace
+// (see Deferred) holds only its Identity: Name, Len, WarmData and Digest
+// answer from it, and Events stays nil until something reads events —
+// Decoded, NewCursor, WriteTo — which runs the generator, once.
 type Trace struct {
-	Name   string
+	Name string
+	// Events is nil while the trace is deferred; read events through
+	// Decoded, NewCursor or WriteTo, which materialize it first.
 	Events []Event
 	// WarmData records that the traced program initialized its data
 	// before the captured region (as SPEC workloads do). Hardware page
@@ -42,10 +50,90 @@ type Trace struct {
 	// DepBug); see Decoded.
 	decodedOnce [2]sync.Once
 	decoded     [2]*Decoded
+
+	deferred *deferred // nil for an ordinary trace
+}
+
+// Identity is what a trace's content comes to without its events: enough
+// to key the simulation cache (Digest), to report the trace (Len) and to
+// tell, when the events are generated again, that they are the same ones.
+// Like Digest it excludes the cosmetic Name.
+type Identity struct {
+	Len      int
+	WarmData bool
+	Digest   string // as Trace.Digest returns it
+}
+
+// Identity returns the trace's identity, digesting it if nothing has yet.
+func (t *Trace) Identity() Identity {
+	return Identity{Len: t.Len(), WarmData: t.WarmData, Digest: t.Digest()}
+}
+
+// deferred is the state of a trace whose events have not been asked for.
+type deferred struct {
+	id       Identity
+	generate func() (*Trace, error)
+	once     sync.Once
+	err      error
+	resident atomic.Bool // Events is set
+}
+
+// Deferred returns a trace named name in the deferred state: it answers
+// Len, WarmData and Digest from id — remembered from an earlier generation
+// of the same trace — and calls generate only when something first reads
+// its events, at most once however many readers race for them. What
+// generate returns is digested again and must match id in count, flag and
+// digest; if it does not (or generate fails) every reader gets that error
+// — Decoded carries it in Decoded.Err, so the simulation that asked fails
+// — and never the events of some other trace.
+func Deferred(name string, id Identity, generate func() (*Trace, error)) *Trace {
+	return &Trace{Name: name, WarmData: id.WarmData, deferred: &deferred{id: id, generate: generate}}
+}
+
+// events returns the trace's events, materializing a deferred trace.
+func (t *Trace) events() ([]Event, error) {
+	if d := t.deferred; d != nil {
+		d.once.Do(func() { d.err = t.materialize() })
+		if d.err != nil {
+			return nil, d.err
+		}
+	}
+	return t.Events, nil
+}
+
+func (t *Trace) materialize() error {
+	d := t.deferred
+	g, err := d.generate()
+	d.generate = nil // whatever the closure holds is no longer needed
+	if err != nil {
+		return fmt.Errorf("trace %s: generating the events of a deferred trace: %w", t.Name, err)
+	}
+	if got := g.Identity(); got != d.id {
+		return fmt.Errorf("trace %s: generated %d events (warm data %v) with digest %s, but was remembered as %d events (warm data %v) with digest %s: "+
+			"the generator is not a function of its parameters, or the remembered identity is not this trace's",
+			t.Name, got.Len, got.WarmData, got.Digest, d.id.Len, d.id.WarmData, d.id.Digest)
+	}
+	t.Events = g.Events
+	d.resident.Store(true)
+	return nil
 }
 
 // Len returns the number of dynamic instructions in the trace.
-func (t *Trace) Len() int { return len(t.Events) }
+func (t *Trace) Len() int {
+	if t.deferred != nil {
+		return t.deferred.id.Len
+	}
+	return len(t.Events)
+}
+
+// Resident returns how many events the trace holds in memory: Len, or 0
+// for a deferred trace nothing has read events from yet.
+func (t *Trace) Resident() int {
+	if d := t.deferred; d != nil && !d.resident.Load() {
+		return 0
+	}
+	return len(t.Events)
+}
 
 // Digest returns a stable hex identity of the trace content: every dynamic
 // event plus the WarmData flag (which changes timing), excluding the
@@ -53,6 +141,9 @@ func (t *Trace) Len() int { return len(t.Events) }
 // entries. The digest is computed once and memoized; callers must not
 // mutate Events after the first call.
 func (t *Trace) Digest() string {
+	if t.deferred != nil {
+		return t.deferred.id.Digest
+	}
 	t.digestOnce.Do(func() {
 		h := sha256.New()
 		var buf [29]byte
@@ -89,19 +180,27 @@ type Source interface {
 
 // Cursor is a Source over an in-memory Trace.
 type Cursor struct {
-	t   *Trace
-	pos int
+	events []Event
+	pos    int
 }
 
-// NewCursor returns a Source reading t from the beginning.
-func NewCursor(t *Trace) *Cursor { return &Cursor{t: t} }
+// NewCursor returns a Source reading t from the beginning. The error is
+// that of materializing a deferred trace (see Deferred); an ordinary trace
+// has none.
+func NewCursor(t *Trace) (*Cursor, error) {
+	events, err := t.events()
+	if err != nil {
+		return nil, err
+	}
+	return &Cursor{events: events}, nil
+}
 
 // Next implements Source.
 func (c *Cursor) Next() (Event, bool) {
-	if c.pos >= len(c.t.Events) {
+	if c.pos >= len(c.events) {
 		return Event{}, false
 	}
-	ev := c.t.Events[c.pos]
+	ev := c.events[c.pos]
 	c.pos++
 	return ev, true
 }
@@ -110,7 +209,7 @@ func (c *Cursor) Next() (Event, bool) {
 func (c *Cursor) Reset() { c.pos = 0 }
 
 // Len implements Source.
-func (c *Cursor) Len() int { return len(c.t.Events) }
+func (c *Cursor) Len() int { return len(c.events) }
 
 // chunkEvents is the unit a recording in progress grows by.
 const chunkEvents = 1 << 13
@@ -172,11 +271,13 @@ func Record(name string, prog *isa.Program, maxInst uint64) (*Trace, error) {
 }
 
 // ClassMix counts dynamic instructions per timing class, using a correct
-// decoder. Invalid words are counted under ClassNop.
+// decoder. Invalid words are counted under ClassNop. A deferred trace that
+// cannot materialize counts as empty; Decoded and NewCursor report why.
 func (t *Trace) ClassMix() [isa.NumClasses]int {
 	var mix [isa.NumClasses]int
 	var d isa.Decoder
-	for _, ev := range t.Events {
+	events, _ := t.events()
+	for _, ev := range events {
 		in, err := d.Decode(ev.PC, ev.Word)
 		if err != nil {
 			mix[isa.ClassNop]++

@@ -120,7 +120,10 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 
 func TestCursor(t *testing.T) {
 	tr := sampleTrace(t)
-	c := NewCursor(tr)
+	c, err := NewCursor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Len() != tr.Len() {
 		t.Errorf("cursor len = %d", c.Len())
 	}

@@ -21,6 +21,18 @@
 // Options.TraceMemo — the serve pool's process-lifetime one — or, when
 // the caller gave none, a private one that dies with the job.
 //
+// A memo dies with its process; what it generated need not. Given an
+// IdentityStore (WithIdentities: in practice the job's simulation cache,
+// and so its snapshot), the memo records each generated trace's identity —
+// event count, WarmData flag, content digest — under its key, and on a
+// later first request, in this process or another of the same build,
+// returns the trace in the deferred state (trace.Deferred): named, counted
+// and digested, which is all a simulation-cache lookup or a report needs,
+// its generator not run unless something reads events — in practice the
+// first simulation-cache miss. A job answered entirely from a snapshot
+// therefore generates nothing. Only requests that say what the trace will
+// be called (Named, and the Ubench and Workload helpers) can be deferred.
+//
 // Entries are evicted least-recently-used against a byte budget and,
 // optionally, by age — a memoized trace is a pure function of its key,
 // so age eviction exists only to bound memory held for job shapes that
@@ -35,6 +47,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"racesim/internal/trace"
@@ -72,12 +85,12 @@ func workloadKey(p workload.Profile, o workload.Options) string {
 
 // Ubench returns the trace of micro-benchmark b generated under o.
 func (m *Memo) Ubench(b ubench.Bench, o ubench.Options) (*trace.Trace, error) {
-	return m.Get(ubenchKey(b, o), func() (*trace.Trace, error) { return b.Trace(o) })
+	return m.Named(ubenchKey(b, o), b.Name, func() (*trace.Trace, error) { return b.Trace(o) })
 }
 
 // Workload returns the trace synthesized from profile p under o.
 func (m *Memo) Workload(p workload.Profile, o workload.Options) (*trace.Trace, error) {
-	return m.Get(workloadKey(p, o), func() (*trace.Trace, error) { return workload.Generate(p, o) })
+	return m.Named(workloadKey(p, o), p.Name, func() (*trace.Trace, error) { return workload.Generate(p, o) })
 }
 
 // eventFootprint approximates the resident bytes one dynamic trace event
@@ -90,9 +103,20 @@ const eventFootprint = 40 + 2*36
 // element, decode tables) beyond the event columns.
 const entryOverhead = 512
 
-// Size estimates the resident bytes of a memoized trace.
+// Size estimates the resident bytes of a memoized trace: a deferred one
+// costs its overhead until it materializes.
 func Size(t *trace.Trace) int64 {
-	return int64(len(t.Events))*eventFootprint + entryOverhead
+	return int64(t.Resident())*eventFootprint + entryOverhead
+}
+
+// IdentityStore remembers, beyond the life of a memo or its process, what
+// each memo key generated. simcache.TraceIdentities is the implementation:
+// identities ride the simulation cache's snapshot.
+type IdentityStore interface {
+	LookupIdentity(key string) (trace.Identity, bool)
+	// RecordIdentity remembers tr's identity under key. A store that will
+	// not keep it leaves tr undigested.
+	RecordIdentity(key string, tr *trace.Trace)
 }
 
 type mentry struct {
@@ -109,29 +133,36 @@ type flight struct {
 	err  error
 }
 
-// Stats reports memo effectiveness.
+// Stats reports memo effectiveness. Hits and Misses count requests — a
+// request that waited for another's generation is a hit — and Generated
+// counts generator runs: one per miss, unless the miss was answered from a
+// remembered identity, whose generator runs when events are first read, if
+// ever.
 type Stats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Evicted uint64 `json:"evicted"`
-	Entries int    `json:"entries"`
-	Bytes   int64  `json:"bytes"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Generated uint64 `json:"generated"`
+	Evicted   uint64 `json:"evicted"`
+	Entries   int    `json:"entries"`
+	Bytes     int64  `json:"bytes"`
 }
 
 // Memo is a budget-bounded, age-aware trace memoization table, safe for
 // concurrent use. Concurrent Gets of the same key generate once: the
 // first claims the key, the rest wait for its result.
 type Memo struct {
-	mu       sync.Mutex
-	budget   int64         // bytes; <= 0 = unbounded
-	maxAge   time.Duration // <= 0 = no age eviction
-	used     int64
-	entries  map[string]*mentry
-	lru      *list.List // front = most recently used
-	inflight map[string]*flight
-	hits     uint64
-	misses   uint64
-	evicted  uint64
+	mu        sync.Mutex
+	budget    int64         // bytes; <= 0 = unbounded
+	maxAge    time.Duration // <= 0 = no age eviction
+	used      int64
+	entries   map[string]*mentry
+	lru       *list.List // front = most recently used
+	inflight  map[string]*flight
+	ids       IdentityStore // nil: nothing outlives the memo
+	hits      uint64
+	misses    uint64
+	generated atomic.Uint64
+	evicted   uint64
 }
 
 // New returns a memo bounded by budget bytes (<= 0: unbounded) and
@@ -146,10 +177,32 @@ func New(budget int64, maxAge time.Duration) *Memo {
 	}
 }
 
+// WithIdentities makes m remember what it generates in ids and answer
+// first requests from what ids remembers (see the package comment), and
+// returns m. Call it before the memo is shared; nil ids, or a nil memo,
+// changes nothing.
+func (m *Memo) WithIdentities(ids IdentityStore) *Memo {
+	if m != nil {
+		m.ids = ids
+	}
+	return m
+}
+
 // Get returns the memoized trace for key, generating and storing it on
 // first request. A generation error is returned but never stored, so a
 // later Get retries. On a nil memo, Get just generates.
 func (m *Memo) Get(key string, generate func() (*trace.Trace, error)) (*trace.Trace, error) {
+	return m.Named(key, "", generate)
+}
+
+// Named is Get for a caller that knows the Name generate will give the
+// trace — what lets the memo hand it out before it exists. With a
+// non-empty name and an identity store, a first request whose key the
+// store remembers returns the deferred trace (a generation error, or
+// events that do not match what was remembered, then reach whoever reads
+// events first, not this caller), and a first request it does not
+// remember generates now and records the identity, digesting the trace.
+func (m *Memo) Named(key, name string, generate func() (*trace.Trace, error)) (*trace.Trace, error) {
 	if m == nil {
 		return generate()
 	}
@@ -166,6 +219,7 @@ func (m *Memo) Get(key string, generate func() (*trace.Trace, error)) (*trace.Tr
 		}
 	}
 	if fl, ok := m.inflight[key]; ok {
+		m.hits++
 		m.mu.Unlock()
 		<-fl.done
 		return fl.tr, fl.err
@@ -175,7 +229,7 @@ func (m *Memo) Get(key string, generate func() (*trace.Trace, error)) (*trace.Tr
 	m.misses++
 	m.mu.Unlock()
 
-	tr, err := generate()
+	tr, err := m.resolve(key, name, generate)
 	fl.tr, fl.err = tr, err
 
 	m.mu.Lock()
@@ -190,6 +244,48 @@ func (m *Memo) Get(key string, generate func() (*trace.Trace, error)) (*trace.Tr
 	m.mu.Unlock()
 	close(fl.done)
 	return tr, err
+}
+
+// resolve answers a miss: from the identity store when it remembers key,
+// by generating (and telling the store) otherwise.
+func (m *Memo) resolve(key, name string, generate func() (*trace.Trace, error)) (*trace.Trace, error) {
+	counted := func() (*trace.Trace, error) {
+		m.generated.Add(1)
+		return generate()
+	}
+	if m.ids == nil || name == "" {
+		return counted()
+	}
+	if id, ok := m.ids.LookupIdentity(key); ok {
+		var tr *trace.Trace
+		tr = trace.Deferred(name, id, func() (*trace.Trace, error) {
+			g, err := counted()
+			if err == nil {
+				m.grew(key, tr, int64(g.Len())*eventFootprint)
+			}
+			return g, err
+		})
+		return tr, nil
+	}
+	tr, err := counted()
+	if err == nil && tr != nil {
+		m.ids.RecordIdentity(key, tr)
+	}
+	return tr, err
+}
+
+// grew charges key's entry, if it still holds tr, the bytes tr gained by
+// materializing, and applies the budget. The entry counts as just used:
+// something is simulating it.
+func (m *Memo) grew(key string, tr *trace.Trace, by int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[key]; ok && e.tr == tr {
+		e.size += by
+		m.used += by
+		m.lru.MoveToFront(e.elem)
+		m.evictLocked()
+	}
 }
 
 // evictLocked drops least-recently-used entries until within budget. The
@@ -220,10 +316,11 @@ func (m *Memo) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Hits:    m.hits,
-		Misses:  m.misses,
-		Evicted: m.evicted,
-		Entries: len(m.entries),
-		Bytes:   m.used,
+		Hits:      m.hits,
+		Misses:    m.misses,
+		Generated: m.generated.Load(),
+		Evicted:   m.evicted,
+		Entries:   len(m.entries),
+		Bytes:     m.used,
 	}
 }

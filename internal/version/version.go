@@ -7,9 +7,12 @@
 package version
 
 import (
+	"debug/elf"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
+	"sync"
 )
 
 // Release is the racesim release string. Overridable at link time:
@@ -62,3 +65,42 @@ func Get() Info {
 func (i Info) String() string {
 	return fmt.Sprintf("racesim %s %s commit %s", i.Version, i.GoVersion, i.Commit)
 }
+
+// BuildID returns the Go build ID the linker stamped into the running
+// executable (its .note.go.buildid ELF note, read once per process): a
+// hash over everything that was compiled in, so two processes report the
+// same ID exactly when they run the same code. It scopes what one process
+// may believe of another about code rather than inputs — a trace memo key
+// covers a generator's parameters, not the generator (simcache's trace
+// identities). It is "" where it cannot be read (not an ELF executable, no
+// such note); callers then share nothing across processes.
+func BuildID() string { return buildID() }
+
+var buildID = sync.OnceValue(func() string {
+	exe, err := os.Executable()
+	if err != nil {
+		return ""
+	}
+	f, err := elf.Open(exe)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sec := f.Section(".note.go.buildid")
+	if sec == nil {
+		return ""
+	}
+	// An ELF note: name size, descriptor size, type, then the name ("Go")
+	// and the descriptor (the build ID), each padded to four bytes.
+	note, err := sec.Data()
+	if err != nil || len(note) < 12 {
+		return ""
+	}
+	nameSize := uint64(f.ByteOrder.Uint32(note[0:]))
+	descSize := uint64(f.ByteOrder.Uint32(note[4:]))
+	desc := 12 + (nameSize+3)&^3
+	if desc+descSize > uint64(len(note)) {
+		return ""
+	}
+	return string(note[desc : desc+descSize])
+})

@@ -27,7 +27,11 @@ func runCursor(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	return m.Run(trace.NewCursor(tr))
+	src, err := trace.NewCursor(tr)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return m.Run(src)
 }
 
 // parityTraces returns replay-parity fixtures spanning both trace sources:
