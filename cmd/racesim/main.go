@@ -123,9 +123,8 @@ func main() {
 }
 
 // lifecycleFlags registers the engine options every subcommand shares.
-func lifecycleFlags(fs *flag.FlagSet) (parallelism, lanes *int, cache, cpuprofile, memprofile *string) {
+func lifecycleFlags(fs *flag.FlagSet) (parallelism *int, cache, cpuprofile, memprofile *string) {
 	parallelism = fs.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	lanes = fs.Int("lanes", 0, "lane-batch simulations sharing a trace, up to this many per column walk (0 or 1 = per-config replay; output is identical)")
 	cache = fs.String("cache", "", "JSON file persisting the simulation cache across runs")
 	cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -133,10 +132,9 @@ func lifecycleFlags(fs *flag.FlagSet) (parallelism, lanes *int, cache, cpuprofil
 }
 
 // execute runs one job on the engine with streamed output.
-func execute(job engine.Job, parallelism, lanes int, cache, cpuprofile, memprofile string) error {
+func execute(job engine.Job, parallelism int, cache, cpuprofile, memprofile string) error {
 	_, err := engine.Execute(job, engine.Options{
 		Parallelism: parallelism,
-		Lanes:       lanes,
 		CachePath:   cache,
 		CPUProfile:  cpuprofile,
 		MemProfile:  memprofile,
@@ -158,7 +156,7 @@ func cmdRun(args []string) error {
 		scale      = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
 		seed       = fs.Int64("seed", 0, "workload generator seed")
 	)
-	parallelism, lanes, cache, cpuprofile, memprofile := lifecycleFlags(fs)
+	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
 	return execute(engine.Job{
 		Kind: engine.KindRun,
@@ -172,7 +170,7 @@ func cmdRun(args []string) error {
 			Scale:      *scale,
 			Seed:       *seed,
 		},
-	}, *parallelism, *lanes, *cache, *cpuprofile, *memprofile)
+	}, *parallelism, *cache, *cpuprofile, *memprofile)
 }
 
 func cmdExperiments(args []string) error {
@@ -194,7 +192,7 @@ func cmdExperiments(args []string) error {
 		out          = fs.String("out", "", "also write results to this file")
 		quiet        = fs.Bool("q", false, "suppress progress output")
 	)
-	parallelism, lanes, cache, cpuprofile, memprofile := lifecycleFlags(fs)
+	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
 	return execute(engine.Job{
 		Kind: engine.KindExperiments,
@@ -215,7 +213,7 @@ func cmdExperiments(args []string) error {
 			OutPath:         *out,
 			Quiet:           *quiet,
 		},
-	}, *parallelism, *lanes, *cache, *cpuprofile, *memprofile)
+	}, *parallelism, *cache, *cpuprofile, *memprofile)
 }
 
 func cmdValidate(args []string) error {
@@ -233,7 +231,7 @@ func cmdValidate(args []string) error {
 		reportDir = fs.String("report-dir", "", "persist the report JSON to <dir>/validate-<core>.json (diffable history)")
 		gate      = fs.Bool("gate", false, "fail (exit non-zero) when the report violates the budget; implies -report")
 	)
-	parallelism, lanes, cache, cpuprofile, memprofile := lifecycleFlags(fs)
+	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
 	return execute(engine.Job{
 		Kind: engine.KindValidate,
@@ -250,7 +248,7 @@ func cmdValidate(args []string) error {
 			ReportDir:  *reportDir,
 			Gate:       *gate,
 		},
-	}, *parallelism, *lanes, *cache, *cpuprofile, *memprofile)
+	}, *parallelism, *cache, *cpuprofile, *memprofile)
 }
 
 func cmdUbench(args []string) error {
@@ -265,7 +263,7 @@ func cmdUbench(args []string) error {
 		scale   = fs.Float64("scale", 0.01, "scale factor")
 		initArr = fs.Bool("init-arrays", false, "initialize arrays before the timed loop")
 	)
-	parallelism, lanes, cache, cpuprofile, memprofile := lifecycleFlags(fs)
+	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
 	return execute(engine.Job{
 		Kind: engine.KindUbench,
@@ -279,7 +277,7 @@ func cmdUbench(args []string) error {
 			Scale:      *scale,
 			InitArrays: *initArr,
 		},
-	}, *parallelism, *lanes, *cache, *cpuprofile, *memprofile)
+	}, *parallelism, *cache, *cpuprofile, *memprofile)
 }
 
 func cmdServe(args []string) error {
@@ -289,7 +287,6 @@ func cmdServe(args []string) error {
 		workers     = fs.Int("workers", 1, "concurrent jobs (each fans simulations across -parallelism cores)")
 		queueDepth  = fs.Int("queue-depth", 64, "maximum queued jobs before POST /v1/jobs answers 503")
 		parallelism = fs.Int("parallelism", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
-		lanes       = fs.Int("lanes", 0, "lane-batch simulations sharing a trace within each job (0 or 1 = per-config replay)")
 		cache       = fs.String("cache", "", "warm the shared cache from this snapshot at startup; saved on drain")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Minute, "how long SIGTERM waits for running jobs before exiting")
 		announce    = fs.String("announce", "", "write the bound listen address to this file once serving (for -addr :0 spawners)")
@@ -304,7 +301,6 @@ func cmdServe(args []string) error {
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	opts := engine.ServerOptions{
 		Parallelism:   *parallelism,
-		Lanes:         *lanes,
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,
 		CachePath:     *cache,

@@ -91,15 +91,25 @@ func loadLoop(iters int) string {
 	return b.String()
 }
 
-// replayOne runs one in-order and one out-of-order lane of d through the
+// replayInOrder is ReplayInOrder with d's behavior table and class
+// histogram computed on the spot.
+func replayInOrder(cfg InOrderConfig, d *trace.Decoded, tapes *TapeMemo) (Result, error) {
+	behav := CompileBehaviors(d.Insts)
+	classes := ClassHistogram(d.IDs, behav)
+	return ReplayInOrder(cfg, d, behav, &classes, tapes)
+}
+
+// replayOne runs one in-order and one out-of-order replay of d through the
 // production path with the given memos.
 func replayOne(ino InOrderConfig, ooo OoOConfig, d *trace.Decoded, inoTapes, oooTapes *TapeMemo) (Result, Result, error) {
-	var a, b [1]Result
-	if err := ReplayInOrder([]InOrderConfig{ino}, d, nil, nil, inoTapes, a[:]); err != nil {
+	a, err := replayInOrder(ino, d, inoTapes)
+	if err != nil {
 		return Result{}, Result{}, err
 	}
-	err := ReplayOoO([]OoOConfig{ooo}, d, nil, nil, oooTapes, b[:])
-	return a[0], b[0], err
+	behav := CompileBehaviors(d.Insts)
+	classes := ClassHistogram(d.IDs, behav)
+	b, err := ReplayOoO(ooo, d, behav, &classes, oooTapes)
+	return a, b, err
 }
 
 // TestTapeDesyncFailsSimulation: a tape is only good for the trace and the
@@ -148,15 +158,14 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 	var planted TapeMemo
 	planted.sight(&wideKey)
 	planted.publish(&wideKey, tape)
-	var out [1]Result
-	if err := ReplayInOrder([]InOrderConfig{wide}, d, nil, nil, &planted, out[:]); err == nil {
+	if _, err := replayInOrder(wide, d, &planted); err == nil {
 		t.Error("a tape replayed under another L1I line size returned a result")
 	}
 }
 
-// TestEvictedTapeStillPlays: one batch holds a lane replaying a tape and
-// enough lanes of other functional configurations to evict that tape from
-// the memo before the walk begins. The tape is immutable and the lane holds
+// TestEvictedTapeStillPlays: a replay that began on a tape keeps it when
+// concurrent replays of other functional configurations evict it from the
+// memo before the walk is over. The tape is immutable and the lane holds
 // it, so the lane's result is still the untaped model's.
 func TestEvictedTapeStillPlays(t *testing.T) {
 	tr := record(t, strideMisses())
@@ -165,35 +174,37 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	want := runInOrder(t, cfg, tr)
 
 	var tapes TapeMemo
-	var one [1]Result
 	for i := 0; i < 2; i++ { // note, then record
-		if err := ReplayInOrder([]InOrderConfig{cfg}, d, nil, nil, &tapes, one[:]); err != nil {
+		if _, err := replayInOrder(cfg, d, &tapes); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := tapes.Stats(); st.Tapes != 1 {
 		t.Fatalf("%d tapes after the second sighting, want 1", st.Tapes)
 	}
-	cfgs := []InOrderConfig{cfg}
-	for i := 0; i < tapeMemoKeys; i++ {
-		other := cfg
-		other.Mem = keyed(i)
-		cfgs = append(cfgs, other)
-	}
-	out := make([]Result, len(cfgs))
-	if err := ReplayInOrder(cfgs, d, nil, nil, &tapes, out); err != nil {
+	// ReplayInOrder's own steps, with the other replays' sightings placed
+	// between its reset and its walk.
+	ln := new(inOrderLane)
+	if err := ln.reset(cfg, &tapes); err != nil {
 		t.Fatal(err)
 	}
-	st := tapes.Stats()
-	if st.Replayed != 1 || st.Tapes != 0 {
-		t.Fatalf("stats %+v: want lane 0 to have replayed the tape and the other lanes to have evicted it", st)
+	for i := 0; i < tapeMemoKeys; i++ {
+		key := keyed(i).Functional()
+		tapes.sight(&key)
 	}
-	if out[0] != want {
-		t.Errorf("a lane whose tape was evicted mid-play differs from the untaped model\n got  %+v\n want %+v", out[0], want)
+	if st := tapes.Stats(); st.Replayed != 1 || st.Tapes != 0 {
+		t.Fatalf("stats %+v: want the lane to be replaying the tape and the other sightings to have evicted it", st)
 	}
-	for i, other := range cfgs[1:] {
-		if got := runInOrder(t, other, tr); out[i+1] != got {
-			t.Errorf("lane %d differs from the untaped model", i+1)
-		}
+	behav := CompileBehaviors(d.Insts)
+	for i, id := range d.IDs {
+		ln.stepLane(&behav[id], d.PC[i], d.MemAddr[i], d.Target[i], d.Taken(i))
+	}
+	if err := tapes.done(ln.hier); err != nil {
+		t.Fatal(err)
+	}
+	classes := ClassHistogram(d.IDs, behav)
+	addCounts(&ln.res, uint64(len(d.IDs)), &classes)
+	if got := ln.finish(); got != want {
+		t.Errorf("a lane whose tape was evicted mid-play differs from the untaped model\n got  %+v\n want %+v", got, want)
 	}
 }

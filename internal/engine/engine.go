@@ -174,10 +174,6 @@ type Options struct {
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS). Output
 	// is byte-identical for any value.
 	Parallelism int
-	// Lanes, when > 1, lane-batches simulations sharing a trace through
-	// shared column walks (run/experiments/validate jobs; see
-	// sim.RunBatch). Output is byte-identical for any value.
-	Lanes int
 	// CachePath names a JSON snapshot persisting the simulation cache
 	// across runs: loaded before the job, saved after. Ignored when Cache
 	// is set (the cache owner handles persistence).
@@ -271,7 +267,6 @@ type Result struct {
 type env struct {
 	ctx    context.Context
 	par    int
-	lanes  int
 	cache  *simcache.Cache
 	memo   *tracememo.Memo // the caller's, or private to this job
 	traces tracememo.Stats // memo's counters when the job started
@@ -431,7 +426,6 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 	e := &env{
 		ctx:    ctx,
 		par:    opts.Parallelism,
-		lanes:  opts.Lanes,
 		cache:  opts.Cache,
 		memo:   opts.TraceMemo,
 		shared: opts.Cache != nil,

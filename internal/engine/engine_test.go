@@ -74,21 +74,6 @@ func TestRunJobBatchDeterministicAcrossCacheWarmth(t *testing.T) {
 	}
 }
 
-func TestRunJobLanesOutputIdentical(t *testing.T) {
-	job := Job{Kind: KindRun, Run: &RunJob{Ubench: "MD,CS1,MIP", Scale: 0.002}}
-	plain, err := Execute(job, Options{Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	laned, err := Execute(job, Options{Lanes: 8, Capture: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Artifact != laned.Artifact {
-		t.Errorf("artifact changed under -lanes:\nplain:\n%s\nlaned:\n%s", plain.Artifact, laned.Artifact)
-	}
-}
-
 func TestRunJobInlineConfigJSON(t *testing.T) {
 	cfg := sim.PublicA72()
 	data, err := json.Marshal(cfg)

@@ -132,7 +132,6 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 			BudgetRound2:   budget2,
 			Seed:           j.Seed,
 			Parallelism:    e.par,
-			Lanes:          e.lanes,
 			Cache:          e.cache,
 			TraceMemo:      e.memo,
 			Context:        e.ctx,

@@ -159,12 +159,7 @@ func (e *env) runJob(j *RunJob) error {
 	if err != nil {
 		return err
 	}
-	runner := expt.NewRunner(e.cache, e.par).WithContext(e.ctx).WithLanes(e.lanes)
-	units := make([]expt.Unit, len(trs))
-	for i, tr := range trs {
-		units[i] = expt.Unit{Config: cfg, Trace: tr}
-	}
-	results, err := runner.RunAll(units)
+	results, err := e.cache.RunBatch(e.ctx, []sim.Config{cfg}, trs, e.par)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,8 @@ import (
 	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/isa"
-	"racesim/internal/par"
 	"racesim/internal/sim"
+	"racesim/internal/trace"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
@@ -105,14 +105,17 @@ func (c compared) errPct() float64 {
 // compare runs the model on every measurement's trace through the cache,
 // on the worker pool, in measurement order.
 func (e *env) compare(cfg sim.Config, ms []validate.Measurement) ([]compared, error) {
-	out := make([]compared, len(ms))
-	err := par.ForEach(len(ms), e.par, func(i int) error {
-		res, err := e.cache.Run(cfg, ms[i].Trace)
-		out[i] = compared{Measurement: ms[i], model: res}
-		return err
-	})
+	trs := make([]*trace.Trace, len(ms))
+	for i, m := range ms {
+		trs[i] = m.Trace
+	}
+	rs, err := e.cache.RunBatch(e.ctx, []sim.Config{cfg}, trs, e.par)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]compared, len(ms))
+	for i, m := range ms {
+		out[i] = compared{Measurement: m, model: rs[i]}
 	}
 	return out, nil
 }

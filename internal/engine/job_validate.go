@@ -60,7 +60,6 @@ func (e *env) validateJob(j *ValidateJob) error {
 		Cache:        e.cache,
 		TraceMemo:    e.memo,
 		Parallelism:  e.par,
-		Lanes:        e.lanes,
 		Context:      e.ctx,
 		Log:          logf,
 	})

@@ -24,9 +24,6 @@ type ServerOptions struct {
 	// Parallelism bounds concurrent simulations within one job (<=0:
 	// GOMAXPROCS).
 	Parallelism int
-	// Lanes, when > 1, lane-batches simulations sharing a trace within
-	// each job (see engine.Options.Lanes).
-	Lanes int
 	// Workers is the number of jobs executing concurrently (default 1 —
 	// jobs already fan their simulation units across Parallelism cores).
 	Workers int
@@ -300,7 +297,6 @@ func (s *Server) worker() {
 		// children. The engine parents its own spans under the run span.
 		opts := Options{
 			Parallelism: s.opts.Parallelism,
-			Lanes:       s.opts.Lanes,
 			Cache:       s.cache,
 			TraceMemo:   s.memo,
 			Stderr:      st.ring, // live progress ring

@@ -33,10 +33,6 @@ type Options struct {
 	// value: simulation is deterministic and results are reassembled in
 	// submission order.
 	Parallelism int
-	// Lanes, when > 1, lane-batches simulation units sharing a trace
-	// through shared column walks (see Runner.WithLanes). Results are
-	// identical to per-unit scheduling.
-	Lanes int
 	// Cache, when non-nil, memoizes simulation results — the boards'
 	// replays included — across all experiments (and across processes via
 	// simcache LoadFile/SaveFile).
@@ -103,7 +99,7 @@ func NewContext(opts Options) (*Context, error) {
 	}
 	return &Context{
 		opts: o, plat: plat.WithCache(o.Cache),
-		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context).WithLanes(o.Lanes),
+		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context),
 		memo:   memo,
 	}, nil
 }
@@ -141,7 +137,6 @@ func (c *Context) StagesA53() ([]validate.StageResult, error) {
 		Cache:        c.runner.Cache(),
 		TraceMemo:    c.memo,
 		Parallelism:  c.runner.Parallelism(),
-		Lanes:        c.runner.Lanes(),
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
 	})
@@ -165,7 +160,6 @@ func (c *Context) StagesA72() ([]validate.StageResult, error) {
 		Cache:        c.runner.Cache(),
 		TraceMemo:    c.memo,
 		Parallelism:  c.runner.Parallelism(),
-		Lanes:        c.runner.Lanes(),
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
 	})
@@ -286,7 +280,6 @@ func (c *Context) Fig2() (Experiment, error) {
 	res, err := validate.Tune(sim.PublicA53(), ms, validate.TuneOptions{
 		Budget: c.opts.BudgetRound1, Seed: c.opts.Seed,
 		Cache: c.runner.Cache(), Parallelism: c.runner.Parallelism(),
-		Lanes:   c.runner.Lanes(),
 		Context: c.opts.Context,
 		Log:     c.opts.Log,
 	})
@@ -382,11 +375,11 @@ func (c *Context) Fig4() (Experiment, error) {
 // shared cache. It returns per-workload relative CPI errors, their mean
 // and the worst case.
 func (c *Context) SpecErrors(cfg sim.Config, ws []perturb.Workload) (map[string]float64, float64, float64, error) {
-	units := make([]Unit, len(ws))
+	trs := make([]*trace.Trace, len(ws))
 	for i, w := range ws {
-		units[i] = Unit{Config: cfg, Trace: w.Trace}
+		trs[i] = w.Trace
 	}
-	results, err := c.runner.RunAll(units)
+	results, err := c.runner.RunAll([]sim.Config{cfg}, trs)
 	if err != nil {
 		return nil, 0, 0, err
 	}

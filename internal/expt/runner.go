@@ -2,7 +2,6 @@ package expt
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"racesim/internal/core"
@@ -13,14 +12,6 @@ import (
 	"racesim/internal/trace"
 )
 
-// Unit is one independent simulation: a configuration replaying one trace.
-// Experiments decompose into slices of Units so the Runner can schedule
-// them across workers and deduplicate repeats through the shared cache.
-type Unit struct {
-	Config sim.Config
-	Trace  *trace.Trace
-}
-
 // Runner schedules simulation units on a bounded worker pool and memoizes
 // results through an optional shared simcache.Cache. Results always come
 // back in submission order, so output built from them is byte-identical
@@ -28,7 +19,6 @@ type Unit struct {
 type Runner struct {
 	cache *simcache.Cache
 	par   int
-	lanes int             // >1: RunAll lane-batches units sharing a trace
 	ctx   context.Context // nil: never cancelled
 }
 
@@ -53,34 +43,11 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 	return &r2
 }
 
-// WithLanes returns a copy of the runner whose RunAll groups units sharing
-// a trace and replays each group's cache misses through lane-batched
-// column walks of up to lanes configurations (see simcache.RunBatch; lane
-// results are identical to sequential runs). lanes <= 1 returns the
-// receiver unchanged: every unit is scheduled individually.
-func (r *Runner) WithLanes(lanes int) *Runner {
-	if lanes <= 1 {
-		return r
-	}
-	r2 := *r
-	r2.lanes = lanes
-	return &r2
-}
-
 // Cache exposes the shared result cache (possibly nil).
 func (r *Runner) Cache() *simcache.Cache { return r.cache }
 
 // Parallelism is the worker-pool width.
 func (r *Runner) Parallelism() int { return r.par }
-
-// Lanes is the lane-batch width RunAll uses for units sharing a trace
-// (0 or 1: per-unit scheduling).
-func (r *Runner) Lanes() int { return r.lanes }
-
-// Run simulates one unit through the cache.
-func (r *Runner) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
-	return r.cache.Run(cfg, tr)
-}
 
 // forEach runs fn(0..n-1) on the worker pool and returns the error of the
 // lowest-indexed failure (deterministic regardless of completion order).
@@ -90,68 +57,11 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	return par.ForEachCtx(r.ctx, n, r.par, fn)
 }
 
-// RunAll simulates every unit, in parallel up to the pool width, and
-// returns results aligned with the input slice. With WithLanes(>1), units
-// sharing a trace are submitted together so their cache misses replay in
-// lane-batched walks; results are identical either way.
-func (r *Runner) RunAll(units []Unit) ([]core.Result, error) {
-	if r.lanes > 1 {
-		return r.runAllBatched(units)
-	}
-	out := make([]core.Result, len(units))
-	err := r.forEach(len(units), func(i int) error {
-		res, err := r.cache.Run(units[i].Config, units[i].Trace)
-		if err != nil {
-			return fmt.Errorf("unit %d (%s on %s): %w", i, units[i].Config.Name, units[i].Trace.Name, err)
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runAllBatched is RunAll's lane-batched schedule: one pool task per
-// distinct trace, each submitting its units in one batch. The error
-// reported is still the lowest-indexed unit's, so failures are
-// deterministic regardless of which trace group finishes first.
-func (r *Runner) runAllBatched(units []Unit) ([]core.Result, error) {
-	out := make([]core.Result, len(units))
-	groups := make(map[*trace.Trace][]int)
-	var order []*trace.Trace
-	for i, u := range units {
-		if _, ok := groups[u.Trace]; !ok {
-			order = append(order, u.Trace)
-		}
-		groups[u.Trace] = append(groups[u.Trace], i)
-	}
-	unitErrs := make([]error, len(units))
-	err := r.forEach(len(order), func(g int) error {
-		idxs := groups[order[g]]
-		cfgs := make([]sim.Config, len(idxs))
-		for j, i := range idxs {
-			cfgs[j] = units[i].Config
-		}
-		rs, es := r.cache.RunBatch(cfgs, order[g], simcache.BatchOptions{Lanes: r.lanes})
-		for j, i := range idxs {
-			out[i] = rs[j]
-			if es[j] != nil {
-				unitErrs[i] = fmt.Errorf("unit %d (%s on %s): %w", i, units[i].Config.Name, units[i].Trace.Name, es[j])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range unitErrs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
+// RunAll simulates every (cfgs[i], trs[j]) pair through the shared cache,
+// in parallel up to the pool width and under the runner's context, and
+// returns the results configuration-major (simcache.Cache.RunBatch).
+func (r *Runner) RunAll(cfgs []sim.Config, trs []*trace.Trace) ([]core.Result, error) {
+	return r.cache.RunBatch(r.ctx, cfgs, trs, r.par)
 }
 
 // MeasureAll runs every trace on the board concurrently and returns the

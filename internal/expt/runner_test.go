@@ -2,7 +2,6 @@ package expt
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"racesim/internal/hw"
@@ -14,9 +13,11 @@ import (
 	"racesim/internal/version"
 )
 
-func testUnits(t *testing.T) []Unit {
+// testGrid is a small configs x traces grid: both presets on four
+// micro-benchmarks.
+func testGrid(t *testing.T) ([]sim.Config, []*trace.Trace) {
 	t.Helper()
-	var units []Unit
+	var trs []*trace.Trace
 	for _, name := range []string{"MD", "MC", "CS3", "ED1"} {
 		b, ok := ubench.ByName(name)
 		if !ok {
@@ -26,120 +27,64 @@ func testUnits(t *testing.T) []Unit {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
-			units = append(units, Unit{Config: cfg, Trace: tr})
-		}
+		trs = append(trs, tr)
 	}
-	return units
+	return []sim.Config{sim.PublicA53(), sim.PublicA72()}, trs
 }
 
 func TestRunAllParallelMatchesSequential(t *testing.T) {
-	units := testUnits(t)
+	cfgs, trs := testGrid(t)
 
-	seq, err := NewRunner(nil, 1).RunAll(units)
+	seq, err := NewRunner(nil, 1).RunAll(cfgs, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewRunner(simcache.New(), 8).RunAll(units)
+	par, err := NewRunner(simcache.New(), 8).RunAll(cfgs, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(units) || len(par) != len(units) {
-		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), len(units))
+	if n := len(cfgs) * len(trs); len(seq) != n || len(par) != n {
+		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), n)
 	}
-	for i := range units {
-		if seq[i] != par[i] {
-			t.Errorf("unit %d: parallel cached result differs from sequential uncached", i)
-		}
-		direct, err := units[i].Config.Run(units[i].Trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq[i] != direct {
-			t.Errorf("unit %d: runner result differs from direct simulation", i)
+	for i, cfg := range cfgs {
+		for j, tr := range trs {
+			k := i*len(trs) + j
+			if seq[k] != par[k] {
+				t.Errorf("%s on %s: parallel cached result differs from sequential uncached", cfg.Name, tr.Name)
+			}
+			direct, err := cfg.Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq[k] != direct {
+				t.Errorf("%s on %s: runner result differs from direct simulation", cfg.Name, tr.Name)
+			}
 		}
 	}
 }
 
 func TestRunAllDeduplicatesRepeats(t *testing.T) {
-	units := testUnits(t)
-	// Submit every unit twice; the cache must simulate each once.
-	doubled := append(append([]Unit{}, units...), units...)
+	cfgs, trs := testGrid(t)
+	// Submit every configuration twice; the cache must simulate each pair
+	// once.
+	doubled := append(append([]sim.Config{}, cfgs...), cfgs...)
 	cache := simcache.New()
-	res, err := NewRunner(cache, 4).RunAll(doubled)
+	res, err := NewRunner(cache, 4).RunAll(doubled, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range units {
-		if res[i] != res[i+len(units)] {
-			t.Errorf("unit %d: repeat submission returned a different result", i)
+	distinct := len(cfgs) * len(trs)
+	for k := 0; k < distinct; k++ {
+		if res[k] != res[k+distinct] {
+			t.Errorf("pair %d: repeat submission returned a different result", k)
 		}
 	}
 	st := cache.Stats()
-	if st.Misses != uint64(len(units)) {
-		t.Errorf("misses = %d, want %d (one per distinct unit)", st.Misses, len(units))
+	if st.Misses != uint64(distinct) {
+		t.Errorf("misses = %d, want %d (one per distinct pair)", st.Misses, distinct)
 	}
-	if st.Hits+st.Shared != uint64(len(units)) {
-		t.Errorf("hits %d + shared %d = %d, want %d", st.Hits, st.Shared, st.Hits+st.Shared, len(units))
-	}
-}
-
-func TestRunAllLaneBatchedMatchesSequential(t *testing.T) {
-	units := testUnits(t)
-	// Vary the configurations so each trace group carries several distinct
-	// lanes, not just the two presets.
-	for i := range units {
-		if units[i].Config.Kind == sim.InOrder {
-			units[i].Config.Mem.L1D.HitLatency = 2 + i%3
-		} else {
-			units[i].Config.ROBEntries = 64 + 16*(i%4)
-		}
-	}
-
-	seq, err := NewRunner(nil, 1).RunAll(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lanes := range []int{2, 16} {
-		cache := simcache.New()
-		batched, err := NewRunner(cache, 4).WithLanes(lanes).RunAll(units)
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		for i := range units {
-			if seq[i] != batched[i] {
-				t.Errorf("lanes=%d unit %d: batched result differs from sequential", lanes, i)
-			}
-		}
-		if st := cache.Stats(); st.Misses != uint64(len(units)) {
-			t.Errorf("lanes=%d: misses = %d, want %d", lanes, st.Misses, len(units))
-		}
-	}
-}
-
-func TestRunAllLaneBatchedReportsLowestIndexedError(t *testing.T) {
-	units := testUnits(t)
-	bad := units[3]
-	bad.Config.Kind = "bogus"
-	units[3] = bad
-	units[5].Config.Kind = "bogus"
-
-	_, err := NewRunner(simcache.New(), 4).WithLanes(8).RunAll(units)
-	if err == nil {
-		t.Fatal("want an error from the invalid units")
-	}
-	if !strings.Contains(err.Error(), "unit 3 ") {
-		t.Errorf("error %q does not name the lowest-indexed failing unit", err)
-	}
-}
-
-func TestWithLanesNoOpBelowTwo(t *testing.T) {
-	r := NewRunner(nil, 1)
-	if r.WithLanes(0) != r || r.WithLanes(1) != r {
-		t.Error("WithLanes(<=1) should return the receiver unchanged")
-	}
-	if got := r.WithLanes(4).Lanes(); got != 4 {
-		t.Errorf("Lanes() = %d, want 4", got)
+	if st.Hits+st.Shared != uint64(distinct) {
+		t.Errorf("hits %d + shared %d = %d, want %d", st.Hits, st.Shared, st.Hits+st.Shared, distinct)
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
+
+	"racesim/internal/par"
 )
 
 // Evaluator supplies the cost function: the performance-prediction error of
@@ -23,11 +24,11 @@ type Evaluator interface {
 
 // BatchEvaluator is an optional Evaluator extension: CostBatch scores many
 // configurations on one instance in a single call, so an implementation
-// backed by trace replay can batch the simulations into shared column
-// walks (see sim.RunBatch). Element i of the result must be exactly what
-// Cost(cfgs[i], instance) would return — batching is a throughput choice,
-// never a semantic one — and the tuner's races and eliminations are
-// unchanged by which path scored a pair.
+// pays its per-call costs (for a simulator: preparing the instance's
+// trace, one submission to its result cache) once per sub-batch. Element i
+// of the result must be exactly what Cost(cfgs[i], instance) would return,
+// so the tuner's races and eliminations are unchanged by which method
+// scored a pair.
 type BatchEvaluator interface {
 	Evaluator
 	// CostBatch returns the error metric for each configuration on
@@ -337,59 +338,46 @@ func (t *Tuner) evalBatch(cands []*candidate, instances []int) {
 	}
 	t.used += len(jobs)
 
-	// A batch-capable evaluator gets every candidate that still needs an
-	// instance in one call, so it can replay them in shared column walks —
-	// unless that would leave workers idle. A race step has one instance,
-	// hence one group: with fewer groups than workers, each group's
-	// candidates are split into enough equal sub-batches to occupy them
-	// all. Costs land in the same slots as the per-pair path would fill.
-	if be, ok := t.eval.(BatchEvaluator); ok {
-		instOrder := make([]int, 0, len(instances))
-		byInst := make(map[int][]job)
-		for _, jb := range jobs {
-			if _, seen := byInst[jb.inst]; !seen {
-				instOrder = append(instOrder, jb.inst)
-			}
-			byInst[jb.inst] = append(byInst[jb.inst], jb)
-		}
-		parts := (t.opt.Parallelism + len(instOrder) - 1) / len(instOrder)
-		sem := make(chan struct{}, t.opt.Parallelism)
-		var wg sync.WaitGroup
-		for _, inst := range instOrder {
-			group := byInst[inst]
-			size := (len(group) + parts - 1) / parts
-			for lo := 0; lo < len(group); lo += size {
-				sub := group[lo:min(lo+size, len(group))]
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(inst int, sub []job) {
-					defer wg.Done()
-					cfgs := make([]Assignment, len(sub))
-					for j, jb := range sub {
-						cfgs[j] = jb.c.cfg
-					}
-					costs := be.CostBatch(cfgs, inst)
-					for j, jb := range sub {
-						jb.c.costs[inst] = costs[j]
-					}
-					<-sem
-				}(inst, sub)
-			}
-		}
-		wg.Wait()
-		return
-	}
-
-	sem := make(chan struct{}, t.opt.Parallelism)
-	var wg sync.WaitGroup
+	// Pairs are scored in sub-batches of one instance each, spread over the
+	// workers. A race step has one instance, hence one group: with fewer
+	// groups than workers, each group's candidates are split into enough
+	// equal sub-batches to occupy them all. A BatchEvaluator scores a
+	// sub-batch in one call; a plain Evaluator is asked pair by pair.
+	var instOrder []int
+	byInst := make(map[int][]job)
 	for _, jb := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(jb job) {
-			defer wg.Done()
-			jb.c.costs[jb.inst] = t.eval.Cost(jb.c.cfg, jb.inst)
-			<-sem
-		}(jb)
+		if _, seen := byInst[jb.inst]; !seen {
+			instOrder = append(instOrder, jb.inst)
+		}
+		byInst[jb.inst] = append(byInst[jb.inst], jb)
 	}
-	wg.Wait()
+	parts := (t.opt.Parallelism + len(instOrder) - 1) / len(instOrder)
+	var subs [][]job
+	for _, inst := range instOrder {
+		group := byInst[inst]
+		size := (len(group) + parts - 1) / parts
+		for lo := 0; lo < len(group); lo += size {
+			subs = append(subs, group[lo:min(lo+size, len(group))])
+		}
+	}
+	be, batched := t.eval.(BatchEvaluator)
+	// The callback never fails, so neither does ForEach.
+	_ = par.ForEach(len(subs), t.opt.Parallelism, func(k int) error {
+		sub := subs[k]
+		inst := sub[0].inst
+		if !batched {
+			for _, jb := range sub {
+				jb.c.costs[inst] = t.eval.Cost(jb.c.cfg, inst)
+			}
+			return nil
+		}
+		cfgs := make([]Assignment, len(sub))
+		for j, jb := range sub {
+			cfgs[j] = jb.c.cfg
+		}
+		for j, cost := range be.CostBatch(cfgs, inst) {
+			sub[j].c.costs[inst] = cost
+		}
+		return nil
+	})
 }

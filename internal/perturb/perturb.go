@@ -1,13 +1,13 @@
 package perturb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"racesim/internal/hw"
 	"racesim/internal/irace"
-	"racesim/internal/par"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
@@ -69,38 +69,31 @@ type evaluation struct {
 }
 
 // meanErrors evaluates every configuration against all workloads as one
-// batch of len(cfgs)*len(ws) simulations, in parallel up to o.Parallelism,
-// memoizing through o.Cache when set. Each configuration is fingerprinted
-// once, not once per workload. out[i] belongs to cfgs[i]. Every
-// configuration here has passed sim.Apply's validation, so a simulation
-// that fails says the simulator or its input is broken (a tape replay that
-// desynchronized, a deferred trace that is not what was remembered), not
-// that the configuration is a bad neighbour: it fails the whole batch.
+// len(cfgs) x len(ws) grid, in parallel up to o.Parallelism, memoizing
+// through o.Cache when set. out[i] belongs to cfgs[i]. Every configuration
+// here has passed sim.Apply's validation, so a simulation that fails says
+// the simulator or its input is broken (a tape replay that desynchronized,
+// a deferred trace that is not what was remembered), not that the
+// configuration is a bad neighbour: it fails the whole batch.
 func meanErrors(cfgs []sim.Config, ws []Workload, o Options) ([]evaluation, error) {
-	out := make([]evaluation, len(cfgs))
-	fps := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i].errs = make([]float64, len(ws))
-		fps[i] = cfg.Fingerprint()
+	trs := make([]*trace.Trace, len(ws))
+	for j, w := range ws {
+		trs[j] = w.Trace
 	}
-	err := par.ForEach(len(cfgs)*len(ws), o.Parallelism, func(k int) error {
-		i, w := k/len(ws), ws[k%len(ws)]
-		res, err := o.Cache.RunKeyed(simcache.JoinKey(fps[i], w.Trace), cfgs[i], w.Trace)
-		if err != nil {
-			return fmt.Errorf("perturb: %s on %s: %w", cfgs[i].Name, w.Name, err)
-		}
-		out[i].errs[k%len(ws)] = math.Abs(res.CPI()-w.Counters.CPI) / w.Counters.CPI
-		return nil
-	})
+	// WorstNearOptimum keeps a signature without a context.
+	rs, err := o.Cache.RunBatch(context.TODO(), cfgs, trs, o.Parallelism)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("perturb: %w", err)
 	}
+	out := make([]evaluation, len(cfgs))
 	for i := range out {
+		errs := make([]float64, len(ws))
 		total := 0.0
-		for _, e := range out[i].errs {
-			total += e
+		for j, w := range ws {
+			errs[j] = math.Abs(rs[i*len(ws)+j].CPI()-w.Counters.CPI) / w.Counters.CPI
+			total += errs[j]
 		}
-		out[i].mean = total / float64(len(ws))
+		out[i] = evaluation{errs: errs, mean: total / float64(len(ws))}
 	}
 	return out, nil
 }

@@ -68,31 +68,6 @@ func TestShardedOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLaneBatchedOutputByteIdentical is the lane-batching contract at the
-// rendered-artifact layer: running the same sweep with simulations
-// lane-batched through shared column walks reproduces the sequential
-// artifact byte for byte.
-func TestLaneBatchedOutputByteIdentical(t *testing.T) {
-	units := testUnits(t)
-	seq, err := Run(units, RunOptions{Expt: tinyOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RenderAll(seq)
-	if want == "" {
-		t.Fatal("sequential run rendered nothing")
-	}
-	lanedOpts := tinyOpts()
-	lanedOpts.Lanes = 8
-	laned, err := Run(units, RunOptions{Expt: lanedOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RenderAll(laned); got != want {
-		t.Error("lane-batched sweep output differs from sequential run")
-	}
-}
-
 // TestResumeReplaysFromCheckpoint runs a sweep with a checkpoint, then
 // re-runs it cold against the same checkpoint file: the replay must
 // render identically and answer (nearly) every simulation from the cache.

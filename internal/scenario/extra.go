@@ -93,7 +93,6 @@ func budgetSweepUnits(sp Spec) []Unit {
 					Seed:        o.Seed + sp.SeedOffset,
 					Cache:       rt.Ctx.Runner().Cache(),
 					Parallelism: rt.Ctx.Runner().Parallelism(),
-					Lanes:       rt.Ctx.Runner().Lanes(),
 					Log:         o.Log,
 				})
 				if err != nil {
@@ -170,7 +169,6 @@ func noiseSweepUnits(sp Spec) []Unit {
 					Seed:        o.Seed + sp.SeedOffset + int64(li),
 					Cache:       cache,
 					Parallelism: par,
-					Lanes:       rt.Ctx.Runner().Lanes(),
 					Log:         o.Log,
 				})
 				if err != nil {

@@ -30,89 +30,38 @@ func derivedOf(d *trace.Decoded) *derived { return d.Derived(deriveFrom).(*deriv
 // compiling it on first use. The table is immutable and share-safe.
 func Behaviors(d *trace.Decoded) []core.Behavior { return derivedOf(d).behav }
 
-// RunBatch replays one decoded trace under every configuration in a
-// single walk over the columns, stepping a vector of per-config lanes in
-// lockstep, and returns results aligned with configs. Lanes are fully
-// independent, so out[i] is exactly what configs[i].RunDecoded(d) returns
-// — batching changes throughput, never results. Configs may mix core
-// kinds (each kind walks once); every config must share d's decoder
-// variant. Traces that declare WarmData disable the zero-fill page
-// optimization per lane, as in the sequential path. Each lane's memory
-// hierarchy simulates, records or replays its decisions as d's tape memo
-// finds best for the lane's effective configuration (core.TapeMemo); the
-// results are the same either way.
+// RunBatch replays one decoded trace under every configuration, one after
+// the other, and returns results aligned with configs: out[i] is exactly
+// what configs[i].RunDecoded(d) returns. It is the one replay entry point:
+// every configuration shares d's behavior table, class histogram and tape
+// memo, and each replay's memory hierarchy simulates, records or replays
+// its decisions as the memo finds best for its effective configuration
+// (core.TapeMemo) — the results are the same either way. Configs may mix
+// core kinds; every config must share d's decoder variant. Traces that
+// declare WarmData disable the zero-fill page optimization, which only
+// exists for never-written pages.
 func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 	if len(configs) == 0 {
 		return nil, nil
 	}
-	nInOrder := 0
-	for _, c := range configs {
-		switch c.Kind {
-		case InOrder:
-			nInOrder++
-		case OutOfOrder:
-		default:
-			return nil, fmt.Errorf("sim: unknown core kind %q", c.Kind)
-		}
-	}
 	dv := derivedOf(d)
 	out := make([]core.Result, len(configs))
-	if err := replayKind(InOrder, nInOrder, configs, Config.inOrder, core.ReplayInOrder, d, dv, out); err != nil {
-		return nil, err
-	}
-	if err := replayKind(OutOfOrder, len(configs)-nInOrder, configs, Config.ooo, core.ReplayOoO, d, dv, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// replayKind replays the n configurations of one core kind through that
-// kind's lanes (conv and replay are the kind's config conversion and core
-// entry point) and stores their results in their configs' slots of out.
-func replayKind[C any](kind CoreKind, n int, configs []Config, conv func(Config) C,
-	replay func([]C, *trace.Decoded, []core.Behavior, *[isa.NumClasses]uint64, *core.TapeMemo, []core.Result) error,
-	d *trace.Decoded, dv *derived, out []core.Result) error {
-	if n == 0 {
-		return nil
-	}
-	cfgs := make([]C, 0, n)
-	for _, c := range configs {
-		if c.Kind != kind {
-			continue
-		}
+	for i, c := range configs {
 		if d.WarmData {
 			c.Mem.ZeroFillOpt = false
 		}
-		cfgs = append(cfgs, conv(c))
-	}
-	if n == len(configs) {
-		return replay(cfgs, d, dv.behav, &dv.classes, &dv.tapes, out)
-	}
-	res := make([]core.Result, n)
-	if err := replay(cfgs, d, dv.behav, &dv.classes, &dv.tapes, res); err != nil {
-		return err
-	}
-	j := 0
-	for i, c := range configs {
-		if c.Kind == kind {
-			out[i] = res[j]
-			j++
+		var err error
+		switch c.Kind {
+		case InOrder:
+			out[i], err = core.ReplayInOrder(c.inOrder(), d, dv.behav, &dv.classes, &dv.tapes)
+		case OutOfOrder:
+			out[i], err = core.ReplayOoO(c.ooo(), d, dv.behav, &dv.classes, &dv.tapes)
+		default:
+			err = fmt.Errorf("sim: unknown core kind %q", c.Kind)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// RunBatchTrace is RunBatch over a raw trace: all configs must share a
-// decoder variant (they are replayed against one decode).
-func RunBatchTrace(configs []Config, tr *trace.Trace) ([]core.Result, error) {
-	if len(configs) == 0 {
-		return nil, nil
-	}
-	depBug := configs[0].DecoderDepBug
-	for _, c := range configs[1:] {
-		if c.DecoderDepBug != depBug {
-			return nil, fmt.Errorf("sim: batch mixes decoder variants (DepBug true and false)")
-		}
-	}
-	return RunBatch(configs, tr.Decoded(depBug))
+	return out, nil
 }

@@ -132,9 +132,9 @@ func (c Config) Run(tr *trace.Trace) (core.Result, error) {
 
 // RunDecoded replays a pre-decoded trace on a fresh model instance. The
 // decoded variant must match the configuration's DecoderDepBug setting
-// (Run picks the right one automatically). It is a single-lane RunBatch,
-// so sequential and batched replay share one maintained hot path (the
-// per-lane step kernel) and one memoized behavior table per decode.
+// (Run picks the right one automatically). It is a RunBatch of one, so
+// every replay shares one hot path (the step kernel) and one memoized
+// behavior table per decode.
 func (c Config) RunDecoded(d *trace.Decoded) (core.Result, error) {
 	rs, err := RunBatch([]Config{c}, d)
 	if err != nil {

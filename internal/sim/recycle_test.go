@@ -126,8 +126,8 @@ func randomConfigs(t testing.TB, kind CoreKind, n int, rng *rand.Rand) []Config 
 // predictor, prefetcher and replacement policy — and every field of each
 // Result must equal a run that bypasses the free list. The same is then
 // done from several goroutines at once (run with -race in CI), where lanes
-// also migrate between goroutines, and through RunBatch, where a batch
-// holds many recycled lanes at a time.
+// also migrate between goroutines, and through RunBatch, where a whole
+// vector of configurations is replayed back to back.
 func TestRecycledLaneMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cfgs := append(randomConfigs(t, InOrder, 10, rng), randomConfigs(t, OutOfOrder, 10, rng)...)
@@ -196,7 +196,7 @@ func TestRecycledLaneMatchesFresh(t *testing.T) {
 			}
 			for i, cfg := range batch {
 				if want := runFresh(t, cfg, d); rs[i] != want {
-					t.Errorf("batched: %s on %s: lane %d differs from fresh model", cfg.Name, tr.Name, i)
+					t.Errorf("batched: %s on %s: slot %d differs from fresh model", cfg.Name, tr.Name, i)
 				}
 			}
 		}

@@ -105,7 +105,7 @@ func tapeUnits(t *testing.T, perKind, variants int, rng *rand.Rand) []tapeUnit {
 // (recording) and its later ones (replaying a tape recorded under another
 // variant's timing); every field of every Result — the hierarchy's
 // statistics, PortStalls and DRAM counters included — must equal a private
-// Model's, which is never taped. Then the same as lanes of one RunBatch,
+// Model's, which is never taped. Then the same through one RunBatch,
 // and from several goroutines at once on each decode (run with -race in
 // CI), where sightings, recordings, publishes and evictions interleave.
 func TestTapedReplayMatchesLive(t *testing.T) {
@@ -137,7 +137,7 @@ func TestTapedReplayMatchesLive(t *testing.T) {
 		}
 	}
 
-	// Batched: the variants of one key as lanes of one walk, twice — the
+	// Batched: the variants of one key in one RunBatch, twice — the
 	// first batch finds whatever the sequential pass left in the memo
 	// (usually nothing: later keys evicted it), the second the tapes the
 	// first one published.

@@ -35,10 +35,13 @@ package simcache
 
 import (
 	"container/list"
+	"context"
+	"fmt"
 	"reflect"
 	"sync"
 
 	"racesim/internal/core"
+	"racesim/internal/par"
 	"racesim/internal/sim"
 	"racesim/internal/trace"
 )
@@ -323,6 +326,51 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	return res, err
 }
 
+// RunBatch returns the memoized result of every (cfgs[i], trs[j]) pair. It
+// is the one way to submit more than one simulation: a caller hands over
+// its configs x traces grid and the pairs are scheduled on at most
+// parallelism workers (<=1: one after the other), each resolved exactly as
+// Run resolves it — so a pair repeated inside the grid, or submitted by a
+// concurrent caller, is simulated once. Each configuration is fingerprinted
+// once, not once per trace (a trace memoizes its own digest).
+//
+// Results are in caller order, configuration-major: pair (i, j) is
+// out[i*len(trs)+j]. The error is the lowest-indexed failing pair's,
+// whatever the completion order, and names its configuration and trace; it
+// stops dispatch, and pairs that completed stay memoized. Cancelling ctx
+// (nil: never cancelled) stops dispatch within one simulation and reports
+// ctx.Err(). A nil receiver simulates every pair.
+func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Trace, parallelism int) ([]core.Result, error) {
+	fps := make([]string, len(cfgs))
+	if c != nil {
+		for i, cfg := range cfgs {
+			fps[i] = cfg.Fingerprint()
+		}
+	}
+	out := make([]core.Result, len(cfgs)*len(trs))
+	err := par.ForEachCtx(ctx, len(out), parallelism, func(k int) error {
+		// Each pair runs on a goroutine of its own, which starts on a small
+		// stack, and the lookup below it is deep in large frames
+		// (sim.Config and core.Result travel by value): no copy of either
+		// is kept here, or every pair pays for growing its stack.
+		i, tr := k/len(trs), trs[k%len(trs)]
+		var err error
+		if c == nil {
+			out[k], err = cfgs[i].Run(tr) // no key to build: digesting tr would be the only cost
+		} else {
+			out[k], err = c.RunKeyed(JoinKey(fps[i], tr), cfgs[i], tr)
+		}
+		if err != nil {
+			return fmt.Errorf("simulating %s on %s: %w", cfgs[i].Name, tr.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // resolution says which tier answered a lookup that memory could not.
 type resolution int
 
@@ -332,9 +380,11 @@ const (
 	byRemote                       // the shared remote tier
 )
 
-// settleLocked counts one resolved lookup against its tier and stores the
-// result. Caller holds c.mu.
-func (c *Cache) settleLocked(key string, res core.Result, err error, by resolution) {
+// finish resolves an inflight claim: count the lookup against the tier that
+// answered it, store the result, release waiters.
+func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, by resolution) {
+	fl.res, fl.err = res, err
+	c.mu.Lock()
 	switch by {
 	case byDisk:
 		c.hits++
@@ -343,21 +393,13 @@ func (c *Cache) settleLocked(key string, res core.Result, err error, by resoluti
 	default:
 		c.misses++
 	}
-	if err != nil {
-		return
+	if err == nil {
+		if by == byDisk {
+			c.materializeLocked(key, res)
+		} else {
+			c.insertLocked(key, res)
+		}
 	}
-	if by == byDisk {
-		c.materializeLocked(key, res)
-	} else {
-		c.insertLocked(key, res)
-	}
-}
-
-// finish resolves an inflight claim: settle the lookup, release waiters.
-func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, by resolution) {
-	fl.res, fl.err = res, err
-	c.mu.Lock()
-	c.settleLocked(key, res, err, by)
 	delete(c.running, key)
 	c.mu.Unlock()
 	close(fl.done)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"racesim/internal/par"
 	"racesim/internal/plausibility"
 	"racesim/internal/report"
 	"racesim/internal/sim"
@@ -23,33 +22,24 @@ func CollectSamples(cfg sim.Config, ms []Measurement, cache *simcache.Cache, par
 	for _, v := range plausibility.CheckConfig(cfg) {
 		plaus = append(plaus, "config: "+v.String())
 	}
+	rs, err := simulate(cfg, ms, cache, parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
 	samples := make([]report.Sample, len(ms))
-	perBench := make([][]string, len(ms))
-	err := par.ForEach(len(ms), parallelism, func(i int) error {
-		m := ms[i]
-		res, err := cache.Run(cfg, m.Trace)
-		if err != nil {
-			return err
-		}
+	for i, m := range ms {
 		if !(m.Counters.CPI > 0) || math.IsInf(m.Counters.CPI, 0) {
-			return fmt.Errorf("validate: hardware CPI %v for %s is not positive and finite", m.Counters.CPI, m.Trace.Name)
+			return nil, nil, fmt.Errorf("validate: hardware CPI %v for %s is not positive and finite", m.Counters.CPI, m.Trace.Name)
 		}
 		samples[i] = report.Sample{
 			Bench:    m.Bench.Name,
 			Category: string(m.Bench.Category),
-			SimCPI:   res.CPI(),
+			SimCPI:   rs[i].CPI(),
 			HWCPI:    m.Counters.CPI,
 		}
-		for _, v := range plausibility.CheckResult(cfg, res) {
-			perBench[i] = append(perBench[i], m.Bench.Name+": "+v.String())
+		for _, v := range plausibility.CheckResult(cfg, rs[i]) {
+			plaus = append(plaus, m.Bench.Name+": "+v.String())
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, vs := range perBench {
-		plaus = append(plaus, vs...)
 	}
 	return samples, plaus, nil
 }

@@ -74,9 +74,6 @@ type PipelineOptions struct {
 	TraceMemo *tracememo.Memo
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
-	// Lanes caps how many candidate configurations a tuning round replays
-	// per lane-batched column walk (0: simcache.DefaultLanes).
-	Lanes int
 	// Context, when non-nil, cancels the pipeline: checked between stages
 	// and threaded into the tuning rounds (which check per race step).
 	Context context.Context
@@ -153,7 +150,6 @@ func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageR
 		ExcludeParams: union(IndirectParams, PrefetchParams),
 		Cache:         o.Cache,
 		Parallelism:   o.Parallelism,
-		Lanes:         o.Lanes,
 		Context:       o.Context,
 		Log:           o.Log,
 	})
@@ -191,7 +187,6 @@ func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageR
 		Weights:     CostWeights{BranchMPKI: 0.2},
 		Cache:       o.Cache,
 		Parallelism: o.Parallelism,
-		Lanes:       o.Lanes,
 		Context:     o.Context,
 		Log:         o.Log,
 	})

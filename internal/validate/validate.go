@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"racesim/internal/core"
 	"racesim/internal/hw"
@@ -77,18 +78,22 @@ func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int)
 	return MeasureSuiteWith(board, opts, nil, parallelism)
 }
 
-// CPIError is the relative CPI prediction error of cfg on one measurement.
-func CPIError(cfg sim.Config, m Measurement) (float64, error) {
-	return cpiError(cfg, m, nil)
+// simulate runs cfg on every measurement's trace — a 1 x len(ms) grid
+// through the optional shared cache — and returns the results in
+// measurement order.
+func simulate(cfg sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]core.Result, error) {
+	trs := make([]*trace.Trace, len(ms))
+	for i, m := range ms {
+		trs[i] = m.Trace
+	}
+	// ErrorsWith and CollectSamples keep signatures without a context.
+	return cache.RunBatch(context.TODO(), []sim.Config{cfg}, trs, parallelism)
 }
 
-// cpiError is CPIError through an optional shared simulation cache — the
-// single definition of the error metric and its zero-CPI guard.
-func cpiError(cfg sim.Config, m Measurement, cache *simcache.Cache) (float64, error) {
-	res, err := cache.Run(cfg, m.Trace)
-	if err != nil {
-		return 0, err
-	}
+// cpiError is the relative CPI prediction error of a simulated result on
+// one measurement — the single definition of the error metric and its
+// zero-CPI guard.
+func cpiError(res core.Result, m Measurement) (float64, error) {
 	if m.Counters.CPI == 0 {
 		return 0, fmt.Errorf("validate: zero hardware CPI for %s", m.Trace.Name)
 	}
@@ -111,18 +116,17 @@ func Errors(cfg sim.Config, ms []Measurement) ([]BenchError, error) {
 // bounded worker pool. Results are in measurement order, identical to the
 // sequential path.
 func ErrorsWith(cfg sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]BenchError, error) {
-	out := make([]BenchError, len(ms))
-	err := par.ForEach(len(ms), parallelism, func(i int) error {
-		m := ms[i]
-		e, err := cpiError(cfg, m, cache)
-		if err != nil {
-			return err
-		}
-		out[i] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category, Error: e}
-		return nil
-	})
+	rs, err := simulate(cfg, ms, cache, parallelism)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]BenchError, len(ms))
+	for i, m := range ms {
+		e, err := cpiError(rs[i], m)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category, Error: e}
 	}
 	return out, nil
 }
@@ -201,22 +205,34 @@ type CostWeights struct {
 // Evaluator adapts the suite + board measurements to irace. When Cache is
 // non-nil, simulation results are memoized across races, tuning rounds and
 // (with disk persistence) whole processes: a configuration the survivor
-// set already measured on an instance is never simulated again.
+// set already measured on an instance is never simulated again. Use it by
+// pointer: it remembers the first simulation that failed (Err).
 type Evaluator struct {
 	Base    sim.Config
 	Ms      []Measurement
 	Weights CostWeights
 	Cache   *simcache.Cache
-	// Lanes caps how many candidate configurations one CostBatch call
-	// replays per column walk (0: simcache.DefaultLanes).
-	Lanes int
+
+	mu  sync.Mutex
+	err error
 }
 
 // NumInstances implements irace.Evaluator.
 func (e *Evaluator) NumInstances() int { return len(e.Ms) }
 
-// cost scores a simulated result against one measurement; Cost and
-// CostBatch share it so both paths compute identical numbers.
+// Err returns the first simulation failure a Cost or CostBatch call met,
+// or nil. Every candidate scored has passed sim.Apply's validation, so a
+// failure says the simulator or its input is broken (a tape replay that
+// desynchronized, a deferred trace that is not what was remembered, a
+// trace that does not decode), not that a candidate is bad: the race went
+// on over +Inf costs and its outcome must be discarded.
+func (e *Evaluator) Err() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err
+}
+
+// cost scores a simulated result against one measurement.
 func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
 	cost := math.Abs(res.CPI()-m.Counters.CPI) / m.Counters.CPI
 	if e.Weights.BranchMPKI > 0 {
@@ -233,22 +249,14 @@ func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
 // Cost implements irace.Evaluator: the error of the configuration obtained
 // by overlaying the assignment on the base model, on one benchmark.
 func (e *Evaluator) Cost(a irace.Assignment, instance int) float64 {
-	cfg, err := sim.Apply(e.Base, a)
-	if err != nil {
-		return math.Inf(1) // invalid combinations lose every race
-	}
-	m := e.Ms[instance]
-	res, err := e.Cache.Run(cfg, m.Trace)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return e.cost(res, m)
+	return e.CostBatch([]irace.Assignment{a}, instance)[0]
 }
 
 // CostBatch implements irace.BatchEvaluator: the candidates that survive
-// overlay validation are submitted to the cache in one batch, so the
-// misses replay in lane-batched column walks over the instance's trace.
-// Element i is exactly Cost(as[i], instance).
+// overlay validation are submitted to the cache as one N x 1 grid, run one
+// after the other (the tuner spreads its sub-batches over its own
+// workers). A candidate sim.Apply rejects costs +Inf and loses every race;
+// a simulation that fails is remembered for Err.
 func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	out := make([]float64, len(as))
 	cfgs := make([]sim.Config, 0, len(as))
@@ -256,19 +264,28 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	for i, a := range as {
 		cfg, err := sim.Apply(e.Base, a)
 		if err != nil {
-			out[i] = math.Inf(1) // invalid combinations lose every race
+			out[i] = math.Inf(1)
 			continue
 		}
 		cfgs = append(cfgs, cfg)
 		idx = append(idx, i)
 	}
 	m := e.Ms[instance]
-	rs, errs := e.Cache.RunBatch(cfgs, m.Trace, simcache.BatchOptions{Lanes: e.Lanes})
-	for j, i := range idx {
-		if errs[j] != nil {
-			out[i] = math.Inf(1)
-			continue
+	// irace.BatchEvaluator carries no context; the tuner checks its own
+	// between race steps.
+	rs, err := e.Cache.RunBatch(context.TODO(), cfgs, []*trace.Trace{m.Trace}, 1)
+	if err != nil {
+		e.mu.Lock()
+		if e.err == nil {
+			e.err = fmt.Errorf("validate: benchmark %s: %w", m.Bench.Name, err)
 		}
+		e.mu.Unlock()
+		for _, i := range idx {
+			out[i] = math.Inf(1)
+		}
+		return out
+	}
+	for j, i := range idx {
 		out[i] = e.cost(rs[j], m)
 	}
 	return out
@@ -287,9 +304,6 @@ type TuneOptions struct {
 	Cache *simcache.Cache
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
-	// Lanes caps how many candidates a batched evaluation replays per
-	// column walk (0: simcache.DefaultLanes).
-	Lanes int
 	// Context, when non-nil, cancels the tuning round between race steps.
 	Context context.Context
 	Log     func(format string, args ...any)
@@ -317,7 +331,7 @@ func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, erro
 	if err != nil {
 		return nil, err
 	}
-	eval := &Evaluator{Base: base, Ms: ms, Weights: opt.Weights, Cache: opt.Cache, Lanes: opt.Lanes}
+	eval := &Evaluator{Base: base, Ms: ms, Weights: opt.Weights, Cache: opt.Cache}
 	tuner, err := irace.New(space, eval, irace.Options{
 		Budget:      opt.Budget,
 		Seed:        opt.Seed,
@@ -329,6 +343,11 @@ func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, erro
 		return nil, err
 	}
 	res, err := tuner.Run()
+	if simErr := eval.Err(); simErr != nil {
+		// The race scored the failed simulations +Inf and went on; what it
+		// returned was tuned on a broken simulator or input.
+		return nil, simErr
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,14 @@ package validate
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
+	"racesim/internal/trace"
 	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 )
@@ -136,10 +138,41 @@ func TestEvaluatorInvalidAssignmentLosesRaces(t *testing.T) {
 	if c := e.Cost(good, 0); math.IsInf(c, 1) || c < 0 {
 		t.Errorf("valid assignment cost = %v", c)
 	}
+	if err := e.Err(); err != nil {
+		t.Errorf("a rejected overlay is not a simulation failure, got %v", err)
+	}
+}
+
+// TestTuneFailsOnBrokenTrace: every candidate a race scores is a valid
+// configuration, so a simulation that fails says an input (or the
+// simulator) is broken. The race must not quietly score it +Inf, tune on
+// what is left and hand back a configuration: Tune fails, naming the
+// benchmark whose trace does not decode.
+func TestTuneFailsOnBrokenTrace(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := measurements(t, p.A53)[:6]
+	const broken = 2
+	good := ms[broken].Trace
+	ms[broken].Trace = &trace.Trace{Name: good.Name, Events: append(append([]trace.Event{}, good.Events...),
+		trace.Event{PC: 0x9000, Word: ^uint32(0)})}
+
+	for _, cache := range []*simcache.Cache{nil, simcache.New()} {
+		res, err := Tune(sim.PublicA53(), ms, TuneOptions{Budget: 120, Seed: 3, Cache: cache, Parallelism: 2})
+		if err == nil {
+			t.Fatalf("Tune over a suite with an undecodable trace returned %s", res.Tuned.Name)
+		}
+		if !strings.Contains(err.Error(), ms[broken].Bench.Name) {
+			t.Errorf("error does not name benchmark %s: %v", ms[broken].Bench.Name, err)
+		}
+	}
 }
 
 // TestCostBatchMatchesCost pins the BatchEvaluator contract on the real
-// evaluator: element i of CostBatch is exactly Cost(as[i], instance),
+// evaluator: element i of CostBatch is exactly Cost(as[i], instance) — the
+// cost function over an uncached simulation of the overlaid configuration —
 // including the +Inf slots of invalid assignments mixed into the batch,
 // and with the branch-MPKI weight exercising the full cost function.
 func TestCostBatchMatchesCost(t *testing.T) {
@@ -148,7 +181,7 @@ func TestCostBatchMatchesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := measurements(t, p.A53)[:3]
-	e := &Evaluator{Base: sim.PublicA53(), Ms: ms, Weights: CostWeights{BranchMPKI: 0.2}, Lanes: 2}
+	e := &Evaluator{Base: sim.PublicA53(), Ms: ms, Weights: CostWeights{BranchMPKI: 0.2}, Cache: simcache.New()}
 
 	base := sim.Extract(sim.PublicA53())
 	varied := sim.Extract(sim.PublicA53())
@@ -158,17 +191,30 @@ func TestCostBatchMatchesCost(t *testing.T) {
 		{"l1d.hit_latency": "nonsense"}, // invalid: must stay +Inf
 		varied,
 	}
-	for inst := range ms {
+	for inst, m := range ms {
 		batch := e.CostBatch(as, inst)
 		if len(batch) != len(as) {
 			t.Fatalf("instance %d: %d costs for %d assignments", inst, len(batch), len(as))
 		}
 		for i, a := range as {
-			want := e.Cost(a, inst)
-			if batch[i] != want && !(math.IsInf(batch[i], 1) && math.IsInf(want, 1)) {
-				t.Errorf("instance %d assignment %d: CostBatch %v != Cost %v", inst, i, batch[i], want)
+			want := math.Inf(1)
+			if cfg, err := sim.Apply(e.Base, a); err == nil {
+				res, err := cfg.Run(m.Trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = e.cost(res, m)
+			}
+			if batch[i] != want {
+				t.Errorf("instance %d assignment %d: CostBatch %v, want %v", inst, i, batch[i], want)
+			}
+			if one := e.Cost(a, inst); one != want {
+				t.Errorf("instance %d assignment %d: Cost %v, want %v", inst, i, one, want)
 			}
 		}
+	}
+	if err := e.Err(); err != nil {
+		t.Errorf("evaluator remembered a failure on healthy traces: %v", err)
 	}
 }
 

@@ -157,8 +157,6 @@ type (
 	ExperimentOptions = expt.Options
 	// ExperimentContext caches artifacts across experiments.
 	ExperimentContext = expt.Context
-	// SimUnit is one independent (config, trace) simulation.
-	SimUnit = expt.Unit
 	// SimRunner schedules simulation units on a bounded worker pool.
 	SimRunner = expt.Runner
 	// SimCache memoizes simulation results across experiments and runs.

@@ -1,7 +1,6 @@
 package racesim
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -11,9 +10,9 @@ import (
 	"racesim/internal/workload"
 )
 
-// Replay micro-benchmarks: the lane-batched path (sim.RunBatch) and the
-// decode-once columnar path (Config.Run) against the legacy per-event
-// decode oracle (runCursor in replay_parity_test.go), on a single trace
+// Replay micro-benchmarks: the decode-once columnar path (Config.Run)
+// against the legacy per-event decode oracle (runCursor in
+// replay_parity_test.go), on a single trace
 // and on the multi-config sweep that dominates tuning and perturbation
 // runs. MB/s numbers read as simulated instructions per microsecond
 // (1 "byte" = 1 instruction). Results are recorded in BENCH_replay.json.
@@ -163,55 +162,6 @@ func BenchmarkSweepPerConfigDecode(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(tr.Len() * len(configs)))
-}
-
-// BenchmarkSweepBatched replays one trace under 12 configurations in a
-// single chunked lane-major column walk (sim.RunBatch), sharing the
-// decode and the behavior table. This is the acceptance benchmark for
-// the batched-replay work: >= 3x instructions/sec over the per-config
-// decode baseline recorded at the seed commit (see BENCH_replay.json).
-func BenchmarkSweepBatched(b *testing.B) {
-	tr := benchTrace(b)
-	configs := sweepConfigs(sim.PublicA53())
-	d := tr.Decoded(configs[0].DecoderDepBug)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunBatch(configs, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(tr.Len() * len(configs)))
-}
-
-// BenchmarkSweepBatchedLanes measures how batched throughput scales with
-// the lane count: the same 16 configurations replayed in chunks of 1, 2,
-// 4, 8 and 16 lanes per walk.
-func BenchmarkSweepBatchedLanes(b *testing.B) {
-	tr := benchTrace(b)
-	base := sweepConfigs(sim.PublicA53())
-	configs := make([]sim.Config, 0, 16)
-	for i := 0; len(configs) < 16; i++ {
-		cfg := base[i%len(base)]
-		cfg.MSHRs = 2 + i/len(base) // keep every config distinct
-		configs = append(configs, cfg)
-	}
-	d := tr.Decoded(configs[0].DecoderDepBug)
-	for _, lanes := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(configs); lo += lanes {
-					hi := lo + lanes
-					if hi > len(configs) {
-						hi = len(configs)
-					}
-					if _, err := sim.RunBatch(configs[lo:hi], d); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.SetBytes(int64(tr.Len() * len(configs)))
-		})
-	}
 }
 
 // BenchmarkReplayShortSpec is the micro-benchmark shaped like the cold

@@ -184,13 +184,14 @@ func sampleConfig(t *testing.T, rng *rand.Rand, spaces map[sim.CoreKind]*irace.S
 	return sim.Config{}
 }
 
-// TestLaneParityRandomVectors is the lane-parity property test: random
-// vectors of configurations drawn from the tuning space — mixing both core
-// kinds within one batch — must come back from the lane-batched column
-// walk exactly equal, lane by lane, to sequential decode-once replay of
-// the same configurations. Both decoder variants and both trace sources
-// are covered.
-func TestLaneParityRandomVectors(t *testing.T) {
+// TestRunBatchParityRandomVectors is the replay-parity property test:
+// random vectors of configurations drawn from the tuning space — mixing
+// both core kinds within one batch — must come back from sim.RunBatch
+// exactly equal, slot by slot, to a RunDecoded of each configuration on its
+// own and to the per-event core.Model reference (runCursor), which shares
+// neither the recycled lanes nor the decode's tapes. Both decoder variants
+// and both trace sources are covered.
+func TestRunBatchParityRandomVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(20190324)) // the paper's conference date
 	spaces := map[sim.CoreKind]*irace.Space{}
 	for _, kind := range []sim.CoreKind{sim.InOrder, sim.OutOfOrder} {
@@ -204,8 +205,8 @@ func TestLaneParityRandomVectors(t *testing.T) {
 		for _, depBug := range []bool{false, true} {
 			d := tr.Decoded(depBug)
 			for round := 0; round < 3; round++ {
-				lanes := 2 + rng.Intn(9) // 2..10
-				cfgs := make([]sim.Config, lanes)
+				n := 2 + rng.Intn(9) // 2..10
+				cfgs := make([]sim.Config, n)
 				for i := range cfgs {
 					cfgs[i] = sampleConfig(t, rng, spaces, depBug)
 				}
@@ -213,17 +214,21 @@ func TestLaneParityRandomVectors(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s depbug=%v round %d: RunBatch: %v", tr.Name, depBug, round, err)
 				}
-				if len(batched) != lanes {
-					t.Fatalf("%s depbug=%v round %d: %d results for %d lanes", tr.Name, depBug, round, len(batched), lanes)
+				if len(batched) != n {
+					t.Fatalf("%s depbug=%v round %d: %d results for %d configurations", tr.Name, depBug, round, len(batched), n)
 				}
 				for i, cfg := range cfgs {
-					want, err := cfg.RunDecoded(d)
+					one, err := cfg.RunDecoded(d)
 					if err != nil {
-						t.Fatalf("%s depbug=%v round %d lane %d: RunDecoded: %v", tr.Name, depBug, round, i, err)
+						t.Fatalf("%s depbug=%v round %d config %d: RunDecoded: %v", tr.Name, depBug, round, i, err)
 					}
-					if !reflect.DeepEqual(want, batched[i]) {
-						t.Errorf("%s depbug=%v round %d lane %d (%s):\n sequential %+v\n batched    %+v",
-							tr.Name, depBug, round, i, cfg.Kind, want, batched[i])
+					ref, err := runCursor(cfg, tr)
+					if err != nil {
+						t.Fatalf("%s depbug=%v round %d config %d: core.Model: %v", tr.Name, depBug, round, i, err)
+					}
+					if one != batched[i] || ref != batched[i] {
+						t.Errorf("%s depbug=%v round %d config %d (%s):\n core.Model %+v\n RunDecoded %+v\n RunBatch   %+v",
+							tr.Name, depBug, round, i, cfg.Kind, ref, one, batched[i])
 					}
 				}
 			}
