@@ -8,33 +8,29 @@ import (
 	"racesim/internal/simcache"
 )
 
-// cmdCache inspects, converts and joins simulation-cache snapshots
-// outside the cluster path: `racesim cache stats FILE...`,
-// `racesim cache convert -to json|binary -o OUT FILE` and
+// cmdCache inspects and joins simulation-cache snapshots outside the
+// cluster path: `racesim cache stats FILE...` and
 // `racesim cache merge -o OUT FILE...`.
 func cmdCache(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: racesim cache stats FILE... | racesim cache convert -to json|binary -o OUT FILE | racesim cache merge -o OUT FILE...")
+		return fmt.Errorf("usage: racesim cache stats FILE... | racesim cache merge -o OUT FILE...")
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "stats":
 		return cacheStats(rest)
-	case "convert":
-		return cacheConvert(rest)
 	case "merge":
 		return cacheMerge(rest)
 	default:
-		return fmt.Errorf("unknown cache subcommand %q (want stats, convert or merge)", sub)
+		return fmt.Errorf("unknown cache subcommand %q (want stats or merge)", sub)
 	}
 }
 
 // loadSnapshot reads one snapshot file into a fresh cache, reporting
-// accepted and checksum-rejected entry counts. The format is sniffed, so
-// either generation loads. Unlike the warm-start path (which tolerates
-// absent or stale-format snapshots by starting cold), an operator-named
-// file must load: a format mismatch is an error, never a silent
-// "0 entries".
+// accepted and checksum-rejected entry counts. Unlike the warm-start path
+// (which tolerates absent or stale-version snapshots by starting cold), an
+// operator-named file must load: a version mismatch is an error, never a
+// silent "0 entries".
 func loadSnapshot(path string) (c *simcache.Cache, accepted int, rejected uint64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -63,13 +59,12 @@ func cacheStats(args []string) error {
 }
 
 // statOne prints one snapshot's audit line: format and version, entry
-// count split by tier (a binary snapshot attaches mmap-backed and stays
-// on disk; a legacy JSON snapshot decodes fully into memory), total and
-// per-entry bytes, index size, and any checksum rejections or salvage.
+// count split by tier (the snapshot attaches mmap-backed and stays on
+// disk), total and per-entry bytes, index size, and any checksum
+// rejections or salvage.
 func statOne(path string) error {
 	c := simcache.New()
-	_, rejected, err := c.LoadChecked(path)
-	if err != nil {
+	if _, _, err := c.LoadChecked(path); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	st := c.Stats()
@@ -77,32 +72,24 @@ func statOne(path string) error {
 	if err != nil {
 		return err
 	}
-	if m := c.Disk(); m != nil {
-		// Binary: every record still lives on disk; verify each one the
-		// way a lookup would, so `stats` audits what `run` will trust.
-		bad := 0
-		m.RangeKeys(func(key string, _ int) bool {
-			if _, err := m.Get(key); err != nil {
-				bad++
-			}
-			return true
-		})
-		fmt.Printf("%s: binary v%d, %d entries (%d in-memory, %d on-disk), %d bytes (%.1f bytes/entry), index %d bytes",
-			path, m.Version(), st.Entries, st.MemEntries, st.DiskEntries,
-			fi.Size(), bytesPerEntry(fi.Size(), st.Entries), m.IndexBytes())
-		if m.Salvaged() {
-			fmt.Printf(", salvaged")
+	// Every record still lives on disk; verify each one the way a lookup
+	// would, so `stats` audits what `run` will trust.
+	m := c.Disk()
+	bad := 0
+	m.RangeKeys(func(key string, _ int) bool {
+		if _, err := m.Get(key); err != nil {
+			bad++
 		}
-		if bad > 0 {
-			fmt.Printf(", %d rejected by checksum", bad)
-		}
-		fmt.Println()
-		return nil
+		return true
+	})
+	fmt.Printf("%s: binary v%d, %d entries (%d in-memory, %d on-disk), %d bytes (%.1f bytes/entry), index %d bytes",
+		path, m.Version(), st.Entries, st.MemEntries, st.DiskEntries,
+		fi.Size(), bytesPerEntry(fi.Size(), st.Entries), m.IndexBytes())
+	if m.Salvaged() {
+		fmt.Printf(", salvaged")
 	}
-	fmt.Printf("%s: json legacy, %d entries (%d in-memory, %d on-disk), %d bytes (%.1f bytes/entry)",
-		path, st.Entries, st.MemEntries, st.DiskEntries, fi.Size(), bytesPerEntry(fi.Size(), st.Entries))
-	if rejected > 0 {
-		fmt.Printf(", %d rejected by checksum", rejected)
+	if bad > 0 {
+		fmt.Printf(", %d rejected by checksum", bad)
 	}
 	fmt.Println()
 	return nil
@@ -113,45 +100,6 @@ func bytesPerEntry(size int64, entries int) float64 {
 		return 0
 	}
 	return float64(size) / float64(entries)
-}
-
-// cacheConvert migrates a snapshot between the binary columnar format
-// and the legacy checksummed-JSON format, both directions. Conversion is
-// lossless and deterministic (records serialize sorted by key), so a
-// round trip through the other format reproduces the input byte for
-// byte.
-func cacheConvert(args []string) error {
-	fs := flag.NewFlagSet("racesim cache convert", flag.ExitOnError)
-	to := fs.String("to", "binary", "target format: binary or json")
-	out := fs.String("o", "", "write the converted snapshot here (required)")
-	fs.Parse(args)
-	if *out == "" || fs.NArg() != 1 {
-		return fmt.Errorf("usage: racesim cache convert -to json|binary -o OUT FILE")
-	}
-	if err := simcache.ValidatePath(*out); err != nil {
-		return err
-	}
-	path := fs.Arg(0)
-	c, accepted, rejected, err := loadSnapshot(path)
-	if err != nil {
-		return err
-	}
-	if rejected > 0 {
-		return fmt.Errorf("%s: %d entries rejected by checksum; refusing to convert a damaged snapshot", path, rejected)
-	}
-	switch *to {
-	case "binary":
-		err = c.SaveFile(*out)
-	case "json":
-		err = c.SaveFileJSON(*out)
-	default:
-		return fmt.Errorf("-to %q: want binary or json", *to)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "converted %d entries: %s -> %s (%s)\n", accepted, path, *out, *to)
-	return nil
 }
 
 func cacheMerge(args []string) error {

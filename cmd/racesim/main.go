@@ -125,7 +125,7 @@ func main() {
 // lifecycleFlags registers the engine options every subcommand shares.
 func lifecycleFlags(fs *flag.FlagSet) (parallelism *int, cache, cpuprofile, memprofile *string) {
 	parallelism = fs.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	cache = fs.String("cache", "", "JSON file persisting the simulation cache across runs")
+	cache = fs.String("cache", "", "binary snapshot file persisting the simulation cache across runs")
 	cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	return
@@ -292,23 +292,19 @@ func cmdServe(args []string) error {
 		announce    = fs.String("announce", "", "write the bound listen address to this file once serving (for -addr :0 spawners)")
 		jobTimeout  = fs.Duration("job-timeout", 0, "server-enforced deadline per job (0 = none; jobs may also carry their own shorter timeout)")
 		chaosSpec   = fs.String("chaos", "", "inject engine-side faults (e.g. seed=7,panic=1,stall=2,poison=1); see docs/robustness.md")
-		cacheServer = fs.Bool("cache-server", false, "run as a shared cache tier: serve /v1/cache/* only, refuse jobs (403)")
-		cacheUp     = fs.String("cache-upstream", "", "resolve cache misses against this cache-server URL mid-run and write results back")
 		memBudget   = fs.Int64("mem-budget", 0, "in-memory cache budget in MiB (0 = unbounded); excess entries evict LRU-first")
 	)
 	fs.Parse(args)
 
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	opts := engine.ServerOptions{
-		Parallelism:   *parallelism,
-		Workers:       *workers,
-		QueueDepth:    *queueDepth,
-		CachePath:     *cache,
-		JobTimeout:    *jobTimeout,
-		CacheServer:   *cacheServer,
-		CacheUpstream: *cacheUp,
-		MemoryBudget:  *memBudget << 20,
-		Log:           logf,
+		Parallelism:  *parallelism,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		CachePath:    *cache,
+		JobTimeout:   *jobTimeout,
+		MemoryBudget: *memBudget << 20,
+		Log:          logf,
 	}
 	var inj *chaos.Injector
 	if *chaosSpec != "" {

@@ -29,7 +29,6 @@ func cmdSweep(args []string) error {
 		window      = fs.Int("window", 2, "max in-flight units per worker")
 		retriesN    = fs.Int("retries", 3, "per-unit reassignment budget on worker failure")
 		cache       = fs.String("cache", "", "federated snapshot: pre-seeds workers, collects+merges their deltas")
-		cacheSrv    = fs.String("cache-server", "", "shared cache-server URL: pre-seeded and delta-collected like a worker, never dispatched to; -spawn workers resolve misses against it mid-run")
 		scale       = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
 		events      = fs.Int("events", 60_000, "workload trace length")
 		budget1     = fs.Int("budget1", 2500, "irace budget, round 1")
@@ -78,7 +77,7 @@ func cmdSweep(args []string) error {
 		}
 	}
 	if *spawn > 0 {
-		spawned, stop, err := spawnWorkers(*spawn, *parallelism, *workerChaos, *cacheSrv, logf)
+		spawned, stop, err := spawnWorkers(*spawn, *parallelism, *workerChaos, logf)
 		if err != nil {
 			return err
 		}
@@ -107,7 +106,6 @@ func cmdSweep(args []string) error {
 		Window:        *window,
 		Retries:       *retriesN,
 		CachePath:     *cache,
-		CacheServer:   *cacheSrv,
 		JournalPath:   *journal,
 		ResumeJournal: *resumeJnl,
 		Transport:     inj.Transport(nil),
@@ -200,11 +198,8 @@ func writeTrace(path string, rec *telemetry.Recorder) error {
 // federation ties them together). The bound address of each worker is
 // discovered through serve's -announce file. A non-empty chaosSpec is
 // forwarded to each worker's `serve -chaos`, arming engine-side faults
-// (job panics, stalls, poisoned cache deltas) inside the workers. A
-// non-empty cacheUpstream is forwarded as each worker's
-// `serve -cache-upstream`, so spawned workers resolve misses against
-// the shared cache tier mid-run.
-func spawnWorkers(n, parallelism int, chaosSpec, cacheUpstream string, logf func(string, ...any)) (urls []string, stop func(), err error) {
+// (job panics, stalls, poisoned cache deltas) inside the workers.
+func spawnWorkers(n, parallelism int, chaosSpec string, logf func(string, ...any)) (urls []string, stop func(), err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, fmt.Errorf("spawn: locate racesim binary: %w", err)
@@ -243,9 +238,6 @@ func spawnWorkers(n, parallelism int, chaosSpec, cacheUpstream string, logf func
 			"-parallelism", fmt.Sprint(parallelism)}
 		if chaosSpec != "" {
 			wargs = append(wargs, "-chaos", chaosSpec)
-		}
-		if cacheUpstream != "" {
-			wargs = append(wargs, "-cache-upstream", cacheUpstream)
 		}
 		cmd := exec.Command(exe, wargs...)
 		cmd.Stderr = os.Stderr

@@ -38,6 +38,14 @@ func (e *DropError) Error() string {
 	return fmt.Sprintf("chaos: injected drop of %s", e.Path)
 }
 
+// CloseIdleConnections forwards to the inner transport, which owns the
+// connections (http.Client.CloseIdleConnections looks for this method).
+func (t *transport) CloseIdleConnections() {
+	if ci, ok := t.inner.(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
+	}
+}
+
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	i := t.inj
 	s := i.spec

@@ -86,16 +86,6 @@ type Options struct {
 	// pre-seeded to every worker before the round, worker deltas merged
 	// and saved back after it.
 	CachePath string
-	// CacheServer, when set, is the base URL of a shared cache-server
-	// node (`racesim serve -cache-server`). The coordinator pre-seeds it
-	// like a worker and collects its delta at drain, but never dispatches
-	// units to it; workers configured with -cache-upstream resolve misses
-	// against it mid-run, so overlapping sweeps warm each other while
-	// running instead of only through pre-seed/drain snapshots. The
-	// snapshot federation above remains the fallback — a sweep without a
-	// cache server (or with an unreachable one) behaves exactly as
-	// before.
-	CacheServer string
 	// JournalPath, when set, journals every completed unit's artifact to
 	// a checksummed JSONL file, fsynced per record. A coordinator killed
 	// mid-sweep and restarted with ResumeJournal replays the journal and
@@ -298,6 +288,8 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 		w.client.Log = log
 		w.client.Timeout = opts.RequestTimeout
 		w.client.Transport = opts.Transport
+		// Before the caller stops the worker: see CloseIdleConnections.
+		defer w.client.CloseIdleConnections()
 		workers[i] = w
 		// The startup health check retries a few times: a worker still
 		// binding its listener — or a single chaos-dropped request — should
@@ -326,43 +318,10 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 	}
 	log("sweep: %d units across %d workers (window %d)", len(units), alive, window)
 
-	// Shared cache tier: the cache server is a snapshot-federation peer
-	// (pre-seeded before the round, delta-collected at drain) but never
-	// receives units — Submit on a -cache-server process answers 403.
-	// Workers reach it mid-run through their own -cache-upstream wiring;
-	// the coordinator only warms it and harvests what workers wrote back.
-	var cacheSrv *engine.Client
-	if opts.CacheServer != "" {
-		cacheSrv = engine.NewClient(strings.TrimRight(opts.CacheServer, "/"))
-		cacheSrv.Log = log
-		cacheSrv.Timeout = opts.RequestTimeout
-		cacheSrv.Transport = opts.Transport
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if _, err = cacheSrv.Health(ctx); err == nil {
-				break
-			}
-			if ctx.Err() != nil {
-				return "", rep, ctx.Err()
-			}
-			time.Sleep(backoff << attempt)
-		}
-		if err != nil {
-			// The shared tier accelerates, it never gates: a sweep without
-			// it still assembles byte-identical output, just colder.
-			log("sweep: cache server %s unreachable: %v; continuing without the shared tier",
-				opts.CacheServer, err)
-			cacheSrv = nil
-		}
-	}
-
 	// Federation, inbound half: warm every worker from the coordinator's
 	// snapshot so overlapping selections re-run at cluster-wide hits.
 	fed := simcache.New()
 	if opts.CachePath != "" {
-		if err := simcache.ValidatePath(opts.CachePath); err != nil {
-			return "", rep, err
-		}
 		n, rejected, err := fed.LoadChecked(opts.CachePath)
 		var stale *simcache.StaleFormatError
 		if errors.As(err, &stale) {
@@ -422,16 +381,6 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 				return "", rep, fmt.Errorf("cluster: every worker failed pre-seeding")
 			}
 			log("sweep: pre-seeded %d workers with %d entries", alive, n)
-			if cacheSrv != nil {
-				if err := preseed(cacheSrv); err != nil {
-					if ctx.Err() != nil {
-						return "", rep, ctx.Err()
-					}
-					log("sweep: cache server %s failed pre-seed: %v", opts.CacheServer, err)
-				} else {
-					log("sweep: pre-seeded cache server %s with %d entries", opts.CacheServer, n)
-				}
-			}
 		}
 	}
 
@@ -776,19 +725,8 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 				rep.Cache.Hits += h.Cache.Hits - w.before.Cache.Hits
 				rep.Cache.Misses += h.Cache.Misses - w.before.Cache.Misses
 				rep.Cache.Shared += h.Cache.Shared - w.before.Cache.Shared
-				rep.Cache.RemoteHits += h.Cache.RemoteHits - w.before.Cache.RemoteHits
 				rep.Cache.Entries += h.Cache.Entries
 			}
-		}
-	}
-	if cacheSrv != nil {
-		// The cache server's delta is what workers wrote back mid-run —
-		// entries the snapshot federation above may have missed if their
-		// worker died before drain.
-		if added, err := collect(cacheSrv); err != nil {
-			log("sweep: cache server %s: delta collection failed: %v", opts.CacheServer, err)
-		} else {
-			log("sweep: cache server %s contributed %d cache entries", opts.CacheServer, added)
 		}
 	}
 	rep.SnapshotRejected = fed.Stats().Rejected - rejectedBefore
@@ -806,10 +744,6 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 	sort.Strings(rep.Quarantined)
 	log("sweep: cluster cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate)",
 		rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Shared, rep.Cache.HitRate()*100)
-	if opts.CacheServer != "" {
-		log("sweep: shared cache tier: %d mid-run remote hits via %s",
-			rep.Cache.RemoteHits, opts.CacheServer)
-	}
 
 	var b strings.Builder
 	for _, r := range results {

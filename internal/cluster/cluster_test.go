@@ -2,11 +2,13 @@ package cluster_test
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -439,103 +441,6 @@ func TestSweepByteIdenticalUnderChaosTransport(t *testing.T) {
 	}
 }
 
-// TestSweepCacheServerSharedTier proves the mid-run half of cache
-// federation: workers configured with a cache upstream write results
-// back to the shared tier while running, and a second sweep with cold
-// local caches resolves its misses against that tier mid-run (counted
-// as remote hits) — all while staying byte-identical to the unsharded
-// single-process run.
-func TestSweepCacheServerSharedTier(t *testing.T) {
-	cacheSrv, err := engine.NewServer(engine.ServerOptions{CacheServer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsCache := httptest.NewServer(cacheSrv.Handler())
-	t.Cleanup(func() {
-		tsCache.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), tinyTimeout)
-		defer cancel()
-		cacheSrv.Drain(ctx)
-	})
-
-	startUpstreamWorker := func() *httptest.Server {
-		srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2, CacheUpstream: tsCache.URL})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(func() {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), tinyTimeout)
-			defer cancel()
-			srv.Drain(ctx)
-		})
-		return ts
-	}
-
-	// The cache-server role must refuse units — the coordinator never
-	// dispatches to it, and a stray client gets a clean error.
-	if _, err := engine.NewClient(tsCache.URL).Submit(context.Background(), engine.Job{
-		Kind: engine.KindExperiments,
-		Experiments: &engine.ExperimentsJob{
-			Scenario: tinySelect, Scale: tinyScale, Events: tinyEvents,
-			Budget1: tinyBudget, Budget2: tinyBudget, Quiet: true,
-		},
-	}); err == nil {
-		t.Fatal("cache-server accepted a job; want refusal")
-	}
-
-	want := batchArtifact(t, tinySelect)
-
-	// Round 1: cold workers simulate everything and write back to the
-	// shared tier as they go.
-	tsA, tsB := startUpstreamWorker(), startUpstreamWorker()
-	opts := tinyOptions(tsA.URL, tsB.URL)
-	opts.CacheServer = tsCache.URL
-	got, rep, err := cluster.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("round-1 sweep output differs from single-process run")
-	}
-	if rep.Cache.Misses == 0 {
-		t.Fatal("cold sweep reported no misses; shared tier cannot have been populated")
-	}
-
-	// Write-back is asynchronous; wait for the shared tier to go
-	// non-empty and stable before the warm round.
-	deadline := time.Now().Add(30 * time.Second)
-	last := -1
-	for {
-		n := cacheSrv.Cache().Stats().Entries
-		if n > 0 && n == last {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shared tier never stabilized (entries=%d)", n)
-		}
-		last = n
-		time.Sleep(200 * time.Millisecond)
-	}
-
-	// Round 2: fresh workers with cold local caches. Every unit re-runs,
-	// but misses resolve mid-run against the shared tier.
-	tsC, tsD := startUpstreamWorker(), startUpstreamWorker()
-	opts2 := tinyOptions(tsC.URL, tsD.URL)
-	opts2.CacheServer = tsCache.URL
-	got2, rep2, err := cluster.Run(context.Background(), opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != want {
-		t.Errorf("round-2 sweep output differs from single-process run")
-	}
-	if rep2.Cache.RemoteHits == 0 {
-		t.Error("warm round reported no mid-run remote hits from the shared tier")
-	}
-}
-
 func TestSweepTracingCoversEveryUnitExactlyOnce(t *testing.T) {
 	_, tsA := startWorker(t)
 	_, tsB := startWorker(t)
@@ -634,5 +539,91 @@ func TestSweepUntracedRecordsNothing(t *testing.T) {
 	}
 	if want := batchArtifact(t, "table1"); got != want {
 		t.Error("untraced sweep output differs from single-process run")
+	}
+}
+
+// TestSweepCachePathNotASnapshotFailsBeforeDispatch: a federated-cache path
+// naming an existing file that is not a binary snapshot — a snapshot of the
+// deleted JSON generation, or text — fails the sweep before any unit is
+// dispatched, with an error naming the file, and the file keeps its bytes.
+func TestSweepCachePathNotASnapshotFailsBeforeDispatch(t *testing.T) {
+	for what, body := range map[string]string{
+		"legacy JSON snapshot": "{\n \"format\": 1,\n \"entries\": []\n}\n",
+		"1 KiB of text":        strings.Repeat("0123456789abcde\n", 64),
+	} {
+		srv, ts := startWorker(t)
+		path := filepath.Join(t.TempDir(), "fed.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := tinyOptions(ts.URL)
+		opts.CachePath = path
+		if _, _, err := cluster.Run(context.Background(), opts); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("sweep over a %s: error %v, want one naming %s", what, err, path)
+		}
+		if st := srv.Cache().Stats(); st.Misses != 0 {
+			t.Errorf("sweep over a %s: the worker ran %d simulations", what, st.Misses)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != body {
+			t.Errorf("sweep over a %s: the file was changed (read error %v)", what, err)
+		}
+	}
+}
+
+// TestSweepLeavesNoIdleConnections: when cluster.Run returns, the
+// coordinator holds no connection to a worker that is not carrying a
+// request. A worker told to stop right after (`sweep -spawn` does that)
+// otherwise waits out, in its graceful shutdown, a connection the
+// coordinator dialled and never used: net/http counts a StateNew
+// connection active until it is five seconds old.
+func TestSweepLeavesNoIdleConnections(t *testing.T) {
+	for what, transport := range map[string]http.RoundTripper{
+		"default transport": nil,
+		"chaos transport":   chaos.New(chaos.Spec{Seed: 1}).Transport(nil),
+	} {
+		var mu sync.Mutex
+		conns := map[net.Conn]http.ConnState{}
+		var urls []string
+		for i := 0; i < 2; i++ {
+			srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewUnstartedServer(srv.Handler())
+			ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+				mu.Lock()
+				conns[c] = st
+				mu.Unlock()
+			}
+			ts.Start()
+			t.Cleanup(func() {
+				ts.Close()
+				srv.Drain(context.Background())
+			})
+			urls = append(urls, ts.URL)
+		}
+		opts := tinyOptions(urls...)
+		opts.Scenario = "table1"
+		opts.Transport = transport
+		if _, _, err := cluster.Run(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+		lingering := func() (n int) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, st := range conns {
+				if st == http.StateNew || st == http.StateIdle {
+					n++
+				}
+			}
+			return n
+		}
+		deadline := time.Now().Add(time.Second)
+		for lingering() > 0 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := lingering(); n > 0 {
+			t.Errorf("%s: %d of %d connections are still new or idle a second after the sweep returned", what, n, len(conns))
+		}
 	}
 }

@@ -294,6 +294,16 @@ func (c *Client) streamHTTP() *http.Client {
 	return c.stream
 }
 
+// CloseIdleConnections closes the keep-alive connections both of the
+// client's HTTP clients hold but are not using. A caller that is done with
+// a worker calls it before telling the worker to stop: a server's graceful
+// shutdown waits out a connection that was dialled and never carried a
+// request (net/http counts it active until it is five seconds old).
+func (c *Client) CloseIdleConnections() {
+	c.http().CloseIdleConnections()
+	c.streamHTTP().CloseIdleConnections()
+}
+
 // Watch follows a job to its terminal state over the live event stream
 // (GET /v1/jobs/{id}/events) and returns the final status — the same
 // value Wait's last poll returns, since the stream's terminal event

@@ -174,7 +174,7 @@ type Options struct {
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS). Output
 	// is byte-identical for any value.
 	Parallelism int
-	// CachePath names a JSON snapshot persisting the simulation cache
+	// CachePath names a binary snapshot persisting the simulation cache
 	// across runs: loaded before the job, saved after. Ignored when Cache
 	// is set (the cache owner handles persistence).
 	CachePath string
@@ -514,11 +514,10 @@ func engineSpans(parent telemetry.SpanContext, job Job, start time.Time, elapsed
 		Start:      start,
 		DurationNS: elapsed.Nanoseconds(),
 		Attrs: map[string]string{
-			"hits":        fmt.Sprint(after.Hits - before.Hits),
-			"misses":      fmt.Sprint(after.Misses - before.Misses),
-			"shared":      fmt.Sprint(after.Shared - before.Shared),
-			"remote_hits": fmt.Sprint(after.RemoteHits - before.RemoteHits),
-			"entries":     fmt.Sprint(after.Entries),
+			"hits":    fmt.Sprint(after.Hits - before.Hits),
+			"misses":  fmt.Sprint(after.Misses - before.Misses),
+			"shared":  fmt.Sprint(after.Shared - before.Shared),
+			"entries": fmt.Sprint(after.Entries),
 		},
 	}
 	return []telemetry.Span{eng, sc}
@@ -532,9 +531,6 @@ func engineSpans(parent telemetry.SpanContext, job Job, start time.Time, elapsed
 func (e *env) loadSnapshot(prefix string, logf func(format string, args ...any)) error {
 	if e.shared || e.path == "" {
 		return nil
-	}
-	if err := simcache.ValidatePath(e.path); err != nil {
-		return err
 	}
 	n, rejected, err := e.cache.LoadChecked(e.path)
 	var stale *simcache.StaleFormatError

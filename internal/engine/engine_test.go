@@ -251,3 +251,91 @@ func TestExecutePreCancelledRunsNothing(t *testing.T) {
 		t.Errorf("pre-cancelled job produced output: %q", res.Artifact)
 	}
 }
+
+// notSnapshots are bodies an existing -cache file may hold that are not a
+// binary snapshot: a snapshot of the deleted JSON generation, and text.
+var notSnapshots = map[string]string{
+	"legacy JSON snapshot": `{
+ "format": 1,
+ "entries": [
+  {
+   "key": "` + strings.Repeat("ab", 32) + ":" + strings.Repeat("cd", 32) + `",
+   "result": {"Instructions": 1000, "Cycles": 1500},
+   "sum": "` + strings.Repeat("0f", 32) + `"
+  }
+ ]
+}
+`,
+	"1 KiB of text": strings.Repeat("0123456789abcde\n", 64),
+}
+
+// TestCachePathNotASnapshotFailsBeforeSimulating: a cache path naming an
+// existing file that is not a binary snapshot stops every entry point
+// before it simulates anything, with an error naming the file, and the file
+// keeps its bytes — it is never taken for a cold start and saved over.
+func TestCachePathNotASnapshotFailsBeforeSimulating(t *testing.T) {
+	jobs := map[string]Job{
+		"run":         {Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}},
+		"experiments": tinyExperiments(),
+		"validate": {Kind: KindValidate, Validate: &ValidateJob{
+			Core: "a53", Budget1: 50, Budget2: 50, Scale: 0.001, Quiet: true,
+		}},
+		"ubench -compare": {Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD", Scale: 0.002}},
+	}
+	for what, body := range notSnapshots {
+		path := filepath.Join(t.TempDir(), "cache.json")
+		refused := func(who string, misses uint64, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("%s over a %s: error %v, want one naming %s", who, what, err, path)
+			}
+			if misses != 0 {
+				t.Errorf("%s over a %s: %d simulations ran before the refusal", who, what, misses)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != body {
+				t.Errorf("%s over a %s: the file was changed (read error %v)", who, what, err)
+			}
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for kind, job := range jobs {
+			res, err := Execute(job, Options{CachePath: path, Capture: true})
+			refused(kind, res.CacheStats.Misses, err)
+		}
+		srv, err := NewServer(ServerOptions{CachePath: path})
+		if srv != nil {
+			t.Errorf("NewServer over a %s returned a server", what)
+		}
+		refused("NewServer", 0, err)
+	}
+}
+
+// TestCachePathStaleVersionStartsColdAndSaysSo: a binary snapshot of
+// another version is not an error — the run starts cold, logs why, and
+// saves a current snapshot in its place.
+func TestCachePathStaleVersionStartsColdAndSaysSo(t *testing.T) {
+	stale, err := simcache.New().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale[4] = 99 // the header's version word
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	job := Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}}
+	res, err := Execute(job, Options{CachePath: path, Capture: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ignoring snapshot " + path + " (format 99); starting cold"; !strings.Contains(res.Log, want) {
+		t.Errorf("log %q does not say %q", res.Log, want)
+	}
+	if res.CacheStats.Misses != 1 {
+		t.Errorf("run over a stale snapshot: %+v, want one simulation", res.CacheStats)
+	}
+	if res, err = Execute(job, Options{CachePath: path}); err != nil || res.CacheStats.Misses != 0 {
+		t.Errorf("rerun: error %v, stats %+v; want the saved snapshot to answer", err, res.CacheStats)
+	}
+}

@@ -2,14 +2,12 @@ package engine
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 
 	"racesim/internal/expt"
 	"racesim/internal/par"
 	"racesim/internal/sim"
-	"racesim/internal/simcache"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
 	"racesim/internal/workload"
@@ -136,24 +134,9 @@ func (e *env) runJob(j *RunJob) error {
 
 	// The snapshot is opened before the traces are fetched: it may say what
 	// they are, and then a warm run generates none of them.
-	if !e.shared && e.path != "" {
-		if err := simcache.ValidatePath(e.path); err != nil {
-			return err
-		}
-		// Checked load, like every other entry point: a poisoned snapshot
-		// is silently re-simulated but must not be silently *unreported*.
-		// (The historical racesim binary loaded unchecked; the quiet
-		// success path is unchanged.)
-		_, rejected, err := e.cache.LoadChecked(e.path)
-		var stale *simcache.StaleFormatError
-		if errors.As(err, &stale) {
-			e.eprintf("racesim: ignoring snapshot %s (format %d); starting cold\n", stale.Path, stale.Format)
-		} else if err != nil {
-			return err
-		}
-		if rejected > 0 {
-			e.eprintf("racesim: %s: rejected %d corrupted cache entries\n", e.path, rejected)
-		}
+	discard := func(string, ...any) {} // this job has never logged its loads and saves
+	if err := e.loadSnapshot("racesim", discard); err != nil {
+		return err
 	}
 	trs, err := e.gather(j, events, scale)
 	if err != nil {
@@ -197,9 +180,6 @@ func (e *env) runJob(j *RunJob) error {
 		e.eprintf("cache: %d hits, %d misses (%.1f%% hit rate)\n",
 			st.Hits, st.Misses, st.HitRate()*100)
 		e.traceSummary()
-		if err := e.cache.SaveFile(e.path); err != nil {
-			return err
-		}
 	}
-	return nil
+	return e.saveSnapshot(discard)
 }

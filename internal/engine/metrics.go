@@ -10,7 +10,7 @@ import (
 // Metrics exposes the server's telemetry registry so callers (the serve
 // command, tests, the chaos injector wiring) can register additional
 // collectors next to the built-in ones. The registry is served at GET
-// /metrics on every role, including -cache-server.
+// /metrics.
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
 // registerMetrics installs the server's built-in instruments. Hot-path
@@ -48,8 +48,6 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.cache.Stats().Misses) })
 	cache("shared_total", "Cache lookups that waited on an identical in-flight run.",
 		func() float64 { return float64(s.cache.Stats().Shared) })
-	cache("remote_hits_total", "Cache lookups answered by the shared remote tier.",
-		func() float64 { return float64(s.cache.Stats().RemoteHits) })
 	cache("rejected_total", "Persisted cache entries dropped by checksum mismatch.",
 		func() float64 { return float64(s.cache.Stats().Rejected) })
 	cache("evicted_total", "Cache entries dropped by the memory budget.",
@@ -67,23 +65,21 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.cache.Stats().DiskEntries) },
 		telemetry.L("tier", "disk"))
 
-	if s.memo != nil {
-		r.CounterFunc("racesim_tracememo_hits_total",
-			"Trace-memo lookups answered without re-emulation.",
-			func() float64 { return float64(s.memo.Stats().Hits) })
-		r.CounterFunc("racesim_tracememo_misses_total",
-			"Trace-memo lookups that generated and decoded.",
-			func() float64 { return float64(s.memo.Stats().Misses) })
-		r.CounterFunc("racesim_tracememo_evicted_total",
-			"Trace-memo entries dropped by the byte budget.",
-			func() float64 { return float64(s.memo.Stats().Evicted) })
-		r.GaugeFunc("racesim_tracememo_entries",
-			"Memoized traces currently held.",
-			func() float64 { return float64(s.memo.Stats().Entries) })
-		r.GaugeFunc("racesim_tracememo_bytes",
-			"Bytes held by the trace memo (occupancy against its budget).",
-			func() float64 { return float64(s.memo.Stats().Bytes) })
-	}
+	r.CounterFunc("racesim_tracememo_hits_total",
+		"Trace-memo lookups answered without re-emulation.",
+		func() float64 { return float64(s.memo.Stats().Hits) })
+	r.CounterFunc("racesim_tracememo_misses_total",
+		"Trace-memo lookups that generated and decoded.",
+		func() float64 { return float64(s.memo.Stats().Misses) })
+	r.CounterFunc("racesim_tracememo_evicted_total",
+		"Trace-memo entries dropped by the byte budget.",
+		func() float64 { return float64(s.memo.Stats().Evicted) })
+	r.GaugeFunc("racesim_tracememo_entries",
+		"Memoized traces currently held.",
+		func() float64 { return float64(s.memo.Stats().Entries) })
+	r.GaugeFunc("racesim_tracememo_bytes",
+		"Bytes held by the trace memo (occupancy against its budget).",
+		func() float64 { return float64(s.memo.Stats().Bytes) })
 }
 
 // jobCounters moves the per-job metrics after one job finished: the
@@ -102,8 +98,7 @@ func (s *Server) jobCounters(kind, status string, wait, run float64) {
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
-// format (version 0.0.4). Available on every role — a dedicated cache
-// server exposes its cache counters here too.
+// format (version 0.0.4).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)

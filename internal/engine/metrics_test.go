@@ -116,29 +116,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv.Drain(ctx)
 }
 
-func TestMetricsOnCacheServerRole(t *testing.T) {
-	srv, err := NewServer(ServerOptions{CacheServer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	text := scrape(t, ts)
-	if err := telemetry.ValidatePrometheus(text); err != nil {
-		t.Fatalf("cache-server exposition invalid: %v\n%s", err, text)
-	}
-	if !strings.Contains(text, `racesim_build_info{`) ||
-		!strings.Contains(text, `racesim_cache_entries{tier="total"}`) {
-		t.Errorf("cache-server scrape missing build/cache series:\n%s", text)
-	}
-	// No trace memo on a dedicated cache node — the series must be absent
-	// rather than lying with zeros.
-	if strings.Contains(text, "racesim_tracememo_") {
-		t.Error("cache-server role exposes tracememo series without a memo")
-	}
-}
-
 func TestHealthCarriesBuildInfo(t *testing.T) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -36,18 +35,6 @@ type ServerOptions struct {
 	// attached mmap-backed: startup parses only its index and records
 	// materialize on first touch.
 	CachePath string
-	// CacheServer, when true, runs this process as a dedicated shared
-	// cache node: the /v1/cache endpoints (snapshot pre-seed/delta plus
-	// single-entry GET/PUT) are its whole job, and job submission is
-	// refused so a sweep can never accidentally dispatch simulation work
-	// to the cache tier.
-	CacheServer bool
-	// CacheUpstream, when set, is the base URL of a shared cache server.
-	// True misses (memory and disk both cold) consult it before
-	// simulating, and locally computed results are written back through a
-	// bounded buffer — so overlapping sweeps on different workers warm
-	// each other mid-run.
-	CacheUpstream string
 	// MemoryBudget, when > 0, bounds what the server holds in memory to
 	// roughly this many bytes, half for results (LRU eviction, see
 	// simcache.SetMemoryBudget) and half for the traces the memo keeps
@@ -153,11 +140,10 @@ func (st *jobState) snapshot(includeResult bool) JobStatus {
 // pool against one shared, process-lifetime simulation cache — the warm
 // state a batch run rebuilds from disk every invocation.
 type Server struct {
-	opts   ServerOptions
-	cache  *simcache.Cache
-	memo   *tracememo.Memo // shared trace memo, nil under CacheServer
-	remote *RemoteCache    // shared-tier resolver (CacheUpstream), or nil
-	log    func(format string, args ...any)
+	opts  ServerOptions
+	cache *simcache.Cache
+	memo  *tracememo.Memo // trace memo shared by every job
+	log   func(format string, args ...any)
 
 	// metrics is the server's telemetry registry (GET /metrics); build is
 	// the identity it reports there and on /healthz; sseStreams counts
@@ -211,15 +197,12 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		metrics: telemetry.NewRegistry(),
 		build:   buildInfo,
 	}
-	if !opts.CacheServer {
-		// One process-lifetime trace memo shared by every job of every
-		// kind: repeated job shapes — and the units of a sweep, each an
-		// experiments job of its own — skip emulation and decode, and what
-		// a pre-seeded or loaded snapshot says this build generated before
-		// is not generated again. The cache-server role runs no jobs and
-		// needs none.
-		s.memo = tracememo.New(opts.MemoryBudget/2, 0).WithIdentities(s.cache.TraceIdentities(buildID()))
-	}
+	// One process-lifetime trace memo shared by every job of every kind:
+	// repeated job shapes — and the units of a sweep, each an experiments
+	// job of its own — skip emulation and decode, and what a pre-seeded or
+	// loaded snapshot says this build generated before is not generated
+	// again.
+	s.memo = tracememo.New(opts.MemoryBudget/2, 0).WithIdentities(s.cache.TraceIdentities(buildID()))
 	if opts.MemoryBudget > 0 {
 		// Split the budget between the two byte-bounded tiers: results
 		// (simcache) and generated traces (tracememo).
@@ -227,18 +210,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		log("serve: memory budget %d MiB (results %d MiB, traces %d MiB)",
 			opts.MemoryBudget>>20, (opts.MemoryBudget/2)>>20, (opts.MemoryBudget/2)>>20)
 	}
-	if opts.CacheUpstream != "" {
-		s.remote = NewRemoteCache(opts.CacheUpstream)
-		s.cache.SetRemote(s.remote)
-		log("serve: shared cache tier at %s", opts.CacheUpstream)
-	}
-	if opts.CacheServer {
-		log("serve: cache-server role: jobs refused, serving /v1/cache only")
-	}
 	if opts.CachePath != "" {
-		if err := simcache.ValidatePath(opts.CachePath); err != nil {
-			return nil, err
-		}
 		n, rejected, err := s.cache.LoadChecked(opts.CachePath)
 		var stale *simcache.StaleFormatError
 		switch {
@@ -424,15 +396,10 @@ func (st *jobState) statusString() string {
 var (
 	ErrDraining  = errors.New("engine: server is draining")
 	ErrQueueFull = errors.New("engine: job queue is full")
-	// ErrCacheServer is a submission to a dedicated cache node: a
-	// permanent refusal (HTTP 403), not back-pressure — the caller has
-	// the wrong URL, not bad timing.
-	ErrCacheServer = errors.New("engine: cache-server role does not accept jobs")
 )
 
 // Submit validates and enqueues a job, returning its ID. It fails with
-// ErrDraining once Drain has started, ErrQueueFull beyond QueueDepth,
-// and ErrCacheServer always on a dedicated cache node.
+// ErrDraining once Drain has started and ErrQueueFull beyond QueueDepth.
 func (s *Server) Submit(job Job) (string, error) {
 	return s.SubmitTraced(job, telemetry.SpanContext{})
 }
@@ -442,9 +409,6 @@ func (s *Server) Submit(job Job) (string, error) {
 // job record worker and engine spans into its Result; the zero context
 // submits untraced.
 func (s *Server) SubmitTraced(job Job, sc telemetry.SpanContext) (string, error) {
-	if s.opts.CacheServer {
-		return "", ErrCacheServer
-	}
 	if err := job.Check(); err != nil {
 		return "", err
 	}
@@ -500,15 +464,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		// Flush the shared-tier write-back buffer once the last job
-		// finished offering: entries computed just before shutdown still
-		// reach the cluster.
-		if s.remote != nil {
-			s.remote.Close()
-			if st := s.remote.Stats(); st.Dropped > 0 {
-				s.log("serve: shared cache tier: dropped %d write-backs on a full buffer", st.Dropped)
-			}
-		}
 		close(done)
 	}()
 	select {
@@ -551,11 +506,9 @@ func (s *Server) Drain(ctx context.Context) error {
 //	GET  /v1/jobs/{id}/report  a validate job's ValidationReport (JSON)
 //	GET  /v1/scenarios         the scenario registry with unit counts
 //	GET  /v1/cache/snapshot    the shared cache as a binary snapshot (?delta=1)
-//	POST /v1/cache/snapshot    merge a snapshot (pre-seed; either format)
-//	GET  /v1/cache/entry/{key} one entry as a checksummed record (404 on miss)
-//	PUT  /v1/cache/entry/{key} store one checksummed record (shared-tier write-back)
+//	POST /v1/cache/snapshot    merge a binary snapshot (pre-seed)
 //	GET  /healthz              liveness + queue/cache statistics + build info
-//	GET  /metrics              Prometheus text-format metrics (every role)
+//	GET  /metrics              Prometheus text-format metrics
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -569,8 +522,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("GET /v1/cache/snapshot", s.handleSnapshotGet)
 	mux.HandleFunc("POST /v1/cache/snapshot", s.handleSnapshotPut)
-	mux.HandleFunc("GET /v1/cache/entry/{key}", s.handleEntryGet)
-	mux.HandleFunc("PUT /v1/cache/entry/{key}", s.handleEntryPut)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
@@ -608,8 +559,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		case errors.Is(err, ErrDraining):
 			code = http.StatusServiceUnavailable
-		case errors.Is(err, ErrCacheServer):
-			code = http.StatusForbidden
 		}
 		writeJSON(w, code, apiError{Error: err.Error()})
 		return
@@ -896,8 +845,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 // handleSnapshotPut merges a posted snapshot into the shared cache
 // (checksum-verified, last-writer-wins) and resets the delta baseline —
 // the coordinator's pre-seed path that makes a fresh worker warm.
-// Binary bodies merge record by record off the socket; the snapshot is
-// never buffered whole.
+// The body merges record by record off the socket; the snapshot is never
+// buffered whole.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	before := s.cache.Stats().Rejected
 	added, replaced, err := s.cache.LoadStream(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
@@ -915,47 +864,6 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 		Rejected: st.Rejected - before,
 		Entries:  st.Entries,
 	})
-}
-
-// handleEntryGet serves one cache entry as a self-contained checksummed
-// record — the shared tier's single-record read path, what a worker's
-// RemoteCache.Lookup hits on a true miss. Misses are 404; lookups here
-// do not move the server's own hit/miss counters (Peek), so /healthz
-// reflects the server's own workload, not its popularity as a tier.
-func (s *Server) handleEntryGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	res, ok := s.cache.Peek(key)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such entry"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(simcache.EncodeEntry(key, res))
-}
-
-// handleEntryPut stores one checksum-verified record under its key —
-// the write-back path of the shared tier. The body's embedded key must
-// match the path key: a record is bound to its key by checksum, and
-// storing it elsewhere would be exactly the corruption the checksum
-// exists to stop.
-func (s *Server) handleEntryPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEntryBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("entry body: %v", err)})
-		return
-	}
-	bodyKey, res, err := simcache.DecodeEntry(data)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	if err := checkEntryKey(key, bodyKey); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	s.cache.Store(bodyKey, res)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // maxSnapshotBytes bounds a posted cache snapshot (the job body bound is

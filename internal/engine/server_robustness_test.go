@@ -296,7 +296,8 @@ func TestServerRejectsCorruptSnapshotPost(t *testing.T) {
 
 	for _, body := range []string{
 		"not json at all",
-		`{"format":1,"entries":[`, // truncated mid-stream
+		`{"format":1,"entries":[`,   // truncated mid-stream
+		`{"format":1,"entries":[]}`, // a whole snapshot of the JSON generation: no longer a format
 		"\x00\x00\x00\x00",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/cache/snapshot", "application/json", strings.NewReader(body))

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -435,5 +436,36 @@ func TestServerProgressRing(t *testing.T) {
 	}
 	if !sawScenario {
 		t.Errorf("progress lines look wrong: %v", st.Progress)
+	}
+}
+
+// TestEndpointTableMatchesHandler: every `METHOD /path` row of docs/cli.md's
+// endpoint table is a route Server.Handler() registers — the request reaches
+// a handler of ours, not the mux's own 404 or 405 — and the table has the
+// twelve rows the handler has routes.
+func TestEndpointTableMatchesHandler(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "cli.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	mux, ok := srv.Handler().(*http.ServeMux)
+	if !ok {
+		t.Fatalf("Server.Handler() is a %T, not the mux this test asks for patterns", srv.Handler())
+	}
+	rows := regexp.MustCompile("(?m)^\\| `((?:GET|POST|PUT|DELETE|PATCH) /[^`]*)` \\|").FindAllStringSubmatch(string(doc), -1)
+	if len(rows) != 12 {
+		t.Errorf("docs/cli.md's endpoint table has %d rows, want 12", len(rows))
+	}
+	for _, row := range rows {
+		method, path, _ := strings.Cut(row[1], " ")
+		req := httptest.NewRequest(method, strings.ReplaceAll(path, "{id}", "job-000001"), nil)
+		if _, pattern := mux.Handler(req); pattern != row[1] {
+			t.Errorf("docs/cli.md lists %q; the handler routes it to %q", row[1], pattern)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"racesim/internal/core"
@@ -196,33 +195,22 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-// cancelAfter is a remote tier that holds nothing and cancels a context on
-// its nth lookup — that is, while the nth simulation of a cold grid is
-// being resolved.
-type cancelAfter struct {
-	n       int64
-	lookups atomic.Int64
-	cancel  context.CancelFunc
-}
-
-func (r *cancelAfter) Lookup(string) (core.Result, bool) {
-	if r.lookups.Add(1) == r.n {
-		r.cancel()
-	}
-	return core.Result{}, false
-}
-
-func (r *cancelAfter) Offer(string, core.Result) {}
-
 // TestRunBatchCancelledContextStopsDispatch: cancellation lets the
 // simulations in flight finish and starts no other.
 func TestRunBatchCancelledContextStopsDispatch(t *testing.T) {
 	cfgs, trs := batchConfigs(), batchTraces(t)
 	for _, parallelism := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
+		// The third trace is known by its identity only, and generating its
+		// events — which the grid's third simulation is the first to need —
+		// cancels the context.
+		third := trs[2]
+		grid := []*trace.Trace{trs[0], trs[1], trace.Deferred(third.Name, third.Identity(), func() (*trace.Trace, error) {
+			cancel()
+			return third, nil
+		})}
 		c := New()
-		c.SetRemote(&cancelAfter{n: 3, cancel: cancel})
-		got, err := c.RunBatch(ctx, cfgs, trs, parallelism)
+		got, err := c.RunBatch(ctx, cfgs, grid, parallelism)
 		cancel()
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("parallelism %d: %d results, error %v; want context.Canceled", parallelism, len(got), err)

@@ -10,11 +10,10 @@ import (
 )
 
 // Storage-tier benchmarks: cold open and lookup latency of the binary
-// mmap-backed snapshot versus the legacy whole-file JSON decode, over a
-// fixture big enough (10k entries) that the asymptotic difference —
-// O(index) versus O(file) — dominates constant factors. The entries are
-// fabricated (no simulation), so CI's 1-iteration bench smoke stays
-// cheap. Recorded in BENCH_cache.json.
+// mmap-backed snapshot over a fixture big enough (10k entries) that an
+// open which touched every record, not only the index, would show. The
+// entries are fabricated (no simulation), so CI's 1-iteration bench smoke
+// stays cheap. Recorded in BENCH_cache.json.
 
 const fixtureEntries = 10_000
 
@@ -32,24 +31,19 @@ func fixtureResult(i int) core.Result {
 	return r
 }
 
-// buildFixture fabricates an n-entry cache and saves it in both
-// formats, returning the two snapshot paths.
-func buildFixture(b *testing.B, n int) (binPath, jsonPath string) {
+// buildFixture fabricates an n-entry cache and saves it, returning the
+// snapshot's path.
+func buildFixture(b *testing.B, n int) string {
 	b.Helper()
 	c := New()
 	for i := 0; i < n; i++ {
 		c.Store(fixtureKey(i), fixtureResult(i))
 	}
-	dir := b.TempDir()
-	binPath = filepath.Join(dir, "snap.bin")
-	jsonPath = filepath.Join(dir, "snap.json")
+	binPath := filepath.Join(b.TempDir(), "snap.bin")
 	if err := c.SaveFile(binPath); err != nil {
 		b.Fatal(err)
 	}
-	if err := c.SaveFileJSON(jsonPath); err != nil {
-		b.Fatal(err)
-	}
-	return binPath, jsonPath
+	return binPath
 }
 
 func fileBytesPerEntry(b *testing.B, path string, entries int) float64 {
@@ -65,7 +59,7 @@ func fileBytesPerEntry(b *testing.B, path string, entries int) float64 {
 // the snapshot, parse only the index, resolve one lookup. Cost is
 // O(index), independent of record bytes.
 func BenchmarkSnapshotColdOpenMmap(b *testing.B) {
-	binPath, _ := buildFixture(b, fixtureEntries)
+	binPath := buildFixture(b, fixtureEntries)
 	probe := fixtureKey(fixtureEntries / 2)
 	want := fixtureResult(fixtureEntries / 2)
 	b.ResetTimer()
@@ -87,31 +81,11 @@ func BenchmarkSnapshotColdOpenMmap(b *testing.B) {
 	b.ReportMetric(fileBytesPerEntry(b, binPath, fixtureEntries), "bytes_per_entry")
 }
 
-// BenchmarkSnapshotColdOpenJSON is the same restart against the legacy
-// format: decode and checksum-verify every entry before the first
-// lookup can be answered. Cost is O(file).
-func BenchmarkSnapshotColdOpenJSON(b *testing.B) {
-	_, jsonPath := buildFixture(b, fixtureEntries)
-	probe := fixtureKey(fixtureEntries / 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := New()
-		if _, _, err := c.LoadChecked(jsonPath); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := c.Peek(probe); !ok {
-			b.Fatal("probe missing after load")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(fileBytesPerEntry(b, jsonPath, fixtureEntries), "bytes_per_entry")
-}
-
 // BenchmarkMappedLookup is the steady-state miss-check latency against
 // an open mapped snapshot: hash, binary-search the index, verify the
 // key, decode and checksum the record.
 func BenchmarkMappedLookup(b *testing.B) {
-	binPath, _ := buildFixture(b, fixtureEntries)
+	binPath := buildFixture(b, fixtureEntries)
 	m, err := OpenMapped(binPath)
 	if err != nil {
 		b.Fatal(err)

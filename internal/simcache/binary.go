@@ -14,9 +14,7 @@ import (
 	"racesim/internal/core"
 )
 
-// The binary columnar snapshot format. The JSON snapshot (format 1)
-// decodes the whole file into memory before the first lookup; this
-// format is built for the opposite access pattern — open in O(index),
+// The binary columnar snapshot format, built to open in O(index) and
 // touch only the records a run actually asks for:
 //
 //	header   magic "RSCB" | version u32 | reserved u64          (16 B)
@@ -29,8 +27,7 @@ import (
 //	         reserved u32 | magic "rscE"                        (32 B)
 //
 // Records are written sorted by key, so two caches holding equal
-// entries serialize to identical bytes (the same determinism contract
-// the JSON snapshot honors). The index is fixed-width and hash-sorted
+// entries serialize to identical bytes. The index is fixed-width and hash-sorted
 // for binary search; the footer places it so a writer can stream
 // records without knowing the total up front. Every record carries its
 // own checksum binding result bytes to the key: one flipped byte
@@ -39,8 +36,7 @@ import (
 // Typical cache keys are "hex64:hex64" (config fingerprint x trace
 // digest); keyform 1 packs those into 64 raw bytes. Results are flat
 // trees of uint64 counters and encode as varints — field names never
-// hit the disk, which is where the ~6x bytes/entry win over JSON
-// comes from.
+// hit the disk.
 
 const (
 	binVersion = 1
@@ -62,7 +58,7 @@ var (
 )
 
 // IsBinarySnapshot reports whether data begins with the binary snapshot
-// magic — the format sniff shared by every loader (disk snapshots,
+// magic — the check every loader makes on outside input (disk snapshots,
 // snapshot HTTP bodies, operator files).
 func IsBinarySnapshot(data []byte) bool {
 	return len(data) >= 4 && data[0] == binMagic[0] && data[1] == binMagic[1] &&
@@ -282,31 +278,6 @@ func (r *record) decode() (core.Result, error) {
 	return decodeResult(r.resBytes)
 }
 
-// EncodeEntry encodes one (key, result) pair as a self-contained
-// checksummed record — the wire format of the cluster cache tier's
-// GET/PUT /v1/cache/entry/{key} bodies, identical to a snapshot record.
-func EncodeEntry(key string, res core.Result) []byte {
-	return appendRecord(nil, key, &res)
-}
-
-// DecodeEntry decodes EncodeEntry's bytes, verifying the record's
-// key-binding checksum. Trailing bytes are an error: an entry body is
-// exactly one record.
-func DecodeEntry(data []byte) (string, core.Result, error) {
-	r, err := parseRecord(data)
-	if err != nil {
-		return "", core.Result{}, err
-	}
-	if r.size != len(data) {
-		return "", core.Result{}, fmt.Errorf("simcache: entry has %d trailing bytes", len(data)-r.size)
-	}
-	res, err := r.decode()
-	if err != nil {
-		return "", core.Result{}, err
-	}
-	return r.key, res, nil
-}
-
 // idxEntry is one fixed-width index entry.
 type idxEntry struct {
 	hash uint64
@@ -440,13 +411,16 @@ func (c *Cache) entrySource(skip func(key string) bool) binaryEntrySource {
 	}
 }
 
-// readBinaryStream merges a binary snapshot from r into the cache
-// record by record, never buffering the whole snapshot: each record is
-// length-prefixed, so the reader pulls exactly one record at a time,
-// verifies its checksum and merges it (last-writer-wins). The trailing
-// index and footer are drained and discarded — a streamed merge needs
-// no random access. Returns added/replaced counts like LoadBytes.
-func (c *Cache) readBinaryStream(r io.Reader) (added, replaced int, err error) {
+// LoadStream merges a binary snapshot from r into the cache record by
+// record with LoadBytes semantics, never buffering the whole snapshot: each
+// record is length-prefixed, so the reader pulls exactly one record at a
+// time, verifies its checksum and merges it (last-writer-wins). The
+// trailing index and footer are drained and discarded — a streamed merge
+// needs no random access.
+func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
+	if c == nil {
+		return 0, 0, fmt.Errorf("simcache: LoadStream on a nil cache")
+	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {

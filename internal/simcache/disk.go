@@ -1,50 +1,13 @@
 package simcache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
-
-	"racesim/internal/core"
 )
-
-// fileFormat is the legacy checksummed-JSON snapshot generation; binary
-// snapshots (binVersion) supersede it. SaveFile writes binary; loaders
-// sniff and accept both, so pre-migration snapshots stay warm and
-// `racesim cache convert` moves between them.
-const fileFormat = 1
-
-// entry is one persisted simulation result in the JSON format. Sum
-// binds the result to its key: sha256(key + canonical JSON of result).
-// An entry whose checksum does not match — disk corruption, hand edits,
-// or a Result schema drift — is rejected on load.
-type entry struct {
-	Key    string      `json:"key"`
-	Result core.Result `json:"result"`
-	Sum    string      `json:"sum"`
-}
-
-type file struct {
-	Format  int     `json:"format"`
-	Entries []entry `json:"entries"`
-}
-
-// checksum computes the key-binding digest of a JSON-stored result.
-func checksum(key string, res core.Result) (string, error) {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	h.Write([]byte(key))
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
 
 // ValidatePath reports whether path could plausibly be written by
 // SaveFile: its parent must be an existing directory. Drivers call this
@@ -79,55 +42,41 @@ func (c *Cache) LoadChecked(path string) (accepted int, rejected uint64, err err
 	return n, c.Stats().Rejected - before, nil
 }
 
-// StaleFormatError reports a snapshot written in a different on-disk
-// format generation. Loading one starts cold (the entries are never
+// StaleFormatError reports a binary snapshot written in a different
+// version of the format. Loading one starts cold (the entries are never
 // mis-read), but silently would look identical to "no snapshot": drivers
 // are expected to detect it with errors.As and log that the snapshot was
 // ignored, so an operator pointing a warm run at a pre-migration cache
 // learns why every unit re-simulated.
 type StaleFormatError struct {
 	Path   string // the snapshot file
-	Format int    // the format it declares
+	Format int    // the version it declares
 }
 
 func (e *StaleFormatError) Error() string {
 	return fmt.Sprintf("simcache: %s: snapshot format %d (current %d); ignoring it and starting cold",
-		e.Path, e.Format, fileFormat)
+		e.Path, e.Format, binVersion)
 }
 
-// LoadFile loads a snapshot written by SaveFile into the cache, sniffing
-// the format. A binary snapshot is attached as the mmap-backed disk
-// tier — cold start parses only the index; records materialize on first
-// touch — unless a tier is already attached, in which case its records
-// stream-merge into memory. A legacy JSON snapshot is decoded and merged
-// entry by entry. A missing file is not an error (first run is simply
-// cold); a snapshot in a stale format loads nothing and returns a
-// *StaleFormatError the caller can log or ignore. Entries failing the
-// checksum are dropped and counted in Stats.Rejected (lazily, for the
-// attached tier); the number of loaded entries is returned.
+// LoadFile loads a snapshot written by SaveFile into the cache. The
+// snapshot is attached as the mmap-backed disk tier — cold start parses
+// only the index; records materialize on first touch — unless a tier is
+// already attached, in which case its records stream-merge into memory. A
+// missing file is not an error (first run is simply cold); a snapshot of
+// another version loads nothing and returns a *StaleFormatError the caller
+// can log or ignore; any other file that is not a binary snapshot is an
+// error naming it — never a cold start, so never overwritten by the save
+// that follows one. Entries failing the checksum are dropped and counted in
+// Stats.Rejected (lazily, for the attached tier); the number of loaded
+// entries is returned.
 func (c *Cache) LoadFile(path string) (int, error) {
 	if c == nil {
 		return 0, nil
 	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
+	m, err := OpenMapped(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
-	if err != nil {
-		return 0, err
-	}
-	var magic [4]byte
-	n, _ := f.ReadAt(magic[:], 0)
-	f.Close()
-	if n == 4 && IsBinarySnapshot(magic[:]) {
-		return c.loadBinaryFile(path)
-	}
-	return c.loadJSONFile(path)
-}
-
-// loadBinaryFile attaches (or merges) a binary snapshot.
-func (c *Cache) loadBinaryFile(path string) (int, error) {
-	m, err := OpenMapped(path)
 	if err != nil {
 		return 0, err
 	}
@@ -165,41 +114,6 @@ func (c *Cache) loadBinaryFile(path string) (int, error) {
 		return true
 	})
 	return added + replaced, nil
-}
-
-// loadJSONFile merges a legacy JSON snapshot.
-func (c *Cache) loadJSONFile(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	var f file
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0, fmt.Errorf("simcache: %s: %w", path, err)
-	}
-	if f.Format != fileFormat {
-		// Stale schema: never mis-read the entries, but tell the caller
-		// the snapshot was skipped instead of silently starting cold.
-		return 0, &StaleFormatError{Path: path, Format: f.Format}
-	}
-	accepted := 0
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range f.Entries {
-		sum, err := checksum(e.Key, e.Result)
-		if err != nil || sum != e.Sum {
-			c.rejectLocked()
-			continue
-		}
-		if _, ok := c.entries[e.Key]; !ok {
-			c.insertLocked(e.Key, e.Result)
-			accepted++
-		}
-	}
-	return accepted, nil
 }
 
 // SaveFile streams every stored result (memory merged with the attached
@@ -257,43 +171,6 @@ func (c *Cache) savedAs(path string) bool {
 	now, err := os.Stat(path)
 	return err == nil && os.SameFile(now, disk.info) &&
 		now.Size() == disk.info.Size() && now.ModTime().Equal(disk.info.ModTime())
-}
-
-// SaveFileJSON writes the snapshot in the legacy checksummed-JSON
-// format with the same atomicity and durability as SaveFile. It exists
-// for `racesim cache convert` and for operators pinned to the readable
-// format.
-func (c *Cache) SaveFileJSON(path string) error {
-	if c == nil {
-		return nil
-	}
-	data, err := c.MarshalLegacyJSON()
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".simcache-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

@@ -1,8 +1,8 @@
 package simcache
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,24 +21,6 @@ func seededSnapshot(t *testing.T) (string, []byte) {
 	}
 	path := filepath.Join(t.TempDir(), "snap.json")
 	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, data
-}
-
-// seededJSONSnapshot is seededSnapshot in the legacy JSON format.
-func seededJSONSnapshot(t *testing.T) (string, []byte) {
-	t.Helper()
-	c := New()
-	if _, err := c.Run(sim.PublicA53(), testTrace(t, "MD")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := c.SaveFileJSON(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -73,32 +55,17 @@ func TestLoadFileStaleFormatIsTypedCondition(t *testing.T) {
 	if _, _, err := c.LoadChecked(path); !errors.As(err, &stale) {
 		t.Errorf("LoadChecked stale error = %v, want *StaleFormatError", err)
 	}
-
-	// Same condition for a legacy JSON snapshot declaring a future format.
-	jpath, jdata := seededJSONSnapshot(t)
-	var f file
-	if err := json.Unmarshal(jdata, &f); err != nil {
-		t.Fatal(err)
-	}
-	f.Format = 99
-	rewritten, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jpath, rewritten, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New().LoadFile(jpath); !errors.As(err, &stale) {
-		t.Errorf("stale JSON snapshot load error = %v, want *StaleFormatError", err)
+	if msg, want := err.Error(), fmt.Sprintf("format 99 (current %d)", binVersion); !strings.Contains(msg, want) {
+		t.Errorf("stale error %q does not say %q", msg, want)
 	}
 }
 
 func TestLoadFileTruncatedSnapshotErrors(t *testing.T) {
-	// A truncated legacy JSON snapshot is unparseable and errors, naming
-	// the file. (Truncated *binary* snapshots salvage instead — see
+	// A snapshot cut inside its header is no snapshot and errors, naming
+	// the file. (One cut anywhere after the header salvages instead — see
 	// adversity_test.go.)
-	path, data := seededJSONSnapshot(t)
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	path, data := seededSnapshot(t)
+	if err := os.WriteFile(path, data[:headerSize/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := New()
@@ -124,29 +91,7 @@ func TestLoadFileGarbageSnapshotErrors(t *testing.T) {
 }
 
 func TestLoadFileCorruptedEntryRejectedCounted(t *testing.T) {
-	// JSON snapshots verify eagerly: the poisoned entry is rejected and
-	// counted at load time.
-	jpath, jdata := seededJSONSnapshot(t)
-	poisoned, err := PoisonSnapshot(jdata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jpath, poisoned, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := New()
-	accepted, rejected, err := c.LoadChecked(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rejected != 1 {
-		t.Errorf("LoadChecked reported %d rejected, want 1", rejected)
-	}
-	if accepted != 0 {
-		t.Errorf("the poisoned entry was accepted (%d)", accepted)
-	}
-
-	// Binary snapshots verify lazily: attach indexes the record, and the
+	// Snapshots verify lazily: attach indexes the record, and the
 	// corruption surfaces as a rejection (plus a re-simulation) on first
 	// touch.
 	bpath, bdata := seededSnapshot(t)

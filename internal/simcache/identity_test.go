@@ -9,9 +9,9 @@ import (
 )
 
 // TestTraceIdentityRoundTripsEveryWayACacheTravels: an identity recorded
-// in one cache is read back, bit for bit, from a binary snapshot opened on
-// disk, from a legacy JSON snapshot, from snapshot bytes merged in (the
-// federation pre-seed and delta path) and from a cache-to-cache merge —
+// in one cache is read back, bit for bit, from a snapshot opened on disk,
+// from snapshot bytes merged in (the federation pre-seed and delta path)
+// and from a cache-to-cache merge —
 // always under the build that wrote it, never under another. Recording
 // and looking up move no hit or miss counter.
 func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
@@ -27,27 +27,19 @@ func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
 		t.Fatalf("after three identities beside one result: %+v", st)
 	}
 
-	dir := t.TempDir()
-	bin, js := filepath.Join(dir, "c.snap"), filepath.Join(dir, "c.json")
+	bin := filepath.Join(t.TempDir(), "c.snap")
 	if err := src.SaveFile(bin); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.SaveFileJSON(js); err != nil {
 		t.Fatal(err)
 	}
 	data, err := src.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	travelled := map[string]*Cache{"memory": src}
-	for name, path := range map[string]string{"binary snapshot": bin, "json snapshot": js} {
-		c := New()
-		if _, _, err := c.LoadChecked(path); err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		travelled[name] = c
+	travelled := map[string]*Cache{"memory": src, "snapshot file": New()}
+	if _, _, err := travelled["snapshot file"].LoadChecked(bin); err != nil {
+		t.Fatal(err)
 	}
+	defer travelled["snapshot file"].Close()
 	travelled["snapshot bytes"] = New()
 	if _, _, err := travelled["snapshot bytes"].LoadBytes(data); err != nil {
 		t.Fatal(err)

@@ -37,8 +37,7 @@ type Mapped struct {
 // index is damaged (torn tail, truncation) is salvaged by a sequential
 // record scan that stops at the first corrupt record — the snapshot
 // yields every record written before the damage. A file that is not a
-// binary snapshot at all returns an error; callers sniff the format
-// first.
+// binary snapshot at all returns an error naming it.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {

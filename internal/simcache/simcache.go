@@ -6,8 +6,7 @@
 // experiment runner, the irace evaluator, the perturbation study — gets
 // the stored core.Result back instead of re-running the timing model.
 //
-// The cache is a storage tier with up to three levels, consulted in
-// order:
+// The cache is a storage tier with two levels, consulted in order:
 //
 //   - memory: materialized results under an LRU with an optional byte
 //     budget (SetMemoryBudget), so a long-lived serve process stays
@@ -15,15 +14,13 @@
 //   - disk: an mmap-backed binary snapshot attached by LoadFile/
 //     LoadChecked — lookups resolve through its index and decode one
 //     record on first touch, never the whole file (disk hits count as
-//     hits);
-//   - remote: an optional shared tier (SetRemote) queried on true
-//     misses before simulating, with results offered back
-//     asynchronously (remote hits are counted separately — they cost a
-//     round-trip, not a simulation).
+//     hits).
+//
+// Results cross a process boundary one way only: as a snapshot (merge.go).
 //
 // The cache is safe for concurrent use and deduplicates in-flight work:
 // when two workers ask for the same unit simultaneously, one resolves
-// (disk, remote, or simulate) and the other blocks on the first result
+// (disk or simulate) and the other blocks on the first result
 // (singleflight). Every persisted entry carries a checksum binding it
 // to its key, so a corrupted or hand-edited record is rejected on first
 // touch rather than silently poisoning experiments.
@@ -66,7 +63,7 @@ type Stats struct {
 	Hits        uint64 `json:"hits"`         // Run calls answered from memory or the attached disk tier
 	Misses      uint64 `json:"misses"`       // Run calls that simulated
 	Shared      uint64 `json:"shared"`       // Run calls that waited on an identical in-flight run
-	RemoteHits  uint64 `json:"remote_hits"`  // Run calls answered by the shared remote tier
+	RemoteHits  uint64 `json:"remote_hits"`  // never written: kept for its only reader, benchmark/workloads.go, which is frozen
 	Entries     int    `json:"entries"`      // distinct servable results (memory + unshadowed disk records)
 	MemEntries  int    `json:"mem_entries"`  // results materialized in memory
 	DiskEntries int    `json:"disk_entries"` // records indexed in the attached disk tier
@@ -75,24 +72,13 @@ type Stats struct {
 }
 
 // HitRate returns the fraction of lookups that avoided simulating —
-// memory/disk hits, shared in-flight waits, and remote-tier hits — or 0
-// before any lookups.
+// memory/disk hits and shared in-flight waits — or 0 before any lookups.
 func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Shared + s.RemoteHits
+	total := s.Hits + s.Misses + s.Shared
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.Shared+s.RemoteHits) / float64(total)
-}
-
-// Resolver is a shared remote cache tier. Lookup is synchronous and
-// consulted on a true miss (memory and disk both cold) before
-// simulating; Offer asynchronously publishes a locally computed result
-// so other workers' Lookups can hit it mid-run. Implementations must be
-// safe for concurrent use.
-type Resolver interface {
-	Lookup(key string) (core.Result, bool)
-	Offer(key string, res core.Result)
+	return float64(s.Hits+s.Shared) / float64(total)
 }
 
 // inflight tracks one resolution in progress so duplicates can wait on it.
@@ -133,12 +119,10 @@ type Cache struct {
 	// since the attach — so SaveFile to that file has to write.
 	// Materializing the tier's own records leaves it clear.
 	dirty    bool
-	remote   Resolver // shared cluster tier, or nil
 	running  map[string]*inflight
 	hits     uint64
 	misses   uint64
 	shared   uint64
-	remoteHt uint64
 	rejected uint64
 	evicted  uint64
 }
@@ -154,7 +138,7 @@ func New() *Cache {
 
 // SetMemoryBudget bounds the materialized (in-memory) tier to roughly
 // budget bytes; least-recently-used entries are evicted past it. An
-// evicted entry that the disk or remote tier also holds costs a
+// evicted entry that the disk tier also holds costs a
 // re-materialization on next touch; one held nowhere else is lost from
 // future snapshots. Zero means unlimited (the default).
 func (c *Cache) SetMemoryBudget(budget int64) {
@@ -164,16 +148,6 @@ func (c *Cache) SetMemoryBudget(budget int64) {
 	c.mu.Lock()
 	c.budget = budget
 	c.evictLocked()
-	c.mu.Unlock()
-}
-
-// SetRemote attaches a shared remote tier consulted on true misses.
-func (c *Cache) SetRemote(r Resolver) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.remote = r
 	c.mu.Unlock()
 }
 
@@ -251,8 +225,8 @@ func (c *Cache) touchLocked(ce *centry) {
 
 // Store inserts a result under key with last-writer-wins semantics,
 // reporting whether an existing entry was replaced. It is the merge
-// primitive used by snapshot loading and the remote tier's PUT handler;
-// it does not touch the hit/miss counters.
+// primitive used by snapshot loading; it does not touch the hit/miss
+// counters.
 func (c *Cache) Store(key string, res core.Result) (replaced bool) {
 	if c == nil {
 		return false
@@ -263,8 +237,8 @@ func (c *Cache) Store(key string, res core.Result) (replaced bool) {
 }
 
 // Run returns the memoized result for (cfg, tr), resolving through the
-// tiers — memory, attached disk snapshot, shared remote tier — and
-// simulating only when all are cold. A nil receiver runs the simulation
+// tiers — memory, attached disk snapshot — and simulating only when both
+// are cold. A nil receiver runs the simulation
 // directly.
 func (c *Cache) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	if c == nil {
@@ -296,33 +270,23 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	}
 	fl := &inflight{done: make(chan struct{})}
 	c.running[key] = fl
-	disk, remote := c.disk, c.remote
+	disk := c.disk
 	c.mu.Unlock()
 
-	// Owner path: disk tier, then remote tier, then simulate. The
-	// inflight claim means concurrent identical requests wait on this
-	// resolution whichever tier answers it.
+	// Owner path: disk tier, then simulate. The inflight claim means
+	// concurrent identical requests wait on this resolution whichever
+	// answers it.
 	if disk.Has(key) {
 		if res, err := disk.Get(key); err == nil {
-			c.finish(key, fl, res, nil, byDisk)
+			c.finish(key, fl, res, nil, true)
 			return res, nil
 		}
-		// The record is present but corrupt: reject it and fall through
-		// to the remaining tiers.
+		// The record is present but corrupt: reject it and simulate.
 		c.countRejected()
-	}
-	if remote != nil {
-		if res, ok := remote.Lookup(key); ok {
-			c.finish(key, fl, res, nil, byRemote)
-			return res, nil
-		}
 	}
 
 	res, err := cfg.Run(tr)
-	c.finish(key, fl, res, err, bySimulation)
-	if err == nil && remote != nil {
-		remote.Offer(key, res)
-	}
+	c.finish(key, fl, res, err, false)
 	return res, err
 }
 
@@ -371,32 +335,18 @@ func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Tr
 	return out, nil
 }
 
-// resolution says which tier answered a lookup that memory could not.
-type resolution int
-
-const (
-	bySimulation resolution = iota // every tier cold: simulated (or failed)
-	byDisk                         // the attached disk tier
-	byRemote                       // the shared remote tier
-)
-
-// finish resolves an inflight claim: count the lookup against the tier that
-// answered it, store the result, release waiters.
-func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, by resolution) {
+// finish resolves an inflight claim: count the lookup as a hit when the
+// attached disk tier answered it (diskHit) and as a miss when it was
+// simulated (or failed), store the result, release waiters.
+func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, diskHit bool) {
 	fl.res, fl.err = res, err
 	c.mu.Lock()
-	switch by {
-	case byDisk:
+	if diskHit {
 		c.hits++
-	case byRemote:
-		c.remoteHt++
-	default:
+		c.materializeLocked(key, res)
+	} else {
 		c.misses++
-	}
-	if err == nil {
-		if by == byDisk {
-			c.materializeLocked(key, res)
-		} else {
+		if err == nil {
 			c.insertLocked(key, res)
 		}
 	}
@@ -422,30 +372,17 @@ func (c *Cache) fromDisk(disk *Mapped, key string) (core.Result, bool) {
 	return res, true
 }
 
-// Get looks up a stored result without simulating or touching the
-// remote tier; a disk-tier record is materialized (and counts as a
-// normal entry) on success.
+// Get looks up a stored result without simulating; a disk-tier record is
+// materialized (and counts as a normal entry) on success.
 func (c *Cache) Get(cfg sim.Config, tr *trace.Trace) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
 	}
-	key := Key(cfg, tr)
-	c.mu.Lock()
-	if ce, ok := c.entries[key]; ok {
-		c.touchLocked(ce)
-		res := ce.res
-		c.mu.Unlock()
-		return res, true
-	}
-	disk := c.disk
-	c.mu.Unlock()
-	return c.fromDisk(disk, key)
+	return c.Peek(Key(cfg, tr))
 }
 
-// Peek looks up key across the memory and disk tiers without touching
-// the remote tier or the hit/miss counters — the cache-server side of a
-// GET /v1/cache/entry/{key}: a server answering peers must not inflate
-// its own effectiveness stats or chain lookups to further upstreams.
+// Peek is Get for a caller that holds the key: it looks key up across the
+// memory and disk tiers without touching the hit/miss counters.
 func (c *Cache) Peek(key string) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
@@ -473,7 +410,6 @@ func (c *Cache) Stats() Stats {
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Shared:      c.shared,
-		RemoteHits:  c.remoteHt,
 		Entries:     len(c.entries) + c.disk.Count() - c.shadowed,
 		MemEntries:  len(c.entries),
 		DiskEntries: c.disk.Count(),

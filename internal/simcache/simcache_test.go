@@ -3,8 +3,6 @@ package simcache
 import (
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -175,41 +173,37 @@ func TestPoisonedEntryRejectedByChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy JSON format verifies eagerly at load; the binary
-	// format's lazy equivalent is covered in disk_test.go and
-	// adversity_test.go.
-	if err := c1.SaveFileJSON(path); err != nil {
+	if err := c1.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 
-	// Poison the stored result: flip the cycle count without refreshing
-	// the checksum, as disk corruption or a hand edit would.
+	// Poison the stored result: flip a bit of one counter without
+	// refreshing the checksum, as disk corruption or a hand edit would.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := `"Cycles": ` + strconv.FormatUint(res.Cycles, 10)
-	poisoned := strings.Replace(string(data), old, `"Cycles": `+strconv.FormatUint(res.Cycles+1, 10), 1)
-	if poisoned == string(data) {
-		t.Fatalf("could not find %q in snapshot to poison", old)
-	}
-	if err := os.WriteFile(path, []byte(poisoned), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := New()
-	n, err := c2.LoadFile(path)
+	rec, err := parseRecord(data[headerSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Errorf("accepted %d poisoned entries, want 0", n)
+	rec.resBytes[1] ^= 1 // aliases data; byte 0 is the field count
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The index still lists the record; the first touch re-proves its
+	// checksum and rejects it.
+	c2 := New()
+	if _, err := c2.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, ok := c2.Get(cfg, tr); ok {
+		t.Error("poisoned entry is servable from the cache")
 	}
 	if st := c2.Stats(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
-	}
-	if _, ok := c2.Get(cfg, tr); ok {
-		t.Error("poisoned entry is servable from the cache")
 	}
 	// The unit re-simulates to the correct value instead.
 	again, err := c2.Run(cfg, tr)
@@ -232,13 +226,17 @@ func TestDecodeEntryAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := EncodeEntry(Key(sim.PublicA53(), tr), res)
+	data := appendRecord(nil, Key(sim.PublicA53(), tr), &res)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, got, err := DecodeEntry(data); err != nil || got != res {
+		rec, err := parseRecord(data)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		if got, err := rec.decode(); err != nil || got != res {
 			t.Fatalf("decode: %v", err)
 		}
 	})
 	if allocs > 4 {
-		t.Errorf("DecodeEntry allocates %.0f objects per record, want <= 4", allocs)
+		t.Errorf("decoding allocates %.0f objects per record, want <= 4", allocs)
 	}
 }
