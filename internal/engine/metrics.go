@@ -52,16 +52,16 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.cache.Stats().Rejected) })
 	cache("evicted_total", "Cache entries dropped by the memory budget.",
 		func() float64 { return float64(s.cache.Stats().Evicted) })
-	r.GaugeFunc("racesim_cache_entries",
-		"Distinct servable cache results, by tier.",
+	// The memory tier holds what this process simulated or imported; a hit
+	// on the disk tier is answered from the snapshot and adds nothing to it.
+	const entriesHelp = "Distinct servable cache results, by tier (memory: simulated or imported here; disk: records of the attached snapshot)."
+	r.GaugeFunc("racesim_cache_entries", entriesHelp,
 		func() float64 { return float64(s.cache.Stats().Entries) },
 		telemetry.L("tier", "total"))
-	r.GaugeFunc("racesim_cache_entries",
-		"Distinct servable cache results, by tier.",
+	r.GaugeFunc("racesim_cache_entries", entriesHelp,
 		func() float64 { return float64(s.cache.Stats().MemEntries) },
 		telemetry.L("tier", "memory"))
-	r.GaugeFunc("racesim_cache_entries",
-		"Distinct servable cache results, by tier.",
+	r.GaugeFunc("racesim_cache_entries", entriesHelp,
 		func() float64 { return float64(s.cache.Stats().DiskEntries) },
 		telemetry.L("tier", "disk"))
 

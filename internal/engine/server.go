@@ -32,8 +32,9 @@ type ServerOptions struct {
 	// CachePath, when set, warms the shared simulation cache from a
 	// snapshot at startup and persists it on Drain, so a restarted server
 	// answers repeated jobs from disk-warm state. A binary snapshot is
-	// attached mmap-backed: startup parses only its index and records
-	// materialize on first touch.
+	// attached mmap-backed: startup parses only its index, and a record is
+	// decoded each time it is asked for, never kept — the server's memory
+	// does not grow with its hits.
 	CachePath string
 	// MemoryBudget, when > 0, bounds what the server holds in memory to
 	// roughly this many bytes, half for results (LRU eviction, see

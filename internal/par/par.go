@@ -16,12 +16,21 @@ import (
 // (<=1 means sequential) and returns the lowest-indexed error, so the
 // reported failure is deterministic regardless of completion order.
 //
+// A call starts min(n, parallelism) workers, here and nowhere else, and
+// each pulls the next index from one shared cursor until none is left: no
+// goroutine, and so no fresh stack to grow, per item. The caller only
+// waits. (Having it work too saves a goroutine per call and costs more: the
+// one it starts then sits in the run-next slot of the caller's busy
+// processor, which an idle processor may steal from only after a sleep —
+// docs/performance.md, "What a hit costs".)
+//
 // Dispatch is fail-fast: once any call has returned an error, no further
 // indices are started (calls already in flight run to completion). That
-// cannot change which error is reported: indices are dispatched in
-// ascending order, so by the time index i fails every index below i has
-// already been dispatched, and the lowest-indexed error among dispatched
-// calls is the same as over all of them.
+// cannot change which error is reported: the cursor hands indices out in
+// ascending order and a worker that has taken one always runs it, so by
+// the time index i fails every index below i has been taken and will
+// finish, and the lowest-indexed error among the calls made is the same as
+// over all of them.
 func ForEach(n, parallelism int, fn func(i int) error) error {
 	if parallelism > n {
 		parallelism = n
@@ -34,34 +43,39 @@ func ForEach(n, parallelism int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	var failed atomic.Bool
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if failed.Load() {
-			// A unit in flight (or finished) has already failed: launching
-			// the remaining thousands of simulations would only burn CPU on
-			// results the caller will discard.
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
+	var (
+		next   atomic.Int64 // the next index to hand out
+		failed atomic.Bool
+		mu     sync.Mutex // guards lowest, err
+		lowest = n
+		err    error
+		wg     sync.WaitGroup
+	)
+	wg.Add(parallelism)
+	for w := 0; w < parallelism; w++ {
+		go func() {
 			defer wg.Done()
-			if errs[i] = fn(i); errs[i] != nil {
-				failed.Store(true)
+			// A unit in flight (or finished) that has failed ends the loop:
+			// running the remaining thousands of simulations would only burn
+			// CPU on results the caller will discard.
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if e := fn(i); e != nil {
+					failed.Store(true)
+					mu.Lock()
+					if i < lowest {
+						lowest, err = i, e
+					}
+					mu.Unlock()
+				}
 			}
-			<-sem
-		}(i)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // ForEachCtx is ForEach with cancellation: a cancelled context stops

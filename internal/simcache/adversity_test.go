@@ -174,8 +174,8 @@ func TestMappedTornIndexTailSalvages(t *testing.T) {
 
 // TestMappedConcurrentReaders hammers one mapped snapshot — and the
 // cache in front of it — from many goroutines. Run under -race in CI:
-// the mmap read path and the lazy memory materialization it feeds must
-// be data-race free.
+// the mmap read path and the cache's counted lookups over it must be
+// data-race free.
 func TestMappedConcurrentReaders(t *testing.T) {
 	path, _, src := seededBinarySnapshot(t, "MD", "CS1", "MIP")
 	c := New()
@@ -211,7 +211,7 @@ func TestMappedConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				// Raw mapped reads race the cache's materializing lookups.
+				// Raw mapped reads race the cache's lookups.
 				if m := c.Disk(); m != nil {
 					m.RangeKeys(func(key string, _ int) bool {
 						_, _ = m.Get(key)

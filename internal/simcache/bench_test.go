@@ -1,12 +1,16 @@
 package simcache
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"racesim/internal/core"
+	"racesim/internal/sim"
+	"racesim/internal/trace"
 )
 
 // Storage-tier benchmarks: cold open and lookup latency of the binary
@@ -31,13 +35,16 @@ func fixtureResult(i int) core.Result {
 	return r
 }
 
-// buildFixture fabricates an n-entry cache and saves it, returning the
-// snapshot's path.
-func buildFixture(b *testing.B, n int) string {
+// buildFixture fabricates an n-entry cache, plus a fabricated result under
+// each of the given keys, and saves it, returning the snapshot's path.
+func buildFixture(b testing.TB, n int, more ...string) string {
 	b.Helper()
 	c := New()
 	for i := 0; i < n; i++ {
 		c.Store(fixtureKey(i), fixtureResult(i))
+	}
+	for i, key := range more {
+		c.Store(key, fixtureResult(n+i))
 	}
 	binPath := filepath.Join(b.TempDir(), "snap.bin")
 	if err := c.SaveFile(binPath); err != nil {
@@ -97,4 +104,44 @@ func BenchmarkMappedLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunBatchMappedGrid is what a warm run makes a thousand of: a
+// small configs x traces grid (2 x 11, a perturbation step over the Table
+// II workloads) handed to RunBatch at parallelism 2 and answered pair by
+// pair from the mapped snapshot. It covers everything a disk hit costs
+// below the caller: two fingerprints, the worker pool, 22 keys, 22 lookups.
+func BenchmarkRunBatchMappedGrid(b *testing.B) {
+	cfgs := []sim.Config{sim.PublicA53(), sim.PublicA72()}
+	var trs []*trace.Trace
+	for _, name := range []string{"MD", "MC", "MIP", "CS1", "CS3", "CCh", "CCe", "CCm", "DP1d", "DPT", "ED1"} {
+		trs = append(trs, testTrace(b, name))
+	}
+	var keys []string
+	for _, cfg := range cfgs {
+		for _, tr := range trs {
+			keys = append(keys, Key(cfg, tr))
+		}
+	}
+	c := New()
+	if _, _, err := c.LoadChecked(buildFixture(b, fixtureEntries, keys...)); err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.RunBatch(context.Background(), cfgs, trs, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	pairs := float64(b.N * len(keys))
+	if st := c.Stats(); st.Misses != 0 || float64(st.Hits) != pairs {
+		b.Fatalf("stats = %+v, want %.0f hits and no simulation", st, pairs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/pairs, "allocs/pair")
 }

@@ -9,7 +9,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
-	"sync"
+	"unsafe"
 
 	"racesim/internal/core"
 )
@@ -65,51 +65,57 @@ func IsBinarySnapshot(data []byte) bool {
 		data[2] == binMagic[2] && data[3] == binMagic[3]
 }
 
-// resultFields walks a core.Result as a flat sequence of uint64 fields
-// in declaration order (nested structs and arrays depth-first). The
-// walk is reflective so a Result schema change cannot silently skew the
-// codec: a new field changes the field count, and mismatched counts
-// reject the record like any other corruption.
-func resultFields(v reflect.Value, f func(reflect.Value)) {
-	switch v.Kind() {
+// uint64Fields counts the uint64 fields of t in declaration order (nested
+// structs and arrays depth-first) and panics on any other kind. A tree of
+// uint64 has no padding, so field k of that order sits at byte 8k: the
+// field-offset table the codec moves a core.Result through is the identity,
+// and resultWords is that table applied.
+func uint64Fields(t reflect.Type) int {
+	switch t.Kind() {
 	case reflect.Uint64:
-		f(v)
+		return 1
 	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			resultFields(v.Field(i), f)
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			n += uint64Fields(t.Field(i).Type)
 		}
+		return n
 	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			resultFields(v.Index(i), f)
-		}
+		return t.Len() * uint64Fields(t.Elem())
 	default:
-		panic(fmt.Sprintf("simcache: core.Result holds a %s field; the binary codec handles uint64 trees only", v.Kind()))
+		panic(fmt.Sprintf("simcache: core.Result holds a %s field; the binary codec handles uint64 trees only", t.Kind()))
 	}
 }
 
-// numResultFields is computed once; every record's field count must
-// match it exactly.
+// numResultFields is computed once, by the one reflective walk of
+// core.Result there is; every record's field count must match it exactly,
+// so a Result schema change cannot silently skew the codec: a new field
+// changes the count, and mismatched counts reject the record like any
+// other corruption.
 var numResultFields = func() int {
-	n := 0
-	resultFields(reflect.ValueOf(core.Result{}), func(reflect.Value) { n++ })
+	t := reflect.TypeOf(core.Result{})
+	n := uint64Fields(t)
+	if t.Size() != uintptr(8*n) {
+		panic(fmt.Sprintf("simcache: core.Result is %d bytes for %d uint64 fields", t.Size(), n))
+	}
 	return n
 }()
+
+// resultWords is res seen as its uint64 fields in declaration order; the
+// init-time walk above proved that is all a core.Result is.
+func resultWords(res *core.Result) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(res)), numResultFields)
+}
 
 // appendResult encodes a result as a varint field-count followed by one
 // varint per uint64 field.
 func appendResult(buf []byte, res *core.Result) []byte {
 	buf = binary.AppendUvarint(buf, uint64(numResultFields))
-	resultFields(reflect.ValueOf(res).Elem(), func(v reflect.Value) {
-		buf = binary.AppendUvarint(buf, v.Uint())
-	})
+	for _, x := range resultWords(res) {
+		buf = binary.AppendUvarint(buf, x)
+	}
 	return buf
 }
-
-// resultScratch recycles decodeResult's targets. The reflective walk needs
-// an addressable Result, which escapes: one heap allocation per decoded
-// record, a quarter of everything a warm sweep's snapshot exchange
-// allocated.
-var resultScratch = sync.Pool{New: func() any { return new(core.Result) }}
 
 // decodeResult decodes appendResult's payload.
 func decodeResult(data []byte) (core.Result, error) {
@@ -121,40 +127,28 @@ func decodeResult(data []byte) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("simcache: result payload has %d fields, want %d", n, numResultFields)
 	}
 	data = data[used:]
-	// Every field is assigned below or the decode fails, so the recycled
-	// target needs no clearing.
-	res := resultScratch.Get().(*core.Result)
-	defer resultScratch.Put(res)
-	var derr error
-	resultFields(reflect.ValueOf(res).Elem(), func(v reflect.Value) {
-		if derr != nil {
-			return
-		}
+	var res core.Result
+	for i, words := 0, resultWords(&res); i < len(words); i++ {
 		x, used := binary.Uvarint(data)
 		if used <= 0 {
-			derr = fmt.Errorf("simcache: result payload: truncated varint")
-			return
+			return core.Result{}, fmt.Errorf("simcache: result payload: truncated varint")
 		}
-		data = data[used:]
-		v.SetUint(x)
-	})
-	if derr != nil {
-		return core.Result{}, derr
+		words[i], data = x, data[used:]
 	}
 	if len(data) != 0 {
 		return core.Result{}, fmt.Errorf("simcache: result payload: %d trailing bytes", len(data))
 	}
-	return *res, nil
+	return res, nil
 }
 
 // packKey compresses a key for storage: "hex64:hex64" keys (the shape
-// every real cache key has) pack to 64 raw bytes.
-func packKey(key string) (form byte, payload []byte) {
+// every real cache key has) pack to 64 raw bytes, into buf.
+func packKey(key string, buf *[64]byte) (form byte, payload []byte) {
 	if len(key) == 129 && key[64] == ':' {
-		fp, err1 := hex.DecodeString(key[:64])
-		dg, err2 := hex.DecodeString(key[65:])
+		_, err1 := hex.Decode(buf[:32], []byte(key[:64]))
+		_, err2 := hex.Decode(buf[32:], []byte(key[65:]))
 		if err1 == nil && err2 == nil {
-			return keyformHexHex, append(fp, dg...)
+			return keyformHexHex, buf[:]
 		}
 	}
 	return keyformRaw, []byte(key)
@@ -183,12 +177,10 @@ func unpackKey(form byte, payload []byte) (string, error) {
 // sha256(canonical key || result payload). Binding the canonical string
 // key (not the packed payload) means both key forms of the same key
 // verify identically.
-func recordSum(key string, resultPayload []byte) [8]byte {
-	h := sha256.New()
-	h.Write([]byte(key))
-	h.Write(resultPayload)
-	var sum [8]byte
-	copy(sum[:], h.Sum(nil))
+func recordSum(key string, resultPayload []byte) (sum [8]byte) {
+	var stack [512]byte // a record's key and payload nearly always fit
+	full := sha256.Sum256(append(append(stack[:0], key...), resultPayload...))
+	copy(sum[:], full[:])
 	return sum
 }
 
@@ -209,7 +201,8 @@ func keyHash(key string) uint64 {
 
 // appendRecord encodes one record (marker through checksum).
 func appendRecord(buf []byte, key string, res *core.Result) []byte {
-	form, payload := packKey(key)
+	var packed [64]byte
+	form, payload := packKey(key, &packed)
 	resBytes := appendResult(nil, res)
 	buf = append(buf, recordMarker, form)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
@@ -220,23 +213,25 @@ func appendRecord(buf []byte, key string, res *core.Result) []byte {
 	return append(buf, sum[:]...)
 }
 
-// record is one parsed (not yet verified) record.
+// record is one parsed (not yet verified) record. Its byte slices alias
+// the input buffer.
 type record struct {
-	key      string
-	resBytes []byte // aliases the input buffer
+	form     byte
+	keyBytes []byte // the key as stored, see packKey
+	resBytes []byte
 	sum      [8]byte
 	size     int // total encoded bytes incl. marker
 }
 
 // parseRecord parses the record at data[0:]; data may extend past the
-// record. It verifies structure only — checksum verification is the
-// caller's (lazy) job.
+// record. It verifies structure only — the key stays packed, and checksum
+// verification is the caller's (lazy) job.
 func parseRecord(data []byte) (record, error) {
 	var r record
 	if len(data) < 2 || data[0] != recordMarker {
 		return r, fmt.Errorf("simcache: not a record at this offset")
 	}
-	form := data[1]
+	r.form = data[1]
 	p := 2
 	keyLen, used := binary.Uvarint(data[p:])
 	if used <= 0 {
@@ -252,12 +247,8 @@ func parseRecord(data []byte) (record, error) {
 		uint64(p)+keyLen+resLen+8 > uint64(len(data)) {
 		return r, fmt.Errorf("simcache: record overruns the file")
 	}
-	key, err := unpackKey(form, data[p:p+int(keyLen)])
-	if err != nil {
-		return r, err
-	}
+	r.keyBytes = data[p : p+int(keyLen)]
 	p += int(keyLen)
-	r.key = key
 	r.resBytes = data[p : p+int(resLen)]
 	p += int(resLen)
 	copy(r.sum[:], data[p:p+8])
@@ -265,15 +256,17 @@ func parseRecord(data []byte) (record, error) {
 	return r, nil
 }
 
-// verify re-proves the record's key-binding checksum.
-func (r *record) verify() bool {
-	return recordSum(r.key, r.resBytes) == r.sum
+// key is the record's key as a string.
+func (r *record) key() (string, error) {
+	return unpackKey(r.form, r.keyBytes)
 }
 
-// decode materializes the record's result, verifying the checksum.
-func (r *record) decode() (core.Result, error) {
-	if !r.verify() {
-		return core.Result{}, fmt.Errorf("simcache: record %q failed its checksum", r.key)
+// decode returns the record's result after re-proving the checksum
+// that binds it to key, which is the record's own: the string the caller
+// looked it up by, or key().
+func (r *record) decode(key string) (core.Result, error) {
+	if recordSum(key, r.resBytes) != r.sum {
+		return core.Result{}, fmt.Errorf("simcache: record %q failed its checksum", key)
 	}
 	return decodeResult(r.resBytes)
 }
@@ -478,19 +471,13 @@ func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return added, replaced, err
 		}
-		key, err := unpackKey(form, buf[:keyLen])
-		if err != nil {
-			c.countRejected()
-			continue
+		rec := record{form: form, keyBytes: buf[:keyLen], resBytes: buf[keyLen : keyLen+resLen]}
+		copy(rec.sum[:], buf[need-8:])
+		key, err := rec.key()
+		var res core.Result
+		if err == nil {
+			res, err = rec.decode(key)
 		}
-		resBytes := buf[keyLen : keyLen+uint64(resLen)]
-		var sum [8]byte
-		copy(sum[:], buf[need-8:])
-		if recordSum(key, resBytes) != sum {
-			c.countRejected()
-			continue
-		}
-		res, err := decodeResult(resBytes)
 		if err != nil {
 			c.countRejected()
 			continue

@@ -60,15 +60,15 @@ func (e *StaleFormatError) Error() string {
 
 // LoadFile loads a snapshot written by SaveFile into the cache. The
 // snapshot is attached as the mmap-backed disk tier — cold start parses
-// only the index; records materialize on first touch — unless a tier is
-// already attached, in which case its records stream-merge into memory. A
-// missing file is not an error (first run is simply cold); a snapshot of
-// another version loads nothing and returns a *StaleFormatError the caller
-// can log or ignore; any other file that is not a binary snapshot is an
-// error naming it — never a cold start, so never overwritten by the save
-// that follows one. Entries failing the checksum are dropped and counted in
-// Stats.Rejected (lazily, for the attached tier); the number of loaded
-// entries is returned.
+// only the index; a record is decoded when asked for and stays on disk —
+// unless a tier is already attached, in which case its records are merged
+// into memory. A missing file is not an error (first run is simply cold); a
+// snapshot of another version loads nothing and returns a *StaleFormatError
+// the caller can log or ignore; any other file that is not a binary
+// snapshot is an error naming it — never a cold start, so never overwritten
+// by the save that follows one. Entries failing the checksum are dropped
+// and counted in Stats.Rejected (lazily, for the attached tier); the number
+// of loaded entries is returned.
 func (c *Cache) LoadFile(path string) (int, error) {
 	if c == nil {
 		return 0, nil
@@ -96,8 +96,8 @@ func (c *Cache) LoadFile(path string) (int, error) {
 		return n, nil
 	}
 	c.mu.Unlock()
-	// A disk tier is already attached: materialize this snapshot's
-	// records into memory instead (checksum-verified record by record).
+	// A disk tier is already attached: store this snapshot's records in
+	// memory instead (checksum-verified record by record).
 	defer m.Close()
 	added, replaced := 0, 0
 	m.RangeKeys(func(key string, _ int) bool {

@@ -1,8 +1,10 @@
 package simcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -13,11 +15,12 @@ import (
 // Mapped is the mmap-backed read path over a binary snapshot: Open maps
 // the file and parses only the fixed-width index, so cold start is
 // O(index) — a process sweeping 12 configs against a 10k-entry cache
-// never decodes the other entries. Lookups binary-search the index,
-// verify the candidate record's stored key (hash collisions are legal),
-// and materialize a core.Result only on Get; the per-record checksum is
-// re-proved at that moment, so a flipped byte on disk rejects exactly
-// the record it hit.
+// never decodes the other entries. A lookup binary-searches the index
+// once, compares the candidate record's stored key in its packed form
+// (hash collisions are legal), and decodes a core.Result only on Get; the
+// per-record checksum is re-proved at that moment, every time — nothing
+// keeps a decoded record — so a flipped byte on disk rejects exactly the
+// record it hit.
 //
 // A Mapped is immutable after Open and safe for concurrent readers
 // without locking — every method reads the mapping and the index, never
@@ -134,7 +137,11 @@ func salvageScan(data []byte) []idxEntry {
 		if err != nil {
 			break
 		}
-		index = append(index, idxEntry{hash: keyHash(r.key), off: uint64(off), size: uint32(r.size)})
+		key, err := r.key()
+		if err != nil {
+			break
+		}
+		index = append(index, idxEntry{hash: keyHash(key), off: uint64(off), size: uint32(r.size)})
 		off += r.size
 	}
 	sort.Slice(index, func(i, j int) bool {
@@ -146,17 +153,24 @@ func salvageScan(data []byte) []idxEntry {
 	return index
 }
 
-// find locates the record for key, parsing only same-hash candidates.
+// errNoRecord is Get's error for a key the snapshot does not index; any
+// other error means the record is there and corrupt.
+var errNoRecord = errors.New("simcache: no record for key")
+
+// find locates the record for key, parsing only same-hash candidates and
+// comparing keys as stored: key is packed once, no stored key is unpacked.
 func (m *Mapped) find(key string) (record, bool) {
+	if m == nil {
+		return record{}, false
+	}
+	var buf [64]byte
+	form, packed := packKey(key, &buf)
 	h := keyHash(key)
 	i := sort.Search(len(m.index), func(i int) bool { return m.index[i].hash >= h })
 	for ; i < len(m.index) && m.index[i].hash == h; i++ {
 		e := m.index[i]
 		r, err := parseRecord(m.data[e.off : e.off+uint64(e.size)])
-		if err != nil {
-			continue
-		}
-		if r.key == key {
+		if err == nil && r.form == form && bytes.Equal(r.keyBytes, packed) {
 			return r, true
 		}
 	}
@@ -166,25 +180,19 @@ func (m *Mapped) find(key string) (record, bool) {
 // Has reports whether a record for key exists, without decoding or
 // checksum-verifying it.
 func (m *Mapped) Has(key string) bool {
-	if m == nil {
-		return false
-	}
 	_, ok := m.find(key)
 	return ok
 }
 
-// Get materializes the result for key, verifying the record's checksum.
-// A missing key and a corrupt record are both errors; callers that care
-// about the difference use Has first.
+// Get decodes the result for key in one index search, verifying the
+// record's checksum. A missing key is errNoRecord, a corrupt record any
+// other error.
 func (m *Mapped) Get(key string) (core.Result, error) {
-	if m == nil {
-		return core.Result{}, fmt.Errorf("simcache: no mapped snapshot")
-	}
 	r, ok := m.find(key)
 	if !ok {
-		return core.Result{}, fmt.Errorf("simcache: %s: no record for key", m.path)
+		return core.Result{}, errNoRecord
 	}
-	return r.decode()
+	return r.decode(key)
 }
 
 // RangeKeys calls f for every indexed record's key and encoded size,
@@ -199,7 +207,11 @@ func (m *Mapped) RangeKeys(f func(key string, size int) bool) {
 		if err != nil {
 			continue
 		}
-		if !f(r.key, r.size) {
+		key, err := r.key()
+		if err != nil {
+			continue
+		}
+		if !f(key, r.size) {
 			return
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // entry crossing a cache boundary re-proves its key-binding checksum, so
 // a corrupted worker snapshot cannot poison the federated cache.
 
-// Keys returns every key the cache can serve — materialized entries
+// Keys returns every key the cache can serve — the memory tier's entries
 // merged with the attached disk tier's index — sorted. The sorted order
 // is the snapshot serialization order, so two caches with equal Keys()
 // and equal entries marshal to identical bytes.

@@ -80,9 +80,10 @@ func lookUpAll(t *testing.T, c *Cache) {
 }
 
 // TestSaveFileLeavesUnchangedSnapshotAlone: a run that only looked
-// results up — through Run, Get and Peek, all of which materialize disk
-// records into memory — saves back to the file it opened without touching
-// it. Saving anywhere else writes, and what it writes is the same bytes.
+// results up — three disk hits through Run, then Get and Peek, none of
+// which keeps anything — has nothing dirty and saves back to the file it
+// opened without touching its inode or mtime. Saving anywhere else writes,
+// and what it writes is the same bytes.
 func TestSaveFileLeavesUnchangedSnapshotAlone(t *testing.T) {
 	path, opened, c := openedSnapshot(t, nil)
 	lookUpAll(t, c)
@@ -92,8 +93,11 @@ func TestSaveFileLeavesUnchangedSnapshotAlone(t *testing.T) {
 	if _, ok := c.Peek(Key(sim.PublicA53(), testTrace(t, "CS1"))); !ok {
 		t.Fatal("Peek missed a stored unit")
 	}
-	if st := c.Stats(); st.Hits != 3 || st.Misses != 0 || st.MemEntries != 3 {
-		t.Fatalf("stats = %+v, want 3 disk hits materialized", st)
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 0 || st.MemEntries != 0 || st.Entries != 3 {
+		t.Fatalf("stats = %+v, want 3 disk hits and nothing held in memory", st)
+	}
+	if c.dirty {
+		t.Error("looking results up dirtied the cache")
 	}
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)

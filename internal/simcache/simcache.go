@@ -8,22 +8,23 @@
 //
 // The cache is a storage tier with two levels, consulted in order:
 //
-//   - memory: materialized results under an LRU with an optional byte
-//     budget (SetMemoryBudget), so a long-lived serve process stays
-//     bounded;
+//   - memory: the results this process simulated or imported (Store,
+//     LoadStream), under an LRU with an optional byte budget
+//     (SetMemoryBudget), so a long-lived serve process stays bounded;
 //   - disk: an mmap-backed binary snapshot attached by LoadFile/
-//     LoadChecked — lookups resolve through its index and decode one
-//     record on first touch, never the whole file (disk hits count as
-//     hits).
+//     LoadChecked — a lookup is one search of its index and decodes one
+//     record, never the whole file. A disk hit counts as a hit and is
+//     answered from the mapping every time: it is never copied into
+//     memory, so a snapshot-backed process does not grow with its hits.
 //
 // Results cross a process boundary one way only: as a snapshot (merge.go).
 //
 // The cache is safe for concurrent use and deduplicates in-flight work:
-// when two workers ask for the same unit simultaneously, one resolves
-// (disk or simulate) and the other blocks on the first result
+// when two workers ask for the same unit simultaneously and neither tier
+// holds it, one simulates and the other blocks on that result
 // (singleflight). Every persisted entry carries a checksum binding it
-// to its key, so a corrupted or hand-edited record is rejected on first
-// touch rather than silently poisoning experiments.
+// to its key, so a corrupted or hand-edited record is rejected when
+// touched rather than silently poisoning experiments.
 //
 // All methods are nil-receiver safe: a nil *Cache simply simulates every
 // request, which lets callers thread "maybe a cache" through options
@@ -65,7 +66,7 @@ type Stats struct {
 	Shared      uint64 `json:"shared"`       // Run calls that waited on an identical in-flight run
 	RemoteHits  uint64 `json:"remote_hits"`  // never written: kept for its only reader, benchmark/workloads.go, which is frozen
 	Entries     int    `json:"entries"`      // distinct servable results (memory + unshadowed disk records)
-	MemEntries  int    `json:"mem_entries"`  // results materialized in memory
+	MemEntries  int    `json:"mem_entries"`  // results held in memory: simulated or imported here, never disk hits
 	DiskEntries int    `json:"disk_entries"` // records indexed in the attached disk tier
 	Rejected    uint64 `json:"rejected"`     // persisted entries dropped by checksum mismatch
 	Evicted     uint64 `json:"evicted"`      // entries dropped by the memory budget
@@ -81,14 +82,14 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.Shared) / float64(total)
 }
 
-// inflight tracks one resolution in progress so duplicates can wait on it.
+// inflight tracks one simulation in progress so duplicates can wait on it.
 type inflight struct {
 	done chan struct{}
 	res  core.Result
 	err  error
 }
 
-// centry is one materialized result plus its LRU position.
+// centry is one result held in memory plus its LRU position.
 type centry struct {
 	res  core.Result
 	elem *list.Element // value is the key string
@@ -113,11 +114,11 @@ type Cache struct {
 	budget   int64      // max memory bytes; 0 = unlimited
 	memUsed  int64
 	disk     *Mapped // attached binary snapshot, or nil
-	shadowed int     // memory keys that also exist on disk (for Entries)
+	shadowed int     // memory keys stored over a disk record (for Entries)
 	// dirty records that the cache and the attached tier's file may have
 	// parted ways — a result inserted or replaced, or a record rejected,
-	// since the attach — so SaveFile to that file has to write.
-	// Materializing the tier's own records leaves it clear.
+	// since the attach — so SaveFile to that file has to write. Hits on
+	// the tier's own records leave it clear.
 	dirty    bool
 	running  map[string]*inflight
 	hits     uint64
@@ -136,11 +137,11 @@ func New() *Cache {
 	}
 }
 
-// SetMemoryBudget bounds the materialized (in-memory) tier to roughly
-// budget bytes; least-recently-used entries are evicted past it. An
-// evicted entry that the disk tier also holds costs a
-// re-materialization on next touch; one held nowhere else is lost from
-// future snapshots. Zero means unlimited (the default).
+// SetMemoryBudget bounds the memory tier to roughly budget bytes;
+// least-recently-used entries are evicted past it. An evicted entry that
+// the disk tier also holds is answered from there afterwards; one held
+// nowhere else is lost from future snapshots and simulated again when next
+// asked for. Zero means unlimited (the default).
 func (c *Cache) SetMemoryBudget(budget int64) {
 	if c == nil {
 		return
@@ -152,7 +153,8 @@ func (c *Cache) SetMemoryBudget(budget int64) {
 }
 
 // OnDisk reports whether the attached disk tier indexes key (without
-// decoding or verifying the record). False when no tier is attached.
+// decoding or verifying the record), whether or not memory holds a result
+// over it. False when no tier is attached.
 func (c *Cache) OnDisk(key string) bool {
 	if c == nil {
 		return false
@@ -164,16 +166,10 @@ func (c *Cache) OnDisk(key string) bool {
 }
 
 // insertLocked stores res under key (last-writer-wins) and applies the
-// memory budget. Caller holds c.mu.
+// memory budget. It replaces what either tier held: a memory entry is
+// overwritten, a disk record shadowed. Caller holds c.mu.
 func (c *Cache) insertLocked(key string, res core.Result) (replaced bool) {
 	c.dirty = true
-	return c.materializeLocked(key, res)
-}
-
-// materializeLocked is insertLocked for a record just read from the
-// attached disk tier: memory gains a copy, the cache nothing it would
-// have to save. Caller holds c.mu.
-func (c *Cache) materializeLocked(key string, res core.Result) (replaced bool) {
 	if ce, ok := c.entries[key]; ok {
 		ce.res = res
 		c.lru.MoveToFront(ce.elem)
@@ -184,14 +180,14 @@ func (c *Cache) materializeLocked(key string, res core.Result) (replaced bool) {
 	c.memUsed += entryMemSize(key)
 	if c.disk.Has(key) {
 		c.shadowed++
+		replaced = true
 	}
 	c.evictLocked()
-	return false
+	return replaced
 }
 
 // evictLocked drops LRU entries until the memory budget is met,
-// preferring entries the disk tier can re-materialize. Caller holds
-// c.mu.
+// preferring entries the disk tier also holds. Caller holds c.mu.
 func (c *Cache) evictLocked() {
 	if c.budget <= 0 || c.memUsed <= c.budget {
 		return
@@ -218,15 +214,21 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// touchLocked records a hit on key's entry. Caller holds c.mu.
-func (c *Cache) touchLocked(ce *centry) {
+// memoryLocked answers key from the memory tier, marking the entry most
+// recently used. Caller holds c.mu.
+func (c *Cache) memoryLocked(key string) (core.Result, bool) {
+	ce, ok := c.entries[key]
+	if !ok {
+		return core.Result{}, false
+	}
 	c.lru.MoveToFront(ce.elem)
+	return ce.res, true
 }
 
 // Store inserts a result under key with last-writer-wins semantics,
-// reporting whether an existing entry was replaced. It is the merge
-// primitive used by snapshot loading; it does not touch the hit/miss
-// counters.
+// reporting whether an existing entry, in memory or on disk, was replaced.
+// It is the merge primitive used by snapshot loading; it does not touch the
+// hit/miss counters.
 func (c *Cache) Store(key string, res core.Result) (replaced bool) {
 	if c == nil {
 		return false
@@ -249,16 +251,34 @@ func (c *Cache) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 
 // RunKeyed is Run for a caller that already holds key, which must be
 // Key(cfg, tr) (see JoinKey).
+//
+// A pair the cache holds costs one probe: the memory map, then one search
+// of the snapshot's index, the record verified, decoded and counted as a
+// hit — no claim, no copy. Only a pair neither tier answers takes the
+// inflight claim, so that concurrent identical requests wait on the one
+// simulation; a record that is present but corrupt is counted rejected by
+// whoever claims, simulated like a miss and shadowed in memory by the
+// result.
 func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	if c == nil {
 		return cfg.Run(tr)
 	}
 
 	c.mu.Lock()
-	if ce, ok := c.entries[key]; ok {
+	res, ok := c.memoryLocked(key)
+	var diskErr error
+	if disk := c.disk; !ok && disk != nil {
+		c.mu.Unlock()
+		res, diskErr = disk.Get(key)
+		c.mu.Lock()
+		ok = diskErr == nil
+		if !ok {
+			// The lock was let go: the pair may have been simulated since.
+			res, ok = c.memoryLocked(key)
+		}
+	}
+	if ok {
 		c.hits++
-		c.touchLocked(ce)
-		res := ce.res
 		c.mu.Unlock()
 		return res, nil
 	}
@@ -270,24 +290,21 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	}
 	fl := &inflight{done: make(chan struct{})}
 	c.running[key] = fl
-	disk := c.disk
+	if diskErr != nil && diskErr != errNoRecord {
+		c.rejectLocked() // the record is there and corrupt
+	}
 	c.mu.Unlock()
 
-	// Owner path: disk tier, then simulate. The inflight claim means
-	// concurrent identical requests wait on this resolution whichever
-	// answers it.
-	if disk.Has(key) {
-		if res, err := disk.Get(key); err == nil {
-			c.finish(key, fl, res, nil, true)
-			return res, nil
-		}
-		// The record is present but corrupt: reject it and simulate.
-		c.countRejected()
+	fl.res, fl.err = cfg.Run(tr)
+	c.mu.Lock()
+	c.misses++
+	if fl.err == nil {
+		c.insertLocked(key, fl.res)
 	}
-
-	res, err := cfg.Run(tr)
-	c.finish(key, fl, res, err, false)
-	return res, err
+	delete(c.running, key)
+	c.mu.Unlock()
+	close(fl.done)
+	return fl.res, fl.err
 }
 
 // RunBatch returns the memoized result of every (cfgs[i], trs[j]) pair. It
@@ -313,10 +330,6 @@ func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Tr
 	}
 	out := make([]core.Result, len(cfgs)*len(trs))
 	err := par.ForEachCtx(ctx, len(out), parallelism, func(k int) error {
-		// Each pair runs on a goroutine of its own, which starts on a small
-		// stack, and the lookup below it is deep in large frames
-		// (sim.Config and core.Result travel by value): no copy of either
-		// is kept here, or every pair pays for growing its stack.
 		i, tr := k/len(trs), trs[k%len(trs)]
 		var err error
 		if c == nil {
@@ -335,45 +348,8 @@ func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Tr
 	return out, nil
 }
 
-// finish resolves an inflight claim: count the lookup as a hit when the
-// attached disk tier answered it (diskHit) and as a miss when it was
-// simulated (or failed), store the result, release waiters.
-func (c *Cache) finish(key string, fl *inflight, res core.Result, err error, diskHit bool) {
-	fl.res, fl.err = res, err
-	c.mu.Lock()
-	if diskHit {
-		c.hits++
-		c.materializeLocked(key, res)
-	} else {
-		c.misses++
-		if err == nil {
-			c.insertLocked(key, res)
-		}
-	}
-	delete(c.running, key)
-	c.mu.Unlock()
-	close(fl.done)
-}
-
-// fromDisk materializes key's record from the attached tier, for the
-// lookups that neither simulate nor count (Get, Peek).
-func (c *Cache) fromDisk(disk *Mapped, key string) (core.Result, bool) {
-	if !disk.Has(key) {
-		return core.Result{}, false
-	}
-	res, err := disk.Get(key)
-	if err != nil {
-		c.countRejected()
-		return core.Result{}, false
-	}
-	c.mu.Lock()
-	c.materializeLocked(key, res)
-	c.mu.Unlock()
-	return res, true
-}
-
-// Get looks up a stored result without simulating; a disk-tier record is
-// materialized (and counts as a normal entry) on success.
+// Get looks up a stored result without simulating and without touching the
+// hit/miss counters.
 func (c *Cache) Get(cfg sim.Config, tr *trace.Trace) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
@@ -382,21 +358,28 @@ func (c *Cache) Get(cfg sim.Config, tr *trace.Trace) (core.Result, bool) {
 }
 
 // Peek is Get for a caller that holds the key: it looks key up across the
-// memory and disk tiers without touching the hit/miss counters.
+// memory and disk tiers as RunKeyed does — a disk record is verified and
+// decoded, not kept — and leaves the cache as it found it, except that a
+// corrupt record is counted rejected.
 func (c *Cache) Peek(key string) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
 	}
 	c.mu.Lock()
-	if ce, ok := c.entries[key]; ok {
-		c.touchLocked(ce)
-		res := ce.res
-		c.mu.Unlock()
-		return res, true
-	}
+	res, ok := c.memoryLocked(key)
 	disk := c.disk
 	c.mu.Unlock()
-	return c.fromDisk(disk, key)
+	if ok || disk == nil {
+		return res, ok
+	}
+	res, err := disk.Get(key)
+	if err != nil {
+		if err != errNoRecord {
+			c.countRejected()
+		}
+		return core.Result{}, false
+	}
+	return res, true
 }
 
 // Stats snapshots the counters. Safe on a nil receiver.

@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,7 +10,7 @@ import (
 	"racesim/internal/ubench"
 )
 
-func testTrace(t *testing.T, name string) *trace.Trace {
+func testTrace(t testing.TB, name string) *trace.Trace {
 	t.Helper()
 	b, ok := ubench.ByName(name)
 	if !ok {
@@ -179,18 +178,7 @@ func TestPoisonedEntryRejectedByChecksum(t *testing.T) {
 
 	// Poison the stored result: flip a bit of one counter without
 	// refreshing the checksum, as disk corruption or a hand edit would.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := parseRecord(data[headerSize:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.resBytes[1] ^= 1 // aliases data; byte 0 is the field count
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipResultByte(t, path, Key(cfg, tr))
 
 	// The index still lists the record; the first touch re-proves its
 	// checksum and rejects it.
@@ -232,7 +220,11 @@ func TestDecodeEntryAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if got, err := rec.decode(); err != nil || got != res {
+		key, err := rec.key()
+		if err != nil {
+			t.Fatalf("key: %v", err)
+		}
+		if got, err := rec.decode(key); err != nil || got != res {
 			t.Fatalf("decode: %v", err)
 		}
 	})
