@@ -4,21 +4,22 @@
 //
 //	racesim run -preset public-a53 -ubench MD
 //	racesim run -config tuned.json -workload mcf,xz -parallelism 4
-//	racesim experiments -scenario all -shard 1/2 -resume
+//	racesim experiments -scenario all -cache simcache.snap
 //	racesim validate -core a53 -budget1 4000 -budget2 6000 -out tuned.json
 //	racesim ubench -list
-//	racesim serve -addr :8080 -cache simcache.json
+//	racesim serve -addr :8080 -cache simcache.snap
 //	racesim sweep -workers http://a:8080,http://b:8080 -scenario 'fig*'
-//	racesim sweep -spawn 4 -scenario all -cache federated.json
-//	racesim cache merge -o all.json a.json b.json
+//	racesim sweep -spawn 4 -scenario all -cache federated.snap
+//	racesim cache merge -o all.snap a.snap b.snap
 //
 // For compatibility with the historical single-purpose binary, invoking
 // racesim with flags and no subcommand ("racesim -preset ... -ubench MD")
 // behaves as `racesim run`. Every batch subcommand accepts the shared
 // lifecycle flags -parallelism, -cache, -cpuprofile and -memprofile
 // (serve has its own lifecycle: -workers, -queue-depth, -drain-timeout,
-// -job-timeout);
-// artifacts go to stdout, progress and cache statistics to stderr
+// -job-timeout) and stops at the first SIGINT/SIGTERM with exit status 130,
+// an experiments run with -cache having saved what it simulated. Artifacts
+// go to stdout, progress and cache statistics to stderr
 // (except validate, which historically streams progress on stdout). See
 // docs/cli.md for the full reference, including the serve HTTP API and
 // job JSON schema.
@@ -118,6 +119,9 @@ func main() {
 			prefix = "racesim"
 		}
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
+		if errors.Is(err, context.Canceled) {
+			os.Exit(130) // interrupted: execute's signal context is the only one cancelled
+		}
 		os.Exit(1)
 	}
 }
@@ -131,9 +135,14 @@ func lifecycleFlags(fs *flag.FlagSet) (parallelism *int, cache, cpuprofile, memp
 	return
 }
 
-// execute runs one job on the engine with streamed output.
+// execute runs one job on the engine with streamed output. The first
+// SIGINT/SIGTERM cancels the job (it stops within one simulation batch)
+// and removes the handler, so a second signal kills.
 func execute(job engine.Job, parallelism int, cache, cpuprofile, memprofile string) error {
-	_, err := engine.Execute(job, engine.Options{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
+	_, err := engine.ExecuteContext(ctx, job, engine.Options{
 		Parallelism: parallelism,
 		CachePath:   cache,
 		CPUProfile:  cpuprofile,
@@ -176,12 +185,8 @@ func cmdRun(args []string) error {
 func cmdExperiments(args []string) error {
 	fs := flag.NewFlagSet("racesim experiments", flag.ExitOnError)
 	var (
-		which        = fs.String("run", "", "experiment id or pattern ('all' = paper set)")
-		scenarioPat  = fs.String("scenario", "", "comma-separated scenario names/globs ('all' = paper set); see -list-scenarios")
+		scenarioPat  = fs.String("scenario", "", "comma-separated scenario names/globs ('all' = paper set, the default); see -list-scenarios")
 		listScen     = fs.Bool("list-scenarios", false, "list registered scenarios and exit")
-		shard        = fs.String("shard", "", "run shard i/n of the expanded unit list (deterministic contiguous partition)")
-		resume       = fs.Bool("resume", false, "checkpoint the simulation cache after every unit (implies a default -cache path)")
-		ckEvery      = fs.Duration("checkpoint-every", 10*time.Second, "background checkpoint period under -resume")
 		manifest     = fs.String("manifest", "", "overlay scenarios from this JSON manifest on the registry")
 		saveManifest = fs.String("save-manifest", "", "write the effective scenario registry to this manifest and exit")
 		scale        = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
@@ -197,21 +202,17 @@ func cmdExperiments(args []string) error {
 	return execute(engine.Job{
 		Kind: engine.KindExperiments,
 		Experiments: &engine.ExperimentsJob{
-			Run:             *which,
-			Scenario:        *scenarioPat,
-			ListScenarios:   *listScen,
-			Shard:           *shard,
-			Resume:          *resume,
-			CheckpointEvery: ckEvery.String(),
-			Manifest:        *manifest,
-			SaveManifest:    *saveManifest,
-			Scale:           *scale,
-			Events:          *events,
-			Budget1:         *budget1,
-			Budget2:         *budget2,
-			Seed:            *seed,
-			OutPath:         *out,
-			Quiet:           *quiet,
+			Scenario:      *scenarioPat,
+			ListScenarios: *listScen,
+			Manifest:      *manifest,
+			SaveManifest:  *saveManifest,
+			Scale:         *scale,
+			Events:        *events,
+			Budget1:       *budget1,
+			Budget2:       *budget2,
+			Seed:          *seed,
+			OutPath:       *out,
+			Quiet:         *quiet,
 		},
 	}, *parallelism, *cache, *cpuprofile, *memprofile)
 }

@@ -39,8 +39,7 @@ func cmdSweep(args []string) error {
 		quiet       = fs.Bool("q", false, "suppress progress output")
 		chaosSpec   = fs.String("chaos", "", "inject network faults between coordinator and workers (e.g. seed=7,drop=0.05,delay=0.1,fail=0.02); see docs/robustness.md")
 		workerChaos = fs.String("worker-chaos", "", "forward a -chaos spec to every -spawn worker (engine-side faults: panic=N,stall=N,poison=N)")
-		journal     = fs.String("journal", "", "journal completed units to this file (fsynced JSONL; enables crash resume)")
-		resumeJnl   = fs.Bool("resume-journal", false, "replay the -journal file before dispatching: only unfinished units re-run")
+		journal     = fs.String("journal", "", "journal completed units to this file (fsynced JSONL) and replay the ones it already holds: only unfinished units re-run")
 		traceOut    = fs.String("trace-out", "", "write the sweep's flight recorder (one span per JSONL line) to this file; see docs/observability.md")
 	)
 	fs.Parse(args)
@@ -60,9 +59,6 @@ func cmdSweep(args []string) error {
 		if *spawn == 0 {
 			return fmt.Errorf("-worker-chaos only applies to -spawn workers (remote workers take `serve -chaos` themselves)")
 		}
-	}
-	if *resumeJnl && *journal == "" {
-		return fmt.Errorf("-resume-journal requires -journal")
 	}
 
 	logf := func(format string, a ...any) {
@@ -102,22 +98,21 @@ func cmdSweep(args []string) error {
 	}
 
 	output, rep, err := cluster.Run(context.Background(), cluster.Options{
-		Workers:       urls,
-		Window:        *window,
-		Retries:       *retriesN,
-		CachePath:     *cache,
-		JournalPath:   *journal,
-		ResumeJournal: *resumeJnl,
-		Transport:     inj.Transport(nil),
-		Scenario:      *scenarioPat,
-		Scale:         *scale,
-		Events:        *events,
-		Budget1:       *budget1,
-		Budget2:       *budget2,
-		Seed:          *seed,
-		Trace:         traceContext(root),
-		Recorder:      rec,
-		Log:           logf,
+		Workers:     urls,
+		Window:      *window,
+		Retries:     *retriesN,
+		CachePath:   *cache,
+		JournalPath: *journal,
+		Transport:   inj.Transport(nil),
+		Scenario:    *scenarioPat,
+		Scale:       *scale,
+		Events:      *events,
+		Budget1:     *budget1,
+		Budget2:     *budget2,
+		Seed:        *seed,
+		Trace:       traceContext(root),
+		Recorder:    rec,
+		Log:         logf,
 	})
 	if inj != nil {
 		logf("sweep: chaos injected: %s", inj.Counts())

@@ -8,8 +8,7 @@
 //   - byte-exactness: every unit renders on exactly one worker and the
 //     coordinator concatenates artifacts in global expansion order, so
 //     the assembled output is byte-identical to a single-process
-//     unsharded `racesim experiments` run — the same contract local
-//     sharding already honors — regardless of worker count, scheduling
+//     `racesim experiments` run regardless of worker count, scheduling
 //     order, retries or mid-run worker loss;
 //   - bounded in-flight windows: each worker holds at most Window units
 //     at once (submitted or queued on its own bounded job queue), so a
@@ -28,7 +27,7 @@
 //     fails when a unit exhausts its attempts or no live workers remain;
 //   - crash resumability: with JournalPath every completed unit's
 //     artifact is fsynced to a checksummed journal; a coordinator killed
-//     mid-sweep restarts with ResumeJournal and re-dispatches only
+//     mid-sweep and restarted on the same journal re-dispatches only
 //     unfinished units, assembling byte-identical output;
 //   - cache federation: the coordinator pre-seeds every worker from its
 //     snapshot (CachePath) before the round, collects each worker's
@@ -80,22 +79,17 @@ type Options struct {
 	// Backoff is the base delay before a failed unit is redispatched,
 	// doubled per attempt (default 500ms).
 	Backoff time.Duration
-	// Poll is the job status polling interval (default 150ms).
-	Poll time.Duration
 	// CachePath, when set, federates the simulation cache: loaded and
 	// pre-seeded to every worker before the round, worker deltas merged
 	// and saved back after it.
 	CachePath string
 	// JournalPath, when set, journals every completed unit's artifact to
-	// a checksummed JSONL file, fsynced per record. A coordinator killed
-	// mid-sweep and restarted with ResumeJournal replays the journal and
-	// re-dispatches only unfinished units; the assembled artifact is
-	// byte-identical to an uninterrupted run.
+	// a checksummed JSONL file, fsynced per record. A journal already there
+	// is replayed first: a coordinator killed mid-sweep and restarted
+	// re-dispatches only unfinished units and assembles a byte-identical
+	// artifact. A file written by a different sweep (selection, sizing or
+	// unit list changed), or not a journal, is an error and left as it was.
 	JournalPath string
-	// ResumeJournal replays an existing journal at JournalPath before
-	// dispatching. A journal written by a different sweep (selection,
-	// sizing or unit list changed) is an explicit error.
-	ResumeJournal bool
 	// RequestTimeout bounds each worker HTTP request (default: the
 	// engine.Client default, 60s).
 	RequestTimeout time.Duration
@@ -391,17 +385,15 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 	// Crash-resume journal: replay recovered artifacts (they re-proved
 	// their checksums on read), then journal every new completion.
 	var jnl *journal
-	recovered := map[int]string{}
+	var recovered map[int]string
 	if opts.JournalPath != "" {
 		unitIDs := make([]string, len(units))
 		for i, u := range units {
 			unitIDs[i] = u.ID
 		}
 		fp := sweepFingerprint(opts, unitIDs)
-		if opts.ResumeJournal {
-			if recovered, err = readJournal(opts.JournalPath, fp, len(units)); err != nil {
-				return "", rep, err
-			}
+		if recovered, err = readJournal(opts.JournalPath, fp, len(units)); err != nil {
+			return "", rep, err
 		}
 		if jnl, err = openJournal(opts.JournalPath, fp, unitIDs, recovered); err != nil {
 			return "", rep, err
@@ -412,9 +404,7 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 			completed++
 		}
 		rep.Resumed = len(recovered)
-		if opts.ResumeJournal {
-			log("sweep: journal %s: resumed %d of %d units", opts.JournalPath, rep.Resumed, len(units))
-		}
+		log("sweep: journal %s: resumed %d of %d units", opts.JournalPath, rep.Resumed, len(units))
 	}
 
 	var pending []int
@@ -535,9 +525,9 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 			sendEvent(event{kind: evFail, unitIdx: ui, worker: wi, err: err})
 			return
 		}
-		// Watch streams the job's terminal state over SSE and falls back
-		// to polling at opts.Poll if the stream breaks mid-run.
-		st, err := w.client.Watch(ctx, id, opts.Poll)
+		// Watch streams the job's terminal state over SSE, re-opening the
+		// stream if it breaks mid-run.
+		st, err := w.client.Watch(ctx, id, 0)
 		if err != nil {
 			sendEvent(event{kind: evFail, unitIdx: ui, worker: wi, err: err})
 			return

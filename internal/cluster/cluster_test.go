@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"net/http"
@@ -67,7 +68,6 @@ func tinyOptions(urls ...string) cluster.Options {
 		Events:   tinyEvents,
 		Budget1:  tinyBudget,
 		Budget2:  tinyBudget,
-		Poll:     20 * time.Millisecond,
 		Backoff:  50 * time.Millisecond,
 	}
 }
@@ -234,8 +234,9 @@ func TestSweepUnitExhaustionSurfacesError(t *testing.T) {
 
 // TestSweepJournalCrashResumeByteIdentical is the resume property test:
 // a journaled sweep killed after any number of completed units and
-// restarted with ResumeJournal re-dispatches only the unfinished units
-// and assembles output byte-identical to the uninterrupted run. The
+// restarted on its journal re-dispatches only the unfinished units —
+// none when the journal holds them all — and assembles output
+// byte-identical to the uninterrupted run. The
 // "crash" is simulated by truncating the journal to its first k records
 // (plus a torn half-record, the shape a real kill leaves behind).
 func TestSweepJournalCrashResumeByteIdentical(t *testing.T) {
@@ -274,7 +275,6 @@ func TestSweepJournalCrashResumeByteIdentical(t *testing.T) {
 		}
 		ropts := tinyOptions(tsA.URL, tsB.URL)
 		ropts.JournalPath = journal
-		ropts.ResumeJournal = true
 		got, rrep, err := cluster.Run(context.Background(), ropts)
 		if err != nil {
 			t.Fatalf("resume after %d completed units: %v", k, err)
@@ -295,8 +295,10 @@ func TestSweepJournalCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepJournalRejectsForeignJournal: resuming against a journal from
-// a different sweep must fail loudly before dispatching anything.
+// TestSweepJournalRejectsForeignJournal: a -journal file that is another
+// sweep's journal, not a journal, or empty fails the sweep before anything
+// is dispatched, with an error naming the file, and is left byte for byte
+// as it was — never started over.
 func TestSweepJournalRejectsForeignJournal(t *testing.T) {
 	_, ts := startWorker(t)
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
@@ -307,13 +309,31 @@ func TestSweepJournalRejectsForeignJournal(t *testing.T) {
 	if _, _, err := cluster.Run(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
-	// Same journal, different selection: refuse, don't splice artifacts.
-	opts2 := tinyOptions(ts.URL)
-	opts2.Scenario = "table2"
-	opts2.JournalPath = journal
-	opts2.ResumeJournal = true
-	if _, _, err := cluster.Run(context.Background(), opts2); err == nil || !strings.Contains(err.Error(), "different sweep") {
-		t.Errorf("foreign journal resume error = %v, want a different-sweep rejection", err)
+	foreign, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{
+		"another sweep's journal": foreign,
+		"not a journal":           []byte("results I would hate to lose\n"),
+		"empty":                   {},
+	} {
+		if err := os.WriteFile(journal, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts2 := tinyOptions(ts.URL)
+		opts2.Scenario = "table2"
+		opts2.JournalPath = journal
+		_, rep, err := cluster.Run(context.Background(), opts2)
+		if err == nil || !strings.Contains(err.Error(), journal) {
+			t.Errorf("%s: error = %v, want one naming %s", name, err, journal)
+		}
+		if len(rep.Completed) != 0 {
+			t.Errorf("%s: dispatched %v before refusing", name, rep.Completed)
+		}
+		if after, _ := os.ReadFile(journal); !bytes.Equal(after, content) {
+			t.Errorf("%s: the refused file was rewritten:\n%s", name, after)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // The completion journal makes a coordinator crash-resumable: every
 // finished unit's artifact is appended (and fsynced) as one checksummed
-// JSONL record, so a coordinator killed mid-sweep and restarted with
-// -resume-journal replays the finished units from disk and re-dispatches
+// JSONL record, so a coordinator killed mid-sweep and restarted on the
+// same journal replays the finished units from disk and re-dispatches
 // only the unfinished ones — assembling output byte-identical to an
 // uninterrupted run, because artifacts are position-addressed by global
 // unit index and each record re-proves its own checksum on load.
@@ -73,8 +73,10 @@ type journal struct {
 // recovered artifacts by unit index. Reading stops silently at the first
 // undecodable or checksum-failing line (the torn tail of a crash); a
 // missing file yields no artifacts. A journal written by a *different*
-// sweep is an explicit error, never silently ignored: replaying its
-// artifacts would corrupt the assembled output.
+// sweep, and a file that does not start with a journal header (an empty
+// one included), is an explicit error, never silently ignored: replaying
+// the first would corrupt the assembled output, and openJournal would
+// replace either.
 func readJournal(path, fingerprint string, units int) (map[int]string, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -86,15 +88,12 @@ func readJournal(path, fingerprint string, units int) (map[int]string, error) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	if !sc.Scan() {
-		return map[int]string{}, nil // empty file: nothing recovered
-	}
 	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Kind != journalKind {
-		return nil, fmt.Errorf("cluster: %s is not a sweep journal", path)
+	if !sc.Scan() || json.Unmarshal(sc.Bytes(), &hdr) != nil || hdr.Kind != journalKind {
+		return nil, fmt.Errorf("cluster: %s is not a sweep journal; not overwriting it", path)
 	}
 	if hdr.Fingerprint != fingerprint || hdr.Units != units {
-		return nil, fmt.Errorf("cluster: journal %s was written by a different sweep (selection, sizing or unit list changed); delete it or drop -resume-journal", path)
+		return nil, fmt.Errorf("cluster: journal %s was written by a different sweep (selection, sizing or unit list changed); delete it or name another file", path)
 	}
 	out := map[int]string{}
 	for sc.Scan() {
@@ -114,7 +113,7 @@ func readJournal(path, fingerprint string, units int) (map[int]string, error) {
 	return out, nil
 }
 
-// openJournal creates (or, with the recovered artifacts of a resume,
+// openJournal creates (or, with the artifacts readJournal recovered,
 // compacts and re-creates) the journal and leaves it open for appending.
 // Compaction rewrites header + surviving records to a temp file and
 // renames it over the original, so a torn tail never sits beneath new

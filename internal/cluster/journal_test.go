@@ -114,10 +114,12 @@ func TestJournalTornAtEveryByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := readJournal(torn, fp, len(ids))
-		if cut > 0 && cut < headerLen-1 {
-			// A torn *header* (truncated before its closing brace) is an
-			// unreadable journal — must refuse, not silently resume with
-			// zero units against a mismatched sweep.
+		if cut < headerLen-1 {
+			// A torn *header* (truncated before its closing brace, down to
+			// an empty file — openJournal renames a synced header into
+			// place, so no crash of ours leaves one) is an unreadable
+			// journal — must refuse, not silently resume with zero units
+			// against a mismatched sweep.
 			if err == nil {
 				t.Errorf("cut %d (mid-header): accepted with %d units", cut, len(got))
 			}

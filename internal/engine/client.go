@@ -21,7 +21,7 @@ import (
 // It is what the distributed sweep coordinator (internal/cluster) speaks
 // to every worker, and the reference implementation of the API's
 // client-side contract: back-pressure (429 + Retry-After) is honored by
-// waiting and resubmitting, transient poll failures are retried a
+// waiting and resubmitting, a broken event stream is re-opened a
 // bounded number of times, and every error carries the server's own
 // error message when one was sent.
 type Client struct {
@@ -32,16 +32,16 @@ type Client struct {
 	// Timeout bounds each individual HTTP request when HTTP is nil
 	// (default 60s; negative disables). A wedged worker then surfaces as
 	// a request error the retry budget absorbs — or, once exhausted,
-	// fails the unit — instead of hanging the caller forever. Polling
-	// loops (Wait) still run as long as their context allows; the bound
-	// is per request, never per job.
+	// fails the unit — instead of hanging the caller forever. Event streams
+	// (Watch) still run as long as their context allows; the bound is per
+	// request, never per job.
 	Timeout time.Duration
 	// Transport is the RoundTripper of the built-in client when HTTP is
 	// nil (default http.DefaultTransport). The chaos injector's
 	// Transport wrapper attaches here.
 	Transport http.RoundTripper
 	// Retries bounds back-pressure resubmissions in Submit and tolerated
-	// consecutive poll failures in Wait (default 4).
+	// consecutive event-stream failures in Watch (default 4).
 	Retries int
 	// Backoff is the base delay between retries, doubled per attempt,
 	// when the server did not send a Retry-After hint (default 500ms).
@@ -246,40 +246,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (string, error) {
 	return out.Status, nil
 }
 
-// Wait polls a job until it reaches a terminal state (done, failed or
-// cancelled), tolerating up to Retries consecutive poll failures (a
-// worker restarting its network stack should not fail the unit; a
-// worker that is gone should).
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 150 * time.Millisecond
-	}
-	var failures int
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return JobStatus{}, ctx.Err()
-			}
-			failures++
-			if failures > c.retries() {
-				return JobStatus{}, fmt.Errorf("job %s: %d consecutive poll failures: %w", id, failures, err)
-			}
-		} else {
-			failures = 0
-			switch st.Status {
-			case "done", "failed", "cancelled":
-				return st, nil
-			}
-		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		}
-	}
-}
-
 // streamHTTP is the client used for long-lived event streams: it shares
 // the transport (so the chaos injector still intercepts) but carries no
 // overall request timeout — an SSE stream legitimately outlives any
@@ -305,43 +271,64 @@ func (c *Client) CloseIdleConnections() {
 }
 
 // Watch follows a job to its terminal state over the live event stream
-// (GET /v1/jobs/{id}/events) and returns the final status — the same
-// value Wait's last poll returns, since the stream's terminal event
-// carries the polled body byte-for-byte. Any stream failure (transport
-// error, truncation, a server without the endpoint) falls back to
-// polling via Wait: streaming is an optimization, never a new failure
-// mode — which is also what keeps distributed sweeps robust under
-// chaos-injected connection drops.
-func (c *Client) Watch(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
-	st, err := c.watchEvents(ctx, id)
-	if err == nil {
-		return st, nil
+// (GET /v1/jobs/{id}/events) and returns the final status — the value
+// Status returns then, since the stream's terminal event carries the
+// GET /v1/jobs/{id} body byte-for-byte. A stream that breaks (transport
+// error, truncation, a non-stream answer) is re-opened after pause
+// (default 150ms): the server replays the job's retained progress and
+// current state to every subscriber, so a reconnect misses nothing. Watch
+// gives up after more than Retries consecutive attempts that delivered no
+// state at all (a worker restarting its network stack should not fail the
+// unit; a worker that is gone should).
+func (c *Client) Watch(ctx context.Context, id string, pause time.Duration) (JobStatus, error) {
+	if pause <= 0 {
+		pause = 150 * time.Millisecond
 	}
-	if ctx.Err() != nil {
-		return JobStatus{}, ctx.Err()
+	failures := 0
+	for {
+		st, alive, err := c.watchEvents(ctx, id)
+		if err == nil {
+			return st, nil
+		}
+		if ctx.Err() != nil {
+			return JobStatus{}, ctx.Err()
+		}
+		if alive {
+			failures = 0
+		}
+		failures++
+		if failures > c.retries() {
+			return JobStatus{}, fmt.Errorf("job %s: %d consecutive event-stream failures: %w", id, failures, err)
+		}
+		c.logf("client: %s: job %s event stream failed (%v); reconnecting", c.BaseURL, id, err)
+		select {
+		case <-time.After(pause):
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		}
 	}
-	c.logf("client: %s: job %s event stream failed (%v); falling back to polling", c.BaseURL, id, err)
-	return c.Wait(ctx, id, poll)
 }
 
-// watchEvents consumes the SSE stream until a terminal state event.
-func (c *Client) watchEvents(ctx context.Context, id string) (JobStatus, error) {
+// watchEvents consumes the SSE stream until a terminal state event. alive
+// reports that the stream delivered at least one state event before it
+// failed: the worker is there and knows the job.
+func (c *Client) watchEvents(ctx context.Context, id string) (_ JobStatus, alive bool, _ error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, false, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
 	resp, err := c.streamHTTP().Do(req)
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(resp.Body)
-		return JobStatus{}, apiErrorOf(resp, data)
+		return JobStatus{}, false, apiErrorOf(resp, data)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		return JobStatus{}, fmt.Errorf("job %s: events endpoint answered %q", id, ct)
+		return JobStatus{}, false, fmt.Errorf("job %s: events endpoint answered %q", id, ct)
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -359,12 +346,13 @@ func (c *Client) watchEvents(ctx context.Context, id string) (JobStatus, error) 
 				body := strings.Join(data, "\n") + "\n"
 				var st JobStatus
 				if err := json.Unmarshal([]byte(body), &st); err != nil {
-					return JobStatus{}, fmt.Errorf("job %s: malformed state event: %w", id, err)
+					return JobStatus{}, alive, fmt.Errorf("job %s: malformed state event: %w", id, err)
 				}
 				switch st.Status {
 				case "done", "failed", "cancelled":
-					return st, nil
+					return st, true, nil
 				}
+				alive = true
 			}
 			event, data = "", nil
 		case strings.HasPrefix(line, "event: "):
@@ -376,9 +364,9 @@ func (c *Client) watchEvents(ctx context.Context, id string) (JobStatus, error) 
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, alive, err
 	}
-	return JobStatus{}, fmt.Errorf("job %s: event stream ended before a terminal state", id)
+	return JobStatus{}, alive, fmt.Errorf("job %s: event stream ended before a terminal state", id)
 }
 
 // Report fetches a finished validate job's ValidationReport JSON from

@@ -102,7 +102,7 @@ func TestServerSnapshotFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := ca.Wait(ctx, id, 10*time.Millisecond); err != nil || st.Status != "done" {
+	if st, err := ca.Watch(ctx, id, 10*time.Millisecond); err != nil || st.Status != "done" {
 		t.Fatalf("run job: %v / %+v", err, st)
 	}
 
@@ -154,7 +154,7 @@ func TestServerSnapshotFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := cb.Wait(ctx, id, 10*time.Millisecond); err != nil || st.Status != "done" {
+	if st, err := cb.Watch(ctx, id, 10*time.Millisecond); err != nil || st.Status != "done" {
 		t.Fatalf("warm run job: %v / %+v", err, st)
 	}
 	after, err := cb.Health(ctx)
@@ -242,7 +242,7 @@ func TestClientCancelRoundTrip(t *testing.T) {
 	if status != "cancelled" {
 		t.Errorf("cancel of queued job reported %q, want cancelled", status)
 	}
-	if st, err := c.Wait(ctx, queued, 10*time.Millisecond); err != nil || st.Status != "cancelled" {
+	if st, err := c.Watch(ctx, queued, 10*time.Millisecond); err != nil || st.Status != "cancelled" {
 		t.Errorf("Wait on cancelled job: %v / %q", err, st.Status)
 	}
 	// Cancelling an unknown job is an error carrying the server's message.
@@ -250,7 +250,7 @@ func TestClientCancelRoundTrip(t *testing.T) {
 		t.Error("cancel of unknown job succeeded")
 	}
 	close(release)
-	if st, err := c.Wait(ctx, blocker, 10*time.Millisecond); err != nil || st.Status != "done" {
+	if st, err := c.Watch(ctx, blocker, 10*time.Millisecond); err != nil || st.Status != "done" {
 		t.Errorf("blocker after release: %v / %q", err, st.Status)
 	}
 	srv.Drain(ctx)

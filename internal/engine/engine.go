@@ -12,9 +12,9 @@
 // service execution share every byte of lifecycle code. Jobs stream their
 // stdout/stderr exactly as the historical standalone binaries did —
 // rendered artifacts on stdout, timing and cache statistics on stderr —
-// which is what keeps sharded sweep outputs byte-identical across the
-// refactor; Execute additionally captures both streams into the Result
-// for callers (the server) that need them after the fact.
+// which is what keeps distributed sweep outputs byte-identical to the
+// single-process run; Execute additionally captures both streams into the
+// Result for callers (the server) that need them after the fact.
 package engine
 
 import (
@@ -118,27 +118,17 @@ type ValidateJob struct {
 // ExperimentsJob regenerates paper tables/figures and runs scenario
 // sweeps through the scenario registry.
 type ExperimentsJob struct {
-	// Run and Scenario are the same selector (comma-separated names or
-	// globs; "all" = the paper set); Run is the classic single-pattern
-	// spelling. Setting both is an error; both empty selects "all".
-	Run      string `json:"run,omitempty"`
+	// Scenario selects what to run: comma-separated scenario names or
+	// globs; "all", and empty, select the paper set.
 	Scenario string `json:"scenario,omitempty"`
 	// ListScenarios renders the registry listing instead of running.
 	ListScenarios bool `json:"list_scenarios,omitempty"`
-	// Shard runs partition "i/n" of the expanded unit list.
-	Shard string `json:"shard,omitempty"`
 	// Units restricts the run to the named units of the expanded
 	// selection (comma-separated unit IDs, e.g.
 	// "fig4,budget-sweep-a53/budget=600"), preserving expansion order.
 	// This is how the distributed sweep coordinator addresses one unit
-	// per worker job. Incompatible with Shard.
+	// per worker job.
 	Units string `json:"units,omitempty"`
-	// Resume checkpoints the simulation cache after every unit (implies a
-	// default cache path when Options.CachePath is empty).
-	Resume bool `json:"resume,omitempty"`
-	// CheckpointEvery is the background checkpoint period under Resume, as
-	// a Go duration string (default "10s").
-	CheckpointEvery string `json:"checkpoint_every,omitempty"`
 	// Manifest overlays scenarios from a JSON manifest on the registry;
 	// SaveManifest writes the effective registry to a manifest and stops.
 	Manifest     string  `json:"manifest,omitempty"`
@@ -270,8 +260,7 @@ type env struct {
 	cache  *simcache.Cache
 	memo   *tracememo.Memo // the caller's, or private to this job
 	traces tracememo.Stats // memo's counters when the job started
-	shared bool            // cache owned by the caller: skip snapshot load/save
-	path   string
+	path   string          // snapshot to load and save; "" when the caller owns the cache
 
 	out, errw      io.Writer
 	outBuf, errBuf bytes.Buffer
@@ -359,9 +348,7 @@ func (j Job) Check() error {
 // artifact/trace bytes to any server path (out_path, dump_out,
 // save_manifest) or probe server files (config_path, manifest,
 // trace_path). Inline equivalents exist where they matter — config_json
-// inbound, the Result's artifact and tuned_config outbound. Resume
-// checkpointing is likewise batch-only (server-side snapshot writes plus
-// process-wide signal handling).
+// inbound, the Result's artifact and tuned_config outbound.
 func (j Job) CheckServerSafe() error {
 	var fields []string
 	add := func(field, v string) {
@@ -382,9 +369,6 @@ func (j Job) CheckServerSafe() error {
 		add("experiments.manifest", j.Experiments.Manifest)
 		add("experiments.save_manifest", j.Experiments.SaveManifest)
 		add("experiments.out_path", j.Experiments.OutPath)
-		if j.Experiments.Resume {
-			fields = append(fields, "experiments.resume")
-		}
 	}
 	if j.Ubench != nil {
 		add("ubench.dump", j.Ubench.Dump)
@@ -424,18 +408,19 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 	}
 	res := &Result{Kind: job.Kind}
 	e := &env{
-		ctx:    ctx,
-		par:    opts.Parallelism,
-		cache:  opts.Cache,
-		memo:   opts.TraceMemo,
-		shared: opts.Cache != nil,
-		path:   opts.CachePath,
+		ctx:   ctx,
+		par:   opts.Parallelism,
+		cache: opts.Cache,
+		memo:  opts.TraceMemo,
+		path:  opts.CachePath,
 	}
 	if e.par <= 0 {
 		e.par = runtime.GOMAXPROCS(0)
 	}
 	if e.cache == nil {
 		e.cache = simcache.New()
+	} else {
+		e.path = ""
 	}
 	if e.memo == nil {
 		e.memo = tracememo.New(0, 0).WithIdentities(e.cache.TraceIdentities(buildID()))
@@ -525,11 +510,11 @@ func engineSpans(parent telemetry.SpanContext, job Job, start time.Time, elapsed
 
 // loadSnapshot opens the engine-level cache snapshot for jobs that manage
 // it directly (run/validate/ubench; experiments delegates to the scenario
-// engine, which owns checkpoint/resume semantics). prefix matches the
-// historical binary's stderr prefix. logf receives the load notice —
-// stdout for validate (as before), stderr otherwise.
+// engine, which also saves when a run fails or is interrupted). prefix
+// matches the historical binary's stderr prefix. logf receives the load
+// notice — stdout for validate (as before), stderr otherwise.
 func (e *env) loadSnapshot(prefix string, logf func(format string, args ...any)) error {
-	if e.shared || e.path == "" {
+	if e.path == "" {
 		return nil
 	}
 	n, rejected, err := e.cache.LoadChecked(e.path)
@@ -553,7 +538,7 @@ func (e *env) loadSnapshot(prefix string, logf func(format string, args ...any))
 
 // saveSnapshot persists the engine-level cache snapshot after a job.
 func (e *env) saveSnapshot(logf func(format string, args ...any)) error {
-	if e.shared || e.path == "" {
+	if e.path == "" {
 		return nil
 	}
 	if err := e.cache.SaveFile(e.path); err != nil {

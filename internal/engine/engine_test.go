@@ -148,22 +148,6 @@ func TestExperimentsJobArtifact(t *testing.T) {
 	}
 }
 
-func TestExperimentsJobRejectsResumeOnSharedCache(t *testing.T) {
-	_, err := Execute(
-		Job{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1", Resume: true}},
-		Options{Cache: simcache.New()})
-	if err == nil || !strings.Contains(err.Error(), "shared-cache") {
-		t.Errorf("want shared-cache resume rejection, got %v", err)
-	}
-}
-
-func TestExperimentsJobSelectorConflict(t *testing.T) {
-	_, err := Execute(Job{Kind: KindExperiments, Experiments: &ExperimentsJob{Run: "fig4", Scenario: "fig5"}}, Options{})
-	if err == nil || !strings.Contains(err.Error(), "same selector") {
-		t.Errorf("want selector-conflict error, got %v", err)
-	}
-}
-
 func TestUbenchJobList(t *testing.T) {
 	res, err := Execute(Job{Kind: KindUbench, Ubench: &UbenchJob{List: true}}, Options{Capture: true})
 	if err != nil {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"time"
@@ -9,11 +8,6 @@ import (
 	"racesim/internal/expt"
 	"racesim/internal/scenario"
 )
-
-// defaultResumeCache is the checkpoint path Resume uses when no cache
-// path was given; a resumable sweep needs a snapshot on disk by
-// definition.
-const defaultResumeCache = "simcache.json"
 
 func (e *env) experimentsJob(j *ExperimentsJob) error {
 	if j == nil {
@@ -34,14 +28,6 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	budget2 := j.Budget2
 	if budget2 == 0 {
 		budget2 = 3500
-	}
-	ckEvery := 10 * time.Second
-	if j.CheckpointEvery != "" {
-		d, err := time.ParseDuration(j.CheckpointEvery)
-		if err != nil {
-			return fmt.Errorf("checkpoint_every: %w", err)
-		}
-		ckEvery = d
 	}
 	logf := func(format string, args ...any) {
 		if !j.Quiet {
@@ -69,13 +55,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 		return e.listScenarios(specs)
 	}
 
-	if j.Run != "" && j.Scenario != "" {
-		return fmt.Errorf("cannot combine run and scenario; they are the same selector")
-	}
 	pattern := j.Scenario
-	if pattern == "" {
-		pattern = j.Run
-	}
 	if pattern == "" {
 		pattern = "all"
 	}
@@ -89,40 +69,16 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	}
 	total := len(units)
 	if j.Units != "" {
-		if j.Shard != "" {
-			return fmt.Errorf("cannot combine units and shard; both partition the expansion")
-		}
 		units, err = scenario.FilterUnits(units, strings.Split(j.Units, ","))
 		if err != nil {
 			return err
 		}
 		logf("scenario: units %s: %d of %d units", j.Units, len(units), total)
 	}
-	si, sn, err := scenario.ParseShard(j.Shard)
-	if err != nil {
-		return err
-	}
-	units = scenario.Shard(units, si, sn)
-	if sn > 1 {
-		logf("scenario: shard %d/%d: %d of %d units", si, sn, len(units), total)
-	}
 
-	// The scenario engine owns snapshot load/save and checkpoint/resume
-	// for sweeps, so an interrupted run restarted with the same flags
-	// replays finished work from the cache. A server-owned shared cache is
-	// persisted by the server instead, and per-job checkpointing (with its
-	// process-wide signal handlers) is a batch-only feature.
-	cachePath := e.path
-	if e.shared {
-		if j.Resume {
-			return fmt.Errorf("resume checkpointing is not available on a shared-cache server")
-		}
-		cachePath = ""
-	} else if j.Resume && cachePath == "" {
-		cachePath = defaultResumeCache
-		logf("scenario: -resume without -cache: checkpointing to %s", cachePath)
-	}
-
+	// The scenario engine owns snapshot load/save for sweeps: it saves on
+	// every way out, so an interrupted run restarted with the same flags
+	// replays finished work from the cache.
 	rejectedBefore := e.cache.Stats().Rejected
 	results, err := scenario.Run(units, scenario.RunOptions{
 		Expt: expt.Options{
@@ -137,21 +93,19 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 			Context:        e.ctx,
 			Log:            logf,
 		},
-		CachePath:       cachePath,
-		Checkpoint:      j.Resume,
-		CheckpointEvery: ckEvery,
-		Log:             logf,
+		CachePath: e.path,
+		Log:       logf,
 	})
 	if err != nil {
 		return err
 	}
-	// A corrupted checkpoint is worth a warning even when quiet: the
+	// A corrupted snapshot is worth a warning even when quiet: the
 	// affected units were silently re-simulated. Compare against the
 	// pre-job counter — on a shared cache the cumulative total includes
 	// rejections from other loads (e.g. the server's startup warm-up),
 	// which are not this job's news to report.
 	if rej := e.cache.Stats().Rejected - rejectedBefore; rej > 0 {
-		e.eprintf("experiments: %s: rejected %d corrupted cache entries\n", cachePath, rej)
+		e.eprintf("experiments: %s: rejected %d corrupted cache entries\n", e.path, rej)
 	}
 
 	rendered := scenario.RenderAll(results)

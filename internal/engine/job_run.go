@@ -175,7 +175,7 @@ func (e *env) runJob(j *RunJob) error {
 		e.printf("%s", t.Render())
 	}
 
-	if !e.shared && e.path != "" {
+	if e.path != "" {
 		st := e.cache.Stats()
 		e.eprintf("cache: %d hits, %d misses (%.1f%% hit rate)\n",
 			st.Hits, st.Misses, st.HitRate()*100)

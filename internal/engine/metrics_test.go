@@ -71,7 +71,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, err := c.Wait(ctx, id, 10*time.Millisecond); err != nil || st.Status != "done" {
+		if st, err := c.Watch(ctx, id, 10*time.Millisecond); err != nil || st.Status != "done" {
 			t.Fatalf("%s job: %v / %+v", job.Kind, err, st)
 		}
 	}

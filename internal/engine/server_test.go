@@ -195,15 +195,24 @@ func TestServerRejectsBadJobs(t *testing.T) {
 	if _, code := postJob(t, ts, Job{Kind: "bogus"}); code != http.StatusBadRequest {
 		t.Errorf("bogus kind: code %d", code)
 	}
-	// Unknown fields are rejected, so schema typos fail loudly.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"kind":"run","run":{"ubenchh":"MD"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: code %d", resp.StatusCode)
+	// Unknown fields are rejected, so schema typos — and the resume and
+	// partition fields an older client may still send — fail loudly.
+	for _, body := range []string{
+		`{"kind":"run","run":{"ubenchh":"MD"}}`,
+		`{"kind":"experiments","experiments":{"scenario":"table1","shard":"1/2"}}`,
+		`{"kind":"experiments","experiments":{"scenario":"table1","resume":true}}`,
+		`{"kind":"experiments","experiments":{"scenario":"table1","checkpoint_every":"10s"}}`,
+		`{"kind":"experiments","experiments":{"run":"table1"}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("%s: code %d, body %s; want 400 unknown field", body, resp.StatusCode, msg)
+		}
 	}
 	// The HTTP API is unauthenticated: jobs naming server-side file paths
 	// (reads or writes) must be refused at submission.
@@ -211,7 +220,6 @@ func TestServerRejectsBadJobs(t *testing.T) {
 		{Kind: KindUbench, Ubench: &UbenchJob{Dump: "MD", DumpOut: "/tmp/x.rift"}},
 		{Kind: KindValidate, Validate: &ValidateJob{OutPath: "/tmp/owned.json"}},
 		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1", OutPath: "/tmp/out.md"}},
-		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1", Resume: true}},
 		{Kind: KindRun, Run: &RunJob{ConfigPath: "/etc/passwd", Ubench: "MD"}},
 	} {
 		if _, code := postJob(t, ts, job); code != http.StatusBadRequest {
@@ -467,5 +475,35 @@ func TestEndpointTableMatchesHandler(t *testing.T) {
 		if _, pattern := mux.Handler(req); pattern != row[1] {
 			t.Errorf("docs/cli.md lists %q; the handler routes it to %q", row[1], pattern)
 		}
+	}
+}
+
+// TestJobExamplesDecode keeps docs/cli.md's job schema honest: every
+// ```jsonc block there is, comments stripped, a sequence of jobs POST
+// /v1/jobs would decode — no field the Job type does not have — and Check
+// accepts.
+func TestJobExamplesDecode(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "cli.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comment := regexp.MustCompile(`(?m)(^|\s)//.*$`)
+	jobs := 0
+	for _, block := range regexp.MustCompile("(?s)```jsonc\n(.*?)```").FindAllStringSubmatch(string(doc), -1) {
+		dec := json.NewDecoder(strings.NewReader(comment.ReplaceAllString(block[1], "")))
+		dec.DisallowUnknownFields()
+		for dec.More() {
+			var job Job
+			if err := dec.Decode(&job); err != nil {
+				t.Fatalf("docs/cli.md job example %d: %v", jobs+1, err)
+			}
+			if err := job.Check(); err != nil {
+				t.Errorf("docs/cli.md job example %d: %v", jobs+1, err)
+			}
+			jobs++
+		}
+	}
+	if jobs < 4 {
+		t.Errorf("docs/cli.md holds %d job examples, want one per kind", jobs)
 	}
 }

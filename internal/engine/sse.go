@@ -26,7 +26,7 @@ type jobEvent struct {
 
 // sseBuffer bounds each subscriber's channel. A consumer that falls
 // further behind than this is dropped (its channel closed); the client
-// contract is to fall back to polling, which cannot fall behind.
+// contract is to reconnect, and the replay brings it up to date.
 const sseBuffer = 256
 
 // statusBody renders a JobStatus exactly as writeJSON serves it on GET

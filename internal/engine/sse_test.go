@@ -3,10 +3,13 @@ package engine
 import (
 	"bufio"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,8 +159,8 @@ func TestServerEventsAfterCompletion(t *testing.T) {
 	}
 }
 
-// TestClientWatch: the SSE watcher returns the same terminal status the
-// poller does, and falls back to polling when the stream is broken.
+// TestClientWatch: the SSE watcher returns the same terminal status
+// GET /v1/jobs/{id} does.
 func TestClientWatch(t *testing.T) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {
@@ -189,34 +192,74 @@ func TestClientWatch(t *testing.T) {
 	}
 }
 
-func TestClientWatchFallsBackToPolling(t *testing.T) {
-	// A server without the events endpoint (e.g. an older build): Watch
-	// must degrade to Wait transparently.
+// TestClientWatchReconnects: a broken event stream is re-opened, and the
+// server's replay makes the reconnect a full resume — Watch ends on the
+// status Status reports. The endpoint failing outright or cutting the
+// stream mid-body up to Retries times in a row is absorbed; once more is
+// an error naming the job; a cancelled context is the context's error.
+func TestClientWatchReconnects(t *testing.T) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := srv.Handler()
+	var failures atomic.Int32 // event-stream requests still to break
+	var cut atomic.Bool       // break them mid-body instead of answering 500
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
+		switch {
+		case failures.Add(-1) < 0:
+			srv.Handler().ServeHTTP(w, r)
+		case cut.Load():
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "event: progress\ndata: half a str")
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		default:
+			http.Error(w, "injected", http.StatusInternalServerError)
+		}
 	})
-	mux.Handle("/", inner)
+	mux.Handle("/", srv.Handler())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	ctx := context.Background()
 
 	c := NewClient(ts.URL)
+	c.Retries = 2
 	id, err := c.Submit(ctx, tinyExperiments())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Watch(ctx, id, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	for _, midBody := range []bool{false, true} {
+		cut.Store(midBody)
+		failures.Store(int32(c.Retries))
+		watched, err := c.Watch(ctx, id, time.Millisecond)
+		if err != nil {
+			t.Fatalf("cut mid-body %v: %v", midBody, err)
+		}
+		if left := failures.Load(); left >= 0 {
+			t.Fatalf("cut mid-body %v: %d injected failures never met", midBody, left+1)
+		}
+		polled, err := c.Status(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watched.Status != "done" || !reflect.DeepEqual(watched, polled) {
+			t.Errorf("cut mid-body %v: watched status diverges from polled status", midBody)
+		}
 	}
-	if st.Status != "done" {
-		t.Fatalf("fallback watch: %+v", st)
+
+	failures.Store(int32(c.Retries) + 1)
+	if _, err := c.Watch(ctx, id, time.Millisecond); err == nil || !strings.Contains(err.Error(), id) {
+		t.Errorf("%d failures in a row: got %v, want an error naming %s", c.Retries+1, err, id)
+	}
+
+	failures.Store(1 << 30)
+	patient := NewClient(ts.URL)
+	patient.Retries = 1 << 30
+	cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, err := patient.Watch(cctx, id, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("cancelled watch: got %v, want the context's error", err)
 	}
 }
 

@@ -468,7 +468,7 @@ func (c *Context) perturbFigure(id, title, paperClaim string, board *hw.Board,
 	res, err := perturb.WorstNearOptimum(tuned, ws, perturb.Options{
 		Restarts: c.opts.PerturbRestarts, Seed: c.opts.Seed,
 		Cache: c.runner.Cache(), Parallelism: c.runner.Parallelism(),
-		Log: c.opts.Log,
+		Context: c.opts.Context, Log: c.opts.Log,
 	})
 	if err != nil {
 		return Experiment{}, err

@@ -8,6 +8,7 @@ package par
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -32,16 +33,29 @@ import (
 // finish, and the lowest-indexed error among the calls made is the same as
 // over all of them.
 func ForEach(n, parallelism int, fn func(i int) error) error {
+	return ForEachCtx(nil, n, parallelism, fn)
+}
+
+// ForEachCtx is ForEach with cancellation: a cancelled context stops
+// dispatch (in-flight calls still run to completion) and, when no call
+// failed on its own, reports ctx.Err(). Cancellation is never recorded as
+// the error of an index — neither the one the pool met it at nor one whose
+// fn returned it — so a context error cannot mask a real failure: the
+// lowest-indexed fn error wins whichever index saw the context first, and
+// callers see the same deterministic error ForEach promises, plus
+// context.Canceled / DeadlineExceeded when cancellation is the only thing
+// that went wrong. A nil ctx is never cancelled.
+func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
 	if parallelism > n {
 		parallelism = n
 	}
 	if parallelism <= 1 {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && ctxErr(ctx) == nil; i++ {
 			if err := fn(i); err != nil {
 				return err
 			}
 		}
-		return nil
+		return ctxErr(ctx)
 	}
 	var (
 		next   atomic.Int64 // the next index to hand out
@@ -58,13 +72,16 @@ func ForEach(n, parallelism int, fn func(i int) error) error {
 			// A unit in flight (or finished) that has failed ends the loop:
 			// running the remaining thousands of simulations would only burn
 			// CPU on results the caller will discard.
-			for !failed.Load() {
+			for !failed.Load() && ctxErr(ctx) == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				if e := fn(i); e != nil {
 					failed.Store(true)
+					if errors.Is(e, ctxErr(ctx)) {
+						return // cancellation seen from inside fn: reported below, after any real failure
+					}
 					mu.Lock()
 					if i < lowest {
 						lowest, err = i, e
@@ -75,30 +92,16 @@ func ForEach(n, parallelism int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	return err
-}
-
-// ForEachCtx is ForEach with cancellation: a cancelled context stops
-// dispatch (in-flight calls still run to completion) and, when no call
-// failed on its own, reports ctx.Err(). A context error never masks a
-// real failure — the lowest-indexed fn error still wins — so callers see
-// the same deterministic error ForEach promises, plus context.Canceled /
-// DeadlineExceeded when cancellation is the only thing that went wrong.
-// A nil ctx behaves like ForEach.
-func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) error {
-	if ctx == nil {
-		return ForEach(n, parallelism, fn)
-	}
-	err := ForEach(n, parallelism, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			// Report as fn's error so fail-fast dispatch stops the pool, but
-			// the sentinel is ctx.Err() itself, so errors.Is matches.
-			return err
-		}
-		return fn(i)
-	})
 	if err != nil {
 		return err
+	}
+	return ctxErr(ctx)
+}
+
+// ctxErr is ctx.Err() for a context that may be nil.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
 	}
 	return ctx.Err()
 }

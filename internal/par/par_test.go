@@ -241,6 +241,35 @@ func TestForEachCtxRealErrorWinsOverCancellation(t *testing.T) {
 	}
 }
 
+// TestForEachCtxFailureBeatsCancellationAtLowerIndex: index 0 meets the
+// cancelled context (and returns it, as a nested pool or a simulation that
+// checks its context does) while index 1, already in flight, fails for
+// real. The failure is what comes back, although the context error sits at
+// the lower index; with no failure, the context error does.
+func TestForEachCtxFailureBeatsCancellationAtLowerIndex(t *testing.T) {
+	boom := errors.New("boom")
+	for _, want := range []error{boom, context.Canceled} {
+		ctx, cancel := context.WithCancel(context.Background())
+		inflight := make(chan struct{})
+		err := ForEachCtx(ctx, 2, 2, func(i int) error {
+			if i == 0 {
+				<-inflight
+				cancel()
+				return ctx.Err()
+			}
+			close(inflight)
+			<-ctx.Done()
+			if want == boom {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, want) {
+			t.Errorf("got %v, want %v", err, want)
+		}
+	}
+}
+
 func TestForEachCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

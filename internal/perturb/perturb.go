@@ -35,7 +35,10 @@ type Options struct {
 	// Parallelism bounds concurrent workload simulations per evaluated
 	// configuration (<=1: sequential).
 	Parallelism int
-	Log         func(format string, args ...any)
+	// Context, when non-nil, cancels the search: the batch in flight stops
+	// dispatching and WorstNearOptimum returns the context's error.
+	Context context.Context
+	Log     func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -80,8 +83,7 @@ func meanErrors(cfgs []sim.Config, ws []Workload, o Options) ([]evaluation, erro
 	for j, w := range ws {
 		trs[j] = w.Trace
 	}
-	// WorstNearOptimum keeps a signature without a context.
-	rs, err := o.Cache.RunBatch(context.TODO(), cfgs, trs, o.Parallelism)
+	rs, err := o.Cache.RunBatch(o.Context, cfgs, trs, o.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("perturb: %w", err)
 	}

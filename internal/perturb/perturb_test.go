@@ -1,6 +1,7 @@
 package perturb
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -106,5 +107,24 @@ func TestSimulationErrorAbortsSearch(t *testing.T) {
 	_, err = WorstNearOptimum(tuned, ws, Options{Restarts: 1, MaxPasses: 1, Seed: 1, Cache: cache})
 	if !errors.Is(err, boom) {
 		t.Fatalf("WorstNearOptimum returned error %v, want the failed simulation's", err)
+	}
+}
+
+// TestWorstNearOptimumStopsOnCancel: a search whose context is cancelled
+// part-way — here by its own first log line — stops with the context's
+// error instead of finishing the ascent.
+func TestWorstNearOptimumStopsOnCancel(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = WorstNearOptimum(p.A53.TrueConfig(), workloads(t, p.A53, 2), Options{
+		Restarts: 1, MaxPasses: 1, Seed: 1, Context: ctx,
+		Log: func(string, ...any) { cancel() },
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search returned %v, want context.Canceled", err)
 	}
 }

@@ -3,10 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"racesim/internal/expt"
@@ -64,25 +61,23 @@ func (rt *Runtime) noisyBoard(core string, level float64) (*hw.Board, error) {
 // RunOptions configures one sweep execution.
 type RunOptions struct {
 	// Expt sizes the underlying experiment context (budgets, seeds,
-	// scale, parallelism, cache, log).
+	// scale, parallelism, cache, cancellation context, log).
 	Expt expt.Options
-	// CachePath, when set, is the simcache snapshot backing the sweep:
-	// loaded (if present) before the first unit and saved after the
-	// last, so repeated sweeps are warm across processes.
+	// CachePath, when set, is the simcache snapshot backing the sweep and
+	// what picks an interrupted sweep up again: loaded (if present) before
+	// the first unit, saved on every way out of Run — finished, a failed
+	// unit, a cancelled context — and at a unit boundary once saveInterval
+	// has passed since the last save. The same sweep re-run against the
+	// same file simulates only what the file does not hold.
 	CachePath string
-	// Checkpoint additionally saves the cache after *every* unit and on
-	// a periodic background timer, making CachePath a resume checkpoint:
-	// a sweep killed mid-run and restarted with the same CachePath
-	// replays completed work at ~100% cache hits and continues the
-	// interrupted unit from its last saved simulations.
-	Checkpoint bool
-	// CheckpointEvery is the background checkpoint period (default 10s);
-	// only meaningful with Checkpoint. Unit boundaries always checkpoint
-	// regardless.
-	CheckpointEvery time.Duration
 	// Log receives progress lines (never rendered output).
 	Log func(format string, args ...any)
 }
+
+// saveInterval bounds what a kill -9 can lose to the units begun in the
+// last saveInterval plus the one in progress. A variable so a test can
+// shorten it.
+var saveInterval = 10 * time.Second
 
 // UnitResult pairs a unit with its rendered experiment.
 type UnitResult struct {
@@ -93,8 +88,8 @@ type UnitResult struct {
 // Run executes the units in order against one shared runtime and returns
 // their results in the same order. Rendered output depends only on the
 // unit list and the experiment options — never on parallelism, cache
-// warmth or checkpointing — which is what makes shard merging and resume
-// byte-exact.
+// warmth or where an earlier run of the same sweep stopped. A run that
+// fails after simulating still saves, and says so in the error it returns.
 func Run(units []Unit, opts RunOptions) ([]UnitResult, error) {
 	log := opts.Log
 	if log == nil {
@@ -126,55 +121,6 @@ func Run(units []Unit, opts RunOptions) ([]UnitResult, error) {
 	rt := &Runtime{Ctx: ctx}
 	cache := ctx.Runner().Cache()
 
-	// Background checkpointing bounds how much simulation work a kill can
-	// lose to one period, even inside a long unit (a validation pipeline
-	// is minutes of tuning races behind a single unit), and a polite
-	// interrupt (Ctrl-C, SIGTERM from a fleet scheduler) flushes a final
-	// checkpoint before exiting, losing nothing completed. Both are
-	// installed only here, *after* the load: a handler armed earlier
-	// could overwrite a populated checkpoint with an empty cache.
-	// SaveFile is atomic (temp file + rename) and the cache is
-	// concurrency-safe, so the timer, the signal flush and unit-boundary
-	// saves may race harmlessly.
-	if opts.Checkpoint && opts.CachePath != "" {
-		every := opts.CheckpointEvery
-		if every <= 0 {
-			every = 10 * time.Second
-		}
-		sigCh := make(chan os.Signal, 1)
-		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := cache.SaveFile(opts.CachePath); err != nil {
-						log("scenario: background checkpoint %s: %v", opts.CachePath, err)
-					}
-				case <-sigCh:
-					if err := cache.SaveFile(opts.CachePath); err != nil {
-						fmt.Fprintln(os.Stderr, "scenario: interrupt checkpoint:", err)
-					} else {
-						fmt.Fprintf(os.Stderr, "scenario: interrupted; checkpointed %d entries to %s\n",
-							cache.Stats().Entries, opts.CachePath)
-					}
-					os.Exit(130)
-				case <-stop:
-					return
-				}
-			}
-		}()
-		defer func() {
-			signal.Stop(sigCh)
-			close(stop)
-			<-done
-		}()
-	}
-
 	if len(units) > 0 {
 		if arts := Artifacts(units); len(arts) > 0 {
 			log("scenario: %d units, shared artifacts: %s", len(units), strings.Join(arts, " "))
@@ -182,42 +128,70 @@ func Run(units []Unit, opts RunOptions) ([]UnitResult, error) {
 			log("scenario: %d units", len(units))
 		}
 	}
+	// Saves happen between units and after the load above, so never beside
+	// running simulations and never from an emptier cache than the file's.
+	// One that would write what the last one wrote is skipped (SaveFile
+	// itself skips one that would write what was loaded).
+	var saved *simcache.Stats
+	lastSave := time.Now()
+	save := func() error {
+		now := cache.Stats()
+		if saved != nil && saved.Entries == now.Entries && saved.Misses == now.Misses {
+			return nil
+		}
+		if err := cache.SaveFile(opts.CachePath); err != nil {
+			return fmt.Errorf("scenario: save %s: %w", opts.CachePath, err)
+		}
+		saved, lastSave = &now, time.Now()
+		return nil
+	}
 	results := make([]UnitResult, 0, len(units))
 	for k, u := range units {
 		// Cancellation boundary: a cancelled sweep stops before the next
 		// unit (and the runner stops its in-flight batch via the same
-		// context), leaving completed units checkpointed as usual.
+		// context).
 		if cctx := opts.Expt.Context; cctx != nil && cctx.Err() != nil {
-			return nil, cctx.Err()
+			err = cctx.Err()
+			break
+		}
+		if opts.CachePath != "" && time.Since(lastSave) >= saveInterval {
+			// Not fatal: the exit-path save tries again and reports.
+			if err := save(); err != nil {
+				log("%v", err)
+			}
 		}
 		log("scenario: [%d/%d] %s", k+1, len(units), u.ID)
 		start := time.Now()
-		e, err := u.Run(rt)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", u.ID, err)
+		var e expt.Experiment
+		if e, err = u.Run(rt); err != nil {
+			err = fmt.Errorf("scenario %s: %w", u.ID, err)
+			break
 		}
 		e.Elapsed = time.Since(start)
 		log("scenario: [%d/%d] %s done in %v", k+1, len(units), u.ID, e.Elapsed.Round(time.Millisecond))
 		results = append(results, UnitResult{Unit: u, Experiment: e})
-		if opts.Checkpoint && opts.CachePath != "" {
-			if err := cache.SaveFile(opts.CachePath); err != nil {
-				return nil, fmt.Errorf("scenario: checkpoint %s: %w", opts.CachePath, err)
-			}
-			log("scenario: checkpoint %s (%d entries)", opts.CachePath, cache.Stats().Entries)
+	}
+	if opts.CachePath != "" {
+		if saveErr := save(); saveErr != nil {
+			err = errors.Join(err, saveErr)
+		} else if err != nil {
+			// In the error, not the log: an interrupted quiet run still
+			// tells what it kept.
+			err = fmt.Errorf("%w (saved %d cache entries to %s)", err, cache.Stats().Entries, opts.CachePath)
+		} else {
+			log("scenario: cache: saved %d entries to %s", cache.Stats().Entries, opts.CachePath)
 		}
 	}
-	if opts.CachePath != "" && !opts.Checkpoint {
-		if err := cache.SaveFile(opts.CachePath); err != nil {
-			return nil, fmt.Errorf("scenario: save %s: %w", opts.CachePath, err)
-		}
-		log("scenario: cache: saved %d entries to %s", cache.Stats().Entries, opts.CachePath)
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
 // RenderAll concatenates the rendered experiments in unit order — the
-// sweep's artifact. Concatenating the RenderAll outputs of shards 1..n of
-// the same unit list reproduces the unsharded artifact byte for byte.
+// sweep's artifact. Concatenating the RenderAll outputs of consecutive
+// pieces of one unit list reproduces the whole list's artifact byte for
+// byte, which is how the distributed sweep assembles its output.
 func RenderAll(results []UnitResult) string {
 	var b strings.Builder
 	for _, r := range results {

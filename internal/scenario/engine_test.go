@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,11 +27,11 @@ func tinyOpts() expt.Options {
 	}
 }
 
-// testUnits expands a cheap three-unit selection (table1, table2, fig2):
-// enough to make 2- and 3-way shards non-trivial, no full pipelines.
+// testUnits expands a cheap three-unit selection (fig2, table1, table2):
+// one unit that simulates and two that only list, no full pipelines.
 func testUnits(t *testing.T) []Unit {
 	t.Helper()
-	specs, err := Select(Registry(), "table1,table2,fig2")
+	specs, err := Select(Registry(), "fig2,table1,table2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,61 +42,28 @@ func testUnits(t *testing.T) []Unit {
 	return units
 }
 
-// TestShardedOutputByteIdentical is the fleet contract: for any shard
-// count n, concatenating the rendered outputs of shards 1..n — each run
-// in its own engine, as separate processes would — reproduces the
-// unsharded artifact byte for byte.
-func TestShardedOutputByteIdentical(t *testing.T) {
-	units := testUnits(t)
-	full, err := Run(units, RunOptions{Expt: tinyOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RenderAll(full)
-	if want == "" {
-		t.Fatal("unsharded run rendered nothing")
-	}
-	for n := 2; n <= 3; n++ {
-		var merged string
-		for i := 1; i <= n; i++ {
-			res, err := Run(Shard(units, i, n), RunOptions{Expt: tinyOpts()})
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", i, n, err)
-			}
-			merged += RenderAll(res)
-		}
-		if merged != want {
-			t.Errorf("n=%d: merged shard output differs from unsharded run", n)
-		}
-	}
+// countingOpts is tinyOpts over a fresh in-memory cache whose counters the
+// test reads afterwards.
+func countingOpts() (expt.Options, *simcache.Cache) {
+	o := tinyOpts()
+	o.Cache = simcache.New()
+	return o, o.Cache
 }
 
-// TestResumeReplaysFromCheckpoint runs a sweep with a checkpoint, then
-// re-runs it cold against the same checkpoint file: the replay must
-// render identically and answer (nearly) every simulation from the cache.
+// TestResumeReplaysFromCheckpoint runs a sweep against a snapshot path,
+// then re-runs it cold against the same file: the replay must render
+// identically and answer every simulation from the cache.
 func TestResumeReplaysFromCheckpoint(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "checkpoint.json")
+	ck := filepath.Join(t.TempDir(), "checkpoint.snap")
 	units := testUnits(t)
 
-	first, err := Run(units, RunOptions{
-		Expt:            tinyOpts(),
-		CachePath:       ck,
-		Checkpoint:      true,
-		CheckpointEvery: time.Hour, // unit-boundary checkpoints only: deterministic
-	})
+	first, err := Run(units, RunOptions{Expt: tinyOpts(), CachePath: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cache := simcache.New()
-	o := tinyOpts()
-	o.Cache = cache
-	second, err := Run(units, RunOptions{
-		Expt:            o,
-		CachePath:       ck,
-		Checkpoint:      true,
-		CheckpointEvery: time.Hour,
-	})
+	o, cache := countingOpts()
+	second, err := Run(units, RunOptions{Expt: o, CachePath: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,49 +79,107 @@ func TestResumeReplaysFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestPartialCheckpointResume interrupts a sweep after its first unit (by
-// running only shard 1/3) and then runs the full sweep against the same
-// checkpoint: the completed unit's simulations must replay as hits, and
-// the final output must match an uncheckpointed full run.
+// TestPartialCheckpointResume interrupts a sweep from inside its second
+// unit by cancelling its context: Run returns the context's error, leaves
+// what the first unit simulated at CachePath, and the full sweep re-run
+// against that file matches a cache-less run while simulating less.
 func TestPartialCheckpointResume(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "checkpoint.json")
+	ck := filepath.Join(t.TempDir(), "checkpoint.snap")
 	units := testUnits(t)
 
-	if _, err := Run(Shard(units, 1, 3), RunOptions{
-		Expt: tinyOpts(), CachePath: ck, Checkpoint: true, CheckpointEvery: time.Hour,
-	}); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	interrupted := append([]Unit(nil), units...)
+	second := interrupted[1].run
+	interrupted[1].run = func(rt *Runtime) (expt.Experiment, error) {
+		cancel()
+		return second(rt)
+	}
+	o := tinyOpts()
+	o.Context = ctx
+	res, err := Run(interrupted, RunOptions{Expt: o, CachePath: ck})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("interrupted run returned %d results and %v, want context.Canceled", len(res), err)
+	}
+	if !strings.Contains(err.Error(), ck) {
+		t.Errorf("error %q does not say where it saved", err)
+	}
+	if n, err := simcache.New().LoadFile(ck); err != nil || n == 0 {
+		t.Fatalf("snapshot after the interrupt: %d entries, %v", n, err)
 	}
 
-	full, err := Run(units, RunOptions{Expt: tinyOpts()})
+	o, cold := countingOpts()
+	full, err := Run(units, RunOptions{Expt: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Run(units, RunOptions{
-		Expt: tinyOpts(), CachePath: ck, Checkpoint: true, CheckpointEvery: time.Hour,
-	})
+	o, warm := countingOpts()
+	resumed, err := Run(units, RunOptions{Expt: o, CachePath: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if RenderAll(full) != RenderAll(resumed) {
 		t.Error("resumed full sweep rendered different output than a fresh one")
 	}
+	if c, w := cold.Stats().Misses, warm.Stats().Misses; w >= c {
+		t.Errorf("resumed sweep simulated %d times, the cold one %d: nothing was picked up", w, c)
+	}
 }
 
-// TestEmptyShardRuns confirms a shard with no units (more shards than
-// units) is a clean no-op, so fleet schedulers need no special casing.
-func TestEmptyShardRuns(t *testing.T) {
-	units := testUnits(t)
-	empty := Shard(units, 1, 7) // 3 units over 7 shards: shard 1 gets none
-	if len(empty) != 0 {
-		t.Fatalf("expected an empty shard, got %d units", len(empty))
+// TestFailedUnitStillSaves: a unit failing after others simulated costs
+// the run its result, not its simulations.
+func TestFailedUnitStillSaves(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "failed.snap")
+	boom := errors.New("boom")
+	units := append(testUnits(t)[:1:1], Unit{ID: "broken", run: func(*Runtime) (expt.Experiment, error) {
+		return expt.Experiment{}, boom
+	}})
+	if _, err := Run(units, RunOptions{Expt: tinyOpts(), CachePath: ck}); !errors.Is(err, boom) {
+		t.Fatalf("got %v, want the unit's error", err)
 	}
-	res, err := Run(empty, RunOptions{Expt: tinyOpts()})
+	o, cache := countingOpts()
+	if _, err := Run(units[:1], RunOptions{Expt: o, CachePath: ck}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 0 || st.Hits == 0 {
+		t.Errorf("re-run of the unit that finished: %+v, want every simulation from the snapshot", st)
+	}
+}
+
+// TestBoundarySave: once saveInterval has passed, the snapshot is written
+// before the next unit starts, and a save with nothing new since the last
+// one — here the exit-path save after a unit that simulated nothing —
+// writes nothing.
+func TestBoundarySave(t *testing.T) {
+	defer func(d time.Duration) { saveInterval = d }(saveInterval)
+	saveInterval = 0
+
+	ck := filepath.Join(t.TempDir(), "boundary.snap")
+	var atLastUnit os.FileInfo
+	units := append(testUnits(t)[:1:1], Unit{ID: "idle", run: func(*Runtime) (expt.Experiment, error) {
+		n, err := simcache.New().LoadFile(ck)
+		if err != nil || n == 0 {
+			t.Errorf("snapshot when the last unit starts: %d entries, %v", n, err)
+		}
+		atLastUnit, _ = os.Stat(ck)
+		return expt.Experiment{}, nil
+	}})
+	if _, err := Run(units, RunOptions{Expt: tinyOpts(), CachePath: ck}); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(ck); err != nil || !os.SameFile(after, atLastUnit) {
+		t.Errorf("the exit-path save rewrote a snapshot nothing was added to (stat error %v)", err)
+	}
+}
+
+// TestEmptyUnitListRuns confirms a run of no units (a selection filtered
+// down to nothing) is a clean no-op.
+func TestEmptyUnitListRuns(t *testing.T) {
+	res, err := Run(nil, RunOptions{Expt: tinyOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 0 || RenderAll(res) != "" {
-		t.Errorf("empty shard produced %d results", len(res))
+		t.Errorf("empty unit list produced %d results", len(res))
 	}
 }
 

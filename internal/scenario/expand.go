@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path"
 	"sort"
-	"strconv"
 	"strings"
 
 	"racesim/internal/expt"
@@ -13,8 +12,8 @@ import (
 // Unit is one runnable step of a sweep: a scenario expands into one or
 // more units (one per budget point, noise level, ...), each producing one
 // rendered expt.Experiment. The expansion assigns every unit a global
-// index; that fixed order is the contract behind sharding and output
-// merging.
+// index; that fixed order is the contract behind addressing units one by
+// one (FilterUnits) and merging their outputs.
 type Unit struct {
 	// ID is "<scenario>" for single-unit scenarios and
 	// "<scenario>/<step>" otherwise; it is also the rendered experiment
@@ -22,16 +21,16 @@ type Unit struct {
 	ID       string
 	Scenario string
 	Step     string
-	// Index is the unit's position in the full (unsharded) expansion.
+	// Index is the unit's position in the full expansion.
 	Index int
 	// Deps names the shared preparation artifacts this unit consumes
 	// (e.g. "stages:a53" — the A53 validation pipeline, "spec:a72" — the
 	// A72 workload measurements). Units sharing an artifact within one
 	// process reuse it through the expt.Context memoization; across
-	// shards the simulation cache deduplicates the underlying work. The
+	// processes the simulation cache deduplicates the underlying work. The
 	// artifact edges form the sweep's dependency DAG: artifacts are
-	// always producible from scratch, so any contiguous shard of the
-	// unit list is independently runnable.
+	// always producible from scratch, so any subset of the unit list is
+	// independently runnable.
 	Deps []string
 
 	run func(*Runtime) (expt.Experiment, error)
@@ -167,48 +166,9 @@ func Names(specs []Spec) []string {
 	return out
 }
 
-// ParseShard parses an "i/n" shard selector (1-based). Anything but two
-// positive decimal integers separated by exactly one slash is rejected —
-// a mistyped selector must fail loudly, not silently run the wrong
-// partition of a long sweep.
-func ParseShard(s string) (i, n int, err error) {
-	if s == "" {
-		return 1, 1, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("scenario: shard %q: want i/n (e.g. 2/4)", s)
-	}
-	i, errI := strconv.Atoi(is)
-	n, errN := strconv.Atoi(ns)
-	if errI != nil || errN != nil {
-		return 0, 0, fmt.Errorf("scenario: shard %q: i and n must be decimal integers", s)
-	}
-	if n < 1 || i < 1 {
-		return 0, 0, fmt.Errorf("scenario: shard %d/%d: i and n are 1-based and positive", i, n)
-	}
-	if i > n {
-		return 0, 0, fmt.Errorf("scenario: shard %d/%d: index exceeds shard count", i, n)
-	}
-	return i, n, nil
-}
-
-// Shard returns the i-th of n contiguous partitions of the unit list
-// (1-based). The partition is deterministic and order-preserving: for any
-// n, concatenating the outputs of shards 1..n reproduces the unsharded
-// run byte for byte.
-func Shard(units []Unit, i, n int) []Unit {
-	if n <= 1 {
-		return units
-	}
-	lo := (i - 1) * len(units) / n
-	hi := i * len(units) / n
-	return units[lo:hi]
-}
-
 // FilterUnits returns the units whose IDs are listed in ids, preserving
 // expansion order (not ids order) so a filtered run renders a
-// subsequence of the unsharded artifact. Every id must name a unit of
+// subsequence of the full artifact. Every id must name a unit of
 // the expansion exactly once; an unknown id is an error. This is the
 // per-unit dispatch primitive of the distributed sweep coordinator: a
 // worker job names the single unit it should run out of the same
@@ -245,8 +205,8 @@ func FilterUnits(units []Unit, ids []string) ([]Unit, error) {
 }
 
 // Artifacts returns the sorted union of the dependency artifacts the
-// units consume — what a shard will have to prepare (or replay from the
-// simulation cache).
+// units consume — what a run of them will have to prepare (or replay from
+// the simulation cache).
 func Artifacts(units []Unit) []string {
 	seen := map[string]bool{}
 	for _, u := range units {

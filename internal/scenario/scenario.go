@@ -5,12 +5,14 @@
 // list of runnable units. The expansion order is globally fixed, which is
 // what makes fleet features sound:
 //
-//   - sharding: Shard(units, i, n) deterministically partitions the unit
-//     list into contiguous blocks, so the concatenated outputs of shards
-//     1/n..n/n are byte-identical to an unsharded run;
-//   - resume: the engine checkpoints the shared simulation cache
-//     (internal/simcache) after every unit, so a killed sweep restarted
-//     with the same checkpoint replays at ~100% cache hits;
+//   - distribution: FilterUnits addresses units by ID, so the sweep
+//     coordinator (internal/cluster) runs each on whichever worker is free
+//     and concatenates the outputs in expansion order, byte-identical to a
+//     single-process run;
+//   - picking up an interrupted run: Run saves the shared simulation cache
+//     (internal/simcache) to RunOptions.CachePath on every way out and at
+//     unit boundaries, so the same sweep re-run against the same file
+//     answers what was already simulated from it;
 //   - manifests: scenario specs round-trip through JSON (LoadManifest /
 //     SaveManifest), so adding a scenario to a sweep is data, not code.
 //

@@ -75,130 +75,6 @@ func TestExpandDeterministic(t *testing.T) {
 	}
 }
 
-func TestShardPartition(t *testing.T) {
-	units, err := Expand(Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 1; n <= 5; n++ {
-		var union []Unit
-		for i := 1; i <= n; i++ {
-			union = append(union, Shard(units, i, n)...)
-		}
-		if len(union) != len(units) {
-			t.Fatalf("n=%d: union has %d units, want %d", n, len(union), len(units))
-		}
-		for k := range units {
-			if union[k].ID != units[k].ID {
-				t.Errorf("n=%d: unit %d = %s, want %s (order not preserved)", n, k, union[k].ID, units[k].ID)
-			}
-		}
-	}
-	// More shards than units: every unit still lands in exactly one shard.
-	small := units[:3]
-	var union []Unit
-	for i := 1; i <= 7; i++ {
-		union = append(union, Shard(small, i, 7)...)
-	}
-	if len(union) != len(small) {
-		t.Errorf("oversharded union has %d units, want %d", len(union), len(small))
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	if i, n, err := ParseShard(""); err != nil || i != 1 || n != 1 {
-		t.Errorf("empty shard: %d/%d, %v", i, n, err)
-	}
-	if i, n, err := ParseShard("2/3"); err != nil || i != 2 || n != 3 {
-		t.Errorf("2/3: %d/%d, %v", i, n, err)
-	}
-	// Invalid specs are rejected with a clear error, including trailing
-	// garbage the historical Sscanf parser silently ignored ("1/2/3" used
-	// to run shard 1/2).
-	for _, s := range []string{
-		"0/3", "4/3", "x/3", "3", "-1/2", "1/-2", "1/0",
-		"1/2/3", "1/2x", "1x/2", " 1/2", "1/ 2", "/2", "1/", "/",
-		"9999999999999999999999/2",
-	} {
-		if _, _, err := ParseShard(s); err == nil {
-			t.Errorf("shard %q accepted", s)
-		}
-	}
-}
-
-// fakeUnits builds a synthetic unit list of the given size (no runners —
-// these tests only exercise partitioning).
-func fakeUnits(m int) []Unit {
-	units := make([]Unit, m)
-	for i := range units {
-		units[i] = Unit{ID: "u" + string(rune('a'+i)), Index: i}
-	}
-	return units
-}
-
-func TestShardMoreShardsThanUnits(t *testing.T) {
-	units := fakeUnits(3)
-	for n := 4; n <= 10; n++ {
-		seen := map[string]int{}
-		for i := 1; i <= n; i++ {
-			sh := Shard(units, i, n)
-			if len(sh) > 1 {
-				t.Errorf("n=%d shard %d has %d units, want <=1 when n > len", n, i, len(sh))
-			}
-			for _, u := range sh {
-				seen[u.ID]++
-			}
-		}
-		if len(seen) != len(units) {
-			t.Errorf("n=%d: %d distinct units across shards, want %d", n, len(seen), len(units))
-		}
-		for id, c := range seen {
-			if c != 1 {
-				t.Errorf("n=%d: unit %s appears %d times", n, id, c)
-			}
-		}
-	}
-	// Degenerate inputs: an empty unit list shards into n empty shards.
-	for i := 1; i <= 3; i++ {
-		if sh := Shard(nil, i, 3); len(sh) != 0 {
-			t.Errorf("empty list shard %d/3 has %d units", i, len(sh))
-		}
-	}
-}
-
-// TestShardConcatenationProperty is the fleet contract at the unit-list
-// level: for every list size and shard count, concatenating shards
-// 1..n reproduces the original list exactly — same units, same order,
-// each shard contiguous. Rendered outputs concatenate byte-identically
-// because RenderAll is a per-unit fold over this order (CI's smoke jobs
-// check the rendered bytes end to end).
-func TestShardConcatenationProperty(t *testing.T) {
-	for m := 0; m <= 9; m++ {
-		units := fakeUnits(m)
-		for n := 1; n <= 12; n++ {
-			var concat []Unit
-			for i := 1; i <= n; i++ {
-				sh := Shard(units, i, n)
-				// Contiguity: each shard is a subslice starting where the
-				// previous one ended.
-				if len(sh) > 0 && sh[0].Index != len(concat) {
-					t.Fatalf("m=%d n=%d shard %d starts at index %d, want %d",
-						m, n, i, sh[0].Index, len(concat))
-				}
-				concat = append(concat, sh...)
-			}
-			if len(concat) != m {
-				t.Fatalf("m=%d n=%d: concatenation has %d units", m, n, len(concat))
-			}
-			for k := range concat {
-				if concat[k].ID != units[k].ID {
-					t.Fatalf("m=%d n=%d: unit %d is %s, want %s", m, n, k, concat[k].ID, units[k].ID)
-				}
-			}
-		}
-	}
-}
-
 func TestFilterUnits(t *testing.T) {
 	units, err := Expand(Registry())
 	if err != nil {
