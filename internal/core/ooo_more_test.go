@@ -121,7 +121,7 @@ func TestModelsAcceptEmptyTrace(t *testing.T) {
 }
 
 func TestInvalidWordInTraceFails(t *testing.T) {
-	bad := &trace.Trace{Name: "bad", Events: []trace.Event{{PC: 0x1000, Word: 0xFFFFFFFF}}}
+	bad := trace.New("bad", false, trace.Event{PC: 0x1000, Word: 0xFFFFFFFF})
 	m, err := NewInOrder(inorderCfg())
 	if err != nil {
 		t.Fatal(err)

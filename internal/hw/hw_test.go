@@ -164,6 +164,20 @@ func TestBadBoardConfigs(t *testing.T) {
 	}
 }
 
+// eventsOf reads every event of tr through a cursor.
+func eventsOf(t testing.TB, tr *trace.Trace) []trace.Event {
+	t.Helper()
+	c, err := trace.NewCursor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
 func TestWarmDataDisablesZeroFillOnBoard(t *testing.T) {
 	// A cold-read stream measured with and without the WarmData
 	// declaration: the board's zero-fill optimization must only apply to
@@ -181,7 +195,7 @@ func TestWarmDataDisablesZeroFillOnBoard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := &trace.Trace{Name: tr.Name, Events: tr.Events, WarmData: true}
+	warm := trace.New(tr.Name, true, eventsOf(t, tr)...)
 	warmC, err := p.A53.Measure(warm)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // and looking up move no hit or miss counter.
 func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
 	md, mip := testTrace(t, "MD"), testTrace(t, "MIP")
-	warm := &trace.Trace{Name: "w", Events: md.Events[:7], WarmData: true}
+	warm := trace.New("w", true, eventsOf(t, md)[:7]...)
 	src := New()
 	populate(t, src, "MD")
 	ids := src.TraceIdentities("build-a")
@@ -124,7 +124,7 @@ func TestNoBuildNoIdentities(t *testing.T) {
 		"no build": c.TraceIdentities(""),
 		"no cache": (*Cache)(nil).TraceIdentities("build-a"),
 	} {
-		tr := &trace.Trace{Name: "t", Events: testTrace(t, "MD").Events}
+		tr := trace.New("t", false, eventsOf(t, testTrace(t, "MD"))...)
 		ids.RecordIdentity("k", tr)
 		if _, ok := ids.LookupIdentity("k"); ok {
 			t.Errorf("%s: an identity was remembered", name)

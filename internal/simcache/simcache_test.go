@@ -23,6 +23,20 @@ func testTrace(t testing.TB, name string) *trace.Trace {
 	return tr
 }
 
+// eventsOf reads every event of tr through a cursor.
+func eventsOf(t testing.TB, tr *trace.Trace) []trace.Event {
+	t.Helper()
+	c, err := trace.NewCursor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
 func TestHitMissAccounting(t *testing.T) {
 	c := New()
 	cfg := sim.PublicA53()

@@ -1,23 +1,28 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 
 	"racesim/internal/isa"
 )
 
-// Decoded is a trace in decode-once, struct-of-arrays form: the static
-// decode of every distinct instruction word is computed exactly once and
-// stored in a small id-indexed table, while the dynamic per-event fields
-// live in parallel columns. Replaying a decoded trace is a linear array
-// walk — no per-event decoder call, no per-event map lookup, and no
+// Decoded is a trace in decode-once, struct-of-arrays form under one
+// decoder variant: the static decode of every distinct instruction word,
+// computed exactly once and stored in a small id-indexed table, beside the
+// trace's own per-event columns. Replaying a decoded trace is a linear
+// array walk — no per-event decoder call, no per-event map lookup, and no
 // per-event isa.Inst materialization — which is what makes sweeping
 // hundreds of configurations over the same trace cheap (the decode is
 // config-invariant; only the DepBug decoder defect changes it).
 //
-// A Decoded is immutable after construction and safe to share across any
-// number of concurrent replays. Obtain one via Trace.Decoded, which
-// memoizes per (trace, DepBug) variant.
+// The per-event columns (IDs, PC, MemAddr, Target, TakenBits) are the
+// trace's, re-sliced, not copies: both variants of a trace alias the same
+// memory, and only Insts — O(distinct words), a few KB — is a variant's
+// own. So nothing may write to them. A Decoded is immutable after
+// construction and safe to share across any number of concurrent replays.
+// Obtain one via Trace.Decoded, which memoizes per (trace, DepBug)
+// variant.
 type Decoded struct {
 	// Name and WarmData mirror the source trace (see Trace).
 	Name     string
@@ -26,18 +31,19 @@ type Decoded struct {
 	DepBug bool
 
 	// IDs holds one entry per dynamic instruction: an index into Insts.
+	// Ids follow the words' first appearance in the trace.
 	IDs []uint32
 	// Insts is the table of unique static decodes. Dynamic fields
 	// (PC, MemAddr, Target, Taken) are zero; replay reads them from the
 	// columns below.
 	Insts []isa.Inst
 
-	// Dynamic columns, parallel to IDs.
+	// Dynamic columns, parallel to IDs (the trace's own; see above).
 	PC      []uint64
 	MemAddr []uint64
 	Target  []uint64
 	// TakenBits packs the per-event branch outcome as a bitset;
-	// use Taken(i).
+	// use Taken(i). It may run past Len; bits past Len are clear.
 	TakenBits []uint64
 
 	// Err is the decode error of the first undecodable event, if any.
@@ -79,56 +85,56 @@ func (d *Decoded) Taken(i int) bool {
 func (d *Decoded) Inst(i int) *isa.Inst { return &d.Insts[d.IDs[i]] }
 
 // decodeTrace builds the columnar form of t under the given decoder
-// variant, materializing t if it is deferred.
+// variant, materializing t if it is deferred. It decodes each distinct word
+// once, in id order, and re-slices t's columns: ids follow the words' first
+// appearance, so the first event of the first word that does not decode is
+// the first undecodable event, where a replay stops.
 func decodeTrace(t *Trace, depBug bool) *Decoded {
-	events, err := t.events()
+	c, err := t.content()
 	if err != nil {
 		return &Decoded{Name: t.Name, WarmData: t.WarmData, DepBug: depBug, Err: err}
 	}
+	d := &Decoded{Name: t.Name, WarmData: t.WarmData, DepBug: depBug, TakenBits: c.taken}
+	if len(c.words) > 0 {
+		d.Insts = make([]isa.Inst, 0, len(c.words))
+	}
+	n := c.len()
 	dec := isa.Decoder{DepBug: depBug}
-	n := len(events)
-	d := &Decoded{
-		Name:      t.Name,
-		WarmData:  t.WarmData,
-		DepBug:    depBug,
-		IDs:       make([]uint32, 0, n),
-		PC:        make([]uint64, 0, n),
-		MemAddr:   make([]uint64, 0, n),
-		Target:    make([]uint64, 0, n),
-		TakenBits: make([]uint64, (n+63)/64),
-	}
-	ids := make(map[uint32]uint32, 256)
-	for i := range events {
-		ev := &events[i]
-		id, ok := ids[ev.Word]
-		if !ok {
-			// PC 0 matches the legacy per-word decode cache, so error
-			// text (and hence observable behaviour) is identical.
-			in, err := dec.Decode(0, ev.Word)
-			if err != nil {
-				d.Err = err
-				break
-			}
-			id = uint32(len(d.Insts))
-			d.Insts = append(d.Insts, in)
-			ids[ev.Word] = id
+	for id, w := range c.words {
+		// PC 0 matches the legacy per-word decode cache, so error text
+		// (and hence observable behaviour) is identical.
+		in, err := dec.Decode(0, w)
+		if err != nil {
+			d.Err = err
+			n = slices.Index(c.ids, uint32(id))
+			d.TakenBits = prefixBits(c.taken, n)
+			break
 		}
-		d.IDs = append(d.IDs, id)
-		d.PC = append(d.PC, ev.PC)
-		d.MemAddr = append(d.MemAddr, ev.MemAddr)
-		d.Target = append(d.Target, ev.Target)
-		if ev.Taken {
-			d.TakenBits[i>>6] |= 1 << (uint(i) & 63)
-		}
+		d.Insts = append(d.Insts, in)
 	}
+	// Full slice expressions: an append to a column copies, never writes
+	// into the trace.
+	d.IDs, d.PC, d.MemAddr, d.Target = c.ids[:n:n], c.pc[:n:n], c.memAddr[:n:n], c.target[:n:n]
 	return d
+}
+
+// prefixBits returns a copy of the bitset bits with every bit from n on
+// cleared.
+func prefixBits(bits []uint64, n int) []uint64 {
+	out := make([]uint64, len(bits))
+	copy(out, bits[:n/64])
+	if r := n % 64; r != 0 {
+		out[n/64] = bits[n/64] & (1<<r - 1)
+	}
+	return out
 }
 
 // Decoded returns the decode-once columnar form of the trace for the given
 // decoder variant, computed on first use and memoized (like Digest). All
 // callers — concurrent tuner workers, validation stages, perturbation
-// sweeps — share one immutable instance per variant; callers must not
-// mutate Events after the first call.
+// sweeps — share one immutable instance per variant, and the two variants
+// share the trace's columns: the second costs its table of distinct
+// decodes, not a copy of the events.
 func (t *Trace) Decoded(depBug bool) *Decoded {
 	i := 0
 	if depBug {

@@ -12,10 +12,11 @@ import (
 
 // deferredCopy returns src in the deferred state, over a generator that
 // yields a fresh copy of src and counts its runs.
-func deferredCopy(src *Trace, runs *atomic.Int32) *Trace {
+func deferredCopy(t testing.TB, src *Trace, runs *atomic.Int32) *Trace {
+	evs := eventsOf(t, src)
 	return Deferred(src.Name, src.Identity(), func() (*Trace, error) {
 		runs.Add(1)
-		return &Trace{Name: src.Name, Events: append([]Event(nil), src.Events...), WarmData: src.WarmData}, nil
+		return New(src.Name, src.WarmData, evs...), nil
 	})
 }
 
@@ -28,13 +29,13 @@ func TestDeferredAnswersIdentityWithoutGenerating(t *testing.T) {
 	src := sampleTrace(t)
 	src.WarmData = true
 	var runs atomic.Int32
-	tr := deferredCopy(src, &runs)
+	tr := deferredCopy(t, src, &runs)
 
 	if tr.Name != src.Name || tr.Len() != src.Len() || tr.WarmData != src.WarmData ||
 		tr.Digest() != src.Digest() || tr.Identity() != src.Identity() {
 		t.Errorf("deferred trace answers %q, %+v; want %q, %+v", tr.Name, tr.Identity(), src.Name, src.Identity())
 	}
-	if tr.Resident() != 0 || tr.Events != nil {
+	if tr.Resident() != 0 || tr.cols.len() != 0 {
 		t.Errorf("a deferred trace nobody read holds %d events", tr.Resident())
 	}
 	if n := runs.Load(); n != 0 {
@@ -54,7 +55,7 @@ func TestDeferredAnswersIdentityWithoutGenerating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev, ok := c.Next(); !ok || c.Len() != src.Len() || ev != src.Events[0] {
+	if ev, ok := c.Next(); !ok || c.Len() != src.Len() || ev != eventsOf(t, src)[0] {
 		t.Errorf("cursor over a materialized trace: len %d, first event %+v (ok %v)", c.Len(), ev, ok)
 	}
 	var a, b bytes.Buffer
@@ -85,17 +86,13 @@ func TestDeferredAnswersIdentityWithoutGenerating(t *testing.T) {
 // fails with it.
 func TestDeferredMismatchIsAnError(t *testing.T) {
 	src := sampleTrace(t)
-	other := func(mutate func(*Trace)) func() (*Trace, error) {
-		return func() (*Trace, error) {
-			g := &Trace{Name: src.Name, Events: append([]Event(nil), src.Events...)}
-			mutate(g)
-			return g, nil
-		}
+	other := func(warm bool, mutate func([]Event) []Event) func() (*Trace, error) {
+		return func() (*Trace, error) { return New(src.Name, warm, mutate(eventsOf(t, src))...), nil }
 	}
 	for name, gen := range map[string]func() (*Trace, error){
-		"content": other(func(g *Trace) { g.Events[3].MemAddr ^= 8 }),
-		"count":   other(func(g *Trace) { g.Events = g.Events[:len(g.Events)-1] }),
-		"flag":    other(func(g *Trace) { g.WarmData = true }),
+		"content": other(false, func(evs []Event) []Event { evs[3].MemAddr ^= 8; return evs }),
+		"count":   other(false, func(evs []Event) []Event { return evs[:len(evs)-1] }),
+		"flag":    other(true, func(evs []Event) []Event { return evs }),
 	} {
 		t.Run(name, func(t *testing.T) {
 			got, _ := gen()
@@ -157,7 +154,7 @@ func TestDeferredGeneratorErrorReachesReaders(t *testing.T) {
 func TestDeferredMaterializesOnceUnderConcurrentReaders(t *testing.T) {
 	src := sampleTrace(t)
 	var runs atomic.Int32
-	tr := deferredCopy(src, &runs)
+	tr := deferredCopy(t, src, &runs)
 	var wg sync.WaitGroup
 	decodes := make([]*Decoded, 16)
 	for i := range decodes {

@@ -3,11 +3,19 @@
 // instruction events recorded once by the front-end (the functional
 // emulator) and replayed many times by the timing back-end.
 //
-// Each Event carries the raw instruction word rather than decoded
+// Each event carries the raw instruction word rather than decoded
 // operands: the back-end decodes words itself (through isa.Decoder), so
 // decoder behaviour — including the reproduced dependency-extraction bug
 // — affects timing exactly as it did in the paper's Capstone-based
 // front-end.
+//
+// A Trace stores its events once, as columns: PC, MemAddr and Target, a
+// per-event id into the table of the distinct words (in order of first
+// appearance) and a bitset of taken flags, about 28 bytes per event. The
+// producers (Record, workload synthesis, ReadFrom) append through a
+// Builder. Decoded, the decode-once form replay walks, decodes only the
+// distinct words under one decoder variant and re-slices the trace's
+// columns, so both variants share one copy of the events.
 //
 // A Trace also carries two pieces of replay-relevant identity. WarmData
 // marks traces whose program initialized memory before the captured

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"racesim/internal/isa"
@@ -27,61 +28,85 @@ import (
 //	  target svarint   delta from own PC (if bit2)
 //
 // Deltas keep straight-line code and strided access patterns to a couple of
-// bytes per instruction.
+// bytes per instruction. Bits 0 and 2 are set exactly when the word decodes
+// to a memory access and to a branch, every varint takes its shortest form
+// and nothing follows the last event, so a trace has one encoding.
 
 const magic = "RIFT"
 const version = 2
 
+// Event record flag bits.
+const (
+	flagMem    = 1 << 0 // has a memory address
+	flagTaken  = 1 << 1 // branch taken
+	flagTarget = 1 << 2 // has a branch target
+)
+
 // ErrFormat is returned when a stream is not a valid trace file.
 var ErrFormat = errors.New("trace: invalid file format")
 
-// Writer streams events to an io.Writer in RIFT format.
-type Writer struct {
-	w       *bufio.Writer
-	prevPC  uint64
-	prevMem uint64
-	buf     [2 * binary.MaxVarintLen64]byte
+// wordFlags returns the flag bits an event's record carries for its
+// instruction word, apart from flagTaken: which optional fields follow.
+// They depend on the word alone, so both directions compute them once per
+// distinct word.
+func wordFlags(word uint32) byte {
+	in, err := isa.Decoder{}.Decode(0, word)
+	var f byte
+	if err == nil && in.Cls.IsMem() {
+		f |= flagMem
+	}
+	if err == nil && in.Cls.IsBranch() {
+		f |= flagTarget
+	}
+	return f
 }
 
 // WriteTo serialises t to w, materializing t if it is deferred.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	events, err := t.events()
+	c, err := t.content()
 	if err != nil {
 		return 0, err
 	}
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	if _, err := bw.WriteString(magic); err != nil {
-		return cw.n, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(version); err != nil {
-		return cw.n, err
-	}
+	var head []byte
+	head = append(head, magic...)
+	head = binary.AppendUvarint(head, version)
 	var flags uint64
 	if t.WarmData {
 		flags |= 1
 	}
-	if err := put(flags); err != nil {
+	head = binary.AppendUvarint(head, flags)
+	head = binary.AppendUvarint(head, uint64(len(t.Name)))
+	head = append(head, t.Name...)
+	head = binary.AppendUvarint(head, uint64(c.len()))
+	if _, err := bw.Write(head); err != nil {
 		return cw.n, err
 	}
-	if err := put(uint64(len(t.Name))); err != nil {
-		return cw.n, err
+	kinds := make([]byte, len(c.words))
+	for id, w := range c.words {
+		kinds[id] = wordFlags(w)
 	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return cw.n, err
-	}
-	if err := put(uint64(len(events))); err != nil {
-		return cw.n, err
-	}
-	wr := Writer{w: bw}
-	for _, ev := range events {
-		if err := wr.writeEvent(ev); err != nil {
+	var prevPC, prevMem uint64
+	var buf [1 + 4*binary.MaxVarintLen64]byte
+	for i := range c.len() {
+		pc, id := c.pc[i], c.ids[i]
+		f := kinds[id]
+		if c.isTaken(i) {
+			f |= flagTaken
+		}
+		rec := append(buf[:0], f)
+		rec = binary.AppendVarint(rec, int64(pc)-int64(prevPC+isa.InstSize))
+		prevPC = pc
+		rec = binary.AppendUvarint(rec, uint64(c.words[id]))
+		if f&flagMem != 0 {
+			rec = binary.AppendVarint(rec, int64(c.memAddr[i])-int64(prevMem))
+			prevMem = c.memAddr[i]
+		}
+		if f&flagTarget != 0 {
+			rec = binary.AppendVarint(rec, int64(c.target[i])-int64(pc))
+		}
+		if _, err := bw.Write(rec); err != nil {
 			return cw.n, err
 		}
 	}
@@ -100,65 +125,58 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (w *Writer) writeEvent(ev Event) error {
-	var flags byte
-	var dec isa.Decoder
-	in, err := dec.Decode(ev.PC, ev.Word)
-	hasMem := err == nil && in.Cls.IsMem()
-	isBranch := err == nil && in.Cls.IsBranch()
-	if hasMem {
-		flags |= 1
-	}
-	if ev.Taken {
-		flags |= 2
-	}
-	if isBranch {
-		flags |= 4
-	}
-	if err := w.w.WriteByte(flags); err != nil {
-		return err
-	}
-	n := binary.PutVarint(w.buf[:], int64(ev.PC)-int64(w.prevPC+isa.InstSize))
-	w.prevPC = ev.PC
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		return err
-	}
-	n = binary.PutUvarint(w.buf[:], uint64(ev.Word))
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		return err
-	}
-	if hasMem {
-		n = binary.PutVarint(w.buf[:], int64(ev.MemAddr)-int64(w.prevMem))
-		w.prevMem = ev.MemAddr
-		if _, err := w.w.Write(w.buf[:n]); err != nil {
-			return err
+// readUvarint reads a uvarint in its shortest encoding, the only one
+// WriteTo produces: an overlong or overflowing encoding is ErrFormat, so
+// every stream ReadFrom accepts is the one WriteTo writes for its trace.
+func readUvarint(r io.ByteReader) (uint64, error) {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			return 0, ErrFormat
 		}
-	}
-	if isBranch {
-		n = binary.PutVarint(w.buf[:], int64(ev.Target)-int64(ev.PC))
-		if _, err := w.w.Write(w.buf[:n]); err != nil {
-			return err
+		if b < 0x80 {
+			if b == 0 && i > 0 || i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, ErrFormat
+			}
+			return x | uint64(b)<<(7*i), nil
 		}
+		x |= uint64(b&0x7f) << (7 * i)
 	}
-	return nil
+	return 0, ErrFormat
 }
 
-// ReadFrom parses a RIFT stream.
+// readVarint reads a zig-zag svarint as binary.PutVarint writes it, in its
+// shortest encoding.
+func readVarint(r io.ByteReader) (int64, error) {
+	ux, err := readUvarint(r)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+// ReadFrom parses a RIFT stream. It accepts exactly the streams WriteTo
+// writes — shortest varints, the flag bits each word implies, nothing after
+// the last event — and builds the trace's columns as events arrive, so the
+// memory it takes is bounded by the stream it reads, not by the event count
+// the header claims.
 func ReadFrom(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil || string(head) != magic {
 		return nil, ErrFormat
 	}
-	v, err := binary.ReadUvarint(br)
+	v, err := readUvarint(br)
 	if err != nil || v != version {
 		return nil, fmt.Errorf("%w: version %d", ErrFormat, v)
 	}
-	flags, err := binary.ReadUvarint(br)
-	if err != nil {
+	flags, err := readUvarint(br)
+	if err != nil || flags > 1 {
 		return nil, ErrFormat
 	}
-	nameLen, err := binary.ReadUvarint(br)
+	nameLen, err := readUvarint(br)
 	if err != nil || nameLen > 1<<20 {
 		return nil, ErrFormat
 	}
@@ -166,46 +184,59 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, ErrFormat
 	}
-	count, err := binary.ReadUvarint(br)
+	count, err := readUvarint(br)
 	if err != nil {
 		return nil, ErrFormat
 	}
-	t := &Trace{Name: string(name), WarmData: flags&1 != 0, Events: make([]Event, 0, count)}
+	b := NewBuilder()
+	var kinds []byte // per word id, as wordFlags
 	var prevPC, prevMem uint64
 	for i := uint64(0); i < count; i++ {
-		flags, err := br.ReadByte()
+		f, err := br.ReadByte()
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at event %d", ErrFormat, i)
 		}
-		dpc, err := binary.ReadVarint(br)
+		dpc, err := readVarint(br)
 		if err != nil {
-			return nil, ErrFormat
+			return nil, err
 		}
 		pc := uint64(int64(prevPC+isa.InstSize) + dpc)
 		prevPC = pc
-		word, err := binary.ReadUvarint(br)
-		if err != nil {
+		word, err := readUvarint(br)
+		if err != nil || word > math.MaxUint32 {
 			return nil, ErrFormat
 		}
-		ev := Event{PC: pc, Word: uint32(word), Taken: flags&2 != 0}
-		if flags&1 != 0 {
-			dm, err := binary.ReadVarint(br)
+		var mem, target uint64
+		if f&flagMem != 0 {
+			dm, err := readVarint(br)
 			if err != nil {
-				return nil, ErrFormat
+				return nil, err
 			}
-			ev.MemAddr = uint64(int64(prevMem) + dm)
-			prevMem = ev.MemAddr
+			mem = uint64(int64(prevMem) + dm)
+			prevMem = mem
 		}
-		if flags&4 != 0 {
-			dt, err := binary.ReadVarint(br)
+		if f&flagTarget != 0 {
+			dt, err := readVarint(br)
 			if err != nil {
-				return nil, ErrFormat
+				return nil, err
 			}
-			ev.Target = uint64(int64(pc) + dt)
+			target = uint64(int64(pc) + dt)
 		}
-		t.Events = append(t.Events, ev)
+		id := b.Add(pc, uint32(word), mem, target, f&flagTaken != 0)
+		if int(id) == len(kinds) {
+			kinds = append(kinds, wordFlags(uint32(word)))
+		}
+		if f&^flagTaken != kinds[id] {
+			return nil, fmt.Errorf("%w: event %d: flags %#x do not match instruction %#x", ErrFormat, i, f, word)
+		}
 	}
-	return t, nil
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, fmt.Errorf("%w: data after the last event", ErrFormat)
+	case err != io.EOF:
+		return nil, err
+	}
+	return b.Trace(string(name), flags&1 != 0), nil
 }
 
 // WriteFile serialises t to path.

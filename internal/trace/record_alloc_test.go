@@ -5,22 +5,22 @@ package trace
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 )
 
 // The race detector makes sync.Pool drop a share of what is put into it,
 // so the steady state this file asserts does not exist under -race.
 
-// TestRecordSteadyStateAllocations: once the pool holds a recorder that
-// has served the length, a recording allocates its exact-size trace and a
-// constant handful of small objects (the machine, the Trace, the closure)
-// — not the several times its size that growing by doubling cost.
+// TestRecordSteadyStateAllocations: once the pool holds a builder that
+// has served the length, a recording allocates its exact-size columns and
+// a constant handful of small objects (the machine, the Trace, the
+// closure) — not the several times its size that growing by doubling cost.
 func TestRecordSteadyStateAllocations(t *testing.T) {
 	// One P: a sync.Pool keeps what a P put back for that P, and a
 	// goroutine that migrates between recordings starts over with a fresh
-	// recorder on the other one.
+	// builder on the other one.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	eventBytes := float64(unsafe.Sizeof(Event{}))
+	// PC, MemAddr, Target, the word id and the taken bit.
+	eventBytes := 3*8 + 4 + 1.0/8
 	var objects []float64
 	for _, n := range []int{chunkEvents / 2, 4 * chunkEvents} {
 		prog := loopProgram(t, n)
@@ -29,7 +29,7 @@ func TestRecordSteadyStateAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		record() // warm-up: grows the pooled recorder to this length
+		record() // warm-up: grows the pooled builder to this length
 		var before, after runtime.MemStats
 		const runs = 10
 		runtime.ReadMemStats(&before)
@@ -39,7 +39,7 @@ func TestRecordSteadyStateAllocations(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if limit := 1.1 * eventBytes * float64(n); perRun > limit {
-			t.Errorf("%d events: %.0f bytes allocated per recording, want <= %.0f (1.1 x %v B x events)", n, perRun, limit, eventBytes)
+			t.Errorf("%d events: %.0f bytes allocated per recording, want <= %.0f (1.1 x %v column bytes x events)", n, perRun, limit, eventBytes)
 		}
 		objects = append(objects, testing.AllocsPerRun(runs, record))
 	}

@@ -25,30 +25,38 @@ func loopProgram(t testing.TB, events int) *isa.Program {
 	return p
 }
 
-// recordByAppend is the recording Record used to do: grow the trace's own
-// slice from 1024 events by doubling. It stays here as the reference.
-func recordByAppend(name string, prog *isa.Program, maxInst uint64) (*Trace, error) {
+// recordByAppend is the recording Record used to do: append every retired
+// instruction to a slice of events. It stays here as the reference.
+func recordByAppend(prog *isa.Program, maxInst uint64) ([]Event, error) {
 	m := emu.New(prog)
-	t := &Trace{Name: name, Events: make([]Event, 0, 1024)}
+	var evs []Event
 	err := m.Run(maxInst, func(in isa.Inst) {
-		t.Events = append(t.Events, FromInst(in))
+		evs = append(evs, Event{PC: in.PC, Word: in.Word, MemAddr: in.MemAddr, Target: in.Target, Taken: in.Taken})
 	})
 	if err != nil && err != emu.ErrMaxInstructions {
 		return nil, err
 	}
-	return t, nil
+	return evs, nil
+}
+
+// exactSize reports whether every column of tr holds exactly its events.
+func exactSize(tr *Trace) bool {
+	c, n := &tr.cols, tr.Len()
+	return cap(c.pc) == n && cap(c.memAddr) == n && cap(c.target) == n && cap(c.ids) == n &&
+		cap(c.taken) == (n+63)/64 && cap(c.words) == len(c.words)
 }
 
 // TestRecordMatchesAppendPath: recordings shorter than, exactly as long as
-// and longer than one and several recorder chunks — taken one after
-// another, so each reuses (and the long ones extend) the recorder the
-// previous one left in the pool — are event for event what appending to
-// the trace yields, exactly sized, and never alias the chunks a later
-// recording overwrites.
+// and longer than one and several builder chunks — taken one after
+// another, so each reuses (and the long ones extend) the builder the
+// previous one left in the pool — are event for event what appending the
+// retired instructions yields, exactly sized, and never alias the chunks a
+// later recording overwrites.
 func TestRecordMatchesAppendPath(t *testing.T) {
 	type recorded struct {
-		got, want *Trace
-		digest    string
+		got    *Trace
+		want   []Event
+		digest string
 	}
 	var all []recorded
 	for _, n := range []int{4, chunkEvents - 2, chunkEvents, chunkEvents + 2, 3 * chunkEvents, 1024, 2*chunkEvents + 6} {
@@ -57,26 +65,26 @@ func TestRecordMatchesAppendPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := recordByAppend("loop", prog, 1<<30)
+		want, err := recordByAppend(prog, 1<<30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != n || want.Len() != n {
-			t.Fatalf("%d events: recorded %d, append path %d", n, got.Len(), want.Len())
+		if got.Len() != n || len(want) != n {
+			t.Fatalf("%d events: recorded %d, append path %d", n, got.Len(), len(want))
 		}
-		if cap(got.Events) != n {
-			t.Errorf("%d events: trace holds capacity for %d", n, cap(got.Events))
+		if !exactSize(got) {
+			t.Errorf("%d events: the trace's columns hold spare capacity", n)
 		}
 		all = append(all, recorded{got, want, got.Digest()})
 	}
 	for _, r := range all {
-		for i := range r.want.Events {
-			if r.got.Events[i] != r.want.Events[i] {
-				t.Fatalf("%d events: event %d = %+v, append path %+v", r.want.Len(), i, r.got.Events[i], r.want.Events[i])
+		for i, ev := range eventsOf(t, r.got) {
+			if ev != r.want[i] {
+				t.Fatalf("%d events: event %d = %+v, append path %+v", len(r.want), i, ev, r.want[i])
 			}
 		}
-		if r.digest != r.want.Digest() {
-			t.Errorf("%d events: digest differs from the append path's", r.want.Len())
+		if r.digest != New("loop", false, r.want...).Digest() {
+			t.Errorf("%d events: digest differs from the append path's", len(r.want))
 		}
 	}
 	// A budget-exhausted recording is still a valid, exact trace.
@@ -84,7 +92,7 @@ func TestRecordMatchesAppendPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut.Len() != 1001 || cap(cut.Events) != 1001 {
-		t.Errorf("budget-limited recording: len %d cap %d, want 1001", cut.Len(), cap(cut.Events))
+	if cut.Len() != 1001 || !exactSize(cut) {
+		t.Errorf("budget-limited recording: len %d (exact size %v), want 1001", cut.Len(), exactSize(cut))
 	}
 }

@@ -13,7 +13,9 @@ import (
 )
 
 // Event is one dynamic instruction: the fetched word plus its dynamic
-// outcome (effective address, branch direction and target).
+// outcome (effective address, branch direction and target). A trace does
+// not store Events — it stores columns (see Builder) — Event is the value
+// a Cursor yields and what New takes.
 type Event struct {
 	PC      uint64
 	Word    uint32
@@ -22,26 +24,23 @@ type Event struct {
 	Taken   bool
 }
 
-// FromInst converts a retired instruction from the emulator into an Event.
-func FromInst(in isa.Inst) Event {
-	return Event{PC: in.PC, Word: in.Word, MemAddr: in.MemAddr, Target: in.Target, Taken: in.Taken}
-}
-
-// Trace is an in-memory recording of a single-threaded execution. It is in
-// one of two states. An ordinary trace holds its Events. A deferred trace
-// (see Deferred) holds only its Identity: Name, Len, WarmData and Digest
-// answer from it, and Events stays nil until something reads events —
-// Decoded, NewCursor, WriteTo — which runs the generator, once.
+// Trace is an in-memory recording of a single-threaded execution, stored
+// once as columns (PC, MemAddr and Target, an id per event into the table
+// of distinct instruction words, the taken bits) that both decoded
+// variants share. It is in one of two states. An ordinary trace holds its
+// columns. A deferred trace (see Deferred) holds only its Identity: Name,
+// Len, WarmData and Digest answer from it, and the columns stay empty until
+// something reads events — Decoded, NewCursor, WriteTo — which runs the
+// generator, once. A trace's events never change after it is built.
 type Trace struct {
 	Name string
-	// Events is nil while the trace is deferred; read events through
-	// Decoded, NewCursor or WriteTo, which materialize it first.
-	Events []Event
 	// WarmData records that the traced program initialized its data
 	// before the captured region (as SPEC workloads do). Hardware page
 	// optimizations for never-written (zero) pages do not apply to such
 	// traces; see cache.HierarchyConfig.ZeroFillOpt.
 	WarmData bool
+
+	cols columns // empty while the trace is deferred; read through content
 
 	digestOnce sync.Once
 	digest     string
@@ -75,7 +74,7 @@ type deferred struct {
 	generate func() (*Trace, error)
 	once     sync.Once
 	err      error
-	resident atomic.Bool // Events is set
+	resident atomic.Bool // cols is set
 }
 
 // Deferred returns a trace named name in the deferred state: it answers
@@ -90,15 +89,15 @@ func Deferred(name string, id Identity, generate func() (*Trace, error)) *Trace 
 	return &Trace{Name: name, WarmData: id.WarmData, deferred: &deferred{id: id, generate: generate}}
 }
 
-// events returns the trace's events, materializing a deferred trace.
-func (t *Trace) events() ([]Event, error) {
+// content returns the trace's columns, materializing a deferred trace.
+func (t *Trace) content() (*columns, error) {
 	if d := t.deferred; d != nil {
 		d.once.Do(func() { d.err = t.materialize() })
 		if d.err != nil {
 			return nil, d.err
 		}
 	}
-	return t.Events, nil
+	return &t.cols, nil
 }
 
 func (t *Trace) materialize() error {
@@ -113,7 +112,7 @@ func (t *Trace) materialize() error {
 			"the generator is not a function of its parameters, or the remembered identity is not this trace's",
 			t.Name, got.Len, got.WarmData, got.Digest, d.id.Len, d.id.WarmData, d.id.Digest)
 	}
-	t.Events = g.Events
+	t.cols = g.cols
 	d.resident.Store(true)
 	return nil
 }
@@ -123,7 +122,7 @@ func (t *Trace) Len() int {
 	if t.deferred != nil {
 		return t.deferred.id.Len
 	}
-	return len(t.Events)
+	return t.cols.len()
 }
 
 // Resident returns how many events the trace holds in memory: Len, or 0
@@ -132,35 +131,42 @@ func (t *Trace) Resident() int {
 	if d := t.deferred; d != nil && !d.resident.Load() {
 		return 0
 	}
-	return len(t.Events)
+	return t.cols.len()
 }
+
+// digestRecord is the size of one event's record in the digest stream.
+const digestRecord = 29
 
 // Digest returns a stable hex identity of the trace content: every dynamic
 // event plus the WarmData flag (which changes timing), excluding the
 // cosmetic Name so identically generated traces share simulation-cache
-// entries. The digest is computed once and memoized; callers must not
-// mutate Events after the first call.
+// entries. The digest is computed once and memoized.
 func (t *Trace) Digest() string {
 	if t.deferred != nil {
 		return t.deferred.id.Digest
 	}
 	t.digestOnce.Do(func() {
 		h := sha256.New()
-		var buf [29]byte
+		var buf [64 * digestRecord]byte
 		if t.WarmData {
 			buf[0] = 1
 		}
 		h.Write(buf[:1])
-		for _, ev := range t.Events {
-			binary.LittleEndian.PutUint64(buf[0:], ev.PC)
-			binary.LittleEndian.PutUint32(buf[8:], ev.Word)
-			binary.LittleEndian.PutUint64(buf[12:], ev.MemAddr)
-			binary.LittleEndian.PutUint64(buf[20:], ev.Target)
-			buf[28] = 0
-			if ev.Taken {
-				buf[28] = 1
+		c := &t.cols
+		for lo := 0; lo < c.len(); lo += 64 {
+			m := min(64, c.len()-lo)
+			for j := range m {
+				i, rec := lo+j, buf[j*digestRecord:(j+1)*digestRecord]
+				binary.LittleEndian.PutUint64(rec[0:], c.pc[i])
+				binary.LittleEndian.PutUint32(rec[8:], c.words[c.ids[i]])
+				binary.LittleEndian.PutUint64(rec[12:], c.memAddr[i])
+				binary.LittleEndian.PutUint64(rec[20:], c.target[i])
+				rec[28] = 0
+				if c.isTaken(i) {
+					rec[28] = 1
+				}
 			}
-			h.Write(buf[:])
+			h.Write(buf[:m*digestRecord])
 		}
 		t.digest = hex.EncodeToString(h.Sum(nil))
 	})
@@ -180,27 +186,27 @@ type Source interface {
 
 // Cursor is a Source over an in-memory Trace.
 type Cursor struct {
-	events []Event
-	pos    int
+	cols *columns
+	pos  int
 }
 
 // NewCursor returns a Source reading t from the beginning. The error is
 // that of materializing a deferred trace (see Deferred); an ordinary trace
 // has none.
 func NewCursor(t *Trace) (*Cursor, error) {
-	events, err := t.events()
+	c, err := t.content()
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{events: events}, nil
+	return &Cursor{cols: c}, nil
 }
 
 // Next implements Source.
 func (c *Cursor) Next() (Event, bool) {
-	if c.pos >= len(c.events) {
+	if c.pos >= c.cols.len() {
 		return Event{}, false
 	}
-	ev := c.events[c.pos]
+	ev := c.cols.event(c.pos)
 	c.pos++
 	return ev, true
 }
@@ -209,65 +215,19 @@ func (c *Cursor) Next() (Event, bool) {
 func (c *Cursor) Reset() { c.pos = 0 }
 
 // Len implements Source.
-func (c *Cursor) Len() int { return len(c.events) }
-
-// chunkEvents is the unit a recording in progress grows by.
-const chunkEvents = 1 << 13
-
-// recorder captures a recording whose length is only known once the
-// program has run. Growing the trace's own slice by doubling used to
-// allocate and copy several times the final size; a recorder grows by
-// whole chunks instead, which copies nothing, keeps its chunks for the
-// next recording, and hands out one exact-size copy at the end. In steady
-// state a recording therefore allocates its trace and nothing else.
-type recorder struct {
-	chunks [][]Event // each of capacity chunkEvents
-	used   int       // chunks[:used] hold the recording; all but the last are full
-}
-
-// recorders recycles recorders (with their chunks) across recordings.
-var recorders = sync.Pool{New: func() any { return new(recorder) }}
-
-func (r *recorder) add(ev Event) {
-	if r.used == 0 || len(r.chunks[r.used-1]) == chunkEvents {
-		if r.used == len(r.chunks) {
-			r.chunks = append(r.chunks, make([]Event, 0, chunkEvents))
-		}
-		r.chunks[r.used] = r.chunks[r.used][:0]
-		r.used++
-	}
-	c := &r.chunks[r.used-1]
-	*c = append(*c, ev)
-}
-
-// take returns the recording as one exact-size slice and empties the
-// recorder.
-func (r *recorder) take() []Event {
-	n := 0
-	for _, c := range r.chunks[:r.used] {
-		n += len(c)
-	}
-	out := make([]Event, 0, n)
-	for _, c := range r.chunks[:r.used] {
-		out = append(out, c...)
-	}
-	r.used = 0
-	return out
-}
+func (c *Cursor) Len() int { return c.cols.len() }
 
 // Record executes prog on the functional emulator for at most maxInst
 // instructions and returns the recorded trace. A program that exhausts the
 // budget (rather than halting) still yields a valid trace.
 func Record(name string, prog *isa.Program, maxInst uint64) (*Trace, error) {
 	m := emu.New(prog)
-	r := recorders.Get().(*recorder)
-	defer recorders.Put(r)
-	err := m.Run(maxInst, func(in isa.Inst) { r.add(FromInst(in)) })
-	events := r.take()
+	b := NewBuilder()
+	err := m.Run(maxInst, func(in isa.Inst) { b.Add(in.PC, in.Word, in.MemAddr, in.Target, in.Taken) })
 	if err != nil && err != emu.ErrMaxInstructions {
 		return nil, err
 	}
-	return &Trace{Name: name, Events: events}, nil
+	return b.Trace(name, false), nil
 }
 
 // ClassMix counts dynamic instructions per timing class, using a correct
@@ -275,15 +235,21 @@ func Record(name string, prog *isa.Program, maxInst uint64) (*Trace, error) {
 // cannot materialize counts as empty; Decoded and NewCursor report why.
 func (t *Trace) ClassMix() [isa.NumClasses]int {
 	var mix [isa.NumClasses]int
+	c, err := t.content()
+	if err != nil {
+		return mix
+	}
+	perWord := make([]int, len(c.words))
+	for _, id := range c.ids {
+		perWord[id]++
+	}
 	var d isa.Decoder
-	events, _ := t.events()
-	for _, ev := range events {
-		in, err := d.Decode(ev.PC, ev.Word)
-		if err != nil {
-			mix[isa.ClassNop]++
-			continue
+	for id, w := range c.words {
+		cls := isa.ClassNop
+		if in, err := d.Decode(0, w); err == nil {
+			cls = in.Cls
 		}
-		mix[in.Cls]++
+		mix[cls] += perWord[id]
 	}
 	return mix
 }

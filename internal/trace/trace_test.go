@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +38,20 @@ func sampleTrace(t *testing.T) *Trace {
 	return tr
 }
 
+// eventsOf reads every event of tr through a cursor.
+func eventsOf(t testing.TB, tr *Trace) []Event {
+	t.Helper()
+	c, err := NewCursor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]Event, 0, c.Len())
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
 func TestRecordProducesDynamicStream(t *testing.T) {
 	tr := sampleTrace(t)
 	if tr.Len() != 4+16*6 { // la expands to two instructions
@@ -64,13 +79,8 @@ func TestRoundTrip(t *testing.T) {
 	if got.Name != tr.Name {
 		t.Errorf("name = %q, want %q", got.Name, tr.Name)
 	}
-	if len(got.Events) != len(tr.Events) {
-		t.Fatalf("events = %d, want %d", len(got.Events), len(tr.Events))
-	}
-	for i := range tr.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got.Events[i], tr.Events[i])
-		}
+	if !slices.Equal(eventsOf(t, got), eventsOf(t, tr)) || got.Digest() != tr.Digest() {
+		t.Fatal("events differ after a round trip")
 	}
 }
 
@@ -140,7 +150,7 @@ func TestCursor(t *testing.T) {
 	}
 	c.Reset()
 	ev, ok := c.Next()
-	if !ok || ev != tr.Events[0] {
+	if !ok || ev != eventsOf(t, tr)[0] {
 		t.Error("Reset did not rewind cursor")
 	}
 }
@@ -150,7 +160,7 @@ func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr := &Trace{Name: "prop"}
+		var evs []Event
 		pc := uint64(0x1000)
 		for i := 0; i < 200; i++ {
 			var ev Event
@@ -168,27 +178,20 @@ func TestRoundTripProperty(t *testing.T) {
 			default:
 				ev.Word = isa.EncNOP()
 			}
-			tr.Events = append(tr.Events, ev)
+			evs = append(evs, ev)
 			if ev.Taken {
 				pc = ev.Target
 			} else {
 				pc += 4
 			}
 		}
+		tr := New("prop", false, evs...)
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			return false
 		}
 		got, err := ReadFrom(&buf)
-		if err != nil || len(got.Events) != len(tr.Events) {
-			return false
-		}
-		for i := range tr.Events {
-			if got.Events[i] != tr.Events[i] {
-				return false
-			}
-		}
-		return true
+		return err == nil && slices.Equal(eventsOf(t, got), evs) && got.Digest() == tr.Digest()
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {

@@ -93,11 +93,13 @@ func (m *Memo) Workload(p workload.Profile, o workload.Options) (*trace.Trace, e
 	return m.Named(workloadKey(p, o), p.Name, func() (*trace.Trace, error) { return workload.Generate(p, o) })
 }
 
-// eventFootprint approximates the resident bytes one dynamic trace event
-// costs once warm: the Event itself (40 bytes) plus its share of up to
-// two decoded variants (id + three dynamic columns + taken bit ≈ 36
-// bytes each). Used for budget accounting only.
-const eventFootprint = 40 + 2*36
+// eventFootprint is the resident bytes one dynamic trace event costs: the
+// trace's columns — PC, MemAddr and Target (8 bytes each), the word id (4)
+// and the taken bit — rounded up. The decoded variants re-slice those
+// columns, so decoding adds no per-event bytes (TestSizeMatchesRetainedHeap
+// holds the estimate to the measured heap). Used for budget accounting
+// only.
+const eventFootprint = 3*8 + 4 + 1
 
 // entryOverhead covers the per-entry bookkeeping (key, map slot, list
 // element, decode tables) beyond the event columns.

@@ -12,12 +12,12 @@ import (
 )
 
 func tinyTrace(name string, events int) *trace.Trace {
-	t := &trace.Trace{Name: name}
 	add := isa.EncR(isa.OpADD, isa.X(1), isa.X(2), isa.X(3))
-	for i := 0; i < events; i++ {
-		t.Events = append(t.Events, trace.Event{PC: uint64(i) * 4, Word: add})
+	evs := make([]trace.Event, events)
+	for i := range evs {
+		evs[i] = trace.Event{PC: uint64(i) * 4, Word: add}
 	}
-	return t
+	return trace.New(name, false, evs...)
 }
 
 func TestGetMemoizesByKey(t *testing.T) {

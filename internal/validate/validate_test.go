@@ -156,8 +156,15 @@ func TestTuneFailsOnBrokenTrace(t *testing.T) {
 	ms := measurements(t, p.A53)[:6]
 	const broken = 2
 	good := ms[broken].Trace
-	ms[broken].Trace = &trace.Trace{Name: good.Name, Events: append(append([]trace.Event{}, good.Events...),
-		trace.Event{PC: 0x9000, Word: ^uint32(0)})}
+	c, err := trace.NewCursor(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+		evs = append(evs, ev)
+	}
+	ms[broken].Trace = trace.New(good.Name, false, append(evs, trace.Event{PC: 0x9000, Word: ^uint32(0)})...)
 
 	for _, cache := range []*simcache.Cache{nil, simcache.New()} {
 		res, err := Tune(sim.PublicA53(), ms, TuneOptions{Budget: 120, Seed: 3, Cache: cache, Parallelism: 2})

@@ -71,7 +71,8 @@ type generator struct {
 	streamPtr []uint64 // per-stream next address
 	chasePtr  uint64
 	wsMask    uint64
-	events    []trace.Event
+	b         *trace.Builder
+	n         int // events to emit; the walk's last block may run past it
 	flagsSet  bool
 	lastInd   map[int]int // per-indirect-block last trampoline index
 }
@@ -111,7 +112,7 @@ func Generate(p Profile, o Options) (*trace.Trace, error) {
 	g.walk(n)
 	// SPEC-class programs initialize their data structures before the
 	// measured region, so zero-page hardware optimizations do not apply.
-	return &trace.Trace{Name: p.Name, Events: g.events, WarmData: true}, nil
+	return g.b.Trace(p.Name, true), nil
 }
 
 func (g *generator) reg(i int) isa.Reg  { return isa.X(1 + i%15) }
@@ -273,12 +274,19 @@ func (g *generator) buildStatic() {
 	}
 }
 
-func (g *generator) emit(pc uint64, si synthInst) {
-	ev := trace.Event{PC: pc, Word: si.word}
-	if si.cls.IsMem() {
-		ev.MemAddr = g.address(si)
+// add appends one event, or drops it once the trace is long enough.
+func (g *generator) add(pc uint64, word uint32, memAddr, target uint64, taken bool) {
+	if g.b.Len() < g.n {
+		g.b.Add(pc, word, memAddr, target, taken)
 	}
-	g.events = append(g.events, ev)
+}
+
+func (g *generator) emit(pc uint64, si synthInst) {
+	var mem uint64
+	if si.cls.IsMem() {
+		mem = g.address(si)
+	}
+	g.add(pc, si.word, mem, 0, false)
 }
 
 // address produces the dynamic effective address for a memory slot.
@@ -298,9 +306,9 @@ func (g *generator) address(si synthInst) uint64 {
 
 // walk runs the dynamic instruction stream until n events are emitted.
 func (g *generator) walk(n int) {
-	g.events = make([]trace.Event, 0, n+64)
+	g.b, g.n = trace.NewBuilder(), n
 	i := 0
-	for len(g.events) < n {
+	for g.b.Len() < n {
 		b := &g.blocks[i]
 		for j, si := range b.insts {
 			g.emit(b.pc+uint64(j)*isa.InstSize, si)
@@ -308,22 +316,18 @@ func (g *generator) walk(n int) {
 		termPC := b.pc + uint64(len(b.insts))*isa.InstSize
 		switch b.kind {
 		case termLoop:
-			g.events = append(g.events, trace.Event{
-				PC: termPC, Word: b.condWord, Taken: true, Target: b.target,
-			})
+			g.add(termPC, b.condWord, 0, b.target, true)
 			i = 0
 		case termCall:
-			g.events = append(g.events, trace.Event{
-				PC: termPC, Word: b.condWord, Taken: true, Target: b.target,
-			})
+			g.add(termPC, b.condWord, 0, b.target, true)
 			fn := g.funcs[b.callee]
 			for j, si := range fn.insts {
-				ev := trace.Event{PC: fn.pc + uint64(j)*isa.InstSize, Word: si.word}
-				if si.cls == isa.ClassRet {
-					ev.Taken = true
-					ev.Target = termPC + isa.InstSize
+				var target uint64
+				ret := si.cls == isa.ClassRet
+				if ret {
+					target = termPC + isa.InstSize
 				}
-				g.events = append(g.events, ev)
+				g.add(fn.pc+uint64(j)*isa.InstSize, si.word, 0, target, ret)
 			}
 			i++
 		case termInd:
@@ -334,14 +338,10 @@ func (g *generator) walk(n int) {
 				g.lastInd[i] = last
 			}
 			stub := b.stubs[last]
-			g.events = append(g.events, trace.Event{
-				PC: termPC, Word: b.condWord, Taken: true, Target: stub,
-			})
+			g.add(termPC, b.condWord, 0, stub, true)
 			// The trampoline itself: unconditional branch to next block.
 			off := (int64(b.target) - int64(stub)) / isa.InstSize
-			g.events = append(g.events, trace.Event{
-				PC: stub, Word: isa.EncB(isa.OpB, off), Taken: true, Target: b.target,
-			})
+			g.add(stub, isa.EncB(isa.OpB, off), 0, b.target, true)
 			i++
 		default: // termCond
 			taken := false
@@ -350,9 +350,7 @@ func (g *generator) walk(n int) {
 			} else {
 				taken = g.rng.Float64() < 0.1 // biased not-taken
 			}
-			g.events = append(g.events, trace.Event{
-				PC: termPC, Word: b.condWord, Taken: taken, Target: b.target,
-			})
+			g.add(termPC, b.condWord, 0, b.target, taken)
 			if taken {
 				i += 2
 			} else {
@@ -363,5 +361,4 @@ func (g *generator) walk(n int) {
 			i = 0
 		}
 	}
-	g.events = g.events[:n]
 }

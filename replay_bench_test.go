@@ -216,3 +216,47 @@ func benchShortSpec(b *testing.B, uniq bool) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/sims, "allocs/sim")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/sims/1024, "KB/sim")
 }
+
+// BenchmarkTraceFootprint measures what holding a trace costs and what
+// decoding it costs: each iteration records the MIP trace afresh (untimed)
+// and decodes both variants (timed), then reports the heap the trace
+// retains with both decodes — bytes/event, after collecting everything
+// else — and the decode time per event and variant, decode_ns/event.
+// Recorded in BENCH_replay.json; budgets/bench.json caps bytes/event so
+// that a second copy of the events cannot come back unnoticed.
+func BenchmarkTraceFootprint(b *testing.B) {
+	p, ok := ubench.ByName("MIP")
+	if !ok {
+		b.Fatal("missing MIP")
+	}
+	// Two collections: the first moves the trace builder's pooled chunks to
+	// the pool's victim cache, the second frees them.
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var retained, events int64
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		before := heap()
+		tr, err := p.Trace(ubench.Options{Scale: 0.01})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, depBug := range []bool{false, true} {
+			if d := tr.Decoded(depBug); d.Err != nil {
+				b.Fatal(d.Err)
+			}
+		}
+		b.StopTimer()
+		retained += heap() - before
+		events += int64(tr.Len())
+		runtime.KeepAlive(tr)
+	}
+	b.ReportMetric(float64(retained)/float64(events), "bytes/event")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*events), "decode_ns/event")
+}

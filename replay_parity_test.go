@@ -95,8 +95,15 @@ func TestReplayParityDecodedVsCursor(t *testing.T) {
 // undecodable word: same error text, after replaying the same prefix.
 func TestReplayParityInvalidWord(t *testing.T) {
 	tr := parityTraces(t)[0]
-	bad := &trace.Trace{Name: "bad", Events: append(append([]trace.Event{}, tr.Events[:16]...),
-		trace.Event{PC: 0x9000, Word: ^uint32(0)})}
+	c, err := trace.NewCursor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	for ev, ok := c.Next(); ok && len(evs) < 16; ev, ok = c.Next() {
+		evs = append(evs, ev)
+	}
+	bad := trace.New("bad", false, append(evs, trace.Event{PC: 0x9000, Word: ^uint32(0)})...)
 	for _, cfg := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
 		_, errCursor := runCursor(cfg, bad)
 		_, errDecoded := cfg.Run(bad)
