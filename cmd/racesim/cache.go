@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"racesim/internal/simcache"
@@ -20,28 +21,28 @@ func cmdCache(args []string) error {
 	case "stats":
 		return cacheStats(rest)
 	case "merge":
-		return cacheMerge(rest)
+		return cacheMerge(rest, os.Stderr)
 	default:
 		return fmt.Errorf("unknown cache subcommand %q (want stats or merge)", sub)
 	}
 }
 
-// loadSnapshot reads one snapshot file into a fresh cache, reporting
-// accepted and checksum-rejected entry counts. Unlike the warm-start path
-// (which tolerates absent or stale-version snapshots by starting cold), an
-// operator-named file must load: a version mismatch is an error, never a
-// silent "0 entries".
-func loadSnapshot(path string) (c *simcache.Cache, accepted int, rejected uint64, err error) {
-	data, err := os.ReadFile(path)
+// mergeFile streams the snapshot at path into c record by record,
+// reporting what it added, replaced and dropped by checksum. Unlike a run's
+// cache file (which starts cold when absent or of another version), an
+// operator-named file must load: a missing file or a version mismatch is an
+// error naming it, never a silent "0 entries".
+func mergeFile(c *simcache.Cache, path string) (added, replaced int, rejected uint64, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, 0, err
 	}
-	c = simcache.New()
-	accepted, _, err = c.LoadBytes(data)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("%s: %w", path, err)
+	defer f.Close()
+	before := c.Stats().Rejected
+	if added, replaced, err = c.LoadStream(f); err != nil {
+		return 0, 0, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return c, accepted, c.Stats().Rejected, nil
+	return added, replaced, c.Stats().Rejected - before, nil
 }
 
 func cacheStats(args []string) error {
@@ -102,7 +103,9 @@ func bytesPerEntry(size int64, entries int) float64 {
 	return float64(size) / float64(entries)
 }
 
-func cacheMerge(args []string) error {
+// cacheMerge joins snapshot files into one, reporting each input on
+// stderr.
+func cacheMerge(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("racesim cache merge", flag.ExitOnError)
 	out := fs.String("o", "", "write the merged snapshot here (required)")
 	fs.Parse(args)
@@ -114,23 +117,19 @@ func cacheMerge(args []string) error {
 	}
 	merged := simcache.New()
 	for _, path := range fs.Args() {
-		other, accepted, rejected, err := loadSnapshot(path)
+		added, replaced, rejected, err := mergeFile(merged, path)
 		if err != nil {
 			return err
 		}
-		added, replaced, err := merged.Merge(other)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s: %d entries (%d new, %d replaced", path, accepted, added, replaced)
+		fmt.Fprintf(stderr, "%s: %d entries (%d new, %d replaced", path, added+replaced, added, replaced)
 		if rejected > 0 {
-			fmt.Fprintf(os.Stderr, ", %d rejected by checksum", rejected)
+			fmt.Fprintf(stderr, ", %d rejected by checksum", rejected)
 		}
-		fmt.Fprintln(os.Stderr, ")")
+		fmt.Fprintln(stderr, ")")
 	}
 	if err := merged.SaveFile(*out); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d entries to %s\n", merged.Stats().Entries, *out)
+	fmt.Fprintf(stderr, "wrote %d entries to %s\n", merged.Stats().Entries, *out)
 	return nil
 }

@@ -18,7 +18,7 @@
 // lifecycle flags -parallelism, -cache, -cpuprofile and -memprofile
 // (serve has its own lifecycle: -workers, -queue-depth, -drain-timeout,
 // -job-timeout) and stops at the first SIGINT/SIGTERM with exit status 130,
-// an experiments run with -cache having saved what it simulated. Artifacts
+// a run with -cache having saved what it simulated. Artifacts
 // go to stdout, progress and cache statistics to stderr
 // (except validate, which historically streams progress on stdout). See
 // docs/cli.md for the full reference, including the serve HTTP API and

@@ -38,7 +38,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -146,10 +145,9 @@ type Report struct {
 	// across the round — the cluster-wide hit/miss picture.
 	Cache simcache.Stats
 	// MergedEntries is the federated snapshot size after merging worker
-	// deltas; SnapshotRejected counts delta entries failing their
-	// checksum.
-	MergedEntries    int
-	SnapshotRejected uint64
+	// deltas (entries failing their checksum are dropped, and warned about
+	// when the snapshot is saved).
+	MergedEntries int
 	// UnitDurations holds the dispatch-to-completion wall time of every
 	// unit executed this round (resumed units excluded), in completion
 	// order — the input for end-of-sweep latency percentiles.
@@ -199,8 +197,8 @@ type event struct {
 // Run executes the sweep and returns the assembled artifact — the bytes
 // a single-process `racesim experiments -scenario <selection>` run
 // writes to stdout.
-func Run(ctx context.Context, opts Options) (string, Report, error) {
-	rep := Report{Completed: map[string]int{}}
+func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
+	rep = Report{Completed: map[string]int{}}
 	log := opts.Log
 	if log == nil {
 		log = func(string, ...any) {}
@@ -313,69 +311,62 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 	log("sweep: %d units across %d workers (window %d)", len(units), alive, window)
 
 	// Federation, inbound half: warm every worker from the coordinator's
-	// snapshot so overlapping selections re-run at cluster-wide hits.
+	// snapshot so overlapping selections re-run at cluster-wide hits. The
+	// snapshot is saved on every way out, with the workers' deltas once the
+	// round has collected them.
 	fed := simcache.New()
-	if opts.CachePath != "" {
-		n, rejected, err := fed.LoadChecked(opts.CachePath)
-		var stale *simcache.StaleFormatError
-		if errors.As(err, &stale) {
-			log("sweep: ignoring snapshot %s (format %d); starting cold", stale.Path, stale.Format)
-			n, err = 0, nil
-		}
-		if err != nil {
-			return "", rep, err
-		}
-		if rejected > 0 {
-			log("sweep: %s: rejected %d corrupted cache entries", opts.CachePath, rejected)
-		}
-		if n > 0 {
-			log("sweep: cache: loaded %d entries from %s", n, opts.CachePath)
-			// Pre-seeding streams the snapshot — records are encoded into
-			// the request body as the peer consumes it, so the coordinator
-			// never buffers the whole snapshot — and retries transient
-			// failures (a dropped or corrupted request is the client's
-			// error, not the peer's); only a persistently failing import
-			// costs a worker its seat.
-			preseed := func(cl *engine.Client) error {
-				var err error
-				for attempt := 0; attempt < 3; attempt++ {
-					pr, pw := io.Pipe()
-					go func() { pw.CloseWithError(fed.WriteBinaryTo(pw, nil)) }()
-					_, err = cl.ImportSnapshotFrom(ctx, pr)
-					pr.Close()
-					if err == nil {
-						return nil
-					}
-					if cerr := ctx.Err(); cerr != nil {
-						return cerr
-					}
-					time.Sleep(backoff << attempt)
+	sweepLog := func(format string, args ...any) { log("sweep: "+format, args...) }
+	snap, err := simcache.Open(fed, opts.CachePath, sweepLog, sweepLog)
+	if err != nil {
+		return "", rep, err
+	}
+	defer func() { err = snap.Close(err) }()
+	if n := fed.Stats().Entries; n > 0 {
+		// Pre-seeding streams the snapshot — records are encoded into
+		// the request body as the peer consumes it, so the coordinator
+		// never buffers the whole snapshot — and retries transient
+		// failures (a dropped or corrupted request is the client's
+		// error, not the peer's); only a persistently failing import
+		// costs a worker its seat.
+		preseed := func(cl *engine.Client) error {
+			var err error
+			for attempt := 0; attempt < 3; attempt++ {
+				pr, pw := io.Pipe()
+				go func() { pw.CloseWithError(fed.WriteBinaryTo(pw, nil)) }()
+				_, err = cl.ImportSnapshotFrom(ctx, pr)
+				pr.Close()
+				if err == nil {
+					return nil
 				}
-				return err
+				if cerr := ctx.Err(); cerr != nil {
+					return cerr
+				}
+				time.Sleep(backoff << attempt)
 			}
-			for _, w := range workers {
-				if w.dead {
-					continue
-				}
-				if err := preseed(w.client); err != nil {
-					if ctx.Err() != nil {
-						return "", rep, ctx.Err()
-					}
-					w.dead = true
-					alive--
-					log("sweep: worker %s failed pre-seed: %v", w.url, err)
-					continue
-				}
-				// The import moved the worker's stats; resample the baseline.
-				if h, err := w.client.Health(ctx); err == nil {
-					w.before = h
-				}
-			}
-			if alive == 0 {
-				return "", rep, fmt.Errorf("cluster: every worker failed pre-seeding")
-			}
-			log("sweep: pre-seeded %d workers with %d entries", alive, n)
+			return err
 		}
+		for _, w := range workers {
+			if w.dead {
+				continue
+			}
+			if err := preseed(w.client); err != nil {
+				if ctx.Err() != nil {
+					return "", rep, ctx.Err()
+				}
+				w.dead = true
+				alive--
+				log("sweep: worker %s failed pre-seed: %v", w.url, err)
+				continue
+			}
+			// The import moved the worker's stats; resample the baseline.
+			if h, err := w.client.Health(ctx); err == nil {
+				w.before = h
+			}
+		}
+		if alive == 0 {
+			return "", rep, fmt.Errorf("cluster: every worker failed pre-seeding")
+		}
+		log("sweep: pre-seeded %d workers with %d entries", alive, n)
 	}
 
 	ustates := make([]*unitState, len(units))
@@ -684,10 +675,9 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 	}
 
 	// Federation, outbound half: collect every surviving worker's delta
-	// (what it computed this round), merge checksummed last-writer-wins,
-	// persist. Also aggregate the cache statistics deltas — the
-	// cluster-wide effectiveness picture.
-	rejectedBefore := fed.Stats().Rejected
+	// (what it computed this round) and merge it checksummed,
+	// last-writer-wins, for the save on the way out. Also aggregate the
+	// cache statistics deltas — the cluster-wide effectiveness picture.
 	// Deltas stream straight from the peer's response body into the
 	// federated cache: records are verified and merged one at a time, so
 	// neither side buffers a whole snapshot.
@@ -719,17 +709,7 @@ func Run(ctx context.Context, opts Options) (string, Report, error) {
 			}
 		}
 	}
-	rep.SnapshotRejected = fed.Stats().Rejected - rejectedBefore
-	if rep.SnapshotRejected > 0 {
-		log("sweep: rejected %d corrupted delta entries", rep.SnapshotRejected)
-	}
 	rep.MergedEntries = fed.Stats().Entries
-	if opts.CachePath != "" {
-		if err := fed.SaveFile(opts.CachePath); err != nil {
-			return "", rep, fmt.Errorf("cluster: save federated snapshot %s: %w", opts.CachePath, err)
-		}
-		log("sweep: cache: saved %d federated entries to %s", rep.MergedEntries, opts.CachePath)
-	}
 	sort.Strings(rep.Dead)
 	sort.Strings(rep.Quarantined)
 	log("sweep: cluster cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate)",

@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -165,8 +164,13 @@ type Options struct {
 	// is byte-identical for any value.
 	Parallelism int
 	// CachePath names a binary snapshot persisting the simulation cache
-	// across runs: loaded before the job, saved after. Ignored when Cache
-	// is set (the cache owner handles persistence).
+	// across runs (simcache.Open): loaded when the job first needs its
+	// cache, and saved on every way out of the job — finished, failed,
+	// cancelled or panicked — so an interrupted job keeps what it
+	// simulated and says so in its error. An experiments job also saves it
+	// at unit boundaries. A job that adds nothing leaves the file alone,
+	// and one that simulates nothing creates none. Ignored when Cache is
+	// set (the cache owner handles persistence).
 	CachePath string
 	// Cache, when non-nil, is a pre-opened cache shared across jobs (the
 	// serve worker pool's warm cache). The engine then neither loads nor
@@ -261,6 +265,7 @@ type env struct {
 	memo   *tracememo.Memo // the caller's, or private to this job
 	traces tracememo.Stats // memo's counters when the job started
 	path   string          // snapshot to load and save; "" when the caller owns the cache
+	snap   *simcache.Snapshot
 
 	out, errw      io.Writer
 	outBuf, errBuf bytes.Buffer
@@ -460,6 +465,7 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 			panic("unreachable: job validated")
 		})
 	}
+	err = e.snap.Close(err)
 	res.Artifact = e.outBuf.String()
 	res.Log = e.errBuf.String()
 	res.TunedConfig = e.tunedConfig
@@ -508,42 +514,14 @@ func engineSpans(parent telemetry.SpanContext, job Job, start time.Time, elapsed
 	return []telemetry.Span{eng, sc}
 }
 
-// loadSnapshot opens the engine-level cache snapshot for jobs that manage
-// it directly (run/validate/ubench; experiments delegates to the scenario
-// engine, which also saves when a run fails or is interrupted). prefix
-// matches the historical binary's stderr prefix. logf receives the load
-// notice — stdout for validate (as before), stderr otherwise.
-func (e *env) loadSnapshot(prefix string, logf func(format string, args ...any)) error {
-	if e.path == "" {
-		return nil
-	}
-	n, rejected, err := e.cache.LoadChecked(e.path)
-	var stale *simcache.StaleFormatError
-	if errors.As(err, &stale) {
-		// A pre-migration snapshot starts the run cold, but never
-		// silently: the operator pointed at a warm cache and should learn
-		// why everything re-simulates.
-		e.eprintf("%s: ignoring snapshot %s (format %d); starting cold\n", prefix, stale.Path, stale.Format)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if rejected > 0 {
-		e.eprintf("%s: %s: rejected %d corrupted cache entries\n", prefix, e.path, rejected)
-	}
-	logf("cache: loaded %d entries from %s", n, e.path)
-	return nil
-}
-
-// saveSnapshot persists the engine-level cache snapshot after a job.
-func (e *env) saveSnapshot(logf func(format string, args ...any)) error {
-	if e.path == "" {
-		return nil
-	}
-	if err := e.cache.SaveFile(e.path); err != nil {
-		return err
-	}
-	logf("cache: saved %d entries to %s", e.cache.Stats().Entries, e.path)
-	return nil
+// openSnapshot opens the job's cache file, if it has one (simcache.Open),
+// at the point where the job first needs its cache. Warnings go to stderr
+// under the job's historical prefix; note is where the job reports loads
+// and saves. ExecuteContext closes the snapshot on every way out of the
+// job, so a failed or interrupted job keeps what it simulated.
+func (e *env) openSnapshot(prefix string, note func(format string, args ...any)) (err error) {
+	e.snap, err = simcache.Open(e.cache, e.path, func(format string, args ...any) {
+		e.eprintf(prefix+": "+format+"\n", args...)
+	}, note)
+	return err
 }

@@ -76,11 +76,14 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 		logf("scenario: units %s: %d of %d units", j.Units, len(units), total)
 	}
 
-	// The scenario engine owns snapshot load/save for sweeps: it saves on
-	// every way out, so an interrupted run restarted with the same flags
-	// replays finished work from the cache.
-	rejectedBefore := e.cache.Stats().Rejected
-	results, err := scenario.Run(units, scenario.RunOptions{
+	// The snapshot is saved at unit boundaries too, so a killed run
+	// restarted with the same flags replays most of its finished work.
+	if err := e.openSnapshot("experiments", func(format string, args ...any) {
+		logf("scenario: "+format, args...)
+	}); err != nil {
+		return err
+	}
+	results, err := scenario.RunSaving(units, scenario.RunOptions{
 		Expt: expt.Options{
 			UbenchScale:    scale,
 			WorkloadEvents: events,
@@ -93,19 +96,13 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 			Context:        e.ctx,
 			Log:            logf,
 		},
-		CachePath: e.path,
-		Log:       logf,
-	})
+		Log: logf,
+	}, e.snap)
 	if err != nil {
 		return err
 	}
-	// A corrupted snapshot is worth a warning even when quiet: the
-	// affected units were silently re-simulated. Compare against the
-	// pre-job counter — on a shared cache the cumulative total includes
-	// rejections from other loads (e.g. the server's startup warm-up),
-	// which are not this job's news to report.
-	if rej := e.cache.Stats().Rejected - rejectedBefore; rej > 0 {
-		e.eprintf("experiments: %s: rejected %d corrupted cache entries\n", e.path, rej)
+	if err := e.snap.Save(); err != nil {
+		return err
 	}
 
 	rendered := scenario.RenderAll(results)

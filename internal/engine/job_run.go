@@ -133,9 +133,9 @@ func (e *env) runJob(j *RunJob) error {
 	}
 
 	// The snapshot is opened before the traces are fetched: it may say what
-	// they are, and then a warm run generates none of them.
-	discard := func(string, ...any) {} // this job has never logged its loads and saves
-	if err := e.loadSnapshot("racesim", discard); err != nil {
+	// they are, and then a warm run generates none of them. This job has
+	// never logged its loads and saves.
+	if err := e.openSnapshot("racesim", func(string, ...any) {}); err != nil {
 		return err
 	}
 	trs, err := e.gather(j, events, scale)
@@ -181,5 +181,5 @@ func (e *env) runJob(j *RunJob) error {
 			st.Hits, st.Misses, st.HitRate()*100)
 		e.traceSummary()
 	}
-	return e.saveSnapshot(discard)
+	return nil
 }

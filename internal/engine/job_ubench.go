@@ -70,22 +70,15 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 		if err != nil {
 			return err
 		}
-		if err := e.loadSnapshot("ubench", func(format string, args ...any) {
+		if err := e.openSnapshot("ubench", func(format string, args ...any) {
 			e.eprintf(format+"\n", args...)
 		}); err != nil {
 			return err
 		}
 		if j.Compare == "all" {
-			err = e.compareSuite(board, cfg, opts)
-		} else {
-			err = e.compareOne(j.Compare, board, cfg, opts)
+			return e.compareSuite(board, cfg, opts)
 		}
-		if err != nil {
-			return err
-		}
-		return e.saveSnapshot(func(format string, args ...any) {
-			e.eprintf(format+"\n", args...)
-		})
+		return e.compareOne(j.Compare, board, cfg, opts)
 	}
 	return fmt.Errorf("one of list, dump, compare or disasm is required")
 }

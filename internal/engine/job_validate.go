@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/report"
 	"racesim/internal/sim"
@@ -49,7 +50,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 			e.printf(format+"\n", args...)
 		}
 	}
-	if err := e.loadSnapshot("validate", logf); err != nil {
+	if err := e.openSnapshot("validate", logf); err != nil {
 		return err
 	}
 	stages, err := validate.Pipeline(board, public, validate.PipelineOptions{
@@ -125,7 +126,8 @@ func (e *env) validateJob(j *ValidateJob) error {
 	e.eprintf("cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate), %d entries\n",
 		st.Hits, st.Misses, st.Shared, st.HitRate()*100, st.Entries)
 	e.traceSummary()
-	if err := e.saveSnapshot(logf); err != nil {
+	// Saved here, not on the way out, so its progress line keeps its place.
+	if err := e.snap.Save(); err != nil {
 		return err
 	}
 
@@ -155,22 +157,14 @@ func (e *env) validateJob(j *ValidateJob) error {
 }
 
 // board resolves a job's core name ("" = "a53") to its reference board,
-// keeping its replays in the job's cache, and the core's public model.
+// keeping its replays in the job's cache, and the core's public model. A
+// typo'd core is an error, never plausible wrong-core numbers.
 func (e *env) board(core string) (*hw.Board, sim.Config, error) {
 	plat, err := hw.Firefly()
 	if err != nil {
 		return nil, sim.Config{}, err
 	}
-	plat = plat.WithCache(e.cache)
-	switch core {
-	case "", "a53":
-		return plat.A53, sim.PublicA53(), nil
-	case "a72":
-		return plat.A72, sim.PublicA72(), nil
-	}
-	// The historical binaries silently fell back to the A53 here; a
-	// typo'd core must not return plausible wrong-core numbers.
-	return nil, sim.Config{}, fmt.Errorf("unknown core %q", core)
+	return expt.Core(plat.WithCache(e.cache), core)
 }
 
 // resolveBudget picks the job's accuracy budget: inline JSON wins, then

@@ -75,6 +75,11 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("%s job: %v / %+v", job.Kind, err, st)
 		}
 	}
+	// The server counts an event stream closed only after it has sent the
+	// last event; wait for that, or the two scrapes below race it.
+	for deadline := time.Now().Add(5 * time.Second); srv.sseStreams.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	text := scrape(t, ts)
 	if err := telemetry.ValidatePrometheus(text); err != nil {

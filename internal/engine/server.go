@@ -30,11 +30,13 @@ type ServerOptions struct {
 	// queue answers 503 (default 64).
 	QueueDepth int
 	// CachePath, when set, warms the shared simulation cache from a
-	// snapshot at startup and persists it on Drain, so a restarted server
-	// answers repeated jobs from disk-warm state. A binary snapshot is
-	// attached mmap-backed: startup parses only its index, and a record is
-	// decoded each time it is asked for, never kept — the server's memory
-	// does not grow with its hits.
+	// snapshot at startup (simcache.Open) and saves it once, in Drain,
+	// whether the drain finished or was aborted, so a restarted server
+	// answers repeated jobs from disk-warm state. A server that added
+	// nothing leaves the file alone. The snapshot is attached mmap-backed:
+	// startup parses only its index, and a record is decoded each time it
+	// is asked for, never kept — the server's memory does not grow with its
+	// hits. Jobs never save it themselves.
 	CachePath string
 	// MemoryBudget, when > 0, bounds what the server holds in memory to
 	// roughly this many bytes, half for results (LRU eviction, see
@@ -143,7 +145,8 @@ func (st *jobState) snapshot(includeResult bool) JobStatus {
 type Server struct {
 	opts  ServerOptions
 	cache *simcache.Cache
-	memo  *tracememo.Memo // trace memo shared by every job
+	snap  *simcache.Snapshot // CachePath, opened at start and saved by Drain
+	memo  *tracememo.Memo    // trace memo shared by every job
 	log   func(format string, args ...any)
 
 	// metrics is the server's telemetry registry (GET /metrics); build is
@@ -211,21 +214,12 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		log("serve: memory budget %d MiB (results %d MiB, traces %d MiB)",
 			opts.MemoryBudget>>20, (opts.MemoryBudget/2)>>20, (opts.MemoryBudget/2)>>20)
 	}
-	if opts.CachePath != "" {
-		n, rejected, err := s.cache.LoadChecked(opts.CachePath)
-		var stale *simcache.StaleFormatError
-		switch {
-		case errors.As(err, &stale):
-			log("serve: ignoring snapshot %s (format %d); starting cold", stale.Path, stale.Format)
-		case err != nil:
-			return nil, err
-		default:
-			if rejected > 0 {
-				log("serve: %s: rejected %d corrupted cache entries", opts.CachePath, rejected)
-			}
-			log("serve: cache: loaded %d entries from %s", n, opts.CachePath)
-		}
+	serveLog := func(format string, args ...any) { log("serve: "+format, args...) }
+	snap, err := simcache.Open(s.cache, opts.CachePath, serveLog, serveLog)
+	if err != nil {
+		return nil, err
 	}
+	s.snap = snap
 	s.resetSeedBaseline()
 	s.registerMetrics()
 	for w := 0; w < opts.Workers; w++ {
@@ -450,8 +444,8 @@ func (s *Server) SubmitTraced(job Job, sc telemetry.SpanContext) (string, error)
 }
 
 // Drain stops accepting new jobs, waits for queued and running jobs to
-// finish (or ctx to expire), and persists the shared cache snapshot. It
-// is the SIGTERM path of `racesim serve` and safe to call once.
+// finish (or ctx to expire), and saves the shared cache snapshot either
+// way. It is the SIGTERM path of `racesim serve` and safe to call once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -467,32 +461,19 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Even an aborted or timed-out drain flushes the snapshot:
-		// SaveFile is atomic and the cache concurrency-safe, so saving
-		// while a job is still mid-flight loses nothing already computed —
-		// the batch scenario engine checkpoints on SIGINT for the same
-		// reason.
-		if s.opts.CachePath != "" {
-			if err := s.cache.SaveFile(s.opts.CachePath); err != nil {
-				s.log("serve: drain-abort checkpoint %s: %v", s.opts.CachePath, err)
-			} else {
-				s.log("serve: drain aborted; checkpointed %d cache entries to %s",
-					s.cache.Stats().Entries, s.opts.CachePath)
-			}
-		}
-		return ctx.Err()
+		// An aborted or timed-out drain saves too: the write is atomic and
+		// the cache concurrency-safe, so saving while a job is still
+		// mid-flight loses nothing already computed.
+		err = ctx.Err()
 	}
-	if s.opts.CachePath != "" {
-		if err := s.cache.SaveFile(s.opts.CachePath); err != nil {
-			return fmt.Errorf("engine: drain checkpoint %s: %w", s.opts.CachePath, err)
-		}
-		s.log("serve: drained; saved %d cache entries to %s", s.cache.Stats().Entries, s.opts.CachePath)
-	} else {
-		s.log("serve: drained")
+	if err := s.snap.Close(err); err != nil {
+		return err
 	}
+	s.log("serve: drained")
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"racesim/internal/simcache"
 )
 
 // tinyExperiments is a seconds-scale sweep job used throughout the server
@@ -325,18 +328,27 @@ func TestServerAbortedDrainStillCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep the worker busy so the pre-cancelled context wins the select.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Something computed, then the worker kept busy so the pre-cancelled
+	// context wins the select.
+	id, err := srv.Submit(Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ts, id)
 	if _, err := srv.Submit(tinyExperiments()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := srv.Drain(ctx); err == nil {
-		t.Fatal("aborted drain should report the context error")
+	err = srv.Drain(ctx)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cache entries to "+cachePath) {
+		t.Fatalf("aborted drain: %v, want the context error saying what it saved", err)
 	}
-	// The snapshot was flushed anyway — nothing already computed is lost.
-	if _, err := os.Stat(cachePath); err != nil {
-		t.Errorf("aborted drain did not checkpoint: %v", err)
+	// The snapshot was saved anyway — nothing already computed is lost.
+	if n, err := simcache.New().LoadFile(cachePath); err != nil || n == 0 {
+		t.Errorf("aborted drain saved %d entries (%v)", n, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -82,8 +83,36 @@ type Context struct {
 	runner *Runner
 	memo   *tracememo.Memo
 
-	a53Stages []validate.StageResult
-	a72Stages []validate.StageResult
+	stages map[string][]validate.StageResult // by core
+}
+
+// cores are the reference platform's cores by the names every driver uses:
+// the board, the public model the validation pipeline starts from, and the
+// offset of the core's pipeline seed from the run's, so the two pipelines
+// of one run draw different random streams.
+var cores = map[string]struct {
+	board      func(*hw.Platform) *hw.Board
+	public     func() sim.Config
+	seedOffset int64
+}{
+	"a53": {func(p *hw.Platform) *hw.Board { return p.A53 }, sim.PublicA53, 0},
+	"a72": {func(p *hw.Platform) *hw.Board { return p.A72 }, sim.PublicA72, 100},
+}
+
+// IsCore reports whether name is a core of the reference platform.
+func IsCore(name string) bool {
+	_, ok := cores[name]
+	return ok
+}
+
+// Core resolves a core name ("" is "a53") to its board on plat and its
+// public model. An unknown name is an error, never the A53's numbers.
+func Core(plat *hw.Platform, name string) (*hw.Board, sim.Config, error) {
+	c, ok := cores[cmp.Or(name, "a53")]
+	if !ok {
+		return nil, sim.Config{}, fmt.Errorf("unknown core %q", name)
+	}
+	return c.board(plat), c.public(), nil
 }
 
 // NewContext builds a context over the reference platform.
@@ -101,6 +130,7 @@ func NewContext(opts Options) (*Context, error) {
 		opts: o, plat: plat.WithCache(o.Cache),
 		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context),
 		memo:   memo,
+		stages: map[string][]validate.StageResult{},
 	}, nil
 }
 
@@ -124,15 +154,20 @@ func (c *Context) Measurements(board *hw.Board) ([]validate.Measurement, error) 
 	return validate.MeasureSuiteWith(board, ubench.Options{Scale: c.opts.UbenchScale}, c.memo, c.runner.Parallelism())
 }
 
-// StagesA53 lazily runs the full validation pipeline for the in-order core.
-func (c *Context) StagesA53() ([]validate.StageResult, error) {
-	if c.a53Stages != nil {
-		return c.a53Stages, nil
+// Stages lazily runs the full validation pipeline for a core, once per
+// context.
+func (c *Context) Stages(core string) ([]validate.StageResult, error) {
+	if st, ok := c.stages[core]; ok {
+		return st, nil
 	}
-	st, err := validate.Pipeline(c.plat.A53, sim.PublicA53(), validate.PipelineOptions{
+	board, public, err := Core(c.plat, core)
+	if err != nil {
+		return nil, err
+	}
+	st, err := validate.Pipeline(board, public, validate.PipelineOptions{
 		BudgetRound1: c.opts.BudgetRound1,
 		BudgetRound2: c.opts.BudgetRound2,
-		Seed:         c.opts.Seed,
+		Seed:         c.opts.Seed + cores[core].seedOffset,
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
 		TraceMemo:    c.memo,
@@ -143,31 +178,22 @@ func (c *Context) StagesA53() ([]validate.StageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.a53Stages = st
+	c.stages[core] = st
 	return st, nil
 }
 
-// StagesA72 lazily runs the pipeline for the out-of-order core.
-func (c *Context) StagesA72() ([]validate.StageResult, error) {
-	if c.a72Stages != nil {
-		return c.a72Stages, nil
+// TuneOptions configures one tuning round of budget evaluations from seed
+// over what every race of the context shares: its cache, worker pool,
+// cancellation and log.
+func (c *Context) TuneOptions(budget int, seed int64) validate.TuneOptions {
+	return validate.TuneOptions{
+		Budget:      budget,
+		Seed:        seed,
+		Cache:       c.runner.Cache(),
+		Parallelism: c.runner.Parallelism(),
+		Context:     c.opts.Context,
+		Log:         c.opts.Log,
 	}
-	st, err := validate.Pipeline(c.plat.A72, sim.PublicA72(), validate.PipelineOptions{
-		BudgetRound1: c.opts.BudgetRound1,
-		BudgetRound2: c.opts.BudgetRound2,
-		Seed:         c.opts.Seed + 100,
-		UbenchScale:  c.opts.UbenchScale,
-		Cache:        c.runner.Cache(),
-		TraceMemo:    c.memo,
-		Parallelism:  c.runner.Parallelism(),
-		Context:      c.opts.Context,
-		Log:          c.opts.Log,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.a72Stages = st
-	return st, nil
 }
 
 // workloads fetches the Table II traces, in profile order.
@@ -184,8 +210,12 @@ func (c *Context) workloads() ([]*trace.Trace, error) {
 	return trs, nil
 }
 
-// Spec measures the Table II workloads on a board.
-func (c *Context) Spec(board *hw.Board) ([]perturb.Workload, error) {
+// Spec measures the Table II workloads on a core's board.
+func (c *Context) Spec(core string) ([]perturb.Workload, error) {
+	board, _, err := Core(c.plat, core)
+	if err != nil {
+		return nil, err
+	}
 	trs, err := c.workloads()
 	if err != nil {
 		return nil, err
@@ -277,12 +307,7 @@ func (c *Context) Fig2() (Experiment, error) {
 	if err != nil {
 		return Experiment{}, err
 	}
-	res, err := validate.Tune(sim.PublicA53(), ms, validate.TuneOptions{
-		Budget: c.opts.BudgetRound1, Seed: c.opts.Seed,
-		Cache: c.runner.Cache(), Parallelism: c.runner.Parallelism(),
-		Context: c.opts.Context,
-		Log:     c.opts.Log,
-	})
+	res, err := validate.Tune(sim.PublicA53(), ms, c.TuneOptions(c.opts.BudgetRound1, c.opts.Seed))
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -338,7 +363,7 @@ func errTable(title string, names []string, a, b map[string]float64, labelA, lab
 
 // Fig4 regenerates the before/after tuning micro-benchmark errors (A53).
 func (c *Context) Fig4() (Experiment, error) {
-	stages, err := c.StagesA53()
+	stages, err := c.Stages("a53")
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -400,14 +425,13 @@ func (c *Context) SpecErrors(cfg sim.Config, ws []perturb.Workload) (map[string]
 	return out, total / float64(len(ws)), worst, nil
 }
 
-func (c *Context) specFigure(id, title, paperClaim string, board *hw.Board,
-	stagesFn func() ([]validate.StageResult, error)) (Experiment, error) {
-	stages, err := stagesFn()
+func (c *Context) specFigure(id, title, paperClaim, core string) (Experiment, error) {
+	stages, err := c.Stages(core)
 	if err != nil {
 		return Experiment{}, err
 	}
 	tuned := stages[len(stages)-1].Config
-	ws, err := c.Spec(board)
+	ws, err := c.Spec(core)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -440,24 +464,23 @@ func (c *Context) specFigure(id, title, paperClaim string, board *hw.Board,
 func (c *Context) Fig5() (Experiment, error) {
 	return c.specFigure("fig5",
 		"Figure 5: SPEC CPI error, tuned in-order (A53) model",
-		"7% average, at most 16%", c.plat.A53, c.StagesA53)
+		"7% average, at most 16%", "a53")
 }
 
 // Fig6 regenerates the tuned A72 SPEC errors.
 func (c *Context) Fig6() (Experiment, error) {
 	return c.specFigure("fig6",
 		"Figure 6: SPEC CPI error, tuned out-of-order (A72) model",
-		"15% average, outliers ~30% (prefetcher-dominated)", c.plat.A72, c.StagesA72)
+		"15% average, outliers ~30% (prefetcher-dominated)", "a72")
 }
 
-func (c *Context) perturbFigure(id, title, paperClaim string, board *hw.Board,
-	stagesFn func() ([]validate.StageResult, error)) (Experiment, error) {
-	stages, err := stagesFn()
+func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment, error) {
+	stages, err := c.Stages(core)
 	if err != nil {
 		return Experiment{}, err
 	}
 	tuned := stages[len(stages)-1].Config
-	ws, err := c.Spec(board)
+	ws, err := c.Spec(core)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -494,23 +517,23 @@ func (c *Context) perturbFigure(id, title, paperClaim string, board *hw.Board,
 func (c *Context) Fig7() (Experiment, error) {
 	return c.perturbFigure("fig7",
 		"Figure 7: close-to-optimum but inaccurate A53 model",
-		"average error grows 7% -> 34%, individual up to 67%", c.plat.A53, c.StagesA53)
+		"average error grows 7% -> 34%, individual up to 67%", "a53")
 }
 
 // Fig8 regenerates the near-optimum worst case for the A72 model.
 func (c *Context) Fig8() (Experiment, error) {
 	return c.perturbFigure("fig8",
 		"Figure 8: close-to-optimum but inaccurate A72 model",
-		"average error grows 15% -> ~45%", c.plat.A72, c.StagesA72)
+		"average error grows 15% -> ~45%", "a72")
 }
 
 // Staged regenerates the Sec. IV-B narrative: error per validation stage.
 func (c *Context) Staged() (Experiment, error) {
-	a53, err := c.StagesA53()
+	a53, err := c.Stages("a53")
 	if err != nil {
 		return Experiment{}, err
 	}
-	a72, err := c.StagesA72()
+	a72, err := c.Stages("a72")
 	if err != nil {
 		return Experiment{}, err
 	}

@@ -212,6 +212,38 @@ func TestExtraScenarioKinds(t *testing.T) {
 	}
 }
 
+// TestSweepRoundsStopOnCancellation: a budget-sweep or noise-sweep unit
+// whose context is cancelled returns context.Canceled before its tuning
+// round simulates anything — no later than the round's first race step.
+func TestSweepRoundsStopOnCancellation(t *testing.T) {
+	units, err := Expand([]Spec{
+		{Name: "bs", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{600}},
+		{Name: "ns", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0.02}, Budget: 600},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		o, cache := countingOpts()
+		o.Context = ctx
+		ectx, err := expt.NewContext(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Measuring the suite and scoring the untuned model run before the
+		// round, and do not look at the context.
+		before := uint64(2 * len(ubench.Suite()))
+		if _, err := u.Run(&Runtime{Ctx: ectx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled unit returned %v, want context.Canceled", u.ID, err)
+		}
+		if misses := cache.Stats().Misses; misses > before {
+			t.Errorf("%s: %d simulations after cancellation, want at most the %d before the round", u.ID, misses, before)
+		}
+	}
+}
+
 // TestNoiseSweepMeasuresTheBoardOnce is the three-way differential for a
 // noise sweep: without a cache (every re-noised board replays the suite),
 // cold into a snapshot and warm from it, the sweep renders the same bytes.

@@ -22,17 +22,17 @@ func transferUnit(sp Spec) Unit {
 			"stages:" + sp.TuneCore, "stages:" + sp.EvalCore, "spec:" + sp.EvalCore,
 		},
 		run: func(rt *Runtime) (expt.Experiment, error) {
-			tuneStages, err := rt.stages(sp.TuneCore)
+			tuneStages, err := rt.Ctx.Stages(sp.TuneCore)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
-			evalStages, err := rt.stages(sp.EvalCore)
+			evalStages, err := rt.Ctx.Stages(sp.EvalCore)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
 			transferred := tuneStages[len(tuneStages)-1].Config
 			native := evalStages[len(evalStages)-1].Config
-			ws, err := rt.Ctx.Spec(rt.board(sp.EvalCore))
+			ws, err := rt.Ctx.Spec(sp.EvalCore)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
@@ -83,18 +83,16 @@ func budgetSweepUnits(sp Spec) []Unit {
 			Step:     fmt.Sprintf("budget=%d", budget),
 			Deps:     []string{"measure:" + sp.Core},
 			run: func(rt *Runtime) (expt.Experiment, error) {
-				ms, err := rt.Ctx.Measurements(rt.board(sp.Core))
+				board, public, err := expt.Core(rt.Ctx.Platform(), sp.Core)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				o := rt.Ctx.Options()
-				res, err := validate.Tune(rt.public(sp.Core), ms, validate.TuneOptions{
-					Budget:      budget,
-					Seed:        o.Seed + sp.SeedOffset,
-					Cache:       rt.Ctx.Runner().Cache(),
-					Parallelism: rt.Ctx.Runner().Parallelism(),
-					Log:         o.Log,
-				})
+				ms, err := rt.Ctx.Measurements(board)
+				if err != nil {
+					return expt.Experiment{}, err
+				}
+				seed := rt.Ctx.Options().Seed + sp.SeedOffset
+				res, err := validate.Tune(public, ms, rt.Ctx.TuneOptions(budget, seed))
 				if err != nil {
 					return expt.Experiment{}, err
 				}
@@ -144,7 +142,11 @@ func noiseSweepUnits(sp Spec) []Unit {
 			Scenario: sp.Name,
 			Step:     fmt.Sprintf("noise=%g", level),
 			run: func(rt *Runtime) (expt.Experiment, error) {
-				board, err := rt.noisyBoard(sp.Core, level)
+				base, public, err := expt.Core(rt.Ctx.Platform(), sp.Core)
+				if err != nil {
+					return expt.Experiment{}, err
+				}
+				board, err := rt.noisyBoard(base, level)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
@@ -153,10 +155,7 @@ func noiseSweepUnits(sp Spec) []Unit {
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				public := rt.public(sp.Core)
-				cache := rt.Ctx.Runner().Cache()
-				par := rt.Ctx.Runner().Parallelism()
-				untuned, err := validate.ErrorsWith(public, ms, cache, par)
+				untuned, err := validate.ErrorsWith(public, ms, rt.Ctx.Runner().Cache(), rt.Ctx.Runner().Parallelism())
 				if err != nil {
 					return expt.Experiment{}, err
 				}
@@ -164,13 +163,7 @@ func noiseSweepUnits(sp Spec) []Unit {
 				if budget <= 0 {
 					budget = o.BudgetRound1
 				}
-				res, err := validate.Tune(public, ms, validate.TuneOptions{
-					Budget:      budget,
-					Seed:        o.Seed + sp.SeedOffset + int64(li),
-					Cache:       cache,
-					Parallelism: par,
-					Log:         o.Log,
-				})
+				res, err := validate.Tune(public, ms, rt.Ctx.TuneOptions(budget, o.Seed+sp.SeedOffset+int64(li)))
 				if err != nil {
 					return expt.Experiment{}, err
 				}

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+
+	"racesim/internal/expt"
 )
 
 // Kinds of analysis a scenario can request. The paper kinds map 1:1 onto
@@ -87,8 +89,6 @@ type Spec struct {
 
 var nameRe = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
-func validCore(c string) bool { return c == "a53" || c == "a72" }
-
 // Validate checks the spec is well-formed before expansion.
 func (s Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
@@ -99,14 +99,14 @@ func (s Spec) Validate() error {
 		KindFig6, KindFig7, KindFig8, KindStaged:
 		// Analysis stage fully determined by the kind.
 	case KindTransfer:
-		if !validCore(s.TuneCore) || !validCore(s.EvalCore) {
+		if !expt.IsCore(s.TuneCore) || !expt.IsCore(s.EvalCore) {
 			return fmt.Errorf("scenario %s: transfer needs tune_core and eval_core in {a53, a72}", s.Name)
 		}
 		if s.TuneCore == s.EvalCore {
 			return fmt.Errorf("scenario %s: transfer with tune_core == eval_core is the plain validation pipeline", s.Name)
 		}
 	case KindBudgetSweep:
-		if !validCore(s.Core) {
+		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: budget-sweep needs core in {a53, a72}", s.Name)
 		}
 		if len(s.Budgets) == 0 {
@@ -118,7 +118,7 @@ func (s Spec) Validate() error {
 			}
 		}
 	case KindNoiseSweep:
-		if !validCore(s.Core) {
+		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: noise-sweep needs core in {a53, a72}", s.Name)
 		}
 		if len(s.NoiseLevels) == 0 {

@@ -25,11 +25,11 @@ func ValidatePath(path string) error {
 	return nil
 }
 
-// LoadChecked is the driver-facing load path shared by every binary:
-// validate that path is plausibly writable (so a typo'd cache flag fails
-// before hours of work, not after), attach or merge the snapshot, and
-// report both accepted and checksum-rejected entry counts so callers can
-// warn about corruption without re-deriving it from Stats.
+// LoadChecked validates that path is plausibly writable (so a typo'd cache
+// flag fails before hours of work, not after), attaches or merges the
+// snapshot, and reports both accepted and checksum-rejected entry counts.
+// A run opens its cache file with Open, which builds on it; this is the
+// bare load for tools that only inspect a file.
 func (c *Cache) LoadChecked(path string) (accepted int, rejected uint64, err error) {
 	if err := ValidatePath(path); err != nil {
 		return 0, 0, err
@@ -42,12 +42,105 @@ func (c *Cache) LoadChecked(path string) (accepted int, rejected uint64, err err
 	return n, c.Stats().Rejected - before, nil
 }
 
+// Snapshot is a cache file opened for one run: the one way every driver
+// that takes a cache path loads it and saves it back. A nil *Snapshot is
+// "no cache file": Save does nothing, Close returns the error it is given.
+type Snapshot struct {
+	cache      *Cache
+	path       string
+	warn, note func(format string, args ...any)
+	opened     Stats  // the cache after the load
+	saved      *Stats // the cache at the last save; nil before the first
+}
+
+// Open opens the cache file at path for a run of c (an empty path: none, a
+// nil Snapshot). It validates the path and attaches the file mmap-backed
+// (LoadChecked). A missing file, or a snapshot of another format version
+// (with a warning), starts cold; a file that is not a snapshot is an error
+// naming it and is left alone. warn is for what a caller always prints —
+// a stale format, records rejected by their checksum — and note for what a
+// quiet run keeps to itself: "cache: loaded N entries from F".
+func Open(c *Cache, path string, warn, note func(format string, args ...any)) (*Snapshot, error) {
+	if path == "" {
+		return nil, nil
+	}
+	n, rejected, err := c.LoadChecked(path)
+	var stale *StaleFormatError
+	switch {
+	case errors.As(err, &stale):
+		warn("ignoring snapshot %s (format %d); starting cold", stale.Path, stale.Format)
+	case err != nil:
+		return nil, err
+	default:
+		if rejected > 0 {
+			warn("%s: rejected %d corrupted cache entries", path, rejected)
+		}
+		note("cache: loaded %d entries from %s", n, path)
+	}
+	return &Snapshot{cache: c, path: path, warn: warn, note: note, opened: c.Stats()}, nil
+}
+
+// Save writes the file if the cache gained anything — an entry, a
+// simulation, a rejected record — since the open or the last save, and
+// notes "cache: saved N entries to F". A save with nothing new since the
+// last one does nothing and says nothing. The first save leaves a file that
+// already is the snapshot alone (SaveFile) and writes none for an empty
+// cache: a run that simulated nothing creates no file.
+func (s *Snapshot) Save() error { return s.save(true) }
+
+func (s *Snapshot) save(note bool) error {
+	if s == nil {
+		return nil
+	}
+	now, last := s.cache.Stats(), s.opened
+	if s.saved != nil {
+		last = *s.saved
+	}
+	changed := now.Entries != last.Entries || now.Misses != last.Misses || now.Rejected != last.Rejected
+	if s.saved != nil && !changed {
+		return nil
+	}
+	if changed || now.Entries > 0 {
+		if err := s.cache.SaveFile(s.path); err != nil {
+			return fmt.Errorf("simcache: save %s: %w", s.path, err)
+		}
+	}
+	s.saved = &now
+	if note {
+		s.note("cache: saved %d entries to %s", now.Entries, s.path)
+	}
+	return nil
+}
+
+// Close is the save on the way out of a run that ended with err: Save's,
+// for a finished run (nothing, after a Save with nothing new since); for a
+// failed or cancelled one it keeps what was simulated too and says so in
+// the error, "err (saved N cache entries to F)". It then warns about the
+// records found corrupt since the open — a snapshot checks each when it is
+// first touched. The cache stays usable.
+func (s *Snapshot) Close(err error) error {
+	if s == nil {
+		return err
+	}
+	if err == nil {
+		err = s.save(true)
+	} else if serr := s.save(false); serr != nil {
+		err = errors.Join(err, serr)
+	} else if n := s.saved.Entries; n > 0 {
+		err = fmt.Errorf("%w (saved %d cache entries to %s)", err, n, s.path)
+	}
+	if rejected := s.cache.Stats().Rejected - s.opened.Rejected; rejected > 0 {
+		s.warn("%s: rejected %d corrupted cache entries", s.path, rejected)
+	}
+	return err
+}
+
 // StaleFormatError reports a binary snapshot written in a different
 // version of the format. Loading one starts cold (the entries are never
-// mis-read), but silently would look identical to "no snapshot": drivers
-// are expected to detect it with errors.As and log that the snapshot was
-// ignored, so an operator pointing a warm run at a pre-migration cache
-// learns why every unit re-simulated.
+// mis-read), but silently would look identical to "no snapshot": Open
+// detects it and warns that the snapshot was ignored, so an operator
+// pointing a warm run at a pre-migration cache learns why every unit
+// re-simulated.
 type StaleFormatError struct {
 	Path   string // the snapshot file
 	Format int    // the version it declares

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // TestTraceIdentityRoundTripsEveryWayACacheTravels: an identity recorded
 // in one cache is read back, bit for bit, from a snapshot opened on disk,
 // from snapshot bytes merged in (the federation pre-seed and delta path)
-// and from a cache-to-cache merge —
+// and from a snapshot file streamed in (`racesim cache merge`) —
 // always under the build that wrote it, never under another. Recording
 // and looking up move no hit or miss counter.
 func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
@@ -44,8 +45,13 @@ func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
 	if _, _, err := travelled["snapshot bytes"].LoadBytes(data); err != nil {
 		t.Fatal(err)
 	}
-	travelled["merge"] = New()
-	if _, _, err := travelled["merge"].Merge(src); err != nil {
+	travelled["streamed file"] = New()
+	f, err := os.Open(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, _, err := travelled["streamed file"].LoadStream(f); err != nil {
 		t.Fatal(err)
 	}
 

@@ -27,7 +27,6 @@ import (
 // writes. SaveFile renaming a new snapshot over the mapped path is also
 // safe: the old inode stays mapped until Close.
 type Mapped struct {
-	path    string
 	info    os.FileInfo // the file as opened: identity, size, mtime
 	data    []byte
 	mapped  bool // munmap needed on Close
@@ -59,7 +58,7 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapped{path: path, info: info, data: data, mapped: mapped}
+	m := &Mapped{info: info, data: data, mapped: mapped}
 	if !IsBinarySnapshot(data) {
 		m.Close()
 		return nil, fmt.Errorf("simcache: %s: not a binary snapshot", path)
@@ -241,26 +240,10 @@ func (m *Mapped) IndexBytes() int {
 	return 1 + len(m.index)*indexEntrySize
 }
 
-// SizeBytes returns the mapped file size.
-func (m *Mapped) SizeBytes() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.data)
-}
-
 // Salvaged reports whether the index was rebuilt by a record scan
 // because the footer or index section was damaged.
 func (m *Mapped) Salvaged() bool {
 	return m != nil && m.salvage
-}
-
-// Path returns the snapshot path this mapping was opened from.
-func (m *Mapped) Path() string {
-	if m == nil {
-		return ""
-	}
-	return m.path
 }
 
 // Close unmaps the file. The Mapped must not be used afterwards.

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the federation surface of the cache: snapshots as bytes
-// (instead of files) plus a checksum-verified merge. The distributed
-// sweep coordinator (internal/cluster) ships snapshots between workers
-// over HTTP — pre-seeding a round, collecting per-worker deltas at drain
-// — and `racesim cache merge` joins operator-held snapshot files. Every
+// (instead of files), merged with checksum verification by LoadStream. The
+// distributed sweep coordinator (internal/cluster) ships snapshots between
+// workers over HTTP — pre-seeding a round, collecting per-worker deltas at
+// drain — and `racesim cache merge` joins operator-held snapshot files. Every
 // entry crossing a cache boundary re-proves its key-binding checksum, so
 // a corrupted worker snapshot cannot poison the federated cache.
 
@@ -113,22 +113,4 @@ func PoisonSnapshot(data []byte) ([]byte, error) {
 	out := bytes.Clone(data)
 	out[off+uint64(size)-1] ^= 0xff // last byte of the record's sum
 	return out, nil
-}
-
-// Merge merges every entry of other into c, last-writer-wins on
-// identical keys. The entries round-trip through the checksummed
-// snapshot format, so the same verification that guards disk and
-// network snapshots guards in-memory merges.
-func (c *Cache) Merge(other *Cache) (added, replaced int, err error) {
-	if c == nil {
-		return 0, 0, fmt.Errorf("simcache: Merge into a nil cache")
-	}
-	if other == nil {
-		return 0, 0, nil
-	}
-	data, err := other.Marshal()
-	if err != nil {
-		return 0, 0, err
-	}
-	return c.LoadBytes(data)
 }

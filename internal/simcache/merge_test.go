@@ -2,6 +2,8 @@ package simcache
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"racesim/internal/sim"
@@ -101,27 +103,39 @@ func TestLoadBytesRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestMergeLastWriterWins merges snapshot files the way `racesim cache
+// merge` does: each streamed record by record off the file into one cache.
 func TestMergeLastWriterWins(t *testing.T) {
+	merge := func(dst, src *Cache) (added, replaced int) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "src.snap")
+		if err := src.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		added, replaced, err = dst.LoadStream(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return added, replaced
+	}
 	a, b := New(), New()
 	populate(t, a, "MD")
 	populate(t, b, "MD", "CS1")
 
-	added, replaced, err := a.Merge(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 1 || replaced != 1 {
+	if added, replaced := merge(a, b); added != 1 || replaced != 1 {
 		t.Errorf("merge: added %d replaced %d, want 1/1", added, replaced)
 	}
 	if a.Stats().Entries != 2 {
 		t.Errorf("entries = %d, want 2", a.Stats().Entries)
 	}
-	// Merging a nil or empty cache is a no-op.
-	if added, replaced, err := a.Merge(nil); err != nil || added+replaced != 0 {
-		t.Errorf("nil merge: %d/%d, %v", added, replaced, err)
-	}
-	if added, replaced, err := a.Merge(New()); err != nil || added+replaced != 0 {
-		t.Errorf("empty merge: %d/%d, %v", added, replaced, err)
+	// Merging an empty snapshot is a no-op.
+	if added, replaced := merge(a, New()); added+replaced != 0 {
+		t.Errorf("empty merge: %d/%d", added, replaced)
 	}
 }
 
