@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"racesim/internal/engine"
@@ -322,17 +323,17 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	}
 	defer func() { err = snap.Close(err) }()
 	if n := fed.Stats().Entries; n > 0 {
-		// Pre-seeding streams the snapshot — records are encoded into
+		// Pre-seeding streams the snapshot — record bytes are copied into
 		// the request body as the peer consumes it, so the coordinator
-		// never buffers the whole snapshot — and retries transient
-		// failures (a dropped or corrupted request is the client's
-		// error, not the peer's); only a persistently failing import
-		// costs a worker its seat.
+		// never buffers the whole snapshot — to every worker at once, and
+		// retries transient failures (a dropped or corrupted request is the
+		// client's error, not the peer's); only a persistently failing
+		// import costs a worker its seat.
 		preseed := func(cl *engine.Client) error {
 			var err error
 			for attempt := 0; attempt < 3; attempt++ {
 				pr, pw := io.Pipe()
-				go func() { pw.CloseWithError(fed.WriteBinaryTo(pw, nil)) }()
+				go func() { pw.CloseWithError(fed.WriteBinaryTo(pw)) }()
 				_, err = cl.ImportSnapshotFrom(ctx, pr)
 				pr.Close()
 				if err == nil {
@@ -345,22 +346,32 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			}
 			return err
 		}
-		for _, w := range workers {
+		errs := make([]error, len(workers))
+		var wg sync.WaitGroup
+		for i, w := range workers {
 			if w.dead {
 				continue
 			}
-			if err := preseed(w.client); err != nil {
-				if ctx.Err() != nil {
-					return "", rep, ctx.Err()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if errs[i] = preseed(w.client); errs[i] == nil {
+					// The import moved the worker's stats; resample the baseline.
+					if h, err := w.client.Health(ctx); err == nil {
+						w.before = h
+					}
 				}
+			}()
+		}
+		wg.Wait()
+		if ctx.Err() != nil {
+			return "", rep, ctx.Err()
+		}
+		for i, w := range workers {
+			if errs[i] != nil {
 				w.dead = true
 				alive--
-				log("sweep: worker %s failed pre-seed: %v", w.url, err)
-				continue
-			}
-			// The import moved the worker's stats; resample the baseline.
-			if h, err := w.client.Health(ctx); err == nil {
-				w.before = h
+				log("sweep: worker %s failed pre-seed: %v", w.url, errs[i])
 			}
 		}
 		if alive == 0 {

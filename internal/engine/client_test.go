@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"racesim/internal/core"
 	"racesim/internal/simcache"
 	"racesim/internal/telemetry"
 )
@@ -170,6 +174,75 @@ func TestServerSnapshotFederation(t *testing.T) {
 
 	a.Drain(ctx)
 	b.Drain(ctx)
+}
+
+// TestDeltaCarriesPairSimulatedDuringImport: a job that stores a result
+// while a snapshot import is still streaming in has that result in the
+// next delta export — the baseline is where the import began, and only
+// what the import stored is left out.
+func TestDeltaCarriesPairSimulatedDuringImport(t *testing.T) {
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+	ctx := context.Background()
+	cl := NewClient(ts.URL)
+
+	// What the import carries: a result this server never simulates.
+	seed := simcache.New()
+	seed.Store(strings.Repeat("a", 64)+":"+strings.Repeat("b", 64), core.Result{Cycles: 1})
+	body, err := seed.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerBytes = 16 // a binary snapshot's header
+	pr, pw := io.Pipe()
+	imported := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cache/snapshot", pr))
+		imported <- rec
+	}()
+	// The handler has read the header and one byte of the record: the
+	// import is under way, blocked on the rest.
+	if _, err := pw.Write(body[:headerBytes+1]); err != nil {
+		t.Fatal(err)
+	}
+
+	id, err := srv.Submit(Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, ts, id); st.Status != "done" {
+		t.Fatalf("job: %s", st.Error)
+	}
+	simulated := srv.Cache().Keys()
+	if len(simulated) == 0 {
+		t.Fatal("the job stored nothing")
+	}
+
+	if _, err := pw.Write(body[headerBytes+1:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if rec := <-imported; rec.Code != http.StatusOK {
+		t.Fatalf("import answered %d: %s", rec.Code, rec.Body)
+	}
+
+	delta, err := cl.ExportSnapshot(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := simcache.New()
+	if _, _, err := got.LoadBytes(delta); err != nil {
+		t.Fatal(err)
+	}
+	if keys := got.Keys(); !slices.Equal(keys, simulated) {
+		t.Errorf("delta holds %d entries %v, want the %d the job stored during the import", len(keys), keys, len(simulated))
+	}
 }
 
 func TestClientHealthDistinguishesUnreachableFromDraining(t *testing.T) {

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -162,12 +164,13 @@ type Server struct {
 	done     []string // finished job ids, completion order (eviction queue)
 	seq      int
 	draining bool
-	// seeded is the delta-export baseline: the cache keys present after
-	// the last snapshot import (or the startup warm-up). GET
-	// /v1/cache/snapshot?delta=1 exports only entries computed since, so
-	// a sweep coordinator collecting worker deltas does not re-download
-	// what it seeded. Replaced wholesale under mu, read-only afterwards.
-	seeded map[string]bool
+	// deltaMark is the delta-export baseline: the cache's store sequence
+	// (simcache.Cache.Mark) when the last snapshot import began, or at
+	// startup. GET /v1/cache/snapshot?delta=1 exports only what jobs stored
+	// after it — never what an import stored — so a sweep coordinator
+	// collecting worker deltas does not re-download what it seeded, and
+	// still gets a result a job stored while an import was in progress.
+	deltaMark uint64
 
 	queue chan *jobState
 	wg    sync.WaitGroup
@@ -220,7 +223,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		return nil, err
 	}
 	s.snap = snap
-	s.resetSeedBaseline()
+	s.deltaMark = s.cache.Mark()
 	s.registerMetrics()
 	for w := 0; w < opts.Workers; w++ {
 		s.wg.Add(1)
@@ -768,27 +771,14 @@ type SnapshotReport struct {
 	Entries  int    `json:"entries"`  // cache size after the import
 }
 
-// resetSeedBaseline records the current key set as "seeded": subsequent
-// delta exports carry only entries computed after this point.
-func (s *Server) resetSeedBaseline() {
-	keys := s.cache.Keys()
-	base := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		base[k] = true
-	}
-	s.mu.Lock()
-	s.seeded = base
-	s.mu.Unlock()
-}
-
 // handleSnapshotGet serves the shared cache as a binary snapshot (the
-// SaveFile format). ?delta=1 restricts it to entries computed since the
+// SaveFile format). ?delta=1 restricts it to what jobs stored since the
 // last import/startup baseline — what this worker contributed. Records
 // stream straight to the response: the serialized snapshot never exists
 // in server memory. (The chaos SnapshotHook needs the whole body to
 // mutate, so a hooked server falls back to the buffered path.)
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	var skip func(string) bool
+	write := s.cache.WriteBinaryTo
 	if q := r.URL.Query().Get("delta"); q != "" {
 		delta, err := strconv.ParseBool(q)
 		if err != nil {
@@ -797,13 +787,15 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		}
 		if delta {
 			s.mu.Lock()
-			base := s.seeded // replaced wholesale, never mutated: safe to read
+			mark := s.deltaMark
 			s.mu.Unlock()
-			skip = func(key string) bool { return base[key] }
+			write = func(w io.Writer) error { return s.cache.WriteDeltaTo(w, mark) }
 		}
 	}
 	if s.opts.SnapshotHook != nil {
-		data, err := s.cache.MarshalFiltered(skip)
+		var buf bytes.Buffer
+		err := write(&buf)
+		data := buf.Bytes()
 		if err == nil {
 			data, err = s.opts.SnapshotHook(data)
 		}
@@ -816,7 +808,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := s.cache.WriteBinaryTo(w, skip); err != nil {
+	if err := write(w); err != nil {
 		// Headers are gone; all we can do is log and cut the stream so
 		// the client sees a truncated (salvageable, checksummed) body
 		// rather than a silently short one.
@@ -825,18 +817,21 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshotPut merges a posted snapshot into the shared cache
-// (checksum-verified, last-writer-wins) and resets the delta baseline —
-// the coordinator's pre-seed path that makes a fresh worker warm.
-// The body merges record by record off the socket; the snapshot is never
-// buffered whole.
+// (checksum-verified, last-writer-wins) and moves the delta baseline to
+// the store sequence the import began at — the coordinator's pre-seed path
+// that makes a fresh worker warm. The body merges record by record off the
+// socket; the snapshot is never buffered whole.
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	before := s.cache.Stats().Rejected
+	mark := s.cache.Mark()
 	added, replaced, err := s.cache.LoadStream(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	s.resetSeedBaseline()
+	s.mu.Lock()
+	s.deltaMark = mark
+	s.mu.Unlock()
 	st := s.cache.Stats()
 	s.log("serve: cache: imported snapshot (%d added, %d replaced, %d rejected)",
 		added, replaced, st.Rejected-before)

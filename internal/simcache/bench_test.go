@@ -3,6 +3,7 @@ package simcache
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -104,6 +105,58 @@ func BenchmarkMappedLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshotExchange is a sweep's pre-seed, both ends of it, over
+// the 10k-entry fixture: export writes the snapshot from a mapped tier (the
+// coordinator), import_empty merges it into an empty cache (a fresh
+// worker), import_identical into a cache already holding it (a worker kept
+// from the last sweep).
+func BenchmarkSnapshotExchange(b *testing.B) {
+	src := New()
+	if _, _, err := src.LoadChecked(buildFixture(b, fixtureEntries)); err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	data, err := src.Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fixtureEntries), "ns/record")
+	}
+	b.Run("export", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := src.WriteBinaryTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("import_empty", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if added, _, err := New().LoadBytes(data); err != nil || added != fixtureEntries {
+				b.Fatalf("%d added (%v)", added, err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("import_identical", func(b *testing.B) {
+		dst := New()
+		if _, _, err := dst.LoadBytes(data); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, replaced, err := dst.LoadBytes(data); err != nil || replaced != fixtureEntries {
+				b.Fatalf("%d replaced (%v)", replaced, err)
+			}
+		}
+		perRecord(b)
+	})
 }
 
 // BenchmarkRunBatchMappedGrid is what a warm run makes a thousand of: a

@@ -2,13 +2,15 @@ package simcache
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"racesim/internal/core"
@@ -37,6 +39,11 @@ import (
 // digest); keyform 1 packs those into 64 raw bytes. Results are flat
 // trees of uint64 counters and encode as varints — field names never
 // hit the disk.
+//
+// A record is also the one form a result takes outside a simulation: the
+// memory tier holds each result as its record, so the writer, an import
+// and a transfer between processes move record bytes and never decode or
+// re-encode a result (see writeSnapshot and importRecord).
 
 const (
 	binVersion = 1
@@ -107,6 +114,10 @@ func resultWords(res *core.Result) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(res)), numResultFields)
 }
 
+// maxPayload bounds an encoded result: the field count and one varint per
+// field, each at most binary.MaxVarintLen64 bytes.
+const maxPayload = 1024
+
 // appendResult encodes a result as a varint field-count followed by one
 // varint per uint64 field.
 func appendResult(buf []byte, res *core.Result) []byte {
@@ -117,67 +128,115 @@ func appendResult(buf []byte, res *core.Result) []byte {
 	return buf
 }
 
-// decodeResult decodes appendResult's payload.
-func decodeResult(data []byte) (core.Result, error) {
+// walkPayload checks that data is a payload appendResult could have
+// written — this schema's field count, then that many varints, each in its
+// shortest form, and nothing after — storing the fields into words unless
+// words is nil.
+func walkPayload(data []byte, words []uint64) error {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
-		return core.Result{}, fmt.Errorf("simcache: result payload: bad field count")
+		return fmt.Errorf("simcache: result payload: bad field count")
 	}
 	if int(n) != numResultFields {
-		return core.Result{}, fmt.Errorf("simcache: result payload has %d fields, want %d", n, numResultFields)
+		return fmt.Errorf("simcache: result payload has %d fields, want %d", n, numResultFields)
 	}
 	data = data[used:]
-	var res core.Result
-	for i, words := 0, resultWords(&res); i < len(words); i++ {
-		x, used := binary.Uvarint(data)
-		if used <= 0 {
-			return core.Result{}, fmt.Errorf("simcache: result payload: truncated varint")
+	for i := 0; i < numResultFields; i++ {
+		var x uint64
+		if len(data) > 0 && data[0] < 0x80 {
+			x, used = uint64(data[0]), 1 // most counters are small
+		} else if x, used = binary.Uvarint(data); used <= 0 {
+			return fmt.Errorf("simcache: result payload: truncated varint")
+		} else if data[used-1] == 0 {
+			return fmt.Errorf("simcache: result payload: varint not in its shortest form")
 		}
-		words[i], data = x, data[used:]
+		if words != nil {
+			words[i] = x
+		}
+		data = data[used:]
 	}
 	if len(data) != 0 {
-		return core.Result{}, fmt.Errorf("simcache: result payload: %d trailing bytes", len(data))
+		return fmt.Errorf("simcache: result payload: %d trailing bytes", len(data))
+	}
+	return nil
+}
+
+// decodeResult decodes appendResult's payload.
+func decodeResult(data []byte) (core.Result, error) {
+	var res core.Result
+	if err := walkPayload(data, resultWords(&res)); err != nil {
+		return core.Result{}, err
 	}
 	return res, nil
 }
 
+// packHexHex packs a "hex64:hex64" key, the shape every simulation key
+// has, into buf, reporting whether key has that shape.
+func packHexHex(key string, buf *[64]byte) bool {
+	if len(key) != 129 || key[64] != ':' {
+		return false
+	}
+	_, err1 := hex.Decode(buf[:32], []byte(key[:64]))
+	_, err2 := hex.Decode(buf[32:], []byte(key[65:]))
+	return err1 == nil && err2 == nil
+}
+
 // packKey compresses a key for storage: "hex64:hex64" keys (the shape
-// every real cache key has) pack to 64 raw bytes, into buf.
+// every real cache key has) pack to 64 raw bytes, into buf; any other key
+// is stored as it is.
 func packKey(key string, buf *[64]byte) (form byte, payload []byte) {
-	if len(key) == 129 && key[64] == ':' {
-		_, err1 := hex.Decode(buf[:32], []byte(key[:64]))
-		_, err2 := hex.Decode(buf[32:], []byte(key[65:]))
-		if err1 == nil && err2 == nil {
-			return keyformHexHex, buf[:]
-		}
+	if packHexHex(key, buf) {
+		return keyformHexHex, buf[:]
 	}
 	return keyformRaw, []byte(key)
 }
 
-// unpackKey inverts packKey.
-func unpackKey(form byte, payload []byte) (string, error) {
+// canonicalKey is the key string a stored (form, payload) pair spells, as
+// bytes: the payload itself for a raw key, written into buf for a packed
+// one.
+func canonicalKey(form byte, payload []byte, buf *[129]byte) ([]byte, error) {
 	switch form {
 	case keyformRaw:
-		return string(payload), nil
+		return payload, nil
 	case keyformHexHex:
 		if len(payload) != 64 {
-			return "", fmt.Errorf("simcache: packed key payload is %d bytes, want 64", len(payload))
+			return nil, fmt.Errorf("simcache: packed key payload is %d bytes, want 64", len(payload))
 		}
-		var key [129]byte // one allocation, the string, not five
-		hex.Encode(key[:64], payload[:32])
-		key[64] = ':'
-		hex.Encode(key[65:], payload[32:])
-		return string(key[:]), nil
+		hex.Encode(buf[:64], payload[:32])
+		buf[64] = ':'
+		hex.Encode(buf[65:], payload[32:])
+		return buf[:], nil
 	default:
-		return "", fmt.Errorf("simcache: unknown key form %d", form)
+		return nil, fmt.Errorf("simcache: unknown key form %d", form)
 	}
+}
+
+// unpackKey inverts packKey.
+func unpackKey(form byte, payload []byte) (string, error) {
+	var buf [129]byte
+	key, err := canonicalKey(form, payload, &buf)
+	return string(key), err
+}
+
+// compareKeys orders two stored keys as their key strings order — the
+// order records are written in. Two packed keys compare as stored: the
+// lowercase hex digits they unpack to sort as the nibbles they spell, and
+// the colon sits at the same place in both.
+func compareKeys(a, b *record) int {
+	if a.form == keyformHexHex && b.form == keyformHexHex {
+		return bytes.Compare(a.keyBytes, b.keyBytes)
+	}
+	var abuf, bbuf [129]byte
+	ak, _ := canonicalKey(a.form, a.keyBytes, &abuf)
+	bk, _ := canonicalKey(b.form, b.keyBytes, &bbuf)
+	return bytes.Compare(ak, bk)
 }
 
 // recordSum is the per-record checksum: the first 8 bytes of
 // sha256(canonical key || result payload). Binding the canonical string
 // key (not the packed payload) means both key forms of the same key
 // verify identically.
-func recordSum(key string, resultPayload []byte) (sum [8]byte) {
+func recordSum[K string | []byte](key K, resultPayload []byte) (sum [8]byte) {
 	var stack [512]byte // a record's key and payload nearly always fit
 	full := sha256.Sum256(append(append(stack[:0], key...), resultPayload...))
 	copy(sum[:], full[:])
@@ -186,7 +245,7 @@ func recordSum(key string, resultPayload []byte) (sum [8]byte) {
 
 // keyHash is the index hash: FNV-1a over the canonical key string.
 // Collisions are legal — lookups verify the record's stored key.
-func keyHash(key string) uint64 {
+func keyHash[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -203,7 +262,8 @@ func keyHash(key string) uint64 {
 func appendRecord(buf []byte, key string, res *core.Result) []byte {
 	var packed [64]byte
 	form, payload := packKey(key, &packed)
-	resBytes := appendResult(nil, res)
+	var stack [maxPayload]byte
+	resBytes := appendResult(stack[:0], res)
 	buf = append(buf, recordMarker, form)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = binary.AppendUvarint(buf, uint64(len(resBytes)))
@@ -220,7 +280,7 @@ type record struct {
 	keyBytes []byte // the key as stored, see packKey
 	resBytes []byte
 	sum      [8]byte
-	size     int // total encoded bytes incl. marker
+	bytes    []byte // the whole record, marker through checksum
 }
 
 // parseRecord parses the record at data[0:]; data may extend past the
@@ -252,7 +312,7 @@ func parseRecord(data []byte) (record, error) {
 	r.resBytes = data[p : p+int(resLen)]
 	p += int(resLen)
 	copy(r.sum[:], data[p:p+8])
-	r.size = p + 8
+	r.bytes = data[:p+8]
 	return r, nil
 }
 
@@ -271,6 +331,15 @@ func (r *record) decode(key string) (core.Result, error) {
 	return decodeResult(r.resBytes)
 }
 
+// verify re-proves the checksum binding the record to key, its canonical
+// key, and checks its payload's shape without decoding it.
+func (r *record) verify(key []byte) error {
+	if recordSum(key, r.resBytes) != r.sum {
+		return fmt.Errorf("simcache: record %q failed its checksum", string(key))
+	}
+	return walkPayload(r.resBytes, nil)
+}
+
 // idxEntry is one fixed-width index entry.
 type idxEntry struct {
 	hash uint64
@@ -278,138 +347,157 @@ type idxEntry struct {
 	size uint32
 }
 
-// binaryEntrySource yields (key, result) pairs in sorted-key order for
-// the binary writer — the merge of the in-memory entries and an
-// attached disk tier.
-type binaryEntrySource struct {
-	keys  []string
-	fetch func(key string) (core.Result, bool)
+// sortIndex puts index entries in the order the index section stores them.
+func sortIndex(index []idxEntry) {
+	slices.SortFunc(index, func(a, b idxEntry) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.off, b.off))
+	})
 }
 
-// WriteBinaryTo streams the cache (in-memory entries merged with any
-// attached disk tier, minus keys for which skip returns true) to w in
-// the binary snapshot format. Records stream one at a time — the full
-// serialized snapshot never exists in memory; only the fixed-width
+// snapshotWriter streams a snapshot: the header, then records one at a
+// time as they are added, then the index and footer. Only the fixed-width
 // index (20 bytes/entry) accumulates until the end.
-func (c *Cache) WriteBinaryTo(w io.Writer, skip func(key string) bool) error {
-	src := c.entrySource(skip)
-	return writeBinary(w, src)
+type snapshotWriter struct {
+	bw    *bufio.Writer
+	off   uint64
+	index []idxEntry
 }
 
-func writeBinary(w io.Writer, src binaryEntrySource) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
+func newSnapshotWriter(w io.Writer, records int) (*snapshotWriter, error) {
+	sw := &snapshotWriter{bw: bufio.NewWriterSize(w, 1<<16), off: headerSize, index: make([]idxEntry, 0, records)}
 	var hdr [headerSize]byte
 	copy(hdr[:4], binMagic[:])
 	binary.LittleEndian.PutUint32(hdr[4:8], binVersion)
-	if _, err := bw.Write(hdr[:]); err != nil {
+	_, err := sw.bw.Write(hdr[:])
+	return sw, err
+}
+
+// add writes one encoded record whose canonical key hashes to hash.
+func (sw *snapshotWriter) add(rec []byte, hash uint64) error {
+	if _, err := sw.bw.Write(rec); err != nil {
 		return err
 	}
-	off := uint64(headerSize)
-	index := make([]idxEntry, 0, len(src.keys))
-	var buf []byte
-	for _, key := range src.keys {
-		res, ok := src.fetch(key)
-		if !ok {
-			// Evicted between key enumeration and fetch, with no disk copy
-			// to fall back on: the snapshot simply omits it.
-			continue
-		}
-		buf = appendRecord(buf[:0], key, &res)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-		index = append(index, idxEntry{hash: keyHash(key), off: off, size: uint32(len(buf))})
-		off += uint64(len(buf))
-	}
-	sort.Slice(index, func(i, j int) bool {
-		if index[i].hash != index[j].hash {
-			return index[i].hash < index[j].hash
-		}
-		return index[i].off < index[j].off
-	})
-	indexOff := off
+	sw.index = append(sw.index, idxEntry{hash: hash, off: sw.off, size: uint32(len(rec))})
+	sw.off += uint64(len(rec))
+	return nil
+}
+
+// finish writes the index and footer and flushes.
+func (sw *snapshotWriter) finish() error {
+	sortIndex(sw.index)
+	indexOff := sw.off
 	ih := sha256.New()
 	var ebuf [indexEntrySize]byte
 	ih.Write([]byte{indexMarker})
-	if err := bw.WriteByte(indexMarker); err != nil {
+	if err := sw.bw.WriteByte(indexMarker); err != nil {
 		return err
 	}
-	for _, e := range index {
+	for _, e := range sw.index {
 		binary.LittleEndian.PutUint64(ebuf[0:8], e.hash)
 		binary.LittleEndian.PutUint64(ebuf[8:16], e.off)
 		binary.LittleEndian.PutUint32(ebuf[16:20], e.size)
 		ih.Write(ebuf[:])
-		if _, err := bw.Write(ebuf[:]); err != nil {
+		if _, err := sw.bw.Write(ebuf[:]); err != nil {
 			return err
 		}
 	}
 	var ftr [footerSize]byte
 	binary.LittleEndian.PutUint64(ftr[0:8], indexOff)
-	binary.LittleEndian.PutUint64(ftr[8:16], uint64(len(index)))
+	binary.LittleEndian.PutUint64(ftr[8:16], uint64(len(sw.index)))
 	copy(ftr[16:24], ih.Sum(nil)[:8])
 	copy(ftr[28:32], footerMagic[:])
-	if _, err := bw.Write(ftr[:]); err != nil {
+	if _, err := sw.bw.Write(ftr[:]); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return sw.bw.Flush()
 }
 
-// entrySource enumerates the cache's full key set (memory merged with
-// the attached disk tier, skip applied) in sorted order with a fetch
-// function resolving each key at write time. Holding c.mu only during
-// enumeration and per-key fetch keeps long streaming writes from
-// blocking concurrent simulations.
-func (c *Cache) entrySource(skip func(key string) bool) binaryEntrySource {
-	if c == nil {
-		return binaryEntrySource{fetch: func(string) (core.Result, bool) { return core.Result{}, false }}
+// WriteBinaryTo streams the cache — the memory tier merged with any
+// attached disk tier, memory winning a key both hold — to w in the binary
+// snapshot format. Records stream one at a time: the full serialized
+// snapshot never exists in memory.
+func (c *Cache) WriteBinaryTo(w io.Writer) error {
+	return c.writeSnapshot(w, false, 0)
+}
+
+// WriteDeltaTo streams, as a snapshot, the results stored in memory by a
+// simulation or Store after mark (see Mark) — never a record an import
+// stored, never the disk tier. It is the export a serve worker hands back
+// to the sweep that pre-seeded it: what it computed itself.
+func (c *Cache) WriteDeltaTo(w io.Writer, mark uint64) error {
+	return c.writeSnapshot(w, true, mark)
+}
+
+// writeSnapshot merges two key-sorted record streams into w, copying
+// record bytes: the memory tier's records as stored (they were verified or
+// encoded when stored), and — unless delta — the attached file's in key
+// order, each checksum re-proved as it is copied. A file record that fails
+// is dropped and counted rejected, once however many writes meet it. The
+// lock is held only while the memory tier is listed: a stored record is
+// never written to, so a long write does not block simulations.
+func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64) error {
+	var mem []record
+	var disk *Mapped
+	if c != nil {
+		c.mu.Lock()
+		if !delta {
+			mem = make([]record, 0, c.lru.Len())
+		}
+		for e := c.lru.Front(); e != nil; e = e.Next() {
+			if ce := e.Value.(*centry); !delta || ce.seq > mark {
+				mem = append(mem, record{bytes: ce.rec})
+			}
+		}
+		if !delta {
+			disk = c.disk
+		}
+		c.mu.Unlock()
 	}
-	seen := map[string]bool{}
-	var keys []string
-	c.mu.Lock()
-	for k := range c.entries {
-		if skip != nil && skip(k) {
+	for i := range mem {
+		mem[i], _ = parseRecord(mem[i].bytes) // a stored record parses
+	}
+	slices.SortFunc(mem, func(a, b record) int { return compareKeys(&a, &b) })
+	file := disk.keyOrder()
+
+	sw, err := newSnapshotWriter(w, len(mem)+len(file))
+	if err != nil {
+		return err
+	}
+	var kbuf [129]byte
+	for i, j := 0, 0; i < len(mem) || j < len(file); {
+		next := -1 // < 0: mem[i] is next; > 0: the file's; 0: mem[i] shadows the file's
+		var fr record
+		if j < len(file) {
+			fr, _ = disk.recordAt(file[j]) // keyOrder keeps records that parse
+			if next = 1; i < len(mem) {
+				next = compareKeys(&mem[i], &fr)
+			}
+		}
+		r := &fr
+		if next <= 0 {
+			r = &mem[i]
+			i++
+		}
+		if next >= 0 {
+			j++
+		}
+		key, _ := canonicalKey(r.form, r.keyBytes, &kbuf)
+		if next > 0 && fr.verify(key) != nil {
+			c.rejectDisk(string(key))
 			continue
 		}
-		seen[k] = true
-		keys = append(keys, k)
+		if err := sw.add(r.bytes, keyHash(key)); err != nil {
+			return err
+		}
 	}
-	disk := c.disk
-	c.mu.Unlock()
-	if disk != nil {
-		disk.RangeKeys(func(key string, _ int) bool {
-			if !seen[key] && (skip == nil || !skip(key)) {
-				keys = append(keys, key)
-			}
-			return true
-		})
-	}
-	sort.Strings(keys)
-	return binaryEntrySource{
-		keys: keys,
-		fetch: func(key string) (core.Result, bool) {
-			c.mu.Lock()
-			if ce, ok := c.entries[key]; ok {
-				res := ce.res
-				c.mu.Unlock()
-				return res, true
-			}
-			c.mu.Unlock()
-			if disk != nil {
-				if res, err := disk.Get(key); err == nil {
-					return res, true
-				}
-			}
-			return core.Result{}, false
-		},
-	}
+	return sw.finish()
 }
 
 // LoadStream merges a binary snapshot from r into the cache record by
 // record with LoadBytes semantics, never buffering the whole snapshot: each
 // record is length-prefixed, so the reader pulls exactly one record at a
-// time, verifies its checksum and merges it (last-writer-wins). The
-// trailing index and footer are drained and discarded — a streamed merge
-// needs no random access.
+// time and imports it (importRecord). The trailing index and footer are
+// drained and discarded — a streamed merge needs no random access.
 func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
 	if c == nil {
 		return 0, 0, fmt.Errorf("simcache: LoadStream on a nil cache")
@@ -430,7 +518,7 @@ func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
 		marker, err := br.ReadByte()
 		if err == io.EOF {
 			// A record stream with no index section (a streamed delta may
-			// legally end after its records — see writeBinary callers that
+			// legally end after its records — see WriteBinaryTo callers that
 			// stream to sockets); treat clean EOF as end of records.
 			return added, replaced, nil
 		}
@@ -463,31 +551,76 @@ func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
 		if keyLen > 1<<20 || resLen > 1<<24 {
 			return added, replaced, fmt.Errorf("simcache: binary snapshot: implausible record sizes (%d, %d)", keyLen, resLen)
 		}
-		need := int(keyLen) + int(resLen) + 8
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		buf = buf[:need]
-		if _, err := io.ReadFull(br, buf); err != nil {
+		// The record, reassembled in buf as the writer lays it out.
+		buf = append(buf[:0], recordMarker, form)
+		buf = binary.AppendUvarint(buf, keyLen)
+		buf = binary.AppendUvarint(buf, resLen)
+		body := len(buf)
+		buf = slices.Grow(buf, int(keyLen+resLen)+8)[:body+int(keyLen+resLen)+8]
+		if _, err := io.ReadFull(br, buf[body:]); err != nil {
 			return added, replaced, err
 		}
-		rec := record{form: form, keyBytes: buf[:keyLen], resBytes: buf[keyLen : keyLen+resLen]}
-		copy(rec.sum[:], buf[need-8:])
-		key, err := rec.key()
-		var res core.Result
-		if err == nil {
-			res, err = rec.decode(key)
-		}
-		if err != nil {
-			c.countRejected()
-			continue
-		}
-		if c.Store(key, res) {
-			replaced++
-		} else {
+		switch c.importRecord(buf) {
+		case importAdded:
 			added++
+		case importReplaced:
+			replaced++
 		}
 	}
+}
+
+// What importRecord did with a record.
+const (
+	importRejected = iota
+	importAdded
+	importReplaced
+)
+
+// importRecord merges one encoded record (rec, which the caller may reuse
+// afterwards) into the memory tier, last-writer-wins. A record identical to
+// the one the cache already serves for its key — in memory, or on disk
+// when memory holds none — counts as replaced and changes nothing. Any
+// other is verified — its checksum re-proved, its payload's shape checked,
+// its key in the form the writer stores it — and stored as a copy of its
+// bytes, under store sequence 0: an import is never part of a delta. A
+// record that fails is counted rejected. No result is decoded.
+func (c *Cache) importRecord(rec []byte) int {
+	r, err := parseRecord(rec)
+	var kbuf [129]byte
+	var key []byte
+	if err == nil {
+		key, err = canonicalKey(r.form, r.keyBytes, &kbuf)
+	}
+	// A record this package wrote is all of rec, and stores a key that
+	// packs in packed form.
+	unpacked := r.form == keyformRaw && len(key) == 129 && packHexHex(string(key), new([64]byte))
+	if err != nil || len(r.bytes) != len(rec) || unpacked {
+		c.countRejected()
+		return importRejected
+	}
+	c.mu.Lock()
+	ce := c.entryLocked(r.form, r.keyBytes)
+	identical := ce != nil && bytes.Equal(ce.rec, rec)
+	disk := c.disk
+	c.mu.Unlock()
+	if identical {
+		return importReplaced
+	}
+	if ce == nil && disk != nil {
+		if dr, ok := disk.findStored(r.form, r.keyBytes, keyHash(key)); ok && bytes.Equal(dr.bytes, rec) {
+			return importReplaced
+		}
+	}
+	if r.verify(key) != nil {
+		c.countRejected()
+		return importRejected
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.insertLocked(bytes.Clone(rec), 0) {
+		return importReplaced
+	}
+	return importAdded
 }
 
 func (c *Cache) countRejected() {
@@ -501,4 +634,23 @@ func (c *Cache) countRejected() {
 func (c *Cache) rejectLocked() {
 	c.rejected++
 	c.dirty = true
+}
+
+// rejectDisk counts the attached tier's record for key dropped by its
+// checksum — once, however many lookups and writes find it corrupt.
+func (c *Cache) rejectDisk(key string) {
+	c.mu.Lock()
+	c.rejectDiskLocked(key)
+	c.mu.Unlock()
+}
+
+func (c *Cache) rejectDiskLocked(key string) {
+	if c.badDisk[key] {
+		return
+	}
+	if c.badDisk == nil {
+		c.badDisk = map[string]bool{}
+	}
+	c.badDisk[key] = true
+	c.rejectLocked()
 }

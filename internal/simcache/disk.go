@@ -177,36 +177,28 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	if c.disk == nil {
 		c.disk = m
 		c.shadowed = 0
-		for k := range c.entries {
-			if m.Has(k) {
+		for e := c.lru.Front(); e != nil; e = e.Next() {
+			if r, _ := parseRecord(e.Value.(*centry).rec); m.holds(&r) {
 				c.shadowed++
 			}
 		}
 		// What memory already holds the file may not.
-		c.dirty = len(c.entries) > 0
+		c.dirty = c.lru.Len() > 0
 		n := m.Count()
 		c.mu.Unlock()
 		return n, nil
 	}
 	c.mu.Unlock()
-	// A disk tier is already attached: store this snapshot's records in
-	// memory instead (checksum-verified record by record).
+	// A disk tier is already attached: import this snapshot's records into
+	// memory instead, record by record, as LoadStream does.
 	defer m.Close()
-	added, replaced := 0, 0
-	m.RangeKeys(func(key string, _ int) bool {
-		res, err := m.Get(key)
-		if err != nil {
-			c.countRejected()
-			return true
+	n := 0
+	for _, e := range m.index {
+		if r, err := m.recordAt(e); err == nil && c.importRecord(r.bytes) != importRejected {
+			n++
 		}
-		if c.Store(key, res) {
-			replaced++
-		} else {
-			added++
-		}
-		return true
-	})
-	return added + replaced, nil
+	}
+	return n, nil
 }
 
 // SaveFile streams every stored result (memory merged with the attached
@@ -231,7 +223,7 @@ func (c *Cache) SaveFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := c.WriteBinaryTo(tmp, nil); err != nil {
+	if err := c.WriteBinaryTo(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

@@ -87,7 +87,7 @@ func flipResultByte(t *testing.T, path, key string) {
 			rec.resBytes[1] ^= 1 // aliases data; byte 0 is the field count
 			break
 		}
-		off += rec.size
+		off += len(rec.bytes)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -2,12 +2,15 @@ package simcache
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 
 	"racesim/internal/core"
 )
@@ -24,8 +27,9 @@ import (
 //
 // A Mapped is immutable after Open and safe for concurrent readers
 // without locking — every method reads the mapping and the index, never
-// writes. SaveFile renaming a new snapshot over the mapped path is also
-// safe: the old inode stays mapped until Close.
+// writes (keyOrder fills in its answer once, under a sync.Once). SaveFile
+// renaming a new snapshot over the mapped path is also safe: the old inode
+// stays mapped until Close.
 type Mapped struct {
 	info    os.FileInfo // the file as opened: identity, size, mtime
 	data    []byte
@@ -33,6 +37,9 @@ type Mapped struct {
 	version uint32
 	index   []idxEntry // sorted by (hash, offset)
 	salvage bool       // index was rebuilt by a record scan
+
+	orderOnce sync.Once
+	order     []idxEntry // keyOrder's answer, once asked for
 }
 
 // OpenMapped maps the binary snapshot at path. A file whose footer or
@@ -140,15 +147,10 @@ func salvageScan(data []byte) []idxEntry {
 		if err != nil {
 			break
 		}
-		index = append(index, idxEntry{hash: keyHash(key), off: uint64(off), size: uint32(r.size)})
-		off += r.size
+		index = append(index, idxEntry{hash: keyHash(key), off: uint64(off), size: uint32(len(r.bytes))})
+		off += len(r.bytes)
 	}
-	sort.Slice(index, func(i, j int) bool {
-		if index[i].hash != index[j].hash {
-			return index[i].hash < index[j].hash
-		}
-		return index[i].off < index[j].off
-	})
+	sortIndex(index)
 	return index
 }
 
@@ -156,24 +158,85 @@ func salvageScan(data []byte) []idxEntry {
 // other error means the record is there and corrupt.
 var errNoRecord = errors.New("simcache: no record for key")
 
-// find locates the record for key, parsing only same-hash candidates and
-// comparing keys as stored: key is packed once, no stored key is unpacked.
+// find locates the record for key: key is packed once, no stored key is
+// unpacked.
 func (m *Mapped) find(key string) (record, bool) {
+	var buf [64]byte
+	form, packed := packKey(key, &buf)
+	return m.findStored(form, packed, keyHash(key))
+}
+
+// findStored locates the record for a key in its stored form whose key
+// string hashes to h, parsing only same-hash candidates and comparing keys
+// as stored.
+func (m *Mapped) findStored(form byte, packed []byte, h uint64) (record, bool) {
 	if m == nil {
 		return record{}, false
 	}
-	var buf [64]byte
-	form, packed := packKey(key, &buf)
-	h := keyHash(key)
 	i := sort.Search(len(m.index), func(i int) bool { return m.index[i].hash >= h })
 	for ; i < len(m.index) && m.index[i].hash == h; i++ {
-		e := m.index[i]
-		r, err := parseRecord(m.data[e.off : e.off+uint64(e.size)])
+		r, err := m.recordAt(m.index[i])
 		if err == nil && r.form == form && bytes.Equal(r.keyBytes, packed) {
 			return r, true
 		}
 	}
 	return record{}, false
+}
+
+// holds reports whether the tier indexes the key record r is stored under.
+func (m *Mapped) holds(r *record) bool {
+	if m == nil {
+		return false
+	}
+	var buf [129]byte
+	key, err := canonicalKey(r.form, r.keyBytes, &buf)
+	if err != nil {
+		return false
+	}
+	_, ok := m.findStored(r.form, r.keyBytes, keyHash(key))
+	return ok
+}
+
+// recordAt parses the record an index entry points at.
+func (m *Mapped) recordAt(e idxEntry) (record, error) {
+	return parseRecord(m.data[e.off : e.off+uint64(e.size)])
+}
+
+// keyOrder returns the index entries of the records whose keys parse, in
+// key order — the order the snapshot writer reads a file in. A file this
+// package wrote already is in key order, so that is its file order,
+// checked rather than sorted; any other file is sorted by key, keeping the
+// first record of a key. Computed on first use.
+func (m *Mapped) keyOrder() []idxEntry {
+	if m == nil {
+		return nil
+	}
+	m.orderOnce.Do(func() {
+		byKey := func(a, b idxEntry) int {
+			ra, _ := m.recordAt(a)
+			rb, _ := m.recordAt(b)
+			return compareKeys(&ra, &rb)
+		}
+		order := slices.Clone(m.index)
+		slices.SortFunc(order, func(a, b idxEntry) int { return cmp.Compare(a.off, b.off) })
+		kept, sorted := order[:0], true
+		for _, e := range order {
+			r, err := m.recordAt(e)
+			if err != nil || !(r.form == keyformRaw || r.form == keyformHexHex && len(r.keyBytes) == 64) {
+				continue // as RangeKeys skips it: its key does not parse
+			}
+			if len(kept) > 0 && byKey(kept[len(kept)-1], e) >= 0 {
+				sorted = false
+			}
+			kept = append(kept, e)
+		}
+		if !sorted {
+			slices.SortStableFunc(kept, byKey)
+			kept = slices.CompactFunc(kept, func(a, b idxEntry) bool { return byKey(a, b) == 0 })
+		}
+		m.order = kept
+	})
+	return m.order
 }
 
 // Has reports whether a record for key exists, without decoding or
@@ -210,7 +273,7 @@ func (m *Mapped) RangeKeys(f func(key string, size int) bool) {
 		if err != nil {
 			continue
 		}
-		if !f(key, r.size) {
+		if !f(key, len(r.bytes)) {
 			return
 		}
 	}

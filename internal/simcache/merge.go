@@ -24,9 +24,11 @@ func (c *Cache) Keys() []string {
 		return nil
 	}
 	c.mu.Lock()
-	keys := make([]string, 0, len(c.entries))
-	seen := make(map[string]bool, len(c.entries))
-	for k := range c.entries {
+	keys := make([]string, 0, c.lru.Len())
+	seen := make(map[string]bool, c.lru.Len())
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		r, _ := parseRecord(e.Value.(*centry).rec)
+		k, _ := r.key() // a stored record's key unpacks
 		keys = append(keys, k)
 		seen[k] = true
 	}
@@ -43,20 +45,12 @@ func (c *Cache) Keys() []string {
 }
 
 // Marshal serializes every stored result in the binary snapshot
-// format — the same bytes SaveFile writes.
+// format — the same bytes SaveFile writes. Prefer WriteBinaryTo when a
+// writer is available: it streams records instead of buffering the
+// snapshot.
 func (c *Cache) Marshal() ([]byte, error) {
-	return c.MarshalFiltered(nil)
-}
-
-// MarshalFiltered serializes the snapshot, omitting keys for which skip
-// returns true. A nil skip keeps everything. This is the delta-export
-// primitive: a serve worker marshals with skip = "key was pre-seeded or
-// on disk", so the coordinator receives only what the worker computed
-// itself. Prefer WriteBinaryTo when a writer is available — it streams
-// records instead of buffering the snapshot.
-func (c *Cache) MarshalFiltered(skip func(key string) bool) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := c.WriteBinaryTo(&buf, skip); err != nil {
+	if err := c.WriteBinaryTo(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -139,30 +139,44 @@ func TestMergeLastWriterWins(t *testing.T) {
 	}
 }
 
-func TestMarshalFilteredDelta(t *testing.T) {
+// TestDeltaCarriesWhatWasStoredSinceTheMark: a delta from a mark holds
+// what simulations stored after it — not what was there before, and not
+// what an import stored after it.
+func TestDeltaCarriesWhatWasStoredSinceTheMark(t *testing.T) {
 	c := New()
 	populate(t, c, "MD")
 	baseline := map[string]bool{}
 	for _, k := range c.Keys() {
 		baseline[k] = true
 	}
+	mark := c.Mark()
 	populate(t, c, "CS1")
-
-	delta, err := c.MarshalFiltered(func(key string) bool { return baseline[key] })
+	other := New()
+	populate(t, other, "MIP")
+	seed, err := other.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if added, _, err := c.LoadBytes(seed); err != nil || added != 1 {
+		t.Fatalf("import: %d added (%v), want 1", added, err)
+	}
+
+	var delta bytes.Buffer
+	if err := c.WriteDeltaTo(&delta, mark); err != nil {
+		t.Fatal(err)
+	}
 	dst := New()
-	added, _, err := dst.LoadBytes(delta)
+	added, _, err := dst.LoadBytes(delta.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != 1 {
-		t.Errorf("delta carried %d entries, want exactly the post-baseline 1", added)
+		t.Errorf("delta carried %d entries, want exactly the post-mark simulation", added)
 	}
+	imported := other.Keys()[0]
 	for _, k := range dst.Keys() {
-		if baseline[k] {
-			t.Errorf("delta leaked baseline key %s", k)
+		if baseline[k] || k == imported {
+			t.Errorf("delta leaked %s", k)
 		}
 	}
 }

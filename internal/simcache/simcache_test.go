@@ -217,8 +217,8 @@ func TestPoisonedEntryRejectedByChecksum(t *testing.T) {
 	}
 }
 
-// TestDecodeEntryAllocations: decoding one record — what every snapshot
-// open, merge, pre-seed and delta does per entry — allocates the key string
+// TestDecodeEntryAllocations: decoding one record with its key — what a
+// Peek of a mapped record and Keys do per entry — allocates the key string
 // and little else (it was 8 objects: the hex halves of the key, their
 // concatenation and a Result escaping through reflection). A process that
 // holds little else live pays for that garbage in GC cycles.

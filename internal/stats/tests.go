@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -151,6 +152,37 @@ func tQuantile(p float64, df int) float64 {
 	case p < 0.5:
 		return -tQuantile(1-p, df)
 	}
+	// A pure function of (p, df), and a race asks for the same few pairs
+	// at every step: the bisection below runs once per pair.
+	k := tKey{p, df}
+	tQuantiles.Lock()
+	q, ok := tQuantiles.m[k]
+	tQuantiles.Unlock()
+	if !ok {
+		q = tBisect(p, df)
+		tQuantiles.Lock()
+		tQuantiles.m[k] = q
+		tQuantiles.Unlock()
+	}
+	return q
+}
+
+type tKey struct {
+	p  float64
+	df int
+}
+
+// tQuantiles memoizes tQuantile's bisections. The pairs a process asks
+// for are a few confidence levels times the degrees of freedom of its
+// races, so the map stays small.
+var tQuantiles = struct {
+	sync.Mutex
+	m map[tKey]float64
+}{m: map[tKey]float64{}}
+
+// tBisect is tQuantile for 0.5 < p < 1 and df > 0: bisection on
+// StudentTSF.
+func tBisect(p float64, df int) float64 {
 	target := 2 * (1 - p) // two-sided tail mass
 	hi := 1.0
 	for StudentTSF(hi, df) > target && hi < 1e15 {
