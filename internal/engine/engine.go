@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"racesim/internal/prof"
@@ -269,6 +270,7 @@ type env struct {
 
 	out, errw      io.Writer
 	outBuf, errBuf bytes.Buffer
+	errMu          sync.Mutex // the units of an experiments job log at once
 
 	tunedConfig json.RawMessage
 	report      json.RawMessage
@@ -279,6 +281,8 @@ func (e *env) printf(format string, args ...any) {
 }
 
 func (e *env) eprintf(format string, args ...any) {
+	e.errMu.Lock()
+	defer e.errMu.Unlock()
 	fmt.Fprintf(e.errw, format, args...)
 }
 

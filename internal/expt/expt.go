@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"racesim/internal/hw"
@@ -29,9 +30,12 @@ type Options struct {
 	BudgetRound2    int
 	PerturbRestarts int
 	Seed            int64
-	// Parallelism bounds concurrent simulation units across every
-	// experiment (<=0: GOMAXPROCS). Output is byte-identical for any
-	// value: simulation is deterministic and results are reassembled in
+	// Parallelism bounds the concurrent simulations of one experiment:
+	// each batch it submits runs on this many workers (<=0: GOMAXPROCS).
+	// The experiments a scenario run starts together each get their own
+	// workers; at 1 the run starts them one at a time too, so everything
+	// runs one at a time. Output is byte-identical for any value:
+	// simulation is deterministic and results are reassembled in
 	// submission order.
 	Parallelism int
 	// Cache, when non-nil, memoizes simulation results — the boards'
@@ -76,14 +80,24 @@ func (o Options) withDefaults() Options {
 // to, and the trace memo inputs are fetched through. Inputs and board
 // measurements are not cached here — the memo builds each distinct trace
 // once and the boards keep their replays in the simulation cache, so an
-// experiment that asks again gets lookups.
+// experiment that asks again gets lookups. Its methods may be called from
+// concurrent experiments.
 type Context struct {
 	opts   Options
 	plat   *hw.Platform
 	runner *Runner
 	memo   *tracememo.Memo
 
-	stages map[string][]validate.StageResult // by core
+	mu     sync.Mutex
+	stages map[string]*stagesCall // by core; guarded by mu
+}
+
+// stagesCall is one run of a core's validation pipeline: done closes when
+// st and err are final.
+type stagesCall struct {
+	done chan struct{}
+	st   []validate.StageResult
+	err  error
 }
 
 // cores are the reference platform's cores by the names every driver uses:
@@ -130,7 +144,7 @@ func NewContext(opts Options) (*Context, error) {
 		opts: o, plat: plat.WithCache(o.Cache),
 		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context),
 		memo:   memo,
-		stages: map[string][]validate.StageResult{},
+		stages: map[string]*stagesCall{},
 	}, nil
 }
 
@@ -155,16 +169,45 @@ func (c *Context) Measurements(board *hw.Board) ([]validate.Measurement, error) 
 }
 
 // Stages lazily runs the full validation pipeline for a core, once per
-// context.
+// context. Concurrent callers for one core share the run in flight: the
+// first caller runs it and the others wait for its result, while a caller
+// for the other core runs that core's pipeline beside it. A failed run is
+// not kept: its waiters get its error, and the next caller runs the
+// pipeline again.
 func (c *Context) Stages(core string) ([]validate.StageResult, error) {
-	if st, ok := c.stages[core]; ok {
-		return st, nil
+	c.mu.Lock()
+	call, running := c.stages[core]
+	if !running {
+		call = &stagesCall{done: make(chan struct{})}
+		c.stages[core] = call
 	}
+	c.mu.Unlock()
+	if running {
+		<-call.done
+		return call.st, call.err
+	}
+	// The error stands if the pipeline panics: its waiters are released
+	// with it and the panic goes on up the caller's stack.
+	call.err = fmt.Errorf("expt: the %s validation pipeline panicked", core)
+	defer func() {
+		if call.err != nil {
+			c.mu.Lock()
+			delete(c.stages, core)
+			c.mu.Unlock()
+		}
+		close(call.done)
+	}()
+	call.st, call.err = c.pipeline(core)
+	return call.st, call.err
+}
+
+// pipeline runs a core's validation pipeline.
+func (c *Context) pipeline(core string) ([]validate.StageResult, error) {
 	board, public, err := Core(c.plat, core)
 	if err != nil {
 		return nil, err
 	}
-	st, err := validate.Pipeline(board, public, validate.PipelineOptions{
+	return validate.Pipeline(board, public, validate.PipelineOptions{
 		BudgetRound1: c.opts.BudgetRound1,
 		BudgetRound2: c.opts.BudgetRound2,
 		Seed:         c.opts.Seed + cores[core].seedOffset,
@@ -175,11 +218,6 @@ func (c *Context) Stages(core string) ([]validate.StageResult, error) {
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.stages[core] = st
-	return st, nil
 }
 
 // TuneOptions configures one tuning round of budget evaluations from seed
@@ -571,11 +609,13 @@ func IDs() []string {
 	return []string{"table1", "table2", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "staged"}
 }
 
-// All runs every experiment in paper order. Experiments share the tuned
-// models, workload measurements and the simulation cache, so later
-// experiments are mostly cache hits; each Experiment records its own
-// wall-clock time (which is reported, never rendered, keeping output
-// byte-identical across parallelism settings).
+// All runs every experiment in paper order, one after another: the
+// sequential reference a scenario run, which starts its units together, is
+// tested against byte for byte. Experiments share the tuned models,
+// workload measurements and the simulation cache, so later experiments are
+// mostly cache hits; each Experiment records its own wall-clock time (which
+// is reported, never rendered, keeping output byte-identical across
+// parallelism settings).
 func (c *Context) All() ([]Experiment, error) {
 	var out []Experiment
 	for _, id := range IDs() {

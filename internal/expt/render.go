@@ -87,10 +87,13 @@ type Experiment struct {
 	Measured string // what this reproduction measures
 	Body     string // rendered table/figure
 
-	// Elapsed is the wall-clock time the experiment took. It is reported
-	// by the drivers on stderr but deliberately excluded from Render, so
-	// rendered output stays byte-identical across machines, parallelism
-	// settings and cache warmth.
+	// Elapsed is wall-clock time: from Context.All, the time the experiment
+	// took; from a scenario run, whose experiments overlap, the
+	// experiment's share of the run's wall time (scenario.RunSaving), so
+	// that the shares add up to the run. It is reported by the drivers on
+	// stderr but deliberately excluded from Render, so rendered output
+	// stays byte-identical across machines, parallelism settings and cache
+	// warmth.
 	Elapsed time.Duration
 }
 

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +52,46 @@ func countingOpts() (expt.Options, *simcache.Cache) {
 	return o, o.Cache
 }
 
+// signalling wraps u so that the returned channel closes once u has run.
+// Units of one run start together; a test unit that must act after another
+// has finished waits on it.
+func signalling(u Unit) (Unit, <-chan struct{}) {
+	done := make(chan struct{})
+	run := u.run
+	u.run = func(rt *Runtime) (expt.Experiment, error) {
+		defer close(done)
+		return run(rt)
+	}
+	return u, done
+}
+
+// blocker is a unit that returns only when its run is cancelled.
+func blocker(id string) Unit {
+	return Unit{ID: id, run: func(rt *Runtime) (expt.Experiment, error) {
+		ctx := rt.Ctx.Options().Context
+		<-ctx.Done()
+		return expt.Experiment{}, ctx.Err()
+	}}
+}
+
+// within runs fn and fails the test if it has not returned after d; a
+// panic in fn is returned.
+func within(t *testing.T, d time.Duration, fn func()) (panicked any) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		fn()
+	}()
+	select {
+	case p := <-done:
+		return p
+	case <-time.After(d):
+		t.Fatalf("still running after %v", d)
+		return nil
+	}
+}
+
 // TestResumeReplaysFromCheckpoint runs a sweep against a snapshot path,
 // then re-runs it cold against the same file: the replay must render
 // identically and answer every simulation from the cache.
@@ -80,17 +122,21 @@ func TestResumeReplaysFromCheckpoint(t *testing.T) {
 }
 
 // TestPartialCheckpointResume interrupts a sweep from inside its second
-// unit by cancelling its context: Run returns the context's error, leaves
-// what the first unit simulated at CachePath, and the full sweep re-run
-// against that file matches a cache-less run while simulating less.
+// unit, once the first has finished, by cancelling its context: Run returns
+// the context's error, leaves what the first unit simulated at CachePath,
+// and the full sweep re-run against that file matches a cache-less run
+// while simulating less.
 func TestPartialCheckpointResume(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "checkpoint.snap")
 	units := testUnits(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	interrupted := append([]Unit(nil), units...)
+	var firstDone <-chan struct{}
+	interrupted[0], firstDone = signalling(interrupted[0])
 	second := interrupted[1].run
 	interrupted[1].run = func(rt *Runtime) (expt.Experiment, error) {
+		<-firstDone
 		cancel()
 		return second(rt)
 	}
@@ -130,14 +176,16 @@ func TestPartialCheckpointResume(t *testing.T) {
 func TestFailedUnitStillSaves(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "failed.snap")
 	boom := errors.New("boom")
-	units := append(testUnits(t)[:1:1], Unit{ID: "broken", run: func(*Runtime) (expt.Experiment, error) {
+	first, firstDone := signalling(testUnits(t)[0])
+	units := []Unit{first, {ID: "broken", run: func(*Runtime) (expt.Experiment, error) {
+		<-firstDone
 		return expt.Experiment{}, boom
-	}})
+	}}}
 	if _, err := Run(units, RunOptions{Expt: tinyOpts(), CachePath: ck}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the unit's error", err)
 	}
 	o, cache := countingOpts()
-	if _, err := Run(units[:1], RunOptions{Expt: o, CachePath: ck}); err != nil {
+	if _, err := Run(testUnits(t)[:1], RunOptions{Expt: o, CachePath: ck}); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 0 || st.Hits == 0 {
@@ -145,29 +193,198 @@ func TestFailedUnitStillSaves(t *testing.T) {
 	}
 }
 
-// TestBoundarySave: once saveInterval has passed, the snapshot is written
-// before the next unit starts, and a save with nothing new since the last
-// one — here the exit-path save after a unit that simulated nothing —
+// TestBoundarySave: once saveInterval has passed, a unit that finishes
+// while another still runs is saved before the other finishes — the other
+// unit here waits for it in the file — and a save with nothing new since
+// the last one — here the saves after the unit that simulated nothing —
 // writes nothing.
 func TestBoundarySave(t *testing.T) {
 	defer func(d time.Duration) { saveInterval = d }(saveInterval)
 	saveInterval = 0
 
 	ck := filepath.Join(t.TempDir(), "boundary.snap")
-	var atLastUnit os.FileInfo
+	var atIdleEnd os.FileInfo
 	units := append(testUnits(t)[:1:1], Unit{ID: "idle", run: func(*Runtime) (expt.Experiment, error) {
-		n, err := simcache.New().LoadFile(ck)
-		if err != nil || n == 0 {
-			t.Errorf("snapshot when the last unit starts: %d entries, %v", n, err)
+		for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+			c := simcache.New()
+			n, err := c.LoadFile(ck)
+			c.Close()
+			if err == nil && n > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				return expt.Experiment{}, fmt.Errorf("the finished unit is not in the snapshot after a minute (%d entries, %v)", n, err)
+			}
 		}
-		atLastUnit, _ = os.Stat(ck)
+		atIdleEnd, _ = os.Stat(ck)
 		return expt.Experiment{}, nil
 	}})
-	if _, err := Run(units, RunOptions{Expt: tinyOpts(), CachePath: ck}); err != nil {
+	o := tinyOpts()
+	o.Parallelism = 2
+	if _, err := Run(units, RunOptions{Expt: o, CachePath: ck}); err != nil {
 		t.Fatal(err)
 	}
-	if after, err := os.Stat(ck); err != nil || !os.SameFile(after, atLastUnit) {
-		t.Errorf("the exit-path save rewrote a snapshot nothing was added to (stat error %v)", err)
+	if after, err := os.Stat(ck); err != nil || !os.SameFile(after, atIdleEnd) {
+		t.Errorf("a save rewrote a snapshot nothing was added to (stat error %v)", err)
+	}
+}
+
+// TestFailingUnitStopsTheOthers: a unit that fails while a lower-indexed one
+// is blocked cancels the run. Run returns within a bounded time, with the
+// failing unit's own error — not the cancellation it caused in the blocked
+// unit — naming the save that kept what a third unit simulated.
+func TestFailingUnitStopsTheOthers(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "failing.snap")
+	boom := errors.New("boom")
+	sim, simDone := signalling(testUnits(t)[0])
+	units := []Unit{blocker("blocked"), sim, {ID: "broken", run: func(*Runtime) (expt.Experiment, error) {
+		<-simDone
+		return expt.Experiment{}, boom
+	}}}
+	o := tinyOpts()
+	o.Parallelism = 2
+	var err error
+	within(t, time.Minute, func() { _, err = Run(units, RunOptions{Expt: o, CachePath: ck}) })
+	if !errors.Is(err, boom) || errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want the broken unit's own error", err)
+	}
+	if !strings.Contains(err.Error(), "scenario broken: boom") || !strings.Contains(err.Error(), ck) {
+		t.Errorf("error %q does not name the failing unit and the save", err)
+	}
+}
+
+// TestPanickingUnitPanicsOnCaller: a panic inside a unit stops the other
+// units and is raised again on the goroutine that called Run.
+func TestPanickingUnitPanicsOnCaller(t *testing.T) {
+	units := []Unit{blocker("blocked"), {ID: "bad", run: func(*Runtime) (expt.Experiment, error) {
+		panic("kaboom")
+	}}}
+	o := tinyOpts()
+	o.Parallelism = 2
+	if p := within(t, time.Minute, func() { Run(units, RunOptions{Expt: o}) }); p != "kaboom" {
+		t.Errorf("Run's caller saw panic %v, want the unit's", p)
+	}
+}
+
+// TestShares: a unit's share of the run runs from the later of the start
+// and every earlier unit's finish to its own finish; the shares add up to
+// the wall time, and for units run one after another they are the units'
+// own durations.
+func TestShares(t *testing.T) {
+	start := time.Unix(1000, 0)
+	at := func(ms ...int) []time.Time {
+		out := make([]time.Time, len(ms))
+		for i, m := range ms {
+			out[i] = start.Add(time.Duration(m) * time.Millisecond)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		finished []time.Time
+		want     []time.Duration
+	}{
+		{at(30, 10, 50, 50), []time.Duration{30, 0, 20, 0}},
+		{at(10, 20, 35), []time.Duration{10, 10, 15}},
+		{at(5, 40, 12, 41), []time.Duration{5, 35, 0, 1}},
+		{nil, []time.Duration{}},
+	} {
+		got := shares(start, tc.finished)
+		for i := range tc.want {
+			tc.want[i] *= time.Millisecond
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("shares(%v) = %v, want %v", tc.finished, got, tc.want)
+		}
+	}
+}
+
+// TestElapsedSharesSumToWallTime: with its units overlapping, a run's
+// Elapsed figures are each >= 0 and add up to no more than Run's wall time,
+// and to most of it.
+func TestElapsedSharesSumToWallTime(t *testing.T) {
+	o := tinyOpts()
+	o.Parallelism = 2
+	start := time.Now()
+	res, err := Run(testUnits(t), RunOptions{Expt: o})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	for _, r := range res {
+		if r.Experiment.Elapsed < 0 {
+			t.Errorf("%s: negative share %v", r.Unit.ID, r.Experiment.Elapsed)
+		}
+		sum += r.Experiment.Elapsed
+	}
+	if sum > wall || sum < wall/2 {
+		t.Errorf("shares add up to %v, Run took %v", sum, wall)
+	}
+}
+
+// TestOverlappedRunMatchesSequentialReference is the scheduler's
+// differential: the paper set run with its units overlapping (parallelism 2
+// and 8) and one at a time (1), each cold into a snapshot and then warm from
+// it, renders the bytes of expt.Context.All, which runs the experiments one
+// after another; and the three cold snapshots are byte for byte the same.
+func TestOverlappedRunMatchesSequentialReference(t *testing.T) {
+	specs, err := Select(Registry(), "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := Expand(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(par int) expt.Options {
+		o := tinyOpts()
+		o.WorkloadEvents, o.BudgetRound1, o.BudgetRound2, o.PerturbRestarts = 1_000, 60, 60, 1
+		o.Seed, o.Parallelism = 1, par
+		return o
+	}
+	ctx, err := expt.NewContext(opts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := ctx.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, e := range all {
+		want.WriteString(e.Render() + "\n")
+	}
+
+	var coldSnap []byte
+	for _, par := range []int{1, 2, 8} {
+		ck := filepath.Join(t.TempDir(), "paper.snap")
+		for _, warmth := range []string{"cold", "warm"} {
+			o := opts(par)
+			cache := simcache.New()
+			o.Cache = cache
+			res, err := Run(units, RunOptions{Expt: o, CachePath: ck})
+			if err != nil {
+				t.Fatalf("parallelism %d, %s: %v", par, warmth, err)
+			}
+			if got := RenderAll(res); got != want.String() {
+				t.Errorf("parallelism %d, %s: rendered output differs from expt.Context.All", par, warmth)
+			}
+			if warmth == "warm" {
+				if st := cache.Stats(); st.Misses != 0 {
+					t.Errorf("parallelism %d, warm: %d simulations", par, st.Misses)
+				}
+				continue
+			}
+			snap, err := os.ReadFile(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coldSnap == nil {
+				coldSnap = snap
+			} else if !bytes.Equal(snap, coldSnap) {
+				t.Errorf("parallelism %d: the cold snapshot differs from parallelism 1's", par)
+			}
+		}
 	}
 }
 

@@ -25,19 +25,28 @@ func LoadManifest(path string) ([]Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	specs, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: manifest %s: %w", path, err)
+	}
+	return specs, nil
+}
+
+// parseManifest decodes and validates the bytes of a manifest.
+func parseManifest(data []byte) ([]Spec, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("scenario: manifest %s: %w", path, err)
+		return nil, err
 	}
 	if m.Format != manifestFormat {
-		return nil, fmt.Errorf("scenario: manifest %s: format %d, want %d", path, m.Format, manifestFormat)
+		return nil, fmt.Errorf("format %d, want %d", m.Format, manifestFormat)
 	}
 	if err := checkUnique(m.Scenarios); err != nil {
-		return nil, fmt.Errorf("scenario: manifest %s: %w", path, err)
+		return nil, err
 	}
 	for _, s := range m.Scenarios {
 		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario: manifest %s: %w", path, err)
+			return nil, err
 		}
 	}
 	return m.Scenarios, nil

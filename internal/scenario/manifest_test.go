@@ -1,0 +1,60 @@
+package scenario
+
+import (
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// FuzzParseManifest: the manifest parser never panics, and a manifest it
+// accepts expands without error into units with distinct IDs — what
+// FilterUnits and a distributed sweep address them by — and round-trips
+// through SaveManifest to equal specs. The seed corpus under
+// testdata/fuzz/FuzzParseManifest holds the registry as SaveManifest writes
+// it, a wrong format, duplicate names and one invalid value per case of
+// Spec.Validate.
+func FuzzParseManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		units, err := Expand(specs)
+		if err != nil {
+			t.Fatalf("accepted manifest does not expand: %v", err)
+		}
+		ids := map[string]bool{}
+		for _, u := range units {
+			if ids[u.ID] {
+				t.Fatalf("accepted manifest expands to unit %s twice", u.ID)
+			}
+			ids[u.ID] = true
+		}
+		path := filepath.Join(t.TempDir(), "manifest.json")
+		if err := SaveManifest(path, specs); err != nil {
+			t.Fatalf("accepted manifest does not save: %v", err)
+		}
+		again, err := LoadManifest(path)
+		if err != nil {
+			t.Fatalf("saved manifest does not load: %v", err)
+		}
+		if !reflect.DeepEqual(withoutEmptyLists(again), withoutEmptyLists(specs)) {
+			t.Fatalf("round trip changed specs:\n%+v\nvs\n%+v", again, specs)
+		}
+	})
+}
+
+// withoutEmptyLists returns specs with empty Budgets and NoiseLevels nil,
+// which is how SaveManifest writes them (omitempty).
+func withoutEmptyLists(specs []Spec) []Spec {
+	out := append([]Spec(nil), specs...)
+	for i := range out {
+		if len(out[i].Budgets) == 0 {
+			out[i].Budgets = nil
+		}
+		if len(out[i].NoiseLevels) == 0 {
+			out[i].NoiseLevels = nil
+		}
+	}
+	return out
+}

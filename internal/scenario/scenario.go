@@ -26,6 +26,7 @@ package scenario
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 
 	"racesim/internal/expt"
@@ -112,9 +113,12 @@ func (s Spec) Validate() error {
 		if len(s.Budgets) == 0 {
 			return fmt.Errorf("scenario %s: budget-sweep needs at least one budget", s.Name)
 		}
-		for _, b := range s.Budgets {
+		for i, b := range s.Budgets {
 			if b <= 0 {
 				return fmt.Errorf("scenario %s: non-positive budget %d", s.Name, b)
+			}
+			if slices.Contains(s.Budgets[:i], b) {
+				return fmt.Errorf("scenario %s: budget %d listed twice", s.Name, b)
 			}
 		}
 	case KindNoiseSweep:
@@ -124,9 +128,15 @@ func (s Spec) Validate() error {
 		if len(s.NoiseLevels) == 0 {
 			return fmt.Errorf("scenario %s: noise-sweep needs at least one noise level", s.Name)
 		}
-		for _, v := range s.NoiseLevels {
+		// A unit's ID names its level, and units are addressed by ID: a
+		// repeated level would give two units, tuned from different seeds,
+		// one ID.
+		for i, v := range s.NoiseLevels {
 			if v < 0 || v > 0.2 {
 				return fmt.Errorf("scenario %s: noise level %v outside [0, 0.2]", s.Name, v)
+			}
+			if slices.Contains(s.NoiseLevels[:i], v) {
+				return fmt.Errorf("scenario %s: noise level %v listed twice", s.Name, v)
 			}
 		}
 	default:
