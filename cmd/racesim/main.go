@@ -286,7 +286,7 @@ func cmdServe(args []string) error {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
 		workers     = fs.Int("workers", 1, "concurrent jobs (each fans simulations across -parallelism cores)")
-		queueDepth  = fs.Int("queue-depth", 64, "maximum queued jobs before POST /v1/jobs answers 503")
+		queueDepth  = fs.Int("queue-depth", 64, "maximum queued jobs before POST /v1/jobs answers 429 with Retry-After")
 		parallelism = fs.Int("parallelism", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
 		cache       = fs.String("cache", "", "warm the shared cache from this snapshot at startup; saved on drain")
 		drainWait   = fs.Duration("drain-timeout", 10*time.Minute, "how long SIGTERM waits for running jobs before exiting")

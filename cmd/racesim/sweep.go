@@ -26,7 +26,6 @@ func cmdSweep(args []string) error {
 		workersFlag = fs.String("workers", "", "comma-separated worker base URLs (e.g. http://a:8080,http://b:8080)")
 		spawn       = fs.Int("spawn", 0, "additionally fork N local `racesim serve` worker processes")
 		scenarioPat = fs.String("scenario", "all", "comma-separated scenario names/globs ('all' = paper set)")
-		window      = fs.Int("window", 2, "max in-flight units per worker")
 		retriesN    = fs.Int("retries", 3, "per-unit reassignment budget on worker failure")
 		cache       = fs.String("cache", "", "federated snapshot: pre-seeds workers, collects+merges their deltas")
 		scale       = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
@@ -99,7 +98,6 @@ func cmdSweep(args []string) error {
 
 	output, rep, err := cluster.Run(context.Background(), cluster.Options{
 		Workers:     urls,
-		Window:      *window,
 		Retries:     *retriesN,
 		CachePath:   *cache,
 		JournalPath: *journal,
@@ -151,8 +149,10 @@ func cmdSweep(args []string) error {
 		logf("sweep: worker %s rendered %d units", url, n)
 	}
 	if rep.Reassigned > 0 {
-		logf("sweep: %d unit dispatches reassigned; dead workers: %s",
-			rep.Reassigned, strings.Join(rep.Dead, ", "))
+		logf("sweep: %d unit dispatches reassigned", rep.Reassigned)
+	}
+	if len(rep.Dead) > 0 {
+		logf("sweep: dead workers: %s", strings.Join(rep.Dead, ", "))
 	}
 	return nil
 }

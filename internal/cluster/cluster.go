@@ -10,21 +10,21 @@
 //     the assembled output is byte-identical to a single-process
 //     `racesim experiments` run regardless of worker count, scheduling
 //     order, retries or mid-run worker loss;
-//   - bounded in-flight windows: each worker holds at most Window units
-//     at once (submitted or queued on its own bounded job queue), so a
-//     slow worker backs pressure up to the coordinator instead of
+//   - bounded in-flight windows: each worker holds at most window (2)
+//     units at once (submitted or queued on its own bounded job queue), so
+//     a slow worker backs pressure up to the coordinator instead of
 //     hoarding the tail of the sweep;
 //   - dependency-artifact affinity: units declare the shared preparation
 //     artifacts they consume (e.g. "stages:a53"); the scheduler prefers
 //     placing a unit on a worker that already built its artifacts, so
 //     the worker's warm in-process cache is reused instead of re-derived;
-//   - failure isolation: a unit that fails on a worker is retried with
-//     exponential backoff on another worker (bounded by Retries); a
-//     worker with DeadAfter consecutive failures is quarantined — a
-//     circuit breaker that stops dispatch while background health
-//     probes (doubling delays, bounded by ProbeLimit) decide between
-//     re-admission on probation and declaring it dead. The sweep only
-//     fails when a unit exhausts its attempts or no live workers remain;
+//   - failure isolation, under one failure policy (policy below): a unit
+//     that fails on a worker is retried after engine.Backoff on another
+//     worker (bounded by Retries); a worker with deadAfter consecutive
+//     failures is quarantined — a circuit breaker that stops dispatch
+//     while background health probes decide between re-admission on
+//     probation and dropping it. The sweep only fails when a unit
+//     exhausts its attempts or no live workers remain;
 //   - crash resumability: with JournalPath every completed unit's
 //     artifact is fsynced to a checksummed journal; a coordinator killed
 //     mid-sweep and restarted on the same journal re-dispatches only
@@ -57,28 +57,9 @@ type Options struct {
 	// Workers are the base URLs of the serve workers (e.g.
 	// "http://10.0.0.2:8080"). At least one must be reachable.
 	Workers []string
-	// Window bounds in-flight units per worker (default 2: one running,
-	// one queued behind it so the worker never idles between units).
-	Window int
 	// Retries bounds how many times one unit is reassigned after a
 	// failure before the sweep fails (default 3).
 	Retries int
-	// DeadAfter quarantines a worker after this many consecutive unit
-	// failures (default 2). A quarantined worker receives no units while
-	// a background prober re-checks its /healthz with doubling delays; a
-	// passing probe re-admits it on probation (one more failure
-	// re-quarantines), and a worker exhausting ProbeLimit probes is dead
-	// for the rest of the sweep.
-	DeadAfter int
-	// ProbeLimit bounds health probes per quarantined worker across the
-	// sweep before it is declared dead (default 5).
-	ProbeLimit int
-	// ProbeDelay is the first probe's delay, doubled per subsequent
-	// probe up to a 30s cap (default 1s).
-	ProbeDelay time.Duration
-	// Backoff is the base delay before a failed unit is redispatched,
-	// doubled per attempt (default 500ms).
-	Backoff time.Duration
 	// CachePath, when set, federates the simulation cache: loaded and
 	// pre-seeded to every worker before the round, worker deltas merged
 	// and saved back after it.
@@ -90,9 +71,6 @@ type Options struct {
 	// artifact. A file written by a different sweep (selection, sizing or
 	// unit list changed), or not a journal, is an error and left as it was.
 	JournalPath string
-	// RequestTimeout bounds each worker HTTP request (default: the
-	// engine.Client default, 60s).
-	RequestTimeout time.Duration
 	// Transport, when non-nil, wraps every worker client's HTTP
 	// transport — the chaos injector's network attach point.
 	Transport http.RoundTripper
@@ -107,9 +85,6 @@ type Options struct {
 	// Recorder receives the sweep's spans (the flight recorder); nil
 	// discards them. Tracing requires both Trace and Recorder.
 	Recorder *telemetry.Recorder
-	// Metrics, when non-nil, receives the coordinator's scheduling
-	// counters (racesim_sweep_*). Nil disables them.
-	Metrics *telemetry.Registry
 
 	// Scenario is the selection (comma-separated names/globs, "all" =
 	// paper set) — the same selector `racesim experiments -scenario`
@@ -124,6 +99,66 @@ type Options struct {
 
 	// Log receives coordinator progress lines; nil discards them.
 	Log func(format string, args ...any)
+
+	// policy, when non-nil, replaces sweepPolicy (tests only).
+	policy *policy
+}
+
+// window bounds in-flight units per worker: one running, one queued behind
+// it so the worker never idles between units.
+const window = 2
+
+// policy is the sweep's failure policy: how long the coordinator waits
+// before each retry, and when a worker leaves the round.
+//
+//   - The startup health check and the pre-seed are tried startTries times,
+//     delay(0) and delay(1) apart.
+//   - A unit's nth failure redispatches it after delay(n-1), preferring
+//     another worker, up to Options.Retries times.
+//   - deadAfter consecutive unit failures quarantine a worker: it gets no
+//     units while health probes decide, the kth sent delay(k) after the
+//     circuit opened or the probe before it failed. A passing probe
+//     re-admits it on probation: one more failure re-quarantines it.
+//
+// A worker unreachable at start, failing the pre-seed or out of its
+// probeLimit probes leaves the round (drop in Run): it gets no more units
+// and Report.Dead lists it.
+type policy struct {
+	deadAfter  int
+	probeLimit int
+	delay      func(attempt int) time.Duration
+}
+
+// sweepPolicy is the policy of every sweep.
+var sweepPolicy = policy{deadAfter: 2, probeLimit: 5, delay: engine.Backoff}
+
+// startTries: a worker still binding its listener, or one request lost to
+// a chaos drop, should not cost the sweep a worker for the whole round.
+const startTries = 3
+
+// try runs op up to startTries times and returns its last error. It waits
+// delay(n) after failure n unless that was the last; a wait cut short by
+// ctx returns ctx's error.
+func (p policy) try(ctx context.Context, op func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || attempt == startTries-1 {
+			return err
+		}
+		if err := p.wait(ctx, attempt); err != nil {
+			return err
+		}
+	}
+}
+
+// wait sleeps delay(attempt), or returns ctx's error once ctx is done.
+func (p policy) wait(ctx context.Context, attempt int) error {
+	select {
+	case <-time.After(p.delay(attempt)):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Report summarizes a completed sweep.
@@ -134,7 +169,8 @@ type Report struct {
 	Completed map[string]int
 	// Reassigned counts unit dispatches that failed and were retried.
 	Reassigned int
-	// Dead lists workers marked dead during the round.
+	// Dead lists workers dropped from the round: unreachable at start,
+	// failing the pre-seed, or out of health probes.
 	Dead []string
 	// Quarantined lists workers that entered quarantine at least once
 	// (including those later re-admitted by a passing probe).
@@ -161,13 +197,11 @@ type workerState struct {
 	client      *engine.Client
 	inflight    int
 	artifacts   map[string]bool // dependency artifacts dispatched here
-	dead        bool
-	quarantined bool // circuit open: no dispatch until a probe passes
-	probes      int  // health probes spent across the sweep
+	dead        bool            // dropped from the round (see drop in Run)
+	quarantined bool            // circuit open: no dispatch until a probe passes
+	probes      int             // health probes spent across the sweep
 	failStreak  int
-	completed   int
-	before      engine.Health
-	sampled     bool
+	before      engine.Health // cache statistics when the round began
 }
 
 // unitState tracks one unit through dispatch and retries.
@@ -181,8 +215,8 @@ const (
 	evDone = iota
 	evFail
 	evRequeue
-	evProbeOK   // a quarantined worker answered a health probe
-	evProbeDead // a quarantined worker exhausted its probe budget
+	evProbeOK     // a quarantined worker answered a health probe
+	evProbeFailed // a quarantined worker failed a health probe
 )
 
 type event struct {
@@ -204,57 +238,19 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	if log == nil {
 		log = func(string, ...any) {}
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = 2
-	}
 	retries := opts.Retries
 	if retries <= 0 {
 		retries = 3
 	}
-	deadAfter := opts.DeadAfter
-	if deadAfter <= 0 {
-		deadAfter = 2
-	}
-	probeLimit := opts.ProbeLimit
-	if probeLimit <= 0 {
-		probeLimit = 5
-	}
-	probeDelay := opts.ProbeDelay
-	if probeDelay <= 0 {
-		probeDelay = time.Second
-	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 500 * time.Millisecond
+	pol := sweepPolicy
+	if opts.policy != nil {
+		pol = *opts.policy
 	}
 	if len(opts.Workers) == 0 {
 		return "", rep, fmt.Errorf("cluster: no workers")
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Scheduling counters; nil registry leaves every counter nil and inc
-	// a no-op, so an unmetered sweep pays nothing.
-	counter := func(name, help string) *telemetry.Counter {
-		if opts.Metrics == nil {
-			return nil
-		}
-		return opts.Metrics.Counter(name, help)
-	}
-	inc := func(c *telemetry.Counter) {
-		if c != nil {
-			c.Inc()
-		}
-	}
-	var (
-		mDispatched  = counter("racesim_sweep_dispatched_total", "Unit dispatches to workers, retries included.")
-		mCompleted   = counter("racesim_sweep_units_completed_total", "Units that rendered successfully.")
-		mReassigned  = counter("racesim_sweep_reassigned_total", "Unit dispatches that failed and were requeued.")
-		mQuarantined = counter("racesim_sweep_quarantined_total", "Workers entering quarantine (circuit opened).")
-		mDead        = counter("racesim_sweep_workers_dead_total", "Workers declared dead for the round.")
-		mProbes      = counter("racesim_sweep_probes_total", "Health probes sent to quarantined workers.")
-	)
 	traced := opts.Recorder.Enabled() && opts.Trace.Valid()
 
 	// Expand the selection exactly as a worker will: the unit IDs the
@@ -271,7 +267,23 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	rep.Units = len(units)
 
 	workers := make([]*workerState, len(opts.Workers))
-	alive := 0
+	// alive counts the workers that may take a unit now.
+	alive := func() int {
+		n := 0
+		for _, w := range workers {
+			if !w.dead && !w.quarantined {
+				n++
+			}
+		}
+		return n
+	}
+	// drop is the one way a worker leaves the round: it gets no more units,
+	// its delta is not collected, and Report.Dead lists it.
+	drop := func(w *workerState, format string, args ...any) {
+		w.dead, w.quarantined = true, false
+		rep.Dead = append(rep.Dead, w.url)
+		log("sweep: worker %s "+format, append([]any{w.url}, args...)...)
+	}
 	for i, url := range opts.Workers {
 		w := &workerState{
 			url:       strings.TrimRight(url, "/"),
@@ -279,37 +291,25 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		}
 		w.client = engine.NewClient(w.url)
 		w.client.Log = log
-		w.client.Timeout = opts.RequestTimeout
 		w.client.Transport = opts.Transport
 		// Before the caller stops the worker: see CloseIdleConnections.
 		defer w.client.CloseIdleConnections()
 		workers[i] = w
-		// The startup health check retries a few times: a worker still
-		// binding its listener — or a single chaos-dropped request — should
-		// not cost the sweep a worker for the whole round.
-		var h engine.Health
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			if h, err = w.client.Health(ctx); err == nil {
-				break
-			}
-			if ctx.Err() != nil {
-				return "", rep, ctx.Err()
-			}
-			time.Sleep(backoff << attempt)
+		err := pol.try(ctx, func() (err error) {
+			w.before, err = w.client.Health(ctx)
+			return err
+		})
+		if ctx.Err() != nil {
+			return "", rep, ctx.Err()
 		}
 		if err != nil {
-			w.dead = true
-			log("sweep: worker %s unreachable at start: %v", w.url, err)
-			continue
+			drop(w, "unreachable at start: %v", err)
 		}
-		w.before, w.sampled = h, true
-		alive++
 	}
-	if alive == 0 {
+	if alive() == 0 {
 		return "", rep, fmt.Errorf("cluster: none of the %d workers are reachable", len(workers))
 	}
-	log("sweep: %d units across %d workers (window %d)", len(units), alive, window)
+	log("sweep: %d units across %d workers (window %d)", len(units), alive(), window)
 
 	// Federation, inbound half: warm every worker from the coordinator's
 	// snapshot so overlapping selections re-run at cluster-wide hits. The
@@ -330,20 +330,10 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		// client's error, not the peer's); only a persistently failing
 		// import costs a worker its seat.
 		preseed := func(cl *engine.Client) error {
-			var err error
-			for attempt := 0; attempt < 3; attempt++ {
-				pr, pw := io.Pipe()
-				go func() { pw.CloseWithError(fed.WriteBinaryTo(pw)) }()
-				_, err = cl.ImportSnapshotFrom(ctx, pr)
-				pr.Close()
-				if err == nil {
-					return nil
-				}
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				time.Sleep(backoff << attempt)
-			}
+			pr, pw := io.Pipe()
+			go func() { pw.CloseWithError(fed.WriteBinaryTo(pw)) }()
+			defer pr.Close()
+			_, err := cl.ImportSnapshotFrom(ctx, pr)
 			return err
 		}
 		errs := make([]error, len(workers))
@@ -355,7 +345,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if errs[i] = preseed(w.client); errs[i] == nil {
+				if errs[i] = pol.try(ctx, func() error { return preseed(w.client) }); errs[i] == nil {
 					// The import moved the worker's stats; resample the baseline.
 					if h, err := w.client.Health(ctx); err == nil {
 						w.before = h
@@ -369,15 +359,13 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		}
 		for i, w := range workers {
 			if errs[i] != nil {
-				w.dead = true
-				alive--
-				log("sweep: worker %s failed pre-seed: %v", w.url, errs[i])
+				drop(w, "failed pre-seed: %v", errs[i])
 			}
 		}
-		if alive == 0 {
+		if alive() == 0 {
 			return "", rep, fmt.Errorf("cluster: every worker failed pre-seeding")
 		}
-		log("sweep: pre-seeded %d workers with %d entries", alive, n)
+		log("sweep: pre-seeded %d workers with %d entries", alive(), n)
 	}
 
 	ustates := make([]*unitState, len(units))
@@ -422,16 +410,6 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	events := make(chan event, 2*len(units)+2*len(workers))
 	outstanding := 0
 
-	aliveCount := func() int {
-		n := 0
-		for _, w := range workers {
-			if !w.dead && !w.quarantined {
-				n++
-			}
-		}
-		return n
-	}
-
 	// sendEvent delivers ev without leaking the sending goroutine if the
 	// run already returned (the deferred cancel fires on every exit path).
 	sendEvent := func(ev event) {
@@ -441,26 +419,35 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		}
 	}
 
-	// probe re-checks a quarantined worker's health off-loop with doubling
-	// delays, charging one probe from the worker's budget per attempt. It
-	// reports exactly one event; the outstanding slot it holds keeps the
-	// main loop alive while every worker is quarantined.
+	// probe re-checks a quarantined worker's health off-loop after
+	// delay(attempt). It reports exactly one event; the outstanding slot it
+	// holds keeps the main loop alive while every worker is quarantined.
 	probe := func(wi, attempt int) {
-		w := workers[wi]
-		delay := probeDelay << attempt
-		if delay > 30*time.Second {
-			delay = 30 * time.Second
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
+		if pol.wait(ctx, attempt) != nil {
 			return
 		}
-		if _, err := w.client.Health(ctx); err != nil {
-			sendEvent(event{kind: evProbeDead, worker: wi, err: err})
+		if _, err := workers[wi].client.Health(ctx); err != nil {
+			sendEvent(event{kind: evProbeFailed, worker: wi, err: err})
 			return
 		}
 		sendEvent(event{kind: evProbeOK, worker: wi})
+	}
+
+	// quarantine opens a worker's circuit, or keeps it open, and spends one
+	// of its health probes — or drops the worker once it has spent them all.
+	// why says what brought it here.
+	quarantine := func(wi int, why string) {
+		w := workers[wi]
+		if w.probes >= pol.probeLimit {
+			drop(w, "%s; no health probes left: dead", why)
+			return
+		}
+		w.quarantined = true
+		rep.Quarantined = appendOnce(rep.Quarantined, w.url)
+		w.probes++
+		log("sweep: worker %s %s; probing (%d/%d)", w.url, why, w.probes, pol.probeLimit)
+		outstanding++ // the prober keeps the loop alive
+		go probe(wi, w.probes)
 	}
 
 	// pickUnit chooses the best pending unit for a worker: the one whose
@@ -473,7 +460,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		best, bestScore := -1, -1
 		for pi, ui := range pending {
 			u := ustates[ui]
-			if u.attempts > 0 && u.lastWorker == wi && aliveCount() > 1 {
+			if u.attempts > 0 && u.lastWorker == wi && alive() > 1 {
 				continue
 			}
 			score := 0
@@ -569,7 +556,6 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 				outstanding++
 				log("sweep: [%d/%d] %s -> %s%s", u.unit.Index+1, len(units), u.unit.ID, w.url,
 					map[bool]string{true: " (retry)", false: ""}[u.attempts > 0])
-				inc(mDispatched)
 				go runUnit(wi, ui)
 				progressed = true
 			}
@@ -592,11 +578,9 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			outstanding--
 			w.inflight--
 			w.failStreak = 0
-			w.completed++
 			rep.Completed[w.url]++
 			results[ev.unitIdx] = ev.artifact
 			completed++
-			inc(mCompleted)
 			rep.UnitDurations = append(rep.UnitDurations, ev.elapsed)
 			opts.Recorder.Add(ev.spans...)
 			if jnl != nil {
@@ -611,30 +595,12 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			outstanding--
 			w.inflight--
 			w.failStreak++
-			if !w.dead && !w.quarantined && w.failStreak >= deadAfter {
+			if !w.dead && !w.quarantined && w.failStreak >= pol.deadAfter {
 				// Open the circuit: stop feeding the worker, but probe its
 				// health in the background — a worker that merely restarted
 				// (or sat behind a burst of injected faults) re-admits
 				// instead of shrinking the pool for the rest of the sweep.
-				if w.probes >= probeLimit {
-					w.dead = true
-					rep.Dead = append(rep.Dead, w.url)
-					inc(mDead)
-					log("sweep: worker %s marked dead after %d consecutive failures (probe budget spent)",
-						w.url, w.failStreak)
-				} else {
-					w.quarantined = true
-					rep.Quarantined = appendOnce(rep.Quarantined, w.url)
-					inc(mQuarantined)
-					log("sweep: worker %s quarantined after %d consecutive failures; probing",
-						w.url, w.failStreak)
-					outstanding++ // the prober keeps the loop alive
-					attempt := w.probes
-					w.probes++
-					inc(mProbes)
-					wi := ev.worker
-					go probe(wi, attempt)
-				}
+				quarantine(ev.worker, fmt.Sprintf("failed %d units in a row", w.failStreak))
 			}
 			u := ustates[ev.unitIdx]
 			u.attempts++
@@ -644,8 +610,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 					u.unit.ID, u.attempts, w.url, ev.err)
 			}
 			rep.Reassigned++
-			inc(mReassigned)
-			delay := backoff << (u.attempts - 1)
+			delay := pol.delay(u.attempts - 1)
 			log("sweep: unit %s failed on %s (attempt %d/%d): %v; redispatching in %v",
 				u.unit.ID, w.url, u.attempts, retries+1, ev.err, delay)
 			outstanding++ // the requeue timer keeps the loop alive
@@ -660,27 +625,11 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			// streak restarts one short of the threshold), but a worker
 			// that is actually healthy again rejoins at full capacity.
 			w.quarantined = false
-			w.failStreak = deadAfter - 1
+			w.failStreak = pol.deadAfter - 1
 			log("sweep: worker %s passed its health probe; re-admitted on probation", w.url)
-		case evProbeDead:
+		case evProbeFailed:
 			outstanding--
-			if w.probes >= probeLimit {
-				w.quarantined = false
-				w.dead = true
-				rep.Dead = append(rep.Dead, w.url)
-				inc(mDead)
-				log("sweep: worker %s failed its final health probe (%d/%d): %v; marked dead",
-					w.url, w.probes, probeLimit, ev.err)
-			} else {
-				log("sweep: worker %s failed health probe %d/%d: %v; probing again",
-					w.url, w.probes, probeLimit, ev.err)
-				outstanding++
-				attempt := w.probes
-				w.probes++
-				inc(mProbes)
-				wi := ev.worker
-				go probe(wi, attempt)
-			}
+			quarantine(ev.worker, fmt.Sprintf("failed health probe %d/%d: %v", w.probes, pol.probeLimit, ev.err))
 		}
 		dispatch()
 	}
@@ -711,13 +660,11 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			continue
 		}
 		log("sweep: worker %s contributed %d cache entries", w.url, added)
-		if w.sampled {
-			if h, err := w.client.Health(ctx); err == nil {
-				rep.Cache.Hits += h.Cache.Hits - w.before.Cache.Hits
-				rep.Cache.Misses += h.Cache.Misses - w.before.Cache.Misses
-				rep.Cache.Shared += h.Cache.Shared - w.before.Cache.Shared
-				rep.Cache.Entries += h.Cache.Entries
-			}
+		if h, err := w.client.Health(ctx); err == nil {
+			rep.Cache.Hits += h.Cache.Hits - w.before.Cache.Hits
+			rep.Cache.Misses += h.Cache.Misses - w.before.Cache.Misses
+			rep.Cache.Shared += h.Cache.Shared - w.before.Cache.Shared
+			rep.Cache.Entries += h.Cache.Entries
 		}
 	}
 	rep.MergedEntries = fed.Stats().Entries

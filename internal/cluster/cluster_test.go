@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +17,9 @@ import (
 
 	"racesim/internal/chaos"
 	"racesim/internal/cluster"
+	"racesim/internal/core"
 	"racesim/internal/engine"
+	"racesim/internal/simcache"
 	"racesim/internal/telemetry"
 )
 
@@ -60,16 +63,17 @@ func batchArtifact(t *testing.T, selection string) string {
 	return res.Artifact
 }
 
+// tinyOptions sizes a sweep like CI's smoke jobs and runs it under the
+// sweep's breaker bounds with short waits.
 func tinyOptions(urls ...string) cluster.Options {
-	return cluster.Options{
+	return cluster.FastPolicy(cluster.Options{
 		Workers:  urls,
 		Scenario: tinySelect,
 		Scale:    tinyScale,
 		Events:   tinyEvents,
 		Budget1:  tinyBudget,
 		Budget2:  tinyBudget,
-		Backoff:  50 * time.Millisecond,
-	}
+	}, 2, 5)
 }
 
 func TestSweepByteIdenticalToSingleProcess(t *testing.T) {
@@ -372,8 +376,6 @@ func TestSweepQuarantinesAndReadmitsFlakyWorker(t *testing.T) {
 	defer srvB.Drain(context.Background())
 
 	opts := tinyOptions(tsB.URL)
-	opts.DeadAfter = 2
-	opts.ProbeDelay = 20 * time.Millisecond
 	opts.Retries = 6
 	got, rep, err := cluster.Run(context.Background(), opts)
 	if err != nil {
@@ -403,7 +405,6 @@ func TestSweepQuarantinedWorkerDiesAfterProbeBudget(t *testing.T) {
 	// A worker that goes completely dark (every request fails, probes
 	// included) exhausts its probe budget and is declared dead; the sweep
 	// still completes on the healthy worker.
-	_, tsA := startWorker(t)
 	srvB, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -412,11 +413,36 @@ func TestSweepQuarantinedWorkerDiesAfterProbeBudget(t *testing.T) {
 	tsB := httptest.NewServer(proxy)
 	defer tsB.Close()
 	defer srvB.Drain(context.Background())
+	dark := strings.TrimRight(tsB.URL, "/")
 
-	opts := tinyOptions(tsA.URL, tsB.URL)
-	opts.DeadAfter = 1
-	opts.ProbeLimit = 2
-	opts.ProbeDelay = 10 * time.Millisecond
+	// The healthy worker holds every job submitted after the dark one went
+	// dark until the coordinator has dropped it: a unit redispatched from the
+	// dark worker is shorter than its probes, and the sweep would otherwise
+	// end with a probe still out.
+	srvA, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srvA.Drain(context.Background())
+	dropped := make(chan struct{})
+	var once sync.Once
+	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && proxy.dead.Load() {
+			select {
+			case <-dropped:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		srvA.Handler().ServeHTTP(w, r)
+	}))
+	defer tsA.Close()
+
+	opts := cluster.FastPolicy(tinyOptions(tsA.URL, tsB.URL), 1, 2)
+	opts.Log = func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "sweep: worker "+dark) && strings.HasSuffix(line, ": dead") {
+			once.Do(func() { close(dropped) })
+		}
+	}
 	got, rep, err := cluster.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +450,6 @@ func TestSweepQuarantinedWorkerDiesAfterProbeBudget(t *testing.T) {
 	if want := batchArtifact(t, tinySelect); got != want {
 		t.Errorf("sweep output differs after probe-exhausted death")
 	}
-	dark := strings.TrimRight(tsB.URL, "/")
 	var died bool
 	for _, url := range rep.Dead {
 		if url == dark {
@@ -433,6 +458,75 @@ func TestSweepQuarantinedWorkerDiesAfterProbeBudget(t *testing.T) {
 	}
 	if !died {
 		t.Errorf("dark worker not declared dead: dead=%v quarantined=%v", rep.Dead, rep.Quarantined)
+	}
+}
+
+// TestSweepReportsWorkerUnreachableAtStartAsDead: a worker that never
+// answers its startup health check leaves the round like any other dead
+// worker — the sweep completes on the live one and Report.Dead names it.
+func TestSweepReportsWorkerUnreachableAtStartAsDead(t *testing.T) {
+	_, ts := startWorker(t)
+	const gone = "http://127.0.0.1:1"
+	opts := tinyOptions(ts.URL, gone)
+	opts.Scenario = "table1"
+	got, rep, err := cluster.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchArtifact(t, "table1"); got != want {
+		t.Error("sweep output differs from single-process run")
+	}
+	if len(rep.Dead) != 1 || rep.Dead[0] != gone {
+		t.Errorf("Report.Dead = %v, want [%s]", rep.Dead, gone)
+	}
+}
+
+// TestSweepReportsWorkerFailingPreseedAsDead: a worker that refuses every
+// pre-seed import leaves the round and Report.Dead names it.
+func TestSweepReportsWorkerFailingPreseedAsDead(t *testing.T) {
+	_, tsA := startWorker(t)
+	srvB, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := srvB.Handler()
+	tsB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/cache/snapshot" {
+			http.Error(w, "simulated import failure", http.StatusInternalServerError)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer tsB.Close()
+	defer srvB.Drain(context.Background())
+
+	// Any snapshot with an entry makes the sweep pre-seed.
+	seed := simcache.New()
+	seed.Store(strings.Repeat("a", 64)+":"+strings.Repeat("b", 64), core.Result{Cycles: 1})
+	body, err := seed.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fed.snap")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := tinyOptions(tsA.URL, tsB.URL)
+	opts.Scenario = "table1"
+	opts.CachePath = path
+	got, rep, err := cluster.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchArtifact(t, "table1"); got != want {
+		t.Error("sweep output differs from single-process run")
+	}
+	if refused := strings.TrimRight(tsB.URL, "/"); len(rep.Dead) != 1 || rep.Dead[0] != refused {
+		t.Errorf("Report.Dead = %v, want [%s]", rep.Dead, refused)
+	}
+	if n := rep.Completed[strings.TrimRight(tsA.URL, "/")]; n != rep.Units {
+		t.Errorf("the pre-seeded worker rendered %d of %d units: %v", n, rep.Units, rep.Completed)
 	}
 }
 
@@ -445,10 +539,9 @@ func TestSweepByteIdenticalUnderChaosTransport(t *testing.T) {
 	_, tsB := startWorker(t)
 
 	inj := chaos.New(chaos.Spec{Seed: 7, Drop: 0.04, Delay: 0.05, DelayMax: 10 * time.Millisecond, Fail: 0.03, Corrupt: 0.03})
-	opts := tinyOptions(tsA.URL, tsB.URL)
+	opts := cluster.FastPolicy(tinyOptions(tsA.URL, tsB.URL), 4, 5)
 	opts.Transport = inj.Transport(nil)
 	opts.Retries = 8
-	opts.DeadAfter = 4
 	got, _, err := cluster.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -467,11 +560,9 @@ func TestSweepTracingCoversEveryUnitExactlyOnce(t *testing.T) {
 
 	rec := telemetry.NewRecorder()
 	root := telemetry.SpanContext{Trace: telemetry.NewID(), Span: telemetry.NewID()}
-	reg := telemetry.NewRegistry()
 	opts := tinyOptions(tsA.URL, tsB.URL)
 	opts.Trace = root
 	opts.Recorder = rec
-	opts.Metrics = reg
 
 	got, rep, err := cluster.Run(context.Background(), opts)
 	if err != nil {
@@ -531,21 +622,20 @@ func TestSweepTracingCoversEveryUnitExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// Scheduling counters: a clean sweep dispatches and completes every
+	// Scheduling counts: a clean sweep dispatches and completes every
 	// unit, reassigns nothing.
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	completed := 0
+	for _, n := range rep.Completed {
+		completed += n
 	}
-	text := buf.String()
-	for _, want := range []string{
-		"racesim_sweep_dispatched_total 3",
-		"racesim_sweep_units_completed_total 3",
-		"racesim_sweep_reassigned_total 0",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q:\n%s", want, text)
-		}
+	if dispatched := completed + rep.Reassigned; dispatched != 3 {
+		t.Errorf("%d dispatches, want 3", dispatched)
+	}
+	if completed != 3 {
+		t.Errorf("%d units completed, want 3: %v", completed, rep.Completed)
+	}
+	if rep.Reassigned != 0 {
+		t.Errorf("%d dispatches reassigned, want 0", rep.Reassigned)
 	}
 }
 

@@ -27,33 +27,40 @@ import (
 type Client struct {
 	// BaseURL is the worker's root URL, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTP is the underlying client (overrides Timeout and Transport).
-	HTTP *http.Client
-	// Timeout bounds each individual HTTP request when HTTP is nil
-	// (default 60s; negative disables). A wedged worker then surfaces as
-	// a request error the retry budget absorbs — or, once exhausted,
-	// fails the unit — instead of hanging the caller forever. Event streams
-	// (Watch) still run as long as their context allows; the bound is per
-	// request, never per job.
-	Timeout time.Duration
-	// Transport is the RoundTripper of the built-in client when HTTP is
-	// nil (default http.DefaultTransport). The chaos injector's
-	// Transport wrapper attaches here.
+	// Transport carries every request (default http.DefaultTransport).
+	// The chaos injector's Transport wrapper attaches here.
 	Transport http.RoundTripper
-	// Retries bounds back-pressure resubmissions in Submit and tolerated
-	// consecutive event-stream failures in Watch (default 4).
-	Retries int
-	// Backoff is the base delay between retries, doubled per attempt,
-	// when the server did not send a Retry-After hint (default 500ms).
-	Backoff time.Duration
 	// Log receives retry/back-pressure notices; nil discards them.
 	Log func(format string, args ...any)
 
-	buildOnce sync.Once
-	built     *http.Client
+	// retries bounds back-pressure resubmissions in Submit and tolerated
+	// consecutive event-stream failures in Watch: clientRetries, lowered or
+	// raised only by tests.
+	retries int
 
-	streamOnce sync.Once
-	stream     *http.Client
+	once        sync.Once
+	req, stream *http.Client // see build
+}
+
+const (
+	// requestTimeout bounds every request but an event stream. A wedged
+	// worker then surfaces as a request error the retry budget absorbs — or,
+	// once exhausted, fails the unit — instead of hanging the caller forever.
+	// An event stream (Watch) runs as long as its context allows: the bound
+	// is per request, never per job.
+	requestTimeout = 60 * time.Second
+	clientRetries  = 4
+)
+
+// Backoff is the one retry schedule of everything that talks to a worker:
+// the wait after failed attempt number attempt (0-based) is 500ms doubled
+// per attempt, capped at 30s. Submit waits it between back-pressured
+// submissions the server sent no Retry-After for; the sweep coordinator
+// (internal/cluster) waits it between startup tries, before redispatching
+// a failed unit and before each health probe of a quarantined worker.
+func Backoff(attempt int) time.Duration {
+	// Past attempt 6 (32s) the shift would only grow what the cap cuts.
+	return min(500*time.Millisecond<<min(attempt, 6), 30*time.Second)
 }
 
 // ErrUnreachable wraps transport-level failures of Health: the worker
@@ -64,41 +71,30 @@ type Client struct {
 // with errors.Is.
 var ErrUnreachable = errors.New("engine: worker unreachable")
 
-// NewClient returns a client for a worker base URL with default retry
-// policy.
+// NewClient returns a client for a worker base URL.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
+	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), retries: clientRetries}
 }
 
+// build makes the client's two HTTP clients on first use, after Transport
+// is set. Both share Transport, so the chaos injector sees every request;
+// only req carries requestTimeout, since an SSE stream outlives any
+// per-request bound and ends through the caller's context.
+func (c *Client) build() {
+	c.req = &http.Client{Timeout: requestTimeout, Transport: c.Transport}
+	c.stream = &http.Client{Transport: c.Transport}
+}
+
+// http is the client of every request but an event stream.
 func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	c.buildOnce.Do(func() {
-		timeout := c.Timeout
-		if timeout == 0 {
-			timeout = 60 * time.Second
-		} else if timeout < 0 {
-			timeout = 0
-		}
-		c.built = &http.Client{Timeout: timeout, Transport: c.Transport}
-	})
-	return c.built
+	c.once.Do(c.build)
+	return c.req
 }
 
-func (c *Client) retries() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 4
-}
-
-func (c *Client) backoff(attempt int) time.Duration {
-	base := c.Backoff
-	if base <= 0 {
-		base = 500 * time.Millisecond
-	}
-	return base << attempt
+// streamHTTP is the client of the long-lived event streams.
+func (c *Client) streamHTTP() *http.Client {
+	c.once.Do(c.build)
+	return c.stream
 }
 
 func (c *Client) logf(format string, args ...any) {
@@ -117,10 +113,25 @@ func apiErrorOf(resp *http.Response, body []byte) error {
 	return fmt.Errorf("%s: %s", resp.Request.URL.Path, resp.Status)
 }
 
+// call sends req and reads the whole answer: every request but an event
+// stream or a snapshot download goes through it. An answer whose status is
+// not want is the server's error; resp is nil only when nothing answered.
+func (c *Client) call(req *http.Request, want int) (resp *http.Response, data []byte, err error) {
+	if resp, err = c.http().Do(req); err != nil {
+		return nil, nil, err
+	}
+	data, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != want {
+		return resp, data, apiErrorOf(resp, data)
+	}
+	return resp, data, err
+}
+
 // Submit posts a job and returns its server-assigned ID. A 429 answer
 // (queue full) is back-pressure, not failure: Submit waits the server's
-// Retry-After hint (or an exponential backoff when absent) and resubmits,
-// up to Retries times.
+// Retry-After hint (or Backoff when absent) and resubmits, up to
+// clientRetries times.
 func (c *Client) Submit(ctx context.Context, job Job) (string, error) {
 	body, err := json.Marshal(job)
 	if err != nil {
@@ -137,15 +148,9 @@ func (c *Client) Submit(ctx context.Context, job Job) (string, error) {
 			// span under it — the coordinator → worker trace hop.
 			req.Header.Set(telemetry.TraceHeader, sc.Header())
 		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return "", err
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < c.retries() {
-			delay := c.backoff(attempt)
+		resp, data, err := c.call(req, http.StatusAccepted)
+		if resp != nil && resp.StatusCode == http.StatusTooManyRequests && attempt < c.retries {
+			delay := Backoff(attempt)
 			if ra := resp.Header.Get("Retry-After"); ra != "" {
 				if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
 					delay = time.Duration(secs) * time.Second
@@ -159,8 +164,8 @@ func (c *Client) Submit(ctx context.Context, job Job) (string, error) {
 				return "", ctx.Err()
 			}
 		}
-		if resp.StatusCode != http.StatusAccepted {
-			return "", apiErrorOf(resp, data)
+		if err != nil {
+			return "", err
 		}
 		var out struct {
 			ID string `json:"id"`
@@ -178,14 +183,9 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.http().Do(req)
+	_, data, err := c.call(req, http.StatusOK)
 	if err != nil {
 		return err
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiErrorOf(resp, data)
 	}
 	return json.Unmarshal(data, v)
 }
@@ -208,14 +208,12 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 	if err != nil {
 		return h, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return h, fmt.Errorf("%w: %s: %v", ErrUnreachable, c.BaseURL, err)
+	resp, data, err := c.call(req, http.StatusOK)
+	if resp == nil && err != nil {
+		err = fmt.Errorf("%w: %s: %v", ErrUnreachable, c.BaseURL, err)
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return h, apiErrorOf(resp, data)
+	if err != nil {
+		return h, err
 	}
 	return h, json.Unmarshal(data, &h)
 }
@@ -228,14 +226,9 @@ func (c *Client) Cancel(ctx context.Context, id string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.http().Do(req)
+	_, data, err := c.call(req, http.StatusAccepted)
 	if err != nil {
 		return "", err
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return "", apiErrorOf(resp, data)
 	}
 	var out struct {
 		Status string `json:"status"`
@@ -244,20 +237,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (string, error) {
 		return "", fmt.Errorf("cancel %s: malformed response %q", id, data)
 	}
 	return out.Status, nil
-}
-
-// streamHTTP is the client used for long-lived event streams: it shares
-// the transport (so the chaos injector still intercepts) but carries no
-// overall request timeout — an SSE stream legitimately outlives any
-// per-request bound, and cancellation comes from the caller's context.
-func (c *Client) streamHTTP() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	c.streamOnce.Do(func() {
-		c.stream = &http.Client{Transport: c.Transport}
-	})
-	return c.stream
 }
 
 // CloseIdleConnections closes the keep-alive connections both of the
@@ -277,7 +256,7 @@ func (c *Client) CloseIdleConnections() {
 // error, truncation, a non-stream answer) is re-opened after pause
 // (default 150ms): the server replays the job's retained progress and
 // current state to every subscriber, so a reconnect misses nothing. Watch
-// gives up after more than Retries consecutive attempts that delivered no
+// gives up after more than clientRetries consecutive attempts that delivered no
 // state at all (a worker restarting its network stack should not fail the
 // unit; a worker that is gone should).
 func (c *Client) Watch(ctx context.Context, id string, pause time.Duration) (JobStatus, error) {
@@ -297,7 +276,7 @@ func (c *Client) Watch(ctx context.Context, id string, pause time.Duration) (Job
 			failures = 0
 		}
 		failures++
-		if failures > c.retries() {
+		if failures > c.retries {
 			return JobStatus{}, fmt.Errorf("job %s: %d consecutive event-stream failures: %w", id, failures, err)
 		}
 		c.logf("client: %s: job %s event stream failed (%v); reconnecting", c.BaseURL, id, err)
@@ -377,46 +356,28 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
+	_, data, err := c.call(req, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErrorOf(resp, data)
-	}
-	return data, err
+	return data, nil
 }
 
 // ExportSnapshot downloads the worker's shared-cache snapshot; with
 // delta, only entries computed since the last import (the worker's own
 // contribution).
 func (c *Client) ExportSnapshot(ctx context.Context, delta bool) ([]byte, error) {
-	path := "/v1/cache/snapshot"
-	if delta {
-		path += "?delta=1"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	rc, err := c.SnapshotReader(ctx, delta)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErrorOf(resp, data)
-	}
-	return data, err
+	defer rc.Close()
+	return io.ReadAll(rc)
 }
 
-// SnapshotReader opens the worker's shared-cache snapshot as a stream —
-// the record-by-record alternative to ExportSnapshot for consumers that
-// merge as they read (simcache.LoadStream) instead of buffering the
-// whole snapshot. The caller must Close the reader.
+// SnapshotReader opens the worker's shared-cache snapshot as a stream, for
+// consumers that merge as they read (simcache.LoadStream) instead of
+// buffering the whole snapshot. The caller must Close the reader.
 func (c *Client) SnapshotReader(ctx context.Context, delta bool) (io.ReadCloser, error) {
 	path := "/v1/cache/snapshot"
 	if delta {
@@ -454,14 +415,9 @@ func (c *Client) ImportSnapshotFrom(ctx context.Context, r io.Reader) (SnapshotR
 		return rep, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http().Do(req)
+	_, body, err := c.call(req, http.StatusOK)
 	if err != nil {
 		return rep, err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return rep, apiErrorOf(resp, body)
 	}
 	return rep, json.Unmarshal(body, &rep)
 }

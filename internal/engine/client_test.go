@@ -36,7 +36,6 @@ func TestClientSubmitHonorsRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClient(ts.URL)
-	c.Backoff = time.Millisecond
 	id, err := c.Submit(context.Background(), Job{Kind: KindUbench, Ubench: &UbenchJob{List: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +49,27 @@ func TestClientSubmitHonorsRetryAfter(t *testing.T) {
 
 	// With retries exhausted, the back-pressure error surfaces.
 	posts.Store(-100)
-	c.Retries = 1
 	if _, err := c.Submit(context.Background(), Job{Kind: KindUbench, Ubench: &UbenchJob{List: true}}); err == nil {
 		t.Error("endless 429 did not surface an error")
+	}
+}
+
+// TestBackoffSchedule pins the one retry schedule every client and sweep
+// loop waits on: 500ms doubled per attempt, capped at 30s however far the
+// attempts go.
+func TestBackoffSchedule(t *testing.T) {
+	for attempt, want := range []time.Duration{
+		500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second,
+		8 * time.Second, 16 * time.Second, 30 * time.Second, 30 * time.Second,
+	} {
+		if got := Backoff(attempt); got != want {
+			t.Errorf("Backoff(%d) = %v, want %v", attempt, got, want)
+		}
+	}
+	for _, attempt := range []int{8, 62, 63, 64, 1 << 20} {
+		if got := Backoff(attempt); got != 30*time.Second {
+			t.Errorf("Backoff(%d) = %v, want the 30s cap", attempt, got)
+		}
 	}
 }
 
@@ -61,12 +78,14 @@ func TestServerQueueFullAnswers429WithRetryAfter(t *testing.T) {
 	// first submission and never drains, so the full-queue answer is
 	// deterministic.
 	srv := &Server{
-		opts:    ServerOptions{QueueDepth: 1, KeepLog: 5, KeepJobs: 16},
-		cache:   simcache.New(),
-		log:     func(string, ...any) {},
-		jobs:    map[string]*jobState{},
-		queue:   make(chan *jobState, 1),
-		metrics: telemetry.NewRegistry(),
+		opts:     ServerOptions{QueueDepth: 1},
+		keepLog:  5,
+		keepJobs: 16,
+		cache:    simcache.New(),
+		log:      func(string, ...any) {},
+		jobs:     map[string]*jobState{},
+		queue:    make(chan *jobState, 1),
+		metrics:  telemetry.NewRegistry(),
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -250,7 +269,6 @@ func TestClientHealthDistinguishesUnreachableFromDraining(t *testing.T) {
 	// Nothing listening: a transport-level failure wrapped in
 	// ErrUnreachable.
 	gone := NewClient("http://127.0.0.1:1")
-	gone.Timeout = 500 * time.Millisecond
 	if _, err := gone.Health(ctx); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("dead endpoint Health error = %v, want ErrUnreachable", err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 )
@@ -31,9 +32,6 @@ type progressRing struct {
 }
 
 func newProgressRing(keep int, emit func(line string, seq int64)) *progressRing {
-	if keep <= 0 {
-		keep = 50
-	}
 	return &progressRing{keep: keep, emit: emit}
 }
 
@@ -45,7 +43,7 @@ func (r *progressRing) Write(p []byte) (int, error) {
 	buf := append(r.partial, p...)
 	var completed []string
 	for {
-		i := indexByte(buf, '\n')
+		i := bytes.IndexByte(buf, '\n')
 		if i < 0 {
 			break
 		}
@@ -109,13 +107,4 @@ func (r *progressRing) LinesSeq() ([]string, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]string(nil), r.lines...), r.total
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
 }

@@ -29,7 +29,8 @@ type ServerOptions struct {
 	// jobs already fan their simulation units across Parallelism cores).
 	Workers int
 	// QueueDepth bounds the number of queued-but-not-running jobs; a full
-	// queue answers 503 (default 64).
+	// queue answers 429 with a Retry-After header (default 64). 503 means
+	// the server is draining.
 	QueueDepth int
 	// CachePath, when set, warms the shared simulation cache from a
 	// snapshot at startup (simcache.Open) and saves it once, in Drain,
@@ -46,13 +47,6 @@ type ServerOptions struct {
 	// for run, validate, experiments and ubench jobs alike. Zero leaves
 	// both unbounded.
 	MemoryBudget int64
-	// KeepLog bounds the per-job progress ring (default 50 lines).
-	KeepLog int
-	// KeepJobs bounds how many finished jobs (with their full results) are
-	// retained for GET /v1/jobs/{id}; beyond it the oldest finished job is
-	// evicted and answers 404 (default 256). Queued and running jobs are
-	// never evicted.
-	KeepJobs int
 	// JobTimeout is the server-enforced deadline on every job (0: none).
 	// A job also carrying its own Job.Timeout runs under the smaller of
 	// the two. A job past its deadline is cancelled (context threading
@@ -151,6 +145,10 @@ type Server struct {
 	memo  *tracememo.Memo    // trace memo shared by every job
 	log   func(format string, args ...any)
 
+	// keepLog and keepJobs are progressLines and finishedJobs; only tests
+	// set other values.
+	keepLog, keepJobs int
+
 	// metrics is the server's telemetry registry (GET /metrics); build is
 	// the identity it reports there and on /healthz; sseStreams counts
 	// open event streams.
@@ -176,6 +174,15 @@ type Server struct {
 	wg    sync.WaitGroup
 }
 
+const (
+	// progressLines bounds each job's progress ring (JobStatus.Progress).
+	progressLines = 50
+	// finishedJobs bounds the finished jobs, full results included, kept
+	// for GET /v1/jobs/{id}; beyond it the oldest finished job is evicted
+	// and answers 404. Queued and running jobs are never evicted.
+	finishedJobs = 256
+)
+
 // NewServer builds a server, warms the shared cache from CachePath (if
 // set) and starts the worker pool.
 func NewServer(opts ServerOptions) (*Server, error) {
@@ -185,24 +192,20 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.KeepLog <= 0 {
-		opts.KeepLog = 50
-	}
-	if opts.KeepJobs <= 0 {
-		opts.KeepJobs = 256
-	}
 	log := opts.Log
 	if log == nil {
 		log = func(string, ...any) {}
 	}
 	s := &Server{
-		opts:    opts,
-		cache:   simcache.New(),
-		log:     log,
-		jobs:    map[string]*jobState{},
-		queue:   make(chan *jobState, opts.QueueDepth),
-		metrics: telemetry.NewRegistry(),
-		build:   buildInfo,
+		opts:     opts,
+		cache:    simcache.New(),
+		log:      log,
+		keepLog:  progressLines,
+		keepJobs: finishedJobs,
+		jobs:     map[string]*jobState{},
+		queue:    make(chan *jobState, opts.QueueDepth),
+		metrics:  telemetry.NewRegistry(),
+		build:    buildInfo,
 	}
 	// One process-lifetime trace memo shared by every job of every kind:
 	// repeated job shapes — and the units of a sweep, each an experiments
@@ -358,20 +361,20 @@ func (s *Server) effectiveTimeout(job Job) time.Duration {
 }
 
 // retire records a finished job and evicts the oldest finished jobs
-// beyond KeepJobs, bounding what a long-lived server retains (every
+// beyond keepJobs, bounding what a long-lived server retains (every
 // result holds a full artifact and captured log). In-flight jobs are
 // untouched: only ids pushed here are ever evicted.
 func (s *Server) retire(finishedID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done = append(s.done, finishedID)
-	for len(s.done) > s.opts.KeepJobs {
+	for len(s.done) > s.keepJobs {
 		old := s.done[0]
 		s.done = s.done[1:]
 		delete(s.jobs, old)
 		// Prune the listing order too, or it grows with every job ever
 		// submitted over the server's lifetime. After pruning, s.order is
-		// bounded by queued+running+KeepJobs, so the scan is cheap.
+		// bounded by queued+running+keepJobs, so the scan is cheap.
 		for i, id := range s.order {
 			if id == old {
 				s.order = append(s.order[:i], s.order[i+1:]...)
@@ -379,12 +382,6 @@ func (s *Server) retire(finishedID string) {
 			}
 		}
 	}
-}
-
-func (st *jobState) statusString() string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.status
 }
 
 // Submission failures that mean "retry later", not "bad job". The HTTP
@@ -426,7 +423,7 @@ func (s *Server) SubmitTraced(job Job, sc telemetry.SpanContext) (string, error)
 		submitted: time.Now(),
 		trace:     sc,
 	}
-	st.ring = newProgressRing(s.opts.KeepLog, func(line string, seq int64) {
+	st.ring = newProgressRing(s.keepLog, func(line string, seq int64) {
 		st.notify(jobEvent{Kind: "progress", Data: line, Seq: seq})
 	})
 	select {

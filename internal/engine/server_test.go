@@ -380,10 +380,11 @@ func TestServerQueueBound(t *testing.T) {
 }
 
 func TestServerRetiresOldFinishedJobs(t *testing.T) {
-	srv, err := NewServer(ServerOptions{KeepJobs: 2})
+	srv, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.keepJobs = 2
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -428,10 +429,11 @@ func TestServerRetiresOldFinishedJobs(t *testing.T) {
 }
 
 func TestServerProgressRing(t *testing.T) {
-	srv, err := NewServer(ServerOptions{KeepLog: 5})
+	srv, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.keepLog = 5
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -195,7 +195,7 @@ func TestClientWatch(t *testing.T) {
 // TestClientWatchReconnects: a broken event stream is re-opened, and the
 // server's replay makes the reconnect a full resume — Watch ends on the
 // status Status reports. The endpoint failing outright or cutting the
-// stream mid-body up to Retries times in a row is absorbed; once more is
+// stream mid-body up to retries times in a row is absorbed; once more is
 // an error naming the job; a cancelled context is the context's error.
 func TestClientWatchReconnects(t *testing.T) {
 	srv, err := NewServer(ServerOptions{})
@@ -224,14 +224,14 @@ func TestClientWatchReconnects(t *testing.T) {
 	ctx := context.Background()
 
 	c := NewClient(ts.URL)
-	c.Retries = 2
+	c.retries = 2
 	id, err := c.Submit(ctx, tinyExperiments())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, midBody := range []bool{false, true} {
 		cut.Store(midBody)
-		failures.Store(int32(c.Retries))
+		failures.Store(int32(c.retries))
 		watched, err := c.Watch(ctx, id, time.Millisecond)
 		if err != nil {
 			t.Fatalf("cut mid-body %v: %v", midBody, err)
@@ -248,14 +248,14 @@ func TestClientWatchReconnects(t *testing.T) {
 		}
 	}
 
-	failures.Store(int32(c.Retries) + 1)
+	failures.Store(int32(c.retries) + 1)
 	if _, err := c.Watch(ctx, id, time.Millisecond); err == nil || !strings.Contains(err.Error(), id) {
-		t.Errorf("%d failures in a row: got %v, want an error naming %s", c.Retries+1, err, id)
+		t.Errorf("%d failures in a row: got %v, want an error naming %s", c.retries+1, err, id)
 	}
 
 	failures.Store(1 << 30)
 	patient := NewClient(ts.URL)
-	patient.Retries = 1 << 30
+	patient.retries = 1 << 30
 	cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
 	if _, err := patient.Watch(cctx, id, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {

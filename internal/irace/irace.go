@@ -36,21 +36,24 @@ type BatchEvaluator interface {
 	CostBatch(cfgs []Assignment, instance int) []float64
 }
 
+// The race's fixed settings.
+const (
+	// firstTest is how many instances are seen before the first
+	// statistical elimination.
+	firstTest = 5
+	// alpha is the elimination significance level.
+	alpha = 0.05
+	// minSurvivors stops eliminating once this many candidates remain.
+	minSurvivors = 4
+	// numElites is how many survivors carry over between iterations.
+	numElites = 4
+)
+
 // Options tunes the tuner itself. Zero values select defaults.
 type Options struct {
 	// Budget is the maximum number of (configuration, instance)
 	// evaluations; the paper uses up to 100k trials.
 	Budget int
-	// FirstTest is how many instances are seen before the first
-	// statistical elimination (default 5).
-	FirstTest int
-	// Alpha is the elimination significance level (default 0.05).
-	Alpha float64
-	// MinSurvivors stops a race when this many candidates remain
-	// (default 4).
-	MinSurvivors int
-	// Elites carried between iterations (default 4).
-	Elites int
 	// Seed makes runs reproducible.
 	Seed int64
 	// Parallelism bounds concurrent Cost calls (default GOMAXPROCS).
@@ -79,18 +82,6 @@ func (o Options) ctxErr() error {
 func (o Options) withDefaults() Options {
 	if o.Budget <= 0 {
 		o.Budget = 2000
-	}
-	if o.FirstTest <= 0 {
-		o.FirstTest = 5
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 0.05
-	}
-	if o.MinSurvivors <= 0 {
-		o.MinSurvivors = 4
-	}
-	if o.Elites <= 0 {
-		o.Elites = 4
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -176,16 +167,16 @@ func (t *Tuner) Run() (*Result, error) {
 			return nil, err
 		}
 		left := t.opt.Budget - t.used
-		// Racing needs at least two candidates seen on FirstTest instances;
+		// Racing needs at least two candidates seen on firstTest instances;
 		// with less budget than that left, stop rather than overspend.
-		if left < 2*t.opt.FirstTest {
+		if left < 2*firstTest {
 			break
 		}
 		iterBudget := left / (iterations - j + 1)
-		perConfig := t.opt.FirstTest + 4
+		perConfig := firstTest + 4
 		nNew := iterBudget / perConfig
-		if nNew < t.opt.MinSurvivors+2 {
-			nNew = t.opt.MinSurvivors + 2
+		if nNew < minSurvivors+2 {
+			nNew = minSurvivors + 2
 		}
 
 		frac := float64(j-1) / float64(iterations)
@@ -204,13 +195,13 @@ func (t *Tuner) Run() (*Result, error) {
 			seen[key] = true
 			cands = append(cands, t.candidateFor(cfg, key))
 		}
-		// Affordability (the FirstTest guarantee): every raced candidate
-		// must be evaluable on the first FirstTest instances without
+		// Affordability (the firstTest guarantee): every raced candidate
+		// must be evaluable on the first firstTest instances without
 		// exceeding the budget, so trim the newest samples first (elites
 		// sit at the front and their early instances are often already
 		// paid for). This keeps Evaluations <= Budget exact instead of
 		// overshooting by O(candidates) on the final race.
-		if max := left / t.opt.FirstTest; len(cands) > max {
+		if max := left / firstTest; len(cands) > max {
 			cands = cands[:max]
 		}
 
@@ -221,11 +212,7 @@ func (t *Tuner) Run() (*Result, error) {
 		if len(survivors) == 0 {
 			return nil, fmt.Errorf("irace: race %d eliminated every candidate", j)
 		}
-		nElite := t.opt.Elites
-		if nElite > len(survivors) {
-			nElite = len(survivors)
-		}
-		elites = survivors[:nElite]
+		elites = survivors[:min(numElites, len(survivors))]
 		best := elites[0]
 		res.Iterations = append(res.Iterations, IterationSummary{
 			Iteration:   j,

@@ -159,7 +159,7 @@ func TestEvaluationsNeverExceedBudget(t *testing.T) {
 			if err != nil {
 				// Degenerate budgets may legitimately be too small to
 				// race at all; they must fail, not overspend.
-				if budget >= 2*5 { // 2 candidates × FirstTest default
+				if budget >= 2*5 { // 2 candidates × firstTest
 					t.Errorf("budget %d seed %d: %v", budget, seed, err)
 				}
 				continue

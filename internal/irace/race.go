@@ -8,7 +8,7 @@ import (
 )
 
 // race evaluates candidates instance-by-instance, eliminating statistically
-// inferior configurations after each step once FirstTest instances have
+// inferior configurations after each step once firstTest instances have
 // been seen. It returns the survivors ordered best-first.
 func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 	alive := make([]*candidate, len(cands))
@@ -23,10 +23,10 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 			return nil, err
 		}
 		// Stop once the next instance step no longer fits in the budget.
-		// During the first FirstTest steps affordability is guaranteed by
+		// During the first firstTest steps affordability is guaranteed by
 		// the candidate trim in Run, so every candidate reaches the first
 		// statistical test fully evaluated.
-		if step >= t.opt.FirstTest && t.opt.Budget-t.used < t.pending(alive, inst) {
+		if step >= firstTest && t.opt.Budget-t.used < t.pending(alive, inst) {
 			break
 		}
 		t.evalBatch(alive, []int{inst})
@@ -35,7 +35,7 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 		if t.opt.DisableElimination {
 			continue
 		}
-		if step+1 < t.opt.FirstTest || len(alive) <= t.opt.MinSurvivors {
+		if step+1 < firstTest || len(alive) <= minSurvivors {
 			continue
 		}
 		seen := order[:step+1]
@@ -47,11 +47,11 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 			}
 			matrix = append(matrix, row)
 		}
-		fr, err := stats.Friedman(matrix, t.opt.Alpha)
+		fr, err := stats.Friedman(matrix, alpha)
 		if err != nil {
 			return nil, err
 		}
-		if fr.PValue >= t.opt.Alpha {
+		if fr.PValue >= alpha {
 			continue
 		}
 		// Post hoc: drop candidates whose rank sum is worse than the best
@@ -70,9 +70,9 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 				keep = append(keep, c)
 			}
 		}
-		if len(keep) < t.opt.MinSurvivors {
+		if len(keep) < minSurvivors {
 			// The post-hoc test was sharper than the survivor floor:
-			// keep the best MinSurvivors by mean rank instead.
+			// keep the best minSurvivors by mean rank instead.
 			idx := make([]int, len(alive))
 			for j := range idx {
 				idx[j] = j
@@ -81,12 +81,12 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 				return fr.MeanRanks[idx[a]] < fr.MeanRanks[idx[b]]
 			})
 			keep = keep[:0]
-			for _, j := range idx[:t.opt.MinSurvivors] {
+			for _, j := range idx[:minSurvivors] {
 				keep = append(keep, alive[j])
 			}
 		}
 		alive = keep
-		if len(alive) <= t.opt.MinSurvivors {
+		if len(alive) <= minSurvivors {
 			// Keep racing the remaining few to refine their cost
 			// estimates, but skip further statistical tests.
 			continue
