@@ -154,25 +154,14 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 		return cfg, true
 	}
 
-	// evaluate scores a; ok is false when a is not a valid configuration.
-	evaluate := func(a irace.Assignment) (mean float64, ok bool, err error) {
-		cfg, ok := apply(a)
-		if !ok {
-			return 0, false, nil
-		}
-		_, m, err := meanError(cfg, ws, o)
-		return m, err == nil, err
-	}
-
 	best := optimum.Clone()
-	bestErr, ok, err := evaluate(best)
+	bestCfg, ok := apply(best)
+	if !ok {
+		bestCfg = tuned
+	}
+	_, bestErr, err := meanError(bestCfg, ws, o)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		if _, bestErr, err = meanError(tuned, ws, o); err != nil {
-			return nil, err
-		}
 	}
 
 	start := func(r int) irace.Assignment {
@@ -192,15 +181,21 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 		return a
 	}
 
+	// A trial whose canonical form equals the current point's is the same
+	// simulation as the current point: its mean would be exactly curErr,
+	// which the ascent never accepts, so it is skipped unsimulated.
+	trials, skipped := 0, 0
 	for r := 0; r <= o.Restarts; r++ {
 		cur := start(r)
-		curErr, ok, err := evaluate(cur)
-		if err != nil {
-			return nil, err
-		}
+		curCfg, ok := apply(cur)
 		if !ok {
 			continue
 		}
+		_, curErr, err := meanError(curCfg, ws, o)
+		if err != nil {
+			return nil, err
+		}
+		curCanon := sim.Canonical(curCfg)
 		for pass := 0; pass < o.MaxPasses; pass++ {
 			improved := false
 			for _, d := range defs {
@@ -210,33 +205,43 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 				// The trials differ from cur in this parameter only and do
 				// not depend on each other, so they are simulated as one
 				// parallel batch; the ascent rule then reads them in
-				// candidate order, exactly as if evaluated one by one.
+				// candidate order, exactly as if evaluated one by one. Each
+				// Set writes only d's field, so a trial is the configuration
+				// sim.Apply(tuned, cur with d moved) would build.
 				var vals []string
 				var cfgs []sim.Config
 				for _, v := range cands {
 					if v == cur[d.Name] {
 						continue
 					}
-					trial := cur.Clone()
-					trial[d.Name] = v
-					if cfg, ok := apply(trial); ok {
-						vals = append(vals, v)
-						cfgs = append(cfgs, cfg)
+					trial := curCfg
+					if d.Set(&trial, v) != nil || trial.Validate() != nil {
+						continue
 					}
+					trials++
+					if sim.Canonical(trial) == curCanon {
+						skipped++
+						continue
+					}
+					vals = append(vals, v)
+					cfgs = append(cfgs, trial)
 				}
-				bestVal := cur[d.Name]
 				evs, err := meanErrors(cfgs, ws, o)
 				if err != nil {
 					return nil, err
 				}
+				moved := false
 				for i, ev := range evs {
 					if ev.mean > curErr {
 						curErr = ev.mean
-						bestVal = vals[i]
-						improved = true
+						cur[d.Name], curCfg = vals[i], cfgs[i]
+						moved = true
 					}
 				}
-				cur[d.Name] = bestVal
+				if moved {
+					improved = true
+					curCanon = sim.Canonical(curCfg)
+				}
 			}
 			if !improved {
 				break
@@ -248,6 +253,7 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 			best = cur.Clone()
 		}
 	}
+	o.Log("perturb: %d of %d trials skipped (unread parameter)", skipped, trials)
 
 	worstCfg, ok := apply(best)
 	if !ok {
@@ -258,11 +264,18 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	dev := 0
+	// Deviations counts assignments, read or not: a parameter the tuned
+	// kinds do not read is counted too (docs/validation.md). Only the
+	// categorical kinds decide what is read, and they never move here.
+	dev, read := 0, 0
 	for _, d := range defs {
 		if best[d.Name] != optimum[d.Name] {
 			dev++
+			if d.Active(&tuned) {
+				read++
+			}
 		}
 	}
+	o.Log("perturb: %d parameters deviate, %d of them read by the models", dev, read)
 	return &Result{Config: worstCfg, Errors: errs, MeanError: mean, Deviations: dev}, nil
 }

@@ -3,20 +3,24 @@ package perturb
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"racesim/internal/hw"
+	"racesim/internal/irace"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
 	"racesim/internal/workload"
 )
 
-func workloads(t *testing.T, board *hw.Board, n int) []Workload {
+func workloads(t *testing.T, board *hw.Board, n, events int) []Workload {
 	t.Helper()
 	var out []Workload
 	for _, p := range workload.Profiles()[:n] {
-		tr, err := workload.Generate(p, workload.Options{Events: 20_000})
+		tr, err := workload.Generate(p, workload.Options{Events: events})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +41,7 @@ func TestWorstNearOptimumInflatesError(t *testing.T) {
 	// Use the ground truth as the "tuned optimum": its own error is just
 	// the measurement noise, so single-step deviations must hurt.
 	tuned := p.A53.TrueConfig()
-	ws := workloads(t, p.A53, 4)
+	ws := workloads(t, p.A53, 4, 20_000)
 	_, optErr, err := meanError(tuned, ws, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +98,7 @@ func TestSimulationErrorAbortsSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned := p.A53.TrueConfig()
-	ws := workloads(t, p.A53, 2)
+	ws := workloads(t, p.A53, 2, 20_000)
 	cache := simcache.New()
 	if _, _, err := meanError(tuned, ws, Options{Cache: cache}); err != nil {
 		t.Fatal(err)
@@ -120,11 +124,152 @@ func TestWorstNearOptimumStopsOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = WorstNearOptimum(p.A53.TrueConfig(), workloads(t, p.A53, 2), Options{
+	_, err = WorstNearOptimum(p.A53.TrueConfig(), workloads(t, p.A53, 2, 20_000), Options{
 		Restarts: 1, MaxPasses: 1, Seed: 1, Context: ctx,
 		Log: func(string, ...any) { cancel() },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled search returned %v, want context.Canceled", err)
+	}
+}
+
+// referenceSearch is the search as it was before trials were skipped by
+// canonical form: every trial is an assignment overlaid on tuned through
+// sim.Apply and simulated, one after the other. It is the oracle
+// WorstNearOptimum must match.
+func referenceSearch(tuned sim.Config, ws []Workload, opt Options) (*Result, error) {
+	o := opt.withDefaults()
+	defs := sim.Params(tuned.Kind)
+	optimum := sim.Extract(tuned)
+	rng := rand.New(rand.NewSource(o.Seed))
+	evaluate := func(a irace.Assignment) (float64, bool, error) {
+		cfg, err := sim.Apply(tuned, a)
+		if err != nil {
+			return 0, false, nil
+		}
+		_, m, err := meanError(cfg, ws, o)
+		return m, err == nil, err
+	}
+	best := optimum.Clone()
+	bestErr, ok, err := evaluate(best)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		if _, bestErr, err = meanError(tuned, ws, o); err != nil {
+			return nil, err
+		}
+	}
+	for r := 0; r <= o.Restarts; r++ {
+		cur := optimum.Clone()
+		if r > 0 {
+			for _, d := range defs {
+				ns := neighbors(d, cur[d.Name])
+				if len(ns) == 0 || rng.Intn(2) == 0 {
+					continue
+				}
+				cur[d.Name] = ns[rng.Intn(len(ns))]
+			}
+		}
+		curErr, ok, err := evaluate(cur)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		for pass := 0; pass < o.MaxPasses; pass++ {
+			improved := false
+			for _, d := range defs {
+				bestVal := cur[d.Name]
+				for _, v := range append([]string{optimum[d.Name]}, neighbors(d, optimum[d.Name])...) {
+					if v == cur[d.Name] {
+						continue
+					}
+					trial := cur.Clone()
+					trial[d.Name] = v
+					m, ok, err := evaluate(trial)
+					if err != nil {
+						return nil, err
+					}
+					if ok && m > curErr {
+						curErr, bestVal, improved = m, v, true
+					}
+				}
+				cur[d.Name] = bestVal
+			}
+			if !improved {
+				break
+			}
+		}
+		if curErr > bestErr {
+			bestErr, best = curErr, cur.Clone()
+		}
+	}
+	worst, err := sim.Apply(tuned, best)
+	if err != nil {
+		worst = tuned
+	}
+	worst.Name = tuned.Name + "-worst1step"
+	errs, mean, err := meanError(worst, ws, o)
+	if err != nil {
+		return nil, err
+	}
+	dev := 0
+	for _, d := range defs {
+		if best[d.Name] != optimum[d.Name] {
+			dev++
+		}
+	}
+	return &Result{Config: worst, Errors: errs, MeanError: mean, Deviations: dev}, nil
+}
+
+// TestSkippedTrialsChangeNoResult: skipping the trials that repeat the
+// current point's canonical form, and building each trial as one Set on the
+// current configuration, finds exactly what simulating every trial through
+// sim.Apply found — on both board truths (the A72's L2 prefetcher is the
+// spatial kind no tunable offers) and on sampled configurations — while
+// the search skips some trials.
+func TestSkippedTrialsChangeNoResult(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	skipped := 0
+	for _, board := range []*hw.Board{p.A53, p.A72} {
+		ws := workloads(t, board, 2, 3000)
+		space, err := sim.Space(board.TrueConfig().Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, err := sim.Apply(board.TrueConfig(), irace.SampleUniform(space, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tuned := range []sim.Config{board.TrueConfig(), sampled} {
+			opts := Options{Restarts: 2, MaxPasses: 2, Seed: 5}
+			want, err := referenceSearch(tuned, ws, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Cache = simcache.New()
+			opts.Log = func(format string, args ...any) {
+				var n, m int
+				if _, err := fmt.Sscanf(fmt.Sprintf(format, args...), "perturb: %d of %d trials skipped", &n, &m); err == nil {
+					skipped += n
+				}
+			}
+			got, err := WorstNearOptimum(tuned, ws, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: search found %+v, the reference %+v", tuned.Name, got, want)
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Error("no trial was skipped: the test does not exercise the skip")
 	}
 }

@@ -7,10 +7,12 @@ package sim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
@@ -144,21 +146,50 @@ func (c Config) RunDecoded(d *trace.Decoded) (core.Result, error) {
 }
 
 // Fingerprint returns a stable hex digest of the configuration's canonical
-// JSON form. Two configurations that simulate identically (same kind and
-// parameter values, regardless of Name) share a fingerprint; it is the
-// config half of the simulation-cache key (see internal/simcache).
+// form (Canonical): configurations that differ only in Name, or only in
+// tunables no model reads under the kinds they select, share a fingerprint.
+// It is the config half of the simulation-cache key (see internal/simcache).
+// The digest is SHA-256 over appendFields' binary encoding of every field,
+// so it allocates nothing but the returned string.
 func (c Config) Fingerprint() string {
-	canon := c
-	canon.Name = "" // cosmetic only: tuned copies must hit the same entry
-	data, err := json.Marshal(canon)
-	if err != nil {
-		// Config is a tree of plain value fields; Marshal cannot fail on
-		// it. Guard anyway so a future field type cannot poison the cache
-		// with colliding keys.
-		panic(fmt.Sprintf("sim: fingerprint marshal: %v", err))
+	sum := c.fingerprintSum()
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+func (c Config) fingerprintSum() [sha256.Size]byte {
+	canon := Canonical(c)
+	var buf [1024]byte // a Config encodes to a few hundred bytes
+	return sha256.Sum256(appendFields(buf[:0], reflect.ValueOf(&canon).Elem()))
+}
+
+// appendFields appends v's leaves in declaration order: integers as
+// varints, strings length-prefixed, bools as one byte. The order is fixed
+// and every leaf self-delimiting, so equal encodings mean equal values. The
+// walk reaches every field by construction; a field of a kind it cannot
+// encode panics, rather than letting configurations share a key.
+func appendFields(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			b = appendFields(b, v.Field(i))
+		}
+	case reflect.Int:
+		b = binary.AppendVarint(b, v.Int())
+	case reflect.String:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		b = append(b, v.String()...)
+	case reflect.Bool:
+		x := byte(0)
+		if v.Bool() {
+			x = 1
+		}
+		b = append(b, x)
+	default:
+		panic(fmt.Sprintf("sim: fingerprint: cannot encode a %s field", v.Kind()))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return b
 }
 
 // MarshalJSONFile writes the configuration to path as indented JSON.

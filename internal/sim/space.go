@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -21,6 +23,99 @@ type ParamDef struct {
 	Ordered bool
 	Get     func(*Config) string
 	Set     func(*Config, string) error
+	// When is the parameter's activation condition: the configurations
+	// whose models read its field. nil means always. A field it leaves
+	// active that some kind does not read only costs a missed
+	// deduplication; one it marks inactive that a model reads would make
+	// Canonical merge configurations that simulate differently.
+	When *Cond
+
+	// Resolved by buildParams: the index paths (reflect.Value.FieldByIndex)
+	// of the one Config field Set writes and of When.Parent's field, and
+	// the field holding Values[0].
+	field, parent []int
+	first         reflect.Value
+}
+
+// Cond is an activation condition in irace's form for conditional
+// parameters, "name | Parent in {Values}" (or "not in" with Not). A Cond
+// with no Parent is never satisfied: no model reads the parameter.
+type Cond struct {
+	Parent string
+	Values []string
+	Not    bool
+}
+
+// whenIn, unless and never build the three forms of Cond.
+func whenIn(parent string, vs ...string) *Cond { return &Cond{Parent: parent, Values: vs} }
+func unless(parent string, vs ...string) *Cond { return &Cond{Parent: parent, Values: vs, Not: true} }
+
+var never = &Cond{}
+
+// Active reports whether a model reads d's field in c. It reads the
+// parent's field by reflection, not through its Get, so that a
+// configuration on the stack stays there (Canonical allocates nothing).
+func (d *ParamDef) Active(c *Config) bool {
+	if d.When == nil {
+		return true
+	}
+	if d.parent == nil {
+		return false
+	}
+	p := reflect.ValueOf(c).Elem().FieldByIndex(d.parent)
+	v := ""
+	if p.Kind() == reflect.String {
+		v = p.String()
+	} else {
+		v = boolStr(p.Bool())
+	}
+	return slices.Contains(d.When.Values, v) != d.When.Not
+}
+
+// locate resolves d.field and d.first on base: every listed value is set
+// on a copy and the copy's leaves compared with base's. A Set that writes
+// no field or more than one panics — a trial in the perturbation search is
+// one Set on the current configuration, which relies on it.
+func (d *ParamDef) locate(base Config) {
+	for _, v := range d.Values {
+		c := base
+		if err := d.Set(&c, v); err != nil {
+			panic(err)
+		}
+		for _, path := range changedLeaves(reflect.ValueOf(base), reflect.ValueOf(c), nil) {
+			if d.field != nil && !slices.Equal(d.field, path) {
+				panic(fmt.Sprintf("sim: %s: Set writes two fields", d.Name))
+			}
+			d.field = path
+		}
+	}
+	if d.field == nil {
+		panic(fmt.Sprintf("sim: %s: Set writes no field", d.Name))
+	}
+	_ = d.Set(&base, d.Values[0]) // it succeeded above
+	d.first = reflect.ValueOf(base).FieldByIndex(d.field)
+}
+
+// changedLeaves returns the index paths, under at, of the leaves that
+// differ between a and b.
+func changedLeaves(a, b reflect.Value, at []int) [][]int {
+	if a.Kind() != reflect.Struct {
+		if a.Equal(b) {
+			return nil
+		}
+		return [][]int{at}
+	}
+	var out [][]int
+	for i := 0; i < a.NumField(); i++ {
+		out = append(out, changedLeaves(a.Field(i), b.Field(i), append(slices.Clip(at), i))...)
+	}
+	return out
+}
+
+// when returns d with activation condition w.
+func (d ParamDef) when(w *Cond) ParamDef {
+	d.When = w
+	return d
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
@@ -89,15 +184,21 @@ func choiceParam(name string, values []string, get func(*Config) string, set fun
 	}
 }
 
+// prefetchParams declares a level's prefetcher. Kind none reads none of
+// its fields; next_line and spatial (the A72 board's, never offered to the
+// tuner) read no table, stride and ghb read every field (prefetch.go).
 func prefetchParams(prefix string, get func(*Config) *prefetch.Config, kinds []string, degrees, distances, tables []int) []ParamDef {
+	kind := prefix + ".kind"
+	on := unless(kind, string(prefetch.KindNone))
 	return []ParamDef{
-		choiceParam(prefix+".kind", kinds,
+		choiceParam(kind, kinds,
 			func(c *Config) string { return string(get(c).Kind) },
 			func(c *Config, s string) { get(c).Kind = prefetch.Kind(s) }),
-		intParam(prefix+".degree", func(c *Config) *int { return &get(c).Degree }, degrees...),
-		intParam(prefix+".distance", func(c *Config) *int { return &get(c).Distance }, distances...),
-		intParam(prefix+".table", func(c *Config) *int { return &get(c).TableEntries }, tables...),
-		boolParam(prefix+".on_hit", func(c *Config) *bool { return &get(c).OnHit }),
+		intParam(prefix+".degree", func(c *Config) *int { return &get(c).Degree }, degrees...).when(on),
+		intParam(prefix+".distance", func(c *Config) *int { return &get(c).Distance }, distances...).when(on),
+		intParam(prefix+".table", func(c *Config) *int { return &get(c).TableEntries }, tables...).
+			when(unless(kind, string(prefetch.KindNone), string(prefetch.KindNextLine))),
+		boolParam(prefix+".on_hit", func(c *Config) *bool { return &get(c).OnHit }).when(on),
 	}
 }
 
@@ -141,16 +242,21 @@ func buildParams(kind CoreKind) []ParamDef {
 		[]string{"static", "bimodal", "gshare", "tournament"},
 		func(c *Config) string { return string(c.Branch.Kind) },
 		func(c *Config, s string) { c.Branch.Kind = branch.Kind(s) }))
-	add(intParam("branch.bimodal_entries", func(c *Config) *int { return &c.Branch.BimodalEntries }, 512, 1024, 2048, 4096, 8192))
-	add(intParam("branch.gshare_entries", func(c *Config) *int { return &c.Branch.GShareEntries }, 512, 1024, 2048, 4096, 8192))
-	add(intParam("branch.history_bits", func(c *Config) *int { return &c.Branch.HistoryBits }, 4, 6, 8, 10, 12))
-	add(intParam("branch.chooser_entries", func(c *Config) *int { return &c.Branch.ChooserEntries }, 512, 1024, 2048, 4096))
+	// Each direction predictor reads only its own tables (branch.Unit.Reset).
+	bimodal := whenIn("branch.kind", string(branch.KindBimodal), string(branch.KindTournament))
+	gshare := whenIn("branch.kind", string(branch.KindGShare), string(branch.KindTournament))
+	add(intParam("branch.bimodal_entries", func(c *Config) *int { return &c.Branch.BimodalEntries }, 512, 1024, 2048, 4096, 8192).when(bimodal))
+	add(intParam("branch.gshare_entries", func(c *Config) *int { return &c.Branch.GShareEntries }, 512, 1024, 2048, 4096, 8192).when(gshare))
+	add(intParam("branch.history_bits", func(c *Config) *int { return &c.Branch.HistoryBits }, 4, 6, 8, 10, 12).when(gshare))
+	add(intParam("branch.chooser_entries", func(c *Config) *int { return &c.Branch.ChooserEntries }, 512, 1024, 2048, 4096).
+		when(whenIn("branch.kind", string(branch.KindTournament))))
 	add(intParam("branch.btb_entries", func(c *Config) *int { return &c.Branch.BTBEntries }, 64, 128, 256, 512, 1024))
 	add(intParam("branch.btb_assoc", func(c *Config) *int { return &c.Branch.BTBAssoc }, 1, 2, 4))
 	add(intParam("branch.ras_entries", func(c *Config) *int { return &c.Branch.RASEntries }, 4, 8, 16, 32))
 	add(boolParam("branch.indirect", func(c *Config) *bool { return &c.Branch.IndirectEnabled }))
-	add(intParam("branch.indirect_entries", func(c *Config) *int { return &c.Branch.IndirectEntries }, 128, 256, 512, 1024))
-	add(intParam("branch.indirect_history", func(c *Config) *int { return &c.Branch.IndirectHistory }, 2, 4, 8))
+	indirect := whenIn("branch.indirect", "true")
+	add(intParam("branch.indirect_entries", func(c *Config) *int { return &c.Branch.IndirectEntries }, 128, 256, 512, 1024).when(indirect))
+	add(intParam("branch.indirect_history", func(c *Config) *int { return &c.Branch.IndirectHistory }, 2, 4, 8).when(indirect))
 	add(intParam("frontend.mispredict_penalty", func(c *Config) *int { return &c.FrontEnd.MispredictPenalty }, 6, 8, 10, 12, 14, 16, 18))
 	add(intParam("frontend.btb_miss_penalty", func(c *Config) *int { return &c.FrontEnd.BTBMissPenalty }, 0, 1, 2, 3, 4))
 
@@ -166,11 +272,14 @@ func buildParams(kind CoreKind) []ParamDef {
 	add(choiceParam("l1i.prefetch.kind", []string{"none", "next_line"},
 		func(c *Config) string { return string(c.Mem.L1I.Prefetch.Kind) },
 		func(c *Config, s string) { c.Mem.L1I.Prefetch.Kind = prefetch.Kind(s) }))
-	add(intParam("l1i.prefetch.degree", func(c *Config) *int { return &c.Mem.L1I.Prefetch.Degree }, 1, 2))
+	add(intParam("l1i.prefetch.degree", func(c *Config) *int { return &c.Mem.L1I.Prefetch.Degree }, 1, 2).
+		when(unless("l1i.prefetch.kind", string(prefetch.KindNone))))
 
 	// L2 cache.
 	add(cacheParams("l2", func(c *Config) *cache.Config { return &c.Mem.L2 }, 9, 12, 15, 18, 21)...)
-	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16))
+	// The cores bound outstanding misses with l1d.mshrs; a level's MSHRs
+	// is validated and read by no model (docs/validation.md).
+	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16).when(never))
 	add(intParam("l2.victim_entries", func(c *Config) *int { return &c.Mem.L2.VictimEntries }, 0, 4, 8))
 	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch },
 		[]string{"none", "next_line", "stride", "ghb"}, []int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}, []int{32, 64, 128, 256})...)
@@ -216,6 +325,24 @@ func buildParams(kind CoreKind) []ParamDef {
 		add(intParam("pipes.load", func(c *Config) *int { return &c.Pipes.Load }, 1, 2))
 		add(intParam("pipes.store", func(c *Config) *int { return &c.Pipes.Store }, 1, 2))
 	}
+	base := PublicA53()
+	if kind != InOrder {
+		base = PublicA72()
+	}
+	for i := range defs {
+		defs[i].locate(base)
+	}
+	for i := range defs {
+		w := defs[i].When
+		if w == nil || w.Parent == "" {
+			continue
+		}
+		j := slices.IndexFunc(defs, func(p ParamDef) bool { return p.Name == w.Parent })
+		if j < 0 || defs[j].When != nil || defs[j].first.Kind() != reflect.String && defs[j].first.Kind() != reflect.Bool {
+			panic(fmt.Sprintf("sim: %s: condition parent %q is not an unconditional choice or bool", defs[i].Name, w.Parent))
+		}
+		defs[i].parent = defs[j].field
+	}
 	return defs
 }
 
@@ -246,6 +373,32 @@ func Apply(base Config, a irace.Assignment) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// Canonical returns the configuration a simulation-cache key stands for:
+// cfg with Name cleared and every tunable no model reads (ParamDef.When)
+// set to its first listed value. Configurations with one canonical form
+// simulate identically, so Canonical is for keys and equality only;
+// nothing is simulated under it. It is defined for valid configurations:
+// an invalid one may share its canonical form with a valid one.
+func Canonical(cfg Config) Config {
+	canon := cfg
+	canon.Name = ""
+	dst := reflect.ValueOf(&canon).Elem()
+	defs := Params(cfg.Kind)
+	for i := range defs {
+		d := &defs[i]
+		if d.Active(&cfg) {
+			continue
+		}
+		// SetInt and SetBool, unlike Set, leave canon on the stack.
+		if f := dst.FieldByIndex(d.field); f.Kind() == reflect.Bool {
+			f.SetBool(d.first.Bool())
+		} else {
+			f.SetInt(d.first.Int())
+		}
+	}
+	return canon
 }
 
 // Extract reads the current values of every tunable parameter from cfg as

@@ -1,10 +1,12 @@
 // Package simcache memoizes simulation results across experiments and
 // tuning races. A single (sim.Config, trace) pair is simulated at most
-// once per cache: the key is the configuration's canonical-JSON
-// fingerprint joined with the trace content digest, so any code path that
-// re-evaluates a configuration the survivor set already measured — the
-// experiment runner, the irace evaluator, the perturbation study — gets
-// the stored core.Result back instead of re-running the timing model.
+// once per cache: the key is the fingerprint of the configuration's
+// canonical form (sim.Canonical: no Name, and every tunable its models do
+// not read at its first value) joined with the trace content digest, so
+// configurations that simulate identically share one entry, and any code
+// path that re-evaluates a configuration the survivor set already measured
+// — the experiment runner, the irace evaluator, the perturbation study —
+// gets the stored core.Result back instead of re-running the timing model.
 //
 // The cache is a storage tier with two levels, consulted in order:
 //
@@ -52,9 +54,10 @@ func Key(cfg sim.Config, tr *trace.Trace) string {
 }
 
 // JoinKey is Key for a configuration whose Fingerprint the caller already
-// holds. The fingerprint (a canonical-JSON marshal and a hash) is nearly
-// all of a key's cost, so a caller that runs one configuration on many
-// traces fingerprints it once and joins it with each trace's digest.
+// holds. The fingerprint (a canonical copy, a reflective binary encoding
+// and a hash) is nearly all of a key's cost, so a caller that runs one
+// configuration on many traces fingerprints it once and joins it with each
+// trace's digest.
 func JoinKey(fingerprint string, tr *trace.Trace) string {
 	return fingerprint + ":" + tr.Digest()
 }
