@@ -18,7 +18,7 @@
 // lifecycle flags -parallelism, -cache, -cpuprofile and -memprofile
 // (serve has its own lifecycle: -workers, -queue-depth, -drain-timeout,
 // -job-timeout) and stops at the first SIGINT/SIGTERM with exit status 130,
-// a run with -cache having saved what it simulated. Artifacts
+// a run with -cache having saved what it simulated; so does sweep. Artifacts
 // go to stdout, progress and cache statistics to stderr
 // (except validate, which historically streams progress on stdout). See
 // docs/cli.md for the full reference, including the serve HTTP API and
@@ -120,7 +120,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
 		if errors.Is(err, context.Canceled) {
-			os.Exit(130) // interrupted: execute's signal context is the only one cancelled
+			os.Exit(130) // interrupted: a signal context (execute's, sweep's) is the only one cancelled
 		}
 		os.Exit(1)
 	}

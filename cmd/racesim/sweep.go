@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -27,7 +28,7 @@ func cmdSweep(args []string) error {
 		spawn       = fs.Int("spawn", 0, "additionally fork N local `racesim serve` worker processes")
 		scenarioPat = fs.String("scenario", "all", "comma-separated scenario names/globs ('all' = paper set)")
 		retriesN    = fs.Int("retries", 3, "per-unit reassignment budget on worker failure")
-		cache       = fs.String("cache", "", "federated snapshot: pre-seeds workers, collects+merges their deltas")
+		cache       = fs.String("cache", "", "federated snapshot: pre-seeds workers, collects+merges their deltas; re-run with the same file to resume")
 		scale       = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
 		events      = fs.Int("events", 60_000, "workload trace length")
 		budget1     = fs.Int("budget1", 2500, "irace budget, round 1")
@@ -38,7 +39,6 @@ func cmdSweep(args []string) error {
 		quiet       = fs.Bool("q", false, "suppress progress output")
 		chaosSpec   = fs.String("chaos", "", "inject network faults between coordinator and workers (e.g. seed=7,drop=0.05,delay=0.1,fail=0.02); see docs/robustness.md")
 		workerChaos = fs.String("worker-chaos", "", "forward a -chaos spec to every -spawn worker (engine-side faults: panic=N,stall=N,poison=N)")
-		journal     = fs.String("journal", "", "journal completed units to this file (fsynced JSONL) and replay the ones it already holds: only unfinished units re-run")
 		traceOut    = fs.String("trace-out", "", "write the sweep's flight recorder (one span per JSONL line) to this file; see docs/observability.md")
 	)
 	fs.Parse(args)
@@ -71,6 +71,13 @@ func cmdSweep(args []string) error {
 			urls = append(urls, u)
 		}
 	}
+	// The first SIGINT/SIGTERM ends the round, as it ends a batch command's
+	// job (execute): the coordinator collects its live workers' deltas and
+	// saves them to -cache on the way out, then the spawned workers are
+	// stopped. It also removes the handler, so a second signal kills.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	context.AfterFunc(ctx, stopSignals)
 	if *spawn > 0 {
 		spawned, stop, err := spawnWorkers(*spawn, *parallelism, *workerChaos, logf)
 		if err != nil {
@@ -96,21 +103,20 @@ func cmdSweep(args []string) error {
 		})
 	}
 
-	output, rep, err := cluster.Run(context.Background(), cluster.Options{
-		Workers:     urls,
-		Retries:     *retriesN,
-		CachePath:   *cache,
-		JournalPath: *journal,
-		Transport:   inj.Transport(nil),
-		Scenario:    *scenarioPat,
-		Scale:       *scale,
-		Events:      *events,
-		Budget1:     *budget1,
-		Budget2:     *budget2,
-		Seed:        *seed,
-		Trace:       traceContext(root),
-		Recorder:    rec,
-		Log:         logf,
+	output, rep, err := cluster.Run(ctx, cluster.Options{
+		Workers:   urls,
+		Retries:   *retriesN,
+		CachePath: *cache,
+		Transport: inj.Transport(nil),
+		Scenario:  *scenarioPat,
+		Scale:     *scale,
+		Events:    *events,
+		Budget1:   *budget1,
+		Budget2:   *budget2,
+		Seed:      *seed,
+		Trace:     traceContext(root),
+		Recorder:  rec,
+		Log:       logf,
 	})
 	if inj != nil {
 		logf("sweep: chaos injected: %s", inj.Counts())

@@ -25,15 +25,16 @@
 //     while background health probes decide between re-admission on
 //     probation and dropping it. The sweep only fails when a unit
 //     exhausts its attempts or no live workers remain;
-//   - crash resumability: with JournalPath every completed unit's
-//     artifact is fsynced to a checksummed journal; a coordinator killed
-//     mid-sweep and restarted on the same journal re-dispatches only
-//     unfinished units, assembling byte-identical output;
 //   - cache federation: the coordinator pre-seeds every worker from its
 //     snapshot (CachePath) before the round, collects each worker's
-//     checksummed snapshot delta at drain, merges them last-writer-wins
-//     into one snapshot and persists it — so a re-run of an overlapping
-//     selection is warm cluster-wide, not just per-process.
+//     checksummed snapshot delta, merges them last-writer-wins into one
+//     snapshot and persists it — so a re-run of an overlapping selection
+//     is warm cluster-wide, not just per-process;
+//   - crash resumability through that snapshot alone: the coordinator
+//     collects and saves while the round runs (simcache.SaveInterval
+//     apart) and on every way out — finished, failed or interrupted — so a
+//     sweep re-run with the same CachePath re-simulates only what the file
+//     does not hold, and finished units re-render from cache hits.
 package cluster
 
 import (
@@ -60,17 +61,12 @@ type Options struct {
 	// Retries bounds how many times one unit is reassigned after a
 	// failure before the sweep fails (default 3).
 	Retries int
-	// CachePath, when set, federates the simulation cache: loaded and
-	// pre-seeded to every worker before the round, worker deltas merged
-	// and saved back after it.
+	// CachePath, when set, federates the simulation cache and is what
+	// picks an interrupted sweep up again: loaded and pre-seeded to every
+	// worker before the round; worker deltas merged and saved back when a
+	// unit finishes once simcache.SaveInterval has passed since the last
+	// save, and on every way out of the round.
 	CachePath string
-	// JournalPath, when set, journals every completed unit's artifact to
-	// a checksummed JSONL file, fsynced per record. A journal already there
-	// is replayed first: a coordinator killed mid-sweep and restarted
-	// re-dispatches only unfinished units and assembles a byte-identical
-	// artifact. A file written by a different sweep (selection, sizing or
-	// unit list changed), or not a journal, is an error and left as it was.
-	JournalPath string
 	// Transport, when non-nil, wraps every worker client's HTTP
 	// transport — the chaos injector's network attach point.
 	Transport http.RoundTripper
@@ -104,6 +100,10 @@ type Options struct {
 	policy *policy
 }
 
+// closeTimeout bounds what an interrupted sweep still asks of its workers
+// on the way out: its delta collection, and cancelling the jobs it leaves.
+const closeTimeout = 5 * time.Second
+
 // window bounds in-flight units per worker: one running, one queued behind
 // it so the worker never idles between units.
 const window = 2
@@ -122,15 +122,17 @@ const window = 2
 //
 // A worker unreachable at start, failing the pre-seed or out of its
 // probeLimit probes leaves the round (drop in Run): it gets no more units
-// and Report.Dead lists it.
+// and Report.Dead lists it. With a cache file, a unit that finishes once
+// checkpoint has passed since the last save collects and saves.
 type policy struct {
 	deadAfter  int
 	probeLimit int
 	delay      func(attempt int) time.Duration
+	checkpoint time.Duration
 }
 
 // sweepPolicy is the policy of every sweep.
-var sweepPolicy = policy{deadAfter: 2, probeLimit: 5, delay: engine.Backoff}
+var sweepPolicy = policy{deadAfter: 2, probeLimit: 5, delay: engine.Backoff, checkpoint: simcache.SaveInterval}
 
 // startTries: a worker still binding its listener, or one request lost to
 // a chaos drop, should not cost the sweep a worker for the whole round.
@@ -175,9 +177,6 @@ type Report struct {
 	// Quarantined lists workers that entered quarantine at least once
 	// (including those later re-admitted by a passing probe).
 	Quarantined []string
-	// Resumed counts units replayed from the journal instead of
-	// dispatched.
-	Resumed int
 	// Cache aggregates the per-worker shared-cache statistics deltas
 	// across the round — the cluster-wide hit/miss picture.
 	Cache simcache.Stats
@@ -186,8 +185,8 @@ type Report struct {
 	// when the snapshot is saved).
 	MergedEntries int
 	// UnitDurations holds the dispatch-to-completion wall time of every
-	// unit executed this round (resumed units excluded), in completion
-	// order — the input for end-of-sweep latency percentiles.
+	// unit completed this round, in completion order — the input for
+	// end-of-sweep latency percentiles.
 	UnitDurations []time.Duration
 }
 
@@ -314,7 +313,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	// Federation, inbound half: warm every worker from the coordinator's
 	// snapshot so overlapping selections re-run at cluster-wide hits. The
 	// snapshot is saved on every way out, with the workers' deltas once the
-	// round has collected them.
+	// round has started and collected them.
 	fed := simcache.New()
 	sweepLog := func(format string, args ...any) { log("sweep: "+format, args...) }
 	snap, err := simcache.Open(fed, opts.CachePath, sweepLog, sweepLog)
@@ -370,39 +369,10 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 
 	ustates := make([]*unitState, len(units))
 	results := make([]string, len(units))
-	completed := 0
-
-	// Crash-resume journal: replay recovered artifacts (they re-proved
-	// their checksums on read), then journal every new completion.
-	var jnl *journal
-	var recovered map[int]string
-	if opts.JournalPath != "" {
-		unitIDs := make([]string, len(units))
-		for i, u := range units {
-			unitIDs[i] = u.ID
-		}
-		fp := sweepFingerprint(opts, unitIDs)
-		if recovered, err = readJournal(opts.JournalPath, fp, len(units)); err != nil {
-			return "", rep, err
-		}
-		if jnl, err = openJournal(opts.JournalPath, fp, unitIDs, recovered); err != nil {
-			return "", rep, err
-		}
-		defer jnl.close()
-		for i, artifact := range recovered {
-			results[i] = artifact
-			completed++
-		}
-		rep.Resumed = len(recovered)
-		log("sweep: journal %s: resumed %d of %d units", opts.JournalPath, rep.Resumed, len(units))
-	}
-
-	var pending []int
+	pending := make([]int, len(units))
 	for i, u := range units {
 		ustates[i] = &unitState{unit: u, lastWorker: -1}
-		if _, done := recovered[i]; !done {
-			pending = append(pending, i)
-		}
+		pending[i] = i
 	}
 	// Buffered past the worst case (one completion, requeue timer or
 	// probe per unit/worker at a time) so goroutines abandoned by an
@@ -518,6 +488,13 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		// stream if it breaks mid-run.
 		st, err := w.client.Watch(ctx, id, 0)
 		if err != nil {
+			if ctx.Err() != nil {
+				// The round is over: stop the job rather than leave it
+				// running on the worker.
+				cctx, stop := context.WithTimeout(context.WithoutCancel(ctx), closeTimeout)
+				w.client.Cancel(cctx, id)
+				stop()
+			}
 			sendEvent(event{kind: evFail, unitIdx: ui, worker: wi, err: err})
 			return
 		}
@@ -565,13 +542,80 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		}
 	}
 
+	// Federation, outbound half: collect merges every live worker's delta
+	// into fed — checksummed, last-writer-wins — and recomputes the
+	// cluster-wide cache statistics. A delta is everything the worker
+	// stored since its pre-seed, so a repeated collection re-reads what fed
+	// already holds: those records count as replaced and cost a byte
+	// compare. Deltas stream from the peer's response body into fed record
+	// by record, so neither side buffers a whole snapshot.
+	pull := func(ctx context.Context, cl *engine.Client) (int, error) {
+		rc, err := cl.SnapshotReader(ctx, true)
+		if err != nil {
+			return 0, err
+		}
+		defer rc.Close()
+		added, _, err := fed.LoadStream(rc)
+		return added, err
+	}
+	collect := func(ctx context.Context) {
+		rep.Cache = simcache.Stats{}
+		for _, w := range workers {
+			if w.dead {
+				continue
+			}
+			added, err := pull(ctx, w.client)
+			if err != nil {
+				log("sweep: worker %s: delta collection failed: %v", w.url, err)
+				continue
+			}
+			log("sweep: worker %s contributed %d cache entries", w.url, added)
+			if h, err := w.client.Health(ctx); err == nil {
+				rep.Cache.Hits += h.Cache.Hits - w.before.Cache.Hits
+				rep.Cache.Misses += h.Cache.Misses - w.before.Cache.Misses
+				rep.Cache.Shared += h.Cache.Shared - w.before.Cache.Shared
+				rep.Cache.Entries += h.Cache.Entries
+			}
+		}
+		rep.MergedEntries = fed.Stats().Entries
+	}
+
+	// Every way out of the round collects before the deferred save, so a
+	// failed or interrupted sweep keeps what its workers simulated; an
+	// interrupted one collects under a bounded context of its own.
+	defer func() {
+		cctx := ctx
+		if ctx.Err() != nil {
+			var stop context.CancelFunc
+			cctx, stop = context.WithTimeout(context.WithoutCancel(ctx), closeTimeout)
+			defer stop()
+		}
+		collect(cctx)
+		sort.Strings(rep.Dead)
+		sort.Strings(rep.Quarantined)
+		log("sweep: cluster cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate)",
+			rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Shared, rep.Cache.HitRate()*100)
+	}()
+
+	// The event loop runs until every unit has rendered, a unit runs out
+	// of retries, no live worker is left or ctx is done. With a cache file,
+	// a unit that finishes once pol.checkpoint has passed since the last
+	// save collects and saves, while the other units go on.
+	lastSave := time.Now()
 	dispatch()
-	for completed < len(units) {
+	for completed := 0; completed < len(units); {
 		if outstanding == 0 {
 			return "", rep, fmt.Errorf("cluster: no live workers remain (%d of %d units unfinished)",
 				len(units)-completed, len(units))
 		}
-		ev := <-events
+		var ev event
+		select {
+		case ev = <-events:
+		case <-ctx.Done():
+		}
+		if err := ctx.Err(); err != nil {
+			return "", rep, err
+		}
 		w := workers[ev.worker]
 		switch ev.kind {
 		case evDone:
@@ -583,13 +627,13 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			completed++
 			rep.UnitDurations = append(rep.UnitDurations, ev.elapsed)
 			opts.Recorder.Add(ev.spans...)
-			if jnl != nil {
-				// Journal before anything else can crash us: a unit recorded
-				// here never re-runs on resume, one lost to a crash between
-				// completion and this append merely re-runs.
-				if err := jnl.append(ev.unitIdx, ustates[ev.unitIdx].unit.ID, ev.artifact); err != nil {
-					return "", rep, fmt.Errorf("cluster: journal %s: %w", opts.JournalPath, err)
+			if snap != nil && completed < len(units) && time.Since(lastSave) >= pol.checkpoint {
+				collect(ctx)
+				// Not fatal: the save on the way out tries again and reports.
+				if err := snap.Save(); err != nil {
+					log("sweep: %v", err)
 				}
+				lastSave = time.Now()
 			}
 		case evFail:
 			outstanding--
@@ -633,51 +677,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		}
 		dispatch()
 	}
-
-	// Federation, outbound half: collect every surviving worker's delta
-	// (what it computed this round) and merge it checksummed,
-	// last-writer-wins, for the save on the way out. Also aggregate the
-	// cache statistics deltas — the cluster-wide effectiveness picture.
-	// Deltas stream straight from the peer's response body into the
-	// federated cache: records are verified and merged one at a time, so
-	// neither side buffers a whole snapshot.
-	collect := func(cl *engine.Client) (int, error) {
-		rc, err := cl.SnapshotReader(ctx, true)
-		if err != nil {
-			return 0, err
-		}
-		defer rc.Close()
-		added, _, err := fed.LoadStream(rc)
-		return added, err
-	}
-	for _, w := range workers {
-		if w.dead {
-			continue
-		}
-		added, err := collect(w.client)
-		if err != nil {
-			log("sweep: worker %s: delta collection failed: %v", w.url, err)
-			continue
-		}
-		log("sweep: worker %s contributed %d cache entries", w.url, added)
-		if h, err := w.client.Health(ctx); err == nil {
-			rep.Cache.Hits += h.Cache.Hits - w.before.Cache.Hits
-			rep.Cache.Misses += h.Cache.Misses - w.before.Cache.Misses
-			rep.Cache.Shared += h.Cache.Shared - w.before.Cache.Shared
-			rep.Cache.Entries += h.Cache.Entries
-		}
-	}
-	rep.MergedEntries = fed.Stats().Entries
-	sort.Strings(rep.Dead)
-	sort.Strings(rep.Quarantined)
-	log("sweep: cluster cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate)",
-		rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Shared, rep.Cache.HitRate()*100)
-
-	var b strings.Builder
-	for _, r := range results {
-		b.WriteString(r)
-	}
-	return b.String(), rep, nil
+	return strings.Join(results, ""), rep, nil
 }
 
 // appendOnce appends s to list unless already present (short lists only).

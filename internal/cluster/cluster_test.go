@@ -3,7 +3,10 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -49,10 +52,15 @@ func startWorker(t *testing.T) (*engine.Server, *httptest.Server) {
 	return srv, ts
 }
 
+var batchArtifacts sync.Map // selection -> artifact
+
 // batchArtifact renders the selection in-process, unsharded — the bytes
-// the sweep must reproduce.
+// the sweep must reproduce. Each selection renders once per test binary.
 func batchArtifact(t *testing.T, selection string) string {
 	t.Helper()
+	if art, ok := batchArtifacts.Load(selection); ok {
+		return art.(string)
+	}
 	res, err := engine.Execute(engine.Job{Kind: engine.KindExperiments, Experiments: &engine.ExperimentsJob{
 		Scenario: selection, Scale: tinyScale, Events: tinyEvents,
 		Budget1: tinyBudget, Budget2: tinyBudget, Quiet: true,
@@ -60,6 +68,7 @@ func batchArtifact(t *testing.T, selection string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batchArtifacts.Store(selection, res.Artifact)
 	return res.Artifact
 }
 
@@ -236,108 +245,252 @@ func TestSweepUnitExhaustionSurfacesError(t *testing.T) {
 	}
 }
 
-// TestSweepJournalCrashResumeByteIdentical is the resume property test:
-// a journaled sweep killed after any number of completed units and
-// restarted on its journal re-dispatches only the unfinished units —
-// none when the journal holds them all — and assembles output
-// byte-identical to the uninterrupted run. The
-// "crash" is simulated by truncating the journal to its first k records
-// (plus a torn half-record, the shape a real kill leaves behind).
-func TestSweepJournalCrashResumeByteIdentical(t *testing.T) {
+var coldSweep struct {
+	once   sync.Once
+	misses uint64
+	err    error
+}
+
+// coldMisses is how many simulations the tiny selection costs a cluster
+// with nothing cached: the figure a sweep resumed from a cache file must
+// beat.
+func coldMisses(t *testing.T) uint64 {
+	t.Helper()
+	coldSweep.once.Do(func() {
+		_, tsA := startWorker(t)
+		_, tsB := startWorker(t)
+		_, rep, err := cluster.Run(context.Background(), tinyOptions(tsA.URL, tsB.URL))
+		coldSweep.misses, coldSweep.err = rep.Cache.Misses, err
+	})
+	if coldSweep.err != nil {
+		t.Fatal(coldSweep.err)
+	}
+	return coldSweep.misses
+}
+
+// resume runs selection again with the cache file at path over two fresh
+// workers and checks that it prints the single-process bytes; it returns
+// the run's report.
+func resume(t *testing.T, selection, path string) cluster.Report {
+	t.Helper()
 	_, tsA := startWorker(t)
 	_, tsB := startWorker(t)
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal")
-
 	opts := tinyOptions(tsA.URL, tsB.URL)
-	opts.JournalPath = journal
-	want, rep, err := cluster.Run(context.Background(), opts)
+	opts.Scenario = selection
+	opts.CachePath = path
+	got, rep, err := cluster.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Resumed != 0 {
-		t.Fatalf("first run resumed %d units from nowhere", rep.Resumed)
+	if want := batchArtifact(t, selection); got != want {
+		t.Errorf("sweep resumed from %s differs from the single-process run:\nsweep:\n%s\nbatch:\n%s", path, got, want)
 	}
-	full, err := os.ReadFile(journal)
+	return rep
+}
+
+// failUnitProxy 500s every submission of one unit, each only once every
+// other unit's job on the worker is done: the rest of the sweep completes
+// before that unit runs out of retries.
+type failUnitProxy struct {
+	inner  http.Handler
+	unit   string
+	others int
+}
+
+func (p *failUnitProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var job engine.Job
+		if json.Unmarshal(body, &job) == nil && job.Experiments != nil && job.Experiments.Units == p.unit {
+			for deadline := time.Now().Add(tinyTimeout); p.done() < p.others && time.Now().Before(deadline); {
+				time.Sleep(10 * time.Millisecond)
+			}
+			http.Error(w, "simulated unit failure", http.StatusInternalServerError)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	p.inner.ServeHTTP(w, r)
+}
+
+// done counts the worker's finished jobs.
+func (p *failUnitProxy) done() int {
+	rec := httptest.NewRecorder()
+	p.inner.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
+	var jobs []engine.JobStatus
+	json.Unmarshal(rec.Body.Bytes(), &jobs)
+	n := 0
+	for _, j := range jobs {
+		if j.Status == "done" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFailedSweepKeepsWhatItsWorkersSimulated: a sweep that fails because
+// one unit runs out of retries still collects its workers' deltas and
+// saves them, so the units that completed are cache hits when the sweep is
+// run again.
+func TestFailedSweepKeepsWhatItsWorkersSimulated(t *testing.T) {
+	srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(strings.TrimRight(string(full), "\n"), "\n")
-	header, records := lines[0], lines[1:]
-	if len(records) != rep.Units {
-		t.Fatalf("journal holds %d records, want %d", len(records), rep.Units)
+	ts := httptest.NewServer(&failUnitProxy{inner: srv.Handler(), unit: "table2", others: 2})
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	path := filepath.Join(t.TempDir(), "fed.snap")
+	opts := tinyOptions(ts.URL)
+	opts.CachePath = path
+	opts.Retries = 1
+	_, rep, err := cluster.Run(context.Background(), opts)
+	if err == nil || !strings.Contains(err.Error(), "unit table2 failed") {
+		t.Fatalf("sweep with a failing unit: error %v, want table2's failure", err)
+	}
+	if n := rep.Completed[strings.TrimRight(ts.URL, "/")]; n != 2 {
+		t.Fatalf("%d units completed before the failure, want 2", n)
+	}
+	if !strings.Contains(err.Error(), "saved") || !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not say what it saved to %s", err, path)
 	}
 
-	for k := 0; k <= len(records); k++ {
-		crashed := header + strings.Join(records[:k], "")
-		if k < len(records) {
-			// The torn tail of the append in flight when the crash hit.
-			crashed += records[k][:len(records[k])/2]
-		}
-		if err := os.WriteFile(journal, []byte(crashed), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ropts := tinyOptions(tsA.URL, tsB.URL)
-		ropts.JournalPath = journal
-		got, rrep, err := cluster.Run(context.Background(), ropts)
-		if err != nil {
-			t.Fatalf("resume after %d completed units: %v", k, err)
-		}
-		if got != want {
-			t.Errorf("resume after %d units differs from the uninterrupted run:\nresume:\n%s\nfull:\n%s", k, got, want)
-		}
-		if rrep.Resumed != k {
-			t.Errorf("resume after %d units replayed %d", k, rrep.Resumed)
-		}
-		dispatched := 0
-		for _, n := range rrep.Completed {
-			dispatched += n
-		}
-		if dispatched != rep.Units-k {
-			t.Errorf("resume after %d units dispatched %d, want %d", k, dispatched, rep.Units-k)
-		}
+	// The snapshot holds every result of the completed units: a sweep of
+	// them alone over a fresh worker simulates nothing.
+	_, fresh := startWorker(t)
+	opts = tinyOptions(fresh.URL)
+	opts.Scenario = "table1,fig2"
+	opts.CachePath = path
+	if _, rep, err = cluster.Run(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cache.Misses != 0 {
+		t.Errorf("the completed units re-simulated %d times from the failed sweep's snapshot", rep.Cache.Misses)
+	}
+
+	if misses, cold := resume(t, tinySelect, path).Cache.Misses, coldMisses(t); misses >= cold {
+		t.Errorf("re-run after the failure simulated %d times, a cold run %d", misses, cold)
 	}
 }
 
-// TestSweepJournalRejectsForeignJournal: a -journal file that is another
-// sweep's journal, not a journal, or empty fails the sweep before anything
-// is dispatched, with an error naming the file, and is left byte for byte
-// as it was — never started over.
-func TestSweepJournalRejectsForeignJournal(t *testing.T) {
-	_, ts := startWorker(t)
-	journal := filepath.Join(t.TempDir(), "sweep.journal")
-
-	opts := tinyOptions(ts.URL)
-	opts.Scenario = "table1"
-	opts.JournalPath = journal
-	if _, _, err := cluster.Run(context.Background(), opts); err != nil {
-		t.Fatal(err)
+// TestSweepRestartsFromCheckpoint: a coordinator killed mid-sweep leaves
+// the snapshot of its last checkpoint, and the same sweep restarted from
+// it on fresh workers prints the same bytes while simulating less than the
+// cold run did; once it has finished, a third run simulates nothing. One
+// worker runs fig2 and the other fig4, which takes about three times as
+// long, so fig2's completion checkpoints mid-run.
+func TestSweepRestartsFromCheckpoint(t *testing.T) {
+	const selection = "fig2,fig4"
+	dir := t.TempDir()
+	path, killed := filepath.Join(dir, "fed.snap"), filepath.Join(dir, "killed.snap")
+	_, tsA := startWorker(t)
+	_, tsB := startWorker(t)
+	opts := tinyOptions(tsA.URL, tsB.URL)
+	opts.Scenario = selection
+	opts.CachePath = path
+	var once sync.Once
+	copyErr := errors.New("no save")
+	opts.Log = func(format string, args ...any) {
+		if strings.HasPrefix(fmt.Sprintf(format, args...), "sweep: cache: saved ") {
+			// The file as a kill -9 right after this save would leave it.
+			once.Do(func() {
+				var data []byte
+				if data, copyErr = os.ReadFile(path); copyErr == nil {
+					copyErr = os.WriteFile(killed, data, 0o644)
+				}
+			})
+		}
 	}
-	foreign, err := os.ReadFile(journal)
+	_, cold, err := cluster.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, content := range map[string][]byte{
-		"another sweep's journal": foreign,
-		"not a journal":           []byte("results I would hate to lose\n"),
-		"empty":                   {},
-	} {
-		if err := os.WriteFile(journal, content, 0o644); err != nil {
-			t.Fatal(err)
+	if copyErr != nil {
+		t.Fatalf("no checkpoint to restart from: %v", copyErr)
+	}
+
+	restarted := resume(t, selection, killed)
+	t.Logf("restart from the checkpoint: %d misses, cold run %d", restarted.Cache.Misses, cold.Cache.Misses)
+	if restarted.Cache.Misses == 0 {
+		t.Error("the first save held everything: it was not a checkpoint taken mid-run")
+	}
+	if restarted.Cache.Misses >= cold.Cache.Misses {
+		t.Errorf("restart from the checkpoint simulated %d times, the cold run %d", restarted.Cache.Misses, cold.Cache.Misses)
+	}
+	if third := resume(t, selection, killed); third.Cache.Misses != 0 {
+		t.Errorf("third run simulated %d times, want 0", third.Cache.Misses)
+	}
+}
+
+// jobStatuses counts the worker's jobs by status.
+func jobStatuses(t *testing.T, url string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jobs []engine.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatal(err)
+	}
+	n := map[string]int{}
+	for _, j := range jobs {
+		n[j.Status]++
+	}
+	return n
+}
+
+// TestInterruptedSweepSaves: a sweep whose context is cancelled mid-round
+// cancels the jobs it leaves on its workers, collects their deltas under a
+// context of its own, saves them and says so in its error; re-run, it
+// simulates less than a cold run.
+func TestInterruptedSweepSaves(t *testing.T) {
+	srvA, tsA := startWorker(t)
+	srvB, tsB := startWorker(t)
+	path := filepath.Join(t.TempDir(), "fed.snap")
+	opts := tinyOptions(tsA.URL, tsB.URL)
+	opts.CachePath = path
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		// fig2 simulates 290 times, table1 and table2 not at all: interrupt
+		// fig2 a sixth of the way through.
+		for srvA.Cache().Stats().Misses+srvB.Cache().Stats().Misses < 50 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
 		}
-		opts2 := tinyOptions(ts.URL)
-		opts2.Scenario = "table2"
-		opts2.JournalPath = journal
-		_, rep, err := cluster.Run(context.Background(), opts2)
-		if err == nil || !strings.Contains(err.Error(), journal) {
-			t.Errorf("%s: error = %v, want one naming %s", name, err, journal)
+		cancel()
+	}()
+	_, _, err := cluster.Run(ctx, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted sweep: error %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "cache entries to "+path+")") {
+		t.Errorf("error %q does not say what it saved to %s", err, path)
+	}
+	// The job that was simulating when the context ended was cancelled,
+	// not left to run to its end.
+	cancelled := 0
+	for _, url := range []string{tsA.URL, tsB.URL} {
+		n := jobStatuses(t, url)
+		for deadline := time.Now().Add(5 * time.Second); n["queued"]+n["running"] > 0 && time.Now().Before(deadline); n = jobStatuses(t, url) {
+			time.Sleep(10 * time.Millisecond)
 		}
-		if len(rep.Completed) != 0 {
-			t.Errorf("%s: dispatched %v before refusing", name, rep.Completed)
+		if n["queued"]+n["running"] > 0 {
+			t.Errorf("%s still holds the interrupted sweep's jobs: %v", url, n)
 		}
-		if after, _ := os.ReadFile(journal); !bytes.Equal(after, content) {
-			t.Errorf("%s: the refused file was rewritten:\n%s", name, after)
-		}
+		cancelled += n["cancelled"]
+	}
+	if cancelled == 0 {
+		t.Errorf("the interrupted sweep cancelled none of its jobs: %v %v", jobStatuses(t, tsA.URL), jobStatuses(t, tsB.URL))
+	}
+	if misses, cold := resume(t, tinySelect, path).Cache.Misses, coldMisses(t); misses >= cold {
+		t.Errorf("re-run after the interrupt simulated %d times, a cold run %d", misses, cold)
 	}
 }
 

@@ -51,11 +51,10 @@ type RunOptions struct {
 	Log func(format string, args ...any)
 }
 
-// saveInterval bounds what a kill -9 can lose to the units finished in the
-// last saveInterval plus the ones still running: a run saves its snapshot
-// when a unit finishes once saveInterval has passed since the last save,
-// while the other units go on. A variable so a test can shorten it.
-var saveInterval = 10 * time.Second
+// saveInterval is simcache.SaveInterval: a run saves its snapshot when a
+// unit finishes once saveInterval has passed since the last save, while
+// the other units go on. A variable so a test can shorten it.
+var saveInterval = simcache.SaveInterval
 
 // UnitResult pairs a unit with its rendered experiment.
 type UnitResult struct {

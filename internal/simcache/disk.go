@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
+	"time"
 )
 
 // ValidatePath reports whether path could plausibly be written by
@@ -41,6 +42,14 @@ func (c *Cache) LoadChecked(path string) (accepted int, rejected uint64, err err
 	}
 	return n, c.Stats().Rejected - before, nil
 }
+
+// SaveInterval is how often a long run saves its snapshot while it runs:
+// when one of its units finishes once SaveInterval has passed since the
+// last save. It bounds what a kill -9 loses to the units finished in the
+// last SaveInterval plus the ones still running. A scenario run
+// (scenario.RunSaving) and a distributed sweep (cluster.Run) both save on
+// it.
+const SaveInterval = 10 * time.Second
 
 // Snapshot is a cache file opened for one run: the one way every driver
 // that takes a cache path loads it and saves it back. A nil *Snapshot is
