@@ -25,8 +25,8 @@
 //     while background health probes decide between re-admission on
 //     probation and dropping it. The sweep only fails when a unit
 //     exhausts its attempts or no live workers remain;
-//   - cache federation: the coordinator pre-seeds every worker from its
-//     snapshot (CachePath) before the round, collects each worker's
+//   - cache federation: the coordinator pre-seeds every worker with what
+//     it lacks of its snapshot (CachePath) before the round, collects each worker's
 //     checksummed snapshot delta, merges them last-writer-wins into one
 //     snapshot and persists it — so a re-run of an overlapping selection
 //     is warm cluster-wide, not just per-process;
@@ -322,20 +322,43 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	}
 	defer func() { err = snap.Close(err) }()
 	if n := fed.Stats().Entries; n > 0 {
-		// Pre-seeding streams the snapshot — record bytes are copied into
-		// the request body as the peer consumes it, so the coordinator
-		// never buffers the whole snapshot — to every worker at once, and
-		// retries transient failures (a dropped or corrupted request is the
-		// client's error, not the peer's); only a persistently failing
-		// import costs a worker its seat.
-		preseed := func(cl *engine.Client) error {
+		// Pre-seeding streams to every worker at once what it lacks of the
+		// snapshot — record bytes are copied into the request body as the
+		// peer consumes it, so the coordinator never buffers the snapshot. A
+		// worker whose cache was empty at the health check gets every record;
+		// any other is first asked which of the snapshot's key hashes it
+		// lacks (a question that moves its delta baseline as an import
+		// does) and gets those alone, or no request at all. An exchange that
+		// fails falls back to the whole snapshot. Transient failures are
+		// retried (a dropped or corrupted request is the client's error, not
+		// the peer's); only a persistently failing import costs a worker its
+		// seat.
+		hashes := fed.KeyHashes()
+		preseed := func(w *workerState) (int, error) {
+			write := fed.WriteBinaryTo
+			if w.before.Cache.Entries > 0 {
+				missing, err := w.client.MissingKeys(ctx, hashes)
+				switch {
+				case err != nil:
+					log("sweep: worker %s: key exchange failed (%v); sending the whole snapshot", w.url, err)
+				case len(missing) == 0:
+					return 0, nil
+				default:
+					lacks := make([]uint64, len(missing))
+					for i, p := range missing {
+						lacks[i] = hashes[p]
+					}
+					write = func(pw io.Writer) error { return fed.WriteSubsetTo(pw, lacks) }
+				}
+			}
 			pr, pw := io.Pipe()
-			go func() { pw.CloseWithError(fed.WriteBinaryTo(pw)) }()
+			go func() { pw.CloseWithError(write(pw)) }()
 			defer pr.Close()
-			_, err := cl.ImportSnapshotFrom(ctx, pr)
-			return err
+			r, err := w.client.ImportSnapshotFrom(ctx, pr)
+			return r.Added + r.Replaced + int(r.Rejected), err
 		}
 		errs := make([]error, len(workers))
+		sent := make([]int, len(workers))
 		var wg sync.WaitGroup
 		for i, w := range workers {
 			if w.dead {
@@ -344,27 +367,28 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if errs[i] = pol.try(ctx, func() error { return preseed(w.client) }); errs[i] == nil {
-					// The import moved the worker's stats; resample the baseline.
-					if h, err := w.client.Health(ctx); err == nil {
-						w.before = h
-					}
-				}
+				errs[i] = pol.try(ctx, func() (err error) {
+					sent[i], err = preseed(w)
+					return err
+				})
 			}()
 		}
 		wg.Wait()
 		if ctx.Err() != nil {
 			return "", rep, ctx.Err()
 		}
+		var to []string
 		for i, w := range workers {
 			if errs[i] != nil {
 				drop(w, "failed pre-seed: %v", errs[i])
+			} else if !w.dead {
+				to = append(to, fmt.Sprintf("%d to %s", sent[i], w.url))
 			}
 		}
 		if alive() == 0 {
 			return "", rep, fmt.Errorf("cluster: every worker failed pre-seeding")
 		}
-		log("sweep: pre-seeded %d workers with %d entries", alive(), n)
+		log("sweep: pre-seeded %d workers with %d entries (sent %s)", alive(), n, strings.Join(to, ", "))
 	}
 
 	ustates := make([]*unitState, len(units))

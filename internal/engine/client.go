@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -420,4 +421,39 @@ func (c *Client) ImportSnapshotFrom(ctx context.Context, r io.Reader) (SnapshotR
 		return rep, err
 	}
 	return rep, json.Unmarshal(body, &rep)
+}
+
+// MissingKeys asks the worker which of hashes — the key hashes of the
+// records a coordinator could send it (simcache.Cache.KeyHashes), ascending
+// and without repeats — its shared cache lacks, and returns their positions
+// in hashes, ascending. The question moves the worker's delta baseline as
+// an import does. An answer that is not such a list of positions is an
+// error.
+func (c *Client) MissingKeys(ctx context.Context, hashes []uint64) ([]int, error) {
+	body := make([]byte, 8*len(hashes))
+	for i, h := range hashes {
+		binary.LittleEndian.PutUint64(body[8*i:], h)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/cache/missing", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	_, data, err := c.call(req, http.StatusOK)
+	if err != nil {
+		return nil, err
+	}
+	var rep missingReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("/v1/cache/missing: %w", err)
+	}
+	if rep.Missing == nil {
+		return nil, fmt.Errorf("/v1/cache/missing: the answer lists no positions")
+	}
+	for i, p := range rep.Missing {
+		if p < 0 || p >= len(hashes) || i > 0 && p <= rep.Missing[i-1] {
+			return nil, fmt.Errorf("/v1/cache/missing: position %d of the answer is %d, for %d key hashes", i, p, len(hashes))
+		}
+	}
+	return rep.Missing, nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -163,11 +164,12 @@ type Server struct {
 	seq      int
 	draining bool
 	// deltaMark is the delta-export baseline: the cache's store sequence
-	// (simcache.Cache.Mark) when the last snapshot import began, or at
-	// startup. GET /v1/cache/snapshot?delta=1 exports only what jobs stored
-	// after it — never what an import stored — so a sweep coordinator
-	// collecting worker deltas does not re-download what it seeded, and
-	// still gets a result a job stored while an import was in progress.
+	// (simcache.Cache.Mark) when the last snapshot import or missing-key
+	// exchange began, or at startup. GET /v1/cache/snapshot?delta=1
+	// exports only what jobs stored after it — never what an import
+	// stored — so a sweep coordinator collecting worker deltas does not
+	// re-download what it seeded, and still gets a result a job stored
+	// while an import was in progress.
 	deltaMark uint64
 
 	queue chan *jobState
@@ -489,6 +491,7 @@ func (s *Server) Drain(ctx context.Context) error {
 //	GET  /v1/scenarios         the scenario registry with unit counts
 //	GET  /v1/cache/snapshot    the shared cache as a binary snapshot (?delta=1)
 //	POST /v1/cache/snapshot    merge a binary snapshot (pre-seed)
+//	POST /v1/cache/missing     which of these key hashes the cache lacks
 //	GET  /healthz              liveness + queue/cache statistics + build info
 //	GET  /metrics              Prometheus text-format metrics
 func (s *Server) Handler() http.Handler {
@@ -504,6 +507,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("GET /v1/cache/snapshot", s.handleSnapshotGet)
 	mux.HandleFunc("POST /v1/cache/snapshot", s.handleSnapshotPut)
+	mux.HandleFunc("POST /v1/cache/missing", s.handleCacheMissing)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
@@ -838,6 +842,46 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 		Rejected: st.Rejected - before,
 		Entries:  st.Entries,
 	})
+}
+
+// missingReport is the POST /v1/cache/missing response.
+type missingReport struct {
+	// Missing are the positions, ascending, of the posted key hashes the
+	// worker's cache cannot serve.
+	Missing []int `json:"missing"`
+}
+
+// handleCacheMissing answers which of the posted key hashes — the 8-byte
+// little-endian index hashes of a snapshot's records (Cache.KeyHashes),
+// ascending and without repeats — the shared cache lacks, and moves the
+// delta baseline as an import does: a sweep coordinator asks before it
+// pre-seeds this worker and then sends only those records, or none. A body
+// that is not such a list answers 400 and moves nothing.
+func (s *Server) handleCacheMissing(w http.ResponseWriter, r *http.Request) {
+	mark := s.cache.Mark()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
+	if len(body)%8 != 0 {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("%d bytes is not a list of 8-byte key hashes", len(body))})
+		return
+	}
+	hashes := make([]uint64, len(body)/8)
+	for i := range hashes {
+		hashes[i] = binary.LittleEndian.Uint64(body[8*i:])
+		if i > 0 && hashes[i] <= hashes[i-1] {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("key hash %d is not above the one before it", i)})
+			return
+		}
+	}
+	missing := s.cache.Missing(hashes)
+	s.mu.Lock()
+	s.deltaMark = mark
+	s.mu.Unlock()
+	s.log("serve: cache: lacks %d of %d offered records", len(missing), len(hashes))
+	writeJSON(w, http.StatusOK, missingReport{Missing: missing})
 }
 
 // maxSnapshotBytes bounds a posted cache snapshot (the job body bound is

@@ -464,7 +464,7 @@ func TestServerProgressRing(t *testing.T) {
 // TestEndpointTableMatchesHandler: every `METHOD /path` row of docs/cli.md's
 // endpoint table is a route Server.Handler() registers — the request reaches
 // a handler of ours, not the mux's own 404 or 405 — and the table has the
-// twelve rows the handler has routes.
+// thirteen rows the handler has routes.
 func TestEndpointTableMatchesHandler(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "cli.md"))
 	if err != nil {
@@ -480,8 +480,8 @@ func TestEndpointTableMatchesHandler(t *testing.T) {
 		t.Fatalf("Server.Handler() is a %T, not the mux this test asks for patterns", srv.Handler())
 	}
 	rows := regexp.MustCompile("(?m)^\\| `((?:GET|POST|PUT|DELETE|PATCH) /[^`]*)` \\|").FindAllStringSubmatch(string(doc), -1)
-	if len(rows) != 12 {
-		t.Errorf("docs/cli.md's endpoint table has %d rows, want 12", len(rows))
+	if len(rows) != 13 {
+		t.Errorf("docs/cli.md's endpoint table has %d rows, want 13", len(rows))
 	}
 	for _, row := range rows {
 		method, path, _ := strings.Cut(row[1], " ")

@@ -110,8 +110,10 @@ func BenchmarkMappedLookup(b *testing.B) {
 // BenchmarkSnapshotExchange is a sweep's pre-seed, both ends of it, over
 // the 10k-entry fixture: export writes the snapshot from a mapped tier (the
 // coordinator), import_empty merges it into an empty cache (a fresh
-// worker), import_identical into a cache already holding it (a worker kept
-// from the last sweep).
+// worker), import_identical into a cache already holding it. held is what
+// replaces export and import_identical for a worker kept from the last
+// sweep: the coordinator lists its key hashes, the worker answers that it
+// lacks none of them, and no record is sent.
 func BenchmarkSnapshotExchange(b *testing.B) {
 	src := New()
 	if _, _, err := src.LoadChecked(buildFixture(b, fixtureEntries)); err != nil {
@@ -153,6 +155,20 @@ func BenchmarkSnapshotExchange(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, replaced, err := dst.LoadBytes(data); err != nil || replaced != fixtureEntries {
 				b.Fatalf("%d replaced (%v)", replaced, err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("held", func(b *testing.B) {
+		dst := New()
+		if _, _, err := dst.LoadBytes(data); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if missing := dst.Missing(src.KeyHashes()); len(missing) != 0 {
+				b.Fatalf("the worker lacks %d records", len(missing))
 			}
 		}
 		perRecord(b)

@@ -417,7 +417,7 @@ func (sw *snapshotWriter) finish() error {
 // snapshot format. Records stream one at a time: the full serialized
 // snapshot never exists in memory.
 func (c *Cache) WriteBinaryTo(w io.Writer) error {
-	return c.writeSnapshot(w, false, 0)
+	return c.writeSnapshot(w, false, 0, nil)
 }
 
 // WriteDeltaTo streams, as a snapshot, the results stored in memory by a
@@ -425,26 +425,40 @@ func (c *Cache) WriteBinaryTo(w io.Writer) error {
 // stored, never the disk tier. It is the export a serve worker hands back
 // to the sweep that pre-seeded it: what it computed itself.
 func (c *Cache) WriteDeltaTo(w io.Writer, mark uint64) error {
-	return c.writeSnapshot(w, true, mark)
+	return c.writeSnapshot(w, true, mark, nil)
+}
+
+// WriteSubsetTo is WriteBinaryTo restricted to the records whose key
+// hashes — as KeyHashes lists them — are in hashes, which is sorted: the
+// pre-seed of a worker that lacks only those (Missing). Every record of the
+// disk tier it writes is re-proved as WriteBinaryTo's are; the others are
+// not read.
+func (c *Cache) WriteSubsetTo(w io.Writer, hashes []uint64) error {
+	return c.writeSnapshot(w, false, 0, func(h uint64) bool {
+		_, ok := slices.BinarySearch(hashes, h)
+		return ok
+	})
 }
 
 // writeSnapshot merges two key-sorted record streams into w, copying
 // record bytes: the memory tier's records as stored (they were verified or
 // encoded when stored), and — unless delta — the attached file's in key
-// order, each checksum re-proved as it is copied. A file record that fails
-// is dropped and counted rejected, once however many writes meet it. The
-// lock is held only while the memory tier is listed: a stored record is
-// never written to, so a long write does not block simulations.
-func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64) error {
+// order, each checksum re-proved as it is copied. keep, unless nil, picks
+// the records to write by key hash: a memory entry's, or the one the file's
+// index lists. A file record that fails is dropped and counted rejected,
+// once however many writes meet it. The lock is held only while the memory
+// tier is listed: a stored record is never written to, so a long write
+// does not block simulations.
+func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64, keep func(hash uint64) bool) error {
 	var mem []record
 	var disk *Mapped
 	if c != nil {
 		c.mu.Lock()
-		if !delta {
+		if !delta && keep == nil {
 			mem = make([]record, 0, c.lru.Len())
 		}
 		for e := c.lru.Front(); e != nil; e = e.Next() {
-			if ce := e.Value.(*centry); !delta || ce.seq > mark {
+			if ce := e.Value.(*centry); (!delta || ce.seq > mark) && (keep == nil || keep(ce.hash)) {
 				mem = append(mem, record{bytes: ce.rec})
 			}
 		}
@@ -458,6 +472,9 @@ func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64) error {
 	}
 	slices.SortFunc(mem, func(a, b record) int { return compareKeys(&a, &b) })
 	file := disk.keyOrder()
+	if keep != nil {
+		file = slices.DeleteFunc(slices.Clone(file), func(e idxEntry) bool { return !keep(e.hash) })
+	}
 
 	sw, err := newSnapshotWriter(w, len(mem)+len(file))
 	if err != nil {
@@ -606,8 +623,9 @@ func (c *Cache) importRecord(rec []byte) int {
 	if identical {
 		return importReplaced
 	}
+	hash := keyHash(key)
 	if ce == nil && disk != nil {
-		if dr, ok := disk.findStored(r.form, r.keyBytes, keyHash(key)); ok && bytes.Equal(dr.bytes, rec) {
+		if dr, ok := disk.findStored(r.form, r.keyBytes, hash); ok && bytes.Equal(dr.bytes, rec) {
 			return importReplaced
 		}
 	}
@@ -617,7 +635,7 @@ func (c *Cache) importRecord(rec []byte) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.insertLocked(bytes.Clone(rec), 0) {
+	if c.insertLocked(bytes.Clone(rec), hash, 0) {
 		return importReplaced
 	}
 	return importAdded

@@ -187,7 +187,8 @@ func (c *Cache) LoadFile(path string) (int, error) {
 		c.disk = m
 		c.shadowed = 0
 		for e := c.lru.Front(); e != nil; e = e.Next() {
-			if r, _ := parseRecord(e.Value.(*centry).rec); m.holds(&r) {
+			ce := e.Value.(*centry)
+			if r, _ := parseRecord(ce.rec); m.holds(&r, ce.hash) {
 				c.shadowed++
 			}
 		}

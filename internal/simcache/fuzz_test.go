@@ -47,3 +47,45 @@ func FuzzLoadStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOpenMapped: the mmap tier reads whatever file a -cache flag names —
+// its index, or, when the footer or index is damaged, a salvage scan of
+// the records — so neither may panic, and whatever opens must serve
+// consistently: every key it lists looks up (and decodes or is rejected),
+// the cache it is attached to lacks none of its own key hashes, and the
+// snapshot that cache writes loads into a fresh cache that writes back the
+// same bytes. The bytes are parsed as OpenMapped parses a mapped file.
+// Seeds live in testdata/fuzz/FuzzOpenMapped: a good file, one with a torn
+// tail and one with a flipped index byte.
+func FuzzOpenMapped(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := &Mapped{data: data}
+		if m.parse("fuzz") != nil {
+			return
+		}
+		m.RangeKeys(func(key string, _ int) bool {
+			m.Get(key)
+			return true
+		})
+		c := New()
+		c.disk = m
+		if miss := c.Missing(c.KeyHashes()); len(miss) != 0 {
+			t.Fatalf("the cache lacks %d of its own key hashes", len(miss))
+		}
+		var out bytes.Buffer
+		if err := c.WriteBinaryTo(&out); err != nil {
+			t.Fatalf("the attached tier does not write: %v", err)
+		}
+		again := New()
+		if _, _, err := again.LoadStream(bytes.NewReader(out.Bytes())); err != nil {
+			t.Fatalf("the written snapshot does not load: %v", err)
+		}
+		var back bytes.Buffer
+		if err := again.WriteBinaryTo(&back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back.Bytes(), out.Bytes()) {
+			t.Fatal("the re-read snapshot writes different bytes")
+		}
+	})
+}

@@ -57,30 +57,38 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := int(info.Size())
-	if size < headerSize {
-		return nil, fmt.Errorf("simcache: %s: too small for a binary snapshot (%d bytes)", path, size)
-	}
-	data, mapped, err := mapFile(f, size)
+	data, mapped, err := mapFile(f, int(info.Size()))
 	if err != nil {
 		return nil, err
 	}
 	m := &Mapped{info: info, data: data, mapped: mapped}
-	if !IsBinarySnapshot(data) {
+	if err := m.parse(path); err != nil {
 		m.Close()
-		return nil, fmt.Errorf("simcache: %s: not a binary snapshot", path)
+		return nil, err
+	}
+	return m, nil
+}
+
+// parse checks the header of the file at path, mapped as m.data, and reads
+// its index — or rebuilds one by a salvage scan when the footer or index is
+// damaged.
+func (m *Mapped) parse(path string) error {
+	data := m.data
+	if len(data) < headerSize {
+		return fmt.Errorf("simcache: %s: too small for a binary snapshot (%d bytes)", path, len(data))
+	}
+	if !IsBinarySnapshot(data) {
+		return fmt.Errorf("simcache: %s: not a binary snapshot", path)
 	}
 	m.version = binary.LittleEndian.Uint32(data[4:8])
 	if m.version != binVersion {
-		v := m.version
-		m.Close()
-		return nil, &StaleFormatError{Path: path, Format: int(v)}
+		return &StaleFormatError{Path: path, Format: int(m.version)}
 	}
 	if !m.loadIndex() {
 		m.salvage = true
 		m.index = salvageScan(data)
 	}
-	return m, nil
+	return nil
 }
 
 // loadIndex parses the footer and index, verifying the index checksum
@@ -183,17 +191,10 @@ func (m *Mapped) findStored(form byte, packed []byte, h uint64) (record, bool) {
 	return record{}, false
 }
 
-// holds reports whether the tier indexes the key record r is stored under.
-func (m *Mapped) holds(r *record) bool {
-	if m == nil {
-		return false
-	}
-	var buf [129]byte
-	key, err := canonicalKey(r.form, r.keyBytes, &buf)
-	if err != nil {
-		return false
-	}
-	_, ok := m.findStored(r.form, r.keyBytes, keyHash(key))
+// holds reports whether the tier indexes the key record r is stored under,
+// whose key string hashes to h.
+func (m *Mapped) holds(r *record, h uint64) bool {
+	_, ok := m.findStored(r.form, r.keyBytes, h)
 	return ok
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -42,6 +43,53 @@ func (c *Cache) Keys() []string {
 	})
 	sort.Strings(keys)
 	return keys
+}
+
+// KeyHashes returns the index hash of every key the cache can serve,
+// ascending and without repeats: the memory tier's, kept beside each record,
+// merged with the attached disk tier's index, which holds them sorted. No
+// key is unpacked and no record read. It is the question a sweep
+// coordinator asks a worker before pre-seeding it (Missing), and the
+// hashes WriteSubsetTo selects by.
+func (c *Cache) KeyHashes() []uint64 {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	disk := c.disk
+	out := make([]uint64, 0, c.lru.Len()+disk.Count())
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*centry).hash)
+	}
+	c.mu.Unlock()
+	if disk != nil {
+		for _, e := range disk.index {
+			out = append(out, e.hash)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Missing returns the positions in hashes — key hashes, ascending — of
+// those the cache cannot serve (see KeyHashes), ascending. A hash the cache
+// holds may be another key's (a 64-bit collision), and a record it holds
+// may be corrupt on disk: either way the record is not sent to it, and it
+// simulates the pair when asked for it — a simulation, never a wrong
+// result.
+func (c *Cache) Missing(hashes []uint64) []int {
+	held := c.KeyHashes()
+	out := []int{}
+	j := 0
+	for i, h := range hashes {
+		for j < len(held) && held[j] < h {
+			j++
+		}
+		if j == len(held) || held[j] != h {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Marshal serializes every stored result in the binary snapshot

@@ -93,10 +93,11 @@ type inflight struct {
 	err  error
 }
 
-// centry is one result held in memory — its snapshot record — plus its LRU
-// position.
+// centry is one result held in memory — its snapshot record and the index
+// hash of its key — plus its LRU position.
 type centry struct {
 	rec  []byte        // the encoded record (appendRecord); never written to once stored
+	hash uint64        // keyHash of the record's key, so no listing unpacks it
 	seq  uint64        // the store that put it here (see Mark); 0 for an import
 	elem *list.Element // value is the *centry
 }
@@ -186,11 +187,12 @@ func (c *Cache) entryLocked(form byte, keyBytes []byte) *centry {
 	return c.raw[string(keyBytes)]
 }
 
-// insertLocked stores rec, an encoded record, under its key
-// (last-writer-wins) with store sequence seq, and applies the memory
-// budget. It replaces what either tier held: a memory entry is overwritten,
-// a disk record shadowed. The cache keeps rec. Caller holds c.mu.
-func (c *Cache) insertLocked(rec []byte, seq uint64) (replaced bool) {
+// insertLocked stores rec, an encoded record whose key hashes to hash,
+// under its key (last-writer-wins) with store sequence seq, and applies the
+// memory budget. It replaces what either tier held: a memory entry is
+// overwritten, a disk record shadowed. The cache keeps rec. Caller holds
+// c.mu.
+func (c *Cache) insertLocked(rec []byte, hash, seq uint64) (replaced bool) {
 	c.dirty = true
 	r, _ := parseRecord(rec) // the caller's record parses
 	if ce := c.entryLocked(r.form, r.keyBytes); ce != nil {
@@ -199,7 +201,7 @@ func (c *Cache) insertLocked(rec []byte, seq uint64) (replaced bool) {
 		c.lru.MoveToFront(ce.elem)
 		return true
 	}
-	ce := &centry{rec: rec, seq: seq}
+	ce := &centry{rec: rec, hash: hash, seq: seq}
 	ce.elem = c.lru.PushFront(ce)
 	if r.form == keyformHexHex {
 		c.packed[[64]byte(r.keyBytes)] = ce
@@ -207,7 +209,7 @@ func (c *Cache) insertLocked(rec []byte, seq uint64) (replaced bool) {
 		c.raw[string(r.keyBytes)] = ce
 	}
 	c.memUsed += entryMemSize(rec)
-	if c.disk.holds(&r) {
+	if c.disk.holds(&r, hash) {
 		c.shadowed++
 		replaced = true
 	}
@@ -218,9 +220,9 @@ func (c *Cache) insertLocked(rec []byte, seq uint64) (replaced bool) {
 // storeLocked is insertLocked for a result a simulation or Store produced:
 // encoded once, here, and numbered in the store sequence. Caller holds
 // c.mu.
-func (c *Cache) storeLocked(rec []byte) (replaced bool) {
+func (c *Cache) storeLocked(rec []byte, hash uint64) (replaced bool) {
 	c.seq++
-	return c.insertLocked(rec, c.seq)
+	return c.insertLocked(rec, hash, c.seq)
 }
 
 // evictLocked drops LRU entries until the memory budget is met,
@@ -238,7 +240,7 @@ func (c *Cache) evictLocked() {
 			next = e.Prev()
 			ce := e.Value.(*centry)
 			r, _ := parseRecord(ce.rec)
-			onDisk := c.disk.holds(&r)
+			onDisk := c.disk.holds(&r, ce.hash)
 			if pass == 0 && !onDisk {
 				continue
 			}
@@ -303,7 +305,7 @@ func (c *Cache) Store(key string, res core.Result) (replaced bool) {
 	rec := appendRecord(nil, key, &res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.storeLocked(rec)
+	return c.storeLocked(rec, keyHash(key))
 }
 
 // Run returns the memoized result for (cfg, tr), resolving through the
@@ -369,13 +371,14 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	c.mu.Unlock()
 
 	fl.res, fl.err = cfg.Run(tr)
+	var hash uint64
 	if fl.err == nil {
-		rec = appendRecord(nil, key, &fl.res)
+		rec, hash = appendRecord(nil, key, &fl.res), keyHash(key)
 	}
 	c.mu.Lock()
 	c.misses++
 	if fl.err == nil {
-		c.storeLocked(rec)
+		c.storeLocked(rec, hash)
 	}
 	delete(c.running, key)
 	c.mu.Unlock()
