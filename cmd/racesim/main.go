@@ -38,9 +38,7 @@ import (
 	"syscall"
 	"time"
 
-	"racesim/internal/chaos"
 	"racesim/internal/engine"
-	"racesim/internal/simcache"
 	"racesim/internal/version"
 )
 
@@ -292,13 +290,12 @@ func cmdServe(args []string) error {
 		drainWait   = fs.Duration("drain-timeout", 10*time.Minute, "how long SIGTERM waits for running jobs before exiting")
 		announce    = fs.String("announce", "", "write the bound listen address to this file once serving (for -addr :0 spawners)")
 		jobTimeout  = fs.Duration("job-timeout", 0, "server-enforced deadline per job (0 = none; jobs may also carry their own shorter timeout)")
-		chaosSpec   = fs.String("chaos", "", "inject engine-side faults (e.g. seed=7,panic=1,stall=2,poison=1); see docs/robustness.md")
 		memBudget   = fs.Int64("mem-budget", 0, "in-memory cache budget in MiB (0 = unbounded); excess entries evict LRU-first")
 	)
 	fs.Parse(args)
 
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
-	opts := engine.ServerOptions{
+	srv, err := engine.NewServer(engine.ServerOptions{
 		Parallelism:  *parallelism,
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
@@ -306,28 +303,9 @@ func cmdServe(args []string) error {
 		JobTimeout:   *jobTimeout,
 		MemoryBudget: *memBudget << 20,
 		Log:          logf,
-	}
-	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		spec, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			return err
-		}
-		inj = chaos.New(spec)
-		opts.FaultHook = inj.JobFault
-		opts.SnapshotHook = func(data []byte) ([]byte, error) {
-			return inj.MutateSnapshot(data, simcache.PoisonSnapshot), nil
-		}
-		logf("serve: chaos armed: %s", spec)
-	}
-	srv, err := engine.NewServer(opts)
+	})
 	if err != nil {
 		return err
-	}
-	if inj != nil {
-		// Fired-fault tallies land on this process's /metrics, so a chaos
-		// smoke can prove mid-run that faults actually fired.
-		chaos.RegisterMetrics(srv.Metrics(), inj)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"racesim/internal/chaos"
 	"racesim/internal/cluster"
 	"racesim/internal/telemetry"
 )
@@ -37,28 +36,9 @@ func cmdSweep(args []string) error {
 		parallelism = fs.Int("parallelism", 0, "concurrent simulations per spawned worker (0 = GOMAXPROCS)")
 		out         = fs.String("out", "", "also write the assembled artifact to this file")
 		quiet       = fs.Bool("q", false, "suppress progress output")
-		chaosSpec   = fs.String("chaos", "", "inject network faults between coordinator and workers (e.g. seed=7,drop=0.05,delay=0.1,fail=0.02); see docs/robustness.md")
-		workerChaos = fs.String("worker-chaos", "", "forward a -chaos spec to every -spawn worker (engine-side faults: panic=N,stall=N,poison=N)")
 		traceOut    = fs.String("trace-out", "", "write the sweep's flight recorder (one span per JSONL line) to this file; see docs/observability.md")
 	)
 	fs.Parse(args)
-
-	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		spec, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			return err
-		}
-		inj = chaos.New(spec)
-	}
-	if *workerChaos != "" {
-		if _, err := chaos.Parse(*workerChaos); err != nil {
-			return fmt.Errorf("-worker-chaos: %w", err)
-		}
-		if *spawn == 0 {
-			return fmt.Errorf("-worker-chaos only applies to -spawn workers (remote workers take `serve -chaos` themselves)")
-		}
-	}
 
 	logf := func(format string, a ...any) {
 		if !*quiet {
@@ -79,7 +59,7 @@ func cmdSweep(args []string) error {
 	defer stopSignals()
 	context.AfterFunc(ctx, stopSignals)
 	if *spawn > 0 {
-		spawned, stop, err := spawnWorkers(*spawn, *parallelism, *workerChaos, logf)
+		spawned, stop, err := spawnWorkers(*spawn, *parallelism, logf)
 		if err != nil {
 			return err
 		}
@@ -107,7 +87,6 @@ func cmdSweep(args []string) error {
 		Workers:   urls,
 		Retries:   *retriesN,
 		CachePath: *cache,
-		Transport: inj.Transport(nil),
 		Scenario:  *scenarioPat,
 		Scale:     *scale,
 		Events:    *events,
@@ -118,9 +97,6 @@ func cmdSweep(args []string) error {
 		Recorder:  rec,
 		Log:       logf,
 	})
-	if inj != nil {
-		logf("sweep: chaos injected: %s", inj.Counts())
-	}
 	if root != nil {
 		// The root span closes even on a failed sweep: a flight recorder
 		// that stops at the failure is exactly what you want to read.
@@ -197,10 +173,8 @@ func writeTrace(path string, rec *telemetry.Recorder) error {
 // loopback ports — single-machine parallelism beyond one simcache lock
 // domain (each process owns its own shared cache; the coordinator's
 // federation ties them together). The bound address of each worker is
-// discovered through serve's -announce file. A non-empty chaosSpec is
-// forwarded to each worker's `serve -chaos`, arming engine-side faults
-// (job panics, stalls, poisoned cache deltas) inside the workers.
-func spawnWorkers(n, parallelism int, chaosSpec string, logf func(string, ...any)) (urls []string, stop func(), err error) {
+// discovered through serve's -announce file.
+func spawnWorkers(n, parallelism int, logf func(string, ...any)) (urls []string, stop func(), err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, fmt.Errorf("spawn: locate racesim binary: %w", err)
@@ -237,9 +211,6 @@ func spawnWorkers(n, parallelism int, chaosSpec string, logf func(string, ...any
 			"-addr", "127.0.0.1:0",
 			"-announce", announce,
 			"-parallelism", fmt.Sprint(parallelism)}
-		if chaosSpec != "" {
-			wargs = append(wargs, "-chaos", chaosSpec)
-		}
 		cmd := exec.Command(exe, wargs...)
 		cmd.Stderr = os.Stderr
 		if err = cmd.Start(); err != nil {

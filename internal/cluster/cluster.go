@@ -41,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -67,9 +66,6 @@ type Options struct {
 	// unit finishes once simcache.SaveInterval has passed since the last
 	// save, and on every way out of the round.
 	CachePath string
-	// Transport, when non-nil, wraps every worker client's HTTP
-	// transport — the chaos injector's network attach point.
-	Transport http.RoundTripper
 
 	// Trace, when valid, parents one "unit" span per completed unit
 	// under it; each dispatch attempt propagates a fresh span context to
@@ -134,8 +130,8 @@ type policy struct {
 // sweepPolicy is the policy of every sweep.
 var sweepPolicy = policy{deadAfter: 2, probeLimit: 5, delay: engine.Backoff, checkpoint: simcache.SaveInterval}
 
-// startTries: a worker still binding its listener, or one request lost to
-// a chaos drop, should not cost the sweep a worker for the whole round.
+// startTries: a worker still binding its listener, or one request lost on
+// the network, should not cost the sweep a worker for the whole round.
 const startTries = 3
 
 // try runs op up to startTries times and returns its last error. It waits
@@ -290,7 +286,6 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		}
 		w.client = engine.NewClient(w.url)
 		w.client.Log = log
-		w.client.Transport = opts.Transport
 		// Before the caller stops the worker: see CloseIdleConnections.
 		defer w.client.CloseIdleConnections()
 		workers[i] = w
@@ -572,14 +567,21 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 	// stored since its pre-seed, so a repeated collection re-reads what fed
 	// already holds: those records count as replaced and cost a byte
 	// compare. Deltas stream from the peer's response body into fed record
-	// by record, so neither side buffers a whole snapshot.
+	// by record, so neither side buffers a whole snapshot. A delta that
+	// broke off or lost records to their checksums in transit is fetched
+	// again, up to startTries times: the collection on the way out is the
+	// only one that carries the round's last units.
 	pull := func(ctx context.Context, cl *engine.Client) (int, error) {
+		rejected := fed.Stats().Rejected
 		rc, err := cl.SnapshotReader(ctx, true)
 		if err != nil {
 			return 0, err
 		}
 		defer rc.Close()
 		added, _, err := fed.LoadStream(rc)
+		if n := fed.Stats().Rejected - rejected; err == nil && n > 0 {
+			err = fmt.Errorf("%d records failed their checksum", n)
+		}
 		return added, err
 	}
 	collect := func(ctx context.Context) {
@@ -588,7 +590,12 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			if w.dead {
 				continue
 			}
-			added, err := pull(ctx, w.client)
+			var added int
+			err := pol.try(ctx, func() error {
+				n, err := pull(ctx, w.client)
+				added += n
+				return err
+			})
 			if err != nil {
 				log("sweep: worker %s: delta collection failed: %v", w.url, err)
 				continue

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"racesim/internal/chaos"
 	"racesim/internal/cluster"
 	"racesim/internal/core"
 	"racesim/internal/engine"
@@ -38,11 +37,17 @@ const (
 // startWorker runs an in-process serve worker and returns its URL.
 func startWorker(t *testing.T) (*engine.Server, *httptest.Server) {
 	t.Helper()
+	return startWorkerBehind(t, nil)
+}
+
+// startWorkerBehind runs an in-process serve worker behind f's faults.
+func startWorkerBehind(t *testing.T, f *faults) (*engine.Server, *httptest.Server) {
+	t.Helper()
 	srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(f.front(srv.Handler()))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), tinyTimeout)
@@ -494,39 +499,19 @@ func TestInterruptedSweepSaves(t *testing.T) {
 	}
 }
 
-// brokenUntilProxy 500s job submissions until `heal` submissions have
-// been refused, then behaves normally — a worker with a transient fault
-// (full disk, OOM churn) that recovers while quarantined. Health checks
-// pass throughout, so the prober re-admits it.
-type brokenUntilProxy struct {
-	inner    http.Handler
-	refusals atomic.Int32
-	heal     int32
-}
-
-func (b *brokenUntilProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-		if n := b.refusals.Load(); n < b.heal {
-			b.refusals.Add(1)
-			http.Error(w, "simulated transient fault", http.StatusInternalServerError)
-			return
-		}
-	}
-	b.inner.ServeHTTP(w, r)
-}
-
 func TestSweepQuarantinesAndReadmitsFlakyWorker(t *testing.T) {
 	// The flaky worker is the ONLY worker: finishing the sweep at all
 	// requires the full circuit-breaker cycle — failures open the circuit,
 	// a passing probe re-admits, the healed worker renders everything.
-	srvB, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := &brokenUntilProxy{inner: srvB.Handler(), heal: 2}
-	tsB := httptest.NewServer(proxy)
-	defer tsB.Close()
-	defer srvB.Drain(context.Background())
+	// Its first two job submissions answer 500: a transient fault (full
+	// disk, OOM churn) that heals while the worker is quarantined. Health
+	// checks pass throughout, so the prober re-admits it.
+	_, tsB := startWorkerBehind(t, newFaults(1, func(f *faults, _ *http.Request, unit string) fault {
+		if unit != "" && f.fired[failUnit].Load() < 2 {
+			return failUnit
+		}
+		return pass
+	}))
 
 	opts := tinyOptions(tsB.URL)
 	opts.Retries = 6
@@ -683,27 +668,83 @@ func TestSweepReportsWorkerFailingPreseedAsDead(t *testing.T) {
 	}
 }
 
-func TestSweepByteIdenticalUnderChaosTransport(t *testing.T) {
-	// The tentpole property: with seeded network faults between the
-	// coordinator and every worker, the assembled artifact is still
-	// byte-identical to the fault-free run — faults cost retries, never
-	// correctness.
-	_, tsA := startWorker(t)
-	_, tsB := startWorker(t)
+// sweepFaults gives every other request a network fault, the kinds taking
+// turns. The first delta with a record to poison is poisoned, and the first
+// submission of unit failing answers 500, as a job that panicked on its
+// worker fails its unit once.
+func sweepFaults(failing string) func(*faults, *http.Request, string) fault {
+	turns := []fault{drop, delay, fail5xx, truncate, corrupt}
+	next := 0
+	return func(f *faults, r *http.Request, unit string) fault {
+		switch {
+		case unit == failing && f.fired[failUnit].Load() == 0:
+			return failUnit
+		case r.URL.Query().Get("delta") == "1" && f.fired[poison].Load() == 0:
+			return poison
+		case f.n%2 == 1:
+			next++
+			return turns[(next-1)%len(turns)]
+		}
+		return pass
+	}
+}
 
-	inj := chaos.New(chaos.Spec{Seed: 7, Drop: 0.04, Delay: 0.05, DelayMax: 10 * time.Millisecond, Fail: 0.03, Corrupt: 0.03})
+func TestSweepByteIdenticalUnderFaults(t *testing.T) {
+	// The robustness property: with faults between the coordinator and
+	// every worker, the assembled artifact is still byte-identical to the
+	// fault-free run and the cache file holds every result — faults cost
+	// retries, never correctness.
+	f := newFaults(7, sweepFaults("table2"))
+	_, tsA := startWorkerBehind(t, f)
+	_, tsB := startWorkerBehind(t, f)
+
+	path := filepath.Join(t.TempDir(), "fed.snap")
 	opts := cluster.FastPolicy(tinyOptions(tsA.URL, tsB.URL), 4, 5)
-	opts.Transport = inj.Transport(nil)
 	opts.Retries = 8
+	opts.CachePath = path
 	got, _, err := cluster.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := batchArtifact(t, tinySelect); got != want {
-		t.Errorf("chaos sweep differs from fault-free run:\nchaos:\n%s\nclean:\n%s", got, want)
+		t.Errorf("sweep under faults differs from fault-free run:\nfaults:\n%s\nclean:\n%s", got, want)
 	}
-	if inj.Counts() == (chaos.Counts{}) {
-		t.Error("the chaos run injected nothing; the property was not exercised")
+	for k := drop; k < numFaults; k++ {
+		n := f.fired[k].Load()
+		t.Logf("%s faults: %d", faultNames[k], n)
+		if n == 0 {
+			t.Errorf("no %s fault fired: the property was not exercised against it", faultNames[k])
+		}
+	}
+	if misses := resume(t, tinySelect, path).Cache.Misses; misses != 0 {
+		t.Errorf("re-run from the cache file simulated %d times, want 0", misses)
+	}
+}
+
+// TestSweepRefetchesAPoisonedDelta: a delta that loses a record to its
+// checksum on the way is fetched again. A one-unit sweep collects only on
+// the way out, so without the second fetch its cache file would lack the
+// record.
+func TestSweepRefetchesAPoisonedDelta(t *testing.T) {
+	f := newFaults(1, func(f *faults, r *http.Request, _ string) fault {
+		if r.URL.Query().Get("delta") == "1" && f.fired[poison].Load() == 0 {
+			return poison
+		}
+		return pass
+	})
+	_, ts := startWorkerBehind(t, f)
+	path := filepath.Join(t.TempDir(), "fed.snap")
+	opts := tinyOptions(ts.URL)
+	opts.Scenario = "fig2"
+	opts.CachePath = path
+	if _, _, err := cluster.Run(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.fired[poison].Load(); n != 1 {
+		t.Fatalf("%d deltas poisoned, want 1", n)
+	}
+	if misses := resume(t, "fig2", path).Cache.Misses; misses != 0 {
+		t.Errorf("re-run from the cache file simulated %d times, want 0", misses)
 	}
 }
 
@@ -840,53 +881,47 @@ func TestSweepCachePathNotASnapshotFailsBeforeDispatch(t *testing.T) {
 // coordinator dialled and never used: net/http counts a StateNew
 // connection active until it is five seconds old.
 func TestSweepLeavesNoIdleConnections(t *testing.T) {
-	for what, transport := range map[string]http.RoundTripper{
-		"default transport": nil,
-		"chaos transport":   chaos.New(chaos.Spec{Seed: 1}).Transport(nil),
-	} {
-		var mu sync.Mutex
-		conns := map[net.Conn]http.ConnState{}
-		var urls []string
-		for i := 0; i < 2; i++ {
-			srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewUnstartedServer(srv.Handler())
-			ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
-				mu.Lock()
-				conns[c] = st
-				mu.Unlock()
-			}
-			ts.Start()
-			t.Cleanup(func() {
-				ts.Close()
-				srv.Drain(context.Background())
-			})
-			urls = append(urls, ts.URL)
-		}
-		opts := tinyOptions(urls...)
-		opts.Scenario = "table1"
-		opts.Transport = transport
-		if _, _, err := cluster.Run(context.Background(), opts); err != nil {
+	var mu sync.Mutex
+	conns := map[net.Conn]http.ConnState{}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-		lingering := func() (n int) {
+		ts := httptest.NewUnstartedServer(srv.Handler())
+		ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
 			mu.Lock()
-			defer mu.Unlock()
-			for _, st := range conns {
-				if st == http.StateNew || st == http.StateIdle {
-					n++
-				}
+			conns[c] = st
+			mu.Unlock()
+		}
+		ts.Start()
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Drain(context.Background())
+		})
+		urls = append(urls, ts.URL)
+	}
+	opts := tinyOptions(urls...)
+	opts.Scenario = "table1"
+	if _, _, err := cluster.Run(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	lingering := func() (n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, st := range conns {
+			if st == http.StateNew || st == http.StateIdle {
+				n++
 			}
-			return n
 		}
-		deadline := time.Now().Add(time.Second)
-		for lingering() > 0 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := lingering(); n > 0 {
-			t.Errorf("%s: %d of %d connections are still new or idle a second after the sweep returned", what, n, len(conns))
-		}
+		return n
+	}
+	deadline := time.Now().Add(time.Second)
+	for lingering() > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := lingering(); n > 0 {
+		t.Errorf("%d of %d connections are still new or idle a second after the sweep returned", n, len(conns))
 	}
 }

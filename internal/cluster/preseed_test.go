@@ -3,9 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -31,7 +29,7 @@ type seenWorker struct {
 	log []string
 }
 
-func startSeenWorker(t *testing.T) *seenWorker {
+func startSeenWorker(t *testing.T, f *faults) *seenWorker {
 	t.Helper()
 	w := &seenWorker{}
 	srv, err := engine.NewServer(engine.ServerOptions{Parallelism: 2, Log: func(format string, args ...any) {
@@ -43,12 +41,12 @@ func startSeenWorker(t *testing.T) *seenWorker {
 		t.Fatal(err)
 	}
 	inner := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(f.front(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/cache/missing" {
 			w.asked.Add(1)
 		}
 		inner.ServeHTTP(rw, r)
-	}))
+	})))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), tinyTimeout)
@@ -170,7 +168,7 @@ func TestPreseedSendsEachWorkerWhatItLacks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	empty, full, halfW := startSeenWorker(t), startSeenWorker(t), startSeenWorker(t)
+	empty, full, halfW := startSeenWorker(t, nil), startSeenWorker(t, nil), startSeenWorker(t, nil)
 	full.seed(t, data)
 	halfW.seed(t, half.Bytes())
 	if added, _, _ := importOf(t, halfW.imports()[0]); added != len(even) {
@@ -218,7 +216,7 @@ func TestPreseedSendsEachWorkerWhatItLacks(t *testing.T) {
 // baseline as an import would; without that, its delta would still reach
 // back to its start and carry the last round's results again.
 func TestPreseedExchangeMovesTheDeltaBaseline(t *testing.T) {
-	w := startSeenWorker(t)
+	w := startSeenWorker(t, nil)
 	path := filepath.Join(t.TempDir(), "fed.snap")
 	opts := tinyOptions(w.url)
 	opts.Scenario = "table1"
@@ -260,81 +258,22 @@ func TestPreseedExchangeMovesTheDeltaBaseline(t *testing.T) {
 	}
 }
 
-// faultOn wraps the default transport with one fault on every request to
-// path.
-type faultOn struct {
-	path  string
-	fault func(*http.Response) (*http.Response, error) // nil: drop the request
-}
-
-func (f faultOn) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != f.path {
-		return http.DefaultTransport.RoundTrip(req)
-	}
-	if f.fault == nil {
-		if req.Body != nil {
-			req.Body.Close()
-		}
-		return nil, errors.New("injected drop")
-	}
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	return f.fault(resp)
-}
-
-// rewriteBody replaces a response's body by edit of it.
-func rewriteBody(edit func([]byte) []byte) func(*http.Response) (*http.Response, error) {
-	return func(resp *http.Response) (*http.Response, error) {
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		data = edit(data)
-		resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(data)), int64(len(data))
-		resp.Header.Del("Content-Length")
-		return resp, nil
-	}
-}
-
 // TestPreseedFallsBackWhenTheExchangeFails: whatever goes wrong with the
 // question — the request dropped, a 5xx, the answer truncated or corrupted
 // — the worker is streamed the whole snapshot, and the sweep prints the
 // single-process bytes.
 func TestPreseedFallsBackWhenTheExchangeFails(t *testing.T) {
-	faults := map[string]func(*http.Response) (*http.Response, error){
-		"drop": nil,
-		"5xx": func(resp *http.Response) (*http.Response, error) {
-			resp.Body.Close()
-			return &http.Response{
-				Status: "500 Internal Server Error", StatusCode: http.StatusInternalServerError,
-				Proto: resp.Proto, ProtoMajor: resp.ProtoMajor, ProtoMinor: resp.ProtoMinor,
-				Header: http.Header{}, Body: io.NopCloser(strings.NewReader(`{"error":"injected"}`)),
-				Request: resp.Request,
-			}, nil
-		},
-		"truncate": rewriteBody(func(b []byte) []byte { return b[:len(b)/2] }),
-		"corrupt": rewriteBody(func(b []byte) []byte {
-			for i := len(b) / 3; i < len(b)/3+4 && i < len(b); i++ {
-				b[i] = 0
-			}
-			return b
-		}),
-	}
-	for name, fault := range faults {
+	for name, k := range map[string]fault{"drop": drop, "5xx": fail5xx, "truncate": truncate, "corrupt": corrupt} {
 		t.Run(name, func(t *testing.T) {
 			path, data := warmCopy(t)
-			w := startSeenWorker(t)
+			f := newFaults(1, onPath("/v1/cache/missing", k))
+			w := startSeenWorker(t, f)
 			w.seed(t, data)
-			opts := tinyOptions(w.url)
-			opts.Transport = faultOn{path: "/v1/cache/missing", fault: fault}
-			line, rep := sweepLogged(t, opts, path)
+			line, rep := sweepLogged(t, tinyOptions(w.url), path)
 			if rep.Cache.Misses != 0 {
 				t.Errorf("the round simulated %d times, want 0", rep.Cache.Misses)
 			}
-			if w.asked.Load() == 0 && fault != nil {
+			if f.fired[k].Load() == 0 || w.asked.Load() == 0 && k != drop {
 				t.Error("the worker was never asked: the fault was not exercised")
 			}
 			got := w.imports()

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"racesim/internal/telemetry"
@@ -28,9 +27,6 @@ import (
 type Client struct {
 	// BaseURL is the worker's root URL, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Transport carries every request (default http.DefaultTransport).
-	// The chaos injector's Transport wrapper attaches here.
-	Transport http.RoundTripper
 	// Log receives retry/back-pressure notices; nil discards them.
 	Log func(format string, args ...any)
 
@@ -39,8 +35,10 @@ type Client struct {
 	// raised only by tests.
 	retries int
 
-	once        sync.Once
-	req, stream *http.Client // see build
+	// req carries every request but an event stream, under requestTimeout;
+	// stream carries the event streams, which outlive any per-request
+	// bound and end through the caller's context.
+	req, stream *http.Client
 }
 
 const (
@@ -74,28 +72,12 @@ var ErrUnreachable = errors.New("engine: worker unreachable")
 
 // NewClient returns a client for a worker base URL.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), retries: clientRetries}
-}
-
-// build makes the client's two HTTP clients on first use, after Transport
-// is set. Both share Transport, so the chaos injector sees every request;
-// only req carries requestTimeout, since an SSE stream outlives any
-// per-request bound and ends through the caller's context.
-func (c *Client) build() {
-	c.req = &http.Client{Timeout: requestTimeout, Transport: c.Transport}
-	c.stream = &http.Client{Transport: c.Transport}
-}
-
-// http is the client of every request but an event stream.
-func (c *Client) http() *http.Client {
-	c.once.Do(c.build)
-	return c.req
-}
-
-// streamHTTP is the client of the long-lived event streams.
-func (c *Client) streamHTTP() *http.Client {
-	c.once.Do(c.build)
-	return c.stream
+	return &Client{
+		BaseURL: strings.TrimRight(baseURL, "/"),
+		retries: clientRetries,
+		req:     &http.Client{Timeout: requestTimeout},
+		stream:  &http.Client{},
+	}
 }
 
 func (c *Client) logf(format string, args ...any) {
@@ -118,7 +100,7 @@ func apiErrorOf(resp *http.Response, body []byte) error {
 // stream or a snapshot download goes through it. An answer whose status is
 // not want is the server's error; resp is nil only when nothing answered.
 func (c *Client) call(req *http.Request, want int) (resp *http.Response, data []byte, err error) {
-	if resp, err = c.http().Do(req); err != nil {
+	if resp, err = c.req.Do(req); err != nil {
 		return nil, nil, err
 	}
 	data, err = io.ReadAll(resp.Body)
@@ -246,8 +228,8 @@ func (c *Client) Cancel(ctx context.Context, id string) (string, error) {
 // shutdown waits out a connection that was dialled and never carried a
 // request (net/http counts it active until it is five seconds old).
 func (c *Client) CloseIdleConnections() {
-	c.http().CloseIdleConnections()
-	c.streamHTTP().CloseIdleConnections()
+	c.req.CloseIdleConnections()
+	c.stream.CloseIdleConnections()
 }
 
 // Watch follows a job to its terminal state over the live event stream
@@ -298,7 +280,7 @@ func (c *Client) watchEvents(ctx context.Context, id string) (_ JobStatus, alive
 		return JobStatus{}, false, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.streamHTTP().Do(req)
+	resp, err := c.stream.Do(req)
 	if err != nil {
 		return JobStatus{}, false, err
 	}
@@ -388,7 +370,7 @@ func (c *Client) SnapshotReader(ctx context.Context, delta bool) (io.ReadCloser,
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
+	resp, err := c.req.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -299,7 +299,7 @@ func TestClientCancelRoundTrip(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int32
 	srv, err := NewServer(ServerOptions{
-		FaultHook: func(ctx context.Context) error {
+		faultHook: func(ctx context.Context) error {
 			if calls.Add(1) == 1 {
 				select {
 				case <-release:

@@ -199,13 +199,6 @@ type Options struct {
 	// stream to the terminal and discard the Result leave it off, so a
 	// long sweep's artifact is not duplicated in memory.
 	Capture bool
-	// FaultHook, when non-nil, runs at the start of every job inside the
-	// panic-recovery scope. It exists for fault injection (internal/chaos
-	// wires Injector.JobFault here): a hook that panics exercises the
-	// recovery path, one that blocks on the context exercises deadlines
-	// and cancellation, and one that returns an error fails the job. The
-	// engine itself attaches no semantics to it.
-	FaultHook func(ctx context.Context) error
 	// Trace, when valid, is the parent span context of this execution
 	// (the serve worker's run span). The engine then records an engine
 	// span (with a simcache child carrying the job's cache activity) into
@@ -214,6 +207,11 @@ type Options struct {
 	// simcache as one tree. Zero disables span recording entirely —
 	// tracing is strictly additive and never changes job output.
 	Trace telemetry.SpanContext
+
+	// faultHook, when non-nil, runs at the start of every job inside the
+	// panic-recovery scope: tests set it to panic (the recovery path),
+	// block on the context (deadlines and cancellation) or fail the job.
+	faultHook func(ctx context.Context) error
 }
 
 // PanicError wraps a panic recovered from job execution. Jobs run
@@ -412,7 +410,7 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 	}
 	if opts.Trace.Valid() {
 		// Thread the trace through the execution context so deeper layers
-		// (and FaultHook implementations) can read it.
+		// can read it.
 		ctx = telemetry.ContextWithSpan(ctx, opts.Trace)
 	}
 	res := &Result{Kind: job.Kind}
@@ -448,8 +446,8 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 					jobErr = &PanicError{Value: r, Stack: debug.Stack()}
 				}
 			}()
-			if opts.FaultHook != nil {
-				if err := opts.FaultHook(ctx); err != nil {
+			if opts.faultHook != nil {
+				if err := opts.faultHook(ctx); err != nil {
 					return err
 				}
 			}

@@ -7,12 +7,6 @@ import (
 	"racesim/internal/version"
 )
 
-// Metrics exposes the server's telemetry registry so callers (the serve
-// command, tests, the chaos injector wiring) can register additional
-// collectors next to the built-in ones. The registry is served at GET
-// /metrics.
-func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
-
 // registerMetrics installs the server's built-in instruments. Hot-path
 // state (cache, trace memo, queue) is exported through collectors that
 // read the existing Stats() snapshots at scrape time — observation

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -54,18 +53,13 @@ type ServerOptions struct {
 	// stops it within one simulation batch), fails with
 	// context.DeadlineExceeded and releases its worker slot.
 	JobTimeout time.Duration
-	// FaultHook, when non-nil, is passed to every job execution
-	// (Options.FaultHook) — the chaos injector's engine-level attach point.
-	FaultHook func(ctx context.Context) error
-	// SnapshotHook, when non-nil, may rewrite outbound GET
-	// /v1/cache/snapshot bodies — the chaos injector's poisoned-delta
-	// attach point. The checksummed snapshot format means a poisoned body
-	// is rejected entry-by-entry (or wholesale) by the consumer, never
-	// silently merged.
-	SnapshotHook func(data []byte) ([]byte, error)
 	// Log receives server lifecycle lines (startup, drain, job
 	// transitions); nil discards them.
 	Log func(format string, args ...any)
+
+	// faultHook is passed to every job execution (Options.faultHook);
+	// tests set it to panic or stall a job.
+	faultHook func(ctx context.Context) error
 }
 
 // JobStatus is the externally visible state of a submitted job.
@@ -276,7 +270,7 @@ func (s *Server) worker() {
 			TraceMemo:   s.memo,
 			Stderr:      st.ring, // live progress ring
 			Capture:     true,    // the stored Result is the job's only output
-			FaultHook:   s.opts.FaultHook,
+			faultHook:   s.opts.faultHook,
 		}
 		var jobSpanID, queueSpanID, runSpanID string
 		if st.trace.Valid() {
@@ -776,8 +770,7 @@ type SnapshotReport struct {
 // SaveFile format). ?delta=1 restricts it to what jobs stored since the
 // last import/startup baseline — what this worker contributed. Records
 // stream straight to the response: the serialized snapshot never exists
-// in server memory. (The chaos SnapshotHook needs the whole body to
-// mutate, so a hooked server falls back to the buffered path.)
+// in server memory.
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	write := s.cache.WriteBinaryTo
 	if q := r.URL.Query().Get("delta"); q != "" {
@@ -792,21 +785,6 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 			write = func(w io.Writer) error { return s.cache.WriteDeltaTo(w, mark) }
 		}
-	}
-	if s.opts.SnapshotHook != nil {
-		var buf bytes.Buffer
-		err := write(&buf)
-		data := buf.Bytes()
-		if err == nil {
-			data, err = s.opts.SnapshotHook(data)
-		}
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
-		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := write(w); err != nil {

@@ -54,7 +54,7 @@ func TestServerSurvivesPanickingJob(t *testing.T) {
 	// queued forever.
 	var calls atomic.Int32
 	srv, err := NewServer(ServerOptions{
-		FaultHook: func(ctx context.Context) error {
+		faultHook: func(ctx context.Context) error {
 			if calls.Add(1) == 1 {
 				panic("injected: first job dies")
 			}
@@ -103,7 +103,7 @@ func TestServerCancelRunningJobFreesSlot(t *testing.T) {
 	started := make(chan struct{}, 1)
 	var calls atomic.Int32
 	srv, err := NewServer(ServerOptions{
-		FaultHook: func(ctx context.Context) error {
+		faultHook: func(ctx context.Context) error {
 			// Only the first job stalls; the follow-up job passes through.
 			if calls.Add(1) != 1 {
 				return nil
@@ -162,7 +162,7 @@ func TestServerCancelQueuedJobNeverRuns(t *testing.T) {
 	release := make(chan struct{})
 	var ran atomic.Int32
 	srv, err := NewServer(ServerOptions{
-		FaultHook: func(ctx context.Context) error {
+		faultHook: func(ctx context.Context) error {
 			if ran.Add(1) == 1 {
 				select {
 				case <-release:
@@ -209,7 +209,7 @@ func TestServerEnforcesJobDeadline(t *testing.T) {
 	// the job must fail with a deadline error, not hang its worker.
 	srv, err := NewServer(ServerOptions{
 		JobTimeout: 50 * time.Millisecond,
-		FaultHook: func(ctx context.Context) error {
+		faultHook: func(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -249,7 +249,7 @@ func TestJobOwnTimeoutValidatedAndEnforced(t *testing.T) {
 	// A job carrying its own timeout is bounded even on a server with no
 	// JobTimeout configured.
 	srv, err := NewServer(ServerOptions{
-		FaultHook: func(ctx context.Context) error {
+		faultHook: func(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -324,14 +324,10 @@ func TestServerRejectsCorruptSnapshotPost(t *testing.T) {
 }
 
 func TestServerSnapshotHookPoisonsDelta(t *testing.T) {
-	// A snapshot hook that mangles the outbound body must surface at the
-	// importing side as rejected entries or a decode error — never as a
-	// silent merge of altered results.
-	srcSrv, err := NewServer(ServerOptions{
-		// The production poisoner: breaks one entry's checksum, exactly
-		// what `serve -chaos poison=N` arms.
-		SnapshotHook: simcache.PoisonSnapshot,
-	})
+	// A delta mangled on its way between two servers must surface at the
+	// importing side as rejected entries — never as a silent merge of
+	// altered results.
+	srcSrv, err := NewServer(ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,13 +344,14 @@ func TestServerSnapshotHookPoisonsDelta(t *testing.T) {
 	}
 	srcEntries := srcSrv.Cache().Stats().Entries
 
-	resp, err := http.Get(srcTS.URL + "/v1/cache/snapshot")
+	delta, err := NewClient(srcTS.URL).ExportSnapshot(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisoned := new(bytes.Buffer)
-	poisoned.ReadFrom(resp.Body)
-	resp.Body.Close()
+	poisoned, err := simcache.PoisonSnapshot(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dstSrv, err := NewServer(ServerOptions{})
 	if err != nil {
@@ -363,7 +360,7 @@ func TestServerSnapshotHookPoisonsDelta(t *testing.T) {
 	dstTS := httptest.NewServer(dstSrv.Handler())
 	defer dstTS.Close()
 	defer dstSrv.Drain(context.Background())
-	resp, err = http.Post(dstTS.URL+"/v1/cache/snapshot", "application/json", poisoned)
+	resp, err := http.Post(dstTS.URL+"/v1/cache/snapshot", "application/octet-stream", bytes.NewReader(poisoned))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,10 +121,12 @@ func (c *Cache) LoadBytes(data []byte) (added, replaced int, err error) {
 // checksum corrupted — a snapshot that parses cleanly but must lose
 // exactly one entry to checksum rejection on load: the last checksum byte
 // of the middle record is flipped, so the index still locates the record
-// and its key-binding checksum no longer proves. It exists for the chaos
-// injector and for tests proving that every snapshot consumer (LoadFile,
-// LoadBytes, POST /v1/cache/snapshot) actually verifies checksums; an
-// empty snapshot cannot be poisoned and errors.
+// and its key-binding checksum no longer proves. It is kept for tests in
+// four packages (simcache, engine, cluster, cmd/racesim) and for the
+// FuzzLoadStream corpus, which prove that every snapshot consumer
+// (LoadFile, LoadBytes, POST /v1/cache/snapshot, a sweep's delta
+// collection) verifies checksums. An empty snapshot cannot be poisoned and
+// errors.
 func PoisonSnapshot(data []byte) ([]byte, error) {
 	if !IsBinarySnapshot(data) {
 		return nil, fmt.Errorf("simcache: poison: not a binary snapshot")

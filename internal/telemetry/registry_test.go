@@ -61,8 +61,8 @@ func TestSnapshotIsValidPrometheus(t *testing.T) {
 	for _, v := range []float64{0.0005, 0.001, 0.3, 2, 400} {
 		h.Observe(v)
 	}
-	r.CounterFunc("racesim_chaos_faults_total", "fired faults",
-		func() float64 { return 5 }, L("kind", "dropped"))
+	r.CounterFunc("racesim_collected_total", "collector-backed counter",
+		func() float64 { return 5 }, L("kind", "sample"))
 	// A label value exercising every escape.
 	r.Gauge("racesim_escape", "escapes", L("v", "a\\b\"c\nd")).Set(1)
 

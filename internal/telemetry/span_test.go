@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,22 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if (SpanContext{}).Header() != "" {
 		t.Error("zero context should render an empty header")
 	}
+}
+
+// FuzzParseHeader: an X-Racesim-Trace value comes off the network, so
+// ParseHeader must never panic, and it either rejects the value (the zero
+// context) or returns a valid context that renders back to the value, less
+// surrounding space. Seeds live in testdata/fuzz/FuzzParseHeader.
+func FuzzParseHeader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		sc := ParseHeader(v)
+		if sc == (SpanContext{}) {
+			return
+		}
+		if !sc.Valid() || sc.Header() != strings.TrimSpace(v) {
+			t.Fatalf("ParseHeader(%q) = %+v, which renders %q", v, sc, sc.Header())
+		}
+	})
 }
 
 func TestSpanTreeAndJSONLRoundTrip(t *testing.T) {
