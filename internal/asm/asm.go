@@ -179,10 +179,15 @@ func instWords(mnem string) int {
 	return 1
 }
 
+// maxSpace bounds the bytes a program's .space directives reserve in
+// all, which the assembler allocates.
+const maxSpace = 16 << 20
+
 // layout performs pass 1: assign addresses to labels.
 func (a *assembler) layout(stmts []statement) error {
 	inData := false
 	var codeCursor, dataCursor uint64
+	var spaced int64 // bytes reserved by .space so far
 	codeStarted := false
 	for _, st := range stmts {
 		switch {
@@ -235,10 +240,17 @@ func (a *assembler) layout(stmts []statement) error {
 			case ".byte":
 				dataCursor++
 			case ".space":
+				if len(st.args) < 1 || len(st.args) > 2 {
+					return &Error{st.line, ".space N [, fill]"}
+				}
 				v, err := a.evalExpr(st.args[0], st.line)
 				if err != nil {
 					return err
 				}
+				if v < 0 || v > maxSpace-spaced {
+					return &Error{st.line, fmt.Sprintf(".space %d: a program reserves 0 to %d bytes in all", v, maxSpace)}
+				}
+				spaced += v
 				dataCursor += uint64(v)
 			default:
 				return &Error{st.line, fmt.Sprintf("unknown directive %s", st.mnem)}
@@ -324,6 +336,10 @@ func (a *assembler) evalExpr(s string, line int) (int64, error) {
 func (a *assembler) evalTerm(t string, line int) (int64, error) {
 	if v, err := strconv.ParseInt(t, 0, 64); err == nil {
 		return v, nil
+	}
+	// An address at or above 2^63, as the disassembler prints it, wraps.
+	if v, err := strconv.ParseUint(t, 0, 64); err == nil {
+		return int64(v), nil
 	}
 	if v, ok := a.consts[t]; ok {
 		return v, nil

@@ -179,6 +179,13 @@ func TestAssembleErrors(t *testing.T) {
 		{".bogus 1", "unknown directive"},
 		{"ldrx x1, [x2, x3]", "does not take a register offset"},
 		{"ldrxr x1, [x2, #8]", "needs a register offset"},
+		{".data 0x1000\n.space", ".space N [, fill]"},
+		{".data 0x1000\n.space -1", "reserves 0 to"},
+		{".data 0x1000\n.space 0x1000000\n.space 1", "reserves 0 to"},
+		{"ldrx x1, [x2, #4096]", "out of 13-bit range"},
+		{"b 170000000", "out of 26-bit range"},
+		{"b.eq 0x2000000", "out of 22-bit range"},
+		{"cbz x1, 0x1000000", "out of 21-bit range"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -62,25 +63,15 @@ func (a *assembler) emit(stmts []statement) (*isa.Program, error) {
 				}
 				appendData(byte(v[0]))
 			case ".space":
-				n, err := a.evalExpr(st.args[0], st.line)
-				if err != nil {
-					return nil, err
-				}
-				fill := byte(0)
+				n, _ := a.evalExpr(st.args[0], st.line) // checked in pass 1
+				fill := int64(0)
 				if len(st.args) == 2 {
-					f, err := a.evalExpr(st.args[1], st.line)
-					if err != nil {
+					var err error
+					if fill, err = a.evalExpr(st.args[1], st.line); err != nil {
 						return nil, err
 					}
-					fill = byte(f)
 				}
-				appendData(make([]byte, n)...)
-				if fill != 0 {
-					seg := segs[segStart]
-					for i := len(seg) - int(n); i < len(seg); i++ {
-						seg[i] = fill
-					}
-				}
+				appendData(bytes.Repeat([]byte{byte(fill)}, int(n))...)
 			}
 		case st.isInst:
 			if inData {
@@ -172,12 +163,21 @@ func (a *assembler) memOperand(s string, line int) (base isa.Reg, off int64, idx
 	return base, off, 0, false, err
 }
 
+// fitsSigned reports whether v fits in a two's-complement field of the
+// given width: the encoders panic on what does not.
+func fitsSigned(v int64, bits uint) bool {
+	lim := int64(1) << (bits - 1)
+	return v >= -lim && v < lim
+}
+
 var condByName = map[string]isa.Cond{
 	"eq": isa.CondEQ, "ne": isa.CondNE, "lt": isa.CondLT,
 	"ge": isa.CondGE, "gt": isa.CondGT, "le": isa.CondLE, "al": isa.CondAL,
 }
 
-func (a *assembler) branchOffset(target string, pc uint64, line int) (int64, error) {
+// branchOffset returns the word offset from pc to target, which must fit
+// the branch's signed offset field of the given width.
+func (a *assembler) branchOffset(target string, pc uint64, bits uint, line int) (int64, error) {
 	v, err := a.evalExpr(target, line)
 	if err != nil {
 		return 0, err
@@ -186,7 +186,11 @@ func (a *assembler) branchOffset(target string, pc uint64, line int) (int64, err
 	if delta%isa.InstSize != 0 {
 		return 0, &Error{line, fmt.Sprintf("branch target %#x not word aligned from %#x", v, pc)}
 	}
-	return delta / isa.InstSize, nil
+	off := delta / isa.InstSize
+	if !fitsSigned(off, bits) {
+		return 0, &Error{line, fmt.Sprintf("branch target %#x out of %d-bit range from %#x", v, bits, pc)}
+	}
+	return off, nil
 }
 
 func (a *assembler) encode(st statement, pc uint64) ([]uint32, error) {
@@ -208,7 +212,7 @@ func (a *assembler) encode(st statement, pc uint64) ([]uint32, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		off, err := a.branchOffset(st.args[0], pc, line)
+		off, err := a.branchOffset(st.args[0], pc, 22, line)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +308,7 @@ func (a *assembler) encode(st statement, pc uint64) ([]uint32, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		off, err := a.branchOffset(st.args[0], pc, line)
+		off, err := a.branchOffset(st.args[0], pc, 26, line)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +326,7 @@ func (a *assembler) encode(st statement, pc uint64) ([]uint32, error) {
 		if err != nil {
 			return nil, err
 		}
-		off, err := a.branchOffset(st.args[1], pc, line)
+		off, err := a.branchOffset(st.args[1], pc, 21, line)
 		if err != nil {
 			return nil, err
 		}
@@ -390,6 +394,9 @@ func (a *assembler) encode(st statement, pc uint64) ([]uint32, error) {
 		}
 		if hasIdx {
 			return nil, &Error{line, mnem + " does not take a register offset (use " + mnem + "r)"}
+		}
+		if !fitsSigned(off, 13) {
+			return nil, &Error{line, fmt.Sprintf("memory offset %d out of 13-bit range", off)}
 		}
 		return []uint32{isa.EncMem(op, vnum(rt), base, off)}, nil
 

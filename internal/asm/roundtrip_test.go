@@ -42,14 +42,21 @@ func TestDisassembleAssembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listing, err := isa.DisassembleProgram(orig)
-	if err != nil {
+	if err := roundTrip(orig); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild assembler source from the listing: strip addresses, keep
-	// instruction text, restore the origin.
+}
+
+// roundTrip disassembles p (isa.DisassembleProgram), assembles the listing
+// again — its instructions without addresses or labels, after p's origin —
+// and reports the first code word that did not come back identical.
+func roundTrip(p *isa.Program) error {
+	listing, err := isa.DisassembleProgram(p)
+	if err != nil {
+		return fmt.Errorf("disassembly: %w", err)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, ".org %#x\n", orig.Entry)
+	fmt.Fprintf(&b, ".org %#x\n", p.Entry)
 	for _, line := range strings.Split(listing, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasSuffix(line, ":") {
@@ -58,23 +65,41 @@ func TestDisassembleAssembleRoundTrip(t *testing.T) {
 		// Lines look like "0x001000: add x1, x2, x3".
 		_, inst, ok := strings.Cut(line, ": ")
 		if !ok {
-			t.Fatalf("unparseable listing line %q", line)
+			return fmt.Errorf("unparseable listing line %q", line)
 		}
 		b.WriteString(inst)
 		b.WriteByte('\n')
 	}
 	re, err := Assemble(b.String())
 	if err != nil {
-		t.Fatalf("reassembly failed: %v\nsource:\n%s", err, b.String())
+		return fmt.Errorf("reassembly failed: %w\nsource:\n%s", err, b.String())
 	}
-	if len(re.Code) != len(orig.Code) {
-		t.Fatalf("reassembled %d words, want %d", len(re.Code), len(orig.Code))
+	if len(re.Code) != len(p.Code) {
+		return fmt.Errorf("reassembled %d words, want %d", len(re.Code), len(p.Code))
 	}
-	for i := range orig.Code {
-		if re.Code[i] != orig.Code[i] {
-			origD, _ := isa.Disassemble(orig.Entry+uint64(4*i), orig.Code[i])
-			reD, _ := isa.Disassemble(orig.Entry+uint64(4*i), re.Code[i])
-			t.Errorf("word %d: %#x (%s) != %#x (%s)", i, re.Code[i], reD, orig.Code[i], origD)
+	for i := range p.Code {
+		if re.Code[i] != p.Code[i] {
+			pc := p.Entry + uint64(4*i)
+			origD, _ := isa.Disassemble(pc, p.Code[i])
+			reD, _ := isa.Disassemble(pc, re.Code[i])
+			return fmt.Errorf("word %d: %#x (%s) != %#x (%s)", i, re.Code[i], reD, p.Code[i], origD)
 		}
 	}
+	return nil
+}
+
+// FuzzAssembleRoundTrip is TestDisassembleAssembleRoundTrip's property on
+// sources nobody picked: Assemble reads whatever program text a user
+// hands it and must never panic, and every program it accepts must
+// disassemble and re-assemble to identical code words.
+func FuzzAssembleRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		if err := roundTrip(p); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

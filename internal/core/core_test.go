@@ -81,23 +81,24 @@ func record(t *testing.T, src string) *trace.Trace {
 	return tr
 }
 
-// cursor returns the per-event source over tr.
-func cursor(t *testing.T, tr *trace.Trace) *trace.Cursor {
-	t.Helper()
-	c, err := trace.NewCursor(tr)
-	if err != nil {
-		t.Fatal(err)
+// replay runs d through the replay path for cfg's kind — ReplayInOrder
+// for an InOrderConfig, ReplayOoO for an OoOConfig — with the tape memo
+// tapes (nil: the memory hierarchy is simulated live).
+func replay(cfg any, d *trace.Decoded, tapes *TapeMemo) (Result, error) {
+	behav := CompileBehaviors(d.Insts)
+	classes := ClassHistogram(d.IDs, behav)
+	switch c := cfg.(type) {
+	case InOrderConfig:
+		return ReplayInOrder(c, d, behav, &classes, tapes)
+	case OoOConfig:
+		return ReplayOoO(c, d, behav, &classes, tapes)
 	}
-	return c
+	panic(fmt.Sprintf("replay: %T is not a core configuration", cfg))
 }
 
 func runInOrder(t *testing.T, cfg InOrderConfig, tr *trace.Trace) Result {
 	t.Helper()
-	m, err := NewInOrder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(cursor(t, tr))
+	res, err := replay(cfg, tr.Decoded(cfg.DecoderDepBug), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,7 @@ func runInOrder(t *testing.T, cfg InOrderConfig, tr *trace.Trace) Result {
 
 func runOoO(t *testing.T, cfg OoOConfig, tr *trace.Trace) Result {
 	t.Helper()
-	m, err := NewOoO(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(cursor(t, tr))
+	res, err := replay(cfg, tr.Decoded(cfg.DecoderDepBug), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +370,7 @@ func TestDecoderDepBugSpeedsUpFPChains(t *testing.T) {
 	src2 := strings.ReplaceAll(src, "fmul v1, v1, v2", "fmul v1, v2, v1")
 	tr2 := record(t, src2)
 	goodRes = runInOrder(t, good, tr2)
-	m2, _ := NewInOrder(buggy)
-	buggyRes, _ = m2.Run(cursor(t, tr2))
+	buggyRes = runInOrder(t, buggy, tr2)
 	if buggyRes.CPI() >= goodRes.CPI() {
 		t.Errorf("dep-bug CPI %.3f should be (wrongly) below correct %.3f", buggyRes.CPI(), goodRes.CPI())
 	}
@@ -395,19 +391,20 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestConfigValidationErrors(t *testing.T) {
+	d := record(t, chainALU(10)).Decoded(false)
 	bad := inorderCfg()
 	bad.Width = 9
-	if _, err := NewInOrder(bad); err == nil {
+	if _, err := replay(bad, d, nil); err == nil {
 		t.Error("width 9 accepted")
 	}
 	bad = inorderCfg()
 	bad.Lat.IntDiv = 0
-	if _, err := NewInOrder(bad); err == nil {
+	if _, err := replay(bad, d, nil); err == nil {
 		t.Error("zero div latency accepted")
 	}
 	badO := oooCfg()
 	badO.ROBEntries = 4
-	if _, err := NewOoO(badO); err == nil {
+	if _, err := replay(badO, d, nil); err == nil {
 		t.Error("ROB 4 accepted")
 	}
 }

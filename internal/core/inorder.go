@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -9,7 +8,6 @@ import (
 	"racesim/internal/cache"
 	"racesim/internal/isa"
 	"racesim/internal/recycle"
-	"racesim/internal/trace"
 )
 
 // inOrderStatic is the config-derived state of the in-order model that is
@@ -27,8 +25,7 @@ type inOrderStatic struct {
 	mispredictPen uint64
 	btbMissPen    uint64
 
-	lat    [isa.NumClasses]uint64
-	depBug bool
+	lat [isa.NumClasses]uint64
 }
 
 func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
@@ -42,20 +39,21 @@ func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
 		mispredictPen: uint64(cfg.FrontEnd.MispredictPenalty),
 		btbMissPen:    uint64(cfg.FrontEnd.BTBMissPenalty),
 		lat:           latencyTable(cfg.Lat),
-		depBug:        cfg.DecoderDepBug,
 	}
 }
 
-// inOrderLane is one in-order replay: the config-derived static state plus
-// everything a replay mutates — the scoreboard, pipeline occupancy, cache
-// hierarchy, branch unit and queue rings. Lanes are handled by pointer only
-// (the contention model and the hierarchy point into themselves).
+// inOrderLane is one replay of the in-order core timing model (Cortex-A53
+// class: dual-issue with pairing rules, a register scoreboard, MSHR-limited
+// hit-under-miss, a draining store buffer, a front-end redirected by the
+// branch unit): its config-derived static state plus everything a replay
+// mutates. Lanes are handled by pointer only (the contention model and the
+// hierarchy point into themselves).
 //
-// Lifecycle on the production path (ReplayInOrder): acquire from the
-// inOrderLanes free list, reset to the configuration, replay, read the
-// Result with finish, release. reset is the one definition of a fresh
-// lane: a lane that has served any number of other configurations, of any
-// geometry, is indistinguishable from a newly allocated one after it.
+// Lifecycle (ReplayInOrder): acquire from the inOrderLanes free list, reset
+// to the configuration, replay, read the Result with finish, release. reset
+// is the one definition of a fresh lane: a lane that has served any number
+// of other configurations, of any geometry, is indistinguishable from a
+// newly allocated one after it.
 type inOrderLane struct {
 	st   inOrderStatic
 	hier *cache.Hierarchy
@@ -123,16 +121,6 @@ func (ln *inOrderLane) reset(cfg InOrderConfig, tapes *TapeMemo) error {
 	return nil
 }
 
-// InOrder is the in-order core timing model (Cortex-A53 class): dual-issue
-// with pairing rules, a register scoreboard, blocking-limited hit-under-miss
-// data accesses, a draining store buffer, and a front-end redirected by the
-// branch unit. A model owns a private lane that never enters the free
-// list: it is the reference the recycled production path is tested against.
-type InOrder struct {
-	lane *inOrderLane
-	dc   *decodeCache
-}
-
 // seqRing models a capacity-limited structure whose entries free at known
 // times: entry n cannot be allocated before entry n-cap has freed. idx is
 // the next slot and wraps explicitly (capacities are rarely powers of two,
@@ -169,15 +157,6 @@ func (r *seqRing) note(done uint64) {
 		r.idx = 0
 		r.full = true
 	}
-}
-
-// NewInOrder builds the model; cfg must be valid.
-func NewInOrder(cfg InOrderConfig) (*InOrder, error) {
-	lane := new(inOrderLane)
-	if err := lane.reset(cfg, nil); err != nil {
-		return nil, err
-	}
-	return &InOrder{lane: lane, dc: newDecodeCache(cfg.DecoderDepBug)}, nil
 }
 
 func (ln *inOrderLane) advanceCycle(to uint64) {
@@ -245,42 +224,6 @@ func (ln *inOrderLane) retire(at uint64) {
 	}
 }
 
-// Run implements Model.
-func (m *InOrder) Run(src trace.Source) (Result, error) {
-	for {
-		ev, ok := src.Next()
-		if !ok {
-			break
-		}
-		b, err := m.dc.decode(ev)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: %w", err)
-		}
-		m.lane.res.Instructions++
-		m.lane.res.ClassCounts[b.Cls]++
-		m.lane.stepLane(b, ev.PC, ev.MemAddr, ev.Target, ev.Taken)
-	}
-	return m.lane.finish(), nil
-}
-
-// RunDecoded implements Model.
-func (m *InOrder) RunDecoded(d *trace.Decoded) (Result, error) {
-	if d.DepBug != m.lane.st.depBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.lane.st.depBug)
-	}
-	behav := CompileBehaviors(d.Insts)
-	pcs, mems, tgts := d.PC, d.MemAddr, d.Target
-	for i, id := range d.IDs {
-		m.lane.stepLane(&behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
-	}
-	if d.Err != nil {
-		return Result{}, fmt.Errorf("core: %w", d.Err)
-	}
-	cc := ClassHistogram(d.IDs, behav)
-	addCounts(&m.lane.res, uint64(len(d.IDs)), &cc)
-	return m.lane.finish(), nil
-}
-
 func (ln *inOrderLane) finish() Result {
 	ln.res.Cycles = ln.endCycle
 	if ln.res.Cycles == 0 && ln.res.Instructions > 0 {
@@ -295,11 +238,12 @@ func (ln *inOrderLane) finish() Result {
 // stepLane advances the lane by one dynamic instruction: b is the
 // instruction's shared behavior (never mutated, like the lane's static
 // state st), the remaining arguments are the event's dynamic fields. It is
-// the single step kernel: sequential replay, the per-event oracle and the
-// batched walk all funnel through it, so their results are identical by
-// construction. Instruction and class counts are NOT updated
-// here — they are lane-invariant over a trace, so callers add them in bulk
-// (see addCounts) instead of paying two read-modify-writes per step.
+// the single step kernel: every replay funnels through it. Its oracle, the
+// reference simulator in internal/sim's tests, shares no code with it; a
+// change to what it computes is mirrored there and bumps Epoch. Instruction
+// and class counts are NOT updated here — they are lane-invariant over a
+// trace, so callers add them in bulk (see addCounts) instead of paying two
+// read-modify-writes per step.
 func (ln *inOrderLane) stepLane(b *Behavior, pc, memAddr, target uint64, taken bool) {
 	st := &ln.st
 	earliest := ln.fetchAvail

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -9,7 +8,6 @@ import (
 	"racesim/internal/cache"
 	"racesim/internal/isa"
 	"racesim/internal/recycle"
-	"racesim/internal/trace"
 )
 
 // oooStatic is the config-derived state of the out-of-order model that is
@@ -23,8 +21,7 @@ type oooStatic struct {
 	mispredictPen uint64
 	btbMissPen    uint64
 
-	lat    [isa.NumClasses]uint64
-	depBug bool
+	lat [isa.NumClasses]uint64
 }
 
 func newOoOStatic(cfg OoOConfig) oooStatic {
@@ -36,11 +33,15 @@ func newOoOStatic(cfg OoOConfig) oooStatic {
 		mispredictPen: uint64(cfg.FrontEnd.MispredictPenalty),
 		btbMissPen:    uint64(cfg.FrontEnd.BTBMissPenalty),
 		lat:           latencyTable(cfg.Lat),
-		depBug:        cfg.DecoderDepBug,
 	}
 }
 
-// oooLane is one out-of-order replay; see inOrderLane for the lifecycle.
+// oooLane is one replay of the out-of-order core timing model (Cortex-A72
+// class): wide dispatch into a reorder buffer, dataflow-limited issue over
+// the pipe contention model, bounded issue queue, load/store queues,
+// MSHR-limited memory-level parallelism, and in-order retirement. It is a
+// one-pass window model in the spirit of Sniper's instruction-window-centric
+// core. See inOrderLane for the lifecycle (ReplayOoO).
 type oooLane struct {
 	st   oooStatic
 	hier *cache.Hierarchy
@@ -102,62 +103,6 @@ func (ln *oooLane) reset(cfg OoOConfig, tapes *TapeMemo) error {
 	}
 	ln.cont.reset(cfg.Pipes, cfg.Lat)
 	return nil
-}
-
-// OoO is the out-of-order core timing model (Cortex-A72 class): wide
-// dispatch into a reorder buffer, dataflow-limited issue over the pipe
-// contention model, bounded issue queue, load/store queues, MSHR-limited
-// memory-level parallelism, and in-order retirement. It is a one-pass
-// window model in the spirit of Sniper's instruction-window-centric core.
-// Like InOrder, a model owns a private lane that is never recycled.
-type OoO struct {
-	lane *oooLane
-	dc   *decodeCache
-}
-
-// NewOoO builds the model; cfg must be valid.
-func NewOoO(cfg OoOConfig) (*OoO, error) {
-	lane := new(oooLane)
-	if err := lane.reset(cfg, nil); err != nil {
-		return nil, err
-	}
-	return &OoO{lane: lane, dc: newDecodeCache(cfg.DecoderDepBug)}, nil
-}
-
-// Run implements Model.
-func (m *OoO) Run(src trace.Source) (Result, error) {
-	for {
-		ev, ok := src.Next()
-		if !ok {
-			break
-		}
-		b, err := m.dc.decode(ev)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: %w", err)
-		}
-		m.lane.res.Instructions++
-		m.lane.res.ClassCounts[b.Cls]++
-		m.lane.stepLane(b, ev.PC, ev.MemAddr, ev.Target, ev.Taken)
-	}
-	return m.lane.finish(), nil
-}
-
-// RunDecoded implements Model.
-func (m *OoO) RunDecoded(d *trace.Decoded) (Result, error) {
-	if d.DepBug != m.lane.st.depBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.lane.st.depBug)
-	}
-	behav := CompileBehaviors(d.Insts)
-	pcs, mems, tgts := d.PC, d.MemAddr, d.Target
-	for i, id := range d.IDs {
-		m.lane.stepLane(&behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
-	}
-	if d.Err != nil {
-		return Result{}, fmt.Errorf("core: %w", d.Err)
-	}
-	cc := ClassHistogram(d.IDs, behav)
-	addCounts(&m.lane.res, uint64(len(d.IDs)), &cc)
-	return m.lane.finish(), nil
 }
 
 func (ln *oooLane) finish() Result {

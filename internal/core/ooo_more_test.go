@@ -99,34 +99,22 @@ func TestOoOFasterThanInOrderOnMixedWorkload(t *testing.T) {
 }
 
 func TestModelsAcceptEmptyTrace(t *testing.T) {
-	empty := &trace.Trace{Name: "empty"}
-	m, err := NewInOrder(inorderCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(cursor(t, empty))
+	empty := (&trace.Trace{Name: "empty"}).Decoded(false)
+	res, err := replay(inorderCfg(), empty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Instructions != 0 || res.Cycles != 0 {
 		t.Errorf("empty trace produced %+v", res)
 	}
-	o, err := NewOoO(oooCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Run(cursor(t, empty)); err != nil {
+	if _, err := replay(oooCfg(), empty, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestInvalidWordInTraceFails(t *testing.T) {
 	bad := trace.New("bad", false, trace.Event{PC: 0x1000, Word: 0xFFFFFFFF})
-	m, err := NewInOrder(inorderCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(cursor(t, bad)); err == nil {
+	if _, err := replay(inorderCfg(), bad.Decoded(false), nil); err == nil {
 		t.Error("invalid word accepted by the timing model")
 	}
 }

@@ -1,7 +1,6 @@
 // Decoded replay: one walk over a decoded trace's columns steps one
-// recycled lane through the stepLane kernel — the same kernel, with the
-// same argument sequence, that the per-event reference models (InOrder,
-// OoO) drive from a trace.Source.
+// recycled lane through the stepLane kernel. It is the only way a trace is
+// replayed; the test-only reference simulator in internal/sim checks it.
 package core
 
 import (

@@ -4,7 +4,6 @@ import (
 	"racesim/internal/branch"
 	"racesim/internal/cache"
 	"racesim/internal/isa"
-	"racesim/internal/trace"
 )
 
 // Result is the outcome of running a trace through a timing model.
@@ -37,44 +36,8 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// Model runs traces under a timing configuration.
-type Model interface {
-	// Run replays src from its current position to the end and returns
-	// the accumulated timing result, decoding each event as it goes.
-	// Callers reset the source. It is the reference replay path; the
-	// decoded path below is the fast one.
-	Run(src trace.Source) (Result, error)
-	// RunDecoded replays a pre-decoded trace: a linear walk over the
-	// columnar form with no per-event decode, map lookup or isa.Inst
-	// copy. The decoded trace's decoder variant must match the model's
-	// DecoderDepBug setting. Both paths produce identical Results.
-	RunDecoded(d *trace.Decoded) (Result, error)
-}
-
-// decodeCache memoizes static decode by instruction word — compiled
-// straight to the Behavior the step kernel consumes — for the per-event
-// oracle path (Model.Run), which re-decodes the same hot words millions of
-// times.
-type decodeCache struct {
-	dec   isa.Decoder
-	cache map[uint32]*Behavior
-}
-
-func newDecodeCache(depBug bool) *decodeCache {
-	return &decodeCache{dec: isa.Decoder{DepBug: depBug}, cache: make(map[uint32]*Behavior, 1024)}
-}
-
-// decode returns the behavior for a trace event's instruction word.
-func (d *decodeCache) decode(ev trace.Event) (*Behavior, error) {
-	b, ok := d.cache[ev.Word]
-	if !ok {
-		in, err := d.dec.Decode(0, ev.Word)
-		if err != nil {
-			return nil, err
-		}
-		nb := behaviorOf(&in)
-		b = &nb
-		d.cache[ev.Word] = b
-	}
-	return b, nil
-}
+// Epoch numbers what the timing models compute. Every simulation-cache key
+// starts with it (sim.Config.Fingerprint): bump it in any change that moves
+// a Result, so no cache snapshot written before the change answers for it.
+// internal/sim's results golden fails until a change that moves it does.
+const Epoch = 1

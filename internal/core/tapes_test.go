@@ -91,24 +91,14 @@ func loadLoop(iters int) string {
 	return b.String()
 }
 
-// replayInOrder is ReplayInOrder with d's behavior table and class
-// histogram computed on the spot.
-func replayInOrder(cfg InOrderConfig, d *trace.Decoded, tapes *TapeMemo) (Result, error) {
-	behav := CompileBehaviors(d.Insts)
-	classes := ClassHistogram(d.IDs, behav)
-	return ReplayInOrder(cfg, d, behav, &classes, tapes)
-}
-
-// replayOne runs one in-order and one out-of-order replay of d through the
-// production path with the given memos.
+// replayOne runs one in-order and one out-of-order replay of d with the
+// given memos.
 func replayOne(ino InOrderConfig, ooo OoOConfig, d *trace.Decoded, inoTapes, oooTapes *TapeMemo) (Result, Result, error) {
-	a, err := replayInOrder(ino, d, inoTapes)
+	a, err := replay(ino, d, inoTapes)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	behav := CompileBehaviors(d.Insts)
-	classes := ClassHistogram(d.IDs, behav)
-	b, err := ReplayOoO(ooo, d, behav, &classes, oooTapes)
+	b, err := replay(ooo, d, oooTapes)
 	return a, b, err
 }
 
@@ -128,7 +118,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 			t.Fatalf("sighting %d: %v", sighting, err)
 		}
 		if a != wantIno || b != wantOoO {
-			t.Fatalf("sighting %d differs from the untaped model", sighting)
+			t.Fatalf("sighting %d differs from the live replay", sighting)
 		}
 	}
 	if st, want := inoTapes.Stats(), (TapeStats{Live: 1, Recorded: 1, Replayed: 2, Tapes: 1}); st != want {
@@ -150,7 +140,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 	// the key such a configuration has, which the memo itself never would.
 	wide := ino
 	wide.Mem.L1I.LineSize *= 2
-	if _, err := NewInOrder(wide); err != nil {
+	if err := wide.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	key, wideKey := ino.Mem.Functional(), wide.Mem.Functional()
@@ -158,7 +148,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 	var planted TapeMemo
 	planted.sight(&wideKey)
 	planted.publish(&wideKey, tape)
-	if _, err := replayInOrder(wide, d, &planted); err == nil {
+	if _, err := replay(wide, d, &planted); err == nil {
 		t.Error("a tape replayed under another L1I line size returned a result")
 	}
 }
@@ -166,7 +156,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 // TestEvictedTapeStillPlays: a replay that began on a tape keeps it when
 // concurrent replays of other functional configurations evict it from the
 // memo before the walk is over. The tape is immutable and the lane holds
-// it, so the lane's result is still the untaped model's.
+// it, so the lane's result is still a live replay's.
 func TestEvictedTapeStillPlays(t *testing.T) {
 	tr := record(t, strideMisses())
 	d := tr.Decoded(false)
@@ -175,7 +165,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 
 	var tapes TapeMemo
 	for i := 0; i < 2; i++ { // note, then record
-		if _, err := replayInOrder(cfg, d, &tapes); err != nil {
+		if _, err := replay(cfg, d, &tapes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,6 +195,6 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	classes := ClassHistogram(d.IDs, behav)
 	addCounts(&ln.res, uint64(len(d.IDs)), &classes)
 	if got := ln.finish(); got != want {
-		t.Errorf("a lane whose tape was evicted mid-play differs from the untaped model\n got  %+v\n want %+v", got, want)
+		t.Errorf("a lane whose tape was evicted mid-play differs from a live replay\n got  %+v\n want %+v", got, want)
 	}
 }

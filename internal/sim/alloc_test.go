@@ -1,10 +1,12 @@
 //go:build !race
 
-package sim
+package sim_test
 
 import (
 	"runtime"
 	"testing"
+
+	"racesim/internal/sim"
 )
 
 // The race detector makes sync.Pool drop a share of what is put into it,
@@ -18,20 +20,20 @@ import (
 // and playing a tape allocates nothing either.
 func TestRunDecodedSteadyStateAllocations(t *testing.T) {
 	tr := shortTraces(t)[0]
-	for _, cfg := range []Config{PublicA53(), PublicA72()} {
+	for _, cfg := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
 		d := tr.Decoded(cfg.DecoderDepBug)
 		run := func() {
 			if _, err := cfg.RunDecoded(d); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := derivedOf(d).tapes.Stats()
+		before := sim.TapeStats(d)
 		run() // warm-up: builds the lane and compiles the behavior table
 		run() // second sighting: records the tape
 		if allocs := testing.AllocsPerRun(50, run); allocs > 8 {
 			t.Errorf("%s: steady-state RunDecoded allocates %.0f objects, want <= 8", cfg.Name, allocs)
 		}
-		if st := derivedOf(d).tapes.Stats(); st.Recorded != before.Recorded+1 || st.Replayed < before.Replayed+50 {
+		if st := sim.TapeStats(d); st.Recorded != before.Recorded+1 || st.Replayed < before.Replayed+50 {
 			t.Errorf("%s: memo went from %+v to %+v: the measured runs were not tape replays", cfg.Name, before, st)
 		}
 	}
@@ -45,7 +47,7 @@ func TestRunDecodedSteadyStateAllocations(t *testing.T) {
 // where it started.
 func TestNeverRepeatingConfigsRecordNothing(t *testing.T) {
 	tr := shortTraces(t)[3] // a Table II workload: TLB pressure, long tapes
-	base := PublicA72()
+	base := sim.PublicA72()
 	d := tr.Decoded(base.DecoderDepBug)
 	n := 0
 	run := func() {
@@ -70,7 +72,7 @@ func TestNeverRepeatingConfigsRecordNothing(t *testing.T) {
 	if after := live(); after > before+256<<10 {
 		t.Errorf("live heap grew from %d KB to %d KB over %d never-repeated configurations", before>>10, after>>10, n)
 	}
-	if st := derivedOf(d).tapes.Stats(); st.Live != uint64(n) || st.Recorded != 0 || st.Replayed != 0 || st.Tapes != 0 {
+	if st := sim.TapeStats(d); st.Live != uint64(n) || st.Recorded != 0 || st.Replayed != 0 || st.Tapes != 0 {
 		t.Errorf("memo stats %+v after %d distinct configurations: want all live, nothing recorded", st, n)
 	}
 }
@@ -82,10 +84,10 @@ func TestNeverRepeatingConfigsRecordNothing(t *testing.T) {
 // object left is the configuration being built, which the setters reach
 // through a pointer.
 func TestApplySteadyStateAllocations(t *testing.T) {
-	for _, base := range []Config{PublicA53(), PublicA72()} {
-		a := Extract(base) // also builds the table
+	for _, base := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
+		a := sim.Extract(base) // also builds the table
 		apply := func() {
-			if _, err := Apply(base, a); err != nil {
+			if _, err := sim.Apply(base, a); err != nil {
 				t.Fatal(err)
 			}
 		}

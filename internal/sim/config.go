@@ -108,35 +108,22 @@ func (c Config) ooo() core.OoOConfig {
 	}
 }
 
-// Model builds a fresh timing model from the configuration.
-func (c Config) Model() (core.Model, error) {
-	switch c.Kind {
-	case InOrder:
-		return core.NewInOrder(c.inOrder())
-	case OutOfOrder:
-		return core.NewOoO(c.ooo())
-	default:
-		return nil, fmt.Errorf("sim: unknown core kind %q", c.Kind)
-	}
-}
-
-// Run replays a trace on a fresh model instance through the decode-once
-// path: the trace's static decode is computed at most once per decoder
-// variant (memoized on tr, see trace.Decoded) and shared immutably by
-// every configuration — tuner candidates, validation stages, perturbation
-// sweeps — that replays the same trace. Traces that declare WarmData (the
-// program initialized its memory before the region, as SPEC workloads do)
-// disable the zero-fill page optimization for the run: that hardware
-// behaviour only exists for never-written pages.
+// Run replays a trace through the decode-once path: the trace's static
+// decode is computed at most once per decoder variant (memoized on tr, see
+// trace.Decoded) and shared immutably by every configuration — tuner
+// candidates, validation stages, perturbation sweeps — that replays the
+// same trace. Traces that declare WarmData (the program initialized its
+// memory before the region, as SPEC workloads do) disable the zero-fill
+// page optimization for the run: that hardware behaviour only exists for
+// never-written pages.
 func (c Config) Run(tr *trace.Trace) (core.Result, error) {
 	return c.RunDecoded(tr.Decoded(c.DecoderDepBug))
 }
 
-// RunDecoded replays a pre-decoded trace on a fresh model instance. The
-// decoded variant must match the configuration's DecoderDepBug setting
-// (Run picks the right one automatically). It is a RunBatch of one, so
-// every replay shares one hot path (the step kernel) and one memoized
-// behavior table per decode.
+// RunDecoded replays a pre-decoded trace. The decoded variant must match
+// the configuration's DecoderDepBug setting (Run picks the right one
+// automatically). It is a RunBatch of one, so every replay shares one hot
+// path (the step kernel) and one memoized behavior table per decode.
 func (c Config) RunDecoded(d *trace.Decoded) (core.Result, error) {
 	rs, err := RunBatch([]Config{c}, d)
 	if err != nil {
@@ -149,8 +136,8 @@ func (c Config) RunDecoded(d *trace.Decoded) (core.Result, error) {
 // form (Canonical): configurations that differ only in Name, or only in
 // tunables no model reads under the kinds they select, share a fingerprint.
 // It is the config half of the simulation-cache key (see internal/simcache).
-// The digest is SHA-256 over appendFields' binary encoding of every field,
-// so it allocates nothing but the returned string.
+// The digest is SHA-256 over the model epoch and appendFields' binary
+// encoding of every field, so it allocates nothing but the returned string.
 func (c Config) Fingerprint() string {
 	sum := c.fingerprintSum()
 	var h [2 * sha256.Size]byte
@@ -158,10 +145,13 @@ func (c Config) Fingerprint() string {
 	return string(h[:])
 }
 
+// fingerprintSum hashes the model epoch (core.Epoch), then the canonical
+// configuration.
 func (c Config) fingerprintSum() [sha256.Size]byte {
 	canon := Canonical(c)
 	var buf [1024]byte // a Config encodes to a few hundred bytes
-	return sha256.Sum256(appendFields(buf[:0], reflect.ValueOf(&canon).Elem()))
+	b := binary.AppendUvarint(buf[:0], core.Epoch)
+	return sha256.Sum256(appendFields(b, reflect.ValueOf(&canon).Elem()))
 }
 
 // appendFields appends v's leaves in declaration order: integers as

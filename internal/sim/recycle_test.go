@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
@@ -11,34 +11,15 @@ import (
 	"racesim/internal/core"
 	"racesim/internal/irace"
 	"racesim/internal/prefetch"
+	"racesim/internal/sim"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
 	"racesim/internal/workload"
 )
 
-// The production replay path (Config.RunDecoded, RunBatch) runs on lanes
-// recycled through a process-wide free list; a Model (Config.Model) owns a
-// private lane that never enters it. The tests below hold the two to
-// identical Results.
-
-// runFresh replays d on a model built for this one run: the reference that
-// bypasses the lane free list. It applies the WarmData rule RunBatch
-// applies.
-func runFresh(t testing.TB, cfg Config, d *trace.Decoded) core.Result {
-	t.Helper()
-	if d.WarmData {
-		cfg.Mem.ZeroFillOpt = false
-	}
-	m, err := cfg.Model()
-	if err != nil {
-		t.Fatalf("%s: %v", cfg.Name, err)
-	}
-	res, err := m.RunDecoded(d)
-	if err != nil {
-		t.Fatalf("%s: %v", cfg.Name, err)
-	}
-	return res
-}
+// The replay path (Config.RunDecoded, RunBatch) runs on lanes recycled
+// through a process-wide free list. The tests below hold it to the
+// reference simulator (reference_test.go), which recycles nothing.
 
 // shortTraces returns a few short traces of both sources: emulated
 // micro-benchmarks (cold data, zero-fill pages) and synthesized workloads
@@ -77,16 +58,16 @@ func shortTraces(t testing.TB) []*trace.Trace {
 // so consecutive lanes differ in every array size a lane recycles. The
 // first configurations cycle through every prefetcher, replacement, hash
 // and predictor kind so none depends on the draw.
-func randomConfigs(t testing.TB, kind CoreKind, n int, rng *rand.Rand) []Config {
+func randomConfigs(t testing.TB, kind sim.CoreKind, n int, rng *rand.Rand) []sim.Config {
 	t.Helper()
-	base := PublicA53()
-	if kind == OutOfOrder {
-		base = PublicA72()
+	base := sim.PublicA53()
+	if kind == sim.OutOfOrder {
+		base = sim.PublicA72()
 	}
 	pfKinds := []prefetch.Kind{prefetch.KindNone, prefetch.KindNextLine, prefetch.KindStride, prefetch.KindGHB, prefetch.KindSpatial}
 	pick := func(vs ...int) int { return vs[rng.Intn(len(vs))] }
-	defs := Params(kind)
-	var out []Config
+	defs := sim.Params(kind)
+	var out []sim.Config
 	for tries := 0; len(out) < n; tries++ {
 		if tries > 100*n {
 			t.Fatalf("only %d of %d sampled configurations were valid", len(out), n)
@@ -95,7 +76,7 @@ func randomConfigs(t testing.TB, kind CoreKind, n int, rng *rand.Rand) []Config 
 		for _, d := range defs {
 			a[d.Name] = d.Values[rng.Intn(len(d.Values))]
 		}
-		cfg, err := Apply(base, a)
+		cfg, err := sim.Apply(base, a)
 		if err != nil {
 			continue
 		}
@@ -124,26 +105,29 @@ func randomConfigs(t testing.TB, kind CoreKind, n int, rng *rand.Rand) []Config 
 // traces interleaved A, B, A, ... so every lane the free list hands out was
 // last used by a different configuration — usually a different geometry,
 // predictor, prefetcher and replacement policy — and every field of each
-// Result must equal a run that bypasses the free list. The same is then
-// done from several goroutines at once (run with -race in CI), where lanes
-// also migrate between goroutines, and through RunBatch, where a whole
-// vector of configurations is replayed back to back.
+// Result must equal the reference simulator's, which builds everything
+// fresh. The same is then done from several goroutines at once (run with
+// -race in CI), where lanes also migrate between goroutines, and through
+// RunBatch, where a whole vector of configurations is replayed back to
+// back.
 func TestRecycledLaneMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	cfgs := append(randomConfigs(t, InOrder, 10, rng), randomConfigs(t, OutOfOrder, 10, rng)...)
+	cfgs := append(randomConfigs(t, sim.InOrder, 10, rng), randomConfigs(t, sim.OutOfOrder, 10, rng)...)
 	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
 	trs := shortTraces(t)
 
 	type unit struct {
-		cfg  Config
+		cfg  sim.Config
 		d    *trace.Decoded
 		want core.Result
 	}
 	var units []unit
+	want := map[*trace.Trace][]core.Result{}
 	for _, tr := range trs {
 		for _, cfg := range cfgs {
-			d := tr.Decoded(cfg.DecoderDepBug)
-			units = append(units, unit{cfg, d, runFresh(t, cfg, d)})
+			ref := reference(t, cfg, tr)
+			want[tr] = append(want[tr], ref)
+			units = append(units, unit{cfg, tr.Decoded(cfg.DecoderDepBug), ref})
 		}
 	}
 
@@ -154,7 +138,7 @@ func TestRecycledLaneMatchesFresh(t *testing.T) {
 			return
 		}
 		if got != u.want {
-			t.Errorf("%s: %s on %s: recycled lane result differs from fresh model\n recycled %+v\n fresh    %+v",
+			t.Errorf("%s: %s on %s: recycled lane result differs from the reference\n recycled  %+v\n reference %+v",
 				pass, u.cfg.Name, u.d.Name, got, u.want)
 		}
 	}
@@ -183,20 +167,20 @@ func TestRecycledLaneMatchesFresh(t *testing.T) {
 	// Batched: all configurations of a decoder variant over one trace.
 	for _, tr := range trs {
 		for _, depBug := range []bool{false, true} {
-			var batch []Config
-			for _, cfg := range cfgs {
+			var batch []sim.Config
+			var refs []core.Result
+			for i, cfg := range cfgs {
 				if cfg.DecoderDepBug == depBug {
-					batch = append(batch, cfg)
+					batch, refs = append(batch, cfg), append(refs, want[tr][i])
 				}
 			}
-			d := tr.Decoded(depBug)
-			rs, err := RunBatch(batch, d)
+			rs, err := sim.RunBatch(batch, tr.Decoded(depBug))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, cfg := range batch {
-				if want := runFresh(t, cfg, d); rs[i] != want {
-					t.Errorf("batched: %s on %s: slot %d differs from fresh model", cfg.Name, tr.Name, i)
+				if rs[i] != refs[i] {
+					t.Errorf("batched: %s on %s: slot %d differs from the reference", cfg.Name, tr.Name, i)
 				}
 			}
 		}
@@ -213,7 +197,7 @@ func TestBehaviorsCollectedWithTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("missing workload mcf")
 	}
-	cfg := PublicA53()
+	cfg := sim.PublicA53()
 	live := func() uint64 {
 		runtime.GC()
 		runtime.GC() // a second cycle empties the lane free list's victim cache
@@ -230,7 +214,7 @@ func TestBehaviorsCollectedWithTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := tr.Decoded(cfg.DecoderDepBug)
-			if len(Behaviors(d)) == 0 {
+			if len(sim.Behaviors(d)) == 0 {
 				t.Fatal("empty behavior table")
 			}
 			if _, err := cfg.RunDecoded(d); err != nil {

@@ -65,8 +65,8 @@ func TestRandomAssignmentsAlwaysValid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: random assignment invalid: %v\n%v", kind, err, a)
 			}
-			if _, err := cfg.Model(); err != nil {
-				t.Fatalf("%s: model build failed: %v", kind, err)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: sampled configuration invalid: %v", kind, err)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
@@ -8,6 +8,7 @@ import (
 
 	"racesim/internal/core"
 	"racesim/internal/irace"
+	"racesim/internal/sim"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
 	"racesim/internal/workload"
@@ -15,10 +16,10 @@ import (
 
 // A decoded trace remembers the memory hierarchy's decisions under the
 // functional configurations replayed most recently (core.TapeMemo), and the
-// production path (Config.RunDecoded, RunBatch) replays them instead of
-// simulating the hierarchy's state again. A Model (Config.Model) is never
-// taped. The tests below hold live, recording and replaying runs to
-// identical Results.
+// replay path (Config.RunDecoded, RunBatch) replays them instead of
+// simulating the hierarchy's state again. The reference simulator
+// (reference_test.go) is never taped. The tests below hold live, recording
+// and replaying runs to its Results.
 
 // tapeTraces returns every Table II workload and a sample of the
 // micro-benchmarks, short: synthesized workloads declare WarmData (no
@@ -52,10 +53,10 @@ func tapeTraces(t testing.TB) []*trace.Trace {
 // unit, front end — is redrawn, and a draw is kept only if it leaves the
 // tape key where it was and the configuration valid. What Params holds
 // fixed on the timing side is redrawn by hand.
-func retimed(cfg Config, rng *rand.Rand) Config {
+func retimed(cfg sim.Config, rng *rand.Rand) sim.Config {
 	key := cfg.Mem.Functional()
-	for _, d := range Params(cfg.Kind) {
-		next, err := Apply(cfg, irace.Assignment{d.Name: d.Values[rng.Intn(len(d.Values))]})
+	for _, d := range sim.Params(cfg.Kind) {
+		next, err := sim.Apply(cfg, irace.Assignment{d.Name: d.Values[rng.Intn(len(d.Values))]})
 		if err == nil && next.Mem.Functional() == key {
 			cfg = next
 		}
@@ -66,28 +67,28 @@ func retimed(cfg Config, rng *rand.Rand) Config {
 }
 
 // tapeUnit is one functional configuration on one decode: variants of it
-// that share its tape key, and what an untaped model returns for each.
+// that share its tape key, and what the reference returns for each.
 type tapeUnit struct {
 	d    *trace.Decoded
-	cfgs []Config
+	cfgs []sim.Config
 	want []core.Result
 }
 
 func tapeUnits(t *testing.T, perKind, variants int, rng *rand.Rand) []tapeUnit {
 	t.Helper()
-	functional := append(randomConfigs(t, InOrder, perKind, rng), randomConfigs(t, OutOfOrder, perKind, rng)...)
+	functional := append(randomConfigs(t, sim.InOrder, perKind, rng), randomConfigs(t, sim.OutOfOrder, perKind, rng)...)
 	for i := range functional {
 		functional[i].Mem.ZeroFillOpt = i%2 == 0 // the boards have it, the public models do not
 	}
 	var units []tapeUnit
 	for _, tr := range tapeTraces(t) {
 		for _, f := range functional {
-			u := tapeUnit{d: tr.Decoded(f.DecoderDepBug), cfgs: []Config{f}}
+			u := tapeUnit{d: tr.Decoded(f.DecoderDepBug), cfgs: []sim.Config{f}}
 			for len(u.cfgs) < variants {
 				u.cfgs = append(u.cfgs, retimed(f, rng))
 			}
 			for _, cfg := range u.cfgs {
-				u.want = append(u.want, runFresh(t, cfg, u.d))
+				u.want = append(u.want, reference(t, cfg, tr))
 			}
 			units = append(units, u)
 		}
@@ -104,10 +105,11 @@ func tapeUnits(t *testing.T, perKind, variants int, rng *rand.Rand) []tapeUnit {
 // after another on a decode they are its first sighting (live), its second
 // (recording) and its later ones (replaying a tape recorded under another
 // variant's timing); every field of every Result — the hierarchy's
-// statistics, PortStalls and DRAM counters included — must equal a private
-// Model's, which is never taped. Then the same through one RunBatch,
-// and from several goroutines at once on each decode (run with -race in
-// CI), where sightings, recordings, publishes and evictions interleave.
+// statistics, PortStalls and DRAM counters included — must equal the
+// reference simulator's, which is never taped. Then the same through one
+// RunBatch, and from several goroutines at once on each decode (run with
+// -race in CI), where sightings, recordings, publishes and evictions
+// interleave.
 func TestTapedReplayMatchesLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const variants = 4
@@ -118,19 +120,19 @@ func TestTapedReplayMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %s variant %d on %s: %v", pass, u.cfgs[i].Name, i, u.d.Name, err)
 		} else if got != u.want[i] {
-			t.Errorf("%s: %s variant %d on %s differs from the untaped model\n got  %+v\n want %+v",
+			t.Errorf("%s: %s variant %d on %s differs from the reference\n got  %+v\n want %+v",
 				pass, u.cfgs[i].Name, i, u.d.Name, got, u.want[i])
 		}
 	}
 
 	// Sequential: sightings one to four of each key, in order.
 	for _, u := range units {
-		before := derivedOf(u.d).tapes.Stats()
+		before := sim.TapeStats(u.d)
 		for i, cfg := range u.cfgs {
 			got, err := cfg.RunDecoded(u.d)
 			check("sequential", u, i, got, err)
 		}
-		after := derivedOf(u.d).tapes.Stats()
+		after := sim.TapeStats(u.d)
 		if after.Live != before.Live+1 || after.Recorded != before.Recorded+1 || after.Replayed != before.Replayed+variants-2 {
 			t.Fatalf("%s on %s: memo went from %+v to %+v over %d sightings of one key; want one live, one recorded, the rest replayed",
 				u.cfgs[0].Name, u.d.Name, before, after, variants)
@@ -143,7 +145,7 @@ func TestTapedReplayMatchesLive(t *testing.T) {
 	// first one published.
 	for _, u := range units {
 		for round := 0; round < 2; round++ {
-			rs, err := RunBatch(u.cfgs, u.d)
+			rs, err := sim.RunBatch(u.cfgs, u.d)
 			if err != nil {
 				t.Fatalf("batched: %s on %s: %v", u.cfgs[0].Name, u.d.Name, err)
 			}
@@ -178,7 +180,7 @@ func TestTapedReplayMatchesLive(t *testing.T) {
 // process-wide holds them.
 func TestTapesCollectedWithTrace(t *testing.T) {
 	p, _ := workload.ByName("mcf")
-	cfg := PublicA53()
+	cfg := sim.PublicA53()
 	collected := make(chan struct{}, 1)
 	func() {
 		tr, err := workload.Generate(p, workload.Options{Events: 1500})
@@ -191,11 +193,10 @@ func TestTapesCollectedWithTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dv := derivedOf(d)
-		if st := dv.tapes.Stats(); st.Tapes != 1 || st.Replayed != 1 {
+		if st := sim.TapeStats(d); st.Tapes != 1 || st.Replayed != 1 {
 			t.Fatalf("memo stats %+v after three runs of one configuration, want one tape, replayed once", st)
 		}
-		runtime.SetFinalizer(dv, func(*derived) { collected <- struct{}{} })
+		runtime.SetFinalizer(sim.DerivedOf(d), func(any) { collected <- struct{}{} })
 	}()
 	for i := 0; i < 10; i++ {
 		runtime.GC()

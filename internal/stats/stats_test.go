@@ -283,3 +283,70 @@ func TestTQuantileKnownValues(t *testing.T) {
 		t.Error("df<=0 should return NaN")
 	}
 }
+
+// TestFriedmanInvariantUnderPermutation: the race hands Friedman its cost
+// matrix in whatever order instances and candidates happen to be listed,
+// so the answer must not depend on it. Permuting the blocks must leave
+// every field bit-identical; permuting the treatments must permute
+// MeanRanks the same way and leave the other fields bit-identical. Costs
+// are drawn from a few integers and +Inf, so ties, which get average
+// ranks, are common. Ranks are then half-integers, every sum Friedman
+// forms is exact in float64 whatever its order, and bit equality is the
+// right check.
+func TestFriedmanInvariantUnderPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	vals := []float64{1, 2, 3, 5, math.Inf(1)}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 500; trial++ {
+		n, k := 2+rng.Intn(12), 2+rng.Intn(10)
+		costs := make([][]float64, n)
+		for i := range costs {
+			costs[i] = make([]float64, k)
+			for j := range costs[i] {
+				costs[i][j] = vals[rng.Intn(len(vals))]
+			}
+		}
+		want, err := Friedman(costs, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		blocks := make([][]float64, n)
+		for i, from := range rng.Perm(n) {
+			blocks[i] = costs[from]
+		}
+		got, err := Friedman(blocks, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got.Statistic, want.Statistic) || !same(got.PValue, want.PValue) || !same(got.CriticalDiff, want.CriticalDiff) {
+			t.Fatalf("trial %d: blocks permuted: %+v, want %+v", trial, got, want)
+		}
+		for j := range want.MeanRanks {
+			if !same(got.MeanRanks[j], want.MeanRanks[j]) {
+				t.Fatalf("trial %d: blocks permuted: mean ranks %v, want %v", trial, got.MeanRanks, want.MeanRanks)
+			}
+		}
+
+		perm := rng.Perm(k)
+		treatments := make([][]float64, n)
+		for i, row := range costs {
+			treatments[i] = make([]float64, k)
+			for j, from := range perm {
+				treatments[i][j] = row[from]
+			}
+		}
+		got, err = Friedman(treatments, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got.Statistic, want.Statistic) || !same(got.PValue, want.PValue) || !same(got.CriticalDiff, want.CriticalDiff) {
+			t.Fatalf("trial %d: treatments permuted by %v: %+v, want %+v", trial, perm, got, want)
+		}
+		for j, from := range perm {
+			if !same(got.MeanRanks[j], want.MeanRanks[from]) {
+				t.Fatalf("trial %d: treatments permuted by %v: mean ranks %v, want %v permuted", trial, perm, got.MeanRanks, want.MeanRanks)
+			}
+		}
+	}
+}

@@ -47,8 +47,8 @@ type Decoded struct {
 	TakenBits []uint64
 
 	// Err is the decode error of the first undecodable event, if any.
-	// The columns then cover only the events before it, matching the
-	// legacy path, which replays up to the failing event and stops. For a
+	// The columns then cover only the events before it: a replay stops
+	// at the failing event, as an event-by-event decode would. For a
 	// deferred trace that could not materialize (see Deferred) it is that
 	// error, and the columns are empty. Replay reports Err either way.
 	Err error
@@ -101,8 +101,8 @@ func decodeTrace(t *Trace, depBug bool) *Decoded {
 	n := c.len()
 	dec := isa.Decoder{DepBug: depBug}
 	for id, w := range c.words {
-		// PC 0 matches the legacy per-word decode cache, so error text
-		// (and hence observable behaviour) is identical.
+		// A word is decoded once for every PC it appears at, so the
+		// decode (and a decode error's text) names PC 0.
 		in, err := dec.Decode(0, w)
 		if err != nil {
 			d.Err = err

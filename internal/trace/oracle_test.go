@@ -27,7 +27,7 @@ func legacyDecode(t *trace.Trace, depBug bool) *trace.Decoded {
 		return &trace.Decoded{Name: t.Name, WarmData: t.WarmData, DepBug: depBug, Err: err}
 	}
 	dec := isa.Decoder{DepBug: depBug}
-	n := c.Len()
+	n := t.Len()
 	d := &trace.Decoded{
 		Name:      t.Name,
 		WarmData:  t.WarmData,

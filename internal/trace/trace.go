@@ -173,24 +173,13 @@ func (t *Trace) Digest() string {
 	return t.digest
 }
 
-// Source yields events in program order. Implementations must allow Reset
-// so one recording can drive many timing-model configurations.
-type Source interface {
-	// Next returns the next event. ok is false at end of trace.
-	Next() (ev Event, ok bool)
-	// Reset rewinds the source to the beginning.
-	Reset()
-	// Len returns the total number of events.
-	Len() int
-}
-
-// Cursor is a Source over an in-memory Trace.
+// Cursor reads an in-memory Trace one event at a time, in program order.
 type Cursor struct {
 	cols *columns
 	pos  int
 }
 
-// NewCursor returns a Source reading t from the beginning. The error is
+// NewCursor returns a cursor reading t from the beginning. The error is
 // that of materializing a deferred trace (see Deferred); an ordinary trace
 // has none.
 func NewCursor(t *Trace) (*Cursor, error) {
@@ -201,7 +190,7 @@ func NewCursor(t *Trace) (*Cursor, error) {
 	return &Cursor{cols: c}, nil
 }
 
-// Next implements Source.
+// Next returns the next event. ok is false at end of trace.
 func (c *Cursor) Next() (Event, bool) {
 	if c.pos >= c.cols.len() {
 		return Event{}, false
@@ -210,12 +199,6 @@ func (c *Cursor) Next() (Event, bool) {
 	c.pos++
 	return ev, true
 }
-
-// Reset implements Source.
-func (c *Cursor) Reset() { c.pos = 0 }
-
-// Len implements Source.
-func (c *Cursor) Len() int { return c.cols.len() }
 
 // Record executes prog on the functional emulator for at most maxInst
 // instructions and returns the recorded trace. A program that exhausts the

@@ -45,7 +45,7 @@ func eventsOf(t testing.TB, tr *Trace) []Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := make([]Event, 0, c.Len())
+	evs := make([]Event, 0, tr.Len())
 	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
 		evs = append(evs, ev)
 	}
@@ -134,9 +134,6 @@ func TestCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != tr.Len() {
-		t.Errorf("cursor len = %d", c.Len())
-	}
 	n := 0
 	for {
 		_, ok := c.Next()
@@ -148,10 +145,8 @@ func TestCursor(t *testing.T) {
 	if n != tr.Len() {
 		t.Errorf("iterated %d, want %d", n, tr.Len())
 	}
-	c.Reset()
-	ev, ok := c.Next()
-	if !ok || ev != eventsOf(t, tr)[0] {
-		t.Error("Reset did not rewind cursor")
+	if _, ok := c.Next(); ok {
+		t.Error("a cursor at the end of the trace yielded another event")
 	}
 }
 

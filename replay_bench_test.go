@@ -10,12 +10,11 @@ import (
 	"racesim/internal/workload"
 )
 
-// Replay micro-benchmarks: the decode-once columnar path (Config.Run)
-// against the legacy per-event decode oracle (runCursor in
-// replay_parity_test.go), on a single trace
-// and on the multi-config sweep that dominates tuning and perturbation
-// runs. MB/s numbers read as simulated instructions per microsecond
-// (1 "byte" = 1 instruction). Results are recorded in BENCH_replay.json.
+// Replay micro-benchmarks: the decode-once columnar path (Config.Run), on
+// a single trace and on the multi-config sweep that dominates tuning and
+// perturbation runs. MB/s numbers read as simulated instructions per
+// microsecond (1 "byte" = 1 instruction). Results are recorded in
+// BENCH_replay.json.
 //
 // Which mode a benchmark measures. A decoded trace remembers the memory
 // hierarchy's decisions under the functional configurations replayed most
@@ -94,20 +93,6 @@ func BenchmarkInOrderReplay(b *testing.B) { benchReplay(b, sim.PublicA53(), fals
 // hierarchy simulated live every iteration.
 func BenchmarkInOrderReplayUnique(b *testing.B) { benchReplay(b, sim.PublicA53(), true) }
 
-// BenchmarkInOrderReplayCursor is the legacy-path baseline for
-// BenchmarkInOrderReplay.
-func BenchmarkInOrderReplayCursor(b *testing.B) {
-	tr := benchTrace(b)
-	cfg := sim.PublicA53()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runCursor(cfg, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(tr.Len()))
-}
-
 // BenchmarkOOOReplay measures single-trace decoded replay throughput on
 // the out-of-order model, repeat mode.
 func BenchmarkOOOReplay(b *testing.B) { benchReplay(b, sim.PublicA72(), false) }
@@ -115,20 +100,6 @@ func BenchmarkOOOReplay(b *testing.B) { benchReplay(b, sim.PublicA72(), false) }
 // BenchmarkOOOReplayUnique is BenchmarkOOOReplay with the memory hierarchy
 // simulated live every iteration.
 func BenchmarkOOOReplayUnique(b *testing.B) { benchReplay(b, sim.PublicA72(), true) }
-
-// BenchmarkOOOReplayCursor is the legacy-path baseline for
-// BenchmarkOOOReplay.
-func BenchmarkOOOReplayCursor(b *testing.B) {
-	tr := benchTrace(b)
-	cfg := sim.PublicA72()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runCursor(cfg, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(tr.Len()))
-}
 
 // BenchmarkSweepDecodeOnce replays one trace under 12 configurations
 // through the decode-once path: the static decode is computed once and
@@ -141,22 +112,6 @@ func BenchmarkSweepDecodeOnce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range configs {
 			if _, err := cfg.Run(tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.SetBytes(int64(tr.Len() * len(configs)))
-}
-
-// BenchmarkSweepPerConfigDecode is the seed path: every configuration
-// re-decodes the trace through its own per-model decode cache.
-func BenchmarkSweepPerConfigDecode(b *testing.B) {
-	tr := benchTrace(b)
-	configs := sweepConfigs(sim.PublicA53())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cfg := range configs {
-			if _, err := runCursor(cfg, tr); err != nil {
 				b.Fatal(err)
 			}
 		}
