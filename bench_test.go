@@ -208,8 +208,8 @@ func BenchmarkFig8PerturbA72(b *testing.B) {
 func BenchmarkStagedValidation(b *testing.B) {
 	p := benchPlatform(b)
 	for i := 0; i < b.N; i++ {
-		stages, err := validate.Pipeline(p.A53, sim.PublicA53(), validate.PipelineOptions{
-			BudgetRound1: 400, BudgetRound2: 500, Seed: int64(i), UbenchScale: 0.002,
+		stages, err := validate.Pipeline(p.A53, sim.PublicA53(), validate.PaperStages(400, 500), validate.PipelineOptions{
+			Seed: int64(i), UbenchScale: 0.002,
 		})
 		if err != nil {
 			b.Fatal(err)

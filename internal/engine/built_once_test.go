@@ -258,8 +258,8 @@ func TestValidateJobThreeWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := job.Validate
-	stages, err := validate.Pipeline(plat.A72, sim.PublicA72(), validate.PipelineOptions{
-		BudgetRound1: v.Budget1, BudgetRound2: v.Budget2, Seed: v.Seed, UbenchScale: v.Scale, Parallelism: 1,
+	stages, err := validate.Pipeline(plat.A72, sim.PublicA72(), validate.PaperStages(v.Budget1, v.Budget2), validate.PipelineOptions{
+		Seed: v.Seed, UbenchScale: v.Scale, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,14 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if j == nil {
 		j = &ValidateJob{}
 	}
+	// A budget of 0 makes a stage evaluate-only: the paper's rounds always
+	// tune.
 	budget1 := j.Budget1
-	if budget1 == 0 {
+	if budget1 <= 0 {
 		budget1 = 3000
 	}
 	budget2 := j.Budget2
-	if budget2 == 0 {
+	if budget2 <= 0 {
 		budget2 = 4000
 	}
 	scale := j.Scale
@@ -53,16 +55,14 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if err := e.openSnapshot("validate", logf); err != nil {
 		return err
 	}
-	stages, err := validate.Pipeline(board, public, validate.PipelineOptions{
-		BudgetRound1: budget1,
-		BudgetRound2: budget2,
-		Seed:         j.Seed,
-		UbenchScale:  scale,
-		Cache:        e.cache,
-		TraceMemo:    e.memo,
-		Parallelism:  e.par,
-		Context:      e.ctx,
-		Log:          logf,
+	stages, err := validate.Pipeline(board, public, validate.PaperStages(budget1, budget2), validate.PipelineOptions{
+		Seed:        j.Seed,
+		UbenchScale: scale,
+		Cache:       e.cache,
+		TraceMemo:   e.memo,
+		Parallelism: e.par,
+		Context:     e.ctx,
+		Log:         logf,
 	})
 	if err != nil {
 		return err

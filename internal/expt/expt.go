@@ -159,15 +159,6 @@ func (c *Context) Runner() *Runner { return c.runner }
 // the same source of truth.
 func (c *Context) Options() Options { return c.opts }
 
-// Measurements measures the raw micro-benchmark suite on a board: the
-// tuning instances of Fig2, the budget and noise sweeps and ad-hoc tuning
-// rounds. The suite's traces are the memo's — shared with Table I and
-// both pipelines — and a board built over the context's cache replays
-// each of them once.
-func (c *Context) Measurements(board *hw.Board) ([]validate.Measurement, error) {
-	return validate.MeasureSuiteWith(board, ubench.Options{Scale: c.opts.UbenchScale}, c.memo, c.runner.Parallelism())
-}
-
 // Stages lazily runs the full validation pipeline for a core, once per
 // context. Concurrent callers for one core share the run in flight: the
 // first caller runs it and the others wait for its result, while a caller
@@ -201,37 +192,31 @@ func (c *Context) Stages(core string) ([]validate.StageResult, error) {
 	return call.st, call.err
 }
 
-// pipeline runs a core's validation pipeline.
+// pipeline runs a core's validation pipeline: the paper's stages.
 func (c *Context) pipeline(core string) ([]validate.StageResult, error) {
 	board, public, err := Core(c.plat, core)
 	if err != nil {
 		return nil, err
 	}
-	return validate.Pipeline(board, public, validate.PipelineOptions{
-		BudgetRound1: c.opts.BudgetRound1,
-		BudgetRound2: c.opts.BudgetRound2,
-		Seed:         c.opts.Seed + cores[core].seedOffset,
-		UbenchScale:  c.opts.UbenchScale,
-		Cache:        c.runner.Cache(),
-		TraceMemo:    c.memo,
-		Parallelism:  c.runner.Parallelism(),
-		Context:      c.opts.Context,
-		Log:          c.opts.Log,
-	})
+	return c.Run(board, public, validate.PaperStages(c.opts.BudgetRound1, c.opts.BudgetRound2),
+		c.opts.Seed+cores[core].seedOffset)
 }
 
-// TuneOptions configures one tuning round of budget evaluations from seed
-// over what every race of the context shares: its cache, worker pool,
-// cancellation and log.
-func (c *Context) TuneOptions(budget int, seed int64) validate.TuneOptions {
-	return validate.TuneOptions{
-		Budget:      budget,
+// Run runs stages on board from base (validate.Pipeline), the k-th tuning
+// round drawing seed+k, over what every race of the context shares: the
+// trace memo — so the raw suite is Table I's and both pipelines', and a
+// board built over the context's cache replays each trace once — the
+// cache, worker pool, cancellation and log.
+func (c *Context) Run(board *hw.Board, base sim.Config, stages []validate.Stage, seed int64) ([]validate.StageResult, error) {
+	return validate.Pipeline(board, base, stages, validate.PipelineOptions{
 		Seed:        seed,
+		UbenchScale: c.opts.UbenchScale,
 		Cache:       c.runner.Cache(),
+		TraceMemo:   c.memo,
 		Parallelism: c.runner.Parallelism(),
 		Context:     c.opts.Context,
 		Log:         c.opts.Log,
-	}
+	})
 }
 
 // workloads fetches the Table II traces, in profile order.
@@ -339,27 +324,24 @@ func (c *Context) Table2() (Experiment, error) {
 }
 
 // Fig2 regenerates the racing-dynamics view: surviving configurations per
-// benchmark instance during an irace run on the A53.
+// benchmark instance during a one-stage irace run on the A53.
 func (c *Context) Fig2() (Experiment, error) {
-	ms, err := c.Measurements(c.plat.A53)
+	st, err := c.Run(c.plat.A53, sim.PublicA53(), []validate.Stage{{Name: "tuned", Budget: c.opts.BudgetRound1}}, c.opts.Seed)
 	if err != nil {
 		return Experiment{}, err
 	}
-	res, err := validate.Tune(sim.PublicA53(), ms, c.TuneOptions(c.opts.BudgetRound1, c.opts.Seed))
-	if err != nil {
-		return Experiment{}, err
-	}
+	race := st[0].Irace
 	t := &Table{
 		Title:   "Figure 2: iterated-racing elimination dynamics",
 		Headers: []string{"iteration", "instance", "alive", ""},
 	}
 	maxAlive := 0
-	for _, ev := range res.Irace.RaceTrace {
+	for _, ev := range race.RaceTrace {
 		if ev.Alive > maxAlive {
 			maxAlive = ev.Alive
 		}
 	}
-	for _, ev := range res.Irace.RaceTrace {
+	for _, ev := range race.RaceTrace {
 		t.AddRow(fmt.Sprintf("%d", ev.Iteration), fmt.Sprintf("%d", ev.Instance),
 			fmt.Sprintf("%d", ev.Alive), Bar(float64(ev.Alive), float64(maxAlive), 40))
 	}
@@ -367,7 +349,7 @@ func (c *Context) Fig2() (Experiment, error) {
 		ID:       "fig2",
 		Title:    "irace sampling / racing / elimination",
 		Paper:    "candidates are eliminated as instances accumulate; survivors seed the next iteration",
-		Measured: fmt.Sprintf("%d race events, final best cost %.3f", len(res.Irace.RaceTrace), res.Irace.BestCost),
+		Measured: fmt.Sprintf("%d race events, final best cost %.3f", len(race.RaceTrace), race.BestCost),
 		Body:     t.Render(),
 	}, nil
 }

@@ -69,16 +69,17 @@ func transferUnit(sp Spec) Unit {
 	}
 }
 
-// budgetSweepUnits expands a budget-sweep scenario into one tuning round
-// per budget point, each reporting the exact evaluation spend (now capped
-// at the budget by the irace accounting fix) and the resulting suite
-// error — the ablation behind "how much racing buys at which budget".
+// budgetSweepUnits expands a budget-sweep scenario into one unit per
+// budget point, each a one-stage flow — a single tuning round — reporting
+// the exact evaluation spend (capped at the budget by the irace
+// accounting) and the resulting suite error: the ablation behind "how much
+// racing buys at which budget".
 func budgetSweepUnits(sp Spec) []Unit {
 	units := make([]Unit, 0, len(sp.Budgets))
 	for _, budget := range sp.Budgets {
-		budget := budget
+		id := fmt.Sprintf("%s/budget=%d", sp.Name, budget)
 		units = append(units, Unit{
-			ID:       fmt.Sprintf("%s/budget=%d", sp.Name, budget),
+			ID:       id,
 			Scenario: sp.Name,
 			Step:     fmt.Sprintf("budget=%d", budget),
 			Deps:     []string{"measure:" + sp.Core},
@@ -87,38 +88,30 @@ func budgetSweepUnits(sp Spec) []Unit {
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				ms, err := rt.Ctx.Measurements(board)
+				st, err := rt.Ctx.Run(board, public, []validate.Stage{{Name: "tuned", Budget: budget}},
+					rt.Ctx.Options().Seed+sp.SeedOffset)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				seed := rt.Ctx.Options().Seed + sp.SeedOffset
-				res, err := validate.Tune(public, ms, rt.Ctx.TuneOptions(budget, seed))
+				race := st[0].Irace
+				worst, _, err := validate.MaxError(st[0].Errors)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				id := fmt.Sprintf("%s/budget=%d", sp.Name, budget)
 				title := fmt.Sprintf("Budget sweep (%s): one racing round at budget %d", sp.Core, budget)
 				t := &expt.Table{Title: title, Headers: []string{"metric", "value"}}
 				t.AddRow("budget", fmt.Sprintf("%d", budget))
-				t.AddRow("evaluations used", fmt.Sprintf("%d", res.Irace.Evaluations))
-				t.AddRow("iterations", fmt.Sprintf("%d", len(res.Irace.Iterations)))
-				t.AddRow("best race cost", fmt.Sprintf("%.4f", res.Irace.BestCost))
-				mean, err := validate.MeanError(res.Errors)
-				if err != nil {
-					return expt.Experiment{}, err
-				}
-				t.AddRow("mean suite error", expt.Pct(mean))
-				worst, _, err := validate.MaxError(res.Errors)
-				if err != nil {
-					return expt.Experiment{}, err
-				}
+				t.AddRow("evaluations used", fmt.Sprintf("%d", race.Evaluations))
+				t.AddRow("iterations", fmt.Sprintf("%d", len(race.Iterations)))
+				t.AddRow("best race cost", fmt.Sprintf("%.4f", race.BestCost))
+				t.AddRow("mean suite error", expt.Pct(st[0].MeanError))
 				t.AddRow("worst bench", fmt.Sprintf("%s (%s)", worst.Name, expt.Pct(worst.Error)))
 				return expt.Experiment{
 					ID:    id,
 					Title: title,
 					Paper: "beyond the paper: the paper fixes the budget per round (up to 100k trials)",
 					Measured: fmt.Sprintf("%d/%d evaluations, mean suite error %s",
-						res.Irace.Evaluations, budget, expt.Pct(mean)),
+						race.Evaluations, budget, expt.Pct(st[0].MeanError)),
 					Body: t.Render(),
 				}, nil
 			},
@@ -127,18 +120,18 @@ func budgetSweepUnits(sp Spec) []Unit {
 	return units
 }
 
-// noiseSweepUnits expands a noise-sweep scenario into one
-// measure-then-tune pass per noise amplitude: the board is rebuilt with
-// the scenario's noise level over the same hidden ground truth, the suite
-// is re-measured, and one tuning round runs against the noisier
-// counters. Rising tuned error with rising noise bounds how much
-// measurement quality the methodology needs.
+// noiseSweepUnits expands a noise-sweep scenario into one unit per noise
+// amplitude: the board is rebuilt with the scenario's noise level over the
+// same hidden ground truth, and the two-stage flow untuned, tuned runs on
+// it — the suite measured on the noisier counters, the public model
+// evaluated, one tuning round. Rising tuned error with rising noise bounds
+// how much measurement quality the methodology needs.
 func noiseSweepUnits(sp Spec) []Unit {
 	units := make([]Unit, 0, len(sp.NoiseLevels))
 	for li, level := range sp.NoiseLevels {
-		li, level := li, level
+		id := fmt.Sprintf("%s/noise=%g", sp.Name, level)
 		units = append(units, Unit{
-			ID:       fmt.Sprintf("%s/noise=%g", sp.Name, level),
+			ID:       id,
 			Scenario: sp.Name,
 			Step:     fmt.Sprintf("noise=%g", level),
 			run: func(rt *Runtime) (expt.Experiment, error) {
@@ -151,45 +144,27 @@ func noiseSweepUnits(sp Spec) []Unit {
 					return expt.Experiment{}, err
 				}
 				o := rt.Ctx.Options()
-				ms, err := rt.Ctx.Measurements(board)
-				if err != nil {
-					return expt.Experiment{}, err
-				}
-				untuned, err := validate.ErrorsWith(public, ms, rt.Ctx.Runner().Cache(), rt.Ctx.Runner().Parallelism())
-				if err != nil {
-					return expt.Experiment{}, err
-				}
 				budget := sp.Budget
 				if budget <= 0 {
 					budget = o.BudgetRound1
 				}
-				res, err := validate.Tune(public, ms, rt.Ctx.TuneOptions(budget, o.Seed+sp.SeedOffset+int64(li)))
+				st, err := rt.Ctx.Run(board, public, []validate.Stage{{Name: "untuned"}, {Name: "tuned", Budget: budget}},
+					o.Seed+sp.SeedOffset+int64(li))
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				id := fmt.Sprintf("%s/noise=%g", sp.Name, level)
+				untuned, tuned := st[0].MeanError, st[1].MeanError
 				title := fmt.Sprintf("Noise sweep (%s): ±%.1f%% measurement noise", sp.Core, level*100)
 				t := &expt.Table{Title: title, Headers: []string{"stage", "mean error", ""}}
-				um, err := validate.MeanError(untuned)
-				if err != nil {
-					return expt.Experiment{}, err
+				for _, s := range st {
+					t.AddRow(s.Name, expt.Pct(s.MeanError), expt.Bar(s.MeanError, max(untuned, tuned), 40))
 				}
-				tm, err := validate.MeanError(res.Errors)
-				if err != nil {
-					return expt.Experiment{}, err
-				}
-				maxV := um
-				if tm > maxV {
-					maxV = tm
-				}
-				t.AddRow("untuned", expt.Pct(um), expt.Bar(um, maxV, 40))
-				t.AddRow("tuned", expt.Pct(tm), expt.Bar(tm, maxV, 40))
 				return expt.Experiment{
 					ID:    id,
 					Title: title,
 					Paper: "beyond the paper: the reference board measures with fixed ±1% noise",
 					Measured: fmt.Sprintf("noise ±%.1f%%: untuned %s -> tuned %s (%d/%d evaluations)",
-						level*100, expt.Pct(um), expt.Pct(tm), res.Irace.Evaluations, budget),
+						level*100, expt.Pct(untuned), expt.Pct(tuned), st[1].Irace.Evaluations, budget),
 					Body: t.Render(),
 				}, nil
 			},

@@ -19,9 +19,6 @@ func TestAggregatesEmptySlice(t *testing.T) {
 	if cats := CategoryErrors(nil); len(cats) != 0 {
 		t.Errorf("CategoryErrors(nil) = %v, want empty", cats)
 	}
-	if cat, e := Triage(nil); cat != "" || e != -1 {
-		t.Errorf("Triage(nil) = %q, %v; want \"\", -1", cat, e)
-	}
 }
 
 func TestAggregatesSingleBenchCategories(t *testing.T) {
@@ -39,10 +36,6 @@ func TestAggregatesSingleBenchCategories(t *testing.T) {
 		if cats[e.Category] != e.Error {
 			t.Errorf("%s mean %v, want %v", e.Category, cats[e.Category], e.Error)
 		}
-	}
-	cat, worst := Triage(es)
-	if cat != ubench.CatMemory || worst != 0.30 {
-		t.Errorf("Triage = %q, %v; want memory, 0.30", cat, worst)
 	}
 }
 

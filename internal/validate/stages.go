@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"racesim/internal/hw"
+	"racesim/internal/irace"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/tracememo"
@@ -43,7 +44,43 @@ func union(ms ...map[string]bool) map[string]bool {
 	return out
 }
 
-// StageResult captures one stage of the staged validation narrative.
+// Stage is one step of the validation methodology (Fig. 1): optionally
+// the abstraction fixes, then a tuning round from the configuration the
+// stage before it ended with, or only an evaluation of that configuration.
+type Stage struct {
+	Name string
+	// Fix applies methodology step 6 before the stage: the decoder bug is
+	// cleared, lmbench estimates seed the latencies, and the stage is
+	// measured on the suite with initialized arrays. A stage without Fix
+	// is measured on the raw suite.
+	Fix bool
+	// Budget is the stage's irace budget; 0 evaluates without tuning.
+	Budget int
+	// Exclude removes parameters from the stage's search space.
+	Exclude map[string]bool
+	// Weights shapes the stage's tuning cost function.
+	Weights CostWeights
+}
+
+// PaperStages is the paper's Figure 1 flow (Sec. IV-B):
+//
+//  1. "untuned"  — public best-guess model (steps 1–3), buggy decoder, no
+//     indirect predictor, uninitialized arrays.
+//  2. "round1"   — irace over the restricted space (no indirect knobs, no
+//     extended prefetchers): specification errors shrink, component
+//     errors remain (step 4 + first pass of step 5).
+//  3. "fixed"    — abstraction fixes applied (decoder bug fixed, indirect
+//     predictor available, arrays initialized, prefetcher options added,
+//     lmbench-seeded latencies) and a second tuning round (steps 6 + 4).
+func PaperStages(budget1, budget2 int) []Stage {
+	return []Stage{
+		{Name: "untuned"},
+		{Name: "round1", Budget: budget1, Exclude: union(IndirectParams, PrefetchParams)},
+		{Name: "fixed", Fix: true, Budget: budget2, Weights: CostWeights{BranchMPKI: 0.2}},
+	}
+}
+
+// StageResult is the outcome of one stage.
 type StageResult struct {
 	Name      string
 	Config    sim.Config
@@ -53,16 +90,16 @@ type StageResult struct {
 	// against (the raw or re-measured suite) — the input a statistical
 	// ValidationReport needs beyond the scalar errors.
 	Ms []Measurement
+	// Irace is the stage's tuning race; nil for an evaluate-only stage.
+	Irace *irace.Result
 }
 
-// PipelineOptions configures the full staged run.
+// PipelineOptions configures a run of stages.
 type PipelineOptions struct {
-	// BudgetRound1/BudgetRound2 are irace budgets for the two tuning
-	// rounds.
-	BudgetRound1 int
-	BudgetRound2 int
-	Seed         int64
-	UbenchScale  float64
+	// Seed is the first tuning round's; the k-th round (from 0) draws
+	// Seed+k.
+	Seed        int64
+	UbenchScale float64
 	// Cache, when non-nil, memoizes every simulation of the pipeline
 	// (tuning races and per-stage error evaluations). The board keeps its
 	// own replays wherever it was told to (hw.Board.WithCache).
@@ -74,8 +111,9 @@ type PipelineOptions struct {
 	TraceMemo *tracememo.Memo
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
-	// Context, when non-nil, cancels the pipeline: checked between stages
-	// and threaded into the tuning rounds (which check per race step).
+	// Context, when non-nil, cancels the pipeline: checked before each
+	// stage and threaded into the tuning rounds (which check per race
+	// step).
 	Context context.Context
 	Log     func(format string, args ...any)
 }
@@ -89,12 +127,6 @@ func (o PipelineOptions) ctxErr() error {
 }
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
-	if o.BudgetRound1 <= 0 {
-		o.BudgetRound1 = 3000
-	}
-	if o.BudgetRound2 <= 0 {
-		o.BudgetRound2 = 4000
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -104,103 +136,61 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 	return o
 }
 
-// Pipeline is the complete Figure 1 flow for one core. Stages:
-//
-//  1. "untuned"  — public best-guess model (steps 1–3), buggy decoder, no
-//     indirect predictor, uninitialized arrays.
-//  2. "round1"   — irace over the restricted space (no indirect knobs, no
-//     extended prefetchers): specification errors shrink, component
-//     errors remain (step 4 + first pass of step 5).
-//  3. "fixed"    — abstraction fixes applied (decoder bug fixed, indirect
-//     predictor available, arrays initialized, prefetcher options added,
-//     lmbench-seeded latencies) and a second tuning round (steps 6 + 4).
-//
-// The returned stages carry per-benchmark errors evaluated against
-// measurements taken with the stage's own benchmark options, mirroring how
-// the paper re-measured after initializing the arrays.
-func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageResult, error) {
+// Pipeline runs stages for one core, each from the configuration the stage
+// before it ended with (the first from base), and returns one result per
+// stage. Each suite a stage asks for — raw, or initialized under Fix — is
+// measured on the board once per call, mirroring how the paper re-measured
+// after initializing the arrays.
+func Pipeline(board *hw.Board, base sim.Config, stages []Stage, opt PipelineOptions) ([]StageResult, error) {
 	o := opt.withDefaults()
-
-	// Stage 1: untuned public model on raw (uninitialized-array) traces.
-	rawMs, err := MeasureSuiteWith(board, ubench.Options{Scale: o.UbenchScale}, o.TraceMemo, o.Parallelism)
-	if err != nil {
-		return nil, err
+	suites := map[bool][]Measurement{} // by InitArrays
+	out := make([]StageResult, 0, len(stages))
+	cfg, rounds := base, int64(0)
+	for _, st := range stages {
+		if err := o.ctxErr(); err != nil {
+			return nil, err
+		}
+		var err error
+		if st.Fix {
+			cfg.DecoderDepBug = false
+			if cfg, err = SeedLatencies(cfg, board, o.TraceMemo, o.Parallelism); err != nil {
+				return nil, err
+			}
+		}
+		ms, ok := suites[st.Fix]
+		if !ok {
+			ms, err = MeasureSuiteWith(board, ubench.Options{Scale: o.UbenchScale, InitArrays: st.Fix}, o.TraceMemo, o.Parallelism)
+			if err != nil {
+				return nil, err
+			}
+			suites[st.Fix] = ms
+		}
+		res := StageResult{Name: st.Name, Config: cfg, Ms: ms}
+		if st.Budget > 0 {
+			tuned, err := Tune(cfg, ms, TuneOptions{
+				Budget:        st.Budget,
+				Seed:          o.Seed + rounds,
+				Weights:       st.Weights,
+				ExcludeParams: st.Exclude,
+				Cache:         o.Cache,
+				Parallelism:   o.Parallelism,
+				Context:       o.Context,
+				Log:           o.Log,
+			})
+			if err != nil {
+				return nil, err
+			}
+			rounds++
+			res.Config, res.Errors, res.Irace = tuned.Tuned, tuned.Errors, tuned.Irace
+		} else if res.Errors, err = ErrorsWith(cfg, ms, o.Cache, o.Parallelism); err != nil {
+			return nil, err
+		}
+		if res.MeanError, err = MeanError(res.Errors); err != nil {
+			return nil, err
+		}
+		o.Log("validate: %s mean CPI error %.1f%%", st.Name, res.MeanError*100)
+		out = append(out, res)
+		cfg = res.Config
 	}
-	untunedErrs, err := ErrorsWith(public, rawMs, o.Cache, o.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	untunedMean, err := MeanError(untunedErrs)
-	if err != nil {
-		return nil, err
-	}
-	stages := []StageResult{{
-		Name: "untuned", Config: public,
-		Errors: untunedErrs, MeanError: untunedMean, Ms: rawMs,
-	}}
-	o.Log("validate: untuned mean CPI error %.1f%%", stages[0].MeanError*100)
-
-	// Stage 2: first tuning round over the restricted space.
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	round1, err := Tune(public, rawMs, TuneOptions{
-		Budget:        o.BudgetRound1,
-		Seed:          o.Seed,
-		ExcludeParams: union(IndirectParams, PrefetchParams),
-		Cache:         o.Cache,
-		Parallelism:   o.Parallelism,
-		Context:       o.Context,
-		Log:           o.Log,
-	})
-	if err != nil {
-		return nil, err
-	}
-	round1Mean, err := MeanError(round1.Errors)
-	if err != nil {
-		return nil, err
-	}
-	stages = append(stages, StageResult{
-		Name: "round1", Config: round1.Tuned,
-		Errors: round1.Errors, MeanError: round1Mean, Ms: rawMs,
-	})
-	o.Log("validate: round-1 tuned mean CPI error %.1f%%", stages[1].MeanError*100)
-
-	// Stage 3: abstraction fixes + re-measured (initialized) suite +
-	// full-space tuning round.
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	fixedBase := round1.Tuned
-	fixedBase.DecoderDepBug = false
-	fixedBase, err = SeedLatencies(fixedBase, board, o.TraceMemo, o.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	initMs, err := MeasureSuiteWith(board, ubench.Options{Scale: o.UbenchScale, InitArrays: true}, o.TraceMemo, o.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	round2, err := Tune(fixedBase, initMs, TuneOptions{
-		Budget:      o.BudgetRound2,
-		Seed:        o.Seed + 1,
-		Weights:     CostWeights{BranchMPKI: 0.2},
-		Cache:       o.Cache,
-		Parallelism: o.Parallelism,
-		Context:     o.Context,
-		Log:         o.Log,
-	})
-	if err != nil {
-		return nil, err
-	}
-	round2Mean, err := MeanError(round2.Errors)
-	if err != nil {
-		return nil, err
-	}
-	stages = append(stages, StageResult{
-		Name: "fixed", Config: round2.Tuned,
-		Errors: round2.Errors, MeanError: round2Mean, Ms: initMs,
-	})
-	o.Log("validate: final tuned mean CPI error %.1f%%", stages[2].MeanError*100)
-	return stages, nil
+	return out, nil
 }

@@ -284,11 +284,9 @@ func TestPipelineStagedImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, err := Pipeline(p.A53, sim.PublicA53(), PipelineOptions{
-		BudgetRound1: 800,
-		BudgetRound2: 1000,
-		Seed:         3,
-		UbenchScale:  0.002,
+	stages, err := Pipeline(p.A53, sim.PublicA53(), PaperStages(800, 1000), PipelineOptions{
+		Seed:        3,
+		UbenchScale: 0.002,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -112,9 +112,11 @@ type (
 	TuneOptions = validate.TuneOptions
 	// TuneResult is a tuning round's outcome.
 	TuneResult = validate.TuneResult
+	// Stage is one step of the methodology: fixes, then tune or evaluate.
+	Stage = validate.Stage
 	// StageResult is one stage of the staged pipeline.
 	StageResult = validate.StageResult
-	// PipelineOptions configures the full methodology run.
+	// PipelineOptions configures a run of stages.
 	PipelineOptions = validate.PipelineOptions
 	// Assignment maps tunable parameter names to values.
 	Assignment = irace.Assignment
@@ -126,8 +128,10 @@ var (
 	MeasureSuite = validate.MeasureSuite
 	// Tune runs one iterated-racing round (methodology step 4).
 	Tune = validate.Tune
-	// Pipeline runs the complete Figure 1 flow.
+	// Pipeline runs a list of stages, e.g. PaperStages.
 	Pipeline = validate.Pipeline
+	// PaperStages is the paper's Figure 1 flow as stages.
+	PaperStages = validate.PaperStages
 	// SpaceFor returns the tunable-parameter space for a core kind.
 	SpaceFor = sim.Space
 	// ApplyAssignment overlays tuned parameters onto a base config.
