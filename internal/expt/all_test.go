@@ -5,119 +5,11 @@ import (
 	"testing"
 
 	"racesim/internal/hw"
-	"racesim/internal/sim"
 	"racesim/internal/simcache"
-	"racesim/internal/trace"
 	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/version"
 )
-
-// testGrid is a small configs x traces grid: both presets on four
-// micro-benchmarks.
-func testGrid(t *testing.T) ([]sim.Config, []*trace.Trace) {
-	t.Helper()
-	var trs []*trace.Trace
-	for _, name := range []string{"MD", "MC", "CS3", "ED1"} {
-		b, ok := ubench.ByName(name)
-		if !ok {
-			t.Fatalf("unknown bench %s", name)
-		}
-		tr, err := b.Trace(ubench.Options{Scale: 0.002})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs = append(trs, tr)
-	}
-	return []sim.Config{sim.PublicA53(), sim.PublicA72()}, trs
-}
-
-func TestRunAllParallelMatchesSequential(t *testing.T) {
-	cfgs, trs := testGrid(t)
-
-	seq, err := NewRunner(nil, 1).RunAll(cfgs, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewRunner(simcache.New(), 8).RunAll(cfgs, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cfgs) * len(trs); len(seq) != n || len(par) != n {
-		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), n)
-	}
-	for i, cfg := range cfgs {
-		for j, tr := range trs {
-			k := i*len(trs) + j
-			if seq[k] != par[k] {
-				t.Errorf("%s on %s: parallel cached result differs from sequential uncached", cfg.Name, tr.Name)
-			}
-			direct, err := cfg.Run(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq[k] != direct {
-				t.Errorf("%s on %s: runner result differs from direct simulation", cfg.Name, tr.Name)
-			}
-		}
-	}
-}
-
-func TestRunAllDeduplicatesRepeats(t *testing.T) {
-	cfgs, trs := testGrid(t)
-	// Submit every configuration twice; the cache must simulate each pair
-	// once.
-	doubled := append(append([]sim.Config{}, cfgs...), cfgs...)
-	cache := simcache.New()
-	res, err := NewRunner(cache, 4).RunAll(doubled, trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := len(cfgs) * len(trs)
-	for k := 0; k < distinct; k++ {
-		if res[k] != res[k+distinct] {
-			t.Errorf("pair %d: repeat submission returned a different result", k)
-		}
-	}
-	st := cache.Stats()
-	if st.Misses != uint64(distinct) {
-		t.Errorf("misses = %d, want %d (one per distinct pair)", st.Misses, distinct)
-	}
-	if st.Hits+st.Shared != uint64(distinct) {
-		t.Errorf("hits %d + shared %d = %d, want %d", st.Hits, st.Shared, st.Hits+st.Shared, distinct)
-	}
-}
-
-func TestMeasureAllMatchesSequential(t *testing.T) {
-	ctx, err := NewContext(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := ubench.ByName("MD")
-	tr1, err := b.Trace(ubench.Options{Scale: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := ubench.ByName("MC")
-	tr2, err := b2.Trace(ubench.Options{Scale: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	board := ctx.Platform().A53
-	par, err := NewRunner(nil, 4).MeasureAll(board, []*trace.Trace{tr1, tr2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range []*trace.Trace{tr1, tr2} {
-		direct, err := board.Measure(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par[i] != direct {
-			t.Errorf("trace %d: parallel measurement differs from direct", i)
-		}
-	}
-}
 
 // expOptions sizes a full All() run small enough for tests while still
 // exercising both tuning pipelines, the spec workloads and the
@@ -260,7 +152,7 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 	if got := renderContext(t, bare); got != cold {
 		t.Error("run on uncached boards changed the rendered output")
 	}
-	bs := bare.runner.Cache().Stats()
+	bs := bare.opts.Cache.Stats()
 	if d := (cs.Hits + cs.Misses + cs.Shared) - (bs.Hits + bs.Misses + bs.Shared); d != allBoardMeasures {
 		t.Errorf("caching the boards added %d lookups, want the %d board measurements", d, allBoardMeasures)
 	}

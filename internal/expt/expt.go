@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"racesim/internal/hw"
+	"racesim/internal/par"
 	"racesim/internal/perturb"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
@@ -48,7 +50,7 @@ type Options struct {
 	// once per context — and not at all when Cache remembers, from an
 	// earlier run of this build, what it was (tracememo.WithIdentities).
 	TraceMemo *tracememo.Memo
-	// Context, when non-nil, cancels experiment execution: the Runner
+	// Context, when non-nil, cancels experiment execution: every batch
 	// checks it before dispatching each simulation unit and the tuning
 	// pipelines check it per race step, so a cancelled sweep stops within
 	// one simulation batch.
@@ -57,6 +59,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Parallelism <= 0 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	if o.WorkloadEvents <= 0 {
 		o.WorkloadEvents = 60_000
 	}
@@ -76,17 +81,17 @@ func (o Options) withDefaults() Options {
 }
 
 // Context caches the tuned models across experiments and owns what every
-// experiment shares: the boards, the Runner simulation units are submitted
-// to, and the trace memo inputs are fetched through. Inputs and board
+// experiment shares: the boards, the simulation cache each grid of units
+// is submitted to (simcache.Cache.RunBatch, Options.Parallelism wide), and
+// the trace memo inputs are fetched through. Inputs and board
 // measurements are not cached here — the memo builds each distinct trace
 // once and the boards keep their replays in the simulation cache, so an
 // experiment that asks again gets lookups. Its methods may be called from
 // concurrent experiments.
 type Context struct {
-	opts   Options
-	plat   *hw.Platform
-	runner *Runner
-	memo   *tracememo.Memo
+	opts Options
+	plat *hw.Platform
+	memo *tracememo.Memo
 
 	mu     sync.Mutex
 	stages map[string]*stagesCall // by core; guarded by mu
@@ -142,7 +147,6 @@ func NewContext(opts Options) (*Context, error) {
 	}
 	return &Context{
 		opts: o, plat: plat.WithCache(o.Cache),
-		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context),
 		memo:   memo,
 		stages: map[string]*stagesCall{},
 	}, nil
@@ -151,12 +155,9 @@ func NewContext(opts Options) (*Context, error) {
 // Platform exposes the reference boards.
 func (c *Context) Platform() *hw.Platform { return c.plat }
 
-// Runner exposes the shared worker pool + cache.
-func (c *Context) Runner() *Runner { return c.runner }
-
-// Options exposes the sizing knobs the context was built with, so layered
-// drivers (the scenario engine) can derive per-unit budgets and seeds from
-// the same source of truth.
+// Options exposes the sizing knobs the context was built with, defaults
+// resolved, so layered drivers (the scenario engine) can derive per-unit
+// budgets, seeds and widths from the same source of truth.
 func (c *Context) Options() Options { return c.opts }
 
 // Stages lazily runs the full validation pipeline for a core, once per
@@ -211,9 +212,9 @@ func (c *Context) Run(board *hw.Board, base sim.Config, stages []validate.Stage,
 	return validate.Pipeline(board, base, stages, validate.PipelineOptions{
 		Seed:        seed,
 		UbenchScale: c.opts.UbenchScale,
-		Cache:       c.runner.Cache(),
+		Cache:       c.opts.Cache,
 		TraceMemo:   c.memo,
-		Parallelism: c.runner.Parallelism(),
+		Parallelism: c.opts.Parallelism,
 		Context:     c.opts.Context,
 		Log:         c.opts.Log,
 	})
@@ -223,7 +224,7 @@ func (c *Context) Run(board *hw.Board, base sim.Config, stages []validate.Stage,
 func (c *Context) workloads() ([]*trace.Trace, error) {
 	profiles := workload.Profiles()
 	trs := make([]*trace.Trace, len(profiles))
-	err := c.runner.forEach(len(profiles), func(i int) (err error) {
+	err := par.ForEachCtx(c.opts.Context, len(profiles), c.opts.Parallelism, func(i int) (err error) {
 		trs[i], err = c.memo.Workload(profiles[i], workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
 		return err
 	})
@@ -233,7 +234,10 @@ func (c *Context) workloads() ([]*trace.Trace, error) {
 	return trs, nil
 }
 
-// Spec measures the Table II workloads on a core's board.
+// Spec measures the Table II workloads on a core's board, all at once.
+// Board measurements are deterministic (the pseudo-noise is a pure function
+// of the trace identity), so this returns exactly what measuring them one
+// after another would.
 func (c *Context) Spec(core string) ([]perturb.Workload, error) {
 	board, _, err := Core(c.plat, core)
 	if err != nil {
@@ -243,13 +247,14 @@ func (c *Context) Spec(core string) ([]perturb.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	counters, err := c.runner.MeasureAll(board, trs)
+	out := make([]perturb.Workload, len(trs))
+	err = par.ForEachCtx(c.opts.Context, len(trs), c.opts.Parallelism, func(i int) error {
+		counters, err := board.Measure(trs[i])
+		out[i] = perturb.Workload{Name: trs[i].Name, Trace: trs[i], Counters: counters}
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]perturb.Workload, len(trs))
-	for i, tr := range trs {
-		out[i] = perturb.Workload{Name: tr.Name, Trace: tr, Counters: counters[i]}
 	}
 	return out, nil
 }
@@ -276,7 +281,7 @@ func (c *Context) Table1() (Experiment, error) {
 	// Trace generation (emulation) dominates this table when it is the
 	// first to ask for the suite; fan it out and assemble rows in suite
 	// order.
-	err := c.runner.forEach(len(rows), func(i int) error {
+	err := par.ForEachCtx(c.opts.Context, len(rows), c.opts.Parallelism, func(i int) error {
 		tr, err := c.memo.Ubench(rows[i].bench, opts)
 		if err != nil {
 			return err
@@ -381,6 +386,16 @@ func errTable(title string, names []string, a, b map[string]float64, labelA, lab
 	return t
 }
 
+// SpecTable renders one model's CPI error on each workload of ws, in
+// workload order, with bars scaled to the worst.
+func SpecTable(title string, ws []perturb.Workload, errs map[string]float64) string {
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name
+	}
+	return errTable(title, names, errs, nil, "CPI error", "").Render()
+}
+
 // Fig4 regenerates the before/after tuning micro-benchmark errors (A53).
 func (c *Context) Fig4() (Experiment, error) {
 	stages, err := c.Stages("a53")
@@ -416,15 +431,15 @@ func (c *Context) Fig4() (Experiment, error) {
 }
 
 // SpecErrors evaluates a config on the Table II workloads: one simulation
-// unit per workload, scheduled on the runner and deduplicated through the
-// shared cache. It returns per-workload relative CPI errors, their mean
+// unit per workload, submitted as one grid to the shared cache, which
+// deduplicates them. It returns per-workload relative CPI errors, their mean
 // and the worst case.
 func (c *Context) SpecErrors(cfg sim.Config, ws []perturb.Workload) (map[string]float64, float64, float64, error) {
 	trs := make([]*trace.Trace, len(ws))
 	for i, w := range ws {
 		trs[i] = w.Trace
 	}
-	results, err := c.runner.RunAll([]sim.Config{cfg}, trs)
+	results, err := c.opts.Cache.RunBatch(c.opts.Context, []sim.Config{cfg}, trs, c.opts.Parallelism)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -465,18 +480,13 @@ func (c *Context) specFigure(id, title, paperClaim, core string) (Experiment, er
 	if err != nil {
 		return Experiment{}, err
 	}
-	var names []string
-	for _, w := range ws {
-		names = append(names, w.Name)
-	}
-	t := errTable(title, names, errs, nil, "CPI error", "")
 	return Experiment{
 		ID:    id,
 		Title: title,
 		Paper: paperClaim,
 		Measured: fmt.Sprintf("average %s, worst %s (untuned model on the same workloads: %s)",
 			Pct(mean), Pct(worst), Pct(untunedMean)),
-		Body: t.Render(),
+		Body: SpecTable(title, ws, errs),
 	}, nil
 }
 
@@ -510,26 +520,23 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 	}
 	res, err := perturb.WorstNearOptimum(tuned, ws, perturb.Options{
 		Restarts: c.opts.PerturbRestarts, Seed: c.opts.Seed,
-		Cache: c.runner.Cache(), Parallelism: c.runner.Parallelism(),
+		Cache: c.opts.Cache, Parallelism: c.opts.Parallelism,
 		Context: c.opts.Context, Log: c.opts.Log,
 	})
 	if err != nil {
 		return Experiment{}, err
 	}
 	errs := map[string]float64{}
-	var names []string
 	for i, w := range ws {
 		errs[w.Name] = res.Errors[i]
-		names = append(names, w.Name)
 	}
-	t := errTable(title, names, errs, nil, "CPI error", "")
 	return Experiment{
 		ID:    id,
 		Title: title,
 		Paper: paperClaim,
 		Measured: fmt.Sprintf("tuned average %s -> worst one-step %s (%d parameters deviate)",
 			Pct(tunedMean), Pct(res.MeanError), res.Deviations),
-		Body: t.Render(),
+		Body: SpecTable(title, ws, errs),
 	}, nil
 }
 
@@ -574,21 +581,29 @@ func (c *Context) Staged() (Experiment, error) {
 	}, nil
 }
 
-// ByID returns the named experiment function, for driver binaries that run
-// a single experiment.
-func (c *Context) ByID(id string) (func() (Experiment, error), bool) {
-	fns := map[string]func() (Experiment, error){
-		"table1": c.Table1, "table2": c.Table2, "fig2": c.Fig2,
-		"fig4": c.Fig4, "fig5": c.Fig5, "fig6": c.Fig6,
-		"fig7": c.Fig7, "fig8": c.Fig8, "staged": c.Staged,
-	}
-	fn, ok := fns[id]
-	return fn, ok
+// Figure is one artifact of the paper's evaluation. Its ID is the scenario
+// kind that selects it and the ID it renders under; Deps names the Context's
+// memoized artifacts Run consumes: "stages:<core>" is Stages(core),
+// "spec:<core>" is Spec(core) and "measure:<core>" is the core's board
+// measuring the raw micro-benchmark suite.
+type Figure struct {
+	ID   string
+	Deps []string
+	Run  func(*Context) (Experiment, error)
 }
 
-// IDs lists every experiment in paper order.
-func IDs() []string {
-	return []string{"table1", "table2", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "staged"}
+// Paper is the paper's evaluation in paper order: Tables I–II, Figs. 2 and
+// 4–8 and the staged-validation narrative.
+var Paper = []Figure{
+	{"table1", nil, (*Context).Table1},
+	{"table2", nil, (*Context).Table2},
+	{"fig2", []string{"measure:a53"}, (*Context).Fig2},
+	{"fig4", []string{"stages:a53"}, (*Context).Fig4},
+	{"fig5", []string{"stages:a53", "spec:a53"}, (*Context).Fig5},
+	{"fig6", []string{"stages:a72", "spec:a72"}, (*Context).Fig6},
+	{"fig7", []string{"stages:a53", "spec:a53"}, (*Context).Fig7},
+	{"fig8", []string{"stages:a72", "spec:a72"}, (*Context).Fig8},
+	{"staged", []string{"stages:a53", "stages:a72"}, (*Context).Staged},
 }
 
 // All runs every experiment in paper order, one after another: the
@@ -600,16 +615,15 @@ func IDs() []string {
 // parallelism settings).
 func (c *Context) All() ([]Experiment, error) {
 	var out []Experiment
-	for _, id := range IDs() {
-		fn, _ := c.ByID(id)
-		c.opts.Log("expt: running %s", id)
+	for _, f := range Paper {
+		c.opts.Log("expt: running %s", f.ID)
 		start := time.Now()
-		e, err := fn()
+		e, err := f.Run(c)
 		if err != nil {
-			return nil, fmt.Errorf("expt %s: %w", id, err)
+			return nil, fmt.Errorf("expt %s: %w", f.ID, err)
 		}
 		e.Elapsed = time.Since(start)
-		c.opts.Log("expt: %-6s done in %v", id, e.Elapsed.Round(time.Millisecond))
+		c.opts.Log("expt: %-6s done in %v", f.ID, e.Elapsed.Round(time.Millisecond))
 		out = append(out, e)
 	}
 	return out, nil

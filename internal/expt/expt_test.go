@@ -89,7 +89,7 @@ func TestFailedStagesNotKept(t *testing.T) {
 		t.Errorf("failed pipelines kept for %d cores", kept)
 	}
 	// Lift the cancellation: the next caller runs the pipeline and succeeds.
-	c.opts.Context, c.runner = nil, NewRunner(c.opts.Cache, c.opts.Parallelism)
+	c.opts.Context = nil
 	if _, err := c.Stages("a53"); err != nil {
 		t.Errorf("the pipeline after a failed one: %v", err)
 	}

@@ -7,30 +7,9 @@ import (
 	"time"
 
 	"racesim/internal/expt"
-	"racesim/internal/hw"
 	"racesim/internal/par"
 	"racesim/internal/simcache"
 )
-
-// Runtime is what a unit runs against: the shared experiment context
-// (tuned models, boards, worker pool, trace memo, simulation cache).
-type Runtime struct {
-	Ctx *expt.Context
-}
-
-// noisyBoard rebuilds a board over the same hidden ground truth with a
-// different measurement-noise amplitude. The level is part of the board
-// name, so its deterministic pseudo-noise stream differs per level, as
-// re-measuring on a different physical board would. Same hidden
-// configuration, same cache: the re-noised board shares the reference
-// board's replays and only the noise differs.
-func (rt *Runtime) noisyBoard(base *hw.Board, level float64) (*hw.Board, error) {
-	b, err := hw.NewBoard(fmt.Sprintf("%s-noise-%g", base.Name, level), base.FreqGHz, base.TrueConfig(), level)
-	if err != nil {
-		return nil, err
-	}
-	return b.WithCache(rt.Ctx.Runner().Cache()), nil
-}
 
 // RunOptions configures one sweep execution.
 type RunOptions struct {
@@ -62,7 +41,7 @@ type UnitResult struct {
 	Experiment expt.Experiment
 }
 
-// Run executes the units against one shared runtime, all at once
+// Run executes the units against one shared experiment context, all at once
 // (RunSaving), and returns their results in expansion order. Rendered
 // output depends only on the unit list and the experiment options — never
 // on parallelism, cache warmth, which unit finished first or where an
@@ -124,7 +103,6 @@ func RunSaving(units []Unit, opts RunOptions, snap *simcache.Snapshot) ([]UnitRe
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{Ctx: ctx}
 
 	if len(units) > 0 {
 		if arts := Artifacts(units); len(arts) > 0 {
@@ -134,7 +112,7 @@ func RunSaving(units []Unit, opts RunOptions, snap *simcache.Snapshot) ([]UnitRe
 		}
 	}
 	width := len(units)
-	if ctx.Runner().Parallelism() == 1 {
+	if ctx.Options().Parallelism == 1 {
 		width = 1
 	}
 	start := time.Now()
@@ -157,7 +135,7 @@ func RunSaving(units []Unit, opts RunOptions, snap *simcache.Snapshot) ([]UnitRe
 			}()
 			log("scenario: [%d/%d] %s", k+1, len(units), u.ID)
 			began := time.Now()
-			e, err := u.Run(rt)
+			e, err := u.Run(ctx)
 			if err != nil {
 				return fmt.Errorf("scenario %s: %w", u.ID, err)
 			}

@@ -58,17 +58,17 @@ func countingOpts() (expt.Options, *simcache.Cache) {
 func signalling(u Unit) (Unit, <-chan struct{}) {
 	done := make(chan struct{})
 	run := u.run
-	u.run = func(rt *Runtime) (expt.Experiment, error) {
+	u.run = func(ctx *expt.Context) (expt.Experiment, error) {
 		defer close(done)
-		return run(rt)
+		return run(ctx)
 	}
 	return u, done
 }
 
 // blocker is a unit that returns only when its run is cancelled.
 func blocker(id string) Unit {
-	return Unit{ID: id, run: func(rt *Runtime) (expt.Experiment, error) {
-		ctx := rt.Ctx.Options().Context
+	return Unit{ID: id, run: func(ectx *expt.Context) (expt.Experiment, error) {
+		ctx := ectx.Options().Context
 		<-ctx.Done()
 		return expt.Experiment{}, ctx.Err()
 	}}
@@ -135,10 +135,10 @@ func TestPartialCheckpointResume(t *testing.T) {
 	var firstDone <-chan struct{}
 	interrupted[0], firstDone = signalling(interrupted[0])
 	second := interrupted[1].run
-	interrupted[1].run = func(rt *Runtime) (expt.Experiment, error) {
+	interrupted[1].run = func(ectx *expt.Context) (expt.Experiment, error) {
 		<-firstDone
 		cancel()
-		return second(rt)
+		return second(ectx)
 	}
 	o := tinyOpts()
 	o.Context = ctx
@@ -177,7 +177,7 @@ func TestFailedUnitStillSaves(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "failed.snap")
 	boom := errors.New("boom")
 	first, firstDone := signalling(testUnits(t)[0])
-	units := []Unit{first, {ID: "broken", run: func(*Runtime) (expt.Experiment, error) {
+	units := []Unit{first, {ID: "broken", run: func(*expt.Context) (expt.Experiment, error) {
 		<-firstDone
 		return expt.Experiment{}, boom
 	}}}
@@ -204,7 +204,7 @@ func TestBoundarySave(t *testing.T) {
 
 	ck := filepath.Join(t.TempDir(), "boundary.snap")
 	var atIdleEnd os.FileInfo
-	units := append(testUnits(t)[:1:1], Unit{ID: "idle", run: func(*Runtime) (expt.Experiment, error) {
+	units := append(testUnits(t)[:1:1], Unit{ID: "idle", run: func(*expt.Context) (expt.Experiment, error) {
 		for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
 			c := simcache.New()
 			n, err := c.LoadFile(ck)
@@ -237,7 +237,7 @@ func TestFailingUnitStopsTheOthers(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "failing.snap")
 	boom := errors.New("boom")
 	sim, simDone := signalling(testUnits(t)[0])
-	units := []Unit{blocker("blocked"), sim, {ID: "broken", run: func(*Runtime) (expt.Experiment, error) {
+	units := []Unit{blocker("blocked"), sim, {ID: "broken", run: func(*expt.Context) (expt.Experiment, error) {
 		<-simDone
 		return expt.Experiment{}, boom
 	}}}
@@ -256,7 +256,7 @@ func TestFailingUnitStopsTheOthers(t *testing.T) {
 // TestPanickingUnitPanicsOnCaller: a panic inside a unit stops the other
 // units and is raised again on the goroutine that called Run.
 func TestPanickingUnitPanicsOnCaller(t *testing.T) {
-	units := []Unit{blocker("blocked"), {ID: "bad", run: func(*Runtime) (expt.Experiment, error) {
+	units := []Unit{blocker("blocked"), {ID: "bad", run: func(*expt.Context) (expt.Experiment, error) {
 		panic("kaboom")
 	}}}
 	o := tinyOpts()
@@ -452,7 +452,7 @@ func TestSweepRoundsStopOnCancellation(t *testing.T) {
 		// Measuring the suite and scoring the untuned model run before the
 		// round, and do not look at the context.
 		before := uint64(2 * len(ubench.Suite()))
-		if _, err := u.Run(&Runtime{Ctx: ectx}); !errors.Is(err, context.Canceled) {
+		if _, err := u.Run(ectx); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled unit returned %v, want context.Canceled", u.ID, err)
 		}
 		if misses := cache.Stats().Misses; misses > before {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,28 +34,15 @@ type Unit struct {
 	// independently runnable.
 	Deps []string
 
-	run func(*Runtime) (expt.Experiment, error)
+	run func(*expt.Context) (expt.Experiment, error)
 }
 
-// Run executes the unit against a runtime.
-func (u Unit) Run(rt *Runtime) (expt.Experiment, error) {
+// Run executes the unit against the shared experiment context.
+func (u Unit) Run(ctx *expt.Context) (expt.Experiment, error) {
 	if u.run == nil {
 		return expt.Experiment{}, fmt.Errorf("scenario: unit %s has no runner", u.ID)
 	}
-	return u.run(rt)
-}
-
-// paperDeps maps each paper kind to the context artifacts it consumes.
-var paperDeps = map[string][]string{
-	KindTable1: nil,
-	KindTable2: nil,
-	KindFig2:   {"measure:a53"},
-	KindFig4:   {"stages:a53"},
-	KindFig5:   {"stages:a53", "spec:a53"},
-	KindFig6:   {"stages:a72", "spec:a72"},
-	KindFig7:   {"stages:a53", "spec:a53"},
-	KindFig8:   {"stages:a72", "spec:a72"},
-	KindStaged: {"stages:a53", "stages:a72"},
+	return u.run(ctx)
 }
 
 // Expand validates the specs and expands them into the deterministic unit
@@ -69,11 +57,7 @@ func Expand(specs []Spec) ([]Unit, error) {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
-		us, err := expandSpec(sp)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, us...)
+		units = append(units, expandSpec(sp)...)
 	}
 	for i := range units {
 		units[i].Index = i
@@ -81,29 +65,23 @@ func Expand(specs []Spec) ([]Unit, error) {
 	return units, nil
 }
 
-func expandSpec(sp Spec) ([]Unit, error) {
+func expandSpec(sp Spec) []Unit {
 	switch sp.Kind {
 	case KindTransfer:
-		return []Unit{transferUnit(sp)}, nil
+		return []Unit{transferUnit(sp)}
 	case KindBudgetSweep:
-		return budgetSweepUnits(sp), nil
+		return budgetSweepUnits(sp)
 	case KindNoiseSweep:
-		return noiseSweepUnits(sp), nil
-	default: // paper kinds, validated by sp.Validate
-		kind := sp.Kind
+		return noiseSweepUnits(sp)
+	default: // a paper kind, validated by sp.Validate
+		f := expt.Paper[paperIndex(sp.Kind)]
 		return []Unit{{
 			ID:       sp.Name,
 			Scenario: sp.Name,
-			Step:     kind,
-			Deps:     append([]string(nil), paperDeps[kind]...),
-			run: func(rt *Runtime) (expt.Experiment, error) {
-				fn, ok := rt.Ctx.ByID(kind)
-				if !ok {
-					return expt.Experiment{}, fmt.Errorf("scenario: no experiment for kind %q", kind)
-				}
-				return fn()
-			},
-		}}, nil
+			Step:     f.ID,
+			Deps:     slices.Clone(f.Deps),
+			run:      f.Run,
+		}}
 	}
 }
 

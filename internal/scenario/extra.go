@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"racesim/internal/expt"
+	"racesim/internal/hw"
+	"racesim/internal/simcache"
 	"racesim/internal/validate"
 )
 
@@ -21,49 +23,37 @@ func transferUnit(sp Spec) Unit {
 		Deps: []string{
 			"stages:" + sp.TuneCore, "stages:" + sp.EvalCore, "spec:" + sp.EvalCore,
 		},
-		run: func(rt *Runtime) (expt.Experiment, error) {
-			tuneStages, err := rt.Ctx.Stages(sp.TuneCore)
+		run: func(ctx *expt.Context) (expt.Experiment, error) {
+			tuneStages, err := ctx.Stages(sp.TuneCore)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
-			evalStages, err := rt.Ctx.Stages(sp.EvalCore)
+			evalStages, err := ctx.Stages(sp.EvalCore)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
 			transferred := tuneStages[len(tuneStages)-1].Config
 			native := evalStages[len(evalStages)-1].Config
-			ws, err := rt.Ctx.Spec(sp.EvalCore)
+			ws, err := ctx.Spec(sp.EvalCore)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
-			errs, mean, worst, err := rt.Ctx.SpecErrors(transferred, ws)
+			errs, mean, worst, err := ctx.SpecErrors(transferred, ws)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
-			_, nativeMean, _, err := rt.Ctx.SpecErrors(native, ws)
+			_, nativeMean, _, err := ctx.SpecErrors(native, ws)
 			if err != nil {
 				return expt.Experiment{}, err
 			}
 			title := fmt.Sprintf("Transfer: %s-tuned model on %s workloads", sp.TuneCore, sp.EvalCore)
-			t := &expt.Table{Title: title, Headers: []string{"bench", "CPI error", ""}}
-			maxV := 0.0
-			var names []string
-			for _, w := range ws {
-				names = append(names, w.Name)
-				if errs[w.Name] > maxV {
-					maxV = errs[w.Name]
-				}
-			}
-			for _, n := range names {
-				t.AddRow(n, expt.Pct(errs[n]), expt.Bar(errs[n], maxV, 40))
-			}
 			return expt.Experiment{
 				ID:    sp.Name,
 				Title: title,
 				Paper: "beyond the paper: the pipeline tunes and validates one core at a time",
 				Measured: fmt.Sprintf("transferred average %s, worst %s (natively tuned %s model: %s)",
 					expt.Pct(mean), expt.Pct(worst), sp.EvalCore, expt.Pct(nativeMean)),
-				Body: t.Render(),
+				Body: expt.SpecTable(title, ws, errs),
 			}, nil
 		},
 	}
@@ -83,13 +73,13 @@ func budgetSweepUnits(sp Spec) []Unit {
 			Scenario: sp.Name,
 			Step:     fmt.Sprintf("budget=%d", budget),
 			Deps:     []string{"measure:" + sp.Core},
-			run: func(rt *Runtime) (expt.Experiment, error) {
-				board, public, err := expt.Core(rt.Ctx.Platform(), sp.Core)
+			run: func(ctx *expt.Context) (expt.Experiment, error) {
+				board, public, err := expt.Core(ctx.Platform(), sp.Core)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				st, err := rt.Ctx.Run(board, public, []validate.Stage{{Name: "tuned", Budget: budget}},
-					rt.Ctx.Options().Seed+sp.SeedOffset)
+				st, err := ctx.Run(board, public, []validate.Stage{{Name: "tuned", Budget: budget}},
+					ctx.Options().Seed+sp.SeedOffset)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
@@ -134,21 +124,21 @@ func noiseSweepUnits(sp Spec) []Unit {
 			ID:       id,
 			Scenario: sp.Name,
 			Step:     fmt.Sprintf("noise=%g", level),
-			run: func(rt *Runtime) (expt.Experiment, error) {
-				base, public, err := expt.Core(rt.Ctx.Platform(), sp.Core)
+			run: func(ctx *expt.Context) (expt.Experiment, error) {
+				o := ctx.Options()
+				base, public, err := expt.Core(ctx.Platform(), sp.Core)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				board, err := rt.noisyBoard(base, level)
+				board, err := noisyBoard(base, level, o.Cache)
 				if err != nil {
 					return expt.Experiment{}, err
 				}
-				o := rt.Ctx.Options()
 				budget := sp.Budget
 				if budget <= 0 {
 					budget = o.BudgetRound1
 				}
-				st, err := rt.Ctx.Run(board, public, []validate.Stage{{Name: "untuned"}, {Name: "tuned", Budget: budget}},
+				st, err := ctx.Run(board, public, []validate.Stage{{Name: "untuned"}, {Name: "tuned", Budget: budget}},
 					o.Seed+sp.SeedOffset+int64(li))
 				if err != nil {
 					return expt.Experiment{}, err
@@ -171,4 +161,18 @@ func noiseSweepUnits(sp Spec) []Unit {
 		})
 	}
 	return units
+}
+
+// noisyBoard rebuilds a board over the same hidden ground truth with a
+// different measurement-noise amplitude. The level is part of the board
+// name, so its deterministic pseudo-noise stream differs per level, as
+// re-measuring on a different physical board would. Same hidden
+// configuration, same cache: the re-noised board shares the reference
+// board's replays and only the noise differs.
+func noisyBoard(base *hw.Board, level float64, cache *simcache.Cache) (*hw.Board, error) {
+	b, err := hw.NewBoard(fmt.Sprintf("%s-noise-%g", base.Name, level), base.FreqGHz, base.TrueConfig(), level)
+	if err != nil {
+		return nil, err
+	}
+	return b.WithCache(cache), nil
 }

@@ -27,34 +27,22 @@ import (
 	"fmt"
 	"regexp"
 	"slices"
-	"sort"
 
 	"racesim/internal/expt"
 )
 
-// Kinds of analysis a scenario can request. The paper kinds map 1:1 onto
-// expt.Context experiments; the extra kinds are implemented in extra.go.
+// Kinds of analysis a scenario can request beyond the paper's own: each ID
+// of expt.Paper is a kind too. The extra kinds are implemented in extra.go.
 const (
-	KindTable1      = "table1"
-	KindTable2      = "table2"
-	KindFig2        = "fig2"
-	KindFig4        = "fig4"
-	KindFig5        = "fig5"
-	KindFig6        = "fig6"
-	KindFig7        = "fig7"
-	KindFig8        = "fig8"
-	KindStaged      = "staged"
 	KindTransfer    = "transfer"     // tune on TuneCore, validate on EvalCore
 	KindBudgetSweep = "budget-sweep" // one tuning round per Budgets entry
 	KindNoiseSweep  = "noise-sweep"  // re-measure + tune per NoiseLevels entry
 )
 
-// paperKinds are the experiments of the paper itself, in paper order; the
-// reserved scenario pattern "all" selects exactly these, so `-scenario all`
-// output matches the classic `-run all` byte for byte.
-var paperKinds = []string{
-	KindTable1, KindTable2, KindFig2, KindFig4, KindFig5,
-	KindFig6, KindFig7, KindFig8, KindStaged,
+// paperIndex is the position of the paper experiment a kind names in
+// expt.Paper, or -1 for any other kind.
+func paperIndex(kind string) int {
+	return slices.IndexFunc(expt.Paper, func(f expt.Figure) bool { return f.ID == kind })
 }
 
 // Spec is one declarative scenario. Zero-valued fields inherit the sweep's
@@ -65,7 +53,8 @@ type Spec struct {
 	// glob-safe characters (lowercase letters, digits, ., -, _).
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Kind selects the analysis stage (one of the Kind* constants).
+	// Kind selects the analysis stage: an expt.Paper ID or one of the Kind*
+	// constants.
 	Kind string `json:"kind"`
 	// Core selects the board for single-board kinds: "a53" or "a72".
 	Core string `json:"core,omitempty"`
@@ -95,18 +84,17 @@ func (s Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
 		return fmt.Errorf("scenario: invalid name %q (want [a-z0-9._-]+)", s.Name)
 	}
-	switch s.Kind {
-	case KindTable1, KindTable2, KindFig2, KindFig4, KindFig5,
-		KindFig6, KindFig7, KindFig8, KindStaged:
+	switch {
+	case paperIndex(s.Kind) >= 0:
 		// Analysis stage fully determined by the kind.
-	case KindTransfer:
+	case s.Kind == KindTransfer:
 		if !expt.IsCore(s.TuneCore) || !expt.IsCore(s.EvalCore) {
 			return fmt.Errorf("scenario %s: transfer needs tune_core and eval_core in {a53, a72}", s.Name)
 		}
 		if s.TuneCore == s.EvalCore {
 			return fmt.Errorf("scenario %s: transfer with tune_core == eval_core is the plain validation pipeline", s.Name)
 		}
-	case KindBudgetSweep:
+	case s.Kind == KindBudgetSweep:
 		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: budget-sweep needs core in {a53, a72}", s.Name)
 		}
@@ -121,7 +109,7 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("scenario %s: budget %d listed twice", s.Name, b)
 			}
 		}
-	case KindNoiseSweep:
+	case s.Kind == KindNoiseSweep:
 		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: noise-sweep needs core in {a53, a72}", s.Name)
 		}
@@ -153,15 +141,15 @@ func (s Spec) Validate() error {
 // may append or override (see Merge).
 func Registry() []Spec {
 	specs := []Spec{
-		{Name: "table1", Kind: KindTable1, Description: "Table I: the micro-benchmark suite and dynamic instruction counts"},
-		{Name: "table2", Kind: KindTable2, Description: "Table II: synthetic SPEC CPU2017 region workloads"},
-		{Name: "fig2", Kind: KindFig2, Core: "a53", Description: "iterated-racing elimination dynamics on the A53"},
-		{Name: "fig4", Kind: KindFig4, Core: "a53", Description: "micro-benchmark CPI error, untuned vs tuned (A53)"},
-		{Name: "fig5", Kind: KindFig5, Core: "a53", Description: "SPEC CPI error of the tuned in-order model"},
-		{Name: "fig6", Kind: KindFig6, Core: "a72", Description: "SPEC CPI error of the tuned out-of-order model"},
-		{Name: "fig7", Kind: KindFig7, Core: "a53", Description: "close-to-optimum but inaccurate A53 model"},
-		{Name: "fig8", Kind: KindFig8, Core: "a72", Description: "close-to-optimum but inaccurate A72 model"},
-		{Name: "staged", Kind: KindStaged, Description: "mean error per validation stage (Sec. IV-B)"},
+		{Name: "table1", Kind: "table1", Description: "Table I: the micro-benchmark suite and dynamic instruction counts"},
+		{Name: "table2", Kind: "table2", Description: "Table II: synthetic SPEC CPU2017 region workloads"},
+		{Name: "fig2", Kind: "fig2", Core: "a53", Description: "iterated-racing elimination dynamics on the A53"},
+		{Name: "fig4", Kind: "fig4", Core: "a53", Description: "micro-benchmark CPI error, untuned vs tuned (A53)"},
+		{Name: "fig5", Kind: "fig5", Core: "a53", Description: "SPEC CPI error of the tuned in-order model"},
+		{Name: "fig6", Kind: "fig6", Core: "a72", Description: "SPEC CPI error of the tuned out-of-order model"},
+		{Name: "fig7", Kind: "fig7", Core: "a53", Description: "close-to-optimum but inaccurate A53 model"},
+		{Name: "fig8", Kind: "fig8", Core: "a72", Description: "close-to-optimum but inaccurate A72 model"},
+		{Name: "staged", Kind: "staged", Description: "mean error per validation stage (Sec. IV-B)"},
 		{Name: "transfer-a53-to-a72", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72",
 			Description: "model tuned on the A53, validated on the A72's held-out workloads"},
 		{Name: "transfer-a72-to-a53", Kind: KindTransfer, TuneCore: "a72", EvalCore: "a53",
@@ -210,27 +198,15 @@ func checkUnique(specs []Spec) error {
 // PaperSet returns the names of the scenarios reproducing the paper's own
 // evaluation, in paper order — what the reserved pattern "all" selects.
 func PaperSet(specs []Spec) []string {
-	inPaper := map[string]bool{}
-	for _, k := range paperKinds {
-		inPaper[k] = true
-	}
-	var names []string
+	var paper []Spec
 	for _, s := range specs {
-		if inPaper[s.Kind] {
-			names = append(names, s.Name)
+		if paperIndex(s.Kind) >= 0 {
+			paper = append(paper, s)
 		}
 	}
 	// Paper order, not registry order, in case a manifest reordered them.
-	kindPos := map[string]int{}
-	for i, k := range paperKinds {
-		kindPos[k] = i
-	}
-	byName := map[string]Spec{}
-	for _, s := range specs {
-		byName[s.Name] = s
-	}
-	sort.SliceStable(names, func(a, b int) bool {
-		return kindPos[byName[names[a]].Kind] < kindPos[byName[names[b]].Kind]
+	slices.SortStableFunc(paper, func(a, b Spec) int {
+		return paperIndex(a.Kind) - paperIndex(b.Kind)
 	})
-	return names
+	return Names(paper)
 }

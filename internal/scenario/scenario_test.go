@@ -19,15 +19,68 @@ func TestRegistryValidAndUnique(t *testing.T) {
 			t.Errorf("registry spec %s: %v", s.Name, err)
 		}
 	}
-	if got := PaperSet(specs); !reflect.DeepEqual(got, expt.IDs()) {
-		t.Errorf("paper set %v, want the expt experiment IDs %v", got, expt.IDs())
+	if got := PaperSet(specs); !reflect.DeepEqual(got, paperIDs()) {
+		t.Errorf("paper set %v, want the expt.Paper IDs %v", got, paperIDs())
+	}
+}
+
+// paperIDs lists the IDs of expt.Paper, in paper order.
+func paperIDs() []string {
+	ids := make([]string, len(expt.Paper))
+	for i, f := range expt.Paper {
+		ids[i] = f.ID
+	}
+	return ids
+}
+
+// TestPaperFiguresDeclareContextArtifacts: the deps of every paper
+// experiment name an artifact the expt.Context memoizes for a core of the
+// platform, every paper scenario of the registry expands to one unit that
+// carries its experiment's deps, and a manifest naming a paper kind still
+// loads and expands to that unit.
+func TestPaperFiguresDeclareContextArtifacts(t *testing.T) {
+	for _, f := range expt.Paper {
+		for _, d := range f.Deps {
+			what, core, _ := strings.Cut(d, ":")
+			if (what != "stages" && what != "spec" && what != "measure") || !expt.IsCore(core) {
+				t.Errorf("%s: dep %q is not stages:, spec: or measure: of a core", f.ID, d)
+			}
+		}
+	}
+	figures := map[string]expt.Figure{}
+	for _, f := range expt.Paper {
+		figures[f.ID] = f
+	}
+	for _, sp := range Registry() {
+		f, ok := figures[sp.Kind]
+		if !ok {
+			continue
+		}
+		units, err := Expand([]Spec{sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(units) != 1 || !reflect.DeepEqual(units[0].Deps, f.Deps) {
+			t.Errorf("%s expands to %+v, want one unit with deps %v", sp.Name, units, f.Deps)
+		}
+	}
+	specs, err := parseManifest([]byte(`{"format": 1, "scenarios": [{"name": "mine", "kind": "fig4", "core": "a53"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := Expand(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 1 || units[0].ID != "mine" || units[0].Step != "fig4" || !reflect.DeepEqual(units[0].Deps, figures["fig4"].Deps) {
+		t.Errorf("a fig4 manifest expands to %+v", units)
 	}
 }
 
 func TestSpecValidation(t *testing.T) {
 	bad := []Spec{
-		{Name: "", Kind: KindTable1},
-		{Name: "Has Space", Kind: KindTable1},
+		{Name: "", Kind: "table1"},
+		{Name: "Has Space", Kind: "table1"},
 		{Name: "x", Kind: "nope"},
 		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a53"},
 		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "m1"},
@@ -35,7 +88,7 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{100, 0}},
 		{Name: "x", Kind: KindNoiseSweep, Core: "a53"},
 		{Name: "x", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0.5}},
-		{Name: "x", Kind: KindFig2, Budget: -1},
+		{Name: "x", Kind: "fig2", Budget: -1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -65,12 +118,12 @@ func TestExpandDeterministic(t *testing.T) {
 		}
 	}
 	// The paper scenarios expand to exactly the classic experiment list.
-	for i, id := range expt.IDs() {
+	for i, id := range paperIDs() {
 		if a[i].ID != id {
 			t.Errorf("unit %d = %s, want %s", i, a[i].ID, id)
 		}
 	}
-	if _, err := Expand([]Spec{{Name: "d", Kind: KindTable1}, {Name: "d", Kind: KindTable2}}); err == nil {
+	if _, err := Expand([]Spec{{Name: "d", Kind: "table1"}, {Name: "d", Kind: "table2"}}); err == nil {
 		t.Error("duplicate names accepted")
 	}
 }
@@ -108,7 +161,7 @@ func TestSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(Names(all), expt.IDs()) {
+	if !reflect.DeepEqual(Names(all), paperIDs()) {
 		t.Errorf("'all' selected %v", Names(all))
 	}
 	tr, err := Select(specs, "transfer-*")
@@ -123,7 +176,7 @@ func TestSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(both); n != len(expt.IDs()) {
+	if n := len(both); n != len(paperIDs()) {
 		t.Errorf("fig4,all selected %d specs: %v", n, Names(both))
 	}
 	if both[0].Name != "fig4" {
@@ -139,7 +192,7 @@ func TestSelect(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	base := Registry()
-	override := Spec{Name: "fig2", Kind: KindFig2, Core: "a53", Description: "patched"}
+	override := Spec{Name: "fig2", Kind: "fig2", Core: "a53", Description: "patched"}
 	added := Spec{Name: "night-sweep", Kind: KindBudgetSweep, Core: "a72", Budgets: []int{100}}
 	merged := Merge(base, []Spec{override, added})
 	if len(merged) != len(base)+1 {

@@ -161,8 +161,6 @@ type (
 	ExperimentOptions = expt.Options
 	// ExperimentContext caches artifacts across experiments.
 	ExperimentContext = expt.Context
-	// SimRunner schedules simulation units on a bounded worker pool.
-	SimRunner = expt.Runner
 	// SimCache memoizes simulation results across experiments and runs.
 	SimCache = simcache.Cache
 	// SimCacheStats snapshots cache effectiveness.
@@ -175,9 +173,3 @@ var NewExperiments = expt.NewContext
 // NewSimCache returns an empty in-memory simulation cache; see
 // SimCache.LoadFile/SaveFile for cross-process persistence.
 var NewSimCache = simcache.New
-
-// NewSimRunner builds a parallel simulation runner over an optional cache.
-var NewSimRunner = expt.NewRunner
-
-// ExperimentIDs lists every experiment in paper order.
-var ExperimentIDs = expt.IDs
