@@ -126,19 +126,17 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 }
 
 func (e *env) listScenarios(specs []scenario.Spec) error {
-	units, err := scenario.Expand(specs)
+	infos, err := Scenarios(specs)
 	if err != nil {
 		return err
 	}
-	perScenario := map[string]int{}
-	for _, u := range units {
-		perScenario[u.Scenario]++
-	}
+	units := 0
 	e.printf("%-22s %-14s %5s  %s\n", "scenario", "kind", "units", "description")
-	for _, s := range specs {
-		e.printf("%-22s %-14s %5d  %s\n", s.Name, s.Kind, perScenario[s.Name], s.Description)
+	for _, in := range infos {
+		e.printf("%-22s %-14s %5d  %s\n", in.Name, in.Kind, in.Units, in.Description)
+		units += in.Units
 	}
 	e.printf("\n%d scenarios, %d units; 'all' selects the paper set (%s)\n",
-		len(specs), len(units), strings.Join(scenario.PaperSet(specs), ", "))
+		len(infos), units, strings.Join(scenario.PaperSet(specs), ", "))
 	return nil
 }

@@ -691,10 +691,10 @@ type ScenarioInfo struct {
 	Paper       bool   `json:"paper"` // part of the reserved "all" selection
 }
 
-// Scenarios lists the built-in scenario registry with expanded unit
-// counts — what an HTTP client needs to compose an experiments job.
-func Scenarios() ([]ScenarioInfo, error) {
-	specs := scenario.Registry()
+// Scenarios lists specs with their expanded unit counts: GET /v1/scenarios
+// lists the registry — what an HTTP client needs to compose an experiments
+// job — and `experiments -list-scenarios` prints the same rows.
+func Scenarios(specs []scenario.Spec) ([]ScenarioInfo, error) {
 	units, err := scenario.Expand(specs)
 	if err != nil {
 		return nil, err
@@ -721,7 +721,7 @@ func Scenarios() ([]ScenarioInfo, error) {
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	infos, err := Scenarios()
+	infos, err := Scenarios(scenario.Registry())
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
