@@ -70,15 +70,6 @@ func (s *Space) Index(name string) int {
 	return -1
 }
 
-// Combinations returns the size of the full factorial space (saturating).
-func (s *Space) Combinations() float64 {
-	total := 1.0
-	for _, p := range s.Params {
-		total *= float64(len(p.Values))
-	}
-	return total
-}
-
 // Assignment maps parameter names to chosen values. Assignments returned
 // by the tuner always bind every parameter in the space.
 type Assignment map[string]string

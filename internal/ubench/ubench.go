@@ -8,7 +8,6 @@ package ubench
 
 import (
 	"fmt"
-	"sort"
 
 	"racesim/internal/asm"
 	"racesim/internal/isa"
@@ -149,12 +148,5 @@ func Names() []string {
 	for i, b := range suite {
 		out[i] = b.Name
 	}
-	return out
-}
-
-// SortedNames returns all names alphabetically (for stable table output).
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }
