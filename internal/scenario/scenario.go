@@ -84,17 +84,15 @@ func (s Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
 		return fmt.Errorf("scenario: invalid name %q (want [a-z0-9._-]+)", s.Name)
 	}
-	switch {
-	case paperIndex(s.Kind) >= 0:
-		// Analysis stage fully determined by the kind.
-	case s.Kind == KindTransfer:
+	switch s.Kind {
+	case KindTransfer:
 		if !expt.IsCore(s.TuneCore) || !expt.IsCore(s.EvalCore) {
 			return fmt.Errorf("scenario %s: transfer needs tune_core and eval_core in {a53, a72}", s.Name)
 		}
 		if s.TuneCore == s.EvalCore {
 			return fmt.Errorf("scenario %s: transfer with tune_core == eval_core is the plain validation pipeline", s.Name)
 		}
-	case s.Kind == KindBudgetSweep:
+	case KindBudgetSweep:
 		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: budget-sweep needs core in {a53, a72}", s.Name)
 		}
@@ -109,7 +107,7 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("scenario %s: budget %d listed twice", s.Name, b)
 			}
 		}
-	case s.Kind == KindNoiseSweep:
+	case KindNoiseSweep:
 		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: noise-sweep needs core in {a53, a72}", s.Name)
 		}
@@ -127,8 +125,10 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("scenario %s: noise level %v listed twice", s.Name, v)
 			}
 		}
-	default:
-		return fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
+	default: // a paper kind: the analysis stage is fully determined by it
+		if paperIndex(s.Kind) < 0 {
+			return fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
+		}
 	}
 	if s.Budget < 0 {
 		return fmt.Errorf("scenario %s: negative budget", s.Name)
