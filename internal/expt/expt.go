@@ -156,8 +156,8 @@ func NewContext(opts Options) (*Context, error) {
 func (c *Context) Platform() *hw.Platform { return c.plat }
 
 // Options exposes the sizing knobs the context was built with, defaults
-// resolved, so layered drivers (the scenario engine) can derive per-unit
-// budgets, seeds and widths from the same source of truth.
+// resolved, so the scenario engine can derive per-unit budgets, seeds and
+// widths from the same source of truth.
 func (c *Context) Options() Options { return c.opts }
 
 // Stages lazily runs the full validation pipeline for a core, once per
