@@ -69,16 +69,6 @@ func Assemble(src string) (*isa.Program, error) {
 	return a.emit(stmts)
 }
 
-// MustAssemble is Assemble that panics on error, for generators whose
-// source is constructed programmatically and must be valid.
-func MustAssemble(src string) *isa.Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type assembler struct {
 	consts  map[string]int64
 	symbols map[string]uint64

@@ -221,12 +221,3 @@ func TestAssembleEquArithmetic(t *testing.T) {
 		t.Errorf("N-8 = %d, want 56", in.Imm)
 	}
 }
-
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAssemble should panic on bad source")
-		}
-	}()
-	MustAssemble("bogus")
-}

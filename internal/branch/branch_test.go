@@ -12,6 +12,11 @@ func condBranch(pc, target uint64, taken bool) *isa.Inst {
 	return &isa.Inst{PC: pc, Cls: isa.ClassBranch, Op: isa.OpBCC, Taken: taken, Target: target}
 }
 
+// access drives the unit with one decoded branch.
+func access(u *Unit, in *isa.Inst) Outcome {
+	return u.AccessOutcome(in.Cls, in.Op, in.PC, in.Target, in.Taken)
+}
+
 func mustUnit(t *testing.T, cfg Config) *Unit {
 	t.Helper()
 	u, err := NewUnit(cfg)
@@ -55,7 +60,7 @@ func TestBimodalLearnsBias(t *testing.T) {
 	u := mustUnit(t, DefaultConfig())
 	// Heavily taken branch: after warmup, nearly always predicted.
 	for i := 0; i < 1000; i++ {
-		u.Access(condBranch(0x1000, 0x900, true))
+		access(u, condBranch(0x1000, 0x900, true))
 	}
 	s := u.Stats()
 	if s.DirectionMiss > 4 {
@@ -72,14 +77,14 @@ func TestGShareLearnsPattern(t *testing.T) {
 	// bimodal cannot.
 	pattern := []bool{true, true, false, true}
 	for i := 0; i < 4000; i++ {
-		u.Access(condBranch(0x2000, 0x1900, pattern[i%4]))
+		access(u, condBranch(0x2000, 0x1900, pattern[i%4]))
 	}
 	gshMiss := u.Stats().DirectionMiss
 
 	cfgB := DefaultConfig()
 	uB := mustUnit(t, cfgB)
 	for i := 0; i < 4000; i++ {
-		uB.Access(condBranch(0x2000, 0x1900, pattern[i%4]))
+		access(uB, condBranch(0x2000, 0x1900, pattern[i%4]))
 	}
 	bimMiss := uB.Stats().DirectionMiss
 	if gshMiss >= bimMiss {
@@ -96,7 +101,7 @@ func TestTournamentTracksBetterComponent(t *testing.T) {
 	u := mustUnit(t, cfg)
 	pattern := []bool{true, true, false, true}
 	for i := 0; i < 4000; i++ {
-		u.Access(condBranch(0x2000, 0x1900, pattern[i%4]))
+		access(u, condBranch(0x2000, 0x1900, pattern[i%4]))
 	}
 	if miss := u.Stats().DirectionMiss; float64(miss) > 0.10*4000 {
 		t.Errorf("tournament miss rate %.2f%% too high", float64(miss)/40)
@@ -109,7 +114,7 @@ func TestStaticBackwardTaken(t *testing.T) {
 	u := mustUnit(t, cfg)
 	// Backward taken loop branch: static predicts correctly.
 	for i := 0; i < 100; i++ {
-		u.Access(condBranch(0x1000, 0x900, true))
+		access(u, condBranch(0x1000, 0x900, true))
 	}
 	if miss := u.Stats().DirectionMiss; miss != 0 {
 		t.Errorf("static missed %d backward-taken branches", miss)
@@ -117,7 +122,7 @@ func TestStaticBackwardTaken(t *testing.T) {
 	// Forward taken: static predicts not-taken, always wrong.
 	u2 := mustUnit(t, cfg)
 	for i := 0; i < 100; i++ {
-		u2.Access(condBranch(0x1000, 0x2000, true))
+		access(u2, condBranch(0x1000, 0x2000, true))
 	}
 	if miss := u2.Stats().DirectionMiss; miss != 100 {
 		t.Errorf("static should miss all forward-taken, missed %d", miss)
@@ -128,14 +133,14 @@ func TestBTBTargetMiss(t *testing.T) {
 	u := mustUnit(t, DefaultConfig())
 	// First taken encounter: direction may miss or BTB misses; afterwards
 	// both direction and target hit.
-	out := u.Access(condBranch(0x3000, 0x2000, true))
+	out := access(u, condBranch(0x3000, 0x2000, true))
 	if !out.Mispredict && !out.TargetMiss {
 		t.Error("first taken branch should pay some penalty")
 	}
 	for i := 0; i < 10; i++ {
-		u.Access(condBranch(0x3000, 0x2000, true))
+		access(u, condBranch(0x3000, 0x2000, true))
 	}
-	out = u.Access(condBranch(0x3000, 0x2000, true))
+	out = access(u, condBranch(0x3000, 0x2000, true))
 	if out.Mispredict || out.TargetMiss {
 		t.Errorf("warmed branch should be free, got %+v", out)
 	}
@@ -151,7 +156,7 @@ func TestBTBCapacityEviction(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 64; i++ {
 			pc := uint64(0x1000 + i*4)
-			u.Access(condBranch(pc, pc+0x400, true))
+			access(u, condBranch(pc, pc+0x400, true))
 		}
 	}
 	if miss := u.Stats().BTBMiss; miss < 64 {
@@ -164,13 +169,13 @@ func TestCallReturnRAS(t *testing.T) {
 	// Nested call/return: returns should be perfectly predicted by RAS.
 	for i := 0; i < 50; i++ {
 		call := &isa.Inst{PC: 0x1000, Cls: isa.ClassCall, Op: isa.OpBL, Taken: true, Target: 0x4000}
-		u.Access(call)
+		access(u, call)
 		call2 := &isa.Inst{PC: 0x4004, Cls: isa.ClassCall, Op: isa.OpBL, Taken: true, Target: 0x5000}
-		u.Access(call2)
+		access(u, call2)
 		ret2 := &isa.Inst{PC: 0x5000, Cls: isa.ClassRet, Op: isa.OpRET, Taken: true, Target: 0x4008}
-		u.Access(ret2)
+		access(u, ret2)
 		ret := &isa.Inst{PC: 0x4010, Cls: isa.ClassRet, Op: isa.OpRET, Taken: true, Target: 0x1004}
-		u.Access(ret)
+		access(u, ret)
 	}
 	s := u.Stats()
 	if s.ReturnMiss != 0 {
@@ -186,11 +191,11 @@ func TestRASOverflow(t *testing.T) {
 	var pcs []uint64
 	for d := 0; d < 4; d++ {
 		pc := uint64(0x1000 + d*0x100)
-		u.Access(&isa.Inst{PC: pc, Cls: isa.ClassCall, Op: isa.OpBL, Taken: true, Target: pc + 0x100})
+		access(u, &isa.Inst{PC: pc, Cls: isa.ClassCall, Op: isa.OpBL, Taken: true, Target: pc + 0x100})
 		pcs = append(pcs, pc+isa.InstSize)
 	}
 	for d := 3; d >= 0; d-- {
-		u.Access(&isa.Inst{PC: 0x5000, Cls: isa.ClassRet, Op: isa.OpRET, Taken: true, Target: pcs[d]})
+		access(u, &isa.Inst{PC: 0x5000, Cls: isa.ClassRet, Op: isa.OpRET, Taken: true, Target: pcs[d]})
 	}
 	if miss := u.Stats().ReturnMiss; miss == 0 {
 		t.Error("overflowed RAS should mispredict some returns")
@@ -209,7 +214,7 @@ func TestIndirectPredictorImprovesPolymorphicTargets(t *testing.T) {
 		cfg.IndirectHistory = 8
 		u, _ := NewUnit(cfg)
 		for i := 0; i < 4000; i++ {
-			u.Access(&isa.Inst{PC: 0x1000, Cls: isa.ClassBranchInd, Op: isa.OpBR, Taken: true, Target: targets[i%len(targets)]})
+			access(u, &isa.Inst{PC: 0x1000, Cls: isa.ClassBranchInd, Op: isa.OpBR, Taken: true, Target: targets[i%len(targets)]})
 		}
 		return u.Stats().IndirectMiss
 	}
@@ -246,8 +251,8 @@ func TestPredictorDeterminism(t *testing.T) {
 			pc := uint64(0x1000 + r.Intn(64)*4)
 			taken := r.Intn(2) == 0
 			in := condBranch(pc, pc-64, taken)
-			o1 := u1.Access(in)
-			o2 := u2.Access(in)
+			o1 := access(u1, in)
+			o2 := access(u2, in)
 			if o1 != o2 {
 				return false
 			}

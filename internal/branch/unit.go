@@ -249,15 +249,11 @@ func (u *Unit) Reset(cfg Config) error {
 // Stats returns accumulated statistics.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// Access predicts the branch in, updates all structures with the actual
-// outcome, and reports the timing consequence.
-func (u *Unit) Access(in *isa.Inst) Outcome {
-	return u.AccessOutcome(in.Cls, in.Op, in.PC, in.Target, in.Taken)
-}
-
-// AccessOutcome is Access over the branch's fields directly, so decoded
-// trace replay can drive the unit without materializing an isa.Inst per
-// dynamic branch.
+// AccessOutcome predicts the branch of class cls and opcode op at pc,
+// updates all structures with its actual outcome (taken, to target), and
+// reports the timing consequence. It takes the branch's fields rather than
+// an isa.Inst, so decoded trace replay drives the unit without
+// materializing an instruction per dynamic branch.
 func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken bool) Outcome {
 	switch cls {
 	case isa.ClassBranch:

@@ -31,8 +31,8 @@ func l1Config() Config {
 
 func mkLevel(t *testing.T, cfg Config, back Backend) *Level {
 	t.Helper()
-	l, err := NewLevel(cfg, 1, back)
-	if err != nil {
+	l := new(Level)
+	if err := l.Reset(cfg, 1, back); err != nil {
 		t.Fatal(err)
 	}
 	return l
@@ -67,11 +67,11 @@ func TestConfigValidate(t *testing.T) {
 func TestHitAfterMiss(t *testing.T) {
 	back := &fixedBackend{lat: 100}
 	l := mkLevel(t, l1Config(), back)
-	r1 := l.Access(0, 0x100, 0x4000, false)
+	r1 := l.BackAccess(0, 0x100, 0x4000, false, false)
 	if r1.Level != 3 || r1.Latency != 103 {
 		t.Errorf("first access: %+v, want miss with latency 103", r1)
 	}
-	r2 := l.Access(10, 0x100, 0x4000, false)
+	r2 := l.BackAccess(10, 0x100, 0x4000, false, false)
 	if r2.Level != 1 || r2.Latency != 3 {
 		t.Errorf("second access: %+v, want L1 hit latency 3", r2)
 	}
@@ -85,8 +85,8 @@ func TestTagDataSerialAddsCycle(t *testing.T) {
 	cfg := l1Config()
 	cfg.TagDataSerial = true
 	l := mkLevel(t, cfg, &fixedBackend{lat: 100})
-	l.Access(0, 0, 0x4000, false)
-	r := l.Access(10, 0, 0x4000, false)
+	l.BackAccess(0, 0, 0x4000, false, false)
+	r := l.BackAccess(10, 0, 0x4000, false, false)
 	if r.Latency != 4 {
 		t.Errorf("serial hit latency = %d, want 4", r.Latency)
 	}
@@ -99,15 +99,15 @@ func TestLRUEviction(t *testing.T) {
 	// Fill set 0 (addresses with identical index bits), then one more.
 	setStride := uint64(4 * 64) // sets * line
 	for i := 0; i < 5; i++ {
-		l.Access(uint64(i), 0, uint64(i)*setStride, false)
+		l.BackAccess(uint64(i), 0, uint64(i)*setStride, false, false)
 	}
 	// First line must have been evicted (LRU).
-	r := l.Access(10, 0, 0, false)
+	r := l.BackAccess(10, 0, 0, false, false)
 	if r.Level != 3 {
 		t.Error("LRU victim still resident after overfill")
 	}
 	// Line 2 was more recently used than lines 0 and 1: still resident.
-	r = l.Access(11, 0, 2*setStride, false)
+	r = l.BackAccess(11, 0, 2*setStride, false, false)
 	if r.Level != 1 {
 		t.Error("recently used line evicted")
 	}
@@ -119,9 +119,9 @@ func TestWriteBackGeneratesWriteback(t *testing.T) {
 	back := &fixedBackend{lat: 100}
 	l := mkLevel(t, cfg, back)
 	setStride := uint64(4 * 64)
-	l.Access(0, 0, 0, true) // dirty line
+	l.BackAccess(0, 0, 0, true, false) // dirty line
 	for i := 1; i <= 4; i++ {
-		l.Access(uint64(i), 0, uint64(i)*setStride, false) // evict it
+		l.BackAccess(uint64(i), 0, uint64(i)*setStride, false, false) // evict it
 	}
 	if wb := l.Stats().Writebacks; wb != 1 {
 		t.Errorf("writebacks = %d, want 1", wb)
@@ -133,9 +133,9 @@ func TestWriteThroughForwardsStores(t *testing.T) {
 	cfg.WriteBack = false
 	back := &fixedBackend{lat: 100}
 	l := mkLevel(t, cfg, back)
-	l.Access(0, 0, 0x4000, false) // fill
+	l.BackAccess(0, 0, 0x4000, false, false) // fill
 	calls := back.calls
-	l.Access(1, 0, 0x4000, true) // store hit: must forward
+	l.BackAccess(1, 0, 0x4000, true, false) // store hit: must forward
 	if back.calls != calls+1 {
 		t.Error("write-through store hit did not forward to backend")
 	}
@@ -149,8 +149,8 @@ func TestNoWriteAllocate(t *testing.T) {
 	cfg.WriteBack = false
 	cfg.WriteAllocate = false
 	l := mkLevel(t, cfg, &fixedBackend{lat: 100})
-	l.Access(0, 0, 0x4000, true) // store miss: no allocation
-	r := l.Access(1, 0, 0x4000, false)
+	l.BackAccess(0, 0, 0x4000, true, false) // store miss: no allocation
+	r := l.BackAccess(1, 0, 0x4000, false, false)
 	if r.Level != 3 {
 		t.Error("store miss allocated a line despite no-write-allocate")
 	}
@@ -165,7 +165,7 @@ func TestVictimCacheCatchesConflicts(t *testing.T) {
 	setStride := uint64(16 * 64)
 	// Two conflicting lines ping-pong: victim cache should catch them.
 	for i := 0; i < 20; i++ {
-		l.Access(uint64(i), 0, uint64(i%2)*setStride, false)
+		l.BackAccess(uint64(i), 0, uint64(i%2)*setStride, false, false)
 	}
 	s := l.Stats()
 	if s.VictimHits == 0 {
@@ -175,7 +175,7 @@ func TestVictimCacheCatchesConflicts(t *testing.T) {
 	cfg.VictimEntries = 0
 	l2 := mkLevel(t, cfg, &fixedBackend{lat: 100})
 	for i := 0; i < 20; i++ {
-		l2.Access(uint64(i), 0, uint64(i%2)*setStride, false)
+		l2.BackAccess(uint64(i), 0, uint64(i%2)*setStride, false, false)
 	}
 	if l2.Stats().Misses <= s.Misses {
 		t.Errorf("victim cache did not reduce misses: %d vs %d", s.Misses, l2.Stats().Misses)
@@ -193,7 +193,7 @@ func TestHashKindsChangeConflictBehaviour(t *testing.T) {
 		stride := uint64(16 * 64)
 		for r := 0; r < 4; r++ {
 			for i := 0; i < 8; i++ { // 8 lines, same mask set
-				l.Access(uint64(r*8+i), 0, uint64(i)*stride, false)
+				l.BackAccess(uint64(r*8+i), 0, uint64(i)*stride, false, false)
 			}
 		}
 		return l.Stats().Misses
@@ -215,7 +215,7 @@ func TestReplacementPolicies(t *testing.T) {
 		cfg.Repl = repl
 		l := mkLevel(t, cfg, &fixedBackend{lat: 100})
 		for i := 0; i < 1000; i++ {
-			l.Access(uint64(i), 0, uint64(i%8)*64, false)
+			l.BackAccess(uint64(i), 0, uint64(i%8)*64, false, false)
 		}
 		s := l.Stats()
 		if s.Hits < 900 {
@@ -230,7 +230,7 @@ func TestPrefetcherReducesStreamMisses(t *testing.T) {
 		cfg.Prefetch = pf
 		l := mkLevel(t, cfg, &fixedBackend{lat: 100})
 		for i := 0; i < 512; i++ {
-			l.Access(uint64(i), 0x100, uint64(0x10000+i*64), false)
+			l.BackAccess(uint64(i), 0x100, uint64(0x10000+i*64), false, false)
 		}
 		return l.Stats()
 	}
@@ -248,11 +248,11 @@ func TestPortContention(t *testing.T) {
 	cfg := l1Config()
 	cfg.Ports = 1
 	l := mkLevel(t, cfg, &fixedBackend{lat: 100})
-	l.Access(5, 0, 0x4000, false)
-	l.Access(6, 0, 0x4040, false)
+	l.BackAccess(5, 0, 0x4000, false, false)
+	l.BackAccess(6, 0, 0x4040, false, false)
 	// Two accesses in the same cycle: the second pays a port stall.
-	a := l.Access(7, 0, 0x4000, false)
-	b := l.Access(7, 0, 0x4040, false)
+	a := l.BackAccess(7, 0, 0x4000, false, false)
+	b := l.BackAccess(7, 0, 0x4040, false, false)
 	if b.Latency != a.Latency+1 {
 		t.Errorf("same-cycle second access latency %d, want %d", b.Latency, a.Latency+1)
 	}
@@ -372,7 +372,7 @@ func TestLRUPermutationInvariant(t *testing.T) {
 	l := mkLevel(t, cfg, &fixedBackend{lat: 50})
 	f := func(addrs []uint16) bool {
 		for i, a := range addrs {
-			l.Access(uint64(i), 0, uint64(a)*8, i%3 == 0)
+			l.BackAccess(uint64(i), 0, uint64(a)*8, i%3 == 0, false)
 		}
 		for set := 0; set < l.sets; set++ {
 			seen := map[uint64]bool{}

@@ -142,19 +142,10 @@ type Level struct {
 	rec *recorder
 }
 
-// NewLevel builds a cache level; cfg must be valid. levelID is its depth
-// (1 = closest to the core).
-func NewLevel(cfg Config, levelID int, next Backend) (*Level, error) {
-	l := new(Level)
-	if err := l.Reset(cfg, levelID, next); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// Reset makes l an empty level of cfg — the state NewLevel returns — and
-// keeps its arrays, which grow to the largest geometry l has served. The
-// cost is O(sets), not O(lines).
+// Reset makes l an empty level of cfg at depth levelID (1 = closest to the
+// core) in front of next, and keeps its arrays, which grow to the largest
+// geometry l has served. The cost is O(sets), not O(lines). A new(Level)
+// is ready for Reset.
 func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -200,9 +191,6 @@ func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
 
 // Stats returns accumulated counters.
 func (l *Level) Stats() Stats { return l.stats }
-
-// Config returns the level's configuration.
-func (l *Level) Config() Config { return l.cfg }
 
 func (l *Level) block(addr uint64) uint64 { return addr >> l.lineBits }
 
@@ -392,12 +380,9 @@ func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bo
 	return wb
 }
 
-// Access services a demand access and returns its latency and source level.
-func (l *Level) Access(now uint64, pc, addr uint64, write bool) AccessResult {
-	return l.BackAccess(now, pc, addr, write, false)
-}
-
-// BackAccess implements Backend so levels can stack.
+// BackAccess services an access — a demand one when pf is false — and
+// returns its latency and source level. It implements Backend, so levels
+// can stack.
 func (l *Level) BackAccess(now uint64, pc, addr uint64, write, pf bool) AccessResult {
 	if l.rec != nil {
 		return l.accessRecorded(now, pc, addr, write, pf)

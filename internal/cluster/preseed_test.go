@@ -151,7 +151,7 @@ func sweepLogged(t *testing.T, opts cluster.Options, path string) (string, clust
 func TestPreseedSendsEachWorkerWhatItLacks(t *testing.T) {
 	path, data := warmCopy(t)
 	src := simcache.New()
-	if _, _, err := src.LoadBytes(data); err != nil {
+	if _, _, err := src.LoadStream(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	hashes := src.KeyHashes()
@@ -244,7 +244,7 @@ func TestPreseedExchangeMovesTheDeltaBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := simcache.New()
-	if _, _, err := delta.LoadBytes(data); err != nil {
+	if _, _, err := delta.LoadStream(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	again := 0

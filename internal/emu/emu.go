@@ -61,12 +61,6 @@ func New(prog *isa.Program) *Machine {
 	return m
 }
 
-// PC returns the current program counter.
-func (m *Machine) PC() uint64 { return m.pc }
-
-// ICount returns the number of retired instructions.
-func (m *Machine) ICount() uint64 { return m.icount }
-
 // Reg returns the value of general-purpose register r.
 func (m *Machine) Reg(r isa.Reg) uint64 {
 	if r == isa.XZR {
@@ -194,13 +188,6 @@ func (m *Machine) Run(maxInst uint64, tracer Tracer) error {
 		m.pc = in.NextPC()
 	}
 	return ErrMaxInstructions
-}
-
-func (m *Machine) setAddFlags(a, b, r uint64) {
-	m.n = int64(r) < 0
-	m.z = r == 0
-	m.c = r < a // carry out for addition
-	m.v = (int64(a) >= 0) == (int64(b) >= 0) && (int64(r) >= 0) != (int64(a) >= 0)
 }
 
 func (m *Machine) setSubFlags(a, b uint64) {

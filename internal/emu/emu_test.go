@@ -257,22 +257,27 @@ func TestMovzMovkComposition(t *testing.T) {
 }
 
 func TestInstructionBudget(t *testing.T) {
-	p := asm.MustAssemble(`
+	p, err := asm.Assemble(`
 	spin:
 		b spin
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New(p)
-	err := m.Run(100, nil)
-	if !errors.Is(err, ErrMaxInstructions) {
+	if err := m.Run(100, nil); !errors.Is(err, ErrMaxInstructions) {
 		t.Errorf("err = %v, want ErrMaxInstructions", err)
 	}
-	if m.ICount() != 100 {
-		t.Errorf("icount = %d, want 100", m.ICount())
+	if m.icount != 100 {
+		t.Errorf("icount = %d, want 100", m.icount)
 	}
 }
 
 func TestPCOutOfRange(t *testing.T) {
-	p := asm.MustAssemble(`nop`) // runs off the end of code
+	p, err := asm.Assemble(`nop`) // runs off the end of code
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New(p)
 	if err := m.Run(10, nil); err == nil {
 		t.Error("expected fetch error running past code end")

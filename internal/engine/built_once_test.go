@@ -232,7 +232,7 @@ func TestExperimentsWarmJobOnlyLooksUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, board := range []*hw.Board{plat.A53, plat.A72} {
-			if !snap.OnDisk(simcache.Key(board.TrueConfig(), tr)) {
+			if _, err := snap.Disk().Get(simcache.Key(board.TrueConfig(), tr)); err != nil {
 				t.Errorf("snapshot holds no replay of %s on %s", name, board.Name)
 			}
 		}

@@ -136,7 +136,7 @@ func TestServerSnapshotFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := simcache.New()
-	added, _, err := check.LoadBytes(delta)
+	added, _, err := check.LoadStream(bytes.NewReader(delta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestServerSnapshotFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := simcache.New()
-	if n, _, err := empty.LoadBytes(bDelta); err != nil || n != 0 {
+	if n, _, err := empty.LoadStream(bytes.NewReader(bDelta)); err != nil || n != 0 {
 		t.Errorf("pre-seeded worker's delta has %d entries (err %v), want 0", n, err)
 	}
 
@@ -256,7 +256,7 @@ func TestDeltaCarriesPairSimulatedDuringImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := simcache.New()
-	if _, _, err := got.LoadBytes(delta); err != nil {
+	if _, _, err := got.LoadStream(bytes.NewReader(delta)); err != nil {
 		t.Fatal(err)
 	}
 	if keys := got.Keys(); !slices.Equal(keys, simulated) {

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"racesim/internal/telemetry"
+	"racesim/internal/telemetry/telemetrytest"
 )
 
 func scrape(t *testing.T, ts *httptest.Server) string {
@@ -82,7 +82,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	text := scrape(t, ts)
-	if err := telemetry.ValidatePrometheus(text); err != nil {
+	if err := telemetrytest.ValidatePrometheus(text); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
 

@@ -40,7 +40,7 @@ func deltaEntries(t *testing.T, c *Client) int {
 		t.Fatal(err)
 	}
 	got := simcache.New()
-	if _, _, err := got.LoadBytes(data); err != nil {
+	if _, _, err := got.LoadStream(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	return got.Stats().Entries

@@ -95,14 +95,8 @@ func (r *progressRing) Flush() {
 	}
 }
 
-// Lines snapshots the retained lines, most recent last.
-func (r *progressRing) Lines() []string {
-	lines, _ := r.LinesSeq()
-	return lines
-}
-
-// LinesSeq snapshots the retained lines plus the sequence number of the
-// most recent one (0 before any line).
+// LinesSeq snapshots the retained lines, most recent last, plus the
+// sequence number of the most recent one (0 before any line).
 func (r *progressRing) LinesSeq() ([]string, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

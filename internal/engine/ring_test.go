@@ -15,15 +15,15 @@ import (
 func TestProgressRingPartialWrites(t *testing.T) {
 	r := newProgressRing(10, nil)
 	r.Write([]byte("12"))
-	if lines := r.Lines(); len(lines) != 0 {
+	if lines, _ := r.LinesSeq(); len(lines) != 0 {
 		t.Fatalf("partial write surfaced as lines: %v", lines)
 	}
 	r.Write([]byte("3 done\nnext "))
-	if lines := r.Lines(); !reflect.DeepEqual(lines, []string{"123 done"}) {
+	if lines, _ := r.LinesSeq(); !reflect.DeepEqual(lines, []string{"123 done"}) {
 		t.Fatalf("joined line wrong: %v", lines)
 	}
 	r.Write([]byte("line\n"))
-	if lines := r.Lines(); !reflect.DeepEqual(lines, []string{"123 done", "next line"}) {
+	if lines, _ := r.LinesSeq(); !reflect.DeepEqual(lines, []string{"123 done", "next line"}) {
 		t.Fatalf("second joined line wrong: %v", lines)
 	}
 }
@@ -31,16 +31,16 @@ func TestProgressRingPartialWrites(t *testing.T) {
 func TestProgressRingFlushPromotesTail(t *testing.T) {
 	r := newProgressRing(10, nil)
 	r.Write([]byte("complete\nunterminated tail"))
-	if lines := r.Lines(); !reflect.DeepEqual(lines, []string{"complete"}) {
+	if lines, _ := r.LinesSeq(); !reflect.DeepEqual(lines, []string{"complete"}) {
 		t.Fatalf("before flush: %v", lines)
 	}
 	r.Flush()
-	if lines := r.Lines(); !reflect.DeepEqual(lines, []string{"complete", "unterminated tail"}) {
+	if lines, _ := r.LinesSeq(); !reflect.DeepEqual(lines, []string{"complete", "unterminated tail"}) {
 		t.Fatalf("after flush: %v", lines)
 	}
 	// Flush with nothing buffered is a no-op.
 	r.Flush()
-	if lines := r.Lines(); len(lines) != 2 {
+	if lines, _ := r.LinesSeq(); len(lines) != 2 {
 		t.Fatalf("idempotent flush failed: %v", lines)
 	}
 }
@@ -50,7 +50,7 @@ func TestProgressRingKeepBoundAndSkipEmpty(t *testing.T) {
 	r.Write([]byte("a\n\nb\n\r\nc\nd\ne\n"))
 	// Empty lines (including a bare CRLF) are skipped; only the last 3
 	// non-empty lines are retained.
-	if lines := r.Lines(); !reflect.DeepEqual(lines, []string{"c", "d", "e"}) {
+	if lines, _ := r.LinesSeq(); !reflect.DeepEqual(lines, []string{"c", "d", "e"}) {
 		t.Fatalf("ring contents: %v", lines)
 	}
 	if _, seq := r.LinesSeq(); seq != 5 {
@@ -90,7 +90,7 @@ func TestProgressRingConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				fmt.Fprintf(r, "w%d line %d\n", w, i)
-				r.Lines()
+				r.LinesSeq()
 			}
 		}(w)
 	}

@@ -112,6 +112,7 @@ type jobState struct {
 func (st *jobState) snapshot(includeResult bool) JobStatus {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	progress, _ := st.ring.LinesSeq()
 	out := JobStatus{
 		ID:        st.id,
 		Kind:      st.job.Kind,
@@ -119,7 +120,7 @@ func (st *jobState) snapshot(includeResult bool) JobStatus {
 		Submitted: st.submitted,
 		Started:   st.started,
 		Finished:  st.finished,
-		Progress:  st.ring.Lines(),
+		Progress:  progress,
 	}
 	if st.err != nil {
 		out.Error = st.err.Error()

@@ -131,7 +131,7 @@ func TestAllParallelByteIdenticalToSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, board := range []*hw.Board{plat.A53, plat.A72} {
-			if warmCache.OnDisk(simcache.Key(board.TrueConfig(), tr)) {
+			if _, err := warmCache.Disk().Get(simcache.Key(board.TrueConfig(), tr)); err == nil {
 				onDisk++
 			}
 		}

@@ -30,7 +30,6 @@ type Param struct {
 // Space is the set of tunable parameters.
 type Space struct {
 	Params []Param
-	byName map[string]int
 }
 
 // NewSpace builds a Space and validates it: at least one parameter, every
@@ -39,12 +38,12 @@ func NewSpace(params []Param) (*Space, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("irace: empty parameter space")
 	}
-	s := &Space{Params: params, byName: make(map[string]int, len(params))}
+	names := make(map[string]bool, len(params))
 	for i, p := range params {
 		if p.Name == "" {
 			return nil, fmt.Errorf("irace: parameter %d has no name", i)
 		}
-		if _, dup := s.byName[p.Name]; dup {
+		if names[p.Name] {
 			return nil, fmt.Errorf("irace: duplicate parameter %q", p.Name)
 		}
 		if len(p.Values) == 0 {
@@ -57,17 +56,9 @@ func NewSpace(params []Param) (*Space, error) {
 			}
 			seen[v] = true
 		}
-		s.byName[p.Name] = i
+		names[p.Name] = true
 	}
-	return s, nil
-}
-
-// Index returns the position of a named parameter, or -1.
-func (s *Space) Index(name string) int {
-	if i, ok := s.byName[name]; ok {
-		return i
-	}
-	return -1
+	return &Space{Params: params}, nil
 }
 
 // Assignment maps parameter names to chosen values. Assignments returned

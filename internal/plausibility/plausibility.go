@@ -132,17 +132,3 @@ func CheckResult(cfg sim.Config, res core.Result) []Violation {
 	}
 	return out
 }
-
-// CheckStrings is CheckResult rendered to stable strings — the form a
-// ValidationReport embeds.
-func CheckStrings(cfg sim.Config, res core.Result) []string {
-	vs := CheckResult(cfg, res)
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-	}
-	return out
-}

@@ -161,18 +161,19 @@ func TestCheckResultFlagsInjectedViolations(t *testing.T) {
 	}
 }
 
+// TestCheckStringsStable pins the rendered form of a violation, which
+// validate.CollectSamples embeds in a ValidationReport.
 func TestCheckStringsStable(t *testing.T) {
 	cfg := sim.PublicA53()
-	res := core.Result{Instructions: 1000, Cycles: 400}
-	ss := CheckStrings(cfg, res)
-	if len(ss) != 1 {
-		t.Fatalf("%d strings, want 1", len(ss))
+	vs := CheckResult(cfg, core.Result{Instructions: 1000, Cycles: 400})
+	if len(vs) != 1 {
+		t.Fatalf("%d violations, want 1", len(vs))
 	}
 	want := "ipc<=width: IPC 2.500 exceeds issue width 2 (CPI 0.400 < 0.500)"
-	if ss[0] != want {
-		t.Errorf("rendered violation %q, want %q", ss[0], want)
+	if got := vs[0].String(); got != want {
+		t.Errorf("rendered violation %q, want %q", got, want)
 	}
-	if CheckStrings(cfg, core.Result{Instructions: 1000, Cycles: 600}) != nil {
-		t.Error("clean result must render to nil, not an empty slice")
+	if vs := CheckResult(cfg, core.Result{Instructions: 1000, Cycles: 600}); len(vs) != 0 {
+		t.Errorf("clean result has violations %v", vs)
 	}
 }

@@ -247,7 +247,7 @@ func (m *refMachine) writes(in *isa.Inst, at uint64) {
 // prediction was wrong: a wrong direction or target restarts the pipeline
 // after the resolve, a missing target in the BTB costs a shorter refetch.
 func (m *refMachine) branch(in *isa.Inst, resolved, seen uint64) {
-	out := m.bu.Access(in)
+	out := m.bu.AccessOutcome(in.Cls, in.Op, in.PC, in.Target, in.Taken)
 	switch {
 	case out.Mispredict:
 		pen := uint64(m.cfg.FrontEnd.MispredictPenalty)

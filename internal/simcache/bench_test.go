@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -139,7 +140,7 @@ func BenchmarkSnapshotExchange(b *testing.B) {
 	b.Run("import_empty", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if added, _, err := New().LoadBytes(data); err != nil || added != fixtureEntries {
+			if added, _, err := New().LoadStream(bytes.NewReader(data)); err != nil || added != fixtureEntries {
 				b.Fatalf("%d added (%v)", added, err)
 			}
 		}
@@ -147,13 +148,13 @@ func BenchmarkSnapshotExchange(b *testing.B) {
 	})
 	b.Run("import_identical", func(b *testing.B) {
 		dst := New()
-		if _, _, err := dst.LoadBytes(data); err != nil {
+		if _, _, err := dst.LoadStream(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, replaced, err := dst.LoadBytes(data); err != nil || replaced != fixtureEntries {
+			if _, replaced, err := dst.LoadStream(bytes.NewReader(data)); err != nil || replaced != fixtureEntries {
 				b.Fatalf("%d replaced (%v)", replaced, err)
 			}
 		}
@@ -161,7 +162,7 @@ func BenchmarkSnapshotExchange(b *testing.B) {
 	})
 	b.Run("held", func(b *testing.B) {
 		dst := New()
-		if _, _, err := dst.LoadBytes(data); err != nil {
+		if _, _, err := dst.LoadStream(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()

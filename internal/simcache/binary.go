@@ -510,11 +510,18 @@ func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64, keep func(ha
 	return sw.finish()
 }
 
-// LoadStream merges a binary snapshot from r into the cache record by
-// record with LoadBytes semantics, never buffering the whole snapshot: each
-// record is length-prefixed, so the reader pulls exactly one record at a
-// time and imports it (importRecord). The trailing index and footer are
-// drained and discarded — a streamed merge needs no random access.
+// LoadStream merges a binary snapshot from r into the cache with checksum
+// verification and last-writer-wins semantics: an incoming entry that
+// passes its checksum replaces a stored entry under the same key (the
+// federation contract — for a deterministic simulator both sides hold the
+// same result, so the overwrite is a no-op in value). Entries failing the
+// checksum are dropped and counted in Stats.Rejected. Bytes that are not a
+// binary snapshot of this version are an error: unlike a stale disk
+// checkpoint, a stream was produced by a peer that should speak the
+// format. The snapshot is never buffered whole: each record is
+// length-prefixed, so the reader pulls exactly one record at a time and
+// imports it (importRecord). The trailing index and footer are drained
+// and discarded — a streamed merge needs no random access.
 func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
 	if c == nil {
 		return 0, 0, fmt.Errorf("simcache: LoadStream on a nil cache")

@@ -370,7 +370,7 @@ func TestLoadStreamCountsAsBefore(t *testing.T) {
 		for cname, mk := range caches {
 			c := mk()
 			wantAdded, wantReplaced, wantRejected, final := encodePerRecordCounts(t, c, stream)
-			added, replaced, err := c.LoadBytes(stream)
+			added, replaced, err := c.LoadStream(bytes.NewReader(stream))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,11 +397,11 @@ func TestIdenticalReimportAllocatesNothingPerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New()
-	if added, _, err := c.LoadBytes(data); err != nil || added != fixtureEntries {
+	if added, _, err := c.LoadStream(bytes.NewReader(data)); err != nil || added != fixtureEntries {
 		t.Fatalf("first import: %d added (%v)", added, err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, replaced, err := c.LoadBytes(data); err != nil || replaced != fixtureEntries {
+		if _, replaced, err := c.LoadStream(bytes.NewReader(data)); err != nil || replaced != fixtureEntries {
 			t.Fatalf("re-import: %d replaced (%v)", replaced, err)
 		}
 	})
@@ -451,7 +451,7 @@ func TestExchangeConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	run(func(i int) error { _, _, err := c.LoadBytes(bodies[i%len(bodies)]); return err })
+	run(func(i int) error { _, _, err := c.LoadStream(bytes.NewReader(bodies[i%len(bodies)])); return err })
 	run(func(i int) error { c.Store(stored[i], fixtureResult(i)); return nil })
 	run(func(i int) error { c.Peek(keys[i%len(keys)]); return nil })
 	for _, delta := range []bool{false, true} {
@@ -464,7 +464,7 @@ func TestExchangeConcurrent(t *testing.T) {
 				err = c.WriteBinaryTo(&buf)
 			}
 			if err == nil {
-				_, _, err = New().LoadBytes(buf.Bytes())
+				_, _, err = New().LoadStream(bytes.NewReader(buf.Bytes()))
 			}
 			return err
 		})
@@ -482,7 +482,7 @@ func TestExchangeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New()
-	if added, _, err := d.LoadBytes(delta.Bytes()); err != nil || added != len(stored) {
+	if added, _, err := d.LoadStream(bytes.NewReader(delta.Bytes())); err != nil || added != len(stored) {
 		t.Errorf("the delta carries %d results (%v), want the %d stored", added, err, len(stored))
 	}
 }

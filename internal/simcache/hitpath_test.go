@@ -142,7 +142,7 @@ func TestCorruptRecordSimulatedOnce(t *testing.T) {
 	if after.Entries != 3 || after.MemEntries != 1 || after.DiskEntries != 3 {
 		t.Errorf("stats = %+v, want the 3 entries there were, one of them shadowed in memory", after)
 	}
-	if !c.OnDisk(key) {
+	if _, err := c.Disk().Get(key); err == errNoRecord {
 		t.Error("the shadowed record is no longer indexed")
 	}
 }

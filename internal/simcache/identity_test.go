@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,7 +43,7 @@ func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
 	}
 	defer travelled["snapshot file"].Close()
 	travelled["snapshot bytes"] = New()
-	if _, _, err := travelled["snapshot bytes"].LoadBytes(data); err != nil {
+	if _, _, err := travelled["snapshot bytes"].LoadStream(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	travelled["streamed file"] = New()
@@ -74,7 +75,7 @@ func TestTraceIdentityRoundTripsEveryWayACacheTravels(t *testing.T) {
 			t.Errorf("%s: lookups moved the counters from %+v to %+v", name, before, after)
 		}
 		// The result beside the identities is still served.
-		if _, ok := c.Get(sim.PublicA53(), md); !ok {
+		if _, ok := c.Peek(Key(sim.PublicA53(), md)); !ok {
 			t.Errorf("%s: the simulation result is gone", name)
 		}
 	}

@@ -240,13 +240,6 @@ func (m *Mapped) keyOrder() []idxEntry {
 	return m.order
 }
 
-// Has reports whether a record for key exists, without decoding or
-// checksum-verifying it.
-func (m *Mapped) Has(key string) bool {
-	_, ok := m.find(key)
-	return ok
-}
-
 // Get decodes the result for key in one index search, verifying the
 // record's checksum. A missing key is errNoRecord, a corrupt record any
 // other error.

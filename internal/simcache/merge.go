@@ -104,19 +104,6 @@ func (c *Cache) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// LoadBytes merges snapshot bytes into the cache with checksum
-// verification and last-writer-wins semantics: an incoming entry that
-// passes its checksum replaces a stored entry under the same key (the
-// federation contract — for a deterministic simulator both sides hold the
-// same result, so the overwrite is a no-op in value). Entries failing the
-// checksum are dropped and counted in Stats.Rejected. Bytes that are not a
-// binary snapshot of this version are an error: unlike a stale disk
-// checkpoint, bytes handed to LoadBytes were produced by a peer that should
-// speak the format.
-func (c *Cache) LoadBytes(data []byte) (added, replaced int, err error) {
-	return c.LoadStream(bytes.NewReader(data))
-}
-
 // PoisonSnapshot returns a copy of snapshot bytes with one entry's
 // checksum corrupted — a snapshot that parses cleanly but must lose
 // exactly one entry to checksum rejection on load: the last checksum byte
@@ -124,7 +111,7 @@ func (c *Cache) LoadBytes(data []byte) (added, replaced int, err error) {
 // and its key-binding checksum no longer proves. It is kept for tests in
 // four packages (simcache, engine, cluster, cmd/racesim) and for the
 // FuzzLoadStream corpus, which prove that every snapshot consumer
-// (LoadFile, LoadBytes, POST /v1/cache/snapshot, a sweep's delta
+// (LoadFile, LoadStream, POST /v1/cache/snapshot, a sweep's delta
 // collection) verifies checksums. An empty snapshot cannot be poisoned and
 // errors.
 func PoisonSnapshot(data []byte) ([]byte, error) {

@@ -28,7 +28,7 @@ func TestMarshalLoadBytesRoundTrip(t *testing.T) {
 	}
 
 	dst := New()
-	added, replaced, err := dst.LoadBytes(data)
+	added, replaced, err := dst.LoadStream(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMarshalLoadBytesRoundTrip(t *testing.T) {
 		t.Errorf("added %d replaced %d, want 2/0", added, replaced)
 	}
 	// A second load of the same bytes replaces in place (last-writer-wins).
-	added, replaced, err = dst.LoadBytes(data)
+	added, replaced, err = dst.LoadStream(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLoadBytesRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New()
-	added, _, err := dst.LoadBytes(poisoned)
+	added, _, err := dst.LoadStream(bytes.NewReader(poisoned))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLoadBytesRejectsCorruption(t *testing.T) {
 		"snapshot cut in header":  data[:headerSize/2],
 		"future-version snapshot": future,
 	} {
-		if added, replaced, err := dst.LoadBytes(body); err == nil || added+replaced != 0 {
+		if added, replaced, err := dst.LoadStream(bytes.NewReader(body)); err == nil || added+replaced != 0 {
 			t.Errorf("%s: merged %d entries, error %v", what, added+replaced, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestDeltaCarriesWhatWasStoredSinceTheMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added, _, err := c.LoadBytes(seed); err != nil || added != 1 {
+	if added, _, err := c.LoadStream(bytes.NewReader(seed)); err != nil || added != 1 {
 		t.Fatalf("import: %d added (%v), want 1", added, err)
 	}
 
@@ -166,7 +166,7 @@ func TestDeltaCarriesWhatWasStoredSinceTheMark(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New()
-	added, _, err := dst.LoadBytes(delta.Bytes())
+	added, _, err := dst.LoadStream(bytes.NewReader(delta.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

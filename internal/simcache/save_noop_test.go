@@ -87,7 +87,7 @@ func lookUpAll(t *testing.T, c *Cache) {
 func TestSaveFileLeavesUnchangedSnapshotAlone(t *testing.T) {
 	path, opened, c := openedSnapshot(t, nil)
 	lookUpAll(t, c)
-	if _, ok := c.Get(sim.PublicA53(), testTrace(t, "MD")); !ok {
+	if _, ok := c.Peek(Key(sim.PublicA53(), testTrace(t, "MD"))); !ok {
 		t.Fatal("Get missed a stored unit")
 	}
 	if _, ok := c.Peek(Key(sim.PublicA53(), testTrace(t, "CS1"))); !ok {

@@ -165,19 +165,6 @@ func (c *Cache) SetMemoryBudget(budget int64) {
 	c.mu.Unlock()
 }
 
-// OnDisk reports whether the attached disk tier indexes key (without
-// decoding or verifying the record), whether or not memory holds a result
-// over it. False when no tier is attached.
-func (c *Cache) OnDisk(key string) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	disk := c.disk
-	c.mu.Unlock()
-	return disk.Has(key)
-}
-
 // entryLocked returns the memory entry for a key in its stored form, or
 // nil. Caller holds c.mu.
 func (c *Cache) entryLocked(form byte, keyBytes []byte) *centry {
@@ -427,19 +414,10 @@ func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Tr
 	return out, nil
 }
 
-// Get looks up a stored result without simulating and without touching the
-// hit/miss counters.
-func (c *Cache) Get(cfg sim.Config, tr *trace.Trace) (core.Result, bool) {
-	if c == nil {
-		return core.Result{}, false
-	}
-	return c.Peek(Key(cfg, tr))
-}
-
-// Peek is Get for a caller that holds the key: it looks key up across the
-// memory and disk tiers as RunKeyed does — a disk record is verified and
-// decoded, not kept — and leaves the cache as it found it, except that a
-// corrupt record is counted rejected.
+// Peek looks a stored result up without simulating and without touching
+// the hit/miss counters: across the memory and disk tiers as RunKeyed does
+// — a disk record is verified and decoded, not kept — leaving the cache as
+// it found it, except that a corrupt record is counted rejected.
 func (c *Cache) Peek(key string) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false

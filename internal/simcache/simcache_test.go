@@ -156,7 +156,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("loaded %d entries, want 1", n)
 	}
-	got, ok := c2.Get(cfg, tr)
+	got, ok := c2.Peek(Key(cfg, tr))
 	if !ok || got != want {
 		t.Error("reloaded entry does not match the original result")
 	}
@@ -201,7 +201,7 @@ func TestPoisonedEntryRejectedByChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, ok := c2.Get(cfg, tr); ok {
+	if _, ok := c2.Peek(Key(cfg, tr)); ok {
 		t.Error("poisoned entry is servable from the cache")
 	}
 	if st := c2.Stats(); st.Rejected != 1 {

@@ -96,7 +96,7 @@ func TestWriteSubsetToWritesThoseRecords(t *testing.T) {
 		t.Errorf("the subset write counted %d records rejected, want the one corrupt record it holds", st.Rejected)
 	}
 	got := New()
-	if _, _, err := got.LoadBytes(out.Bytes()); err != nil {
+	if _, _, err := got.LoadStream(bytes.NewReader(out.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
@@ -120,7 +120,7 @@ func TestWriteSubsetToWritesThoseRecords(t *testing.T) {
 	if err := c.WriteSubsetTo(&none, nil); err != nil {
 		t.Fatal(err)
 	}
-	if added, _, err := New().LoadBytes(none.Bytes()); err != nil || added != 0 {
+	if added, _, err := New().LoadStream(bytes.NewReader(none.Bytes())); err != nil || added != 0 {
 		t.Errorf("the empty subset loads %d records (%v), want none", added, err)
 	}
 }

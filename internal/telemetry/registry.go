@@ -58,44 +58,17 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (negative deltas are a programming error; they are ignored
-// so a counter can never decrease).
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down, safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket distribution: observation counts per
 // upper bound (cumulative in the rendered form, per Prometheus rules)
-// plus a running sum and count. Buckets are immutable after creation.
+// plus a running sum. Buckets are immutable after creation.
 type Histogram struct {
 	bounds  []float64       // sorted upper bounds, +Inf excluded
 	buckets []atomic.Uint64 // one per bound (non-cumulative internally)
 	inf     atomic.Uint64   // observations above every bound
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits of the running sum
+	sumBits atomic.Uint64   // float64 bits of the running sum
 }
 
 // Observe records one value.
@@ -109,7 +82,6 @@ func (h *Histogram) Observe(v float64) {
 	} else {
 		h.inf.Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -119,49 +91,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts
-// by linear interpolation inside the holding bucket — the usual
-// Prometheus histogram_quantile estimate. It returns 0 before any
-// observation; an estimate landing in the +Inf bucket clamps to the
-// highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	lower := 0.0
-	for i, b := range h.bounds {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			lower = b
-			continue
-		}
-		if float64(cum+n) >= rank {
-			within := rank - float64(cum)
-			return lower + (b-lower)*(within/float64(n))
-		}
-		cum += n
-		lower = b
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}
 
 // DurationBuckets is a general-purpose latency bucket ladder in seconds:
 // 1ms to 5min, roughly geometric. Suitable for job wait/run times.
@@ -179,7 +110,6 @@ type instrument struct {
 	sig    string // canonical label signature, the sort key
 
 	counter   *Counter
-	gauge     *Gauge
 	histogram *Histogram
 	readFunc  func() float64 // CounterFunc / GaugeFunc collector
 }
@@ -277,18 +207,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		c = inst.counter
 	})
 	return c
-}
-
-// Gauge get-or-creates a gauge sample.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	var g *Gauge
-	r.register(name, help, kindGauge, labels, func(inst *instrument) {
-		if inst.gauge == nil && inst.readFunc == nil {
-			inst.gauge = &Gauge{}
-		}
-		g = inst.gauge
-	})
-	return g
 }
 
 // Histogram get-or-creates a fixed-bucket histogram sample. bounds are
@@ -397,14 +315,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(inst.labels), formatValue(inst.readFunc()))
 			case inst.counter != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(inst.labels), formatValue(float64(inst.counter.Value())))
-			case inst.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(inst.labels), formatValue(inst.gauge.Value()))
 			case inst.histogram != nil:
 				h := inst.histogram
 				// Cumulative bucket counts; read each bucket once so the
 				// rendered buckets are internally consistent even while
-				// observations continue. count is rendered from the bucket
-				// total for the same reason (the atomic count may be ahead).
+				// observations continue; count is the bucket total.
 				var cum uint64
 				for i, bound := range h.bounds {
 					cum += h.buckets[i].Load()

@@ -2,10 +2,14 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"racesim/internal/telemetry/telemetrytest"
 )
 
 // TestSnapshotDeterministicBytes: two registries populated in different
@@ -14,9 +18,9 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	build := func(order []int) string {
 		r := NewRegistry()
 		ops := []func(){
-			func() { r.Counter("zz_total", "last family", L("kind", "b")).Add(3) },
-			func() { r.Counter("zz_total", "last family", L("kind", "a")).Add(7) },
-			func() { r.Gauge("aa_depth", "first family").Set(4.5) },
+			func() { r.Counter("zz_total", "last family", L("kind", "b")).Inc() },
+			func() { r.Counter("zz_total", "last family", L("kind", "a")).Inc() },
+			func() { r.GaugeFunc("aa_depth", "first family", func() float64 { return 4.5 }) },
 			func() {
 				h := r.Histogram("mm_seconds", "middle family", []float64{0.1, 1, 10})
 				h.Observe(0.05)
@@ -52,8 +56,8 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 
 func TestSnapshotIsValidPrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("racesim_jobs_total", "jobs executed", L("kind", "run"), L("status", "done")).Add(12)
-	r.Gauge("racesim_job_queue_depth", "queued jobs").Set(3)
+	r.Counter("racesim_jobs_total", "jobs executed", L("kind", "run"), L("status", "done")).Inc()
+	r.GaugeFunc("racesim_job_queue_depth", "queued jobs", func() float64 { return 3 })
 	r.GaugeFunc("racesim_build_info", "build metadata",
 		func() float64 { return 1 },
 		L("version", "v0.10.0"), L("go", "go1.24.0"), L("commit", "deadbeef"))
@@ -64,13 +68,13 @@ func TestSnapshotIsValidPrometheus(t *testing.T) {
 	r.CounterFunc("racesim_collected_total", "collector-backed counter",
 		func() float64 { return 5 }, L("kind", "sample"))
 	// A label value exercising every escape.
-	r.Gauge("racesim_escape", "escapes", L("v", "a\\b\"c\nd")).Set(1)
+	r.GaugeFunc("racesim_escape", "escapes", func() float64 { return 1 }, L("v", "a\\b\"c\nd"))
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePrometheus(b.String()); err != nil {
+	if err := telemetrytest.ValidatePrometheus(b.String()); err != nil {
 		t.Fatalf("%v\n%s", err, b.String())
 	}
 }
@@ -101,30 +105,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if h.Count() != 7 {
-		t.Errorf("Count() = %d, want 7", h.Count())
-	}
 	if got, want := h.Sum(), 1+1+2+3+4+4.000001+100.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("Sum() = %v, want %v", got, want)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "", []float64{0.01, 0.1, 1, 10})
-	if h.Quantile(0.5) != 0 {
-		t.Errorf("empty histogram quantile should be 0")
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(0.05) // all in the (0.01, 0.1] bucket
-	}
-	got := h.Quantile(0.5)
-	if got < 0.01 || got > 0.1 {
-		t.Errorf("p50 = %v, want within the holding bucket (0.01, 0.1]", got)
-	}
-	h.Observe(1e9) // one +Inf-bucket outlier: estimates clamp to last bound
-	if got := h.Quantile(1); got != 10 {
-		t.Errorf("p100 with +Inf mass = %v, want clamp to 10", got)
 	}
 }
 
@@ -133,7 +115,8 @@ func TestHistogramQuantile(t *testing.T) {
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
+	var g atomic.Int64
+	r.GaugeFunc("g", "", func() float64 { return float64(g.Load()) })
 	h := r.Histogram("h_seconds", "", []float64{0.5})
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -159,11 +142,17 @@ func TestConcurrentInstruments(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if h.Count() != workers*per {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	for _, want := range []string{
+		fmt.Sprintf("g %d\n", workers*per),
+		fmt.Sprintf("h_seconds_count %d\n", workers*per),
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -185,20 +174,20 @@ func TestSameInstrumentReturned(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 // TestConcurrentFirstRegistration races many goroutines on the first
-// registration of one counter and one gauge sample while another scrapes:
-// every goroutine must get the same instrument (an increment through a
-// losing duplicate would be lost) and -race must see no unsynchronized
-// access to the sample slot.
+// registration of one counter and one histogram sample while another
+// scrapes: every goroutine must get the same instrument (an increment
+// through a losing duplicate would be lost) and -race must see no
+// unsynchronized access to the sample slot.
 func TestConcurrentFirstRegistration(t *testing.T) {
 	const workers = 16
 	for round := 0; round < 50; round++ {
 		r := NewRegistry()
 		counters := make([]*Counter, workers)
-		gauges := make([]*Gauge, workers)
+		hists := make([]*Histogram, workers)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -208,8 +197,8 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 				<-start
 				counters[w] = r.Counter("fresh_total", "", L("k", "v"))
 				counters[w].Inc()
-				gauges[w] = r.Gauge("fresh", "", L("k", "v"))
-				gauges[w].Add(1)
+				hists[w] = r.Histogram("fresh_seconds", "", []float64{1}, L("k", "v"))
+				hists[w].Observe(1)
 				if w == 0 {
 					if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 						t.Error(err)
@@ -220,15 +209,15 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 		close(start)
 		wg.Wait()
 		for w := 1; w < workers; w++ {
-			if counters[w] != counters[0] || gauges[w] != gauges[0] {
+			if counters[w] != counters[0] || hists[w] != hists[0] {
 				t.Fatalf("round %d: goroutine %d got a different instrument for the same sample", round, w)
 			}
 		}
 		if got := counters[0].Value(); got != workers {
 			t.Fatalf("round %d: counter = %d, want %d", round, got, workers)
 		}
-		if got := gauges[0].Value(); got != workers {
-			t.Fatalf("round %d: gauge = %v, want %d", round, got, workers)
+		if got := hists[0].Sum(); got != workers {
+			t.Fatalf("round %d: histogram sum = %v, want %d", round, got, workers)
 		}
 	}
 }

@@ -1,4 +1,6 @@
-package telemetry
+// Package telemetrytest holds test support for the telemetry package's
+// exposition format. Tests import it; the product never does.
+package telemetrytest
 
 import (
 	"fmt"
@@ -14,7 +16,8 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0
 // ValidatePrometheus checks text against the exposition format rules:
 // every line is a comment or a parsable sample, every sample's family
 // has a preceding TYPE line, histogram buckets are cumulative and end
-// with +Inf. Shared with the engine's /metrics test via this package.
+// with +Inf. The telemetry registry's tests and the engine's /metrics
+// test share it.
 func ValidatePrometheus(text string) error {
 	typed := map[string]string{}
 	var lastBucketFamily string

@@ -141,12 +141,3 @@ func ByCategory(cat Category) []Bench {
 	}
 	return out
 }
-
-// Names returns all benchmark names, suite-ordered.
-func Names() []string {
-	out := make([]string, len(suite))
-	for i, b := range suite {
-		out[i] = b.Name
-	}
-	return out
-}
