@@ -65,7 +65,7 @@ func TestCacheMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := want.LoadBytes(data); err != nil {
+		if _, _, err := want.LoadStream(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}

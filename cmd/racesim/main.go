@@ -39,6 +39,8 @@ import (
 	"time"
 
 	"racesim/internal/engine"
+	"racesim/internal/expt"
+	"racesim/internal/ubench"
 	"racesim/internal/version"
 )
 
@@ -159,8 +161,8 @@ func cmdRun(args []string) error {
 		benchNames = fs.String("ubench", "", "micro-benchmark name(s), comma-separated, or \"all\" (Table I)")
 		wlNames    = fs.String("workload", "", "SPEC-like workload name(s), comma-separated, or \"all\" (Table II)")
 		trPath     = fs.String("trace", "", "RIFT trace file to replay")
-		events     = fs.Int("events", 100_000, "workload trace length")
-		scale      = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
+		events     = fs.Int("events", engine.DefaultRunEvents, "workload trace length")
+		scale      = fs.Float64("scale", ubench.DefaultScale, "micro-benchmark scale factor")
 		seed       = fs.Int64("seed", 0, "workload generator seed")
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
@@ -187,10 +189,10 @@ func cmdExperiments(args []string) error {
 		listScen     = fs.Bool("list-scenarios", false, "list registered scenarios and exit")
 		manifest     = fs.String("manifest", "", "overlay scenarios from this JSON manifest on the registry")
 		saveManifest = fs.String("save-manifest", "", "write the effective scenario registry to this manifest and exit")
-		scale        = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
-		events       = fs.Int("events", 60_000, "workload trace length")
-		budget1      = fs.Int("budget1", 2500, "irace budget, round 1")
-		budget2      = fs.Int("budget2", 3500, "irace budget, round 2")
+		scale        = fs.Float64("scale", ubench.DefaultScale, "micro-benchmark scale factor")
+		events       = fs.Int("events", expt.DefaultWorkloadEvents, "workload trace length")
+		budget1      = fs.Int("budget1", expt.DefaultBudgetRound1, "irace budget, round 1")
+		budget2      = fs.Int("budget2", expt.DefaultBudgetRound2, "irace budget, round 2")
 		seed         = fs.Int64("seed", 0, "seed")
 		out          = fs.String("out", "", "also write results to this file")
 		quiet        = fs.Bool("q", false, "suppress progress output")
@@ -219,9 +221,9 @@ func cmdValidate(args []string) error {
 	fs := flag.NewFlagSet("racesim validate", flag.ExitOnError)
 	var (
 		coreK     = fs.String("core", "a53", "core to validate: a53 or a72")
-		budget1   = fs.Int("budget1", 3000, "irace budget for tuning round 1")
-		budget2   = fs.Int("budget2", 4000, "irace budget for tuning round 2")
-		scale     = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
+		budget1   = fs.Int("budget1", engine.DefaultValidateBudget1, "irace budget for tuning round 1")
+		budget2   = fs.Int("budget2", engine.DefaultValidateBudget2, "irace budget for tuning round 2")
+		scale     = fs.Float64("scale", ubench.DefaultScale, "micro-benchmark scale factor")
 		seed      = fs.Int64("seed", 0, "tuner seed")
 		out       = fs.String("out", "", "write the tuned config JSON here")
 		quiet     = fs.Bool("q", false, "suppress progress output")
@@ -259,7 +261,7 @@ func cmdUbench(args []string) error {
 		compare = fs.String("compare", "", "compare a benchmark (or 'all') between board and model")
 		disasm  = fs.String("disasm", "", "print a benchmark's assembly listing")
 		coreK   = fs.String("core", "a53", "core for -compare: a53 or a72")
-		scale   = fs.Float64("scale", 0.01, "scale factor")
+		scale   = fs.Float64("scale", ubench.DefaultScale, "scale factor")
 		initArr = fs.Bool("init-arrays", false, "initialize arrays before the timed loop")
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"racesim/internal/cluster"
+	"racesim/internal/expt"
 	"racesim/internal/telemetry"
+	"racesim/internal/ubench"
 )
 
 // cmdSweep is the distributed counterpart of `racesim experiments`: it
@@ -28,10 +30,10 @@ func cmdSweep(args []string) error {
 		scenarioPat = fs.String("scenario", "all", "comma-separated scenario names/globs ('all' = paper set)")
 		retriesN    = fs.Int("retries", 3, "per-unit reassignment budget on worker failure")
 		cache       = fs.String("cache", "", "federated snapshot: pre-seeds workers, collects+merges their deltas; re-run with the same file to resume")
-		scale       = fs.Float64("scale", 0.01, "micro-benchmark scale factor")
-		events      = fs.Int("events", 60_000, "workload trace length")
-		budget1     = fs.Int("budget1", 2500, "irace budget, round 1")
-		budget2     = fs.Int("budget2", 3500, "irace budget, round 2")
+		scale       = fs.Float64("scale", ubench.DefaultScale, "micro-benchmark scale factor")
+		events      = fs.Int("events", expt.DefaultWorkloadEvents, "workload trace length")
+		budget1     = fs.Int("budget1", expt.DefaultBudgetRound1, "irace budget, round 1")
+		budget2     = fs.Int("budget2", expt.DefaultBudgetRound2, "irace budget, round 2")
 		seed        = fs.Int64("seed", 0, "seed")
 		parallelism = fs.Int("parallelism", 0, "concurrent simulations per spawned worker (0 = GOMAXPROCS)")
 		out         = fs.String("out", "", "also write the assembled artifact to this file")

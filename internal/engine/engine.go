@@ -63,6 +63,16 @@ type Job struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
+// The sizes a run or validate job uses where its spec leaves them zero. An
+// experiments job's are expt's (expt.DefaultWorkloadEvents and the
+// expt.DefaultBudgetRound* pair), and every job's micro-benchmark scale is
+// ubench.DefaultScale.
+const (
+	DefaultRunEvents       = 100_000 // RunJob.Events
+	DefaultValidateBudget1 = 3000    // ValidateJob.Budget1
+	DefaultValidateBudget2 = 4000    // ValidateJob.Budget2
+)
+
 // RunJob simulates one or more traces on one configuration — the classic
 // `racesim run` (née cmd/racesim) invocation.
 type RunJob struct {
@@ -78,8 +88,8 @@ type RunJob struct {
 	Ubench    string  `json:"ubench,omitempty"`
 	Workload  string  `json:"workload,omitempty"`
 	TracePath string  `json:"trace_path,omitempty"`
-	Events    int     `json:"events,omitempty"` // workload trace length (default 100000)
-	Scale     float64 `json:"scale,omitempty"`  // micro-benchmark scale factor (default 0.01)
+	Events    int     `json:"events,omitempty"` // workload trace length (0: DefaultRunEvents)
+	Scale     float64 `json:"scale,omitempty"`  // micro-benchmark scale factor (0: ubench.DefaultScale)
 	Seed      int64   `json:"seed,omitempty"`   // workload generator seed
 }
 
@@ -87,9 +97,9 @@ type RunJob struct {
 // one core and reports the tuned configuration.
 type ValidateJob struct {
 	Core    string  `json:"core,omitempty"`    // "a53" (default) or "a72"
-	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (default 3000)
-	Budget2 int     `json:"budget2,omitempty"` // irace budget, round 2 (default 4000)
-	Scale   float64 `json:"scale,omitempty"`   // micro-benchmark scale factor (default 0.01)
+	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (0: DefaultValidateBudget1)
+	Budget2 int     `json:"budget2,omitempty"` // irace budget, round 2 (0: DefaultValidateBudget2)
+	Scale   float64 `json:"scale,omitempty"`   // micro-benchmark scale factor (0: ubench.DefaultScale)
 	Seed    int64   `json:"seed,omitempty"`
 	// OutPath writes the tuned config JSON to a file; the Result carries
 	// the same bytes in TunedConfig either way.
@@ -133,10 +143,10 @@ type ExperimentsJob struct {
 	// SaveManifest writes the effective registry to a manifest and stops.
 	Manifest     string  `json:"manifest,omitempty"`
 	SaveManifest string  `json:"save_manifest,omitempty"`
-	Scale        float64 `json:"scale,omitempty"`   // default 0.01
-	Events       int     `json:"events,omitempty"`  // default 60000
-	Budget1      int     `json:"budget1,omitempty"` // default 2500
-	Budget2      int     `json:"budget2,omitempty"` // default 3500
+	Scale        float64 `json:"scale,omitempty"`   // 0: ubench.DefaultScale
+	Events       int     `json:"events,omitempty"`  // 0: expt.DefaultWorkloadEvents
+	Budget1      int     `json:"budget1,omitempty"` // 0: expt.DefaultBudgetRound1
+	Budget2      int     `json:"budget2,omitempty"` // 0: expt.DefaultBudgetRound2
 	Seed         int64   `json:"seed,omitempty"`
 	// OutPath additionally writes the rendered artifact to a file.
 	OutPath string `json:"out_path,omitempty"`
@@ -154,7 +164,7 @@ type UbenchJob struct {
 	// Disasm prints a benchmark's assembly listing.
 	Disasm     string  `json:"disasm,omitempty"`
 	Core       string  `json:"core,omitempty"`  // "a53" (default) or "a72"
-	Scale      float64 `json:"scale,omitempty"` // default 0.01
+	Scale      float64 `json:"scale,omitempty"` // 0: ubench.DefaultScale
 	InitArrays bool    `json:"init_arrays,omitempty"`
 }
 

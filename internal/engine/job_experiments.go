@@ -13,22 +13,6 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	if j == nil {
 		j = &ExperimentsJob{}
 	}
-	scale := j.Scale
-	if scale == 0 {
-		scale = 0.01
-	}
-	events := j.Events
-	if events == 0 {
-		events = 60_000
-	}
-	budget1 := j.Budget1
-	if budget1 == 0 {
-		budget1 = 2500
-	}
-	budget2 := j.Budget2
-	if budget2 == 0 {
-		budget2 = 3500
-	}
 	logf := func(format string, args ...any) {
 		if !j.Quiet {
 			e.eprintf(format+"\n", args...)
@@ -85,10 +69,10 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	}
 	results, err := scenario.RunSaving(units, scenario.RunOptions{
 		Expt: expt.Options{
-			UbenchScale:    scale,
-			WorkloadEvents: events,
-			BudgetRound1:   budget1,
-			BudgetRound2:   budget2,
+			UbenchScale:    j.Scale,
+			WorkloadEvents: j.Events,
+			BudgetRound1:   j.Budget1,
+			BudgetRound2:   j.Budget2,
 			Seed:           j.Seed,
 			Parallelism:    e.par,
 			Cache:          e.cache,

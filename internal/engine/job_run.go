@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -119,14 +120,6 @@ func (e *env) runJob(j *RunJob) error {
 	if j == nil {
 		j = &RunJob{}
 	}
-	events := j.Events
-	if events == 0 {
-		events = 100_000
-	}
-	scale := j.Scale
-	if scale == 0 {
-		scale = 0.01
-	}
 	cfg, err := resolveConfig(j)
 	if err != nil {
 		return err
@@ -138,7 +131,7 @@ func (e *env) runJob(j *RunJob) error {
 	if err := e.openSnapshot("racesim", func(string, ...any) {}); err != nil {
 		return err
 	}
-	trs, err := e.gather(j, events, scale)
+	trs, err := e.gather(j, cmp.Or(j.Events, DefaultRunEvents), cmp.Or(j.Scale, ubench.DefaultScale))
 	if err != nil {
 		return err
 	}

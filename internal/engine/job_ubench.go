@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
 	"racesim/internal/core"
+	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/isa"
 	"racesim/internal/sim"
@@ -17,15 +19,11 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 	if j == nil {
 		j = &UbenchJob{}
 	}
-	scale := j.Scale
-	if scale == 0 {
-		scale = 0.01
-	}
 	dumpOut := j.DumpOut
 	if dumpOut == "" {
 		dumpOut = "bench.rift"
 	}
-	opts := ubench.Options{Scale: scale, InitArrays: j.InitArrays}
+	opts := ubench.Options{Scale: cmp.Or(j.Scale, ubench.DefaultScale), InitArrays: j.InitArrays}
 	switch {
 	case j.Disasm != "":
 		b, ok := ubench.ByName(j.Disasm)
@@ -81,6 +79,17 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 		return e.compareOne(j.Compare, board, cfg, opts)
 	}
 	return fmt.Errorf("one of list, dump, compare or disasm is required")
+}
+
+// board resolves a job's core name ("" = "a53") to its reference board,
+// keeping its replays in the job's cache, and the core's public model. A
+// typo'd core is an error, never plausible wrong-core numbers.
+func (e *env) board(core string) (*hw.Board, sim.Config, error) {
+	plat, err := hw.Firefly()
+	if err != nil {
+		return nil, sim.Config{}, err
+	}
+	return expt.Core(plat.WithCache(e.cache), core)
 }
 
 // compared is one benchmark's board measurement next to the model's run

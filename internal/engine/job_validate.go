@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 
 	"racesim/internal/expt"
-	"racesim/internal/hw"
 	"racesim/internal/report"
-	"racesim/internal/sim"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
@@ -19,22 +17,25 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if j == nil {
 		j = &ValidateJob{}
 	}
-	// A budget of 0 makes a stage evaluate-only: the paper's rounds always
-	// tune.
-	budget1 := j.Budget1
-	if budget1 <= 0 {
-		budget1 = 3000
+	// Progress goes to stdout, as the standalone validate binary always
+	// printed it (the tuned-config table is the artifact either way).
+	logf := func(format string, args ...any) {
+		if !j.Quiet {
+			e.printf(format+"\n", args...)
+		}
 	}
-	budget2 := j.Budget2
-	if budget2 <= 0 {
-		budget2 = 4000
+	x, err := expt.NewContext(expt.Options{
+		UbenchScale: j.Scale,
+		Parallelism: e.par,
+		Cache:       e.cache,
+		TraceMemo:   e.memo,
+		Context:     e.ctx,
+		Log:         logf,
+	})
+	if err != nil {
+		return err
 	}
-	scale := j.Scale
-	if scale == 0 {
-		scale = 0.01
-	}
-
-	board, public, err := e.board(j.Core)
+	board, public, err := expt.Core(x.Platform(), j.Core)
 	if err != nil {
 		return err
 	}
@@ -45,25 +46,14 @@ func (e *env) validateJob(j *ValidateJob) error {
 		return err
 	}
 
-	// Progress goes to stdout, as the standalone validate binary always
-	// printed it (the tuned-config table is the artifact either way).
-	logf := func(format string, args ...any) {
-		if !j.Quiet {
-			e.printf(format+"\n", args...)
-		}
-	}
 	if err := e.openSnapshot("validate", logf); err != nil {
 		return err
 	}
-	stages, err := validate.Pipeline(board, public, validate.PaperStages(budget1, budget2), validate.PipelineOptions{
-		Seed:        j.Seed,
-		UbenchScale: scale,
-		Cache:       e.cache,
-		TraceMemo:   e.memo,
-		Parallelism: e.par,
-		Context:     e.ctx,
-		Log:         logf,
-	})
+	// A budget of 0 makes a stage evaluate-only, but the paper's rounds
+	// always tune: a zero or negative budget is the default.
+	stages, err := x.Run(board, public, validate.PaperStages(
+		cmp.Or(max(j.Budget1, 0), DefaultValidateBudget1),
+		cmp.Or(max(j.Budget2, 0), DefaultValidateBudget2)), j.Seed)
 	if err != nil {
 		return err
 	}
@@ -154,17 +144,6 @@ func (e *env) validateJob(j *ValidateJob) error {
 		}
 	}
 	return nil
-}
-
-// board resolves a job's core name ("" = "a53") to its reference board,
-// keeping its replays in the job's cache, and the core's public model. A
-// typo'd core is an error, never plausible wrong-core numbers.
-func (e *env) board(core string) (*hw.Board, sim.Config, error) {
-	plat, err := hw.Firefly()
-	if err != nil {
-		return nil, sim.Config{}, err
-	}
-	return expt.Core(plat.WithCache(e.cache), core)
 }
 
 // resolveBudget picks the job's accuracy budget: inline JSON wins, then

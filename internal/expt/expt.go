@@ -22,9 +22,19 @@ import (
 	"racesim/internal/workload"
 )
 
-// Options sizes the experiment runs. Zero values select modest defaults
-// suitable for minutes-scale regeneration; the paper-scale knobs are
-// documented in `racesim experiments` (docs/cli.md).
+// The sizes of the paper's flow (Fig. 1) an experiment run uses when its
+// Options leave them zero: minutes-scale regeneration on a laptop. Every
+// driver — the experiments and sweep flags, the experiments job — reads
+// them from here (docs/cli.md).
+const (
+	DefaultWorkloadEvents = 60_000 // Table II workload trace length
+	DefaultBudgetRound1   = 2500   // irace budget, tuning round 1
+	DefaultBudgetRound2   = 3500   // irace budget, tuning round 2
+)
+
+// Options sizes the experiment runs. A zero size means its default:
+// ubench.DefaultScale, DefaultWorkloadEvents, DefaultBudgetRound1,
+// DefaultBudgetRound2 and perturb.DefaultRestarts.
 type Options struct {
 	UbenchScale     float64
 	WorkloadEvents  int
@@ -62,17 +72,20 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	// The scale is resolved here, not left to ubench: the trace memo keys
+	// an input by its ubench.Options, and a zero scale is another key for
+	// the same trace.
+	if o.UbenchScale <= 0 {
+		o.UbenchScale = ubench.DefaultScale
+	}
 	if o.WorkloadEvents <= 0 {
-		o.WorkloadEvents = 60_000
+		o.WorkloadEvents = DefaultWorkloadEvents
 	}
 	if o.BudgetRound1 <= 0 {
-		o.BudgetRound1 = 2500
+		o.BudgetRound1 = DefaultBudgetRound1
 	}
 	if o.BudgetRound2 <= 0 {
-		o.BudgetRound2 = 3500
-	}
-	if o.PerturbRestarts <= 0 {
-		o.PerturbRestarts = 2
+		o.BudgetRound2 = DefaultBudgetRound2
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}

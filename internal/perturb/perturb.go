@@ -20,10 +20,14 @@ type Workload struct {
 	Counters hw.Counters
 }
 
+// DefaultRestarts is the number of random starting points a search makes
+// when Options.Restarts is zero.
+const DefaultRestarts = 2
+
 // Options tunes the search.
 type Options struct {
 	// Restarts is the number of random single-step starting points
-	// (besides the optimum itself).
+	// (besides the optimum itself); 0 means DefaultRestarts.
 	Restarts int
 	// MaxPasses bounds coordinate-ascent sweeps per restart.
 	MaxPasses int
@@ -43,7 +47,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Restarts <= 0 {
-		o.Restarts = 2
+		o.Restarts = DefaultRestarts
 	}
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = 2

@@ -29,11 +29,15 @@ const (
 // Categories lists all categories in presentation order.
 var Categories = []Category{CatMemory, CatControl, CatDataParallel, CatExecution, CatStore}
 
+// DefaultScale is the scale every driver generates the suite at unless told
+// otherwise: 1/100 of Table I's dynamic instruction counts.
+const DefaultScale = 0.01
+
 // Options parameterizes program generation.
 type Options struct {
 	// Scale multiplies the paper's dynamic instruction count to size the
-	// generated main loop; the default 0 means 1/100, clamped to
-	// [MinInstructions, MaxInstructions].
+	// generated main loop, clamped to [MinInstructions, MaxInstructions]; 0
+	// means DefaultScale.
 	Scale float64
 	// InitArrays writes every array before the timed loop — the fix the
 	// paper applies after discovering the uninitialized-page effect.
@@ -67,7 +71,7 @@ type Bench struct {
 func (b Bench) Target(o Options) uint64 {
 	scale := o.Scale
 	if scale <= 0 {
-		scale = 0.01
+		scale = DefaultScale
 	}
 	t := uint64(float64(b.PaperInstructions) * scale)
 	if t < MinInstructions {

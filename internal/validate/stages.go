@@ -98,7 +98,8 @@ type StageResult struct {
 type PipelineOptions struct {
 	// Seed is the first tuning round's; the k-th round (from 0) draws
 	// Seed+k.
-	Seed        int64
+	Seed int64
+	// UbenchScale sizes both suites; 0 means ubench.DefaultScale.
 	UbenchScale float64
 	// Cache, when non-nil, memoizes every simulation of the pipeline
 	// (tuning races and per-stage error evaluations). The board keeps its
@@ -127,6 +128,12 @@ func (o PipelineOptions) ctxErr() error {
 }
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
+	// Resolved here, not left to ubench: the trace memo keys an input by
+	// its ubench.Options, and a zero scale is another key for the same
+	// trace.
+	if o.UbenchScale <= 0 {
+		o.UbenchScale = ubench.DefaultScale
+	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
