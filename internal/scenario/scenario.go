@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"regexp"
 	"slices"
+	"strings"
 
 	"racesim/internal/expt"
 )
@@ -79,11 +80,14 @@ type Spec struct {
 
 var nameRe = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
-// Validate checks the spec is well-formed before expansion.
+// Validate checks the spec is well-formed before expansion. A field the
+// kind does not read is an error, not silently dropped: a paper kind runs
+// only on the cores its expt.Paper entry depends on.
 func (s Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
 		return fmt.Errorf("scenario: invalid name %q (want [a-z0-9._-]+)", s.Name)
 	}
+	readsBudget, readsSeedOffset := false, false
 	switch s.Kind {
 	case KindTransfer:
 		if !expt.IsCore(s.TuneCore) || !expt.IsCore(s.EvalCore) {
@@ -93,6 +97,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %s: transfer with tune_core == eval_core is the plain validation pipeline", s.Name)
 		}
 	case KindBudgetSweep:
+		readsSeedOffset = true
 		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: budget-sweep needs core in {a53, a72}", s.Name)
 		}
@@ -108,6 +113,7 @@ func (s Spec) Validate() error {
 			}
 		}
 	case KindNoiseSweep:
+		readsBudget, readsSeedOffset = true, true
 		if !expt.IsCore(s.Core) {
 			return fmt.Errorf("scenario %s: noise-sweep needs core in {a53, a72}", s.Name)
 		}
@@ -126,12 +132,24 @@ func (s Spec) Validate() error {
 			}
 		}
 	default: // a paper kind: the analysis stage is fully determined by it
-		if paperIndex(s.Kind) < 0 {
+		i := paperIndex(s.Kind)
+		if i < 0 {
 			return fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
 		}
+		if s.Core != "" && !slices.ContainsFunc(expt.Paper[i].Deps, func(dep string) bool {
+			_, core, _ := strings.Cut(dep, ":")
+			return core == s.Core
+		}) {
+			return fmt.Errorf("scenario %s: %s does not run on core %q", s.Name, s.Kind, s.Core)
+		}
 	}
-	if s.Budget < 0 {
+	switch {
+	case s.Budget < 0:
 		return fmt.Errorf("scenario %s: negative budget", s.Name)
+	case s.Budget != 0 && !readsBudget:
+		return fmt.Errorf("scenario %s: kind %s does not read budget", s.Name, s.Kind)
+	case s.SeedOffset != 0 && !readsSeedOffset:
+		return fmt.Errorf("scenario %s: kind %s does not read seed_offset", s.Name, s.Kind)
 	}
 	return nil
 }

@@ -89,10 +89,28 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Kind: KindNoiseSweep, Core: "a53"},
 		{Name: "x", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0.5}},
 		{Name: "x", Kind: "fig2", Budget: -1},
+		{Name: "x", Kind: "fig4", Budget: 100},
+		{Name: "x", Kind: "table1", SeedOffset: 3},
+		{Name: "x", Kind: "fig5", Core: "a72"},
+		{Name: "x", Kind: "table1", Core: "a53"},
+		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72", Budget: 100},
+		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72", SeedOffset: 3},
+		{Name: "x", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{100}, Budget: 100},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %+v accepted", s)
+		}
+	}
+	good := []Spec{
+		{Name: "x", Kind: "staged", Core: "a72"},
+		{Name: "x", Kind: "fig8", Core: "a72"},
+		{Name: "x", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{100}, SeedOffset: 3},
+		{Name: "x", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0}, Budget: 60, SeedOffset: 7},
+	}
+	for _, s := range good {
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %+v rejected: %v", s, err)
 		}
 	}
 }
