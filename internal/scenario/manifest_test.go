@@ -58,18 +58,3 @@ func withoutEmptyLists(specs []Spec) []Spec {
 	}
 	return out
 }
-
-// TestManifestRejectsFieldsTheKindIgnores: a manifest field the scenario's
-// kind does not read fails the load instead of being dropped — a Fig. 5
-// asked for on the A72 would render the A53's figure, and a Fig. 4 budget
-// would race at the sweep's.
-func TestManifestRejectsFieldsTheKindIgnores(t *testing.T) {
-	for _, m := range []string{
-		`{"format": 1, "scenarios": [{"name": "fig5-on-a72", "kind": "fig5", "core": "a72"}]}`,
-		`{"format": 1, "scenarios": [{"name": "fig4-budget100", "kind": "fig4", "budget": 100}]}`,
-	} {
-		if specs, err := parseManifest([]byte(m)); err == nil {
-			t.Errorf("manifest %s accepted as %+v", m, specs)
-		}
-	}
-}

@@ -89,9 +89,11 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Kind: KindNoiseSweep, Core: "a53"},
 		{Name: "x", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0.5}},
 		{Name: "x", Kind: "fig2", Budget: -1},
-		{Name: "x", Kind: "fig4", Budget: 100},
+		// A field the kind does not read: Fig. 5 on the A72 rendered the
+		// A53's figure, and a Fig. 4 budget was dropped.
+		{Name: "fig4-budget100", Kind: "fig4", Budget: 100},
 		{Name: "x", Kind: "table1", SeedOffset: 3},
-		{Name: "x", Kind: "fig5", Core: "a72"},
+		{Name: "fig5-on-a72", Kind: "fig5", Core: "a72"},
 		{Name: "x", Kind: "table1", Core: "a53"},
 		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72", Budget: 100},
 		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72", SeedOffset: 3},
