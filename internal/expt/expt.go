@@ -23,9 +23,9 @@ import (
 )
 
 // The sizes of the paper's flow (Fig. 1) an experiment run uses when its
-// Options leave them zero: minutes-scale regeneration on a laptop. Every
-// driver — the experiments and sweep flags, the experiments job — reads
-// them from here (docs/cli.md).
+// Options leave them zero: minutes-scale regeneration on a laptop. The
+// experiments and sweep flags and the experiments job read them from here
+// (docs/cli.md).
 const (
 	DefaultWorkloadEvents = 60_000 // Table II workload trace length
 	DefaultBudgetRound1   = 2500   // irace budget, tuning round 1

@@ -29,7 +29,7 @@ const (
 // Categories lists all categories in presentation order.
 var Categories = []Category{CatMemory, CatControl, CatDataParallel, CatExecution, CatStore}
 
-// DefaultScale is the scale every driver generates the suite at unless told
+// DefaultScale is the scale the suite is generated at unless a caller says
 // otherwise: 1/100 of Table I's dynamic instruction counts.
 const DefaultScale = 0.01
 
