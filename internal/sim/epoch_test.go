@@ -14,7 +14,7 @@ import (
 	"racesim/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/results.golden from what the models produce now")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata from what the code produces now")
 
 // TestResultsGoldenTracksEpoch pins what the models compute at the current
 // core.Epoch: testdata/results.golden holds the epoch on its first line,
