@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/perturb"
@@ -228,7 +229,7 @@ func BenchmarkAblationTunerComparison(b *testing.B) {
 		b.Fatal(err)
 	}
 	eval := &validate.Evaluator{Base: sim.PublicA53(), Ms: ms}
-	space, err := sim.Space(sim.InOrder)
+	space, err := sim.Space(core.InOrder)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func perLevel(fields ...string) []string {
 //
 // MSHRs is a special case worth knowing about: Config.Validate checks it
 // and nothing reads it — the core models bound outstanding misses with
-// their own MSHRs parameter (core.InOrderConfig.MSHRs, the tunable
+// their own MSHRs parameter (core.Config.MSHRs, the tunable
 // "l1d.mshrs") — so the tunable "l2.mshrs" is a dead parameter of the
 // search space. It is classified timing-only because that is what it
 // would be if a model honoured it, and left in the search space because

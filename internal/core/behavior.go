@@ -72,7 +72,7 @@ func latencyTable(lat LatencyConfig) [isa.NumClasses]uint64 {
 // configuration, so replay paths add them to Results in bulk — every lane
 // of a batch gets the same histogram — instead of counting inside the step
 // kernel, and a caller that replays one decode many times counts once
-// (ReplayInOrder's classes argument).
+// (Replay's classes argument).
 func ClassHistogram(ids []uint32, behav []Behavior) [isa.NumClasses]uint64 {
 	var cc [isa.NumClasses]uint64
 	for _, id := range ids {

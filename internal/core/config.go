@@ -8,6 +8,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"racesim/internal/branch"
@@ -137,129 +138,87 @@ func (c FrontEndConfig) Validate() error {
 	return nil
 }
 
-// InOrderConfig configures the in-order core model.
-type InOrderConfig struct {
-	// Width is the issue width (the A53 is dual-issue).
-	Width int
-	// DualIssueLoadStore permits a memory op to pair with an ALU op in
-	// the same cycle; when false, memory ops issue alone.
-	DualIssueLoadStore bool
-	// MaxMemPerCycle bounds loads+stores issued per cycle.
-	MaxMemPerCycle int
-	// MaxBranchPerCycle bounds branches issued per cycle.
-	MaxBranchPerCycle int
-	// MSHRs bounds outstanding data-cache misses (hit-under-miss depth).
-	MSHRs int
-	// StoreBufferEntries is the store buffer depth; a full buffer stalls
-	// stores.
-	StoreBufferEntries int
+// Kind selects the back-end timing model.
+type Kind string
 
-	Lat      LatencyConfig
-	Pipes    PipesConfig
-	FrontEnd FrontEndConfig
-	Branch   branch.Config
-	Mem      cache.HierarchyConfig
+// Core kinds.
+const (
+	InOrder    Kind = "inorder"
+	OutOfOrder Kind = "ooo"
+)
 
-	// DecoderDepBug enables the reproduced decoder-library dependency bug
-	// on the timing path (Sec. IV-B).
-	DecoderDepBug bool
+// Config fully describes a simulated core and its memory subsystem. One
+// flat struct covers both kinds: each model reads its own back-end fields
+// and the shared rest. The field order and JSON tags are the config file
+// format and feed every simulation-cache key (sim.Config.Fingerprint).
+type Config struct {
+	Name string `json:"name"`
+	Kind Kind   `json:"kind"`
+
+	// In-order parameters.
+	Width              int  `json:"width"`                 // issue width (the A53 is dual-issue)
+	DualIssueLoadStore bool `json:"dual_issue_load_store"` // a memory op may pair with an ALU op
+	MaxMemPerCycle     int  `json:"max_mem_per_cycle"`     // loads+stores issued per cycle
+	MaxBranchPerCycle  int  `json:"max_branch_per_cycle"`  // branches issued per cycle
+	StoreBufferEntries int  `json:"store_buffer_entries"`  // a full store buffer stalls stores
+
+	// Out-of-order parameters.
+	DispatchWidth int `json:"dispatch_width"` // renamed/dispatched per cycle (the A72 is 3-wide)
+	RetireWidth   int `json:"retire_width"`
+	ROBEntries    int `json:"rob_entries"`
+	IQEntries     int `json:"iq_entries"` // unified issue queue: dispatch stalls when it is full
+	LQEntries     int `json:"lq_entries"`
+	SQEntries     int `json:"sq_entries"`
+
+	// Shared.
+	MSHRs    int                   `json:"mshrs"` // outstanding data-cache misses (memory-level parallelism)
+	Lat      LatencyConfig         `json:"latencies"`
+	Pipes    PipesConfig           `json:"pipes"`
+	FrontEnd FrontEndConfig        `json:"front_end"`
+	Branch   branch.Config         `json:"branch"`
+	Mem      cache.HierarchyConfig `json:"mem"`
+
+	// DecoderDepBug reproduces the decoder-library dependency bug on the
+	// timing path (Sec. IV-B).
+	DecoderDepBug bool `json:"decoder_dep_bug"`
 }
 
-// Validate reports configuration errors.
-func (c InOrderConfig) Validate() error {
-	if c.Width < 1 || c.Width > 4 {
-		return fmt.Errorf("core: in-order width = %d out of [1,4]", c.Width)
+// Validate reports configuration errors: the kind's own limits first,
+// then the parts both kinds share, each in order.
+func (c Config) Validate() error {
+	var kindErr error
+	switch c.Kind {
+	case InOrder:
+		switch {
+		case c.Width < 1 || c.Width > 4:
+			kindErr = fmt.Errorf("core: in-order width = %d out of [1,4]", c.Width)
+		case c.MaxMemPerCycle < 1 || c.MaxMemPerCycle > c.Width:
+			kindErr = fmt.Errorf("core: MaxMemPerCycle = %d out of [1,width]", c.MaxMemPerCycle)
+		case c.MaxBranchPerCycle < 1 || c.MaxBranchPerCycle > c.Width:
+			kindErr = fmt.Errorf("core: MaxBranchPerCycle = %d out of [1,width]", c.MaxBranchPerCycle)
+		default:
+			kindErr = inRange("StoreBufferEntries", c.StoreBufferEntries, 1, 64)
+		}
+	case OutOfOrder:
+		kindErr = cmp.Or(
+			inRange("DispatchWidth", c.DispatchWidth, 1, 8),
+			inRange("RetireWidth", c.RetireWidth, 1, 8),
+			inRange("ROBEntries", c.ROBEntries, 8, 512),
+			inRange("IQEntries", c.IQEntries, 4, 256),
+			inRange("LQEntries", c.LQEntries, 4, 128),
+			inRange("SQEntries", c.SQEntries, 4, 128),
+		)
+	default:
+		return fmt.Errorf("sim: unknown core kind %q", c.Kind)
 	}
-	if c.MaxMemPerCycle < 1 || c.MaxMemPerCycle > c.Width {
-		return fmt.Errorf("core: MaxMemPerCycle = %d out of [1,width]", c.MaxMemPerCycle)
-	}
-	if c.MaxBranchPerCycle < 1 || c.MaxBranchPerCycle > c.Width {
-		return fmt.Errorf("core: MaxBranchPerCycle = %d out of [1,width]", c.MaxBranchPerCycle)
-	}
-	if c.MSHRs < 1 || c.MSHRs > 32 {
-		return fmt.Errorf("core: MSHRs = %d out of [1,32]", c.MSHRs)
-	}
-	if c.StoreBufferEntries < 1 || c.StoreBufferEntries > 64 {
-		return fmt.Errorf("core: StoreBufferEntries = %d out of [1,64]", c.StoreBufferEntries)
-	}
-	if err := c.Lat.Validate(); err != nil {
-		return err
-	}
-	if err := c.Pipes.Validate(); err != nil {
-		return err
-	}
-	if err := c.FrontEnd.Validate(); err != nil {
-		return err
-	}
-	if err := c.Branch.Validate(); err != nil {
-		return err
-	}
-	return c.Mem.Validate()
+	return cmp.Or(kindErr, inRange("MSHRs", c.MSHRs, 1, 32),
+		c.Lat.Validate(), c.Pipes.Validate(), c.FrontEnd.Validate(), c.Branch.Validate(), c.Mem.Validate())
 }
 
-// OoOConfig configures the out-of-order core model.
-type OoOConfig struct {
-	// DispatchWidth is instructions renamed/dispatched per cycle (the A72
-	// is 3-wide).
-	DispatchWidth int
-	// RetireWidth is instructions retired per cycle.
-	RetireWidth int
-	// ROBEntries is the reorder buffer capacity.
-	ROBEntries int
-	// IQEntries is the unified issue-queue capacity (dispatch stalls when
-	// full of non-issued instructions).
-	IQEntries int
-	// LQEntries / SQEntries are load/store queue capacities.
-	LQEntries int
-	SQEntries int
-	// MSHRs bounds overlapped data-cache misses (memory-level
-	// parallelism).
-	MSHRs int
-
-	Lat      LatencyConfig
-	Pipes    PipesConfig
-	FrontEnd FrontEndConfig
-	Branch   branch.Config
-	Mem      cache.HierarchyConfig
-
-	// DecoderDepBug enables the reproduced decoder dependency bug.
-	DecoderDepBug bool
-}
-
-// Validate reports configuration errors.
-func (c OoOConfig) Validate() error {
-	if c.DispatchWidth < 1 || c.DispatchWidth > 8 {
-		return fmt.Errorf("core: DispatchWidth = %d out of [1,8]", c.DispatchWidth)
+// inRange is Validate's error for a field outside [lo,hi], or nil.
+func inRange(name string, v, lo, hi int) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("core: %s = %d out of [%d,%d]", name, v, lo, hi)
 	}
-	if c.RetireWidth < 1 || c.RetireWidth > 8 {
-		return fmt.Errorf("core: RetireWidth = %d out of [1,8]", c.RetireWidth)
-	}
-	if c.ROBEntries < 8 || c.ROBEntries > 512 {
-		return fmt.Errorf("core: ROBEntries = %d out of [8,512]", c.ROBEntries)
-	}
-	if c.IQEntries < 4 || c.IQEntries > 256 {
-		return fmt.Errorf("core: IQEntries = %d out of [4,256]", c.IQEntries)
-	}
-	if c.LQEntries < 4 || c.LQEntries > 128 {
-		return fmt.Errorf("core: LQEntries = %d out of [4,128]", c.LQEntries)
-	}
-	if c.SQEntries < 4 || c.SQEntries > 128 {
-		return fmt.Errorf("core: SQEntries = %d out of [4,128]", c.SQEntries)
-	}
-	if c.MSHRs < 1 || c.MSHRs > 32 {
-		return fmt.Errorf("core: MSHRs = %d out of [1,32]", c.MSHRs)
-	}
-	if err := c.Lat.Validate(); err != nil {
-		return err
-	}
-	if err := c.Pipes.Validate(); err != nil {
-		return err
-	}
-	if err := c.FrontEnd.Validate(); err != nil {
-		return err
-	}
-	if err := c.Branch.Validate(); err != nil {
-		return err
-	}
-	return c.Mem.Validate()
+	return nil
 }

@@ -46,9 +46,9 @@ func testPipes() PipesConfig {
 	return PipesConfig{IntALU: 2, IntMul: 1, IntDiv: 1, FP: 1, FPDiv: 1, Load: 1, Store: 1, Branch: 1}
 }
 
-func inorderCfg() InOrderConfig {
-	return InOrderConfig{
-		Width: 2, DualIssueLoadStore: true, MaxMemPerCycle: 1, MaxBranchPerCycle: 1,
+func inorderCfg() Config {
+	return Config{
+		Kind: InOrder, Width: 2, DualIssueLoadStore: true, MaxMemPerCycle: 1, MaxBranchPerCycle: 1,
 		MSHRs: 2, StoreBufferEntries: 4,
 		Lat: testLat(), Pipes: testPipes(),
 		FrontEnd: FrontEndConfig{MispredictPenalty: 8, BTBMissPenalty: 2, FetchWidth: 2},
@@ -57,9 +57,9 @@ func inorderCfg() InOrderConfig {
 	}
 }
 
-func oooCfg() OoOConfig {
-	return OoOConfig{
-		DispatchWidth: 3, RetireWidth: 3, ROBEntries: 128, IQEntries: 64,
+func oooCfg() Config {
+	return Config{
+		Kind: OutOfOrder, DispatchWidth: 3, RetireWidth: 3, ROBEntries: 128, IQEntries: 64,
 		LQEntries: 32, SQEntries: 32, MSHRs: 6,
 		Lat: testLat(), Pipes: PipesConfig{IntALU: 2, IntMul: 1, IntDiv: 1, FP: 2, FPDiv: 1, Load: 1, Store: 1, Branch: 1},
 		FrontEnd: FrontEndConfig{MispredictPenalty: 14, BTBMissPenalty: 3, FetchWidth: 3},
@@ -81,31 +81,15 @@ func record(t *testing.T, src string) *trace.Trace {
 	return tr
 }
 
-// replay runs d through the replay path for cfg's kind — ReplayInOrder
-// for an InOrderConfig, ReplayOoO for an OoOConfig — with the tape memo
-// tapes (nil: the memory hierarchy is simulated live).
-func replay(cfg any, d *trace.Decoded, tapes *TapeMemo) (Result, error) {
+// replay runs d through Replay with the tape memo tapes (nil: the memory
+// hierarchy is simulated live).
+func replay(cfg Config, d *trace.Decoded, tapes *TapeMemo) (Result, error) {
 	behav := CompileBehaviors(d.Insts)
 	classes := ClassHistogram(d.IDs, behav)
-	switch c := cfg.(type) {
-	case InOrderConfig:
-		return ReplayInOrder(c, d, behav, &classes, tapes)
-	case OoOConfig:
-		return ReplayOoO(c, d, behav, &classes, tapes)
-	}
-	panic(fmt.Sprintf("replay: %T is not a core configuration", cfg))
+	return Replay(cfg, d, behav, &classes, tapes)
 }
 
-func runInOrder(t *testing.T, cfg InOrderConfig, tr *trace.Trace) Result {
-	t.Helper()
-	res, err := replay(cfg, tr.Decoded(cfg.DecoderDepBug), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func runOoO(t *testing.T, cfg OoOConfig, tr *trace.Trace) Result {
+func run(t *testing.T, cfg Config, tr *trace.Trace) Result {
 	t.Helper()
 	res, err := replay(cfg, tr.Decoded(cfg.DecoderDepBug), nil)
 	if err != nil {
@@ -140,7 +124,7 @@ func chainALU(iters int) string {
 
 func TestInOrderDualIssueThroughput(t *testing.T) {
 	tr := record(t, independentALU(500))
-	res := runInOrder(t, inorderCfg(), tr)
+	res := run(t, inorderCfg(), tr)
 	cpi := res.CPI()
 	// Independent single-cycle ops on a 2-wide core: CPI near 0.5-0.7
 	// (loop overhead shares slots).
@@ -151,7 +135,7 @@ func TestInOrderDualIssueThroughput(t *testing.T) {
 
 func TestInOrderDependencyChainSerializes(t *testing.T) {
 	tr := record(t, chainALU(500))
-	res := runInOrder(t, inorderCfg(), tr)
+	res := run(t, inorderCfg(), tr)
 	cpi := res.CPI()
 	// A 1-cycle chain bounds CPI near 1.0.
 	if cpi < 0.9 || cpi > 1.3 {
@@ -161,10 +145,10 @@ func TestInOrderDependencyChainSerializes(t *testing.T) {
 
 func TestInOrderWidthMatters(t *testing.T) {
 	tr := record(t, independentALU(300))
-	wide := runInOrder(t, inorderCfg(), tr)
+	wide := run(t, inorderCfg(), tr)
 	narrow := inorderCfg()
 	narrow.Width = 1
-	narrowRes := runInOrder(t, narrow, tr)
+	narrowRes := run(t, narrow, tr)
 	if narrowRes.CPI() <= wide.CPI()*1.3 {
 		t.Errorf("1-wide CPI %.3f should be well above 2-wide %.3f", narrowRes.CPI(), wide.CPI())
 	}
@@ -184,7 +168,7 @@ func TestDivChainPaysInitiationInterval(t *testing.T) {
 		halt
 	`
 	tr := record(t, src)
-	res := runInOrder(t, inorderCfg(), tr)
+	res := run(t, inorderCfg(), tr)
 	// Two thirds of instructions are dependent 12-cycle divides.
 	if cpi := res.CPI(); cpi < 6 {
 		t.Errorf("divide chain CPI = %.2f, want > 6", cpi)
@@ -211,7 +195,7 @@ func TestPointerChaseSeesL1Latency(t *testing.T) {
 		fmt.Fprintf(&b, "\n.data CH+%d\n.quad %d\n", i*64, next)
 	}
 	tr := record(t, b.String())
-	res := runInOrder(t, inorderCfg(), tr)
+	res := run(t, inorderCfg(), tr)
 	// Each iteration: dependent load (3 cycles) dominates; 3 instructions
 	// per iteration -> CPI >= 1.
 	if cpi := res.CPI(); cpi < 1.0 || cpi > 2.5 {
@@ -244,8 +228,8 @@ func TestMispredictPenaltyVisible(t *testing.T) {
 	biased := strings.Replace(random, "andi x4, x4, #1", "andi x4, x4, #0", 1)
 	trR := record(t, random)
 	trB := record(t, biased)
-	resR := runInOrder(t, inorderCfg(), trR)
-	resB := runInOrder(t, inorderCfg(), trB)
+	resR := run(t, inorderCfg(), trR)
+	resB := run(t, inorderCfg(), trB)
 	if resR.CPI() <= resB.CPI()*1.15 {
 		t.Errorf("unpredictable branches CPI %.3f should exceed biased %.3f", resR.CPI(), resB.CPI())
 	}
@@ -276,7 +260,7 @@ func TestBiggerMispredictPenaltyRaisesCPI(t *testing.T) {
 	small.FrontEnd.MispredictPenalty = 4
 	big := inorderCfg()
 	big.FrontEnd.MispredictPenalty = 24
-	if a, b := runInOrder(t, small, tr).CPI(), runInOrder(t, big, tr).CPI(); b <= a {
+	if a, b := run(t, small, tr).CPI(), run(t, big, tr).CPI(); b <= a {
 		t.Errorf("penalty 24 CPI %.3f should exceed penalty 4 CPI %.3f", b, a)
 	}
 }
@@ -302,8 +286,8 @@ func strideMisses() string {
 
 func TestOoOHidesMissLatencyBetterThanInOrder(t *testing.T) {
 	tr := record(t, strideMisses())
-	ino := runInOrder(t, inorderCfg(), tr)
-	ooo := runOoO(t, oooCfg(), tr)
+	ino := run(t, inorderCfg(), tr)
+	ooo := run(t, oooCfg(), tr)
 	if ooo.CPI() >= ino.CPI() {
 		t.Errorf("OoO CPI %.3f should beat in-order %.3f on independent misses", ooo.CPI(), ino.CPI())
 	}
@@ -320,8 +304,8 @@ func TestOoOROBSizeMatters(t *testing.T) {
 	small.ROBEntries = 16
 	small.IQEntries = 8
 	small.MSHRs = 24
-	bigRes := runOoO(t, big, tr)
-	smallRes := runOoO(t, small, tr)
+	bigRes := run(t, big, tr)
+	smallRes := run(t, small, tr)
 	if smallRes.CPI() <= bigRes.CPI()*1.1 {
 		t.Errorf("16-entry ROB CPI %.3f should be well above 192-entry %.3f", smallRes.CPI(), bigRes.CPI())
 	}
@@ -333,8 +317,8 @@ func TestOoOMSHRLimitsMLP(t *testing.T) {
 	many.MSHRs = 8
 	one := oooCfg()
 	one.MSHRs = 1
-	manyRes := runOoO(t, many, tr)
-	oneRes := runOoO(t, one, tr)
+	manyRes := run(t, many, tr)
+	oneRes := run(t, one, tr)
 	if oneRes.CPI() <= manyRes.CPI() {
 		t.Errorf("1 MSHR CPI %.3f should exceed 8 MSHRs %.3f", oneRes.CPI(), manyRes.CPI())
 	}
@@ -359,8 +343,8 @@ func TestDecoderDepBugSpeedsUpFPChains(t *testing.T) {
 	good := inorderCfg()
 	buggy := inorderCfg()
 	buggy.DecoderDepBug = true
-	goodRes := runInOrder(t, good, tr)
-	buggyRes := runInOrder(t, buggy, tr)
+	goodRes := run(t, good, tr)
+	buggyRes := run(t, buggy, tr)
 	// fmul v1, v1, v2: the chain runs through operand 1, which the buggy
 	// decoder keeps; but fcmp-style second operands vanish. Here the bug
 	// drops v2 only, so timing stays chained. Use a chain through the
@@ -369,8 +353,8 @@ func TestDecoderDepBugSpeedsUpFPChains(t *testing.T) {
 	_ = buggyRes
 	src2 := strings.ReplaceAll(src, "fmul v1, v1, v2", "fmul v1, v2, v1")
 	tr2 := record(t, src2)
-	goodRes = runInOrder(t, good, tr2)
-	buggyRes = runInOrder(t, buggy, tr2)
+	goodRes = run(t, good, tr2)
+	buggyRes = run(t, buggy, tr2)
 	if buggyRes.CPI() >= goodRes.CPI() {
 		t.Errorf("dep-bug CPI %.3f should be (wrongly) below correct %.3f", buggyRes.CPI(), goodRes.CPI())
 	}
@@ -378,13 +362,13 @@ func TestDecoderDepBugSpeedsUpFPChains(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	tr := record(t, strideMisses())
-	a := runInOrder(t, inorderCfg(), tr)
-	b := runInOrder(t, inorderCfg(), tr)
+	a := run(t, inorderCfg(), tr)
+	b := run(t, inorderCfg(), tr)
 	if a != b {
 		t.Error("in-order model is not deterministic")
 	}
-	c := runOoO(t, oooCfg(), tr)
-	d := runOoO(t, oooCfg(), tr)
+	c := run(t, oooCfg(), tr)
+	d := run(t, oooCfg(), tr)
 	if c != d {
 		t.Error("OoO model is not deterministic")
 	}
@@ -429,8 +413,8 @@ func TestStoreBufferBackpressure(t *testing.T) {
 	small.StoreBufferEntries = 1
 	big := inorderCfg()
 	big.StoreBufferEntries = 32
-	a := runInOrder(t, small, tr)
-	b := runInOrder(t, big, tr)
+	a := run(t, small, tr)
+	b := run(t, big, tr)
 	if a.CPI() <= b.CPI() {
 		t.Errorf("1-entry store buffer CPI %.3f should exceed 32-entry %.3f", a.CPI(), b.CPI())
 	}
@@ -438,7 +422,7 @@ func TestStoreBufferBackpressure(t *testing.T) {
 
 func TestClassCountsMatchTrace(t *testing.T) {
 	tr := record(t, strideMisses())
-	res := runInOrder(t, inorderCfg(), tr)
+	res := run(t, inorderCfg(), tr)
 	mix := tr.ClassMix()
 	for cls, n := range mix {
 		if res.ClassCounts[cls] != uint64(n) {

@@ -28,7 +28,7 @@ type inOrderStatic struct {
 	lat [isa.NumClasses]uint64
 }
 
-func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
+func newInOrderStatic(cfg Config) inOrderStatic {
 	return inOrderStatic{
 		width:         cfg.Width,
 		dualIssueLS:   cfg.DualIssueLoadStore,
@@ -49,7 +49,7 @@ func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
 // mutates. Lanes are handled by pointer only (the contention model and the
 // hierarchy point into themselves).
 //
-// Lifecycle (ReplayInOrder): acquire from the inOrderLanes free list, reset
+// Lifecycle (Replay): acquire from the inOrderLanes free list, reset
 // to the configuration, replay, read the Result with finish, release. reset
 // is the one definition of a fresh lane: a lane that has served any number
 // of other configurations, of any geometry, is indistinguishable from a
@@ -100,11 +100,9 @@ func resetUncore(hier *cache.Hierarchy, bu *branch.Unit, mem cache.HierarchyConf
 	return hier, bu, nil
 }
 
-// reset makes ln a fresh lane of cfg, keeping the arrays it owns.
-func (ln *inOrderLane) reset(cfg InOrderConfig, tapes *TapeMemo) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// reset makes ln a fresh lane of cfg (a valid one), keeping the arrays it
+// owns.
+func (ln *inOrderLane) reset(cfg Config, tapes *TapeMemo) error {
 	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch, tapes)
 	if err != nil {
 		return err
@@ -224,7 +222,10 @@ func (ln *inOrderLane) retire(at uint64) {
 	}
 }
 
-func (ln *inOrderLane) finish() Result {
+// finish adds the walk's n instructions and their class histogram, which
+// no step counts, and returns the lane's Result.
+func (ln *inOrderLane) finish(n uint64, classes *[isa.NumClasses]uint64) Result {
+	addCounts(&ln.res, n, classes)
 	ln.res.Cycles = ln.endCycle
 	if ln.res.Cycles == 0 && ln.res.Instructions > 0 {
 		ln.res.Cycles = ln.res.Instructions

@@ -24,7 +24,7 @@ type oooStatic struct {
 	lat [isa.NumClasses]uint64
 }
 
-func newOoOStatic(cfg OoOConfig) oooStatic {
+func newOoOStatic(cfg Config) oooStatic {
 	return oooStatic{
 		dispatchWidth: cfg.DispatchWidth,
 		retireWidth:   cfg.RetireWidth,
@@ -41,7 +41,7 @@ func newOoOStatic(cfg OoOConfig) oooStatic {
 // the pipe contention model, bounded issue queue, load/store queues,
 // MSHR-limited memory-level parallelism, and in-order retirement. It is a
 // one-pass window model in the spirit of Sniper's instruction-window-centric
-// core. See inOrderLane for the lifecycle (ReplayOoO).
+// core. See inOrderLane for the lifecycle.
 type oooLane struct {
 	st   oooStatic
 	hier *cache.Hierarchy
@@ -81,11 +81,9 @@ type oooLane struct {
 // inOrderLanes.
 var oooLanes = sync.Pool{New: func() any { return new(oooLane) }}
 
-// reset makes ln a fresh lane of cfg, keeping the arrays it owns.
-func (ln *oooLane) reset(cfg OoOConfig, tapes *TapeMemo) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// reset makes ln a fresh lane of cfg (a valid one), keeping the arrays it
+// owns.
+func (ln *oooLane) reset(cfg Config, tapes *TapeMemo) error {
 	hier, bu, err := resetUncore(ln.hier, ln.bu, cfg.Mem, cfg.Branch, tapes)
 	if err != nil {
 		return err
@@ -105,7 +103,9 @@ func (ln *oooLane) reset(cfg OoOConfig, tapes *TapeMemo) error {
 	return nil
 }
 
-func (ln *oooLane) finish() Result {
+// finish: see inOrderLane.finish.
+func (ln *oooLane) finish(n uint64, classes *[isa.NumClasses]uint64) Result {
+	addCounts(&ln.res, n, classes)
 	ln.res.Cycles = ln.endCycle
 	if ln.res.Cycles == 0 && ln.res.Instructions > 0 {
 		ln.res.Cycles = ln.res.Instructions

@@ -14,8 +14,8 @@ func TestOoORetireWidthBoundsIPC(t *testing.T) {
 	narrow := oooCfg()
 	narrow.RetireWidth = 2
 	narrow.DispatchWidth = 4
-	w := runOoO(t, wide, tr)
-	n := runOoO(t, narrow, tr)
+	w := run(t, wide, tr)
+	n := run(t, narrow, tr)
 	if n.CPI() <= w.CPI() {
 		t.Errorf("retire width 2 CPI %.3f should exceed width 4 CPI %.3f", n.CPI(), w.CPI())
 	}
@@ -36,8 +36,8 @@ func TestOoOLoadQueueBounds(t *testing.T) {
 	small := oooCfg()
 	small.LQEntries = 4
 	small.MSHRs = 24
-	bigRes := runOoO(t, big, tr)
-	smallRes := runOoO(t, small, tr)
+	bigRes := run(t, big, tr)
+	smallRes := run(t, small, tr)
 	if smallRes.CPI() <= bigRes.CPI() {
 		t.Errorf("4-entry LQ CPI %.3f should exceed 64-entry %.3f", smallRes.CPI(), bigRes.CPI())
 	}
@@ -65,7 +65,7 @@ func TestOoOBranchRecoveryCost(t *testing.T) {
 	small.FrontEnd.MispredictPenalty = 6
 	big := oooCfg()
 	big.FrontEnd.MispredictPenalty = 30
-	if a, b := runOoO(t, small, tr).CPI(), runOoO(t, big, tr).CPI(); b <= a {
+	if a, b := run(t, small, tr).CPI(), run(t, big, tr).CPI(); b <= a {
 		t.Errorf("OoO penalty 30 CPI %.3f should exceed penalty 6 CPI %.3f", b, a)
 	}
 }
@@ -91,8 +91,8 @@ func TestOoOFasterThanInOrderOnMixedWorkload(t *testing.T) {
 		halt
 	`
 	tr := record(t, src)
-	ino := runInOrder(t, inorderCfg(), tr)
-	ooo := runOoO(t, oooCfg(), tr)
+	ino := run(t, inorderCfg(), tr)
+	ooo := run(t, oooCfg(), tr)
 	if ooo.CPI() >= ino.CPI() {
 		t.Errorf("OoO CPI %.3f should beat in-order %.3f on a mixed workload", ooo.CPI(), ino.CPI())
 	}

@@ -6,29 +6,67 @@ package core
 import (
 	"fmt"
 
+	"racesim/internal/cache"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
 
-// ReplayInOrder replays one decoded trace under one in-order
-// configuration. The lane comes from the process-wide free list and goes
-// back to it before the call returns. behav must be the behavior table for
-// d.Insts (CompileBehaviors), classes d's class histogram under it
+// lane is one replay of either core model, as Replay drives it: reset to a
+// configuration, walk the trace, then read the hierarchy and the Result.
+// The walk is the lane's own loop and calls its stepLane directly.
+type lane interface {
+	reset(cfg Config, tapes *TapeMemo) error
+	walk(d *trace.Decoded, behav []Behavior)
+	hierarchy() *cache.Hierarchy
+	finish(n uint64, classes *[isa.NumClasses]uint64) Result
+}
+
+// Replay replays one decoded trace under one configuration of either kind.
+// The lane comes from the kind's process-wide free list and goes back to
+// it before the call returns. behav must be the behavior table for d.Insts
+// (CompileBehaviors), classes d's class histogram under it
 // (ClassHistogram), tapes d's own tape memo (nil: the memory hierarchy is
-// simulated live). cfg must be valid and share d's decoder variant.
-func ReplayInOrder(cfg InOrderConfig, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
+// simulated live). A configuration that is invalid or does not share d's
+// decoder variant is an error.
+func Replay(cfg Config, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
 	tapes *TapeMemo) (Result, error) {
+	var ln lane
+	switch cfg.Kind {
+	case InOrder:
+		l := inOrderLanes.Get().(*inOrderLane)
+		defer inOrderLanes.Put(l)
+		ln = l
+	case OutOfOrder:
+		l := oooLanes.Get().(*oooLane)
+		defer oooLanes.Put(l)
+		ln = l
+	default:
+		return Result{}, fmt.Errorf("sim: unknown core kind %q", cfg.Kind)
+	}
 	if d.DepBug != cfg.DecoderDepBug {
 		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, configuration %v", d.DepBug, cfg.DecoderDepBug)
 	}
-	ln := inOrderLanes.Get().(*inOrderLane)
-	defer inOrderLanes.Put(ln)
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	if err := ln.reset(cfg, tapes); err != nil {
 		return Result{}, err
 	}
-	// The columns are cut to one length so the walk indexes them without
-	// bounds checks, and the taken bits are shifted through a word at a
-	// time instead of re-extracting a bit per event.
+	ln.walk(d, behav)
+	if d.Err != nil {
+		return Result{}, fmt.Errorf("core: %w", d.Err)
+	}
+	if err := tapes.done(ln.hierarchy()); err != nil {
+		return Result{}, fmt.Errorf("core: %w", err)
+	}
+	return ln.finish(uint64(len(d.IDs)), classes), nil
+}
+
+// walk steps the lane through every event of d. The columns are cut to one
+// length so the walk indexes them without bounds checks, and the taken bits
+// are shifted through a word at a time instead of re-extracting a bit per
+// event.
+func (ln *inOrderLane) walk(d *trace.Decoded, behav []Behavior) {
 	ids := d.IDs
 	pcs, mems, tgts, taken := d.PC[:len(ids)], d.MemAddr[:len(ids)], d.Target[:len(ids)], d.TakenBits
 	var tkWord uint64
@@ -39,29 +77,11 @@ func ReplayInOrder(cfg InOrderConfig, d *trace.Decoded, behav []Behavior, classe
 		ln.stepLane(&behav[ids[i]], pcs[i], mems[i], tgts[i], tkWord&1 != 0)
 		tkWord >>= 1
 	}
-	if d.Err != nil {
-		return Result{}, fmt.Errorf("core: %w", d.Err)
-	}
-	if err := tapes.done(ln.hier); err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
-	}
-	addCounts(&ln.res, uint64(len(ids)), classes)
-	return ln.finish(), nil
 }
 
-// ReplayOoO replays one decoded trace under one out-of-order
-// configuration; see ReplayInOrder.
-func ReplayOoO(cfg OoOConfig, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
-	tapes *TapeMemo) (Result, error) {
-	if d.DepBug != cfg.DecoderDepBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, configuration %v", d.DepBug, cfg.DecoderDepBug)
-	}
-	ln := oooLanes.Get().(*oooLane)
-	defer oooLanes.Put(ln)
-	if err := ln.reset(cfg, tapes); err != nil {
-		return Result{}, err
-	}
-	ids := d.IDs // columns and taken bits as in ReplayInOrder
+// walk is inOrderLane.walk over the out-of-order step kernel.
+func (ln *oooLane) walk(d *trace.Decoded, behav []Behavior) {
+	ids := d.IDs
 	pcs, mems, tgts, taken := d.PC[:len(ids)], d.MemAddr[:len(ids)], d.Target[:len(ids)], d.TakenBits
 	var tkWord uint64
 	for i := range ids {
@@ -71,12 +91,7 @@ func ReplayOoO(cfg OoOConfig, d *trace.Decoded, behav []Behavior, classes *[isa.
 		ln.stepLane(&behav[ids[i]], pcs[i], mems[i], tgts[i], tkWord&1 != 0)
 		tkWord >>= 1
 	}
-	if d.Err != nil {
-		return Result{}, fmt.Errorf("core: %w", d.Err)
-	}
-	if err := tapes.done(ln.hier); err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
-	}
-	addCounts(&ln.res, uint64(len(ids)), classes)
-	return ln.finish(), nil
 }
+
+func (ln *inOrderLane) hierarchy() *cache.Hierarchy { return ln.hier }
+func (ln *oooLane) hierarchy() *cache.Hierarchy     { return ln.hier }

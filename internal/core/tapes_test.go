@@ -93,7 +93,7 @@ func loadLoop(iters int) string {
 
 // replayOne runs one in-order and one out-of-order replay of d with the
 // given memos.
-func replayOne(ino InOrderConfig, ooo OoOConfig, d *trace.Decoded, inoTapes, oooTapes *TapeMemo) (Result, Result, error) {
+func replayOne(ino, ooo Config, d *trace.Decoded, inoTapes, oooTapes *TapeMemo) (Result, Result, error) {
 	a, err := replay(ino, d, inoTapes)
 	if err != nil {
 		return Result{}, Result{}, err
@@ -109,7 +109,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 	tr := record(t, loadLoop(600))
 	d := tr.Decoded(false)
 	ino, ooo := inorderCfg(), oooCfg()
-	wantIno, wantOoO := runInOrder(t, ino, tr), runOoO(t, ooo, tr)
+	wantIno, wantOoO := run(t, ino, tr), run(t, ooo, tr)
 
 	var inoTapes, oooTapes TapeMemo
 	for sighting := 1; sighting <= 4; sighting++ {
@@ -161,7 +161,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	tr := record(t, strideMisses())
 	d := tr.Decoded(false)
 	cfg := inorderCfg()
-	want := runInOrder(t, cfg, tr)
+	want := run(t, cfg, tr)
 
 	var tapes TapeMemo
 	for i := 0; i < 2; i++ { // note, then record
@@ -172,7 +172,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	if st := tapes.Stats(); st.Tapes != 1 {
 		t.Fatalf("%d tapes after the second sighting, want 1", st.Tapes)
 	}
-	// ReplayInOrder's own steps, with the other replays' sightings placed
+	// Replay's own steps, with the other replays' sightings placed
 	// between its reset and its walk.
 	ln := new(inOrderLane)
 	if err := ln.reset(cfg, &tapes); err != nil {
@@ -186,15 +186,12 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 		t.Fatalf("stats %+v: want the lane to be replaying the tape and the other sightings to have evicted it", st)
 	}
 	behav := CompileBehaviors(d.Insts)
-	for i, id := range d.IDs {
-		ln.stepLane(&behav[id], d.PC[i], d.MemAddr[i], d.Target[i], d.Taken(i))
-	}
+	ln.walk(d, behav)
 	if err := tapes.done(ln.hier); err != nil {
 		t.Fatal(err)
 	}
 	classes := ClassHistogram(d.IDs, behav)
-	addCounts(&ln.res, uint64(len(d.IDs)), &classes)
-	if got := ln.finish(); got != want {
+	if got := ln.finish(uint64(len(d.IDs)), &classes); got != want {
 		t.Errorf("a lane whose tape was evicted mid-play differs from a live replay\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"racesim/internal/core"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 )
@@ -189,7 +190,7 @@ func TestValidateJobTunedConfig(t *testing.T) {
 	if err := json.Unmarshal(res.TunedConfig, &cfg); err != nil {
 		t.Fatalf("tuned config does not parse: %v", err)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := core.Config(cfg).Validate(); err != nil {
 		t.Fatalf("tuned config invalid: %v", err)
 	}
 	// OutPath wrote the identical bytes.

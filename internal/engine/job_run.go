@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"racesim/internal/core"
 	"racesim/internal/expt"
 	"racesim/internal/par"
 	"racesim/internal/sim"
@@ -103,7 +104,7 @@ func resolveConfig(j *RunJob) (sim.Config, error) {
 		if err := json.Unmarshal(j.ConfigJSON, &cfg); err != nil {
 			return sim.Config{}, fmt.Errorf("config_json: %w", err)
 		}
-		if err := cfg.Validate(); err != nil {
+		if err := core.Config(cfg).Validate(); err != nil {
 			return sim.Config{}, fmt.Errorf("config_json: %w", err)
 		}
 		return cfg, nil

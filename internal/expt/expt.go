@@ -459,11 +459,10 @@ func (c *Context) SpecErrors(cfg sim.Config, ws []perturb.Workload) (map[string]
 	out := map[string]float64{}
 	total, worst := 0.0, 0.0
 	for i, w := range ws {
-		e := results[i].CPI() - w.Counters.CPI
-		if e < 0 {
-			e = -e
+		e, err := w.Counters.CPIError(results[i])
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("workload %s: %w", w.Name, err)
 		}
-		e /= w.Counters.CPI
 		out[w.Name] = e
 		total += e
 		if e > worst {

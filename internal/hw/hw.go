@@ -16,6 +16,7 @@ package hw
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
@@ -39,6 +40,17 @@ type Counters struct {
 	L1IMPKI      float64
 }
 
+// CPIError is the relative CPI error |sim − hw| / hw of a simulated result
+// against these counters: the one definition of the metric every score of
+// a model uses. Counters without a positive, finite CPI (an empty trace
+// measures 0) have no relative error, and saying so beats a silent NaN.
+func (c Counters) CPIError(res core.Result) (float64, error) {
+	if !(c.CPI > 0) || math.IsInf(c.CPI, 0) {
+		return 0, fmt.Errorf("hardware CPI %v is not positive and finite", c.CPI)
+	}
+	return math.Abs(res.CPI()-c.CPI) / c.CPI, nil
+}
+
 // Board is one core of the reference platform.
 type Board struct {
 	Name    string
@@ -53,7 +65,7 @@ type Board struct {
 // NewBoard wraps a configuration as a measurable board. noise is the
 // relative amplitude of the deterministic pseudo-noise (0.01 = ±1%).
 func NewBoard(name string, freqGHz float64, cfg sim.Config, noise float64) (*Board, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := core.Config(cfg).Validate(); err != nil {
 		return nil, fmt.Errorf("hw: %w", err)
 	}
 	if noise < 0 || noise > 0.2 {

@@ -1,8 +1,10 @@
 package hw
 
 import (
+	"math"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/prefetch"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
@@ -12,7 +14,7 @@ import (
 
 func TestTrueConfigsValidate(t *testing.T) {
 	for _, cfg := range []sim.Config{TrueA53(), TrueA72()} {
-		if err := cfg.Validate(); err != nil {
+		if err := core.Config(cfg).Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}
@@ -28,7 +30,7 @@ func TestTrueTunablesInsideSearchSpace(t *testing.T) {
 		}
 		a := sim.Extract(cfg)
 		err = space.Validate(a)
-		if cfg.Kind == sim.InOrder {
+		if cfg.Kind == core.InOrder {
 			if err != nil {
 				t.Errorf("%s: ground truth outside space: %v", cfg.Name, err)
 			}
@@ -260,5 +262,20 @@ func TestBoardMeasuresOnceThroughCache(t *testing.T) {
 	}
 	if p.A53.cache != nil || p.A72.cache != nil {
 		t.Error("WithCache changed the platform it was called on")
+	}
+}
+
+// TestCPIErrorNeedsPositiveFiniteCPI: the relative error is defined only
+// against a positive, finite hardware CPI; anything else is an error,
+// never a NaN or an Inf.
+func TestCPIErrorNeedsPositiveFiniteCPI(t *testing.T) {
+	res := core.Result{Instructions: 100, Cycles: 150}
+	if e, err := (Counters{CPI: 2}).CPIError(res); err != nil || e != 0.25 {
+		t.Errorf("CPI 2 against a simulated 1.5: error %v, %v; want 0.25", e, err)
+	}
+	for _, cpi := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if e, err := (Counters{CPI: cpi}).CPIError(res); err == nil {
+			t.Errorf("hardware CPI %v: error %v and no failure", cpi, e)
+		}
 	}
 }

@@ -3,9 +3,9 @@ package perturb
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
+	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/sim"
@@ -96,7 +96,9 @@ func meanErrors(cfgs []sim.Config, ws []Workload, o Options) ([]evaluation, erro
 		errs := make([]float64, len(ws))
 		total := 0.0
 		for j, w := range ws {
-			errs[j] = math.Abs(rs[i*len(ws)+j].CPI()-w.Counters.CPI) / w.Counters.CPI
+			if errs[j], err = w.Counters.CPIError(rs[i*len(ws)+j]); err != nil {
+				return nil, fmt.Errorf("perturb: workload %s: %w", w.Name, err)
+			}
 			total += errs[j]
 		}
 		out[i] = evaluation{errs: errs, mean: total / float64(len(ws))}
@@ -219,7 +221,7 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 						continue
 					}
 					trial := curCfg
-					if d.Set(&trial, v) != nil || trial.Validate() != nil {
+					if d.Set(&trial, v) != nil || core.Config(trial).Validate() != nil {
 						continue
 					}
 					trials++

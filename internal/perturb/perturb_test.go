@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/sim"
@@ -64,7 +66,7 @@ func TestWorstNearOptimumInflatesError(t *testing.T) {
 }
 
 func TestNeighborsRespectBounds(t *testing.T) {
-	defs := sim.Params(sim.InOrder)
+	defs := sim.Params(core.InOrder)
 	for _, d := range defs {
 		if !d.Ordered || len(d.Values) < 2 {
 			continue
@@ -111,6 +113,29 @@ func TestSimulationErrorAbortsSearch(t *testing.T) {
 	_, err = WorstNearOptimum(tuned, ws, Options{Restarts: 1, MaxPasses: 1, Seed: 1, Cache: cache})
 	if !errors.Is(err, boom) {
 		t.Fatalf("WorstNearOptimum returned error %v, want the failed simulation's", err)
+	}
+}
+
+// TestEmptyWorkloadFailsSearch: a board measures an empty trace at CPI 0,
+// which has no relative error. The search must say so and name the
+// workload, not score every configuration NaN.
+func TestEmptyWorkloadFailsSearch(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New("empty", false)
+	c, err := p.A53.Measure(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := append(workloads(t, p.A53, 1, 20_000), Workload{Name: "empty", Trace: tr, Counters: c})
+	res, err := WorstNearOptimum(p.A53.TrueConfig(), ws, Options{Restarts: 1, MaxPasses: 1, Seed: 1})
+	if err == nil {
+		t.Fatalf("WorstNearOptimum over an empty workload returned mean error %v, errors %v and no error", res.MeanError, res.Errors)
+	}
+	if !strings.Contains(err.Error(), "empty") {
+		t.Errorf("error %q does not name the workload", err)
 	}
 }
 

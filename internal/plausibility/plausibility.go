@@ -38,9 +38,9 @@ func violation(out []Violation, invariant, format string, args ...any) []Violati
 // of an out-of-order core (0 when the configuration declares neither).
 func IssueWidth(cfg sim.Config) int {
 	switch cfg.Kind {
-	case sim.InOrder:
+	case core.InOrder:
 		return cfg.Width
-	case sim.OutOfOrder:
+	case core.OutOfOrder:
 		w := cfg.DispatchWidth
 		if cfg.RetireWidth > 0 && (w <= 0 || cfg.RetireWidth < w) {
 			w = cfg.RetireWidth
@@ -57,33 +57,28 @@ func IssueWidth(cfg sim.Config) int {
 // forgot.
 func CheckConfig(cfg sim.Config) []Violation {
 	var out []Violation
-	lat := map[string]int{
-		"lat.int_alu": cfg.Lat.IntALU, "lat.int_mul": cfg.Lat.IntMul,
-		"lat.int_div": cfg.Lat.IntDiv, "lat.fp_add": cfg.Lat.FPAdd,
-		"lat.fp_mul": cfg.Lat.FPMul, "lat.fp_div": cfg.Lat.FPDiv,
-		"lat.fp_cvt": cfg.Lat.FPCvt, "lat.simd": cfg.Lat.SIMD,
-		"lat.int_div_ii": cfg.Lat.IntDivII, "lat.fp_div_ii": cfg.Lat.FPDivII,
-		"l1i.hit":             cfg.Mem.L1I.HitLatency,
-		"l1d.hit":             cfg.Mem.L1D.HitLatency,
-		"l2.hit":              cfg.Mem.L2.HitLatency,
-		"dram.latency":        cfg.Mem.DRAM.LatencyCycles,
-		"dram.burst":          cfg.Mem.DRAM.BurstCycles,
-		"tlb.miss":            cfg.Mem.TLBMissLatency,
-		"frontend.mispredict": cfg.FrontEnd.MispredictPenalty,
-		"frontend.btb_miss":   cfg.FrontEnd.BTBMissPenalty,
-		"mem.zero_fill":       cfg.Mem.ZeroFillLatency,
-	}
-	// Deterministic order for stable reports.
-	for _, name := range []string{
-		"lat.int_alu", "lat.int_mul", "lat.int_div", "lat.fp_add",
-		"lat.fp_mul", "lat.fp_div", "lat.fp_cvt", "lat.simd",
-		"lat.int_div_ii", "lat.fp_div_ii",
-		"l1i.hit", "l1d.hit", "l2.hit", "dram.latency", "dram.burst",
-		"tlb.miss", "frontend.mispredict", "frontend.btb_miss",
-		"mem.zero_fill",
+	// In report order.
+	for _, l := range []struct {
+		name   string
+		cycles int
+	}{
+		{"lat.int_alu", cfg.Lat.IntALU}, {"lat.int_mul", cfg.Lat.IntMul},
+		{"lat.int_div", cfg.Lat.IntDiv}, {"lat.fp_add", cfg.Lat.FPAdd},
+		{"lat.fp_mul", cfg.Lat.FPMul}, {"lat.fp_div", cfg.Lat.FPDiv},
+		{"lat.fp_cvt", cfg.Lat.FPCvt}, {"lat.simd", cfg.Lat.SIMD},
+		{"lat.int_div_ii", cfg.Lat.IntDivII}, {"lat.fp_div_ii", cfg.Lat.FPDivII},
+		{"l1i.hit", cfg.Mem.L1I.HitLatency},
+		{"l1d.hit", cfg.Mem.L1D.HitLatency},
+		{"l2.hit", cfg.Mem.L2.HitLatency},
+		{"dram.latency", cfg.Mem.DRAM.LatencyCycles},
+		{"dram.burst", cfg.Mem.DRAM.BurstCycles},
+		{"tlb.miss", cfg.Mem.TLBMissLatency},
+		{"frontend.mispredict", cfg.FrontEnd.MispredictPenalty},
+		{"frontend.btb_miss", cfg.FrontEnd.BTBMissPenalty},
+		{"mem.zero_fill", cfg.Mem.ZeroFillLatency},
 	} {
-		if lat[name] < 0 {
-			out = violation(out, "latency>=0", "%s = %d cycles", name, lat[name])
+		if l.cycles < 0 {
+			out = violation(out, "latency>=0", "%s = %d cycles", l.name, l.cycles)
 		}
 	}
 	if w := IssueWidth(cfg); w <= 0 {

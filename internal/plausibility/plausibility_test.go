@@ -117,7 +117,7 @@ func TestCheckConfigFlagsInjectedViolations(t *testing.T) {
 
 	cfg = sim.PublicA53()
 	cfg.Width = 0
-	cfg.Kind = sim.InOrder
+	cfg.Kind = core.InOrder
 	if vs := CheckConfig(cfg); len(vs) != 1 || vs[0].Invariant != "width>0" {
 		t.Errorf("zero-width core: %v", vs)
 	}

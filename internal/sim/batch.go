@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"racesim/internal/core"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
@@ -51,14 +49,7 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 			c.Mem.ZeroFillOpt = false
 		}
 		var err error
-		switch c.Kind {
-		case InOrder:
-			out[i], err = core.ReplayInOrder(c.inOrder(), d, dv.behav, &dv.classes, &dv.tapes)
-		case OutOfOrder:
-			out[i], err = core.ReplayOoO(c.ooo(), d, dv.behav, &dv.classes, &dv.tapes)
-		default:
-			err = fmt.Errorf("sim: unknown core kind %q", c.Kind)
-		}
+		out[i], err = core.Replay(core.Config(c), d, dv.behav, &dv.classes, &dv.tapes)
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func settings(t *testing.T, base sim.Config) []sim.Config {
 				if err := p.Set(&cfg, v); err != nil {
 					t.Fatal(err)
 				}
-				if cfg.Validate() == nil && cfg != base {
+				if core.Config(cfg).Validate() == nil && cfg != base {
 					out = append(out, cfg)
 				}
 			}
@@ -137,7 +137,7 @@ func moves(t *testing.T, cfg sim.Config) (inactive, active []sim.Config, names [
 			if err := d.Set(&moved, v); err != nil {
 				t.Fatal(err)
 			}
-			if moved.Validate() != nil {
+			if core.Config(moved).Validate() != nil {
 				continue
 			}
 			if d.Active(&cfg) {
@@ -220,7 +220,7 @@ func TestConditionsCanFail(t *testing.T) {
 					if err := d.Set(&c, v); err != nil {
 						t.Fatal(err)
 					}
-					if c.Validate() == nil {
+					if core.Config(c).Validate() == nil {
 						cfgs = append(cfgs, c)
 					}
 				}

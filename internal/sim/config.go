@@ -1,8 +1,9 @@
-// Package sim is the simulator façade: a single flat configuration that
-// covers both core types (in-order Cortex-A53 class and out-of-order
-// Cortex-A72 class), JSON (de)serialization for config files, best-guess
-// public presets corresponding to steps 1–3 of the paper's methodology, and
-// the space of undisclosed parameters handed to the tuner (step 4).
+// Package sim is the simulator façade over core.Config, the one flat
+// configuration of both core types (in-order Cortex-A53 class and
+// out-of-order Cortex-A72 class): running it, cache-key fingerprints, JSON
+// (de)serialization for config files, best-guess public presets
+// corresponding to steps 1–3 of the paper's methodology, and the space of
+// undisclosed parameters handed to the tuner (step 4).
 package sim
 
 import (
@@ -14,99 +15,13 @@ import (
 	"os"
 	"reflect"
 
-	"racesim/internal/branch"
-	"racesim/internal/cache"
 	"racesim/internal/core"
 	"racesim/internal/trace"
 )
 
-// CoreKind selects the back-end timing model.
-type CoreKind string
-
-// Core kinds.
-const (
-	InOrder    CoreKind = "inorder"
-	OutOfOrder CoreKind = "ooo"
-)
-
-// Config fully describes a simulated core and its memory subsystem.
-type Config struct {
-	Name string   `json:"name"`
-	Kind CoreKind `json:"kind"`
-
-	// In-order parameters.
-	Width              int  `json:"width"`
-	DualIssueLoadStore bool `json:"dual_issue_load_store"`
-	MaxMemPerCycle     int  `json:"max_mem_per_cycle"`
-	MaxBranchPerCycle  int  `json:"max_branch_per_cycle"`
-	StoreBufferEntries int  `json:"store_buffer_entries"`
-
-	// Out-of-order parameters.
-	DispatchWidth int `json:"dispatch_width"`
-	RetireWidth   int `json:"retire_width"`
-	ROBEntries    int `json:"rob_entries"`
-	IQEntries     int `json:"iq_entries"`
-	LQEntries     int `json:"lq_entries"`
-	SQEntries     int `json:"sq_entries"`
-
-	// Shared.
-	MSHRs    int                   `json:"mshrs"`
-	Lat      core.LatencyConfig    `json:"latencies"`
-	Pipes    core.PipesConfig      `json:"pipes"`
-	FrontEnd core.FrontEndConfig   `json:"front_end"`
-	Branch   branch.Config         `json:"branch"`
-	Mem      cache.HierarchyConfig `json:"mem"`
-
-	// DecoderDepBug reproduces the decoder-library dependency bug.
-	DecoderDepBug bool `json:"decoder_dep_bug"`
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch c.Kind {
-	case InOrder:
-		return c.inOrder().Validate()
-	case OutOfOrder:
-		return c.ooo().Validate()
-	default:
-		return fmt.Errorf("sim: unknown core kind %q", c.Kind)
-	}
-}
-
-func (c Config) inOrder() core.InOrderConfig {
-	return core.InOrderConfig{
-		Width:              c.Width,
-		DualIssueLoadStore: c.DualIssueLoadStore,
-		MaxMemPerCycle:     c.MaxMemPerCycle,
-		MaxBranchPerCycle:  c.MaxBranchPerCycle,
-		MSHRs:              c.MSHRs,
-		StoreBufferEntries: c.StoreBufferEntries,
-		Lat:                c.Lat,
-		Pipes:              c.Pipes,
-		FrontEnd:           c.FrontEnd,
-		Branch:             c.Branch,
-		Mem:                c.Mem,
-		DecoderDepBug:      c.DecoderDepBug,
-	}
-}
-
-func (c Config) ooo() core.OoOConfig {
-	return core.OoOConfig{
-		DispatchWidth: c.DispatchWidth,
-		RetireWidth:   c.RetireWidth,
-		ROBEntries:    c.ROBEntries,
-		IQEntries:     c.IQEntries,
-		LQEntries:     c.LQEntries,
-		SQEntries:     c.SQEntries,
-		MSHRs:         c.MSHRs,
-		Lat:           c.Lat,
-		Pipes:         c.Pipes,
-		FrontEnd:      c.FrontEnd,
-		Branch:        c.Branch,
-		Mem:           c.Mem,
-		DecoderDepBug: c.DecoderDepBug,
-	}
-}
+// Config fully describes a simulated core and its memory subsystem: it is
+// core.Config, with the methods that run, fingerprint and save it.
+type Config core.Config
 
 // Run replays a trace through the decode-once path: the trace's static
 // decode is computed at most once per decoder variant (memoized on tr, see
@@ -201,7 +116,7 @@ func LoadConfig(path string) (Config, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return Config{}, fmt.Errorf("sim: %s: %w", path, err)
 	}
-	if err := c.Validate(); err != nil {
+	if err := core.Config(c).Validate(); err != nil {
 		return Config{}, fmt.Errorf("sim: %s: %w", path, err)
 	}
 	return c, nil

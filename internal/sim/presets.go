@@ -47,7 +47,7 @@ func l2(sizeKB int) cache.Config {
 func PublicA53() Config {
 	return Config{
 		Name: "public-a53",
-		Kind: InOrder,
+		Kind: core.InOrder,
 
 		Width:              2, // disclosed: dual-issue
 		DualIssueLoadStore: true,
@@ -107,7 +107,7 @@ func PublicA53() Config {
 func PublicA72() Config {
 	return Config{
 		Name: "public-a72",
-		Kind: OutOfOrder,
+		Kind: core.OutOfOrder,
 
 		Width:              3,
 		DualIssueLoadStore: true,

@@ -58,10 +58,10 @@ func shortTraces(t testing.TB) []*trace.Trace {
 // so consecutive lanes differ in every array size a lane recycles. The
 // first configurations cycle through every prefetcher, replacement, hash
 // and predictor kind so none depends on the draw.
-func randomConfigs(t testing.TB, kind sim.CoreKind, n int, rng *rand.Rand) []sim.Config {
+func randomConfigs(t testing.TB, kind core.Kind, n int, rng *rand.Rand) []sim.Config {
 	t.Helper()
 	base := sim.PublicA53()
-	if kind == sim.OutOfOrder {
+	if kind == core.OutOfOrder {
 		base = sim.PublicA72()
 	}
 	pfKinds := []prefetch.Kind{prefetch.KindNone, prefetch.KindNextLine, prefetch.KindStride, prefetch.KindGHB, prefetch.KindSpatial}
@@ -91,7 +91,7 @@ func randomConfigs(t testing.TB, kind sim.CoreKind, n int, rng *rand.Rand) []sim
 		cfg.Mem.L1D.SizeKB, cfg.Mem.L1D.Assoc = pick(8, 16, 32, 64), pick(1, 2, 4, 8)
 		cfg.Mem.L1I.SizeKB, cfg.Mem.L1I.Assoc = pick(8, 16, 48), pick(1, 2)
 		cfg.Mem.L2.SizeKB, cfg.Mem.L2.Assoc = pick(128, 256, 512, 2048), pick(4, 8, 16)
-		if cfg.Validate() != nil {
+		if core.Config(cfg).Validate() != nil {
 			continue // e.g. PLRU with a 48 KB 3-set-multiple geometry
 		}
 		cfg.Name = string(kind) + "-random"
@@ -112,7 +112,7 @@ func randomConfigs(t testing.TB, kind sim.CoreKind, n int, rng *rand.Rand) []sim
 // back.
 func TestRecycledLaneMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	cfgs := append(randomConfigs(t, sim.InOrder, 10, rng), randomConfigs(t, sim.OutOfOrder, 10, rng)...)
+	cfgs := append(randomConfigs(t, core.InOrder, 10, rng), randomConfigs(t, core.OutOfOrder, 10, rng)...)
 	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
 	trs := shortTraces(t)
 

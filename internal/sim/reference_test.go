@@ -62,8 +62,8 @@ func refRun(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	}
 	step := m.stepInOrder
 	switch cfg.Kind {
-	case sim.InOrder:
-	case sim.OutOfOrder:
+	case core.InOrder:
+	case core.OutOfOrder:
 		step = m.stepOoO
 	default:
 		return core.Result{}, fmt.Errorf("sim: unknown core kind %q", cfg.Kind)

@@ -4,13 +4,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/irace"
 	"racesim/internal/ubench"
 )
 
 func TestPresetsValidate(t *testing.T) {
 	for _, cfg := range []Config{PublicA53(), PublicA72()} {
-		if err := cfg.Validate(); err != nil {
+		if err := core.Config(cfg).Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}
@@ -32,7 +33,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 }
 
 func TestParamSpaceSize(t *testing.T) {
-	for _, kind := range []CoreKind{InOrder, OutOfOrder} {
+	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
 		defs := Params(kind)
 		// The paper identifies 64 parameters that need tuning; our space
 		// should be in that neighbourhood.
@@ -53,7 +54,7 @@ func TestParamSpaceSize(t *testing.T) {
 }
 
 func TestSpaceBuilds(t *testing.T) {
-	for _, kind := range []CoreKind{InOrder, OutOfOrder} {
+	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
 		if _, err := Space(kind); err != nil {
 			t.Errorf("%s: %v", kind, err)
 		}
@@ -65,7 +66,7 @@ func TestExtractApplyRoundTrip(t *testing.T) {
 	a := Extract(base)
 	// Every extracted value must be among the candidates (the presets
 	// must start inside the search space).
-	space, _ := Space(InOrder)
+	space, _ := Space(core.InOrder)
 	if err := space.Validate(a); err != nil {
 		t.Fatalf("preset outside search space: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
+	"racesim/internal/core"
 	"racesim/internal/irace"
 	"racesim/internal/prefetch"
 )
@@ -218,22 +219,22 @@ func cacheParams(prefix string, get func(*Config) *cache.Config, hitLats ...int)
 
 // The two parameter tables, each built on first use.
 var (
-	inOrderParams = sync.OnceValue(func() []ParamDef { return buildParams(InOrder) })
-	oooParams     = sync.OnceValue(func() []ParamDef { return buildParams(OutOfOrder) })
+	inOrderParams = sync.OnceValue(func() []ParamDef { return buildParams(core.InOrder) })
+	oooParams     = sync.OnceValue(func() []ParamDef { return buildParams(core.OutOfOrder) })
 )
 
 // Params returns the tunable parameter definitions for a core kind. The
 // table is built once per kind and shared by every caller — Apply runs per
 // (candidate, instance) in a race and per trial in the perturbation search
 // — so callers must not modify it: range over it, copy what you change.
-func Params(kind CoreKind) []ParamDef {
-	if kind == InOrder {
+func Params(kind core.Kind) []ParamDef {
+	if kind == core.InOrder {
 		return inOrderParams()
 	}
 	return oooParams()
 }
 
-func buildParams(kind CoreKind) []ParamDef {
+func buildParams(kind core.Kind) []ParamDef {
 	var defs []ParamDef
 	add := func(ps ...ParamDef) { defs = append(defs, ps...) }
 
@@ -310,7 +311,7 @@ func buildParams(kind CoreKind) []ParamDef {
 	add(intParam("pipes.fp", func(c *Config) *int { return &c.Pipes.FP }, 1, 2, 3))
 
 	// Core-structure parameters differ per kind.
-	if kind == InOrder {
+	if kind == core.InOrder {
 		add(intParam("l1d.mshrs", func(c *Config) *int { return &c.MSHRs }, 1, 2, 3, 4, 6))
 		add(boolParam("core.dual_issue_ls", func(c *Config) *bool { return &c.DualIssueLoadStore }))
 		add(intParam("core.max_mem_per_cycle", func(c *Config) *int { return &c.MaxMemPerCycle }, 1, 2))
@@ -326,7 +327,7 @@ func buildParams(kind CoreKind) []ParamDef {
 		add(intParam("pipes.store", func(c *Config) *int { return &c.Pipes.Store }, 1, 2))
 	}
 	base := PublicA53()
-	if kind != InOrder {
+	if kind != core.InOrder {
 		base = PublicA72()
 	}
 	for i := range defs {
@@ -347,7 +348,7 @@ func buildParams(kind CoreKind) []ParamDef {
 }
 
 // Space builds the irace search space for a core kind.
-func Space(kind CoreKind) (*irace.Space, error) {
+func Space(kind core.Kind) (*irace.Space, error) {
 	defs := Params(kind)
 	params := make([]irace.Param, len(defs))
 	for i, d := range defs {
@@ -369,7 +370,7 @@ func Apply(base Config, a irace.Assignment) (Config, error) {
 			return Config{}, err
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := core.Config(cfg).Validate(); err != nil {
 		return Config{}, err
 	}
 	return cfg, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/irace"
 )
 
@@ -14,17 +15,17 @@ import (
 // every parameter and every value in the space, on both core kinds.
 func roundTripCases(t *testing.T) []struct {
 	name string
-	kind CoreKind
+	kind core.Kind
 	base Config
 } {
 	t.Helper()
 	return []struct {
 		name string
-		kind CoreKind
+		kind core.Kind
 		base Config
 	}{
-		{"inorder", InOrder, PublicA53()},
-		{"ooo", OutOfOrder, PublicA72()},
+		{"inorder", core.InOrder, PublicA53()},
+		{"ooo", core.OutOfOrder, PublicA72()},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	mathrand "math/rand"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/irace"
 )
 
@@ -13,11 +14,11 @@ import (
 // and Get must read back exactly what Set wrote.
 func TestEveryParamValueApplies(t *testing.T) {
 	cases := []struct {
-		kind CoreKind
+		kind core.Kind
 		base Config
 	}{
-		{InOrder, PublicA53()},
-		{OutOfOrder, PublicA72()},
+		{core.InOrder, PublicA53()},
+		{core.OutOfOrder, PublicA72()},
 	}
 	for _, c := range cases {
 		for _, d := range Params(c.kind) {
@@ -30,7 +31,7 @@ func TestEveryParamValueApplies(t *testing.T) {
 				if got := d.Get(&cfg); got != v {
 					t.Errorf("%s/%s: wrote %q, read %q", c.kind, d.Name, v, got)
 				}
-				if err := cfg.Validate(); err != nil {
+				if err := core.Config(cfg).Validate(); err != nil {
 					t.Errorf("%s/%s=%s: invalid model: %v", c.kind, d.Name, v, err)
 				}
 			}
@@ -49,13 +50,13 @@ func TestEveryParamValueApplies(t *testing.T) {
 // and checks Apply yields a runnable configuration for each: the tuner
 // must never be able to construct an invalid model from the space.
 func TestRandomAssignmentsAlwaysValid(t *testing.T) {
-	for _, kind := range []CoreKind{InOrder, OutOfOrder} {
+	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
 		space, err := Space(kind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := PublicA53()
-		if kind == OutOfOrder {
+		if kind == core.OutOfOrder {
 			base = PublicA72()
 		}
 		rng := newTestRand(99)
@@ -65,7 +66,7 @@ func TestRandomAssignmentsAlwaysValid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: random assignment invalid: %v\n%v", kind, err, a)
 			}
-			if err := cfg.Validate(); err != nil {
+			if err := core.Config(cfg).Validate(); err != nil {
 				t.Fatalf("%s: sampled configuration invalid: %v", kind, err)
 			}
 		}

@@ -76,7 +76,7 @@ type tapeUnit struct {
 
 func tapeUnits(t *testing.T, perKind, variants int, rng *rand.Rand) []tapeUnit {
 	t.Helper()
-	functional := append(randomConfigs(t, sim.InOrder, perKind, rng), randomConfigs(t, sim.OutOfOrder, perKind, rng)...)
+	functional := append(randomConfigs(t, core.InOrder, perKind, rng), randomConfigs(t, core.OutOfOrder, perKind, rng)...)
 	for i := range functional {
 		functional[i].Mem.ZeroFillOpt = i%2 == 0 // the boards have it, the public models do not
 	}

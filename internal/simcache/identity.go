@@ -10,10 +10,10 @@ import (
 )
 
 // Trace identities ride the cache as ordinary entries under reserved raw
-// keys, so every way a cache travels — binary and JSON snapshots, merge,
-// federation pre-seed and delta, the cache server — carries them without
-// knowing: what a trace memo key generated (its event count, WarmData flag
-// and content digest, see trace.Identity), packed into a core.Result. With
+// keys, so every way a cache travels — snapshots, merge, federation
+// pre-seed and delta — carries them without knowing: what a trace memo key
+// generated (its event count, WarmData flag and content digest, see
+// trace.Identity), packed into a core.Result. With
 // them a process that finds all its results in a snapshot also finds the
 // digests those results are keyed by, and generates no trace at all.
 //

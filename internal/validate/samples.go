@@ -2,7 +2,6 @@ package validate
 
 import (
 	"fmt"
-	"math"
 
 	"racesim/internal/plausibility"
 	"racesim/internal/report"
@@ -28,8 +27,8 @@ func CollectSamples(cfg sim.Config, ms []Measurement, cache *simcache.Cache, par
 	}
 	samples := make([]report.Sample, len(ms))
 	for i, m := range ms {
-		if !(m.Counters.CPI > 0) || math.IsInf(m.Counters.CPI, 0) {
-			return nil, nil, fmt.Errorf("validate: hardware CPI %v for %s is not positive and finite", m.Counters.CPI, m.Trace.Name)
+		if _, err := m.Counters.CPIError(rs[i]); err != nil {
+			return nil, nil, fmt.Errorf("validate: %s: %w", m.Trace.Name, err)
 		}
 		samples[i] = report.Sample{
 			Bench:    m.Bench.Name,

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/report"
 	"racesim/internal/sim"
@@ -64,7 +65,7 @@ func TestReportRenderDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := report.Build(p.A53.Name, string(sim.InOrder), "untuned", samples, plaus, report.Budget{})
+		br, err := report.Build(p.A53.Name, string(core.InOrder), "untuned", samples, plaus, report.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,16 +90,6 @@ func simulate(cfg sim.Config, ms []Measurement, cache *simcache.Cache, paralleli
 	return cache.RunBatch(context.TODO(), []sim.Config{cfg}, trs, parallelism)
 }
 
-// cpiError is the relative CPI prediction error of a simulated result on
-// one measurement — the single definition of the error metric and its
-// zero-CPI guard.
-func cpiError(res core.Result, m Measurement) (float64, error) {
-	if m.Counters.CPI == 0 {
-		return 0, fmt.Errorf("validate: zero hardware CPI for %s", m.Trace.Name)
-	}
-	return math.Abs(res.CPI()-m.Counters.CPI) / m.Counters.CPI, nil
-}
-
 // BenchError is a named per-benchmark error.
 type BenchError struct {
 	Name     string
@@ -122,9 +112,9 @@ func ErrorsWith(cfg sim.Config, ms []Measurement, cache *simcache.Cache, paralle
 	}
 	out := make([]BenchError, len(ms))
 	for i, m := range ms {
-		e, err := cpiError(rs[i], m)
+		e, err := m.Counters.CPIError(rs[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("validate: %s: %w", m.Trace.Name, err)
 		}
 		out[i] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category, Error: e}
 	}
@@ -224,7 +214,8 @@ func (e *Evaluator) NumInstances() int { return len(e.Ms) }
 // or nil. Every candidate scored has passed sim.Apply's validation, so a
 // failure says the simulator or its input is broken (a tape replay that
 // desynchronized, a deferred trace that is not what was remembered, a
-// trace that does not decode), not that a candidate is bad: the race went
+// trace that does not decode, board counters with no positive, finite
+// CPI), not that a candidate is bad: the race went
 // on over +Inf costs and its outcome must be discarded.
 func (e *Evaluator) Err() error {
 	e.mu.Lock()
@@ -233,8 +224,11 @@ func (e *Evaluator) Err() error {
 }
 
 // cost scores a simulated result against one measurement.
-func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
-	cost := math.Abs(res.CPI()-m.Counters.CPI) / m.Counters.CPI
+func (e *Evaluator) cost(res core.Result, m Measurement) (float64, error) {
+	cost, err := m.Counters.CPIError(res)
+	if err != nil {
+		return 0, err
+	}
 	if e.Weights.BranchMPKI > 0 {
 		simMPKI := res.Branch.MPKI(res.Instructions)
 		den := m.Counters.BranchMPKI
@@ -243,7 +237,7 @@ func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
 		}
 		cost += e.Weights.BranchMPKI * math.Abs(simMPKI-m.Counters.BranchMPKI) / den
 	}
-	return cost
+	return cost, nil
 }
 
 // Cost implements irace.Evaluator: the error of the configuration obtained
@@ -256,7 +250,8 @@ func (e *Evaluator) Cost(a irace.Assignment, instance int) float64 {
 // overlay validation are submitted to the cache as one N x 1 grid, run one
 // after the other (the tuner spreads its sub-batches over its own
 // workers). A candidate sim.Apply rejects costs +Inf and loses every race;
-// a simulation that fails is remembered for Err.
+// a simulation that fails, or a measurement with no relative error
+// (hw.Counters.CPIError), is remembered for Err.
 func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	out := make([]float64, len(as))
 	cfgs := make([]sim.Config, 0, len(as))
@@ -274,6 +269,13 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	// irace.BatchEvaluator carries no context; the tuner checks its own
 	// between race steps.
 	rs, err := e.Cache.RunBatch(context.TODO(), cfgs, []*trace.Trace{m.Trace}, 1)
+	if err == nil {
+		for j, i := range idx {
+			if out[i], err = e.cost(rs[j], m); err != nil {
+				break
+			}
+		}
+	}
 	if err != nil {
 		e.mu.Lock()
 		if e.err == nil {
@@ -283,10 +285,6 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 		for _, i := range idx {
 			out[i] = math.Inf(1)
 		}
-		return out
-	}
-	for j, i := range idx {
-		out[i] = e.cost(rs[j], m)
 	}
 	return out
 }

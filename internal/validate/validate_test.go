@@ -210,7 +210,9 @@ func TestCostBatchMatchesCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = e.cost(res, m)
+				if want, err = e.cost(res, m); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if batch[i] != want {
 				t.Errorf("instance %d assignment %d: CostBatch %v, want %v", inst, i, batch[i], want)

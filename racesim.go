@@ -26,6 +26,7 @@
 package racesim
 
 import (
+	"racesim/internal/core"
 	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/irace"
@@ -43,15 +44,15 @@ type (
 	// Config fully describes a simulated core (see sim.Config).
 	Config = sim.Config
 	// CoreKind selects the timing model ("inorder" or "ooo").
-	CoreKind = sim.CoreKind
+	CoreKind = core.Kind
 	// Trace is a recorded dynamic instruction stream.
 	Trace = trace.Trace
 )
 
 // Core kinds.
 const (
-	InOrder    = sim.InOrder
-	OutOfOrder = sim.OutOfOrder
+	InOrder    = core.InOrder
+	OutOfOrder = core.OutOfOrder
 )
 
 // Public model presets (methodology steps 1-3).
