@@ -122,6 +122,38 @@ func chainALU(iters int) string {
 	return b.String()
 }
 
+// TestReplayRejectsInvalidConfigs pins Validate's messages — racesim run
+// -config prints them — for the kind, each kind's own limits and the shared
+// parts, and checks that Replay refuses each configuration with the same
+// error before simulating anything.
+func TestReplayRejectsInvalidConfigs(t *testing.T) {
+	d := record(t, independentALU(10)).Decoded(false)
+	for _, tc := range []struct {
+		base func() Config
+		bad  func(*Config)
+		want string
+	}{
+		{inorderCfg, func(c *Config) { c.Kind = "vliw" }, `sim: unknown core kind "vliw"`},
+		{inorderCfg, func(c *Config) { c.Width = 5 }, "core: in-order width = 5 out of [1,4]"},
+		{inorderCfg, func(c *Config) { c.MaxMemPerCycle = 3 }, "core: MaxMemPerCycle = 3 out of [1,width]"},
+		{inorderCfg, func(c *Config) { c.StoreBufferEntries = 0 }, "core: StoreBufferEntries = 0 out of [1,64]"},
+		{inorderCfg, func(c *Config) { c.MSHRs = 33 }, "core: MSHRs = 33 out of [1,32]"},
+		{oooCfg, func(c *Config) { c.ROBEntries = 7 }, "core: ROBEntries = 7 out of [8,512]"},
+		{oooCfg, func(c *Config) { c.SQEntries = 129 }, "core: SQEntries = 129 out of [4,128]"},
+		{oooCfg, func(c *Config) { c.MSHRs = 0 }, "core: MSHRs = 0 out of [1,32]"},
+		{oooCfg, func(c *Config) { c.Lat.FPMul = 0 }, "core: latency FPMul = 0 must be positive"},
+	} {
+		cfg := tc.base()
+		tc.bad(&cfg)
+		if err := cfg.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate: %v, want %q", err, tc.want)
+		}
+		if _, err := replay(cfg, d, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("Replay: %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestInOrderDualIssueThroughput(t *testing.T) {
 	tr := record(t, independentALU(500))
 	res := run(t, inorderCfg(), tr)

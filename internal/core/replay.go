@@ -30,24 +30,21 @@ type lane interface {
 // decoder variant is an error.
 func Replay(cfg Config, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
 	tapes *TapeMemo) (Result, error) {
-	var ln lane
-	switch cfg.Kind {
-	case InOrder:
-		l := inOrderLanes.Get().(*inOrderLane)
-		defer inOrderLanes.Put(l)
-		ln = l
-	case OutOfOrder:
-		l := oooLanes.Get().(*oooLane)
-		defer oooLanes.Put(l)
-		ln = l
-	default:
-		return Result{}, fmt.Errorf("sim: unknown core kind %q", cfg.Kind)
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
 	}
 	if d.DepBug != cfg.DecoderDepBug {
 		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, configuration %v", d.DepBug, cfg.DecoderDepBug)
 	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+	var ln lane
+	if cfg.Kind == InOrder {
+		l := inOrderLanes.Get().(*inOrderLane)
+		defer inOrderLanes.Put(l)
+		ln = l
+	} else { // Validate admits no third kind
+		l := oooLanes.Get().(*oooLane)
+		defer oooLanes.Put(l)
+		ln = l
 	}
 	if err := ln.reset(cfg, tapes); err != nil {
 		return Result{}, err
