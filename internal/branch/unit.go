@@ -320,10 +320,3 @@ func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken 
 	}
 	return Outcome{}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -174,7 +174,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	}
 	// Replay's own steps, with the other replays' sightings placed
 	// between its reset and its walk.
-	ln := new(inOrderLane)
+	ln := new(lane)
 	if err := ln.reset(cfg, &tapes); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 		t.Fatalf("stats %+v: want the lane to be replaying the tape and the other sightings to have evicted it", st)
 	}
 	behav := CompileBehaviors(d.Insts)
-	ln.walk(d, behav)
+	ln.walkInOrder(d, behav)
 	if err := tapes.done(ln.hier); err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,8 @@ func randomConfigs(t testing.TB, kind core.Kind, n int, rng *rand.Rand) []sim.Co
 // recycling: random configurations of both kinds are replayed over short
 // traces interleaved A, B, A, ... so every lane the free list hands out was
 // last used by a different configuration — usually a different geometry,
-// predictor, prefetcher and replacement policy — and every field of each
+// predictor, prefetcher and replacement policy, and, as one free list
+// serves both kinds, often the other kind — and every field of each
 // Result must equal the reference simulator's, which builds everything
 // fresh. The same is then done from several goroutines at once (run with
 // -race in CI), where lanes also migrate between goroutines, and through

@@ -33,10 +33,7 @@
 // therefore generates nothing. Only requests that say what the trace will
 // be called (Named, and the Ubench and Workload helpers) can be deferred.
 //
-// Entries are evicted least-recently-used against a byte budget and,
-// optionally, by age — a memoized trace is a pure function of its key,
-// so age eviction exists only to bound memory held for job shapes that
-// stopped arriving, never for correctness.
+// Entries are evicted least-recently-used against a byte budget.
 //
 // A nil *Memo is valid and memoizes nothing (every Get generates), which
 // is what library callers of the generators' consumers get by default.
@@ -122,11 +119,10 @@ type IdentityStore interface {
 }
 
 type mentry struct {
-	key   string
-	tr    *trace.Trace
-	size  int64
-	added time.Time
-	elem  *list.Element
+	key  string
+	tr   *trace.Trace
+	size int64
+	elem *list.Element
 }
 
 type flight struct {
@@ -149,13 +145,12 @@ type Stats struct {
 	Bytes     int64  `json:"bytes"`
 }
 
-// Memo is a budget-bounded, age-aware trace memoization table, safe for
+// Memo is a budget-bounded trace memoization table, safe for
 // concurrent use. Concurrent Gets of the same key generate once: the
 // first claims the key, the rest wait for its result.
 type Memo struct {
 	mu        sync.Mutex
-	budget    int64         // bytes; <= 0 = unbounded
-	maxAge    time.Duration // <= 0 = no age eviction
+	budget    int64 // bytes; <= 0 = unbounded
 	used      int64
 	entries   map[string]*mentry
 	lru       *list.List // front = most recently used
@@ -167,12 +162,12 @@ type Memo struct {
 	evicted   uint64
 }
 
-// New returns a memo bounded by budget bytes (<= 0: unbounded) and
-// maxAge (<= 0: no age eviction).
-func New(budget int64, maxAge time.Duration) *Memo {
+// New returns a memo bounded by budget bytes (<= 0: unbounded). The second
+// parameter is unused: kept for its only caller that passes it,
+// benchmark/probes.go, which is frozen.
+func New(budget int64, _ time.Duration) *Memo {
 	return &Memo{
 		budget:   budget,
-		maxAge:   maxAge,
 		entries:  map[string]*mentry{},
 		lru:      list.New(),
 		inflight: map[string]*flight{},
@@ -210,15 +205,11 @@ func (m *Memo) Named(key, name string, generate func() (*trace.Trace, error)) (*
 	}
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
-		if m.maxAge > 0 && time.Since(e.added) > m.maxAge {
-			m.removeLocked(e)
-		} else {
-			m.hits++
-			m.lru.MoveToFront(e.elem)
-			tr := e.tr
-			m.mu.Unlock()
-			return tr, nil
-		}
+		m.hits++
+		m.lru.MoveToFront(e.elem)
+		tr := e.tr
+		m.mu.Unlock()
+		return tr, nil
 	}
 	if fl, ok := m.inflight[key]; ok {
 		m.hits++
@@ -237,7 +228,7 @@ func (m *Memo) Named(key, name string, generate func() (*trace.Trace, error)) (*
 	m.mu.Lock()
 	delete(m.inflight, key)
 	if err == nil && tr != nil {
-		e := &mentry{key: key, tr: tr, size: Size(tr), added: time.Now()}
+		e := &mentry{key: key, tr: tr, size: Size(tr)}
 		e.elem = m.lru.PushFront(e)
 		m.entries[key] = e
 		m.used += e.size
@@ -299,15 +290,11 @@ func (m *Memo) evictLocked() {
 	}
 	for m.used > m.budget && m.lru.Len() > 1 {
 		e := m.lru.Back().Value.(*mentry)
-		m.removeLocked(e)
+		m.lru.Remove(e.elem)
+		delete(m.entries, e.key)
+		m.used -= e.size
 		m.evicted++
 	}
-}
-
-func (m *Memo) removeLocked(e *mentry) {
-	m.lru.Remove(e.elem)
-	delete(m.entries, e.key)
-	m.used -= e.size
 }
 
 // Stats snapshots the memo counters.

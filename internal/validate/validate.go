@@ -8,9 +8,11 @@
 package validate
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"racesim/internal/core"
@@ -362,17 +364,41 @@ func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, erro
 }
 
 // SeedLatencies plugs lmbench estimates into a base configuration
-// (methodology step 2), snapping to the discrete candidate values. memo
-// and parallelism are lmbench.Estimate's.
+// (methodology step 2), snapping each onto the listed values of its
+// tunable (sim.Params), so the tuner and the perturbation search can step
+// from it. memo and parallelism are lmbench.Estimate's.
 func SeedLatencies(base sim.Config, board *hw.Board, memo *tracememo.Memo, parallelism int) (sim.Config, error) {
+	l1, err1 := candidates(base.Kind, "l1d.hit_latency")
+	l2, err2 := candidates(base.Kind, "l2.hit_latency")
+	mem, err3 := candidates(base.Kind, "dram.latency")
+	if err := cmp.Or(err1, err2, err3); err != nil {
+		return sim.Config{}, err
+	}
 	est, err := lmbench.Estimate(board, memo, parallelism)
 	if err != nil {
 		return sim.Config{}, err
 	}
 	cfg := base
-	cfg.Mem.L1D.HitLatency = lmbench.Snap(est.L1Cycles, []int{2, 3, 4})
+	cfg.Mem.L1D.HitLatency = lmbench.Snap(est.L1Cycles, l1)
 	// The L2 chase observes L1-miss + L2-hit time; subtract the L1 part.
-	cfg.Mem.L2.HitLatency = lmbench.Snap(est.L2Cycles-cfg.Mem.L1D.HitLatency, []int{9, 12, 15, 18, 21})
-	cfg.Mem.DRAM.LatencyCycles = lmbench.Snap(est.MemCycles, []int{140, 160, 180, 200, 220, 240})
+	cfg.Mem.L2.HitLatency = lmbench.Snap(est.L2Cycles-cfg.Mem.L1D.HitLatency, l2)
+	cfg.Mem.DRAM.LatencyCycles = lmbench.Snap(est.MemCycles, mem)
 	return cfg, nil
+}
+
+// candidates returns the listed values of kind's integer tunable name.
+func candidates(kind core.Kind, name string) ([]int, error) {
+	for _, d := range sim.Params(kind) {
+		if d.Name == name {
+			out := make([]int, len(d.Values))
+			for i, v := range d.Values {
+				var err error
+				if out[i], err = strconv.Atoi(v); err != nil {
+					return nil, fmt.Errorf("validate: %s: %w", name, err)
+				}
+			}
+			return out, nil
+		}
+	}
+	return nil, fmt.Errorf("validate: %s is no tunable of %s cores", name, kind)
 }

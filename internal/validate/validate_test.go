@@ -2,9 +2,11 @@ package validate
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/sim"
@@ -275,6 +277,38 @@ func TestSeedLatencies(t *testing.T) {
 	}
 	if d := cfg.Mem.DRAM.LatencyCycles - truth.Mem.DRAM.LatencyCycles; d < -60 || d > 60 {
 		t.Errorf("seeded DRAM latency %d, truth %d", cfg.Mem.DRAM.LatencyCycles, truth.Mem.DRAM.LatencyCycles)
+	}
+}
+
+// TestSeedLatenciesAreListedValues: every latency SeedLatencies sets, on
+// both boards, is a listed value of its tunable. A value outside the list
+// would make the perturbation search skip that tunable without a word.
+func TestSeedLatenciesAreListedValues(t *testing.T) {
+	p, err := hw.Firefly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		board *hw.Board
+		base  sim.Config
+	}{{p.A53, sim.PublicA53()}, {p.A72, sim.PublicA72()}} {
+		cfg, err := SeedLatencies(c.base, c.board, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"l1d.hit_latency", "l2.hit_latency", "dram.latency"} {
+			i := slices.IndexFunc(sim.Params(cfg.Kind), func(d sim.ParamDef) bool { return d.Name == name })
+			if i < 0 {
+				t.Fatalf("%s is no tunable of %s cores", name, cfg.Kind)
+			}
+			d := sim.Params(cfg.Kind)[i]
+			if v := d.Get(&cfg); !slices.Contains(d.Values, v) {
+				t.Errorf("%s: seeded %s = %s is not one of %v", c.base.Name, name, v, d.Values)
+			}
+		}
+	}
+	if _, err := candidates(core.InOrder, "l3.hit_latency"); err == nil {
+		t.Error("a name that is no tunable was accepted")
 	}
 }
 
