@@ -303,6 +303,16 @@ func (e *env) traceSummary() {
 		st.Hits+st.Misses-e.traces.Hits-e.traces.Misses, st.Generated-e.traces.Generated)
 }
 
+// workSummary reports on stderr, beside the cache summary, the work the
+// cache's misses did: simulations run and trace events stepped, by core
+// kind. Under a shared cache, like the cache summary, it counts across jobs.
+func (e *env) workSummary() {
+	st := e.cache.Stats()
+	e.eprintf("work: %d simulations (%d in-order, %d out-of-order), %d events stepped (%d in-order, %d out-of-order)\n",
+		st.InOrderSims+st.OoOSims, st.InOrderSims, st.OoOSims,
+		st.InOrderEvents+st.OoOEvents, st.InOrderEvents, st.OoOEvents)
+}
+
 // buildID names the running build, the scope of the trace identities a
 // memo keeps in a cache. A variable so a test can run a job as another
 // build.

@@ -105,6 +105,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	st := e.cache.Stats()
 	e.eprintf("cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate), %d entries\n",
 		st.Hits, st.Misses, st.Shared, st.HitRate()*100, st.Entries)
+	e.workSummary()
 	e.traceSummary()
 	return nil
 }

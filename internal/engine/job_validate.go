@@ -115,6 +115,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 	st := e.cache.Stats()
 	e.eprintf("cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate), %d entries\n",
 		st.Hits, st.Misses, st.Shared, st.HitRate()*100, st.Entries)
+	e.workSummary()
 	e.traceSummary()
 	// Saved here, not on the way out, so its progress line keeps its place.
 	if err := e.snap.Save(); err != nil {

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 
 	"racesim/internal/core"
 	"racesim/internal/trace"
@@ -50,51 +49,23 @@ func (c Config) RunDecoded(d *trace.Decoded) (core.Result, error) {
 // Fingerprint returns a stable hex digest of the configuration's canonical
 // form (Canonical): configurations that differ only in Name, or only in
 // tunables no model reads under the kinds they select, share a fingerprint.
-// It is the config half of the simulation-cache key (see internal/simcache).
-// The digest is SHA-256 over the model epoch and appendFields' binary
-// encoding of every field, so it allocates nothing but the returned string.
+// It is the config half of the simulation-cache key (see internal/simcache),
+// the hex form of FingerprintSum; the string is its one allocation.
 func (c Config) Fingerprint() string {
-	sum := c.fingerprintSum()
+	sum := c.FingerprintSum()
 	var h [2 * sha256.Size]byte
 	hex.Encode(h[:], sum[:])
 	return string(h[:])
 }
 
-// fingerprintSum hashes the model epoch (core.Epoch), then the canonical
-// configuration.
-func (c Config) fingerprintSum() [sha256.Size]byte {
+// FingerprintSum is the digest Fingerprint spells: SHA-256 over the model
+// epoch (core.Epoch), then the canonical configuration's leaves as the
+// compiled plan encodes them (appendLeaves). It allocates nothing.
+func (c Config) FingerprintSum() [sha256.Size]byte {
 	canon := Canonical(c)
 	var buf [1024]byte // a Config encodes to a few hundred bytes
 	b := binary.AppendUvarint(buf[:0], core.Epoch)
-	return sha256.Sum256(appendFields(b, reflect.ValueOf(&canon).Elem()))
-}
-
-// appendFields appends v's leaves in declaration order: integers as
-// varints, strings length-prefixed, bools as one byte. The order is fixed
-// and every leaf self-delimiting, so equal encodings mean equal values. The
-// walk reaches every field by construction; a field of a kind it cannot
-// encode panics, rather than letting configurations share a key.
-func appendFields(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			b = appendFields(b, v.Field(i))
-		}
-	case reflect.Int:
-		b = binary.AppendVarint(b, v.Int())
-	case reflect.String:
-		b = binary.AppendUvarint(b, uint64(v.Len()))
-		b = append(b, v.String()...)
-	case reflect.Bool:
-		x := byte(0)
-		if v.Bool() {
-			x = 1
-		}
-		b = append(b, x)
-	default:
-		panic(fmt.Sprintf("sim: fingerprint: cannot encode a %s field", v.Kind()))
-	}
-	return b
+	return sha256.Sum256(appendLeaves(b, &canon))
 }
 
 // MarshalJSONFile writes the configuration to path as indented JSON.

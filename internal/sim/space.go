@@ -31,11 +31,11 @@ type ParamDef struct {
 	// Canonical merge configurations that simulate differently.
 	When *Cond
 
-	// Resolved by buildParams: the index paths (reflect.Value.FieldByIndex)
-	// of the one Config field Set writes and of When.Parent's field, and
-	// the field holding Values[0].
-	field, parent []int
-	first         reflect.Value
+	// Resolved by buildParams: the leaves (see plan.go) of the one Config
+	// field Set writes and of When.Parent's field, and, for a conditional
+	// parameter, Values[0] as that leaf holds it (leaf.int).
+	field, parent *leaf
+	first         int
 }
 
 // Cond is an activation condition in irace's form for conditional
@@ -54,7 +54,7 @@ func unless(parent string, vs ...string) *Cond { return &Cond{Parent: parent, Va
 var never = &Cond{}
 
 // Active reports whether a model reads d's field in c. It reads the
-// parent's field by reflection, not through its Get, so that a
+// parent's field through its leaf, not through its Get, so that a
 // configuration on the stack stays there (Canonical allocates nothing).
 func (d *ParamDef) Active(c *Config) bool {
 	if d.When == nil {
@@ -63,54 +63,31 @@ func (d *ParamDef) Active(c *Config) bool {
 	if d.parent == nil {
 		return false
 	}
-	p := reflect.ValueOf(c).Elem().FieldByIndex(d.parent)
-	v := ""
-	if p.Kind() == reflect.String {
-		v = p.String()
-	} else {
-		v = boolStr(p.Bool())
-	}
-	return slices.Contains(d.When.Values, v) != d.When.Not
+	return slices.Contains(d.When.Values, d.parent.str(c)) != d.When.Not
 }
 
-// locate resolves d.field and d.first on base: every listed value is set
-// on a copy and the copy's leaves compared with base's. A Set that writes
-// no field or more than one panics — a trial in the perturbation search is
-// one Set on the current configuration, which relies on it.
+// locate resolves d.field on base: every listed value is set on a copy and
+// the copy's leaves compared with base's. A Set that writes no field or more
+// than one panics — a trial in the perturbation search is one Set on the
+// current configuration, which relies on it.
 func (d *ParamDef) locate(base Config) {
 	for _, v := range d.Values {
 		c := base
 		if err := d.Set(&c, v); err != nil {
 			panic(err)
 		}
-		for _, path := range changedLeaves(reflect.ValueOf(base), reflect.ValueOf(c), nil) {
-			if d.field != nil && !slices.Equal(d.field, path) {
-				panic(fmt.Sprintf("sim: %s: Set writes two fields", d.Name))
+		for i := range leaves {
+			if l := &leaves[i]; !l.equal(&base, &c) {
+				if d.field != nil && d.field != l {
+					panic(fmt.Sprintf("sim: %s: Set writes two fields", d.Name))
+				}
+				d.field = l
 			}
-			d.field = path
 		}
 	}
 	if d.field == nil {
 		panic(fmt.Sprintf("sim: %s: Set writes no field", d.Name))
 	}
-	_ = d.Set(&base, d.Values[0]) // it succeeded above
-	d.first = reflect.ValueOf(base).FieldByIndex(d.field)
-}
-
-// changedLeaves returns the index paths, under at, of the leaves that
-// differ between a and b.
-func changedLeaves(a, b reflect.Value, at []int) [][]int {
-	if a.Kind() != reflect.Struct {
-		if a.Equal(b) {
-			return nil
-		}
-		return [][]int{at}
-	}
-	var out [][]int
-	for i := 0; i < a.NumField(); i++ {
-		out = append(out, changedLeaves(a.Field(i), b.Field(i), append(slices.Clip(at), i))...)
-	}
-	return out
 }
 
 // when returns d with activation condition w.
@@ -334,15 +311,25 @@ func buildParams(kind core.Kind) []ParamDef {
 		defs[i].locate(base)
 	}
 	for i := range defs {
-		w := defs[i].When
-		if w == nil || w.Parent == "" {
+		d := &defs[i]
+		if d.When == nil {
 			continue
 		}
-		j := slices.IndexFunc(defs, func(p ParamDef) bool { return p.Name == w.Parent })
-		if j < 0 || defs[j].When != nil || defs[j].first.Kind() != reflect.String && defs[j].first.Kind() != reflect.Bool {
-			panic(fmt.Sprintf("sim: %s: condition parent %q is not an unconditional choice or bool", defs[i].Name, w.Parent))
+		// Canonical writes Values[0] into an inactive parameter's field.
+		if k := d.field.kind; k != reflect.Int && k != reflect.Bool {
+			panic(fmt.Sprintf("sim: %s: a conditional parameter must be an int or a bool", d.Name))
 		}
-		defs[i].parent = defs[j].field
+		first := base
+		_ = d.Set(&first, d.Values[0]) // it succeeded in locate
+		d.first = d.field.int(&first)
+		if d.When.Parent == "" {
+			continue
+		}
+		j := slices.IndexFunc(defs, func(p ParamDef) bool { return p.Name == d.When.Parent })
+		if j < 0 || defs[j].When != nil || defs[j].field.kind == reflect.Int {
+			panic(fmt.Sprintf("sim: %s: condition parent %q is not an unconditional choice or bool", d.Name, d.When.Parent))
+		}
+		d.parent = defs[j].field
 	}
 	return defs
 }
@@ -381,22 +368,16 @@ func Apply(base Config, a irace.Assignment) (Config, error) {
 // set to its first listed value. Configurations with one canonical form
 // simulate identically, so Canonical is for keys and equality only;
 // nothing is simulated under it. It is defined for valid configurations:
-// an invalid one may share its canonical form with a valid one.
+// an invalid one may share its canonical form with a valid one. Each
+// condition's parent is read and each inactive field written through its
+// leaf in the compiled plan (plan.go): no reflection, no allocation.
 func Canonical(cfg Config) Config {
 	canon := cfg
 	canon.Name = ""
-	dst := reflect.ValueOf(&canon).Elem()
 	defs := Params(cfg.Kind)
 	for i := range defs {
-		d := &defs[i]
-		if d.Active(&cfg) {
-			continue
-		}
-		// SetInt and SetBool, unlike Set, leave canon on the stack.
-		if f := dst.FieldByIndex(d.field); f.Kind() == reflect.Bool {
-			f.SetBool(d.first.Bool())
-		} else {
-			f.SetInt(d.first.Int())
+		if d := &defs[i]; !d.Active(&cfg) {
+			d.field.setInt(&canon, d.first) // through the plan, unlike Set: canon stays on the stack
 		}
 	}
 	return canon

@@ -180,7 +180,9 @@ func BenchmarkSnapshotExchange(b *testing.B) {
 // small configs x traces grid (2 x 11, a perturbation step over the Table
 // II workloads) handed to RunBatch at parallelism 2 and answered pair by
 // pair from the mapped snapshot. It covers everything a disk hit costs
-// below the caller: two fingerprints, the worker pool, 22 keys, 22 lookups.
+// below the caller: two fingerprints, 22 packed keys and index hashes, 22
+// lookups decoded in place — all on the caller's goroutine, since no pair
+// is left for the worker pool.
 func BenchmarkRunBatchMappedGrid(b *testing.B) {
 	cfgs := []sim.Config{sim.PublicA53(), sim.PublicA72()}
 	var trs []*trace.Trace

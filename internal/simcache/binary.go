@@ -246,13 +246,15 @@ func recordSum[K string | []byte](key K, resultPayload []byte) (sum [8]byte) {
 // keyHash is the index hash: FNV-1a over the canonical key string.
 // Collisions are legal — lookups verify the record's stored key.
 func keyHash[K string | []byte](key K) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	return fnvAppend(14695981039346656037, key)
+}
+
+// fnvAppend continues an FNV-1a state over s: fnvAppend(keyHash(a), b) is
+// keyHash(a + b).
+func fnvAppend[K string | []byte](h uint64, s K) uint64 {
+	const prime64 = 1099511628211
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= prime64
 	}
 	return h

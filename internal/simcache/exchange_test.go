@@ -36,7 +36,9 @@ func encodePerRecordSnapshot(t *testing.T, c *Cache) []byte {
 		disk := c.disk
 		c.mu.Unlock()
 		if rec != nil {
-			return storedResult(rec), true
+			var res core.Result
+			decodeStored(rec, &res)
+			return res, true
 		}
 		res, err := disk.Get(key)
 		return res, err == nil

@@ -1,0 +1,154 @@
+package simcache
+
+import (
+	"context"
+	"encoding/hex"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"racesim/internal/core"
+	"racesim/internal/sim"
+	"racesim/internal/trace"
+)
+
+// TestGridKeyMatchesJoinKey: the key the hit pass builds for a pair — its
+// packed form, its spelling and its index hash — is packKey, the string and
+// keyHash of JoinKey's key, over random sums and digests and over real
+// configurations and traces.
+func TestGridKeyMatchesJoinKey(t *testing.T) {
+	check := func(sum [32]byte, tr *trace.Trace) {
+		t.Helper()
+		key := JoinKey(hex.EncodeToString(sum[:]), tr)
+		d := parseDigest(tr.Digest())
+		if !d.ok {
+			t.Fatalf("digest %q rejected", tr.Digest())
+		}
+		var g gridKey
+		g.setConfig(&sum)
+		h := g.setTrace(&d)
+		var buf [64]byte
+		form, packed := packKey(key, &buf)
+		if form != keyformHexHex || string(packed) != string(g.packed[:]) {
+			t.Fatalf("%s: packed %x, packKey %x", key, g.packed, packed)
+		}
+		if string(g.spelled[:]) != key || h != keyHash(key) {
+			t.Fatalf("%s: spelled %s, hash %x, want hash %x", key, g.spelled, h, keyHash(key))
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	for n := 0; n < 2000; n++ {
+		var sum, dig [32]byte
+		rng.Read(sum[:])
+		rng.Read(dig[:])
+		check(sum, trace.Deferred("random", trace.Identity{Digest: hex.EncodeToString(dig[:])}, nil))
+	}
+	for _, cfg := range batchConfigs() {
+		for _, tr := range batchTraces(t) {
+			sum := cfg.FingerprintSum()
+			if hex.EncodeToString(sum[:]) != cfg.Fingerprint() {
+				t.Fatal("Fingerprint does not spell FingerprintSum")
+			}
+			check(sum, tr)
+		}
+	}
+	// A digest a packed key cannot hold is left to RunKeyed.
+	good := strings.Repeat("0a", 32)
+	for _, s := range []string{"", good[:62], good + "00", strings.ToUpper(good), good[:63] + "g"} {
+		if parseDigest(s).ok {
+			t.Errorf("digest %q accepted", s)
+		}
+	}
+}
+
+// hitPassFixture is a cache over a snapshot of real results, prepared so
+// that a grid over batchConfigs() x batchTraces() meets every case the hit
+// pass distinguishes: pairs on disk, pairs nowhere, disk records that fail
+// their checksum, a disk record shadowed by a different result in memory,
+// and a pair held in memory alone. Each call attaches a fresh cache to the
+// same file.
+func hitPassFixture(t *testing.T) func() *Cache {
+	t.Helper()
+	cfgs, trs := batchConfigs(), batchTraces(t)
+	key := func(i, j int) string { return Key(cfgs[i], trs[j]) }
+	seed := New()
+	for _, p := range [][2]int{{0, 0}, {0, 1}, {2, 0}, {2, 2}, {1, 1}, {3, 0}} {
+		if _, err := seed.Run(cfgs[p[0]], trs[p[1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := t.TempDir() + "/grid.snap"
+	if err := seed.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	flipResultByte(t, path, key(0, 1))
+	flipResultByte(t, path, key(2, 2))
+	shadow, _ := seed.Peek(key(2, 0))
+	shadow.Cycles++
+	var memOnly core.Result
+	memOnly.Cycles, memOnly.Instructions = 12345, 678
+	return func() *Cache {
+		c := New()
+		if _, _, err := c.LoadChecked(path); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.Store(key(2, 0), shadow)
+		c.Store(key(1, 2), memOnly)
+		return c
+	}
+}
+
+// TestRunBatchHitPassMatchesRunKeyed: a grid with duplicate rows and
+// columns over hitPassFixture returns, at parallelism 1 and 2, exactly what
+// resolving each pair through RunKeyed in caller order returns, and leaves
+// the same counters: every corrupt record counted rejected once, simulated
+// once and shadowed by its result.
+func TestRunBatchHitPassMatchesRunKeyed(t *testing.T) {
+	base, baseTrs := batchConfigs(), batchTraces(t)
+	cfgs := []sim.Config{base[0], base[2], base[0], base[1], base[3]}
+	trs := []*trace.Trace{baseTrs[0], baseTrs[1], baseTrs[2], baseTrs[1]}
+	fresh := hitPassFixture(t)
+
+	ref := fresh()
+	var want []core.Result
+	for _, cfg := range cfgs {
+		for _, tr := range trs {
+			res, err := ref.RunKeyed(Key(cfg, tr), cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, res)
+		}
+	}
+	wantSt := ref.Stats()
+	if wantSt.Rejected != 2 || wantSt.Misses != 7 || wantSt.Shared != 0 {
+		t.Fatalf("reference stats = %+v, want 2 rejected and 7 simulated (5 absent pairs, 2 corrupt)", wantSt)
+	}
+
+	for _, parallelism := range []int{1, 2} {
+		c := fresh()
+		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "hit pass", got, want)
+		st := c.Stats()
+		if parallelism == 1 && st != wantSt {
+			t.Errorf("parallelism 1: stats = %+v, want %+v", st, wantSt)
+		}
+		// Wider, a duplicate pending pair may wait on its twin's simulation
+		// instead of finding its result stored.
+		st.Hits, st.Shared = st.Hits+st.Shared, 0
+		wantSt.Hits, wantSt.Shared = wantSt.Hits+wantSt.Shared, 0
+		if st != wantSt {
+			t.Errorf("parallelism %d: stats = %+v, want %+v", parallelism, st, wantSt)
+		}
+		for _, p := range [][2]int{{0, 1}, {1, 2}} { // the corrupt records, (base[0], MC) and (base[2], CS1)
+			k := Key(cfgs[p[0]], trs[p[1]])
+			if res, ok := c.Peek(k); !ok || res != want[p[0]*len(trs)+p[1]] {
+				t.Errorf("parallelism %d: the corrupt record of pair %v is not shadowed by its simulated result", parallelism, p)
+			}
+		}
+	}
+}

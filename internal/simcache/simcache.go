@@ -54,10 +54,10 @@ func Key(cfg sim.Config, tr *trace.Trace) string {
 }
 
 // JoinKey is Key for a configuration whose Fingerprint the caller already
-// holds. The fingerprint (a canonical copy, a reflective binary encoding
-// and a hash) is nearly all of a key's cost, so a caller that runs one
-// configuration on many traces fingerprints it once and joins it with each
-// trace's digest.
+// holds: a caller that runs one configuration on many traces fingerprints
+// it once and joins it with each trace's digest. RunBatch builds no key
+// string for a pair a tier answers (see answerHits); it joins keys only for
+// the pairs left to RunKeyed.
 func JoinKey(fingerprint string, tr *trace.Trace) string {
 	return fingerprint + ":" + tr.Digest()
 }
@@ -74,6 +74,13 @@ type Stats struct {
 	DiskEntries int    `json:"disk_entries"` // records indexed in the attached disk tier
 	Rejected    uint64 `json:"rejected"`     // persisted entries dropped by checksum mismatch
 	Evicted     uint64 `json:"evicted"`      // entries dropped by the memory budget
+	// The work the misses did, by core kind: simulations run here and the
+	// trace events they stepped. Unlike tape use, these do not depend on
+	// scheduling.
+	InOrderSims   uint64 `json:"inorder_sims"`
+	InOrderEvents uint64 `json:"inorder_events"`
+	OoOSims       uint64 `json:"ooo_sims"`
+	OoOEvents     uint64 `json:"ooo_events"`
 }
 
 // HitRate returns the fraction of lookups that avoided simulating —
@@ -138,6 +145,16 @@ type Cache struct {
 	shared   uint64
 	rejected uint64
 	evicted  uint64
+	// Simulations run and trace events stepped, by core kind (workIndex).
+	sims, events [2]uint64
+}
+
+// workIndex is the slot of Cache.sims and Cache.events that counts kind.
+func workIndex(kind core.Kind) int {
+	if kind == core.InOrder {
+		return 0
+	}
+	return 1
 }
 
 // New returns an empty in-memory cache.
@@ -253,12 +270,21 @@ func (c *Cache) memoryLocked(key string) []byte {
 		return nil // a process answering from its snapshot alone packs no key here
 	}
 	var packed [64]byte
-	var ce *centry
 	if packHexHex(key, &packed) {
-		ce = c.packed[packed]
-	} else {
-		ce = c.raw[key]
+		return c.packedLocked(&packed)
 	}
+	return c.touchLocked(c.raw[key])
+}
+
+// packedLocked is memoryLocked for a "hex64:hex64" key in its packed form.
+// Caller holds c.mu.
+func (c *Cache) packedLocked(packed *[64]byte) []byte {
+	return c.touchLocked(c.packed[*packed])
+}
+
+// touchLocked marks ce, unless nil, most recently used and returns its
+// record. Caller holds c.mu.
+func (c *Cache) touchLocked(ce *centry) []byte {
 	if ce == nil {
 		return nil
 	}
@@ -266,19 +292,17 @@ func (c *Cache) memoryLocked(key string) []byte {
 	return ce.rec
 }
 
-// storedResult decodes a memory-tier record. Every stored record was
-// encoded here or verified on import, so it decodes; the checksum is not
+// decodeStored decodes a memory-tier record into dst. Every stored record
+// was encoded here or verified on import, so it decodes; the checksum is not
 // re-proved.
-func storedResult(rec []byte) core.Result {
+func decodeStored(rec []byte, dst *core.Result) {
 	r, err := parseRecord(rec)
-	var res core.Result
 	if err == nil {
-		res, err = decodeResult(r.resBytes)
+		err = walkPayload(r.resBytes, resultWords(dst))
 	}
 	if err != nil {
 		panic(fmt.Sprintf("simcache: a stored record does not decode: %v", err))
 	}
-	return res
 }
 
 // Store inserts a result under key with last-writer-wins semantics,
@@ -340,7 +364,7 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 		c.hits++
 		c.mu.Unlock()
 		if rec != nil {
-			res = storedResult(rec)
+			decodeStored(rec, &res)
 		}
 		return res, nil
 	}
@@ -364,6 +388,8 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	}
 	c.mu.Lock()
 	c.misses++
+	c.sims[workIndex(cfg.Kind)]++
+	c.events[workIndex(cfg.Kind)] += fl.res.Instructions
 	if fl.err == nil {
 		c.storeLocked(rec, hash)
 	}
@@ -375,27 +401,32 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 
 // RunBatch returns the memoized result of every (cfgs[i], trs[j]) pair. It
 // is the one way to submit more than one simulation: a caller hands over
-// its configs x traces grid and the pairs are scheduled on at most
-// parallelism workers (<=1: one after the other), each resolved exactly as
-// Run resolves it — so a pair repeated inside the grid, or submitted by a
-// concurrent caller, is simulated once. Each configuration is fingerprinted
-// once, not once per trace (a trace memoizes its own digest).
+// its configs x traces grid, and each pair is resolved exactly as Run
+// resolves it — so a pair repeated inside the grid, or submitted by a
+// concurrent caller, is simulated once.
+//
+// The pairs a tier holds are answered first, on the caller's goroutine
+// (answerHits): each configuration is fingerprinted once, and a hit costs
+// one probe of each tier and a decode into its result slot — no key string,
+// no copy, no hand-off. Only the pairs left — misses, records that fail
+// their checksum, pairs in flight elsewhere — go through RunKeyed, on at
+// most parallelism workers (<=1: one after the other).
 //
 // Results are in caller order, configuration-major: pair (i, j) is
 // out[i*len(trs)+j]. The error is the lowest-indexed failing pair's,
 // whatever the completion order, and names its configuration and trace; it
 // stops dispatch, and pairs that completed stay memoized. Cancelling ctx
 // (nil: never cancelled) stops dispatch within one simulation and reports
-// ctx.Err(). A nil receiver simulates every pair.
+// ctx.Err(); a grid under a context cancelled already looks nothing up. A
+// nil receiver simulates every pair.
 func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Trace, parallelism int) ([]core.Result, error) {
-	fps := make([]string, len(cfgs))
-	if c != nil {
-		for i, cfg := range cfgs {
-			fps[i] = cfg.Fingerprint()
-		}
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	out := make([]core.Result, len(cfgs)*len(trs))
-	err := par.ForEachCtx(ctx, len(out), parallelism, func(k int) error {
+	pending, fps := c.answerHits(cfgs, trs, out)
+	err := par.ForEachCtx(ctx, len(pending), parallelism, func(n int) error {
+		k := pending[n]
 		i, tr := k/len(trs), trs[k%len(trs)]
 		var err error
 		if c == nil {
@@ -427,7 +458,9 @@ func (c *Cache) Peek(key string) (core.Result, bool) {
 	disk := c.disk
 	c.mu.Unlock()
 	if rec != nil {
-		return storedResult(rec), true
+		var res core.Result
+		decodeStored(rec, &res)
+		return res, true
 	}
 	if disk == nil {
 		return core.Result{}, false
@@ -470,6 +503,11 @@ func (c *Cache) Stats() Stats {
 		DiskEntries: c.disk.Count(),
 		Rejected:    c.rejected,
 		Evicted:     c.evicted,
+
+		InOrderSims:   c.sims[0],
+		InOrderEvents: c.events[0],
+		OoOSims:       c.sims[1],
+		OoOEvents:     c.events[1],
 	}
 }
 
