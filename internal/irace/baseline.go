@@ -33,7 +33,9 @@ func RandomSearch(space *Space, eval Evaluator, opt Options) (*Result, error) {
 		}
 		seen[key] = true
 		c := t.candidateFor(cfg, key)
-		t.evalBatch([]*candidate{c}, all)
+		if err := t.evalBatch([]*candidate{c}, all); err != nil {
+			return nil, err
+		}
 		if m := t.meanCost(c); m < res.BestCost {
 			res.BestCost = m
 			res.Best = cfg.Clone()

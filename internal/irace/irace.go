@@ -25,7 +25,7 @@ type Evaluator interface {
 // BatchEvaluator is an optional Evaluator extension: CostBatch scores many
 // configurations on one instance in a single call, so an implementation
 // pays its per-call costs (for a simulator: preparing the instance's
-// trace, one submission to its result cache) once per sub-batch. Element i
+// trace, one submission to its result cache) once per call. Element i
 // of the result must be exactly what Cost(cfgs[i], instance) would return,
 // so the tuner's races and eliminations are unchanged by which method
 // scored a pair.
@@ -63,9 +63,11 @@ type Options struct {
 	// ablation arm for measuring what statistical elimination buys.
 	DisableElimination bool
 	// Context, when non-nil, cancels the run: the tuner checks it before
-	// each iteration and each instance step of a race, so cancellation
-	// latency is bounded by one batch of Cost calls (one instance across
-	// the alive candidates), not the whole budget.
+	// each iteration and each batch of a race, and its workers stop taking
+	// pairs once it is cancelled, so cancellation latency is bounded by one
+	// evaluator call per worker — one pair, or at Parallelism 1 one
+	// instance group of a BatchEvaluator — not a batch or the whole budget.
+	// A cancelled run returns the context's error, never a Result.
 	Context context.Context
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -156,7 +158,11 @@ func New(space *Space, eval Evaluator, opt Options) (*Tuner, error) {
 }
 
 // Run executes the iterated race and returns the best configuration found.
-func (t *Tuner) Run() (*Result, error) {
+func (t *Tuner) Run() (*Result, error) { return t.run(t.race) }
+
+// run is Run with the race made a parameter, so a test can hold the tuner
+// to a reference race.
+func (t *Tuner) run(race func(iteration int, cands []*candidate) ([]*candidate, error)) (*Result, error) {
 	nParam := len(t.space.Params)
 	iterations := 2 + int(math.Log2(float64(nParam)))
 	res := &Result{}
@@ -205,7 +211,7 @@ func (t *Tuner) Run() (*Result, error) {
 			cands = cands[:max]
 		}
 
-		survivors, err := t.race(j, cands)
+		survivors, err := race(j, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +236,9 @@ func (t *Tuner) Run() (*Result, error) {
 	}
 	// Finalize: evaluate the best configuration on all instances.
 	best := elites[0]
-	t.completeAll(best)
+	if err := t.completeAll(best); err != nil {
+		return nil, err
+	}
 	res.Best = best.cfg.Clone()
 	res.BestCost = t.meanCost(best)
 	res.Evaluations = t.used
@@ -266,7 +274,7 @@ func (t *Tuner) meanCost(c *candidate) float64 {
 }
 
 // completeAll evaluates any remaining instances for c (within budget).
-func (t *Tuner) completeAll(c *candidate) {
+func (t *Tuner) completeAll(c *candidate) error {
 	var missing []int
 	for i, v := range c.costs {
 		if math.IsNaN(v) {
@@ -281,7 +289,7 @@ func (t *Tuner) completeAll(c *candidate) {
 		}
 		missing = missing[:left]
 	}
-	t.evalBatch([]*candidate{c}, missing)
+	return t.evalBatch([]*candidate{c}, missing)
 }
 
 // pending counts the evaluations one instance step would charge: the alive
@@ -297,18 +305,22 @@ func (t *Tuner) pending(cands []*candidate, inst int) int {
 }
 
 // evalBatch evaluates every (candidate, instance) pair that is still NaN,
-// in parallel, and charges the budget. The job list is trimmed to the
-// remaining budget as a final invariant — callers size their batches so
-// the trim never splits an instance step that a statistical test will
-// read, but t.used <= Budget must hold unconditionally.
-func (t *Tuner) evalBatch(cands []*candidate, instances []int) {
+// in parallel, and charges the budget. The pairs are taken instance by
+// instance, in the order given, and candidate by candidate within one. The
+// job list is trimmed to the remaining budget as a final invariant —
+// callers size their batches so the trim never splits an instance step
+// that a statistical test will read, but t.used <= Budget must hold
+// unconditionally. A cancelled Context stops the dispatch and is returned:
+// the pairs not scored are left NaN although charged, so the caller must
+// discard the run.
+func (t *Tuner) evalBatch(cands []*candidate, instances []int) error {
 	type job struct {
 		c    *candidate
 		inst int
 	}
 	var jobs []job
-	for _, c := range cands {
-		for _, inst := range instances {
+	for _, inst := range instances {
+		for _, c := range cands {
 			if math.IsNaN(c.costs[inst]) {
 				jobs = append(jobs, job{c, inst})
 			}
@@ -321,49 +333,38 @@ func (t *Tuner) evalBatch(cands []*candidate, instances []int) {
 		jobs = jobs[:left]
 	}
 	if len(jobs) == 0 {
-		return
+		return nil
 	}
 	t.used += len(jobs)
 
-	// Pairs are scored in sub-batches of one instance each, spread over the
-	// workers. A race step has one instance, hence one group: with fewer
-	// groups than workers, each group's candidates are split into enough
-	// equal sub-batches to occupy them all. A BatchEvaluator scores a
-	// sub-batch in one call; a plain Evaluator is asked pair by pair.
-	var instOrder []int
-	byInst := make(map[int][]job)
-	for _, jb := range jobs {
-		if _, seen := byInst[jb.inst]; !seen {
-			instOrder = append(instOrder, jb.inst)
-		}
-		byInst[jb.inst] = append(byInst[jb.inst], jb)
-	}
-	parts := (t.opt.Parallelism + len(instOrder) - 1) / len(instOrder)
-	var subs [][]job
-	for _, inst := range instOrder {
-		group := byInst[inst]
-		size := (len(group) + parts - 1) / parts
-		for lo := 0; lo < len(group); lo += size {
-			subs = append(subs, group[lo:min(lo+size, len(group))])
-		}
-	}
+	// A task is one pair, taken by whichever worker is free, so a slow pair
+	// holds up one worker and never a fixed share of the batch. With one
+	// worker, a BatchEvaluator instead scores each instance's pairs in one
+	// CostBatch call.
 	be, batched := t.eval.(BatchEvaluator)
-	// The callback never fails, so neither does ForEach.
-	_ = par.ForEach(len(subs), t.opt.Parallelism, func(k int) error {
-		sub := subs[k]
-		inst := sub[0].inst
+	var tasks [][]job
+	for lo := 0; lo < len(jobs); {
+		hi := lo + 1
+		for batched && t.opt.Parallelism == 1 && hi < len(jobs) && jobs[hi].inst == jobs[lo].inst {
+			hi++
+		}
+		tasks = append(tasks, jobs[lo:hi])
+		lo = hi
+	}
+	// The callback never fails, so only cancellation is reported.
+	return par.ForEachCtx(t.opt.Context, len(tasks), t.opt.Parallelism, func(k int) error {
+		task := tasks[k]
+		inst := task[0].inst
 		if !batched {
-			for _, jb := range sub {
-				jb.c.costs[inst] = t.eval.Cost(jb.c.cfg, inst)
-			}
+			task[0].c.costs[inst] = t.eval.Cost(task[0].c.cfg, inst)
 			return nil
 		}
-		cfgs := make([]Assignment, len(sub))
-		for j, jb := range sub {
+		cfgs := make([]Assignment, len(task))
+		for j, jb := range task {
 			cfgs[j] = jb.c.cfg
 		}
 		for j, cost := range be.CostBatch(cfgs, inst) {
-			sub[j].c.costs[inst] = cost
+			task[j].c.costs[inst] = cost
 		}
 		return nil
 	})

@@ -10,6 +10,13 @@ import (
 // race evaluates candidates instance-by-instance, eliminating statistically
 // inferior configurations after each step once firstTest instances have
 // been seen. It returns the survivors ordered best-first.
+//
+// A step is a unit of scheduling, not of synchronisation: a run of steps
+// that no statistical test reads in between (batchEnd) goes to the
+// evaluator as one batch, so the workers are not drained at a step
+// boundary that decides nothing. The pairs charged, the order they are
+// charged in, every test and every trace event are those of evaluating
+// one step at a time.
 func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 	alive := make([]*candidate, len(cands))
 	copy(alive, cands)
@@ -18,27 +25,25 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 	// dominate every race the same way.
 	order := t.rng.Perm(t.eval.NumInstances())
 
-	for step, inst := range order {
+	for step := 0; step < len(order); {
 		if err := t.opt.ctxErr(); err != nil {
 			return nil, err
 		}
-		// Stop once the next instance step no longer fits in the budget.
-		// During the first firstTest steps affordability is guaranteed by
-		// the candidate trim in Run, so every candidate reaches the first
-		// statistical test fully evaluated.
-		if step >= firstTest && t.opt.Budget-t.used < t.pending(alive, inst) {
-			break
+		end := t.batchEnd(alive, order, step)
+		if end == step {
+			break // the next step no longer fits in the budget
 		}
-		t.evalBatch(alive, []int{inst})
-		t.trace = append(t.trace, RaceEvent{Iteration: iteration, Instance: step + 1, Alive: len(alive)})
+		if err := t.evalBatch(alive, order[step:end]); err != nil {
+			return nil, err
+		}
+		for ; step < end; step++ {
+			t.trace = append(t.trace, RaceEvent{Iteration: iteration, Instance: step + 1, Alive: len(alive)})
+		}
 
-		if t.opt.DisableElimination {
+		if t.opt.DisableElimination || step < firstTest || len(alive) <= minSurvivors {
 			continue
 		}
-		if step+1 < firstTest || len(alive) <= minSurvivors {
-			continue
-		}
-		seen := order[:step+1]
+		seen := order[:step]
 		matrix := make([][]float64, 0, len(seen))
 		for _, i := range seen {
 			row := make([]float64, len(alive))
@@ -85,18 +90,49 @@ func (t *Tuner) race(iteration int, cands []*candidate) ([]*candidate, error) {
 				keep = append(keep, alive[j])
 			}
 		}
+		// Once len(alive) <= minSurvivors the remaining few keep racing to
+		// refine their cost estimates, but no further test is made.
 		alive = keep
-		if len(alive) <= minSurvivors {
-			// Keep racing the remaining few to refine their cost
-			// estimates, but skip further statistical tests.
-			continue
-		}
 	}
 
 	sort.SliceStable(alive, func(a, b int) bool {
 		return t.raceMean(alive[a]) < t.raceMean(alive[b])
 	})
 	return alive, nil
+}
+
+// batchEnd returns the end of the run of race steps, from step on, that is
+// evaluated as one batch:
+//   - the first firstTest steps, which Run's candidate trim has already
+//     made affordable;
+//   - once no test can follow (DisableElimination, or len(alive) <=
+//     minSurvivors), every remaining step the budget admits. alive can no
+//     longer change, so each step's rule — the budget left covers its
+//     pending pairs — is worked out in advance, and the run ends exactly
+//     where a step-by-step race would stop;
+//   - otherwise the one step, if the budget admits it: the test after it
+//     may eliminate candidates.
+//
+// It returns step itself when the next step does not fit.
+func (t *Tuner) batchEnd(alive []*candidate, order []int, step int) int {
+	if step < firstTest {
+		return min(firstTest, len(order))
+	}
+	tested := !t.opt.DisableElimination && len(alive) > minSurvivors
+	left := t.opt.Budget - t.used
+	end := step
+	for end < len(order) {
+		p := t.pending(alive, order[end])
+		if left < p {
+			break
+		}
+		left -= p
+		end++
+		if tested {
+			break
+		}
+	}
+	return end
 }
 
 // raceMean is the mean over evaluated instances (used for final ordering).

@@ -250,9 +250,9 @@ func (e *Evaluator) Cost(a irace.Assignment, instance int) float64 {
 
 // CostBatch implements irace.BatchEvaluator: the candidates that survive
 // overlay validation are submitted to the cache as one N x 1 grid, run one
-// after the other (the tuner spreads its sub-batches over its own
-// workers). A candidate sim.Apply rejects costs +Inf and loses every race;
-// a simulation that fails, or a measurement with no relative error
+// after the other (the tuner spreads its calls over its own workers). A
+// candidate sim.Apply rejects costs +Inf and loses every race; a
+// simulation that fails, or a measurement with no relative error
 // (hw.Counters.CPIError), is remembered for Err.
 func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	out := make([]float64, len(as))
@@ -269,7 +269,7 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	}
 	m := e.Ms[instance]
 	// irace.BatchEvaluator carries no context; the tuner checks its own
-	// between race steps.
+	// before each call.
 	rs, err := e.Cache.RunBatch(context.TODO(), cfgs, []*trace.Trace{m.Trace}, 1)
 	if err == nil {
 		for j, i := range idx {
@@ -304,7 +304,8 @@ type TuneOptions struct {
 	Cache *simcache.Cache
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
-	// Context, when non-nil, cancels the tuning round between race steps.
+	// Context, when non-nil, cancels the tuning round: the tuner makes no
+	// further evaluator call once it is cancelled (irace.Options.Context).
 	Context context.Context
 	Log     func(format string, args ...any)
 }
