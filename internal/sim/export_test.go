@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"reflect"
+	"testing"
+
 	"racesim/internal/core"
 	"racesim/internal/trace"
 )
@@ -11,3 +14,10 @@ func TapeStats(d *trace.Decoded) core.TapeStats { return derivedOf(d).tapes.Stat
 // DerivedOf returns what sim attaches to d: its behavior table, class
 // histogram and tape memo, in one object that lives as long as d does.
 func DerivedOf(d *trace.Decoded) any { return derivedOf(d) }
+
+// SetFields maps each tunable of kind to the Go field path its Set writes,
+// found by diffing a copy of the kind's preset (fields_test.go).
+func SetFields(t testing.TB, kind core.Kind) map[string]string { return setFields(t, kind) }
+
+// FieldAt returns c's field at a Go field path.
+func FieldAt(c *Config, path string) reflect.Value { return fieldAt(c, path) }
