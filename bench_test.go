@@ -229,7 +229,7 @@ func BenchmarkAblationTunerComparison(b *testing.B) {
 		b.Fatal(err)
 	}
 	eval := &validate.Evaluator{Base: sim.PublicA53(), Ms: ms}
-	space, err := sim.Space(core.InOrder)
+	space, err := sim.Space(core.InOrder, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

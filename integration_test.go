@@ -228,7 +228,7 @@ func TestAblationRacingBeatsNoElimination(t *testing.T) {
 		t.Fatal(err)
 	}
 	eval := &validate.Evaluator{Base: PublicA53(), Ms: ms}
-	space, err := SpaceFor(InOrder)
+	space, err := SpaceFor(InOrder, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

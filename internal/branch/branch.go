@@ -26,7 +26,9 @@ const (
 	KindTournament Kind = "tournament" // bimodal vs gshare with a chooser
 )
 
-// Kinds lists all supported direction predictor kinds.
+// Kinds lists all supported direction predictor kinds. It is also the
+// tuner's list of values for branch.kind (internal/sim/space.go), in
+// sampling order: reordering it re-pins every tuning race.
 var Kinds = []Kind{KindStatic, KindBimodal, KindGShare, KindTournament}
 
 // Config configures a prediction unit.

@@ -22,7 +22,9 @@ const (
 	HashMersenne HashKind = "mersenne" // block mod (2^k - 1)
 )
 
-// HashKinds lists all index hash kinds.
+// HashKinds lists all index hash kinds. It is also the tuner's list of
+// values for each level's hash (internal/sim/space.go), in sampling order:
+// reordering it re-pins every tuning race.
 var HashKinds = []HashKind{HashMask, HashXor, HashMersenne}
 
 // ReplKind selects the replacement policy.
@@ -35,7 +37,9 @@ const (
 	ReplRandom ReplKind = "random"
 )
 
-// ReplKinds lists all replacement policies.
+// ReplKinds lists all replacement policies. It is also the tuner's list of
+// values for each level's repl (internal/sim/space.go), in sampling order:
+// reordering it re-pins every tuning race.
 var ReplKinds = []ReplKind{ReplLRU, ReplPLRU, ReplRandom}
 
 // Config describes one cache level.

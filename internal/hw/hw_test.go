@@ -24,7 +24,7 @@ func TestTrueTunablesInsideSearchSpace(t *testing.T) {
 	// Every tunable of the ground truth must be a value the tuner could
 	// select — except the deliberate abstraction gaps.
 	for _, cfg := range []sim.Config{TrueA53(), TrueA72()} {
-		space, err := sim.Space(cfg.Kind)
+		space, err := sim.Space(cfg.Kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

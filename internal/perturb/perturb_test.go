@@ -264,7 +264,7 @@ func TestSkippedTrialsChangeNoResult(t *testing.T) {
 	skipped := 0
 	for _, board := range []*hw.Board{p.A53, p.A72} {
 		ws := workloads(t, board, 2, 3000)
-		space, err := sim.Space(board.TrueConfig().Kind)
+		space, err := sim.Space(board.TrueConfig().Kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,10 @@ const (
 	KindSpatial  Kind = "spatial"
 )
 
-// Kinds lists the prefetcher kinds exposed to the tuner. KindSpatial is
-// intentionally excluded: it models undisclosed hardware behaviour.
+// Kinds lists the prefetcher kinds exposed to the tuner: the values of
+// l1d.prefetch.kind and l2.prefetch.kind (internal/sim/space.go), in
+// sampling order, so reordering it re-pins every tuning race. KindSpatial
+// is intentionally excluded: it models undisclosed hardware behaviour.
 var Kinds = []Kind{KindNone, KindNextLine, KindStride, KindGHB}
 
 // Config configures a prefetcher instance.

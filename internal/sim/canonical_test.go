@@ -79,7 +79,7 @@ func canonicalBases(t *testing.T) []sim.Config {
 	bases := []sim.Config{p.A53.TrueConfig(), p.A72.TrueConfig()}
 	rng := rand.New(rand.NewSource(7))
 	for _, base := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
-		space, err := sim.Space(base.Kind)
+		space, err := sim.Space(base.Kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

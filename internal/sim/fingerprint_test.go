@@ -8,8 +8,11 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
+	"unsafe"
 
+	"racesim/internal/branch"
 	"racesim/internal/core"
 	"racesim/internal/irace"
 )
@@ -81,27 +84,37 @@ func appendFields(b []byte, v reflect.Value) []byte {
 	return b
 }
 
-// reflectCanonical is Canonical as the parameter table states it, through
-// each ParamDef's Get and Set alone: Name cleared, and every parameter whose
-// condition's parent holds none of its values (or holds one, under Not) set
-// to its first value.
-func reflectCanonical(t testing.TB, cfg Config) Config {
+// reflectCanonical is Canonical as the parameter table states it, with
+// fields read and written by reflection at the paths fields maps each
+// tunable to (setFields): Name cleared, and every parameter whose
+// condition's parent holds none of its values (or holds one, under Not)
+// set to its first value. It shares no leaf, Get or Set with Canonical.
+func reflectCanonical(t testing.TB, cfg Config, fields map[string]string) Config {
 	canon := cfg
 	canon.Name = ""
-	defs := Params(cfg.Kind)
-	for _, d := range defs {
+	for _, d := range Params(cfg.Kind) {
 		if d.When == nil {
 			continue
 		}
 		active := false
 		if d.When.Parent != "" {
-			j := slices.IndexFunc(defs, func(p ParamDef) bool { return p.Name == d.When.Parent })
-			active = slices.Contains(d.When.Values, defs[j].Get(&cfg)) != d.When.Not
+			parent := fmt.Sprint(fieldAt(&cfg, fields[d.When.Parent]).Interface())
+			active = slices.Contains(d.When.Values, parent) != d.When.Not
 		}
-		if !active {
-			if err := d.Set(&canon, d.Values[0]); err != nil {
+		if active {
+			continue
+		}
+		switch f := fieldAt(&canon, fields[d.Name]); f.Kind() {
+		case reflect.Int:
+			n, err := strconv.Atoi(d.Values[0])
+			if err != nil {
 				t.Fatal(err)
 			}
+			f.SetInt(int64(n))
+		case reflect.Bool:
+			f.SetBool(d.Values[0] == "true")
+		default:
+			t.Fatalf("param %s: a conditional %s field", d.Name, f.Kind())
 		}
 	}
 	return canon
@@ -110,7 +123,7 @@ func reflectCanonical(t testing.TB, cfg Config) Config {
 // sampledConfigs returns n valid configurations of kind drawn uniformly
 // from its tuning space over its public preset.
 func sampledConfigs(t testing.TB, base Config, n int, rng *rand.Rand) []Config {
-	space, err := Space(base.Kind)
+	space, err := Space(base.Kind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +138,22 @@ func sampledConfigs(t testing.TB, base Config, n int, rng *rand.Rand) []Config {
 
 // TestFingerprintPlanMatchesReflection: on both presets and on 5 000
 // sampled valid configurations of each kind, Canonical equals the
-// Get/Set oracle, the plan encodes the canonical form to the bytes the
+// reflective oracle, the plan encodes the canonical form to the bytes the
 // reflective walk writes, and FingerprintSum is SHA-256 over the epoch and
 // those bytes — so no cache key moves.
 func TestFingerprintPlanMatchesReflection(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
+	fields := map[core.Kind]map[string]string{
+		core.InOrder:    setFields(t, core.InOrder),
+		core.OutOfOrder: setFields(t, core.OutOfOrder),
+	}
 	var cfgs []Config
 	for _, base := range []Config{PublicA53(), PublicA72()} {
 		cfgs = append(append(cfgs, base), sampledConfigs(t, base, 5000, rng)...)
 	}
 	for n, cfg := range cfgs {
 		canon := Canonical(cfg)
-		if want := reflectCanonical(t, cfg); canon != want {
+		if want := reflectCanonical(t, cfg, fields[cfg.Kind]); canon != want {
 			t.Fatalf("config %d (%s): Canonical = %+v, the oracle %+v", n, cfg.Kind, canon, want)
 		}
 		epoch := binary.AppendUvarint(nil, core.Epoch)
@@ -162,4 +179,27 @@ func TestPlanRejectsUnencodableField(t *testing.T) {
 		A int
 		B float64
 	}](), 0, nil)
+}
+
+// TestLeafOfRejectsNonLeaf: a parameter's getter that does not point at a
+// leaf of its own kind panics when the table is built — here one that
+// returns a nested struct (at the offset of its first, string leaf) and one
+// that reinterprets a string field as an int.
+func TestLeafOfRejectsNonLeaf(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"struct", func() { leafOf(func(c *Config) *branch.Config { return &c.Branch }) }},
+		{"kind", func() { leafOf(func(c *Config) *int { return (*int)(unsafe.Pointer(&c.Branch.Kind)) }) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("the getter was given a leaf")
+				}
+			}()
+			tc.build()
+		})
+	}
 }

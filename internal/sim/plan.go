@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strconv"
 	"unsafe"
 )
 
@@ -15,10 +16,11 @@ type leaf struct {
 }
 
 // leaves is Config's plan: every leaf in declaration order, nested structs
-// depth-first, computed once from the type. Canonical, Active and the
-// fingerprint read and write fields through it, so no call walks the type
-// by reflection. A field of a kind the encoding cannot write panics here,
-// when the package loads, rather than letting configurations share a key.
+// depth-first, computed once from the type. Canonical, Active, the
+// fingerprint and each tunable's Get and Set read and write fields through
+// it, so no call walks the type by reflection. A field of a kind the
+// encoding cannot write panics here, when the package loads, rather than
+// letting configurations share a key.
 var leaves = flatten(reflect.TypeFor[Config](), 0, nil)
 
 func flatten(t reflect.Type, base uintptr, out []leaf) []leaf {
@@ -62,17 +64,9 @@ func (l *leaf) setInt(c *Config, v int) {
 // ParamDef values take).
 func (l *leaf) str(c *Config) string {
 	if l.kind == reflect.Bool {
-		return boolStr(*(*bool)(l.ptr(c)))
+		return strconv.FormatBool(*(*bool)(l.ptr(c)))
 	}
 	return *(*string)(l.ptr(c))
-}
-
-// equal reports whether a and b hold the same value in the leaf.
-func (l *leaf) equal(a, b *Config) bool {
-	if l.kind == reflect.String {
-		return *(*string)(l.ptr(a)) == *(*string)(l.ptr(b))
-	}
-	return l.int(a) == l.int(b)
 }
 
 // appendLeaves appends c's leaves in declaration order: integers as

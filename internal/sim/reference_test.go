@@ -520,7 +520,7 @@ func referenceTraces(t testing.TB) []*trace.Trace {
 // drawn again while the combination is invalid.
 func sampleConfig(t testing.TB, base sim.Config, rng *rand.Rand) sim.Config {
 	t.Helper()
-	sp, err := sim.Space(base.Kind)
+	sp, err := sim.Space(base.Kind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

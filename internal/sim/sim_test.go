@@ -55,7 +55,7 @@ func TestParamSpaceSize(t *testing.T) {
 
 func TestSpaceBuilds(t *testing.T) {
 	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
-		if _, err := Space(kind); err != nil {
+		if _, err := Space(kind, nil); err != nil {
 			t.Errorf("%s: %v", kind, err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestExtractApplyRoundTrip(t *testing.T) {
 	a := Extract(base)
 	// Every extracted value must be among the candidates (the presets
 	// must start inside the search space).
-	space, _ := Space(core.InOrder)
+	space, _ := Space(core.InOrder, nil)
 	if err := space.Validate(a); err != nil {
 		t.Fatalf("preset outside search space: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
@@ -14,16 +15,13 @@ import (
 	"racesim/internal/prefetch"
 )
 
-// ParamDef is one tunable simulator parameter: its candidate values, how to
-// read it from a Config and how to write it back. The set of ParamDefs is
-// the "list of unknown parameters" of methodology step 3 — everything the
-// reference manuals do not disclose.
+// ParamDef is one tunable simulator parameter: the irace.Param the tuner
+// samples (its name and candidate values), when a model reads it, and the
+// one Config field it names, which Get reads and Set writes. The set of
+// ParamDefs is the "list of unknown parameters" of methodology step 3 —
+// everything the reference manuals do not disclose.
 type ParamDef struct {
-	Name    string
-	Values  []string
-	Ordered bool
-	Get     func(*Config) string
-	Set     func(*Config, string) error
+	irace.Param
 	// When is the parameter's activation condition: the configurations
 	// whose models read its field. nil means always. A field it leaves
 	// active that some kind does not read only costs a missed
@@ -31,9 +29,10 @@ type ParamDef struct {
 	// Canonical merge configurations that simulate differently.
 	When *Cond
 
-	// Resolved by buildParams: the leaves (see plan.go) of the one Config
-	// field Set writes and of When.Parent's field, and, for a conditional
-	// parameter, Values[0] as that leaf holds it (leaf.int).
+	// field is the leaf (see plan.go) of the Config field the parameter
+	// names. buildParams resolves parent, the leaf of When.Parent's field,
+	// and, for a conditional parameter, first: Values[0] as field holds it
+	// (leaf.int).
 	field, parent *leaf
 	first         int
 }
@@ -54,8 +53,8 @@ func unless(parent string, vs ...string) *Cond { return &Cond{Parent: parent, Va
 var never = &Cond{}
 
 // Active reports whether a model reads d's field in c. It reads the
-// parent's field through its leaf, not through its Get, so that a
-// configuration on the stack stays there (Canonical allocates nothing).
+// parent's field through its leaf, so that a configuration on the stack
+// stays there (Canonical allocates nothing).
 func (d *ParamDef) Active(c *Config) bool {
 	if d.When == nil {
 		return true
@@ -66,28 +65,37 @@ func (d *ParamDef) Active(c *Config) bool {
 	return slices.Contains(d.When.Values, d.parent.str(c)) != d.When.Not
 }
 
-// locate resolves d.field on base: every listed value is set on a copy and
-// the copy's leaves compared with base's. A Set that writes no field or more
-// than one panics — a trial in the perturbation search is one Set on the
-// current configuration, which relies on it.
-func (d *ParamDef) locate(base Config) {
-	for _, v := range d.Values {
-		c := base
-		if err := d.Set(&c, v); err != nil {
-			panic(err)
-		}
-		for i := range leaves {
-			if l := &leaves[i]; !l.equal(&base, &c) {
-				if d.field != nil && d.field != l {
-					panic(fmt.Sprintf("sim: %s: Set writes two fields", d.Name))
-				}
-				d.field = l
-			}
-		}
+// Get reads d's field from c in the form of its values.
+func (d *ParamDef) Get(c *Config) string {
+	if d.field.kind == reflect.Int {
+		return strconv.Itoa(d.field.int(c))
 	}
-	if d.field == nil {
-		panic(fmt.Sprintf("sim: %s: Set writes no field", d.Name))
+	return d.field.str(c)
+}
+
+// Set writes v into d's field of c, and nothing else. An int parameter
+// takes any integer, listed or not; a bool only "true" or "false"; a
+// categorical only one of its values. A refused v leaves c as it was.
+func (d *ParamDef) Set(c *Config, v string) error {
+	switch d.field.kind {
+	case reflect.Int:
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return fmt.Errorf("sim: %s: %w", d.Name, err)
+		}
+		d.field.setInt(c, n)
+	case reflect.Bool:
+		if v != "true" && v != "false" {
+			return fmt.Errorf("sim: %s: bad bool %q", d.Name, v)
+		}
+		*(*bool)(d.field.ptr(c)) = v == "true"
+	default:
+		if !slices.Contains(d.Values, v) {
+			return fmt.Errorf("sim: %s: bad value %q", d.Name, v)
+		}
+		*(*string)(d.field.ptr(c)) = v
 	}
+	return nil
 }
 
 // when returns d with activation condition w.
@@ -96,82 +104,50 @@ func (d ParamDef) when(w *Cond) ParamDef {
 	return d
 }
 
-func itoa(v int) string { return strconv.Itoa(v) }
-
-func ints(vs ...int) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = itoa(v)
+// leafOf returns the leaf get points at. get is called once, on a zero
+// Config; a pointer that is not to a leaf of T's kind — a nested struct,
+// or a field reinterpreted as another type — panics when the table is
+// built.
+func leafOf[T any](get func(*Config) *T) *leaf {
+	var c Config
+	off := uintptr(unsafe.Pointer(get(&c))) - uintptr(unsafe.Pointer(&c))
+	kind := reflect.TypeFor[T]().Kind()
+	for i := range leaves {
+		if l := &leaves[i]; l.off == off && l.kind == kind {
+			return l
+		}
 	}
-	return out
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
+	panic(fmt.Sprintf("sim: no %s field of Config at offset %d", kind, off))
 }
 
 func intParam(name string, get func(*Config) *int, vs ...int) ParamDef {
-	return ParamDef{
-		Name: name, Values: ints(vs...), Ordered: true,
-		Get: func(c *Config) string { return itoa(*get(c)) },
-		Set: func(c *Config, s string) error {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return fmt.Errorf("sim: %s: %w", name, err)
-			}
-			*get(c) = v
-			return nil
-		},
+	values := make([]string, len(vs))
+	for i, v := range vs {
+		values[i] = strconv.Itoa(v)
 	}
+	return ParamDef{Param: irace.Param{Name: name, Values: values, Ordered: true}, field: leafOf(get)}
 }
 
 func boolParam(name string, get func(*Config) *bool) ParamDef {
-	return ParamDef{
-		Name: name, Values: []string{"false", "true"},
-		Get: func(c *Config) string { return boolStr(*get(c)) },
-		Set: func(c *Config, s string) error {
-			switch s {
-			case "true":
-				*get(c) = true
-			case "false":
-				*get(c) = false
-			default:
-				return fmt.Errorf("sim: %s: bad bool %q", name, s)
-			}
-			return nil
-		},
-	}
+	return ParamDef{Param: irace.Param{Name: name, Values: []string{"false", "true"}}, field: leafOf(get)}
 }
 
-func choiceParam(name string, values []string, get func(*Config) string, set func(*Config, string)) ParamDef {
-	return ParamDef{
-		Name: name, Values: values,
-		Get: func(c *Config) string { return get(c) },
-		Set: func(c *Config, s string) error {
-			for _, v := range values {
-				if v == s {
-					set(c, s)
-					return nil
-				}
-			}
-			return fmt.Errorf("sim: %s: bad value %q", name, s)
-		},
+func choiceParam[K ~string](name string, get func(*Config) *K, vs ...K) ParamDef {
+	values := make([]string, len(vs))
+	for i, v := range vs {
+		values[i] = string(v)
 	}
+	return ParamDef{Param: irace.Param{Name: name, Values: values}, field: leafOf(get)}
 }
 
 // prefetchParams declares a level's prefetcher. Kind none reads none of
 // its fields; next_line and spatial (the A72 board's, never offered to the
 // tuner) read no table, stride and ghb read every field (prefetch.go).
-func prefetchParams(prefix string, get func(*Config) *prefetch.Config, kinds []string, degrees, distances, tables []int) []ParamDef {
+func prefetchParams(prefix string, get func(*Config) *prefetch.Config, degrees, distances, tables []int) []ParamDef {
 	kind := prefix + ".kind"
 	on := unless(kind, string(prefetch.KindNone))
 	return []ParamDef{
-		choiceParam(kind, kinds,
-			func(c *Config) string { return string(get(c).Kind) },
-			func(c *Config, s string) { get(c).Kind = prefetch.Kind(s) }),
+		choiceParam(kind, func(c *Config) *prefetch.Kind { return &get(c).Kind }, prefetch.Kinds...),
 		intParam(prefix+".degree", func(c *Config) *int { return &get(c).Degree }, degrees...).when(on),
 		intParam(prefix+".distance", func(c *Config) *int { return &get(c).Distance }, distances...).when(on),
 		intParam(prefix+".table", func(c *Config) *int { return &get(c).TableEntries }, tables...).
@@ -184,12 +160,8 @@ func cacheParams(prefix string, get func(*Config) *cache.Config, hitLats ...int)
 	return []ParamDef{
 		intParam(prefix+".hit_latency", func(c *Config) *int { return &get(c).HitLatency }, hitLats...),
 		boolParam(prefix+".tag_data_serial", func(c *Config) *bool { return &get(c).TagDataSerial }),
-		choiceParam(prefix+".hash", []string{"mask", "xor", "mersenne"},
-			func(c *Config) string { return string(get(c).Hash) },
-			func(c *Config, s string) { get(c).Hash = cache.HashKind(s) }),
-		choiceParam(prefix+".repl", []string{"lru", "plru", "random"},
-			func(c *Config) string { return string(get(c).Repl) },
-			func(c *Config, s string) { get(c).Repl = cache.ReplKind(s) }),
+		choiceParam(prefix+".hash", func(c *Config) *cache.HashKind { return &get(c).Hash }, cache.HashKinds...),
+		choiceParam(prefix+".repl", func(c *Config) *cache.ReplKind { return &get(c).Repl }, cache.ReplKinds...),
 		intParam(prefix+".ports", func(c *Config) *int { return &get(c).Ports }, 1, 2),
 	}
 }
@@ -216,10 +188,7 @@ func buildParams(kind core.Kind) []ParamDef {
 	add := func(ps ...ParamDef) { defs = append(defs, ps...) }
 
 	// Branch prediction unit: entirely undisclosed.
-	add(choiceParam("branch.kind",
-		[]string{"static", "bimodal", "gshare", "tournament"},
-		func(c *Config) string { return string(c.Branch.Kind) },
-		func(c *Config, s string) { c.Branch.Kind = branch.Kind(s) }))
+	add(choiceParam("branch.kind", func(c *Config) *branch.Kind { return &c.Branch.Kind }, branch.Kinds...))
 	// Each direction predictor reads only its own tables (branch.Unit.Reset).
 	bimodal := whenIn("branch.kind", string(branch.KindBimodal), string(branch.KindTournament))
 	gshare := whenIn("branch.kind", string(branch.KindGShare), string(branch.KindTournament))
@@ -242,14 +211,13 @@ func buildParams(kind core.Kind) []ParamDef {
 	add(cacheParams("l1d", func(c *Config) *cache.Config { return &c.Mem.L1D }, 2, 3, 4)...)
 	add(intParam("l1d.victim_entries", func(c *Config) *int { return &c.Mem.L1D.VictimEntries }, 0, 2, 4, 8))
 	add(prefetchParams("l1d.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L1D.Prefetch },
-		[]string{"none", "next_line", "stride", "ghb"}, []int{1, 2, 4}, []int{1, 2, 4, 8}, []int{16, 32, 64, 128})...)
+		[]int{1, 2, 4}, []int{1, 2, 4, 8}, []int{16, 32, 64, 128})...)
 
 	// L1 instruction cache.
 	add(intParam("l1i.hit_latency", func(c *Config) *int { return &c.Mem.L1I.HitLatency }, 1, 2, 3))
 	add(boolParam("l1i.tag_data_serial", func(c *Config) *bool { return &c.Mem.L1I.TagDataSerial }))
-	add(choiceParam("l1i.prefetch.kind", []string{"none", "next_line"},
-		func(c *Config) string { return string(c.Mem.L1I.Prefetch.Kind) },
-		func(c *Config, s string) { c.Mem.L1I.Prefetch.Kind = prefetch.Kind(s) }))
+	add(choiceParam("l1i.prefetch.kind", func(c *Config) *prefetch.Kind { return &c.Mem.L1I.Prefetch.Kind },
+		prefetch.KindNone, prefetch.KindNextLine))
 	add(intParam("l1i.prefetch.degree", func(c *Config) *int { return &c.Mem.L1I.Prefetch.Degree }, 1, 2).
 		when(unless("l1i.prefetch.kind", string(prefetch.KindNone))))
 
@@ -260,7 +228,7 @@ func buildParams(kind core.Kind) []ParamDef {
 	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16).when(never))
 	add(intParam("l2.victim_entries", func(c *Config) *int { return &c.Mem.L2.VictimEntries }, 0, 4, 8))
 	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch },
-		[]string{"none", "next_line", "stride", "ghb"}, []int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}, []int{32, 64, 128, 256})...)
+		[]int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}, []int{32, 64, 128, 256})...)
 
 	// TLBs and paging.
 	add(intParam("tlb.itlb_entries", func(c *Config) *int { return &c.Mem.ITLBEntries }, 16, 32, 48, 64))
@@ -303,13 +271,6 @@ func buildParams(kind core.Kind) []ParamDef {
 		add(intParam("pipes.load", func(c *Config) *int { return &c.Pipes.Load }, 1, 2))
 		add(intParam("pipes.store", func(c *Config) *int { return &c.Pipes.Store }, 1, 2))
 	}
-	base := PublicA53()
-	if kind != core.InOrder {
-		base = PublicA72()
-	}
-	for i := range defs {
-		defs[i].locate(base)
-	}
 	for i := range defs {
 		d := &defs[i]
 		if d.When == nil {
@@ -319,8 +280,8 @@ func buildParams(kind core.Kind) []ParamDef {
 		if k := d.field.kind; k != reflect.Int && k != reflect.Bool {
 			panic(fmt.Sprintf("sim: %s: a conditional parameter must be an int or a bool", d.Name))
 		}
-		first := base
-		_ = d.Set(&first, d.Values[0]) // it succeeded in locate
+		var first Config
+		_ = d.Set(&first, d.Values[0]) // a listed value: it parses
 		d.first = d.field.int(&first)
 		if d.When.Parent == "" {
 			continue
@@ -334,12 +295,14 @@ func buildParams(kind core.Kind) []ParamDef {
 	return defs
 }
 
-// Space builds the irace search space for a core kind.
-func Space(kind core.Kind) (*irace.Space, error) {
-	defs := Params(kind)
-	params := make([]irace.Param, len(defs))
-	for i, d := range defs {
-		params[i] = irace.Param{Name: d.Name, Values: d.Values, Ordered: d.Ordered}
+// Space builds the irace search space for a core kind: every tunable's
+// irace.Param but those exclude names.
+func Space(kind core.Kind, exclude map[string]bool) (*irace.Space, error) {
+	var params []irace.Param
+	for _, d := range Params(kind) {
+		if !exclude[d.Name] {
+			params = append(params, d.Param)
+		}
 	}
 	return irace.NewSpace(params)
 }
@@ -377,7 +340,7 @@ func Canonical(cfg Config) Config {
 	defs := Params(cfg.Kind)
 	for i := range defs {
 		if d := &defs[i]; !d.Active(&cfg) {
-			d.field.setInt(&canon, d.first) // through the plan, unlike Set: canon stays on the stack
+			d.field.setInt(&canon, d.first) // no parsing: canon stays on the stack
 		}
 	}
 	return canon

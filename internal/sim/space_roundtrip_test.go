@@ -1,18 +1,18 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"racesim/internal/core"
 	"racesim/internal/irace"
 )
 
-// The tunable-parameter space is defined twice per parameter — a Get that
-// reads a Config and a Set that writes one. Nothing ties the two to the
-// same field, so a copy-paste slip (Set writing L1D, Get reading L2)
-// would silently corrupt every tuning race. These tests pin the contract:
-// writing any candidate value and reading it back is the identity, for
-// every parameter and every value in the space, on both core kinds.
+// A tunable names one Config field: Set writes it, Get reads it. These
+// tests pin that contract against the type itself (the reflect walk of
+// fields_test.go): setting any candidate value writes that field and no
+// other, and reads back as written, for every parameter and every value in
+// the space, on both core kinds.
 func roundTripCases(t *testing.T) []struct {
 	name string
 	kind core.Kind
@@ -33,6 +33,7 @@ func TestParamGetSetRoundTrip(t *testing.T) {
 	for _, tc := range roundTripCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, d := range Params(tc.kind) {
+				field := setField(t, &d, tc.base)
 				for _, v := range d.Values {
 					cfg := tc.base
 					if err := d.Set(&cfg, v); err != nil {
@@ -41,6 +42,15 @@ func TestParamGetSetRoundTrip(t *testing.T) {
 					}
 					if got := d.Get(&cfg); got != v {
 						t.Errorf("param %s: Set(%q) reads back %q — Get/Set drift", d.Name, v, got)
+					}
+					// Set writes its field alone: the preset's own value
+					// changes no leaf, any other changes exactly that one.
+					want := []string{field}
+					if d.Get(&tc.base) == v {
+						want = nil
+					}
+					if got := changedFields(&tc.base, &cfg); !slices.Equal(got, want) {
+						t.Errorf("param %s: Set(%q) changes the leaves %v, want %v", d.Name, v, got, want)
 					}
 				}
 				// A value outside the candidate list must be rejected, not
@@ -58,7 +68,7 @@ func TestExtractApplyRoundTripOverSpace(t *testing.T) {
 	for _, tc := range roundTripCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			defs := Params(tc.kind)
-			space, err := Space(tc.kind)
+			space, err := Space(tc.kind, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,7 @@ func TestEveryParamValueApplies(t *testing.T) {
 // must never be able to construct an invalid model from the space.
 func TestRandomAssignmentsAlwaysValid(t *testing.T) {
 	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
-		space, err := Space(kind)
+		space, err := Space(kind, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

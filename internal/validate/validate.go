@@ -320,15 +320,7 @@ type TuneResult struct {
 // Tune runs one irace round against the measurements and returns the tuned
 // configuration (methodology step 4).
 func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, error) {
-	defs := sim.Params(base.Kind)
-	var params []irace.Param
-	for _, d := range defs {
-		if opt.ExcludeParams[d.Name] {
-			continue
-		}
-		params = append(params, irace.Param{Name: d.Name, Values: d.Values, Ordered: d.Ordered})
-	}
-	space, err := irace.NewSpace(params)
+	space, err := sim.Space(base.Kind, opt.ExcludeParams)
 	if err != nil {
 		return nil, err
 	}

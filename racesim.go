@@ -133,7 +133,8 @@ var (
 	Pipeline = validate.Pipeline
 	// PaperStages is the paper's Figure 1 flow as stages.
 	PaperStages = validate.PaperStages
-	// SpaceFor returns the tunable-parameter space for a core kind.
+	// SpaceFor returns the tunable-parameter space for a core kind, without
+	// the parameters its exclude set names (nil: all of them).
 	SpaceFor = sim.Space
 	// ApplyAssignment overlays tuned parameters onto a base config.
 	ApplyAssignment = sim.Apply
