@@ -281,9 +281,6 @@ func (h *Hierarchy) Probe(addr uint64) bool {
 	return hit
 }
 
-// Config returns the configuration h was last reset to.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // Stats returns aggregated statistics.
 func (h *Hierarchy) Stats() HierarchyStats {
 	if h.mode == tapeReplaying {

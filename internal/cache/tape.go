@@ -16,9 +16,10 @@ import (
 // moves only the port arbitration of each level (Level.portDelay) and the
 // DRAM queue (dram.DRAM.Access). Two hierarchies that are driven with the
 // same sequence of Fetch/Probe/Load/Store calls and whose configurations
-// agree on every functional field (HierarchyConfig.Functional) therefore
-// take the same hit/miss/evict/prefetch decisions, whatever their
-// latencies, port counts and memory timing.
+// differ only in timing — latencies, port counts, MSHRs, memory timing —
+// therefore take the same hit/miss/evict/prefetch decisions. Which fields
+// those are is declared once, beside the tunables that name them
+// (sim.ParamDef.TimingOnly); the caller keys tapes on it (core.TapeMemo).
 //
 // A Tape is the stream of those decisions, recorded once by a hierarchy
 // that runs normally and writes them down (Record), and replayed by any
@@ -116,26 +117,6 @@ const (
 	tapeReplaying
 )
 
-// FunctionalKey is a HierarchyConfig with every timing-only field zeroed:
-// two configurations with equal keys take identical decisions over the
-// same access sequence, so a tape recorded under one replays under the
-// other. It is comparable and meant to be used directly as a lookup key.
-type FunctionalKey HierarchyConfig
-
-// Functional returns c's functional key. The timing-only fields — the ones
-// it zeroes — are, per level, HitLatency, TagDataSerial, Ports and MSHRs;
-// all of DRAM; TLBMissLatency; and ZeroFillLatency. Every other field
-// shapes the decision stream and stays. (TestFunctionalKeyClassifiesEveryField
-// fails when a new field is in neither list.)
-func (c HierarchyConfig) Functional() FunctionalKey {
-	for _, l := range [...]*Config{&c.L1I, &c.L1D, &c.L2} {
-		l.HitLatency, l.TagDataSerial, l.Ports, l.MSHRs = 0, false, 0, 0
-	}
-	c.DRAM = dram.Config{}
-	c.TLBMissLatency, c.ZeroFillLatency = 0, 0
-	return FunctionalKey(c)
-}
-
 // Record makes h an empty hierarchy of cfg, as Reset does, that also
 // writes down every decision it takes. Once the run is over, Tape returns
 // the recording.
@@ -164,7 +145,7 @@ func (h *Hierarchy) Tape() *Tape {
 
 // Replay makes h an idle hierarchy of cfg that takes its decisions from t
 // instead of simulating them. t must have been recorded under a
-// configuration with cfg's functional key, and h must then be driven with
+// configuration that takes cfg's decisions, and h must then be driven with
 // the access sequence t was recorded over; ReplayErr reports a run that
 // was not. The functional arrays h owns are left as they are, for the next
 // Reset to recycle.

@@ -1,116 +1,13 @@
 package cache
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"racesim/internal/dram"
 	"racesim/internal/prefetch"
 )
-
-// perLevel returns the dotted paths of the given Config fields in each of
-// the three levels of a HierarchyConfig.
-func perLevel(fields ...string) []string {
-	var out []string
-	for _, lvl := range []string{"L1I", "L1D", "L2"} {
-		for _, f := range fields {
-			out = append(out, lvl+"."+f)
-		}
-	}
-	return out
-}
-
-// Every leaf field of HierarchyConfig (through Config, prefetch.Config and
-// dram.Config) is in exactly one of these two lists. timingOnlyFields are
-// the ones HierarchyConfig.Functional zeroes: they move when an access
-// completes, never what it finds.
-//
-// MSHRs is a special case worth knowing about: Config.Validate checks it
-// and nothing reads it — the core models bound outstanding misses with
-// their own MSHRs parameter (core.Config.MSHRs, the tunable
-// "l1d.mshrs") — so the tunable "l2.mshrs" is a dead parameter of the
-// search space. It is classified timing-only because that is what it
-// would be if a model honoured it, and left in the search space because
-// removing it changes race sampling and every pinned output
-// (docs/validation.md).
-var (
-	timingOnlyFields = append(perLevel("HitLatency", "TagDataSerial", "MSHRs", "Ports"),
-		"DRAM.LatencyCycles", "DRAM.BurstCycles", "DRAM.QueueDepth",
-		"TLBMissLatency", "ZeroFillLatency")
-	functionalFields = append(perLevel("Name", "SizeKB", "Assoc", "LineSize", "Hash", "Repl",
-		"WriteBack", "WriteAllocate", "VictimEntries",
-		"Prefetch.Kind", "Prefetch.Degree", "Prefetch.Distance", "Prefetch.TableEntries",
-		"Prefetch.GHBEntries", "Prefetch.OnHit"),
-		"ITLBEntries", "DTLBEntries", "PageBytes", "ZeroFillOpt")
-)
-
-// leafFields returns the addressable leaf fields of struct v by dotted path.
-func leafFields(t *testing.T, v reflect.Value, prefix string, out map[string]reflect.Value) {
-	t.Helper()
-	for i := 0; i < v.NumField(); i++ {
-		f, path := v.Field(i), prefix+v.Type().Field(i).Name
-		switch f.Kind() {
-		case reflect.Struct:
-			leafFields(t, f, path+".", out)
-		case reflect.Bool, reflect.Int, reflect.String:
-			out[path] = f
-		default:
-			t.Fatalf("%s is a %s: decide whether FunctionalKey can still be compared with == and how this test should change it", path, f.Kind())
-		}
-	}
-}
-
-// TestFunctionalKeyClassifiesEveryField keeps the tape key from going
-// stale silently: a field added to any of the four config structs is in
-// neither list and stops this test until someone decides whether it shapes
-// the hierarchy's decisions (functional: it must move the key) or only
-// their timing (timing-only: Functional must zero it). The lists and
-// Functional are then checked against each other field by field.
-func TestFunctionalKeyClassifiesEveryField(t *testing.T) {
-	var cfg HierarchyConfig
-	leaves := map[string]reflect.Value{}
-	leafFields(t, reflect.ValueOf(&cfg).Elem(), "", leaves)
-
-	for path := range leaves {
-		fn, tm := slices.Contains(functionalFields, path), slices.Contains(timingOnlyFields, path)
-		switch {
-		case fn && tm:
-			t.Errorf("%s is listed as both functional and timing-only", path)
-		case !fn && !tm:
-			t.Errorf("%s is in neither list: a tape recorded under one value of it may be replayed under another. "+
-				"If it can change what an access finds, add it to functionalFields; if it only changes when, "+
-				"add it to timingOnlyFields and zero it in HierarchyConfig.Functional", path)
-		}
-	}
-	for _, path := range slices.Concat(functionalFields, timingOnlyFields) {
-		if _, ok := leaves[path]; !ok {
-			t.Errorf("%s is listed but is not a field of HierarchyConfig", path)
-		}
-	}
-
-	base := cfg.Functional()
-	for path, f := range leaves {
-		old := reflect.New(f.Type()).Elem()
-		old.Set(f)
-		switch f.Kind() {
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.Int:
-			f.SetInt(7)
-		case reflect.String:
-			f.SetString("x")
-		}
-		moved := cfg.Functional() != base
-		f.Set(old)
-		if want := slices.Contains(functionalFields, path); moved != want {
-			t.Errorf("%s: changing it moves the functional key = %v, want %v", path, moved, want)
-		}
-	}
-}
 
 // tapeTestConfigs returns hierarchies that between them take every branch
 // of Level.accessLive and replayAccess: write-back and write-through,
@@ -233,7 +130,10 @@ func drive(h *Hierarchy, ops []tapeOp) []uint64 {
 	return out
 }
 
-// retimed returns cfg with every timing-only field changed.
+// retimed returns cfg with every field changed that the replay
+// interpreter reads and no decision does: each level's hit latency, tag
+// and data order, ports and MSHRs, the DRAM timing, the TLB miss latency
+// and the zero-fill latency.
 func retimed(cfg HierarchyConfig, rng *rand.Rand) HierarchyConfig {
 	for _, l := range []*Config{&cfg.L1I, &cfg.L1D, &cfg.L2} {
 		l.HitLatency = 1 + rng.Intn(20)
@@ -327,39 +227,6 @@ func TestTapeReplayMatchesLive(t *testing.T) {
 		}
 		if recycled.Tape() != nil || recycled.ReplayErr() != nil {
 			t.Error("a live hierarchy has a tape or a replay error")
-		}
-	}
-}
-
-// TestTimingOnlyFieldsLeaveTapeUnchanged is the behavioural half of the
-// field classification: for each field listed as timing-only, a hierarchy
-// that differs from the base in that field alone records the same tape,
-// byte for byte, with the same functional totals — so replaying the base's
-// tape under it is replaying its own.
-func TestTimingOnlyFieldsLeaveTapeUnchanged(t *testing.T) {
-	ops := tapeOps(4000, 2)
-	h := new(Hierarchy)
-	for ci, base := range tapeTestConfigs() {
-		_, _, want := record(t, h, base, ops)
-		for _, path := range timingOnlyFields {
-			cfg := base
-			f := reflect.ValueOf(&cfg).Elem()
-			for _, name := range strings.Split(path, ".") {
-				f = f.FieldByName(name)
-			}
-			switch f.Kind() {
-			case reflect.Bool:
-				f.SetBool(!f.Bool())
-			case reflect.Int:
-				f.SetInt(f.Int() + 3)
-			}
-			_, _, got := record(t, h, cfg, ops)
-			if !bytes.Equal(got.dec, want.dec) {
-				t.Errorf("config %d: changing %s changed the recorded decisions: it is not timing-only", ci, path)
-			}
-			if got.stats != want.stats {
-				t.Errorf("config %d: changing %s changed the functional totals\n got  %+v\n want %+v", ci, path, got.stats, want.stats)
-			}
 		}
 	}
 }

@@ -86,7 +86,7 @@ func record(t *testing.T, src string) *trace.Trace {
 func replay(cfg Config, d *trace.Decoded, tapes *TapeMemo) (Result, error) {
 	behav := CompileBehaviors(d.Insts)
 	classes := ClassHistogram(d.IDs, behav)
-	return Replay(cfg, d, behav, &classes, tapes)
+	return Replay(cfg, d, behav, &classes, tapes, cfg.Mem)
 }
 
 func run(t *testing.T, cfg Config, tr *trace.Trace) Result {

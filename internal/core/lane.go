@@ -59,15 +59,15 @@ type lane struct {
 var lanes = sync.Pool{New: func() any { return new(lane) }}
 
 // reset makes ln a fresh lane of cfg (a valid one), keeping the arrays it
-// owns. tapes decides whether the hierarchy simulates, records or replays
-// its decisions (nil: always simulates; see TapeMemo). Only cfg's own back
-// end is reset: Validate does not check the other kind's fields, and that
-// back end keeps its arrays for a later configuration of its kind.
-func (ln *lane) reset(cfg Config, tapes *TapeMemo) error {
+// owns. tapes decides by key whether the hierarchy simulates, records or
+// replays its decisions (nil: it simulates; see TapeMemo). Only cfg's own
+// back end is reset: Validate does not check the other kind's fields, and
+// that back end keeps its arrays for a later configuration of its kind.
+func (ln *lane) reset(cfg Config, tapes *TapeMemo, key *cache.HierarchyConfig) error {
 	if ln.hier == nil {
 		ln.hier, ln.bu = new(cache.Hierarchy), new(branch.Unit)
 	}
-	if err := tapes.reset(ln.hier, cfg.Mem); err != nil {
+	if err := tapes.reset(ln.hier, cfg.Mem, key); err != nil {
 		return err
 	}
 	if err := ln.bu.Reset(cfg.Branch); err != nil {

@@ -40,7 +40,7 @@ func TestLaneServesBothKinds(t *testing.T) {
 	classes := ClassHistogram(d.IDs, behav)
 	play := func(ln *lane, cfg Config) Result {
 		t.Helper()
-		if err := ln.reset(cfg, nil); err != nil {
+		if err := ln.reset(cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if cfg.Kind == InOrder {

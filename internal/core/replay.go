@@ -6,6 +6,7 @@ package core
 import (
 	"fmt"
 
+	"racesim/internal/cache"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
@@ -14,11 +15,11 @@ import (
 // The lane comes from the process-wide free list and goes back to it
 // before the call returns. behav must be the behavior table for d.Insts
 // (CompileBehaviors), classes d's class histogram under it
-// (ClassHistogram), tapes d's own tape memo (nil: the memory hierarchy is
-// simulated live). A configuration that is invalid or does not share d's
-// decoder variant is an error.
+// (ClassHistogram), tapes d's own tape memo (nil: the hierarchy runs live)
+// and key cfg.Mem's tape key (see TapeMemo). A configuration that is
+// invalid or does not share d's decoder variant is an error.
 func Replay(cfg Config, d *trace.Decoded, behav []Behavior, classes *[isa.NumClasses]uint64,
-	tapes *TapeMemo) (Result, error) {
+	tapes *TapeMemo, key cache.HierarchyConfig) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -27,7 +28,7 @@ func Replay(cfg Config, d *trace.Decoded, behav []Behavior, classes *[isa.NumCla
 	}
 	ln := lanes.Get().(*lane)
 	defer lanes.Put(ln)
-	if err := ln.reset(cfg, tapes); err != nil {
+	if err := ln.reset(cfg, tapes, &key); err != nil {
 		return Result{}, err
 	}
 	if cfg.Kind == InOrder {
@@ -38,7 +39,7 @@ func Replay(cfg Config, d *trace.Decoded, behav []Behavior, classes *[isa.NumCla
 	if d.Err != nil {
 		return Result{}, fmt.Errorf("core: %w", d.Err)
 	}
-	if err := tapes.done(ln.hier); err != nil {
+	if err := tapes.done(ln.hier, &key); err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
 	return ln.finish(uint64(len(d.IDs)), classes), nil

@@ -9,8 +9,8 @@ import (
 	"racesim/internal/trace"
 )
 
-// keyed returns the test hierarchy under a functional configuration of its
-// own: the data TLB size is part of the tape key.
+// keyed returns the test hierarchy under a tape key of its own: the data
+// TLB size shapes the hierarchy's decisions.
 func keyed(i int) cache.HierarchyConfig {
 	mem := testMem()
 	mem.DTLBEntries = 8 + i
@@ -18,13 +18,13 @@ func keyed(i int) cache.HierarchyConfig {
 }
 
 // TestTapeMemoSecondSighting walks the memo's policy: the first sighting of
-// a functional configuration is only noted, the second is told to record,
+// a key is only noted, the second is told to record,
 // sightings after a tape is published get it; the first publish wins; the
 // memo keeps the tapeMemoKeys most recently sighted keys and drops a
 // recording whose key was evicted while it ran.
 func TestTapeMemoSecondSighting(t *testing.T) {
 	var m TapeMemo
-	k0 := keyed(0).Functional()
+	k0 := keyed(0)
 	if tape, rec := m.sight(&k0); tape != nil || rec {
 		t.Fatalf("first sighting: tape %v, record %v; want a live run", tape, rec)
 	}
@@ -43,27 +43,19 @@ func TestTapeMemoSecondSighting(t *testing.T) {
 		t.Errorf("stats %+v, want %+v", st, want)
 	}
 
-	// A timing-only change is the same key; a functional one is not.
-	retimed := keyed(0)
-	retimed.L2.HitLatency, retimed.DRAM.LatencyCycles, retimed.TLBMissLatency = 33, 400, 7
-	kr := retimed.Functional()
-	if tape, _ := m.sight(&kr); tape != first {
-		t.Error("a configuration that differs only in timing did not get the tape")
-	}
-
 	// tapeMemoKeys-1 newer keys fit beside k0; one more evicts it, the least
 	// recently sighted.
 	for i := 1; i < tapeMemoKeys; i++ {
-		k := keyed(i).Functional()
+		k := keyed(i)
 		m.sight(&k)
 	}
 	if tape, _ := m.sight(&k0); tape != first {
 		t.Fatalf("k0 was evicted with only %d keys sighted", tapeMemoKeys)
 	}
-	k1 := keyed(1).Functional()
+	k1 := keyed(1)
 	m.sight(&k1) // a second sighting: its lane is now recording ...
 	for i := tapeMemoKeys; i < 2*tapeMemoKeys; i++ {
-		k := keyed(i).Functional()
+		k := keyed(i)
 		m.sight(&k)
 	}
 	m.publish(&k1, second) // ... and finishes after k1 was evicted
@@ -143,7 +135,7 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 	if err := wide.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	key, wideKey := ino.Mem.Functional(), wide.Mem.Functional()
+	key, wideKey := ino.Mem, wide.Mem
 	tape, _ := inoTapes.sight(&key)
 	var planted TapeMemo
 	planted.sight(&wideKey)
@@ -154,9 +146,9 @@ func TestTapeDesyncFailsSimulation(t *testing.T) {
 }
 
 // TestEvictedTapeStillPlays: a replay that began on a tape keeps it when
-// concurrent replays of other functional configurations evict it from the
-// memo before the walk is over. The tape is immutable and the lane holds
-// it, so the lane's result is still a live replay's.
+// concurrent replays under other keys evict it from the memo before the
+// walk is over. The tape is immutable and the lane holds it, so the lane's
+// result is still a live replay's.
 func TestEvictedTapeStillPlays(t *testing.T) {
 	tr := record(t, strideMisses())
 	d := tr.Decoded(false)
@@ -175,11 +167,11 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	// Replay's own steps, with the other replays' sightings placed
 	// between its reset and its walk.
 	ln := new(lane)
-	if err := ln.reset(cfg, &tapes); err != nil {
+	if err := ln.reset(cfg, &tapes, &cfg.Mem); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tapeMemoKeys; i++ {
-		key := keyed(i).Functional()
+		key := keyed(i)
 		tapes.sight(&key)
 	}
 	if st := tapes.Stats(); st.Replayed != 1 || st.Tapes != 0 {
@@ -187,7 +179,7 @@ func TestEvictedTapeStillPlays(t *testing.T) {
 	}
 	behav := CompileBehaviors(d.Insts)
 	ln.walkInOrder(d, behav)
-	if err := tapes.done(ln.hier); err != nil {
+	if err := tapes.done(ln.hier, &cfg.Mem); err != nil {
 		t.Fatal(err)
 	}
 	classes := ClassHistogram(d.IDs, behav)

@@ -33,11 +33,11 @@ func Behaviors(d *trace.Decoded) []core.Behavior { return derivedOf(d).behav }
 // what configs[i].RunDecoded(d) returns. It is the one replay entry point:
 // every configuration shares d's behavior table, class histogram and tape
 // memo, and each replay's memory hierarchy simulates, records or replays
-// its decisions as the memo finds best for its effective configuration
-// (core.TapeMemo) — the results are the same either way. Configs may mix
-// core kinds; every config must share d's decoder variant. Traces that
-// declare WarmData disable the zero-fill page optimization, which only
-// exists for never-written pages.
+// its decisions as the memo finds best for the tape key (tapeKey) of its
+// effective configuration (core.TapeMemo) — the results are the same
+// either way. Configs may mix core kinds; every config must share d's
+// decoder variant. Traces that declare WarmData disable the zero-fill page
+// optimization, which only exists for never-written pages.
 func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 	if len(configs) == 0 {
 		return nil, nil
@@ -49,7 +49,7 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 			c.Mem.ZeroFillOpt = false
 		}
 		var err error
-		out[i], err = core.Replay(core.Config(c), d, dv.behav, &dv.classes, &dv.tapes)
+		out[i], err = core.Replay(core.Config(c), d, dv.behav, &dv.classes, &dv.tapes, tapeKey(c))
 		if err != nil {
 			return nil, err
 		}

@@ -130,14 +130,8 @@ func moves(t *testing.T, cfg sim.Config) (inactive, active []sim.Config, names [
 	t.Helper()
 	for _, d := range sim.Params(cfg.Kind) {
 		for _, v := range d.Values {
-			if v == d.Get(&cfg) {
-				continue
-			}
-			moved := cfg
-			if err := d.Set(&moved, v); err != nil {
-				t.Fatal(err)
-			}
-			if core.Config(moved).Validate() != nil {
+			moved, ok := moveTo(t, cfg, &d, v)
+			if !ok {
 				continue
 			}
 			if d.Active(&cfg) {

@@ -17,10 +17,11 @@ import (
 // tuner races over: for each kind, one row per tunable in table order with
 // its name, the Go field its Set writes (found by diffing a copy of the
 // kind's preset, not through the plan), whether it is ordered, its values
-// in sampling order and its activation condition. Value order is sampling
-// order and a condition decides the canonical form, so a row that moves
-// moves every race and every cache key. Run with -update to re-pin on
-// purpose.
+// in sampling order, whether it is declared timing-only and its activation
+// condition. Value order is sampling order and a condition decides the
+// canonical form, so a row that moves moves every race and every cache
+// key; the timing-only column decides which configurations share a
+// decision tape. Run with -update to re-pin on purpose.
 func TestParamTablesGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
@@ -41,7 +42,11 @@ func TestParamTablesGolden(t *testing.T) {
 			default:
 				cond = fmt.Sprintf("if %s in %s", d.When.Parent, strings.Join(d.When.Values, ","))
 			}
-			fmt.Fprintf(&got, "%s %s %s %s %s\n", d.Name, fields[d.Name], order, strings.Join(d.Values, ","), cond)
+			timing := "-"
+			if d.TimingOnly {
+				timing = "timing-only"
+			}
+			fmt.Fprintf(&got, "%s %s %s %s %s %s\n", d.Name, fields[d.Name], order, strings.Join(d.Values, ","), timing, cond)
 		}
 	}
 

@@ -28,11 +28,14 @@ type ParamDef struct {
 	// deduplication; one it marks inactive that a model reads would make
 	// Canonical merge configurations that simulate differently.
 	When *Cond
+	// TimingOnly declares that the field moves only when memory accesses
+	// complete, never what they find: the tape key (tapeKey) leaves it out.
+	TimingOnly bool
 
 	// field is the leaf (see plan.go) of the Config field the parameter
 	// names. buildParams resolves parent, the leaf of When.Parent's field,
-	// and, for a conditional parameter, first: Values[0] as field holds it
-	// (leaf.int).
+	// and, for a conditional or timing-only parameter, first: Values[0] as
+	// field holds it (leaf.int).
 	field, parent *leaf
 	first         int
 }
@@ -104,6 +107,12 @@ func (d ParamDef) when(w *Cond) ParamDef {
 	return d
 }
 
+// timingOnly returns d declared timing-only.
+func (d ParamDef) timingOnly() ParamDef {
+	d.TimingOnly = true
+	return d
+}
+
 // leafOf returns the leaf get points at. get is called once, on a zero
 // Config; a pointer that is not to a leaf of T's kind — a nested struct,
 // or a field reinterpreted as another type — panics when the table is
@@ -158,11 +167,11 @@ func prefetchParams(prefix string, get func(*Config) *prefetch.Config, degrees, 
 
 func cacheParams(prefix string, get func(*Config) *cache.Config, hitLats ...int) []ParamDef {
 	return []ParamDef{
-		intParam(prefix+".hit_latency", func(c *Config) *int { return &get(c).HitLatency }, hitLats...),
-		boolParam(prefix+".tag_data_serial", func(c *Config) *bool { return &get(c).TagDataSerial }),
+		intParam(prefix+".hit_latency", func(c *Config) *int { return &get(c).HitLatency }, hitLats...).timingOnly(),
+		boolParam(prefix+".tag_data_serial", func(c *Config) *bool { return &get(c).TagDataSerial }).timingOnly(),
 		choiceParam(prefix+".hash", func(c *Config) *cache.HashKind { return &get(c).Hash }, cache.HashKinds...),
 		choiceParam(prefix+".repl", func(c *Config) *cache.ReplKind { return &get(c).Repl }, cache.ReplKinds...),
-		intParam(prefix+".ports", func(c *Config) *int { return &get(c).Ports }, 1, 2),
+		intParam(prefix+".ports", func(c *Config) *int { return &get(c).Ports }, 1, 2).timingOnly(),
 	}
 }
 
@@ -214,8 +223,8 @@ func buildParams(kind core.Kind) []ParamDef {
 		[]int{1, 2, 4}, []int{1, 2, 4, 8}, []int{16, 32, 64, 128})...)
 
 	// L1 instruction cache.
-	add(intParam("l1i.hit_latency", func(c *Config) *int { return &c.Mem.L1I.HitLatency }, 1, 2, 3))
-	add(boolParam("l1i.tag_data_serial", func(c *Config) *bool { return &c.Mem.L1I.TagDataSerial }))
+	add(intParam("l1i.hit_latency", func(c *Config) *int { return &c.Mem.L1I.HitLatency }, 1, 2, 3).timingOnly())
+	add(boolParam("l1i.tag_data_serial", func(c *Config) *bool { return &c.Mem.L1I.TagDataSerial }).timingOnly())
 	add(choiceParam("l1i.prefetch.kind", func(c *Config) *prefetch.Kind { return &c.Mem.L1I.Prefetch.Kind },
 		prefetch.KindNone, prefetch.KindNextLine))
 	add(intParam("l1i.prefetch.degree", func(c *Config) *int { return &c.Mem.L1I.Prefetch.Degree }, 1, 2).
@@ -225,7 +234,7 @@ func buildParams(kind core.Kind) []ParamDef {
 	add(cacheParams("l2", func(c *Config) *cache.Config { return &c.Mem.L2 }, 9, 12, 15, 18, 21)...)
 	// The cores bound outstanding misses with l1d.mshrs; a level's MSHRs
 	// is validated and read by no model (docs/validation.md).
-	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16).when(never))
+	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16).when(never).timingOnly())
 	add(intParam("l2.victim_entries", func(c *Config) *int { return &c.Mem.L2.VictimEntries }, 0, 4, 8))
 	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch },
 		[]int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}, []int{32, 64, 128, 256})...)
@@ -233,12 +242,12 @@ func buildParams(kind core.Kind) []ParamDef {
 	// TLBs and paging.
 	add(intParam("tlb.itlb_entries", func(c *Config) *int { return &c.Mem.ITLBEntries }, 16, 32, 48, 64))
 	add(intParam("tlb.dtlb_entries", func(c *Config) *int { return &c.Mem.DTLBEntries }, 16, 32, 48, 64))
-	add(intParam("tlb.miss_latency", func(c *Config) *int { return &c.Mem.TLBMissLatency }, 10, 20, 30, 40))
+	add(intParam("tlb.miss_latency", func(c *Config) *int { return &c.Mem.TLBMissLatency }, 10, 20, 30, 40).timingOnly())
 
 	// Main memory organisation.
-	add(intParam("dram.latency", func(c *Config) *int { return &c.Mem.DRAM.LatencyCycles }, 140, 160, 180, 200, 220, 240))
-	add(intParam("dram.burst", func(c *Config) *int { return &c.Mem.DRAM.BurstCycles }, 4, 6, 8, 12))
-	add(intParam("dram.queue_depth", func(c *Config) *int { return &c.Mem.DRAM.QueueDepth }, 8, 16, 32))
+	add(intParam("dram.latency", func(c *Config) *int { return &c.Mem.DRAM.LatencyCycles }, 140, 160, 180, 200, 220, 240).timingOnly())
+	add(intParam("dram.burst", func(c *Config) *int { return &c.Mem.DRAM.BurstCycles }, 4, 6, 8, 12).timingOnly())
+	add(intParam("dram.queue_depth", func(c *Config) *int { return &c.Mem.DRAM.QueueDepth }, 8, 16, 32).timingOnly())
 
 	// Execution latencies and initiation intervals.
 	add(intParam("lat.int_mul", func(c *Config) *int { return &c.Lat.IntMul }, 2, 3, 4, 5))
@@ -273,22 +282,22 @@ func buildParams(kind core.Kind) []ParamDef {
 	}
 	for i := range defs {
 		d := &defs[i]
-		if d.When == nil {
+		if d.When == nil && !d.TimingOnly {
 			continue
 		}
-		// Canonical writes Values[0] into an inactive parameter's field.
+		// canonicalize writes Values[0] into such a parameter's field.
 		if k := d.field.kind; k != reflect.Int && k != reflect.Bool {
-			panic(fmt.Sprintf("sim: %s: a conditional parameter must be an int or a bool", d.Name))
+			panic(fmt.Sprintf("sim: %s: a conditional or timing-only parameter must be an int or a bool", d.Name))
 		}
 		var first Config
 		_ = d.Set(&first, d.Values[0]) // a listed value: it parses
 		d.first = d.field.int(&first)
-		if d.When.Parent == "" {
+		if d.When == nil || d.When.Parent == "" {
 			continue
 		}
 		j := slices.IndexFunc(defs, func(p ParamDef) bool { return p.Name == d.When.Parent })
-		if j < 0 || defs[j].When != nil || defs[j].field.kind == reflect.Int {
-			panic(fmt.Sprintf("sim: %s: condition parent %q is not an unconditional choice or bool", d.Name, d.When.Parent))
+		if j < 0 || defs[j].When != nil || defs[j].TimingOnly || defs[j].field.kind == reflect.Int {
+			panic(fmt.Sprintf("sim: %s: condition parent %q is not an unconditional, functional choice or bool", d.Name, d.When.Parent))
 		}
 		d.parent = defs[j].field
 	}
@@ -335,15 +344,28 @@ func Apply(base Config, a irace.Assignment) (Config, error) {
 // condition's parent is read and each inactive field written through its
 // leaf in the compiled plan (plan.go): no reflection, no allocation.
 func Canonical(cfg Config) Config {
-	canon := cfg
-	canon.Name = ""
-	defs := Params(cfg.Kind)
+	canonicalize(&cfg, false)
+	return cfg
+}
+
+// tapeKey returns the key of cfg's decision tape (core.TapeMemo): the Mem
+// of its canonical form with timing-only tunables fixed; non-tunables stay.
+func tapeKey(cfg Config) cache.HierarchyConfig {
+	canonicalize(&cfg, true)
+	return cfg.Mem
+}
+
+// canonicalize makes c canonical in place, with timing the tape key's form.
+// No write moves what a later Active reads: a condition's parent is
+// neither conditional nor timing-only (buildParams).
+func canonicalize(c *Config, timing bool) {
+	c.Name = ""
+	defs := Params(c.Kind)
 	for i := range defs {
-		if d := &defs[i]; !d.Active(&cfg) {
-			d.field.setInt(&canon, d.first) // no parsing: canon stays on the stack
+		if d := &defs[i]; timing && d.TimingOnly || !d.Active(c) {
+			d.field.setInt(c, d.first) // no parsing: c stays on the stack
 		}
 	}
-	return canon
 }
 
 // Extract reads the current values of every tunable parameter from cfg as

@@ -11,8 +11,8 @@ import (
 // A tunable names one Config field: Set writes it, Get reads it. These
 // tests pin that contract against the type itself (the reflect walk of
 // fields_test.go): setting any candidate value writes that field and no
-// other, and reads back as written, for every parameter and every value in
-// the space, on both core kinds.
+// other, reads back as written and leaves the preset a valid model, for
+// every parameter and every value in the space, on both core kinds.
 func roundTripCases(t *testing.T) []struct {
 	name string
 	kind core.Kind
@@ -42,6 +42,10 @@ func TestParamGetSetRoundTrip(t *testing.T) {
 					}
 					if got := d.Get(&cfg); got != v {
 						t.Errorf("param %s: Set(%q) reads back %q — Get/Set drift", d.Name, v, got)
+					}
+					// No single listed value makes an invalid model.
+					if err := core.Config(cfg).Validate(); err != nil {
+						t.Errorf("param %s: Set(%q): invalid model: %v", d.Name, v, err)
 					}
 					// Set writes its field alone: the preset's own value
 					// changes no leaf, any other changes exactly that one.

@@ -17,13 +17,13 @@ import (
 // BENCH_replay.json.
 //
 // Which mode a benchmark measures. A decoded trace remembers the memory
-// hierarchy's decisions under the functional configurations replayed most
-// recently (core.TapeMemo, docs/performance.md), so a benchmark that
-// repeats one configuration on one decode — or varies only latencies, as
-// sweepConfigs does — measures taped replay after its second iteration:
-// that is repeat mode, the perturbation search's shape, and every benchmark
-// here without a suffix is one. The ...Unique variants rotate a functional
-// field so that no key comes back while the memo still holds it: every
+// hierarchy's decisions under the tape keys replayed most recently
+// (core.TapeMemo, docs/performance.md), so a benchmark that repeats one
+// configuration on one decode — or varies only latencies, as sweepConfigs
+// does — measures taped replay after its second iteration: that is repeat
+// mode, the perturbation search's shape, and every benchmark here without
+// a suffix is one. The ...Unique variants rotate a field of the key so
+// that no key comes back while the memo still holds it: every
 // iteration simulates the hierarchy live, a tuning race's shape, and they
 // are the ones that hold the live path to its cost before tapes existed.
 
@@ -57,11 +57,12 @@ func sweepConfigs(base sim.Config) []sim.Config {
 	return out
 }
 
-// unique returns cfg with a functional memory field rotated by i, so that
-// consecutive calls never share a tape key within the memo's horizon. The
-// field (the GHB depth of the instruction cache's next-line prefetcher) is
-// read by no model, so the simulation itself is the same work every time —
-// on this tree and on one without tapes.
+// unique returns cfg with a memory field rotated by i, so that consecutive
+// calls never share a tape key within the memo's horizon. The field (the
+// GHB depth of the instruction cache's next-line prefetcher) is no
+// tunable, so it stays in the key, and it is read by no model, so the
+// simulation itself is the same work every time — on this tree and on one
+// without tapes.
 func unique(cfg sim.Config, i int) sim.Config {
 	cfg.Mem.L1I.Prefetch.GHBEntries = 1 + i%4000
 	return cfg
