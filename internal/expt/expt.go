@@ -212,8 +212,13 @@ func (c *Context) pipeline(core string) ([]validate.StageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(board, public, validate.PaperStages(c.opts.BudgetRound1, c.opts.BudgetRound2),
-		c.opts.Seed+cores[core].seedOffset)
+	return c.Run(board, public, validate.PaperStages(c.opts.BudgetRound1, c.opts.BudgetRound2), c.Seed(core, 0))
+}
+
+// Seed is the seed a run of stages tuning core draws from: the run's
+// seed, plus the core's offset, plus offset. Stages(core) runs at offset 0.
+func (c *Context) Seed(core string, offset int64) int64 {
+	return c.opts.Seed + cores[core].seedOffset + offset
 }
 
 // Run runs stages on board from base (validate.Pipeline), the k-th tuning

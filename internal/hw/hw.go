@@ -78,8 +78,8 @@ func NewBoard(name string, freqGHz float64, cfg sim.Config, noise float64) (*Boa
 // so a trace is run on the hardware once — methodology step 4 — however
 // many experiments, jobs or processes ask for its counters: a replay is an
 // ordinary cache entry under the hidden configuration's fingerprint, it
-// persists in snapshots, and boards over one hidden configuration (the
-// noise-sweep rebuilds) share it. The pseudo-noise is applied after the
+// persists in snapshots, and boards over one hidden configuration (a
+// study's re-noised boards) share it. The pseudo-noise is applied after the
 // lookup, so the counters are those of an uncached board bit for bit. A
 // nil cache replays every measurement, as a board from NewBoard does.
 func (b *Board) WithCache(cache *simcache.Cache) *Board {

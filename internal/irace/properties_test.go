@@ -208,3 +208,115 @@ func TestRaceKeepsLowestMeanRank(t *testing.T) {
 		t.Fatal("no race made a statistical test")
 	}
 }
+
+// tieFreeEval is synthEval's problem without its rounding and with a
+// wider perturbation, [0, 8) from 53 bits of the pair's hash: no two
+// configurations cost the same on an instance, and a post-hoc test often
+// keeps more than the survivor floor.
+type tieFreeEval struct{ *synthEval }
+
+func (e tieFreeEval) Cost(cfg Assignment, inst int) float64 {
+	c := 0.0
+	for _, p := range e.space.Params {
+		c += e.weights[p.Name][valueIndex(p, cfg)] * (1 + 0.3*math.Sin(float64(inst)+float64(len(p.Values))))
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d", cfg.Key(), inst)
+	c += float64(h.Sum64()>>11) / (1 << 50)
+	e.mu.Lock()
+	e.log = append(e.log, ask{cfg.Key(), inst, c})
+	e.mu.Unlock()
+	return c
+}
+
+// TestRaceIsPermutationInvariant drives race directly, over 24 seeds, on
+// one set of candidates in two orders, with a budget that never cuts a
+// step short. Without ties in the costs, the order a race receives its
+// candidates in is no information: the candidates racing at every step
+// (read off the evaluator's log, as in TestRaceKeepsLowestMeanRank), the
+// survivors and so the best are the same either way.
+//
+// Ties in mean rank are still possible, and one case is order-dependent:
+// when the post-hoc test keeps fewer than minSurvivors, race keeps the
+// minSurvivors best by mean rank and breaks a tie at that cut by position.
+// None of these races meets it.
+func TestRaceIsPermutationInvariant(t *testing.T) {
+	raced, eliminated := 0, 0
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		synth := newSynthEval(rng)
+		synth.instances = 10 + rng.Intn(20) // long enough races to eliminate in
+		var cfgs []Assignment
+		seen := map[string]bool{}
+		for tries, n := 0, minSurvivors+4+rng.Intn(16); len(cfgs) < n && tries < 1000; tries++ {
+			cfg := SampleUniform(synth.space, rng)
+			if key := cfg.Key(); !seen[key] {
+				seen[key] = true
+				cfgs = append(cfgs, cfg)
+			}
+		}
+		if len(cfgs) <= minSurvivors {
+			continue // the space is too small to race
+		}
+		// race runs one tuner over the configurations in the given order;
+		// it returns the keys raced at each step and the survivors'.
+		race := func(order []int) (steps [][]string, survivors []string) {
+			e := tieFreeEval{&synthEval{space: synth.space, weights: synth.weights, instances: synth.instances}}
+			tu, err := New(e.space, e, Options{Budget: len(cfgs)*e.instances + 1, Seed: seed, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands := make([]*candidate, len(order))
+			for i, j := range order {
+				cands[i] = tu.candidateFor(cfgs[j], cfgs[j].Key())
+			}
+			alive, err := tu.race(1, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range e.log {
+				if i == 0 || e.log[i-1].inst != a.inst {
+					steps = append(steps, nil)
+				}
+				steps[len(steps)-1] = append(steps[len(steps)-1], a.key)
+			}
+			for _, c := range alive {
+				survivors = append(survivors, c.key)
+			}
+			if len(steps) != e.instances {
+				t.Errorf("seed %d: the race ran %d of %d steps within an ample budget", seed, len(steps), e.instances)
+			}
+			return steps, survivors
+		}
+		identity := make([]int, len(cfgs))
+		for i := range identity {
+			identity[i] = i
+		}
+		steps, survivors := race(identity)
+		pSteps, pSurvivors := race(rng.Perm(len(cfgs)))
+		for s := range min(len(steps), len(pSteps)) {
+			if !sameSet(steps[s], pSteps[s]) {
+				t.Errorf("seed %d, step %d: races %v in one order, %v in another", seed, s+1, steps[s], pSteps[s])
+			}
+		}
+		raced++
+		// No two survivors have the same mean, so best-first is one order.
+		if !slices.Equal(survivors, pSurvivors) {
+			t.Errorf("seed %d: survivors %v in one order, %v in another", seed, survivors, pSurvivors)
+		}
+		if len(survivors) < len(cfgs) {
+			eliminated++
+		}
+	}
+	if raced < 20 || eliminated < raced/2 {
+		t.Fatalf("%d races compared, %d of them eliminating: too few to tell", raced, eliminated)
+	}
+}
+
+// sameSet reports whether a and b hold the same strings, in any order.
+func sameSet(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/version"
+	"racesim/internal/workload"
 )
 
 // tinyOpts keeps engine tests at seconds scale.
@@ -400,13 +403,13 @@ func TestEmptyUnitListRuns(t *testing.T) {
 	}
 }
 
-// TestExtraScenarioKinds runs tiny budget-sweep and noise-sweep scenarios
-// end to end: every sweep point renders one experiment and the reported
+// TestExtraScenarioKinds runs tiny budget-sweep and noise-sweep studies
+// end to end: every cell renders one experiment and the reported
 // evaluation spend respects the exact budget cap.
 func TestExtraScenarioKinds(t *testing.T) {
 	specs := []Spec{
-		{Name: "bs", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{60, 120}},
-		{Name: "ns", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0, 0.02}, Budget: 60},
+		{Name: "bs", Kind: KindStudy, Cores: []string{"a53"}, Budgets: []int{60, 120}},
+		{Name: "ns", Kind: KindStudy, Cores: []string{"a53"}, NoiseLevels: []float64{0, 0.02}, Budgets: []int{60}},
 	}
 	units, err := Expand(specs)
 	if err != nil {
@@ -415,27 +418,39 @@ func TestExtraScenarioKinds(t *testing.T) {
 	if len(units) != 4 {
 		t.Fatalf("expanded %d units, want 4", len(units))
 	}
+	wantIDs := []string{"bs/budget=60", "bs/budget=120", "ns/noise=0", "ns/noise=0.02"}
 	res, err := Run(units, RunOptions{Expt: tinyOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spend := regexp.MustCompile(`(?m)^tuned +(\d+)/(\d+) `)
 	for i, r := range res {
-		if r.Experiment.ID != units[i].ID {
-			t.Errorf("result %d has ID %s, want %s", i, r.Experiment.ID, units[i].ID)
+		if r.Experiment.ID != units[i].ID || r.Experiment.ID != wantIDs[i] {
+			t.Errorf("result %d has ID %s, want %s (unit %s)", i, r.Experiment.ID, wantIDs[i], units[i].ID)
 		}
 		if r.Experiment.Body == "" || r.Experiment.Measured == "" {
 			t.Errorf("unit %s rendered an empty experiment", units[i].ID)
 		}
+		m := spend.FindStringSubmatch(r.Experiment.Body)
+		if m == nil {
+			t.Errorf("unit %s renders no tuned row:\n%s", units[i].ID, r.Experiment.Body)
+			continue
+		}
+		used, _ := strconv.Atoi(m[1])
+		budget, _ := strconv.Atoi(m[2])
+		if used <= 0 || used > budget {
+			t.Errorf("unit %s spent %d evaluations of a %d budget", units[i].ID, used, budget)
+		}
 	}
 }
 
-// TestSweepRoundsStopOnCancellation: a budget-sweep or noise-sweep unit
+// TestSweepRoundsStopOnCancellation: a budget-sweep or noise-sweep cell
 // whose context is cancelled returns context.Canceled before its tuning
 // round simulates anything — no later than the round's first race step.
 func TestSweepRoundsStopOnCancellation(t *testing.T) {
 	units, err := Expand([]Spec{
-		{Name: "bs", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{600}},
-		{Name: "ns", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0.02}, Budget: 600},
+		{Name: "bs", Kind: KindStudy, Cores: []string{"a53"}, Budgets: []int{600}},
+		{Name: "ns", Kind: KindStudy, Cores: []string{"a53"}, NoiseLevels: []float64{0.02}, Budgets: []int{600}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +484,7 @@ func TestSweepRoundsStopOnCancellation(t *testing.T) {
 // nothing and leaves its snapshot alone.
 func TestNoiseSweepMeasuresTheBoardOnce(t *testing.T) {
 	units, err := Expand([]Spec{
-		{Name: "ns", Kind: KindNoiseSweep, Core: "a72", NoiseLevels: []float64{0, 0.02, 0.05}, Budget: 60},
+		{Name: "ns", Kind: KindStudy, Cores: []string{"a72"}, NoiseLevels: []float64{0, 0.02, 0.05}, Budgets: []int{60}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -491,9 +506,12 @@ func TestNoiseSweepMeasuresTheBoardOnce(t *testing.T) {
 	if cold := render(RunOptions{Expt: coldOpts, CachePath: snap}); cold != direct {
 		t.Errorf("cached noise sweep differs from the uncached one:\n--- uncached ---\n%s\n--- cached ---\n%s", direct, cold)
 	}
+	// Each cell also scores the A72's held-out Table II workloads, built
+	// once for all three cells too.
 	suite := uint64(len(ubench.Suite()))
-	if st := coldOpts.TraceMemo.Stats(); st.Misses != suite || st.Hits != 2*suite {
-		t.Errorf("memo: %+v, want the suite built once for three boards", st)
+	inputs := suite + uint64(len(workload.Profiles()))
+	if st := coldOpts.TraceMemo.Stats(); st.Misses != inputs || st.Hits != 2*inputs {
+		t.Errorf("memo: %+v, want the suite and the workloads built once for three boards", st)
 	}
 	plat, err := hw.Firefly()
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // Unit is one runnable step of a sweep: a scenario expands into one or
-// more units (one per budget point, noise level, ...), each producing one
+// more units (one per cell of a study's grid), each producing one
 // rendered expt.Experiment. The expansion assigns every unit a global
 // index; that fixed order is the contract behind addressing units one by
 // one (FilterUnits) and merging their outputs.
@@ -66,23 +66,17 @@ func Expand(specs []Spec) ([]Unit, error) {
 }
 
 func expandSpec(sp Spec) []Unit {
-	switch sp.Kind {
-	case KindTransfer:
-		return []Unit{transferUnit(sp)}
-	case KindBudgetSweep:
-		return budgetSweepUnits(sp)
-	case KindNoiseSweep:
-		return noiseSweepUnits(sp)
-	default: // a paper kind, validated by sp.Validate
-		f := expt.Paper[paperIndex(sp.Kind)]
-		return []Unit{{
-			ID:       sp.Name,
-			Scenario: sp.Name,
-			Step:     f.ID,
-			Deps:     slices.Clone(f.Deps),
-			run:      f.Run,
-		}}
+	if sp.Kind == KindStudy {
+		return studyUnits(sp)
 	}
+	f := expt.Paper[paperIndex(sp.Kind)] // a paper kind, validated by sp.Validate
+	return []Unit{{
+		ID:       sp.Name,
+		Scenario: sp.Name,
+		Step:     f.ID,
+		Deps:     slices.Clone(f.Deps),
+		run:      f.Run,
+	}}
 }
 
 // Select resolves a comma-separated list of scenario names or globs

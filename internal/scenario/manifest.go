@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -32,11 +34,18 @@ func LoadManifest(path string) ([]Spec, error) {
 	return specs, nil
 }
 
-// parseManifest decodes and validates the bytes of a manifest.
+// parseManifest decodes and validates the bytes of a manifest. A field
+// the schema does not have (misspelled, or removed from it) is an error
+// that names it, not silently ignored.
 func parseManifest(data []byte) ([]Spec, error) {
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("data after the manifest")
 	}
 	if m.Format != manifestFormat {
 		return nil, fmt.Errorf("format %d, want %d", m.Format, manifestFormat)

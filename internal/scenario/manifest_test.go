@@ -3,6 +3,7 @@ package scenario
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -11,8 +12,8 @@ import (
 // FilterUnits and a distributed sweep address them by — and round-trips
 // through SaveManifest to equal specs. The seed corpus under
 // testdata/fuzz/FuzzParseManifest holds the registry as SaveManifest writes
-// it, a wrong format, duplicate names and one invalid value per case of
-// Spec.Validate.
+// it, a wrong format, duplicate names, fields the schema does not have and
+// one invalid value per case of Spec.Validate.
 func FuzzParseManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, err := parseManifest(data)
@@ -57,4 +58,27 @@ func withoutEmptyLists(specs []Spec) []Spec {
 		}
 	}
 	return out
+}
+
+// TestManifestRejectsUnknownFields: a field the schema does not have is an
+// error that names it, whether it was removed from the schema or
+// misspelled, and so is anything after the manifest.
+func TestManifestRejectsUnknownFields(t *testing.T) {
+	for field, data := range map[string]string{
+		"budget":    `{"format": 1, "scenarios": [{"name": "n", "kind": "study", "cores": ["a53"], "budget": 600}]}`,
+		"tune_core": `{"format": 1, "scenarios": [{"name": "x", "kind": "study", "tune_core": "a53", "cores": ["a53"]}]}`,
+		"budgest":   `{"format": 1, "scenarios": [{"name": "b", "kind": "study", "cores": ["a53"], "budgest": [300]}]}`,
+		"formt":     `{"formt": 1, "format": 1, "scenarios": []}`,
+	} {
+		if _, err := parseManifest([]byte(data)); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("manifest with %s: error %v, want one naming the field", field, err)
+		}
+	}
+	valid := `{"format": 1, "scenarios": [{"name": "b", "kind": "study", "cores": ["a53"], "budgets": [300]}]}`
+	if _, err := parseManifest([]byte(valid)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseManifest([]byte(valid + ` {"format": 1}`)); err == nil {
+		t.Error("data after the manifest accepted")
+	}
 }

@@ -17,10 +17,12 @@
 //     SaveManifest), so adding a scenario to a sweep is data, not code.
 //
 // The registry covers the paper's own tables and figures (Table I/II,
-// Fig. 2, Figs. 4–8, the staged-validation narrative) plus cross-product
-// scenarios the paper's fixed pipeline cannot express: tune-on-one-core /
-// validate-on-the-other transfer studies, tuner budget-sweep ablations,
-// and measurement-noise sweeps.
+// Fig. 2, Figs. 4–8, the staged-validation narrative) plus studies the
+// paper's fixed pipeline cannot express. A study is one grid: each cell
+// tunes a core on a board with a stage list and scores the result on the
+// suite and on held-out workloads, so tune-on-one-core / validate-on-the-
+// other transfer, tuner budget sweeps and measurement-noise sweeps are
+// registry entries of one kind (study.go).
 package scenario
 
 import (
@@ -32,13 +34,9 @@ import (
 	"racesim/internal/expt"
 )
 
-// Kinds of analysis a scenario can request beyond the paper's own: each ID
-// of expt.Paper is a kind too. The extra kinds are implemented in extra.go.
-const (
-	KindTransfer    = "transfer"     // tune on TuneCore, validate on EvalCore
-	KindBudgetSweep = "budget-sweep" // one tuning round per Budgets entry
-	KindNoiseSweep  = "noise-sweep"  // re-measure + tune per NoiseLevels entry
-)
+// KindStudy is the one analysis kind beyond the paper's own, whose kinds
+// are the IDs of expt.Paper.
+const KindStudy = "study"
 
 // paperIndex is the position of the paper experiment a kind names in
 // expt.Paper, or -1 for any other kind.
@@ -46,35 +44,36 @@ func paperIndex(kind string) int {
 	return slices.IndexFunc(expt.Paper, func(f expt.Figure) bool { return f.ID == kind })
 }
 
-// Spec is one declarative scenario. Zero-valued fields inherit the sweep's
-// global options (budgets, seed) at expansion time.
+// Spec is one declarative scenario. A study's empty axes take their
+// defaults at expansion time (the reference board, the paper's stages at
+// the sweep's budgets).
 type Spec struct {
 	// Name uniquely identifies the scenario; it is the `-scenario`
 	// selector and the rendered experiment ID, so it is restricted to
 	// glob-safe characters (lowercase letters, digits, ., -, _).
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Kind selects the analysis stage: an expt.Paper ID or one of the Kind*
-	// constants.
+	// Kind selects the analysis stage: an expt.Paper ID or KindStudy.
 	Kind string `json:"kind"`
-	// Core selects the board for single-board kinds: "a53" or "a72".
+	// Core narrows a paper kind to one of the cores its figure runs on.
 	Core string `json:"core,omitempty"`
-	// TuneCore/EvalCore are the transfer kind's cross product: the model
-	// is tuned against TuneCore's measurements and validated on
-	// EvalCore's held-out workloads.
-	TuneCore string `json:"tune_core,omitempty"`
+	// The rest are a study's axes. Each cell of their cross product is one
+	// unit (study.go).
+	//
+	// Cores are the cores tuned, "a53" or "a72".
+	Cores []string `json:"cores,omitempty"`
+	// EvalCore is the core whose Table II workloads are held out; empty
+	// scores each cell on its own core's.
 	EvalCore string `json:"eval_core,omitempty"`
-	// Budget overrides the irace budget for this scenario's tuning
-	// rounds (0 inherits the sweep default).
-	Budget int `json:"budget,omitempty"`
-	// Budgets are the sweep points of a budget-sweep scenario, one unit
-	// each.
+	// Budgets are irace budgets: budget b runs the stages [untuned,
+	// tuned(b)]. Empty runs the paper's stages.
 	Budgets []int `json:"budgets,omitempty"`
-	// NoiseLevels are the measurement-noise amplitudes of a noise-sweep
-	// scenario, one unit each (relative, 0.01 = ±1%; max 0.2).
+	// NoiseLevels rebuild the board with these measurement-noise
+	// amplitudes (relative, 0.01 = ±1%; max 0.2). Empty keeps the
+	// reference board.
 	NoiseLevels []float64 `json:"noise_levels,omitempty"`
-	// SeedOffset decorrelates this scenario's tuner seed from the sweep
-	// seed (unit seed = sweep seed + SeedOffset).
+	// SeedOffset decorrelates the study's tuner seeds from the paper
+	// pipelines' (expt.Context.Seed).
 	SeedOffset int64 `json:"seed_offset,omitempty"`
 }
 
@@ -82,80 +81,81 @@ var nameRe = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
 // Validate checks the spec is well-formed before expansion. A field the
 // kind does not read is an error, not silently dropped: a paper kind runs
-// only on the cores its expt.Paper entry depends on.
+// only on the cores its expt.Paper entry depends on and reads no axis, and
+// a study reads no core.
 func (s Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
 		return fmt.Errorf("scenario: invalid name %q (want [a-z0-9._-]+)", s.Name)
 	}
-	readsBudget, readsSeedOffset := false, false
-	switch s.Kind {
-	case KindTransfer:
-		if !expt.IsCore(s.TuneCore) || !expt.IsCore(s.EvalCore) {
-			return fmt.Errorf("scenario %s: transfer needs tune_core and eval_core in {a53, a72}", s.Name)
-		}
-		if s.TuneCore == s.EvalCore {
-			return fmt.Errorf("scenario %s: transfer with tune_core == eval_core is the plain validation pipeline", s.Name)
-		}
-	case KindBudgetSweep:
-		readsSeedOffset = true
-		if !expt.IsCore(s.Core) {
-			return fmt.Errorf("scenario %s: budget-sweep needs core in {a53, a72}", s.Name)
-		}
-		if len(s.Budgets) == 0 {
-			return fmt.Errorf("scenario %s: budget-sweep needs at least one budget", s.Name)
-		}
-		for i, b := range s.Budgets {
-			if b <= 0 {
-				return fmt.Errorf("scenario %s: non-positive budget %d", s.Name, b)
-			}
-			if slices.Contains(s.Budgets[:i], b) {
-				return fmt.Errorf("scenario %s: budget %d listed twice", s.Name, b)
-			}
-		}
-	case KindNoiseSweep:
-		readsBudget, readsSeedOffset = true, true
-		if !expt.IsCore(s.Core) {
-			return fmt.Errorf("scenario %s: noise-sweep needs core in {a53, a72}", s.Name)
-		}
-		if len(s.NoiseLevels) == 0 {
-			return fmt.Errorf("scenario %s: noise-sweep needs at least one noise level", s.Name)
-		}
-		// A unit's ID names its level, and units are addressed by ID: a
-		// repeated level would give two units, tuned from different seeds,
-		// one ID.
-		for i, v := range s.NoiseLevels {
-			if v < 0 || v > 0.2 {
-				return fmt.Errorf("scenario %s: noise level %v outside [0, 0.2]", s.Name, v)
-			}
-			if slices.Contains(s.NoiseLevels[:i], v) {
-				return fmt.Errorf("scenario %s: noise level %v listed twice", s.Name, v)
-			}
-		}
-	default: // a paper kind: the analysis stage is fully determined by it
-		i := paperIndex(s.Kind)
-		if i < 0 {
-			return fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
-		}
-		if s.Core != "" && !slices.ContainsFunc(expt.Paper[i].Deps, func(dep string) bool {
-			_, core, _ := strings.Cut(dep, ":")
-			return core == s.Core
-		}) {
-			return fmt.Errorf("scenario %s: %s does not run on core %q", s.Name, s.Kind, s.Core)
-		}
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("scenario %s: "+format, append([]any{s.Name}, args...)...)
 	}
-	switch {
-	case s.Budget < 0:
-		return fmt.Errorf("scenario %s: negative budget", s.Name)
-	case s.Budget != 0 && !readsBudget:
-		return fmt.Errorf("scenario %s: kind %s does not read budget", s.Name, s.Kind)
-	case s.SeedOffset != 0 && !readsSeedOffset:
-		return fmt.Errorf("scenario %s: kind %s does not read seed_offset", s.Name, s.Kind)
+	if s.Kind == KindStudy {
+		if s.Core != "" {
+			return fail("a study does not read core (its tune cores are cores)")
+		}
+		if len(s.Cores) == 0 {
+			return fail("a study needs at least one core")
+		}
+		if i := slices.IndexFunc(s.Cores, func(c string) bool { return !expt.IsCore(c) }); i >= 0 {
+			return fail("core %q is not in {a53, a72}", s.Cores[i])
+		}
+		if s.EvalCore != "" && !expt.IsCore(s.EvalCore) {
+			return fail("eval_core %q is not in {a53, a72}", s.EvalCore)
+		}
+		if i := slices.IndexFunc(s.Budgets, func(b int) bool { return b <= 0 }); i >= 0 {
+			return fail("non-positive budget %d", s.Budgets[i])
+		}
+		if i := slices.IndexFunc(s.NoiseLevels, func(v float64) bool { return !(v >= 0 && v <= 0.2) }); i >= 0 {
+			return fail("noise level %v outside [0, 0.2]", s.NoiseLevels[i])
+		}
+		// A unit's ID names its cell, and units are addressed by ID: a
+		// value listed twice would give two units one ID.
+		for _, axis := range [][2]string{
+			{"core", repeated(s.Cores)}, {"budget", repeated(s.Budgets)}, {"noise level", repeated(s.NoiseLevels)},
+		} {
+			if axis[1] != "" {
+				return fail("%s %s listed twice", axis[0], axis[1])
+			}
+		}
+		return nil
+	}
+	i := paperIndex(s.Kind)
+	if i < 0 {
+		return fail("unknown kind %q", s.Kind)
+	}
+	if s.Core != "" && !slices.ContainsFunc(expt.Paper[i].Deps, func(dep string) bool {
+		_, core, _ := strings.Cut(dep, ":")
+		return core == s.Core
+	}) {
+		return fail("%s does not run on core %q", s.Kind, s.Core)
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"cores", len(s.Cores) > 0}, {"eval_core", s.EvalCore != ""}, {"budgets", len(s.Budgets) > 0},
+		{"noise_levels", len(s.NoiseLevels) > 0}, {"seed_offset", s.SeedOffset != 0},
+	} {
+		if f.set {
+			return fail("kind %s does not read %s", s.Kind, f.name)
+		}
 	}
 	return nil
 }
 
+// repeated formats the first value listed twice in vs, or is empty.
+func repeated[T comparable](vs []T) string {
+	for i, v := range vs {
+		if slices.Contains(vs[:i], v) {
+			return fmt.Sprint(v)
+		}
+	}
+	return ""
+}
+
 // Registry returns the built-in scenarios: the paper set in paper order,
-// then the cross-product extras. The slice is freshly allocated; callers
+// then the studies. The slice is freshly allocated; callers
 // may append or override (see Merge).
 func Registry() []Spec {
 	specs := []Spec{
@@ -168,15 +168,15 @@ func Registry() []Spec {
 		{Name: "fig7", Kind: "fig7", Core: "a53", Description: "close-to-optimum but inaccurate A53 model"},
 		{Name: "fig8", Kind: "fig8", Core: "a72", Description: "close-to-optimum but inaccurate A72 model"},
 		{Name: "staged", Kind: "staged", Description: "mean error per validation stage (Sec. IV-B)"},
-		{Name: "transfer-a53-to-a72", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72",
-			Description: "model tuned on the A53, validated on the A72's held-out workloads"},
-		{Name: "transfer-a72-to-a53", Kind: KindTransfer, TuneCore: "a72", EvalCore: "a53",
-			Description: "model tuned on the A72, validated on the A53's held-out workloads"},
-		{Name: "budget-sweep-a53", Kind: KindBudgetSweep, Core: "a53",
+		{Name: "transfer-a53-to-a72", Kind: KindStudy, Cores: []string{"a53", "a72"}, EvalCore: "a72",
+			Description: "models tuned on the A53, then the A72, validated on the A72's held-out workloads"},
+		{Name: "transfer-a72-to-a53", Kind: KindStudy, Cores: []string{"a72", "a53"}, EvalCore: "a53",
+			Description: "models tuned on the A72, then the A53, validated on the A53's held-out workloads"},
+		{Name: "budget-sweep-a53", Kind: KindStudy, Cores: []string{"a53"},
 			Budgets:     []int{300, 600, 1200, 2400},
-			Description: "tuned A53 suite error as a function of the racing budget"},
-		{Name: "noise-sweep-a53", Kind: KindNoiseSweep, Core: "a53",
-			NoiseLevels: []float64{0, 0.01, 0.03, 0.05}, Budget: 600, SeedOffset: 900,
+			Description: "tuned A53 suite and held-out error as a function of the racing budget"},
+		{Name: "noise-sweep-a53", Kind: KindStudy, Cores: []string{"a53"},
+			NoiseLevels: []float64{0, 0.01, 0.03, 0.05}, Budgets: []int{600}, SeedOffset: 900,
 			Description: "tuning robustness under increasing measurement noise"},
 	}
 	return specs

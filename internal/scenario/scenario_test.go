@@ -78,26 +78,34 @@ func TestPaperFiguresDeclareContextArtifacts(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
+	a53 := []string{"a53"}
 	bad := []Spec{
 		{Name: "", Kind: "table1"},
 		{Name: "Has Space", Kind: "table1"},
 		{Name: "x", Kind: "nope"},
-		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a53"},
-		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "m1"},
-		{Name: "x", Kind: KindBudgetSweep, Core: "a53"},
-		{Name: "x", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{100, 0}},
-		{Name: "x", Kind: KindNoiseSweep, Core: "a53"},
-		{Name: "x", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0.5}},
-		{Name: "x", Kind: "fig2", Budget: -1},
+		{Name: "x", Kind: KindStudy},
+		{Name: "x", Kind: KindStudy, Cores: []string{"m1"}},
+		{Name: "x", Kind: KindStudy, Cores: a53, EvalCore: "m1"},
+		{Name: "x", Kind: KindStudy, Cores: a53, Budgets: []int{100, 0}},
+		{Name: "x", Kind: KindStudy, Cores: a53, Budgets: []int{-5}},
+		{Name: "x", Kind: KindStudy, Cores: a53, NoiseLevels: []float64{0.5}},
+		{Name: "x", Kind: KindStudy, Cores: a53, NoiseLevels: []float64{-0.01}},
+		// A value listed twice on any axis: two units, one ID.
+		{Name: "x", Kind: KindStudy, Cores: []string{"a53", "a72", "a53"}},
+		{Name: "x", Kind: KindStudy, Cores: a53, Budgets: []int{300, 600, 300}},
+		{Name: "x", Kind: KindStudy, Cores: a53, NoiseLevels: []float64{0, 0.01, 0.01}},
 		// A field the kind does not read: Fig. 5 on the A72 rendered the
-		// A53's figure, and a Fig. 4 budget was dropped.
-		{Name: "fig4-budget100", Kind: "fig4", Budget: 100},
+		// A53's figure, a Fig. 4 budget was dropped, and a study tunes its
+		// cores, not core.
+		{Name: "x", Kind: "fig2", Budgets: []int{-1}},
+		{Name: "fig4-budget100", Kind: "fig4", Budgets: []int{100}},
 		{Name: "x", Kind: "table1", SeedOffset: 3},
 		{Name: "fig5-on-a72", Kind: "fig5", Core: "a72"},
 		{Name: "x", Kind: "table1", Core: "a53"},
-		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72", Budget: 100},
-		{Name: "x", Kind: KindTransfer, TuneCore: "a53", EvalCore: "a72", SeedOffset: 3},
-		{Name: "x", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{100}, Budget: 100},
+		{Name: "x", Kind: "fig4", Cores: a53},
+		{Name: "x", Kind: "fig6", EvalCore: "a72"},
+		{Name: "x", Kind: "fig2", NoiseLevels: []float64{0.01}},
+		{Name: "x", Kind: KindStudy, Core: "a53", Cores: a53},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -107,8 +115,10 @@ func TestSpecValidation(t *testing.T) {
 	good := []Spec{
 		{Name: "x", Kind: "staged", Core: "a72"},
 		{Name: "x", Kind: "fig8", Core: "a72"},
-		{Name: "x", Kind: KindBudgetSweep, Core: "a53", Budgets: []int{100}, SeedOffset: 3},
-		{Name: "x", Kind: KindNoiseSweep, Core: "a53", NoiseLevels: []float64{0}, Budget: 60, SeedOffset: 7},
+		{Name: "x", Kind: KindStudy, Cores: a53, Budgets: []int{100}, SeedOffset: 3},
+		{Name: "x", Kind: KindStudy, Cores: a53, NoiseLevels: []float64{0}, Budgets: []int{60}, SeedOffset: 7},
+		{Name: "x", Kind: KindStudy, Cores: []string{"a72"}, EvalCore: "a72"},
+		{Name: "x", Kind: KindStudy, Cores: []string{"a53", "a72"}, NoiseLevels: []float64{0, 0.2}, Budgets: []int{1, 2}},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -213,7 +223,7 @@ func TestSelect(t *testing.T) {
 func TestMerge(t *testing.T) {
 	base := Registry()
 	override := Spec{Name: "fig2", Kind: "fig2", Core: "a53", Description: "patched"}
-	added := Spec{Name: "night-sweep", Kind: KindBudgetSweep, Core: "a72", Budgets: []int{100}}
+	added := Spec{Name: "night-sweep", Kind: KindStudy, Cores: []string{"a72"}, Budgets: []int{100}}
 	merged := Merge(base, []Spec{override, added})
 	if len(merged) != len(base)+1 {
 		t.Fatalf("merged %d specs, want %d", len(merged), len(base)+1)
@@ -269,5 +279,36 @@ func TestArtifacts(t *testing.T) {
 		if arts[i-1] >= arts[i] {
 			t.Errorf("artifacts not sorted: %v", arts)
 		}
+	}
+	// A study cell consumes its core's pipeline when it is that pipeline
+	// and the core's raw suite measurement otherwise, plus the eval core's
+	// workloads: a noise-sweep cell shares the reference board's replays.
+	kinds := map[string]string{}
+	for _, sp := range Registry() {
+		kinds[sp.Name] = sp.Kind
+	}
+	var studies []Unit
+	for _, u := range units {
+		if kinds[u.Scenario] == KindStudy {
+			studies = append(studies, u)
+			want := []string{"measure:a53", "spec:a53"}
+			switch u.ID {
+			case "transfer-a53-to-a72/a53":
+				want = []string{"stages:a53", "spec:a72"}
+			case "transfer-a53-to-a72/a72":
+				want = []string{"stages:a72", "spec:a72"}
+			case "transfer-a72-to-a53/a72":
+				want = []string{"stages:a72", "spec:a53"}
+			case "transfer-a72-to-a53/a53":
+				want = []string{"stages:a53", "spec:a53"}
+			}
+			if !reflect.DeepEqual(u.Deps, want) {
+				t.Errorf("%s deps %v, want %v", u.ID, u.Deps, want)
+			}
+		}
+	}
+	want := []string{"measure:a53", "spec:a53", "spec:a72", "stages:a53", "stages:a72"}
+	if got := Artifacts(studies); len(studies) != 12 || !reflect.DeepEqual(got, want) {
+		t.Errorf("%d study units consume %v, want 12 consuming %v", len(studies), got, want)
 	}
 }
