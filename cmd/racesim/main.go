@@ -5,7 +5,7 @@
 //	racesim run -preset public-a53 -ubench MD
 //	racesim run -config tuned.json -workload mcf,xz -parallelism 4
 //	racesim experiments -scenario all -cache simcache.snap
-//	racesim validate -core a53 -budget1 4000 -budget2 6000 -out tuned.json
+//	racesim validate -core a53 -out tuned.json
 //	racesim ubench -list
 //	racesim serve -addr :8080 -cache simcache.snap
 //	racesim sweep -workers http://a:8080,http://b:8080 -scenario 'fig*'
@@ -19,10 +19,8 @@
 // (serve has its own lifecycle: -workers, -queue-depth, -drain-timeout,
 // -job-timeout) and stops at the first SIGINT/SIGTERM with exit status 130,
 // a run with -cache having saved what it simulated; so does sweep. Artifacts
-// go to stdout, progress and cache statistics to stderr
-// (except validate, which historically streams progress on stdout). See
-// docs/cli.md for the full reference, including the serve HTTP API and
-// job JSON schema.
+// go to stdout, progress and cache statistics to stderr. See docs/cli.md
+// for the full reference, including the serve HTTP API and job JSON schema.
 package main
 
 import (
@@ -161,7 +159,7 @@ func cmdRun(args []string) error {
 		benchNames = fs.String("ubench", "", "micro-benchmark name(s), comma-separated, or \"all\" (Table I)")
 		wlNames    = fs.String("workload", "", "SPEC-like workload name(s), comma-separated, or \"all\" (Table II)")
 		trPath     = fs.String("trace", "", "RIFT trace file to replay")
-		events     = fs.Int("events", engine.DefaultRunEvents, "workload trace length")
+		events     = fs.Int("events", expt.DefaultWorkloadEvents, "workload trace length")
 		scale      = fs.Float64("scale", ubench.DefaultScale, "micro-benchmark scale factor")
 		seed       = fs.Int64("seed", 0, "workload generator seed")
 	)
@@ -221,8 +219,8 @@ func cmdValidate(args []string) error {
 	fs := flag.NewFlagSet("racesim validate", flag.ExitOnError)
 	var (
 		coreK     = fs.String("core", "a53", "core to validate: a53 or a72")
-		budget1   = fs.Int("budget1", engine.DefaultValidateBudget1, "irace budget for tuning round 1")
-		budget2   = fs.Int("budget2", engine.DefaultValidateBudget2, "irace budget for tuning round 2")
+		budget1   = fs.Int("budget1", expt.DefaultBudgetRound1, "irace budget for tuning round 1")
+		budget2   = fs.Int("budget2", expt.DefaultBudgetRound2, "irace budget for tuning round 2")
 		scale     = fs.Float64("scale", ubench.DefaultScale, "micro-benchmark scale factor")
 		seed      = fs.Int64("seed", 0, "tuner seed")
 		out       = fs.String("out", "", "write the tuned config JSON here")

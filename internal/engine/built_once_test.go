@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
@@ -242,7 +244,8 @@ func TestExperimentsWarmJobOnlyLooksUp(t *testing.T) {
 // TestValidateJobThreeWay is the three-way differential for a validate job
 // (one pipeline: both suites and the lmbench traces, each asked for once),
 // and a fourth way: the pipeline called directly with neither memo nor
-// cache, on boards that replay every measurement, tunes the same
+// cache, on boards that replay every measurement, at the job's seed plus
+// the A72's offset of 100 (expt.Context.Seed), tunes the same
 // configuration to the same errors.
 func TestValidateJobThreeWay(t *testing.T) {
 	job := Job{Kind: KindValidate, Validate: &ValidateJob{Core: "a72", Budget1: 80, Budget2: 80, Scale: 0.001, Seed: 2, Quiet: true}}
@@ -259,7 +262,7 @@ func TestValidateJobThreeWay(t *testing.T) {
 	}
 	v := job.Validate
 	stages, err := validate.Pipeline(plat.A72, sim.PublicA72(), validate.PaperStages(v.Budget1, v.Budget2), validate.PipelineOptions{
-		Seed: v.Seed, UbenchScale: v.Scale, Parallelism: 1,
+		Seed: v.Seed + 100, UbenchScale: v.Scale, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +277,69 @@ func TestValidateJobThreeWay(t *testing.T) {
 	for _, s := range stages {
 		if line := fmt.Sprintf("%-10s %-12s", s.Name, fmt.Sprintf("%.1f%%", s.MeanError*100)); !strings.Contains(cold.Artifact, line) {
 			t.Errorf("stage line %q of the direct pipeline is not in the job's artifact:\n%s", line, cold.Artifact)
+		}
+	}
+}
+
+// TestEveryKindAnswersFromThePaperSet: after an experiments job of Figs. 5
+// and 6, a validate job for either core at the same sizes and seed is the
+// pipeline those figures score. It simulates nothing, generates no trace,
+// and tunes the last stage of Context.Stages(core) over the same cache. A
+// run job of that configuration on every Table II workload, at the same
+// length and seed, is answered from the cache too.
+func TestEveryKindAnswersFromThePaperSet(t *testing.T) {
+	const (
+		scale            = 0.001
+		events           = 2000
+		budget1, budget2 = 100, 120
+		seed             = 2
+	)
+	opts := Options{Cache: simcache.New(), TraceMemo: tracememo.New(0, 0), Capture: true}
+	if _, err := Execute(Job{Kind: KindExperiments, Experiments: &ExperimentsJob{
+		Scenario: "fig5,fig6", Scale: scale, Events: events, Budget1: budget1, Budget2: budget2, Seed: seed, Quiet: true,
+	}}, opts); err != nil {
+		t.Fatal(err)
+	}
+	x, err := expt.NewContext(expt.Options{
+		UbenchScale: scale, BudgetRound1: budget1, BudgetRound2: budget2, Seed: seed,
+		Cache: opts.Cache, TraceMemo: opts.TraceMemo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []string{"a53", "a72"} {
+		before := opts.Cache.Stats()
+		res, err := Execute(Job{Kind: KindValidate, Validate: &ValidateJob{
+			Core: core, Scale: scale, Budget1: budget1, Budget2: budget2, Seed: seed, Quiet: true,
+		}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := res.CacheStats.Misses - before.Misses; misses != 0 || res.CacheStats.Hits == before.Hits {
+			t.Errorf("validate %s: %d misses, %d hits after the paper set; want only hits", core, misses, res.CacheStats.Hits-before.Hits)
+		}
+		if requested, generated := traceSummary(t, res.Log); requested == 0 || generated != 0 {
+			t.Errorf("validate %s: traces: %d requested, %d generated; want 0 generated", core, requested, generated)
+		}
+		stages, err := x.Stages(core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(stages[len(stages)-1].Config, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(res.TunedConfig) != string(want)+"\n" {
+			t.Errorf("validate %s tuned another model than the paper set's:\n--- job ---\n%s\n--- Stages ---\n%s", core, res.TunedConfig, want)
+		}
+
+		before = opts.Cache.Stats()
+		run, err := Execute(Job{Kind: KindRun, Run: &RunJob{ConfigJSON: res.TunedConfig, Workload: "all", Events: events, Seed: seed}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := run.CacheStats.Misses - before.Misses; misses != 0 || run.CacheStats.Hits-before.Hits != 11 {
+			t.Errorf("run of the tuned %s model: %d misses, %d hits; want 0 misses, 11 hits", core, misses, run.CacheStats.Hits-before.Hits)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func TestZeroSizesAreTheDefaults(t *testing.T) {
 	}{
 		{"run",
 			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1}},
-			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1, Events: 100_000, Scale: 0.01}}},
+			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1, Events: 60_000, Scale: 0.01}}},
 		{"ubench-compare",
 			Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD"}},
 			Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD", Scale: 0.01}}},
@@ -32,7 +32,7 @@ func TestZeroSizesAreTheDefaults(t *testing.T) {
 			Job{Kind: KindValidate, Validate: &ValidateJob{Budget1: 100, Budget2: 120, Seed: 1, Quiet: true, Scale: 0.01}}},
 		{"validate-budgets",
 			Job{Kind: KindValidate, Validate: &ValidateJob{Scale: 0.001, Seed: 1, Quiet: true}},
-			Job{Kind: KindValidate, Validate: &ValidateJob{Scale: 0.001, Seed: 1, Quiet: true, Budget1: 3000, Budget2: 4000}}},
+			Job{Kind: KindValidate, Validate: &ValidateJob{Scale: 0.001, Seed: 1, Quiet: true, Budget1: 2500, Budget2: 3500}}},
 		{"experiments-sizes",
 			Job{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1,fig5", Budget1: 100, Budget2: 120, Seed: 1, Quiet: true}},
 			Job{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1,fig5", Budget1: 100, Budget2: 120, Seed: 1, Quiet: true, Scale: 0.01, Events: 60_000}}},

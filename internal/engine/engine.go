@@ -9,12 +9,18 @@
 // The `racesim` subcommands are each a flag parser in front of one
 // Execute call, and the long-lived HTTP server (server.go) submits the
 // same Job type from a worker pool over one warm cache, so batch and
-// service execution share every byte of lifecycle code. Jobs stream their
-// stdout/stderr exactly as the historical standalone binaries did —
-// rendered artifacts on stdout, timing and cache statistics on stderr —
-// which is what keeps distributed sweep outputs byte-identical to the
-// single-process run; Execute additionally captures both streams into the
-// Result for callers (the server) that need them after the fact.
+// service execution share every byte of lifecycle code. Every job streams
+// its rendered artifact on stdout and its progress, timing and cache
+// statistics on stderr, which is what keeps distributed sweep outputs
+// byte-identical to the single-process run; Execute additionally captures
+// both streams into the Result for callers (the server) that need them
+// after the fact.
+//
+// A size a job leaves zero is the paper set's: expt.DefaultWorkloadEvents,
+// expt.DefaultBudgetRound1/2 and ubench.DefaultScale, each declared once.
+// A validate job tunes through expt.Context.Stages, the pipeline behind
+// Figs. 4–8, so at the sizes and seed of an experiments job it asks for
+// exactly that job's simulations and traces, and answers from its cache.
 package engine
 
 import (
@@ -63,16 +69,6 @@ type Job struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// The sizes a run or validate job uses where its spec leaves them zero. An
-// experiments job's are expt's (expt.DefaultWorkloadEvents and the
-// expt.DefaultBudgetRound* pair), and every job's micro-benchmark scale is
-// ubench.DefaultScale.
-const (
-	DefaultRunEvents       = 100_000 // RunJob.Events
-	DefaultValidateBudget1 = 3000    // ValidateJob.Budget1
-	DefaultValidateBudget2 = 4000    // ValidateJob.Budget2
-)
-
 // RunJob simulates one or more traces on one configuration — the classic
 // `racesim run` (née cmd/racesim) invocation.
 type RunJob struct {
@@ -88,19 +84,20 @@ type RunJob struct {
 	Ubench    string  `json:"ubench,omitempty"`
 	Workload  string  `json:"workload,omitempty"`
 	TracePath string  `json:"trace_path,omitempty"`
-	Events    int     `json:"events,omitempty"` // workload trace length (0: DefaultRunEvents)
+	Events    int     `json:"events,omitempty"` // workload trace length (0: expt.DefaultWorkloadEvents)
 	Scale     float64 `json:"scale,omitempty"`  // micro-benchmark scale factor (0: ubench.DefaultScale)
 	Seed      int64   `json:"seed,omitempty"`   // workload generator seed
 }
 
 // ValidateJob runs the paper's full hardware-validation methodology for
-// one core and reports the tuned configuration.
+// one core and reports the tuned configuration: the core's model of Figs.
+// 4–8 (expt.Context.Stages) at the job's scale, budgets and seed.
 type ValidateJob struct {
 	Core    string  `json:"core,omitempty"`    // "a53" (default) or "a72"
-	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (0: DefaultValidateBudget1)
-	Budget2 int     `json:"budget2,omitempty"` // irace budget, round 2 (0: DefaultValidateBudget2)
+	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (<=0: expt.DefaultBudgetRound1)
+	Budget2 int     `json:"budget2,omitempty"` // irace budget, round 2 (<=0: expt.DefaultBudgetRound2)
 	Scale   float64 `json:"scale,omitempty"`   // micro-benchmark scale factor (0: ubench.DefaultScale)
-	Seed    int64   `json:"seed,omitempty"`
+	Seed    int64   `json:"seed,omitempty"`    // run seed; the pipeline draws it plus the core's offset (expt.Context.Seed)
 	// OutPath writes the tuned config JSON to a file; the Result carries
 	// the same bytes in TunedConfig either way.
 	OutPath string `json:"out_path,omitempty"`

@@ -132,7 +132,7 @@ func (e *env) runJob(j *RunJob) error {
 	if err := e.openSnapshot("racesim", func(string, ...any) {}); err != nil {
 		return err
 	}
-	trs, err := e.gather(j, cmp.Or(j.Events, DefaultRunEvents), cmp.Or(j.Scale, ubench.DefaultScale))
+	trs, err := e.gather(j, cmp.Or(j.Events, expt.DefaultWorkloadEvents), cmp.Or(j.Scale, ubench.DefaultScale))
 	if err != nil {
 		return err
 	}

@@ -17,25 +17,29 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if j == nil {
 		j = &ValidateJob{}
 	}
-	// Progress goes to stdout, as the standalone validate binary always
-	// printed it (the tuned-config table is the artifact either way).
 	logf := func(format string, args ...any) {
 		if !j.Quiet {
-			e.printf(format+"\n", args...)
+			e.eprintf(format+"\n", args...)
 		}
 	}
+	core := cmp.Or(j.Core, "a53")
+	// The paper set's context at the job's sizes: its pipeline, seed rule
+	// and budget defaults are the ones Figs. 4–8 score.
 	x, err := expt.NewContext(expt.Options{
-		UbenchScale: j.Scale,
-		Parallelism: e.par,
-		Cache:       e.cache,
-		TraceMemo:   e.memo,
-		Context:     e.ctx,
-		Log:         logf,
+		UbenchScale:  j.Scale,
+		BudgetRound1: j.Budget1,
+		BudgetRound2: j.Budget2,
+		Seed:         j.Seed,
+		Parallelism:  e.par,
+		Cache:        e.cache,
+		TraceMemo:    e.memo,
+		Context:      e.ctx,
+		Log:          logf,
 	})
 	if err != nil {
 		return err
 	}
-	board, public, err := expt.Core(x.Platform(), j.Core)
+	board, _, err := expt.Core(x.Platform(), core)
 	if err != nil {
 		return err
 	}
@@ -49,11 +53,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if err := e.openSnapshot("validate", logf); err != nil {
 		return err
 	}
-	// A budget of 0 makes a stage evaluate-only, but the paper's rounds
-	// always tune: a zero or negative budget is the default.
-	stages, err := x.Run(board, public, validate.PaperStages(
-		cmp.Or(max(j.Budget1, 0), DefaultValidateBudget1),
-		cmp.Or(max(j.Budget2, 0), DefaultValidateBudget2)), j.Seed)
+	stages, err := x.Stages(core)
 	if err != nil {
 		return err
 	}
@@ -104,11 +104,11 @@ func (e *env) validateJob(j *ValidateJob) error {
 			if err := os.MkdirAll(j.ReportDir, 0o755); err != nil {
 				return err
 			}
-			path := filepath.Join(j.ReportDir, "validate-"+cmp.Or(j.Core, "a53")+".json")
+			path := filepath.Join(j.ReportDir, "validate-"+core+".json")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				return err
 			}
-			e.printf("\nwrote validation report to %s\n", path)
+			e.eprintf("wrote validation report to %s\n", path)
 		}
 	}
 
@@ -134,7 +134,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 		if err := final.Config.MarshalJSONFile(j.OutPath); err != nil {
 			return err
 		}
-		e.printf("\nwrote tuned configuration to %s\n", j.OutPath)
+		e.eprintf("wrote tuned configuration to %s\n", j.OutPath)
 	}
 	// The gate fires last: every artifact (tuned config, report history,
 	// cache snapshot) is already on disk when a violation fails the job,

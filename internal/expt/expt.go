@@ -599,28 +599,30 @@ func (c *Context) Staged() (Experiment, error) {
 }
 
 // Figure is one artifact of the paper's evaluation. Its ID is the scenario
-// kind that selects it and the ID it renders under; Deps names the Context's
-// memoized artifacts Run consumes: "stages:<core>" is Stages(core),
-// "spec:<core>" is Spec(core) and "measure:<core>" is the core's board
-// measuring the raw micro-benchmark suite.
+// kind and name that select it and the ID it renders under; Description is
+// the scenario registry's one line on it. Deps names the Context's memoized
+// artifacts Run consumes: "stages:<core>" is Stages(core), "spec:<core>" is
+// Spec(core) and "measure:<core>" is the core's board measuring the raw
+// micro-benchmark suite.
 type Figure struct {
-	ID   string
-	Deps []string
-	Run  func(*Context) (Experiment, error)
+	ID          string
+	Description string
+	Deps        []string
+	Run         func(*Context) (Experiment, error)
 }
 
 // Paper is the paper's evaluation in paper order: Tables I–II, Figs. 2 and
 // 4–8 and the staged-validation narrative.
 var Paper = []Figure{
-	{"table1", nil, (*Context).Table1},
-	{"table2", nil, (*Context).Table2},
-	{"fig2", []string{"measure:a53"}, (*Context).Fig2},
-	{"fig4", []string{"stages:a53"}, (*Context).Fig4},
-	{"fig5", []string{"stages:a53", "spec:a53"}, (*Context).Fig5},
-	{"fig6", []string{"stages:a72", "spec:a72"}, (*Context).Fig6},
-	{"fig7", []string{"stages:a53", "spec:a53"}, (*Context).Fig7},
-	{"fig8", []string{"stages:a72", "spec:a72"}, (*Context).Fig8},
-	{"staged", []string{"stages:a53", "stages:a72"}, (*Context).Staged},
+	{"table1", "Table I: the micro-benchmark suite and dynamic instruction counts", nil, (*Context).Table1},
+	{"table2", "Table II: synthetic SPEC CPU2017 region workloads", nil, (*Context).Table2},
+	{"fig2", "iterated-racing elimination dynamics on the A53", []string{"measure:a53"}, (*Context).Fig2},
+	{"fig4", "micro-benchmark CPI error, untuned vs tuned (A53)", []string{"stages:a53"}, (*Context).Fig4},
+	{"fig5", "SPEC CPI error of the tuned in-order model", []string{"stages:a53", "spec:a53"}, (*Context).Fig5},
+	{"fig6", "SPEC CPI error of the tuned out-of-order model", []string{"stages:a72", "spec:a72"}, (*Context).Fig6},
+	{"fig7", "close-to-optimum but inaccurate A53 model", []string{"stages:a53", "spec:a53"}, (*Context).Fig7},
+	{"fig8", "close-to-optimum but inaccurate A72 model", []string{"stages:a72", "spec:a72"}, (*Context).Fig8},
+	{"staged", "mean error per validation stage (Sec. IV-B)", []string{"stages:a53", "stages:a72"}, (*Context).Staged},
 }
 
 // All runs every experiment in paper order, one after another: the

@@ -16,12 +16,10 @@ import (
 // index; that fixed order is the contract behind addressing units one by
 // one (FilterUnits) and merging their outputs.
 type Unit struct {
-	// ID is "<scenario>" for single-unit scenarios and
-	// "<scenario>/<step>" otherwise; it is also the rendered experiment
-	// ID for non-paper kinds.
+	// ID is "<scenario>" for single-unit scenarios and "<scenario>/<cell>"
+	// otherwise; it is also the rendered experiment ID for non-paper kinds.
 	ID       string
 	Scenario string
-	Step     string
 	// Index is the unit's position in the full expansion.
 	Index int
 	// Deps names the shared preparation artifacts this unit consumes
@@ -46,7 +44,7 @@ func (u Unit) Run(ctx *expt.Context) (expt.Experiment, error) {
 }
 
 // Expand validates the specs and expands them into the deterministic unit
-// list: specs in slice order, steps in declared order, global indices
+// list: specs in slice order, a study's cells in grid order, global indices
 // assigned sequentially.
 func Expand(specs []Spec) ([]Unit, error) {
 	if err := checkUnique(specs); err != nil {
@@ -73,7 +71,6 @@ func expandSpec(sp Spec) []Unit {
 	return []Unit{{
 		ID:       sp.Name,
 		Scenario: sp.Name,
-		Step:     f.ID,
 		Deps:     slices.Clone(f.Deps),
 		run:      f.Run,
 	}}

@@ -12,8 +12,9 @@ import (
 // FilterUnits and a distributed sweep address them by — and round-trips
 // through SaveManifest to equal specs. The seed corpus under
 // testdata/fuzz/FuzzParseManifest holds the registry as SaveManifest writes
-// it, a wrong format, duplicate names, fields the schema does not have and
-// one invalid value per case of Spec.Validate.
+// it (registry) and as it was written while paper kinds had a core
+// (registry-with-core), a wrong format, duplicate names, fields the schema
+// does not have and one invalid value per case of Spec.Validate.
 func FuzzParseManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		specs, err := parseManifest(data)
@@ -66,6 +67,7 @@ func withoutEmptyLists(specs []Spec) []Spec {
 func TestManifestRejectsUnknownFields(t *testing.T) {
 	for field, data := range map[string]string{
 		"budget":    `{"format": 1, "scenarios": [{"name": "n", "kind": "study", "cores": ["a53"], "budget": 600}]}`,
+		"core":      `{"format": 1, "scenarios": [{"name": "fig6", "kind": "fig6", "core": "a72"}]}`,
 		"tune_core": `{"format": 1, "scenarios": [{"name": "x", "kind": "study", "tune_core": "a53", "cores": ["a53"]}]}`,
 		"budgest":   `{"format": 1, "scenarios": [{"name": "b", "kind": "study", "cores": ["a53"], "budgest": [300]}]}`,
 		"formt":     `{"formt": 1, "format": 1, "scenarios": []}`,

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"regexp"
 	"slices"
-	"strings"
 
 	"racesim/internal/expt"
 )
@@ -55,8 +54,6 @@ type Spec struct {
 	Description string `json:"description,omitempty"`
 	// Kind selects the analysis stage: an expt.Paper ID or KindStudy.
 	Kind string `json:"kind"`
-	// Core narrows a paper kind to one of the cores its figure runs on.
-	Core string `json:"core,omitempty"`
 	// The rest are a study's axes. Each cell of their cross product is one
 	// unit (study.go).
 	//
@@ -80,9 +77,8 @@ type Spec struct {
 var nameRe = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
 // Validate checks the spec is well-formed before expansion. A field the
-// kind does not read is an error, not silently dropped: a paper kind runs
-// only on the cores its expt.Paper entry depends on and reads no axis, and
-// a study reads no core.
+// kind does not read is an error, not silently dropped: a paper kind reads
+// none of a study's axes.
 func (s Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
 		return fmt.Errorf("scenario: invalid name %q (want [a-z0-9._-]+)", s.Name)
@@ -91,9 +87,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %s: "+format, append([]any{s.Name}, args...)...)
 	}
 	if s.Kind == KindStudy {
-		if s.Core != "" {
-			return fail("a study does not read core (its tune cores are cores)")
-		}
 		if len(s.Cores) == 0 {
 			return fail("a study needs at least one core")
 		}
@@ -120,15 +113,8 @@ func (s Spec) Validate() error {
 		}
 		return nil
 	}
-	i := paperIndex(s.Kind)
-	if i < 0 {
+	if paperIndex(s.Kind) < 0 {
 		return fail("unknown kind %q", s.Kind)
-	}
-	if s.Core != "" && !slices.ContainsFunc(expt.Paper[i].Deps, func(dep string) bool {
-		_, core, _ := strings.Cut(dep, ":")
-		return core == s.Core
-	}) {
-		return fail("%s does not run on core %q", s.Kind, s.Core)
 	}
 	for _, f := range []struct {
 		name string
@@ -155,19 +141,14 @@ func repeated[T comparable](vs []T) string {
 }
 
 // Registry returns the built-in scenarios: the paper set in paper order,
-// then the studies. The slice is freshly allocated; callers
-// may append or override (see Merge).
+// one spec per expt.Paper entry, then the studies. The slice is freshly
+// allocated; callers may append or override (see Merge).
 func Registry() []Spec {
-	specs := []Spec{
-		{Name: "table1", Kind: "table1", Description: "Table I: the micro-benchmark suite and dynamic instruction counts"},
-		{Name: "table2", Kind: "table2", Description: "Table II: synthetic SPEC CPU2017 region workloads"},
-		{Name: "fig2", Kind: "fig2", Core: "a53", Description: "iterated-racing elimination dynamics on the A53"},
-		{Name: "fig4", Kind: "fig4", Core: "a53", Description: "micro-benchmark CPI error, untuned vs tuned (A53)"},
-		{Name: "fig5", Kind: "fig5", Core: "a53", Description: "SPEC CPI error of the tuned in-order model"},
-		{Name: "fig6", Kind: "fig6", Core: "a72", Description: "SPEC CPI error of the tuned out-of-order model"},
-		{Name: "fig7", Kind: "fig7", Core: "a53", Description: "close-to-optimum but inaccurate A53 model"},
-		{Name: "fig8", Kind: "fig8", Core: "a72", Description: "close-to-optimum but inaccurate A72 model"},
-		{Name: "staged", Kind: "staged", Description: "mean error per validation stage (Sec. IV-B)"},
+	var specs []Spec
+	for _, f := range expt.Paper {
+		specs = append(specs, Spec{Name: f.ID, Kind: f.ID, Description: f.Description})
+	}
+	return append(specs, []Spec{
 		{Name: "transfer-a53-to-a72", Kind: KindStudy, Cores: []string{"a53", "a72"}, EvalCore: "a72",
 			Description: "models tuned on the A53, then the A72, validated on the A72's held-out workloads"},
 		{Name: "transfer-a72-to-a53", Kind: KindStudy, Cores: []string{"a72", "a53"}, EvalCore: "a53",
@@ -178,8 +159,7 @@ func Registry() []Spec {
 		{Name: "noise-sweep-a53", Kind: KindStudy, Cores: []string{"a53"},
 			NoiseLevels: []float64{0, 0.01, 0.03, 0.05}, Budgets: []int{600}, SeedOffset: 900,
 			Description: "tuning robustness under increasing measurement noise"},
-	}
-	return specs
+	}...)
 }
 
 // Merge overlays extra specs (e.g. from a manifest) on base: a spec whose

@@ -3,6 +3,7 @@ package scenario
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,9 +36,9 @@ func paperIDs() []string {
 
 // TestPaperFiguresDeclareContextArtifacts: the deps of every paper
 // experiment name an artifact the expt.Context memoizes for a core of the
-// platform, every paper scenario of the registry expands to one unit that
-// carries its experiment's deps, and a manifest naming a paper kind still
-// loads and expands to that unit.
+// platform, every paper scenario of the registry is its expt.Paper entry and
+// expands to one unit that carries its experiment's deps, and a manifest
+// naming a paper kind still loads and expands to that unit.
 func TestPaperFiguresDeclareContextArtifacts(t *testing.T) {
 	for _, f := range expt.Paper {
 		for _, d := range f.Deps {
@@ -56,6 +57,9 @@ func TestPaperFiguresDeclareContextArtifacts(t *testing.T) {
 		if !ok {
 			continue
 		}
+		if want := (Spec{Name: f.ID, Kind: f.ID, Description: f.Description}); !reflect.DeepEqual(sp, want) {
+			t.Errorf("registry spec %+v, want %+v", sp, want)
+		}
 		units, err := Expand([]Spec{sp})
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +68,7 @@ func TestPaperFiguresDeclareContextArtifacts(t *testing.T) {
 			t.Errorf("%s expands to %+v, want one unit with deps %v", sp.Name, units, f.Deps)
 		}
 	}
-	specs, err := parseManifest([]byte(`{"format": 1, "scenarios": [{"name": "mine", "kind": "fig4", "core": "a53"}]}`))
+	specs, err := parseManifest([]byte(`{"format": 1, "scenarios": [{"name": "mine", "kind": "fig4"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func TestPaperFiguresDeclareContextArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(units) != 1 || units[0].ID != "mine" || units[0].Step != "fig4" || !reflect.DeepEqual(units[0].Deps, figures["fig4"].Deps) {
+	if len(units) != 1 || units[0].ID != "mine" || units[0].Scenario != "mine" || !reflect.DeepEqual(units[0].Deps, figures["fig4"].Deps) {
 		t.Errorf("a fig4 manifest expands to %+v", units)
 	}
 }
@@ -94,18 +98,14 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Kind: KindStudy, Cores: []string{"a53", "a72", "a53"}},
 		{Name: "x", Kind: KindStudy, Cores: a53, Budgets: []int{300, 600, 300}},
 		{Name: "x", Kind: KindStudy, Cores: a53, NoiseLevels: []float64{0, 0.01, 0.01}},
-		// A field the kind does not read: Fig. 5 on the A72 rendered the
-		// A53's figure, a Fig. 4 budget was dropped, and a study tunes its
-		// cores, not core.
+		// A field the kind does not read: a Fig. 4 budget was dropped
+		// (TestUnreadFieldsAreRejected walks every field).
 		{Name: "x", Kind: "fig2", Budgets: []int{-1}},
 		{Name: "fig4-budget100", Kind: "fig4", Budgets: []int{100}},
 		{Name: "x", Kind: "table1", SeedOffset: 3},
-		{Name: "fig5-on-a72", Kind: "fig5", Core: "a72"},
-		{Name: "x", Kind: "table1", Core: "a53"},
 		{Name: "x", Kind: "fig4", Cores: a53},
 		{Name: "x", Kind: "fig6", EvalCore: "a72"},
 		{Name: "x", Kind: "fig2", NoiseLevels: []float64{0.01}},
-		{Name: "x", Kind: KindStudy, Core: "a53", Cores: a53},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -113,8 +113,8 @@ func TestSpecValidation(t *testing.T) {
 		}
 	}
 	good := []Spec{
-		{Name: "x", Kind: "staged", Core: "a72"},
-		{Name: "x", Kind: "fig8", Core: "a72"},
+		{Name: "x", Kind: "staged"},
+		{Name: "x", Kind: "fig8", Description: "mine"},
 		{Name: "x", Kind: KindStudy, Cores: a53, Budgets: []int{100}, SeedOffset: 3},
 		{Name: "x", Kind: KindStudy, Cores: a53, NoiseLevels: []float64{0}, Budgets: []int{60}, SeedOffset: 7},
 		{Name: "x", Kind: KindStudy, Cores: []string{"a72"}, EvalCore: "a72"},
@@ -124,6 +124,70 @@ func TestSpecValidation(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("spec %+v rejected: %v", s, err)
 		}
+	}
+}
+
+// TestUnreadFieldsAreRejected walks Spec's JSON fields: for every kind,
+// each field it does not read, set to a value valid for the kinds that do,
+// is rejected with an error naming the field. A field added to Spec is
+// unread by every kind until its reads list says otherwise, so an axis
+// added without a Validate rule fails here.
+func TestUnreadFieldsAreRejected(t *testing.T) {
+	common := []string{"name", "description", "kind"}
+	reads := map[string][]string{
+		KindStudy: append(common, "cores", "eval_core", "budgets", "noise_levels", "seed_offset"),
+	}
+	bases := map[string]Spec{KindStudy: {Name: "x", Kind: KindStudy, Cores: []string{"a53"}}}
+	for _, id := range paperIDs() {
+		reads[id] = common
+		bases[id] = Spec{Name: "x", Kind: id}
+	}
+	typ := reflect.TypeOf(Spec{})
+	fields := map[string]int{}
+	for i := range typ.NumField() {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		fields[name] = i
+	}
+	if len(fields) != 8 {
+		t.Errorf("Spec has %d JSON fields %v, want 8", len(fields), fields)
+	}
+	for kind, base := range bases {
+		if err := base.Validate(); err != nil {
+			t.Fatalf("base %s spec: %v", kind, err)
+		}
+		for _, name := range reads[kind] {
+			if _, ok := fields[name]; !ok {
+				t.Errorf("kind %s reads %q, which Spec does not have", kind, name)
+			}
+		}
+		for name, i := range fields {
+			if slices.Contains(reads[kind], name) {
+				continue
+			}
+			sp := base
+			setValid(reflect.ValueOf(&sp).Elem().Field(i))
+			if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("kind %s with %s set: error %v, want one naming %s", kind, name, err, name)
+			}
+		}
+	}
+}
+
+// setValid sets v to a value a kind that reads it would accept: a core
+// name, a budget, a noise level, one element of each for a list.
+func setValid(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("a72")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(0.01)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		setValid(v.Index(0))
+	default:
+		panic("setValid: no valid value for " + v.Type().String())
 	}
 }
 
@@ -222,7 +286,7 @@ func TestSelect(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	base := Registry()
-	override := Spec{Name: "fig2", Kind: "fig2", Core: "a53", Description: "patched"}
+	override := Spec{Name: "fig2", Kind: "fig2", Description: "patched"}
 	added := Spec{Name: "night-sweep", Kind: KindStudy, Cores: []string{"a72"}, Budgets: []int{100}}
 	merged := Merge(base, []Spec{override, added})
 	if len(merged) != len(base)+1 {

@@ -50,12 +50,11 @@ func studyUnits(sp Spec) []Unit {
 				if len(sp.Budgets) > 1 {
 					axes = append(axes, fmt.Sprintf("budget=%d", budget))
 				}
-				id, step := sp.Name, sp.Kind
+				id := sp.Name
 				if len(axes) > 0 {
-					step = strings.Join(axes, "/")
-					id += "/" + step
+					id += "/" + strings.Join(axes, "/")
 				}
-				units = append(units, Unit{ID: id, Scenario: sp.Name, Step: step, Deps: c.deps(),
+				units = append(units, Unit{ID: id, Scenario: sp.Name, Deps: c.deps(),
 					run: func(ctx *expt.Context) (expt.Experiment, error) { return c.run(ctx, id) }})
 			}
 		}
