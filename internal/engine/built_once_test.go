@@ -282,11 +282,14 @@ func TestValidateJobThreeWay(t *testing.T) {
 }
 
 // TestEveryKindAnswersFromThePaperSet: after an experiments job of Figs. 5
-// and 6, a validate job for either core at the same sizes and seed is the
-// pipeline those figures score. It simulates nothing, generates no trace,
-// and tunes the last stage of Context.Stages(core) over the same cache. A
-// run job of that configuration on every Table II workload, at the same
-// length and seed, is answered from the cache too.
+// and 6, a ubench -compare job of either core's suite at the same scale is
+// the pipeline's untuned stage: it simulates nothing, generates no trace
+// and prints that stage's mean error. A validate job for either core at
+// the same sizes and seed is the pipeline those figures score. It
+// simulates nothing, generates no trace, and tunes the last stage of
+// Context.Stages(core) over the same cache. A run job of that
+// configuration on every Table II workload, at the same length and seed,
+// is answered from the cache too.
 func TestEveryKindAnswersFromThePaperSet(t *testing.T) {
 	const (
 		scale            = 0.001
@@ -308,7 +311,26 @@ func TestEveryKindAnswersFromThePaperSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, core := range []string{"a53", "a72"} {
-		before := opts.Cache.Stats()
+		stages, err := x.Stages(core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, traces := opts.Cache.Stats(), opts.TraceMemo.Stats()
+		compared, err := Execute(Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "all", Core: core, Scale: scale}}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if misses := compared.CacheStats.Misses - before.Misses; misses != 0 || compared.CacheStats.Hits == before.Hits {
+			t.Errorf("ubench -compare %s: %d misses, %d hits after the paper set; want only hits", core, misses, compared.CacheStats.Hits-before.Hits)
+		}
+		if generated := opts.TraceMemo.Stats().Generated - traces.Generated; generated != 0 {
+			t.Errorf("ubench -compare %s: %d traces generated after the paper set; want 0", core, generated)
+		}
+		if want := fmt.Sprintf("mean |CPI error| over %d benchmarks: %.1f%%", len(ubench.Suite()), stages[0].MeanError*100); !strings.Contains(compared.Artifact, want) {
+			t.Errorf("ubench -compare %s does not print the untuned stage's %q:\n%s", core, want, compared.Artifact)
+		}
+
+		before = opts.Cache.Stats()
 		res, err := Execute(Job{Kind: KindValidate, Validate: &ValidateJob{
 			Core: core, Scale: scale, Budget1: budget1, Budget2: budget2, Seed: seed, Quiet: true,
 		}}, opts)
@@ -320,10 +342,6 @@ func TestEveryKindAnswersFromThePaperSet(t *testing.T) {
 		}
 		if requested, generated := traceSummary(t, res.Log); requested == 0 || generated != 0 {
 			t.Errorf("validate %s: traces: %d requested, %d generated; want 0 generated", core, requested, generated)
-		}
-		stages, err := x.Stages(core)
-		if err != nil {
-			t.Fatal(err)
 		}
 		want, err := json.MarshalIndent(stages[len(stages)-1].Config, "", "  ")
 		if err != nil {

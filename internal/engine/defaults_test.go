@@ -11,10 +11,10 @@ import (
 
 // TestZeroSizesAreTheDefaults runs each job kind that sizes its work twice
 // over one cache and one trace memo: first with its size fields zero, then
-// with every one of them spelled out at its documented default. A zero must
-// mean exactly the default, down to the trace memo's keys, so the second
-// run renders the first run's artifact, simulates nothing and generates no
-// trace. The expensive defaults are checked against toy values of the
+// with every one of them spelled out at its documented default, or set
+// negative. A zero or a negative size must mean exactly the default, down
+// to the trace memo's keys, so the second run renders the first run's
+// artifact, simulates nothing and generates no trace. The expensive defaults are checked against toy values of the
 // other fields, so every case stays small.
 func TestZeroSizesAreTheDefaults(t *testing.T) {
 	cases := []struct {
@@ -24,9 +24,15 @@ func TestZeroSizesAreTheDefaults(t *testing.T) {
 		{"run",
 			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1}},
 			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1, Events: 60_000, Scale: 0.01}}},
+		{"run-negative",
+			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1}},
+			Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Workload: "mcf", Seed: 1, Events: -1, Scale: -1}}},
 		{"ubench-compare",
 			Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD"}},
 			Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD", Scale: 0.01}}},
+		{"ubench-compare-negative",
+			Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD"}},
+			Job{Kind: KindUbench, Ubench: &UbenchJob{Compare: "MD", Scale: -1}}},
 		{"validate-scale",
 			Job{Kind: KindValidate, Validate: &ValidateJob{Budget1: 100, Budget2: 120, Seed: 1, Quiet: true}},
 			Job{Kind: KindValidate, Validate: &ValidateJob{Budget1: 100, Budget2: 120, Seed: 1, Quiet: true, Scale: 0.01}}},

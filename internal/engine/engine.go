@@ -16,8 +16,9 @@
 // both streams into the Result for callers (the server) that need them
 // after the fact.
 //
-// A size a job leaves zero is the paper set's: expt.DefaultWorkloadEvents,
-// expt.DefaultBudgetRound1/2 and ubench.DefaultScale, each declared once.
+// A size a job leaves zero, or sets negative, is the paper set's:
+// expt.DefaultWorkloadEvents, expt.DefaultBudgetRound1/2 and
+// ubench.DefaultScale, each declared once.
 // A validate job tunes through expt.Context.Stages, the pipeline behind
 // Figs. 4–8, so at the sizes and seed of an experiments job it asks for
 // exactly that job's simulations and traces, and answers from its cache.
@@ -84,8 +85,8 @@ type RunJob struct {
 	Ubench    string  `json:"ubench,omitempty"`
 	Workload  string  `json:"workload,omitempty"`
 	TracePath string  `json:"trace_path,omitempty"`
-	Events    int     `json:"events,omitempty"` // workload trace length (0: expt.DefaultWorkloadEvents)
-	Scale     float64 `json:"scale,omitempty"`  // micro-benchmark scale factor (0: ubench.DefaultScale)
+	Events    int     `json:"events,omitempty"` // workload trace length (<=0: expt.DefaultWorkloadEvents)
+	Scale     float64 `json:"scale,omitempty"`  // micro-benchmark scale factor (<=0: ubench.DefaultScale)
 	Seed      int64   `json:"seed,omitempty"`   // workload generator seed
 }
 
@@ -96,7 +97,7 @@ type ValidateJob struct {
 	Core    string  `json:"core,omitempty"`    // "a53" (default) or "a72"
 	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (<=0: expt.DefaultBudgetRound1)
 	Budget2 int     `json:"budget2,omitempty"` // irace budget, round 2 (<=0: expt.DefaultBudgetRound2)
-	Scale   float64 `json:"scale,omitempty"`   // micro-benchmark scale factor (0: ubench.DefaultScale)
+	Scale   float64 `json:"scale,omitempty"`   // micro-benchmark scale factor (<=0: ubench.DefaultScale)
 	Seed    int64   `json:"seed,omitempty"`    // run seed; the pipeline draws it plus the core's offset (expt.Context.Seed)
 	// OutPath writes the tuned config JSON to a file; the Result carries
 	// the same bytes in TunedConfig either way.
@@ -161,7 +162,7 @@ type UbenchJob struct {
 	// Disasm prints a benchmark's assembly listing.
 	Disasm     string  `json:"disasm,omitempty"`
 	Core       string  `json:"core,omitempty"`  // "a53" (default) or "a72"
-	Scale      float64 `json:"scale,omitempty"` // 0: ubench.DefaultScale
+	Scale      float64 `json:"scale,omitempty"` // <=0: ubench.DefaultScale
 	InitArrays bool    `json:"init_arrays,omitempty"`
 }
 

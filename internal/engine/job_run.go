@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -117,6 +116,16 @@ func resolveConfig(j *RunJob) (sim.Config, error) {
 	}
 }
 
+// orDefault resolves a job's size: v, or def when v is zero or negative.
+// It is resolved here, not below: the trace memo keys an input by its
+// options, so a negative size must not be another key for the default's.
+func orDefault[T int | float64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
 func (e *env) runJob(j *RunJob) error {
 	if j == nil {
 		j = &RunJob{}
@@ -132,7 +141,7 @@ func (e *env) runJob(j *RunJob) error {
 	if err := e.openSnapshot("racesim", func(string, ...any) {}); err != nil {
 		return err
 	}
-	trs, err := e.gather(j, cmp.Or(j.Events, expt.DefaultWorkloadEvents), cmp.Or(j.Scale, ubench.DefaultScale))
+	trs, err := e.gather(j, orDefault(j.Events, expt.DefaultWorkloadEvents), orDefault(j.Scale, ubench.DefaultScale))
 	if err != nil {
 		return err
 	}

@@ -1,16 +1,13 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 
-	"racesim/internal/core"
 	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/isa"
 	"racesim/internal/sim"
-	"racesim/internal/trace"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
@@ -23,7 +20,7 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 	if dumpOut == "" {
 		dumpOut = "bench.rift"
 	}
-	opts := ubench.Options{Scale: cmp.Or(j.Scale, ubench.DefaultScale), InitArrays: j.InitArrays}
+	opts := ubench.Options{Scale: orDefault(j.Scale, ubench.DefaultScale), InitArrays: j.InitArrays}
 	switch {
 	case j.Disasm != "":
 		b, ok := ubench.ByName(j.Disasm)
@@ -73,10 +70,7 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 		}); err != nil {
 			return err
 		}
-		if j.Compare == "all" {
-			return e.compareSuite(board, cfg, opts)
-		}
-		return e.compareOne(j.Compare, board, cfg, opts)
+		return e.compare(j.Compare, board, cfg, opts)
 	}
 	return fmt.Errorf("one of list, dump, compare or disasm is required")
 }
@@ -92,78 +86,51 @@ func (e *env) board(core string) (*hw.Board, sim.Config, error) {
 	return expt.Core(plat.WithCache(e.cache), core)
 }
 
-// compared is one benchmark's board measurement next to the model's run
-// of the same trace.
-type compared struct {
-	validate.Measurement
-	model core.Result
-}
-
-// errPct is the model's signed relative CPI error, in percent.
-func (c compared) errPct() float64 {
-	return (c.model.CPI() - c.Counters.CPI) / c.Counters.CPI * 100
-}
-
-// compare runs the model on every measurement's trace through the cache,
-// on the worker pool, in measurement order.
-func (e *env) compare(cfg sim.Config, ms []validate.Measurement) ([]compared, error) {
-	trs := make([]*trace.Trace, len(ms))
-	for i, m := range ms {
-		trs[i] = m.Trace
+// compare scores the model against the board (validate.Score) on one
+// benchmark or, for "all", on the suite. Rows are in suite order, so the
+// output is identical for any parallelism and cache warmth.
+func (e *env) compare(name string, board *hw.Board, cfg sim.Config, opts ubench.Options) error {
+	var ms []validate.Measurement
+	if name == "all" {
+		var err error
+		if ms, err = validate.MeasureSuiteWith(board, opts, e.memo, e.par); err != nil {
+			return err
+		}
+	} else {
+		b, ok := ubench.ByName(name)
+		if !ok {
+			return fmt.Errorf("unknown benchmark %q", name)
+		}
+		m, err := validate.MeasureBench(board, b, opts, e.memo)
+		if err != nil {
+			return err
+		}
+		ms = []validate.Measurement{m}
 	}
-	rs, err := e.cache.RunBatch(e.ctx, []sim.Config{cfg}, trs, e.par)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]compared, len(ms))
-	for i, m := range ms {
-		out[i] = compared{Measurement: m, model: rs[i]}
-	}
-	return out, nil
-}
-
-func (e *env) compareOne(name string, board *hw.Board, cfg sim.Config, opts ubench.Options) error {
-	b, ok := ubench.ByName(name)
-	if !ok {
-		return fmt.Errorf("unknown benchmark %q", name)
-	}
-	m, err := validate.MeasureBench(board, b, opts, e.memo)
+	rs, errs, err := validate.Score(e.ctx, []sim.Config{cfg}, ms, e.cache, e.par)
 	if err != nil {
 		return err
 	}
-	cs, err := e.compare(cfg, []validate.Measurement{m})
-	if err != nil {
-		return err
-	}
-	c := cs[0]
-	e.printf("benchmark:     %s (%d instructions)\n", b.Name, c.Trace.Len())
-	e.printf("board CPI:     %.4f (%s)\n", c.Counters.CPI, board.Name)
-	e.printf("model CPI:     %.4f (%s)\n", c.model.CPI(), cfg.Name)
-	e.printf("CPI error:     %+.1f%%\n", c.errPct())
-	e.printf("board brMPKI:  %.2f   model brMPKI: %.2f\n",
-		c.Counters.BranchMPKI, c.model.Branch.MPKI(c.model.Instructions))
-	return nil
-}
-
-// compareSuite runs every benchmark through board and model. Rows are
-// assembled in suite order, so the output is identical for any
-// parallelism and cache warmth.
-func (e *env) compareSuite(board *hw.Board, cfg sim.Config, opts ubench.Options) error {
-	ms, err := validate.MeasureSuiteWith(board, opts, e.memo, e.par)
-	if err != nil {
-		return err
-	}
-	cs, err := e.compare(cfg, ms)
-	if err != nil {
-		return err
+	// The error in percent, signed: negative when the model runs faster
+	// than the board.
+	signedPct := func(i int) float64 { return math.Copysign(errs[i]*100, rs[i].CPI()-ms[i].Counters.CPI) }
+	if name != "all" {
+		m, res := ms[0], rs[0]
+		e.printf("benchmark:     %s (%d instructions)\n", m.Bench.Name, m.Trace.Len())
+		e.printf("board CPI:     %.4f (%s)\n", m.Counters.CPI, board.Name)
+		e.printf("model CPI:     %.4f (%s)\n", res.CPI(), cfg.Name)
+		e.printf("CPI error:     %+.1f%%\n", signedPct(0))
+		e.printf("board brMPKI:  %.2f   model brMPKI: %.2f\n",
+			m.Counters.BranchMPKI, res.Branch.MPKI(res.Instructions))
+		return nil
 	}
 	e.printf("%-14s %10s %10s %10s %8s\n", "bench", "insns", "board CPI", "model CPI", "error")
 	mean := 0.0
-	for _, c := range cs {
-		e.printf("%-14s %10d %10.4f %10.4f %+7.1f%%\n", c.Bench.Name, c.Trace.Len(), c.Counters.CPI, c.model.CPI(), c.errPct())
-		mean += math.Abs(c.errPct())
+	for i, m := range ms {
+		e.printf("%-14s %10d %10.4f %10.4f %+7.1f%%\n", m.Bench.Name, m.Trace.Len(), m.Counters.CPI, rs[i].CPI(), signedPct(i))
+		mean += errs[i] * 100
 	}
 	e.printf("\nmean |CPI error| over %d benchmarks: %.1f%% (%s vs %s)\n",
-		len(cs), mean/float64(len(cs)), board.Name, cfg.Name)
+		len(ms), mean/float64(len(ms)), board.Name, cfg.Name)
 	return nil
 }

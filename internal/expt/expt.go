@@ -256,7 +256,7 @@ func (c *Context) workloads() ([]*trace.Trace, error) {
 // Board measurements are deterministic (the pseudo-noise is a pure function
 // of the trace identity), so this returns exactly what measuring them one
 // after another would.
-func (c *Context) Spec(core string) ([]perturb.Workload, error) {
+func (c *Context) Spec(core string) ([]validate.Measurement, error) {
 	board, _, err := Core(c.plat, core)
 	if err != nil {
 		return nil, err
@@ -265,10 +265,10 @@ func (c *Context) Spec(core string) ([]perturb.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]perturb.Workload, len(trs))
+	out := make([]validate.Measurement, len(trs))
 	err = par.ForEachCtx(c.opts.Context, len(trs), c.opts.Parallelism, func(i int) error {
 		counters, err := board.Measure(trs[i])
-		out[i] = perturb.Workload{Name: trs[i].Name, Trace: trs[i], Counters: counters}
+		out[i] = validate.Measurement{Bench: ubench.Bench{Name: trs[i].Name, Category: "spec"}, Trace: trs[i], Counters: counters}
 		return err
 	})
 	if err != nil {
@@ -404,12 +404,12 @@ func errTable(title string, names []string, a, b map[string]float64, labelA, lab
 	return t
 }
 
-// SpecTable renders one model's CPI error on each workload of ws, in
+// SpecTable renders one model's CPI error on each workload of ms, in
 // workload order, with bars scaled to the worst.
-func SpecTable(title string, ws []perturb.Workload, errs map[string]float64) string {
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
+func SpecTable(title string, ms []validate.Measurement, errs map[string]float64) string {
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.Bench.Name
 	}
 	return errTable(title, names, errs, nil, "CPI error", "").Render()
 }
@@ -448,33 +448,25 @@ func (c *Context) Fig4() (Experiment, error) {
 	}, nil
 }
 
-// SpecErrors evaluates a config on the Table II workloads: one simulation
-// unit per workload, submitted as one grid to the shared cache, which
-// deduplicates them. It returns per-workload relative CPI errors, their mean
-// and the worst case.
-func (c *Context) SpecErrors(cfg sim.Config, ws []perturb.Workload) (map[string]float64, float64, float64, error) {
-	trs := make([]*trace.Trace, len(ws))
-	for i, w := range ws {
-		trs[i] = w.Trace
-	}
-	results, err := c.opts.Cache.RunBatch(c.opts.Context, []sim.Config{cfg}, trs, c.opts.Parallelism)
+// SpecErrors scores a config on the Table II workloads (validate.Score):
+// one simulation unit per workload, submitted as one grid to the shared
+// cache, which deduplicates them. It returns per-workload relative CPI
+// errors, their mean and the worst case.
+func (c *Context) SpecErrors(cfg sim.Config, ms []validate.Measurement) (map[string]float64, float64, float64, error) {
+	_, errs, err := validate.Score(c.opts.Context, []sim.Config{cfg}, ms, c.opts.Cache, c.opts.Parallelism)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	out := map[string]float64{}
 	total, worst := 0.0, 0.0
-	for i, w := range ws {
-		e, err := w.Counters.CPIError(results[i])
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("workload %s: %w", w.Name, err)
-		}
-		out[w.Name] = e
-		total += e
-		if e > worst {
-			worst = e
+	for i, m := range ms {
+		out[m.Bench.Name] = errs[i]
+		total += errs[i]
+		if errs[i] > worst {
+			worst = errs[i]
 		}
 	}
-	return out, total / float64(len(ws)), worst, nil
+	return out, total / float64(len(ms)), worst, nil
 }
 
 func (c *Context) specFigure(id, title, paperClaim, core string) (Experiment, error) {
@@ -527,13 +519,17 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 		return Experiment{}, err
 	}
 	tuned := stages[len(stages)-1].Config
-	ws, err := c.Spec(core)
+	ms, err := c.Spec(core)
 	if err != nil {
 		return Experiment{}, err
 	}
-	_, tunedMean, _, err := c.SpecErrors(tuned, ws)
+	_, tunedMean, _, err := c.SpecErrors(tuned, ms)
 	if err != nil {
 		return Experiment{}, err
+	}
+	ws := make([]perturb.Workload, len(ms))
+	for i, m := range ms {
+		ws[i] = perturb.Workload{Name: m.Bench.Name, Trace: m.Trace, Counters: m.Counters}
 	}
 	res, err := perturb.WorstNearOptimum(tuned, ws, perturb.Options{
 		Restarts: c.opts.PerturbRestarts, Seed: c.opts.Seed,
@@ -544,8 +540,8 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 		return Experiment{}, err
 	}
 	errs := map[string]float64{}
-	for i, w := range ws {
-		errs[w.Name] = res.Errors[i]
+	for i, m := range ms {
+		errs[m.Bench.Name] = res.Errors[i]
 	}
 	return Experiment{
 		ID:    id,
@@ -553,7 +549,7 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 		Paper: paperClaim,
 		Measured: fmt.Sprintf("tuned average %s -> worst one-step %s (%d parameters deviate)",
 			Pct(tunedMean), Pct(res.MeanError), res.Deviations),
-		Body: SpecTable(title, ws, errs),
+		Body: SpecTable(title, ms, errs),
 	}, nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
+	"racesim/internal/ubench"
+	"racesim/internal/validate"
 )
 
 // Workload pairs an evaluation trace with its board measurement.
@@ -68,51 +70,45 @@ type Result struct {
 	Deviations int
 }
 
-// evaluation is one configuration's score against the workloads: the
-// per-workload errors and their mean.
-type evaluation struct {
-	errs []float64
-	mean float64
+// measurements converts the workloads to what validate.Score scores.
+func measurements(ws []Workload) []validate.Measurement {
+	ms := make([]validate.Measurement, len(ws))
+	for i, w := range ws {
+		ms[i] = validate.Measurement{Bench: ubench.Bench{Name: w.Name}, Trace: w.Trace, Counters: w.Counters}
+	}
+	return ms
 }
 
-// meanErrors evaluates every configuration against all workloads as one
-// len(cfgs) x len(ws) grid, in parallel up to o.Parallelism, memoizing
-// through o.Cache when set. out[i] belongs to cfgs[i]. Every configuration
-// here has passed sim.Apply's validation, so a simulation that fails says
-// the simulator or its input is broken (a tape replay that desynchronized,
-// a deferred trace that is not what was remembered), not that the
-// configuration is a bad neighbour: it fails the whole batch.
-func meanErrors(cfgs []sim.Config, ws []Workload, o Options) ([]evaluation, error) {
-	trs := make([]*trace.Trace, len(ws))
-	for j, w := range ws {
-		trs[j] = w.Trace
+// meanErrors scores every configuration against all workloads as one
+// len(cfgs) x len(ms) grid (validate.Score), in parallel up to
+// o.Parallelism, memoizing through o.Cache when set. It returns each
+// configuration's mean error and, configuration-major, the per-workload
+// errors. Every configuration here has passed sim.Apply's validation, so
+// a simulation that fails says the simulator or its input is broken (a
+// tape replay that desynchronized, a deferred trace that is not what was
+// remembered), not that the configuration is a bad neighbour: it fails the
+// whole batch.
+func meanErrors(cfgs []sim.Config, ms []validate.Measurement, o Options) (means, errs []float64, err error) {
+	if _, errs, err = validate.Score(o.Context, cfgs, ms, o.Cache, o.Parallelism); err != nil {
+		return nil, nil, fmt.Errorf("perturb: %w", err)
 	}
-	rs, err := o.Cache.RunBatch(o.Context, cfgs, trs, o.Parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("perturb: %w", err)
+	means = make([]float64, len(cfgs))
+	for k, e := range errs {
+		means[k/len(ms)] += e
 	}
-	out := make([]evaluation, len(cfgs))
-	for i := range out {
-		errs := make([]float64, len(ws))
-		total := 0.0
-		for j, w := range ws {
-			if errs[j], err = w.Counters.CPIError(rs[i*len(ws)+j]); err != nil {
-				return nil, fmt.Errorf("perturb: workload %s: %w", w.Name, err)
-			}
-			total += errs[j]
-		}
-		out[i] = evaluation{errs: errs, mean: total / float64(len(ws))}
+	for i := range means {
+		means[i] /= float64(len(ms))
 	}
-	return out, nil
+	return means, errs, nil
 }
 
-// meanError evaluates one configuration against all workloads.
-func meanError(cfg sim.Config, ws []Workload, o Options) ([]float64, float64, error) {
-	evs, err := meanErrors([]sim.Config{cfg}, ws, o)
+// meanError scores one configuration against all workloads.
+func meanError(cfg sim.Config, ms []validate.Measurement, o Options) ([]float64, float64, error) {
+	means, errs, err := meanErrors([]sim.Config{cfg}, ms, o)
 	if err != nil {
 		return nil, 0, err
 	}
-	return evs[0].errs, evs[0].mean, nil
+	return errs, means[0], nil
 }
 
 // neighbors returns the value strings one step away for an ordered
@@ -148,6 +144,7 @@ func neighbors(d sim.ParamDef, current string) []string {
 // the search with its error.
 func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, error) {
 	o := opt.withDefaults()
+	ms := measurements(ws)
 	defs := sim.Params(tuned.Kind)
 	optimum := sim.Extract(tuned)
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -165,7 +162,7 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 	if !ok {
 		bestCfg = tuned
 	}
-	_, bestErr, err := meanError(bestCfg, ws, o)
+	_, bestErr, err := meanError(bestCfg, ms, o)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +194,7 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 		if !ok {
 			continue
 		}
-		_, curErr, err := meanError(curCfg, ws, o)
+		_, curErr, err := meanError(curCfg, ms, o)
 		if err != nil {
 			return nil, err
 		}
@@ -232,14 +229,14 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 					vals = append(vals, v)
 					cfgs = append(cfgs, trial)
 				}
-				evs, err := meanErrors(cfgs, ws, o)
+				means, _, err := meanErrors(cfgs, ms, o)
 				if err != nil {
 					return nil, err
 				}
 				moved := false
-				for i, ev := range evs {
-					if ev.mean > curErr {
-						curErr = ev.mean
+				for i, mean := range means {
+					if mean > curErr {
+						curErr = mean
 						cur[d.Name], curCfg = vals[i], cfgs[i]
 						moved = true
 					}
@@ -266,7 +263,7 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 		worstCfg = tuned
 	}
 	worstCfg.Name = tuned.Name + "-worst1step"
-	errs, mean, err := meanError(worstCfg, ws, o)
+	errs, mean, err := meanError(worstCfg, ms, o)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func TestWorstNearOptimumInflatesError(t *testing.T) {
 	// the measurement noise, so single-step deviations must hurt.
 	tuned := p.A53.TrueConfig()
 	ws := workloads(t, p.A53, 4, 20_000)
-	_, optErr, err := meanError(tuned, ws, Options{})
+	_, optErr, err := meanError(tuned, measurements(ws), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestSimulationErrorAbortsSearch(t *testing.T) {
 	tuned := p.A53.TrueConfig()
 	ws := workloads(t, p.A53, 2, 20_000)
 	cache := simcache.New()
-	if _, _, err := meanError(tuned, ws, Options{Cache: cache}); err != nil {
+	if _, _, err := meanError(tuned, measurements(ws), Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
 	ws[1].Trace = trace.Deferred(ws[1].Trace.Name, ws[1].Trace.Identity(), func() (*trace.Trace, error) { return nil, boom })
-	if _, _, err := meanError(tuned, ws, Options{Cache: cache}); err != nil {
+	if _, _, err := meanError(tuned, measurements(ws), Options{Cache: cache}); err != nil {
 		t.Fatalf("the optimum is in the cache and should need no events: %v", err)
 	}
 	_, err = WorstNearOptimum(tuned, ws, Options{Restarts: 1, MaxPasses: 1, Seed: 1, Cache: cache})
@@ -172,7 +172,7 @@ func referenceSearch(tuned sim.Config, ws []Workload, opt Options) (*Result, err
 		if err != nil {
 			return 0, false, nil
 		}
-		_, m, err := meanError(cfg, ws, o)
+		_, m, err := meanError(cfg, measurements(ws), o)
 		return m, err == nil, err
 	}
 	best := optimum.Clone()
@@ -181,7 +181,7 @@ func referenceSearch(tuned sim.Config, ws []Workload, opt Options) (*Result, err
 		return nil, err
 	}
 	if !ok {
-		if _, bestErr, err = meanError(tuned, ws, o); err != nil {
+		if _, bestErr, err = meanError(tuned, measurements(ws), o); err != nil {
 			return nil, err
 		}
 	}
@@ -236,7 +236,7 @@ func referenceSearch(tuned sim.Config, ws []Workload, opt Options) (*Result, err
 		worst = tuned
 	}
 	worst.Name = tuned.Name + "-worst1step"
-	errs, mean, err := meanError(worst, ws, o)
+	errs, mean, err := meanError(worst, measurements(ws), o)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 package validate
 
 import (
-	"fmt"
+	"context"
 
 	"racesim/internal/plausibility"
 	"racesim/internal/report"
@@ -21,15 +21,13 @@ func CollectSamples(cfg sim.Config, ms []Measurement, cache *simcache.Cache, par
 	for _, v := range plausibility.CheckConfig(cfg) {
 		plaus = append(plaus, "config: "+v.String())
 	}
-	rs, err := simulate(cfg, ms, cache, parallelism)
+	// CollectSamples keeps a signature without a context.
+	rs, _, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism)
 	if err != nil {
 		return nil, nil, err
 	}
 	samples := make([]report.Sample, len(ms))
 	for i, m := range ms {
-		if _, err := m.Counters.CPIError(rs[i]); err != nil {
-			return nil, nil, fmt.Errorf("validate: %s: %w", m.Trace.Name, err)
-		}
 		samples[i] = report.Sample{
 			Bench:    m.Bench.Name,
 			Category: string(m.Bench.Category),

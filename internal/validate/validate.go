@@ -80,16 +80,31 @@ func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int)
 	return MeasureSuiteWith(board, opts, nil, parallelism)
 }
 
-// simulate runs cfg on every measurement's trace — a 1 x len(ms) grid
-// through the optional shared cache — and returns the results in
-// measurement order.
-func simulate(cfg sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]core.Result, error) {
+// Score is the one way a model is scored against the board: it runs every
+// configuration on every measurement's trace — one len(cfgs) x len(ms)
+// grid through the optional shared cache, on at most parallelism workers
+// — and scores each result with hw.Counters.CPIError. Results and errors
+// are configuration-major: pair (i, j) is at i*len(ms)+j. A simulation
+// that fails fails the grid with simcache.Cache.RunBatch's error, which
+// names the configuration and the trace; counters with no relative error
+// fail it with an error naming the measurement.
+func Score(ctx context.Context, cfgs []sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]core.Result, []float64, error) {
 	trs := make([]*trace.Trace, len(ms))
-	for i, m := range ms {
-		trs[i] = m.Trace
+	for j, m := range ms {
+		trs[j] = m.Trace
 	}
-	// ErrorsWith and CollectSamples keep signatures without a context.
-	return cache.RunBatch(context.TODO(), []sim.Config{cfg}, trs, parallelism)
+	rs, err := cache.RunBatch(ctx, cfgs, trs, parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	errs := make([]float64, len(rs))
+	for k, res := range rs {
+		m := ms[k%len(ms)]
+		if errs[k], err = m.Counters.CPIError(res); err != nil {
+			return nil, nil, fmt.Errorf("validate: %s: %w", m.Bench.Name, err)
+		}
+	}
+	return rs, errs, nil
 }
 
 // BenchError is a named per-benchmark error.
@@ -108,17 +123,14 @@ func Errors(cfg sim.Config, ms []Measurement) ([]BenchError, error) {
 // bounded worker pool. Results are in measurement order, identical to the
 // sequential path.
 func ErrorsWith(cfg sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]BenchError, error) {
-	rs, err := simulate(cfg, ms, cache, parallelism)
+	// ErrorsWith keeps a signature without a context.
+	_, errs, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]BenchError, len(ms))
 	for i, m := range ms {
-		e, err := m.Counters.CPIError(rs[i])
-		if err != nil {
-			return nil, fmt.Errorf("validate: %s: %w", m.Trace.Name, err)
-		}
-		out[i] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category, Error: e}
+		out[i] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category, Error: errs[i]}
 	}
 	return out, nil
 }
@@ -225,21 +237,17 @@ func (e *Evaluator) Err() error {
 	return e.err
 }
 
-// cost scores a simulated result against one measurement.
-func (e *Evaluator) cost(res core.Result, m Measurement) (float64, error) {
-	cost, err := m.Counters.CPIError(res)
-	if err != nil {
-		return 0, err
+// cost is the branch-MPKI term a candidate's cost adds to its CPI error
+// (Score) on one measurement: 0 unless Weights.BranchMPKI is set.
+func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
+	if e.Weights.BranchMPKI <= 0 {
+		return 0
 	}
-	if e.Weights.BranchMPKI > 0 {
-		simMPKI := res.Branch.MPKI(res.Instructions)
-		den := m.Counters.BranchMPKI
-		if den < 1 {
-			den = 1
-		}
-		cost += e.Weights.BranchMPKI * math.Abs(simMPKI-m.Counters.BranchMPKI) / den
+	den := m.Counters.BranchMPKI
+	if den < 1 {
+		den = 1
 	}
-	return cost, nil
+	return e.Weights.BranchMPKI * math.Abs(res.Branch.MPKI(res.Instructions)-m.Counters.BranchMPKI) / den
 }
 
 // Cost implements irace.Evaluator: the error of the configuration obtained
@@ -249,15 +257,14 @@ func (e *Evaluator) Cost(a irace.Assignment, instance int) float64 {
 }
 
 // CostBatch implements irace.BatchEvaluator: the candidates that survive
-// overlay validation are submitted to the cache as one N x 1 grid, run one
-// after the other (the tuner spreads its calls over its own workers). A
+// overlay validation are scored (Score) as one N x 1 grid, run one after
+// the other (the tuner spreads its calls over its own workers). A
 // candidate sim.Apply rejects costs +Inf and loses every race; a
 // simulation that fails, or a measurement with no relative error
 // (hw.Counters.CPIError), is remembered for Err.
 func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
-	out := make([]float64, len(as))
+	out := make([]float64, len(as)) // +Inf marks a rejected candidate
 	cfgs := make([]sim.Config, 0, len(as))
-	idx := make([]int, 0, len(as))
 	for i, a := range as {
 		cfg, err := sim.Apply(e.Base, a)
 		if err != nil {
@@ -265,28 +272,29 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 			continue
 		}
 		cfgs = append(cfgs, cfg)
-		idx = append(idx, i)
 	}
-	m := e.Ms[instance]
+	ms := e.Ms[instance : instance+1]
 	// irace.BatchEvaluator carries no context; the tuner checks its own
 	// before each call.
-	rs, err := e.Cache.RunBatch(context.TODO(), cfgs, []*trace.Trace{m.Trace}, 1)
-	if err == nil {
-		for j, i := range idx {
-			if out[i], err = e.cost(rs[j], m); err != nil {
-				break
-			}
-		}
-	}
+	rs, errs, err := Score(context.TODO(), cfgs, ms, e.Cache, 1)
 	if err != nil {
 		e.mu.Lock()
 		if e.err == nil {
-			e.err = fmt.Errorf("validate: benchmark %s: %w", m.Bench.Name, err)
+			e.err = err
 		}
 		e.mu.Unlock()
-		for _, i := range idx {
+	}
+	j := 0
+	for i := range out {
+		switch {
+		case math.IsInf(out[i], 1):
+			continue
+		case err != nil:
 			out[i] = math.Inf(1)
+		default:
+			out[i] = errs[j] + e.cost(rs[j], ms[0])
 		}
+		j++
 	}
 	return out
 }

@@ -212,9 +212,10 @@ func TestCostBatchMatchesCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want, err = e.cost(res, m); err != nil {
+				if want, err = m.Counters.CPIError(res); err != nil {
 					t.Fatal(err)
 				}
+				want += e.cost(res, m)
 			}
 			if batch[i] != want {
 				t.Errorf("instance %d assignment %d: CostBatch %v, want %v", inst, i, batch[i], want)

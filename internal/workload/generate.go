@@ -11,7 +11,7 @@ import (
 
 // Options parameterizes trace synthesis.
 type Options struct {
-	// Events is the dynamic instruction target (default 150_000).
+	// Events is the dynamic instruction target; it must be positive.
 	Events int
 	// Seed perturbs the generator (combined with the profile name).
 	Seed int64
@@ -82,10 +82,10 @@ func Generate(p Profile, o Options) (*trace.Trace, error) {
 	if p.CodeBlocks < 2 {
 		return nil, fmt.Errorf("workload %s: CodeBlocks = %d", p.Name, p.CodeBlocks)
 	}
-	n := o.Events
-	if n <= 0 {
-		n = 150_000
+	if o.Events <= 0 {
+		return nil, fmt.Errorf("workload %s: Events = %d, want a positive length", p.Name, o.Events)
 	}
+	n := o.Events
 	h := fnv.New64a()
 	h.Write([]byte(p.Name))
 	g := &generator{

@@ -33,6 +33,17 @@ func TestProfilesMatchTable2(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsNonPositiveLength: a length is the caller's to
+// choose; a zero or negative one is an error, not a private default.
+func TestGenerateRejectsNonPositiveLength(t *testing.T) {
+	p, _ := ByName("mcf")
+	for _, events := range []int{0, -1} {
+		if tr, err := Generate(p, Options{Events: events, Seed: 1}); err == nil {
+			t.Errorf("Events %d: generated %d instructions, want an error", events, tr.Len())
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	p, _ := ByName("mcf")
 	a, err := Generate(p, Options{Events: 20_000, Seed: 1})
