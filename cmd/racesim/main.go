@@ -225,10 +225,9 @@ func cmdValidate(args []string) error {
 		seed      = fs.Int64("seed", 0, "tuner seed")
 		out       = fs.String("out", "", "write the tuned config JSON here")
 		quiet     = fs.Bool("q", false, "suppress progress output")
-		doReport  = fs.Bool("report", false, "render the statistical ValidationReport (see docs/validation.md)")
 		budgets   = fs.String("budgets", "", "accuracy-budget JSON file declaring per-board tolerances")
 		reportDir = fs.String("report-dir", "", "persist the report JSON to <dir>/validate-<core>.json (diffable history)")
-		gate      = fs.Bool("gate", false, "fail (exit non-zero) when the report violates the budget; implies -report")
+		gate      = fs.Bool("gate", false, "fail (exit non-zero) when the report violates the budget")
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
@@ -242,7 +241,6 @@ func cmdValidate(args []string) error {
 			Seed:       *seed,
 			OutPath:    *out,
 			Quiet:      *quiet,
-			Report:     *doReport,
 			BudgetPath: *budgets,
 			ReportDir:  *reportDir,
 			Gate:       *gate,

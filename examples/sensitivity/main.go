@@ -48,8 +48,8 @@ func main() {
 
 	fmt.Printf("\nworst one-step configuration deviates in %d parameters\n", res.Deviations)
 	fmt.Printf("mean CPI error: %.1f%%\n\n", res.MeanError*100)
-	for i, w := range ws {
-		fmt.Printf("  %-10s %6.1f%%\n", w.Name, res.Errors[i]*100)
+	for _, e := range res.Errors {
+		fmt.Printf("  %-10s %6.1f%%\n", e.Name, e.Error*100)
 	}
 	fmt.Println("\nEvery parameter is individually 'reasonable' (one step from truth),")
 	fmt.Println("yet the compound model is badly wrong — the paper's argument for")

@@ -92,7 +92,12 @@ type RunJob struct {
 
 // ValidateJob runs the paper's full hardware-validation methodology for
 // one core and reports the tuned configuration: the core's model of Figs.
-// 4–8 (expt.Context.Stages) at the job's scale, budgets and seed.
+// 4–8 (expt.Context.Stages) at the job's scale, budgets and seed. Every
+// successful job renders the final model's statistical ValidationReport
+// (correlation, RMSE, MAPE, confidence interval, p-value and budget
+// pass/fail per suite and category, plus plausibility violations) into
+// its artifact and carries the JSON in Result.Report (served at GET
+// /v1/jobs/{id}/report).
 type ValidateJob struct {
 	Core    string  `json:"core,omitempty"`    // "a53" (default) or "a72"
 	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (<=0: expt.DefaultBudgetRound1)
@@ -103,12 +108,6 @@ type ValidateJob struct {
 	// the same bytes in TunedConfig either way.
 	OutPath string `json:"out_path,omitempty"`
 	Quiet   bool   `json:"quiet,omitempty"` // suppress progress output
-	// Report computes the typed statistical ValidationReport for the
-	// final stage (correlation, RMSE, MAPE, confidence interval, p-value
-	// and budget pass/fail per suite/category, plus plausibility
-	// violations), appends its rendered text to the artifact and carries
-	// the JSON in Result.Report (served at GET /v1/jobs/{id}/report).
-	Report bool `json:"report,omitempty"`
 	// BudgetPath loads accuracy tolerances from a budget file
 	// (batch-only); BudgetJSON inlines the same JSON for HTTP clients.
 	// At most one; empty means no tolerances (the report still carries
@@ -119,7 +118,7 @@ type ValidateJob struct {
 	// (batch-only) — the diffable accuracy history across PRs.
 	ReportDir string `json:"report_dir,omitempty"`
 	// Gate makes a budget violation fail the job after all artifacts are
-	// written — the CI accuracy gate. Implies Report.
+	// written — the CI accuracy gate.
 	Gate bool `json:"gate,omitempty"`
 }
 
@@ -250,8 +249,8 @@ type Result struct {
 	Log string `json:"log,omitempty"`
 	// TunedConfig carries the tuned configuration JSON of a validate job.
 	TunedConfig json.RawMessage `json:"tuned_config,omitempty"`
-	// Report carries the ValidationReport JSON of a validate job run
-	// with Report/Gate set (see internal/report for the schema).
+	// Report carries a validate job's ValidationReport JSON (see
+	// internal/report for the schema).
 	Report json.RawMessage `json:"report,omitempty"`
 	// CacheStats snapshots the simulation cache after the job. Under a
 	// shared cache the counters are cumulative across jobs.

@@ -4,15 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"racesim/internal/core"
+	"racesim/internal/report"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
+	"racesim/internal/ubench"
 )
 
 func TestJobCheck(t *testing.T) {
@@ -201,8 +205,32 @@ func TestValidateJobTunedConfig(t *testing.T) {
 	if string(disk) != string(res.TunedConfig) {
 		t.Error("OutPath bytes differ from Result.TunedConfig")
 	}
-	if !strings.Contains(res.Artifact, "per-category error of the final model") {
-		t.Errorf("artifact missing the stage report:\n%s", res.Artifact)
+	// The final model's per-category errors are the report's rows: one
+	// group for the suite, then one per category in the order the suite
+	// first lists it, each rendered into the artifact, which prints no
+	// other view of them.
+	var rep report.ValidationReport
+	if err := json.Unmarshal(res.Report, &rep); err != nil || len(rep.Boards) != 1 {
+		t.Fatalf("validate result carries no report (%v):\n%s", err, res.Report)
+	}
+	want := []string{"suite"}
+	for _, b := range ubench.Suite() {
+		if !slices.Contains(want, string(b.Category)) {
+			want = append(want, string(b.Category))
+		}
+	}
+	var got []string
+	for _, g := range rep.Boards[0].Groups {
+		got = append(got, g.Name)
+		if !strings.Contains(res.Artifact, fmt.Sprintf("\n  %-14s %3d ", g.Name, g.N)) {
+			t.Errorf("artifact has no %s row:\n%s", g.Name, res.Artifact)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("report groups %v, want %v", got, want)
+	}
+	if !strings.Contains(res.Artifact, "validation report: firefly-a53 (") || strings.Contains(res.Artifact, "per-category") {
+		t.Errorf("artifact's accuracy view is not the report alone:\n%s", res.Artifact)
 	}
 }
 

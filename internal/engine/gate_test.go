@@ -101,7 +101,7 @@ func TestServerReportEndpoint(t *testing.T) {
 	defer srv.Drain(context.Background())
 
 	id, code := postJob(t, ts, Job{Kind: KindValidate, Validate: &ValidateJob{
-		Core: "a53", Budget1: 200, Budget2: 200, Scale: 0.001, Quiet: true, Report: true,
+		Core: "a53", Budget1: 200, Budget2: 200, Scale: 0.001, Quiet: true,
 	}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)

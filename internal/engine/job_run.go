@@ -117,8 +117,9 @@ func resolveConfig(j *RunJob) (sim.Config, error) {
 }
 
 // orDefault resolves a job's size: v, or def when v is zero or negative.
-// It is resolved here, not below: the trace memo keys an input by its
-// options, so a negative size must not be another key for the default's.
+// It is resolved here, not below: the trace memo keys a workload by its
+// options, so a negative length must not be another key for the
+// default's.
 func orDefault[T int | float64](v, def T) T {
 	if v <= 0 {
 		return def
@@ -141,7 +142,7 @@ func (e *env) runJob(j *RunJob) error {
 	if err := e.openSnapshot("racesim", func(string, ...any) {}); err != nil {
 		return err
 	}
-	trs, err := e.gather(j, orDefault(j.Events, expt.DefaultWorkloadEvents), orDefault(j.Scale, ubench.DefaultScale))
+	trs, err := e.gather(j, orDefault(j.Events, expt.DefaultWorkloadEvents), j.Scale)
 	if err != nil {
 		return err
 	}

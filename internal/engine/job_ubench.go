@@ -20,7 +20,7 @@ func (e *env) ubenchJob(j *UbenchJob) error {
 	if dumpOut == "" {
 		dumpOut = "bench.rift"
 	}
-	opts := ubench.Options{Scale: orDefault(j.Scale, ubench.DefaultScale), InitArrays: j.InitArrays}
+	opts := ubench.Options{Scale: j.Scale, InitArrays: j.InitArrays}
 	switch {
 	case j.Disasm != "":
 		b, ok := ubench.ByName(j.Disasm)
@@ -107,13 +107,13 @@ func (e *env) compare(name string, board *hw.Board, cfg sim.Config, opts ubench.
 		}
 		ms = []validate.Measurement{m}
 	}
-	rs, errs, err := validate.Score(e.ctx, []sim.Config{cfg}, ms, e.cache, e.par)
+	rs, rows, err := validate.Score(e.ctx, []sim.Config{cfg}, ms, e.cache, e.par)
 	if err != nil {
 		return err
 	}
 	// The error in percent, signed: negative when the model runs faster
 	// than the board.
-	signedPct := func(i int) float64 { return math.Copysign(errs[i]*100, rs[i].CPI()-ms[i].Counters.CPI) }
+	signedPct := func(i int) float64 { return math.Copysign(rows[i].Error*100, rs[i].CPI()-ms[i].Counters.CPI) }
 	if name != "all" {
 		m, res := ms[0], rs[0]
 		e.printf("benchmark:     %s (%d instructions)\n", m.Bench.Name, m.Trace.Len())
@@ -128,7 +128,7 @@ func (e *env) compare(name string, board *hw.Board, cfg sim.Config, opts ubench.
 	mean := 0.0
 	for i, m := range ms {
 		e.printf("%-14s %10d %10.4f %10.4f %+7.1f%%\n", m.Bench.Name, m.Trace.Len(), m.Counters.CPI, rs[i].CPI(), signedPct(i))
-		mean += errs[i] * 100
+		mean += rows[i].Error * 100
 	}
 	e.printf("\nmean |CPI error| over %d benchmarks: %.1f%% (%s vs %s)\n",
 		len(ms), mean/float64(len(ms)), board.Name, cfg.Name)

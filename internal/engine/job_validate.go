@@ -9,7 +9,6 @@ import (
 
 	"racesim/internal/expt"
 	"racesim/internal/report"
-	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
 
@@ -68,48 +67,37 @@ func (e *env) validateJob(j *ValidateJob) error {
 			fmt.Sprintf("%.1f%%", s.MeanError*100), worst.Name, worst.Error*100)
 	}
 	final := stages[len(stages)-1]
-	e.printf("\nper-category error of the final model:\n")
-	// Canonical suite order: the historical binary ranged over the map,
-	// making this block's line order random per run.
-	cats := validate.CategoryErrors(final.Errors)
-	for _, cat := range ubench.Categories {
-		if ce, ok := cats[cat]; ok {
-			e.printf("  %-14s %.1f%%\n", cat, ce*100)
-		}
-	}
 
 	// The statistical accuracy report of the final model, judged against
-	// the resolved budget. Rendered text joins the artifact; the JSON
-	// rides in the Result (and the serve report endpoint) and optionally
-	// persists to the diffable report history directory.
-	var rep report.ValidationReport
-	wantReport := j.Report || j.Gate
-	if wantReport {
-		samples, plaus, err := validate.CollectSamples(final.Config, final.Ms, e.cache, e.par)
-		if err != nil {
+	// the resolved budget: the job's one per-benchmark accuracy view. Its
+	// samples are the final stage's pairs, already in the cache. Rendered
+	// text joins the artifact; the JSON rides in the Result (and the serve
+	// report endpoint) and optionally persists to the diffable report
+	// history directory.
+	samples, plaus, err := validate.CollectSamples(final.Config, final.Ms, e.cache, e.par)
+	if err != nil {
+		return err
+	}
+	br, err := report.Build(board.Name, string(final.Config.Kind), final.Name, samples, plaus, budget)
+	if err != nil {
+		return err
+	}
+	rep := report.New(br)
+	e.printf("\n%s", rep.Render())
+	data, err := rep.MarshalIndent()
+	if err != nil {
+		return err
+	}
+	e.report = data
+	if j.ReportDir != "" {
+		if err := os.MkdirAll(j.ReportDir, 0o755); err != nil {
 			return err
 		}
-		br, err := report.Build(board.Name, string(final.Config.Kind), final.Name, samples, plaus, budget)
-		if err != nil {
+		path := filepath.Join(j.ReportDir, "validate-"+core+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return err
 		}
-		rep = report.New(br)
-		e.printf("\n%s", rep.Render())
-		data, err := rep.MarshalIndent()
-		if err != nil {
-			return err
-		}
-		e.report = data
-		if j.ReportDir != "" {
-			if err := os.MkdirAll(j.ReportDir, 0o755); err != nil {
-				return err
-			}
-			path := filepath.Join(j.ReportDir, "validate-"+core+".json")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return err
-			}
-			e.eprintf("wrote validation report to %s\n", path)
-		}
+		e.eprintf("wrote validation report to %s\n", path)
 	}
 
 	st := e.cache.Stats()
@@ -125,11 +113,11 @@ func (e *env) validateJob(j *ValidateJob) error {
 	// The tuned configuration always rides along in the Result (the HTTP
 	// path has no shared filesystem); OutPath additionally writes the same
 	// indented JSON to a file, as the standalone binary did.
-	data, err := json.MarshalIndent(final.Config, "", "  ")
+	cfgJSON, err := json.MarshalIndent(final.Config, "", "  ")
 	if err != nil {
 		return err
 	}
-	e.tunedConfig = append(data, '\n')
+	e.tunedConfig = append(cfgJSON, '\n')
 	if j.OutPath != "" {
 		if err := final.Config.MarshalJSONFile(j.OutPath); err != nil {
 			return err

@@ -656,8 +656,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // handleReport serves a finished validate job's ValidationReport JSON —
 // the typed statistical accuracy artifact (see internal/report). Like
 // the artifact endpoint it answers only for successful jobs, so a
-// partial report can never be mistaken for a complete one; jobs
-// submitted without validate.report carry no report and answer 404.
+// partial report can never be mistaken for a complete one; every
+// successful validate job carries one, and a job of another kind
+// answers 404.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.lookup(r)
 	if !ok {
@@ -675,7 +676,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(result.Report) == 0 {
 		writeJSON(w, http.StatusNotFound, apiError{
-			Error: "job produced no validation report (submit a validate job with report=true)",
+			Error: "job produced no validation report (only validate jobs do)",
 		})
 		return
 	}

@@ -5,7 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -71,12 +71,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	// The scale is resolved here, not left to ubench: the trace memo keys
-	// an input by its ubench.Options, and a zero scale is another key for
-	// the same trace.
-	if o.UbenchScale <= 0 {
-		o.UbenchScale = ubench.DefaultScale
 	}
 	if o.WorkloadEvents <= 0 {
 		o.WorkloadEvents = DefaultWorkloadEvents
@@ -377,8 +371,11 @@ func (c *Context) Fig2() (Experiment, error) {
 	}, nil
 }
 
-// errTable renders per-benchmark error pairs.
-func errTable(title string, names []string, a, b map[string]float64, labelA, labelB string) *Table {
+// errTable renders per-benchmark error rows, in a's order: one column of
+// a's errors or, when b is non-nil, a's and b's side by side (b aligned
+// with a by index), with bars of the last column scaled to the worst of
+// either.
+func errTable(title string, a, b []validate.BenchError, labelA, labelB string) *Table {
 	t := &Table{Title: title}
 	if b == nil {
 		t.Headers = []string{"bench", labelA, ""}
@@ -386,32 +383,35 @@ func errTable(title string, names []string, a, b map[string]float64, labelA, lab
 		t.Headers = []string{"bench", labelA, labelB, ""}
 	}
 	maxV := 0.0
-	for _, n := range names {
-		if a[n] > maxV {
-			maxV = a[n]
+	for i, e := range a {
+		if e.Error > maxV {
+			maxV = e.Error
 		}
-		if b != nil && b[n] > maxV {
-			maxV = b[n]
+		if b != nil && b[i].Error > maxV {
+			maxV = b[i].Error
 		}
 	}
-	for _, n := range names {
+	for i, e := range a {
 		if b == nil {
-			t.AddRow(n, Pct(a[n]), Bar(a[n], maxV, 40))
+			t.AddRow(e.Name, Pct(e.Error), Bar(e.Error, maxV, 40))
 		} else {
-			t.AddRow(n, Pct(a[n]), Pct(b[n]), Bar(b[n], maxV, 40))
+			t.AddRow(e.Name, Pct(e.Error), Pct(b[i].Error), Bar(b[i].Error, maxV, 40))
 		}
 	}
 	return t
 }
 
-// SpecTable renders one model's CPI error on each workload of ms, in
-// workload order, with bars scaled to the worst.
-func SpecTable(title string, ms []validate.Measurement, errs map[string]float64) string {
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = m.Bench.Name
-	}
-	return errTable(title, names, errs, nil, "CPI error", "").Render()
+// SpecTable renders one model's CPI error rows (SpecErrors), in their
+// order, with bars scaled to the worst.
+func SpecTable(title string, rows []validate.BenchError) string {
+	return errTable(title, rows, nil, "CPI error", "").Render()
+}
+
+// byName returns a copy of rows sorted by benchmark name.
+func byName(rows []validate.BenchError) []validate.BenchError {
+	out := slices.Clone(rows)
+	slices.SortStableFunc(out, func(a, b validate.BenchError) int { return cmp.Compare(a.Name, b.Name) })
+	return out
 }
 
 // Fig4 regenerates the before/after tuning micro-benchmark errors (A53).
@@ -420,19 +420,12 @@ func (c *Context) Fig4() (Experiment, error) {
 	if err != nil {
 		return Experiment{}, err
 	}
-	untuned := map[string]float64{}
-	tuned := map[string]float64{}
-	var names []string
-	for _, e := range stages[0].Errors {
-		untuned[e.Name] = e.Error
-		names = append(names, e.Name)
+	untuned, tuned := byName(stages[0].Errors), byName(stages[len(stages)-1].Errors)
+	if !slices.EqualFunc(untuned, tuned, func(u, t validate.BenchError) bool { return u.Name == t.Name }) {
+		return Experiment{}, fmt.Errorf("fig4: the untuned and tuned stages score different benchmarks")
 	}
-	for _, e := range stages[len(stages)-1].Errors {
-		tuned[e.Name] = e.Error
-	}
-	sort.Strings(names)
 	t := errTable("Figure 4: A53 micro-benchmark CPI error, untuned vs tuned",
-		names, untuned, tuned, "untuned", "tuned")
+		untuned, tuned, "untuned", "tuned")
 	worstU, _, err := validate.MaxError(stages[0].Errors)
 	if err != nil {
 		return Experiment{}, err
@@ -448,25 +441,29 @@ func (c *Context) Fig4() (Experiment, error) {
 	}, nil
 }
 
-// SpecErrors scores a config on the Table II workloads (validate.Score):
-// one simulation unit per workload, submitted as one grid to the shared
-// cache, which deduplicates them. It returns per-workload relative CPI
-// errors, their mean and the worst case.
-func (c *Context) SpecErrors(cfg sim.Config, ms []validate.Measurement) (map[string]float64, float64, float64, error) {
-	_, errs, err := validate.Score(c.opts.Context, []sim.Config{cfg}, ms, c.opts.Cache, c.opts.Parallelism)
+// SpecErrors scores configurations on the Table II workloads ms as one
+// validate.Score grid, submitted to the shared cache, which deduplicates
+// its pairs. It returns each configuration's rows, in workload order.
+func (c *Context) SpecErrors(cfgs []sim.Config, ms []validate.Measurement) ([][]validate.BenchError, error) {
+	_, rows, err := validate.Score(c.opts.Context, cfgs, ms, c.opts.Cache, c.opts.Parallelism)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	out := map[string]float64{}
-	total, worst := 0.0, 0.0
-	for i, m := range ms {
-		out[m.Bench.Name] = errs[i]
-		total += errs[i]
-		if errs[i] > worst {
-			worst = errs[i]
-		}
+	out := make([][]validate.BenchError, len(cfgs))
+	for i := range out {
+		out[i] = rows[i*len(ms) : (i+1)*len(ms)]
 	}
-	return out, total / float64(len(ms)), worst, nil
+	return out, nil
+}
+
+// MeanWorst is rows' mean and worst error (validate.MeanError, MaxError):
+// 0, 0 for no rows.
+func MeanWorst(rows []validate.BenchError) (mean, worst float64, err error) {
+	if mean, err = validate.MeanError(rows); err != nil {
+		return 0, 0, err
+	}
+	w, _, err := validate.MaxError(rows)
+	return mean, w.Error, err
 }
 
 func (c *Context) specFigure(id, title, paperClaim, core string) (Experiment, error) {
@@ -474,18 +471,21 @@ func (c *Context) specFigure(id, title, paperClaim, core string) (Experiment, er
 	if err != nil {
 		return Experiment{}, err
 	}
-	tuned := stages[len(stages)-1].Config
 	ws, err := c.Spec(core)
 	if err != nil {
 		return Experiment{}, err
 	}
-	errs, mean, worst, err := c.SpecErrors(tuned, ws)
+	// The untuned public model on the same held-out workloads is the
+	// context row (not in the paper's figure, but frames the improvement).
+	rows, err := c.SpecErrors([]sim.Config{stages[0].Config, stages[len(stages)-1].Config}, ws)
 	if err != nil {
 		return Experiment{}, err
 	}
-	// Context row: how the untuned public model fares on the same held-out
-	// workloads (not in the paper's figure, but frames the improvement).
-	_, untunedMean, _, err := c.SpecErrors(stages[0].Config, ws)
+	untunedMean, _, err := MeanWorst(rows[0])
+	if err != nil {
+		return Experiment{}, err
+	}
+	mean, worst, err := MeanWorst(rows[1])
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -495,7 +495,7 @@ func (c *Context) specFigure(id, title, paperClaim, core string) (Experiment, er
 		Paper: paperClaim,
 		Measured: fmt.Sprintf("average %s, worst %s (untuned model on the same workloads: %s)",
 			Pct(mean), Pct(worst), Pct(untunedMean)),
-		Body: SpecTable(title, ws, errs),
+		Body: SpecTable(title, rows[1]),
 	}, nil
 }
 
@@ -523,7 +523,11 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 	if err != nil {
 		return Experiment{}, err
 	}
-	_, tunedMean, _, err := c.SpecErrors(tuned, ms)
+	rows, err := c.SpecErrors([]sim.Config{tuned}, ms)
+	if err != nil {
+		return Experiment{}, err
+	}
+	tunedMean, _, err := MeanWorst(rows[0])
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -539,17 +543,13 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 	if err != nil {
 		return Experiment{}, err
 	}
-	errs := map[string]float64{}
-	for i, m := range ms {
-		errs[m.Bench.Name] = res.Errors[i]
-	}
 	return Experiment{
 		ID:    id,
 		Title: title,
 		Paper: paperClaim,
 		Measured: fmt.Sprintf("tuned average %s -> worst one-step %s (%d parameters deviate)",
 			Pct(tunedMean), Pct(res.MeanError), res.Deviations),
-		Body: SpecTable(title, ms, errs),
+		Body: SpecTable(title, res.Errors),
 	}, nil
 }
 

@@ -49,10 +49,11 @@ const (
 	numElites = 4
 )
 
-// Options tunes the tuner itself. Zero values select defaults.
+// Options tunes the tuner itself. A zero Parallelism or Log selects its
+// default; the Budget has none.
 type Options struct {
 	// Budget is the maximum number of (configuration, instance)
-	// evaluations; the paper uses up to 100k trials.
+	// evaluations, and must be positive; the paper uses up to 100k trials.
 	Budget int
 	// Seed makes runs reproducible.
 	Seed int64
@@ -82,9 +83,6 @@ func (o Options) ctxErr() error {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Budget <= 0 {
-		o.Budget = 2000
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -146,6 +144,9 @@ func New(space *Space, eval Evaluator, opt Options) (*Tuner, error) {
 	}
 	if eval.NumInstances() < 2 {
 		return nil, fmt.Errorf("irace: need >= 2 instances, got %d", eval.NumInstances())
+	}
+	if opt.Budget <= 0 {
+		return nil, fmt.Errorf("irace: budget %d is not positive", opt.Budget)
 	}
 	o := opt.withDefaults()
 	return &Tuner{

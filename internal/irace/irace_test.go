@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -292,8 +293,16 @@ func TestNewValidatesInputs(t *testing.T) {
 		t.Error("nil evaluator accepted")
 	}
 	one := &quadEval{space: space, optimum: map[string]int{}, instances: 1}
-	if _, err := New(space, one, Options{}); err == nil {
+	if _, err := New(space, one, Options{Budget: 100}); err == nil {
 		t.Error("single-instance evaluator accepted")
+	}
+	for _, budget := range []int{0, -1} {
+		if _, err := New(space, eval, Options{Budget: budget}); err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("budget %d: err = %v, want an error naming the budget", budget, err)
+		}
+	}
+	if _, err := New(space, eval, Options{Budget: 1}); err != nil {
+		t.Errorf("budget 1: %v", err)
 	}
 }
 

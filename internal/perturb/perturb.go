@@ -63,8 +63,9 @@ func (o Options) withDefaults() Options {
 // Result is the worst near-optimum configuration found.
 type Result struct {
 	Config sim.Config
-	// Errors per workload, aligned with the input slice.
-	Errors    []float64
+	// Errors are Config's rows (validate.Score), one per workload, aligned
+	// with the input slice.
+	Errors    []validate.BenchError
 	MeanError float64
 	// Deviations counts parameters that differ from the optimum.
 	Deviations int
@@ -82,33 +83,33 @@ func measurements(ws []Workload) []validate.Measurement {
 // meanErrors scores every configuration against all workloads as one
 // len(cfgs) x len(ms) grid (validate.Score), in parallel up to
 // o.Parallelism, memoizing through o.Cache when set. It returns each
-// configuration's mean error and, configuration-major, the per-workload
-// errors. Every configuration here has passed sim.Apply's validation, so
-// a simulation that fails says the simulator or its input is broken (a
-// tape replay that desynchronized, a deferred trace that is not what was
-// remembered), not that the configuration is a bad neighbour: it fails the
-// whole batch.
-func meanErrors(cfgs []sim.Config, ms []validate.Measurement, o Options) (means, errs []float64, err error) {
-	if _, errs, err = validate.Score(o.Context, cfgs, ms, o.Cache, o.Parallelism); err != nil {
+// configuration's mean error (validate.MeanError) and the grid's rows,
+// configuration-major. Every configuration here has passed sim.Apply's
+// validation, so a simulation that fails says the simulator or its input
+// is broken (a tape replay that desynchronized, a deferred trace that is
+// not what was remembered), not that the configuration is a bad
+// neighbour: it fails the whole batch.
+func meanErrors(cfgs []sim.Config, ms []validate.Measurement, o Options) ([]float64, []validate.BenchError, error) {
+	_, rows, err := validate.Score(o.Context, cfgs, ms, o.Cache, o.Parallelism)
+	if err != nil {
 		return nil, nil, fmt.Errorf("perturb: %w", err)
 	}
-	means = make([]float64, len(cfgs))
-	for k, e := range errs {
-		means[k/len(ms)] += e
-	}
+	means := make([]float64, len(cfgs))
 	for i := range means {
-		means[i] /= float64(len(ms))
+		if means[i], err = validate.MeanError(rows[i*len(ms) : (i+1)*len(ms)]); err != nil {
+			return nil, nil, fmt.Errorf("perturb: %w", err)
+		}
 	}
-	return means, errs, nil
+	return means, rows, nil
 }
 
 // meanError scores one configuration against all workloads.
-func meanError(cfg sim.Config, ms []validate.Measurement, o Options) ([]float64, float64, error) {
-	means, errs, err := meanErrors([]sim.Config{cfg}, ms, o)
+func meanError(cfg sim.Config, ms []validate.Measurement, o Options) ([]validate.BenchError, float64, error) {
+	means, rows, err := meanErrors([]sim.Config{cfg}, ms, o)
 	if err != nil {
 		return nil, 0, err
 	}
-	return errs, means[0], nil
+	return rows, means[0], nil
 }
 
 // neighbors returns the value strings one step away for an ordered

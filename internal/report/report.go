@@ -6,7 +6,7 @@
 // tolerances declared per board in an accuracy budget (see budget.go).
 //
 // The report is the continuously-enforced replacement for the historical
-// ad-hoc per-category error lines: `racesim validate -report` renders it,
+// ad-hoc per-category error lines: every `racesim validate` renders it,
 // the serve API exposes it at GET /v1/jobs/{id}/report, and CI gates on
 // it so accuracy cannot drift silently across refactors. Every number in
 // a report is guaranteed finite — undefined statistics (a single-sample

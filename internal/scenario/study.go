@@ -7,6 +7,7 @@ import (
 
 	"racesim/internal/expt"
 	"racesim/internal/hw"
+	"racesim/internal/sim"
 	"racesim/internal/validate"
 )
 
@@ -135,14 +136,21 @@ func (c cell) run(ctx *expt.Context, id string) (expt.Experiment, error) {
 	title := fmt.Sprintf("%s-tuned model on %s workloads (%s, %s)", c.core, c.evalCore, board, plan)
 	t := &expt.Table{Title: title, Headers: []string{"stage", "evaluations", "iterations", "best race cost",
 		"suite mean", "worst bench", "held-out mean", "held-out worst"}}
-	var errs map[string]float64
+	cfgs := make([]sim.Config, len(st))
+	for i, s := range st {
+		cfgs[i] = s.Config
+	}
+	heldOut, err := ctx.SpecErrors(cfgs, ws)
+	if err != nil {
+		return expt.Experiment{}, err
+	}
 	var mean, worst float64
 	for i, s := range st {
 		worstBench, _, err := validate.MaxError(s.Errors)
 		if err != nil {
 			return expt.Experiment{}, err
 		}
-		if errs, mean, worst, err = ctx.SpecErrors(s.Config, ws); err != nil {
+		if mean, worst, err = expt.MeanWorst(heldOut[i]); err != nil {
 			return expt.Experiment{}, err
 		}
 		evals, iters, cost := "-", "-", "-"
@@ -160,6 +168,6 @@ func (c cell) run(ctx *expt.Context, id string) (expt.Experiment, error) {
 		Paper: "beyond the paper: the paper tunes each core once, on its own board, at fixed budgets",
 		Measured: fmt.Sprintf("%s stage: suite mean %s, held-out mean %s, worst %s",
 			last.Name, expt.Pct(last.MeanError), expt.Pct(mean), expt.Pct(worst)),
-		Body: t.Render() + "\n" + expt.SpecTable(fmt.Sprintf("Held-out CPI error, %s stage", last.Name), ws, errs),
+		Body: t.Render() + "\n" + expt.SpecTable(fmt.Sprintf("Held-out CPI error, %s stage", last.Name), heldOut[len(st)-1]),
 	}, nil
 }

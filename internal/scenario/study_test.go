@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,11 +38,13 @@ func runUnit(t *testing.T, o expt.Options, specs []Spec, id string) expt.Experim
 
 // TestTransferCellIsThePaperPipeline: each cell of a transfer study
 // prints the held-out errors of its core's paper pipeline on the eval
-// core's workloads, computed here on a second context over the same cache.
+// core's workloads: every stage's row, and the final stage's per-workload
+// rows, are those of one direct validate.Score of the stages'
+// configurations, computed here on a second context over the same cache.
 // The A72 cell is the natively tuned comparison, what Figs. 6 and 8 start
 // from.
 func TestTransferCellIsThePaperPipeline(t *testing.T) {
-	o, _ := countingOpts()
+	o, cache := countingOpts()
 	specs, err := Select(Registry(), "transfer-a53-to-a72")
 	if err != nil {
 		t.Fatal(err)
@@ -60,14 +63,44 @@ func TestTransferCellIsThePaperPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs, mean, worst, err := ctx.SpecErrors(st[len(st)-1].Config, ws)
+		cfgs := make([]sim.Config, len(st))
+		for i, s := range st {
+			cfgs[i] = s.Config
+		}
+		_, rows, err := validate.Score(context.Background(), cfgs, ws, cache, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var mean, worst float64
+		for i, s := range st {
+			own := rows[i*len(ws) : (i+1)*len(ws)]
+			if mean, err = validate.MeanError(own); err != nil {
+				t.Fatal(err)
+			}
+			w, _, err := validate.MaxError(own)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst = w.Error
+			want := s.Name + " " + expt.Pct(mean) + " " + expt.Pct(worst)
+			found := false
+			for _, line := range strings.Split(e.Body, "\n") {
+				if f := strings.Fields(line); len(f) > 2 && f[0] == s.Name {
+					found = true
+					if got := strings.Join([]string{f[0], f[len(f)-2], f[len(f)-1]}, " "); got != want {
+						t.Errorf("%s cell: %s row ends %q, want the held-out mean and worst %q", core, s.Name, got, want)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s cell: no %s row in\n%s", core, s.Name, e.Body)
+			}
 		}
 		if want := fmt.Sprintf("held-out mean %s, worst %s", expt.Pct(mean), expt.Pct(worst)); !strings.Contains(e.Measured, want) {
 			t.Errorf("%s cell: measured %q, want it to say %q", core, e.Measured, want)
 		}
-		if want := expt.SpecTable("Held-out CPI error, fixed stage", ws, errs); !strings.HasSuffix(e.Body, want) {
+		last := rows[(len(st)-1)*len(ws):]
+		if want := expt.SpecTable("Held-out CPI error, fixed stage", last); !strings.HasSuffix(e.Body, want) {
 			t.Errorf("%s cell: body:\n%s\nwant it to end with:\n%s", core, e.Body, want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"racesim/internal/trace"
 	"racesim/internal/ubench"
 	"racesim/internal/workload"
 )
@@ -113,5 +114,33 @@ func TestHelpersGenerateOncePerOptions(t *testing.T) {
 	}
 	if a == raw || a.Digest() != raw.Digest() {
 		t.Error("nil memo should generate an equal, separate trace")
+	}
+}
+
+// TestUbenchZeroScaleIsTheDefaultKey: a scale of zero or below means
+// ubench.DefaultScale, and the memo resolves it before it keys, so the
+// three spellings share one trace, generated once.
+func TestUbenchZeroScaleIsTheDefaultKey(t *testing.T) {
+	b := ubench.Suite()[0]
+	for _, c := range ubench.Suite() {
+		if c.PaperInstructions < b.PaperInstructions {
+			b = c
+		}
+	}
+	m := New(0, 0)
+	var first *trace.Trace
+	for _, scale := range []float64{0, -1, ubench.DefaultScale} {
+		tr, err := m.Ubench(b, ubench.Options{Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = tr
+		} else if tr != first {
+			t.Errorf("scale %v: %s got another trace than scale 0's", scale, b.Name)
+		}
+	}
+	if st := m.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("stats = %+v, want 1 miss, 2 hits", st)
 	}
 }

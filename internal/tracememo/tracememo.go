@@ -80,8 +80,13 @@ func workloadKey(p workload.Profile, o workload.Options) string {
 	return Key("workload", p, o)
 }
 
-// Ubench returns the trace of micro-benchmark b generated under o.
+// Ubench returns the trace of micro-benchmark b generated under o. A
+// scale of zero or below is ubench.DefaultScale, resolved here, before
+// the key is built, so that it is one key with the default's.
 func (m *Memo) Ubench(b ubench.Bench, o ubench.Options) (*trace.Trace, error) {
+	if o.Scale <= 0 {
+		o.Scale = ubench.DefaultScale
+	}
 	return m.Named(ubenchKey(b, o), b.Name, func() (*trace.Trace, error) { return b.Trace(o) })
 }
 

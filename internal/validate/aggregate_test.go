@@ -16,27 +16,6 @@ func TestAggregatesEmptySlice(t *testing.T) {
 	if _, ok, err := MaxError(nil); ok || err != nil {
 		t.Errorf("MaxError(nil) ok=%v err=%v; want false, nil", ok, err)
 	}
-	if cats := CategoryErrors(nil); len(cats) != 0 {
-		t.Errorf("CategoryErrors(nil) = %v, want empty", cats)
-	}
-}
-
-func TestAggregatesSingleBenchCategories(t *testing.T) {
-	es := []BenchError{
-		{Name: "MD", Category: ubench.CatMemory, Error: 0.30},
-		{Name: "CCh", Category: ubench.CatControl, Error: 0.10},
-		{Name: "EI", Category: ubench.CatExecution, Error: 0.20},
-	}
-	cats := CategoryErrors(es)
-	if len(cats) != 3 {
-		t.Fatalf("%d categories, want 3", len(cats))
-	}
-	// One bench per category: the category mean IS the bench error.
-	for _, e := range es {
-		if cats[e.Category] != e.Error {
-			t.Errorf("%s mean %v, want %v", e.Category, cats[e.Category], e.Error)
-		}
-	}
 }
 
 func TestAggregatesSurfaceNonFinite(t *testing.T) {
@@ -68,10 +47,5 @@ func TestAggregatesNaNFreeOnFiniteInput(t *testing.T) {
 	worst, ok, err := MaxError(es)
 	if err != nil || !ok || worst.Name != "b" {
 		t.Errorf("MaxError = %+v, %v, %v", worst, ok, err)
-	}
-	for c, v := range CategoryErrors(es) {
-		if math.IsNaN(v) {
-			t.Errorf("category %s mean is NaN", c)
-		}
 	}
 }

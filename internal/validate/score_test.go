@@ -38,7 +38,8 @@ func sampled(t *testing.T, base sim.Config, n int, rng *rand.Rand) []sim.Config 
 
 // TestScoreIsTheDirectReplay: every pair of Score's grid is the
 // configuration's own replay of the measurement's trace, scored with
-// hw.Counters.CPIError, configuration-major — for sampled in-order and
+// hw.Counters.CPIError into a row carrying the measurement's name and
+// category, configuration-major — for sampled in-order and
 // out-of-order configurations over suite and held-out measurements, with
 // no cache, a cold one and a warm one, one worker or four. Counters with
 // no relative error fail the grid, naming the measurement. Run under
@@ -84,18 +85,22 @@ func TestScoreIsTheDirectReplay(t *testing.T) {
 			name  string
 			cache *simcache.Cache
 		}{{"nil", nil}, {"cold", cache}, {"warm", cache}} {
-			rs, errs, err := Score(context.Background(), cfgs, ms, run.cache, par)
+			rs, rows, err := Score(context.Background(), cfgs, ms, run.cache, par)
 			if err != nil {
 				t.Fatalf("%s cache, parallelism %d: %v", run.name, par, err)
 			}
-			if len(rs) != len(want) || len(errs) != len(want) {
-				t.Fatalf("%s cache, parallelism %d: %d results and %d errors, want %d", run.name, par, len(rs), len(errs), len(want))
+			if len(rs) != len(want) || len(rows) != len(want) {
+				t.Fatalf("%s cache, parallelism %d: %d results and %d errors, want %d", run.name, par, len(rs), len(rows), len(want))
 			}
 			for k := range want {
 				cfg, m := cfgs[k/len(ms)], ms[k%len(ms)]
-				if !reflect.DeepEqual(rs[k], wantRs[k]) || errs[k] != want[k] {
+				if !reflect.DeepEqual(rs[k], wantRs[k]) || rows[k].Error != want[k] {
 					t.Errorf("%s cache, parallelism %d: %s on %s: error %v, want %v (or its result differs from the direct replay)",
-						run.name, par, cfg.Name, m.Bench.Name, errs[k], want[k])
+						run.name, par, cfg.Name, m.Bench.Name, rows[k].Error, want[k])
+				}
+				if rows[k].Name != m.Bench.Name || rows[k].Category != m.Bench.Category {
+					t.Errorf("%s cache, parallelism %d: row %d of %s is %s (%s), want its measurement's %s (%s)",
+						run.name, par, k, cfg.Name, rows[k].Name, rows[k].Category, m.Bench.Name, m.Bench.Category)
 				}
 			}
 		}

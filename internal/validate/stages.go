@@ -128,12 +128,6 @@ func (o PipelineOptions) ctxErr() error {
 }
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
-	// Resolved here, not left to ubench: the trace memo keys an input by
-	// its ubench.Options, and a zero scale is another key for the same
-	// trace.
-	if o.UbenchScale <= 0 {
-		o.UbenchScale = ubench.DefaultScale
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}

@@ -80,15 +80,24 @@ func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int)
 	return MeasureSuiteWith(board, opts, nil, parallelism)
 }
 
+// BenchError is a named per-benchmark error: one row of Score's grid.
+type BenchError struct {
+	Name     string
+	Category ubench.Category
+	Error    float64
+}
+
 // Score is the one way a model is scored against the board: it runs every
 // configuration on every measurement's trace — one len(cfgs) x len(ms)
 // grid through the optional shared cache, on at most parallelism workers
-// — and scores each result with hw.Counters.CPIError. Results and errors
-// are configuration-major: pair (i, j) is at i*len(ms)+j. A simulation
-// that fails fails the grid with simcache.Cache.RunBatch's error, which
-// names the configuration and the trace; counters with no relative error
-// fail it with an error naming the measurement.
-func Score(ctx context.Context, cfgs []sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]core.Result, []float64, error) {
+// — and scores each result with hw.Counters.CPIError into a row named
+// after its measurement. Results and rows are configuration-major: pair
+// (i, j) is at i*len(ms)+j, so rows[i*len(ms):(i+1)*len(ms)] are
+// configuration i's errors in measurement order. A simulation that fails
+// fails the grid with simcache.Cache.RunBatch's error, which names the
+// configuration and the trace; counters with no relative error fail it
+// with an error naming the measurement.
+func Score(ctx context.Context, cfgs []sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]core.Result, []BenchError, error) {
 	trs := make([]*trace.Trace, len(ms))
 	for j, m := range ms {
 		trs[j] = m.Trace
@@ -97,21 +106,15 @@ func Score(ctx context.Context, cfgs []sim.Config, ms []Measurement, cache *simc
 	if err != nil {
 		return nil, nil, err
 	}
-	errs := make([]float64, len(rs))
+	rows := make([]BenchError, len(rs))
 	for k, res := range rs {
 		m := ms[k%len(ms)]
-		if errs[k], err = m.Counters.CPIError(res); err != nil {
+		rows[k] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category}
+		if rows[k].Error, err = m.Counters.CPIError(res); err != nil {
 			return nil, nil, fmt.Errorf("validate: %s: %w", m.Bench.Name, err)
 		}
 	}
-	return rs, errs, nil
-}
-
-// BenchError is a named per-benchmark error.
-type BenchError struct {
-	Name     string
-	Category ubench.Category
-	Error    float64
+	return rs, rows, nil
 }
 
 // Errors evaluates cfg against every measurement.
@@ -120,19 +123,12 @@ func Errors(cfg sim.Config, ms []Measurement) ([]BenchError, error) {
 }
 
 // ErrorsWith is Errors through an optional shared simulation cache and a
-// bounded worker pool. Results are in measurement order, identical to the
-// sequential path.
+// bounded worker pool: Score's 1 x len(ms) grid. Rows are in measurement
+// order, identical to the sequential path.
 func ErrorsWith(cfg sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]BenchError, error) {
 	// ErrorsWith keeps a signature without a context.
-	_, errs, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BenchError, len(ms))
-	for i, m := range ms {
-		out[i] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category, Error: errs[i]}
-	}
-	return out, nil
+	_, rows, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism)
+	return rows, err
 }
 
 // checkFinite rejects NaN/Inf per-benchmark errors. A non-finite error
@@ -181,22 +177,6 @@ func MaxError(es []BenchError) (worst BenchError, ok bool, err error) {
 		}
 	}
 	return worst, true, nil
-}
-
-// CategoryErrors groups mean error per benchmark category — the step 5
-// triage that points at the mismodeled component.
-func CategoryErrors(es []BenchError) map[ubench.Category]float64 {
-	sums := map[ubench.Category]float64{}
-	counts := map[ubench.Category]int{}
-	for _, e := range es {
-		sums[e.Category] += e.Error
-		counts[e.Category]++
-	}
-	out := map[ubench.Category]float64{}
-	for c, s := range sums {
-		out[c] = s / float64(counts[c])
-	}
-	return out
 }
 
 // CostWeights shapes the tuning cost function. The default is plain CPI
@@ -276,7 +256,7 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	ms := e.Ms[instance : instance+1]
 	// irace.BatchEvaluator carries no context; the tuner checks its own
 	// before each call.
-	rs, errs, err := Score(context.TODO(), cfgs, ms, e.Cache, 1)
+	rs, rows, err := Score(context.TODO(), cfgs, ms, e.Cache, 1)
 	if err != nil {
 		e.mu.Lock()
 		if e.err == nil {
@@ -292,7 +272,7 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 		case err != nil:
 			out[i] = math.Inf(1)
 		default:
-			out[i] = errs[j] + e.cost(rs[j], ms[0])
+			out[i] = rows[j].Error + e.cost(rs[j], ms[0])
 		}
 		j++
 	}

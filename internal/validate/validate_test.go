@@ -118,9 +118,12 @@ func TestErrorsAndAggregates(t *testing.T) {
 	if !ok || worst.Error < mean {
 		t.Errorf("worst error %v below mean %v", worst.Error, mean)
 	}
-	cats := CategoryErrors(es)
-	if len(cats) != 5 {
-		t.Errorf("category triage covers %d categories, want 5", len(cats))
+	cats := map[ubench.Category]bool{}
+	for _, e := range es {
+		cats[e.Category] = true
+	}
+	if len(cats) != len(ubench.Categories) {
+		t.Errorf("rows cover %d categories, want %d", len(cats), len(ubench.Categories))
 	}
 	t.Logf("untuned A53: mean %.1f%%, worst %s %.1f%%", mean*100, worst.Name, worst.Error*100)
 }
