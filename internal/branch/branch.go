@@ -134,7 +134,7 @@ func (b *bimodal) reset(entries int) {
 	b.mask = uint64(entries - 1)
 }
 
-func (b *bimodal) idx(pc uint64) uint64 { return (pc >> 2) & b.mask }
+func (b *bimodal) idx(pc uint64) uint64 { return PCKey(pc) & b.mask }
 
 func (b *bimodal) Predict(pc uint64) bool { return b.ctr[b.idx(pc)] >= 2 }
 
@@ -164,7 +164,7 @@ func (g *gshare) reset(entries, histBits int) {
 	}
 }
 
-func (g *gshare) idx(pc uint64) uint64 { return ((pc >> 2) ^ g.hist) & g.mask }
+func (g *gshare) idx(pc uint64) uint64 { return GShareKey(pc, g.hist) & g.mask }
 
 func (g *gshare) Predict(pc uint64) bool { return g.ctr[g.idx(pc)] >= 2 }
 
@@ -175,10 +175,7 @@ func (g *gshare) Update(pc uint64, taken bool) {
 	} else if !taken && g.ctr[i] > 0 {
 		g.ctr[i]--
 	}
-	g.hist = (g.hist << 1) & g.histMax
-	if taken {
-		g.hist |= 1
-	}
+	g.hist = GShareHistory(g.hist, g.histMax, taken)
 }
 
 // --- tournament ---
@@ -198,14 +195,14 @@ func (t *tournament) reset(bim *bimodal, gsh *gshare, entries int) {
 }
 
 func (t *tournament) Predict(pc uint64) bool {
-	if t.chooser[(pc>>2)&t.mask] >= 2 {
+	if t.chooser[PCKey(pc)&t.mask] >= 2 {
 		return t.gsh.Predict(pc)
 	}
 	return t.bim.Predict(pc)
 }
 
 func (t *tournament) Update(pc uint64, taken bool) {
-	i := (pc >> 2) & t.mask
+	i := PCKey(pc) & t.mask
 	bp := t.bim.Predict(pc)
 	gp := t.gsh.Predict(pc)
 	if bp != gp {

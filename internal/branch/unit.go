@@ -8,7 +8,7 @@ import (
 // btb is a set-associative branch target buffer with LRU replacement.
 type btb struct {
 	sets  int
-	mask  uint64 // sets-1 when sets is a power of two, else 0 (modulo path)
+	mask  uint64 // btbMask(sets)
 	assoc int
 	tags  []uint64 // sets*assoc; 0 = invalid
 	tgts  []uint64
@@ -19,13 +19,11 @@ func (b *btb) reset(entries, assoc int) {
 	sets := entries / assoc
 	*b = btb{
 		sets:  sets,
+		mask:  btbMask(sets),
 		assoc: assoc,
 		tags:  recycle.Zeroed(b.tags, entries),
 		tgts:  recycle.Slice(b.tgts, entries), // read only under a matching tag
 		lru:   recycle.Slice(b.lru, entries),
-	}
-	if sets&(sets-1) == 0 {
-		b.mask = uint64(sets - 1)
 	}
 	// Recency ranks must form a permutation per set (0 = MRU) for touch to
 	// age the other ways correctly.
@@ -34,12 +32,7 @@ func (b *btb) reset(entries, assoc int) {
 	}
 }
 
-func (b *btb) set(pc uint64) int {
-	if b.mask != 0 || b.sets == 1 {
-		return int((pc >> 2) & b.mask)
-	}
-	return int((pc >> 2) % uint64(b.sets))
-}
+func (b *btb) set(pc uint64) int { return btbSet(pc, b.mask, b.sets) }
 
 func (b *btb) lookup(pc uint64) (uint64, bool) {
 	base := b.set(pc) * b.assoc
@@ -101,10 +94,7 @@ func (p *indirect) reset(entries, histBits int) {
 	}
 }
 
-func (p *indirect) idx(pc uint64) uint64 {
-	h := p.hist & (1<<p.bits - 1)
-	return ((pc >> 2) ^ h) & p.mask
-}
+func (p *indirect) idx(pc uint64) uint64 { return IndirectKey(pc, p.hist, p.bits) & p.mask }
 
 func (p *indirect) lookup(pc uint64) (uint64, bool) {
 	i := p.idx(pc)
@@ -118,9 +108,7 @@ func (p *indirect) update(pc, target uint64) {
 	i := p.idx(pc)
 	p.tags[i] = pc
 	p.tgts[i] = target
-	// Fold several target bit ranges so aligned targets still perturb the
-	// path history.
-	p.hist = p.hist<<2 ^ (target>>2 ^ target>>12 ^ target>>22)
+	p.hist = PathHistory(p.hist, target)
 }
 
 // ras is a return address stack.

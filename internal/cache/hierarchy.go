@@ -62,7 +62,12 @@ func (c HierarchyConfig) Validate() error {
 // never invalidated, so pages[:n] are the resident ones and a reset only
 // rewinds n. Recency is a per-TLB access stamp (as in Level): the LRU
 // entry is the minimum stamp, and a hit costs one store instead of aging
-// every other entry.
+// every other entry. A TLB with at least as many entries as an access
+// stream touches distinct pages never evicts: it misses on each page's
+// first access only, whatever its size — the bound sim's read profile takes
+// for tlb.itlb_entries and tlb.dtlb_entries (sim.Profile). Fetch reaches the
+// ITLB with a subset of the trace's PCs, Load and Store reach the DTLB with
+// their addresses; nothing else does.
 type tlb struct {
 	pages  []uint64
 	stamp  []uint64

@@ -3,6 +3,8 @@ package engine
 import (
 	"net/http"
 
+	"racesim/internal/core"
+	"racesim/internal/simcache"
 	"racesim/internal/telemetry"
 	"racesim/internal/version"
 )
@@ -38,14 +40,30 @@ func (s *Server) registerMetrics() {
 	}
 	cache("hits_total", "Cache lookups answered from memory or the disk tier.",
 		func() float64 { return float64(s.cache.Stats().Hits) })
-	cache("misses_total", "Cache lookups that simulated.",
+	cache("misses_total", "Cache lookups neither tier answered: simulated, or answered by the simulation of their trace-read alias class.",
 		func() float64 { return float64(s.cache.Stats().Misses) })
+	cache("aliased_total", "Cache misses answered by the simulation of their trace-read alias class instead of simulating.",
+		func() float64 { return float64(s.cache.Stats().Aliased) })
 	cache("shared_total", "Cache lookups that waited on an identical in-flight run.",
 		func() float64 { return float64(s.cache.Stats().Shared) })
 	cache("rejected_total", "Persisted cache entries dropped by checksum mismatch.",
 		func() float64 { return float64(s.cache.Stats().Rejected) })
 	cache("evicted_total", "Cache entries dropped by the memory budget.",
 		func() float64 { return float64(s.cache.Stats().Evicted) })
+	// The work the misses did, as the work: line of a job counts it, by
+	// core kind: simulations run and trace events they stepped.
+	for _, k := range []struct {
+		kind         core.Kind
+		sims, events func(simcache.Stats) uint64
+	}{
+		{core.InOrder, func(st simcache.Stats) uint64 { return st.InOrderSims }, func(st simcache.Stats) uint64 { return st.InOrderEvents }},
+		{core.OutOfOrder, func(st simcache.Stats) uint64 { return st.OoOSims }, func(st simcache.Stats) uint64 { return st.OoOEvents }},
+	} {
+		r.CounterFunc("racesim_sim_simulations_total", "Simulations run on cache misses, by core kind.",
+			func() float64 { return float64(k.sims(s.cache.Stats())) }, telemetry.L("kind", string(k.kind)))
+		r.CounterFunc("racesim_sim_events_total", "Trace events the simulations on cache misses stepped, by core kind.",
+			func() float64 { return float64(k.events(s.cache.Stats())) }, telemetry.L("kind", string(k.kind)))
+	}
 	// The memory tier holds what this process simulated or imported; a hit
 	// on the disk tier is answered from the snapshot and adds nothing to it.
 	const entriesHelp = "Distinct servable cache results, by tier (memory: simulated or imported here; disk: records of the attached snapshot)."

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -51,6 +52,23 @@ func hasNonzeroSample(text, prefix string) bool {
 	return false
 }
 
+// sampleValue returns the value of the one sample line of series (name
+// plus label signature) in the exposition.
+func sampleValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no sample of %s", series)
+	return 0
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {
@@ -93,6 +111,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`racesim_job_run_seconds_bucket{kind="experiments",le="+Inf"}`,
 		`racesim_job_wait_seconds_count{kind="experiments"}`,
 		`racesim_cache_misses_total`,
+		`racesim_cache_aliased_total`,
+		`racesim_sim_simulations_total{kind="ooo"}`,
+		`racesim_sim_events_total{kind="ooo"}`,
 		`racesim_cache_entries{tier="total"}`,
 		`racesim_tracememo_entries`,
 		`racesim_job_queue_depth`,
@@ -107,9 +128,26 @@ func TestMetricsEndpoint(t *testing.T) {
 		`racesim_jobs_total{kind="experiments",status="done"}`,
 		`racesim_jobs_submitted_total{kind="experiments"}`,
 		`racesim_cache_misses_total`,
+		`racesim_sim_simulations_total{kind="inorder"}`,
+		`racesim_sim_events_total{kind="inorder"}`,
 	} {
 		if !hasNonzeroSample(text, nonzero) {
 			t.Errorf("series %q is zero after a completed simulating job", nonzero)
+		}
+	}
+	// The work counters are the cache's: every miss either simulated or
+	// was aliased, and the events are the work: line's.
+	st := srv.cache.Stats()
+	for series, want := range map[string]uint64{
+		`racesim_cache_misses_total`:                    st.InOrderSims + st.OoOSims + st.Aliased,
+		`racesim_cache_aliased_total`:                   st.Aliased,
+		`racesim_sim_simulations_total{kind="inorder"}`: st.InOrderSims,
+		`racesim_sim_simulations_total{kind="ooo"}`:     st.OoOSims,
+		`racesim_sim_events_total{kind="inorder"}`:      st.InOrderEvents,
+		`racesim_sim_events_total{kind="ooo"}`:          st.OoOEvents,
+	} {
+		if got := sampleValue(t, text, series); got != float64(want) {
+			t.Errorf("%s = %v, want %d", series, got, want)
 		}
 	}
 

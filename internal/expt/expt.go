@@ -514,32 +514,7 @@ func (c *Context) Fig6() (Experiment, error) {
 }
 
 func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment, error) {
-	stages, err := c.Stages(core)
-	if err != nil {
-		return Experiment{}, err
-	}
-	tuned := stages[len(stages)-1].Config
-	ms, err := c.Spec(core)
-	if err != nil {
-		return Experiment{}, err
-	}
-	rows, err := c.SpecErrors([]sim.Config{tuned}, ms)
-	if err != nil {
-		return Experiment{}, err
-	}
-	tunedMean, _, err := MeanWorst(rows[0])
-	if err != nil {
-		return Experiment{}, err
-	}
-	ws := make([]perturb.Workload, len(ms))
-	for i, m := range ms {
-		ws[i] = perturb.Workload{Name: m.Bench.Name, Trace: m.Trace, Counters: m.Counters}
-	}
-	res, err := perturb.WorstNearOptimum(tuned, ws, perturb.Options{
-		Restarts: c.opts.PerturbRestarts, Seed: c.opts.Seed,
-		Cache: c.opts.Cache, Parallelism: c.opts.Parallelism,
-		Context: c.opts.Context, Log: c.opts.Log,
-	})
+	tunedMean, res, err := c.worstNearOptimum(core)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -551,6 +526,42 @@ func (c *Context) perturbFigure(id, title, paperClaim, core string) (Experiment,
 			Pct(tunedMean), Pct(res.MeanError), res.Deviations),
 		Body: SpecTable(title, res.Errors),
 	}, nil
+}
+
+// worstNearOptimum runs the perturbation search around core's tuned model
+// on the Table II workloads. It returns the tuned model's mean error there
+// and the search's result, whose rows carry the workloads' category.
+func (c *Context) worstNearOptimum(core string) (float64, *perturb.Result, error) {
+	stages, err := c.Stages(core)
+	if err != nil {
+		return 0, nil, err
+	}
+	tuned := stages[len(stages)-1].Config
+	ms, err := c.Spec(core)
+	if err != nil {
+		return 0, nil, err
+	}
+	rows, err := c.SpecErrors([]sim.Config{tuned}, ms)
+	if err != nil {
+		return 0, nil, err
+	}
+	tunedMean, _, err := MeanWorst(rows[0])
+	if err != nil {
+		return 0, nil, err
+	}
+	ws := make([]perturb.Workload, len(ms))
+	for i, m := range ms {
+		ws[i] = perturb.Workload{Name: m.Bench.Name, Category: m.Bench.Category, Trace: m.Trace, Counters: m.Counters}
+	}
+	res, err := perturb.WorstNearOptimum(tuned, ws, perturb.Options{
+		Restarts: c.opts.PerturbRestarts, Seed: c.opts.Seed,
+		Cache: c.opts.Cache, Parallelism: c.opts.Parallelism,
+		Context: c.opts.Context, Log: c.opts.Log,
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return tunedMean, res, nil
 }
 
 // Fig7 regenerates the near-optimum worst case for the A53 model.

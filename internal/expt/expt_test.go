@@ -154,3 +154,27 @@ func TestTables(t *testing.T) {
 		t.Errorf("experiment render missing header:\n%s", got)
 	}
 }
+
+// TestPerturbRowsAreSpec: every row of Figs. 7 and 8 — the perturbation
+// search's errors on the Table II workloads — carries their category,
+// "spec", as the rows of Figs. 5 and 6 do.
+func TestPerturbRowsAreSpec(t *testing.T) {
+	c, err := NewContext(stagesOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []string{"a53", "a72"} {
+		_, res, err := c.worstNearOptimum(core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Errors) == 0 {
+			t.Fatalf("%s: no rows", core)
+		}
+		for _, row := range res.Errors {
+			if row.Category != "spec" {
+				t.Errorf("%s: row %s has category %q, want spec", core, row.Name, row.Category)
+			}
+		}
+	}
+}

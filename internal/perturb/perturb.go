@@ -15,9 +15,11 @@ import (
 	"racesim/internal/validate"
 )
 
-// Workload pairs an evaluation trace with its board measurement.
+// Workload pairs an evaluation trace with its board measurement. Category
+// is the category its rows in Result.Errors carry.
 type Workload struct {
 	Name     string
+	Category ubench.Category
 	Trace    *trace.Trace
 	Counters hw.Counters
 }
@@ -75,7 +77,7 @@ type Result struct {
 func measurements(ws []Workload) []validate.Measurement {
 	ms := make([]validate.Measurement, len(ws))
 	for i, w := range ws {
-		ms[i] = validate.Measurement{Bench: ubench.Bench{Name: w.Name}, Trace: w.Trace, Counters: w.Counters}
+		ms[i] = validate.Measurement{Bench: ubench.Bench{Name: w.Name, Category: w.Category}, Trace: w.Trace, Counters: w.Counters}
 	}
 	return ms
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"racesim/internal/core"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
@@ -8,13 +10,17 @@ import (
 
 // derived is what sim attaches to a decoded trace (trace.Decoded.Derived):
 // the behavior table compiled from it, its class histogram under that
-// table, and the memo of the memory hierarchy's decision tapes over it.
-// They live on the decode itself, so they are shared by the same callers
-// and collected together with it.
+// table, the memo of the memory hierarchy's decision tapes over it, and
+// its read profile (ProfileOf), computed on first use. They live on the
+// decode itself, so they are shared by the same callers and collected
+// together with it.
 type derived struct {
 	behav   []core.Behavior
 	classes [isa.NumClasses]uint64
 	tapes   core.TapeMemo
+
+	profileOnce sync.Once
+	profile     *Profile
 }
 
 func deriveFrom(d *trace.Decoded) any {

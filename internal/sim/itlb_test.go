@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"math/bits"
 	"slices"
 	"strconv"
 	"testing"
@@ -17,7 +16,9 @@ import (
 // size and every suite micro-benchmark at the default scale touches fewer
 // distinct code pages than the smallest ITLB the tuner can pick. The ITLB
 // is fully associative LRU, so on these traces it takes compulsory misses
-// only and `tlb.itlb_entries` moves no result (docs/validation.md).
+// only and `tlb.itlb_entries` moves no result (docs/validation.md). The
+// count is the read profile's (Profile.CodePages), the one TraceCanonical
+// merges ITLB sizes by, at the presets' page size.
 func TestNoTraceOutgrowsTheITLB(t *testing.T) {
 	smallest := 0
 	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
@@ -38,11 +39,11 @@ func TestNoTraceOutgrowsTheITLB(t *testing.T) {
 	if smallest != 16 {
 		t.Errorf("smallest tlb.itlb_entries value %d, want 16", smallest)
 	}
-	pageBytes := sim.PublicA53().Mem.PageBytes
-	if b := sim.PublicA72().Mem.PageBytes; b != pageBytes {
-		t.Fatalf("the presets' pages differ: %d and %d bytes", pageBytes, b)
+	for _, p := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
+		if p.Mem.PageBytes != sim.ProfilePageBytes {
+			t.Fatalf("%s pages are %d bytes; the profile counts %d-byte pages", p.Name, p.Mem.PageBytes, sim.ProfilePageBytes)
+		}
 	}
-	shift := bits.TrailingZeros(uint(pageBytes))
 
 	var traces []*trace.Trace
 	for _, p := range workload.Profiles() {
@@ -61,11 +62,7 @@ func TestNoTraceOutgrowsTheITLB(t *testing.T) {
 	}
 	pages := make([]int, len(traces))
 	for i, tr := range traces {
-		seen := map[uint64]bool{}
-		for _, pc := range tr.Decoded(false).PC {
-			seen[pc>>shift] = true
-		}
-		if pages[i] = len(seen); pages[i] == 0 || pages[i] >= smallest {
+		if pages[i] = sim.ProfileOf(tr.Decoded(false)).CodePages; pages[i] == 0 || pages[i] >= smallest {
 			t.Errorf("%s touches %d code pages; the smallest ITLB holds %d", tr.Name, pages[i], smallest)
 		}
 	}

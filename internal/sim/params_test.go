@@ -17,11 +17,13 @@ import (
 // tuner races over: for each kind, one row per tunable in table order with
 // its name, the Go field its Set writes (found by diffing a copy of the
 // kind's preset, not through the plan), whether it is ordered, its values
-// in sampling order, whether it is declared timing-only and its activation
-// condition. Value order is sampling order and a condition decides the
-// canonical form, so a row that moves moves every race and every cache
-// key; the timing-only column decides which configurations share a
-// decision tape. Run with -update to re-pin on purpose.
+// in sampling order, whether it is declared timing-only, the read-profile
+// entry that bounds it (ParamDef.Reads) and its activation condition.
+// Value order is sampling order and a condition decides the canonical
+// form, so a row that moves moves every race and every cache key; the
+// timing-only column decides which configurations share a decision tape,
+// and the read column which a trace's simulations alias
+// (TraceCanonical). Run with -update to re-pin on purpose.
 func TestParamTablesGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, kind := range []core.Kind{core.InOrder, core.OutOfOrder} {
@@ -46,7 +48,7 @@ func TestParamTablesGolden(t *testing.T) {
 			if d.TimingOnly {
 				timing = "timing-only"
 			}
-			fmt.Fprintf(&got, "%s %s %s %s %s %s\n", d.Name, fields[d.Name], order, strings.Join(d.Values, ","), timing, cond)
+			fmt.Fprintf(&got, "%s %s %s %s %s %s %s\n", d.Name, fields[d.Name], order, strings.Join(d.Values, ","), timing, d.Reads, cond)
 		}
 	}
 

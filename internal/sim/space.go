@@ -12,6 +12,7 @@ import (
 	"racesim/internal/cache"
 	"racesim/internal/core"
 	"racesim/internal/irace"
+	"racesim/internal/isa"
 	"racesim/internal/prefetch"
 )
 
@@ -31,11 +32,17 @@ type ParamDef struct {
 	// TimingOnly declares that the field moves only when memory accesses
 	// complete, never what they find: the tape key (tapeKey) leaves it out.
 	TimingOnly bool
+	// Reads names the entry of a trace's read profile (Profile) that bounds
+	// what the field can change on that trace; TraceCanonical merges the
+	// values the entry proves alike. The zero Read bounds nothing. One that
+	// merges values a model tells apart would make the simulation cache
+	// answer one configuration with another's result.
+	Reads Read
 
 	// field is the leaf (see plan.go) of the Config field the parameter
 	// names. buildParams resolves parent, the leaf of When.Parent's field,
-	// and, for a conditional or timing-only parameter, first: Values[0] as
-	// field holds it (leaf.int).
+	// and, for a conditional, timing-only or profile-bounded parameter,
+	// first: Values[0] as field holds it (leaf.int).
 	field, parent *leaf
 	first         int
 }
@@ -113,6 +120,12 @@ func (d ParamDef) timingOnly() ParamDef {
 	return d
 }
 
+// reads returns d bounded by the profile entry r.
+func (d ParamDef) reads(r Read) ParamDef {
+	d.Reads = r
+	return d
+}
+
 // leafOf returns the leaf get points at. get is called once, on a zero
 // Config; a pointer that is not to a leaf of T's kind — a nested struct,
 // or a field reinterpreted as another type — panics when the table is
@@ -151,8 +164,9 @@ func choiceParam[K ~string](name string, get func(*Config) *K, vs ...K) ParamDef
 
 // prefetchParams declares a level's prefetcher. Kind none reads none of
 // its fields; next_line and spatial (the A72 board's, never offered to the
-// tuner) read no table, stride and ghb read every field (prefetch.go).
-func prefetchParams(prefix string, get func(*Config) *prefetch.Config, degrees, distances, tables []int) []ParamDef {
+// tuner) read no table, stride and ghb read every field (prefetch.go). table
+// is the profile entry of the PCs that train the level's table.
+func prefetchParams(prefix string, get func(*Config) *prefetch.Config, table Read, degrees, distances, tables []int) []ParamDef {
 	kind := prefix + ".kind"
 	on := unless(kind, string(prefetch.KindNone))
 	return []ParamDef{
@@ -160,7 +174,7 @@ func prefetchParams(prefix string, get func(*Config) *prefetch.Config, degrees, 
 		intParam(prefix+".degree", func(c *Config) *int { return &get(c).Degree }, degrees...).when(on),
 		intParam(prefix+".distance", func(c *Config) *int { return &get(c).Distance }, distances...).when(on),
 		intParam(prefix+".table", func(c *Config) *int { return &get(c).TableEntries }, tables...).
-			when(unless(kind, string(prefetch.KindNone), string(prefetch.KindNextLine))),
+			when(unless(kind, string(prefetch.KindNone), string(prefetch.KindNextLine))).reads(table),
 		boolParam(prefix+".on_hit", func(c *Config) *bool { return &get(c).OnHit }).when(on),
 	}
 }
@@ -201,17 +215,17 @@ func buildParams(kind core.Kind) []ParamDef {
 	// Each direction predictor reads only its own tables (branch.Unit.Reset).
 	bimodal := whenIn("branch.kind", string(branch.KindBimodal), string(branch.KindTournament))
 	gshare := whenIn("branch.kind", string(branch.KindGShare), string(branch.KindTournament))
-	add(intParam("branch.bimodal_entries", func(c *Config) *int { return &c.Branch.BimodalEntries }, 512, 1024, 2048, 4096, 8192).when(bimodal))
-	add(intParam("branch.gshare_entries", func(c *Config) *int { return &c.Branch.GShareEntries }, 512, 1024, 2048, 4096, 8192).when(gshare))
+	add(intParam("branch.bimodal_entries", func(c *Config) *int { return &c.Branch.BimodalEntries }, 512, 1024, 2048, 4096, 8192).when(bimodal).reads(Read{entry: readBranchPCs}))
+	add(intParam("branch.gshare_entries", func(c *Config) *int { return &c.Branch.GShareEntries }, 512, 1024, 2048, 4096, 8192).when(gshare).reads(Read{entry: readGShareKeys}))
 	add(intParam("branch.history_bits", func(c *Config) *int { return &c.Branch.HistoryBits }, 4, 6, 8, 10, 12).when(gshare))
 	add(intParam("branch.chooser_entries", func(c *Config) *int { return &c.Branch.ChooserEntries }, 512, 1024, 2048, 4096).
-		when(whenIn("branch.kind", string(branch.KindTournament))))
-	add(intParam("branch.btb_entries", func(c *Config) *int { return &c.Branch.BTBEntries }, 64, 128, 256, 512, 1024))
-	add(intParam("branch.btb_assoc", func(c *Config) *int { return &c.Branch.BTBAssoc }, 1, 2, 4))
-	add(intParam("branch.ras_entries", func(c *Config) *int { return &c.Branch.RASEntries }, 4, 8, 16, 32))
-	add(boolParam("branch.indirect", func(c *Config) *bool { return &c.Branch.IndirectEnabled }))
+		when(whenIn("branch.kind", string(branch.KindTournament))).reads(Read{entry: readBranchPCs}))
+	add(intParam("branch.btb_entries", func(c *Config) *int { return &c.Branch.BTBEntries }, 64, 128, 256, 512, 1024).reads(Read{entry: readBTBSets}))
+	add(intParam("branch.btb_assoc", func(c *Config) *int { return &c.Branch.BTBAssoc }, 1, 2, 4).reads(Read{entry: readBTBSets}))
+	add(intParam("branch.ras_entries", func(c *Config) *int { return &c.Branch.RASEntries }, 4, 8, 16, 32).reads(Read{entry: readCallSpan}))
+	add(boolParam("branch.indirect", func(c *Config) *bool { return &c.Branch.IndirectEnabled }).reads(Read{entry: readIndirect}))
 	indirect := whenIn("branch.indirect", "true")
-	add(intParam("branch.indirect_entries", func(c *Config) *int { return &c.Branch.IndirectEntries }, 128, 256, 512, 1024).when(indirect))
+	add(intParam("branch.indirect_entries", func(c *Config) *int { return &c.Branch.IndirectEntries }, 128, 256, 512, 1024).when(indirect).reads(Read{entry: readIndirectKeys}))
 	add(intParam("branch.indirect_history", func(c *Config) *int { return &c.Branch.IndirectHistory }, 2, 4, 8).when(indirect))
 	add(intParam("frontend.mispredict_penalty", func(c *Config) *int { return &c.FrontEnd.MispredictPenalty }, 6, 8, 10, 12, 14, 16, 18))
 	add(intParam("frontend.btb_miss_penalty", func(c *Config) *int { return &c.FrontEnd.BTBMissPenalty }, 0, 1, 2, 3, 4))
@@ -219,7 +233,7 @@ func buildParams(kind core.Kind) []ParamDef {
 	// L1 data cache.
 	add(cacheParams("l1d", func(c *Config) *cache.Config { return &c.Mem.L1D }, 2, 3, 4)...)
 	add(intParam("l1d.victim_entries", func(c *Config) *int { return &c.Mem.L1D.VictimEntries }, 0, 2, 4, 8))
-	add(prefetchParams("l1d.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L1D.Prefetch },
+	add(prefetchParams("l1d.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L1D.Prefetch }, Read{entry: readL1DPrefetchPCs},
 		[]int{1, 2, 4}, []int{1, 2, 4, 8}, []int{16, 32, 64, 128})...)
 
 	// L1 instruction cache.
@@ -236,12 +250,12 @@ func buildParams(kind core.Kind) []ParamDef {
 	// is validated and read by no model (docs/validation.md).
 	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16).when(never).timingOnly())
 	add(intParam("l2.victim_entries", func(c *Config) *int { return &c.Mem.L2.VictimEntries }, 0, 4, 8))
-	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch },
+	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch }, Read{entry: readL2PrefetchPCs},
 		[]int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}, []int{32, 64, 128, 256})...)
 
 	// TLBs and paging.
-	add(intParam("tlb.itlb_entries", func(c *Config) *int { return &c.Mem.ITLBEntries }, 16, 32, 48, 64))
-	add(intParam("tlb.dtlb_entries", func(c *Config) *int { return &c.Mem.DTLBEntries }, 16, 32, 48, 64))
+	add(intParam("tlb.itlb_entries", func(c *Config) *int { return &c.Mem.ITLBEntries }, 16, 32, 48, 64).reads(Read{entry: readCodePages}))
+	add(intParam("tlb.dtlb_entries", func(c *Config) *int { return &c.Mem.DTLBEntries }, 16, 32, 48, 64).reads(Read{entry: readDataPages}))
 	add(intParam("tlb.miss_latency", func(c *Config) *int { return &c.Mem.TLBMissLatency }, 10, 20, 30, 40).timingOnly())
 
 	// Main memory organisation.
@@ -250,19 +264,20 @@ func buildParams(kind core.Kind) []ParamDef {
 	add(intParam("dram.queue_depth", func(c *Config) *int { return &c.Mem.DRAM.QueueDepth }, 8, 16, 32).timingOnly())
 
 	// Execution latencies and initiation intervals.
-	add(intParam("lat.int_mul", func(c *Config) *int { return &c.Lat.IntMul }, 2, 3, 4, 5))
-	add(intParam("lat.int_div", func(c *Config) *int { return &c.Lat.IntDiv }, 8, 10, 12, 16, 20))
-	add(intParam("lat.int_div_ii", func(c *Config) *int { return &c.Lat.IntDivII }, 1, 4, 8, 12, 16, 20))
-	add(intParam("lat.fp_add", func(c *Config) *int { return &c.Lat.FPAdd }, 3, 4, 5, 6))
-	add(intParam("lat.fp_mul", func(c *Config) *int { return &c.Lat.FPMul }, 3, 4, 5, 6))
-	add(intParam("lat.fp_div", func(c *Config) *int { return &c.Lat.FPDiv }, 10, 14, 18, 22, 26))
-	add(intParam("lat.fp_div_ii", func(c *Config) *int { return &c.Lat.FPDivII }, 1, 4, 10, 18, 26))
-	add(intParam("lat.fp_cvt", func(c *Config) *int { return &c.Lat.FPCvt }, 2, 3, 4, 5))
-	add(intParam("lat.simd", func(c *Config) *int { return &c.Lat.SIMD }, 2, 3, 4, 5))
+	add(intParam("lat.int_mul", func(c *Config) *int { return &c.Lat.IntMul }, 2, 3, 4, 5).reads(classes(isa.ClassIntMul)))
+	add(intParam("lat.int_div", func(c *Config) *int { return &c.Lat.IntDiv }, 8, 10, 12, 16, 20).reads(classes(isa.ClassIntDiv)))
+	add(intParam("lat.int_div_ii", func(c *Config) *int { return &c.Lat.IntDivII }, 1, 4, 8, 12, 16, 20).reads(classes(isa.ClassIntDiv)))
+	add(intParam("lat.fp_add", func(c *Config) *int { return &c.Lat.FPAdd }, 3, 4, 5, 6).reads(classes(isa.ClassFPAdd)))
+	add(intParam("lat.fp_mul", func(c *Config) *int { return &c.Lat.FPMul }, 3, 4, 5, 6).reads(classes(isa.ClassFPMul)))
+	add(intParam("lat.fp_div", func(c *Config) *int { return &c.Lat.FPDiv }, 10, 14, 18, 22, 26).reads(classes(isa.ClassFPDiv)))
+	add(intParam("lat.fp_div_ii", func(c *Config) *int { return &c.Lat.FPDivII }, 1, 4, 10, 18, 26).reads(classes(isa.ClassFPDiv)))
+	add(intParam("lat.fp_cvt", func(c *Config) *int { return &c.Lat.FPCvt }, 2, 3, 4, 5).reads(classes(isa.ClassFPCvt)))
+	add(intParam("lat.simd", func(c *Config) *int { return &c.Lat.SIMD }, 2, 3, 4, 5).reads(classes(isa.ClassSIMD)))
 
 	// Pipe counts (contention model structure).
-	add(intParam("pipes.int_alu", func(c *Config) *int { return &c.Pipes.IntALU }, 1, 2, 3))
-	add(intParam("pipes.fp", func(c *Config) *int { return &c.Pipes.FP }, 1, 2, 3))
+	add(intParam("pipes.int_alu", func(c *Config) *int { return &c.Pipes.IntALU }, 1, 2, 3).reads(classes(isa.ClassIntAlu)))
+	add(intParam("pipes.fp", func(c *Config) *int { return &c.Pipes.FP }, 1, 2, 3).
+		reads(classes(isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPCvt, isa.ClassSIMD)))
 
 	// Core-structure parameters differ per kind.
 	if kind == core.InOrder {
@@ -277,17 +292,18 @@ func buildParams(kind core.Kind) []ParamDef {
 		add(intParam("core.lq", func(c *Config) *int { return &c.LQEntries }, 8, 16, 24, 32))
 		add(intParam("core.sq", func(c *Config) *int { return &c.SQEntries }, 8, 16, 24, 32))
 		add(intParam("core.retire_width", func(c *Config) *int { return &c.RetireWidth }, 2, 3, 4))
-		add(intParam("pipes.load", func(c *Config) *int { return &c.Pipes.Load }, 1, 2))
-		add(intParam("pipes.store", func(c *Config) *int { return &c.Pipes.Store }, 1, 2))
+		add(intParam("pipes.load", func(c *Config) *int { return &c.Pipes.Load }, 1, 2).reads(classes(isa.ClassLoad)))
+		add(intParam("pipes.store", func(c *Config) *int { return &c.Pipes.Store }, 1, 2).reads(classes(isa.ClassStore)))
 	}
 	for i := range defs {
 		d := &defs[i]
-		if d.When == nil && !d.TimingOnly {
+		if d.When == nil && !d.TimingOnly && d.Reads.entry == readAny {
 			continue
 		}
-		// canonicalize writes Values[0] into such a parameter's field.
+		// canonicalize and TraceCanonical write Values[0] into such a
+		// parameter's field.
 		if k := d.field.kind; k != reflect.Int && k != reflect.Bool {
-			panic(fmt.Sprintf("sim: %s: a conditional or timing-only parameter must be an int or a bool", d.Name))
+			panic(fmt.Sprintf("sim: %s: a conditional, timing-only or profile-bounded parameter must be an int or a bool", d.Name))
 		}
 		var first Config
 		_ = d.Set(&first, d.Values[0]) // a listed value: it parses

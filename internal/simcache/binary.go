@@ -644,7 +644,7 @@ func (c *Cache) importRecord(rec []byte) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.insertLocked(bytes.Clone(rec), hash, 0) {
+	if _, replaced := c.insertLocked(bytes.Clone(rec), hash, 0); replaced {
 		return importReplaced
 	}
 	return importAdded

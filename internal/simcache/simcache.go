@@ -26,9 +26,15 @@
 // The cache is safe for concurrent use and deduplicates in-flight work:
 // when two workers ask for the same unit simultaneously and neither tier
 // holds it, one simulates and the other blocks on that result
-// (singleflight). Every persisted entry carries a checksum binding it
-// to its key, so a corrupted or hand-edited record is rejected when
-// touched rather than silently poisoning experiments.
+// (singleflight). A miss is simulated only if no configuration its trace
+// cannot tell apart from it has been simulated on that trace here: the
+// pair's trace-read alias class (sim.TraceCanonical over the trace's read
+// profile, joined with the trace's digest) is single-flighted too, so each
+// class is simulated once whatever the scheduling, and every other miss in
+// it is answered with that result, stored under its own key. Every
+// persisted entry carries a checksum binding it to its key, so a corrupted
+// or hand-edited record is rejected when touched rather than silently
+// poisoning experiments.
 //
 // All methods are nil-receiver safe: a nil *Cache simply simulates every
 // request, which lets callers thread "maybe a cache" through options
@@ -66,7 +72,7 @@ func JoinKey(fingerprint string, tr *trace.Trace) string {
 // field names are part of the serve HTTP API (job results, /healthz).
 type Stats struct {
 	Hits        uint64 `json:"hits"`         // Run calls answered from memory or the attached disk tier
-	Misses      uint64 `json:"misses"`       // Run calls that simulated
+	Misses      uint64 `json:"misses"`       // Run calls neither tier answered: simulated, or aliased
 	Shared      uint64 `json:"shared"`       // Run calls that waited on an identical in-flight run
 	RemoteHits  uint64 `json:"remote_hits"`  // never written: kept for its only reader, benchmark/workloads.go, which is frozen
 	Entries     int    `json:"entries"`      // distinct servable results (memory + unshadowed disk records)
@@ -81,6 +87,10 @@ type Stats struct {
 	InOrderEvents uint64 `json:"inorder_events"`
 	OoOSims       uint64 `json:"ooo_sims"`
 	OoOEvents     uint64 `json:"ooo_events"`
+	// Aliased counts the misses answered with the result of a simulation
+	// of their trace-read alias class instead of simulating: Misses is
+	// the simulations plus Aliased.
+	Aliased uint64 `json:"aliased"`
 }
 
 // HitRate returns the fraction of lookups that avoided simulating —
@@ -103,7 +113,7 @@ type inflight struct {
 // centry is one result held in memory — its snapshot record and the index
 // hash of its key — plus its LRU position.
 type centry struct {
-	rec  []byte        // the encoded record (appendRecord); never written to once stored
+	rec  []byte        // the encoded record (appendRecord); never written to once stored; nil once evicted
 	hash uint64        // keyHash of the record's key, so no listing unpacks it
 	seq  uint64        // the store that put it here (see Mark); 0 for an import
 	elem *list.Element // value is the *centry
@@ -145,8 +155,24 @@ type Cache struct {
 	shared   uint64
 	rejected uint64
 	evicted  uint64
-	// Simulations run and trace events stepped, by core kind (workIndex).
+	// Simulations run and trace events stepped, by core kind (workIndex),
+	// and misses answered by an alias class instead.
 	sims, events [2]uint64
+	aliased      uint64
+	// aliases maps each trace-read alias class simulated here to the
+	// memory entry of the simulation that answers for it; aliasWait maps a
+	// class being simulated to the channel its other misses wait on.
+	aliases   map[aliasKey]*centry
+	aliasWait map[aliasKey]chan struct{}
+}
+
+// aliasKey names a trace-read alias class: the digest of the
+// configuration's sim.TraceCanonical form on the trace's read profile,
+// and the trace's content digest. The configuration's decoder variant is
+// in the first, so the pair names one decode.
+type aliasKey struct {
+	form   [32]byte
+	digest string
 }
 
 // workIndex is the slot of Cache.sims and Cache.events that counts kind.
@@ -160,10 +186,12 @@ func workIndex(kind core.Kind) int {
 // New returns an empty in-memory cache.
 func New() *Cache {
 	return &Cache{
-		packed:  make(map[[64]byte]*centry),
-		raw:     make(map[string]*centry),
-		lru:     list.New(),
-		running: make(map[string]*inflight),
+		packed:    make(map[[64]byte]*centry),
+		raw:       make(map[string]*centry),
+		lru:       list.New(),
+		running:   make(map[string]*inflight),
+		aliases:   make(map[aliasKey]*centry),
+		aliasWait: make(map[aliasKey]chan struct{}),
 	}
 }
 
@@ -194,18 +222,18 @@ func (c *Cache) entryLocked(form byte, keyBytes []byte) *centry {
 // insertLocked stores rec, an encoded record whose key hashes to hash,
 // under its key (last-writer-wins) with store sequence seq, and applies the
 // memory budget. It replaces what either tier held: a memory entry is
-// overwritten, a disk record shadowed. The cache keeps rec. Caller holds
-// c.mu.
-func (c *Cache) insertLocked(rec []byte, hash, seq uint64) (replaced bool) {
+// overwritten, a disk record shadowed. The cache keeps rec, in the entry it
+// returns. Caller holds c.mu.
+func (c *Cache) insertLocked(rec []byte, hash, seq uint64) (ce *centry, replaced bool) {
 	c.dirty = true
 	r, _ := parseRecord(rec) // the caller's record parses
 	if ce := c.entryLocked(r.form, r.keyBytes); ce != nil {
 		c.memUsed += int64(len(rec) - len(ce.rec))
 		ce.rec, ce.seq = rec, seq
 		c.lru.MoveToFront(ce.elem)
-		return true
+		return ce, true
 	}
-	ce := &centry{rec: rec, hash: hash, seq: seq}
+	ce = &centry{rec: rec, hash: hash, seq: seq}
 	ce.elem = c.lru.PushFront(ce)
 	if r.form == keyformHexHex {
 		c.packed[[64]byte(r.keyBytes)] = ce
@@ -218,13 +246,13 @@ func (c *Cache) insertLocked(rec []byte, hash, seq uint64) (replaced bool) {
 		replaced = true
 	}
 	c.evictLocked()
-	return replaced
+	return ce, replaced
 }
 
 // storeLocked is insertLocked for a result a simulation or Store produced:
 // encoded once, here, and numbered in the store sequence. Caller holds
 // c.mu.
-func (c *Cache) storeLocked(rec []byte, hash uint64) (replaced bool) {
+func (c *Cache) storeLocked(rec []byte, hash uint64) (ce *centry, replaced bool) {
 	c.seq++
 	return c.insertLocked(rec, hash, c.seq)
 }
@@ -255,6 +283,7 @@ func (c *Cache) evictLocked() {
 				delete(c.raw, string(r.keyBytes))
 			}
 			c.memUsed -= entryMemSize(ce.rec)
+			ce.rec = nil // an alias class it answered for simulates again
 			if onDisk {
 				c.shadowed--
 			}
@@ -316,7 +345,8 @@ func (c *Cache) Store(key string, res core.Result) (replaced bool) {
 	rec := appendRecord(nil, key, &res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.storeLocked(rec, keyHash(key))
+	_, replaced = c.storeLocked(rec, keyHash(key))
+	return replaced
 }
 
 // Run returns the memoized result for (cfg, tr), resolving through the
@@ -339,7 +369,10 @@ func (c *Cache) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 // inflight claim, so that concurrent identical requests wait on the one
 // simulation; a record that is present but corrupt is counted rejected by
 // whoever claims, simulated like a miss and shadowed in memory by the
-// result.
+// result. A claimed pair then joins its trace-read alias class (aliasOf):
+// it is simulated only if no other configuration of the class has been, and
+// otherwise answered with that one's stored result. Either way it counts
+// as a miss, and its result is stored under its own key.
 func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	if c == nil {
 		return cfg.Run(tr)
@@ -381,22 +414,93 @@ func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Resu
 	}
 	c.mu.Unlock()
 
-	fl.res, fl.err = cfg.Run(tr)
+	alias, aliasable := aliasOf(cfg, tr)
+	rec = nil
+	if aliasable {
+		c.mu.Lock()
+		rec = c.joinAliasLocked(alias)
+		c.mu.Unlock()
+	}
+	simulated := rec == nil // else rec answers for the class
+	if simulated {
+		fl.res, fl.err = cfg.Run(tr)
+	} else {
+		decodeStored(rec, &fl.res)
+	}
 	var hash uint64
 	if fl.err == nil {
 		rec, hash = appendRecord(nil, key, &fl.res), keyHash(key)
 	}
 	c.mu.Lock()
 	c.misses++
-	c.sims[workIndex(cfg.Kind)]++
-	c.events[workIndex(cfg.Kind)] += fl.res.Instructions
+	if simulated {
+		c.sims[workIndex(cfg.Kind)]++
+		c.events[workIndex(cfg.Kind)] += fl.res.Instructions
+	} else {
+		c.aliased++
+	}
+	var ce *centry
 	if fl.err == nil {
-		c.storeLocked(rec, hash)
+		ce, _ = c.storeLocked(rec, hash)
+	}
+	if aliasable && simulated {
+		c.publishAliasLocked(alias, ce)
 	}
 	delete(c.running, key)
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.res, fl.err
+}
+
+// aliasOf returns the trace-read alias class of cfg on tr, and whether
+// there is one to join: a configuration that does not validate fails its
+// own simulation, and a trace that did not decode fails every one. It
+// decodes tr, which the simulation needs anyway.
+func aliasOf(cfg sim.Config, tr *trace.Trace) (aliasKey, bool) {
+	if core.Config(cfg).Validate() != nil {
+		return aliasKey{}, false
+	}
+	d := tr.Decoded(cfg.DecoderDepBug)
+	if d.Err != nil {
+		return aliasKey{}, false
+	}
+	return aliasKey{form: sim.TraceCanonical(cfg, sim.ProfileOf(d)).FingerprintSum(), digest: tr.Digest()}, true
+}
+
+// joinAliasLocked returns the stored record of the simulation that answers
+// for alias class k, waiting for one in flight, or claims k and returns
+// nil: the caller then simulates and ends the claim with
+// publishAliasLocked. A class whose entry the memory budget evicted is
+// claimed again. Caller holds c.mu, which is let go while it waits.
+func (c *Cache) joinAliasLocked(k aliasKey) []byte {
+	for {
+		wait, ok := c.aliasWait[k]
+		if !ok {
+			break
+		}
+		c.mu.Unlock()
+		<-wait
+		c.mu.Lock()
+	}
+	if ce := c.aliases[k]; ce != nil && ce.rec != nil {
+		return ce.rec
+	}
+	c.aliasWait[k] = make(chan struct{})
+	return nil
+}
+
+// publishAliasLocked ends the caller's claim of class k: ce, the entry its
+// simulation stored, answers for the class from now on (nil: the
+// simulation failed, and the next miss in the class simulates). Caller
+// holds c.mu.
+func (c *Cache) publishAliasLocked(k aliasKey, ce *centry) {
+	if ce != nil {
+		c.aliases[k] = ce
+	} else {
+		delete(c.aliases, k)
+	}
+	close(c.aliasWait[k])
+	delete(c.aliasWait, k)
 }
 
 // RunBatch returns the memoized result of every (cfgs[i], trs[j]) pair. It
@@ -508,6 +612,7 @@ func (c *Cache) Stats() Stats {
 		InOrderEvents: c.events[0],
 		OoOSims:       c.sims[1],
 		OoOEvents:     c.events[1],
+		Aliased:       c.aliased,
 	}
 }
 
