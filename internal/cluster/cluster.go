@@ -173,8 +173,10 @@ type Report struct {
 	// Quarantined lists workers that entered quarantine at least once
 	// (including those later re-admitted by a passing probe).
 	Quarantined []string
-	// Cache aggregates the per-worker shared-cache statistics deltas
-	// across the round — the cluster-wide hit/miss picture.
+	// Cache sums every worker's cache counters over the round
+	// (simcache.Stats.AddDelta) — the cluster-wide hit/miss and work
+	// picture, Misses the simulations plus Aliased — and their entry
+	// counts at its end.
 	Cache simcache.Stats
 	// MergedEntries is the federated snapshot size after merging worker
 	// deltas (entries failing their checksum are dropped, and warned about
@@ -602,10 +604,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 			}
 			log("sweep: worker %s contributed %d cache entries", w.url, added)
 			if h, err := w.client.Health(ctx); err == nil {
-				rep.Cache.Hits += h.Cache.Hits - w.before.Cache.Hits
-				rep.Cache.Misses += h.Cache.Misses - w.before.Cache.Misses
-				rep.Cache.Shared += h.Cache.Shared - w.before.Cache.Shared
-				rep.Cache.Entries += h.Cache.Entries
+				rep.Cache.AddDelta(h.Cache, w.before.Cache)
 			}
 		}
 		rep.MergedEntries = fed.Stats().Entries
@@ -626,6 +625,7 @@ func Run(ctx context.Context, opts Options) (_ string, rep Report, err error) {
 		sort.Strings(rep.Quarantined)
 		log("sweep: cluster cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate)",
 			rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Shared, rep.Cache.HitRate()*100)
+		log("sweep: work: %s", rep.Cache.Work())
 	}()
 
 	// The event loop runs until every unit has rendered, a unit runs out

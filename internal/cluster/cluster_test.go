@@ -115,6 +115,11 @@ func TestSweepByteIdenticalToSingleProcess(t *testing.T) {
 	if rep.Cache.Misses == 0 {
 		t.Error("cold sweep reported no cluster cache misses")
 	}
+	// Every counter of both workers is summed: the misses are the
+	// simulations plus the aliased, and the simulations stepped events.
+	if st := rep.Cache; st.InOrderSims+st.OoOSims+st.Aliased != st.Misses || st.InOrderEvents+st.OoOEvents == 0 {
+		t.Errorf("cluster cache %+v: want misses = simulations + aliased, and events stepped", st)
+	}
 }
 
 // flakyProxy forwards to a real worker until killed, then refuses every

@@ -81,7 +81,7 @@ func withoutIdentities(t *testing.T, src string) string {
 	defer snap.Close()
 	old := simcache.New()
 	for _, key := range snap.Keys() {
-		if res, ok := snap.Peek(key); ok && !strings.HasPrefix(key, "trace-identity:") {
+		if res, ok := snap.Peek(key); ok && !simcache.IsTraceIdentity(key) {
 			old.Store(key, res)
 		}
 	}

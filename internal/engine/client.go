@@ -332,8 +332,7 @@ func (c *Client) watchEvents(ctx context.Context, id string) (_ JobStatus, alive
 }
 
 // Report fetches a finished validate job's ValidationReport JSON from
-// GET /v1/jobs/{id}/report (the job must have been submitted with
-// validate.report or validate.gate set).
+// GET /v1/jobs/{id}/report; every validate job that succeeded carries one.
 func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/report", nil)
 	if err != nil {

@@ -304,10 +304,7 @@ func (e *env) traceSummary() {
 // cache's misses did: simulations run and trace events stepped, by core
 // kind. Under a shared cache, like the cache summary, it counts across jobs.
 func (e *env) workSummary() {
-	st := e.cache.Stats()
-	e.eprintf("work: %d simulations (%d in-order, %d out-of-order), %d events stepped (%d in-order, %d out-of-order)\n",
-		st.InOrderSims+st.OoOSims, st.InOrderSims, st.OoOSims,
-		st.InOrderEvents+st.OoOEvents, st.InOrderEvents, st.OoOEvents)
+	e.eprintf("work: %s\n", e.cache.Stats().Work())
 }
 
 // buildID names the running build, the scope of the trace identities a
@@ -516,6 +513,8 @@ func engineSpans(parent telemetry.SpanContext, job Job, start time.Time, elapsed
 	if err != nil {
 		eng.Attrs["error"] = err.Error()
 	}
+	var d simcache.Stats
+	d.AddDelta(after, before)
 	sc := telemetry.Span{
 		Trace:      parent.Trace,
 		ID:         telemetry.NewID(),
@@ -524,10 +523,10 @@ func engineSpans(parent telemetry.SpanContext, job Job, start time.Time, elapsed
 		Start:      start,
 		DurationNS: elapsed.Nanoseconds(),
 		Attrs: map[string]string{
-			"hits":    fmt.Sprint(after.Hits - before.Hits),
-			"misses":  fmt.Sprint(after.Misses - before.Misses),
-			"shared":  fmt.Sprint(after.Shared - before.Shared),
-			"entries": fmt.Sprint(after.Entries),
+			"hits":    fmt.Sprint(d.Hits),
+			"misses":  fmt.Sprint(d.Misses),
+			"shared":  fmt.Sprint(d.Shared),
+			"entries": fmt.Sprint(d.Entries),
 		},
 	}
 	return []telemetry.Span{eng, sc}

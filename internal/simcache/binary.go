@@ -20,9 +20,9 @@ import (
 // touch only the records a run actually asks for:
 //
 //	header   magic "RSCB" | version u32 | reserved u64          (16 B)
-//	records  marker 'R' | keyform u8 | keylen uvarint |
-//	         reslen uvarint | key bytes | result varints |
-//	         sum [8]B  (truncated sha256 over key+result bytes)
+//	records  marker 'R' | key [64]B | reslen uvarint |
+//	         result varints | sum [8]B  (truncated sha256 over
+//	         key+result bytes)
 //	index    marker 'I' | count*20 B: keyhash u64 | off u64 | len u32
 //	         (sorted by keyhash, ties by offset)
 //	footer   indexOff u64 | count u64 | indexSum [8]B |
@@ -35,10 +35,14 @@ import (
 // own checksum binding result bytes to the key: one flipped byte
 // rejects one record, never the file.
 //
-// Typical cache keys are "hex64:hex64" (config fingerprint x trace
-// digest); keyform 1 packs those into 64 raw bytes. Results are flat
-// trees of uint64 counters and encode as varints — field names never
-// hit the disk.
+// A key is 64 bytes, the one form the cache stores, hashes (keyHash),
+// checksums and compares: a simulation's is its configuration's
+// fingerprint sum and its trace's digest, a trace identity's the sum of
+// its build and memo key and a fixed tag (identity.go). Its string form,
+// "hex64:hex64", lives only at the API edge (packKey, spellKey). Results
+// are flat trees of uint64 counters and encode as varints — field names
+// never hit the disk. Version 1 records carried a key-form byte and a key
+// length instead; a version 1 file opens as a StaleFormatError.
 //
 // A record is also the one form a result takes outside a simulation: the
 // memory tier holds each result as its record, so the writer, an import
@@ -46,11 +50,9 @@ import (
 // re-encode a result (see writeSnapshot and importRecord).
 
 const (
-	binVersion = 1
+	binVersion = 2
 
-	keyformRaw    = 0 // key stored as its literal string bytes
-	keyformHexHex = 1 // "hex64:hex64" packed into 64 raw bytes
-
+	keySize      = 64
 	recordMarker = byte('R')
 	indexMarker  = byte('I')
 
@@ -161,156 +163,119 @@ func walkPayload(data []byte, words []uint64) error {
 	return nil
 }
 
-// decodeResult decodes appendResult's payload.
-func decodeResult(data []byte) (core.Result, error) {
-	var res core.Result
-	if err := walkPayload(data, resultWords(&res)); err != nil {
-		return core.Result{}, err
-	}
-	return res, nil
+// packKey packs a key string, "hex64:hex64" in lowercase — the shape
+// Key, JoinKey and spellKey give every key — into buf, reporting whether
+// key has that shape.
+func packKey(key string, buf *[keySize]byte) bool {
+	return len(key) == 129 && key[64] == ':' && unhex(buf[:32], key[:64]) && unhex(buf[32:], key[65:])
 }
 
-// packHexHex packs a "hex64:hex64" key, the shape every simulation key
-// has, into buf, reporting whether key has that shape.
-func packHexHex(key string, buf *[64]byte) bool {
-	if len(key) != 129 || key[64] != ':' {
+// unhex decodes s, len(dst) bytes in lowercase hex, into dst, reporting
+// whether s is that.
+func unhex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) {
 		return false
 	}
-	_, err1 := hex.Decode(buf[:32], []byte(key[:64]))
-	_, err2 := hex.Decode(buf[32:], []byte(key[65:]))
-	return err1 == nil && err2 == nil
-}
-
-// packKey compresses a key for storage: "hex64:hex64" keys (the shape
-// every real cache key has) pack to 64 raw bytes, into buf; any other key
-// is stored as it is.
-func packKey(key string, buf *[64]byte) (form byte, payload []byte) {
-	if packHexHex(key, buf) {
-		return keyformHexHex, buf[:]
-	}
-	return keyformRaw, []byte(key)
-}
-
-// canonicalKey is the key string a stored (form, payload) pair spells, as
-// bytes: the payload itself for a raw key, written into buf for a packed
-// one.
-func canonicalKey(form byte, payload []byte, buf *[129]byte) ([]byte, error) {
-	switch form {
-	case keyformRaw:
-		return payload, nil
-	case keyformHexHex:
-		if len(payload) != 64 {
-			return nil, fmt.Errorf("simcache: packed key payload is %d bytes, want 64", len(payload))
+	for i := range dst {
+		hi, ok1 := lowerNibble(s[2*i])
+		lo, ok2 := lowerNibble(s[2*i+1])
+		if !ok1 || !ok2 {
+			return false
 		}
-		hex.Encode(buf[:64], payload[:32])
-		buf[64] = ':'
-		hex.Encode(buf[65:], payload[32:])
-		return buf[:], nil
-	default:
-		return nil, fmt.Errorf("simcache: unknown key form %d", form)
+		dst[i] = hi<<4 | lo
 	}
+	return true
 }
 
-// unpackKey inverts packKey.
-func unpackKey(form byte, payload []byte) (string, error) {
+func lowerNibble(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	}
+	return 0, false
+}
+
+// spellKey is the string form of a packed key: packKey's inverse.
+func spellKey(key []byte) string {
 	var buf [129]byte
-	key, err := canonicalKey(form, payload, &buf)
-	return string(key), err
-}
-
-// compareKeys orders two stored keys as their key strings order — the
-// order records are written in. Two packed keys compare as stored: the
-// lowercase hex digits they unpack to sort as the nibbles they spell, and
-// the colon sits at the same place in both.
-func compareKeys(a, b *record) int {
-	if a.form == keyformHexHex && b.form == keyformHexHex {
-		return bytes.Compare(a.keyBytes, b.keyBytes)
-	}
-	var abuf, bbuf [129]byte
-	ak, _ := canonicalKey(a.form, a.keyBytes, &abuf)
-	bk, _ := canonicalKey(b.form, b.keyBytes, &bbuf)
-	return bytes.Compare(ak, bk)
+	hex.Encode(buf[:64], key[:32])
+	buf[64] = ':'
+	hex.Encode(buf[65:], key[32:])
+	return string(buf[:])
 }
 
 // recordSum is the per-record checksum: the first 8 bytes of
-// sha256(canonical key || result payload). Binding the canonical string
-// key (not the packed payload) means both key forms of the same key
-// verify identically.
-func recordSum[K string | []byte](key K, resultPayload []byte) (sum [8]byte) {
-	var stack [512]byte // a record's key and payload nearly always fit
+// sha256(key || result payload).
+func recordSum(key, resultPayload []byte) (sum [8]byte) {
+	var stack [keySize + maxPayload]byte
 	full := sha256.Sum256(append(append(stack[:0], key...), resultPayload...))
 	copy(sum[:], full[:])
 	return sum
 }
 
-// keyHash is the index hash: FNV-1a over the canonical key string.
-// Collisions are legal — lookups verify the record's stored key.
-func keyHash[K string | []byte](key K) uint64 {
-	return fnvAppend(14695981039346656037, key)
-}
-
-// fnvAppend continues an FNV-1a state over s: fnvAppend(keyHash(a), b) is
-// keyHash(a + b).
-func fnvAppend[K string | []byte](h uint64, s K) uint64 {
+// keyHash is the index hash: FNV-1a over the key. Collisions are legal —
+// lookups verify the record's stored key.
+func keyHash(key *[keySize]byte) uint64 {
 	const prime64 = 1099511628211
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
 		h *= prime64
 	}
 	return h
 }
 
-// appendRecord encodes one record (marker through checksum).
-func appendRecord(buf []byte, key string, res *core.Result) []byte {
-	var packed [64]byte
-	form, payload := packKey(key, &packed)
+// newRecord encodes one record (marker through checksum) of a result whose
+// payload (appendResult) is resBytes.
+func newRecord(key *[keySize]byte, resBytes []byte) []byte {
+	rec := make([]byte, 0, 1+keySize+binary.MaxVarintLen16+len(resBytes)+8)
+	rec = append(append(rec, recordMarker), key[:]...)
+	rec = binary.AppendUvarint(rec, uint64(len(resBytes)))
+	rec = append(rec, resBytes...)
+	sum := recordSum(key[:], resBytes)
+	return append(rec, sum[:]...)
+}
+
+// encodeRecord is newRecord for a result.
+func encodeRecord(key *[keySize]byte, res *core.Result) []byte {
 	var stack [maxPayload]byte
-	resBytes := appendResult(stack[:0], res)
-	buf = append(buf, recordMarker, form)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = binary.AppendUvarint(buf, uint64(len(resBytes)))
-	buf = append(buf, payload...)
-	buf = append(buf, resBytes...)
-	sum := recordSum(key, resBytes)
-	return append(buf, sum[:]...)
+	return newRecord(key, appendResult(stack[:0], res))
+}
+
+// recordKey is the key of a record this package encoded or verified.
+func recordKey(rec []byte) *[keySize]byte {
+	return (*[keySize]byte)(rec[1 : 1+keySize])
 }
 
 // record is one parsed (not yet verified) record. Its byte slices alias
 // the input buffer.
 type record struct {
-	form     byte
-	keyBytes []byte // the key as stored, see packKey
+	key      []byte // keySize bytes
 	resBytes []byte
 	sum      [8]byte
 	bytes    []byte // the whole record, marker through checksum
 }
 
 // parseRecord parses the record at data[0:]; data may extend past the
-// record. It verifies structure only — the key stays packed, and checksum
-// verification is the caller's (lazy) job.
+// record. It verifies structure only — checksum verification is the
+// caller's (lazy) job.
 func parseRecord(data []byte) (record, error) {
 	var r record
-	if len(data) < 2 || data[0] != recordMarker {
+	if len(data) < 1+keySize || data[0] != recordMarker {
 		return r, fmt.Errorf("simcache: not a record at this offset")
 	}
-	r.form = data[1]
-	p := 2
-	keyLen, used := binary.Uvarint(data[p:])
-	if used <= 0 {
-		return r, fmt.Errorf("simcache: record: bad key length")
-	}
-	p += used
+	p := 1 + keySize
 	resLen, used := binary.Uvarint(data[p:])
 	if used <= 0 {
 		return r, fmt.Errorf("simcache: record: bad result length")
 	}
 	p += used
-	if keyLen > uint64(len(data)) || resLen > uint64(len(data)) ||
-		uint64(p)+keyLen+resLen+8 > uint64(len(data)) {
+	if resLen > uint64(len(data)) || uint64(p)+resLen+8 > uint64(len(data)) {
 		return r, fmt.Errorf("simcache: record overruns the file")
 	}
-	r.keyBytes = data[p : p+int(keyLen)]
-	p += int(keyLen)
+	r.key = data[1 : 1+keySize]
 	r.resBytes = data[p : p+int(resLen)]
 	p += int(resLen)
 	copy(r.sum[:], data[p:p+8])
@@ -318,28 +283,14 @@ func parseRecord(data []byte) (record, error) {
 	return r, nil
 }
 
-// key is the record's key as a string.
-func (r *record) key() (string, error) {
-	return unpackKey(r.form, r.keyBytes)
-}
-
-// decode returns the record's result after re-proving the checksum
-// that binds it to key, which is the record's own: the string the caller
-// looked it up by, or key().
-func (r *record) decode(key string) (core.Result, error) {
-	if recordSum(key, r.resBytes) != r.sum {
-		return core.Result{}, fmt.Errorf("simcache: record %q failed its checksum", key)
+// check re-proves the checksum binding the record's result to its key and
+// checks the payload's shape, storing its fields into words unless words is
+// nil (walkPayload).
+func (r *record) check(words []uint64) error {
+	if recordSum(r.key, r.resBytes) != r.sum {
+		return fmt.Errorf("simcache: record %s failed its checksum", spellKey(r.key))
 	}
-	return decodeResult(r.resBytes)
-}
-
-// verify re-proves the checksum binding the record to key, its canonical
-// key, and checks its payload's shape without decoding it.
-func (r *record) verify(key []byte) error {
-	if recordSum(key, r.resBytes) != r.sum {
-		return fmt.Errorf("simcache: record %q failed its checksum", string(key))
-	}
-	return walkPayload(r.resBytes, nil)
+	return walkPayload(r.resBytes, words)
 }
 
 // idxEntry is one fixed-width index entry.
@@ -374,7 +325,7 @@ func newSnapshotWriter(w io.Writer, records int) (*snapshotWriter, error) {
 	return sw, err
 }
 
-// add writes one encoded record whose canonical key hashes to hash.
+// add writes one encoded record whose key hashes to hash.
 func (sw *snapshotWriter) add(rec []byte, hash uint64) error {
 	if _, err := sw.bw.Write(rec); err != nil {
 		return err
@@ -472,7 +423,7 @@ func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64, keep func(ha
 	for i := range mem {
 		mem[i], _ = parseRecord(mem[i].bytes) // a stored record parses
 	}
-	slices.SortFunc(mem, func(a, b record) int { return compareKeys(&a, &b) })
+	slices.SortFunc(mem, func(a, b record) int { return bytes.Compare(a.key, b.key) })
 	file := disk.keyOrder()
 	if keep != nil {
 		file = slices.DeleteFunc(slices.Clone(file), func(e idxEntry) bool { return !keep(e.hash) })
@@ -482,14 +433,13 @@ func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64, keep func(ha
 	if err != nil {
 		return err
 	}
-	var kbuf [129]byte
 	for i, j := 0, 0; i < len(mem) || j < len(file); {
 		next := -1 // < 0: mem[i] is next; > 0: the file's; 0: mem[i] shadows the file's
 		var fr record
 		if j < len(file) {
 			fr, _ = disk.recordAt(file[j]) // keyOrder keeps records that parse
 			if next = 1; i < len(mem) {
-				next = compareKeys(&mem[i], &fr)
+				next = bytes.Compare(mem[i].key, fr.key)
 			}
 		}
 		r := &fr
@@ -500,9 +450,9 @@ func (c *Cache) writeSnapshot(w io.Writer, delta bool, mark uint64, keep func(ha
 		if next >= 0 {
 			j++
 		}
-		key, _ := canonicalKey(r.form, r.keyBytes, &kbuf)
-		if next > 0 && fr.verify(key) != nil {
-			c.rejectDisk(string(key))
+		key := (*[keySize]byte)(r.key)
+		if next > 0 && fr.check(nil) != nil {
+			c.rejectDisk(key)
 			continue
 		}
 		if err := sw.add(r.bytes, keyHash(key)); err != nil {
@@ -562,27 +512,22 @@ func (c *Cache) LoadStream(r io.Reader) (added, replaced int, err error) {
 		if marker != recordMarker {
 			return added, replaced, fmt.Errorf("simcache: binary snapshot: unexpected marker 0x%02x", marker)
 		}
-		form, err := br.ReadByte()
-		if err != nil {
-			return added, replaced, err
-		}
-		keyLen, err := binary.ReadUvarint(br)
-		if err != nil {
+		// The record, reassembled in buf as the writer lays it out.
+		buf = slices.Grow(buf[:0], 1+keySize)[:1+keySize]
+		buf[0] = recordMarker
+		if _, err := io.ReadFull(br, buf[1:]); err != nil {
 			return added, replaced, err
 		}
 		resLen, err := binary.ReadUvarint(br)
 		if err != nil {
 			return added, replaced, err
 		}
-		if keyLen > 1<<20 || resLen > 1<<24 {
-			return added, replaced, fmt.Errorf("simcache: binary snapshot: implausible record sizes (%d, %d)", keyLen, resLen)
+		if resLen > 1<<24 {
+			return added, replaced, fmt.Errorf("simcache: binary snapshot: implausible record size %d", resLen)
 		}
-		// The record, reassembled in buf as the writer lays it out.
-		buf = append(buf[:0], recordMarker, form)
-		buf = binary.AppendUvarint(buf, keyLen)
 		buf = binary.AppendUvarint(buf, resLen)
 		body := len(buf)
-		buf = slices.Grow(buf, int(keyLen+resLen)+8)[:body+int(keyLen+resLen)+8]
+		buf = slices.Grow(buf, int(resLen)+8)[:body+int(resLen)+8]
 		if _, err := io.ReadFull(br, buf[body:]); err != nil {
 			return added, replaced, err
 		}
@@ -604,41 +549,23 @@ const (
 
 // importRecord merges one encoded record (rec, which the caller may reuse
 // afterwards) into the memory tier, last-writer-wins. A record identical to
-// the one the cache already serves for its key — in memory, or on disk
-// when memory holds none — counts as replaced and changes nothing. Any
-// other is verified — its checksum re-proved, its payload's shape checked,
-// its key in the form the writer stores it — and stored as a copy of its
-// bytes, under store sequence 0: an import is never part of a delta. A
-// record that fails is counted rejected. No result is decoded.
+// the one the cache already serves for its key (probe) counts as replaced
+// and changes nothing. Any other is verified — its checksum re-proved, its
+// payload's shape checked — and stored as a copy of its bytes, under store
+// sequence 0: an import is never part of a delta. A record that fails is
+// counted rejected. No result is decoded.
 func (c *Cache) importRecord(rec []byte) int {
 	r, err := parseRecord(rec)
-	var kbuf [129]byte
-	var key []byte
-	if err == nil {
-		key, err = canonicalKey(r.form, r.keyBytes, &kbuf)
-	}
-	// A record this package wrote is all of rec, and stores a key that
-	// packs in packed form.
-	unpacked := r.form == keyformRaw && len(key) == 129 && packHexHex(string(key), new([64]byte))
-	if err != nil || len(r.bytes) != len(rec) || unpacked {
+	if err != nil || len(r.bytes) != len(rec) { // a record this package wrote is all of rec
 		c.countRejected()
 		return importRejected
 	}
-	c.mu.Lock()
-	ce := c.entryLocked(r.form, r.keyBytes)
-	identical := ce != nil && bytes.Equal(ce.rec, rec)
-	disk := c.disk
-	c.mu.Unlock()
-	if identical {
+	key := (*[keySize]byte)(r.key)
+	hash := keyHash(key)
+	if served, _ := c.probe(key, hash); bytes.Equal(served, rec) {
 		return importReplaced
 	}
-	hash := keyHash(key)
-	if ce == nil && disk != nil {
-		if dr, ok := disk.findStored(r.form, r.keyBytes, hash); ok && bytes.Equal(dr.bytes, rec) {
-			return importReplaced
-		}
-	}
-	if r.verify(key) != nil {
+	if r.check(nil) != nil {
 		c.countRejected()
 		return importRejected
 	}
@@ -665,19 +592,15 @@ func (c *Cache) rejectLocked() {
 
 // rejectDisk counts the attached tier's record for key dropped by its
 // checksum — once, however many lookups and writes find it corrupt.
-func (c *Cache) rejectDisk(key string) {
+func (c *Cache) rejectDisk(key *[keySize]byte) {
 	c.mu.Lock()
-	c.rejectDiskLocked(key)
-	c.mu.Unlock()
-}
-
-func (c *Cache) rejectDiskLocked(key string) {
-	if c.badDisk[key] {
+	defer c.mu.Unlock()
+	if c.badDisk[*key] {
 		return
 	}
 	if c.badDisk == nil {
-		c.badDisk = map[string]bool{}
+		c.badDisk = map[[keySize]byte]bool{}
 	}
-	c.badDisk[key] = true
+	c.badDisk[*key] = true
 	c.rejectLocked()
 }

@@ -187,8 +187,7 @@ func (c *Cache) LoadFile(path string) (int, error) {
 		c.disk = m
 		c.shadowed = 0
 		for e := c.lru.Front(); e != nil; e = e.Next() {
-			ce := e.Value.(*centry)
-			if r, _ := parseRecord(ce.rec); m.holds(&r, ce.hash) {
+			if ce := e.Value.(*centry); m.holds(recordKey(ce.rec), ce.hash) {
 				c.shadowed++
 			}
 		}

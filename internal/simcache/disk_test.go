@@ -58,6 +58,52 @@ func TestLoadFileStaleFormatIsTypedCondition(t *testing.T) {
 	if msg, want := err.Error(), fmt.Sprintf("format 99 (current %d)", binVersion); !strings.Contains(msg, want) {
 		t.Errorf("stale error %q does not say %q", msg, want)
 	}
+	t.Run("version 1 file", staleVersion1)
+}
+
+// staleVersion1 checks that a snapshot the version 1 writer saved
+// (testdata/v1.snap: one simulated result and one trace identity) opens as
+// a stale format — one warning, no entry loaded, none rejected — and that
+// the run's save overwrites it with a current one.
+func staleVersion1(t *testing.T) {
+	v1, err := os.ReadFile("testdata/v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warnings []string
+	warn := func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+	c := New()
+	snap, err := Open(c, path, warn, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Rejected != 0 {
+		t.Errorf("a version 1 snapshot left %+v; want a cold cache, nothing rejected", st)
+	}
+	cfg, tr := sim.PublicA53(), testTrace(t, "MD")
+	res, err := c.Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "(format 1); starting cold") {
+		t.Errorf("warnings = %q, want one about format 1", warnings)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got, err := m.Get(Key(cfg, tr)); m.Version() != binVersion || m.Count() != 1 || err != nil || got != res {
+		t.Errorf("saved over the version 1 file: version %d, %d entries, result %v; want version %d holding the run's result",
+			m.Version(), m.Count(), err, binVersion)
+	}
 }
 
 func TestLoadFileTruncatedSnapshotErrors(t *testing.T) {

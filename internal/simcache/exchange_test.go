@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -32,12 +31,12 @@ func encodePerRecordSnapshot(t *testing.T, c *Cache) []byte {
 	t.Helper()
 	fetch := func(key string) (core.Result, bool) {
 		c.mu.Lock()
-		rec := c.memoryLocked(key)
+		ce := c.mem[*pack(t, key)]
 		disk := c.disk
 		c.mu.Unlock()
-		if rec != nil {
+		if ce != nil {
 			var res core.Result
-			decodeStored(rec, &res)
+			decodeStored(ce.rec, &res)
 			return res, true
 		}
 		res, err := disk.Get(key)
@@ -56,9 +55,9 @@ func encodePerRecordSnapshot(t *testing.T, c *Cache) []byte {
 		if !ok {
 			continue
 		}
-		rec := appendRecord(nil, key, &res)
+		rec := encodeRecord(pack(t, key), &res)
 		bw.Write(rec)
-		index = append(index, idxEntry{hash: keyHash(key), off: off, size: uint32(len(rec))})
+		index = append(index, idxEntry{hash: keyHash(pack(t, key)), off: off, size: uint32(len(rec))})
 		off += uint64(len(rec))
 	}
 	sort.Slice(index, func(i, j int) bool {
@@ -90,15 +89,24 @@ func encodePerRecordSnapshot(t *testing.T, c *Cache) []byte {
 	return out.Bytes()
 }
 
-// randomKey is a simulation key ("hex64:hex64") or, one time in five, a
-// raw trace-identity key.
+// pack is key's packed form; the test fails on a key that does not pack.
+func pack(t testing.TB, key string) *[keySize]byte {
+	t.Helper()
+	var k [keySize]byte
+	if !packKey(key, &k) {
+		t.Fatalf("%q is not a cache key", key)
+	}
+	return &k
+}
+
+// randomKey is a simulation key or, one time in five, a trace identity's.
 func randomKey(rng *rand.Rand) string {
 	var b [64]byte
 	rng.Read(b[:])
 	if rng.Intn(5) == 0 {
-		return identityPrefix + hex.EncodeToString(b[:32])
+		copy(b[32:], identityTag[:])
 	}
-	return hex.EncodeToString(b[:32]) + ":" + hex.EncodeToString(b[32:])
+	return spellKey(b[:])
 }
 
 // randomResult fills every field with a value of random varint width.
@@ -286,7 +294,7 @@ func streamRecords(recs ...[]byte) []byte {
 }
 
 // encodePerRecordCounts is what LoadStream reported before it imported
-// records as bytes: each record's key unpacked and its result decoded and
+// records as bytes: each record's key spelled and its result decoded and
 // verified — rejected if that fails — then stored, counted replaced when
 // the cache (memory, disk or an earlier record of the stream) already
 // served its key and added otherwise. It also returns the result each key
@@ -304,11 +312,9 @@ func encodePerRecordCounts(t *testing.T, c *Cache, stream []byte) (added, replac
 			t.Fatal(err)
 		}
 		p += len(r.bytes)
-		key, err := r.key()
+		key := spellKey(r.key)
 		var res core.Result
-		if err == nil {
-			res, err = r.decode(key)
-		}
+		err = r.check(resultWords(&res))
 		switch {
 		case err != nil:
 			rejected++
@@ -334,7 +340,7 @@ func TestLoadStreamCountsAsBefore(t *testing.T) {
 	for i := range keys {
 		keys[i] = randomKey(rng)
 	}
-	record := func(key string, res core.Result) []byte { return appendRecord(nil, key, &res) }
+	record := func(key string, res core.Result) []byte { return encodeRecord(pack(t, key), &res) }
 	results := map[string]core.Result{}
 	var recs [][]byte
 	for _, k := range keys {

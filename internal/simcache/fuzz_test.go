@@ -2,6 +2,10 @@ package simcache
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -88,4 +92,38 @@ func FuzzOpenMapped(f *testing.F) {
 			t.Fatal("the re-read snapshot writes different bytes")
 		}
 	})
+}
+
+// TestFuzzSeedsAtCurrentFormat: the corpus seeds meant to load — a full
+// snapshot, a delta and a good file — are in the current format and load,
+// so a format change cannot leave both fuzzers exercising only the
+// stale-version branch.
+func TestFuzzSeedsAtCurrentFormat(t *testing.T) {
+	seed := func(name string) []byte {
+		t.Helper()
+		file, err := os.ReadFile("testdata/fuzz/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(file), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")\n")
+		data, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry", name)
+		}
+		if v := binary.LittleEndian.Uint32([]byte(data[4:8])); !IsBinarySnapshot([]byte(data)) || v != binVersion {
+			t.Fatalf("%s: snapshot version %d, want %d", name, v, binVersion)
+		}
+		return []byte(data)
+	}
+	for _, name := range []string{"FuzzLoadStream/full", "FuzzLoadStream/delta"} {
+		c := New()
+		if added, _, err := c.LoadStream(bytes.NewReader(seed(name))); err != nil || added == 0 || c.Stats().Rejected != 0 {
+			t.Errorf("%s: added %d, %d rejected, error %v; want every record loaded", name, added, c.Stats().Rejected, err)
+		}
+	}
+	m := &Mapped{data: seed("FuzzOpenMapped/good")}
+	if err := m.parse("good"); err != nil || m.Salvaged() || m.Count() == 0 {
+		t.Errorf("FuzzOpenMapped/good: %v, salvaged %v, %d records; want an intact index", err, m.Salvaged(), m.Count())
+	}
 }

@@ -12,51 +12,43 @@ import (
 	"racesim/internal/trace"
 )
 
-// TestGridKeyMatchesJoinKey: the key the hit pass builds for a pair — its
-// packed form, its spelling and its index hash — is packKey, the string and
-// keyHash of JoinKey's key, over random sums and digests and over real
-// configurations and traces.
+// TestGridKeyMatchesJoinKey: the key the hit pass builds for a pair, and
+// its index hash, are JoinKey's key packed and hashed, over real traces and
+// random digests; a pair whose trace digest cannot be a key's half is left
+// unkeyed, to be simulated uncached.
 func TestGridKeyMatchesJoinKey(t *testing.T) {
-	check := func(sum [32]byte, tr *trace.Trace) {
-		t.Helper()
-		key := JoinKey(hex.EncodeToString(sum[:]), tr)
-		d := parseDigest(tr.Digest())
-		if !d.ok {
-			t.Fatalf("digest %q rejected", tr.Digest())
-		}
-		var g gridKey
-		g.setConfig(&sum)
-		h := g.setTrace(&d)
-		var buf [64]byte
-		form, packed := packKey(key, &buf)
-		if form != keyformHexHex || string(packed) != string(g.packed[:]) {
-			t.Fatalf("%s: packed %x, packKey %x", key, g.packed, packed)
-		}
-		if string(g.spelled[:]) != key || h != keyHash(key) {
-			t.Fatalf("%s: spelled %s, hash %x, want hash %x", key, g.spelled, h, keyHash(key))
+	cfgs, trs := batchConfigs(), batchTraces(t)
+	for _, cfg := range cfgs {
+		if sum := cfg.FingerprintSum(); hex.EncodeToString(sum[:]) != cfg.Fingerprint() {
+			t.Fatal("Fingerprint does not spell FingerprintSum")
 		}
 	}
 	rng := rand.New(rand.NewSource(45))
-	for n := 0; n < 2000; n++ {
-		var sum, dig [32]byte
-		rng.Read(sum[:])
+	for n := 0; n < 500; n++ {
+		var dig [32]byte
 		rng.Read(dig[:])
-		check(sum, trace.Deferred("random", trace.Identity{Digest: hex.EncodeToString(dig[:])}, nil))
+		trs = append(trs, trace.Deferred("random", trace.Identity{Digest: hex.EncodeToString(dig[:])}, nil))
 	}
-	for _, cfg := range batchConfigs() {
-		for _, tr := range batchTraces(t) {
-			sum := cfg.FingerprintSum()
-			if hex.EncodeToString(sum[:]) != cfg.Fingerprint() {
-				t.Fatal("Fingerprint does not spell FingerprintSum")
-			}
-			check(sum, tr)
-		}
-	}
-	// A digest a packed key cannot hold is left to RunKeyed.
 	good := strings.Repeat("0a", 32)
-	for _, s := range []string{"", good[:62], good + "00", strings.ToUpper(good), good[:63] + "g"} {
-		if parseDigest(s).ok {
-			t.Errorf("digest %q accepted", s)
+	bad := []string{"", good[:62], good + "00", strings.ToUpper(good), good[:63] + "g"}
+	for _, d := range bad {
+		trs = append(trs, trace.Deferred("bad", trace.Identity{Digest: d}, nil))
+	}
+	pending := New().answerHits(cfgs, trs, make([]core.Result, len(cfgs)*len(trs)))
+	if len(pending) != len(cfgs)*len(trs) {
+		t.Fatalf("an empty cache answered %d of %d pairs", len(cfgs)*len(trs)-len(pending), len(cfgs)*len(trs))
+	}
+	for n, p := range pending {
+		j := p.pair % len(trs)
+		key := Key(cfgs[p.pair/len(trs)], trs[j])
+		var k [keySize]byte
+		switch {
+		case p.pair != n:
+			t.Fatalf("pending pair %d is pair %d", n, p.pair)
+		case p.keyed != (j < len(trs)-len(bad)) || p.keyed != packKey(key, &k):
+			t.Fatalf("%s: keyed %v", key, p.keyed)
+		case p.keyed && (p.key != k || p.hash != keyHash(&k) || spellKey(p.key[:]) != key):
+			t.Fatalf("%s: grid key %x, hash %x", key, p.key, p.hash)
 		}
 	}
 }

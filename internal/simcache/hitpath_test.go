@@ -13,7 +13,7 @@ import (
 )
 
 // The hit path: a lookup the attached snapshot can answer is one index
-// search, a checksum, a decode and a counted hit — no inflight claim, no
+// search, a checksum, a decode and a counted hit — no alias claim, no
 // copy into memory. Run under -race in CI.
 
 // mappedFixture opens the fabricated fixtureEntries-record snapshot as a
@@ -83,7 +83,7 @@ func flipResultByte(t *testing.T, path, key string) {
 		if err != nil {
 			t.Fatalf("no record for %q: %v", key, err)
 		}
-		if k, _ := rec.key(); k == key {
+		if spellKey(rec.key) == key {
 			rec.resBytes[1] ^= 1 // aliases data; byte 0 is the field count
 			break
 		}
@@ -173,8 +173,8 @@ func TestMemoryAnswersBeforeDisk(t *testing.T) {
 
 // TestMappedHitAllocations: one disk hit through RunKeyed allocates nothing
 // — the key is packed, compared, hashed and checksummed in place and the
-// result decoded straight into the return value. A second index search, an
-// unpacked key or a copy kept in memory would each show here.
+// result decoded straight into the return value. A second index search, a
+// key string or a copy kept in memory would each show here.
 func TestMappedHitAllocations(t *testing.T) {
 	c := mappedFixture(t)
 	cfg, tr := sim.PublicA53(), testTrace(t, "MD")
@@ -240,7 +240,8 @@ func TestCodecMatchesReflectionWalk(t *testing.T) {
 		for _, x := range walked {
 			byWalk = binary.AppendUvarint(byWalk, x)
 		}
-		if got, err := decodeResult(byWalk); err != nil || got != res {
+		var got core.Result
+		if err := walkPayload(byWalk, resultWords(&got)); err != nil || got != res {
 			t.Fatalf("round %d: the word view misreads what the walk encoded (%v)", round, err)
 		}
 		// Encoded through the word view, decoded by the walk.

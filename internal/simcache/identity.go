@@ -9,8 +9,8 @@ import (
 	"racesim/internal/trace"
 )
 
-// Trace identities ride the cache as ordinary entries under reserved raw
-// keys, so every way a cache travels — snapshots, merge, federation
+// Trace identities ride the cache as ordinary entries under keys of their
+// own, so every way a cache travels — snapshots, merge, federation
 // pre-seed and delta — carries them without knowing: what a trace memo key
 // generated (its event count, WarmData flag and content digest, see
 // trace.Identity), packed into a core.Result. With
@@ -23,9 +23,16 @@ import (
 // rebuilds; a new build generates each trace once, finds every result
 // still valid, and writes identities of its own beside the old ones.
 
-// identityPrefix marks a trace-identity entry. No simulation key starts
-// with it: those are "fingerprint:digest", all hex.
-const identityPrefix = "trace-identity:"
+// identityTag is the second half of every trace identity's key, where a
+// simulation key holds its trace's digest: no trace digests to it.
+var identityTag = sha256.Sum256([]byte("racesim trace identity"))
+
+// IsTraceIdentity reports whether key, as Keys lists it, is a trace
+// identity's rather than a simulation's.
+func IsTraceIdentity(key string) bool {
+	var k [keySize]byte
+	return packKey(key, &k) && [32]byte(k[32:]) == identityTag
+}
 
 // TraceIdentities is a cache seen as a store of trace identities, for one
 // build (tracememo.IdentityStore). A nil *TraceIdentities remembers
@@ -45,12 +52,17 @@ func (c *Cache) TraceIdentities(build string) *TraceIdentities {
 	return &TraceIdentities{cache: c, build: build}
 }
 
-func (s *TraceIdentities) key(memoKey string) string {
+// key is the entry key of what this build generated under memoKey:
+// sha256(build, 0, memoKey) and identityTag.
+func (s *TraceIdentities) key(memoKey string) *[keySize]byte {
 	h := sha256.New()
 	h.Write([]byte(s.build))
 	h.Write([]byte{0})
 	h.Write([]byte(memoKey))
-	return identityPrefix + hex.EncodeToString(h.Sum(nil))
+	var key [keySize]byte
+	h.Sum(key[:0])
+	copy(key[32:], identityTag[:])
+	return &key
 }
 
 // LookupIdentity returns what this build generated under memoKey, if the
@@ -60,7 +72,7 @@ func (s *TraceIdentities) LookupIdentity(memoKey string) (trace.Identity, bool) 
 	if s == nil {
 		return trace.Identity{}, false
 	}
-	res, ok := s.cache.Peek(s.key(memoKey))
+	res, ok := s.cache.peek(s.key(memoKey))
 	if !ok {
 		return trace.Identity{}, false
 	}
@@ -74,7 +86,7 @@ func (s *TraceIdentities) RecordIdentity(memoKey string, tr *trace.Trace) {
 		return
 	}
 	if res, ok := packIdentity(tr.Identity()); ok {
-		s.cache.Store(s.key(memoKey), res)
+		s.cache.store(s.key(memoKey), &res)
 	}
 }
 

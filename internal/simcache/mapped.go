@@ -19,8 +19,8 @@ import (
 // the file and parses only the fixed-width index, so cold start is
 // O(index) — a process sweeping 12 configs against a 10k-entry cache
 // never decodes the other entries. A lookup binary-searches the index
-// once, compares the candidate record's stored key in its packed form
-// (hash collisions are legal), and decodes a core.Result only on Get; the
+// once, compares the candidate record's stored key (hash collisions are
+// legal), and decodes a core.Result only on Get; the
 // per-record checksum is re-proved at that moment, every time — nothing
 // keeps a decoded record — so a flipped byte on disk rejects exactly the
 // record it hit.
@@ -151,11 +151,7 @@ func salvageScan(data []byte) []idxEntry {
 		if err != nil {
 			break
 		}
-		key, err := r.key()
-		if err != nil {
-			break
-		}
-		index = append(index, idxEntry{hash: keyHash(key), off: uint64(off), size: uint32(len(r.bytes))})
+		index = append(index, idxEntry{hash: keyHash((*[keySize]byte)(r.key)), off: uint64(off), size: uint32(len(r.bytes))})
 		off += len(r.bytes)
 	}
 	sortIndex(index)
@@ -166,35 +162,25 @@ func salvageScan(data []byte) []idxEntry {
 // other error means the record is there and corrupt.
 var errNoRecord = errors.New("simcache: no record for key")
 
-// find locates the record for key: key is packed once, no stored key is
-// unpacked.
-func (m *Mapped) find(key string) (record, bool) {
-	var buf [64]byte
-	form, packed := packKey(key, &buf)
-	return m.findStored(form, packed, keyHash(key))
-}
-
-// findStored locates the record for a key in its stored form whose key
-// string hashes to h, parsing only same-hash candidates and comparing keys
-// as stored.
-func (m *Mapped) findStored(form byte, packed []byte, h uint64) (record, bool) {
+// find locates the record for key, whose index hash is h, parsing only
+// same-hash candidates.
+func (m *Mapped) find(key *[keySize]byte, h uint64) (record, bool) {
 	if m == nil {
 		return record{}, false
 	}
 	i := sort.Search(len(m.index), func(i int) bool { return m.index[i].hash >= h })
 	for ; i < len(m.index) && m.index[i].hash == h; i++ {
 		r, err := m.recordAt(m.index[i])
-		if err == nil && r.form == form && bytes.Equal(r.keyBytes, packed) {
+		if err == nil && bytes.Equal(r.key, key[:]) {
 			return r, true
 		}
 	}
 	return record{}, false
 }
 
-// holds reports whether the tier indexes the key record r is stored under,
-// whose key string hashes to h.
-func (m *Mapped) holds(r *record, h uint64) bool {
-	_, ok := m.findStored(r.form, r.keyBytes, h)
+// holds reports whether the tier indexes key, whose index hash is h.
+func (m *Mapped) holds(key *[keySize]byte, h uint64) bool {
+	_, ok := m.find(key, h)
 	return ok
 }
 
@@ -216,15 +202,14 @@ func (m *Mapped) keyOrder() []idxEntry {
 		byKey := func(a, b idxEntry) int {
 			ra, _ := m.recordAt(a)
 			rb, _ := m.recordAt(b)
-			return compareKeys(&ra, &rb)
+			return bytes.Compare(ra.key, rb.key)
 		}
 		order := slices.Clone(m.index)
 		slices.SortFunc(order, func(a, b idxEntry) int { return cmp.Compare(a.off, b.off) })
 		kept, sorted := order[:0], true
 		for _, e := range order {
-			r, err := m.recordAt(e)
-			if err != nil || !(r.form == keyformRaw || r.form == keyformHexHex && len(r.keyBytes) == 64) {
-				continue // as RangeKeys skips it: its key does not parse
+			if _, err := m.recordAt(e); err != nil {
+				continue // as RangeKeys skips it
 			}
 			if len(kept) > 0 && byKey(kept[len(kept)-1], e) >= 0 {
 				sorted = false
@@ -244,30 +229,29 @@ func (m *Mapped) keyOrder() []idxEntry {
 // record's checksum. A missing key is errNoRecord, a corrupt record any
 // other error.
 func (m *Mapped) Get(key string) (core.Result, error) {
-	r, ok := m.find(key)
+	var k [keySize]byte
+	if !packKey(key, &k) {
+		return core.Result{}, errNoRecord
+	}
+	r, ok := m.find(&k, keyHash(&k))
 	if !ok {
 		return core.Result{}, errNoRecord
 	}
-	return r.decode(key)
+	var res core.Result
+	if err := r.check(resultWords(&res)); err != nil {
+		return core.Result{}, err
+	}
+	return res, nil
 }
 
 // RangeKeys calls f for every indexed record's key and encoded size,
-// in index (hash) order, until f returns false. Keys are parsed but
-// results are not decoded.
+// in index (hash) order, until f returns false. Results are not decoded.
 func (m *Mapped) RangeKeys(f func(key string, size int) bool) {
 	if m == nil {
 		return
 	}
 	for _, e := range m.index {
-		r, err := parseRecord(m.data[e.off : e.off+uint64(e.size)])
-		if err != nil {
-			continue
-		}
-		key, err := r.key()
-		if err != nil {
-			continue
-		}
-		if !f(key, len(r.bytes)) {
+		if r, err := m.recordAt(e); err == nil && !f(spellKey(r.key), len(r.bytes)) {
 			return
 		}
 	}

@@ -28,8 +28,7 @@ func (c *Cache) Keys() []string {
 	keys := make([]string, 0, c.lru.Len())
 	seen := make(map[string]bool, c.lru.Len())
 	for e := c.lru.Front(); e != nil; e = e.Next() {
-		r, _ := parseRecord(e.Value.(*centry).rec)
-		k, _ := r.key() // a stored record's key unpacks
+		k := spellKey(recordKey(e.Value.(*centry).rec)[:])
 		keys = append(keys, k)
 		seen[k] = true
 	}
@@ -48,7 +47,7 @@ func (c *Cache) Keys() []string {
 // KeyHashes returns the index hash of every key the cache can serve,
 // ascending and without repeats: the memory tier's, kept beside each record,
 // merged with the attached disk tier's index, which holds them sorted. No
-// key is unpacked and no record read. It is the question a sweep
+// record is read. It is the question a sweep
 // coordinator asks a worker before pre-seeding it (Missing), and the
 // hashes WriteSubsetTo selects by.
 func (c *Cache) KeyHashes() []uint64 {

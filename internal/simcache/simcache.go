@@ -23,17 +23,16 @@
 //
 // Results cross a process boundary one way only: as a snapshot (merge.go).
 //
-// The cache is safe for concurrent use and deduplicates in-flight work:
-// when two workers ask for the same unit simultaneously and neither tier
-// holds it, one simulates and the other blocks on that result
-// (singleflight). A miss is simulated only if no configuration its trace
-// cannot tell apart from it has been simulated on that trace here: the
-// pair's trace-read alias class (sim.TraceCanonical over the trace's read
-// profile, joined with the trace's digest) is single-flighted too, so each
-// class is simulated once whatever the scheduling, and every other miss in
-// it is answered with that result, stored under its own key. Every
-// persisted entry carries a checksum binding it to its key, so a corrupted
-// or hand-edited record is rejected when touched rather than silently
+// The cache is safe for concurrent use and deduplicates in-flight work
+// through one claim per miss: a miss is simulated only if no configuration
+// its trace cannot tell apart from it has been simulated on that trace
+// here. The pair's trace-read alias class (sim.TraceCanonical over the
+// trace's read profile, joined with the trace's digest) is single-flighted,
+// so each class is simulated once whatever the scheduling, and every other
+// miss in it — the same key asked for twice included — waits for that
+// result and is answered with it, stored under its own key. Every persisted
+// entry carries a checksum binding it to its key, so a corrupted or
+// hand-edited record is rejected when touched rather than silently
 // poisoning experiments.
 //
 // All methods are nil-receiver safe: a nil *Cache simply simulates every
@@ -54,16 +53,16 @@ import (
 )
 
 // Key identifies one simulation unit: a configuration fingerprint plus a
-// trace content digest.
+// trace content digest, "hex64:hex64". It is the string form of the 64
+// bytes the cache stores the unit under (binary.go); RunBatch never builds
+// it.
 func Key(cfg sim.Config, tr *trace.Trace) string {
 	return JoinKey(cfg.Fingerprint(), tr)
 }
 
 // JoinKey is Key for a configuration whose Fingerprint the caller already
 // holds: a caller that runs one configuration on many traces fingerprints
-// it once and joins it with each trace's digest. RunBatch builds no key
-// string for a pair a tier answers (see answerHits); it joins keys only for
-// the pairs left to RunKeyed.
+// it once and joins it with each trace's digest.
 func JoinKey(fingerprint string, tr *trace.Trace) string {
 	return fingerprint + ":" + tr.Digest()
 }
@@ -73,7 +72,7 @@ func JoinKey(fingerprint string, tr *trace.Trace) string {
 type Stats struct {
 	Hits        uint64 `json:"hits"`         // Run calls answered from memory or the attached disk tier
 	Misses      uint64 `json:"misses"`       // Run calls neither tier answered: simulated, or aliased
-	Shared      uint64 `json:"shared"`       // Run calls that waited on an identical in-flight run
+	Shared      uint64 `json:"shared"`       // Run calls answered by an identical run in flight when they missed
 	RemoteHits  uint64 `json:"remote_hits"`  // never written: kept for its only reader, benchmark/workloads.go, which is frozen
 	Entries     int    `json:"entries"`      // distinct servable results (memory + unshadowed disk records)
 	MemEntries  int    `json:"mem_entries"`  // results held in memory: simulated or imported here, never disk hits
@@ -93,6 +92,34 @@ type Stats struct {
 	Aliased uint64 `json:"aliased"`
 }
 
+// AddDelta adds to s what happened between two snapshots of one cache's
+// counters, before and now — every counter's difference — and now's entry
+// counts, which are levels rather than counters.
+func (s *Stats) AddDelta(now, before Stats) {
+	s.Hits += now.Hits - before.Hits
+	s.Misses += now.Misses - before.Misses
+	s.Shared += now.Shared - before.Shared
+	s.RemoteHits += now.RemoteHits - before.RemoteHits
+	s.Entries += now.Entries
+	s.MemEntries += now.MemEntries
+	s.DiskEntries += now.DiskEntries
+	s.Rejected += now.Rejected - before.Rejected
+	s.Evicted += now.Evicted - before.Evicted
+	s.InOrderSims += now.InOrderSims - before.InOrderSims
+	s.InOrderEvents += now.InOrderEvents - before.InOrderEvents
+	s.OoOSims += now.OoOSims - before.OoOSims
+	s.OoOEvents += now.OoOEvents - before.OoOEvents
+	s.Aliased += now.Aliased - before.Aliased
+}
+
+// Work is the figure a job's work: line prints: the simulations the misses
+// ran and the trace events they stepped, by core kind.
+func (s Stats) Work() string {
+	return fmt.Sprintf("%d simulations (%d in-order, %d out-of-order), %d events stepped (%d in-order, %d out-of-order)",
+		s.InOrderSims+s.OoOSims, s.InOrderSims, s.OoOSims,
+		s.InOrderEvents+s.OoOEvents, s.InOrderEvents, s.OoOEvents)
+}
+
 // HitRate returns the fraction of lookups that avoided simulating —
 // memory/disk hits and shared in-flight waits — or 0 before any lookups.
 func (s Stats) HitRate() float64 {
@@ -103,25 +130,19 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.Shared) / float64(total)
 }
 
-// inflight tracks one simulation in progress so duplicates can wait on it.
-type inflight struct {
-	done chan struct{}
-	res  core.Result
-	err  error
-}
-
-// centry is one result held in memory — its snapshot record and the index
-// hash of its key — plus its LRU position.
+// centry is one result held in memory — its snapshot record, which starts
+// with its key (recordKey), and the index hash of that key — plus its LRU
+// position.
 type centry struct {
-	rec  []byte        // the encoded record (appendRecord); never written to once stored; nil once evicted
-	hash uint64        // keyHash of the record's key, so no listing unpacks it
+	rec  []byte        // the encoded record (newRecord); never written to once stored; nil once evicted
+	hash uint64        // keyHash of the record's key, so no listing rehashes it
 	seq  uint64        // the store that put it here (see Mark); 0 for an import
 	elem *list.Element // value is the *centry
 }
 
 // entryMemSize estimates the memory held by one cache entry: its record,
 // the centry and its LRU element (48 bytes each), and its map slot — a
-// 64-byte packed key and a pointer at the map's load factor — with
+// 64-byte key and a pointer at the map's load factor — with
 // allocation rounding (128). The heap growth of a cache of 20 000 stored
 // results is within 5% of it.
 func entryMemSize(rec []byte) int64 {
@@ -131,25 +152,20 @@ func entryMemSize(rec []byte) int64 {
 
 // Cache memoizes core.Results by simulation-unit key.
 type Cache struct {
-	mu sync.Mutex
-	// The memory tier, one record per key: packed holds "hex64:hex64" keys
-	// by their packed form (packKey), so storing one allocates no key
-	// string; raw holds every other key.
-	packed   map[[64]byte]*centry
-	raw      map[string]*centry
-	lru      *list.List // front = most recent
-	budget   int64      // max memory bytes; 0 = unlimited
+	mu       sync.Mutex
+	mem      map[[keySize]byte]*centry // the memory tier, one record per key
+	lru      *list.List                // front = most recent
+	budget   int64                     // max memory bytes; 0 = unlimited
 	memUsed  int64
-	seq      uint64          // results stored by a simulation or Store so far (Mark)
-	disk     *Mapped         // attached binary snapshot, or nil
-	shadowed int             // memory keys stored over a disk record (for Entries)
-	badDisk  map[string]bool // disk records already counted rejected
+	seq      uint64                 // results stored by a simulation or Store so far (Mark)
+	disk     *Mapped                // attached binary snapshot, or nil
+	shadowed int                    // memory keys stored over a disk record (for Entries)
+	badDisk  map[[keySize]byte]bool // disk records already counted rejected
 	// dirty records that the cache and the attached tier's file may have
 	// parted ways — a result inserted or replaced, or a record rejected,
 	// since the attach — so SaveFile to that file has to write. Hits on
 	// the tier's own records leave it clear.
 	dirty    bool
-	running  map[string]*inflight
 	hits     uint64
 	misses   uint64
 	shared   uint64
@@ -186,10 +202,8 @@ func workIndex(kind core.Kind) int {
 // New returns an empty in-memory cache.
 func New() *Cache {
 	return &Cache{
-		packed:    make(map[[64]byte]*centry),
-		raw:       make(map[string]*centry),
+		mem:       make(map[[keySize]byte]*centry),
 		lru:       list.New(),
-		running:   make(map[string]*inflight),
 		aliases:   make(map[aliasKey]*centry),
 		aliasWait: make(map[aliasKey]chan struct{}),
 	}
@@ -210,15 +224,6 @@ func (c *Cache) SetMemoryBudget(budget int64) {
 	c.mu.Unlock()
 }
 
-// entryLocked returns the memory entry for a key in its stored form, or
-// nil. Caller holds c.mu.
-func (c *Cache) entryLocked(form byte, keyBytes []byte) *centry {
-	if form == keyformHexHex {
-		return c.packed[[64]byte(keyBytes)]
-	}
-	return c.raw[string(keyBytes)]
-}
-
 // insertLocked stores rec, an encoded record whose key hashes to hash,
 // under its key (last-writer-wins) with store sequence seq, and applies the
 // memory budget. It replaces what either tier held: a memory entry is
@@ -226,8 +231,8 @@ func (c *Cache) entryLocked(form byte, keyBytes []byte) *centry {
 // returns. Caller holds c.mu.
 func (c *Cache) insertLocked(rec []byte, hash, seq uint64) (ce *centry, replaced bool) {
 	c.dirty = true
-	r, _ := parseRecord(rec) // the caller's record parses
-	if ce := c.entryLocked(r.form, r.keyBytes); ce != nil {
+	key := recordKey(rec)
+	if ce := c.mem[*key]; ce != nil {
 		c.memUsed += int64(len(rec) - len(ce.rec))
 		ce.rec, ce.seq = rec, seq
 		c.lru.MoveToFront(ce.elem)
@@ -235,13 +240,9 @@ func (c *Cache) insertLocked(rec []byte, hash, seq uint64) (ce *centry, replaced
 	}
 	ce = &centry{rec: rec, hash: hash, seq: seq}
 	ce.elem = c.lru.PushFront(ce)
-	if r.form == keyformHexHex {
-		c.packed[[64]byte(r.keyBytes)] = ce
-	} else {
-		c.raw[string(r.keyBytes)] = ce
-	}
+	c.mem[*key] = ce
 	c.memUsed += entryMemSize(rec)
-	if c.disk.holds(&r, hash) {
+	if c.disk.holds(key, hash) {
 		c.shadowed++
 		replaced = true
 	}
@@ -271,17 +272,13 @@ func (c *Cache) evictLocked() {
 		for e := c.lru.Back(); e != nil && c.memUsed > c.budget; e = next {
 			next = e.Prev()
 			ce := e.Value.(*centry)
-			r, _ := parseRecord(ce.rec)
-			onDisk := c.disk.holds(&r, ce.hash)
+			key := recordKey(ce.rec)
+			onDisk := c.disk.holds(key, ce.hash)
 			if pass == 0 && !onDisk {
 				continue
 			}
 			c.lru.Remove(e)
-			if r.form == keyformHexHex {
-				delete(c.packed, [64]byte(r.keyBytes))
-			} else {
-				delete(c.raw, string(r.keyBytes))
-			}
+			delete(c.mem, *key)
 			c.memUsed -= entryMemSize(ce.rec)
 			ce.rec = nil // an alias class it answered for simulates again
 			if onDisk {
@@ -292,33 +289,44 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// memoryLocked returns the memory tier's record for key, marking the entry
-// most recently used, or nil. Caller holds c.mu.
-func (c *Cache) memoryLocked(key string) []byte {
-	if c.lru.Len() == 0 {
-		return nil // a process answering from its snapshot alone packs no key here
+// probe is the one lookup of both tiers: it returns the record the cache
+// serves for key, whose index hash is h — the memory tier's, marked most
+// recently used (mem), or else the attached snapshot's, not yet verified —
+// or nil when neither holds key.
+func (c *Cache) probe(key *[keySize]byte, h uint64) (rec []byte, mem bool) {
+	c.mu.Lock()
+	ce, disk := c.mem[*key], c.disk
+	if ce != nil {
+		c.lru.MoveToFront(ce.elem)
+		rec = ce.rec
 	}
-	var packed [64]byte
-	if packHexHex(key, &packed) {
-		return c.packedLocked(&packed)
+	c.mu.Unlock()
+	if rec != nil {
+		return rec, true
 	}
-	return c.touchLocked(c.raw[key])
+	r, ok := disk.find(key, h)
+	if !ok {
+		return nil, false
+	}
+	return r.bytes, false
 }
 
-// packedLocked is memoryLocked for a "hex64:hex64" key in its packed form.
-// Caller holds c.mu.
-func (c *Cache) packedLocked(packed *[64]byte) []byte {
-	return c.touchLocked(c.packed[*packed])
-}
-
-// touchLocked marks ce, unless nil, most recently used and returns its
-// record. Caller holds c.mu.
-func (c *Cache) touchLocked(ce *centry) []byte {
-	if ce == nil {
-		return nil
+// lookup decodes into dst the result the cache serves for key, whose index
+// hash is h (probe), reporting whether it found one. A disk record that
+// fails its checksum or does not decode is corrupt, and leaves part of a
+// result in dst.
+func (c *Cache) lookup(key *[keySize]byte, h uint64, dst *core.Result) (found, corrupt bool) {
+	rec, mem := c.probe(key, h)
+	switch {
+	case rec == nil:
+		return false, false
+	case mem:
+		decodeStored(rec, dst)
+		return true, false
 	}
-	c.lru.MoveToFront(ce.elem)
-	return ce.rec
+	r, _ := parseRecord(rec) // the tier's record parses
+	err := r.check(resultWords(dst))
+	return err == nil, err != nil
 }
 
 // decodeStored decodes a memory-tier record into dst. Every stored record
@@ -334,15 +342,22 @@ func decodeStored(rec []byte, dst *core.Result) {
 	}
 }
 
-// Store inserts a result under key with last-writer-wins semantics,
-// reporting whether an existing entry, in memory or on disk, was replaced.
-// It is the merge primitive used by snapshot loading; it does not touch the
-// hit/miss counters.
+// Store inserts a result under key, which must have Key's shape, with
+// last-writer-wins semantics, reporting whether an existing entry, in
+// memory or on disk, was replaced. It does not touch the hit/miss counters.
 func (c *Cache) Store(key string, res core.Result) (replaced bool) {
+	var k [keySize]byte
+	if !packKey(key, &k) {
+		panic(fmt.Sprintf("simcache: Store under %q, which is not a cache key", key))
+	}
+	return c.store(&k, &res)
+}
+
+func (c *Cache) store(key *[keySize]byte, res *core.Result) (replaced bool) {
 	if c == nil {
 		return false
 	}
-	rec := appendRecord(nil, key, &res)
+	rec := encodeRecord(key, res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, replaced = c.storeLocked(rec, keyHash(key))
@@ -361,95 +376,83 @@ func (c *Cache) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 }
 
 // RunKeyed is Run for a caller that already holds key, which must be
-// Key(cfg, tr) (see JoinKey).
+// Key(cfg, tr) (see JoinKey); a pair whose key does not have Key's shape is
+// simulated uncached.
 //
 // A pair the cache holds costs one probe: the memory map, then one search
 // of the snapshot's index, the record verified, decoded and counted as a
-// hit — no claim, no copy. Only a pair neither tier answers takes the
-// inflight claim, so that concurrent identical requests wait on the one
-// simulation; a record that is present but corrupt is counted rejected by
-// whoever claims, simulated like a miss and shadowed in memory by the
-// result. A claimed pair then joins its trace-read alias class (aliasOf):
-// it is simulated only if no other configuration of the class has been, and
-// otherwise answered with that one's stored result. Either way it counts
-// as a miss, and its result is stored under its own key.
+// hit — no claim, no copy. A record that is present but corrupt is counted
+// rejected, simulated like a miss and shadowed in memory by the result. A
+// miss joins its trace-read alias class (aliasOf): it is simulated only if
+// no other configuration of the class has been, and otherwise answered with
+// that one's stored result. Either way it counts as a miss, and its result
+// is stored under its own key. A miss whose key was stored while it waited
+// for its class counts as shared instead.
 func (c *Cache) RunKeyed(key string, cfg sim.Config, tr *trace.Trace) (core.Result, error) {
-	if c == nil {
+	var k [keySize]byte
+	if c == nil || !packKey(key, &k) {
 		return cfg.Run(tr)
 	}
+	return c.run(&k, keyHash(&k), cfg, tr)
+}
 
-	c.mu.Lock()
-	rec := c.memoryLocked(key)
-	hit := rec != nil
+// run is RunKeyed for a key whose index hash is h.
+func (c *Cache) run(key *[keySize]byte, h uint64, cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	var res core.Result
-	var diskErr error
-	if disk := c.disk; !hit && disk != nil {
-		c.mu.Unlock()
-		res, diskErr = disk.Get(key)
+	found, corrupt := c.lookup(key, h, &res)
+	if found {
 		c.mu.Lock()
-		if hit = diskErr == nil; !hit {
-			// The lock was let go: the pair may have been simulated since.
-			rec = c.memoryLocked(key)
-			hit = rec != nil
-		}
-	}
-	if hit {
 		c.hits++
 		c.mu.Unlock()
-		if rec != nil {
-			decodeStored(rec, &res)
-		}
 		return res, nil
 	}
-	if fl, ok := c.running[key]; ok {
-		c.shared++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.res, fl.err
+	if corrupt {
+		c.rejectDisk(key)
 	}
-	fl := &inflight{done: make(chan struct{})}
-	c.running[key] = fl
-	if diskErr != nil && diskErr != errNoRecord {
-		c.rejectDiskLocked(key) // the record is there and corrupt
-	}
-	c.mu.Unlock()
 
 	alias, aliasable := aliasOf(cfg, tr)
-	rec = nil
+	c.mu.Lock()
+	var rec []byte
+	shared := false
 	if aliasable {
-		c.mu.Lock()
-		rec = c.joinAliasLocked(alias)
-		c.mu.Unlock()
+		rec, shared = c.joinAliasLocked(alias, key)
 	}
-	simulated := rec == nil // else rec answers for the class
-	if simulated {
-		fl.res, fl.err = cfg.Run(tr)
-	} else {
-		decodeStored(rec, &fl.res)
+	switch {
+	case shared:
+		c.shared++
+	case rec != nil:
+		// rec answers for the class: its result, stored under key now, so a
+		// miss on key that waited with this one finds it.
+		c.misses++
+		c.aliased++
+		r, _ := parseRecord(rec) // a stored record parses
+		c.storeLocked(newRecord(key, r.resBytes), h)
 	}
-	var hash uint64
-	if fl.err == nil {
-		rec, hash = appendRecord(nil, key, &fl.res), keyHash(key)
+	c.mu.Unlock()
+	if rec != nil {
+		decodeStored(rec, &res)
+		return res, nil
+	}
+
+	// Claimed (or, with no class to claim, a pair that fails anyway):
+	// simulate.
+	res, err := cfg.Run(tr)
+	if err == nil {
+		rec = encodeRecord(key, &res)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.misses++
-	if simulated {
-		c.sims[workIndex(cfg.Kind)]++
-		c.events[workIndex(cfg.Kind)] += fl.res.Instructions
-	} else {
-		c.aliased++
-	}
+	c.sims[workIndex(cfg.Kind)]++
+	c.events[workIndex(cfg.Kind)] += res.Instructions
 	var ce *centry
-	if fl.err == nil {
-		ce, _ = c.storeLocked(rec, hash)
+	if err == nil {
+		ce, _ = c.storeLocked(rec, h)
 	}
-	if aliasable && simulated {
+	if aliasable {
 		c.publishAliasLocked(alias, ce)
 	}
-	delete(c.running, key)
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.res, fl.err
+	return res, err
 }
 
 // aliasOf returns the trace-read alias class of cfg on tr, and whether
@@ -467,13 +470,19 @@ func aliasOf(cfg sim.Config, tr *trace.Trace) (aliasKey, bool) {
 	return aliasKey{form: sim.TraceCanonical(cfg, sim.ProfileOf(d)).FingerprintSum(), digest: tr.Digest()}, true
 }
 
-// joinAliasLocked returns the stored record of the simulation that answers
-// for alias class k, waiting for one in flight, or claims k and returns
-// nil: the caller then simulates and ends the claim with
+// joinAliasLocked is the one claim a miss on key in alias class k takes.
+// It waits while another miss of the class simulates, then returns key's
+// own record if one was stored meanwhile (shared), or else the stored
+// record of the simulation that answers for k; otherwise it claims k and
+// returns nil: the caller then simulates and ends the claim with
 // publishAliasLocked. A class whose entry the memory budget evicted is
 // claimed again. Caller holds c.mu, which is let go while it waits.
-func (c *Cache) joinAliasLocked(k aliasKey) []byte {
+func (c *Cache) joinAliasLocked(k aliasKey, key *[keySize]byte) (rec []byte, shared bool) {
 	for {
+		if ce := c.mem[*key]; ce != nil {
+			c.lru.MoveToFront(ce.elem)
+			return ce.rec, true
+		}
 		wait, ok := c.aliasWait[k]
 		if !ok {
 			break
@@ -483,10 +492,10 @@ func (c *Cache) joinAliasLocked(k aliasKey) []byte {
 		c.mu.Lock()
 	}
 	if ce := c.aliases[k]; ce != nil && ce.rec != nil {
-		return ce.rec
+		return ce.rec, false
 	}
 	c.aliasWait[k] = make(chan struct{})
-	return nil
+	return nil, false
 }
 
 // publishAliasLocked ends the caller's claim of class k: ce, the entry its
@@ -511,10 +520,11 @@ func (c *Cache) publishAliasLocked(k aliasKey, ce *centry) {
 //
 // The pairs a tier holds are answered first, on the caller's goroutine
 // (answerHits): each configuration is fingerprinted once, and a hit costs
-// one probe of each tier and a decode into its result slot — no key string,
-// no copy, no hand-off. Only the pairs left — misses, records that fail
-// their checksum, pairs in flight elsewhere — go through RunKeyed, on at
-// most parallelism workers (<=1: one after the other).
+// one probe and a decode into its result slot — no key string, no copy, no
+// hand-off. Only the pairs left — misses, records that fail their
+// checksum, pairs in flight elsewhere — are resolved as RunKeyed resolves
+// them, under the keys the hit pass built, on at most parallelism workers
+// (<=1: one after the other).
 //
 // Results are in caller order, configuration-major: pair (i, j) is
 // out[i*len(trs)+j]. The error is the lowest-indexed failing pair's,
@@ -528,15 +538,15 @@ func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Tr
 		return nil, ctx.Err()
 	}
 	out := make([]core.Result, len(cfgs)*len(trs))
-	pending, fps := c.answerHits(cfgs, trs, out)
+	pending := c.answerHits(cfgs, trs, out)
 	err := par.ForEachCtx(ctx, len(pending), parallelism, func(n int) error {
-		k := pending[n]
-		i, tr := k/len(trs), trs[k%len(trs)]
+		p := &pending[n]
+		i, tr := p.pair/len(trs), trs[p.pair%len(trs)]
 		var err error
-		if c == nil {
-			out[k], err = cfgs[i].Run(tr) // no key to build: digesting tr would be the only cost
+		if p.keyed {
+			out[p.pair], err = c.run(&p.key, p.hash, cfgs[i], tr)
 		} else {
-			out[k], err = c.RunKeyed(JoinKey(fps[i], tr), cfgs[i], tr)
+			out[p.pair], err = cfgs[i].Run(tr)
 		}
 		if err != nil {
 			return fmt.Errorf("simulating %s on %s: %w", cfgs[i].Name, tr.Name, err)
@@ -554,26 +564,23 @@ func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Tr
 // — a disk record is verified and decoded, not kept — leaving the cache as
 // it found it, except that a corrupt record is counted rejected.
 func (c *Cache) Peek(key string) (core.Result, bool) {
+	var k [keySize]byte
+	if !packKey(key, &k) {
+		return core.Result{}, false
+	}
+	return c.peek(&k)
+}
+
+func (c *Cache) peek(key *[keySize]byte) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
 	}
-	c.mu.Lock()
-	rec := c.memoryLocked(key)
-	disk := c.disk
-	c.mu.Unlock()
-	if rec != nil {
-		var res core.Result
-		decodeStored(rec, &res)
-		return res, true
+	var res core.Result
+	found, corrupt := c.lookup(key, keyHash(key), &res)
+	if corrupt {
+		c.rejectDisk(key)
 	}
-	if disk == nil {
-		return core.Result{}, false
-	}
-	res, err := disk.Get(key)
-	if err != nil {
-		if err != errNoRecord {
-			c.rejectDisk(key)
-		}
+	if !found {
 		return core.Result{}, false
 	}
 	return res, true

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"racesim/internal/core"
 	"racesim/internal/sim"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
@@ -228,17 +229,15 @@ func TestDecodeEntryAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := appendRecord(nil, Key(sim.PublicA53(), tr), &res)
+	data := encodeRecord(pack(t, Key(sim.PublicA53(), tr)), &res)
 	allocs := testing.AllocsPerRun(100, func() {
 		rec, err := parseRecord(data)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		key, err := rec.key()
-		if err != nil {
-			t.Fatalf("key: %v", err)
-		}
-		if got, err := rec.decode(key); err != nil || got != res {
+		_ = spellKey(rec.key)
+		var got core.Result
+		if err := rec.check(resultWords(&got)); err != nil || got != res {
 			t.Fatalf("decode: %v", err)
 		}
 	})
