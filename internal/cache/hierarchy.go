@@ -62,15 +62,20 @@ func (c HierarchyConfig) Validate() error {
 // never invalidated, so pages[:n] are the resident ones and a reset only
 // rewinds n. Recency is a per-TLB access stamp (as in Level): the LRU
 // entry is the minimum stamp, and a hit costs one store instead of aging
-// every other entry. A TLB with at least as many entries as an access
-// stream touches distinct pages never evicts: it misses on each page's
-// first access only, whatever its size — the bound sim's read profile takes
-// for tlb.itlb_entries and tlb.dtlb_entries (sim.Profile). Fetch reaches the
-// ITLB with a subset of the trace's PCs, Load and Store reach the DTLB with
-// their addresses; nothing else does.
+// every other entry. A hit is found in O(1) when the page's hint names its
+// entry: hint maps a page's low bits to the entry it last hit or filled,
+// and is trusted only below n (every entry there was written since reset)
+// and when the entry holds the page, so it never changes a result. A TLB
+// with at least as many entries as an access stream touches distinct
+// pages never evicts: it misses on each page's first access only, whatever
+// its size — the bound sim's read profile takes for tlb.itlb_entries and
+// tlb.dtlb_entries (sim.Profile). Fetch reaches the ITLB with a subset of
+// the trace's PCs, Load and Store reach the DTLB with their addresses;
+// nothing else does.
 type tlb struct {
 	pages  []uint64
 	stamp  []uint64
+	hint   [tlbHints]int32
 	n      int
 	tick   uint64
 	last   uint64 // most recently accessed page (biased); 0 before first access
@@ -78,24 +83,39 @@ type tlb struct {
 	hits   uint64
 }
 
+const tlbHints = 64
+
 func (t *tlb) reset(entries int) {
 	*t = tlb{pages: recycle.Slice(t.pages, entries), stamp: recycle.Slice(t.stamp, entries)}
 }
 
+// access looks page up, making it resident and most recently used, and
+// reports whether it hit. A repeat access to the last page is resident
+// (every access makes its page resident) and already MRU, so the scan and
+// the LRU update are both no-ops: that case is inlined into the callers.
 func (t *tlb) access(page uint64) bool {
 	page++ // bias so page 0 is distinguishable from "no access yet" in last
-	// Repeat access to the last page: it is resident (every access makes
-	// its page resident) and already MRU, so the scan and the LRU update
-	// are both no-ops.
 	if page == t.last {
 		t.hits++
 		return true
 	}
+	return t.find(page)
+}
+
+// find is access past the repeat check, for a biased page.
+func (t *tlb) find(page uint64) bool {
 	t.last = page
 	t.tick++
+	h := &t.hint[page%tlbHints]
+	if i := int(*h); i < t.n && t.pages[i] == page {
+		t.stamp[i] = t.tick
+		t.hits++
+		return true
+	}
 	for i, p := range t.pages[:t.n] {
 		if p == page {
 			t.stamp[i] = t.tick
+			*h = int32(i)
 			t.hits++
 			return true
 		}
@@ -114,6 +134,7 @@ func (t *tlb) access(page uint64) bool {
 	}
 	t.pages[victim] = page
 	t.stamp[victim] = t.tick
+	*h = int32(victim)
 	return false
 }
 
@@ -232,49 +253,44 @@ func (h *Hierarchy) Reset(cfg HierarchyConfig) error {
 
 // Load services a data load at cycle now.
 func (h *Hierarchy) Load(now uint64, pc, addr uint64) AccessResult {
-	if h.mode != tapeOff {
-		return h.tapedAccess(&h.l1d, &h.dtlb, now, pc, addr, false)
-	}
-	res, _ := h.l1d.accessLive(now, pc, addr, false, false)
-	if !h.dtlb.access(addr >> h.pageShift) {
-		res.Latency += uint64(h.cfg.TLBMissLatency)
-	}
-	return res
+	return h.access(&h.l1d, &h.dtlb, now, pc, addr, false)
 }
 
 // Store services a data store at cycle now. Store latency is the time to
 // own the line; commit happens through the store buffer in the core model.
 func (h *Hierarchy) Store(now uint64, pc, addr uint64) AccessResult {
-	if h.mode != tapeOff {
-		return h.tapedAccess(&h.l1d, &h.dtlb, now, pc, addr, true)
-	}
-	res, _ := h.l1d.accessLive(now, pc, addr, true, false)
-	if !h.dtlb.access(addr >> h.pageShift) {
-		res.Latency += uint64(h.cfg.TLBMissLatency)
-	}
-	return res
+	return h.access(&h.l1d, &h.dtlb, now, pc, addr, true)
 }
 
 // Fetch services an instruction fetch for the line containing pc.
 func (h *Hierarchy) Fetch(now uint64, pc uint64) AccessResult {
+	return h.access(&h.l1i, &h.itlb, now, pc, pc, false)
+}
+
+// access is Fetch, Load or Store: an access to l1 followed by a lookup of
+// its page in t.
+func (h *Hierarchy) access(l1 *Level, t *tlb, now uint64, pc, addr uint64, write bool) AccessResult {
 	if h.mode != tapeOff {
-		return h.tapedAccess(&h.l1i, &h.itlb, now, pc, pc, false)
+		return h.tapedAccess(l1, t, now, pc, addr, write)
 	}
-	res, _ := h.l1i.accessLive(now, pc, pc, false, false)
-	if !h.itlb.access(pc >> h.pageShift) {
+	res, _ := l1.accessLive(now, pc, addr, write, false)
+	if !t.access(addr >> h.pageShift) {
 		res.Latency += uint64(h.cfg.TLBMissLatency)
 	}
 	return res
 }
 
-// Probe reports whether a data access to addr would be serviced by the L1D
+// Probe reports whether a data load of addr would be serviced by the L1D
 // (its victim buffer included) without changing any observable state: no
-// LRU update, no statistics; only the self-validating lookup hint may
-// move. The MSHR-aware core models ask before a load, to know whether it
-// needs a miss register.
+// LRU update, no statistics; only the self-validating way predictor may
+// move. The MSHR-aware core models ask right before that Load, and only
+// when a miss would have to wait for a miss register. Probe is no decision
+// of its own: a replaying hierarchy answers it from the tape entry of the
+// Load that follows, which is why a core model may ask it or not depending
+// on timing.
 func (h *Hierarchy) Probe(addr uint64) bool {
 	if h.mode == tapeReplaying {
-		return h.next() != 0
+		return h.peek()&tapeOutcome != tapeMiss
 	}
 	l := &h.l1d
 	block := l.block(addr)
@@ -282,7 +298,6 @@ func (h *Hierarchy) Probe(addr uint64) bool {
 	for i := 0; !hit && i < len(l.victim); i++ {
 		hit = l.victim[i].matches(block)
 	}
-	l.rec.put(hit)
 	return hit
 }
 

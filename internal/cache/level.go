@@ -105,20 +105,16 @@ type Level struct {
 	assoc    int
 	lineBits uint
 	hitLat   uint64 // HitLatency plus the TagDataSerial extra cycle
-
-	// Last-hit hint: lookup checks lines[lastIdx] first when the block
-	// matches. Self-validating (the line's tag and valid bit are
-	// re-checked), so it never needs invalidation and never changes
-	// results — it only skips the way scan for repeat accesses.
-	lastBlock uint64
-	lastIdx   int32
-	lastSet   int32
-	lastWay   int32
+	hash     hashFn // cfg.Hash, resolved by Reset
+	repl     replFn // cfg.Repl, resolved by Reset
+	xorBits  uint   // log2(sets), the XOR hash's fold width
 
 	// Main-array lines are never invalidated (only victim-buffer entries
 	// are), so a set fills its ways in order: ways [0, fill[set]) are
 	// valid and nothing reads the rest. Reset therefore clears fill and
 	// leaves the stale lines and stamps of the previous simulation alone.
+	// lines has one slot past the array, always zero (invalid): the
+	// position an empty predictor entry names.
 	lines   []line
 	lru     []uint64 // access stamp per valid way (max = MRU; see touch)
 	lruTick uint64
@@ -127,7 +123,8 @@ type Level struct {
 	rng     uint64
 
 	victim     []line
-	victimLRU  []uint8
+	victimAge  []uint64 // insertion stamp per victim entry (min = oldest)
+	victimTick uint64
 	bank       *prefetch.Bank // every kind's state, recycled with the level
 	pf         prefetch.Prefetcher
 	pfNone     bool // disabled prefetcher: skip training entirely
@@ -140,7 +137,29 @@ type Level struct {
 	// rec is the decision tape being recorded (see tape.go), nil on every
 	// level that is not part of a recording Hierarchy.
 	rec *recorder
+
+	pred wayPredictor // last: 2 KB that would part the fields above
 }
+
+// hashFn and replFn are a level's index hash and replacement policy,
+// resolved from the configuration's names once per Reset, so that the
+// per-access switches compare a byte instead of a string.
+type (
+	hashFn uint8
+	replFn uint8
+)
+
+const (
+	hashMask hashFn = iota
+	hashXor
+	hashMersenne
+)
+
+const (
+	replLRU replFn = iota
+	replPLRU
+	replRandom
+)
 
 // Reset makes l an empty level of cfg at depth levelID (1 = closest to the
 // core) in front of next, and keeps its arrays, which grow to the largest
@@ -162,6 +181,7 @@ func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
 		return err
 	}
 	sets := cfg.Sets()
+	n := sets * cfg.Assoc
 	*l = Level{
 		cfg:       cfg,
 		levelID:   levelID,
@@ -170,24 +190,58 @@ func (l *Level) Reset(cfg Config, levelID int, next Backend) error {
 		assoc:     cfg.Assoc,
 		hitLat:    cfg.HitCycles(),
 		lineBits:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		lastBlock: ^uint64(0), // matches no line: a block has 61 bits
-		lines:     recycle.Slice(l.lines, sets*cfg.Assoc),
-		lru:       recycle.Slice(l.lru, sets*cfg.Assoc),
+		xorBits:   uint(bits.TrailingZeros(uint(sets))),
+		lines:     recycle.Slice(l.lines, n+1),
+		lru:       recycle.Slice(l.lru, n),
 		fill:      recycle.Zeroed(l.fill, sets),
 		plru:      recycle.Zeroed(l.plru, sets),
 		rng:       0x9E3779B97F4A7C15,
 		victim:    recycle.Zeroed(l.victim, cfg.VictimEntries),
-		victimLRU: recycle.Slice(l.victimLRU, cfg.VictimEntries),
+		victimAge: recycle.Slice(l.victimAge, cfg.VictimEntries),
 		bank:      bank,
 		pf:        pf,
 		pfNone:    cfg.Prefetch.Kind == prefetch.KindNone,
 		next:      next,
 	}
-	for i := range l.victimLRU {
-		l.victimLRU[i] = uint8(i)
+	switch cfg.Hash {
+	case HashXor:
+		l.hash = hashXor
+	case HashMersenne:
+		l.hash = hashMersenne
 	}
+	switch cfg.Repl {
+	case ReplPLRU:
+		l.repl = replPLRU
+	case ReplRandom:
+		l.repl = replRandom
+	}
+	l.lines[n] = 0
+	l.pred.reset(int32(n))
 	return nil
 }
+
+// wayPredictor remembers where recently found blocks sit in the main
+// array: a direct-mapped table from a block's low bits to its line's index
+// and set. It is self-validating — an entry is trusted only when the line
+// it names matches the block, and a block occupies at most one line of
+// the main array — so it never needs invalidation and never changes a
+// result; it only skips the way scan. Demand accesses, inserts and the
+// prefetcher's target checks share it. An empty entry names the always
+// invalid slot past the array; Reset empties the table, because the stale
+// lines of the previous simulation would otherwise validate stale entries.
+type wayPredictor [predEntries]wayHint
+
+const predEntries = 256
+
+type wayHint struct{ idx, set int32 }
+
+func (p *wayPredictor) reset(empty int32) {
+	for i := range p {
+		p[i] = wayHint{idx: empty}
+	}
+}
+
+func (p *wayPredictor) at(block uint64) *wayHint { return &p[(block^block>>8)%predEntries] }
 
 // Stats returns accumulated counters.
 func (l *Level) Stats() Stats { return l.stats }
@@ -196,11 +250,11 @@ func (l *Level) block(addr uint64) uint64 { return addr >> l.lineBits }
 
 // index computes the set index for a block address per the configured hash.
 func (l *Level) index(block uint64) int {
-	switch l.cfg.Hash {
-	case HashXor:
-		b := uint(bits.TrailingZeros(uint(l.sets)))
+	switch l.hash {
+	case hashXor:
+		b := l.xorBits
 		return int((block ^ block>>b ^ block>>(2*b)) & l.setMask)
-	case HashMersenne:
+	case hashMersenne:
 		m := uint64(l.sets - 1)
 		if m == 0 {
 			return 0
@@ -218,10 +272,12 @@ func (l *Level) xorshift() uint64 {
 	return l.rng
 }
 
-func (l *Level) touch(set, way int) {
-	switch l.cfg.Repl {
-	case ReplPLRU:
+// touch records an access to the line at lines[idx], in set.
+func (l *Level) touch(set, idx int) {
+	switch l.repl {
+	case replPLRU:
 		// Tree PLRU: flip internal nodes along the path away from `way`.
+		way := idx - set*l.assoc
 		node := 1
 		lo, hi := 0, l.assoc
 		treeBits := l.plru[set]
@@ -238,7 +294,7 @@ func (l *Level) touch(set, way int) {
 			}
 		}
 		l.plru[set] = treeBits
-	case ReplRandom:
+	case replRandom:
 		// no state
 	default: // LRU
 		// Timestamp LRU: a per-level tick orders accesses totally, so the
@@ -246,7 +302,7 @@ func (l *Level) touch(set, way int) {
 		// decisions are identical to rank-based LRU (both evict by recency
 		// order) but touching is a single store instead of an aging loop.
 		l.lruTick++
-		l.lru[set*l.assoc+way] = l.lruTick
+		l.lru[idx] = l.lruTick
 	}
 }
 
@@ -255,8 +311,8 @@ func (l *Level) victimWay(set int) int {
 	if n := int(l.fill[set]); n < l.assoc {
 		return n // the first unused way
 	}
-	switch l.cfg.Repl {
-	case ReplPLRU:
+	switch l.repl {
+	case replPLRU:
 		node := 1
 		lo, hi := 0, l.assoc
 		treeBits := l.plru[set]
@@ -271,7 +327,7 @@ func (l *Level) victimWay(set int) int {
 			}
 		}
 		return lo
-	case ReplRandom:
+	case replRandom:
 		return int(l.xorshift() % uint64(l.assoc))
 	default:
 		victim := 0
@@ -284,20 +340,22 @@ func (l *Level) victimWay(set int) int {
 	}
 }
 
-func (l *Level) lookup(block uint64) (set, way int, ok bool) {
-	if block == l.lastBlock && l.lines[l.lastIdx].matches(block) {
-		return int(l.lastSet), int(l.lastWay), true
+// lookup finds block in the main array: the index of its line in lines and
+// its set. On a miss it returns the block's set and idx -1.
+func (l *Level) lookup(block uint64) (idx, set int, ok bool) {
+	p := l.pred.at(block)
+	if l.lines[p.idx].matches(block) {
+		return int(p.idx), int(p.set), true
 	}
 	set = l.index(block)
 	base := set * l.assoc
 	for w, ln := range l.lines[base : base+int(l.fill[set])] {
 		if ln.matches(block) {
-			l.lastBlock, l.lastIdx = block, int32(base+w)
-			l.lastSet, l.lastWay = int32(set), int32(w)
-			return set, w, true
+			*p = wayHint{int32(base + w), int32(set)}
+			return base + w, set, true
 		}
 	}
-	return set, -1, false
+	return -1, set, false
 }
 
 // victimLookup checks the victim buffer; on hit the entry is removed and
@@ -313,6 +371,10 @@ func (l *Level) victimLookup(block uint64) (line, bool) {
 	return 0, false
 }
 
+// victimInsert puts ln into the victim buffer: into its first empty entry,
+// or else over the entry inserted longest ago. Every valid entry was
+// inserted since Reset (which empties the buffer), so the stamps of a full
+// buffer are all this simulation's and order it totally.
 func (l *Level) victimInsert(ln line) {
 	if len(l.victim) == 0 || !ln.valid() {
 		return
@@ -323,18 +385,13 @@ func (l *Level) victimInsert(ln line) {
 			oldest = i
 			break
 		}
-		if l.victimLRU[i] > l.victimLRU[oldest] {
+		if l.victimAge[i] < l.victimAge[oldest] {
 			oldest = i
 		}
 	}
+	l.victimTick++
 	l.victim[oldest] = ln
-	old := l.victimLRU[oldest]
-	for i := range l.victimLRU {
-		if l.victimLRU[i] < old {
-			l.victimLRU[i]++
-		}
-	}
-	l.victimLRU[oldest] = 0
+	l.victimAge[oldest] = l.victimTick
 }
 
 // portDelay models access-port bandwidth: the (Ports+1)-th access in the
@@ -357,8 +414,8 @@ func (l *Level) portDelay(now uint64) uint64 {
 // charged to the demand access). It returns tapeEvictWB when the evicted
 // line was written back to the next level — the one decision of an insert
 // that has a timing consequence — and 0 otherwise.
-func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bool) (wb byte) {
-	set := l.index(block)
+// set is the block's set, as lookup returned it.
+func (l *Level) insert(now uint64, pc uint64, block uint64, set int, dirty, prefetched bool) (wb byte) {
 	way := l.victimWay(set)
 	base := set * l.assoc
 	if way < int(l.fill[set]) {
@@ -373,10 +430,10 @@ func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bo
 	} else {
 		l.fill[set]++
 	}
-	l.lines[base+way] = newLine(block, dirty, prefetched)
-	l.lastBlock, l.lastIdx = block, int32(base+way)
-	l.lastSet, l.lastWay = int32(set), int32(way)
-	l.touch(set, way)
+	idx := base + way
+	l.lines[idx] = newLine(block, dirty, prefetched)
+	*l.pred.at(block) = wayHint{int32(idx), int32(set)}
+	l.touch(set, idx)
 	return wb
 }
 
@@ -406,11 +463,10 @@ func (l *Level) accessLive(now uint64, pc, addr uint64, write, pf bool) (AccessR
 	}
 	lat := l.hitLat + l.portDelay(now)
 
-	set, way, hit := l.lookup(block)
+	idx, set, hit := l.lookup(block)
 	if hit {
 		l.stats.Hits++
-		base := set * l.assoc
-		ln := &l.lines[base+way]
+		ln := &l.lines[idx]
 		if ln.prefetched() {
 			l.stats.PrefetchUseful++
 			*ln &^= linePrefetched
@@ -422,7 +478,7 @@ func (l *Level) accessLive(now uint64, pc, addr uint64, write, pf bool) (AccessR
 				l.next.BackAccess(now+lat, pc, addr, true, true) // write-through traffic
 			}
 		}
-		l.touch(set, way)
+		l.touch(set, idx)
 		entry := byte(tapeHit)
 		if !pf {
 			entry |= l.runPrefetcher(now, pc, block, false)
@@ -442,7 +498,7 @@ func (l *Level) accessLive(now uint64, pc, addr uint64, write, pf bool) (AccessR
 				l.next.BackAccess(now+lat, pc, addr, true, true)
 			}
 		}
-		entry := tapeVictimHit | l.insert(now, pc, block, dirty, false)
+		entry := tapeVictimHit | l.insert(now, pc, block, set, dirty, false)
 		if !pf {
 			entry |= l.runPrefetcher(now, pc, block, false)
 		}
@@ -456,7 +512,7 @@ func (l *Level) accessLive(now uint64, pc, addr uint64, write, pf bool) (AccessR
 	total := lat + res.Latency
 	entry := byte(tapeMiss)
 	if allocate {
-		entry |= l.insert(now, pc, block, write && l.cfg.WriteBack, pf)
+		entry |= l.insert(now, pc, block, set, write && l.cfg.WriteBack, pf)
 		if write && !l.cfg.WriteBack {
 			l.next.BackAccess(now+total, pc, addr, true, true)
 		}
@@ -485,7 +541,8 @@ func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) byte {
 	issued, countSlot := byte(0), 0
 	for _, t := range targets {
 		tb := l.block(t)
-		if _, _, ok := l.lookup(tb); ok {
+		_, set, ok := l.lookup(tb)
+		if ok {
 			continue
 		}
 		l.stats.PrefetchIssued++
@@ -496,7 +553,7 @@ func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) byte {
 		l.next.BackAccess(now, pc, t, false, true)
 		// The write-back decision goes on the tape before the write-back.
 		wbSlot := l.rec.reserve()
-		l.rec.set(wbSlot, l.insert(now, pc, tb, false, true))
+		l.rec.set(wbSlot, l.insert(now, pc, tb, set, false, true))
 	}
 	l.inPrefetch = false
 	if issued == 0 {

@@ -15,7 +15,7 @@ import (
 // function of the access sequence alone; the cycle an access is issued at
 // moves only the port arbitration of each level (Level.portDelay) and the
 // DRAM queue (dram.DRAM.Access). Two hierarchies that are driven with the
-// same sequence of Fetch/Probe/Load/Store calls and whose configurations
+// same sequence of Fetch/Load/Store calls and whose configurations
 // differ only in timing — latencies, port counts, MSHRs, memory timing —
 // therefore take the same hit/miss/evict/prefetch decisions. Which fields
 // those are is declared once, beside the tunables that name them
@@ -34,7 +34,6 @@ import (
 // Layout, one byte per decision in the order the hierarchy takes them:
 //
 //	Fetch/Load/Store  <L1 access> tlbHit
-//	Probe             hit
 //	<access>          entry <back-accesses, in call order> [n {<prefetch read> evictWB}*n]
 //	DRAM read         zeroFilled            (only with ZeroFillOpt)
 //
@@ -42,6 +41,9 @@ import (
 // present when entry has tapePrefetched. Which back-accesses an access
 // makes follows from its outcome, its arguments and the level's write
 // policy (see replayAccess, which mirrors Level.accessLive line for line).
+// Probe takes no decision: it reads the outcome of the L1D entry of the
+// Load that follows it (peek), so whether a core model probes — which
+// depends on timing — does not shift the tape.
 
 // Entry bits of one Level access.
 const (
@@ -206,6 +208,15 @@ func (l *Level) accessRecorded(now uint64, pc, addr uint64, write, pf bool) Acce
 	res, entry := l.accessLive(now, pc, addr, write, pf)
 	l.rec.set(slot, entry)
 	return res
+}
+
+// peek returns the next taped decision without consuming it (0 past the
+// end, where the access that reads it flags the overrun).
+func (h *Hierarchy) peek() byte {
+	if h.pos < len(h.tape.dec) {
+		return h.tape.dec[h.pos]
+	}
+	return 0
 }
 
 // next reads the next taped decision. Past the end it returns 0 and flags

@@ -20,19 +20,32 @@ const (
 // depends only on the instruction word and the decoder variant — so one
 // table compiled from a trace's unique static decodes is shared by every
 // lane of a batched replay.
+//
+// The operand lists have no counts: unused sources name regZero, which no
+// instruction writes, and unused destinations name regSink, which none
+// reads, so a kernel reads all three sources and writes both destinations
+// without a loop.
 type Behavior struct {
 	Cls  isa.Class
 	Op   isa.Op
 	kind stepKind
-	nSrc uint8
-	nDst uint8
 	src  [3]isa.Reg
 	dst  [2]isa.Reg
 }
 
+// The lane's registers beyond the architectural ones (see Behavior).
+const (
+	regZero  = isa.NumRegs     // never written: ready at cycle 0
+	regSink  = isa.NumRegs + 1 // never read
+	laneRegs = isa.NumRegs + 2
+)
+
 // behaviorOf compiles one static decode.
 func behaviorOf(in *isa.Inst) Behavior {
-	b := Behavior{Cls: in.Cls, Op: in.Op, nSrc: in.NSrc, nDst: in.NDst, src: in.Src, dst: in.Dst}
+	b := Behavior{Cls: in.Cls, Op: in.Op,
+		src: [3]isa.Reg{regZero, regZero, regZero}, dst: [2]isa.Reg{regSink, regSink}}
+	copy(b.src[:], in.Src[:in.NSrc])
+	copy(b.dst[:], in.Dst[:in.NDst])
 	switch {
 	case in.Cls == isa.ClassLoad:
 		b.kind = stepLoad

@@ -54,19 +54,15 @@ func bestPipe(pipes []uint64) int {
 
 // issue reserves a pipe for cls no earlier than ready and returns the
 // actual issue cycle. The earliest-free pipe is found and booked in one
-// scan (the in-order slotFor inlines the same logic so its retry loop can
-// interleave with the issue-slot checks).
+// scan.
 func (c *contention) issue(cls isa.Class, ready uint64) uint64 {
 	pipes := c.pipes[cls]
 	if len(pipes) == 0 {
 		return ready
 	}
 	bp := bestPipe(pipes)
-	at := ready
-	if free := pipes[bp]; free > ready {
-		c.stalls += free - ready
-		at = free
-	}
+	at := max(ready, pipes[bp])
+	c.stalls += at - ready
 	pipes[bp] = at + c.ii[cls]
 	return at
 }

@@ -30,50 +30,34 @@ func (io *inOrderBack) advanceCycle(to uint64) {
 }
 
 // slotFor finds the earliest cycle >= t with a free issue slot compatible
-// with the instruction's class, honouring width and pairing rules, and
-// consumes the slot.
+// with the instruction's class, honouring width and pairing rules, and a
+// free pipe, and consumes both. Every issue limit is at least one
+// (Config.Validate), so an issue group that cannot take the instruction
+// leaves it to the next cycle's empty group, and a busy pipe to the cycle
+// it frees, whose group is empty too: one pass, no retry loop.
 func (ln *lane) slotFor(b *Behavior, t uint64) uint64 {
 	io := &ln.io
-	isMem := b.kind == stepLoad || b.kind == stepStore
-	isBr := b.kind == stepBranch
-	for {
-		io.advanceCycle(t)
-		switch {
-		case io.issued >= io.width:
-			t = io.cycle + 1
-			continue
-		case isMem && io.memOps >= io.maxMem:
-			t = io.cycle + 1
-			continue
-		case isMem && !io.dualIssueLS && io.issued > 0:
-			t = io.cycle + 1
-			continue
-		case isBr && io.branches >= io.maxBr:
-			t = io.cycle + 1
-			continue
-		}
-		// Structural hazard on the functional unit: find the pipe that
-		// frees earliest and, if it is already free, book it in place
-		// (a separate reserve would rescan the same pipe group).
-		if pipes := ln.cont.pipes[b.Cls]; len(pipes) != 0 {
-			bp := bestPipe(pipes)
-			if free := pipes[bp]; free > io.cycle {
-				ln.cont.stalls += free - io.cycle
-				t = free
-				continue
-			}
-			pipes[bp] = io.cycle + ln.cont.ii[b.Cls]
-		}
-		break
+	io.advanceCycle(t)
+	full := io.issued >= io.width
+	switch b.kind {
+	case stepLoad, stepStore:
+		full = full || io.memOps >= io.maxMem || !io.dualIssueLS && io.issued > 0
+	case stepBranch:
+		full = full || io.branches >= io.maxBr
 	}
+	if full {
+		io.advanceCycle(io.cycle + 1)
+	}
+	// Structural hazard on the functional unit.
+	io.advanceCycle(ln.cont.issue(b.Cls, io.cycle))
 	io.issued++
-	if isMem {
+	switch b.kind {
+	case stepLoad, stepStore:
 		io.memOps++
 		if !io.dualIssueLS {
 			io.issued = io.width // memory op closes the issue group
 		}
-	}
-	if isBr {
+	case stepBranch:
 		io.branches++
 	}
 	return io.cycle
@@ -108,12 +92,8 @@ func (ln *lane) stepInOrder(b *Behavior, pc, memAddr, target uint64, taken bool)
 	}
 
 	// Operand readiness (scoreboard).
-	ready := earliest
-	for i := uint8(0); i < b.nSrc; i++ {
-		if r := ln.regReady[b.src[i]]; r > ready {
-			ready = r
-		}
-	}
+	rr := &ln.regReady
+	ready := max(earliest, rr[b.src[0]], rr[b.src[1]], rr[b.src[2]])
 	if ready > earliest {
 		ln.res.StallData += ready - earliest
 	}
@@ -122,23 +102,20 @@ func (ln *lane) stepInOrder(b *Behavior, pc, memAddr, target uint64, taken bool)
 
 	switch b.kind {
 	case stepLoad:
-		if !ln.hier.Probe(memAddr) {
-			// A miss needs an MSHR; a full file stalls the pipeline
-			// (hit-under-miss is allowed, miss-under-full is not).
-			if d := ln.mshr.wait(issueAt); d > 0 {
-				ln.res.StallStruct += d
-				issueAt += d
-				io.advanceCycle(issueAt)
-			}
+		// A miss needs an MSHR; a full file stalls the pipeline
+		// (hit-under-miss is allowed, miss-under-full is not). Only a
+		// load that would wait asks the L1D whether it misses.
+		if d := ln.mshr.wait(issueAt); d > 0 && !ln.hier.Probe(memAddr) {
+			ln.res.StallStruct += d
+			issueAt += d
+			io.advanceCycle(issueAt)
 		}
 		res := ln.hier.Load(issueAt, pc, memAddr)
 		done := issueAt + res.Latency
 		if res.Level > 1 {
 			ln.mshr.note(done)
 		}
-		for i := uint8(0); i < b.nDst; i++ {
-			ln.regReady[b.dst[i]] = done
-		}
+		rr[b.dst[0]], rr[b.dst[1]] = done, done
 		ln.retire(done)
 
 	case stepStore:
@@ -171,16 +148,12 @@ func (ln *lane) stepInOrder(b *Behavior, pc, memAddr, target uint64, taken bool)
 			}
 			ln.res.StallFrontEnd += ln.btbMissPen
 		}
-		for i := uint8(0); i < b.nDst; i++ { // BL writes the link register
-			ln.regReady[b.dst[i]] = resolve
-		}
+		rr[b.dst[0]], rr[b.dst[1]] = resolve, resolve // BL writes the link register
 		ln.retire(resolve)
 
 	default:
 		done := issueAt + ln.lat[b.Cls]
-		for i := uint8(0); i < b.nDst; i++ {
-			ln.regReady[b.dst[i]] = done
-		}
+		rr[b.dst[0]], rr[b.dst[1]] = done, done
 		ln.retire(done)
 	}
 }

@@ -37,7 +37,7 @@ type lane struct {
 	bu   *branch.Unit
 	cont contention
 
-	regReady [isa.NumRegs]uint64
+	regReady [laneRegs]uint64 // ready cycle per register (see Behavior)
 
 	fetchAvail    uint64
 	lastFetchLine uint64

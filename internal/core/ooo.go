@@ -97,12 +97,8 @@ func (ln *lane) stepOoO(b *Behavior, pc, memAddr, target uint64, taken bool) {
 	o.dispatched++
 
 	// Dataflow: operands.
-	ready := dispatchAt + 1 // one cycle from rename to earliest issue
-	for i := uint8(0); i < b.nSrc; i++ {
-		if r := ln.regReady[b.src[i]]; r > ready {
-			ready = r
-		}
-	}
+	rr := &ln.regReady
+	ready := max(dispatchAt+1, rr[b.src[0]], rr[b.src[1]], rr[b.src[2]]) // one cycle from rename to earliest issue
 	if ready > dispatchAt+1 {
 		ln.res.StallData += ready - dispatchAt - 1
 	}
@@ -113,13 +109,12 @@ func (ln *lane) stepOoO(b *Behavior, pc, memAddr, target uint64, taken bool) {
 	var complete uint64
 	switch b.kind {
 	case stepLoad:
-		if !ln.hier.Probe(memAddr) {
-			// Misses need an MSHR: issue waits for a free one, which
-			// bounds memory-level parallelism.
-			if d := ln.mshr.wait(issueAt); d > 0 {
-				ln.res.StallStruct += d
-				issueAt += d
-			}
+		// Misses need an MSHR: issue waits for a free one, which bounds
+		// memory-level parallelism. Only a load that would wait asks the
+		// L1D whether it misses.
+		if d := ln.mshr.wait(issueAt); d > 0 && !ln.hier.Probe(memAddr) {
+			ln.res.StallStruct += d
+			issueAt += d
 		}
 		res := ln.hier.Load(issueAt, pc, memAddr)
 		complete = issueAt + res.Latency
@@ -165,8 +160,6 @@ func (ln *lane) stepOoO(b *Behavior, pc, memAddr, target uint64, taken bool) {
 		complete = issueAt + ln.lat[b.Cls]
 	}
 
-	for i := uint8(0); i < b.nDst; i++ {
-		ln.regReady[b.dst[i]] = complete
-	}
+	rr[b.dst[0]], rr[b.dst[1]] = complete, complete
 	o.rob[seq%uint64(len(o.rob))] = ln.retireSlot(complete)
 }

@@ -267,7 +267,9 @@ func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	i := TableKey(pc) & g.mask
 	prev := g.index[i]
 	slot := g.head
-	g.head = (g.head + 1) % g.cfg.GHBEntries
+	if g.head++; g.head == g.cfg.GHBEntries {
+		g.head = 0
+	}
 	g.bufAddr[slot] = lineAddr
 	// Invalidate index entries that pointed at the overwritten slot by
 	// bounding chain walks with an age check (see chain).

@@ -1,9 +1,12 @@
 package racesim
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"racesim/internal/irace"
 	"racesim/internal/sim"
 	"racesim/internal/trace"
 	"racesim/internal/ubench"
@@ -171,6 +174,82 @@ func benchShortSpec(b *testing.B, uniq bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sims, "ns/sim")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/sims, "allocs/sim")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/sims/1024, "KB/sim")
+}
+
+// BenchmarkReplayMix replays committed-by-seed lists of (configuration,
+// trace) pairs shaped like the runs a user makes, and reports ns/event per
+// core kind. The one list so far, race, is a tuning race's: raceConfigs
+// configurations of each kind drawn uniformly from the kind's tuning space
+// (seed 1), each replayed live on the 40 micro-benchmarks at scale 0.004,
+// the race's own trace size. Every iteration rotates a key field (unique),
+// so no replay ever takes the taped path, as in a race, where no
+// configuration repeats. Recorded in BENCH_replay.json and gated in
+// budgets/bench.json.
+func BenchmarkReplayMix(b *testing.B) {
+	b.Run("race", func(b *testing.B) {
+		var trs []*trace.Trace
+		for _, u := range ubench.Suite() {
+			tr, err := u.Trace(ubench.Options{Scale: 0.004})
+			if err != nil {
+				b.Fatal(err)
+			}
+			trs = append(trs, tr)
+		}
+		rng := rand.New(rand.NewSource(1))
+		kinds := []struct {
+			name string
+			cfgs []sim.Config
+		}{{"inorder", raceConfigsOf(b, sim.PublicA53(), rng)}, {"ooo", raceConfigsOf(b, sim.PublicA72(), rng)}}
+		var events [2]int64
+		for k, kind := range kinds {
+			for _, cfg := range kind.cfgs {
+				for _, tr := range trs {
+					sim.Behaviors(tr.Decoded(cfg.DecoderDepBug)) // decode and compile outside the measured region
+					events[k] += int64(tr.Len())
+				}
+			}
+		}
+		var spent [2]time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, kind := range kinds {
+				start := time.Now()
+				for j, cfg := range kind.cfgs {
+					c := unique(cfg, i*len(kind.cfgs)+j)
+					for _, tr := range trs {
+						if _, err := c.Run(tr); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				spent[k] += time.Since(start)
+			}
+		}
+		b.StopTimer()
+		for k, kind := range kinds {
+			b.ReportMetric(float64(spent[k].Nanoseconds())/float64(events[k]*int64(b.N)), kind.name+"_ns/event")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((events[0]+events[1])*int64(b.N)), "ns/event")
+	})
+}
+
+// raceConfigs is the number of configurations per kind in BenchmarkReplayMix/race.
+const raceConfigs = 4
+
+// raceConfigsOf draws raceConfigs valid configurations from the tuning
+// space of base's kind, as a race's first iteration samples them.
+func raceConfigsOf(b *testing.B, base sim.Config, rng *rand.Rand) []sim.Config {
+	sp, err := sim.Space(base.Kind, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []sim.Config
+	for len(out) < raceConfigs {
+		if cfg, err := sim.Apply(base, irace.SampleUniform(sp, rng)); err == nil {
+			out = append(out, cfg)
+		}
+	}
+	return out
 }
 
 // BenchmarkTraceFootprint measures what holding a trace costs and what
