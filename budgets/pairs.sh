@@ -7,9 +7,11 @@
 #   bash budgets/pairs.sh HEAD~1 paper_warm 1-10,11
 #
 # The parent revision is exported with `git archive` into a temporary
-# directory (the repository's own .git is left alone); the working tree is
-# the change. Each side builds the benchmark from its own source into its own
-# .bench_build/ (benchmark/run.sh). For every seed the script runs
+# directory (the repository's own .git is left alone); the change is the
+# working tree as it is at the start — its tracked and its untracked,
+# not ignored files — copied into another one, so edits made while the
+# pairs run are not measured. Each side builds the benchmark from its own
+# source into its own .bench_build/ (benchmark/run.sh). For every seed the script runs
 #
 #   bash benchmark/run.sh --workload WORKLOAD --seed N --seconds 12 --trace 0
 #
@@ -43,11 +45,14 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 logs="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-mkdir -p "$tmp/parent"
+mkdir -p "$tmp/parent" "$tmp/change"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
-declare -A dir=([parent]="$tmp/parent" [change]="$root")
+(cd "$root" && git ls-files -z --cached --others --exclude-standard |
+	while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+	tar --null -T - -c) | tar -x -C "$tmp/change"
+declare -A dir=([parent]="$tmp/parent" [change]="$tmp/change")
 
-echo "pairs: parent $(git -C "$root" rev-parse --short "$rev"), change = the working tree of $root"
+echo "pairs: parent $(git -C "$root" rev-parse --short "$rev"), change = the working tree of $root, copied at start"
 echo "pairs: $workload, seeds ${seeds[*]}; logs in $logs"
 for side in parent change; do
 	(cd "${dir[$side]}" && bash benchmark/run.sh --manifest > /dev/null) # build once, before any timing

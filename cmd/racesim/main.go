@@ -24,7 +24,9 @@
 package main
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,6 +34,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -133,22 +136,46 @@ func lifecycleFlags(fs *flag.FlagSet) (parallelism *int, cache, cpuprofile, memp
 	return
 }
 
-// execute runs one job on the engine with streamed output. The first
+// execute runs one job on the engine with streamed output; capture also
+// keeps the streams in the Result (engine.Options.Capture). The first
 // SIGINT/SIGTERM cancels the job (it stops within one simulation batch)
 // and removes the handler, so a second signal kills.
-func execute(job engine.Job, parallelism int, cache, cpuprofile, memprofile string) error {
+func execute(job engine.Job, capture bool, parallelism int, cache, cpuprofile, memprofile string) (*engine.Result, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
-	_, err := engine.ExecuteContext(ctx, job, engine.Options{
+	return engine.ExecuteContext(ctx, job, engine.Options{
 		Parallelism: parallelism,
 		CachePath:   cache,
 		CPUProfile:  cpuprofile,
 		MemProfile:  memprofile,
 		Stdout:      os.Stdout,
 		Stderr:      os.Stderr,
+		Capture:     capture,
 	})
-	return err
+}
+
+// readInput reads the file a flag names into a job's inline JSON field:
+// nothing when the flag is unset, an error when the file is empty.
+func readInput(path string) (json.RawMessage, error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err == nil && len(data) == 0 {
+		err = fmt.Errorf("%s: empty file", path)
+	}
+	return data, err
+}
+
+// writeOutput writes one of a job's outputs to the file a flag names and
+// says so on stderr as "wrote <what><path>".
+func writeOutput(path, what string, data []byte) error {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s%s\n", what, path)
+	return nil
 }
 
 func cmdRun(args []string) error {
@@ -165,11 +192,15 @@ func cmdRun(args []string) error {
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
-	return execute(engine.Job{
+	cfgJSON, err := readInput(*cfgPath)
+	if err != nil {
+		return err
+	}
+	_, err = execute(engine.Job{
 		Kind: engine.KindRun,
 		Run: &engine.RunJob{
 			Preset:     *preset,
-			ConfigPath: *cfgPath,
+			ConfigJSON: cfgJSON,
 			Ubench:     *benchNames,
 			Workload:   *wlNames,
 			TracePath:  *trPath,
@@ -177,7 +208,8 @@ func cmdRun(args []string) error {
 			Scale:      *scale,
 			Seed:       *seed,
 		},
-	}, *parallelism, *cache, *cpuprofile, *memprofile)
+	}, false, *parallelism, *cache, *cpuprofile, *memprofile)
+	return err
 }
 
 func cmdExperiments(args []string) error {
@@ -197,7 +229,7 @@ func cmdExperiments(args []string) error {
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
-	return execute(engine.Job{
+	res, err := execute(engine.Job{
 		Kind: engine.KindExperiments,
 		Experiments: &engine.ExperimentsJob{
 			Scenario:      *scenarioPat,
@@ -209,10 +241,13 @@ func cmdExperiments(args []string) error {
 			Budget1:       *budget1,
 			Budget2:       *budget2,
 			Seed:          *seed,
-			OutPath:       *out,
 			Quiet:         *quiet,
 		},
-	}, *parallelism, *cache, *cpuprofile, *memprofile)
+	}, *out != "", *parallelism, *cache, *cpuprofile, *memprofile)
+	if err != nil || *out == "" {
+		return err
+	}
+	return writeOutput(*out, "", []byte(res.Artifact))
 }
 
 func cmdValidate(args []string) error {
@@ -231,7 +266,11 @@ func cmdValidate(args []string) error {
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
-	return execute(engine.Job{
+	budgetJSON, err := readInput(*budgets)
+	if err != nil {
+		return err
+	}
+	res, err := execute(engine.Job{
 		Kind: engine.KindValidate,
 		Validate: &engine.ValidateJob{
 			Core:       *coreK,
@@ -239,13 +278,26 @@ func cmdValidate(args []string) error {
 			Budget2:    *budget2,
 			Scale:      *scale,
 			Seed:       *seed,
-			OutPath:    *out,
 			Quiet:      *quiet,
-			BudgetPath: *budgets,
-			ReportDir:  *reportDir,
+			BudgetJSON: budgetJSON,
 			Gate:       *gate,
 		},
-	}, *parallelism, *cache, *cpuprofile, *memprofile)
+	}, false, *parallelism, *cache, *cpuprofile, *memprofile)
+	// Whatever the job's outcome, what it produced is written: a -gate
+	// violation fails the job after the report is built, and CI reads the
+	// report it leaves on disk.
+	if len(res.Report) > 0 && *reportDir != "" {
+		werr := os.MkdirAll(*reportDir, 0o755)
+		if werr == nil {
+			// Named for the core the job ran: an empty -core is the A53.
+			werr = writeOutput(filepath.Join(*reportDir, "validate-"+cmp.Or(*coreK, "a53")+".json"), "validation report to ", res.Report)
+		}
+		err = errors.Join(err, werr)
+	}
+	if len(res.TunedConfig) > 0 && *out != "" {
+		err = errors.Join(err, writeOutput(*out, "tuned configuration to ", res.TunedConfig))
+	}
+	return err
 }
 
 func cmdUbench(args []string) error {
@@ -262,7 +314,7 @@ func cmdUbench(args []string) error {
 	)
 	parallelism, cache, cpuprofile, memprofile := lifecycleFlags(fs)
 	fs.Parse(args)
-	return execute(engine.Job{
+	_, err := execute(engine.Job{
 		Kind: engine.KindUbench,
 		Ubench: &engine.UbenchJob{
 			List:       *list,
@@ -274,7 +326,8 @@ func cmdUbench(args []string) error {
 			Scale:      *scale,
 			InitArrays: *initArr,
 		},
-	}, *parallelism, *cache, *cpuprofile, *memprofile)
+	}, false, *parallelism, *cache, *cpuprofile, *memprofile)
+	return err
 }
 
 func cmdServe(args []string) error {

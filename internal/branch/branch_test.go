@@ -263,3 +263,109 @@ func TestPredictorDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rankLRU is the BTB as it was before btb.access: a lookup that touches
+// the way it hits, and an insert that takes the matching or first empty
+// way, else the way of highest recency rank (0 = most recent; a set's
+// ranks start as the permutation 0..assoc-1).
+type rankLRU struct {
+	sets, assoc int
+	tags, tgts  []uint64
+	rank        []uint8
+}
+
+func newRankLRU(entries, assoc int) *rankLRU {
+	b := &rankLRU{sets: entries / assoc, assoc: assoc,
+		tags: make([]uint64, entries), tgts: make([]uint64, entries), rank: make([]uint8, entries)}
+	for i := range b.rank {
+		b.rank[i] = uint8(i % assoc)
+	}
+	return b
+}
+
+func (b *rankLRU) touch(base, way int) {
+	old := b.rank[base+way]
+	for w := 0; w < b.assoc; w++ {
+		if b.rank[base+w] < old {
+			b.rank[base+w]++
+		}
+	}
+	b.rank[base+way] = 0
+}
+
+func (b *rankLRU) lookup(pc uint64) (uint64, bool) {
+	base := BTBSet(pc, b.sets) * b.assoc
+	for w := 0; w < b.assoc; w++ {
+		if b.tags[base+w] == pc {
+			b.touch(base, w)
+			return b.tgts[base+w], true
+		}
+	}
+	return 0, false
+}
+
+func (b *rankLRU) insert(pc, target uint64) {
+	base := BTBSet(pc, b.sets) * b.assoc
+	victim := 0
+	for w := 0; w < b.assoc; w++ {
+		if b.tags[base+w] == pc || b.tags[base+w] == 0 {
+			victim = w
+			break
+		}
+		if b.rank[base+w] > b.rank[base+victim] {
+			victim = w
+		}
+	}
+	b.tags[base+victim], b.tgts[base+victim] = pc, target
+	b.touch(base, victim)
+}
+
+// TestBTBMatchesRankLRU: btb.access answers every access as a lookup then,
+// when taken, an insert into the rank-LRU BTB does, and leaves the same
+// tags and targets, on every (branch.btb_entries, branch.btb_assoc) pair
+// internal/sim lists, plus a geometry of 3 sets. One btb serves them all,
+// larger then smaller, so stale stamps of an earlier geometry are in play.
+func TestBTBMatchesRankLRU(t *testing.T) {
+	type geometry struct{ entries, assoc int }
+	var geoms []geometry
+	for _, e := range []int{64, 128, 256, 512, 1024} {
+		for _, a := range []int{1, 2, 4} {
+			geoms = append(geoms, geometry{e, a})
+		}
+	}
+	geoms = append(geoms, geometry{12, 4})
+	for i := len(geoms) - 1; i >= 0; i-- {
+		geoms = append(geoms, geoms[i])
+	}
+	rng := rand.New(rand.NewSource(1))
+	var got btb
+	for _, g := range geoms {
+		got.reset(g.entries, g.assoc)
+		want := newRankLRU(g.entries, g.assoc)
+		// Twice as many PCs as entries, so sets fill and evict.
+		pcs := make([]uint64, 2*g.entries)
+		for i := range pcs {
+			pcs[i] = 0x1000 + 4*uint64(rng.Intn(8*g.entries))
+		}
+		for n := 0; n < 20000; n++ {
+			pc := pcs[rng.Intn(len(pcs))]
+			target := 0x80000 + 4*uint64(rng.Intn(64))
+			taken := rng.Intn(10) < 7
+			wantPred, wantHit := want.lookup(pc)
+			if taken {
+				want.insert(pc, target)
+			}
+			pred, hit := got.access(pc, target, taken)
+			if hit != wantHit || pred != wantPred {
+				t.Fatalf("%d/%d access %d (pc %#x, taken %v): got (%#x, %v), rank LRU (%#x, %v)",
+					g.entries, g.assoc, n, pc, taken, pred, hit, wantPred, wantHit)
+			}
+		}
+		for i := range want.tags {
+			if got.tags[i] != want.tags[i] || (want.tags[i] != 0 && got.tgts[i] != want.tgts[i]) {
+				t.Fatalf("%d/%d way %d: got (%#x -> %#x), rank LRU (%#x -> %#x)",
+					g.entries, g.assoc, i, got.tags[i], got.tgts[i], want.tags[i], want.tgts[i])
+			}
+		}
+	}
+}

@@ -19,7 +19,7 @@ package branch
 //     every key an entry of its own; so does every larger power of two,
 //     and all of them predict alike on that trace.
 //   - A BTB of any (entries, ways) whose sets each receive at most ways
-//     distinct tagged PCs never evicts: ways fill in order (insert takes
+//     distinct tagged PCs never evicts: ways fill in order (btb.access takes
 //     the matching or first empty way), so it hits exactly on the PCs a
 //     taken branch, a call or an indirect branch has inserted, with the
 //     last target inserted, whatever its geometry. A PC of 0 reads as an

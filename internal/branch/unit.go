@@ -6,13 +6,16 @@ import (
 )
 
 // btb is a set-associative branch target buffer with LRU replacement.
+// Ways fill in order — a set's filled ways are a prefix, since nothing
+// empties one — and a full set evicts the way touched longest ago.
 type btb struct {
 	sets  int
 	mask  uint64 // btbMask(sets)
 	assoc int
 	tags  []uint64 // sets*assoc; 0 = invalid
 	tgts  []uint64
-	lru   []uint8
+	stamp []uint64 // when each way was last touched, in clock ticks
+	clock uint64
 }
 
 func (b *btb) reset(entries, assoc int) {
@@ -22,57 +25,45 @@ func (b *btb) reset(entries, assoc int) {
 		mask:  btbMask(sets),
 		assoc: assoc,
 		tags:  recycle.Zeroed(b.tags, entries),
-		tgts:  recycle.Slice(b.tgts, entries), // read only under a matching tag
-		lru:   recycle.Slice(b.lru, entries),
-	}
-	// Recency ranks must form a permutation per set (0 = MRU) for touch to
-	// age the other ways correctly.
-	for i := range b.lru {
-		b.lru[i] = uint8(i % assoc)
+		tgts:  recycle.Slice(b.tgts, entries),  // read only under a matching tag
+		stamp: recycle.Slice(b.stamp, entries), // read only in a full set, every way of which was touched since
 	}
 }
 
 func (b *btb) set(pc uint64) int { return btbSet(pc, b.mask, b.sets) }
 
-func (b *btb) lookup(pc uint64) (uint64, bool) {
+// access looks pc up, touching its way on a hit, and when taken records
+// target for it: in its own way, else in the first empty way, else in
+// place of the least recently touched. One scan finds the hit, the empty
+// way or the victim.
+func (b *btb) access(pc, target uint64, taken bool) (pred uint64, hit bool) {
 	base := b.set(pc) * b.assoc
-	for w := 0; w < b.assoc; w++ {
-		if b.tags[base+w] == pc {
-			b.touch(base, w)
-			return b.tgts[base+w], true
+	victim := base
+scan:
+	for i := base; i < base+b.assoc; i++ {
+		switch b.tags[i] {
+		case pc:
+			pred = b.tgts[i]
+			if taken {
+				b.tgts[i] = target
+			}
+			b.clock++
+			b.stamp[i] = b.clock
+			return pred, true
+		case 0: // the empty ways follow the filled ones
+			victim = i
+			break scan
 		}
+		if b.stamp[i] < b.stamp[victim] {
+			victim = i
+		}
+	}
+	if taken {
+		b.tags[victim], b.tgts[victim] = pc, target
+		b.clock++
+		b.stamp[victim] = b.clock
 	}
 	return 0, false
-}
-
-func (b *btb) touch(base, way int) {
-	old := b.lru[base+way]
-	if old == 0 {
-		return // already MRU
-	}
-	for w := 0; w < b.assoc; w++ {
-		if b.lru[base+w] < old {
-			b.lru[base+w]++
-		}
-	}
-	b.lru[base+way] = 0
-}
-
-func (b *btb) insert(pc, target uint64) {
-	base := b.set(pc) * b.assoc
-	victim := 0
-	for w := 0; w < b.assoc; w++ {
-		if b.tags[base+w] == pc || b.tags[base+w] == 0 {
-			victim = w
-			break
-		}
-		if b.lru[base+w] > b.lru[base+victim] {
-			victim = w
-		}
-	}
-	b.tags[base+victim] = pc
-	b.tgts[base+victim] = target
-	b.touch(base, victim)
 }
 
 // indirect is a tagged target cache indexed by PC hashed with recent
@@ -254,11 +245,8 @@ func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken 
 		} else {
 			predTaken = u.dir.Predict(pc)
 		}
-		predTarget, btbHit := u.btb.lookup(pc)
+		predTarget, btbHit := u.btb.access(pc, target, taken)
 		u.dir.Update(pc, taken)
-		if taken {
-			u.btb.insert(pc, target)
-		}
 		if predTaken != taken {
 			u.stats.DirectionMiss++
 			return Outcome{Mispredict: true}
@@ -272,9 +260,7 @@ func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken 
 	case isa.ClassCall:
 		u.stats.Calls++
 		u.ras.push(pc + isa.InstSize)
-		_, btbHit := u.btb.lookup(pc)
-		u.btb.insert(pc, target)
-		if !btbHit {
+		if _, btbHit := u.btb.access(pc, target, true); !btbHit {
 			u.stats.BTBMiss++
 			return Outcome{TargetMiss: true}
 		}
@@ -297,8 +283,7 @@ func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken 
 			pred, hit = u.ind.lookup(pc)
 			u.ind.update(pc, target)
 		} else {
-			pred, hit = u.btb.lookup(pc)
-			u.btb.insert(pc, target)
+			pred, hit = u.btb.access(pc, target, true)
 		}
 		if !hit || pred != target {
 			u.stats.IndirectMiss++

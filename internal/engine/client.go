@@ -331,20 +331,6 @@ func (c *Client) watchEvents(ctx context.Context, id string) (_ JobStatus, alive
 	return JobStatus{}, alive, fmt.Errorf("job %s: event stream ended before a terminal state", id)
 }
 
-// Report fetches a finished validate job's ValidationReport JSON from
-// GET /v1/jobs/{id}/report; every validate job that succeeded carries one.
-func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/report", nil)
-	if err != nil {
-		return nil, err
-	}
-	_, data, err := c.call(req, http.StatusOK)
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
 // ExportSnapshot downloads the worker's shared-cache snapshot; with
 // delta, only entries computed since the last import (the worker's own
 // contribution).

@@ -74,11 +74,9 @@ type Job struct {
 // `racesim run` (née cmd/racesim) invocation.
 type RunJob struct {
 	// Preset names a built-in config ("public-a53", "public-a72");
-	// ConfigPath loads a JSON config file instead, and ConfigJSON inlines
-	// one (for HTTP clients with no shared filesystem). At most one of
-	// ConfigPath/ConfigJSON; empty Preset defaults to public-a53.
+	// ConfigJSON is a configuration instead (`racesim run -config` reads
+	// its file into it). Empty Preset defaults to public-a53.
 	Preset     string          `json:"preset,omitempty"`
-	ConfigPath string          `json:"config_path,omitempty"`
 	ConfigJSON json.RawMessage `json:"config_json,omitempty"`
 	// Ubench/Workload name traces to run: a single name, a comma-separated
 	// list, or "all". TracePath replays a recorded RIFT file.
@@ -96,29 +94,21 @@ type RunJob struct {
 // successful job renders the final model's statistical ValidationReport
 // (correlation, RMSE, MAPE, confidence interval, p-value and budget
 // pass/fail per suite and category, plus plausibility violations) into
-// its artifact and carries the JSON in Result.Report (served at GET
-// /v1/jobs/{id}/report).
+// its artifact and carries the JSON in Result.Report, beside the tuned
+// configuration in Result.TunedConfig.
 type ValidateJob struct {
 	Core    string  `json:"core,omitempty"`    // "a53" (default) or "a72"
 	Budget1 int     `json:"budget1,omitempty"` // irace budget, round 1 (<=0: expt.DefaultBudgetRound1)
 	Budget2 int     `json:"budget2,omitempty"` // irace budget, round 2 (<=0: expt.DefaultBudgetRound2)
 	Scale   float64 `json:"scale,omitempty"`   // micro-benchmark scale factor (<=0: ubench.DefaultScale)
 	Seed    int64   `json:"seed,omitempty"`    // run seed; the pipeline draws it plus the core's offset (expt.Context.Seed)
-	// OutPath writes the tuned config JSON to a file; the Result carries
-	// the same bytes in TunedConfig either way.
-	OutPath string `json:"out_path,omitempty"`
-	Quiet   bool   `json:"quiet,omitempty"` // suppress progress output
-	// BudgetPath loads accuracy tolerances from a budget file
-	// (batch-only); BudgetJSON inlines the same JSON for HTTP clients.
-	// At most one; empty means no tolerances (the report still carries
-	// every metric and passes).
-	BudgetPath string          `json:"budget_path,omitempty"`
+	Quiet   bool    `json:"quiet,omitempty"`   // suppress progress output
+	// BudgetJSON holds the accuracy tolerances (`racesim validate
+	// -budgets` reads its file into it); empty means none (the report
+	// still carries every metric and passes).
 	BudgetJSON json.RawMessage `json:"budget_json,omitempty"`
-	// ReportDir persists the report JSON to <dir>/validate-<core>.json
-	// (batch-only) — the diffable accuracy history across PRs.
-	ReportDir string `json:"report_dir,omitempty"`
-	// Gate makes a budget violation fail the job after all artifacts are
-	// written — the CI accuracy gate.
+	// Gate makes a budget violation fail the job once the Result carries
+	// the report and the tuned configuration — the CI accuracy gate.
 	Gate bool `json:"gate,omitempty"`
 }
 
@@ -145,9 +135,7 @@ type ExperimentsJob struct {
 	Budget1      int     `json:"budget1,omitempty"` // 0: expt.DefaultBudgetRound1
 	Budget2      int     `json:"budget2,omitempty"` // 0: expt.DefaultBudgetRound2
 	Seed         int64   `json:"seed,omitempty"`
-	// OutPath additionally writes the rendered artifact to a file.
-	OutPath string `json:"out_path,omitempty"`
-	Quiet   bool   `json:"quiet,omitempty"`
+	Quiet        bool    `json:"quiet,omitempty"`
 }
 
 // UbenchJob inspects the Table I micro-benchmark suite.
@@ -240,17 +228,20 @@ type Result struct {
 	Kind string `json:"kind"`
 	// Artifact is every byte the job wrote to stdout — the rendered
 	// tables/figures, batch summary rows, or registry listing. It is
-	// byte-identical to the historical standalone binary's stdout.
-	// Populated only under Options.Capture.
+	// byte-identical to the historical standalone binary's stdout (what
+	// `racesim experiments -out` writes). Populated only under
+	// Options.Capture.
 	Artifact string `json:"artifact"`
 	// Log is every byte the job wrote to stderr (progress, timing, cache
 	// statistics — never part of the artifact). Populated only under
 	// Options.Capture.
 	Log string `json:"log,omitempty"`
-	// TunedConfig carries the tuned configuration JSON of a validate job.
+	// TunedConfig carries the tuned configuration JSON of a validate job
+	// (what `racesim validate -out` writes).
 	TunedConfig json.RawMessage `json:"tuned_config,omitempty"`
 	// Report carries a validate job's ValidationReport JSON (see
-	// internal/report for the schema).
+	// internal/report for the schema; `racesim validate -report-dir`
+	// writes it).
 	Report json.RawMessage `json:"report,omitempty"`
 	// CacheStats snapshots the simulation cache after the job. Under a
 	// shared cache the counters are cumulative across jobs.
@@ -365,11 +356,10 @@ func (j Job) Check() error {
 
 // CheckServerSafe rejects jobs that would read or write the server
 // host's filesystem. The HTTP API is unauthenticated, so path-valued
-// fields are batch-only: a network client could otherwise write
-// artifact/trace bytes to any server path (out_path, dump_out,
-// save_manifest) or probe server files (config_path, manifest,
-// trace_path). Inline equivalents exist where they matter — config_json
-// inbound, the Result's artifact and tuned_config outbound.
+// fields are batch-only: a network client could otherwise write trace or
+// manifest bytes to any server path (dump_out, save_manifest) or probe
+// server files (trace_path, manifest, dump). A job's other inputs are
+// inline (config_json, budget_json) and its outputs are the Result's.
 func (j Job) CheckServerSafe() error {
 	var fields []string
 	add := func(field, v string) {
@@ -378,25 +368,18 @@ func (j Job) CheckServerSafe() error {
 		}
 	}
 	if j.Run != nil {
-		add("run.config_path", j.Run.ConfigPath)
 		add("run.trace_path", j.Run.TracePath)
-	}
-	if j.Validate != nil {
-		add("validate.out_path", j.Validate.OutPath)
-		add("validate.budget_path", j.Validate.BudgetPath)
-		add("validate.report_dir", j.Validate.ReportDir)
 	}
 	if j.Experiments != nil {
 		add("experiments.manifest", j.Experiments.Manifest)
 		add("experiments.save_manifest", j.Experiments.SaveManifest)
-		add("experiments.out_path", j.Experiments.OutPath)
 	}
 	if j.Ubench != nil {
 		add("ubench.dump", j.Ubench.Dump)
 		add("ubench.dump_out", j.Ubench.DumpOut)
 	}
 	if len(fields) > 0 {
-		return fmt.Errorf("engine: job touches server-side files via %s; these fields are batch-only (use inline fields like config_json, and read artifacts from the result)",
+		return fmt.Errorf("engine: job touches server-side files via %s; these fields are batch-only (use inline fields like config_json, and read outputs from the result)",
 			strings.Join(fields, ", "))
 	}
 	return nil

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -22,10 +20,9 @@ func TestValidateJobGateFailsOnOutOfToleranceBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation pipeline")
 	}
-	dir := t.TempDir()
 	res, err := Execute(Job{Kind: KindValidate, Validate: &ValidateJob{
 		Core: "a53", Budget1: 200, Budget2: 200, Scale: 0.001, Quiet: true,
-		Gate: true, BudgetJSON: json.RawMessage(impossibleBudget), ReportDir: dir,
+		Gate: true, BudgetJSON: json.RawMessage(impossibleBudget),
 	}}, Options{Capture: true})
 	if err == nil {
 		t.Fatal("gate passed an impossible budget; CI would never fail")
@@ -36,8 +33,8 @@ func TestValidateJobGateFailsOnOutOfToleranceBudget(t *testing.T) {
 		}
 	}
 
-	// The gate fires last: the report artifact and history file are still
-	// produced so CI logs show exactly what missed the budget.
+	// The gate fires last: the result still carries the report and the
+	// tuned configuration, so CI shows exactly what missed the budget.
 	if len(res.Report) == 0 {
 		t.Fatal("failed gate dropped the report from the result")
 	}
@@ -47,13 +44,6 @@ func TestValidateJobGateFailsOnOutOfToleranceBudget(t *testing.T) {
 	}
 	if rep.Pass {
 		t.Error("report claims pass under an impossible budget")
-	}
-	disk, err := os.ReadFile(filepath.Join(dir, "validate-a53.json"))
-	if err != nil {
-		t.Fatalf("report history file missing: %v", err)
-	}
-	if string(disk) != string(res.Report) {
-		t.Error("report history bytes differ from Result.Report")
 	}
 	if !strings.Contains(res.Artifact, "accuracy budget: FAIL") {
 		t.Error("artifact missing the rendered FAIL verdict")
@@ -88,7 +78,10 @@ func TestValidateJobGatePassesWithinBudget(t *testing.T) {
 	}
 }
 
-func TestServerReportEndpoint(t *testing.T) {
+// TestServerStatusCarriesReport: a validate job's report is read from its
+// status, GET /v1/jobs/{id}, beside the artifact; a job of another kind
+// carries none.
+func TestServerStatusCarriesReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full validation pipeline")
 	}
@@ -110,58 +103,48 @@ func TestServerReportEndpoint(t *testing.T) {
 	if st.Status != "done" {
 		t.Fatalf("validate job failed: %s", st.Error)
 	}
-
-	// The typed client fetches the report the job produced.
-	data, err := NewClient(ts.URL).Report(context.Background(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rep report.ValidationReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("served report does not parse: %v", err)
+	if err := json.Unmarshal(st.Result.Report, &rep); err != nil {
+		t.Fatalf("status report does not parse: %v", err)
 	}
 	if rep.Version != report.Version || len(rep.Boards) != 1 || rep.Boards[0].Board != "firefly-a53" {
-		t.Errorf("served report: version %d, boards %+v", rep.Version, rep.Boards)
+		t.Errorf("status report: version %d, boards %+v", rep.Version, rep.Boards)
 	}
 	if !rep.Pass {
 		t.Error("unconstrained budget must pass")
 	}
-
-	// A job that produced no report answers 404 with a hint, not a 200
-	// with an empty body.
-	runID, _ := postJob(t, ts, Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}})
-	waitDone(t, ts, runID)
-	if _, err := NewClient(ts.URL).Report(context.Background(), runID); err == nil ||
-		!strings.Contains(err.Error(), "no validation report") {
-		t.Errorf("report for report-less job: %v", err)
+	if !strings.Contains(st.Result.Artifact, "validation report: firefly-a53") {
+		t.Error("status artifact misses the rendered report")
 	}
-	if _, err := NewClient(ts.URL).Report(context.Background(), "nope"); err == nil {
-		t.Error("report for unknown job must error")
+
+	runID, _ := postJob(t, ts, Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}})
+	if st := waitDone(t, ts, runID); st.Status != "done" || len(st.Result.Report) != 0 {
+		t.Errorf("run job: status %s, report %q", st.Status, st.Result.Report)
 	}
 }
 
-func TestServerRejectsPathValuedValidateFields(t *testing.T) {
-	for name, job := range map[string]Job{
-		"budget_path": {Kind: KindValidate, Validate: &ValidateJob{Core: "a53", BudgetPath: "/etc/x.json"}},
-		"report_dir":  {Kind: KindValidate, Validate: &ValidateJob{Core: "a53", ReportDir: "/tmp/reports"}},
+// TestCheckServerSafeNamesThePathFields: CheckServerSafe refuses exactly the
+// five path-valued fields, and names each; the inline inputs pass.
+func TestCheckServerSafeNamesThePathFields(t *testing.T) {
+	for field, job := range map[string]Job{
+		"run.trace_path":            {Kind: KindRun, Run: &RunJob{TracePath: "/etc/passwd"}},
+		"experiments.manifest":      {Kind: KindExperiments, Experiments: &ExperimentsJob{Manifest: "/etc/m.json"}},
+		"experiments.save_manifest": {Kind: KindExperiments, Experiments: &ExperimentsJob{SaveManifest: "/tmp/m.json"}},
+		"ubench.dump":               {Kind: KindUbench, Ubench: &UbenchJob{Dump: "MD"}},
+		"ubench.dump_out":           {Kind: KindUbench, Ubench: &UbenchJob{DumpOut: "/tmp/x.rift"}},
 	} {
-		if err := job.CheckServerSafe(); err == nil {
-			t.Errorf("%s: path-valued field accepted over the unauthenticated API", name)
+		if err := job.CheckServerSafe(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: %v", field, err)
 		}
 	}
-	// The inline form stays server-safe.
-	ok := Job{Kind: KindValidate, Validate: &ValidateJob{Core: "a53", BudgetJSON: json.RawMessage(`{}`), Gate: true}}
-	if err := ok.CheckServerSafe(); err != nil {
-		t.Errorf("inline budget rejected: %v", err)
-	}
-}
-
-func TestValidateJobRejectsConflictingBudgets(t *testing.T) {
-	_, err := Execute(Job{Kind: KindValidate, Validate: &ValidateJob{
-		Core: "a53", BudgetJSON: json.RawMessage(`{}`), BudgetPath: "x.json",
-	}}, Options{})
-	if err == nil || !strings.Contains(err.Error(), "both") {
-		t.Errorf("conflicting budget sources: %v", err)
+	for _, job := range []Job{
+		{Kind: KindRun, Run: &RunJob{ConfigJSON: json.RawMessage(`{}`), Ubench: "MD"}},
+		{Kind: KindValidate, Validate: &ValidateJob{Core: "a53", BudgetJSON: json.RawMessage(`{}`), Gate: true}},
+		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1"}},
+	} {
+		if err := job.CheckServerSafe(); err != nil {
+			t.Errorf("inline %s job rejected: %v", job.Kind, err)
+		}
 	}
 }
 

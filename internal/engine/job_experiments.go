@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"os"
 	"strings"
 	"time"
 
@@ -89,14 +88,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 		return err
 	}
 
-	rendered := scenario.RenderAll(results)
-	e.printf("%s", rendered)
-	if j.OutPath != "" {
-		if err := os.WriteFile(j.OutPath, []byte(rendered), 0o644); err != nil {
-			return err
-		}
-		e.eprintf("wrote %s\n", j.OutPath)
-	}
+	e.printf("%s", scenario.RenderAll(results))
 
 	// Wall-clock and cache effectiveness on stderr, never in the artifact.
 	for _, r := range results {

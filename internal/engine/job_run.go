@@ -94,10 +94,6 @@ func (e *env) gather(j *RunJob, events int, scale float64) ([]*trace.Trace, erro
 // resolveConfig picks the job's simulator configuration.
 func resolveConfig(j *RunJob) (sim.Config, error) {
 	switch {
-	case j.ConfigPath != "" && len(j.ConfigJSON) > 0:
-		return sim.Config{}, fmt.Errorf("config_path and config_json are mutually exclusive")
-	case j.ConfigPath != "":
-		return sim.LoadConfig(j.ConfigPath)
 	case len(j.ConfigJSON) > 0:
 		var cfg sim.Config
 		if err := json.Unmarshal(j.ConfigJSON, &cfg); err != nil {

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"racesim/internal/expt"
 	"racesim/internal/report"
@@ -42,11 +40,13 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if err != nil {
 		return err
 	}
-	// Resolve the accuracy budget up front so a bad budget file fails
-	// before hours of tuning, not after.
-	budget, err := resolveBudget(j)
-	if err != nil {
-		return err
+	// Parse the accuracy budget up front so a bad budget fails before
+	// hours of tuning, not after.
+	var budget report.Budget
+	if len(j.BudgetJSON) > 0 {
+		if budget, err = report.ParseBudget(j.BudgetJSON); err != nil {
+			return err
+		}
 	}
 
 	if err := e.openSnapshot("validate", logf); err != nil {
@@ -71,9 +71,7 @@ func (e *env) validateJob(j *ValidateJob) error {
 	// The statistical accuracy report of the final model, judged against
 	// the resolved budget: the job's one per-benchmark accuracy view. Its
 	// samples are the final stage's pairs, already in the cache. Rendered
-	// text joins the artifact; the JSON rides in the Result (and the serve
-	// report endpoint) and optionally persists to the diffable report
-	// history directory.
+	// text joins the artifact; the JSON rides in the Result.
 	samples, plaus, err := validate.CollectSamples(final.Config, final.Ms, e.cache, e.par)
 	if err != nil {
 		return err
@@ -89,16 +87,6 @@ func (e *env) validateJob(j *ValidateJob) error {
 		return err
 	}
 	e.report = data
-	if j.ReportDir != "" {
-		if err := os.MkdirAll(j.ReportDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(j.ReportDir, "validate-"+core+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		e.eprintf("wrote validation report to %s\n", path)
-	}
 
 	st := e.cache.Stats()
 	e.eprintf("cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate), %d entries\n",
@@ -110,41 +98,20 @@ func (e *env) validateJob(j *ValidateJob) error {
 		return err
 	}
 
-	// The tuned configuration always rides along in the Result (the HTTP
-	// path has no shared filesystem); OutPath additionally writes the same
-	// indented JSON to a file, as the standalone binary did.
+	// The tuned configuration rides in the Result as the indented JSON a
+	// config file holds (sim.Config.MarshalJSONFile).
 	cfgJSON, err := json.MarshalIndent(final.Config, "", "  ")
 	if err != nil {
 		return err
 	}
 	e.tunedConfig = append(cfgJSON, '\n')
-	if j.OutPath != "" {
-		if err := final.Config.MarshalJSONFile(j.OutPath); err != nil {
-			return err
-		}
-		e.eprintf("wrote tuned configuration to %s\n", j.OutPath)
-	}
-	// The gate fires last: every artifact (tuned config, report history,
-	// cache snapshot) is already on disk when a violation fails the job,
-	// so CI logs show exactly what missed the budget.
+	// The gate fires last: the Result already carries the report and the
+	// tuned configuration, and the cache snapshot is saved, when a
+	// violation fails the job, so CI shows exactly what missed the budget.
 	if j.Gate {
 		if err := rep.Err(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// resolveBudget picks the job's accuracy budget: inline JSON wins, then
-// a budget file, then the empty (unconstrained) budget.
-func resolveBudget(j *ValidateJob) (report.Budget, error) {
-	switch {
-	case len(j.BudgetJSON) > 0 && j.BudgetPath != "":
-		return report.Budget{}, fmt.Errorf("validate job sets both budget_json and budget_path")
-	case len(j.BudgetJSON) > 0:
-		return report.ParseBudget(j.BudgetJSON)
-	case j.BudgetPath != "":
-		return report.LoadBudget(j.BudgetPath)
-	}
-	return report.Budget{}, nil
 }

@@ -481,8 +481,6 @@ func (s *Server) Drain(ctx context.Context) error {
 //	GET  /v1/jobs/{id}         one job's status, result included when done
 //	GET  /v1/jobs/{id}/events  live job events (Server-Sent Events stream)
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
-//	GET  /v1/jobs/{id}/artifact  the raw rendered artifact (text/plain)
-//	GET  /v1/jobs/{id}/report  a validate job's ValidationReport (JSON)
 //	GET  /v1/scenarios         the scenario registry with unit counts
 //	GET  /v1/cache/snapshot    the shared cache as a binary snapshot (?delta=1)
 //	POST /v1/cache/snapshot    merge a binary snapshot (pre-seed)
@@ -497,8 +495,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/artifact", s.handleArtifact)
-	mux.HandleFunc("GET /v1/jobs/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("GET /v1/cache/snapshot", s.handleSnapshotGet)
 	mux.HandleFunc("POST /v1/cache/snapshot", s.handleSnapshotPut)
@@ -628,60 +624,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		ID     string `json:"id"`
 		Status string `json:"status"`
 	}{ID: st.id, Status: status})
-}
-
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
-		return
-	}
-	st.mu.Lock()
-	status, result := st.status, st.result
-	st.mu.Unlock()
-	// Only a successful job's artifact is served raw: a failed job's
-	// partial output would be indistinguishable from a complete one to a
-	// curl|diff client. The partial artifact stays available in the status
-	// endpoint's result, next to the error that explains it.
-	if status != "done" || result == nil {
-		writeJSON(w, http.StatusConflict, apiError{
-			Error: fmt.Sprintf("job is %s; the artifact is served for successful jobs only (see GET /v1/jobs/%s)", status, st.id),
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write([]byte(result.Artifact))
-}
-
-// handleReport serves a finished validate job's ValidationReport JSON —
-// the typed statistical accuracy artifact (see internal/report). Like
-// the artifact endpoint it answers only for successful jobs, so a
-// partial report can never be mistaken for a complete one; every
-// successful validate job carries one, and a job of another kind
-// answers 404.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
-		return
-	}
-	st.mu.Lock()
-	status, result := st.status, st.result
-	st.mu.Unlock()
-	if status != "done" || result == nil {
-		writeJSON(w, http.StatusConflict, apiError{
-			Error: fmt.Sprintf("job is %s; the report is served for successful jobs only (see GET /v1/jobs/%s)", status, st.id),
-		})
-		return
-	}
-	if len(result.Report) == 0 {
-		writeJSON(w, http.StatusNotFound, apiError{
-			Error: "job produced no validation report (only validate jobs do)",
-		})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(result.Report)
 }
 
 // ScenarioInfo is one row of GET /v1/scenarios.

@@ -111,17 +111,6 @@ func TestServerJobLifecycleMatchesBatch(t *testing.T) {
 			st.Result.Artifact, batch.Artifact)
 	}
 
-	// The raw artifact endpoint serves the identical bytes as text/plain.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/artifact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(raw) != st.Result.Artifact {
-		t.Error("artifact endpoint bytes differ from the result")
-	}
-
 	// A repeated simulation job answers from the shared warm cache (table1
 	// only generates traces, so use a run job for the cache assertion).
 	runJob := Job{Kind: KindRun, Run: &RunJob{Ubench: "MD", Scale: 0.002}}
@@ -221,15 +210,15 @@ func TestServerRejectsBadJobs(t *testing.T) {
 	// (reads or writes) must be refused at submission.
 	for _, job := range []Job{
 		{Kind: KindUbench, Ubench: &UbenchJob{Dump: "MD", DumpOut: "/tmp/x.rift"}},
-		{Kind: KindValidate, Validate: &ValidateJob{OutPath: "/tmp/owned.json"}},
-		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1", OutPath: "/tmp/out.md"}},
-		{Kind: KindRun, Run: &RunJob{ConfigPath: "/etc/passwd", Ubench: "MD"}},
+		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1", SaveManifest: "/tmp/owned.json"}},
+		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1", Manifest: "/etc/passwd"}},
+		{Kind: KindRun, Run: &RunJob{TracePath: "/etc/passwd"}},
 	} {
 		if _, code := postJob(t, ts, job); code != http.StatusBadRequest {
 			t.Errorf("server-side path job (%s) accepted with code %d, want 400", job.Kind, code)
 		}
 	}
-	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/artifact"} {
+	for _, path := range []string{"/v1/jobs/job-999999", "/v1/jobs/job-999999/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -290,36 +279,6 @@ func TestServerDrain(t *testing.T) {
 	if err := srv.Drain(context.Background()); err == nil {
 		t.Error("second Drain should fail")
 	}
-}
-
-func TestServerFailedJobArtifactNotServedRaw(t *testing.T) {
-	srv, err := NewServer(ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// An unknown benchmark fails after the engine has started writing
-	// nothing — the artifact endpoint must refuse, not serve partial bytes
-	// with a 200.
-	id, err := srv.Submit(Job{Kind: KindRun, Run: &RunJob{Ubench: "NOPE"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitDone(t, ts, id)
-	if st.Status != "failed" {
-		t.Fatalf("job status %s, want failed", st.Status)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/artifact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("failed job artifact answered %d, want 409", resp.StatusCode)
-	}
-	srv.Drain(context.Background())
 }
 
 func TestServerAbortedDrainStillCheckpoints(t *testing.T) {
@@ -464,7 +423,7 @@ func TestServerProgressRing(t *testing.T) {
 // TestEndpointTableMatchesHandler: every `METHOD /path` row of docs/cli.md's
 // endpoint table is a route Server.Handler() registers — the request reaches
 // a handler of ours, not the mux's own 404 or 405 — and the table has the
-// thirteen rows the handler has routes.
+// eleven rows the handler has routes.
 func TestEndpointTableMatchesHandler(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "cli.md"))
 	if err != nil {
@@ -480,8 +439,8 @@ func TestEndpointTableMatchesHandler(t *testing.T) {
 		t.Fatalf("Server.Handler() is a %T, not the mux this test asks for patterns", srv.Handler())
 	}
 	rows := regexp.MustCompile("(?m)^\\| `((?:GET|POST|PUT|DELETE|PATCH) /[^`]*)` \\|").FindAllStringSubmatch(string(doc), -1)
-	if len(rows) != 13 {
-		t.Errorf("docs/cli.md's endpoint table has %d rows, want 13", len(rows))
+	if len(rows) != 11 {
+		t.Errorf("docs/cli.md's endpoint table has %d rows, want 11", len(rows))
 	}
 	for _, row := range rows {
 		method, path, _ := strings.Cut(row[1], " ")

@@ -91,15 +91,9 @@ type Prefetcher interface {
 	Observe(pc, lineAddr uint64, miss bool) []uint64
 }
 
-// TableKey is the key the stride and GHB tables index by the PC of the
-// demand access that trains them: an entry is (TableKey(pc) & (entries-1)).
-// The stride table is tagged by the full PC and the GHB index table maps an
-// entry to its newest history slot, and both start out empty, so a table
-// in which no two of the PCs that train it share an entry gives each PC
-// its own, and so does every larger power of two: they prefetch alike.
-// That is the bound sim's read profile takes for l1d.prefetch.table and
-// l2.prefetch.table (sim.Profile).
-func TableKey(pc uint64) uint64 { return pc >> 2 }
+// tableKey is the key the stride and GHB tables index by the PC of the
+// demand access that trains them: an entry is (tableKey(pc) & (entries-1)).
+func tableKey(pc uint64) uint64 { return pc >> 2 }
 
 // Bank owns the state of one prefetcher of every kind, so a recycled cache
 // level can switch kinds and table geometries without allocating: tables
@@ -189,7 +183,7 @@ func (p *stride) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	if !miss && !p.cfg.OnHit {
 		return nil
 	}
-	i := TableKey(pc) & p.mask
+	i := tableKey(pc) & p.mask
 	if p.tags[i] != pc {
 		p.tags[i] = pc
 		p.last[i] = lineAddr
@@ -264,7 +258,7 @@ func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	if !miss && !g.cfg.OnHit {
 		return nil
 	}
-	i := TableKey(pc) & g.mask
+	i := tableKey(pc) & g.mask
 	prev := g.index[i]
 	slot := g.head
 	if g.head++; g.head == g.cfg.GHBEntries {

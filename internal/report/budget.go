@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 )
 
 // Tolerance declares the accuracy bounds one sample group must meet.
@@ -66,19 +65,6 @@ func ParseBudget(data []byte) (Budget, error) {
 	var b Budget
 	if err := unmarshalStrict(data, &b); err != nil {
 		return Budget{}, fmt.Errorf("report: budget: %w", err)
-	}
-	return b, nil
-}
-
-// LoadBudget reads a budget file.
-func LoadBudget(path string) (Budget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Budget{}, err
-	}
-	b, err := ParseBudget(data)
-	if err != nil {
-		return Budget{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return b, nil
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // MarshalJSON renders the report as indented JSON with a trailing
-// newline — the bytes persisted to the reports/ history directory and
-// served by GET /v1/jobs/{id}/report. Field order is fixed by the
+// newline — the bytes of a validate job's result.report, which `racesim
+// validate -report-dir` persists to the reports/ history. Field order is fixed by the
 // struct definitions and boards are name-sorted, so two runs over the
 // same data produce identical bytes.
 func (r ValidationReport) MarshalIndent() ([]byte, error) {

@@ -7,7 +7,7 @@
 //
 // The report is the continuously-enforced replacement for the historical
 // ad-hoc per-category error lines: every `racesim validate` renders it,
-// the serve API exposes it at GET /v1/jobs/{id}/report, and CI gates on
+// a validate job's result carries it (`result.report`), and CI gates on
 // it so accuracy cannot drift silently across refactors. Every number in
 // a report is guaranteed finite — undefined statistics (a single-sample
 // correlation, a zero-variance p-value) degrade to documented neutral

@@ -10,18 +10,17 @@ import (
 	"racesim/internal/branch"
 	"racesim/internal/core"
 	"racesim/internal/isa"
-	"racesim/internal/prefetch"
 	"racesim/internal/trace"
 )
 
 // Profile is what one decoded trace lets its replays read: which
 // instruction classes it executes, how far its calls and returns move the
-// return-address stack, how many pages it touches, and, for every table
-// the tuner sizes, the smallest size at which no two of the keys the trace
-// indexes it by share an entry. Each entry bounds the tunables that name it
-// (ParamDef.Reads); TraceCanonical merges the values a trace cannot tell
-// apart. It depends on the decode alone and is computed once per decode
-// (ProfileOf).
+// return-address stack, how many pages it touches, and, for every branch
+// unit table the tuner sizes, the smallest size at which no two of the
+// keys the trace indexes it by share an entry. Each entry bounds the
+// tunables that name it (ParamDef.Reads); TraceCanonical merges the values
+// a trace cannot tell apart. It depends on the decode alone and is
+// computed once per decode (ProfileOf).
 type Profile struct {
 	// Classes is the trace's class histogram (core.ClassHistogram).
 	Classes [isa.NumClasses]uint64
@@ -47,11 +46,6 @@ type Profile struct {
 	// Indirect is the table size for the indirect predictor's keys, under
 	// each listed branch.indirect_history.
 	Indirect []SizeAt
-	// L1DPrefetch and L2Prefetch are the table sizes for the PCs that
-	// train each level's stride or GHB table: the loads' and stores' PCs,
-	// and at L2 also the PCs at which the front end fetches a new line of
-	// ProfileLineBytes (an L1I miss trains the L2 prefetcher with it).
-	L1DPrefetch, L2Prefetch int
 }
 
 // SizeAt is a table size bound under one value of the history length the
@@ -61,15 +55,11 @@ type SizeAt struct{ History, Size int }
 // BTBGeometry is one (entries, assoc) pair of the BTB.
 type BTBGeometry struct{ Entries, Assoc int }
 
-// The page and fetch-line sizes the profile counts at: the presets'. A
-// larger page holds whole smaller ones and a longer line starts no fetch a
-// shorter one does not, so the counts bound every configuration whose
-// pages and L1I lines are at least as large; TraceCanonical leaves the
-// others alone.
-const (
-	ProfilePageBytes = 4096
-	ProfileLineBytes = 64
-)
+// ProfilePageBytes is the page size the profile counts at: the presets'.
+// A larger page holds whole smaller ones, so the counts bound every
+// configuration whose pages are at least as large; TraceCanonical leaves
+// the others alone.
+const ProfilePageBytes = 4096
 
 // maxTable bounds the table sizes a profile looks at: the largest any
 // tunable lists (branch.bimodal_entries and branch.gshare_entries, 8 192).
@@ -86,20 +76,16 @@ func ProfileOf(d *trace.Decoded) *Profile {
 }
 
 // readProfile walks d once, collecting the pages it touches as sets, the
-// keys of the prefetch tables and the BTB as key lists, and the events of
-// its branches, whose keys depend on the history before them, then bounds
-// each table.
+// BTB's keys as a key list, and the events of its branches, whose keys
+// depend on the history before them, then bounds each table.
 func readProfile(d *trace.Decoded, behav []core.Behavior, hist *[isa.NumClasses]uint64) *Profile {
 	p := &Profile{Classes: *hist}
 	pageShift := uint(bits.TrailingZeros(ProfilePageBytes))
-	lineShift := uint(bits.TrailingZeros(ProfileLineBytes))
 	b := bounders.Get().(*bounder)
 	defer bounders.Put(b)
 
 	code, data := map[uint64]struct{}{}, map[uint64]struct{}{}
-	mem, l2, btb := &b.lists[0], &b.lists[1], &b.lists[2]
-	mem.reset()
-	l2.reset()
+	keys, btb := &b.lists[0], &b.lists[1]
 	btb.reset()
 	// The events of the direct and the indirect branches, in trace order.
 	dir := make([]uint32, 0, hist[isa.ClassBranch])
@@ -112,16 +98,11 @@ func readProfile(d *trace.Decoded, behav []core.Behavior, hist *[isa.NumClasses]
 		if pg := pc >> pageShift; pg != lastCode {
 			code[pg], lastCode = struct{}{}, pg
 		}
-		if i == 0 || pc>>lineShift != d.PC[i-1]>>lineShift {
-			l2.add(prefetch.TableKey(pc))
-		}
 		switch behav[id].Cls {
 		case isa.ClassLoad, isa.ClassStore:
 			if pg := d.MemAddr[i] >> pageShift; pg != lastData {
 				data[pg], lastData = struct{}{}, pg
 			}
-			mem.add(prefetch.TableKey(pc))
-			l2.add(prefetch.TableKey(pc))
 		case isa.ClassBranch:
 			dir = append(dir, uint32(i))
 			btb.add(pc)
@@ -141,9 +122,7 @@ func readProfile(d *trace.Decoded, behav []core.Behavior, hist *[isa.NumClasses]
 		p.CallSpan = hi - lo + 1
 	}
 	p.CodePages, p.DataPages = len(code), len(data)
-	p.L1DPrefetch, p.L2Prefetch = b.bound(mem.keys), b.bound(l2.keys)
 
-	keys := &b.lists[0]
 	keys.reset()
 	for _, i := range dir {
 		keys.add(branch.PCKey(d.PC[i]))
@@ -210,7 +189,7 @@ func (l *keyList) add(k uint64) {
 // bound, for each of maxTable slots the key that took it and whether one
 // has, and for btbFits per-set counts.
 type bounder struct {
-	lists [3]keyList
+	lists [2]keyList
 	slot  [maxTable]uint64
 	used  [maxTable / 64]uint64
 	count []int
@@ -302,25 +281,22 @@ type Read struct {
 type readEntry uint8
 
 const (
-	readAny            readEntry = iota
-	readClasses                  // read by events of the classes alone
-	readIndirect                 // read only if the trace has indirect branches
-	readCallSpan                 // Profile.CallSpan
-	readCodePages                // Profile.CodePages
-	readDataPages                // Profile.DataPages
-	readBranchPCs                // Profile.Bimodal
-	readGShareKeys               // Profile.GShare
-	readBTBSets                  // Profile.BTB
-	readIndirectKeys             // Profile.Indirect
-	readL1DPrefetchPCs           // Profile.L1DPrefetch
-	readL2PrefetchPCs            // Profile.L2Prefetch
+	readAny          readEntry = iota
+	readClasses                // read by events of the classes alone
+	readIndirect               // read only if the trace has indirect branches
+	readCallSpan               // Profile.CallSpan
+	readCodePages              // Profile.CodePages
+	readDataPages              // Profile.DataPages
+	readBranchPCs              // Profile.Bimodal
+	readGShareKeys             // Profile.GShare
+	readBTBSets                // Profile.BTB
+	readIndirectKeys           // Profile.Indirect
 )
 
 var readNames = [...]string{
 	readAny: "-", readClasses: "classes", readIndirect: "indirect", readCallSpan: "call-span",
 	readCodePages: "code-pages", readDataPages: "data-pages", readBranchPCs: "branch-pcs",
 	readGShareKeys: "gshare-keys", readBTBSets: "btb-sets", readIndirectKeys: "indirect-keys",
-	readL1DPrefetchPCs: "l1d-prefetch-pcs", readL2PrefetchPCs: "l2-prefetch-pcs",
 }
 
 // classes is the Read of a field only events of cs read.
@@ -367,7 +343,7 @@ func (r Read) unread(p *Profile) bool {
 // bound returns the value that stands, on the trace p profiles, for every
 // value at or above it of a field of Read r in c, and whether there is
 // one: the trace cannot tell any two such values apart (see branch's table
-// keys, prefetch.TableKey and the TLB).
+// keys and the TLB).
 func (r Read) bound(c *Config, p *Profile) (int, bool) {
 	switch r.entry {
 	case readCallSpan:
@@ -384,10 +360,6 @@ func (r Read) bound(c *Config, p *Profile) (int, bool) {
 	case readIndirectKeys:
 		n := sizeAt(p.Indirect, c.Branch.IndirectHistory)
 		return n, n > 0
-	case readL1DPrefetchPCs:
-		return p.L1DPrefetch, p.L1DPrefetch > 0
-	case readL2PrefetchPCs:
-		return p.L2Prefetch, p.L2Prefetch > 0 && c.Mem.L1I.LineSize >= ProfileLineBytes
 	}
 	return 0, false
 }

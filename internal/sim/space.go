@@ -164,9 +164,8 @@ func choiceParam[K ~string](name string, get func(*Config) *K, vs ...K) ParamDef
 
 // prefetchParams declares a level's prefetcher. Kind none reads none of
 // its fields; next_line and spatial (the A72 board's, never offered to the
-// tuner) read no table, stride and ghb read every field (prefetch.go). table
-// is the profile entry of the PCs that train the level's table.
-func prefetchParams(prefix string, get func(*Config) *prefetch.Config, table Read, degrees, distances, tables []int) []ParamDef {
+// tuner) read no table, stride and ghb read every field (prefetch.go).
+func prefetchParams(prefix string, get func(*Config) *prefetch.Config, degrees, distances, tables []int) []ParamDef {
 	kind := prefix + ".kind"
 	on := unless(kind, string(prefetch.KindNone))
 	return []ParamDef{
@@ -174,7 +173,7 @@ func prefetchParams(prefix string, get func(*Config) *prefetch.Config, table Rea
 		intParam(prefix+".degree", func(c *Config) *int { return &get(c).Degree }, degrees...).when(on),
 		intParam(prefix+".distance", func(c *Config) *int { return &get(c).Distance }, distances...).when(on),
 		intParam(prefix+".table", func(c *Config) *int { return &get(c).TableEntries }, tables...).
-			when(unless(kind, string(prefetch.KindNone), string(prefetch.KindNextLine))).reads(table),
+			when(unless(kind, string(prefetch.KindNone), string(prefetch.KindNextLine))),
 		boolParam(prefix+".on_hit", func(c *Config) *bool { return &get(c).OnHit }).when(on),
 	}
 }
@@ -233,7 +232,7 @@ func buildParams(kind core.Kind) []ParamDef {
 	// L1 data cache.
 	add(cacheParams("l1d", func(c *Config) *cache.Config { return &c.Mem.L1D }, 2, 3, 4)...)
 	add(intParam("l1d.victim_entries", func(c *Config) *int { return &c.Mem.L1D.VictimEntries }, 0, 2, 4, 8))
-	add(prefetchParams("l1d.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L1D.Prefetch }, Read{entry: readL1DPrefetchPCs},
+	add(prefetchParams("l1d.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L1D.Prefetch },
 		[]int{1, 2, 4}, []int{1, 2, 4, 8}, []int{16, 32, 64, 128})...)
 
 	// L1 instruction cache.
@@ -250,7 +249,7 @@ func buildParams(kind core.Kind) []ParamDef {
 	// is validated and read by no model (docs/validation.md).
 	add(intParam("l2.mshrs", func(c *Config) *int { return &c.Mem.L2.MSHRs }, 4, 8, 12, 16).when(never).timingOnly())
 	add(intParam("l2.victim_entries", func(c *Config) *int { return &c.Mem.L2.VictimEntries }, 0, 4, 8))
-	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch }, Read{entry: readL2PrefetchPCs},
+	add(prefetchParams("l2.prefetch", func(c *Config) *prefetch.Config { return &c.Mem.L2.Prefetch },
 		[]int{1, 2, 4, 8}, []int{1, 2, 4, 8, 16}, []int{32, 64, 128, 256})...)
 
 	// TLBs and paging.
