@@ -209,6 +209,39 @@ func TestHashKindsChangeConflictBehaviour(t *testing.T) {
 	}
 }
 
+// TestMersenneIndexIsTheModulo: the Mersenne hash's set is block mod
+// sets-1, computed by end-around-carry folds instead of a divide; it must
+// be exactly the modulo for every exponent and every block, the edges
+// (0, the modulus, one past it, all ones) included.
+func TestMersenneIndexIsTheModulo(t *testing.T) {
+	if got := mersenneMod(12345, 0); got != 0 {
+		t.Errorf("mod 2^0-1 of 12345 = %d, want 0 (one set)", got)
+	}
+	for k := uint(1); k < 32; k++ {
+		m := uint64(1)<<k - 1
+		check := func(x uint64) bool { return mersenneMod(x, k) == x%m }
+		for _, x := range []uint64{0, 1, m - 1, m, m + 1, 2 * m, 2*m + 1, ^uint64(0), ^uint64(0) - m} {
+			if !check(x) {
+				t.Fatalf("mod 2^%d-1 of %d = %d, want %d", k, x, mersenneMod(x, k), x%m)
+			}
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Fatalf("mod 2^%d-1: %v", k, err)
+		}
+	}
+	cfg := l1Config()
+	cfg.Hash = HashMersenne
+	for _, kb := range []int{4, 32, 512} {
+		cfg.SizeKB = kb
+		l := mkLevel(t, cfg, &fixedBackend{})
+		for _, block := range []uint64{0, 1, 63, 64, 1 << 20, 0xdeadbeef, ^uint64(0)} {
+			if got, want := l.index(block), int(block%uint64(l.sets-1)); got != want {
+				t.Errorf("%d KB: block %#x indexes set %d, want %d", kb, block, got, want)
+			}
+		}
+	}
+}
+
 func TestReplacementPolicies(t *testing.T) {
 	for _, repl := range ReplKinds {
 		cfg := l1Config()

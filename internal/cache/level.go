@@ -107,7 +107,7 @@ type Level struct {
 	hitLat   uint64 // HitLatency plus the TagDataSerial extra cycle
 	hash     hashFn // cfg.Hash, resolved by Reset
 	repl     replFn // cfg.Repl, resolved by Reset
-	xorBits  uint   // log2(sets), the XOR hash's fold width
+	xorBits  uint   // log2(sets): the XOR hash's fold width, the Mersenne modulus's exponent
 
 	// Main-array lines are never invalidated (only victim-buffer entries
 	// are), so a set fills its ways in order: ways [0, fill[set]) are
@@ -255,14 +255,29 @@ func (l *Level) index(block uint64) int {
 		b := l.xorBits
 		return int((block ^ block>>b ^ block>>(2*b)) & l.setMask)
 	case hashMersenne:
-		m := uint64(l.sets - 1)
-		if m == 0 {
-			return 0
-		}
-		return int(block % m) // one set is sacrificed, as in prime-modulo schemes
+		// block mod sets-1: one set is sacrificed, as in prime-modulo schemes.
+		return int(mersenneMod(block, l.xorBits))
 	default:
 		return int(block & l.setMask)
 	}
+}
+
+// mersenneMod returns x mod 2^k-1 (0 for k = 0) without a divide. As
+// 2^k is 1 modulo 2^k-1, adding x's high bits to its low k bits (an
+// end-around carry) keeps its residue; the folds end at most 2^k-1, which
+// is 0.
+func mersenneMod(x uint64, k uint) uint64 {
+	m := uint64(1)<<k - 1
+	if m == 0 {
+		return 0
+	}
+	for x > m {
+		x = x&m + x>>k
+	}
+	if x == m {
+		return 0
+	}
+	return x
 }
 
 func (l *Level) xorshift() uint64 {
@@ -328,7 +343,11 @@ func (l *Level) victimWay(set int) int {
 		}
 		return lo
 	case replRandom:
-		return int(l.xorshift() % uint64(l.assoc))
+		r, a := l.xorshift(), uint64(l.assoc)
+		if a&(a-1) == 0 {
+			return int(r & (a - 1)) // r % a, without the divide
+		}
+		return int(r % a)
 	default:
 		victim := 0
 		for w := 1; w < l.assoc; w++ {

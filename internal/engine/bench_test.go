@@ -2,6 +2,7 @@ package engine
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"racesim/internal/simcache"
@@ -71,23 +72,32 @@ func BenchmarkEngineExperimentsWarmCache(b *testing.B) {
 // perturbation study), answered from a fresh copy of the snapshot a cold
 // run wrote in set-up — what the benchmark's paper_warm workload times.
 // The table2 benchmark above has no suite, no tuner and no board, and
-// never saw what a warm run spent its time on. Reports ms/job, the traces
-// the job had to generate (read off its stderr summary; 0 expected: the
-// snapshot says what they are) and the simulations it replayed (board
-// measurements included; 0 expected). Recorded in BENCH_engine.json.
+// never saw what a warm run spent its time on. Reports ms/job, the bytes
+// and objects the job allocated (bytes/job, allocs/job: the set-up copy of
+// the snapshot left out), the traces the job had to generate (read off its
+// stderr summary; 0 expected: the snapshot says what they are) and the
+// simulations it replayed (board measurements included; 0 expected).
+// Recorded in BENCH_engine.json.
 func BenchmarkEngineExperimentsWarmAll(b *testing.B) {
 	pristine := filepath.Join(b.TempDir(), "pristine.snap")
 	cold, err := Execute(toyAll(), Options{CachePath: pristine, Capture: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var generated, replayed uint64
+	var generated, replayed, bytes, allocs uint64
+	var before, after runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		work, _ := agedCopy(b, pristine)
+		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		res, err := Execute(toyAll(), Options{CachePath: work, Capture: true})
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.StartTimer()
+		bytes += after.TotalAlloc - before.TotalAlloc
+		allocs += after.Mallocs - before.Mallocs
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,6 +109,8 @@ func BenchmarkEngineExperimentsWarmAll(b *testing.B) {
 		replayed += res.CacheStats.Misses
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/job")
+	b.ReportMetric(float64(bytes)/float64(b.N), "bytes/job")
+	b.ReportMetric(float64(allocs)/float64(b.N), "allocs/job")
 	b.ReportMetric(float64(generated)/float64(b.N), "traces-generated/job")
 	b.ReportMetric(float64(replayed)/float64(b.N), "replays/job")
 }

@@ -142,7 +142,7 @@ func (e *env) runJob(j *RunJob) error {
 	if err != nil {
 		return err
 	}
-	results, err := e.cache.RunBatch(e.ctx, []sim.Config{cfg}, trs, e.par)
+	results, err := e.cache.RunBatch(e.ctx, []sim.Config{cfg}, trs, e.par, nil)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"racesim/internal/core"
 	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/isa"
@@ -107,7 +108,8 @@ func (e *env) compare(name string, board *hw.Board, cfg sim.Config, opts ubench.
 		}
 		ms = []validate.Measurement{m}
 	}
-	rs, rows, err := validate.Score(e.ctx, []sim.Config{cfg}, ms, e.cache, e.par)
+	rs := make([]core.Result, len(ms))
+	rows, err := validate.Score(e.ctx, []sim.Config{cfg}, ms, e.cache, e.par, rs)
 	if err != nil {
 		return err
 	}

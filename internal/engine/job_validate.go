@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 
 	"racesim/internal/expt"
@@ -98,13 +97,11 @@ func (e *env) validateJob(j *ValidateJob) error {
 		return err
 	}
 
-	// The tuned configuration rides in the Result as the indented JSON a
-	// config file holds (sim.Config.MarshalJSONFile).
-	cfgJSON, err := json.MarshalIndent(final.Config, "", "  ")
-	if err != nil {
+	// The tuned configuration rides in the Result as the bytes of its
+	// config file.
+	if e.tunedConfig, err = final.Config.MarshalFile(); err != nil {
 		return err
 	}
-	e.tunedConfig = append(cfgJSON, '\n')
 	// The gate fires last: the Result already carries the report and the
 	// tuned configuration, and the cache snapshot is saved, when a
 	// violation fails the job, so CI shows exactly what missed the budget.

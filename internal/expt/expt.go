@@ -445,7 +445,7 @@ func (c *Context) Fig4() (Experiment, error) {
 // validate.Score grid, submitted to the shared cache, which deduplicates
 // its pairs. It returns each configuration's rows, in workload order.
 func (c *Context) SpecErrors(cfgs []sim.Config, ms []validate.Measurement) ([][]validate.BenchError, error) {
-	_, rows, err := validate.Score(c.opts.Context, cfgs, ms, c.opts.Cache, c.opts.Parallelism)
+	rows, err := validate.Score(c.opts.Context, cfgs, ms, c.opts.Cache, c.opts.Parallelism, nil)
 	if err != nil {
 		return nil, err
 	}

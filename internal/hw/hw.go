@@ -44,7 +44,8 @@ type Counters struct {
 // against these counters: the one definition of the metric every score of
 // a model uses. Counters without a positive, finite CPI (an empty trace
 // measures 0) have no relative error, and saying so beats a silent NaN.
-func (c Counters) CPIError(res core.Result) (float64, error) {
+// The result is read, not copied: a warm grid scores thousands.
+func (c Counters) CPIError(res *core.Result) (float64, error) {
 	if !(c.CPI > 0) || math.IsInf(c.CPI, 0) {
 		return 0, fmt.Errorf("hardware CPI %v is not positive and finite", c.CPI)
 	}

@@ -270,11 +270,11 @@ func TestBoardMeasuresOnceThroughCache(t *testing.T) {
 // never a NaN or an Inf.
 func TestCPIErrorNeedsPositiveFiniteCPI(t *testing.T) {
 	res := core.Result{Instructions: 100, Cycles: 150}
-	if e, err := (Counters{CPI: 2}).CPIError(res); err != nil || e != 0.25 {
+	if e, err := (Counters{CPI: 2}).CPIError(&res); err != nil || e != 0.25 {
 		t.Errorf("CPI 2 against a simulated 1.5: error %v, %v; want 0.25", e, err)
 	}
 	for _, cpi := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if e, err := (Counters{CPI: cpi}).CPIError(res); err == nil {
+		if e, err := (Counters{CPI: cpi}).CPIError(&res); err == nil {
 			t.Errorf("hardware CPI %v: error %v and no failure", cpi, e)
 		}
 	}

@@ -114,8 +114,16 @@ func recorded(memo *tracememo.Memo, key, name string, build func() (*isa.Program
 	})
 }
 
-func (c chase) chaseKey() string       { return tracememo.Key("lmbench-chase", c) }
-func (c chase) calibrationKey() string { return tracememo.Key("lmbench-cal", c.sizeBytes) }
+func (c chase) chaseKey() string {
+	return tracememo.NewKey("lmbench-chase").Open().
+		Int("sizeBytes", int64(c.sizeBytes)).Int("stride", int64(c.stride)).
+		Int("iters", int64(c.iters)).Int("seed", c.seed).Close().
+		String()
+}
+
+func (c chase) calibrationKey() string {
+	return tracememo.NewKey("lmbench-cal").Int("", int64(c.sizeBytes)).String()
+}
 
 // trace returns the chase itself: touch preamble, chain, dependent loads.
 func (c chase) trace(memo *tracememo.Memo) (*trace.Trace, error) {

@@ -92,7 +92,7 @@ func measurements(ws []Workload) []validate.Measurement {
 // not what was remembered), not that the configuration is a bad
 // neighbour: it fails the whole batch.
 func meanErrors(cfgs []sim.Config, ms []validate.Measurement, o Options) ([]float64, []validate.BenchError, error) {
-	_, rows, err := validate.Score(o.Context, cfgs, ms, o.Cache, o.Parallelism)
+	rows, err := validate.Score(o.Context, cfgs, ms, o.Cache, o.Parallelism, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("perturb: %w", err)
 	}
@@ -191,6 +191,8 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 	// simulation as the current point: its mean would be exactly curErr,
 	// which the ascent never accepts, so it is skipped unsimulated.
 	trials, skipped := 0, 0
+	var vals []string     // a batch's trial values,
+	var cfgs []sim.Config // its configurations: reused batch after batch
 	for r := 0; r <= o.Restarts; r++ {
 		cur := start(r)
 		curCfg, ok := apply(cur)
@@ -214,8 +216,7 @@ func WorstNearOptimum(tuned sim.Config, ws []Workload, opt Options) (*Result, er
 				// candidate order, exactly as if evaluated one by one. Each
 				// Set writes only d's field, so a trial is the configuration
 				// sim.Apply(tuned, cur with d moved) would build.
-				var vals []string
-				var cfgs []sim.Config
+				vals, cfgs = vals[:0], cfgs[:0]
 				for _, v := range cands {
 					if v == cur[d.Name] {
 						continue

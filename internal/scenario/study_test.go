@@ -67,7 +67,7 @@ func TestTransferCellIsThePaperPipeline(t *testing.T) {
 		for i, s := range st {
 			cfgs[i] = s.Config
 		}
-		_, rows, err := validate.Score(context.Background(), cfgs, ws, cache, 1)
+		rows, err := validate.Score(context.Background(), cfgs, ws, cache, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

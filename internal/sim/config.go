@@ -68,13 +68,27 @@ func (c Config) FingerprintSum() [sha256.Size]byte {
 	return sha256.Sum256(appendLeaves(b, &canon))
 }
 
-// MarshalJSONFile writes the configuration to path as indented JSON.
-func (c Config) MarshalJSONFile(path string) error {
+// MarshalFile returns the bytes of a config file holding the
+// configuration — indented JSON and a closing newline — which LoadConfig
+// reads back. It is the one encoder of a config file: MarshalJSONFile
+// writes its bytes, and the validate job returns them as the tuned
+// configuration.
+func (c Config) MarshalFile() ([]byte, error) {
 	data, err := json.MarshalIndent(c, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// MarshalJSONFile writes the configuration to path as a config file
+// (MarshalFile).
+func (c Config) MarshalJSONFile(path string) error {
+	data, err := c.MarshalFile()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
 }
 
 // LoadConfig reads a configuration from a JSON file and validates it.

@@ -37,7 +37,7 @@ func TestAliasClassSimulatedOnce(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		cfgs, tr := fpDivMoves(t, 6)
 		c := New()
-		rs, err := c.RunBatch(context.Background(), cfgs, []*trace.Trace{tr}, parallelism)
+		rs, err := c.RunBatch(context.Background(), cfgs, []*trace.Trace{tr}, parallelism, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestAliasClassSimulatedOnce(t *testing.T) {
 		}
 
 		other := testTrace(t, "MC")
-		if _, err := c.RunBatch(context.Background(), cfgs[:2], []*trace.Trace{other}, parallelism); err != nil {
+		if _, err := c.RunBatch(context.Background(), cfgs[:2], []*trace.Trace{other}, parallelism, nil); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.InOrderSims != 2 || st.Aliased != 6 {

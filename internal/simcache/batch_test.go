@@ -64,7 +64,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	want := directGrid(t, cfgs, trs)
 	for _, parallelism := range []int{1, 2, 8} {
 		c := New()
-		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism)
+		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism, nil)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -102,7 +102,7 @@ func TestRunBatchHitsAndIntraBatchDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := c.RunBatch(context.Background(), cfgs, dup, 4)
+			got, err := c.RunBatch(context.Background(), cfgs, dup, 4, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -129,7 +129,7 @@ func TestRunBatchHitsAndIntraBatchDuplicates(t *testing.T) {
 func TestRunBatchNilCache(t *testing.T) {
 	cfgs, trs := batchConfigs(), batchTraces(t)
 	var c *Cache
-	got, err := c.RunBatch(context.Background(), cfgs, trs, 3)
+	got, err := c.RunBatch(context.Background(), cfgs, trs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRunBatchInvalidConfigPoisonsOnlyItsSlot(t *testing.T) {
 
 	for _, parallelism := range []int{1, 2, 8} {
 		c := New()
-		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism)
+		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism, nil)
 		if err == nil || got != nil {
 			t.Fatalf("parallelism %d: a grid holding invalid configurations returned %d results, error %v", parallelism, len(got), err)
 		}
@@ -167,7 +167,7 @@ func TestRunBatchInvalidConfigPoisonsOnlyItsSlot(t *testing.T) {
 		if before.Entries > len(want) {
 			t.Errorf("parallelism %d: %d entries, more than the %d healthy pairs", parallelism, before.Entries, len(want))
 		}
-		got, err = c.RunBatch(context.Background(), healthy, trs, parallelism)
+		got, err = c.RunBatch(context.Background(), healthy, trs, parallelism, nil)
 		if err != nil {
 			t.Fatalf("parallelism %d: healthy pairs after the failed grid: %v", parallelism, err)
 		}
@@ -185,7 +185,7 @@ func TestRunBatchEmpty(t *testing.T) {
 		cfgs []sim.Config
 		trs  []*trace.Trace
 	}{{nil, batchTraces(t)}, {batchConfigs(), nil}, {nil, nil}} {
-		rs, err := c.RunBatch(context.Background(), g.cfgs, g.trs, 4)
+		rs, err := c.RunBatch(context.Background(), g.cfgs, g.trs, 4, nil)
 		if len(rs) != 0 || err != nil {
 			t.Errorf("%d x %d grid returned %d results, error %v", len(g.cfgs), len(g.trs), len(rs), err)
 		}
@@ -210,7 +210,7 @@ func TestRunBatchCancelledContextStopsDispatch(t *testing.T) {
 			return third, nil
 		})}
 		c := New()
-		got, err := c.RunBatch(ctx, cfgs, grid, parallelism)
+		got, err := c.RunBatch(ctx, cfgs, grid, parallelism, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("parallelism %d: %d results, error %v; want context.Canceled", parallelism, len(got), err)
@@ -225,7 +225,7 @@ func TestRunBatchCancelledContextStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := New()
-	if _, err := c.RunBatch(ctx, cfgs, trs, 4); !errors.Is(err, context.Canceled) {
+	if _, err := c.RunBatch(ctx, cfgs, trs, 4, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("grid under a cancelled context: %v", err)
 	}
 	if st := c.Stats(); st.Misses != 0 {

@@ -182,7 +182,8 @@ func BenchmarkSnapshotExchange(b *testing.B) {
 // pair from the mapped snapshot. It covers everything a disk hit costs
 // below the caller: two fingerprints, 22 packed keys and index hashes, 22
 // lookups decoded in place — all on the caller's goroutine, since no pair
-// is left for the worker pool.
+// is left for the worker pool — into storage handed back grid after grid,
+// as validate.Score recycles it.
 func BenchmarkRunBatchMappedGrid(b *testing.B) {
 	cfgs := []sim.Config{sim.PublicA53(), sim.PublicA72()}
 	var trs []*trace.Trace
@@ -203,8 +204,10 @@ func BenchmarkRunBatchMappedGrid(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
+	var rs []core.Result
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunBatch(context.Background(), cfgs, trs, 2); err != nil {
+		var err error
+		if rs, err = c.RunBatch(context.Background(), cfgs, trs, 2, rs); err != nil {
 			b.Fatal(err)
 		}
 	}

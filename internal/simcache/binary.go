@@ -142,23 +142,23 @@ func walkPayload(data []byte, words []uint64) error {
 	if int(n) != numResultFields {
 		return fmt.Errorf("simcache: result payload has %d fields, want %d", n, numResultFields)
 	}
-	data = data[used:]
+	p := used
 	for i := 0; i < numResultFields; i++ {
 		var x uint64
-		if len(data) > 0 && data[0] < 0x80 {
-			x, used = uint64(data[0]), 1 // most counters are small
-		} else if x, used = binary.Uvarint(data); used <= 0 {
+		if p < len(data) && data[p] < 0x80 {
+			x = uint64(data[p]) // most counters are small
+			p++
+		} else if x, used = binary.Uvarint(data[p:]); used <= 0 {
 			return fmt.Errorf("simcache: result payload: truncated varint")
-		} else if data[used-1] == 0 {
+		} else if p += used; data[p-1] == 0 {
 			return fmt.Errorf("simcache: result payload: varint not in its shortest form")
 		}
 		if words != nil {
 			words[i] = x
 		}
-		data = data[used:]
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("simcache: result payload: %d trailing bytes", len(data))
+	if p != len(data) {
+		return fmt.Errorf("simcache: result payload: %d trailing bytes", len(data)-p)
 	}
 	return nil
 }

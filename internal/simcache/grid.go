@@ -18,11 +18,12 @@ type pendingPair struct {
 
 // answerHits is RunBatch's hit pass, run on the caller's goroutine. It
 // builds each pair's key without its string — the configuration's
-// fingerprint sum once per configuration, the trace's digest once per
-// trace — and every pair a tier answers (lookup) is decoded straight into
-// its slot of out and counted a hit, as RunKeyed would answer it. It returns
-// the other pairs in caller order (misses, records that fail, pairs in
-// flight elsewhere) with their keys. A nil receiver answers nothing.
+// fingerprint sum once per configuration, beside the raw digest each trace
+// holds (trace.Trace.DigestSum) — and every pair a tier answers (lookup)
+// is decoded straight into its slot of out and counted a hit, as RunKeyed
+// would answer it. It returns the other pairs in caller order (misses,
+// records that fail, pairs in flight elsewhere) with their keys. A nil
+// receiver answers nothing.
 func (c *Cache) answerHits(cfgs []sim.Config, trs []*trace.Trace, out []core.Result) (pending []pendingPair) {
 	if c == nil {
 		pending = make([]pendingPair, len(out))
@@ -31,27 +32,16 @@ func (c *Cache) answerHits(cfgs []sim.Config, trs []*trace.Trace, out []core.Res
 		}
 		return pending
 	}
-	type digest struct {
-		raw [32]byte
-		ok  bool
-	}
-	var stack [16]digest // a grid's traces nearly always fit
-	digests := stack[:0]
-	for _, tr := range trs {
-		var d digest
-		d.ok = unhex(d.raw[:], tr.Digest())
-		digests = append(digests, d)
-	}
 	var p pendingPair
 	hits := uint64(0)
 	for i := range cfgs {
 		sum := cfgs[i].FingerprintSum()
 		copy(p.key[:32], sum[:])
-		for j := range digests {
+		for j, tr := range trs {
 			p.pair = i*len(trs) + j
-			p.keyed = digests[j].ok
-			if p.keyed {
-				copy(p.key[32:], digests[j].raw[:])
+			var digest [32]byte
+			if digest, p.keyed = tr.DigestSum(); p.keyed {
+				copy(p.key[32:], digest[:])
 				p.hash = keyHash(&p.key)
 				if found, _ := c.lookup(&p.key, p.hash, &out[p.pair]); found {
 					hits++

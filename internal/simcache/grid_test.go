@@ -53,6 +53,32 @@ func TestGridKeyMatchesJoinKey(t *testing.T) {
 	}
 }
 
+// TestUnkeyedTraceTakesTheRunKeyedPath: a deferred trace remembered with
+// a digest that is not a key's half has no raw sum (trace.DigestSum), and
+// its pair goes the way RunKeyed sends a pair whose key does not pack: it
+// is simulated uncached — no counter moves, nothing is stored — and, since
+// no generation can match such a digest, fails as RunKeyed's does.
+func TestUnkeyedTraceTakesTheRunKeyedPath(t *testing.T) {
+	cfgs, src := batchConfigs()[:1], batchTraces(t)[0]
+	id := src.Identity()
+	id.Digest = strings.ToUpper(id.Digest)
+	bad := func() *trace.Trace {
+		return trace.Deferred(src.Name, id, func() (*trace.Trace, error) { return src, nil })
+	}
+	c := New()
+	_, want := c.RunKeyed(Key(cfgs[0], bad()), cfgs[0], bad())
+	if want == nil {
+		t.Fatal("a trace remembered under another digest simulated")
+	}
+	_, err := c.RunBatch(context.Background(), cfgs, []*trace.Trace{bad()}, 1, nil)
+	if err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+		t.Fatalf("RunBatch error %v, want RunKeyed's: %v", err, want)
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Errorf("stats = %+v, want no counter moved and nothing stored", st)
+	}
+}
+
 // hitPassFixture is a cache over a snapshot of real results, prepared so
 // that a grid over batchConfigs() x batchTraces() meets every case the hit
 // pass distinguishes: pairs on disk, pairs nowhere, disk records that fail
@@ -120,9 +146,17 @@ func TestRunBatchHitPassMatchesRunKeyed(t *testing.T) {
 
 	for _, parallelism := range []int{1, 2} {
 		c := fresh()
-		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism)
+		// Storage handed back dirty: every slot is overwritten.
+		dirty := make([]core.Result, len(want)+3)
+		for k := range dirty {
+			dirty[k].Cycles, dirty[k].Mem.L2.Misses = ^uint64(0), 7
+		}
+		got, err := c.RunBatch(context.Background(), cfgs, trs, parallelism, dirty)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if &got[0] != &dirty[0] {
+			t.Error("RunBatch did not decode into the storage it was handed")
 		}
 		sameResults(t, "hit pass", got, want)
 		st := c.Stats()

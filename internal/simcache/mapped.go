@@ -7,9 +7,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 
 	"racesim/internal/core"
@@ -18,10 +18,10 @@ import (
 // Mapped is the mmap-backed read path over a binary snapshot: Open maps
 // the file and parses only the fixed-width index, so cold start is
 // O(index) — a process sweeping 12 configs against a 10k-entry cache
-// never decodes the other entries. A lookup binary-searches the index
-// once, compares the candidate record's stored key (hash collisions are
-// legal), and decodes a core.Result only on Get; the
-// per-record checksum is re-proved at that moment, every time — nothing
+// never decodes the other entries. A lookup searches the index once, from
+// the rank its hash predicts (lowerBound), compares the candidate record's
+// stored key (hash collisions are legal), and decodes a core.Result only
+// on Get; the per-record checksum is re-proved at that moment, every time — nothing
 // keeps a decoded record — so a flipped byte on disk rejects exactly the
 // record it hit.
 //
@@ -168,14 +168,76 @@ func (m *Mapped) find(key *[keySize]byte, h uint64) (record, bool) {
 	if m == nil {
 		return record{}, false
 	}
-	i := sort.Search(len(m.index), func(i int) bool { return m.index[i].hash >= h })
-	for ; i < len(m.index) && m.index[i].hash == h; i++ {
+	for i := lowerBound(m.index, h); i < len(m.index) && m.index[i].hash == h; i++ {
 		r, err := m.recordAt(m.index[i])
 		if err == nil && bytes.Equal(r.key, key[:]) {
 			return r, true
 		}
 	}
 	return record{}, false
+}
+
+// lowerBound returns the position of the first entry of index, sorted by
+// hash, whose hash is at least h (len(index) if none). Index hashes are
+// uniform (FNV-1a of a key that is two SHA-256 sums), so that entry's rank
+// is close to h's share of the hash space: the search starts at the rank
+// h predicts, moves once by the ranks the gap between h and the hash found
+// there predicts, gallops from that entry in doubling steps until the
+// answer is bracketed, and bisects the bracket. On a snapshot's index that
+// is a few probes, all close together; on any sorted index, however its
+// hashes cluster, it is O(log n).
+func lowerBound(index []idxEntry, h uint64) int {
+	n := len(index)
+	if n == 0 {
+		return 0
+	}
+	guess, _ := bits.Mul64(h, uint64(n))
+	i := int(guess)
+	if g := index[i].hash; g < h {
+		ahead, _ := bits.Mul64(h-g, uint64(n))
+		i = min(i+int(ahead), n-1)
+	} else if g > h {
+		behind, _ := bits.Mul64(g-h, uint64(n))
+		i = max(i-int(behind), 0)
+	}
+	// The answer lies in [lo, hi].
+	lo, hi := 0, n
+	if index[i].hash < h {
+		lo = i + 1
+		for step := 1; ; step *= 2 {
+			j := i + step
+			if j >= n {
+				break
+			}
+			if index[j].hash >= h {
+				hi = j
+				break
+			}
+			lo = j + 1
+		}
+	} else {
+		hi = i
+		for step := 1; ; step *= 2 {
+			j := i - step
+			if j < 0 {
+				break
+			}
+			if index[j].hash < h {
+				lo = j + 1
+				break
+			}
+			hi = j
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if index[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // holds reports whether the tier indexes key, whose index hash is h.

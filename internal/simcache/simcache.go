@@ -44,6 +44,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"racesim/internal/core"
@@ -526,19 +527,25 @@ func (c *Cache) publishAliasLocked(k aliasKey, ce *centry) {
 // them, under the keys the hit pass built, on at most parallelism workers
 // (<=1: one after the other).
 //
-// Results are in caller order, configuration-major: pair (i, j) is
-// out[i*len(trs)+j]. The error is the lowest-indexed failing pair's,
-// whatever the completion order, and names its configuration and trace; it
-// stops dispatch, and pairs that completed stay memoized. Cancelling ctx
-// (nil: never cancelled) stops dispatch within one simulation and reports
-// ctx.Err(); a grid under a context cancelled already looks nothing up. A
-// nil receiver simulates every pair.
-func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Trace, parallelism int) ([]core.Result, error) {
+// The results go into dst's storage, grown to the grid when it is too
+// small (nil: allocated), and are returned in caller order,
+// configuration-major: pair (i, j) is out[i*len(trs)+j]. A caller that
+// scores a grid and keeps no result hands the same storage back grid after
+// grid, so a warm grid allocates nothing per pair. The error is the
+// lowest-indexed failing pair's, whatever the completion order, and names
+// its configuration and trace; it stops dispatch, and pairs that completed
+// stay memoized. Cancelling ctx (nil: never cancelled) stops dispatch
+// within one simulation and reports ctx.Err(); a grid under a context
+// cancelled already looks nothing up. A nil receiver simulates every pair.
+func (c *Cache) RunBatch(ctx context.Context, cfgs []sim.Config, trs []*trace.Trace, parallelism int, dst []core.Result) ([]core.Result, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	out := make([]core.Result, len(cfgs)*len(trs))
+	out := slices.Grow(dst[:0], len(cfgs)*len(trs))[:len(cfgs)*len(trs)]
 	pending := c.answerHits(cfgs, trs, out)
+	if len(pending) == 0 {
+		return out, nil
+	}
 	err := par.ForEachCtx(ctx, len(pending), parallelism, func(n int) error {
 		p := &pending[n]
 		i, tr := p.pair/len(trs), trs[p.pair%len(trs)]

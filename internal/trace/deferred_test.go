@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"strings"
@@ -187,6 +188,32 @@ func TestDeferredMaterializesOnceUnderConcurrentReaders(t *testing.T) {
 		}
 		if d.Err != nil || d.Len() != src.Len() || d != tr.Decoded(i%2 == 0) {
 			t.Errorf("reader %d: decode of %d events (error %v), want the shared decode of %d", i, d.Len(), d.Err, src.Len())
+		}
+	}
+}
+
+// TestDigestSumIsTheDigestsBytes: the raw sum a trace keeps beside its hex
+// digest is that digest decoded, for an ordinary trace and for a deferred
+// one (answered without generating); a deferred trace remembered with a
+// digest that is not the lowercase hex of a sum has no sum to give.
+func TestDigestSumIsTheDigestsBytes(t *testing.T) {
+	src := sampleTrace(t)
+	var runs atomic.Int32
+	deferred := deferredCopy(t, src, &runs)
+	for name, tr := range map[string]*Trace{"ordinary": src, "empty": New("empty", true), "deferred": deferred} {
+		sum, ok := tr.DigestSum()
+		want, err := hex.DecodeString(tr.Digest())
+		if !ok || err != nil || !bytes.Equal(sum[:], want) {
+			t.Errorf("%s: DigestSum %x (ok %v), want %s decoded", name, sum, ok, tr.Digest())
+		}
+	}
+	if runs.Load() != 0 {
+		t.Error("DigestSum generated a deferred trace")
+	}
+	good := strings.Repeat("0a", 32)
+	for _, d := range []string{"", good[:62], good + "00", strings.ToUpper(good), good[:63] + "g"} {
+		if sum, ok := Deferred("bad", Identity{Digest: d}, nil).DigestSum(); ok {
+			t.Errorf("digest %q: DigestSum %x, ok; want none", d, sum)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -44,6 +45,7 @@ type Trace struct {
 
 	digestOnce sync.Once
 	digest     string
+	sum        [sha256.Size]byte // digest's bytes
 
 	// Memoized decode-once forms, one per decoder variant (correct,
 	// DepBug); see Decoded.
@@ -71,6 +73,8 @@ func (t *Trace) Identity() Identity {
 // deferred is the state of a trace whose events have not been asked for.
 type deferred struct {
 	id       Identity
+	sum      [sha256.Size]byte // id.Digest's bytes, when sumOK
+	sumOK    bool
 	generate func() (*Trace, error)
 	once     sync.Once
 	err      error
@@ -86,7 +90,12 @@ type deferred struct {
 // — Decoded carries it in Decoded.Err, so the simulation that asked fails
 // — and never the events of some other trace.
 func Deferred(name string, id Identity, generate func() (*Trace, error)) *Trace {
-	return &Trace{Name: name, WarmData: id.WarmData, deferred: &deferred{id: id, generate: generate}}
+	d := &deferred{id: id, generate: generate}
+	if len(id.Digest) == hex.EncodedLen(sha256.Size) && strings.ToLower(id.Digest) == id.Digest {
+		_, err := hex.Decode(d.sum[:], []byte(id.Digest))
+		d.sumOK = err == nil
+	}
+	return &Trace{Name: name, WarmData: id.WarmData, deferred: d}
 }
 
 // content returns the trace's columns, materializing a deferred trace.
@@ -145,32 +154,48 @@ func (t *Trace) Digest() string {
 	if t.deferred != nil {
 		return t.deferred.id.Digest
 	}
-	t.digestOnce.Do(func() {
-		h := sha256.New()
-		var buf [64 * digestRecord]byte
-		if t.WarmData {
-			buf[0] = 1
-		}
-		h.Write(buf[:1])
-		c := &t.cols
-		for lo := 0; lo < c.len(); lo += 64 {
-			m := min(64, c.len()-lo)
-			for j := range m {
-				i, rec := lo+j, buf[j*digestRecord:(j+1)*digestRecord]
-				binary.LittleEndian.PutUint64(rec[0:], c.pc[i])
-				binary.LittleEndian.PutUint32(rec[8:], c.words[c.ids[i]])
-				binary.LittleEndian.PutUint64(rec[12:], c.memAddr[i])
-				binary.LittleEndian.PutUint64(rec[20:], c.target[i])
-				rec[28] = 0
-				if c.isTaken(i) {
-					rec[28] = 1
-				}
-			}
-			h.Write(buf[:m*digestRecord])
-		}
-		t.digest = hex.EncodeToString(h.Sum(nil))
-	})
+	t.digestOnce.Do(t.digestContent)
 	return t.digest
+}
+
+// DigestSum returns the SHA-256 sum Digest spells in lowercase hex, held
+// beside it, so a caller keying by the raw bytes decodes nothing. ok is
+// false only for a deferred trace whose remembered digest is not the
+// lowercase hex of a sum — no trace digests to one.
+func (t *Trace) DigestSum() (sum [sha256.Size]byte, ok bool) {
+	if d := t.deferred; d != nil {
+		return d.sum, d.sumOK
+	}
+	t.digestOnce.Do(t.digestContent)
+	return t.sum, true
+}
+
+// digestContent computes an ordinary trace's digest and its hex spelling.
+func (t *Trace) digestContent() {
+	h := sha256.New()
+	var buf [64 * digestRecord]byte
+	if t.WarmData {
+		buf[0] = 1
+	}
+	h.Write(buf[:1])
+	c := &t.cols
+	for lo := 0; lo < c.len(); lo += 64 {
+		m := min(64, c.len()-lo)
+		for j := range m {
+			i, rec := lo+j, buf[j*digestRecord:(j+1)*digestRecord]
+			binary.LittleEndian.PutUint64(rec[0:], c.pc[i])
+			binary.LittleEndian.PutUint32(rec[8:], c.words[c.ids[i]])
+			binary.LittleEndian.PutUint64(rec[12:], c.memAddr[i])
+			binary.LittleEndian.PutUint64(rec[20:], c.target[i])
+			rec[28] = 0
+			if c.isTaken(i) {
+				rec[28] = 1
+			}
+		}
+		h.Write(buf[:m*digestRecord])
+	}
+	h.Sum(t.sum[:0])
+	t.digest = hex.EncodeToString(t.sum[:])
 }
 
 // Cursor reads an in-memory Trace one event at a time, in program order.

@@ -1,7 +1,10 @@
 package tracememo
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"racesim/internal/trace"
@@ -142,5 +145,47 @@ func TestUbenchZeroScaleIsTheDefaultKey(t *testing.T) {
 	}
 	if st := m.Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Errorf("stats = %+v, want 1 miss, 2 hits", st)
+	}
+}
+
+// TestKeysSpellLikeFmt: Key spells a parameter as fmt's %+v does, so the
+// keys are the ones fmt built — and the identities a snapshot remembers
+// under them keep answering. Sampled options, negative and exponent-sized
+// numbers included, against fmt as the oracle.
+func TestKeysSpellLikeFmt(t *testing.T) {
+	fmtKey := func(family string, params ...any) string {
+		var b strings.Builder
+		b.WriteString(family)
+		for _, p := range params {
+			fmt.Fprintf(&b, "\x00%+v", p)
+		}
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(60))
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return rng.Float64()
+		case 2:
+			return -rng.ExpFloat64() * 1e12
+		}
+		return rng.NormFloat64() * 1e-7
+	}
+	b, _ := ubench.ByName("MD")
+	for range 500 {
+		uo := ubench.Options{Scale: float(), InitArrays: rng.Intn(2) == 0}
+		if got, want := ubenchKey(b, uo), fmtKey("ubench", b.Name, b.PaperInstructions, uo); got != want {
+			t.Fatalf("ubench key %q, fmt spells it %q", got, want)
+		}
+		p := workload.Profiles()[rng.Intn(len(workload.Profiles()))]
+		p.Line, p.WorkingSetKB, p.CodeBlocks = -rng.Int(), rng.Int(), rng.Intn(100)
+		p.PaperInstructions = rng.Uint64()
+		p.StreamFrac, p.DepProb, p.DivFrac = float(), float(), float()
+		wo := workload.Options{Events: rng.Int(), Seed: rng.Int63() - rng.Int63(), WSDivisor: -rng.Intn(64)}
+		if got, want := workloadKey(p, wo), fmtKey("workload", p, wo); got != want {
+			t.Fatalf("workload key %q, fmt spells it %q", got, want)
+		}
 	}
 }

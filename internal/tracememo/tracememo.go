@@ -41,8 +41,7 @@ package tracememo
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,32 +51,102 @@ import (
 	"racesim/internal/workload"
 )
 
-// Key names a generated trace by its generator family and every
-// parameter of the generation. Parameters are formatted with %+v, so an
-// options struct passed whole contributes each of its fields by name and
-// a field added later reaches the key without anyone remembering it
-// (the key tests fail on a field %+v cannot render by value). Keys are
-// never built from program text: the assembler labels of two builds of
-// one micro-benchmark differ (ubench's initSeq counter).
-func Key(family string, params ...any) string {
-	var b strings.Builder
-	b.WriteString(family)
-	for _, p := range params {
-		fmt.Fprintf(&b, "\x00%+v", p)
-	}
-	return b.String()
+// Key spells a memo key: the name of a generator family, then each
+// parameter of the generation after a 0 byte. A parameter is a scalar or a
+// struct, spelled as fmt's %+v spells it — a number, string or flag as %v
+// does, a struct as {Field:value ...}, Open to Close — so a key is the
+// string fmt would build, without fmt's reflection on every request. An
+// options struct goes in field by field, each under its Go name; the key
+// tests fail on a field of the generators' options that does not move its
+// key. Keys are never built from program text: the assembler labels of two
+// builds of one micro-benchmark differ (ubench's initSeq counter).
+type Key struct {
+	b     []byte
+	first bool // the next scalar is the first field of the struct Open began
 }
+
+// NewKey starts the key of a generator family.
+func NewKey(family string) Key {
+	return Key{b: append(make([]byte, 0, 256), family...)}
+}
+
+// put starts a scalar: a parameter of its own when name is "", or else
+// the field name of the struct Open began.
+func (k Key) put(name string) Key {
+	if name == "" {
+		k.b = append(k.b, 0)
+		return k
+	}
+	if !k.first {
+		k.b = append(k.b, ' ')
+	}
+	k.first = false
+	k.b = append(append(k.b, name...), ':')
+	return k
+}
+
+// Str, Int, Uint, Float and Bool add a scalar (see put).
+func (k Key) Str(name, v string) Key {
+	k = k.put(name)
+	k.b = append(k.b, v...)
+	return k
+}
+func (k Key) Int(name string, v int64) Key {
+	k = k.put(name)
+	k.b = strconv.AppendInt(k.b, v, 10)
+	return k
+}
+func (k Key) Uint(name string, v uint64) Key {
+	k = k.put(name)
+	k.b = strconv.AppendUint(k.b, v, 10)
+	return k
+}
+func (k Key) Float(name string, v float64) Key {
+	k = k.put(name)
+	k.b = strconv.AppendFloat(k.b, v, 'g', -1, 64)
+	return k
+}
+func (k Key) Bool(name string, v bool) Key {
+	k = k.put(name)
+	k.b = strconv.AppendBool(k.b, v)
+	return k
+}
+
+// Open begins a struct parameter; Close ends it.
+func (k Key) Open() Key {
+	k.b, k.first = append(k.b, 0, '{'), true
+	return k
+}
+func (k Key) Close() Key {
+	k.b, k.first = append(k.b, '}'), false
+	return k
+}
+
+// String returns the key.
+func (k Key) String() string { return string(k.b) }
 
 // ubenchKey names b's trace under o: the benchmark is its registered name
 // and the instruction count its size derives from, the options go in whole.
 func ubenchKey(b ubench.Bench, o ubench.Options) string {
-	return Key("ubench", b.Name, b.PaperInstructions, o)
+	return NewKey("ubench").Str("", b.Name).Uint("", b.PaperInstructions).
+		Open().Float("Scale", o.Scale).Bool("InitArrays", o.InitArrays).Close().
+		String()
 }
 
 // workloadKey names the trace synthesized from p under o; callers may
 // build profiles of their own, so the profile goes in whole as well.
 func workloadKey(p workload.Profile, o workload.Options) string {
-	return Key("workload", p, o)
+	return NewKey("workload").Open().
+		Str("Name", p.Name).Str("SourceFile", p.SourceFile).Int("Line", int64(p.Line)).
+		Uint("PaperInstructions", p.PaperInstructions).Int("WorkingSetKB", int64(p.WorkingSetKB)).
+		Float("StreamFrac", p.StreamFrac).Float("ChaseFrac", p.ChaseFrac).
+		Float("LoadFrac", p.LoadFrac).Float("StoreFrac", p.StoreFrac).
+		Float("BranchRandom", p.BranchRandom).Float("IndirectFrac", p.IndirectFrac).
+		Float("CallFrac", p.CallFrac).Int("CodeBlocks", int64(p.CodeBlocks)).
+		Float("FPFrac", p.FPFrac).Float("SIMDFrac", p.SIMDFrac).Float("MulFrac", p.MulFrac).
+		Float("DivFrac", p.DivFrac).Float("DepProb", p.DepProb).Close().
+		Open().Int("Events", int64(o.Events)).Int("Seed", o.Seed).Int("WSDivisor", int64(o.WSDivisor)).Close().
+		String()
 }
 
 // Ubench returns the trace of micro-benchmark b generated under o. A

@@ -3,6 +3,7 @@ package validate
 import (
 	"context"
 
+	"racesim/internal/core"
 	"racesim/internal/plausibility"
 	"racesim/internal/report"
 	"racesim/internal/sim"
@@ -22,8 +23,8 @@ func CollectSamples(cfg sim.Config, ms []Measurement, cache *simcache.Cache, par
 		plaus = append(plaus, "config: "+v.String())
 	}
 	// CollectSamples keeps a signature without a context.
-	rs, _, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism)
-	if err != nil {
+	rs := make([]core.Result, len(ms))
+	if _, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism, rs); err != nil {
 		return nil, nil, err
 	}
 	samples := make([]report.Sample, len(ms))

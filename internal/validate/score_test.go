@@ -72,7 +72,7 @@ func TestScoreIsTheDirectReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := m.Counters.CPIError(res)
+			e, err := m.Counters.CPIError(&res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,12 +85,18 @@ func TestScoreIsTheDirectReplay(t *testing.T) {
 			name  string
 			cache *simcache.Cache
 		}{{"nil", nil}, {"cold", cache}, {"warm", cache}} {
-			rs, rows, err := Score(context.Background(), cfgs, ms, run.cache, par)
+			rs := make([]core.Result, len(want))
+			rows, err := Score(context.Background(), cfgs, ms, run.cache, par, rs)
 			if err != nil {
 				t.Fatalf("%s cache, parallelism %d: %v", run.name, par, err)
 			}
-			if len(rs) != len(want) || len(rows) != len(want) {
-				t.Fatalf("%s cache, parallelism %d: %d results and %d errors, want %d", run.name, par, len(rs), len(rows), len(want))
+			if len(rows) != len(want) {
+				t.Fatalf("%s cache, parallelism %d: %d errors, want %d", run.name, par, len(rows), len(want))
+			}
+			// A caller that reads only rows gets the same rows from
+			// recycled storage.
+			if only, err := Score(context.Background(), cfgs, ms, run.cache, par, nil); err != nil || !reflect.DeepEqual(only, rows) {
+				t.Errorf("%s cache, parallelism %d: rows-only Score gave %v (%v), want the rows of the full one", run.name, par, only, err)
 			}
 			for k := range want {
 				cfg, m := cfgs[k/len(ms)], ms[k%len(ms)]
@@ -115,7 +121,7 @@ func TestScoreIsTheDirectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := append(ms[:2:2], Measurement{Bench: ubench.Bench{Name: "empty-bench"}, Trace: empty, Counters: c})
-	if _, _, err := Score(context.Background(), cfgs, bad, nil, 4); err == nil || !strings.Contains(err.Error(), "empty-bench") {
+	if _, err := Score(context.Background(), cfgs, bad, nil, 4, nil); err == nil || !strings.Contains(err.Error(), "empty-bench") {
 		t.Errorf("a measurement with CPI %v scored with error %v; want a failure naming empty-bench", c.CPI, err)
 	}
 }

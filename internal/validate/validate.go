@@ -91,31 +91,48 @@ type BenchError struct {
 // configuration on every measurement's trace — one len(cfgs) x len(ms)
 // grid through the optional shared cache, on at most parallelism workers
 // — and scores each result with hw.Counters.CPIError into a row named
-// after its measurement. Results and rows are configuration-major: pair
-// (i, j) is at i*len(ms)+j, so rows[i*len(ms):(i+1)*len(ms)] are
-// configuration i's errors in measurement order. A simulation that fails
-// fails the grid with simcache.Cache.RunBatch's error, which names the
-// configuration and the trace; counters with no relative error fail it
-// with an error naming the measurement.
-func Score(ctx context.Context, cfgs []sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]core.Result, []BenchError, error) {
+// after its measurement. Rows are configuration-major: pair (i, j) is at
+// i*len(ms)+j, so rows[i*len(ms):(i+1)*len(ms)] are configuration i's
+// errors in measurement order. The results go into rs, laid out like the
+// rows, when it is not nil; a caller that reads only rows passes nil, and
+// the grid is decoded into recycled storage and kept by nobody. A
+// simulation that fails fails the grid with simcache.Cache.RunBatch's
+// error, which names the configuration and the trace; counters with no
+// relative error fail it with an error naming the measurement.
+func Score(ctx context.Context, cfgs []sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int, rs []core.Result) ([]BenchError, error) {
 	trs := make([]*trace.Trace, len(ms))
 	for j, m := range ms {
 		trs[j] = m.Trace
 	}
-	rs, err := cache.RunBatch(ctx, cfgs, trs, parallelism)
+	var err error
+	if rs == nil {
+		scratch := unkept.Get().(*[]core.Result)
+		defer unkept.Put(scratch)
+		*scratch, err = cache.RunBatch(ctx, cfgs, trs, parallelism, *scratch)
+		rs = *scratch
+	} else if len(rs) != len(cfgs)*len(ms) {
+		panic(fmt.Sprintf("validate: Score of a %d x %d grid into %d results", len(cfgs), len(ms), len(rs)))
+	} else {
+		_, err = cache.RunBatch(ctx, cfgs, trs, parallelism, rs)
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rows := make([]BenchError, len(rs))
-	for k, res := range rs {
-		m := ms[k%len(ms)]
+	for k := range rs {
+		m := &ms[k%len(ms)]
 		rows[k] = BenchError{Name: m.Bench.Name, Category: m.Bench.Category}
-		if rows[k].Error, err = m.Counters.CPIError(res); err != nil {
-			return nil, nil, fmt.Errorf("validate: %s: %w", m.Bench.Name, err)
+		if rows[k].Error, err = m.Counters.CPIError(&rs[k]); err != nil {
+			return nil, fmt.Errorf("validate: %s: %w", m.Bench.Name, err)
 		}
 	}
-	return rs, rows, nil
+	return rows, nil
 }
+
+// unkept recycles the storage of the grids whose results no caller
+// keeps (Score with nil rs): a *[]core.Result, grown to the largest grid
+// it has held.
+var unkept = sync.Pool{New: func() any { return new([]core.Result) }}
 
 // Errors evaluates cfg against every measurement.
 func Errors(cfg sim.Config, ms []Measurement) ([]BenchError, error) {
@@ -127,8 +144,7 @@ func Errors(cfg sim.Config, ms []Measurement) ([]BenchError, error) {
 // order, identical to the sequential path.
 func ErrorsWith(cfg sim.Config, ms []Measurement, cache *simcache.Cache, parallelism int) ([]BenchError, error) {
 	// ErrorsWith keeps a signature without a context.
-	_, rows, err := Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism)
-	return rows, err
+	return Score(context.TODO(), []sim.Config{cfg}, ms, cache, parallelism, nil)
 }
 
 // checkFinite rejects NaN/Inf per-benchmark errors. A non-finite error
@@ -218,11 +234,8 @@ func (e *Evaluator) Err() error {
 }
 
 // cost is the branch-MPKI term a candidate's cost adds to its CPI error
-// (Score) on one measurement: 0 unless Weights.BranchMPKI is set.
+// (Score) on one measurement when Weights.BranchMPKI is set.
 func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
-	if e.Weights.BranchMPKI <= 0 {
-		return 0
-	}
 	den := m.Counters.BranchMPKI
 	if den < 1 {
 		den = 1
@@ -256,7 +269,11 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 	ms := e.Ms[instance : instance+1]
 	// irace.BatchEvaluator carries no context; the tuner checks its own
 	// before each call.
-	rs, rows, err := Score(context.TODO(), cfgs, ms, e.Cache, 1)
+	var rs []core.Result // read only by the branch-MPKI term
+	if e.Weights.BranchMPKI > 0 {
+		rs = make([]core.Result, len(cfgs))
+	}
+	rows, err := Score(context.TODO(), cfgs, ms, e.Cache, 1, rs)
 	if err != nil {
 		e.mu.Lock()
 		if e.err == nil {
@@ -272,7 +289,10 @@ func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
 		case err != nil:
 			out[i] = math.Inf(1)
 		default:
-			out[i] = rows[j].Error + e.cost(rs[j], ms[0])
+			out[i] = rows[j].Error
+			if rs != nil {
+				out[i] += e.cost(rs[j], ms[0])
+			}
 		}
 		j++
 	}

@@ -215,7 +215,7 @@ func TestCostBatchMatchesCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want, err = m.Counters.CPIError(res); err != nil {
+				if want, err = m.Counters.CPIError(&res); err != nil {
 					t.Fatal(err)
 				}
 				want += e.cost(res, m)
